@@ -10,6 +10,8 @@
 #   ./ci.sh workspace   # full workspace tests + standalone facade build
 #   ./ci.sh verify      # accuracy gate, run twice under deterministic
 #                       # replay — the two reports must be byte-identical
+#   ./ci.sh bench       # benchmark package: its unit tests + a smoke run
+#                       # of all five workloads with every output checked
 #   ./ci.sh fast        # lint + tier1 only
 #   ./ci.sh artifacts S # print stage S's artifact paths, one per line
 #
@@ -47,6 +49,9 @@ artifacts_for() {
             ;;
         verify)
             printf '%s\n' ACCURACY_report.json
+            ;;
+        bench)
+            printf '%s\n' benchmark/out/result.json
             ;;
         *) fail "no artifact manifest for stage '$1'" ;;
     esac
@@ -160,16 +165,34 @@ stage_verify() {
     echo "deterministic replay OK: reports byte-identical"
 }
 
+stage_bench() {
+    # The benchmark is a package of its own (own workspace and lock file),
+    # so the workspace stages never build it. Its unit tests pin the
+    # contract with BENCHMARK.json; the smoke run drives every workload
+    # (tiny shapes, seconds in total) through the same code as a real run
+    # and exits non-zero if any operation fails its output check. It
+    # writes only to the git-ignored benchmark/out.
+    step "bench: benchmark package unit tests"
+    cargo test --offline --manifest-path benchmark/Cargo.toml
+
+    artifacts_for bench | xargs rm -f
+
+    step "bench: smoke run, all workloads, outputs checked"
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+    check_artifacts bench
+}
+
 case "${1:-all}" in
     lint)      stage_lint ;;
     tier1)     stage_tier1 ;;
     zolo)      stage_zolo ;;
     workspace) stage_workspace ;;
     verify)    stage_verify ;;
+    bench)     stage_bench ;;
     fast)      stage_lint; stage_tier1 ;;
-    all)       stage_lint; stage_tier1; stage_workspace; stage_verify ;;
+    all)       stage_lint; stage_tier1; stage_workspace; stage_verify; stage_bench ;;
     artifacts) artifacts_for "${2:?usage: ./ci.sh artifacts <stage>}"; exit 0 ;;
-    *)         fail "unknown stage '${1}' (expected lint|tier1|zolo|workspace|verify|fast|all|artifacts)" ;;
+    *)         fail "unknown stage '${1}' (expected lint|tier1|zolo|workspace|verify|bench|fast|all|artifacts)" ;;
 esac
 
 step "OK"

@@ -14,11 +14,11 @@
 //!   so a batch of small GEMMs fills the work-stealing pool with exactly
 //!   one parallel region.
 
-use crate::gemm::gemm_leaf;
+use crate::gemm::{gemm_leaf, packs};
 use crate::packed::{
     gemm_packed_with, macro_kernel, pack_a, pack_b, scale_block, select_kernel, tile_shape,
 };
-use crate::params::{gemm_params, par_threshold_flops};
+use crate::params::{fork_lanes, gemm_params, par_threshold_flops};
 use polar_matrix::{BatchedDense, BatchedMut, BatchedRef, Op};
 use polar_scalar::Scalar;
 
@@ -58,14 +58,13 @@ pub fn gemm_batched<S: Scalar>(
     // contiguous run of entries. One entry is the smallest unit (entries
     // are independent, and per-entry problems are small by design).
     let per_entry = m.saturating_mul(n).saturating_mul(ak.max(1));
-    let threads = rayon::current_num_threads();
-    let grain = if threads <= 1 {
+    let grain = if fork_lanes(per_entry.saturating_mul(batch)) == 1 {
         batch
     } else {
-        (par_threshold_flops() / per_entry.max(1)).clamp(1, batch.max(1))
+        (par_threshold_flops() / per_entry).clamp(1, batch)
     };
 
-    let ctx = BatchCtx { op_a, op_b, alpha, beta, k: ak };
+    let ctx = BatchCtx { op_a, op_b, alpha, beta, k: ak, packed: packs::<S>(m, n, ak) };
     batched_rec(&ctx, a, b, EntriesMut::new(c), 0, grain);
 }
 
@@ -206,6 +205,7 @@ struct BatchCtx<S> {
     alpha: S,
     beta: S,
     k: usize,
+    packed: bool,
 }
 
 /// Mutable per-entry access to a range of a batched C, splittable at an
@@ -265,6 +265,7 @@ fn batched_rec<S: Scalar>(
                 ctx.beta,
                 c.mat_mut(k),
                 ctx.k,
+                ctx.packed,
             );
         }
         return;

@@ -6,13 +6,13 @@
 //! * [`gemm_axpy`] — unpacked cache-aware axpy/dot kernel, used for
 //!   problems too small to amortize packing (and as the bench baseline —
 //!   it was the previous hot-path kernel);
-//! * [`gemm`] — the production path: recursive parallel split over the
-//!   output, bottoming out in the BLIS-style packed kernel
-//!   (`crate::packed`), with leaf granularity scaled to the pool size so
-//!   packing costs are amortized over large leaves.
+//! * [`gemm`] — the production path: one call of the BLIS-style packed
+//!   kernel (`crate::packed`) when the caller has no lane to fork to
+//!   ([`fork_lanes`]), else a parallel split over the output with leaf
+//!   granularity scaled to the pool size.
 
 use crate::packed::{gemm_packed, gemm_packed_par};
-use crate::params::{gemm_params, par_threshold_flops};
+use crate::params::{fork_lanes, gemm_params, par_threshold_flops};
 use polar_matrix::{MatMut, MatRef, Op};
 use polar_scalar::{Complex32, Scalar};
 
@@ -214,8 +214,16 @@ fn prefers_axpy<S: Scalar>() -> bool {
     std::any::TypeId::of::<S>() == std::any::TypeId::of::<Complex32>() && complex32_prefers_axpy()
 }
 
-/// Sequential leaf: packed kernel when the problem amortizes packing,
-/// unpacked axpy/dot otherwise.
+/// Whether an `m x n x k` product amortizes packing or takes the unpacked
+/// axpy/dot kernel. Decided once per call and handed to every leaf: the two
+/// sum in different orders, so a per-leaf choice would make an entry's bits
+/// depend on where a parallel split fell.
+pub(crate) fn packs<S: Scalar>(m: usize, n: usize, k: usize) -> bool {
+    let work = m.saturating_mul(n).saturating_mul(k.max(1));
+    work >= PACK_MIN_FLOPS && m.min(n) >= 4 && !prefers_axpy::<S>()
+}
+
+/// Sequential leaf on the kernel [`packs`] chose for the call.
 #[allow(clippy::too_many_arguments)] // internal blocked-gemm plumbing
 pub(crate) fn gemm_leaf<S: Scalar>(
     op_a: Op,
@@ -226,8 +234,8 @@ pub(crate) fn gemm_leaf<S: Scalar>(
     beta: S,
     c: MatMut<'_, S>,
     k: usize,
+    packed: bool,
 ) {
-    let work = c.nrows().saturating_mul(c.ncols()).saturating_mul(k.max(1));
     // Trace-only leaf span: leaves run on pool workers, so these are what
     // populate the per-worker Perfetto lanes. Never counted (the public
     // entry already attributed the whole product's flops).
@@ -237,29 +245,29 @@ pub(crate) fn gemm_leaf<S: Scalar>(
         crate::flops::type_factor(S::IS_COMPLEX) * crate::flops::gemm(c.nrows(), c.ncols(), k),
         [c.nrows(), c.ncols(), k],
     );
-    if work < PACK_MIN_FLOPS || c.nrows().min(c.ncols()) < 4 || prefers_axpy::<S>() {
-        gemm_axpy(op_a, op_b, alpha, a, b, beta, c);
-    } else {
+    if packed {
         gemm_packed(op_a, op_b, alpha, a, b, beta, c);
+    } else {
+        gemm_axpy(op_a, op_b, alpha, a, b, beta, c);
     }
 }
 
-/// Leaf granularity for recursive splits: large enough to amortize
-/// packing, small enough to load-balance `threads` workers.
-fn split_grain(m: usize, n: usize, k: usize) -> usize {
-    let threads = rayon::current_num_threads();
-    if threads <= 1 {
-        return usize::MAX; // no split: one packed call does the whole block
+/// Leaf granularity of a recursive split: about eight leaves per lane, but
+/// never below the fork threshold (every leaf re-packs its operands).
+fn split_grain(work: usize, lanes: usize) -> usize {
+    if lanes == 1 {
+        return usize::MAX; // no split: one leaf does the whole block
     }
-    let total = m.saturating_mul(n).saturating_mul(k.max(1));
-    par_threshold_flops().max(total / (threads * 8))
+    par_threshold_flops().max(work / (lanes * 8))
 }
 
-/// Parallel gemm: `C := alpha * op_a(A) * op_b(B) + beta * C`.
+/// `C := alpha * op_a(A) * op_b(B) + beta * C`.
 ///
-/// Recursively splits `C` (and the matching operand) by the longer output
-/// dimension down to the grain size, then runs the packed sequential
-/// kernel. Splitting only the *output* keeps writes disjoint.
+/// With one lane ([`fork_lanes`]) a single sequential leaf: one pack sweep,
+/// no forks. Otherwise fans the packed MC-block grid out over the pool, or
+/// — with fewer than two MC blocks — splits `C` (and the matching operand)
+/// recursively by the longer output dimension down to the grain size.
+/// Splitting only the *output* keeps writes disjoint.
 pub fn gemm<S: Scalar>(
     op_a: Op,
     op_b: Op,
@@ -282,23 +290,18 @@ pub fn gemm<S: Scalar>(
         crate::flops::type_factor(S::IS_COMPLEX) * crate::flops::gemm(m, n, ak),
         [m, n, ak],
     );
-    // Block-grid parallel path: share one packed-B panel across workers and
-    // fan the MC row blocks out, instead of recursively halving the output
-    // (which re-packs B in every leaf and caps parallel efficiency). Needs
-    // >= 2 MC blocks to fan out; axpy-routed types stay on axpy leaves.
-    let threads = rayon::current_num_threads();
     let work = m.saturating_mul(n).saturating_mul(ak.max(1));
-    if threads > 1
-        && !prefers_axpy::<S>()
-        && m >= 2 * gemm_params().mc
-        && n >= 4
-        && work >= par_threshold_flops()
-    {
+    let packed = packs::<S>(m, n, ak);
+    let lanes = fork_lanes(work);
+    if lanes > 1 && packed && m >= 2 * gemm_params().mc {
+        // Block-grid parallel path: share one packed-B panel across workers
+        // and fan the MC row blocks out, instead of recursively halving the
+        // output (which re-packs B in every leaf and caps parallel
+        // efficiency). Needs >= 2 MC blocks to fan out.
         gemm_packed_par(op_a, op_b, alpha, a, b, beta, c);
-        return;
+    } else {
+        gemm_par(op_a, op_b, alpha, a, b, beta, c, ak, packed, split_grain(work, lanes));
     }
-    let grain = split_grain(m, n, ak);
-    gemm_par(op_a, op_b, alpha, a, b, beta, c, ak, grain);
 }
 
 #[allow(clippy::too_many_arguments)] // BLAS gemm signature + split state
@@ -311,13 +314,14 @@ fn gemm_par<S: Scalar>(
     beta: S,
     c: MatMut<'_, S>,
     k: usize,
+    packed: bool,
     grain: usize,
 ) {
     let m = c.nrows();
     let n = c.ncols();
     let work = m.saturating_mul(n).saturating_mul(k.max(1));
     if work <= grain || (m <= 16 && n <= 16) {
-        gemm_leaf(op_a, op_b, alpha, a, b, beta, c, k);
+        gemm_leaf(op_a, op_b, alpha, a, b, beta, c, k, packed);
         return;
     }
     if n >= m {
@@ -326,8 +330,8 @@ fn gemm_par<S: Scalar>(
         let (c1, c2) = c.split_at_col(h);
         let (b1, b2) = split_op_cols(b, op_b, h);
         rayon::join(
-            || gemm_par(op_a, op_b, alpha, a, b1, beta, c1, k, grain),
-            || gemm_par(op_a, op_b, alpha, a, b2, beta, c2, k, grain),
+            || gemm_par(op_a, op_b, alpha, a, b1, beta, c1, k, packed, grain),
+            || gemm_par(op_a, op_b, alpha, a, b2, beta, c2, k, packed, grain),
         );
     } else {
         // split C and op(A) by rows
@@ -335,8 +339,8 @@ fn gemm_par<S: Scalar>(
         let (c1, c2) = c.split_at_row(h);
         let (a1, a2) = split_op_rows(a, op_a, h);
         rayon::join(
-            || gemm_par(op_a, op_b, alpha, a1, b, beta, c1, k, grain),
-            || gemm_par(op_a, op_b, alpha, a2, b, beta, c2, k, grain),
+            || gemm_par(op_a, op_b, alpha, a1, b, beta, c1, k, packed, grain),
+            || gemm_par(op_a, op_b, alpha, a2, b, beta, c2, k, packed, grain),
         );
     }
 }
@@ -385,37 +389,12 @@ pub fn gemm_a<S: Scalar>(
         crate::flops::type_factor(S::IS_COMPLEX) * crate::flops::gemm(m, n, ak),
         [m, n, ak],
     );
-    let grain = split_grain(m, n, ak);
-    gemm_a_par(op_a, alpha, a, b, beta, c, ak, grain);
-}
-
-#[allow(clippy::too_many_arguments)] // BLAS gemm signature + split state
-fn gemm_a_par<S: Scalar>(
-    op_a: Op,
-    alpha: S,
-    a: MatRef<'_, S>,
-    b: MatRef<'_, S>,
-    beta: S,
-    c: MatMut<'_, S>,
-    k: usize,
-    grain: usize,
-) {
-    let m = c.nrows();
-    let n = c.ncols();
-    // The row-block split is exactly gemm_par's m-split path; the point of
-    // the specialization is choosing it even when n is small.
-    let work = m.saturating_mul(n).saturating_mul(k.max(1));
-    if work <= grain || m <= 16 {
-        gemm_leaf(op_a, Op::NoTrans, alpha, a, b, beta, c, k);
-        return;
-    }
-    let h = m / 2;
-    let (c1, c2) = c.split_at_row(h);
-    let (a1, a2) = split_op_rows(a, op_a, h);
-    rayon::join(
-        || gemm_a_par(op_a, alpha, a1, b, beta, c1, k, grain),
-        || gemm_a_par(op_a, alpha, a2, b, beta, c2, k, grain),
-    );
+    let work = m.saturating_mul(n).saturating_mul(ak.max(1));
+    let packed = packs::<S>(m, n, ak);
+    // gemm_par halves the longer output dimension, which for a skinny `C`
+    // is the row-block split over `A` this variant exists for
+    let grain = split_grain(work, fork_lanes(work));
+    gemm_par(op_a, Op::NoTrans, alpha, a, b, beta, c, ak, packed, grain);
 }
 
 #[cfg(test)]

@@ -8,7 +8,10 @@
 //! Parallelism follows the recursive-split pattern: kernels divide the
 //! output into disjoint blocks with `split_at_row` / `split_at_col` and
 //! recurse under [`rayon::join`], which is the shared-memory analogue of
-//! the OpenMP task parallelism SLATE uses on a node.
+//! the OpenMP task parallelism SLATE uses on a node. Whether a call splits
+//! at all is one decision, [`params::fork_lanes`]: never inside a tile-task
+//! body (the task graph owns the parallelism there), never below the fork
+//! threshold, never finer than a floor that amortizes operand packing.
 //!
 //! Kernel inventory (paper Algorithm 1 call sites in parentheses):
 //! * [`gemm`] — general matrix multiply (lines 35, 52);

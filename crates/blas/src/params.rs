@@ -5,7 +5,7 @@
 //!
 //! | env var                     | meaning                                    |
 //! |-----------------------------|--------------------------------------------|
-//! | `POLAR_PAR_THRESHOLD_FLOPS` | min multiply-adds before kernels fork      |
+//! | `POLAR_PAR_THRESHOLD_FLOPS` | min multiply-adds worth forking ([`fork_lanes`]) |
 //! | `POLAR_GEMM_MC`             | rows of the packed `A` block (L2 resident) |
 //! | `POLAR_GEMM_KC`             | depth of the packed rank-`kc` update       |
 //! | `POLAR_GEMM_NC`             | cols of the packed `B` block (L3 resident) |
@@ -71,11 +71,37 @@ pub fn gemm_params() -> &'static GemmParams {
     })
 }
 
-/// Problem-size threshold (in multiply-add operations) below which kernels
-/// run sequentially instead of forking pool tasks.
+/// Multiply-adds below which a call is not worth forking ([`fork_lanes`],
+/// gemm's leaf grain); no recursion base or kernel choice depends on it.
 pub fn par_threshold_flops() -> usize {
     static THRESHOLD: OnceLock<usize> = OnceLock::new();
     *THRESHOLD.get_or_init(|| env_usize("POLAR_PAR_THRESHOLD_FLOPS").unwrap_or(1 << 16))
+}
+
+/// The one fork decision every kernel goes through: the lanes a call of
+/// `work` multiply-adds may split across. 1 (sequential, pack-once) below
+/// the threshold, on a one-worker pool and inside a `TaskDag` task body,
+/// where the graph owns the parallelism ([`rayon::fork_width`]).
+pub fn fork_lanes(work: usize) -> usize {
+    if work < par_threshold_flops() {
+        return 1;
+    }
+    rayon::fork_width()
+}
+
+/// [`rayon::join`] where [`fork_lanes`]`(work)` allows it, else inline.
+pub fn fork_join<A, B, RA, RB>(work: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    if fork_lanes(work) > 1 {
+        rayon::join(a, b)
+    } else {
+        (a(), b())
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,18 @@
 //! Hermitian rank-k update and symmetrization helpers.
 
 use crate::gemm::gemm;
-use crate::params::par_threshold_flops;
+use crate::params::fork_join;
 use polar_matrix::{MatMut, MatRef, Op, Uplo};
 use polar_scalar::{Real, Scalar};
 
 /// Diagonal blocks at or below this order fall back to the direct
 /// per-column kernel.
 const HERK_BASE: usize = 64;
+
+/// So do blocks of at most this many multiply-adds (`n^2 k / 2`): with a
+/// shallow `k` the off-diagonal gemm cannot amortize its packing. Both
+/// decide which kernel sums an entry, so no fork setting moves them.
+const HERK_MIN_WORK: usize = 1 << 16;
 
 /// Hermitian rank-k update on the `uplo` triangle of `C`:
 ///
@@ -19,11 +24,11 @@ const HERK_BASE: usize = 64;
 /// equivalent gemm.
 ///
 /// Implementation: recursive triangle split. The two diagonal blocks
-/// recurse (in parallel); the off-diagonal block is a plain gemm and runs
-/// through the packed kernel. QDWH uses this to form `Z = I + c * A^H A`
-/// for the Cholesky-based iteration (Eq. (2); Algorithm 1 line 40 prints
-/// `-c`, but `Z` must be `I + c A^H A` to be positive definite — we
-/// follow Eq. (2)).
+/// recurse (in parallel where the caller has lanes to fork to); the
+/// off-diagonal block is a plain gemm and runs through the packed kernel.
+/// QDWH uses this to form `Z = I + c * A^H A` for the Cholesky-based
+/// iteration (Eq. (2); Algorithm 1 line 40 prints `-c`, but `Z` must be
+/// `I + c A^H A` to be positive definite — we follow Eq. (2)).
 pub fn herk<S: Scalar>(
     uplo: Uplo,
     op: Op,
@@ -81,7 +86,7 @@ fn herk_rec<S: Scalar>(
 ) {
     let n = c.nrows();
     let work = n.saturating_mul(n).saturating_mul(k.max(1)) / 2;
-    if n <= HERK_BASE || work <= par_threshold_flops() {
+    if n <= HERK_BASE || work <= HERK_MIN_WORK {
         herk_seq(uplo, op, alpha, a, beta, c, k);
         return;
     }
@@ -107,9 +112,12 @@ fn herk_rec<S: Scalar>(
         // C12 = alpha * op(A)_1 * A2 + beta * C12
         (Uplo::Upper, _) => gemm(op, Op::NoTrans, galpha, a1, a2, gbeta, c12),
     };
-    rayon::join(
+    // the gemm is half the work, each diagonal block a quarter
+    fork_join(
+        work,
         || {
-            rayon::join(
+            fork_join(
+                work / 2,
                 || herk_rec(uplo, op, alpha, a1, beta, c11, k),
                 || herk_rec(uplo, op, alpha, a2, beta, c22, k),
             )

@@ -1,7 +1,7 @@
 //! Triangular solve and triangular multiply.
 
 use crate::gemm::gemm;
-use crate::params::par_threshold_flops;
+use crate::params::fork_lanes;
 use polar_matrix::{Diag, MatMut, MatRef, Matrix, Op, Side, Uplo};
 use polar_scalar::Scalar;
 
@@ -9,6 +9,21 @@ use polar_scalar::Scalar;
 /// runs directly; above it the solve recurses so the off-diagonal update
 /// is a (packed) gemm.
 const TRSM_BASE: usize = 64;
+
+/// Narrowest slab of independent right-hand sides (columns of `B` in a left
+/// solve, rows in a right one) a forked solve hands to one leaf. Every leaf
+/// re-packs the triangle for its own gemm updates, so the useful
+/// multiply-adds per redundantly packed element equal the slab width.
+const TRSM_MIN_SLAB: usize = 64;
+
+/// Analytic real flops of a triangular solve or multiply against `b`.
+fn solve_flops<S: Scalar>(side: Side, b: &MatMut<'_, S>) -> f64 {
+    crate::flops::type_factor(S::IS_COMPLEX)
+        * match side {
+            Side::Left => crate::flops::trsm_left(b.nrows(), b.ncols()),
+            Side::Right => crate::flops::trsm_right(b.nrows(), b.ncols()),
+        }
+}
 
 /// Effective element of `op(A)` for a triangular `A` stored in `uplo`.
 #[inline]
@@ -49,27 +64,64 @@ pub fn trsm<S: Scalar>(
     b: MatMut<'_, S>,
 ) {
     assert_eq!(a.nrows(), a.ncols(), "trsm: A must be square");
-    let flops = crate::flops::type_factor(S::IS_COMPLEX)
-        * match side {
-            Side::Left => crate::flops::trsm_left(b.nrows(), b.ncols()),
-            Side::Right => crate::flops::trsm_right(b.nrows(), b.ncols()),
-        };
+    let flops = solve_flops(side, &b);
     let _obs = polar_obs::kernel_span(
         polar_obs::KernelClass::Trsm,
         "trsm",
         flops,
         [b.nrows(), b.ncols(), a.nrows()],
     );
-    match side {
-        Side::Left => {
-            assert_eq!(a.nrows(), b.nrows(), "trsm: dim mismatch");
-            trsm_left_par(uplo, op, diag, alpha, a, b);
-        }
-        Side::Right => {
-            assert_eq!(a.nrows(), b.ncols(), "trsm: dim mismatch");
-            trsm_right_par(uplo, op, diag, alpha, a, b);
-        }
+    // the right-hand sides are independent (columns of B in a left solve,
+    // rows in a right one): one slab per lane, and the gemm updates inside
+    // a slab fork on their own account, which is what rebalances the lanes
+    let (tri, len) = match side {
+        Side::Left => (b.nrows(), b.ncols()),
+        Side::Right => (b.ncols(), b.nrows()),
+    };
+    assert_eq!(a.nrows(), tri, "trsm: dim mismatch");
+    let lanes = fork_lanes(tri.saturating_mul(tri).saturating_mul(len) / 2);
+    let slab = (len / lanes).max(TRSM_MIN_SLAB);
+    solve_slabs(side, uplo, op, diag, alpha, a, b, slab, false);
+}
+
+/// Halve the right-hand sides across the pool while both halves keep at
+/// least `slab` of them. `split` marks a proper slab, whose solve shows on
+/// its lane as a trace-only `trsm_leaf` span (cf. `gemm_leaf`).
+#[allow(clippy::too_many_arguments)] // BLAS trsm signature + the split
+fn solve_slabs<S: Scalar>(
+    side: Side,
+    uplo: Uplo,
+    op: Op,
+    diag: Diag,
+    alpha: S,
+    a: MatRef<'_, S>,
+    b: MatMut<'_, S>,
+    slab: usize,
+    split: bool,
+) {
+    let len = match side {
+        Side::Left => b.ncols(),
+        Side::Right => b.nrows(),
+    };
+    if len < 2 * slab {
+        let _leaf = split.then(|| {
+            let dims = [b.nrows(), b.ncols(), a.nrows()];
+            let flops = solve_flops(side, &b);
+            polar_obs::leaf_span(polar_obs::KernelClass::Trsm, "trsm_leaf", flops, dims)
+        });
+        return match side {
+            Side::Left => trsm_left_blocked(uplo, op, diag, alpha, a, b),
+            Side::Right => trsm_right_blocked(uplo, op, diag, alpha, a, b),
+        };
     }
+    let (b1, b2) = match side {
+        Side::Left => b.split_at_col(len / 2),
+        Side::Right => b.split_at_row(len / 2),
+    };
+    rayon::join(
+        || solve_slabs(side, uplo, op, diag, alpha, a, b1, slab, true),
+        || solve_slabs(side, uplo, op, diag, alpha, a, b2, slab, true),
+    );
 }
 
 /// Block of `op(A)` covering rows `i0..i0+ni`, cols `j0..j0+nj` of the
@@ -87,29 +139,6 @@ fn op_block<S: Scalar>(
         Op::NoTrans => a.submatrix(i0, j0, ni, nj),
         Op::Trans | Op::ConjTrans => a.submatrix(j0, i0, nj, ni),
     }
-}
-
-/// Left solves are independent per column of `B`: split columns in parallel.
-fn trsm_left_par<S: Scalar>(
-    uplo: Uplo,
-    op: Op,
-    diag: Diag,
-    alpha: S,
-    a: MatRef<'_, S>,
-    b: MatMut<'_, S>,
-) {
-    let m = b.nrows();
-    let n = b.ncols();
-    if m.saturating_mul(m).saturating_mul(n) / 2 > par_threshold_flops() && n > 1 {
-        let h = n / 2;
-        let (b1, b2) = b.split_at_col(h);
-        rayon::join(
-            || trsm_left_par(uplo, op, diag, alpha, a, b1),
-            || trsm_left_par(uplo, op, diag, alpha, a, b2),
-        );
-        return;
-    }
-    trsm_left_blocked(uplo, op, diag, alpha, a, b);
 }
 
 /// Recursive blocked left solve: split `op(A)` into 2x2 quadrants so the
@@ -221,29 +250,6 @@ fn trsm_left_seq<S: Scalar>(
     }
 }
 
-/// Right solves are independent per row of `B`: split rows in parallel.
-fn trsm_right_par<S: Scalar>(
-    uplo: Uplo,
-    op: Op,
-    diag: Diag,
-    alpha: S,
-    a: MatRef<'_, S>,
-    b: MatMut<'_, S>,
-) {
-    let m = b.nrows();
-    let n = b.ncols();
-    if n.saturating_mul(n).saturating_mul(m) / 2 > par_threshold_flops() && m > 8 {
-        let h = m / 2;
-        let (b1, b2) = b.split_at_row(h);
-        rayon::join(
-            || trsm_right_par(uplo, op, diag, alpha, a, b1),
-            || trsm_right_par(uplo, op, diag, alpha, a, b2),
-        );
-        return;
-    }
-    trsm_right_blocked(uplo, op, diag, alpha, a, b);
-}
-
 /// Recursive blocked right solve: split `op(A)` into 2x2 quadrants so the
 /// off-diagonal update runs through the packed gemm.
 fn trsm_right_blocked<S: Scalar>(
@@ -350,11 +356,7 @@ pub fn trmm<S: Scalar>(
     // Triangular multiply costs half the dense gemm it runs through below;
     // attribute the analytic (triangular) flops to the Trsm class and let
     // suppression hide the inner gemm.
-    let flops = crate::flops::type_factor(S::IS_COMPLEX)
-        * match side {
-            Side::Left => crate::flops::trsm_left(b.nrows(), b.ncols()),
-            Side::Right => crate::flops::trsm_right(b.nrows(), b.ncols()),
-        };
+    let flops = solve_flops(side, &b);
     let _obs = polar_obs::kernel_span(
         polar_obs::KernelClass::Trsm,
         "trmm",

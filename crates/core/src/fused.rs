@@ -572,7 +572,6 @@ pub(crate) fn qdwh_fused<S: Scalar>(
                 // Tiled Cholesky of Z (potrf_tiled task shape, in-DAG).
                 // Indefiniteness cancels the whole solve — an error aborts
                 // every later iteration too.
-                let iter_1based = k + 1;
                 for kk in 0..nt {
                     let step = (nt - kk) as i32 * 4;
                     dag.add_task(
@@ -588,7 +587,6 @@ pub(crate) fn qdwh_fused<S: Scalar>(
                                 Err(LapackError::NotPositiveDefinite(off)) => {
                                     *fail.lock().unwrap() =
                                         Some(LapackError::NotPositiveDefinite(kk * nb + off));
-                                    let _ = iter_1based;
                                     TaskStatus::Cancel
                                 }
                                 Err(e) => {

@@ -922,30 +922,4 @@ mod tests {
         let last = pd.info.records.last().unwrap();
         assert!((last.ell - 1.0).abs() < 1e-12, "ell = {}", last.ell);
     }
-
-    #[test]
-    fn iteration_records_capture_kernel_split_under_metrics() {
-        use polar_obs::KernelClass;
-        // Serialize against other obs-scope users in this test binary.
-        let _guard = polar_obs::scope_lock();
-        let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(48, 15));
-        let scope = polar_obs::scope();
-        let pd = qdwh(&a, &QdwhOptions::default()).unwrap();
-        let _ = scope.finish();
-        assert!(pd.info.qr_iterations >= 1 && pd.info.chol_iterations >= 1);
-        for rec in &pd.info.records {
-            match rec.kind {
-                IterationKind::QrBased => {
-                    assert!(rec.kernels.get(KernelClass::Geqrf).calls >= 1, "{rec:?}");
-                    assert_eq!(rec.kernels.get(KernelClass::Potrf).calls, 0);
-                }
-                IterationKind::CholeskyBased => {
-                    assert_eq!(rec.kernels.get(KernelClass::Potrf).calls, 1, "{rec:?}");
-                    assert!(rec.kernels.get(KernelClass::Trsm).calls >= 2);
-                    assert_eq!(rec.kernels.get(KernelClass::Geqrf).calls, 0);
-                }
-            }
-            assert!(rec.kernels.total_flops() > 0);
-        }
-    }
 }

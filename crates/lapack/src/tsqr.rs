@@ -7,6 +7,7 @@
 
 use crate::qr::{extract_r, geqrf, orgqr};
 use polar_blas::gemm;
+use polar_blas::params::fork_join;
 use polar_matrix::{Matrix, Op};
 use polar_scalar::Scalar;
 
@@ -50,8 +51,9 @@ fn tsqr_rec<S: Scalar>(a: &Matrix<S>, row0: usize, rows: usize) -> (Matrix<S>, M
     }
     // split rows; keep both halves at least n rows tall
     let half = (rows / 2).max(n);
+    let work = rows.saturating_mul(n).saturating_mul(n);
     let ((q1, r1), (q2, r2)) =
-        rayon::join(|| tsqr_rec(a, row0, half), || tsqr_rec(a, row0 + half, rows - half));
+        fork_join(work, || tsqr_rec(a, row0, half), || tsqr_rec(a, row0 + half, rows - half));
     // combine: [R1; R2] = Q3 R
     let stacked = Matrix::vstack(&r1, &r2);
     let mut packed = stacked;
@@ -64,7 +66,8 @@ fn tsqr_rec<S: Scalar>(a: &Matrix<S>, row0: usize, rows: usize) -> (Matrix<S>, M
     let mut q = Matrix::<S>::zeros(rows, n);
     {
         let (top, bottom) = q.as_mut().split_at_row(q1.nrows());
-        rayon::join(
+        fork_join(
+            work,
             || gemm(Op::NoTrans, Op::NoTrans, S::ONE, q1.as_ref(), q3_top.as_ref(), S::ZERO, top),
             || {
                 gemm(

@@ -22,33 +22,30 @@
 //! * the ready set is drained by one worker loop per pool thread; workers
 //!   sleep on a condvar while no task is ready and are woken by completions.
 //!
+//! **One level of parallelism.** The graph owns it: with every pool lane
+//! draining the ready heap, a task body runs inside
+//! [`rayon::serial_region`], so the BLAS/LAPACK kernels it calls see a fork
+//! width of 1 and take their sequential, pack-once paths (the SLATE model:
+//! the DAG supplies the concurrency, each task is a sequential tile
+//! kernel). A body therefore never enters the pool's steal loop, and a
+//! graph built and executed from inside a body drains inline on that
+//! thread.
+//!
 //! Under deterministic replay (`POLAR_DETERMINISTIC=1`,
 //! [`rayon::deterministic_mode`]) the DAG runs sequentially on the calling
 //! thread in exact heap order: the release order is then a pure function of
 //! the graph, making two runs schedule — and therefore execute — task
 //! bodies identically. (Task *values* are schedule-independent anyway:
 //! every task writes tiles no concurrent task touches, and all
-//! value-affecting orderings are dependency edges.)
+//! value-affecting orderings are dependency edges.) That drain is the one
+//! exception to the rule above: with a single task in flight the only
+//! parallelism left is the kernels' own, so its bodies are *not* serial
+//! regions and fork across the pool as a top-level call would.
 
 use crate::graph::{GraphBuilder, KernelKind, TaskGraph, TaskId, TileRef};
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-thread_local! {
-    /// Set while this thread is executing a DAG task body. Worker lanes are
-    /// spawned as rayon jobs (see [`fanout`]), and task bodies call parallel
-    /// BLAS whose nested `rayon::join` steals arbitrary pending jobs while
-    /// waiting — including a not-yet-started lane of this (or another) DAG.
-    /// A lane entered on top of a task body must return immediately: it
-    /// would otherwise park on the condvar waiting for `remaining == 0`,
-    /// which can never happen while the task that has to complete first is
-    /// blocked beneath it on the same stack. The remaining lanes (at least
-    /// the one on the `execute` caller's thread, which is never inside a
-    /// body when the fanout starts) still drain the whole graph.
-    static IN_TASK_BODY: Cell<bool> = const { Cell::new(false) };
-}
 
 /// Lookahead window width in phases; see the module docs.
 fn lookahead_window() -> u32 {
@@ -335,13 +332,11 @@ impl<'a> TaskDag<'a> {
             }
         }
 
-        // A nested execute (a task body building its own graph) must not
-        // fan out: its lanes would be guarded into no-ops by IN_TASK_BODY
-        // and the graph would be silently skipped. Drain it inline instead.
-        if rayon::deterministic_mode().is_some()
-            || rayon::current_num_threads() <= 1
-            || IN_TASK_BODY.with(|c| c.get())
-        {
+        // Width 1 is a one-worker pool or a graph executed from inside a
+        // task body (a serial region): either way there is no lane to fan
+        // out to, so drain inline.
+        let lanes = rayon::fork_width();
+        if rayon::deterministic_mode().is_some() || lanes <= 1 {
             return Self::execute_sequential(&graph, &ctx, bodies, ready, indeg, life);
         }
 
@@ -356,8 +351,7 @@ impl<'a> TaskDag<'a> {
             life,
         });
         let work = Condvar::new();
-        let workers = rayon::current_num_threads().min(n);
-        fanout(workers, &|| worker_loop(&graph, &ctx, &state, &work));
+        fanout(lanes.min(n), &|| worker_loop(&graph, &ctx, &state, &work));
         let cancelled = state.lock().unwrap().cancelled;
         // take/drop the leftover bodies before `state` unwinds borrows
         if cancelled {
@@ -408,8 +402,7 @@ impl<'a> TaskDag<'a> {
 /// i.e. when a task body panics: without this the unwind would skip the
 /// `remaining` bookkeeping and every other lane (plus the caller blocked in
 /// the fanout) would wait on the condvar forever — a kernel assertion
-/// failure must surface as a propagated panic, not a silent hang. Also
-/// clears the [`IN_TASK_BODY`] flag on both the normal and unwind paths.
+/// failure must surface as a propagated panic, not a silent hang.
 struct BodyGuard<'s, 'a> {
     state: &'s Mutex<ExecState<'a>>,
     work: &'s Condvar,
@@ -418,7 +411,6 @@ struct BodyGuard<'s, 'a> {
 
 impl Drop for BodyGuard<'_, '_> {
     fn drop(&mut self) {
-        IN_TASK_BODY.with(|c| c.set(false));
         if self.armed {
             if let Ok(mut guard) = self.state.lock() {
                 guard.cancelled = true;
@@ -430,11 +422,6 @@ impl Drop for BodyGuard<'_, '_> {
 
 /// One ready-queue worker; runs on a pool thread until the graph drains.
 fn worker_loop<'a>(graph: &TaskGraph, ctx: &KeyCtx, state: &Mutex<ExecState<'a>>, work: &Condvar) {
-    // Re-entrancy guard: stolen onto a thread whose task body is blocked in
-    // a nested join beneath us — bail out (see IN_TASK_BODY).
-    if IN_TASK_BODY.with(|c| c.get()) {
-        return;
-    }
     let mut guard = state.lock().unwrap();
     loop {
         if guard.cancelled || guard.remaining == 0 {
@@ -459,11 +446,10 @@ fn worker_loop<'a>(graph: &TaskGraph, ctx: &KeyCtx, state: &Mutex<ExecState<'a>>
         let lifecycle = guard.life.lifecycle(id);
         drop(guard);
 
-        IN_TASK_BODY.with(|c| c.set(true));
         let mut unwind_guard = BodyGuard { state, work, armed: true };
         let status = {
             let _t = task_span(graph, id, cp, depth, lifecycle);
-            body()
+            rayon::serial_region(body)
         };
         unwind_guard.armed = false;
         drop(unwind_guard);
@@ -764,23 +750,137 @@ mod tests {
         assert_eq!(TaskDag::new().execute(), ExecOutcome::Completed);
     }
 
-    #[test]
-    fn bodies_may_call_nested_rayon_join() {
-        // task bodies run parallel BLAS internally; the nested join may
-        // steal a pending worker lane, which must no-op instead of parking
-        // on the condvar under a blocked task (the review deadlock)
-        let counter = AtomicUsize::new(0);
+    /// The tests below assert what the *parallel* drain does to its bodies;
+    /// under `POLAR_DETERMINISTIC=1` every graph takes the sequential drain.
+    fn parallel_drain() -> bool {
+        rayon::deterministic_mode().is_none()
+    }
+
+    /// Fork width seen by each worker of the installed 2-worker pool: the
+    /// barrier makes the two closures overlap, so they sit on both workers.
+    fn widths_on_both_workers() -> (usize, usize) {
+        let both = std::sync::Barrier::new(2);
+        let probe = || {
+            both.wait();
+            rayon::fork_width()
+        };
+        rayon::join(probe, probe)
+    }
+
+    /// A graph of `n` independent tasks whose first two bodies rendezvous,
+    /// so both lanes of a 2-worker pool are inside a body at once; task
+    /// `special` additionally returns `how()`.
+    fn two_lane_dag<'a>(
+        n: usize,
+        special: usize,
+        how: fn() -> TaskStatus,
+        both: &'a std::sync::Barrier,
+    ) -> TaskDag<'a> {
         let mut dag = TaskDag::new();
         let m = dag.new_matrix();
-        let counter = &counter;
-        for j in 0..64 {
-            dag.add(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(m, 0, j)], move || {
-                let (a, b) = rayon::join(|| 1usize, || 2usize);
-                counter.fetch_add(a + b, AtOrd::SeqCst);
+        for j in 0..n {
+            dag.add_task(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(m, 0, j)], move || {
+                if j < 2 {
+                    both.wait();
+                }
+                assert_eq!(rayon::fork_width(), 1, "a task body is a serial region");
+                if j == special {
+                    how()
+                } else {
+                    TaskStatus::Continue
+                }
             });
         }
-        assert_eq!(dag.execute(), ExecOutcome::Completed);
-        assert_eq!(counter.load(AtOrd::SeqCst), 64 * 3);
+        dag
+    }
+
+    #[test]
+    fn bodies_are_serial_regions() {
+        if !parallel_drain() {
+            return;
+        }
+        let pool = rayon::ThreadPool::new(2);
+        pool.install(|| {
+            let both = std::sync::Barrier::new(2);
+            let dag = two_lane_dag(64, usize::MAX, || TaskStatus::Continue, &both);
+            assert_eq!(dag.execute(), ExecOutcome::Completed);
+            assert_eq!(widths_on_both_workers(), (2, 2), "width restored after a normal return");
+        });
+    }
+
+    #[test]
+    fn joins_inside_bodies_run_both_closures_inline() {
+        // both closures of every join run and return in order under either
+        // drain; under the parallel one they also stay on the body's thread
+        let (sum, inline) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let mut dag = TaskDag::new();
+        let m = dag.new_matrix();
+        let (sum, inline) = (&sum, &inline);
+        for j in 0..64 {
+            dag.add(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(m, 0, j)], move || {
+                let me = std::thread::current().id();
+                let ((a, ta), (b, tb)) = rayon::join(
+                    || (1usize, std::thread::current().id()),
+                    || (2usize, std::thread::current().id()),
+                );
+                sum.fetch_add(a + 10 * b, AtOrd::SeqCst);
+                inline.fetch_add(usize::from(ta == me && tb == me), AtOrd::SeqCst);
+            });
+        }
+        let pool = rayon::ThreadPool::new(2);
+        assert_eq!(pool.install(|| dag.execute()), ExecOutcome::Completed);
+        assert_eq!(sum.load(AtOrd::SeqCst), 64 * 21);
+        if parallel_drain() {
+            assert_eq!(inline.load(AtOrd::SeqCst), 64);
+        }
+    }
+
+    #[test]
+    fn width_is_restored_after_cancel_and_after_a_panicking_body() {
+        if !parallel_drain() {
+            return;
+        }
+        let pool = rayon::ThreadPool::new(2);
+        pool.install(|| {
+            let both = std::sync::Barrier::new(2);
+            let dag = two_lane_dag(8, 1, || TaskStatus::Cancel, &both);
+            assert_eq!(dag.execute(), ExecOutcome::Cancelled);
+            assert_eq!(widths_on_both_workers(), (2, 2), "width restored after Cancel");
+
+            let both = std::sync::Barrier::new(2);
+            let dag = two_lane_dag(8, 1, || panic!("tile kernel assertion"), &both);
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dag.execute()));
+            assert!(res.is_err(), "body panic must unwind out of execute()");
+            assert_eq!(widths_on_both_workers(), (2, 2), "width restored after a panic");
+        });
+    }
+
+    #[test]
+    fn sequential_drain_bodies_still_fork() {
+        // the deterministic-replay drain runs one task at a time, so its
+        // bodies keep the pool: not serial regions, joins really fork
+        let pool = rayon::ThreadPool::new(2);
+        pool.install(|| {
+            let mut dag = TaskDag::new();
+            let m = dag.new_matrix();
+            dag.add(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(m, 0, 0)], || {
+                assert_eq!(widths_on_both_workers(), (2, 2));
+            });
+            let TaskDag { builder, bodies, priorities } = dag;
+            let graph = builder.build();
+            let ctx = KeyCtx { cp: graph.critical_path_to_sink(), hints: priorities, lookahead: 2 };
+            let mut ready = BinaryHeap::new();
+            ready.push(ctx.key(&graph, 0, 0));
+            let out = TaskDag::execute_sequential(
+                &graph,
+                &ctx,
+                bodies,
+                ready,
+                vec![0],
+                LifeTable::disabled(),
+            );
+            assert_eq!(out, ExecOutcome::Completed);
+        });
     }
 
     #[test]
@@ -811,25 +911,34 @@ mod tests {
     }
 
     #[test]
-    fn nested_execute_inside_body_drains_inline() {
-        // a task body may itself build and execute a graph; it must drain
-        // sequentially (its fanned-out lanes would be no-op'd by the
-        // re-entrancy guard) rather than being silently skipped
+    fn nested_execute_inside_body_inherits_the_region() {
+        // a task body may itself build and execute a graph: it drains inline
+        // on the body's thread under either drain, and under the parallel
+        // one the inner bodies are still inside the outer body's serial
+        // region (the deterministic drain's bodies keep the pool's width)
+        let width = if parallel_drain() { 1 } else { 2 };
+        let pool = rayon::ThreadPool::new(2);
         let inner_ran = AtomicUsize::new(0);
         let mut dag = TaskDag::new();
         let m = dag.new_matrix();
         let inner_ran = &inner_ran;
         dag.add(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(m, 0, 0)], move || {
+            let outer = std::thread::current().id();
             let mut inner = TaskDag::new();
             let mi = inner.new_matrix();
             for j in 0..4 {
                 inner.add(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(mi, 0, j)], move || {
+                    assert_eq!(rayon::fork_width(), width);
+                    assert_eq!(std::thread::current().id(), outer);
                     inner_ran.fetch_add(1, AtOrd::SeqCst);
                 });
             }
             assert_eq!(inner.execute(), ExecOutcome::Completed);
+            assert_eq!(rayon::fork_width(), width, "still inside the outer body");
         });
-        assert_eq!(dag.execute(), ExecOutcome::Completed);
+        // a second task so the outer graph fans out over both lanes
+        dag.add(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(m, 0, 1)], || {});
+        assert_eq!(pool.install(|| dag.execute()), ExecOutcome::Completed);
         assert_eq!(inner_ran.load(AtOrd::SeqCst), 4);
     }
 }

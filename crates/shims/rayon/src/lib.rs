@@ -366,6 +366,8 @@ thread_local! {
     static CURRENT_WORKER: Cell<Option<(*const Registry, usize)>> = const { Cell::new(None) };
     /// Per-worker xorshift state for seeded victim selection.
     static STEAL_RNG: Cell<u64> = const { Cell::new(1) };
+    /// Set while the current thread is inside a [`serial_region`].
+    static SERIAL: Cell<bool> = const { Cell::new(false) };
 }
 
 fn worker_main(registry: Arc<Registry>, index: usize) {
@@ -481,9 +483,9 @@ impl ThreadPool {
         RA: Send,
         RB: Send,
     {
-        if self.num_threads() <= 1 {
-            // a single worker can never run the closures concurrently;
-            // skip the queue round-trip entirely
+        if self.num_threads() <= 1 || SERIAL.with(Cell::get) {
+            // a single worker can never run the closures concurrently, and
+            // a serial region must not: skip the queue round-trip entirely
             return (a(), b());
         }
         if let Some((reg, index)) = CURRENT_WORKER.with(|c| c.get()) {
@@ -601,12 +603,39 @@ pub fn current_num_threads() -> usize {
     global_pool().num_threads()
 }
 
+/// Run `f` with the calling thread's fork width pinned to 1: until `f`
+/// returns or unwinds, [`fork_width`] is 1 and [`join`] on this thread runs
+/// both closures inline, so the thread never enters the steal loop. For a
+/// scheduler whose own units of work already fill every lane: a fork from
+/// inside a unit gains no concurrency and costs a steal and a re-packing.
+pub fn serial_region<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SERIAL.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SERIAL.with(|s| s.replace(true)));
+    f()
+}
+
+/// Lanes a fork from the calling thread can spread over: 1 inside a
+/// [`serial_region`], else [`current_num_threads`].
+pub fn fork_width() -> usize {
+    if SERIAL.with(Cell::get) {
+        1
+    } else {
+        current_num_threads()
+    }
+}
+
 /// Run two closures, potentially in parallel, returning both results.
 ///
 /// Both closures always run; panics propagate; results come back in
 /// order. All parallelism goes through the persistent pool — no threads
 /// are spawned per call. Inside a [`ThreadPool::install`] scope the
-/// closures run on that pool; otherwise on the global pool.
+/// closures run on that pool; otherwise on the global pool. Inside a
+/// [`serial_region`] both run inline on the calling thread.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -614,14 +643,13 @@ where
     RA: Send,
     RB: Send,
 {
+    if fork_width() <= 1 {
+        return (a(), b());
+    }
     if let Some((reg, index)) = CURRENT_WORKER.with(|c| c.get()) {
         // SAFETY: a set CURRENT_WORKER implies this thread is worker
         // `index` of the live registry `reg`.
-        let registry = unsafe { &*reg };
-        if registry.deques.len() <= 1 {
-            return (a(), b());
-        }
-        return unsafe { join_in_worker(registry, index, a, b) };
+        return unsafe { join_in_worker(&*reg, index, a, b) };
     }
     global_pool().join(a, b)
 }
@@ -755,6 +783,32 @@ mod tests {
         assert!(current_num_threads() >= 1);
         let pool = ThreadPool::new(5);
         assert_eq!(pool.install(current_num_threads), 5);
+    }
+
+    #[test]
+    fn serial_region_pins_join_to_the_calling_thread() {
+        let pool = ThreadPool::new(2);
+        pool.install(|| {
+            assert_eq!(fork_width(), 2);
+            let me = std::thread::current().id();
+            serial_region(|| {
+                assert_eq!(fork_width(), 1);
+                assert_eq!(current_num_threads(), 2, "the pool itself is unchanged");
+                // the other worker is idle and would steal a queued closure
+                for _ in 0..64 {
+                    let (ta, tb) =
+                        join(|| std::thread::current().id(), || std::thread::current().id());
+                    assert_eq!((ta, tb), (me, me));
+                }
+                // regions nest and unwind back to the enclosing state
+                serial_region(|| assert_eq!(fork_width(), 1));
+                assert_eq!(fork_width(), 1);
+            });
+            assert_eq!(fork_width(), 2);
+            let r = panic::catch_unwind(|| serial_region(|| panic!("inside region")));
+            assert!(r.is_err());
+            assert_eq!(fork_width(), 2, "a panic must not leave the thread serial");
+        });
     }
 
     fn tree_sum(pool: &ThreadPool, depth: usize, salt: u64) -> u64 {

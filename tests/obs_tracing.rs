@@ -166,6 +166,33 @@ fn iteration_records_split_qr_vs_cholesky_kernel_time() {
     );
 }
 
+/// Moved here from polar-qdwh's unit tests: only in this binary does every
+/// test hold the scope lock, so no concurrent solve bleeds into the
+/// per-iteration call counts.
+#[test]
+fn iteration_records_capture_kernel_split_under_metrics() {
+    let _guard = obs::scope_lock();
+    let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(48, 15));
+    let scope = obs::scope();
+    let pd = qdwh(&a, &QdwhOptions::default()).unwrap();
+    let _ = scope.finish();
+    assert!(pd.info.qr_iterations >= 1 && pd.info.chol_iterations >= 1);
+    for rec in &pd.info.records {
+        match rec.kind {
+            IterationKind::QrBased => {
+                assert!(rec.kernels.get(KernelClass::Geqrf).calls >= 1, "{rec:?}");
+                assert_eq!(rec.kernels.get(KernelClass::Potrf).calls, 0);
+            }
+            IterationKind::CholeskyBased => {
+                assert_eq!(rec.kernels.get(KernelClass::Potrf).calls, 1, "{rec:?}");
+                assert!(rec.kernels.get(KernelClass::Trsm).calls >= 2);
+                assert_eq!(rec.kernels.get(KernelClass::Geqrf).calls, 0);
+            }
+        }
+        assert!(rec.kernels.total_flops() > 0);
+    }
+}
+
 #[test]
 fn disabled_observability_records_nothing() {
     let _guard = obs::scope_lock();
