@@ -4,7 +4,7 @@
 # jobs, so keep all command lines here — the workflow only dispatches.
 #
 #   ./ci.sh             # all stages
-#   ./ci.sh lint        # rustfmt + clippy (deny warnings)
+#   ./ci.sh lint        # rustfmt + clippy (deny warnings) + one-emitter guard
 #   ./ci.sh tier1       # release build, root-package tests, smokes + zolo leg
 #   ./ci.sh zolo        # fused r-way Zolo: parity/determinism tests + CP gate
 #   ./ci.sh workspace   # full workspace tests + standalone facade build
@@ -73,6 +73,15 @@ stage_lint() {
 
     step "clippy (workspace, all targets, deny warnings)"
     cargo clippy --offline --workspace --all-targets -- -D warnings
+
+    step "one emitter per tile graph: tile-QR kernels named in lapack only"
+    # every tile graph is emitted by crates/lapack/src/tiled.rs; a second
+    # file calling the kernels is a second copy of a graph
+    local kernels='geqrt_blocked_into|tsqrt_blocked_into|tsmqr_blocked|unmqr_tile_blocked'
+    local strays
+    strays=$(grep -rlE "$kernels" crates/*/src \
+        | grep -vE '^crates/lapack/src/(tile_qr|tiled|lib)\.rs$' || true)
+    test -z "$strays" || fail "tile kernels referenced outside polar-lapack's tiled.rs: $strays"
 }
 
 stage_tier1() {

@@ -493,8 +493,8 @@ fn smoke_tiled<S: Scalar>() {
     let tol = S::Real::from_f64(1e-4); // f32 headroom; f64 lands ~1e-14
     for (m, n, nb) in [(48usize, 32usize, 16usize), (37, 29, 16), (30, 30, 64)] {
         let a0 = rand_mat::<S>(m, n, 17);
-        let f = polar_lapack::geqrf_tiled(&a0, nb);
-        let q = polar_lapack::orgqr_tiled(&f, n);
+        let mut f = polar_lapack::geqrf_tiled(&a0, nb);
+        let q = polar_lapack::orgqr_tiled(&mut f, n);
         let r = f.extract_r();
         let mut qr = Matrix::<S>::zeros(m, n);
         gemm(Op::NoTrans, Op::NoTrans, S::ONE, q.as_ref(), r.as_ref(), S::ZERO, qr.as_mut());

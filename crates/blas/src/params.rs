@@ -16,8 +16,7 @@
 //! microkernels implement when the CPU supports them); setting the env
 //! vars forces one shape for all types, falling back to the generic
 //! microkernel if no SIMD kernel matches. Values are read once, at first
-//! kernel call, and logged at debug level (`POLAR_LOG=debug`, or the
-//! legacy `POLAR_DEBUG=1`).
+//! kernel call, and logged at debug level (`POLAR_LOG=debug`).
 
 use std::sync::OnceLock;
 

@@ -32,6 +32,7 @@ mod options;
 mod params;
 mod partial;
 mod qdwh_impl;
+mod solve_dag;
 mod svd_pd;
 mod zolo;
 mod zolo_fused;

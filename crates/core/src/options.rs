@@ -14,8 +14,9 @@ pub enum IterationPath {
     ForceCholesky,
 }
 
-/// Whether the iteration factorizations run on the DAG-scheduled tile
-/// drivers (`geqrf_tiled` / `potrf_tiled`) or the flat blocked kernels.
+/// Whether the solve runs as one DAG-scheduled tile task graph (the fused
+/// whole-solve graph) or as the per-iteration loop over the flat blocked
+/// kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TiledPath {
     /// Tiled at and above [`QdwhOptions::tiled_threshold`] columns, flat
@@ -54,10 +55,6 @@ pub enum TiledDecision {
     /// pin, or [`TiledPath::Auto`] below
     /// [`QdwhOptions::tiled_threshold`].
     FlatRequested,
-    /// Granularity guard of earlier releases: single-worker pools routed
-    /// flat. Retained for record compatibility; `resolve_tiled` no longer
-    /// produces it now that the fused whole-solve DAG wins at one worker.
-    FlatSingleWorker,
     /// Granularity guard: fewer than two column tiles at the configured
     /// tile size — no inter-tile parallelism to exploit.
     FlatTooFewTiles,
@@ -95,11 +92,13 @@ pub enum L0Strategy {
     LuFormula,
 }
 
-/// Snapshot handed to the [`QdwhOptions::progress`] hook at the top of
-/// each Halley iteration, before any factorization work for that pass.
+/// Snapshot handed to the [`QdwhOptions::progress`] hook: at the top of
+/// each Halley iteration on the per-iteration loop, at every task release
+/// on the tiled path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationProgress {
-    /// 1-based index of the iteration about to run.
+    /// 1-based index of the iteration about to run (on the tiled path:
+    /// the oldest iteration with tasks still outstanding).
     pub iteration: usize,
     /// `||X_k - X_{k-1}||_F` from the previous pass (a large sentinel
     /// before the first iteration).
@@ -115,13 +114,26 @@ pub enum IterationDecision {
     Continue,
     /// Abandon the run; `qdwh` returns `QdwhError::Cancelled`. Used by
     /// serving layers (see `polar-svc`) for cooperative cancellation and
-    /// deadline enforcement between iterations.
+    /// deadline enforcement.
     Cancel,
 }
 
-/// Signature of the per-iteration progress/cancellation hook.
+/// Signature of the progress/cancellation hook.
 pub type ProgressHook =
     std::sync::Arc<dyn Fn(&IterationProgress) -> IterationDecision + Send + Sync>;
+
+/// Ask `hook` (if any) whether the iteration about to run may.
+pub(crate) fn poll_progress(
+    hook: Option<&ProgressHook>,
+    iteration: usize,
+    convergence: f64,
+    ell: f64,
+) -> Result<(), crate::QdwhError> {
+    match hook.map(|h| h(&IterationProgress { iteration, convergence, ell })) {
+        Some(IterationDecision::Cancel) => Err(crate::QdwhError::Cancelled { iteration }),
+        _ => Ok(()),
+    }
+}
 
 /// Tuning and behavior knobs for [`crate::qdwh`].
 #[derive(Clone)]
@@ -143,8 +155,7 @@ pub struct QdwhOptions {
     /// iteration's factorization flops (the standard QDWH structure
     /// optimization). Numerically identical to the general path.
     pub exploit_structure: bool,
-    /// DAG-scheduled tile path selection for the QR / Cholesky iteration
-    /// factorizations.
+    /// Whole-solve tile task graph vs per-iteration flat loop.
     pub tiled: TiledPath,
     /// Problem size (columns) at which [`TiledPath::Auto`] switches to the
     /// tile drivers.
@@ -161,11 +172,13 @@ pub struct QdwhOptions {
     pub l0_override: Option<f64>,
     /// `l_0` estimation strategy.
     pub l0_strategy: L0Strategy,
-    /// Optional hook invoked at the top of every iteration with the
-    /// current [`IterationProgress`]; returning
-    /// [`IterationDecision::Cancel`] aborts the run between iterations
-    /// (the granularity at which QDWH can stop cleanly — mid-iteration
-    /// state is a half-applied factorization).
+    /// Optional hook invoked with the current [`IterationProgress`];
+    /// returning [`IterationDecision::Cancel`] abandons the run with
+    /// `QdwhError::Cancelled`. The per-iteration loop calls it at the top
+    /// of every iteration. On the tiled path it is called once before the
+    /// task graph is built and then at every task release — from pool
+    /// threads, one call at a time, with a non-decreasing `iteration` —
+    /// so a cancel takes effect within one tile task; keep it cheap.
     pub progress: Option<ProgressHook>,
 }
 
@@ -228,30 +241,42 @@ impl QdwhOptions {
     /// (CI gates and ablations rely on forcing a path). Only
     /// [`TiledPath::Auto`] is subject to the granularity guard: a
     /// sub-2-tile grid routes back to the flat kernels, so tiled never
-    /// loses where it cannot win. Pool width no longer matters — the
-    /// fused whole-solve DAG wins at one worker too.
+    /// loses where it cannot win. Nothing but the shape enters: neither
+    /// the pool width (the fused whole-solve DAG wins at one worker too)
+    /// nor whether a progress hook is set.
     pub fn resolve_tiled(&self, n: usize) -> TiledDecision {
-        static ENV: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
-        let env = *ENV.get_or_init(|| match std::env::var("POLAR_TILED").ok().as_deref() {
-            Some("1") | Some("always") | Some("true") => Some(true),
-            Some("0") | Some("never") | Some("false") => Some(false),
-            _ => None,
-        });
-        if let Some(forced) = env {
-            return if forced { TiledDecision::Tiled } else { TiledDecision::FlatRequested };
-        }
-        match self.tiled {
-            TiledPath::Always => TiledDecision::Tiled,
-            TiledPath::Never => TiledDecision::FlatRequested,
-            TiledPath::Auto => {
-                let nb = self.tile_nb.unwrap_or_else(|| polar_lapack::auto_tile_nb(n));
-                if n < self.tiled_threshold {
-                    TiledDecision::FlatRequested
-                } else if n.div_ceil(nb) < 2 {
-                    TiledDecision::FlatTooFewTiles
-                } else {
-                    TiledDecision::Tiled
-                }
+        resolve_tiled(self.tiled, self.tiled_threshold, self.tile_nb, n)
+    }
+}
+
+/// The tile-path decision shared by [`QdwhOptions::resolve_tiled`] and
+/// [`crate::ZoloOptions::resolve_tiled`].
+pub(crate) fn resolve_tiled(
+    tiled: TiledPath,
+    tiled_threshold: usize,
+    tile_nb: Option<usize>,
+    n: usize,
+) -> TiledDecision {
+    static ENV: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
+    let env = *ENV.get_or_init(|| match std::env::var("POLAR_TILED").ok().as_deref() {
+        Some("1") | Some("always") | Some("true") => Some(true),
+        Some("0") | Some("never") | Some("false") => Some(false),
+        _ => None,
+    });
+    if let Some(forced) = env {
+        return if forced { TiledDecision::Tiled } else { TiledDecision::FlatRequested };
+    }
+    match tiled {
+        TiledPath::Always => TiledDecision::Tiled,
+        TiledPath::Never => TiledDecision::FlatRequested,
+        TiledPath::Auto => {
+            let nb = tile_nb.unwrap_or_else(|| polar_lapack::auto_tile_nb(n));
+            if n < tiled_threshold {
+                TiledDecision::FlatRequested
+            } else if n.div_ceil(nb) < 2 {
+                TiledDecision::FlatTooFewTiles
+            } else {
+                TiledDecision::Tiled
             }
         }
     }
@@ -325,7 +350,6 @@ mod tests {
     fn decision_reports_tiled_flag() {
         assert!(TiledDecision::Tiled.is_tiled());
         assert!(!TiledDecision::FlatRequested.is_tiled());
-        assert!(!TiledDecision::FlatSingleWorker.is_tiled());
         assert!(!TiledDecision::FlatTooFewTiles.is_tiled());
     }
 }

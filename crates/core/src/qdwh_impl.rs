@@ -1,12 +1,9 @@
 //! The QDWH driver — Algorithm 1 of the paper, line by line.
 
-use crate::options::{IterationKind, IterationPath, QdwhOptions, TiledDecision};
+use crate::options::{poll_progress, IterationKind, IterationPath, QdwhOptions, TiledDecision};
 use crate::params::{halley_parameters, update_ell};
 use polar_blas::{add, gemm, herk, herk_mirrored, norm, scale_real, symmetrize, trsm};
-use polar_lapack::{
-    geqrf, geqrf_tiled, geqrf_tiled_stacked, norm2est, orgqr, orgqr_tiled, potrf, potrf_tiled,
-    tr_sigma_min_est, trcondest, tsqr, LapackError,
-};
+use polar_lapack::{geqrf, norm2est, orgqr, potrf, tr_sigma_min_est, trcondest, tsqr, LapackError};
 use polar_matrix::{Diag, Matrix, Norm, Op, Side, Uplo};
 use polar_scalar::{Real, Scalar};
 
@@ -23,7 +20,8 @@ pub enum QdwhError {
     /// The iteration cap was hit before the convergence test passed.
     NoConvergence { iterations: usize },
     /// The [`QdwhOptions::progress`](crate::options::QdwhOptions::progress)
-    /// hook requested cancellation before this iteration ran.
+    /// hook requested cancellation before this iteration completed (on
+    /// the per-iteration loop: before it started).
     Cancelled { iteration: usize },
 }
 
@@ -267,8 +265,8 @@ pub fn qdwh<S: Scalar>(
     // appropriate for a cubically convergent method.
     let conv_tol = five_eps.cbrt();
 
-    // ---- line 8: keep A for the final H = U^H A ----
-    let a_copy = a.clone();
+    // (line 8 keeps a copy of A for the final H = U^H A; `a` is borrowed
+    // for the whole call, so it serves as that copy)
 
     // ---- lines 10-13: two-norm estimate and scaling ----
     let est = norm2est(a);
@@ -329,11 +327,9 @@ pub fn qdwh<S: Scalar>(
     };
 
     // ---- lines 21-50: the dynamically weighted Halley iteration ----
-    // Resolve the tiled-vs-flat choice once up front (the granularity
-    // guard consults pool width, which is stable for the run) so every
-    // iteration takes the same path and the decision is reportable.
+    // The tiled-vs-flat choice is resolved once up front, from the shape
+    // alone, so the decision is reportable.
     let tiled_decision = opts.resolve_tiled(n);
-    let tiled = tiled_decision.is_tiled();
     let mut ell = l0;
     let mut conv = S::Real::from_f64(100.0);
     let mut info = QdwhInfo {
@@ -347,31 +343,22 @@ pub fn qdwh<S: Scalar>(
         flops_estimate: 0.0,
         tiled_decision: Some(tiled_decision),
     };
-    let mut x_prev = Matrix::<S>::zeros(m, n);
 
-    // Whole-solve fused path: when the tiled route is selected and no
-    // per-iteration cancellation hook is installed, run the entire
-    // planned Halley sequence as one task graph (see `crate::fused`).
-    // The loop below then acts as the continuation for anything the plan
-    // could not cover — normally it exits immediately.
-    if tiled && opts.progress.is_none() && !opts.use_tsqr {
-        crate::fused::qdwh_fused(&mut x, &mut ell, &mut conv, &mut info, opts)?;
+    // Tiled path: the entire planned Halley sequence as one task graph
+    // (see `crate::fused`). The loop below is then the continuation for
+    // anything the plan could not cover — normally it exits immediately.
+    // (TSQR is a flat-kernel ablation; it has no tile graph.)
+    if tiled_decision.is_tiled() && !opts.use_tsqr {
+        x = crate::fused::qdwh_fused(x, &mut ell, &mut conv, &mut info, opts)?;
     }
 
+    // Per-iteration loop over the flat kernels: small n, the
+    // `TiledPath::Never` reference, and the continuation above.
     while conv >= conv_tol || (ell - S::Real::ONE).abs() >= five_eps {
         if info.iterations >= opts.max_iterations {
             return Err(QdwhError::NoConvergence { iterations: info.iterations });
         }
-        if let Some(hook) = &opts.progress {
-            let snapshot = crate::options::IterationProgress {
-                iteration: info.iterations + 1,
-                convergence: conv.to_f64(),
-                ell: ell.to_f64(),
-            };
-            if hook(&snapshot) == crate::options::IterationDecision::Cancel {
-                return Err(QdwhError::Cancelled { iteration: info.iterations + 1 });
-            }
-        }
+        poll_progress(opts.progress.as_ref(), info.iterations + 1, conv.to_f64(), ell.to_f64())?;
         info.iterations += 1;
 
         let p = halley_parameters(ell);
@@ -383,7 +370,7 @@ pub fn qdwh<S: Scalar>(
             IterationPath::ForceCholesky => false,
         };
 
-        x_prev.copy_from(&x);
+        let x_prev = x.clone();
 
         // Per-iteration kernel-time breakdown: delta of the global kernel
         // counters around the iteration body (zeros if metrics are off).
@@ -392,11 +379,11 @@ pub fn qdwh<S: Scalar>(
         let _iter_span = polar_obs::span!("qdwh_iter", info.iterations, n);
 
         let kind = if use_qr {
-            qr_iteration(&mut x, p.a, p.b, p.c, opts, tiled)?;
+            qr_iteration(&mut x, p.a, p.b, p.c, opts);
             info.qr_iterations += 1;
             IterationKind::QrBased
         } else {
-            chol_iteration(&mut x, p.a, p.b, p.c, opts, tiled)?;
+            chol_iteration(&mut x, &x_prev, p.a, p.b, p.c)?;
             info.chol_iterations += 1;
             IterationKind::CholeskyBased
         };
@@ -407,7 +394,7 @@ pub fn qdwh<S: Scalar>(
         }
 
         // ---- lines 47-48: conv = ||X_k - X_{k-1}||_F ----
-        let mut diff = x_prev.clone();
+        let mut diff = x_prev;
         add(S::ONE, x.as_ref(), -S::ONE, diff.as_mut());
         conv = norm(Norm::Fro, diff.as_ref());
         drop(_iter_span);
@@ -443,7 +430,7 @@ pub fn qdwh<S: Scalar>(
     // ---- line 52: H = U^H A, then symmetrize ----
     let h = if opts.compute_h {
         let mut h = Matrix::<S>::zeros(n, n);
-        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, x.as_ref(), a_copy.as_ref(), S::ZERO, h.as_mut());
+        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, x.as_ref(), a.as_ref(), S::ZERO, h.as_mut());
         symmetrize(h.as_mut());
         h
     } else {
@@ -467,7 +454,7 @@ fn empty_info<R: Real>() -> QdwhInfo<R> {
     }
 }
 
-/// QR-based iteration (Eq. (1); Algorithm 1 lines 30-36):
+/// QR-based iteration (Eq. (1); Algorithm 1 lines 30-36), flat kernels:
 ///
 /// ```text
 /// [Q1; Q2] R = [sqrt(c) X; I]
@@ -479,8 +466,7 @@ fn qr_iteration<S: Scalar>(
     b: S::Real,
     c: S::Real,
     opts: &QdwhOptions,
-    tiled: bool,
-) -> Result<(), QdwhError> {
+) {
     let m = x.nrows();
     let n = x.ncols();
     let sqrt_c = c.sqrt();
@@ -488,23 +474,12 @@ fn qr_iteration<S: Scalar>(
     // W = [sqrt(c) X; I]
     let mut top = x.clone();
     scale_real::<S>(sqrt_c, top.as_mut());
-    let w0 = Matrix::vstack(&top, &Matrix::identity(n, n));
+    let mut w = Matrix::vstack(&top, &Matrix::identity(n, n));
 
     // thin QR and explicit Q (lines 31-32)
     let q = if opts.use_tsqr {
-        tsqr(&w0).0
-    } else if tiled {
-        // DAG-scheduled tile QR on the work-stealing pool; the stacked
-        // variant prunes tasks on still-pristine identity tile rows
-        let nb = opts.tile_nb.unwrap_or_else(|| polar_lapack::auto_tile_nb(n));
-        let f = if opts.exploit_structure {
-            geqrf_tiled_stacked(m, &w0, nb)
-        } else {
-            geqrf_tiled(&w0, nb)
-        };
-        orgqr_tiled(&f, n)
+        tsqr(&w).0
     } else {
-        let mut w = w0;
         let f = if opts.exploit_structure {
             polar_lapack::geqrf_stacked(m, &mut w)
         } else {
@@ -527,10 +502,10 @@ fn qr_iteration<S: Scalar>(
         S::from_real(beta),
         x.as_mut(),
     );
-    Ok(())
 }
 
-/// Cholesky-based iteration (Eq. (2); Algorithm 1 lines 38-44):
+/// Cholesky-based iteration (Eq. (2); Algorithm 1 lines 38-44), flat
+/// kernels; `x_prev` is the caller's copy of the incoming `x`:
 ///
 /// ```text
 /// Z = I + c X^H X;  Z = L L^H
@@ -540,25 +515,18 @@ fn qr_iteration<S: Scalar>(
 /// (`X Z^{-1}` via two right-side triangular solves with `L`.)
 fn chol_iteration<S: Scalar>(
     x: &mut Matrix<S>,
+    x_prev: &Matrix<S>,
     a: S::Real,
     b: S::Real,
     c: S::Real,
-    opts: &QdwhOptions,
-    tiled: bool,
 ) -> Result<(), QdwhError> {
     let n = x.ncols();
-    let x_prev = x.clone();
 
     // Z = I + c X^H X (Eq. (2); the paper's line 40 prints "-c", which
     // would make Z indefinite — Eq. (2) is the consistent form).
     let mut z = Matrix::<S>::identity(n, n);
     herk(Uplo::Lower, Op::ConjTrans, c, x.as_ref(), S::Real::ONE, z.as_mut());
-    if tiled {
-        let nb = opts.tile_nb.unwrap_or_else(|| polar_lapack::auto_tile_nb(n));
-        potrf_tiled(Uplo::Lower, &mut z, nb)?;
-    } else {
-        potrf(Uplo::Lower, &mut z)?;
-    }
+    potrf(Uplo::Lower, &mut z)?;
 
     // X := X L^{-H} L^{-1}
     trsm(Side::Right, Uplo::Lower, Op::ConjTrans, Diag::NonUnit, S::ONE, z.as_ref(), x.as_mut());

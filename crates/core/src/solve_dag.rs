@@ -1,0 +1,365 @@
+//! What the whole-solve task graphs ([`crate::fused`], [`crate::zolo_fused`])
+//! have in common, written once:
+//!
+//! * the **stacked-QR term** ([`emit_term`]): `[s X; d I]` assembly → tile
+//!   QR → explicit `Q` → `Q2` gather → `alpha Q1 Q2^H` product tiles. QDWH's
+//!   QR-based iteration is one term with the Halley update fused into the
+//!   product tiles; a Zolo-PD iteration is `r` terms with other weights.
+//!   The factorization tasks themselves come from `polar-lapack`'s
+//!   emitters — this crate names no tile kernel;
+//! * the **convergence sink** ([`NormSink`]): per-tile `|X_k - X_{k-1}|_F^2`
+//!   partials published by the update tasks and one fixed-order reduction
+//!   task per iteration that nothing downstream waits on;
+//! * running the graph under the caller's progress hook
+//!   ([`execute_hooked`]) and turning the plan plus the reduced norms into
+//!   [`IterationRecord`]s ([`record_iterations`]).
+
+use crate::options::{poll_progress, IterationKind, ProgressHook};
+use crate::qdwh_impl::{IterationRecord, QdwhError, QdwhInfo};
+use polar_blas::gemm;
+use polar_lapack::{emit_geqrf, emit_orgqr, QrPtr, TilePtr, TiledQr};
+use polar_matrix::{Op, ProcessGrid, TiledMatrix, Tiling};
+use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TileRef};
+use polar_scalar::{Real, Scalar};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Per-tile convergence partials and per-iteration reduced norms of one
+/// whole-solve graph. Values cross threads as `f64` bit patterns (exact
+/// for every supported real type). `Relaxed` suffices: each slot publishes
+/// only itself, and a reader is ordered after its writer by a dag edge
+/// (partials → reduce task) or by the executor's phase frontier (reduced
+/// norm → the progress hook, the post-run bookkeeping).
+pub(crate) struct NormSink {
+    partials: Vec<AtomicU64>,
+    norms: Vec<AtomicU64>,
+    mt: usize,
+    nt: usize,
+    partial_id: u32,
+    norm_id: u32,
+}
+
+impl NormSink {
+    /// Slots for `iters` iterations over an iterate tiled as `xt`. The
+    /// sink has to outlive the dag whose tasks borrow it, so it is built
+    /// first and given its dependency names by [`NormSink::name_in`].
+    pub(crate) fn new(iters: usize, xt: Tiling) -> Self {
+        let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
+        Self {
+            partials: zeros(iters * xt.mt() * xt.nt()),
+            norms: zeros(iters),
+            mt: xt.mt(),
+            nt: xt.nt(),
+            partial_id: 0,
+            norm_id: 0,
+        }
+    }
+
+    /// Claim the matrix ids the slots are tracked under in `dag`; call
+    /// before any task naming them is added.
+    pub(crate) fn name_in(&mut self, dag: &mut TaskDag<'_>) {
+        (self.partial_id, self.norm_id) = (dag.new_matrix(), dag.new_matrix());
+    }
+
+    /// Dependency name of iteration `k`'s partial for tile `(ti, tj)`; goes
+    /// in the write set of the task that calls [`NormSink::publish`].
+    pub(crate) fn partial_at(&self, k: usize, ti: usize, tj: usize) -> TileRef {
+        TileRef::new(self.partial_id, k * self.mt + ti, tj, 8)
+    }
+
+    pub(crate) fn publish<R: Real>(&self, k: usize, ti: usize, tj: usize, partial: R) {
+        let slot = (k * self.nt + tj) * self.mt + ti;
+        self.partials[slot].store(partial.to_f64().to_bits(), Ordering::Relaxed);
+    }
+
+    /// `||X_{k+1} - X_k||_F` as reduced by iteration `k`'s sink task.
+    pub(crate) fn norm<R: Real>(&self, k: usize) -> R {
+        R::from_f64(f64::from_bits(self.norms[k].load(Ordering::Relaxed)))
+    }
+
+    /// Add iteration `k`'s fixed-order reduction. A sink: nothing in
+    /// iteration `k + 1` depends on it, so the next iteration's panel work
+    /// overlaps this one's tail.
+    pub(crate) fn emit_reduce<'a, R: Real>(&'a self, dag: &mut TaskDag<'a>, k: usize) {
+        let (mt, nt) = (self.mt, self.nt);
+        let reads =
+            (0..nt).flat_map(|tj| (0..mt).map(move |ti| self.partial_at(k, ti, tj))).collect();
+        let writes = vec![TileRef::new(self.norm_id, k, 0, 8)];
+        dag.add(KernelKind::Norm, -1, (mt * nt) as f64, reads, writes, move || {
+            let mut s = R::ZERO;
+            for slot in &self.partials[k * mt * nt..(k + 1) * mt * nt] {
+                s += R::from_f64(f64::from_bits(slot.load(Ordering::Relaxed)));
+            }
+            self.norms[k].store(s.sqrt().to_f64().to_bits(), Ordering::Relaxed);
+        });
+    }
+}
+
+/// Workspace of one stacked-QR term — `W = [s X; d I]` with its `T`
+/// factors, the explicit `Q`, the gathered `Q2` — allocated once per solve
+/// and reused by every iteration: by the time any tile of `X_{k+1}` exists
+/// every reader of iteration `k`'s workspace has run, so the reuse edges
+/// the dag infers cost no overlap.
+pub(crate) struct TermWorkspace<S: Scalar> {
+    w: TiledQr<S>,
+    q: TiledMatrix<S>,
+    g: TiledMatrix<S>,
+}
+
+impl<S: Scalar> TermWorkspace<S> {
+    /// For an `m x n` iterate at tile size `nb`; `top_rows` as in
+    /// [`TiledQr::zeros`].
+    pub(crate) fn new(m: usize, n: usize, nb: usize, top_rows: Option<usize>) -> Self {
+        let wt = Tiling::new(m + n, n, nb, nb);
+        Self {
+            w: TiledQr::zeros(wt, top_rows),
+            q: TiledMatrix::zeros(wt, ProcessGrid::single()),
+            g: TiledMatrix::zeros(Tiling::new(n, n, nb, nb), ProcessGrid::single()),
+        }
+    }
+
+    pub(crate) fn in_dag<'a>(&'a mut self, dag: &mut TaskDag<'_>) -> TermPtr<'a, S> {
+        TermPtr {
+            w: self.w.in_dag(dag),
+            q: TilePtr::new(dag, &mut self.q),
+            g: TilePtr::new(dag, &mut self.g),
+        }
+    }
+}
+
+/// A [`TermWorkspace`] as the tasks of one dag see it.
+#[derive(Clone, Copy)]
+pub(crate) struct TermPtr<'a, S: Scalar> {
+    w: QrPtr<'a, S>,
+    q: TilePtr<'a, S>,
+    g: TilePtr<'a, S>,
+}
+
+/// QDWH's fusion of the Halley update into a term's product tiles: they
+/// start from `beta X` instead of zero, and each publishes its convergence
+/// partial `|out - X|_F^2` for iteration `iter`.
+#[derive(Clone, Copy)]
+pub(crate) struct HalleyUpdate<'a, R> {
+    pub beta: R,
+    pub sink: &'a NormSink,
+    pub iter: usize,
+}
+
+/// Add one stacked-QR term to `dag`:
+///
+/// ```text
+/// [Q1; Q2] R = [s X; d I]          (tile QR on the pruned row window)
+/// out = alpha Q1 Q2^H              (+ beta X, with `halley`)
+/// ```
+///
+/// `x` and `out` are tiled alike (`m x n`); `ws` was sized for them.
+pub(crate) fn emit_term<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    ws: TermPtr<'a, S>,
+    x: TilePtr<'a, S>,
+    (s, d): (S::Real, S::Real),
+    alpha: S,
+    out: TilePtr<'a, S>,
+    halley: Option<HalleyUpdate<'a, S::Real>>,
+) {
+    let TermPtr { w: f, q, g } = ws;
+    let w = f.a;
+    let xt = x.tiling();
+    let (m, nb) = (xt.m(), xt.nb());
+    let (mtx, nt, mtw) = (xt.mt(), xt.nt(), w.tiling().mt());
+    let nbf = nb as f64;
+
+    // W = [s X; d I] per tile; the top rows of a tile straddling row m
+    // coincide with the X tile of the same index.
+    for j in 0..nt {
+        for wi in 0..mtw {
+            let reads = if wi < mtx { vec![x.at(wi, j)] } else { Vec::new() };
+            dag.add(KernelKind::Geadd, 2, nbf * nbf, reads, vec![w.at(wi, j)], move || {
+                // SAFETY: W (wi, j) is this task's write set; X (wi, j),
+                // read exactly when that tile exists, its read set.
+                let (wt, xs) = unsafe { (w.tile(wi, j), (wi < mtx).then(|| x.tile_ref(wi, j))) };
+                let (r0, c0) = (wi * nb, j * nb);
+                let top = xs.map_or(0, |xs| xs.nrows());
+                let (sc, dc) = (S::from_real(s), S::from_real(d));
+                let copy = s == S::Real::ONE; // s = 1 is a copy, bit for bit
+                for c in 0..wt.ncols() {
+                    if let Some(xs) = xs {
+                        for r in 0..top {
+                            wt[(r, c)] = if copy { xs[(r, c)] } else { sc * xs[(r, c)] };
+                        }
+                    }
+                    for r in top..wt.nrows() {
+                        wt[(r, c)] = if r0 + r - m == c0 + c { dc } else { S::ZERO };
+                    }
+                }
+            });
+        }
+    }
+
+    emit_geqrf(dag, f);
+    emit_orgqr(dag, f, q);
+
+    // Gather Q2 (rows m..m+n of Q) into an n x n tiling: each Q2 tile
+    // straddles at most two Q tile rows when m % nb != 0.
+    for kc in 0..nt {
+        for tj in 0..nt {
+            let lo = (m + tj * nb) / nb;
+            let hi = (m + tj * nb + g.tiling().tile_rows(tj) - 1) / nb;
+            let mut reads = vec![q.at(lo, kc)];
+            if hi != lo {
+                reads.push(q.at(hi, kc));
+            }
+            dag.add(KernelKind::Geadd, 1, nbf * nbf, reads, vec![g.at(tj, kc)], move || {
+                // SAFETY: G (tj, kc) is written; Q (lo, kc) and (hi, kc),
+                // possibly the same tile, are the read set.
+                let (out, qlo, qhi) =
+                    unsafe { (g.tile(tj, kc), q.tile_ref(lo, kc), q.tile_ref(hi, kc)) };
+                for c in 0..out.ncols() {
+                    for r in 0..out.nrows() {
+                        let gr = m + tj * nb + r;
+                        let src = if gr / nb == lo { qlo } else { qhi };
+                        out[(r, c)] = src[(gr % nb, c)];
+                    }
+                }
+            });
+        }
+    }
+
+    // out = alpha Q1 Q2^H per tile, accumulated over the n columns of Q
+    // in fixed order (one task per tile: no reduction across tasks).
+    for tj in 0..nt {
+        for ti in 0..mtx {
+            let mut reads = Vec::with_capacity(2 * nt + 1);
+            let mut writes = vec![out.at(ti, tj)];
+            if let Some(h) = halley {
+                reads.push(x.at(ti, tj));
+                writes.push(h.sink.partial_at(h.iter, ti, tj));
+            }
+            for kc in 0..nt {
+                reads.push(q.at(ti, kc));
+                reads.push(g.at(tj, kc));
+            }
+            let flops = 2.0 * nbf * nbf * nbf * nt as f64;
+            dag.add(KernelKind::Gemm, 0, flops, reads, writes, move || {
+                // SAFETY: out (ti, tj) is written; X (ti, tj), row ti of Q
+                // and row tj of G are the read set.
+                let o = unsafe { out.tile(ti, tj) };
+                let fused = halley.map(|h| (h, unsafe { x.tile_ref(ti, tj) }));
+                match fused {
+                    Some((h, xi)) => {
+                        let b = S::from_real(h.beta);
+                        for c in 0..o.ncols() {
+                            for r in 0..o.nrows() {
+                                o[(r, c)] = b * xi[(r, c)];
+                            }
+                        }
+                    }
+                    None => o.fill(S::ZERO),
+                }
+                for kc in 0..nt {
+                    let (q1, q2) = unsafe { (q.tile_ref(ti, kc), g.tile_ref(tj, kc)) };
+                    gemm(
+                        Op::NoTrans,
+                        Op::ConjTrans,
+                        alpha,
+                        q1.view(0, 0, o.nrows(), q1.ncols()),
+                        q2.as_ref(),
+                        S::ONE,
+                        o.as_mut(),
+                    );
+                }
+                if let Some((h, xi)) = fused {
+                    let mut acc = S::Real::ZERO;
+                    for c in 0..o.ncols() {
+                        for r in 0..o.nrows() {
+                            acc += (o[(r, c)] - xi[(r, c)]).abs_sq();
+                        }
+                    }
+                    h.sink.publish(h.iter, ti, tj, acc);
+                }
+            });
+        }
+    }
+}
+
+/// Run a whole-solve graph whose phase `k` is the solve's iteration
+/// `done + k + 1`. With a progress hook, the executor polls it before
+/// every task release with the oldest iteration still in flight, the norm
+/// the previous iteration's sink published (`first_conv` before the
+/// first) and the planned bound entering it (`ell_entering(k)`); a
+/// `Cancel` abandons the graph and comes back as
+/// [`QdwhError::Cancelled`]. Any other outcome is the caller's to read.
+pub(crate) fn execute_hooked(
+    dag: TaskDag<'_>,
+    hook: Option<&ProgressHook>,
+    done: usize,
+    sink: &NormSink,
+    first_conv: f64,
+    ell_entering: impl Fn(usize) -> f64 + Sync,
+) -> Result<ExecOutcome, QdwhError> {
+    let Some(hook) = hook else { return Ok(dag.execute()) };
+    let cancelled_at = AtomicUsize::new(0);
+    let outcome = dag.execute_until(|frontier| {
+        let k = frontier as usize;
+        let conv = if k == 0 { first_conv } else { sink.norm::<f64>(k - 1) };
+        let cancel = poll_progress(Some(hook), done + k + 1, conv, ell_entering(k)).is_err();
+        if cancel {
+            // read back after the run only; `execute_until` has joined
+            // every lane by then
+            cancelled_at.store(done + k + 1, Ordering::Relaxed);
+        }
+        cancel
+    });
+    match cancelled_at.into_inner() {
+        0 => Ok(outcome),
+        iteration => Err(QdwhError::Cancelled { iteration }),
+    }
+}
+
+/// Append one [`IterationRecord`] per planned step `(kind, ell_after,
+/// flop weight)` to `info`, for a graph launched at `start` with the
+/// kernel counters at `kernels_before`. The iterations overlapped, so
+/// per-step wall time is not observable: the elapsed time is split by flop
+/// weight, and the kernel-counter delta for the whole dag lands on the
+/// last record.
+pub(crate) fn record_iterations<R: Real>(
+    info: &mut QdwhInfo<R>,
+    steps: &[(IterationKind, R, f64)],
+    sink: &NormSink,
+    start: std::time::Instant,
+    kernels_before: &polar_obs::KernelSnapshot,
+) -> Result<(), QdwhError> {
+    let total_secs = start.elapsed().as_secs_f64();
+    let kernels = polar_obs::kernel_snapshot().delta(kernels_before);
+    let wsum: f64 = steps.iter().map(|s| s.2).sum();
+    for (k, &(kind, ell, weight)) in steps.iter().enumerate() {
+        let convergence: R = sink.norm(k);
+        if !convergence.to_f64().is_finite() {
+            return Err(QdwhError::NonFinite { iteration: info.iterations + 1 });
+        }
+        info.iterations += 1;
+        match kind {
+            IterationKind::QrBased => info.qr_iterations += 1,
+            IterationKind::CholeskyBased => info.chol_iterations += 1,
+        }
+        info.kinds.push(kind);
+        let last = k + 1 == steps.len();
+        let record = IterationRecord {
+            iteration: info.iterations,
+            kind,
+            ell,
+            convergence,
+            seconds: total_secs * weight / wsum,
+            kernels: if last { kernels } else { polar_obs::KernelSnapshot::default() },
+        };
+        polar_obs::log!(
+            polar_obs::LogLevel::Debug,
+            "fused iter {} {:?}: conv={:e} ell={:e}",
+            record.iteration,
+            record.kind,
+            record.convergence.to_f64(),
+            record.ell.to_f64()
+        );
+        info.records.push(record);
+    }
+    Ok(())
+}

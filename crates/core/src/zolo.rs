@@ -13,11 +13,9 @@
 //! *mutually independent*, which is exactly the extra concurrency the
 //! paper wants for strong scaling.
 
-use crate::elliptic::{zolotarev_coefficients, zolotarev_eval, zolotarev_weights};
-use crate::options::{
-    IterationDecision, IterationProgress, ProgressHook, QdwhOptions, TiledDecision, TiledPath,
-};
+use crate::options::{poll_progress, ProgressHook, QdwhOptions, TiledDecision, TiledPath};
 use crate::qdwh_impl::{PolarDecomposition, QdwhError, QdwhInfo};
+use crate::zolo_fused::ZoloIterPlan;
 use polar_blas::{add, gemm, norm, scale_real, symmetrize};
 use polar_lapack::{geqrf, norm2est, orgqr, tr_sigma_min_est};
 
@@ -49,9 +47,9 @@ pub struct ZoloOptions {
     /// Tile size for the fused path; `None` picks
     /// `polar_lapack::auto_tile_nb`.
     pub tile_nb: Option<usize>,
-    /// Optional per-iteration progress/cancellation hook. Setting it
-    /// forces the serial loop (the fused graph has no between-iteration
-    /// boundary to stop at — the same caveat as `JobKind::Batched`).
+    /// Optional progress/cancellation hook, with the semantics of
+    /// [`QdwhOptions::progress`](crate::options::QdwhOptions::progress) on
+    /// either path.
     pub progress: Option<ProgressHook>,
 }
 
@@ -88,13 +86,7 @@ impl ZoloOptions {
     /// same `POLAR_TILED` env pin and granularity guard as the QDWH
     /// driver (the decision logic is shared).
     pub fn resolve_tiled(&self, n: usize) -> TiledDecision {
-        QdwhOptions {
-            tiled: self.tiled,
-            tiled_threshold: self.tiled_threshold,
-            tile_nb: self.tile_nb,
-            ..QdwhOptions::default()
-        }
-        .resolve_tiled(n)
+        crate::options::resolve_tiled(self.tiled, self.tiled_threshold, self.tile_nb, n)
     }
 }
 
@@ -125,7 +117,6 @@ pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutc
     }
 
     let eps = S::Real::EPSILON;
-    let a_copy = a.clone();
 
     // scaling and sigma_min bound, as in QDWH
     let est = norm2est(a);
@@ -165,27 +156,21 @@ pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutc
     // stability, not by this stop test
     let tol = 50.0 * eps.to_f64();
 
-    // Whole-solve fused path: all r stacked-QR terms of every iteration as
-    // concurrent branches of one task graph. The serial loop below stays
-    // as the progress-hook fallback and the planner-overflow continuation
-    // (a `None` plan leaves `ell` untouched, so the loop's own iteration
-    // cap reports `NoConvergence` with the usual bookkeeping).
-    if tiled_decision.is_tiled() && zopts.progress.is_none() {
-        crate::zolo_fused::zolo_fused(&mut x, &mut ell, &mut info, &mut qr_count, zopts)?;
+    // Tiled path: all r stacked-QR terms of every iteration as concurrent
+    // branches of one task graph. The serial loop below is the small-n
+    // path and the planner-overflow continuation (a `None` plan leaves
+    // `ell` untouched, so the loop's own iteration cap reports
+    // `NoConvergence` with the usual bookkeeping).
+    if tiled_decision.is_tiled() {
+        x = crate::zolo_fused::zolo_fused(x, &mut ell, &mut info, &mut qr_count, zopts)?;
     }
 
-    let mut last_conv = f64::MAX;
+    let mut last_conv = info.records.last().map_or(f64::MAX, |r| r.convergence.to_f64());
     while (ell - 1.0).abs() >= tol {
         if info.iterations >= zopts.max_iterations {
             return Err(QdwhError::NoConvergence { iterations: info.iterations });
         }
-        if let Some(hook) = &zopts.progress {
-            let snapshot =
-                IterationProgress { iteration: info.iterations + 1, convergence: last_conv, ell };
-            if hook(&snapshot) == IterationDecision::Cancel {
-                return Err(QdwhError::Cancelled { iteration: info.iterations + 1 });
-            }
-        }
+        poll_progress(zopts.progress.as_ref(), info.iterations + 1, last_conv, ell)?;
         info.iterations += 1;
         info.qr_iterations += 1; // Zolo iterations are QR-based
         info.kinds.push(crate::options::IterationKind::QrBased);
@@ -193,11 +178,9 @@ pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutc
         let iter_start = std::time::Instant::now();
         let _iter_span = polar_obs::span!("zolo_iter", info.iterations, n);
 
-        let c = zolotarev_coefficients(ell.min(1.0 - 1e-15), zopts.r);
-        let a_w = zolotarev_weights(&c);
-        // normalization M = 1 / f(1)
-        let f1 = 1.0 + a_w.iter().enumerate().map(|(j, &aj)| aj / (1.0 + c[2 * j])).sum::<f64>();
-        let m_hat = 1.0 / f1;
+        // coefficients, weights, normalization M = 1 / f(1) and the next
+        // interval: the scalar recurrence the fused graph plans ahead
+        let step = ZoloIterPlan::at(ell, zopts.r);
 
         // X_next = M (X + sum_j (a_j / sqrt(c_{2j-1})) Q1_j Q2_j^H),
         // each term from the stacked QR [X; sqrt(c_{2j-1}) I] = [Q1; Q2] R.
@@ -205,9 +188,8 @@ pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutc
         // executes them concurrently (the strong-scaling win of §8).
         let x_prev = x.clone();
         let mut x_next = x.clone();
-        for (j, &aj) in a_w.iter().enumerate() {
-            let cj = c[2 * j]; // c_{2j-1}
-            let sqrt_c = cj.sqrt();
+        for (j, &aj) in step.a_w.iter().enumerate() {
+            let sqrt_c = step.c[2 * j].sqrt(); // c_{2j-1}
             let bottom = {
                 let mut i = Matrix::<S>::identity(n, n);
                 scale_real::<S>(S::Real::from_f64(sqrt_c), i.as_mut());
@@ -232,27 +214,17 @@ pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutc
                 x_next.as_mut(),
             );
         }
-        scale_real::<S>(S::Real::from_f64(m_hat), x_next.as_mut());
+        scale_real::<S>(S::Real::from_f64(step.m_hat), x_next.as_mut());
 
         if x_next.has_non_finite() {
             return Err(QdwhError::NonFinite { iteration: info.iterations });
         }
 
-        // new singular-value interval: sample the scalar map over [l, 1]
-        // (the equioscillating extrema bracket the image of the spectrum)
-        let mut fmin = f64::MAX;
-        let mut fmax = 0.0f64;
-        for i in 0..257 {
-            let t = ell + (1.0 - ell) * (i as f64) / 256.0;
-            let y = zolotarev_eval(t, &c, &a_w);
-            fmin = fmin.min(y);
-            fmax = fmax.max(y);
-        }
         // keep sigma_max <= 1 for the next interval
-        if fmax > 1.0 {
-            scale_real::<S>(S::Real::from_f64(1.0 / fmax), x_next.as_mut());
+        if step.rescale < 1.0 {
+            scale_real::<S>(S::Real::from_f64(step.rescale), x_next.as_mut());
         }
-        ell = (fmin / fmax).min(1.0);
+        ell = step.ell_after;
 
         // convergence telemetry
         let mut diff = x_next.clone();
@@ -280,7 +252,7 @@ pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutc
 
     let h = if zopts.compute_h {
         let mut h = Matrix::<S>::zeros(n, n);
-        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, x.as_ref(), a_copy.as_ref(), S::ZERO, h.as_mut());
+        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, x.as_ref(), a.as_ref(), S::ZERO, h.as_mut());
         symmetrize(h.as_mut());
         h
     } else {

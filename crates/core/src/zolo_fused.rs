@@ -11,23 +11,19 @@
 //! `ell -> fmin/fmax` are all pure scalar functions of `ell` — no matrix
 //! data enters the recurrence — so the whole iteration sequence is known
 //! up front ([`plan_zolo_iterations`]). [`zolo_fused`] then emits, per
-//! planned iteration and per term `j in 0..r`:
-//!
-//! * the stacked-`W_j = [X; sqrt(c_{2j}) I]` assembly as per-tile tasks;
-//! * the tile QR of `W_j` (`geqrt`/`tsqrt`/`unmqr`/`tsmqr` on the pruned
-//!   `[B; I]` row window) and the reverse `orgqr` sweep forming `Q_j`;
-//! * the `Q2_j` gather and the rank-`n` `Q1_j Q2_j^H` accumulation into a
-//!   *private* per-term slab `Y_j`;
+//! planned iteration and per term `j in 0..r`, the same stacked-QR term
+//! QDWH's QR-based iteration is one of ([`crate::solve_dag::emit_term`]),
+//! on `W_j = [X; sqrt(c_{2j}) I]`, with the rank-`n` product
+//! `Y_j = Q1_j Q2_j^H` going to a *private* per-term slab;
 //!
 //! plus, per iteration, one combined-update task per `X` tile that applies
 //! `X_out = M rho X + sum_j (M rho a_j / sqrt(c_{2j})) Y_j` (with `rho`
 //! the planned rescale) in **fixed term order**, fused with the
 //! convergence partial, and a fixed-order reduction sink — all into a
 //! single [`TaskDag`]. The `r` QR chains share no tiles, so they run
-//! concurrently across pool workers; `X` and all per-term workspace are
-//! double-buffered by iteration parity exactly like `qdwh_fused`, so
-//! iteration `k+1` panel factorizations overlap iteration `k`'s trailing
-//! `Y_j` accumulations.
+//! concurrently across pool workers. `X` is double-buffered by iteration
+//! parity; each term's workspace and `Y_j` slab exist once and are reused
+//! by every iteration, exactly like `qdwh_fused`.
 //!
 //! Determinism: every value-affecting ordering is a dependency edge, tile
 //! accumulations happen inside single tasks in fixed loop order, and the
@@ -35,25 +31,20 @@
 //! computed iterates are schedule-independent bit-for-bit, with or
 //! without `POLAR_DETERMINISTIC=1`.
 //!
-//! Fallback: the caller runs this *before* its serial `while` loop and
+//! Continuation: the caller runs this *before* its serial `while` loop and
 //! re-checks the loop condition afterwards, so a planner bail-out
-//! (iteration-cap overflow) or a progress hook continues on the existing
-//! serial path with no extra code.
+//! (iteration-cap overflow) continues on the serial path with no extra
+//! code.
 
 use crate::elliptic::{zolotarev_coefficients, zolotarev_eval, zolotarev_weights};
-use crate::fused::{t_slab, RealSlots};
-use crate::options::IterationKind;
-use crate::qdwh_impl::{IterationRecord, QdwhError, QdwhInfo};
+use crate::options::{poll_progress, IterationKind};
+use crate::qdwh_impl::{QdwhError, QdwhInfo};
+use crate::solve_dag::{emit_term, execute_hooked, record_iterations, NormSink, TermWorkspace};
 use crate::zolo::ZoloOptions;
-use polar_blas::gemm;
-use polar_lapack::{
-    auto_tile_nb, geqrt_blocked_into, stacked_row_limit, tsmqr_blocked, tsqrt_blocked_into,
-    unmqr_tile_blocked, LapackError, SlotPtr, TilePtr, TileT, DEFAULT_BLOCK,
-};
-use polar_matrix::{Matrix, Op, ProcessGrid, TiledMatrix, Tiling};
-use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TaskStatus, TileRef};
+use polar_lapack::{auto_tile_nb, TilePtr};
+use polar_matrix::{Matrix, ProcessGrid, TiledMatrix, Tiling};
+use polar_runtime::{ExecOutcome, KernelKind, TaskDag};
 use polar_scalar::{Real, Scalar};
-use std::sync::Mutex;
 
 /// One precomputed Zolotarev iteration: coefficients, weights, the
 /// normalization, the planned `sigma_max <= 1` rescale, and the interval
@@ -73,11 +64,32 @@ pub(crate) struct ZoloIterPlan {
     pub ell_after: f64,
 }
 
-/// Precompute the whole Zolotarev iteration sequence from `l0`: the same
-/// scalar recurrence the serial loop in `zolo.rs` runs, stopped by the
-/// identical `|ell - 1| < 50 eps` interval test. Returns `None` when the
-/// iteration cap would be exceeded first (the caller's serial loop then
-/// reports `NoConvergence` with its own bookkeeping).
+impl ZoloIterPlan {
+    /// The iteration that starts from the interval bound `ell`: the
+    /// scalar recurrence both drivers follow.
+    pub(crate) fn at(ell: f64, r: usize) -> Self {
+        let c = zolotarev_coefficients(ell.min(1.0 - 1e-15), r);
+        let a_w = zolotarev_weights(&c);
+        let f1 = 1.0 + a_w.iter().enumerate().map(|(j, &aj)| aj / (1.0 + c[2 * j])).sum::<f64>();
+        // new singular-value interval: sample the scalar map over [l, 1]
+        // (the equioscillating extrema bracket the image of the spectrum)
+        let mut fmin = f64::MAX;
+        let mut fmax = 0.0f64;
+        for i in 0..257 {
+            let t = ell + (1.0 - ell) * (i as f64) / 256.0;
+            let y = zolotarev_eval(t, &c, &a_w);
+            fmin = fmin.min(y);
+            fmax = fmax.max(y);
+        }
+        let rescale = if fmax > 1.0 { 1.0 / fmax } else { 1.0 };
+        Self { c, a_w, m_hat: 1.0 / f1, rescale, ell_after: (fmin / fmax).min(1.0) }
+    }
+}
+
+/// Precompute the whole Zolotarev iteration sequence from `l0`, stopped by
+/// the serial loop's `|ell - 1| < 50 eps` interval test. Returns `None`
+/// when the iteration cap would be exceeded first (the caller's serial
+/// loop then reports `NoConvergence` with its own bookkeeping).
 pub(crate) fn plan_zolo_iterations(
     l0: f64,
     r: usize,
@@ -91,63 +103,41 @@ pub(crate) fn plan_zolo_iterations(
         if plan.len() >= max_iterations {
             return None;
         }
-        let c = zolotarev_coefficients(ell.min(1.0 - 1e-15), r);
-        let a_w = zolotarev_weights(&c);
-        let f1 = 1.0 + a_w.iter().enumerate().map(|(j, &aj)| aj / (1.0 + c[2 * j])).sum::<f64>();
-        let m_hat = 1.0 / f1;
-        let mut fmin = f64::MAX;
-        let mut fmax = 0.0f64;
-        for i in 0..257 {
-            let t = ell + (1.0 - ell) * (i as f64) / 256.0;
-            let y = zolotarev_eval(t, &c, &a_w);
-            fmin = fmin.min(y);
-            fmax = fmax.max(y);
-        }
-        let rescale = if fmax > 1.0 { 1.0 / fmax } else { 1.0 };
-        ell = (fmin / fmax).min(1.0);
-        plan.push(ZoloIterPlan { c, a_w, m_hat, rescale, ell_after: ell });
+        let step = ZoloIterPlan::at(ell, r);
+        ell = step.ell_after;
+        plan.push(step);
     }
     Some(plan)
 }
 
-// Test hook: index of the term whose first panel factorization fails
-// (mid-graph), exercising whole-DAG cancellation. `-1` disables. Thread
-// local — the graph is *built* on the calling thread, so concurrent
-// tests never observe each other's injection.
-#[cfg(test)]
-thread_local! {
-    pub(crate) static FAIL_TERM: std::cell::Cell<i64> = const { std::cell::Cell::new(-1) };
-}
-
-/// Run the whole planned Zolotarev sequence as one task graph, updating
-/// the iterate and the run telemetry in place. On success the caller's
-/// serial loop condition re-check provides the (normally trivial)
-/// continuation; on a planner bail-out nothing is touched and `Ok` is
-/// returned so the serial path takes over entirely.
+/// Run the whole planned Zolotarev sequence as one task graph: takes the
+/// iterate, returns it advanced, and updates the run telemetry in place.
+/// On success the caller's serial loop condition re-check provides the
+/// (normally trivial) continuation; on a planner bail-out `x` comes back
+/// untouched so the serial path takes over entirely.
 pub(crate) fn zolo_fused<S: Scalar>(
-    x: &mut Matrix<S>,
+    x: Matrix<S>,
     ell: &mut f64,
     info: &mut QdwhInfo<S::Real>,
     qr_count: &mut usize,
     zopts: &ZoloOptions,
-) -> Result<(), QdwhError> {
+) -> Result<Matrix<S>, QdwhError> {
     type R<S> = <S as Scalar>::Real;
     let m = x.nrows();
     let n = x.ncols();
     let rterms = zopts.r;
     let eps = S::Real::EPSILON.to_f64();
     let Some(plan) = plan_zolo_iterations(*ell, rterms, zopts.max_iterations, eps) else {
-        return Ok(());
+        return Ok(x);
     };
     let iters = plan.len();
     if iters == 0 {
-        return Ok(());
+        return Ok(x);
     }
+    // a job cancelled while it queued allocates nothing
+    let (done, l0) = (info.iterations, *ell);
+    poll_progress(zopts.progress.as_ref(), done + 1, f64::MAX, l0)?;
     let nb = zopts.tile_nb.unwrap_or_else(|| auto_tile_nb(n)).max(8);
-    let ib = DEFAULT_BLOCK.min(nb);
-    // the diagonal sqrt(c) I bottom block has the same trapezoidal fill
-    // the QDWH stacked QR exploits, so the pruned row window always applies
-    let top = Some(m);
 
     let _span = polar_obs::span!("zolo_fused", m, n);
     let kernels_before = polar_obs::kernel_snapshot();
@@ -156,467 +146,111 @@ pub(crate) fn zolo_fused<S: Scalar>(
     let xt = Tiling::new(m, n, nb, nb);
     let mtx = xt.mt();
     let nt = xt.nt();
-    let wt = Tiling::new(m + n, n, nb, nb);
-    let mtw = wt.mt();
-    let kt = wt.mt().min(wt.nt());
-    let q2t = Tiling::new(n, n, nb, nb);
-
-    // X double-buffered by iteration parity; per-term workspace (W/Q/T,
-    // the Q2 gather G, and the private accumulation slab Y) is
-    // parity-buffered the same way, indexed `2*j + parity`, so iteration
-    // k+1's term panels never wait on buffer reuse against iteration k.
-    let mut xb0 = TiledMatrix::from_dense(x, nb, nb, ProcessGrid::single());
+    // X double-buffered by iteration parity; per term, one workspace and
+    // one private accumulation slab Y. The diagonal sqrt(c) I bottom block
+    // has the same trapezoidal fill the QDWH stacked QR exploits, so the
+    // pruned row window always applies.
+    let mut xb0 = TiledMatrix::from_dense(&x, nb, nb, ProcessGrid::single());
+    drop(x); // the tiles are the iterate from here on
     let mut xb1 = TiledMatrix::<S>::zeros(xt, ProcessGrid::single());
-    let mut wbufs: Vec<TiledMatrix<S>> =
-        (0..2 * rterms).map(|_| TiledMatrix::zeros(wt, ProcessGrid::single())).collect();
-    let mut qbufs: Vec<TiledMatrix<S>> =
-        (0..2 * rterms).map(|_| TiledMatrix::zeros(wt, ProcessGrid::single())).collect();
-    let mut gbufs: Vec<TiledMatrix<S>> =
-        (0..2 * rterms).map(|_| TiledMatrix::zeros(q2t, ProcessGrid::single())).collect();
-    let mut ybufs: Vec<TiledMatrix<S>> =
-        (0..2 * rterms).map(|_| TiledMatrix::zeros(xt, ProcessGrid::single())).collect();
-    let mut tslabs: Vec<Vec<TileT<S>>> = (0..2 * rterms).map(|_| t_slab(wt, top, ib)).collect();
+    let mut terms: Vec<(TermWorkspace<S>, TiledMatrix<S>)> = (0..rterms)
+        .map(|_| {
+            (TermWorkspace::new(m, n, nb, Some(m)), TiledMatrix::zeros(xt, ProcessGrid::single()))
+        })
+        .collect();
 
-    let mut cvbuf = vec![R::<S>::ZERO; iters * mtx * nt];
-    let mut cobuf = vec![R::<S>::ZERO; iters];
+    let mut sink = NormSink::new(iters, xt);
 
-    #[cfg(test)]
-    let inject_fail: Option<usize> = {
-        let v = FAIL_TERM.with(|c| c.get());
-        (v >= 0).then_some(v as usize)
-    };
-    #[cfg(not(test))]
-    let inject_fail: Option<usize> = None;
+    let mut dag = TaskDag::new();
+    sink.name_in(&mut dag);
+    let xp = [TilePtr::new(&mut dag, &mut xb0), TilePtr::new(&mut dag, &mut xb1)];
+    let terms: Vec<_> =
+        terms.iter_mut().map(|(ws, y)| (ws.in_dag(&mut dag), TilePtr::new(&mut dag, y))).collect();
+    let nbf = nb as f64;
 
-    let failure: Mutex<Option<LapackError>> = Mutex::new(None);
-    let outcome;
-    {
-        let xp = [TilePtr::new(&mut xb0), TilePtr::new(&mut xb1)];
-        let wp: Vec<TilePtr<S>> = wbufs.iter_mut().map(TilePtr::new).collect();
-        let qp: Vec<TilePtr<S>> = qbufs.iter_mut().map(TilePtr::new).collect();
-        let gp: Vec<TilePtr<S>> = gbufs.iter_mut().map(TilePtr::new).collect();
-        let yp: Vec<TilePtr<S>> = ybufs.iter_mut().map(TilePtr::new).collect();
-        let tp: Vec<SlotPtr<S>> = tslabs.iter_mut().map(|v| SlotPtr::new(v)).collect();
-        let cv = RealSlots::new(&mut cvbuf);
-        let co = RealSlots::new(&mut cobuf);
-        let fail = &failure;
-
-        let mut dag = TaskDag::new();
-        let mxs = [dag.new_matrix(), dag.new_matrix()];
-        let mws: Vec<u32> = (0..2 * rterms).map(|_| dag.new_matrix()).collect();
-        let mqs: Vec<u32> = (0..2 * rterms).map(|_| dag.new_matrix()).collect();
-        let mgs: Vec<u32> = (0..2 * rterms).map(|_| dag.new_matrix()).collect();
-        let mys: Vec<u32> = (0..2 * rterms).map(|_| dag.new_matrix()).collect();
-        let mts: Vec<u32> = (0..2 * rterms).map(|_| dag.new_matrix()).collect();
-        let mcv = dag.new_matrix();
-        let mco = dag.new_matrix();
-        let bytes = (nb * nb * std::mem::size_of::<S>()) as u64;
-        let tile = |mid: u32, i: usize, j: usize| TileRef::new(mid, i, j, bytes);
-        let nbf = nb as f64;
-
-        for (k, pl) in plan.iter().enumerate() {
-            if k > 0 {
-                dag.next_phase();
-            }
-            let pr = k % 2; // parity of this iteration's inputs + workspace
-            let po = (k + 1) % 2; // parity of the output iterate
-            let (xin, xout) = (xp[pr], xp[po]);
-            let (mxin, mxout) = (mxs[pr], mxs[po]);
-            let cvbase = k * mtx * nt;
-            let s0 = pl.m_hat * pl.rescale;
-
-            // ---- r independent stacked-QR term branches ----
-            for j in 0..rterms {
-                let sqrt_c = pl.c[2 * j].sqrt();
-                let (w, q, g, y, ts) = (
-                    wp[2 * j + pr],
-                    qp[2 * j + pr],
-                    gp[2 * j + pr],
-                    yp[2 * j + pr],
-                    tp[2 * j + pr],
-                );
-                let (mw, mq, mg, my, mt_) = (
-                    mws[2 * j + pr],
-                    mqs[2 * j + pr],
-                    mgs[2 * j + pr],
-                    mys[2 * j + pr],
-                    mts[2 * j + pr],
-                );
-
-                // W_j = [X; sqrt(c_{2j}) I] per tile; top rows of a
-                // straddling tile coincide with the X tile of the same index.
-                for tj in 0..nt {
-                    for wi in 0..mtw {
-                        let reads = if wi < mtx { vec![tile(mxin, wi, tj)] } else { Vec::new() };
-                        dag.add(
-                            KernelKind::Geadd,
-                            2,
-                            nbf * nbf,
-                            reads,
-                            vec![tile(mw, wi, tj)],
-                            move || {
-                                let wt_tile = unsafe { w.tile(wi, tj) };
-                                let r0 = wi * nb;
-                                let c0 = tj * nb;
-                                let sc = S::from_f64(sqrt_c);
-                                if r0 + wt_tile.nrows() <= m {
-                                    let xt_tile = unsafe { xin.tile_ref(wi, tj) };
-                                    for c in 0..wt_tile.ncols() {
-                                        for rr in 0..wt_tile.nrows() {
-                                            wt_tile[(rr, c)] = xt_tile[(rr, c)];
-                                        }
-                                    }
-                                } else {
-                                    for c in 0..wt_tile.ncols() {
-                                        for rr in 0..wt_tile.nrows() {
-                                            let gr = r0 + rr;
-                                            wt_tile[(rr, c)] = if gr < m {
-                                                let xt_tile = unsafe { xin.tile_ref(wi, tj) };
-                                                xt_tile[(rr, c)]
-                                            } else if gr - m == c0 + c {
-                                                sc
-                                            } else {
-                                                S::ZERO
-                                            };
-                                        }
-                                    }
-                                }
-                            },
-                        );
-                    }
-                }
-
-                // Tile QR of W_j (the geqrf_tiled task shape on the pruned
-                // [B; I] row window). Each term's wave touches only its own
-                // W/T tiles, so the r waves are fully independent.
-                for kk in 0..kt {
-                    let step = (kt - kk) as i32 * 4;
-                    if k == 0 && kk == 0 && inject_fail == Some(j) {
-                        // test hook: this term's first panel breaks down,
-                        // cancelling the whole solve graph
-                        dag.add_task(
-                            KernelKind::Geqrt,
-                            step + 2,
-                            2.0 * nbf * nbf * nbf,
-                            vec![],
-                            vec![tile(mw, kk, kk), tile(mt_, kk, kk)],
-                            move || {
-                                *fail.lock().unwrap() = Some(LapackError::SingularPivot(j));
-                                TaskStatus::Cancel
-                            },
-                        );
-                    } else {
-                        dag.add(
-                            KernelKind::Geqrt,
-                            step + 2,
-                            2.0 * nbf * nbf * nbf,
-                            vec![],
-                            vec![tile(mw, kk, kk), tile(mt_, kk, kk)],
-                            move || {
-                                let akk = unsafe { w.tile(kk, kk) };
-                                geqrt_blocked_into(akk, unsafe { ts.slot(kk + kk * mtw) });
-                            },
-                        );
-                    }
-                    for tj in kk + 1..nt {
-                        let prio = step + i32::from(tj == kk + 1);
-                        dag.add(
-                            KernelKind::Unmqr,
-                            prio,
-                            3.0 * nbf * nbf * nbf,
-                            vec![tile(mw, kk, kk), tile(mt_, kk, kk)],
-                            vec![tile(mw, kk, tj)],
-                            move || {
-                                let v = unsafe { w.tile_ref(kk, kk) };
-                                let t = unsafe { ts.slot_ref(kk + kk * mtw) };
-                                let c = unsafe { w.tile(kk, tj) };
-                                unmqr_tile_blocked(Op::ConjTrans, v, t, c);
-                            },
-                        );
-                    }
-                    let lim = stacked_row_limit(wt, top, kk);
-                    for i in kk + 1..=lim {
-                        dag.add(
-                            KernelKind::Tsqrt,
-                            step + 2,
-                            2.0 * nbf * nbf * nbf,
-                            vec![],
-                            vec![tile(mw, kk, kk), tile(mw, i, kk), tile(mt_, i, kk)],
-                            move || {
-                                let (r, b) = unsafe { (w.tile(kk, kk), w.tile(i, kk)) };
-                                tsqrt_blocked_into(r, b, unsafe { ts.slot(i + kk * mtw) });
-                            },
-                        );
-                        for tj in kk + 1..nt {
-                            let prio = step + i32::from(tj == kk + 1);
-                            dag.add(
-                                KernelKind::Tsmqr,
-                                prio,
-                                4.0 * nbf * nbf * nbf,
-                                vec![tile(mw, i, kk), tile(mt_, i, kk)],
-                                vec![tile(mw, kk, tj), tile(mw, i, tj)],
-                                move || {
-                                    let v2 = unsafe { w.tile_ref(i, kk) };
-                                    let t = unsafe { ts.slot_ref(i + kk * mtw) };
-                                    let (a1, a2) = unsafe { (w.tile(kk, tj), w.tile(i, tj)) };
-                                    tsmqr_blocked(Op::ConjTrans, v2, t, a1, a2);
-                                },
-                            );
-                        }
-                    }
-                }
-
-                // Q_j := thin identity, then the reverse orgqr sweep.
-                for tj in 0..nt {
-                    for qi in 0..mtw {
-                        dag.add(
-                            KernelKind::Geadd,
-                            2,
-                            nbf * nbf,
-                            vec![],
-                            vec![tile(mq, qi, tj)],
-                            move || {
-                                let t = unsafe { q.tile(qi, tj) };
-                                if qi == tj {
-                                    t.set_identity();
-                                } else {
-                                    t.fill(S::ZERO);
-                                }
-                            },
-                        );
-                    }
-                }
-                for kk in (0..kt).rev() {
-                    let step = (kk + 1) as i32 * 4;
-                    let lim = stacked_row_limit(wt, top, kk);
-                    for i in (kk + 1..=lim).rev() {
-                        for tj in kk..nt {
-                            dag.add(
-                                KernelKind::Tsmqr,
-                                step,
-                                4.0 * nbf * nbf * nbf,
-                                vec![tile(mw, i, kk), tile(mt_, i, kk)],
-                                vec![tile(mq, kk, tj), tile(mq, i, tj)],
-                                move || {
-                                    let v2 = unsafe { w.tile_ref(i, kk) };
-                                    let t = unsafe { ts.slot_ref(i + kk * mtw) };
-                                    let (q1, q2) = unsafe { (q.tile(kk, tj), q.tile(i, tj)) };
-                                    tsmqr_blocked(Op::NoTrans, v2, t, q1, q2);
-                                },
-                            );
-                        }
-                    }
-                    for tj in kk..nt {
-                        dag.add(
-                            KernelKind::Unmqr,
-                            step + 1,
-                            3.0 * nbf * nbf * nbf,
-                            vec![tile(mw, kk, kk), tile(mt_, kk, kk)],
-                            vec![tile(mq, kk, tj)],
-                            move || {
-                                let v = unsafe { w.tile_ref(kk, kk) };
-                                let t = unsafe { ts.slot_ref(kk + kk * mtw) };
-                                let c = unsafe { q.tile(kk, tj) };
-                                unmqr_tile_blocked(Op::NoTrans, v, t, c);
-                            },
-                        );
-                    }
-                }
-
-                // Gather Q2_j (rows m..m+n of Q_j) into an n x n tiling.
-                for kc in 0..nt {
-                    for tj in 0..nt {
-                        let rows = q2t.tile_rows(tj);
-                        let lo = (m + tj * nb) / nb;
-                        let hi = (m + tj * nb + rows - 1) / nb;
-                        let mut reads = vec![tile(mq, lo, kc)];
-                        if hi != lo {
-                            reads.push(tile(mq, hi, kc));
-                        }
-                        dag.add(
-                            KernelKind::Geadd,
-                            1,
-                            nbf * nbf,
-                            reads,
-                            vec![tile(mg, tj, kc)],
-                            move || {
-                                let out = unsafe { g.tile(tj, kc) };
-                                for c in 0..out.ncols() {
-                                    for rr in 0..out.nrows() {
-                                        let gr = m + tj * nb + rr;
-                                        let qi = gr / nb;
-                                        let src = unsafe { q.tile_ref(qi, kc) };
-                                        out[(rr, c)] = src[(gr - qi * nb, c)];
-                                    }
-                                }
-                            },
-                        );
-                    }
-                }
-
-                // Y_j = Q1_j Q2_j^H, accumulated per output tile into the
-                // term's private slab — the reduction over terms happens
-                // later, in fixed order, so this task is free to run as
-                // soon as its own term's Q is ready.
-                for tj in 0..nt {
-                    for ti in 0..mtx {
-                        let mut reads = Vec::with_capacity(2 * nt);
-                        for kc in 0..nt {
-                            reads.push(tile(mq, ti, kc));
-                            reads.push(tile(mg, tj, kc));
-                        }
-                        dag.add(
-                            KernelKind::Gemm,
-                            0,
-                            2.0 * nbf * nbf * nbf * nt as f64,
-                            reads,
-                            vec![tile(my, ti, tj)],
-                            move || {
-                                let yo = unsafe { y.tile(ti, tj) };
-                                yo.fill(S::ZERO);
-                                let yr = yo.nrows();
-                                for kc in 0..nt {
-                                    let q1 = unsafe { q.tile_ref(ti, kc) };
-                                    let q2 = unsafe { g.tile_ref(tj, kc) };
-                                    gemm(
-                                        Op::NoTrans,
-                                        Op::ConjTrans,
-                                        S::ONE,
-                                        q1.view(0, 0, yr, q1.ncols()),
-                                        q2.as_ref(),
-                                        S::ONE,
-                                        yo.as_mut(),
-                                    );
-                                }
-                            },
-                        );
-                    }
-                }
-            }
-
-            // ---- fixed-order combine: X_out = s0 X + sum_j sj Y_j ----
-            // One task per X tile, walking the r private slabs in fixed
-            // term order (determinism), fused with the convergence partial
-            // |X_out - X_in|_F^2 for this tile.
-            let coefs: Vec<f64> =
-                pl.a_w.iter().enumerate().map(|(j, &aj)| s0 * aj / pl.c[2 * j].sqrt()).collect();
-            let ys: Vec<TilePtr<S>> = (0..rterms).map(|j| yp[2 * j + pr]).collect();
-            let myv: Vec<u32> = (0..rterms).map(|j| mys[2 * j + pr]).collect();
-            for tj in 0..nt {
-                for ti in 0..mtx {
-                    let mut reads = vec![tile(mxin, ti, tj)];
-                    for &myj in &myv {
-                        reads.push(tile(myj, ti, tj));
-                    }
-                    let ys_t = ys.clone();
-                    let coefs_t = coefs.clone();
-                    dag.add(
-                        KernelKind::Geadd,
-                        0,
-                        nbf * nbf * (rterms as f64 + 1.0),
-                        reads,
-                        vec![tile(mxout, ti, tj), tile(mcv, cvbase / nt + ti, tj)],
-                        move || {
-                            let xi = unsafe { xin.tile_ref(ti, tj) };
-                            let xo = unsafe { xout.tile(ti, tj) };
-                            let b = S::from_f64(s0);
-                            for c in 0..xi.ncols() {
-                                for rr in 0..xi.nrows() {
-                                    xo[(rr, c)] = b * xi[(rr, c)];
-                                }
-                            }
-                            for (jt, yj) in ys_t.iter().enumerate() {
-                                let yt_tile = unsafe { yj.tile_ref(ti, tj) };
-                                let sj = S::from_f64(coefs_t[jt]);
-                                for c in 0..xi.ncols() {
-                                    for rr in 0..xi.nrows() {
-                                        let v = xo[(rr, c)] + sj * yt_tile[(rr, c)];
-                                        xo[(rr, c)] = v;
-                                    }
-                                }
-                            }
-                            let mut acc = R::<S>::ZERO;
-                            for c in 0..xi.ncols() {
-                                for rr in 0..xi.nrows() {
-                                    acc += (xo[(rr, c)] - xi[(rr, c)]).abs_sq();
-                                }
-                            }
-                            unsafe { cv.set(cvbase + ti + tj * mtx, acc) };
-                        },
-                    );
-                }
-            }
-
-            // Fixed-order convergence reduction — a sink: nothing in
-            // iteration k+1 depends on it.
-            let mut reads = Vec::with_capacity(mtx * nt);
-            for tj in 0..nt {
-                for ti in 0..mtx {
-                    reads.push(tile(mcv, cvbase / nt + ti, tj));
-                }
-            }
-            dag.add(
-                KernelKind::Norm,
-                -1,
-                (mtx * nt) as f64,
-                reads,
-                vec![tile(mco, k, 0)],
-                move || {
-                    let mut s = R::<S>::ZERO;
-                    for tj in 0..nt {
-                        for ti in 0..mtx {
-                            s += unsafe { cv.get(cvbase + ti + tj * mtx) };
-                        }
-                    }
-                    unsafe { co.set(k, s.sqrt()) };
-                },
-            );
-        }
-        outcome = dag.execute();
-    }
-
-    if outcome == ExecOutcome::Cancelled {
-        let e = failure.lock().unwrap().take().unwrap_or(LapackError::SingularPivot(0));
-        return Err(QdwhError::Lapack(e));
-    }
-
-    // Bookkeeping: same counters the serial loop maintains — one QR-based
-    // iteration and r stacked QRs per planned step — with flop-share wall
-    // time (iterations overlapped, so per-step timing is not observable);
-    // the kernel-counter delta for the whole DAG lands on the last record.
-    let total_secs = start.elapsed().as_secs_f64();
-    let delta = polar_obs::kernel_snapshot().delta(&kernels_before);
     for (k, pl) in plan.iter().enumerate() {
-        let conv_k = cobuf[k];
-        if !conv_k.to_f64().is_finite() {
-            return Err(QdwhError::NonFinite { iteration: info.iterations + 1 });
+        if k > 0 {
+            dag.next_phase();
         }
-        info.iterations += 1;
-        info.qr_iterations += 1;
-        info.kinds.push(IterationKind::QrBased);
-        let record = IterationRecord {
-            iteration: info.iterations,
-            kind: IterationKind::QrBased,
-            ell: R::<S>::from_f64(pl.ell_after),
-            convergence: conv_k,
-            seconds: total_secs / iters as f64,
-            kernels: if k + 1 == iters { delta } else { polar_obs::KernelSnapshot::default() },
-        };
-        polar_obs::log!(
-            polar_obs::LogLevel::Debug,
-            "zolo fused iter {} ({} QR terms): conv={:e} ell={:e}",
-            record.iteration,
-            rterms,
-            record.convergence.to_f64(),
-            record.ell.to_f64()
-        );
-        info.records.push(record);
+        let (xin, xout) = (xp[k % 2], xp[(k + 1) % 2]);
+        let s0 = pl.m_hat * pl.rescale;
+
+        // ---- r independent stacked-QR term branches: Y_j = Q1_j Q2_j^H ----
+        // Each term touches only its own workspace, so the r waves are
+        // fully independent; the reduction over terms happens below, in
+        // fixed order, so a product tile is free to run as soon as its own
+        // term's Q is ready.
+        for (j, &(ws, y)) in terms.iter().enumerate() {
+            let d = R::<S>::from_f64(pl.c[2 * j].sqrt());
+            emit_term(&mut dag, ws, xin, (R::<S>::ONE, d), S::ONE, y, None);
+        }
+
+        // ---- fixed-order combine: X_out = s0 X + sum_j sj Y_j ----
+        // One task per X tile, walking the r private slabs in fixed
+        // term order (determinism), fused with the convergence partial
+        // |X_out - X_in|_F^2 for this tile.
+        let coefs: Vec<f64> =
+            pl.a_w.iter().enumerate().map(|(j, &aj)| s0 * aj / pl.c[2 * j].sqrt()).collect();
+        let ys: Vec<TilePtr<S>> = terms.iter().map(|&(_, y)| y).collect();
+        for tj in 0..nt {
+            for ti in 0..mtx {
+                let mut reads = vec![xin.at(ti, tj)];
+                reads.extend(ys.iter().map(|y| y.at(ti, tj)));
+                let (ys, coefs, sink) = (ys.clone(), coefs.clone(), &sink);
+                dag.add(
+                    KernelKind::Geadd,
+                    0,
+                    nbf * nbf * (rterms as f64 + 1.0),
+                    reads,
+                    vec![xout.at(ti, tj), sink.partial_at(k, ti, tj)],
+                    move || {
+                        // SAFETY: X_out (ti, tj) is written; X_in (ti, tj)
+                        // and every term's Y (ti, tj) are the read set.
+                        let (xi, xo) = unsafe { (xin.tile_ref(ti, tj), xout.tile(ti, tj)) };
+                        let b = S::from_f64(s0);
+                        for c in 0..xi.ncols() {
+                            for rr in 0..xi.nrows() {
+                                xo[(rr, c)] = b * xi[(rr, c)];
+                            }
+                        }
+                        for (yj, &coef) in ys.iter().zip(&coefs) {
+                            let yt = unsafe { yj.tile_ref(ti, tj) };
+                            let sj = S::from_f64(coef);
+                            for c in 0..xi.ncols() {
+                                for rr in 0..xi.nrows() {
+                                    xo[(rr, c)] += sj * yt[(rr, c)];
+                                }
+                            }
+                        }
+                        let mut acc = R::<S>::ZERO;
+                        for c in 0..xi.ncols() {
+                            for rr in 0..xi.nrows() {
+                                acc += (xo[(rr, c)] - xi[(rr, c)]).abs_sq();
+                            }
+                        }
+                        sink.publish(k, ti, tj, acc);
+                    },
+                );
+            }
+        }
+        sink.emit_reduce::<R<S>>(&mut dag, k);
     }
+
+    let ell_entering = |k: usize| if k == 0 { l0 } else { plan[k - 1].ell_after };
+    let outcome =
+        execute_hooked(dag, zopts.progress.as_ref(), done, &sink, f64::MAX, ell_entering)?;
+    // no body of this graph cancels (QR cannot break down)
+    debug_assert_eq!(outcome, ExecOutcome::Completed);
+
+    // Same counters the serial loop maintains: one QR-based iteration
+    // (equal flop weights) and r stacked QRs per planned step.
+    let steps: Vec<_> =
+        plan.iter().map(|p| (IterationKind::QrBased, R::<S>::from_f64(p.ell_after), 1.0)).collect();
+    record_iterations(info, &steps, &sink, start, &kernels_before)?;
     *qr_count += rterms * iters;
 
-    *x = if iters % 2 == 0 { xb0.to_dense() } else { xb1.to_dense() };
     *ell = plan[iters - 1].ell_after;
-    Ok(())
+    Ok(if iters % 2 == 0 { xb0.to_dense() } else { xb1.to_dense() })
 }
 
 #[cfg(test)]
@@ -735,19 +369,31 @@ mod tests {
         }
     }
 
-    /// A term's QR breaking down mid-graph must cancel the whole solve
-    /// and surface as a Lapack error — and leave the engine reusable.
+    /// A hook cancelling mid-graph must abandon the whole solve as
+    /// `Cancelled` — and leave the engine reusable.
     #[test]
-    fn fused_term_qr_failure_cancels_cleanly() {
+    fn fused_hook_cancel_leaves_the_engine_reusable() {
+        use crate::options::{IterationDecision, IterationProgress};
         let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(24, 26));
-        FAIL_TERM.with(|c| c.set(2));
-        let res = zolo_pd(&a, &fused_opts(4));
-        FAIL_TERM.with(|c| c.set(-1));
-        match res {
-            Err(QdwhError::Lapack(LapackError::SingularPivot(2))) => {}
-            other => panic!("expected injected term-2 QR failure, got {other:?}"),
+        // r = 2 needs several iterations at kappa = 1e16
+        let base = ZoloOptions { max_iterations: 10, ..fused_opts(2) };
+        let cancelling = ZoloOptions {
+            progress: Some(std::sync::Arc::new(|p: &IterationProgress| {
+                if p.iteration >= 2 {
+                    IterationDecision::Cancel
+                } else {
+                    IterationDecision::Continue
+                }
+            })),
+            ..base.clone()
+        };
+        match zolo_pd(&a, &cancelling) {
+            // 2, unless the parallel drain's frontier stepped over a phase
+            Err(QdwhError::Cancelled { iteration }) if iteration >= 2 => {}
+            other => panic!("expected cancellation at iteration 2, got {other:?}"),
         }
-        let ok = zolo_pd(&a, &fused_opts(4)).expect("clean state after cancel");
+        let ok = zolo_pd(&a, &base).expect("clean state after cancel");
+        assert!(ok.pd.info.iterations > 2);
         assert!(orthogonality_error(&ok.pd.u).to_f64() < 1e-12);
     }
 

@@ -45,8 +45,8 @@ pub use tile_qr::{
     tsqrt_blocked_into, unmqr_tile, unmqr_tile_blocked, TileT,
 };
 pub use tiled::{
-    auto_tile_nb, default_tile_nb, geqrf_tiled, geqrf_tiled_stacked, orgqr_tiled, potrf_tiled,
-    stacked_row_limit, SlotPtr, TilePtr, TiledQr,
+    auto_tile_nb, default_tile_nb, emit_geqrf, emit_orgqr, emit_potrf, geqrf_tiled,
+    geqrf_tiled_stacked, orgqr_tiled, potrf_tiled, QrPtr, TilePtr, TiledQr,
 };
 pub use tri::trtri_lower;
 pub use tsqr::tsqr;

@@ -1,4 +1,4 @@
-//! DAG-scheduled tile factorizations: `geqrf_tiled` and `potrf_tiled`.
+//! DAG-scheduled tile factorizations: one emitter per tile graph.
 //!
 //! These are the production counterparts of the symbolic DAG builders in
 //! `polar-sim`: the same PLASMA/SLATE task shapes (`geqrt` → `unmqr` /
@@ -7,19 +7,28 @@
 //! by [`polar_runtime::TaskDag`] on the work-stealing pool with
 //! panel-priority (lookahead) ordering.
 //!
-//! The stacked variant [`geqrf_tiled_stacked`] exploits the QDWH Eq. (1)
-//! `[sqrt(c) A; I]` structure the way `geqrf_stacked` does for the flat
-//! path: at panel `k` only tile rows up to the fill boundary carry
-//! reflector support, so tasks on pristine identity/zero tile rows are
-//! never emitted (~1/3 of the QR flops for square `A`).
+//! Each graph is written once, as a function that adds its tasks to a
+//! *caller-owned* dag: [`emit_geqrf`], [`emit_orgqr`], [`emit_potrf`]. The
+//! standalone drivers ([`geqrf_tiled`], [`orgqr_tiled`], [`potrf_tiled`])
+//! are allocate → emit → execute wrappers; the whole-solve graphs in
+//! `polar-qdwh` call the same emitters between their own assembly and
+//! update tasks, so a kernel change lands in every graph at once.
+//!
+//! The stacked variant ([`geqrf_tiled_stacked`], or a [`TiledQr`] built
+//! with `top_rows`) exploits the QDWH Eq. (1) `[sqrt(c) A; I]` structure
+//! the way `geqrf_stacked` does for the flat path: at panel `k` only tile
+//! rows up to the fill boundary carry reflector support, so tasks on
+//! pristine identity/zero tile rows are never emitted (~1/3 of the QR
+//! flops for square `A`).
 //!
 //! Safety model: tiles of a [`TiledMatrix`] are separate allocations, and
 //! the executor's inferred RAW/WAW/WAR edges order every pair of tasks
 //! whose accesses to the same tile conflict. A task takes `&mut` only to
 //! tiles in its *write* set (no other task touches those concurrently) and
 //! `&` to tiles in its *read* set (concurrent readers may alias, so a
-//! shared reference is mandatory there). The `TilePtr`/`SlotPtr` wrappers
-//! below are the single place that unsafety lives.
+//! shared reference is mandatory there). [`TilePtr`] and [`QrPtr`] below
+//! are the single place that unsafety lives; both borrow the storage they
+//! point into for as long as the dag that uses them can run.
 
 use crate::tile_qr::{
     geqrt_blocked_into, tsmqr_blocked, tsqrt_blocked_into, unmqr_tile_blocked, TileT,
@@ -29,7 +38,8 @@ use polar_blas::{flops, gemm, herk, trsm};
 use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
 use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TaskStatus, TileRef};
 use polar_scalar::{Real, Scalar};
-use std::sync::Mutex;
+use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 /// Default tile size for the DAG-scheduled drivers, overridable with
 /// `POLAR_TILE_NB`. The paper tunes `nb = 192` CPU / `320` GPU; here 256
@@ -38,7 +48,7 @@ use std::sync::Mutex;
 /// a 1024-square problem still yields a 4x4 tile grid for the DAG to
 /// overlap.
 pub fn default_tile_nb() -> usize {
-    static NB: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    static NB: OnceLock<usize> = OnceLock::new();
     *NB.get_or_init(|| {
         std::env::var("POLAR_TILE_NB")
             .ok()
@@ -67,29 +77,57 @@ pub fn auto_tile_nb(n: usize) -> usize {
     nb
 }
 
-/// Shared mutable access to the tile array of a [`TiledMatrix`] for
-/// dependency-ordered tasks. Tiles are disjoint allocations; the task graph
-/// serializes all conflicting accesses. Public so whole-solve DAG builders
-/// (the fused QDWH driver in `polar-core`) can reuse the same access
-/// discipline instead of reinventing the unsafety.
-pub struct TilePtr<S> {
+/// A [`TiledMatrix`] as the tasks of one [`TaskDag`] see it: raw access to
+/// its tiles for dependency-ordered bodies, plus the matrix id under which
+/// the dag tracks them ([`TilePtr::at`]). Tiles are disjoint allocations;
+/// the task graph serializes all conflicting accesses. Public so the
+/// whole-solve graphs in `polar-qdwh` put their own assembly and update
+/// tasks under the same access discipline instead of reinventing it.
+pub struct TilePtr<'a, S> {
     tiles: *mut Matrix<S>,
-    mt: usize,
+    tiling: Tiling,
+    id: u32,
+    _storage: PhantomData<&'a mut Matrix<S>>,
 }
 
-impl<S> Clone for TilePtr<S> {
+impl<S> Clone for TilePtr<'_, S> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<S> Copy for TilePtr<S> {}
-unsafe impl<S: Send> Send for TilePtr<S> {}
-unsafe impl<S: Send> Sync for TilePtr<S> {}
+impl<S> Copy for TilePtr<'_, S> {}
+// SAFETY: a `TilePtr` is a `&mut [Matrix<S>]` split by tile at run time;
+// sending it to another thread moves `S` values' accesses there, sharing
+// it lets several threads hold `&Matrix<S>` to one tile.
+unsafe impl<S: Send> Send for TilePtr<'_, S> {}
+unsafe impl<S: Send + Sync> Sync for TilePtr<'_, S> {}
 
-impl<S: Scalar> TilePtr<S> {
-    pub fn new(m: &mut TiledMatrix<S>) -> Self {
-        let mt = m.mt();
-        Self { tiles: m.tiles_mut().as_mut_ptr(), mt }
+impl<'a, S: Scalar> TilePtr<'a, S> {
+    /// Register `m` with `dag` under a fresh matrix id.
+    pub fn new(dag: &mut TaskDag<'_>, m: &'a mut TiledMatrix<S>) -> Self {
+        let tiling = m.tiling();
+        Self {
+            tiles: m.tiles_mut().as_mut_ptr(),
+            tiling,
+            id: dag.new_matrix(),
+            _storage: PhantomData,
+        }
+    }
+
+    pub fn tiling(&self) -> Tiling {
+        self.tiling
+    }
+
+    /// The dependency-tracking name of tile `(i, j)` for a task's read or
+    /// write set.
+    pub fn at(&self, i: usize, j: usize) -> TileRef {
+        let nb = self.tiling.nb();
+        TileRef::new(self.id, i, j, (nb * nb * std::mem::size_of::<S>()) as u64)
+    }
+
+    fn index(&self, i: usize, j: usize) -> usize {
+        assert!(i < self.tiling.mt() && j < self.tiling.nt(), "tile ({i}, {j}) out of range");
+        i + j * self.tiling.mt()
     }
 
     /// # Safety
@@ -97,8 +135,8 @@ impl<S: Scalar> TilePtr<S> {
     /// holds *any* reference to tile `(i, j)` concurrently — i.e. the tile
     /// is in the calling task's write set.
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn tile<'x>(&self, i: usize, j: usize) -> &'x mut Matrix<S> {
-        &mut *self.tiles.add(i + j * self.mt)
+    pub unsafe fn tile(&self, i: usize, j: usize) -> &'a mut Matrix<S> {
+        &mut *self.tiles.add(self.index(i, j))
     }
 
     /// Shared access for tiles in a task's *read* set: concurrent readers
@@ -108,70 +146,74 @@ impl<S: Scalar> TilePtr<S> {
     /// # Safety
     /// Caller must guarantee (via DAG dependencies) that no task holds a
     /// `&mut` to tile `(i, j)` concurrently.
-    pub unsafe fn tile_ref<'x>(&self, i: usize, j: usize) -> &'x Matrix<S> {
-        &*self.tiles.add(i + j * self.mt)
+    pub unsafe fn tile_ref(&self, i: usize, j: usize) -> &'a Matrix<S> {
+        &*self.tiles.add(self.index(i, j))
     }
 }
 
-/// Same idea for the per-tile `T`-factor slots: a slab of preallocated
-/// [`TileT`]s ([`TileT::new`]) written in place by the `_into` kernels, so
-/// task bodies never allocate T storage.
-pub struct SlotPtr<S: Scalar> {
-    slots: *mut TileT<S>,
-}
-
-impl<S: Scalar> Clone for SlotPtr<S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<S: Scalar> Copy for SlotPtr<S> {}
-unsafe impl<S: Scalar> Send for SlotPtr<S> {}
-unsafe impl<S: Scalar> Sync for SlotPtr<S> {}
-
-impl<S: Scalar> SlotPtr<S> {
-    pub fn new(v: &mut [TileT<S>]) -> Self {
-        Self { slots: v.as_mut_ptr() }
-    }
-
-    /// # Safety
-    /// Same contract as [`TilePtr::tile`].
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slot<'x>(&self, idx: usize) -> &'x mut TileT<S> {
-        &mut *self.slots.add(idx)
-    }
-
-    /// # Safety
-    /// Same contract as [`TilePtr::tile_ref`].
-    pub unsafe fn slot_ref<'x>(&self, idx: usize) -> &'x TileT<S> {
-        &*self.slots.add(idx)
-    }
-}
-
-/// Result of a [`geqrf_tiled`] factorization: packed reflector/R tiles plus
-/// the per-tile compact `T` factors needed to apply or form `Q`.
+/// A tile QR factorization in progress or done: the matrix being factored
+/// in place plus the per-tile compact `T` factors needed to apply or form
+/// `Q`. [`geqrf_tiled`] returns one; a whole-solve graph allocates one with
+/// [`TiledQr::zeros`], fills `a` from its own tasks and hands
+/// [`TiledQr::in_dag`] to [`emit_geqrf`] / [`emit_orgqr`].
 pub struct TiledQr<S: Scalar> {
     /// Packed tiles: `R` on and above the tile diagonal, `geqrt` reflector
     /// tails below inside diagonal tiles, `tsqrt` `V2` blocks below the
     /// tile diagonal.
     pub a: TiledMatrix<S>,
     /// `T` factors: slot `i + k*mt` holds the `geqrt` T for `i == k`, the
-    /// `tsqrt` T for `i > k`. Preallocated as a slab before the DAG runs;
-    /// slots outside the factorization's row window stay empty (`k() == 0`).
+    /// `tsqrt` T for `i > k`. Preallocated as a slab so task bodies never
+    /// allocate; slots outside the factorization's row window stay empty
+    /// (`k() == 0`).
     t: Vec<TileT<S>>,
-    kt: usize,
     /// Dense-row count of the stacked top block when the trailing-identity
-    /// structure was exploited.
+    /// structure is exploited.
     top_rows: Option<usize>,
 }
 
 impl<S: Scalar> TiledQr<S> {
+    /// Workspace for factoring a matrix of the given tiling, all zero;
+    /// `top_rows = Some(r)` declares the stacked `[B; D]` structure (`B`
+    /// is `r` rows, `D` diagonal) and prunes the row window accordingly.
+    pub fn zeros(tiling: Tiling, top_rows: Option<usize>) -> Self {
+        Self::over(TiledMatrix::zeros(tiling, ProcessGrid::single()), top_rows)
+    }
+
+    fn over(a: TiledMatrix<S>, top_rows: Option<usize>) -> Self {
+        let tiling = a.tiling();
+        let (mt, kt) = (tiling.mt(), tiling.mt().min(tiling.nt()));
+        let ib = DEFAULT_BLOCK.min(tiling.nb());
+        // slot (i, k) needs ib x kk storage, kk the reflector count of
+        // panel k; slots beyond the stacked row window are never written
+        // and get zero-width stubs
+        let mut t = Vec::with_capacity(mt * kt);
+        for k in 0..kt {
+            let kk = tiling.tile_rows(k).min(tiling.tile_cols(k));
+            let lim = stacked_row_limit(tiling, top_rows, k);
+            for i in 0..mt {
+                t.push(TileT::new(ib, if i >= k && i <= lim { kk } else { 0 }));
+            }
+        }
+        Self { a, t, top_rows }
+    }
+
+    /// Register the factorization's storage with `dag`.
+    pub fn in_dag<'a>(&'a mut self, dag: &mut TaskDag<'_>) -> QrPtr<'a, S> {
+        QrPtr {
+            a: TilePtr::new(dag, &mut self.a),
+            slots: self.t.as_mut_ptr(),
+            n_slots: self.t.len(),
+            t_id: dag.new_matrix(),
+            top_rows: self.top_rows,
+        }
+    }
+
     /// The upper-triangular `k x n` `R` factor.
     pub fn extract_r(&self) -> Matrix<S> {
         let tiling = self.a.tiling();
         let k = tiling.m().min(tiling.n());
         let mut r = Matrix::<S>::zeros(k, tiling.n());
-        for kb in 0..self.kt {
+        for kb in 0..tiling.mt().min(tiling.nt()) {
             for jb in kb..tiling.nt() {
                 let (r0, c0) = tiling.tile_origin(kb, jb);
                 let tile = self.a.tile(kb, jb);
@@ -188,10 +230,60 @@ impl<S: Scalar> TiledQr<S> {
     }
 }
 
+/// A [`TiledQr`] as the tasks of one dag see it: [`TilePtr`] access to the
+/// matrix (`a`, public so the owner's tasks can fill it) and, private to
+/// the emitters, the `T`-factor slab under the same contract.
+pub struct QrPtr<'a, S: Scalar> {
+    pub a: TilePtr<'a, S>,
+    slots: *mut TileT<S>,
+    n_slots: usize,
+    t_id: u32,
+    top_rows: Option<usize>,
+}
+
+impl<S: Scalar> Clone for QrPtr<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<S: Scalar> Copy for QrPtr<'_, S> {}
+// SAFETY: as for `TilePtr`; the slab is a `&mut [TileT<S>]` split by slot.
+unsafe impl<S: Scalar> Send for QrPtr<'_, S> {}
+unsafe impl<S: Scalar> Sync for QrPtr<'_, S> {}
+
+impl<'a, S: Scalar> QrPtr<'a, S> {
+    fn t_at(&self, i: usize, k: usize) -> TileRef {
+        TileRef::new(self.t_id, i, k, self.a.at(i, k).bytes)
+    }
+
+    /// Last tile row with reflector support at panel `k`.
+    fn row_limit(&self, k: usize) -> usize {
+        stacked_row_limit(self.a.tiling(), self.top_rows, k)
+    }
+
+    fn slot_index(&self, i: usize, k: usize) -> usize {
+        let mt = self.a.tiling().mt();
+        assert!(i < mt && i + k * mt < self.n_slots, "T slot ({i}, {k}) out of range");
+        i + k * mt
+    }
+
+    /// # Safety
+    /// Same contract as [`TilePtr::tile`].
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slot(&self, i: usize, k: usize) -> &'a mut TileT<S> {
+        &mut *self.slots.add(self.slot_index(i, k))
+    }
+
+    /// # Safety
+    /// Same contract as [`TilePtr::tile_ref`].
+    unsafe fn slot_ref(&self, i: usize, k: usize) -> &'a TileT<S> {
+        &*self.slots.add(self.slot_index(i, k))
+    }
+}
+
 /// Last tile row with reflector support at panel `k` for the stacked
-/// `[B; I]` structure (`None` = dense: all rows). Public for whole-solve
-/// DAG builders that emit the same pruned task shape.
-pub fn stacked_row_limit(tiling: Tiling, top_rows: Option<usize>, k: usize) -> usize {
+/// `[B; I]` structure (`None` = dense: all rows).
+fn stacked_row_limit(tiling: Tiling, top_rows: Option<usize>, k: usize) -> usize {
     let mt = tiling.mt();
     match top_rows {
         None => mt - 1,
@@ -199,6 +291,249 @@ pub fn stacked_row_limit(tiling: Tiling, top_rows: Option<usize>, k: usize) -> u
             let nb = tiling.nb();
             let last_col = ((k + 1) * nb).min(tiling.n());
             (((tr + last_col - 1) / tiling.mb()).max(k)).min(mt - 1)
+        }
+    }
+}
+
+/// Add the tile QR of `f.a` to `dag` (PLASMA/SLATE `geqrf`: `geqrt` →
+/// `unmqr` sweep, then `tsqrt` → `tsmqr` per sub-diagonal tile row), in
+/// place, with the `T` factors going to `f`'s slab. With `top_rows` set,
+/// only tile rows inside the fill window get tasks. The read/write sets
+/// chain it behind whatever the caller's earlier tasks wrote into `f.a`.
+pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
+    let a = f.a;
+    let tiling = a.tiling();
+    let (mt, nt) = (tiling.mt(), tiling.nt());
+    let kt = mt.min(nt);
+    let nb3 = (tiling.nb() as f64).powi(3);
+    for k in 0..kt {
+        let step = (kt - k) as i32 * 4;
+        // panel: QR of the diagonal tile
+        dag.add(KernelKind::Geqrt, step + 2, 2.0 * nb3, vec![], vec![a.at(k, k), f.t_at(k, k)], {
+            move || {
+                // SAFETY: tile and slot (k, k) are this task's write set.
+                let (akk, t) = unsafe { (a.tile(k, k), f.slot(k, k)) };
+                geqrt_blocked_into(akk, t);
+            }
+        });
+        // apply Q_kk^H to the tiles right of the diagonal
+        for j in k + 1..nt {
+            dag.add(
+                KernelKind::Unmqr,
+                step + i32::from(j == k + 1),
+                3.0 * nb3,
+                vec![a.at(k, k), f.t_at(k, k)],
+                vec![a.at(k, j)],
+                move || {
+                    // SAFETY: (k, k) and its slot are read, (k, j) written.
+                    let (v, t, c) = unsafe { (a.tile_ref(k, k), f.slot_ref(k, k), a.tile(k, j)) };
+                    unmqr_tile_blocked(Op::ConjTrans, v, t, c);
+                },
+            );
+        }
+        // annihilate sub-diagonal tiles (only rows with reflector support
+        // when the stacked structure is known)
+        for i in k + 1..=f.row_limit(k) {
+            dag.add(
+                KernelKind::Tsqrt,
+                step + 2,
+                2.0 * nb3,
+                vec![],
+                vec![a.at(k, k), a.at(i, k), f.t_at(i, k)],
+                move || {
+                    // SAFETY: (k, k), (i, k) and slot (i, k) are written.
+                    let (r, b, t) = unsafe { (a.tile(k, k), a.tile(i, k), f.slot(i, k)) };
+                    tsqrt_blocked_into(r, b, t);
+                },
+            );
+            for j in k + 1..nt {
+                dag.add(
+                    KernelKind::Tsmqr,
+                    step + i32::from(j == k + 1),
+                    4.0 * nb3,
+                    vec![a.at(i, k), f.t_at(i, k)],
+                    vec![a.at(k, j), a.at(i, j)],
+                    move || {
+                        // SAFETY: (i, k) and its slot are read; (k, j) and
+                        // (i, j), distinct tiles, are written.
+                        let (v2, t, a1, a2) = unsafe {
+                            (a.tile_ref(i, k), f.slot_ref(i, k), a.tile(k, j), a.tile(i, j))
+                        };
+                        tsmqr_blocked(Op::ConjTrans, v2, t, a1, a2);
+                    },
+                );
+            }
+        }
+    }
+}
+
+/// Add the formation of the explicit thin `Q` of the factorization `f`
+/// to `dag`: `q` (same row tiling as `f.a`, as many columns as wanted)
+/// is reset to the thin identity by per-tile tasks, then the stored
+/// reflectors are applied with the reverse `tsmqr`/`unmqr` sweep. The
+/// reads of `f` chain the sweep behind an [`emit_geqrf`] in the same dag.
+pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: TilePtr<'a, S>) {
+    let w = f.a;
+    let tiling = w.tiling();
+    let mt = tiling.mt();
+    let kt = mt.min(tiling.nt());
+    let qnt = q.tiling().nt();
+    assert_eq!(q.tiling().mt(), mt, "emit_orgqr: Q and the factored matrix differ in tile rows");
+    let nb = tiling.nb() as f64;
+    let nb3 = nb.powi(3);
+    for j in 0..qnt {
+        for i in 0..mt {
+            dag.add(KernelKind::Geadd, 2, nb * nb, vec![], vec![q.at(i, j)], move || {
+                // SAFETY: (i, j) is this task's write set.
+                let t = unsafe { q.tile(i, j) };
+                if i == j {
+                    t.set_identity();
+                } else {
+                    t.fill(S::ZERO);
+                }
+            });
+        }
+    }
+    for k in (0..kt).rev() {
+        let step = (k + 1) as i32 * 4;
+        for i in (k + 1..=f.row_limit(k)).rev() {
+            for j in k..qnt {
+                dag.add(
+                    KernelKind::Tsmqr,
+                    step,
+                    4.0 * nb3,
+                    vec![w.at(i, k), f.t_at(i, k)],
+                    vec![q.at(k, j), q.at(i, j)],
+                    move || {
+                        // SAFETY: reflector tile and slot (i, k) are read;
+                        // Q tiles (k, j) and (i, j), distinct, are written.
+                        let (v2, t, q1, q2) = unsafe {
+                            (w.tile_ref(i, k), f.slot_ref(i, k), q.tile(k, j), q.tile(i, j))
+                        };
+                        tsmqr_blocked(Op::NoTrans, v2, t, q1, q2);
+                    },
+                );
+            }
+        }
+        for j in k..qnt {
+            dag.add(
+                KernelKind::Unmqr,
+                step + 1,
+                3.0 * nb3,
+                vec![w.at(k, k), f.t_at(k, k)],
+                vec![q.at(k, j)],
+                move || {
+                    // SAFETY: (k, k) and its slot are read, Q (k, j) written.
+                    let (v, t, c) = unsafe { (w.tile_ref(k, k), f.slot_ref(k, k), q.tile(k, j)) };
+                    unmqr_tile_blocked(Op::NoTrans, v, t, c);
+                },
+            );
+        }
+    }
+}
+
+/// Add the right-looking tile Cholesky (`potrf`/`trsm`/`herk`/`gemm`) of
+/// the lower triangle of the square tiled matrix `a` to `dag`, in place.
+/// A diagonal tile that is not positive definite stores the error — the
+/// leading-minor offset globalized like LAPACK `info` — in `fail` and
+/// cancels the dag, so an [`ExecOutcome::Cancelled`] with `fail` set
+/// means this factorization broke down.
+pub fn emit_potrf<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    a: TilePtr<'a, S>,
+    fail: &'a OnceLock<LapackError>,
+) {
+    let tiling = a.tiling();
+    let nt = tiling.nt();
+    assert_eq!(tiling.mt(), nt, "emit_potrf: matrix must be square");
+    let nb = tiling.nb();
+    let nb3 = (nb as f64).powi(3);
+    for k in 0..nt {
+        let step = (nt - k) as i32 * 4;
+        dag.add_task(KernelKind::Potrf, step + 3, nb3 / 3.0, vec![], vec![a.at(k, k)], move || {
+            // SAFETY: (k, k) is this task's write set.
+            let akk = unsafe { a.tile(k, k) };
+            match crate::potrf(Uplo::Lower, akk) {
+                Ok(()) => TaskStatus::Continue,
+                Err(e) => {
+                    let e = match e {
+                        LapackError::NotPositiveDefinite(off) => {
+                            LapackError::NotPositiveDefinite(k * nb + off)
+                        }
+                        other => other,
+                    };
+                    // first failure wins; later ones are its consequences
+                    let _ = fail.set(e);
+                    TaskStatus::Cancel
+                }
+            }
+        });
+        for i in k + 1..nt {
+            dag.add(
+                KernelKind::Trsm,
+                step + 2,
+                nb3,
+                vec![a.at(k, k)],
+                vec![a.at(i, k)],
+                move || {
+                    // SAFETY: (k, k) is read, (i, k) written.
+                    let (akk, aik) = unsafe { (a.tile_ref(k, k), a.tile(i, k)) };
+                    trsm(
+                        Side::Right,
+                        Uplo::Lower,
+                        Op::ConjTrans,
+                        Diag::NonUnit,
+                        S::ONE,
+                        akk.as_ref(),
+                        aik.as_mut(),
+                    );
+                },
+            );
+        }
+        for i in k + 1..nt {
+            // diagonal update; feeding the next panel gets priority
+            dag.add(
+                KernelKind::Herk,
+                step + i32::from(i == k + 1),
+                nb3,
+                vec![a.at(i, k)],
+                vec![a.at(i, i)],
+                move || {
+                    // SAFETY: (i, k) is read, (i, i) written.
+                    let (aik, aii) = unsafe { (a.tile_ref(i, k), a.tile(i, i)) };
+                    herk(
+                        Uplo::Lower,
+                        Op::NoTrans,
+                        -S::Real::ONE,
+                        aik.as_ref(),
+                        S::Real::ONE,
+                        aii.as_mut(),
+                    );
+                },
+            );
+            for j in k + 1..i {
+                dag.add(
+                    KernelKind::Gemm,
+                    step + i32::from(j == k + 1),
+                    2.0 * nb3,
+                    vec![a.at(i, k), a.at(j, k)],
+                    vec![a.at(i, j)],
+                    move || {
+                        // SAFETY: (i, k) and (j, k) are read, (i, j) written.
+                        let (v, w, aij) =
+                            unsafe { (a.tile_ref(i, k), a.tile_ref(j, k), a.tile(i, j)) };
+                        gemm(
+                            Op::NoTrans,
+                            Op::ConjTrans,
+                            -S::ONE,
+                            v.as_ref(),
+                            w.as_ref(),
+                            S::ONE,
+                            aij.as_mut(),
+                        );
+                    },
+                );
+            }
         }
     }
 }
@@ -216,104 +551,16 @@ fn geqrf_tiled_inner<S: Scalar>(
         flops::type_factor(S::IS_COMPLEX) * flops::geqrf(m, n),
         [m, n, nb],
     );
-    let mut ta = TiledMatrix::from_dense(a_dense, nb, nb, ProcessGrid::single());
-    let tiling = ta.tiling();
-    let mt = tiling.mt();
-    let nt = tiling.nt();
-    let kt = mt.min(nt);
-    let ib = DEFAULT_BLOCK.min(nb);
-    // Preallocate the whole T slab up front: slot (i, k) needs ib x kk
-    // storage, where kk is the reflector count of panel k. Slots beyond the
-    // stacked row window are never written — they get zero-width stubs.
-    let mut tstore: Vec<TileT<S>> = Vec::with_capacity(mt * kt);
-    for k in 0..kt {
-        let kk = tiling.tile_rows(k).min(tiling.tile_cols(k));
-        let lim = stacked_row_limit(tiling, top_rows, k);
-        for i in 0..mt {
-            let used = i == k || (i > k && i <= lim);
-            tstore.push(TileT::new(ib, if used { kk } else { 0 }));
-        }
-    }
-    {
-        let tiles = TilePtr::new(&mut ta);
-        let slots = SlotPtr::new(&mut tstore);
-        let mut dag = TaskDag::new();
-        let ma = dag.new_matrix();
-        let mtt = dag.new_matrix();
-        let bytes = (nb * nb * std::mem::size_of::<S>()) as u64;
-        let aref = |i: usize, j: usize| TileRef::new(ma, i, j, bytes);
-        let tref = |i: usize, j: usize| TileRef::new(mtt, i, j, bytes);
-        let nbf = nb as f64;
-        for k in 0..kt {
-            let step = (kt - k) as i32 * 4;
-            // panel: QR of the diagonal tile
-            dag.add(
-                KernelKind::Geqrt,
-                step + 2,
-                2.0 * nbf * nbf * nbf,
-                vec![],
-                vec![aref(k, k), tref(k, k)],
-                move || {
-                    let akk = unsafe { tiles.tile(k, k) };
-                    geqrt_blocked_into(akk, unsafe { slots.slot(k + k * mt) });
-                },
-            );
-            // apply Q_kk^H to the tiles right of the diagonal
-            for j in k + 1..nt {
-                let prio = step + i32::from(j == k + 1);
-                dag.add(
-                    KernelKind::Unmqr,
-                    prio,
-                    3.0 * nbf * nbf * nbf,
-                    vec![aref(k, k), tref(k, k)],
-                    vec![aref(k, j)],
-                    move || {
-                        let v = unsafe { tiles.tile_ref(k, k) };
-                        let t = unsafe { slots.slot_ref(k + k * mt) };
-                        let c = unsafe { tiles.tile(k, j) };
-                        unmqr_tile_blocked(Op::ConjTrans, v, t, c);
-                    },
-                );
-            }
-            // annihilate sub-diagonal tiles (only rows with reflector
-            // support when the stacked structure is known)
-            let lim = stacked_row_limit(tiling, top_rows, k);
-            for i in k + 1..=lim {
-                dag.add(
-                    KernelKind::Tsqrt,
-                    step + 2,
-                    2.0 * nbf * nbf * nbf,
-                    vec![],
-                    vec![aref(k, k), aref(i, k), tref(i, k)],
-                    move || {
-                        let (r, b) = unsafe { (tiles.tile(k, k), tiles.tile(i, k)) };
-                        tsqrt_blocked_into(r, b, unsafe { slots.slot(i + k * mt) });
-                    },
-                );
-                for j in k + 1..nt {
-                    let prio = step + i32::from(j == k + 1);
-                    dag.add(
-                        KernelKind::Tsmqr,
-                        prio,
-                        4.0 * nbf * nbf * nbf,
-                        vec![aref(i, k), tref(i, k)],
-                        vec![aref(k, j), aref(i, j)],
-                        move || {
-                            let v2 = unsafe { tiles.tile_ref(i, k) };
-                            let t = unsafe { slots.slot_ref(i + k * mt) };
-                            let (a1, a2) = unsafe { (tiles.tile(k, j), tiles.tile(i, j)) };
-                            tsmqr_blocked(Op::ConjTrans, v2, t, a1, a2);
-                        },
-                    );
-                }
-            }
-        }
-        // QR bodies never cancel; guard against a partially-factored result
-        // if the executor ever grows new outcomes.
-        let outcome = dag.execute();
-        debug_assert_eq!(outcome, ExecOutcome::Completed);
-    }
-    TiledQr { a: ta, t: tstore, kt, top_rows }
+    let tiles = TiledMatrix::from_dense(a_dense, nb, nb, ProcessGrid::single());
+    let mut f = TiledQr::over(tiles, top_rows);
+    let mut dag = TaskDag::new();
+    let fp = f.in_dag(&mut dag);
+    emit_geqrf(&mut dag, fp);
+    // QR bodies never cancel; guard against a partially-factored result
+    // if the executor ever grows new outcomes.
+    let outcome = dag.execute();
+    debug_assert_eq!(outcome, ExecOutcome::Completed);
+    f
 }
 
 /// DAG-scheduled tile QR factorization (PLASMA/SLATE `geqrf`): cuts `a`
@@ -334,8 +581,9 @@ pub fn geqrf_tiled_stacked<S: Scalar>(top_rows: usize, a: &Matrix<S>, nb: usize)
 
 /// Form the explicit thin `Q` (`m x k_cols`) of a [`geqrf_tiled`]
 /// factorization by applying the stored reflectors to the identity with the
-/// reverse `tsmqr`/`unmqr` task sweep.
-pub fn orgqr_tiled<S: Scalar>(f: &TiledQr<S>, k_cols: usize) -> Matrix<S> {
+/// reverse `tsmqr`/`unmqr` task sweep. (`&mut` because the dag's tile
+/// access is handed out from a unique borrow; `f` is only read.)
+pub fn orgqr_tiled<S: Scalar>(f: &mut TiledQr<S>, k_cols: usize) -> Matrix<S> {
     let tiling = f.a.tiling();
     let m = tiling.m();
     let nb = tiling.nb();
@@ -346,59 +594,12 @@ pub fn orgqr_tiled<S: Scalar>(f: &TiledQr<S>, k_cols: usize) -> Matrix<S> {
         flops::type_factor(S::IS_COMPLEX) * flops::orgqr(m, k_cols),
         [m, k_cols, nb],
     );
-    let mt = tiling.mt();
     let mut q = TiledMatrix::<S>::zeros(Tiling::new(m, k_cols, nb, nb), ProcessGrid::single());
-    let qnt = q.nt();
-    for d in 0..mt.min(qnt) {
-        q.tile_mut(d, d).set_identity();
-    }
-    {
-        let qtiles = TilePtr::new(&mut q);
-        let mut dag = TaskDag::new();
-        let mq = dag.new_matrix();
-        let bytes = (nb * nb * std::mem::size_of::<S>()) as u64;
-        let qref = |i: usize, j: usize| TileRef::new(mq, i, j, bytes);
-        let nbf = nb as f64;
-        let kt = f.kt;
-        for k in (0..kt).rev() {
-            let step = (k + 1) as i32 * 4;
-            let lim = stacked_row_limit(tiling, f.top_rows, k);
-            for i in (k + 1..=lim).rev() {
-                for j in k..qnt {
-                    let v2t = f.a.tile(i, k);
-                    let tt = &f.t[i + k * mt];
-                    dag.add(
-                        KernelKind::Tsmqr,
-                        step,
-                        4.0 * nbf * nbf * nbf,
-                        vec![],
-                        vec![qref(k, j), qref(i, j)],
-                        move || {
-                            let (q1, q2) = unsafe { (qtiles.tile(k, j), qtiles.tile(i, j)) };
-                            tsmqr_blocked(Op::NoTrans, v2t, tt, q1, q2);
-                        },
-                    );
-                }
-            }
-            for j in k..qnt {
-                let v = f.a.tile(k, k);
-                let tt = &f.t[k + k * mt];
-                dag.add(
-                    KernelKind::Unmqr,
-                    step + 1,
-                    3.0 * nbf * nbf * nbf,
-                    vec![],
-                    vec![qref(k, j)],
-                    move || {
-                        let c = unsafe { qtiles.tile(k, j) };
-                        unmqr_tile_blocked(Op::NoTrans, v, tt, c);
-                    },
-                );
-            }
-        }
-        let outcome = dag.execute();
-        debug_assert_eq!(outcome, ExecOutcome::Completed);
-    }
+    let mut dag = TaskDag::new();
+    let (fp, qp) = (f.in_dag(&mut dag), TilePtr::new(&mut dag, &mut q));
+    emit_orgqr(&mut dag, fp, qp);
+    let outcome = dag.execute();
+    debug_assert_eq!(outcome, ExecOutcome::Completed);
     q.to_dense()
 }
 
@@ -422,120 +623,18 @@ pub fn potrf_tiled<S: Scalar>(uplo: Uplo, a: &mut Matrix<S>, nb: usize) -> Resul
         [n, n, nb],
     );
     let mut ta = TiledMatrix::from_dense(a, nb, nb, ProcessGrid::single());
-    let nt = ta.nt();
-    let failure: Mutex<Option<usize>> = Mutex::new(None);
-    let outcome;
-    {
-        let tiles = TilePtr::new(&mut ta);
-        let fail = &failure;
-        let mut dag = TaskDag::new();
-        let mm = dag.new_matrix();
-        let bytes = (nb * nb * std::mem::size_of::<S>()) as u64;
-        let aref = |i: usize, j: usize| TileRef::new(mm, i, j, bytes);
-        let nbf = nb as f64;
-        for k in 0..nt {
-            let step = (nt - k) as i32 * 4;
-            dag.add_task(
-                KernelKind::Potrf,
-                step + 3,
-                nbf * nbf * nbf / 3.0,
-                vec![],
-                vec![aref(k, k)],
-                move || {
-                    let akk = unsafe { tiles.tile(k, k) };
-                    match crate::potrf(Uplo::Lower, akk) {
-                        Ok(()) => TaskStatus::Continue,
-                        Err(LapackError::NotPositiveDefinite(off)) => {
-                            *fail.lock().unwrap() = Some(k * nb + off);
-                            TaskStatus::Cancel
-                        }
-                        Err(_) => {
-                            *fail.lock().unwrap() = Some(k * nb);
-                            TaskStatus::Cancel
-                        }
-                    }
-                },
-            );
-            for i in k + 1..nt {
-                let prio = step + 2;
-                dag.add(
-                    KernelKind::Trsm,
-                    prio,
-                    nbf * nbf * nbf,
-                    vec![aref(k, k)],
-                    vec![aref(i, k)],
-                    move || {
-                        let (akk, aik) = unsafe { (tiles.tile_ref(k, k), tiles.tile(i, k)) };
-                        trsm(
-                            Side::Right,
-                            Uplo::Lower,
-                            Op::ConjTrans,
-                            Diag::NonUnit,
-                            S::ONE,
-                            akk.as_ref(),
-                            aik.as_mut(),
-                        );
-                    },
-                );
-            }
-            for i in k + 1..nt {
-                // diagonal update; feeding the next panel gets priority
-                let prio = step + i32::from(i == k + 1);
-                dag.add(
-                    KernelKind::Herk,
-                    prio,
-                    nbf * nbf * nbf,
-                    vec![aref(i, k)],
-                    vec![aref(i, i)],
-                    move || {
-                        let (aik, aii) = unsafe { (tiles.tile_ref(i, k), tiles.tile(i, i)) };
-                        herk(
-                            Uplo::Lower,
-                            Op::NoTrans,
-                            -S::Real::ONE,
-                            aik.as_ref(),
-                            S::Real::ONE,
-                            aii.as_mut(),
-                        );
-                    },
-                );
-                for j in k + 1..i {
-                    let prio = step + i32::from(j == k + 1);
-                    dag.add(
-                        KernelKind::Gemm,
-                        prio,
-                        2.0 * nbf * nbf * nbf,
-                        vec![aref(i, k), aref(j, k)],
-                        vec![aref(i, j)],
-                        move || {
-                            let v = unsafe { tiles.tile_ref(i, k) };
-                            let w = unsafe { tiles.tile_ref(j, k) };
-                            let aij = unsafe { tiles.tile(i, j) };
-                            gemm(
-                                Op::NoTrans,
-                                Op::ConjTrans,
-                                -S::ONE,
-                                v.as_ref(),
-                                w.as_ref(),
-                                S::ONE,
-                                aij.as_mut(),
-                            );
-                        },
-                    );
-                }
-            }
-        }
-        outcome = dag.execute();
-    }
-    if outcome == ExecOutcome::Cancelled {
-        let off = failure.lock().unwrap().take().unwrap_or(0);
-        return Err(LapackError::NotPositiveDefinite(off));
+    let failure = OnceLock::new();
+    let mut dag = TaskDag::new();
+    let tiles = TilePtr::new(&mut dag, &mut ta);
+    emit_potrf(&mut dag, tiles, &failure);
+    if dag.execute() == ExecOutcome::Cancelled {
+        return Err(failure.into_inner().unwrap_or(LapackError::NotPositiveDefinite(0)));
     }
     // write the factored lower triangle back (upper stays untouched, like
     // the flat potrf)
     let tiling = ta.tiling();
-    for j in 0..nt {
-        for i in j..nt {
+    for j in 0..tiling.nt() {
+        for i in j..tiling.nt() {
             let (r0, c0) = tiling.tile_origin(i, j);
             let tile = ta.tile(i, j);
             for jj in 0..tile.ncols() {
@@ -569,8 +668,8 @@ mod tests {
     fn check_tiled_qr(a0: &Matrix<f64>, nb: usize, tol: f64) {
         let (m, n) = (a0.nrows(), a0.ncols());
         let k = m.min(n);
-        let f = geqrf_tiled(a0, nb);
-        let q = orgqr_tiled(&f, k);
+        let mut f = geqrf_tiled(a0, nb);
+        let q = orgqr_tiled(&mut f, k);
         // orthonormality
         let mut qhq = Matrix::<f64>::zeros(k, k);
         gemm(Op::ConjTrans, Op::NoTrans, 1.0, q.as_ref(), q.as_ref(), 0.0, qhq.as_mut());
@@ -607,18 +706,19 @@ mod tests {
     #[test]
     fn tiled_stacked_matches_dense_tiled() {
         // the windowed task graph must produce the same factorization as
-        // the dense one on [B; I] (the skipped tasks are exact no-ops)
-        for n in [24usize, 40] {
-            let b = rand_mat(n, n, 10 + n as u64);
+        // the dense one on [B; I] (the skipped tasks are exact no-ops);
+        // 37 x 20 at nb = 16 has the identity start mid-tile
+        for (m, n) in [(24usize, 24usize), (40, 40), (37, 20)] {
+            let b = rand_mat(m, n, 10 + n as u64);
             let w = Matrix::vstack(&b, &Matrix::identity(n, n));
-            let dense = geqrf_tiled(&w, 16);
-            let windowed = geqrf_tiled_stacked(n, &w, 16);
-            let qd = orgqr_tiled(&dense, n);
-            let qw = orgqr_tiled(&windowed, n);
+            let mut dense = geqrf_tiled(&w, 16);
+            let mut windowed = geqrf_tiled_stacked(m, &w, 16);
+            let qd = orgqr_tiled(&mut dense, n);
+            let qw = orgqr_tiled(&mut windowed, n);
             let mut diff = qd.clone();
             add(-1.0, qw.as_ref(), 1.0, diff.as_mut());
             let err: f64 = norm(Norm::Fro, diff.as_ref());
-            assert!(err == 0.0, "windowed Q differs: {err} (n={n})");
+            assert!(err == 0.0, "windowed Q differs: {err} (m={m} n={n})");
         }
     }
 
@@ -630,8 +730,8 @@ mod tests {
             ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
         let a0 = Matrix::from_fn(40, 24, |_, _| Complex64::new(next(), next()));
-        let f = geqrf_tiled(&a0, 16);
-        let q = orgqr_tiled(&f, 24);
+        let mut f = geqrf_tiled(&a0, 16);
+        let q = orgqr_tiled(&mut f, 24);
         let r = f.extract_r();
         let one = Complex64::from_real(1.0);
         let mut qr = Matrix::<Complex64>::zeros(40, 24);
@@ -698,8 +798,8 @@ mod tests {
         let mut flat = a0.clone();
         let ff = geqrf(&mut flat);
         let qf = orgqr(&flat, &ff);
-        let ft = geqrf_tiled(&a0, 16);
-        let qt = orgqr_tiled(&ft, 48);
+        let mut ft = geqrf_tiled(&a0, 16);
+        let qt = orgqr_tiled(&mut ft, 48);
         // compare the orthogonal projectors Q Q^H (basis-independent)
         let mut pf = Matrix::<f64>::zeros(48, 48);
         gemm(Op::NoTrans, Op::ConjTrans, 1.0, qf.as_ref(), qf.as_ref(), 0.0, pf.as_mut());

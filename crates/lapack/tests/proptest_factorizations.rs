@@ -43,8 +43,8 @@ fn mat_s<S: Scalar>(m: usize, n: usize, seed: u64) -> Matrix<S> {
 fn check_tiled_qr_s<S: Scalar>(m: usize, n: usize, nb: usize, seed: u64, tol: f64) {
     let a0 = mat_s::<S>(m, n, seed);
     let k = m.min(n);
-    let f = geqrf_tiled(&a0, nb);
-    let q = orgqr_tiled(&f, k);
+    let mut f = geqrf_tiled(&a0, nb);
+    let q = orgqr_tiled(&mut f, k);
     let mut qhq = Matrix::<S>::identity(k, k);
     gemm(Op::ConjTrans, Op::NoTrans, S::ONE, q.as_ref(), q.as_ref(), -S::ONE, qhq.as_mut());
     let orth = norm(Norm::Fro, qhq.as_ref()).to_f64();
@@ -254,8 +254,8 @@ fn tiled_qr_deterministic_bitwise_replay() {
     std::env::set_var("POLAR_DETERMINISTIC", "1");
     let run_f64 = || {
         let a = mat(67, 45, 42);
-        let f = geqrf_tiled(&a, 16);
-        (orgqr_tiled(&f, 45), f.extract_r())
+        let mut f = geqrf_tiled(&a, 16);
+        (orgqr_tiled(&mut f, 45), f.extract_r())
     };
     let (q1, r1) = run_f64();
     let (q2, r2) = run_f64();
@@ -268,8 +268,8 @@ fn tiled_qr_deterministic_bitwise_replay() {
     }
     let run_z64 = || {
         let a = mat_s::<Complex64>(52, 38, 7);
-        let f = geqrf_tiled(&a, 16);
-        (orgqr_tiled(&f, 38), f.extract_r())
+        let mut f = geqrf_tiled(&a, 16);
+        (orgqr_tiled(&mut f, 38), f.extract_r())
     };
     let (q1, r1) = run_z64();
     let (q2, r2) = run_z64();

@@ -69,8 +69,7 @@ macro_rules! span {
 
 /// Leveled logging macro. `obs::log!(LogLevel::Debug, "pool: {} workers", n)`
 /// prints to stderr iff `POLAR_LOG` (or a programmatic [`set_log_level`])
-/// admits the level. `POLAR_DEBUG=1` is honored as an alias for
-/// `POLAR_LOG=debug` for backward compatibility.
+/// admits the level.
 #[macro_export]
 macro_rules! log {
     ($lvl:expr, $($arg:tt)+) => {

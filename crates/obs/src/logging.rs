@@ -1,8 +1,6 @@
 //! Leveled logging behind the [`log!`](crate::log!) macro.
 //!
-//! The level is read once from `POLAR_LOG={error,info,debug}`;
-//! `POLAR_DEBUG=1` (the historical ad-hoc switch scattered through blas /
-//! qdwh / the pool) is honored as an alias for `POLAR_LOG=debug`. Output
+//! The level is read once from `POLAR_LOG={error,info,debug}`. Output
 //! goes to stderr as `[level polar_blas::params] message`, or into a
 //! capture buffer when a test installed one with [`capture_logs`].
 
@@ -42,9 +40,6 @@ fn level_from_env() -> u8 {
             "info" => LogLevel::Info as u8,
             _ => LogLevel::Error as u8,
         };
-    }
-    if std::env::var_os("POLAR_DEBUG").is_some_and(|v| v != "0") {
-        return LogLevel::Debug as u8;
     }
     LogLevel::Error as u8
 }

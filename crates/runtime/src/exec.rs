@@ -61,7 +61,8 @@ pub enum ExecOutcome {
     /// Every task ran to completion.
     Completed,
     /// A task body requested cancellation (e.g. a `potrf` tile hit a
-    /// non-positive-definite pivot); remaining tasks were abandoned.
+    /// non-positive-definite pivot) or the `stop` predicate of
+    /// [`TaskDag::execute_until`] fired; remaining tasks were abandoned.
     Cancelled,
 }
 
@@ -301,6 +302,23 @@ impl<'a> TaskDag<'a> {
     /// cancelled). Uses the global work-stealing pool; under deterministic
     /// replay the schedule collapses to a fixed sequential order.
     pub fn execute(self) -> ExecOutcome {
+        self.execute_until(|_| false)
+    }
+
+    /// [`TaskDag::execute`] with an external stop condition: before every
+    /// task release, in both drains, the executor calls `stop` with the
+    /// oldest phase that still has unfinished tasks, and `true` is treated
+    /// exactly like a body returning [`TaskStatus::Cancel`] — nothing more
+    /// is released, bodies already in flight on other lanes finish, and
+    /// the outcome is [`ExecOutcome::Cancelled`].
+    ///
+    /// Calls are serialized (the parallel drain polls under its state
+    /// lock) and the phase argument never decreases. Every task of an
+    /// earlier phase has completed, and its writes are visible, when
+    /// `stop` runs. Keep it cheap: it runs once per task, from whichever
+    /// pool thread releases next, and holds up the other lanes' releases
+    /// while it does.
+    pub fn execute_until(self, stop: impl Fn(u32) -> bool + Sync) -> ExecOutcome {
         let TaskDag { builder, bodies, priorities } = self;
         let graph = Arc::new(builder.build());
         let n = graph.len();
@@ -337,7 +355,7 @@ impl<'a> TaskDag<'a> {
         // out to, so drain inline.
         let lanes = rayon::fork_width();
         if rayon::deterministic_mode().is_some() || lanes <= 1 {
-            return Self::execute_sequential(&graph, &ctx, bodies, ready, indeg, life);
+            return Self::execute_sequential(&graph, &ctx, bodies, ready, indeg, life, &stop);
         }
 
         let state = Mutex::new(ExecState {
@@ -351,7 +369,7 @@ impl<'a> TaskDag<'a> {
             life,
         });
         let work = Condvar::new();
-        fanout(lanes.min(n), &|| worker_loop(&graph, &ctx, &state, &work));
+        fanout(lanes.min(n), &|| worker_loop(&graph, &ctx, &state, &work, &stop));
         let cancelled = state.lock().unwrap().cancelled;
         // take/drop the leftover bodies before `state` unwinds borrows
         if cancelled {
@@ -369,10 +387,14 @@ impl<'a> TaskDag<'a> {
         mut ready: BinaryHeap<ReadyKey>,
         mut indeg: Vec<usize>,
         mut life: LifeTable,
+        stop: &dyn Fn(u32) -> bool,
     ) -> ExecOutcome {
         let mut phase_rem = phase_counts(graph);
         let mut frontier = 0u32;
         while let Some(ReadyKey { id, cp, .. }) = ready.pop() {
+            if stop(frontier) {
+                return ExecOutcome::Cancelled;
+            }
             let body = bodies[id].take().expect("task body ran twice");
             {
                 let _t = task_span(graph, id, cp, ready.len(), life.lifecycle(id));
@@ -421,14 +443,20 @@ impl Drop for BodyGuard<'_, '_> {
 }
 
 /// One ready-queue worker; runs on a pool thread until the graph drains.
-fn worker_loop<'a>(graph: &TaskGraph, ctx: &KeyCtx, state: &Mutex<ExecState<'a>>, work: &Condvar) {
+fn worker_loop<'a>(
+    graph: &TaskGraph,
+    ctx: &KeyCtx,
+    state: &Mutex<ExecState<'a>>,
+    work: &Condvar,
+    stop: &(dyn Fn(u32) -> bool + Sync),
+) {
     let mut guard = state.lock().unwrap();
     loop {
         if guard.cancelled || guard.remaining == 0 {
             work.notify_all();
             return;
         }
-        let Some(ReadyKey { id, cp, .. }) = guard.ready.pop() else {
+        if guard.ready.is_empty() {
             // Ready starvation: this worker found no runnable task. The
             // park interval is recorded as a `dag_park` span (dims[0] =
             // dag id) so the post-mortem can build idle/starvation
@@ -440,7 +468,15 @@ fn worker_loop<'a>(graph: &TaskGraph, ctx: &KeyCtx, state: &Mutex<ExecState<'a>>
             let _park = polar_obs::phase_span_dims("dag_park", [dag as usize, 0, 0]);
             guard = work.wait(guard).unwrap();
             continue;
-        };
+        }
+        // polled under the lock: calls are serialized and see the
+        // frontier only ever advance
+        if stop(guard.frontier) {
+            guard.cancelled = true;
+            work.notify_all();
+            return;
+        }
+        let ReadyKey { id, cp, .. } = guard.ready.pop().expect("ready heap checked non-empty");
         let depth = guard.ready.len();
         let body = guard.bodies[id].take().expect("task body ran twice");
         let lifecycle = guard.life.lifecycle(id);
@@ -453,6 +489,9 @@ fn worker_loop<'a>(graph: &TaskGraph, ctx: &KeyCtx, state: &Mutex<ExecState<'a>>
         };
         unwind_guard.armed = false;
         drop(unwind_guard);
+        // this lane holds its pool worker until the graph drains: between
+        // two tasks, serve what the rest of the process queued for the pool
+        rayon::yield_to_injected();
 
         guard = state.lock().unwrap();
         if status == TaskStatus::Cancel {
@@ -670,7 +709,15 @@ mod tests {
             ready.push(ctx.key(&graph, 0, id));
         }
         let indeg: Vec<usize> = (0..graph.len()).map(|t| graph.preds(t).len()).collect();
-        TaskDag::execute_sequential(&graph, &ctx, bodies, ready, indeg, LifeTable::disabled());
+        TaskDag::execute_sequential(
+            &graph,
+            &ctx,
+            bodies,
+            ready,
+            indeg,
+            LifeTable::disabled(),
+            &|_| false,
+        );
         assert_eq!(*log.lock().unwrap(), vec![1, 2, 0]);
     }
 
@@ -702,7 +749,15 @@ mod tests {
             }
         }
         let indeg: Vec<usize> = (0..graph.len()).map(|t| graph.preds(t).len()).collect();
-        TaskDag::execute_sequential(&graph, &ctx, bodies, ready, indeg, LifeTable::disabled());
+        TaskDag::execute_sequential(
+            &graph,
+            &ctx,
+            bodies,
+            ready,
+            indeg,
+            LifeTable::disabled(),
+            &|_| false,
+        );
         // chain head first (cp 3.0 beats hint 100 at cp 1.0); once the
         // remaining chain link ties at cp 1.0 the hint decides again
         assert_eq!(*log.lock().unwrap(), vec![0, 1, 99, 2]);
@@ -740,7 +795,15 @@ mod tests {
             }
         }
         let indeg: Vec<usize> = (0..graph.len()).map(|t| graph.preds(t).len()).collect();
-        TaskDag::execute_sequential(&graph, &ctx, bodies, ready, indeg, LifeTable::disabled());
+        TaskDag::execute_sequential(
+            &graph,
+            &ctx,
+            bodies,
+            ready,
+            indeg,
+            LifeTable::disabled(),
+            &|_| false,
+        );
         // phase-0 task first even though the phase-9 chain is longer
         assert_eq!(*log.lock().unwrap(), vec![0, 10, 11, 12]);
     }
@@ -878,6 +941,7 @@ mod tests {
                 ready,
                 vec![0],
                 LifeTable::disabled(),
+                &|_| false,
             );
             assert_eq!(out, ExecOutcome::Completed);
         });

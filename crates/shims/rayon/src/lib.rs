@@ -629,6 +629,28 @@ pub fn fork_width() -> usize {
     }
 }
 
+/// Cooperative yield for a job that keeps its pool worker for a long time
+/// (one lane of a task graph): if the calling thread is a pool worker and
+/// a thread outside the pool has queued a job for it, run that job here,
+/// now, and return `true`. Without it, everything the rest of the process
+/// sends to the pool — a kernel's fork, another graph's lanes — waits
+/// until the long job ends. Only the injection queue is served: halves
+/// forked by other workers stay theirs.
+pub fn yield_to_injected() -> bool {
+    let Some((reg, _)) = CURRENT_WORKER.with(|c| c.get()) else { return false };
+    // SAFETY: a set CURRENT_WORKER implies a live registry.
+    let Some(job) = (unsafe { &*reg }).injected.lock().unwrap().pop_front() else {
+        return false;
+    };
+    if polar_obs::metrics_enabled() {
+        pool_counters().injected.inc();
+    }
+    // SAFETY: the job's owner keeps the StackJob alive until the latch
+    // (set inside execute) is observed.
+    unsafe { job.execute() };
+    true
+}
+
 /// Run two closures, potentially in parallel, returning both results.
 ///
 /// Both closures always run; panics propagate; results come back in

@@ -1,9 +1,11 @@
 //! Cooperative cancellation tokens.
 //!
-//! QDWH cannot stop mid-iteration (the state is a half-applied
-//! factorization), so cancellation is cooperative: the worker installs a
-//! progress hook that consults the token between Halley iterations and
-//! aborts the run at the next boundary.
+//! A solver cannot be stopped from outside mid-kernel (the state is a
+//! half-applied factorization), so cancellation is cooperative: the worker
+//! installs a progress hook that consults the token wherever the solver
+//! polls it — between Halley iterations on the small-n loop, before every
+//! tile-task release inside a whole-solve graph — and the run is abandoned
+//! there.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,8 +21,8 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Request cancellation. Idempotent; takes effect at the next
-    /// iteration boundary (or before the job starts, if still queued).
+    /// Request cancellation. Idempotent; takes effect at the solver's next
+    /// progress poll (or before the job starts, if still queued).
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }

@@ -39,11 +39,6 @@ pub enum JobKind {
     /// terms of each iteration running concurrently in one task graph on
     /// the fused path. Configure via [`JobSpec::zolo`] /
     /// [`JobSpec::with_zolo_r`].
-    ///
-    /// Same caveat as [`JobKind::Batched`]: the fused r-way graph has no
-    /// between-iteration hook, so cancellation and deadlines are only
-    /// honored before the solve starts (or when the input is small enough
-    /// to route through the serial fallback, which does get the hook).
     Zolo,
 }
 
@@ -57,13 +52,15 @@ pub struct JobSpec {
     /// (shortest-job-first), then submission order.
     pub priority: u8,
     /// Per-job wall-clock budget measured from run start; `None` falls
-    /// back to the service default. Enforced between QDWH iterations.
+    /// back to the service default. Enforced wherever the solver polls its
+    /// progress hook: at every task release on the tiled path, between
+    /// iterations below it (see [`JobKind::Batched`] for the exception).
     pub timeout: Option<Duration>,
     /// Solver options (the service overwrites the `progress` hook).
     pub opts: QdwhOptions,
     /// Zolotarev options, consulted only by [`JobKind::Zolo`] jobs
-    /// (`zolo.r` picks the degree; the worker leaves `zolo.progress`
-    /// unset so the fused r-way path stays eligible).
+    /// (`zolo.r` picks the degree; the service overwrites the `progress`
+    /// hook).
     pub zolo: ZoloOptions,
     /// Client-supplied condition-number estimate for the input (e.g. a
     /// tensor-network loop that knows its truncation spectra). Consulted
@@ -202,7 +199,8 @@ impl JobHandle {
         self.cancel.clone()
     }
 
-    /// Request cancellation (between iterations, or before start).
+    /// Request cancellation (takes effect at the solver's next progress
+    /// poll, or before start).
     pub fn cancel(&self) {
         self.cancel.cancel();
     }

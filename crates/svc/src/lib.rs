@@ -18,8 +18,10 @@
 //!   kernels), large jobs get a worker to themselves and fan out
 //!   internally with `rayon`.
 //! * **Execution** ([`worker`]): per-job timeout and cooperative
-//!   cancellation, both enforced *between* QDWH iterations through the
-//!   [`polar_qdwh::QdwhOptions::progress`] hook; transient failures
+//!   cancellation, both enforced through the
+//!   [`polar_qdwh::QdwhOptions::progress`] hook — between iterations on
+//!   the solvers' small-n loop, at every tile-task release inside their
+//!   whole-solve graphs; transient failures
 //!   (classified by [`polar_qdwh::QdwhError::class`]) retry with
 //!   exponential backoff, permanent ones reject immediately.
 //! * **Telemetry** ([`metrics`], [`trace`]): counters, gauges and

@@ -17,7 +17,7 @@ use polar_batch::{qdwh_batched, BatchEntry, BatchOptions, CondestCache};
 use polar_lapack::FailureClass;
 use polar_qdwh::{
     qdwh, qdwh_svd, svd_based_polar, zolo_pd, IterationDecision, PolarDecomposition, ProgressHook,
-    QdwhError,
+    QdwhError, ZoloOptions,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -116,7 +116,15 @@ fn run_fused(batch: Vec<RunnableJob>, worker_id: usize, ctx: &Arc<ExecContext>) 
         condest_cache: Some(ctx.condest_cache.clone()),
         ..Default::default()
     };
-    let result = qdwh_batched(&mut entries, &opts);
+    // A group of one offers the engine's task graphs no entries to spread
+    // over lanes, and its kernels are small: it is one lane's work, and
+    // run as such it never queues for the pool — which a large job's
+    // whole-solve graph may be holding for the length of its solve.
+    let result = if entries.len() == 1 {
+        rayon::serial_region(|| qdwh_batched(&mut entries, &opts))
+    } else {
+        qdwh_batched(&mut entries, &opts)
+    };
     let end = Instant::now();
     let run = end.duration_since(start);
     metrics.in_flight.fetch_sub(lanes as i64, Ordering::Relaxed);
@@ -173,7 +181,7 @@ fn solve(
     metrics: &MetricsRegistry,
 ) -> Result<JobOutput, QdwhError> {
     let mut opts = spec.opts.clone();
-    opts.progress = Some(hook);
+    opts.progress = Some(hook.clone());
     match spec.kind {
         // a Batched job on the scalar path (fallback, cancellation,
         // fault injection) is just a QDWH solve
@@ -184,15 +192,14 @@ fn solve(
         // the Jacobi baseline has no iteration hook; cancellation and
         // deadline are checked between attempts only
         crate::job::JobKind::SvdPolar => svd_based_polar(&spec.matrix).map(JobOutput::Polar),
-        // `zolo.progress` is deliberately left as the submitter set it
-        // (normally `None`): installing the service hook would force the
-        // serial fallback and forfeit the fused r-way graph. See the
-        // [`crate::job::JobKind::Zolo`] cancellation caveat.
-        crate::job::JobKind::Zolo => zolo_pd(&spec.matrix, &spec.zolo).map(|out| {
-            MetricsRegistry::inc(&metrics.zolo_jobs);
-            metrics.zolo_qr_total.fetch_add(out.qr_factorizations as u64, Ordering::Relaxed);
-            JobOutput::Polar(out.pd)
-        }),
+        crate::job::JobKind::Zolo => {
+            let zolo = ZoloOptions { progress: Some(hook), ..spec.zolo.clone() };
+            zolo_pd(&spec.matrix, &zolo).map(|out| {
+                MetricsRegistry::inc(&metrics.zolo_jobs);
+                metrics.zolo_qr_total.fetch_add(out.qr_factorizations as u64, Ordering::Relaxed);
+                JobOutput::Polar(out.pd)
+            })
+        }
     }
 }
 

@@ -4,8 +4,10 @@
 
 use polar_gen::{generate, MatrixSpec};
 use polar_matrix::Matrix;
-use polar_qdwh::{IterationPath, QdwhOptions};
-use polar_svc::{FaultPlan, JobError, JobKind, JobSpec, PolarService, ServiceConfig, SubmitError};
+use polar_qdwh::{IterationPath, QdwhOptions, TiledDecision, TiledPath, ZoloOptions};
+use polar_svc::{
+    FaultPlan, JobError, JobKind, JobOutput, JobSpec, PolarService, ServiceConfig, SubmitError,
+};
 use std::time::{Duration, Instant};
 
 /// A job that runs for several hundred milliseconds in debug builds
@@ -138,6 +140,58 @@ fn cancellation_lands_between_iterations() {
     assert!(r.run < Duration::from_secs(10), "cancellation must not wait for completion");
     assert_eq!(svc.metrics().cancelled, 1);
     svc.shutdown();
+}
+
+/// [`slow_job`], or its Zolo-PD counterpart, forced onto the whole-solve
+/// task graph with small tiles: a few thousand tile tasks, so a cancel or
+/// a deadline has to land *inside* the graph.
+fn slow_fused_job(kind: JobKind) -> JobSpec {
+    let mut spec = slow_job();
+    spec.kind = kind;
+    spec.opts.tiled = TiledPath::Always;
+    spec.opts.tile_nb = Some(16);
+    spec.zolo = ZoloOptions {
+        r: 2,
+        max_iterations: 12,
+        tiled: TiledPath::Always,
+        tile_nb: Some(16),
+        ..Default::default()
+    };
+    spec
+}
+
+#[test]
+fn cancel_and_deadline_land_inside_the_fused_graph() {
+    for kind in [JobKind::Qdwh, JobKind::Zolo] {
+        let svc = PolarService::start(ServiceConfig { workers: 1, ..Default::default() });
+        // the un-cancelled solve: takes the tiled path, and sets the scale
+        let full = svc.try_submit(slow_fused_job(kind)).unwrap().wait();
+        match full.output.expect("uncancelled job succeeds") {
+            JobOutput::Polar(pd) => {
+                assert_eq!(pd.info.tiled_decision, Some(TiledDecision::Tiled), "{kind:?}")
+            }
+            JobOutput::Svd(_) => unreachable!("polar job kinds only"),
+        }
+        let quarter = full.run / 4;
+
+        let h = svc.try_submit(slow_fused_job(kind)).unwrap();
+        std::thread::sleep(quarter);
+        h.cancel();
+        let r = h.wait();
+        assert_eq!(r.output.err(), Some(JobError::Cancelled), "{kind:?}");
+        assert_eq!(r.attempts, 1, "{kind:?}: was mid-run, not queued");
+        assert!(r.run < full.run, "{kind:?}: cancelled after {:?} of {:?}", r.run, full.run);
+
+        let h = svc.try_submit(slow_fused_job(kind).with_timeout(quarter)).unwrap();
+        let r = h.wait();
+        assert_eq!(r.output.err(), Some(JobError::TimedOut { budget: quarter }), "{kind:?}");
+        assert!(r.run >= quarter, "{kind:?}: budget elapsed before the hook fired");
+        assert!(r.run < full.run, "{kind:?}: timed out after {:?} of {:?}", r.run, full.run);
+
+        let m = svc.metrics();
+        assert_eq!((m.completed, m.cancelled, m.timed_out), (1, 1, 1), "{kind:?}");
+        svc.shutdown();
+    }
 }
 
 #[test]
