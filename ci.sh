@@ -4,7 +4,7 @@
 # jobs, so keep all command lines here — the workflow only dispatches.
 #
 #   ./ci.sh             # all stages
-#   ./ci.sh lint        # rustfmt + clippy (deny warnings) + one-emitter guard
+#   ./ci.sh lint        # rustfmt + clippy (deny warnings) + tile-path guards
 #   ./ci.sh tier1       # release build, root-package tests, smokes + zolo leg
 #   ./ci.sh zolo        # fused r-way Zolo: parity/determinism tests + CP gate
 #   ./ci.sh workspace   # full workspace tests + standalone facade build
@@ -79,9 +79,17 @@ stage_lint() {
     # file calling the kernels is a second copy of a graph
     local kernels='geqrt_blocked_into|tsqrt_blocked_into|tsmqr_blocked|unmqr_tile_blocked'
     local strays
+    # (kernels_perf times the kernels one by one; it emits no graph)
     strays=$(grep -rlE "$kernels" crates/*/src \
-        | grep -vE '^crates/lapack/src/(tile_qr|tiled|lib)\.rs$' || true)
+        | grep -vE '^crates/(lapack/src/(tile_qr|tiled|lib)|bench/src/bin/kernels_perf)\.rs$' || true)
     test -z "$strays" || fail "tile kernels referenced outside polar-lapack's tiled.rs: $strays"
+
+    step "no boxed iterators on the tile path"
+    # a tile body runs slice loops and packed kernels; an iterator chosen at
+    # run time behind a Box is an allocation and an indirect call per step
+    strays=$(grep -rl 'Box<dyn Iterator' crates/blas/src \
+        crates/lapack/src/tile_qr.rs crates/lapack/src/qr.rs crates/lapack/src/householder.rs || true)
+    test -z "$strays" || fail "Box<dyn Iterator> under a tile task: $strays"
 }
 
 stage_tier1() {

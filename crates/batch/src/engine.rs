@@ -877,6 +877,8 @@ pub fn qdwh_batched<S: Scalar>(
                                     unsafe { ep.set(k, Some(QdwhError::Lapack(e))) };
                                     return TaskStatus::Cancel;
                                 }
+                                // an explicit inverse where a solve would be:
+                                // kappa(Z) <= 1 + c, see polar_lapack's tri.rs
                                 if let Err(e) =
                                     trtri_lower(unsafe { gp.mat(i) }, unsafe { tp.mat_mut(i) })
                                 {

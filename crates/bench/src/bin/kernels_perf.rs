@@ -14,7 +14,7 @@
 //! on hosts with at least two cores.
 
 use polar_bench::Args;
-use polar_blas::{gemm, gemm_axpy, gemm_batched_packed, gemm_ref, herk, trsm};
+use polar_blas::{gemm, gemm_axpy, gemm_batched_packed, gemm_ref, herk, trmm, trsm};
 use polar_gen::generate;
 use polar_matrix::{BatchedDense, Diag, Matrix, Op, Side, Uplo};
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
@@ -555,6 +555,129 @@ fn smoke_c32_dispatch() {
     );
 }
 
+/// Single-lane rates of the kernels a tile task calls, at tile size `nb`:
+/// `(name, GFlop/s)` with gemm first. Each runs inside
+/// `rayon::serial_region`, as a `TaskDag` body does, on the operand shapes
+/// the fused QDWH graph hands it (right-lower `trsm`/`trmm`, `herk` into a
+/// lower triangle, blocked `geqrt`/`tsqrt`/`tsmqr`), with the flop counts
+/// the graph attributes to the task.
+fn tile_kernel_rates<S: Scalar>(nb: usize) -> Vec<(&'static str, f64)> {
+    use polar_lapack::{geqrt_blocked_into, tsmqr_blocked, tsqrt_blocked_into, TileT};
+    let tf = polar_blas::flops::type_factor(S::IS_COMPLEX);
+    let nb3 = (nb as f64).powi(3);
+    let (a, b0) = (rand_mat::<S>(nb, nb, 41), rand_mat::<S>(nb, nb, 42));
+    // a lower triangle near the identity: repeated in-place solves and
+    // multiplies with it stay bounded, so they need no reset between calls
+    let mut l = rand_mat::<S>(nb, nb, 43);
+    polar_blas::scale(S::from_f64(0.5 / nb as f64), l.as_mut());
+    (0..nb).for_each(|i| l[(i, i)] = S::ONE);
+    let r0 = Matrix::<S>::from_fn(nb, nb, |i, j| if i <= j { l[(j, i)] } else { S::ZERO });
+    let mut tt = TileT::<S>::new(polar_lapack::DEFAULT_BLOCK.min(nb), nb);
+    let (mut c, mut c2, mut r) = (b0.clone(), b0.clone(), r0.clone());
+    let (lo, ct, nn) = (Uplo::Lower, Op::ConjTrans, Diag::NonUnit);
+    let mut rows = Vec::new();
+    let mut time = |name: &'static str, flops: f64, f: &mut dyn FnMut()| {
+        let secs = rayon::serial_region(|| best_time(7, || (0..5).for_each(|_| f()))) / 5.0;
+        rows.push((name, tf * flops / secs / 1e9));
+    };
+    time("gemm", 2.0 * nb3, &mut || {
+        gemm(Op::NoTrans, Op::NoTrans, S::ONE, a.as_ref(), b0.as_ref(), S::ZERO, c2.as_mut())
+    });
+    time("herk", polar_blas::flops::herk(nb, nb), &mut || {
+        herk(lo, ct, S::Real::ONE, a.as_ref(), S::Real::ZERO, c2.as_mut())
+    });
+    time("trsm", nb3, &mut || trsm(Side::Right, lo, ct, nn, S::ONE, l.as_ref(), c.as_mut()));
+    time("trmm", nb3, &mut || trmm(Side::Right, lo, ct, nn, S::ONE, l.as_ref(), c.as_mut()));
+    time("trtri", nb3 / 3.0, &mut || {
+        polar_lapack::trtri_lower(l.as_ref(), c2.as_mut()).expect("nonsingular")
+    });
+    time("geqrt", 4.0 / 3.0 * nb3, &mut || {
+        c.as_mut().copy_from(b0.as_ref());
+        geqrt_blocked_into(&mut c, &mut tt)
+    });
+    time("tsqrt", 2.0 * nb3, &mut || {
+        r.as_mut().copy_from(r0.as_ref());
+        c.as_mut().copy_from(b0.as_ref());
+        tsqrt_blocked_into(&mut r, &mut c, &mut tt)
+    });
+    // c and tt now hold the last tsqrt's reflectors
+    time("tsmqr", 4.0 * nb3, &mut || tsmqr_blocked(ct, &c, &tt, &mut r, &mut c2));
+    rows
+}
+
+/// The `"tile_kernels"` section: [`tile_kernel_rates`] at the two tile
+/// sizes `auto_tile_nb` picks, f64 and c64, each kernel also as a share of
+/// gemm at the same size — the figure the n = 512 two-lane rows hide.
+fn write_tile_kernels(j: &mut String) {
+    eprintln!("single-lane tile kernels...");
+    j.push_str("  \"tile_kernels\": [\n");
+    for (i, nb) in [128usize, 128, 256, 256].into_iter().enumerate() {
+        let (tag, rows) = match i % 2 {
+            0 => ("d", tile_kernel_rates::<f64>(nb)),
+            _ => ("z", tile_kernel_rates::<Complex64>(nb)),
+        };
+        let _ = write!(j, "    {{\"type\": \"{tag}\", \"nb\": {nb}");
+        for (name, g) in &rows {
+            let share = json_f(g / rows[0].1);
+            let _ = write!(j, ", \"{name}_gflops\": {}, \"{name}_vs_gemm\": {share}", json_f(*g));
+        }
+        j.push_str(if i < 3 { "},\n" } else { "}\n" });
+    }
+    j.push_str("  ],\n");
+}
+
+/// Smoke check: packed `herk` and `trmm` against the reference triple loop,
+/// every triangle and op, with the triangle the kernel must not touch (of
+/// `C`) or read (of the triangular operand) poisoned with NaN.
+fn smoke_tri<S: Scalar>() {
+    let tol = S::Real::from_f64(if S::Real::EPSILON.to_f64() > 1e-10 { 2e-3 } else { 1e-10 });
+    let conj = if S::IS_COMPLEX { Op::ConjTrans } else { Op::Trans };
+    for (n, k, uplo, op) in
+        [(1usize, 3usize), (7, 13), (65, 40), (130, 33)].into_iter().flat_map(|(n, k)| {
+            [Uplo::Lower, Uplo::Upper]
+                .into_iter()
+                .flat_map(move |u| [(n, k, u, Op::NoTrans), (n, k, u, conj)])
+        })
+    {
+        let what = format!("{} {uplo:?} {op:?} n={n} k={k}", S::TYPE_TAG);
+        // `m` where the triangle stores, `other` elsewhere
+        let stored = |i: usize, j: usize| (i >= j) == (uplo == Uplo::Lower) || i == j;
+        let tri = |m: &Matrix<S>, other: S| {
+            Matrix::from_fn(n, n, |i, j| if stored(i, j) { m[(i, j)] } else { other })
+        };
+        let (zeros, nan) = (Matrix::<S>::zeros(n, n), S::from_f64(f64::NAN));
+        let a = if op == Op::NoTrans { rand_mat::<S>(n, k, 51) } else { rand_mat::<S>(k, n, 51) };
+        let op_h = if op == Op::NoTrans { conj } else { Op::NoTrans };
+        let mut want = zeros.clone();
+        gemm_ref(op, op_h, S::ONE, a.as_ref(), a.as_ref(), S::ZERO, want.as_mut());
+        let mut c = tri(&zeros, nan);
+        herk(uplo, op, S::Real::ONE, a.as_ref(), S::Real::ZERO, c.as_mut());
+        let (got, want) = (tri(&c, S::ZERO), tri(&want, S::ZERO));
+        let kept = (0..n).all(|j| (0..n).all(|i| stored(i, j) || c[(i, j)].is_nan()));
+        assert!(kept, "smoke herk {what}: wrote outside the triangle");
+        let t = rand_mat::<S>(n, n, 52);
+        let (b0, mut bw) = (rand_mat::<S>(n, k, 53), Matrix::<S>::zeros(n, k));
+        let mut b = b0.clone();
+        trmm(Side::Left, uplo, op, Diag::NonUnit, S::ONE, tri(&t, nan).as_ref(), b.as_mut());
+        gemm_ref(
+            op,
+            Op::NoTrans,
+            S::ONE,
+            tri(&t, S::ZERO).as_ref(),
+            b0.as_ref(),
+            S::ZERO,
+            bw.as_mut(),
+        );
+        let close = |x: &Matrix<S>, y: &Matrix<S>| {
+            (0..x.ncols())
+                .all(|j| x.col(j).iter().zip(y.col(j)).all(|(&p, &q)| (p - q).abs() <= tol))
+        };
+        assert!(close(&got, &want), "smoke herk {what}");
+        assert!(close(&b, &bw), "smoke trmm {what}");
+    }
+    eprintln!("smoke: packed herk/trmm match gemm_ref for type {}", S::TYPE_TAG);
+}
+
 fn json_f(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.4}")
@@ -617,7 +740,12 @@ fn main() {
         smoke_tiled::<f64>();
         smoke_tiled::<Complex32>();
         smoke_tiled::<Complex64>();
+        smoke_tri::<f32>();
+        smoke_tri::<f64>();
+        smoke_tri::<Complex32>();
+        smoke_tri::<Complex64>();
         smoke_c32_dispatch();
+        write_tile_kernels(&mut j);
         // one tiny timed row so the artifact shape matches the full run
         let row = bench_gemm::<f64>(64, 2, true);
         let _ = writeln!(
@@ -680,6 +808,9 @@ fn main() {
         "  \"geqrf\": [{{\"type\": \"d\", \"n\": 512, \"gflops\": {}}}],",
         json_f(bench_geqrf(512, 2))
     );
+
+    // ---- what a tile task calls, one lane, at the solver's tile sizes ----
+    write_tile_kernels(&mut j);
 
     // ---- tiled (DAG-scheduled) vs flat QR ----
     eprintln!("tiled qr...");

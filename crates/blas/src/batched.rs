@@ -16,7 +16,7 @@
 
 use crate::gemm::{gemm_leaf, packs};
 use crate::packed::{
-    gemm_packed_with, macro_kernel, pack_a, pack_b, scale_block, select_kernel, tile_shape,
+    gemm_packed_with, macro_kernel, pack_a, pack_b, scale_block, select_kernel, tile_shape, Mask,
 };
 use crate::params::{fork_lanes, gemm_params, par_threshold_flops};
 use polar_matrix::{BatchedDense, BatchedMut, BatchedRef, Op};
@@ -174,6 +174,7 @@ pub fn gemm_batched_packed<S: Scalar>(
                     kcb,
                     mr,
                     nr,
+                    Mask::Full,
                 );
             }
         }
@@ -195,6 +196,7 @@ pub fn gemm_batched_packed<S: Scalar>(
             c.mat_mut(e),
             &mut apack,
             &mut bpack,
+            Mask::Full,
         );
     }
 }

@@ -11,7 +11,7 @@
 //!   ([`fork_lanes`]), else a parallel split over the output with leaf
 //!   granularity scaled to the pool size.
 
-use crate::packed::{gemm_packed, gemm_packed_par};
+use crate::packed::{gemm_packed, gemm_packed_par, Mask};
 use crate::params::{fork_lanes, gemm_params, par_threshold_flops};
 use polar_matrix::{MatMut, MatRef, Op};
 use polar_scalar::{Complex32, Scalar};
@@ -198,7 +198,16 @@ fn complex32_prefers_axpy() -> bool {
         let one = Complex32::new(1.0, 0.0);
         let zero = Complex32::new(0.0, 0.0);
         let t_packed = best(&mut || {
-            gemm_packed(Op::NoTrans, Op::NoTrans, one, a.as_ref(), b.as_ref(), zero, c.as_mut());
+            gemm_packed(
+                Op::NoTrans,
+                Op::NoTrans,
+                one,
+                a.as_ref(),
+                b.as_ref(),
+                zero,
+                c.as_mut(),
+                Mask::Full,
+            );
         });
         let t_axpy = best(&mut || {
             gemm_axpy(Op::NoTrans, Op::NoTrans, one, a.as_ref(), b.as_ref(), zero, c.as_mut());
@@ -246,7 +255,7 @@ pub(crate) fn gemm_leaf<S: Scalar>(
         [c.nrows(), c.ncols(), k],
     );
     if packed {
-        gemm_packed(op_a, op_b, alpha, a, b, beta, c);
+        gemm_packed(op_a, op_b, alpha, a, b, beta, c, Mask::Full);
     } else {
         gemm_axpy(op_a, op_b, alpha, a, b, beta, c);
     }

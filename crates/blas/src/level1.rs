@@ -14,20 +14,52 @@ pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
     }
 }
 
+/// Independent accumulators of the level-1 reductions: enough to cover the
+/// add latency with vector lanes, and a fixed count, so a result depends on
+/// the data alone, never on the schedule.
+const LANES: usize = 8;
+
+/// `sum_i f(x_i, y_i)` over [`LANES`] interleaved partial sums — element `i`
+/// goes to partial `i % LANES` — folded pairwise in a fixed order.
+#[inline]
+fn reduce<S: Copy, A: Copy + std::ops::Add<Output = A>>(
+    x: &[S],
+    y: &[S],
+    zero: A,
+    f: impl Fn(S, S) -> A,
+) -> A {
+    assert_eq!(x.len(), y.len());
+    let mut acc = [zero; LANES];
+    let (xc, yc) = (x.chunks_exact(LANES), y.chunks_exact(LANES));
+    let (xr, yr) = (xc.remainder(), yc.remainder());
+    for (xs, ys) in xc.zip(yc) {
+        for l in 0..LANES {
+            acc[l] = acc[l] + f(xs[l], ys[l]);
+        }
+    }
+    for (l, (&a, &b)) in xr.iter().zip(yr).enumerate() {
+        acc[l] = acc[l] + f(a, b);
+    }
+    ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
+}
+
 /// Unconjugated dot product `x^T y`.
 pub fn dot<S: Scalar>(x: &[S], y: &[S]) -> S {
-    assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(&a, &b)| a * b).sum()
+    reduce(x, y, S::ZERO, |a, b| a * b)
 }
 
 /// Conjugated dot product `x^H y`.
 pub fn dotc<S: Scalar>(x: &[S], y: &[S]) -> S {
-    assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(&a, &b)| a.conj() * b).sum()
+    reduce(x, y, S::ZERO, |a: S, b| a.conj() * b)
 }
 
-/// Euclidean norm with lassq-style scaling for overflow safety.
+/// Euclidean norm: the plain sum of squares where it neither overflows nor
+/// loses bits to underflow, else lassq-style scaling.
 pub fn nrm2<S: Scalar>(x: &[S]) -> S::Real {
+    let ssq = reduce(x, x, S::Real::ZERO, |a: S, _| a.abs_sq());
+    if ssq > S::Real::MIN_POSITIVE / S::Real::EPSILON && ssq.is_finite() {
+        return ssq.sqrt();
+    }
     let mut scale = S::Real::ZERO;
     let mut sumsq = S::Real::ONE;
     for &xi in x {

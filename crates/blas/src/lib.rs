@@ -19,7 +19,8 @@
 //!   (power-iteration matvecs of Algorithm 2);
 //! * [`herk`] — Hermitian rank-k update (line 40);
 //! * [`trsm`] — triangular solve (inside `posv`, line 41);
-//! * [`trmm`] — triangular multiply (condition estimation);
+//! * [`trmm`] — in-place triangular multiply (the `T` factors of the QR
+//!   panels, the inverted diagonal tiles of the fused Cholesky sweeps);
 //! * [`add`], [`scale`], [`copy_into`] — the `add` / `scale` / `copy`
 //!   operations of Algorithm 1;
 //! * [`norm`], [`col_sums`] — matrix norms (lines 9, 18, 48; Algorithm 2).

@@ -23,7 +23,7 @@
 //! a const-generic autovectorized kernel otherwise (always for complex).
 
 use crate::params::{gemm_params, MAX_MR, MAX_NR};
-use polar_matrix::{MatMut, MatRef, Op};
+use polar_matrix::{MatMut, MatRef, Op, Uplo};
 use polar_scalar::{Complex64, Scalar};
 use std::any::TypeId;
 
@@ -114,8 +114,68 @@ pub(crate) fn select_kernel<S: Scalar>(mr: usize, nr: usize) -> Kern {
     Kern::Generic
 }
 
-/// Sequential packed GEMM over one block of `C`. Dimension compatibility
-/// is the caller's responsibility (checked in `gemm`).
+/// What one sweep over a block of `C` may skip.
+#[derive(Clone, Copy)]
+pub(crate) enum Mask {
+    Full,
+    /// Only the `uplo` triangle of `C` is written; entry `(i, j)` of the
+    /// block lies on the diagonal when `i + d == j`.
+    C(Uplo, isize),
+    /// The packed `A` (`on_a`) or `B` operand is triangular, stored with
+    /// its other triangle zeroed ([`mask_packed`]): entry `x` of a panel
+    /// (a row of `A`, a column of `B`) meets only `k <= x + d` (`upto`) or
+    /// only `k >= x + d`, so a micro-panel runs over that k-range alone.
+    K {
+        on_a: bool,
+        upto: bool,
+        d: isize,
+    },
+}
+
+/// The k-range `[k0, k1)` of `0..kcb` that panel entries `x0..x0 + w` of a
+/// triangular operand meet (see [`Mask::K`]).
+fn k_range(upto: bool, d: isize, x0: usize, w: usize, kcb: usize) -> (usize, usize) {
+    let clamp = |k: isize| k.clamp(0, kcb as isize) as usize;
+    if upto {
+        (0, clamp((x0 + w) as isize + d))
+    } else {
+        (clamp(x0 as isize + d), kcb)
+    }
+}
+
+/// Make packed `w`-wide micro-panels of `len` entries hold a triangle: zero
+/// what lies past the diagonal inside each panel's k-range (whatever the
+/// other triangle's storage held is never multiplied) and, for `unit`, put
+/// ones on the diagonal. `upto`/`d` as in [`Mask::K`].
+pub(crate) fn mask_packed<S: Scalar>(
+    buf: &mut [S],
+    w: usize,
+    len: usize,
+    kcb: usize,
+    upto: bool,
+    d: isize,
+    unit: bool,
+) {
+    for x in 0..len {
+        let (x0, r) = (x / w * w, x % w);
+        let panel = &mut buf[x0 * kcb..][..w * kcb];
+        let diag = x as isize + d;
+        let (k0, k1) = k_range(upto, d, x0, w, kcb);
+        let past =
+            if upto { (diag + 1).max(0) as usize..k1 } else { k0..k1.min(diag.max(0) as usize) };
+        for k in past {
+            panel[k * w + r] = S::ZERO;
+        }
+        if unit && (k0 as isize..k1 as isize).contains(&diag) {
+            panel[diag as usize * w + r] = S::ONE;
+        }
+    }
+}
+
+/// Sequential packed GEMM over one block of `C`, or over the triangle of
+/// it a [`Mask::C`] names. Dimension compatibility is the caller's
+/// responsibility (checked in `gemm`).
+#[allow(clippy::too_many_arguments)] // BLAS gemm signature + the mask
 pub(crate) fn gemm_packed<S: Scalar>(
     op_a: Op,
     op_b: Op,
@@ -123,7 +183,8 @@ pub(crate) fn gemm_packed<S: Scalar>(
     a: MatRef<'_, S>,
     b: MatRef<'_, S>,
     beta: S,
-    mut c: MatMut<'_, S>,
+    c: MatMut<'_, S>,
+    mask: Mask,
 ) {
     let m = c.nrows();
     let n = c.ncols();
@@ -134,20 +195,15 @@ pub(crate) fn gemm_packed<S: Scalar>(
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 || alpha == S::ZERO {
-        scale_block(&mut c, beta);
-        return;
-    }
-
     let p = gemm_params();
     let (mr, nr) = tile_shape::<S>();
-    let kc = p.kc.min(k);
+    let kc = p.kc.min(k).max(1);
     let mc = p.mc.min(m);
     let nc = p.nc.min(n);
 
     let mut apack = vec![S::ZERO; mc.next_multiple_of(mr) * kc];
     let mut bpack = vec![S::ZERO; nc.next_multiple_of(nr) * kc];
-    gemm_packed_with(op_a, op_b, alpha, a, b, beta, c, &mut apack, &mut bpack);
+    gemm_packed_with(op_a, op_b, alpha, a, b, beta, c, &mut apack, &mut bpack, mask);
 }
 
 /// The five-loop body of [`gemm_packed`] over caller-owned pack buffers
@@ -165,6 +221,7 @@ pub(crate) fn gemm_packed_with<S: Scalar>(
     mut c: MatMut<'_, S>,
     apack: &mut [S],
     bpack: &mut [S],
+    mask: Mask,
 ) {
     let m = c.nrows();
     let n = c.ncols();
@@ -199,7 +256,11 @@ pub(crate) fn gemm_packed_with<S: Scalar>(
                 let mcb = mc.min(m - ic);
                 pack_a(op_a, a, ic, pc, mcb, kcb, mr, apack);
                 let cblk = c.rb().submatrix(ic, jc, mcb, ncb);
-                macro_kernel(kern, alpha, apack, bpack, beta_eff, cblk, kcb, mr, nr);
+                let mask = match mask {
+                    Mask::C(uplo, d) => Mask::C(uplo, d + ic as isize - jc as isize),
+                    m => m,
+                };
+                macro_kernel(kern, alpha, apack, bpack, beta_eff, cblk, kcb, mr, nr, mask);
             }
         }
     }
@@ -279,7 +340,7 @@ fn ic_grid<S: Scalar>(
     if rows <= mc {
         let mut apack = vec![S::ZERO; rows.next_multiple_of(mr) * kcb];
         pack_a(op_a, a, row0, pc, rows, kcb, mr, &mut apack);
-        macro_kernel(kern, alpha, &apack, bpack, beta, c, kcb, mr, nr);
+        macro_kernel(kern, alpha, &apack, bpack, beta, c, kcb, mr, nr, Mask::Full);
         return;
     }
     let half = (rows.div_ceil(mc) / 2) * mc;
@@ -320,42 +381,7 @@ pub(crate) fn pack_a<S: Scalar>(
     mr: usize,
     buf: &mut [S],
 ) {
-    let panels = mcb.div_ceil(mr);
-    for ip in 0..panels {
-        let r0 = ip * mr;
-        let rows = mr.min(mcb - r0);
-        let dst = &mut buf[ip * mr * kcb..][..mr * kcb];
-        match op {
-            Op::NoTrans => {
-                // rows of op(A) are rows of A: each k-step is a contiguous
-                // chunk of one A column
-                for (pl, d) in dst.chunks_exact_mut(mr).take(kcb).enumerate() {
-                    let col = &a.col(p0 + pl)[i0 + r0..i0 + r0 + rows];
-                    d[..rows].copy_from_slice(col);
-                    d[rows..].fill(S::ZERO);
-                }
-            }
-            Op::Trans | Op::ConjTrans => {
-                // row i of op(A) is column i of A: stream each column once
-                let conj = op == Op::ConjTrans;
-                if rows < mr {
-                    dst.fill(S::ZERO);
-                }
-                for r in 0..rows {
-                    let col = &a.col(i0 + r0 + r)[p0..p0 + kcb];
-                    if conj {
-                        for (pl, &v) in col.iter().enumerate() {
-                            dst[pl * mr + r] = v.conj();
-                        }
-                    } else {
-                        for (pl, &v) in col.iter().enumerate() {
-                            dst[pl * mr + r] = v;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    pack_panels(a, op != Op::NoTrans, op == Op::ConjTrans, i0, p0, mcb, kcb, mr, buf);
 }
 
 /// Pack `op(B)[p0..p0+kcb, j0..j0+ncb]` into NR-column micro-panels:
@@ -371,48 +397,76 @@ pub(crate) fn pack_b<S: Scalar>(
     nr: usize,
     buf: &mut [S],
 ) {
-    let panels = ncb.div_ceil(nr);
-    match op {
-        Op::NoTrans => {
-            for jp in 0..panels {
-                let c0 = jp * nr;
-                let cols = nr.min(ncb - c0);
-                let dst = &mut buf[jp * nr * kcb..][..nr * kcb];
-                if cols < nr {
-                    dst.fill(S::ZERO);
-                }
-                for cj in 0..cols {
-                    let col = &b.col(j0 + c0 + cj)[p0..p0 + kcb];
-                    for (pl, &v) in col.iter().enumerate() {
-                        dst[pl * nr + cj] = v;
+    pack_panels(b, op == Op::NoTrans, op == Op::ConjTrans, j0, p0, ncb, kcb, nr, buf);
+}
+
+/// The one packing loop behind both operands: `len` entries from `x0` on,
+/// `w` per micro-panel, against `kcb` k-steps from `p0` on, as
+/// `buf[(x / w) * w * kcb + p * w + x % w]`. An entry is a row of `src`
+/// and a k-step a column of it, or — `entry_is_col` — the other way round
+/// (a transposed `A`, an untransposed `B`).
+#[allow(clippy::too_many_arguments)] // internal blocked-gemm plumbing
+fn pack_panels<S: Scalar>(
+    src: MatRef<'_, S>,
+    entry_is_col: bool,
+    conj: bool,
+    x0: usize,
+    p0: usize,
+    len: usize,
+    kcb: usize,
+    w: usize,
+    buf: &mut [S],
+) {
+    let conj = conj && S::IS_COMPLEX;
+    for (ip, dst) in buf.chunks_exact_mut(w * kcb).take(len.div_ceil(w)).enumerate() {
+        let r0 = ip * w;
+        let live = w.min(len - r0);
+        if !entry_is_col {
+            // each k-step is a contiguous chunk of one column of src
+            for (pl, d) in dst.chunks_exact_mut(w).enumerate() {
+                let col = &src.col(p0 + pl)[x0 + r0..x0 + r0 + live];
+                if conj {
+                    for (x, &v) in d.iter_mut().zip(col) {
+                        *x = v.conj();
                     }
+                } else {
+                    d[..live].copy_from_slice(col);
                 }
+                d[live..].fill(S::ZERO);
             }
+            continue;
         }
-        Op::Trans | Op::ConjTrans => {
-            let conj = op == Op::ConjTrans;
-            // zero the ragged tail panel once, then scatter real data
-            let tail = ncb % nr;
-            if tail != 0 {
-                let dst = &mut buf[(panels - 1) * nr * kcb..][..nr * kcb];
-                for pl in 0..kcb {
-                    dst[pl * nr + tail..(pl + 1) * nr].fill(S::ZERO);
-                }
+        // entry r is column x0 + r0 + r of src: stream the columns, four
+        // at a time so the stores of one k-step share a cache line
+        if live < w {
+            dst.fill(S::ZERO);
+        }
+        let col = |r: usize| &src.col(x0 + r0 + r)[p0..p0 + kcb];
+        let put = |v: S| if conj { v.conj() } else { v };
+        let mut r = 0;
+        while r + 4 <= live {
+            let (c0, c1, c2, c3) = (col(r), col(r + 1), col(r + 2), col(r + 3));
+            for (pl, d) in dst.chunks_exact_mut(w).enumerate() {
+                d[r] = put(c0[pl]);
+                d[r + 1] = put(c1[pl]);
+                d[r + 2] = put(c2[pl]);
+                d[r + 3] = put(c3[pl]);
             }
-            // row p of op(B) is column p of B: stream each column once
-            for pl in 0..kcb {
-                let col = &b.col(p0 + pl)[j0..j0 + ncb];
-                for (cj, &v) in col.iter().enumerate() {
-                    let jp = cj / nr;
-                    let cc = cj % nr;
-                    buf[jp * nr * kcb + pl * nr + cc] = if conj { v.conj() } else { v };
-                }
+            r += 4;
+        }
+        for r in r..live {
+            for (d, &v) in dst.chunks_exact_mut(w).zip(col(r)) {
+                d[r] = put(v);
             }
         }
     }
 }
 
-/// Run the microkernel over every MR x NR tile of one packed block pair.
+/// Run the microkernel over every MR x NR tile of one packed block pair
+/// that `mask` leaves: tiles outside a [`Mask::C`] triangle are skipped,
+/// tiles straddling its diagonal go through the fringe temporary and merge
+/// their in-triangle rows only; under a [`Mask::K`] each micro-panel of the
+/// triangular operand runs over its own k-range.
 #[allow(clippy::too_many_arguments)] // internal blocked-gemm plumbing
 pub(crate) fn macro_kernel<S: Scalar>(
     kern: Kern,
@@ -424,6 +478,7 @@ pub(crate) fn macro_kernel<S: Scalar>(
     kcb: usize,
     mr: usize,
     nr: usize,
+    mask: Mask,
 ) {
     let mcb = c.nrows();
     let ncb = c.ncols();
@@ -431,22 +486,44 @@ pub(crate) fn macro_kernel<S: Scalar>(
     for jp in 0..ncb.div_ceil(nr) {
         let j0 = jp * nr;
         let cols = nr.min(ncb - j0);
-        let bpanel = &bpack[jp * nr * kcb..][..nr * kcb];
         for ip in 0..mcb.div_ceil(mr) {
             let i0 = ip * mr;
             let rows = mr.min(mcb - i0);
-            let apanel = &apack[ip * mr * kcb..][..mr * kcb];
-            if rows == mr && cols == nr {
+            // rows of the tile column j a C-mask keeps, relative to i0
+            let kept = |j: usize| match mask {
+                Mask::C(uplo, d) => {
+                    let diag = ((j0 + j) as isize - d - i0 as isize).clamp(-1, rows as isize);
+                    match uplo {
+                        Uplo::Lower => diag.max(0) as usize..rows,
+                        Uplo::Upper => 0..(diag + 1).min(rows as isize) as usize,
+                    }
+                }
+                _ => 0..rows,
+            };
+            let (first, last) = (kept(0), kept(cols - 1));
+            if first.is_empty() && last.is_empty() {
+                continue;
+            }
+            let whole = first.len() == rows && last.len() == rows;
+            let (k0, k1) = match mask {
+                Mask::K { on_a: true, upto, d } => k_range(upto, d, i0, mr, kcb),
+                Mask::K { on_a: false, upto, d } => k_range(upto, d, j0, nr, kcb),
+                _ => (0, kcb),
+            };
+            let apanel = &apack[ip * mr * kcb..][k0 * mr..k1 * mr];
+            let bpanel = &bpack[jp * nr * kcb..][k0 * nr..k1 * nr];
+            if rows == mr && cols == nr && whole {
                 let tile = c.rb().submatrix(i0, j0, mr, nr);
-                micro_dispatch(kern, kcb, apanel, bpanel, alpha, beta, tile, mr, nr);
+                micro_dispatch(kern, k1 - k0, apanel, bpanel, alpha, beta, tile, mr, nr);
             } else {
                 // fringe: full-width kernel into a stack tile, then merge
                 // the valid region
                 let t = MatMut::from_slice(&mut tmp[..mr * nr], mr, nr, mr);
-                micro_dispatch(kern, kcb, apanel, bpanel, alpha, S::ZERO, t, mr, nr);
+                micro_dispatch(kern, k1 - k0, apanel, bpanel, alpha, S::ZERO, t, mr, nr);
                 for j in 0..cols {
-                    let cj = &mut c.col_mut(j0 + j)[i0..i0 + rows];
-                    let tj = &tmp[j * mr..j * mr + rows];
+                    let keep = kept(j);
+                    let cj = &mut c.col_mut(j0 + j)[i0..i0 + rows][keep.clone()];
+                    let tj = &tmp[j * mr..j * mr + rows][keep];
                     if beta == S::ZERO {
                         cj.copy_from_slice(tj);
                     } else if beta == S::ONE {
@@ -862,7 +939,7 @@ mod tests {
         let mut c1 = rand_mat(m, n, 3);
         let mut c2 = c1.clone();
         gemm_ref(op_a, op_b, 1.5, a.as_ref(), b.as_ref(), -0.5, c1.as_mut());
-        gemm_packed(op_a, op_b, 1.5, a.as_ref(), b.as_ref(), -0.5, c2.as_mut());
+        gemm_packed(op_a, op_b, 1.5, a.as_ref(), b.as_ref(), -0.5, c2.as_mut(), Mask::Full);
         for j in 0..n {
             for i in 0..m {
                 assert!(
@@ -917,6 +994,7 @@ mod tests {
             b.as_ref(),
             Complex64::ZERO,
             c2.as_mut(),
+            Mask::Full,
         );
         for j in 0..5 {
             for i in 0..6 {
@@ -946,7 +1024,16 @@ mod tests {
                 let mut c1 = Matrix::from_fn(21, 14, |_, _| Complex64::new(next(), next()));
                 let mut c2 = c1.clone();
                 gemm_ref(op_a, op_b, alpha, a.as_ref(), b.as_ref(), beta, c1.as_mut());
-                gemm_packed(op_a, op_b, alpha, a.as_ref(), b.as_ref(), beta, c2.as_mut());
+                gemm_packed(
+                    op_a,
+                    op_b,
+                    alpha,
+                    a.as_ref(),
+                    b.as_ref(),
+                    beta,
+                    c2.as_mut(),
+                    Mask::Full,
+                );
                 for j in 0..14 {
                     for i in 0..21 {
                         assert!(
@@ -969,7 +1056,16 @@ mod tests {
         let b = rand_mat(p.kc + 5, 96, 52);
         let mut c1 = rand_mat(m, 96, 53);
         let mut c2 = c1.clone();
-        gemm_packed(Op::NoTrans, Op::NoTrans, 1.5, a.as_ref(), b.as_ref(), -0.5, c1.as_mut());
+        gemm_packed(
+            Op::NoTrans,
+            Op::NoTrans,
+            1.5,
+            a.as_ref(),
+            b.as_ref(),
+            -0.5,
+            c1.as_mut(),
+            Mask::Full,
+        );
         gemm_packed_par(Op::NoTrans, Op::NoTrans, 1.5, a.as_ref(), b.as_ref(), -0.5, c2.as_mut());
         for j in 0..96 {
             for i in 0..m {

@@ -1,18 +1,14 @@
 //! Hermitian rank-k update and symmetrization helpers.
 
-use crate::gemm::gemm;
-use crate::params::fork_join;
+use crate::packed::{gemm_packed, Mask};
+use crate::params::fork_lanes;
 use polar_matrix::{MatMut, MatRef, Op, Uplo};
 use polar_scalar::{Real, Scalar};
 
-/// Diagonal blocks at or below this order fall back to the direct
-/// per-column kernel.
-const HERK_BASE: usize = 64;
-
-/// So do blocks of at most this many multiply-adds (`n^2 k / 2`): with a
-/// shallow `k` the off-diagonal gemm cannot amortize its packing. Both
-/// decide which kernel sums an entry, so no fork setting moves them.
-const HERK_MIN_WORK: usize = 1 << 16;
+/// Narrowest column slab of the triangle a forked [`herk`] hands to one
+/// leaf: every leaf packs its own rows of `op(A)`, so the useful
+/// multiply-adds per redundantly packed element equal the slab width.
+const HERK_MIN_SLAB: usize = 64;
 
 /// Hermitian rank-k update on the `uplo` triangle of `C`:
 ///
@@ -23,9 +19,12 @@ const HERK_MIN_WORK: usize = 1 << 16;
 /// of `C` is referenced or written, so the update costs half of the
 /// equivalent gemm.
 ///
-/// Implementation: recursive triangle split. The two diagonal blocks
-/// recurse (in parallel where the caller has lanes to fork to); the
-/// off-diagonal block is a plain gemm and runs through the packed kernel.
+/// Implementation: one pass of the packed kernel under a triangle mask
+/// (`packed::Mask::C`): micro-tiles outside the triangle are skipped, the
+/// ones on the diagonal merge their in-triangle rows. A caller with lanes
+/// to fork to ([`fork_lanes`]) gets the triangle cut into column slabs of
+/// equal area, one masked pass each; an entry is summed by the same
+/// microkernel in the same k-order wherever the cuts fall.
 /// QDWH uses this to form `Z = I + c * A^H A` for the Cholesky-based
 /// iteration (Eq. (2); Algorithm 1 line 40 prints `-c`, but `Z` must be
 /// `I + c A^H A` to be positive definite — we follow Eq. (2)).
@@ -34,8 +33,8 @@ pub fn herk<S: Scalar>(
     op: Op,
     alpha: S::Real,
     a: MatRef<'_, S>,
-    beta: S::Real,
-    c: MatMut<'_, S>,
+    mut beta: S::Real,
+    mut c: MatMut<'_, S>,
 ) {
     assert!(op != Op::Trans || !S::IS_COMPLEX, "herk takes NoTrans or ConjTrans");
     let n = c.nrows();
@@ -56,7 +55,32 @@ pub fn herk<S: Scalar>(
         crate::flops::type_factor(S::IS_COMPLEX) * crate::flops::herk(n, k),
         [n, n, k],
     );
-    herk_rec(uplo, op, alpha, a, beta, c, k);
+    let idle = k == 0 || alpha == S::Real::ZERO;
+    // a general beta is applied up front: a full micro-tile fuses
+    // `beta * c` into its writeback and a fringe one does not, and which of
+    // the two an entry lands in moves with the slab cuts
+    if beta != S::Real::ONE && (beta != S::Real::ZERO || idle) {
+        for j in 0..n {
+            let cj = c.col_mut(j);
+            for x in if uplo == Uplo::Lower { &mut cj[j..] } else { &mut cj[..=j] } {
+                *x = if beta == S::Real::ZERO { S::ZERO } else { x.mul_real(beta) };
+            }
+        }
+        beta = S::Real::ONE;
+    }
+    if idle {
+        return;
+    }
+    let lanes = fork_lanes(n.saturating_mul(n).saturating_mul(k) / 2);
+    let parts = if lanes > 1 { 4 * lanes } else { 1 };
+    herk_slabs(uplo, op, S::from_real(alpha), a, S::from_real(beta), c.rb(), 0, parts);
+    if S::IS_COMPLEX {
+        // an exactly real diagonal, as BLAS herk leaves it
+        for j in 0..n {
+            let d = c.at(j, j);
+            c.set(j, j, S::from_real(d.re()));
+        }
+    }
 }
 
 /// [`herk`] on the `uplo` triangle, then mirror so all of `C` holds the
@@ -73,133 +97,56 @@ pub fn herk_mirrored<S: Scalar>(
     mirror_triangle(uplo, c);
 }
 
-/// Recursive triangle split (see [`herk`]).
-#[allow(clippy::too_many_arguments)] // BLAS herk signature + inner dim
-fn herk_rec<S: Scalar>(
+/// The triangle's columns `j0..j0 + c.ncols()` in `parts` slabs. `c` is the
+/// block of `C` those columns' stored entries span: rows `j0..n` (lower) or
+/// `0..j0 + c.ncols()` (upper).
+#[allow(clippy::too_many_arguments)] // BLAS herk signature + the slab
+fn herk_slabs<S: Scalar>(
     uplo: Uplo,
     op: Op,
-    alpha: S::Real,
+    alpha: S,
     a: MatRef<'_, S>,
-    beta: S::Real,
+    beta: S,
     c: MatMut<'_, S>,
-    k: usize,
+    j0: usize,
+    parts: usize,
 ) {
-    let n = c.nrows();
-    let work = n.saturating_mul(n).saturating_mul(k.max(1)) / 2;
-    if n <= HERK_BASE || work <= HERK_MIN_WORK {
-        herk_seq(uplo, op, alpha, a, beta, c, k);
-        return;
-    }
-    let h = n / 2;
-    // A split along the output dimension: rows for NoTrans, cols otherwise
-    let (a1, a2) = match op {
-        Op::NoTrans => a.split_at_row(h),
-        _ => a.split_at_col(h),
-    };
-    let (ctop, cbot) = c.split_at_row(h);
-    let (c11, c12) = ctop.split_at_col(h);
-    let (c21, c22) = cbot.split_at_col(h);
-    let galpha = S::from_real(alpha);
-    let gbeta = S::from_real(beta);
-    // off-diagonal block: a full (packed) gemm, half the remaining work
-    let off = move || match (uplo, op) {
-        // C21 = alpha * A2 * A1^H + beta * C21
-        (Uplo::Lower, Op::NoTrans) => gemm(Op::NoTrans, Op::ConjTrans, galpha, a2, a1, gbeta, c21),
-        // C21 = alpha * op(A)_2 * A1 + beta * C21  (op is (Conj)Trans)
-        (Uplo::Lower, _) => gemm(op, Op::NoTrans, galpha, a2, a1, gbeta, c21),
-        // C12 = alpha * A1 * A2^H + beta * C12
-        (Uplo::Upper, Op::NoTrans) => gemm(Op::NoTrans, Op::ConjTrans, galpha, a1, a2, gbeta, c12),
-        // C12 = alpha * op(A)_1 * A2 + beta * C12
-        (Uplo::Upper, _) => gemm(op, Op::NoTrans, galpha, a1, a2, gbeta, c12),
-    };
-    // the gemm is half the work, each diagonal block a quarter
-    fork_join(
-        work,
-        || {
-            fork_join(
-                work / 2,
-                || herk_rec(uplo, op, alpha, a1, beta, c11, k),
-                || herk_rec(uplo, op, alpha, a2, beta, c22, k),
-            )
-        },
-        off,
-    );
-}
-
-/// Direct per-column kernel on the stored triangle of a diagonal block.
-fn herk_seq<S: Scalar>(
-    uplo: Uplo,
-    op: Op,
-    alpha: S::Real,
-    a: MatRef<'_, S>,
-    beta: S::Real,
-    mut c: MatMut<'_, S>,
-    k: usize,
-) {
-    let n_total = c.nrows();
-    for j in 0..c.ncols() {
-        // triangle row range for this column
-        let (lo, hi) = match uplo {
-            Uplo::Upper => (0usize, j + 1),
-            Uplo::Lower => (j, n_total),
-        };
-        // beta pass
-        {
-            let cj = c.col_mut(j);
-            if beta == S::Real::ZERO {
-                for x in &mut cj[lo..hi] {
-                    *x = S::ZERO;
-                }
-            } else if beta != S::Real::ONE {
-                for x in &mut cj[lo..hi] {
-                    *x = x.mul_real(beta);
-                }
-            }
-        }
-        if alpha == S::Real::ZERO || k == 0 {
-            continue;
-        }
-        match op {
-            Op::ConjTrans | Op::Trans => {
-                // C[i,j] += alpha * a_i^H a_j (columns of A are contiguous)
-                let aj = a.col(j);
-                for i in lo..hi {
-                    let ai = a.col(i);
-                    let mut acc = S::ZERO;
-                    if S::IS_COMPLEX {
-                        for (x, y) in ai.iter().zip(aj) {
-                            acc += x.conj() * *y;
-                        }
-                    } else {
-                        for (x, y) in ai.iter().zip(aj) {
-                            acc += *x * *y;
-                        }
-                    }
-                    let cur = c.at(i, j);
-                    c.set(i, j, cur + acc.mul_real(alpha));
-                }
-            }
+    let (rows, w) = (c.nrows(), c.ncols());
+    let r0 = if uplo == Uplo::Lower { j0 } else { 0 };
+    if parts < 2 || w < 2 * HERK_MIN_SLAB {
+        // op(A)'s rows r0.. against its rows j0..: both operands of one
+        // masked gemm
+        let (ar, ac, op_c) = match op {
             Op::NoTrans => {
-                // C[i,j] += alpha * sum_l A[i,l] conj(A[j,l]): axpy over i
-                for l in 0..k {
-                    let factor = a.at(j, l).conj().mul_real(alpha);
-                    if factor == S::ZERO {
-                        continue;
-                    }
-                    let al = a.col(l);
-                    let cj = c.col_mut(j);
-                    for i in lo..hi {
-                        cj[i] += factor * al[i];
-                    }
-                }
+                let k = a.ncols();
+                (a.submatrix(r0, 0, rows, k), a.submatrix(j0, 0, w, k), Op::ConjTrans)
             }
-        }
-        // enforce an exactly-real diagonal as BLAS herk does
-        if S::IS_COMPLEX && j >= lo && j < hi {
-            let d = c.at(j, j);
-            c.set(j, j, S::from_real(d.re()));
-        }
+            _ => {
+                let k = a.nrows();
+                (a.submatrix(0, r0, k, rows), a.submatrix(0, j0, k, w), Op::NoTrans)
+            }
+        };
+        let mask = Mask::C(uplo, r0 as isize - j0 as isize);
+        return gemm_packed(op, op_c, alpha, ar, ac, beta, c, mask);
     }
+    // cut where both sides hold half of the stored entries
+    let stored = |j: usize| if uplo == Uplo::Lower { rows - j } else { j0 + j + 1 };
+    let total: usize = (0..w).map(stored).sum();
+    let mut left = 0;
+    let half = (0..w).find(|&j| {
+        left += stored(j);
+        2 * left >= total
+    });
+    let h = half.map_or(w / 2, |j| j + 1).clamp(HERK_MIN_SLAB, w - HERK_MIN_SLAB);
+    let (cl, cr) = c.split_at_col(h);
+    let (cl, cr) = match uplo {
+        Uplo::Lower => (cl, cr.split_at_row(h).1),
+        Uplo::Upper => (cl.split_at_row(j0 + h).0, cr),
+    };
+    rayon::join(
+        || herk_slabs(uplo, op, alpha, a, beta, cl, j0, parts / 2),
+        || herk_slabs(uplo, op, alpha, a, beta, cr, j0 + h, parts - parts / 2),
+    );
 }
 
 /// Fill the opposite triangle so the `uplo` triangle's content defines a
@@ -306,8 +253,8 @@ mod tests {
     }
 
     #[test]
-    fn herk_recursive_split_sizes() {
-        // orders above HERK_BASE exercise the triangle-split path on both
+    fn herk_above_one_row_block() {
+        // orders above MC span two row blocks of the masked pass, on both
         // triangles and both ops, including odd sizes
         herk_vs_gemm(Uplo::Lower, Op::Trans, 129, 40);
         herk_vs_gemm(Uplo::Upper, Op::Trans, 129, 40);

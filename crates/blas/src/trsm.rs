@@ -1,8 +1,9 @@
 //! Triangular solve and triangular multiply.
 
 use crate::gemm::gemm;
-use crate::params::fork_lanes;
-use polar_matrix::{Diag, MatMut, MatRef, Matrix, Op, Side, Uplo};
+use crate::packed::{macro_kernel, mask_packed, pack_a, pack_b, select_kernel, tile_shape, Mask};
+use crate::params::{fork_lanes, gemm_params};
+use polar_matrix::{Diag, MatMut, MatRef, Op, Side, Uplo};
 use polar_scalar::Scalar;
 
 /// Triangle order at or below which the per-column substitution kernel
@@ -296,7 +297,7 @@ fn trsm_right_seq<S: Scalar>(
     mut b: MatMut<'_, S>,
 ) {
     let n = b.ncols();
-    let eff = effective_uplo(uplo, op);
+    let upper = effective_uplo(uplo, op) == Uplo::Upper;
     if alpha != S::ONE {
         for j in 0..n {
             for x in b.col_mut(j) {
@@ -307,29 +308,27 @@ fn trsm_right_seq<S: Scalar>(
     // X * T = B with T = op(A):
     //   T upper: ascending j — X[:,j] = (B[:,j] - sum_{l<j} X[:,l] T[l,j]) / T[j,j]
     //   T lower: descending j — X[:,j] = (B[:,j] - sum_{l>j} X[:,l] T[l,j]) / T[j,j]
-    let cols: Box<dyn Iterator<Item = usize>> = match eff {
-        Uplo::Upper => Box::new(0..n),
-        Uplo::Lower => Box::new((0..n).rev()),
-    };
-    for j in cols {
-        let range: Box<dyn Iterator<Item = usize>> = match eff {
-            Uplo::Upper => Box::new(0..j),
-            Uplo::Lower => Box::new(j + 1..n),
+    for step in 0..n {
+        let j = if upper { step } else { n - 1 - step };
+        // column j against the solved columns on its other side
+        let (mut lo, mut hi) = b.rb().split_at_col(if upper { j } else { j + 1 });
+        let (solved, bj, l0) = if upper {
+            (lo.as_ref(), hi.col_mut(0), 0)
+        } else {
+            (hi.as_ref(), lo.col_mut(j), j + 1)
         };
-        for l in range {
-            let t = tri_at(a, op, l, j);
+        for l in 0..solved.ncols() {
+            let t = tri_at(a, op, l0 + l, j);
             if t == S::ZERO {
                 continue;
             }
-            // B[:,j] -= X[:,l] * t
-            for i in 0..b.nrows() {
-                let v = b.at(i, j) - b.at(i, l) * t;
-                b.set(i, j, v);
+            for (x, &xl) in bj.iter_mut().zip(solved.col(l)) {
+                *x -= xl * t;
             }
         }
         if diag == Diag::NonUnit {
             let d = tri_at(a, op, j, j).recip();
-            for x in b.col_mut(j) {
+            for x in bj {
                 *x *= d;
             }
         }
@@ -337,12 +336,18 @@ fn trsm_right_seq<S: Scalar>(
 }
 
 /// Triangular matrix multiply, BLAS `trmm`: `B := alpha * op(A) * B`
-/// (`side = Left`) or `B := alpha * B * op(A)` (`side = Right`).
+/// (`side = Left`) or `B := alpha * B * op(A)` (`side = Right`), in place.
 ///
-/// Correctness-oriented implementation: materializes the triangle of
-/// `op(A)` into a dense temporary and delegates to [`gemm`]. Used only on
-/// verification paths (factorization residuals, condition estimation
-/// tests), never in the QDWH hot loop.
+/// One pass of the packed kernel on the calling lane (its callers are the
+/// `T`-factor products of the QR panels and the inverted-diagonal sweeps
+/// of the fused Cholesky iteration, tile-task bodies all): the triangle is
+/// packed with its other half zeroed and each micro-panel runs over the
+/// k-range it stores (`packed::Mask::K`), so half of the dense product's
+/// flops are never issued and the unreferenced triangle is never
+/// multiplied. In place: k-blocks go in the order in which the block of
+/// `B` a k-block reads is overwritten only after it was packed — the
+/// diagonal block first, then away from it — and nothing is allocated
+/// beyond the two pack buffers any packed call has.
 pub fn trmm<S: Scalar>(
     side: Side,
     uplo: Uplo,
@@ -352,36 +357,97 @@ pub fn trmm<S: Scalar>(
     a: MatRef<'_, S>,
     mut b: MatMut<'_, S>,
 ) {
-    assert_eq!(a.nrows(), a.ncols(), "trmm: A must be square");
-    // Triangular multiply costs half the dense gemm it runs through below;
-    // attribute the analytic (triangular) flops to the Trsm class and let
-    // suppression hide the inner gemm.
-    let flops = solve_flops(side, &b);
+    let (m, n) = (b.nrows(), b.ncols());
+    let nt = if side == Side::Left { m } else { n };
+    assert_eq!((a.nrows(), a.ncols()), (nt, nt), "trmm: dim mismatch");
     let _obs = polar_obs::kernel_span(
         polar_obs::KernelClass::Trsm,
         "trmm",
-        flops,
-        [b.nrows(), b.ncols(), a.nrows()],
+        solve_flops(side, &b),
+        [m, n, nt],
     );
-    let n = a.nrows();
-    let mut t = Matrix::<S>::zeros(n, n);
-    for j in 0..n {
-        for i in 0..n {
-            let in_tri = match uplo {
-                Uplo::Upper => i <= j,
-                Uplo::Lower => i >= j,
-            };
-            if i == j {
-                t[(i, j)] = if diag == Diag::Unit { S::ONE } else { a.at(i, j) };
-            } else if in_tri {
-                t[(i, j)] = a.at(i, j);
+    if m == 0 || n == 0 {
+        return;
+    }
+    if alpha == S::ZERO {
+        return b.fill(S::ZERO);
+    }
+    let p = gemm_params();
+    let (mr, nr) = tile_shape::<S>();
+    let kern = select_kernel::<S>(mr, nr);
+    let (kc, mc) = (p.kc.min(nt), p.mc.min(m));
+    // a right multiply overwrites B by kc-wide column blocks, the grid its
+    // k-blocks are read on
+    let nc = if side == Side::Left { p.nc.min(n) } else { kc };
+    let mut apack = vec![S::ZERO; mc.next_multiple_of(mr) * kc];
+    let mut bpack = vec![S::ZERO; nc.next_multiple_of(nr) * kc];
+    let lower = effective_uplo(uplo, op) == Uplo::Lower;
+    let unit = diag == Diag::Unit;
+    // k-blocks 0, kc, .. of op(A), in the order that walks away from the
+    // block `first`: lower reads rows >= its own from the left (and
+    // columns <= from the right), so a left-lower product starts at the
+    // last block and a right-lower one at the first
+    let blocks = |first: usize, ascending: bool| {
+        let count = if ascending { (nt - first).div_ceil(kc) } else { first / kc + 1 };
+        (0..count).map(move |s| if ascending { first + s * kc } else { first - s * kc })
+    };
+    let last = (nt - 1) / kc * kc;
+    match side {
+        Side::Left => {
+            for jc in (0..n).step_by(nc) {
+                let ncb = nc.min(n - jc);
+                for pc in blocks(if lower { last } else { 0 }, !lower) {
+                    let kcb = kc.min(m - pc);
+                    pack_b(Op::NoTrans, b.as_ref(), pc, jc, kcb, ncb, nr, &mut bpack);
+                    // rows of B this k-block reaches: its own (first write,
+                    // the triangular part) and the ones past it (accumulate)
+                    let (mut ic, end) = if lower { (pc, m) } else { (0, pc + kcb) };
+                    while ic < end {
+                        let own = (pc..pc + kcb).contains(&ic);
+                        let stop = if ic < pc {
+                            pc
+                        } else if own {
+                            pc + kcb
+                        } else {
+                            end
+                        };
+                        let mcb = mc.min(stop - ic);
+                        pack_a(op, a, ic, pc, mcb, kcb, mr, &mut apack);
+                        let d = ic as isize - pc as isize;
+                        let (beta, mask) = if own {
+                            mask_packed(&mut apack, mr, mcb, kcb, lower, d, unit);
+                            (S::ZERO, Mask::K { on_a: true, upto: lower, d })
+                        } else {
+                            (S::ONE, Mask::Full)
+                        };
+                        let cblk = b.rb().submatrix(ic, jc, mcb, ncb);
+                        macro_kernel(kern, alpha, &apack, &bpack, beta, cblk, kcb, mr, nr, mask);
+                        ic += mcb;
+                    }
+                }
             }
         }
-    }
-    let bc = b.as_ref().to_owned();
-    match side {
-        Side::Left => gemm(op, Op::NoTrans, alpha, t.as_ref(), bc.as_ref(), S::ZERO, b.rb()),
-        Side::Right => gemm(Op::NoTrans, op, alpha, bc.as_ref(), t.as_ref(), S::ZERO, b.rb()),
+        Side::Right => {
+            for jc in blocks(if lower { 0 } else { last }, lower) {
+                let ncb = kc.min(n - jc);
+                for pc in blocks(jc, lower) {
+                    let kcb = kc.min(n - pc);
+                    pack_b(op, a, pc, jc, kcb, ncb, nr, &mut bpack);
+                    let (beta, mask) = if pc == jc {
+                        mask_packed(&mut bpack, nr, ncb, kcb, !lower, 0, unit);
+                        (S::ZERO, Mask::K { on_a: false, upto: !lower, d: 0 })
+                    } else {
+                        (S::ONE, Mask::Full)
+                    };
+                    for ic in (0..m).step_by(mc) {
+                        let mcb = mc.min(m - ic);
+                        pack_a(Op::NoTrans, b.as_ref(), ic, pc, mcb, kcb, mr, &mut apack);
+                        let cblk = b.rb().submatrix(ic, jc, mcb, ncb);
+                        macro_kernel(kern, alpha, &apack, &bpack, beta, cblk, kcb, mr, nr, mask);
+                    }
+                }
+            }
+        }
     }
 }
 

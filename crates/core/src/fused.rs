@@ -14,17 +14,22 @@
 //!   ([`crate::solve_dag::emit_term`]) on `[sqrt(c) X; I]` whose product
 //!   tiles carry the `theta * Q1 Q2^H + beta * X` update;
 //! * Cholesky-based (Eq. (2)): the `Z = I + c X^H X` assembly as per-tile
-//!   tasks, `polar_lapack::emit_potrf`, the two tiled right triangular
-//!   solves and the `beta * X_prev + theta * (X Z^{-1})` update;
+//!   tasks, `polar_lapack::emit_potrf`, one `trtri_lower` per diagonal tile
+//!   of `L`, the two tiled sweeps applying `L^{-H}` then `L^{-1}` from the
+//!   right — per tile the coupling gemms and a `trmm` with the inverted
+//!   diagonal tile, a multiply where a solve would be (safe here and only
+//!   here: `kappa(Z) <= 1 + c`, see `polar_lapack`'s `tri.rs`) — and the
+//!   `beta * X_prev + theta * (X Z^{-1})` update;
 //! * a per-tile convergence partial `|X_k - X_{k-1}|_F^2` fused into each
 //!   update task, plus one fixed-order reduction task per iteration.
 //!
 //! into a single [`TaskDag`]. `X` is double-buffered by iteration parity;
-//! the workspace (`W`/`T`/`Q`/`Q2`, `Z`/`V`) exists once and is reused by
-//! every iteration. Nothing in iteration `k+1` waits on the convergence
-//! reduction of iteration `k` — the reduction is a sink — so the
-//! executor's critical-path priorities and lookahead window let step-`k+1`
-//! panel kernels overlap step-`k` trailing updates across the whole solve.
+//! the workspace (`W`/`T`/`Q`/`Q2`; `Z` and the `nt` inverted diagonal
+//! tiles of its factor) exists once and is reused by every iteration.
+//! Nothing in iteration `k+1` waits on the convergence reduction of
+//! iteration `k` — the reduction is a sink — so the executor's
+//! critical-path priorities and lookahead window let step-`k+1` panel
+//! kernels overlap step-`k` trailing updates across the whole solve.
 //! Each iteration advances the DAG phase ([`TaskDag::next_phase`]), which
 //! is what the lookahead window is keyed on — and what the progress hook
 //! is told ([`crate::solve_dag::execute_hooked`]).
@@ -42,16 +47,16 @@
 //! tolerance after `ell` converged) continues on the flat kernels with no
 //! extra code.
 
-use crate::options::{poll_progress, IterationKind, IterationPath, QdwhOptions};
+use crate::options::{graph_tile_nb, poll_progress, IterationKind, IterationPath, QdwhOptions};
 use crate::params::{halley_parameters, update_ell};
 use crate::qdwh_impl::{QdwhError, QdwhInfo};
 use crate::solve_dag::{
     emit_term, execute_hooked, record_iterations, HalleyUpdate, NormSink, TermWorkspace,
 };
-use polar_blas::{gemm, herk, trsm};
-use polar_lapack::{auto_tile_nb, emit_potrf, LapackError, TilePtr};
+use polar_blas::{gemm, herk, trmm};
+use polar_lapack::{emit_potrf, trtri_lower, LapackError, TilePtr};
 use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
-use polar_runtime::{ExecOutcome, KernelKind, TaskDag};
+use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TaskStatus};
 use polar_scalar::{Real, Scalar};
 use std::sync::OnceLock;
 
@@ -117,7 +122,7 @@ pub(crate) fn qdwh_fused<S: Scalar>(
     // a job cancelled while it queued allocates nothing
     let (done, l0, conv0) = (info.iterations, ell.to_f64(), conv.to_f64());
     poll_progress(opts.progress.as_ref(), done + 1, conv0, l0)?;
-    let nb = opts.tile_nb.unwrap_or_else(|| auto_tile_nb(n)).max(8);
+    let nb = graph_tile_nb(opts.tile_nb, n);
 
     let _span = polar_obs::span!("qdwh_fused", m, n);
     let kernels_before = polar_obs::kernel_snapshot();
@@ -135,11 +140,13 @@ pub(crate) fn qdwh_fused<S: Scalar>(
         .iter()
         .any(|p| p.qr)
         .then(|| TermWorkspace::<S>::new(m, n, nb, opts.exploit_structure.then_some(m)));
-    // Cholesky workspace: Z, then its factor L.
-    let mut chol_ws = plan
-        .iter()
-        .any(|p| !p.qr)
-        .then(|| TiledMatrix::<S>::zeros(Tiling::new(n, n, nb, nb), ProcessGrid::single()));
+    // Cholesky workspace: Z, then its factor L, and one tile column for
+    // the inverses of L's diagonal tiles.
+    let mut chol_ws = plan.iter().any(|p| !p.qr).then(|| {
+        let tiles =
+            |cols| TiledMatrix::<S>::zeros(Tiling::new(n, cols, nb, nb), ProcessGrid::single());
+        (tiles(n), tiles(nb.min(n)))
+    });
     let failure = OnceLock::<LapackError>::new();
     let mut sink = NormSink::new(iters, xt);
 
@@ -147,7 +154,8 @@ pub(crate) fn qdwh_fused<S: Scalar>(
     sink.name_in(&mut dag);
     let xp = [TilePtr::new(&mut dag, &mut xb0), TilePtr::new(&mut dag, &mut xb1)];
     let term = qr_ws.as_mut().map(|ws| ws.in_dag(&mut dag));
-    let chol = chol_ws.as_mut().map(|z| TilePtr::new(&mut dag, z));
+    let chol =
+        chol_ws.as_mut().map(|(z, li)| (TilePtr::new(&mut dag, z), TilePtr::new(&mut dag, li)));
     let nbf = nb as f64;
 
     for (k, pl) in plan.iter().enumerate() {
@@ -174,7 +182,7 @@ pub(crate) fn qdwh_fused<S: Scalar>(
             // ---- Cholesky-based iteration ----
             let theta = pl.a - beta;
             let c_r = pl.c;
-            let z = chol.expect("plan has a Cholesky iteration");
+            let (z, linv) = chol.expect("plan has a Cholesky iteration");
 
             // Z = I + c X^H X, lower tiles only (herk on the diagonal).
             for zj in 0..nt {
@@ -237,14 +245,44 @@ pub(crate) fn qdwh_fused<S: Scalar>(
             // an error aborts every later iteration too.
             emit_potrf(&mut dag, z, &failure);
 
-            // X Z^{-1} by two sweeps of tiled right solves, in place in
+            // L_jj^{-1} per diagonal tile, which turns the diagonal solve
+            // of both sweeps below into a multiply. A pivot trtri rejects
+            // is a factor potrf should have refused: same failure.
+            let failure = &failure;
+            for tj in 0..nt {
+                dag.add_task(
+                    KernelKind::Trsm,
+                    3,
+                    nbf * nbf * nbf / 3.0,
+                    vec![z.at(tj, tj)],
+                    vec![linv.at(tj, 0)],
+                    move || {
+                        // SAFETY: L (tj, tj) is read, its inverse's tile
+                        // written.
+                        let (l, t) = unsafe { (z.tile_ref(tj, tj), linv.tile(tj, 0)) };
+                        let r = l.nrows();
+                        match trtri_lower(l.as_ref(), t.view_mut(0, 0, r, r)) {
+                            Ok(()) => TaskStatus::Continue,
+                            Err(e) => {
+                                let at = if let LapackError::SingularPivot(p) = e { p } else { 0 };
+                                let _ =
+                                    failure.set(LapackError::NotPositiveDefinite(tj * nb + at + 1));
+                                TaskStatus::Cancel
+                            }
+                        }
+                    },
+                );
+            }
+
+            // X Z^{-1} by two sweeps over the tile columns, in place in
             // X_out (whose buffer last held X_{k-1}: every reader of that
-            // is upstream of the L these solves wait for). Forward,
+            // is upstream of the L these sweeps wait for). Forward,
             // C L^H = X_in, tile columns ascending; then backward,
             // V L = C, descending — so each sweep's RAW edges bind to its
             // own solved tiles and the in-place WAW chains behind the
-            // forward solve of the same tile. Per tile: subtract the
-            // already-solved columns, then a small right trsm.
+            // forward pass over the same tile. Per tile: subtract the
+            // already-solved columns, then multiply by the inverted
+            // diagonal tile from the right.
             for forward in [true, false] {
                 let op = if forward { Op::ConjTrans } else { Op::NoTrans };
                 for step in 0..nt {
@@ -263,7 +301,7 @@ pub(crate) fn qdwh_fused<S: Scalar>(
                             reads.push(xout.at(ti, l));
                             reads.push(z.at(i, j));
                         }
-                        reads.push(z.at(tj, tj));
+                        reads.push(linv.at(tj, 0));
                         let solved = solved.clone();
                         dag.add(
                             KernelKind::Trsm,
@@ -273,8 +311,9 @@ pub(crate) fn qdwh_fused<S: Scalar>(
                             vec![xout.at(ti, tj)],
                             move || {
                                 // SAFETY: X_out (ti, tj) is written; X_in
-                                // (ti, tj), the solved X_out (ti, l) and
-                                // the L tiles named above are the read set.
+                                // (ti, tj), the solved X_out (ti, l), the L
+                                // tiles named above and the inverted
+                                // diagonal tile are the read set.
                                 let vt = unsafe { xout.tile(ti, tj) };
                                 if forward {
                                     vt.copy_from(unsafe { xin.tile_ref(ti, tj) });
@@ -293,14 +332,15 @@ pub(crate) fn qdwh_fused<S: Scalar>(
                                         vt.as_mut(),
                                     );
                                 }
-                                let zd = unsafe { z.tile_ref(tj, tj) };
-                                trsm(
+                                let inv = unsafe { linv.tile_ref(tj, 0) };
+                                let r = vt.ncols();
+                                trmm(
                                     Side::Right,
                                     Uplo::Lower,
                                     op,
                                     Diag::NonUnit,
                                     S::ONE,
-                                    zd.as_ref(),
+                                    inv.view(0, 0, r, r),
                                     vt.as_mut(),
                                 );
                             },
@@ -442,10 +482,11 @@ mod tests {
         parity_case(&a, 1e-11);
     }
 
-    /// Cholesky-only runs use identical kernels on both the fused and the
-    /// flat path (herk/potrf/trsm on full matrices vs tiles sum in the
-    /// same order per entry only at tile granularity), so flat parity is
-    /// tight there — a sharper check than the QR case allows.
+    /// Cholesky-only runs do the same arithmetic on both the fused and the
+    /// flat path up to summation order (herk/potrf on full matrices vs
+    /// tiles; substitution vs the inverted diagonal tiles of a
+    /// well-conditioned factor), so flat parity is tight there — a sharper
+    /// check than the QR case allows.
     #[test]
     fn fused_chol_matches_flat_tightly() {
         let (a, _) = generate::<f64>(&MatrixSpec::well_conditioned(24, 11));
@@ -479,6 +520,27 @@ mod tests {
             let worst = worst_diff(&pf.u, &pb.u);
             assert!(worst <= 1e-10, "path {path:?}: {worst:e}");
         }
+    }
+
+    /// A last tile narrower than nb: the inverted diagonal tile of the
+    /// sweeps is then a corner of its workspace tile.
+    #[test]
+    fn fused_chol_ragged_last_tile() {
+        let spec = MatrixSpec {
+            m: 37,
+            n: 37,
+            cond: 1e3,
+            distribution: SigmaDistribution::Geometric,
+            seed: 21,
+        };
+        let (a, _) = generate::<f64>(&spec);
+        let path = IterationPath::ForceCholesky;
+        let opts = QdwhOptions { path, tile_nb: Some(16), ..fused_opts() };
+        let fused = qdwh(&a, &opts).expect("fused");
+        let flat = qdwh(&a, &QdwhOptions { path, ..flat_opts() }).expect("flat");
+        assert_eq!(fused.info.kinds, flat.info.kinds);
+        let worst = worst_diff(&fused.u, &flat.u);
+        assert!(worst <= 1e-10, "ragged chol-only fused vs flat diff {worst:e}");
     }
 
     /// An indefinite Z on the Cholesky path must cancel the whole-solve

@@ -249,6 +249,12 @@ impl QdwhOptions {
     }
 }
 
+/// Tile size of a whole-solve graph: the caller's, else the pool-width
+/// heuristic.
+pub(crate) fn graph_tile_nb(tile_nb: Option<usize>, n: usize) -> usize {
+    tile_nb.unwrap_or_else(|| polar_lapack::auto_tile_nb(n)).max(8)
+}
+
 /// The tile-path decision shared by [`QdwhOptions::resolve_tiled`] and
 /// [`crate::ZoloOptions::resolve_tiled`].
 pub(crate) fn resolve_tiled(

@@ -1,9 +1,13 @@
 //! The QDWH driver — Algorithm 1 of the paper, line by line.
 
-use crate::options::{poll_progress, IterationKind, IterationPath, QdwhOptions, TiledDecision};
+use crate::options::{
+    graph_tile_nb, poll_progress, IterationKind, IterationPath, QdwhOptions, TiledDecision,
+};
 use crate::params::{halley_parameters, update_ell};
 use polar_blas::{add, gemm, herk, herk_mirrored, norm, scale_real, symmetrize, trsm};
-use polar_lapack::{geqrf, norm2est, orgqr, potrf, tr_sigma_min_est, trcondest, tsqr, LapackError};
+use polar_lapack::{
+    geqrf, geqrf_tiled, norm2est, orgqr, potrf, tr_sigma_min_est, trcondest, tsqr, LapackError,
+};
 use polar_matrix::{Diag, Matrix, Norm, Op, Side, Uplo};
 use polar_scalar::{Real, Scalar};
 
@@ -237,6 +241,21 @@ impl<S: Scalar> PolarDecomposition<S> {
     }
 }
 
+/// `R` of `A_0 = Q R` for the condition estimate, in the upper triangle of
+/// the result: by the tile graph at tile size `tile_nb` when the solve
+/// itself takes the tiled path (twice the flat `geqrf`'s rate), else in
+/// place on a copy.
+pub(crate) fn cond_qr<S: Scalar>(x: &Matrix<S>, tile_nb: Option<usize>) -> Matrix<S> {
+    match tile_nb {
+        Some(nb) => geqrf_tiled(x, nb).extract_r(),
+        None => {
+            let mut w = x.clone();
+            geqrf(&mut w);
+            w
+        }
+    }
+}
+
 /// QDWH-based polar decomposition (Algorithm 1). `A` is `m x n`, `m >= n`.
 pub fn qdwh<S: Scalar>(
     a: &Matrix<S>,
@@ -282,7 +301,20 @@ pub fn qdwh<S: Scalar>(
     let mut x = a.clone();
     scale_real::<S>(alpha.recip(), x.as_mut());
 
+    // The tiled-vs-flat choice is resolved once up front, from the shape
+    // alone, so the decision is reportable. (TSQR is a flat-kernel
+    // ablation; it has no tile graph.)
+    let tiled_decision = opts.resolve_tiled(n);
+    let tiled = tiled_decision.is_tiled() && !opts.use_tsqr;
+
     // ---- lines 14-19: condition estimate -> l0 ----
+    // On the tiled path the estimate's QR is a task graph too: a job
+    // cancelled while it queued runs neither graph. (No bound on sigma_min
+    // is known yet; 0 is one.)
+    if tiled {
+        poll_progress(opts.progress.as_ref(), 1, 100.0, 0.0)?;
+    }
+    let r_of_x = |x: &Matrix<S>| cond_qr(x, tiled.then(|| graph_tile_nb(opts.tile_nb, n)));
     let l0 = match opts.l0_override {
         Some(v) => S::Real::from_f64(v),
         None => {
@@ -299,14 +331,10 @@ pub fn qdwh<S: Scalar>(
                     // sigma_min(A_0) = sigma_min(R), estimated tightly by
                     // inverse power iteration; scaled by 0.9 so roundoff
                     // and estimator slack keep it a lower bound.
-                    let mut w1 = x.clone();
-                    let _f = geqrf(&mut w1);
-                    tr_sigma_min_est(&w1) * S::Real::from_f64(0.9)
+                    tr_sigma_min_est(&r_of_x(&x)) * S::Real::from_f64(0.9)
                 }
                 crate::options::L0Strategy::PaperFormula => {
-                    let mut w1 = x.clone();
-                    let _f = geqrf(&mut w1);
-                    let rcond = trcondest(&w1); // 1/(||R||_1 ||R^{-1}||_1)
+                    let rcond = trcondest(&r_of_x(&x)); // 1/(||R||_1 ||R^{-1}||_1)
                     let anorm_scaled: S::Real = norm(Norm::One, x.as_ref());
                     anorm_scaled * rcond / S::Real::from_usize(n).sqrt()
                 }
@@ -327,9 +355,6 @@ pub fn qdwh<S: Scalar>(
     };
 
     // ---- lines 21-50: the dynamically weighted Halley iteration ----
-    // The tiled-vs-flat choice is resolved once up front, from the shape
-    // alone, so the decision is reportable.
-    let tiled_decision = opts.resolve_tiled(n);
     let mut ell = l0;
     let mut conv = S::Real::from_f64(100.0);
     let mut info = QdwhInfo {
@@ -347,8 +372,7 @@ pub fn qdwh<S: Scalar>(
     // Tiled path: the entire planned Halley sequence as one task graph
     // (see `crate::fused`). The loop below is then the continuation for
     // anything the plan could not cover — normally it exits immediately.
-    // (TSQR is a flat-kernel ablation; it has no tile graph.)
-    if tiled_decision.is_tiled() && !opts.use_tsqr {
+    if tiled {
         x = crate::fused::qdwh_fused(x, &mut ell, &mut conv, &mut info, opts)?;
     }
 

@@ -13,11 +13,13 @@
 //! *mutually independent*, which is exactly the extra concurrency the
 //! paper wants for strong scaling.
 
-use crate::options::{poll_progress, ProgressHook, QdwhOptions, TiledDecision, TiledPath};
+use crate::options::{
+    graph_tile_nb, poll_progress, ProgressHook, QdwhOptions, TiledDecision, TiledPath,
+};
 use crate::qdwh_impl::{PolarDecomposition, QdwhError, QdwhInfo};
 use crate::zolo_fused::ZoloIterPlan;
 use polar_blas::{add, gemm, norm, scale_real, symmetrize};
-use polar_lapack::{geqrf, norm2est, orgqr, tr_sigma_min_est};
+use polar_lapack::{norm2est, orgqr, tr_sigma_min_est};
 
 use polar_matrix::{Matrix, Norm, Op};
 use polar_scalar::{Real, Scalar};
@@ -127,14 +129,19 @@ pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutc
     }
     let mut x = a.clone();
     scale_real::<S>(alpha.recip(), x.as_mut());
+    let tiled_decision = zopts.resolve_tiled(n);
     let mut ell = {
-        let mut w1 = x.clone();
-        let _ = geqrf(&mut w1);
-        let raw = tr_sigma_min_est(&w1) * S::Real::from_f64(0.9);
+        // the estimate's QR is a task graph when the solve is: a job
+        // cancelled while it queued runs neither
+        if tiled_decision.is_tiled() {
+            poll_progress(zopts.progress.as_ref(), 1, f64::MAX, 0.0)?;
+        }
+        let tile_nb = tiled_decision.is_tiled().then(|| graph_tile_nb(zopts.tile_nb, n));
+        let r = crate::qdwh_impl::cond_qr(&x, tile_nb);
+        let raw = tr_sigma_min_est(&r) * S::Real::from_f64(0.9);
         raw.max(eps * eps).min(S::Real::ONE - eps).to_f64()
     };
 
-    let tiled_decision = zopts.resolve_tiled(n);
     let mut info = QdwhInfo {
         alpha,
         l0: S::Real::from_f64(ell),

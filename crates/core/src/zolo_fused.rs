@@ -37,11 +37,11 @@
 //! code.
 
 use crate::elliptic::{zolotarev_coefficients, zolotarev_eval, zolotarev_weights};
-use crate::options::{poll_progress, IterationKind};
+use crate::options::{graph_tile_nb, poll_progress, IterationKind};
 use crate::qdwh_impl::{QdwhError, QdwhInfo};
 use crate::solve_dag::{emit_term, execute_hooked, record_iterations, NormSink, TermWorkspace};
 use crate::zolo::ZoloOptions;
-use polar_lapack::{auto_tile_nb, TilePtr};
+use polar_lapack::TilePtr;
 use polar_matrix::{Matrix, ProcessGrid, TiledMatrix, Tiling};
 use polar_runtime::{ExecOutcome, KernelKind, TaskDag};
 use polar_scalar::{Real, Scalar};
@@ -137,7 +137,7 @@ pub(crate) fn zolo_fused<S: Scalar>(
     // a job cancelled while it queued allocates nothing
     let (done, l0) = (info.iterations, *ell);
     poll_progress(zopts.progress.as_ref(), done + 1, f64::MAX, l0)?;
-    let nb = zopts.tile_nb.unwrap_or_else(|| auto_tile_nb(n)).max(8);
+    let nb = graph_tile_nb(zopts.tile_nb, n);
 
     let _span = polar_obs::span!("zolo_fused", m, n);
     let kernels_before = polar_obs::kernel_snapshot();

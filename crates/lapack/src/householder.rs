@@ -1,6 +1,6 @@
 //! Elementary Householder reflectors (LAPACK `larfg` / `larf`).
 
-use polar_blas::nrm2;
+use polar_blas::{axpy, dotc, nrm2};
 use polar_matrix::MatMut;
 use polar_scalar::{Real, Scalar};
 
@@ -51,17 +51,11 @@ pub fn larf<S: Scalar>(tau: S, v_tail: &[S], mut c: MatMut<'_, S>) {
     let m = c.nrows();
     assert_eq!(v_tail.len() + 1, m, "larf: v length mismatch");
     for j in 0..c.ncols() {
-        let cj = c.col_mut(j);
+        let (c0, tail) = c.col_mut(j).split_first_mut().expect("m >= 1");
         // w = v^H c_j
-        let mut w = cj[0];
-        for (vi, ci) in v_tail.iter().zip(&cj[1..]) {
-            w += vi.conj() * *ci;
-        }
-        let tw = tau * w;
-        cj[0] -= tw;
-        for (vi, ci) in v_tail.iter().zip(cj[1..].iter_mut()) {
-            *ci -= tw * *vi;
-        }
+        let tw = tau * (*c0 + dotc(v_tail, tail));
+        *c0 -= tw;
+        axpy(-tw, v_tail, tail);
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::householder::{larf, larfg};
 use crate::DEFAULT_BLOCK;
-use polar_blas::gemm;
+use polar_blas::{axpy, dotc, gemm};
 use polar_matrix::{Diag, MatMut, MatRef, Matrix, Op, Side, Uplo};
 use polar_scalar::Scalar;
 
@@ -21,15 +21,9 @@ pub struct QrFactors<S> {
 /// Unblocked panel factorization, LAPACK `geqr2`.
 ///
 /// On exit the upper triangle of `a` holds `R`, the sub-diagonal columns
-/// hold the reflector tails, and `tau` the reflector scalars.
-pub(crate) fn geqr2<S: Scalar>(a: MatMut<'_, S>, tau: &mut [S]) {
-    let mut scratch = Vec::with_capacity(a.nrows());
-    geqr2_scratch(a, tau, &mut scratch);
-}
-
-/// [`geqr2`] with a caller-provided scratch buffer for the reflector tail,
-/// so blocked drivers reuse one allocation across all panels instead of
-/// allocating a fresh `Vec` per column.
+/// hold the reflector tails, and `tau` the reflector scalars. `scratch`
+/// holds a reflector tail while it is applied, so blocked drivers reuse
+/// one allocation across all panels.
 pub(crate) fn geqr2_scratch<S: Scalar>(mut a: MatMut<'_, S>, tau: &mut [S], scratch: &mut Vec<S>) {
     let m = a.nrows();
     let n = a.ncols();
@@ -61,7 +55,6 @@ pub(crate) fn geqr2_scratch<S: Scalar>(mut a: MatMut<'_, S>, tau: &mut [S], scra
 /// forward / columnwise) so that `H(1)...H(k) = I - V T V^H`.
 pub(crate) fn larft<S: Scalar>(v: MatRef<'_, S>, tau: &[S]) -> Matrix<S> {
     let k = v.ncols();
-    let m = v.nrows();
     let mut t = Matrix::<S>::zeros(k, k);
     for i in 0..k {
         if tau[i] == S::ZERO {
@@ -69,23 +62,14 @@ pub(crate) fn larft<S: Scalar>(v: MatRef<'_, S>, tau: &[S]) -> Matrix<S> {
             t[(i, i)] = S::ZERO;
             continue;
         }
-        // w = V(:, 0..i)^H * v_i  (v_i has implicit unit at row i)
-        let mut w = vec![S::ZERO; i];
-        for (l, wl) in w.iter_mut().enumerate() {
-            // rows l..m of column l are the stored part (unit at row l)
-            let mut acc = v.at(i, l).conj(); // unit element of v_i at row i times conj(V[i,l])
-            for r in i + 1..m {
-                acc += v.at(r, l).conj() * v.at(r, i);
-            }
-            *wl = acc;
-        }
-        // T(0..i, i) = -tau_i * T(0..i, 0..i) * w
-        for r in 0..i {
-            let mut acc = S::ZERO;
-            for l in r..i {
-                acc += t[(r, l)] * w[l];
-            }
-            t[(r, i)] = -tau[i] * acc;
+        // T(0..i, i) = -tau_i * T(0..i, 0..i) * w,  w = V(:, 0..i)^H v_i
+        // (v_i has an implicit unit at row i): column l of the triangle
+        // times w_l, accumulated into column i
+        let (done, mut rest) = t.as_mut().split_at_col(i);
+        let ti = rest.col_mut(0);
+        for l in 0..i {
+            let wl = v.at(i, l).conj() + dotc(&v.col(l)[i + 1..], &v.col(i)[i + 1..]);
+            axpy(-tau[i] * wl, &done.as_ref().col(l)[..=l], &mut ti[..=l]);
         }
         t[(i, i)] = tau[i];
     }

@@ -19,9 +19,9 @@
 //! and power the communication-metered distributed QDWH in `polar-qdwh`.
 
 use crate::householder::larfg;
-use crate::qr::{extract_v, geqr2, geqr2_scratch, larfb_left, larft};
-use polar_blas::{dotc, gemm, trmm};
-use polar_matrix::{Diag, Matrix, Op, Side, Uplo};
+use crate::qr::{extract_v, geqr2_scratch, larfb_left, larft};
+use polar_blas::{axpy, dotc, gemm, trmm};
+use polar_matrix::{Diag, MatRef, Matrix, Op, Side, Uplo};
 use polar_scalar::Scalar;
 
 /// QR of a single tile (PLASMA `GEQRT`).
@@ -30,13 +30,8 @@ use polar_scalar::Scalar;
 /// below the diagonal; the returned `T` (`k x k`, `k = min(m, n)`) is the
 /// compact WY factor with `Q = I - V T V^H`.
 pub fn geqrt<S: Scalar>(a: &mut Matrix<S>) -> Matrix<S> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let k = m.min(n);
-    let mut tau = vec![S::ZERO; k];
-    geqr2(a.view_mut(0, 0, m, n), &mut tau);
-    let v = extract_v(a.view(0, 0, m, k));
-    larft(v.as_ref(), &tau)
+    // one panel as wide as the tile: its T block is the full factor
+    geqrt_blocked(a, a.nrows().min(a.ncols())).t
 }
 
 /// Apply `Q` or `Q^H` from a [`geqrt`] factor to a tile `c` with the same
@@ -56,58 +51,8 @@ pub fn unmqr_tile<S: Scalar>(op: Op, v_packed: &Matrix<S>, t: &Matrix<S>, c: &mu
 /// part `V2` of the structured reflectors `V = [I; V2]`, and the returned
 /// `T` is the compact WY factor.
 pub fn tsqrt<S: Scalar>(r: &mut Matrix<S>, b: &mut Matrix<S>) -> Matrix<S> {
-    let nb = r.ncols().min(r.nrows());
-    assert_eq!(b.ncols(), r.ncols(), "tsqrt: column mismatch");
-    let m2 = b.nrows();
-    let mut tau = vec![S::ZERO; nb];
-    let mut t = Matrix::<S>::zeros(nb, nb);
-
-    for j in 0..nb {
-        // reflector annihilating B[:, j] against R[j, j]; the top part of
-        // v_j is e_j (R rows j+1.. are untouched since v is zero there)
-        let alpha = r[(j, j)];
-        let refl = {
-            let col = b.col_mut(j);
-            larfg(alpha, col)
-        };
-        r[(j, j)] = S::from_real(refl.beta);
-        tau[j] = refl.tau;
-
-        if refl.tau != S::ZERO {
-            // apply H^H = I - conj(tau) v v^H to remaining columns:
-            // w = R[j, k] + V2_j^H B[:, k]
-            let tc = refl.tau.conj();
-            for k in j + 1..nb {
-                let mut w = r[(j, k)];
-                w += dotc(b.col(j), b.col(k));
-                let f = tc * w;
-                r[(j, k)] -= f;
-                // B[:, k] -= f * V2_j (split borrows via raw indexing)
-                for i in 0..m2 {
-                    let vij = b[(i, j)];
-                    b[(i, k)] -= f * vij;
-                }
-            }
-        }
-
-        // T column j: T(0..j, j) = -tau_j * T(0..j,0..j) * (V2^H v2_j)
-        // (the identity top parts of V are orthogonal between columns)
-        if j > 0 {
-            let mut w = vec![S::ZERO; j];
-            for (l, wl) in w.iter_mut().enumerate() {
-                *wl = dotc(b.col(l), b.col(j));
-            }
-            for rrow in 0..j {
-                let mut acc = S::ZERO;
-                for l in rrow..j {
-                    acc += t[(rrow, l)] * w[l];
-                }
-                t[(rrow, j)] = -tau[j] * acc;
-            }
-        }
-        t[(j, j)] = tau[j];
-    }
-    t
+    // one panel as wide as the tile: its panel-local T is the full factor
+    tsqrt_blocked(r, b, r.ncols().min(r.nrows())).t
 }
 
 /// Apply a [`tsqrt`] reflector block to a tile row pair (PLASMA `TSMQR`):
@@ -126,26 +71,7 @@ pub fn tsmqr<S: Scalar>(
     a1: &mut Matrix<S>,
     a2: &mut Matrix<S>,
 ) {
-    let nb = t.nrows();
-    let n = a1.ncols();
-    assert_eq!(a2.ncols(), n, "tsmqr: column mismatch");
-    assert_eq!(v2.nrows(), a2.nrows(), "tsmqr: V2/A2 row mismatch");
-    assert_eq!(v2.ncols(), nb, "tsmqr: V2/T mismatch");
-    assert!(a1.nrows() >= nb, "tsmqr: A1 too short");
-
-    // W = A1[0..nb, :] + V2^H A2
-    let mut w = a1.submatrix_owned(0, 0, nb, n);
-    gemm(Op::ConjTrans, Op::NoTrans, S::ONE, v2.as_ref(), a2.as_ref(), S::ONE, w.as_mut());
-    // W := op(T) W  (ConjTrans applies Q^H)
-    let t_op = if op == Op::NoTrans { Op::NoTrans } else { Op::ConjTrans };
-    trmm(Side::Left, Uplo::Upper, t_op, Diag::NonUnit, S::ONE, t.as_ref(), w.as_mut());
-    // A1 -= W ; A2 -= V2 W
-    for j in 0..n {
-        for i in 0..nb {
-            a1[(i, j)] -= w[(i, j)];
-        }
-    }
-    gemm(Op::NoTrans, Op::NoTrans, -S::ONE, v2.as_ref(), w.as_ref(), S::ONE, a2.as_mut());
+    tsmqr_panels(op, v2, t.as_ref(), t.nrows().max(1), a1, a2);
 }
 
 /// Per-panel compact `T` factors of a blocked tile factorization, PLASMA's
@@ -187,6 +113,12 @@ impl<S: Scalar> TileT<S> {
     fn nblocks(&self) -> usize {
         self.k().div_ceil(self.ib)
     }
+}
+
+/// Panel indices in application order: `Q = Q_0 Q_1 ... Q_last`, so `Q^H`
+/// applies the panels forward and `Q` in reverse.
+fn block_order(op: Op, nblocks: usize) -> impl Iterator<Item = usize> {
+    (0..nblocks).map(move |s| if op == Op::NoTrans { nblocks - 1 - s } else { s })
 }
 
 /// Blocked [`geqrt`] (PLASMA `GEQRT` with inner blocking `ib`): QR of a
@@ -242,12 +174,7 @@ pub fn unmqr_tile_blocked<S: Scalar>(
 ) {
     let m = v_packed.nrows();
     assert_eq!(m, c.nrows(), "unmqr_tile_blocked: row mismatch");
-    let nblocks = tt.nblocks();
-    let order: Box<dyn Iterator<Item = usize>> = match op {
-        Op::NoTrans => Box::new((0..nblocks).rev()),
-        _ => Box::new(0..nblocks),
-    };
-    for b in order {
+    for b in block_order(op, tt.nblocks()) {
         let (j, jb) = tt.block_range(b);
         let v = extract_v(v_packed.view(j, j, m - j, jb));
         let t = tt.t.view(0, j, jb, jb);
@@ -278,49 +205,40 @@ pub fn tsqrt_blocked_into<S: Scalar>(r: &mut Matrix<S>, b: &mut Matrix<S>, tt_ou
     tt_out.t.fill(S::ZERO);
     let mut tau = vec![S::ZERO; kb];
     let tt = &mut tt_out.t;
+    // one W scratch for the whole call, reused across ib-panels
+    let mut wbuf = Matrix::<S>::zeros(ib.min(kb), ncols);
 
     let mut j = 0;
     while j < kb {
         let jb = ib.min(kb - j);
-        // --- panel: scalar factorization of columns j..j+jb -------------
+        // --- panel: reflectors of columns j..j+jb, level-1 over columns --
         for c in j..j + jb {
-            let alpha = r[(c, c)];
-            let refl = {
-                let col = b.col_mut(c);
-                larfg(alpha, col)
-            };
+            let refl = larfg(r[(c, c)], b.col_mut(c));
             r[(c, c)] = S::from_real(refl.beta);
             tau[c] = refl.tau;
+            let (vs, mut right) = b.as_mut().split_at_col(c + 1);
+            let vs = vs.as_ref();
+            let vc = vs.col(c);
             if refl.tau != S::ZERO {
                 // apply H^H within the panel only
                 let tc = refl.tau.conj();
                 for kcol in c + 1..j + jb {
-                    let mut w = r[(c, kcol)];
-                    w += dotc(b.col(c), b.col(kcol));
-                    let f = tc * w;
+                    let bk = right.col_mut(kcol - c - 1);
+                    let f = tc * (r[(c, kcol)] + dotc(vc, bk));
                     r[(c, kcol)] -= f;
-                    for i in 0..m2 {
-                        let vic = b[(i, c)];
-                        b[(i, kcol)] -= f * vic;
-                    }
+                    axpy(-f, vc, bk);
                 }
             }
-            // panel-local T column: the identity tops of V are orthogonal
-            // between columns, so V_l^H v_c = V2_l^H v2_c
-            if c > j {
-                let mut w = vec![S::ZERO; c - j];
-                for (l, wl) in w.iter_mut().enumerate() {
-                    *wl = dotc(b.col(j + l), b.col(c));
-                }
-                for row in 0..c - j {
-                    let mut acc = S::ZERO;
-                    for l in row..c - j {
-                        acc += tt[(row, j + l)] * w[l];
-                    }
-                    tt[(row, c)] = -tau[c] * acc;
-                }
+            // panel-local T column, T(.., c) = -tau_c T (V^H v_c): the
+            // identity tops of V are orthogonal between columns, so
+            // V_l^H v_c = V2_l^H v2_c
+            let (done, mut cur) = tt.as_mut().split_at_col(c);
+            let tcol = cur.col_mut(0);
+            for l in 0..c - j {
+                let f = -tau[c] * dotc(vs.col(j + l), vc);
+                axpy(f, &done.as_ref().col(j + l)[..=l], &mut tcol[..=l]);
             }
-            tt[(c - j, c)] = tau[c];
+            tcol[c - j] = tau[c];
         }
         // --- blocked trailing update: C := (I - V T^H V^H) C ------------
         // with V = [e_j..e_{j+jb}; V2_panel] over [R; B] columns j+jb..
@@ -329,8 +247,11 @@ pub fn tsqrt_blocked_into<S: Scalar>(r: &mut Matrix<S>, b: &mut Matrix<S>, tt_ou
             let (pan, mut btrail) = b.as_mut().split_at_col(j + jb);
             let v2p = pan.as_ref().submatrix(0, j, m2, jb);
             // W = R[j..j+jb, rest] + V2p^H B[:, rest]
-            let mut w = r.submatrix_owned(j, j + jb, jb, rest);
-            gemm(Op::ConjTrans, Op::NoTrans, S::ONE, v2p, btrail.as_ref(), S::ONE, w.as_mut());
+            let mut w = wbuf.view_mut(0, 0, jb, rest);
+            for col in 0..rest {
+                w.col_mut(col).copy_from_slice(&r.col(j + jb + col)[j..j + jb]);
+            }
+            gemm(Op::ConjTrans, Op::NoTrans, S::ONE, v2p, btrail.as_ref(), S::ONE, w.rb());
             trmm(
                 Side::Left,
                 Uplo::Upper,
@@ -338,12 +259,10 @@ pub fn tsqrt_blocked_into<S: Scalar>(r: &mut Matrix<S>, b: &mut Matrix<S>, tt_ou
                 Diag::NonUnit,
                 S::ONE,
                 tt.view(0, j, jb, jb),
-                w.as_mut(),
+                w.rb(),
             );
             for col in 0..rest {
-                for row in 0..jb {
-                    r[(j + row, j + jb + col)] -= w[(row, col)];
-                }
+                axpy(-S::ONE, w.as_ref().col(col), &mut r.col_mut(j + jb + col)[j..j + jb]);
             }
             gemm(Op::NoTrans, Op::NoTrans, -S::ONE, v2p, w.as_ref(), S::ONE, btrail.rb());
         }
@@ -361,57 +280,52 @@ pub fn tsmqr_blocked<S: Scalar>(
     a1: &mut Matrix<S>,
     a2: &mut Matrix<S>,
 ) {
-    let kb = tt.k();
+    tsmqr_panels(op, v2, tt.t.as_ref(), tt.ib, a1, a2);
+}
+
+/// [`tsmqr_blocked`] over the bare `ib x k` store of per-panel `T` blocks
+/// (a full `k x k` `T` is the one-panel case).
+fn tsmqr_panels<S: Scalar>(
+    op: Op,
+    v2: &Matrix<S>,
+    t: MatRef<'_, S>,
+    ib: usize,
+    a1: &mut Matrix<S>,
+    a2: &mut Matrix<S>,
+) {
+    let kb = t.ncols();
     let n = a1.ncols();
     let m2 = a2.nrows();
-    assert_eq!(a2.ncols(), n, "tsmqr_blocked: column mismatch");
-    assert_eq!(v2.nrows(), m2, "tsmqr_blocked: V2/A2 row mismatch");
-    assert_eq!(v2.ncols(), kb, "tsmqr_blocked: V2/T mismatch");
-    assert!(a1.nrows() >= kb, "tsmqr_blocked: A1 too short");
-    let nblocks = tt.nblocks();
-    // Q = Q_0 Q_1 ... Q_last (panel order): Q^H applies panels forward,
-    // Q applies them in reverse.
-    let order: Box<dyn Iterator<Item = usize>> = match op {
-        Op::NoTrans => Box::new((0..nblocks).rev()),
-        _ => Box::new(0..nblocks),
-    };
+    assert_eq!(a2.ncols(), n, "tsmqr: column mismatch");
+    assert_eq!(v2.nrows(), m2, "tsmqr: V2/A2 row mismatch");
+    assert_eq!(v2.ncols(), kb, "tsmqr: V2/T mismatch");
+    assert!(a1.nrows() >= kb, "tsmqr: A1 too short");
     let t_op = if op == Op::NoTrans { Op::NoTrans } else { Op::ConjTrans };
     // one W scratch for the whole call, reused across ib-panels (the
     // per-panel `submatrix_owned` allocations used to dominate the task
     // executor's per-task overhead at fine tile sizes)
-    let mut wbuf = Matrix::<S>::zeros(tt.ib.min(kb), n);
-    for bblk in order {
-        let (j, jb) = tt.block_range(bblk);
+    let mut wbuf = Matrix::<S>::zeros(ib.min(kb), n);
+    for bblk in block_order(op, kb.div_ceil(ib)) {
+        let (j, jb) = (bblk * ib, ib.min(kb - bblk * ib));
         let v2b = v2.view(0, j, m2, jb);
+        let mut w = wbuf.view_mut(0, 0, jb, n);
         for col in 0..n {
-            for row in 0..jb {
-                wbuf[(row, col)] = a1[(j + row, col)];
-            }
+            w.col_mut(col).copy_from_slice(&a1.col(col)[j..j + jb]);
         }
-        gemm(
-            Op::ConjTrans,
-            Op::NoTrans,
-            S::ONE,
-            v2b,
-            a2.as_ref(),
-            S::ONE,
-            wbuf.view_mut(0, 0, jb, n),
-        );
+        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, v2b, a2.as_ref(), S::ONE, w.rb());
         trmm(
             Side::Left,
             Uplo::Upper,
             t_op,
             Diag::NonUnit,
             S::ONE,
-            tt.t.view(0, j, jb, jb),
-            wbuf.view_mut(0, 0, jb, n),
+            t.submatrix(0, j, jb, jb),
+            w.rb(),
         );
         for col in 0..n {
-            for row in 0..jb {
-                a1[(j + row, col)] -= wbuf[(row, col)];
-            }
+            axpy(-S::ONE, w.as_ref().col(col), &mut a1.col_mut(col)[j..j + jb]);
         }
-        gemm(Op::NoTrans, Op::NoTrans, -S::ONE, v2b, wbuf.view(0, 0, jb, n), S::ONE, a2.as_mut());
+        gemm(Op::NoTrans, Op::NoTrans, -S::ONE, v2b, w.as_ref(), S::ONE, a2.as_mut());
     }
 }
 

@@ -1,24 +1,34 @@
 //! Triangular matrix inversion (LAPACK `trtri`, lower case).
 //!
 //! The Cholesky-family QDWH iteration applies `Z^{-1} = L^{-H} L^{-1}`.
-//! The scalar driver does this with two right-side `trsm` sweeps, which
-//! at serving sizes (`n <= 128`) bottom out in the per-column
-//! substitution kernel. Inverting `L` explicitly instead turns the whole
-//! application into GEMMs: `T = L^{-1}` costs `n^3/3` flops of which
-//! ~2/3 run through the packed microkernels here, and the two solves
-//! become `(X T^H) T` — two batch-friendly GEMMs. `Z` is uniformly
-//! well-conditioned on the Cholesky branch (`kappa(Z) <= 1 + c` with
-//! `c <= 100` by the QR/Cholesky switch), so the explicit inverse is as
-//! accurate as the solves.
+//! Two right-side `trsm` sweeps do that by substitution, and a substitution
+//! bottoms out in a per-column kernel however it is blocked. Inverting the
+//! triangle explicitly turns the application into multiplies at the packed
+//! kernel's rate: `(X T^H) T` with `T = L^{-1}` on the batch path
+//! (`polar-batch`'s engine: two batch-major GEMMs), `trmm` with
+//! `T_jj = L_jj^{-1}` per diagonal tile in the fused whole-solve graph
+//! (`polar-qdwh`'s `fused.rs`: the sweeps' coupling gemms stay, only the
+//! diagonal solve becomes a multiply).
+//!
+//! Why that is safe in exactly those two places: `Z = I + c X^H X` with
+//! `||X||_2 <= 1` has its eigenvalues in `[1, 1 + c]`, so
+//! `kappa(Z) <= 1 + c`, and the Cholesky branch only runs when `c` is
+//! below the QR/Cholesky switch (100 by default; the batch engine widens
+//! it for hinted entries, knowingly: `hinted_qr_switch_threshold`) — `Z`,
+//! hence `L` and every diagonal block of it, is well conditioned by the
+//! iteration's own plan, whatever the input's conditioning, and the
+//! explicit inverse is as accurate as the solves. No general caller has
+//! that bound: `polar_blas::trsm` keeps substitution semantics, and so do
+//! the panel solves of `emit_potrf`.
 
 use crate::LapackError;
-use polar_blas::gemm;
-use polar_matrix::{MatMut, MatRef, Op};
+use polar_blas::trmm;
+use polar_matrix::{Diag, MatMut, MatRef, Op, Side, Uplo};
 use polar_scalar::Scalar;
 
 /// Diagonal-block order at or below which the unblocked substitution
 /// kernel runs directly; above it the inversion recurses so the
-/// off-diagonal block is two gemms.
+/// off-diagonal block is two triangular multiplies.
 const TRTRI_BASE: usize = 16;
 
 /// Invert a lower-triangular matrix out of place: `t := l^{-1}`.
@@ -92,29 +102,22 @@ fn trtri_rec<S: Scalar>(
         let t22 = t.rb().submatrix(h, h, n - h, n - h);
         trtri_rec(l22, t22, offset + h)?;
     }
-    // T21 = -T22 (L21 T11): both factors are ready, and the second
-    // product reads T21's own freshly written value through a reborrow
-    // barrier — stage it as T21 := L21 T11, then T21 := -T22 T21 via a
-    // temporary copy of the staged block (blocks are small; the copy is
-    // O(n^2/4) against the O(n^3) gemms).
-    {
-        let (t11_ro, t21) = {
-            let (left, _right) = t.rb().split_at_col(h);
-            left.split_at_row(h)
-        };
-        gemm(Op::NoTrans, Op::NoTrans, S::ONE, l21, t11_ro.as_ref(), S::ZERO, t21);
-    }
-    let staged = t.rb().submatrix(h, 0, n - h, h).as_ref().to_owned();
-    let t22_ro = t.rb().submatrix(h, h, n - h, n - h).as_ref().to_owned();
-    let t21 = t.rb().submatrix(h, 0, n - h, h);
-    gemm(Op::NoTrans, Op::NoTrans, -S::ONE, t22_ro.as_ref(), staged.as_ref(), S::ZERO, t21);
+    // T21 = -T22 (L21 T11), in place: both factors are triangular, so each
+    // product is a trmm — half the flops of a gemm, nothing allocated
+    let (left, right) = t.split_at_col(h);
+    let (t11, mut t21) = left.split_at_row(h);
+    let t22 = right.split_at_row(h).1;
+    t21.copy_from(l21);
+    let (lo, nn) = (Uplo::Lower, Diag::NonUnit);
+    trmm(Side::Right, lo, Op::NoTrans, nn, S::ONE, t11.as_ref(), t21.rb());
+    trmm(Side::Left, lo, Op::NoTrans, nn, -S::ONE, t22.as_ref(), t21);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polar_blas::norm;
+    use polar_blas::{gemm, norm};
     use polar_matrix::{Matrix, Norm};
     use polar_scalar::{Complex64, Real};
 
