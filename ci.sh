@@ -76,13 +76,24 @@ stage_lint() {
 
     step "one emitter per tile graph: tile-QR kernels named in lapack only"
     # every tile graph is emitted by crates/lapack/src/tiled.rs; a second
-    # file calling the kernels is a second copy of a graph
-    local kernels='geqrt_blocked_into|tsqrt_blocked_into|tsmqr_blocked|unmqr_tile_blocked'
+    # file calling the kernels, under any of their names, is a second copy
+    # of a graph
+    local kernels='\b(geqrt|tsqrt|tsmqr|unmqr_tile)(_blocked(_into)?)?\('
     local strays
     # (kernels_perf times the kernels one by one; it emits no graph)
     strays=$(grep -rlE "$kernels" crates/*/src \
-        | grep -vE '^crates/(lapack/src/(tile_qr|tiled|lib)|bench/src/bin/kernels_perf)\.rs$' || true)
-    test -z "$strays" || fail "tile kernels referenced outside polar-lapack's tiled.rs: $strays"
+        | grep -vE '^crates/(lapack/src/(tile_qr|tiled)|bench/src/bin/kernels_perf)\.rs$' || true)
+    test -z "$strays" || fail "tile kernels called outside polar-lapack's tiled.rs: $strays"
+    # nor may a second file add factorization tasks to a graph, with or
+    # without bodies: the simulator and the communication meter read the
+    # graph the emit modules build. (Not tile graphs: polar-runtime's and
+    # sim/real.rs's unit tests build toy graphs in the vocabulary, and the
+    # batch engine labels whole-group tasks by their dominant kernel.)
+    local emitters='lapack/src/tiled|core/src/(fused|solve_dag|zolo_fused)'
+    emitters="$emitters|runtime/src/[a-z_]+|sim/src/real|batch/src/engine"
+    strays=$(grep -rlPzo '\badd(_task)?\(\s*KernelKind::(Geqrt|Tsqrt|Tsmqr|Unmqr|Potrf)\b' crates/*/src \
+        | grep -vE "^crates/($emitters)\.rs$" || true)
+    test -z "$strays" || fail "tile-factorization tasks added outside the emit modules: $strays"
 
     step "no boxed iterators on the tile path"
     # a tile body runs slice loops and packed kernels; an iterator chosen at
@@ -154,6 +165,11 @@ stage_workspace() {
 
     step "facade builds standalone"
     cargo build --offline --release -p polar
+
+    step "distributed emulation: the graph meter on 1x1 ... 4x4 grids"
+    # solve -> emit -> place -> meter on every grid; the example asserts
+    # the factors do not depend on the grid
+    cargo run --offline --release -q --example distributed_emulation >/dev/null
 
     step "batch-sweep smoke: fused service batches + engine comparison"
     # exercises JobKind::Batched end-to-end (submit_batch -> dispatcher

@@ -3,20 +3,20 @@
 //! bulk-synchronous ScaLAPACK substrate limits concurrency (lookahead is
 //! impractical under fork-join).
 //!
-//! Runs the discrete-event scheduler in both modes over identical graphs
-//! and reports the makespan gap and parallel efficiency.
+//! Runs the discrete-event scheduler in both modes over the whole-solve
+//! graph the solver itself emits (`polar_qdwh::qdwh_task_graph`; fork-join
+//! reads the panel-step barriers the emitters mark) and reports the
+//! makespan gap and parallel efficiency.
 //!
 //! ```sh
 //! cargo run --release -p polar-bench --bin ablation_scheduler
 //! ```
 
+use polar_bench::paper_profile_graph;
 use polar_runtime::{simulate, SchedulingMode};
-use polar_sim::dag::{qdwh_graph, Grid, QdwhGraphSpec};
 use polar_sim::machine::{ClusterModel, ExecTarget, NodeSpec};
-use polar_sim::ILL_CONDITIONED_PROFILE;
 
 fn main() {
-    let (it_qr, it_chol) = ILL_CONDITIONED_PROFILE;
     let summit = NodeSpec::summit();
 
     println!("# ABL-SCHED: identical QDWH tile DAG under both scheduling modes");
@@ -27,14 +27,7 @@ fn main() {
 
     for (t, nodes) in [(12usize, 1usize), (16, 1), (24, 2), (32, 4)] {
         let ranks = nodes * summit.slate_ranks_per_node;
-        let g = qdwh_graph(&QdwhGraphSpec {
-            t,
-            nb: 320,
-            scalar_bytes: 8,
-            grid: Grid::squarest(ranks),
-            it_qr,
-            it_chol,
-        });
+        let g = paper_profile_graph(t, 320, ranks);
         let model = ClusterModel::slate(summit.clone(), nodes, ExecTarget::CpuOnly, 320);
         let tb = simulate(&g, &model, SchedulingMode::TaskBased);
         let fj = simulate(&g, &model, SchedulingMode::ForkJoin);

@@ -10,8 +10,8 @@
 //! cargo run --release -p polar-bench --bin ablation_tile_size
 //! ```
 
+use polar_bench::paper_profile_graph;
 use polar_runtime::{simulate, SchedulingMode};
-use polar_sim::dag::{qdwh_graph, Grid, QdwhGraphSpec};
 use polar_sim::machine::{ClusterModel, ExecTarget, NodeSpec};
 use polar_sim::{estimate_qdwh_time, Implementation, ILL_CONDITIONED_PROFILE};
 
@@ -46,15 +46,7 @@ fn main() {
     println!("\n# DES cross-check (n = 6400, 1 Summit node, GPU target):");
     println!("# {:>5} | {:>10} | {:>8}", "nb", "makespan s", "tasks");
     for &nb in &[128usize, 320, 640] {
-        let t = 6400 / nb;
-        let g = qdwh_graph(&QdwhGraphSpec {
-            t,
-            nb,
-            scalar_bytes: 8,
-            grid: Grid::squarest(2),
-            it_qr,
-            it_chol,
-        });
+        let g = paper_profile_graph(6400 / nb, nb, 2);
         let model = ClusterModel::slate(summit.clone(), 1, ExecTarget::GpuAccelerated, nb);
         let s = simulate(&g, &model, SchedulingMode::TaskBased);
         println!("  {:>5} | {:>10.3} | {:>8}", nb, s.makespan, s.tasks);

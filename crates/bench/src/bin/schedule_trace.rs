@@ -1,4 +1,5 @@
-//! Export a Chrome-tracing JSON of a simulated QDWH schedule — open the
+//! Export a Chrome-tracing JSON of a simulated schedule of the whole-solve
+//! QDWH graph the solver emits (`polar_qdwh::qdwh_task_graph`) — open the
 //! output in `chrome://tracing` or https://ui.perfetto.dev to *see* the
 //! task-based pipeline (and, side by side, the fork-join bubbles the
 //! paper's §3 complains about).
@@ -8,11 +9,9 @@
 //!     --tiles 12 --nodes 1 [--fork-join] [--out trace.json]
 //! ```
 
-use polar_bench::Args;
+use polar_bench::{paper_profile_graph, Args};
 use polar_runtime::{simulate_traced, write_chrome_trace, SchedulingMode};
-use polar_sim::dag::{qdwh_graph, Grid, QdwhGraphSpec};
 use polar_sim::machine::{ClusterModel, ExecTarget, NodeSpec};
-use polar_sim::ILL_CONDITIONED_PROFILE;
 
 fn main() {
     let args = Args::parse();
@@ -21,17 +20,8 @@ fn main() {
     let fork_join = args.flag("--fork-join");
     let out: String = args.get("--out", String::from("schedule_trace.json"));
 
-    let (it_qr, it_chol) = ILL_CONDITIONED_PROFILE;
     let summit = NodeSpec::summit();
-    let ranks = nodes * summit.slate_ranks_per_node;
-    let g = qdwh_graph(&QdwhGraphSpec {
-        t,
-        nb: 320,
-        scalar_bytes: 8,
-        grid: Grid::squarest(ranks),
-        it_qr,
-        it_chol,
-    });
+    let g = paper_profile_graph(t, 320, nodes * summit.slate_ranks_per_node);
     let model = ClusterModel::slate(summit, nodes, ExecTarget::CpuOnly, 320);
     let mode = if fork_join { SchedulingMode::ForkJoin } else { SchedulingMode::TaskBased };
     let (stats, events) = simulate_traced(&g, &model, mode);

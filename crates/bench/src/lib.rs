@@ -104,6 +104,19 @@ pub fn paper_matrix_spec(n: usize, seed: u64) -> MatrixSpec {
     MatrixSpec { m: n, n, cond: 1e16, distribution: SigmaDistribution::Geometric, seed }
 }
 
+/// The whole-solve task graph the solver emits for a square f64 run of `t`
+/// tiles a side with the paper's ill-conditioned iteration profile, its
+/// tasks placed on the squarest grid of `ranks`: what the discrete-event
+/// harnesses schedule.
+pub fn paper_profile_graph(t: usize, nb: usize, ranks: usize) -> polar_runtime::TaskGraph {
+    use polar_qdwh::IterationKind::{CholeskyBased, QrBased};
+    let (it_qr, it_chol) = polar_sim::ILL_CONDITIONED_PROFILE;
+    let kinds = [vec![QrBased; it_qr], vec![CholeskyBased; it_chol]].concat();
+    let mut g = polar_qdwh::qdwh_task_graph::<f64>(t * nb, t * nb, nb, &kinds, true);
+    g.assign_ranks(polar_matrix::ProcessGrid::squarest(ranks));
+    g
+}
+
 /// Default numerical sweep sizes, scaled for a laptop-class run; pass
 /// `--max-n` to the binaries to extend.
 pub fn accuracy_sweep(max_n: usize) -> Vec<usize> {

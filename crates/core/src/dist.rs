@@ -1,27 +1,20 @@
-//! Communication-metered distributed QDWH on tiled matrices.
+//! Communication-metered QDWH on a virtual process grid.
 //!
-//! This is the executable counterpart of the paper's SLATE implementation:
-//! the same Algorithm 1, but operating on [`TiledMatrix`] storage under a
-//! 2D block-cyclic tile→rank map, with every tile that crosses a rank
-//! boundary metered through a [`VirtualComm`]. The tile algorithms are the
-//! PLASMA/SLATE loop nests — `geqrt`/`tsqrt`/`tsmqr` tile QR, right-looking
-//! tile Cholesky, tile gemm/herk/trsm — i.e. the *numerical* twins of the
-//! symbolic task DAGs in `polar-sim`.
-//!
-//! Ranks share one address space here (no real network — see DESIGN.md's
-//! substitution policy), so "communication" means accounting, not copying;
-//! the resulting message/byte counts are what an MPI execution of the same
-//! schedule would transfer.
+//! The paper's SLATE implementation distributes tiles 2D block-cyclically
+//! and runs every tile task on the rank that owns its output. Ranks share
+//! one address space here (no real network — see DESIGN.md's substitution
+//! policy), so a distributed run is the shared-memory tiled solve plus
+//! accounting: solve, emit the whole-solve graph of the iterations that
+//! ran ([`qdwh_task_graph`], the code the solve executed), place its tasks
+//! on the grid and meter the tiles that cross a rank boundary. The counts
+//! are what an MPI execution of the same graph would transfer.
 
-use crate::options::{IterationPath, QdwhOptions};
-use crate::params::{halley_parameters, update_ell};
-use crate::qdwh_impl::{qdwh, PolarDecomposition, QdwhError, QdwhInfo};
-use polar_blas::{symmetrize, trsm};
-use polar_lapack::{geqrt, potrf, tsmqr, tsqrt, unmqr_tile};
-use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Uplo};
-use polar_runtime::{CommStats, VirtualComm};
-use polar_scalar::{Real, Scalar};
-use std::collections::HashMap;
+use crate::fused::qdwh_task_graph;
+use crate::options::{QdwhOptions, TiledPath};
+use crate::qdwh_impl::{qdwh, PolarDecomposition, QdwhError};
+use polar_matrix::{Matrix, ProcessGrid};
+use polar_runtime::CommStats;
+use polar_scalar::Scalar;
 
 /// Configuration of the virtual distributed run.
 #[derive(Debug, Clone)]
@@ -38,681 +31,43 @@ pub struct DistConfig {
 pub struct DistOutcome<S: Scalar> {
     pub pd: PolarDecomposition<S>,
     pub comm: CommStats,
-    /// Tile-level kernel invocations (the realized task count).
+    /// Tile tasks of the whole-solve graph.
     pub tile_tasks: usize,
 }
 
-/// Execution context threading the communicator and task counter through
-/// the tile algorithms.
-struct Ctx<'c, S: Scalar> {
-    comm: &'c VirtualComm,
-    tasks: usize,
-    _marker: std::marker::PhantomData<S>,
-}
-
-impl<S: Scalar> Ctx<'_, S> {
-    fn tile_bytes(rows: usize, cols: usize) -> u64 {
-        (std::mem::size_of::<S>() * rows * cols) as u64
-    }
-
-    /// Meter the inputs of a tile task executing on `exec_rank`.
-    fn meter(&mut self, exec_rank: usize, inputs: &[(usize, u64)]) {
-        self.tasks += 1;
-        for &(owner, bytes) in inputs {
-            self.comm.send(owner, exec_rank, bytes);
-        }
-    }
-}
-
-fn bytes_of<S: Scalar>(m: &Matrix<S>) -> u64 {
-    Ctx::<S>::tile_bytes(m.nrows(), m.ncols())
-}
-
-/// `C := alpha * op_a(A) * op_b(B) + beta * C` on tiled matrices.
-/// `op` tile semantics: `ConjTrans` swaps tile indices and conjugates.
-#[allow(clippy::too_many_arguments)]
-fn dist_gemm<S: Scalar>(
-    ctx: &mut Ctx<'_, S>,
-    op_a: Op,
-    op_b: Op,
-    alpha: S,
-    a: &TiledMatrix<S>,
-    b: &TiledMatrix<S>,
-    beta: S,
-    c: &mut TiledMatrix<S>,
-) {
-    let (mt, nt) = (c.mt(), c.nt());
-    let kt = match op_a {
-        Op::NoTrans => a.nt(),
-        _ => a.mt(),
-    };
-    for j in 0..nt {
-        for i in 0..mt {
-            let dst = c.owner(i, j);
-            // beta pass
-            {
-                let tile = c.tile_mut(i, j);
-                if beta == S::ZERO {
-                    tile.fill(S::ZERO);
-                } else if beta != S::ONE {
-                    polar_blas::scale(beta, tile.as_mut());
-                }
-            }
-            for l in 0..kt {
-                let (ai, aj) = match op_a {
-                    Op::NoTrans => (i, l),
-                    _ => (l, i),
-                };
-                let (bi, bj) = match op_b {
-                    Op::NoTrans => (l, j),
-                    _ => (j, l),
-                };
-                let a_tile = a.tile(ai, aj);
-                let b_tile = b.tile(bi, bj);
-                ctx.meter(
-                    dst,
-                    &[(a.owner(ai, aj), bytes_of(a_tile)), (b.owner(bi, bj), bytes_of(b_tile))],
-                );
-                let out = c.tile_mut(i, j);
-                polar_blas::gemm(
-                    op_a,
-                    op_b,
-                    alpha,
-                    a_tile.as_ref(),
-                    b_tile.as_ref(),
-                    S::ONE,
-                    out.as_mut(),
-                );
-            }
-        }
-    }
-}
-
-/// `Z := beta * Z + alpha * X^H X` on the lower triangle (tiled herk).
-fn dist_herk<S: Scalar>(
-    ctx: &mut Ctx<'_, S>,
-    alpha: S::Real,
-    x: &TiledMatrix<S>,
-    beta: S::Real,
-    z: &mut TiledMatrix<S>,
-) {
-    let nt = z.nt();
-    let mt = x.mt();
-    // beta pass on the lower triangle
-    for j in 0..nt {
-        for i in j..nt {
-            let tile = z.tile_mut(i, j);
-            if beta == S::Real::ZERO {
-                tile.fill(S::ZERO);
-            } else if beta != S::Real::ONE {
-                polar_blas::scale_real::<S>(beta, tile.as_mut());
-            }
-        }
-    }
-    for l in 0..mt {
-        for j in 0..nt {
-            for i in j..nt {
-                let dst = z.owner(i, j);
-                let xli = x.tile(l, i);
-                let xlj = x.tile(l, j);
-                ctx.meter(dst, &[(x.owner(l, i), bytes_of(xli)), (x.owner(l, j), bytes_of(xlj))]);
-                let out = z.tile_mut(i, j);
-                if i == j {
-                    polar_blas::herk(
-                        Uplo::Lower,
-                        Op::ConjTrans,
-                        alpha,
-                        xlj.as_ref(),
-                        S::Real::ONE,
-                        out.as_mut(),
-                    );
-                } else {
-                    polar_blas::gemm(
-                        Op::ConjTrans,
-                        Op::NoTrans,
-                        S::from_real(alpha),
-                        xli.as_ref(),
-                        xlj.as_ref(),
-                        S::ONE,
-                        out.as_mut(),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Right-looking tile Cholesky of the lower triangle of `z`.
-fn dist_potrf<S: Scalar>(ctx: &mut Ctx<'_, S>, z: &mut TiledMatrix<S>) -> Result<(), QdwhError> {
-    let nt = z.nt();
-    for k in 0..nt {
-        {
-            ctx.meter(z.owner(k, k), &[]);
-            let tile = z.tile_mut(k, k);
-            potrf(Uplo::Lower, tile).map_err(QdwhError::Lapack)?;
-        }
-        let diag_owner = z.owner(k, k);
-        let diag_bytes = bytes_of(z.tile(k, k));
-        for i in k + 1..nt {
-            ctx.meter(z.owner(i, k), &[(diag_owner, diag_bytes)]);
-            let (diag, below) = z.tile_pair_mut((k, k), (i, k));
-            trsm(
-                Side::Right,
-                Uplo::Lower,
-                Op::ConjTrans,
-                Diag::NonUnit,
-                S::ONE,
-                diag.as_ref(),
-                below.as_mut(),
-            );
-        }
-        for j in k + 1..nt {
-            for i in j..nt {
-                let dst = z.owner(i, j);
-                let lik = z.tile(i, k).clone();
-                let ljk_owner = z.owner(j, k);
-                let lik_owner = z.owner(i, k);
-                ctx.meter(
-                    dst,
-                    &[
-                        (lik_owner, bytes_of(&lik)),
-                        (
-                            ljk_owner,
-                            Ctx::<S>::tile_bytes(z.tile(j, k).nrows(), z.tile(j, k).ncols()),
-                        ),
-                    ],
-                );
-                if i == j {
-                    let out = z.tile_mut(j, j);
-                    polar_blas::herk(
-                        Uplo::Lower,
-                        Op::NoTrans,
-                        -S::Real::ONE,
-                        lik.as_ref(),
-                        S::Real::ONE,
-                        out.as_mut(),
-                    );
-                } else {
-                    let ljk = z.tile(j, k).clone();
-                    let out = z.tile_mut(i, j);
-                    polar_blas::gemm(
-                        Op::NoTrans,
-                        Op::ConjTrans,
-                        -S::ONE,
-                        lik.as_ref(),
-                        ljk.as_ref(),
-                        S::ONE,
-                        out.as_mut(),
-                    );
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `X := X * op(L)^{-1}` with `L` the lower tile Cholesky factor
-/// (`op = ConjTrans` first, then `op = NoTrans`, gives `X Z^{-1}`).
-fn dist_trsm_right<S: Scalar>(
-    ctx: &mut Ctx<'_, S>,
-    op: Op,
-    l: &TiledMatrix<S>,
-    x: &mut TiledMatrix<S>,
-) {
-    let nt = x.nt();
-    let mt = x.mt();
-    let cols: Vec<usize> = match op {
-        // T = L^H (upper): ascending column order
-        Op::ConjTrans | Op::Trans => (0..nt).collect(),
-        // T = L (lower): descending
-        Op::NoTrans => (0..nt).rev().collect(),
-    };
-    for &j in &cols {
-        // updates from already-solved columns
-        let solved: Vec<usize> = match op {
-            Op::ConjTrans | Op::Trans => (0..j).collect(),
-            Op::NoTrans => (j + 1..nt).collect(),
-        };
-        for &lcol in &solved {
-            // T[l, j] tile: for op=ConjTrans it is (L[j][lcol])^H;
-            // for NoTrans it is L[lcol][j]
-            let (ti, tj, t_op) = match op {
-                Op::ConjTrans | Op::Trans => (j, lcol, Op::ConjTrans),
-                Op::NoTrans => (lcol, j, Op::NoTrans),
-            };
-            let t_tile = l.tile(ti, tj).clone();
-            let t_owner = l.owner(ti, tj);
-            for i in 0..mt {
-                let dst = x.owner(i, j);
-                let xl = x.tile(i, lcol).clone();
-                let xl_owner = x.owner(i, lcol);
-                ctx.meter(dst, &[(xl_owner, bytes_of(&xl)), (t_owner, bytes_of(&t_tile))]);
-                let out = x.tile_mut(i, j);
-                polar_blas::gemm(
-                    Op::NoTrans,
-                    t_op,
-                    -S::ONE,
-                    xl.as_ref(),
-                    t_tile.as_ref(),
-                    S::ONE,
-                    out.as_mut(),
-                );
-            }
-        }
-        // diagonal solve
-        let diag = l.tile(j, j).clone();
-        let diag_owner = l.owner(j, j);
-        for i in 0..mt {
-            ctx.meter(x.owner(i, j), &[(diag_owner, bytes_of(&diag))]);
-            let out = x.tile_mut(i, j);
-            trsm(Side::Right, Uplo::Lower, op, Diag::NonUnit, S::ONE, diag.as_ref(), out.as_mut());
-        }
-    }
-}
-
-/// `X := alpha * W + beta * X`, tiled.
-fn dist_geadd<S: Scalar>(
-    ctx: &mut Ctx<'_, S>,
-    alpha: S,
-    w: &TiledMatrix<S>,
-    beta: S,
-    x: &mut TiledMatrix<S>,
-) {
-    for j in 0..x.nt() {
-        for i in 0..x.mt() {
-            let dst = x.owner(i, j);
-            let wt = w.tile(i, j);
-            ctx.meter(dst, &[(w.owner(i, j), bytes_of(wt))]);
-            let out = x.tile_mut(i, j);
-            polar_blas::add(alpha, wt.as_ref(), beta, out.as_mut());
-        }
-    }
-}
-
-/// Stored T factors of a tiled QR factorization.
-struct TileQrFactors<S: Scalar> {
-    /// `T` from `geqrt` at panel `k`.
-    t_diag: Vec<Matrix<S>>,
-    /// `T` from `tsqrt` at `(i, k)`.
-    t_ts: HashMap<(usize, usize), Matrix<S>>,
-}
-
-/// PLASMA-style tile QR factorization of `w` (communication-metered).
-fn dist_geqrf<S: Scalar>(ctx: &mut Ctx<'_, S>, w: &mut TiledMatrix<S>) -> TileQrFactors<S> {
-    let mt = w.mt();
-    let nt = w.nt();
-    let kt = mt.min(nt);
-    let mut t_diag = Vec::with_capacity(kt);
-    let mut t_ts = HashMap::new();
-
-    for k in 0..kt {
-        // panel head
-        ctx.meter(w.owner(k, k), &[]);
-        let t_kk = geqrt(w.tile_mut(k, k));
-        // row update with the diagonal reflectors
-        let vk_owner = w.owner(k, k);
-        let vk_bytes = bytes_of(w.tile(k, k));
-        for j in k + 1..nt {
-            ctx.meter(w.owner(k, j), &[(vk_owner, vk_bytes + bytes_of(&t_kk))]);
-            let v = w.tile(k, k).clone();
-            unmqr_tile(Op::ConjTrans, &v, &t_kk, w.tile_mut(k, j));
-        }
-        // annihilate sub-diagonal tiles
-        for i in k + 1..mt {
-            ctx.meter(w.owner(i, k), &[(w.owner(k, k), vk_bytes)]);
-            let t_ik = {
-                let (rkk, bik) = w.tile_pair_mut((k, k), (i, k));
-                tsqrt(rkk, bik)
-            };
-            let vi_owner = w.owner(i, k);
-            let vi_bytes = bytes_of(w.tile(i, k));
-            for j in k + 1..nt {
-                // executes where A[i][j] lives; reads V2/T from (i,k) and
-                // updates the row tile A[k][j] in place (round trip)
-                let dst = w.owner(i, j);
-                ctx.meter(
-                    dst,
-                    &[
-                        (vi_owner, vi_bytes + bytes_of(&t_ik)),
-                        (w.owner(k, j), bytes_of(w.tile(k, j))),
-                    ],
-                );
-                let v2 = w.tile(i, k).clone();
-                let (a1, a2) = w.tile_pair_mut((k, j), (i, j));
-                tsmqr(Op::ConjTrans, &v2, &t_ik, a1, a2);
-            }
-            t_ts.insert((i, k), t_ik);
-        }
-        t_diag.push(t_kk);
-    }
-    TileQrFactors { t_diag, t_ts }
-}
-
-/// Build the explicit thin Q of a tiled QR: apply the stored reflectors in
-/// reverse order to identity-seeded tiles (PLASMA `orgqr` dataflow).
-fn dist_orgqr<S: Scalar>(
-    ctx: &mut Ctx<'_, S>,
-    w: &TiledMatrix<S>,
-    f: &TileQrFactors<S>,
-    q: &mut TiledMatrix<S>,
-) {
-    let mt = w.mt();
-    let nt_q = q.nt();
-    let kt = f.t_diag.len();
-    // seed: global identity pattern across the tile grid
-    for j in 0..nt_q {
-        for i in 0..q.mt() {
-            let tiling = q.tiling();
-            let (r0, c0) = tiling.tile_origin(i, j);
-            let tile = q.tile_mut(i, j);
-            tile.fill(S::ZERO);
-            for d in 0..tile.nrows() {
-                let global_row = r0 + d;
-                if global_row >= c0 && global_row - c0 < tile.ncols() {
-                    tile[(d, global_row - c0)] = S::ONE;
-                }
-            }
-        }
-    }
-
-    for k in (0..kt).rev() {
-        for i in (k + 1..mt).rev() {
-            let t_ik = &f.t_ts[&(i, k)];
-            let v2 = w.tile(i, k).clone();
-            let v_owner = w.owner(i, k);
-            for j in 0..nt_q {
-                let dst = q.owner(i, j);
-                ctx.meter(
-                    dst,
-                    &[
-                        (v_owner, bytes_of(&v2) + bytes_of(t_ik)),
-                        (q.owner(k, j), bytes_of(q.tile(k, j))),
-                    ],
-                );
-                let (q1, q2) = q.tile_pair_mut((k, j), (i, j));
-                tsmqr(Op::NoTrans, &v2, t_ik, q1, q2);
-            }
-        }
-        let t_kk = &f.t_diag[k];
-        let v = w.tile(k, k).clone();
-        let v_owner = w.owner(k, k);
-        for j in 0..nt_q {
-            ctx.meter(q.owner(k, j), &[(v_owner, bytes_of(&v) + bytes_of(t_kk))]);
-            unmqr_tile(Op::NoTrans, &v, t_kk, q.tile_mut(k, j));
-        }
-    }
-}
-
-/// Frobenius norm of a tiled matrix with an allreduce meter.
-fn dist_fro_norm<S: Scalar>(comm: &VirtualComm, x: &TiledMatrix<S>) -> S::Real {
-    let mut sum = S::Real::ZERO;
-    for (i, j) in x.indices() {
-        let t = x.tile(i, j);
-        for v in t.as_slice() {
-            sum += v.abs_sq();
-        }
-    }
-    comm.allreduce(std::mem::size_of::<S::Real>() as u64);
-    sum.sqrt()
-}
-
-/// Extract rows `[r0, r0+rows)` of a tiled matrix into a new tiled matrix
-/// (used to split the stacked `[sqrt(c) X; I]` Q factor into `Q1`, `Q2`).
-/// `r0` must be tile-aligned.
-fn split_rows<S: Scalar>(
-    src: &TiledMatrix<S>,
-    tile_r0: usize,
-    tile_rows: usize,
-    grid: ProcessGrid,
-    nb: usize,
-) -> TiledMatrix<S> {
-    let tiling = src.tiling();
-    let rows: usize = (tile_r0..tile_r0 + tile_rows).map(|i| tiling.tile_rows(i)).sum();
-    let mut dense = Matrix::<S>::zeros(rows, tiling.n());
-    let mut roff = 0;
-    for i in tile_r0..tile_r0 + tile_rows {
-        for j in 0..src.nt() {
-            let (_, c0) = tiling.tile_origin(i, j);
-            let t = src.tile(i, j);
-            for jj in 0..t.ncols() {
-                for ii in 0..t.nrows() {
-                    dense[(roff + ii, c0 + jj)] = t[(ii, jj)];
-                }
-            }
-        }
-        roff += tiling.tile_rows(i);
-    }
-    TiledMatrix::from_dense(&dense, nb, nb, grid)
-}
-
-/// Distributed (virtual-cluster) QDWH: Algorithm 1 on tiled storage with
-/// all cross-rank tile movement metered. Numerically equivalent to
-/// [`crate::qdwh`] — the tile QR produces a different (but unitarily
-/// equivalent) `Q`, and the iterate `X_{k+1}` is invariant to that choice.
+/// Distributed (virtual-cluster) QDWH: [`qdwh`] on the tiled path at tile
+/// size `cfg.nb` — `U` and `H` are that solve's, bit for bit, whatever the
+/// grid — with the cross-rank tile traffic of its task graph under
+/// `cfg.grid` ([`polar_runtime::TaskGraph::comm`]).
 pub fn qdwh_distributed<S: Scalar>(
     a: &Matrix<S>,
     opts: &QdwhOptions,
     cfg: &DistConfig,
 ) -> Result<DistOutcome<S>, QdwhError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if m < n {
-        return Err(QdwhError::Shape("qdwh_distributed requires m >= n"));
-    }
-    if n == 0 || a.has_non_finite() {
-        // delegate the degenerate cases to the dense driver
-        let pd = qdwh(a, opts)?;
-        return Ok(DistOutcome { pd, comm: CommStats::default(), tile_tasks: 0 });
-    }
-
-    let comm = VirtualComm::new(cfg.grid.nranks());
-    let mut ctx = Ctx::<S> { comm: &comm, tasks: 0, _marker: std::marker::PhantomData };
-
-    let eps = S::Real::EPSILON;
-    let five_eps = S::Real::from_f64(5.0) * eps;
-    let conv_tol = five_eps.cbrt();
-
-    // --- scalar stage (norm estimates): replicated computation with
-    // collective metering, as in SLATE's norm/allreduce kernels ---
-    let est = polar_lapack::norm2est(a);
-    comm.allreduce((std::mem::size_of::<S::Real>() * n) as u64); // column sums
-    for _ in 0..est.iterations {
-        comm.allreduce(std::mem::size_of::<S::Real>() as u64);
-    }
-    let alpha = est.estimate;
-    if alpha == S::Real::ZERO {
-        let pd = qdwh(a, opts)?;
-        return Ok(DistOutcome { pd, comm: comm.stats(), tile_tasks: 0 });
-    }
-
-    let mut x0 = a.clone();
-    polar_blas::scale_real::<S>(alpha.recip(), x0.as_mut());
-
-    // l0 via the same estimators as the dense driver (replicated; metered
-    // as a broadcast of the R factor's diagonal blocks)
-    let l0 = match opts.l0_override {
-        Some(v) => S::Real::from_f64(v),
-        None => {
-            let mut w1 = x0.clone();
-            let _f = polar_lapack::geqrf(&mut w1);
-            comm.bcast(0, (std::mem::size_of::<S>() * n) as u64);
-            let raw = match opts.l0_strategy {
-                crate::options::L0Strategy::SigmaMinPowerIteration => {
-                    polar_lapack::tr_sigma_min_est(&w1) * S::Real::from_f64(0.9)
-                }
-                crate::options::L0Strategy::PaperFormula => {
-                    let rcond = polar_lapack::trcondest(&w1);
-                    let anorm: S::Real = polar_blas::norm(polar_matrix::Norm::One, x0.as_ref());
-                    anorm * rcond / S::Real::from_usize(n).sqrt()
-                }
-                crate::options::L0Strategy::LuFormula => {
-                    let anorm: S::Real = polar_blas::norm(polar_matrix::Norm::One, x0.as_ref());
-                    let rcond = if m == n {
-                        match polar_lapack::getrf(&x0) {
-                            Ok(f) => polar_lapack::gecondest(&f, anorm),
-                            Err((f, _)) => polar_lapack::gecondest(&f, anorm),
-                        }
-                    } else {
-                        // LU condition estimation needs a square system;
-                        // rectangular inputs take the QR route
-                        polar_lapack::trcondest(&w1)
-                    };
-                    anorm * rcond / S::Real::from_usize(n).sqrt()
-                }
-            };
-            raw.max(eps * eps).min(S::Real::ONE - eps)
-        }
-    };
-
-    // --- tiled iterate ---
-    let nb = cfg.nb;
-    let mut x = TiledMatrix::from_dense(&x0, nb, nb, cfg.grid);
-    let mt = x.mt();
-    let _ = x.nt();
-
-    let mut ell = l0;
-    let mut conv = S::Real::from_f64(100.0);
-    let mut info = QdwhInfo {
-        alpha,
-        l0,
-        iterations: 0,
-        qr_iterations: 0,
-        chol_iterations: 0,
-        kinds: Vec::new(),
-        records: Vec::new(),
-        flops_estimate: 0.0,
-        tiled_decision: None,
-    };
-    let _solve_span = polar_obs::span!("qdwh_dist", m, n);
-
-    while conv >= conv_tol || (ell - S::Real::ONE).abs() >= five_eps {
-        if info.iterations >= opts.max_iterations {
-            return Err(QdwhError::NoConvergence { iterations: info.iterations });
-        }
-        info.iterations += 1;
-        let kernels_before = polar_obs::kernel_snapshot();
-        let iter_start = std::time::Instant::now();
-        let _iter_span = polar_obs::span!("qdwh_dist_iter", info.iterations, n);
-        let p = halley_parameters(ell);
-        ell = update_ell(ell, p);
-        let use_qr = match opts.path {
-            IterationPath::Auto => p.c.to_f64() > opts.qr_switch_threshold,
-            IterationPath::ForceQr => true,
-            IterationPath::ForceCholesky => false,
-        };
-
-        // X_prev for convergence (dense snapshot is cheap at test sizes)
-        let x_prev = x.to_dense();
-
-        if use_qr {
-            info.qr_iterations += 1;
-            info.kinds.push(crate::options::IterationKind::QrBased);
-            // W = [sqrt(c) X; I] as a tiled (mt + nt) x nt matrix
-            let mut top = x.to_dense();
-            polar_blas::scale_real::<S>(p.c.sqrt(), top.as_mut());
-            let w_dense = Matrix::vstack(&top, &Matrix::identity(n, n));
-            let mut w = TiledMatrix::from_dense(&w_dense, nb, nb, cfg.grid);
-            let f = dist_geqrf(&mut ctx, &mut w);
-            let mut q = TiledMatrix::zeros(polar_matrix::Tiling::new(m + n, n, nb, nb), cfg.grid);
-            dist_orgqr(&mut ctx, &w, &f, &mut q);
-            let q1 = split_rows(&q, 0, mt, cfg.grid, nb);
-            let q2 = split_rows(&q, mt, q.mt() - mt, cfg.grid, nb);
-            // X := theta Q1 Q2^H + beta X
-            let beta = p.b / p.c;
-            let theta = (p.a - beta) / p.c.sqrt();
-            dist_gemm(
-                &mut ctx,
-                Op::NoTrans,
-                Op::ConjTrans,
-                S::from_real(theta),
-                &q1,
-                &q2,
-                S::from_real(beta),
-                &mut x,
-            );
-        } else {
-            info.chol_iterations += 1;
-            info.kinds.push(crate::options::IterationKind::CholeskyBased);
-            let xp = TiledMatrix::from_dense(&x_prev, nb, nb, cfg.grid);
-            // Z = I + c X^H X
-            let mut z = TiledMatrix::from_dense(&Matrix::<S>::identity(n, n), nb, nb, cfg.grid);
-            dist_herk(&mut ctx, p.c, &x, S::Real::ONE, &mut z);
-            dist_potrf(&mut ctx, &mut z)?;
-            dist_trsm_right(&mut ctx, Op::ConjTrans, &z, &mut x);
-            dist_trsm_right(&mut ctx, Op::NoTrans, &z, &mut x);
-            // X := (b/c) X_prev + (a - b/c) X
-            let beta = p.b / p.c;
-            let theta = p.a - beta;
-            dist_geadd(&mut ctx, S::from_real(beta), &xp, S::from_real(theta), &mut x);
-        }
-
-        // conv = ||X - X_prev||_F
-        let xd = x.to_dense();
-        if xd.has_non_finite() {
-            return Err(QdwhError::NonFinite { iteration: info.iterations });
-        }
-        let mut diff = xd;
-        polar_blas::add(-S::ONE, x_prev.as_ref(), S::ONE, diff.as_mut());
-        let diff_tiled = TiledMatrix::from_dense(&diff, nb, nb, cfg.grid);
-        conv = dist_fro_norm(&comm, &diff_tiled);
-        drop(_iter_span);
-        let kind = *info.kinds.last().expect("kind pushed this iteration");
-        info.records.push(crate::qdwh_impl::IterationRecord {
-            iteration: info.iterations,
-            kind,
-            ell,
-            convergence: conv,
-            seconds: iter_start.elapsed().as_secs_f64(),
-            kernels: polar_obs::kernel_snapshot().delta(&kernels_before),
-        });
-    }
-
-    // flops per the paper formula
-    let nf = n as f64;
-    let tf = polar_blas::flops::type_factor(S::IS_COMPLEX);
-    info.flops_estimate = tf
-        * ((4.0 / 3.0) * nf.powi(3)
-            + (8.0 + 2.0 / 3.0) * nf.powi(3) * info.qr_iterations as f64
-            + (4.0 + 1.0 / 3.0) * nf.powi(3) * info.chol_iterations as f64
-            + 2.0 * nf.powi(3));
-
-    // H = U^H A
-    let u = x.to_dense();
-    let h = if opts.compute_h {
-        let a_tiled = TiledMatrix::from_dense(a, nb, nb, cfg.grid);
-        let mut h_tiled = TiledMatrix::zeros(polar_matrix::Tiling::new(n, n, nb, nb), cfg.grid);
-        dist_gemm(
-            &mut ctx,
-            Op::ConjTrans,
-            Op::NoTrans,
-            S::ONE,
-            &x,
-            &a_tiled,
-            S::ZERO,
-            &mut h_tiled,
-        );
-        let mut h = h_tiled.to_dense();
-        symmetrize(h.as_mut());
-        h
-    } else {
-        Matrix::zeros(0, 0)
-    };
-
-    Ok(DistOutcome {
-        pd: PolarDecomposition { u, h, info },
-        comm: comm.stats(),
-        tile_tasks: ctx.tasks,
-    })
+    let opts = QdwhOptions { tiled: TiledPath::Always, tile_nb: Some(cfg.nb), ..opts.clone() };
+    let pd = qdwh(a, &opts)?;
+    let mut graph =
+        qdwh_task_graph::<S>(a.nrows(), a.ncols(), cfg.nb, &pd.info.kinds, opts.exploit_structure);
+    graph.assign_ranks(cfg.grid);
+    Ok(DistOutcome { pd, comm: graph.comm(), tile_tasks: graph.len() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::IterationPath;
     use crate::qdwh_impl::orthogonality_error;
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
+    use polar_scalar::Complex64;
 
     fn cfg(p: usize, q: usize, nb: usize) -> DistConfig {
         DistConfig { grid: ProcessGrid::new(p, q), nb }
+    }
+
+    fn fro_diff(a: &Matrix<f64>, b: &Matrix<f64>) -> f64 {
+        let mut d = a.clone();
+        polar_blas::add(-1.0, b.as_ref(), 1.0, d.as_mut());
+        polar_blas::norm(polar_matrix::Norm::Fro, d.as_ref())
     }
 
     #[test]
@@ -730,14 +85,22 @@ mod tests {
         assert_eq!(dist.pd.info.iterations, dense.info.iterations);
         assert_eq!(dist.pd.info.qr_iterations, dense.info.qr_iterations);
         // same factors up to roundoff
-        let mut du = dist.pd.u.clone();
-        polar_blas::add(-1.0, dense.u.as_ref(), 1.0, du.as_mut());
-        let err_u: f64 = polar_blas::norm(polar_matrix::Norm::Fro, du.as_ref());
+        let err_u = fro_diff(&dist.pd.u, &dense.u);
         assert!(err_u < 1e-8, "U differs by {err_u}");
-        let mut dh = dist.pd.h.clone();
-        polar_blas::add(-1.0, dense.h.as_ref(), 1.0, dh.as_mut());
-        let err_h: f64 = polar_blas::norm(polar_matrix::Norm::Fro, dh.as_ref());
+        let err_h = fro_diff(&dist.pd.h, &dense.h);
         assert!(err_h < 1e-8, "H differs by {err_h}");
+    }
+
+    #[test]
+    fn distributed_is_the_tiled_solve_bit_for_bit_on_every_grid() {
+        let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(40, 7));
+        let opts = QdwhOptions { tiled: TiledPath::Always, tile_nb: Some(8), ..Default::default() };
+        let tiled = qdwh(&a, &opts).unwrap();
+        for (p, q) in [(1, 1), (2, 2), (1, 3)] {
+            let dist = qdwh_distributed(&a, &QdwhOptions::default(), &cfg(p, q, 8)).unwrap();
+            assert_eq!(dist.pd.u.as_slice(), tiled.u.as_slice(), "U on {p}x{q}");
+            assert_eq!(dist.pd.h.as_slice(), tiled.h.as_slice(), "H on {p}x{q}");
+        }
     }
 
     #[test]
@@ -747,7 +110,7 @@ mod tests {
         assert!(orthogonality_error(&out.pd.u) < 1e-12);
         assert!(out.pd.backward_error(&a) < 1e-12);
         assert!(out.pd.info.iterations <= 6);
-        assert!(out.tile_tasks > 100, "tile execution really happened");
+        assert!(out.tile_tasks > 100, "a multi-tile graph was metered");
     }
 
     #[test]
@@ -756,24 +119,20 @@ mod tests {
         let single = qdwh_distributed(&a, &QdwhOptions::default(), &cfg(1, 1, 8)).unwrap();
         let multi = qdwh_distributed(&a, &QdwhOptions::default(), &cfg(2, 2, 8)).unwrap();
         // single rank: no point-to-point traffic
-        assert_eq!(single.comm.point_to_point_bytes, 0);
+        assert_eq!(single.comm, CommStats::default());
         // multi rank: substantial traffic
         assert!(multi.comm.point_to_point_bytes > 0);
         assert!(multi.comm.point_to_point_messages > 10);
-        // same numerics regardless of grid
-        let mut d = single.pd.u.clone();
-        polar_blas::add(-1.0, multi.pd.u.as_ref(), 1.0, d.as_mut());
-        let err: f64 = polar_blas::norm(polar_matrix::Norm::Fro, d.as_ref());
-        assert!(err < 1e-9, "grid changed the numerics by {err}");
+        assert_eq!(single.tile_tasks, multi.tile_tasks, "one graph, two owner maps");
     }
 
     #[test]
     fn distributed_complex() {
-        use polar_scalar::Complex64;
         let (a, _) = generate::<Complex64>(&MatrixSpec::well_conditioned(24, 11));
         let out = qdwh_distributed(&a, &QdwhOptions::default(), &cfg(2, 1, 8)).unwrap();
         assert!(orthogonality_error(&out.pd.u) < 1e-12);
         assert!(out.pd.backward_error(&a) < 1e-12);
+        assert!(out.comm.point_to_point_bytes > 0);
     }
 
     #[test]
@@ -792,7 +151,6 @@ mod tests {
 
     #[test]
     fn distributed_forced_qr_path() {
-        use crate::options::IterationPath;
         let (a, _) = generate::<f64>(&MatrixSpec::well_conditioned(32, 17));
         let opts = QdwhOptions { path: IterationPath::ForceQr, ..Default::default() };
         let out = qdwh_distributed(&a, &opts, &cfg(2, 2, 8)).unwrap();
@@ -819,5 +177,17 @@ mod tests {
         let out = qdwh_distributed(&a, &QdwhOptions::default(), &cfg(2, 2, 8)).unwrap();
         assert!(orthogonality_error(&out.pd.u) < 1e-12);
         assert!(out.pd.backward_error(&a) < 1e-12);
+    }
+
+    #[test]
+    fn degenerate_inputs_meter_an_empty_graph() {
+        let zero = Matrix::<f64>::zeros(16, 8);
+        let out = qdwh_distributed(&zero, &QdwhOptions::default(), &cfg(2, 2, 8)).unwrap();
+        assert_eq!((out.tile_tasks, out.comm), (0, CommStats::default()));
+        let wide = Matrix::<f64>::zeros(4, 8);
+        assert!(matches!(
+            qdwh_distributed(&wide, &QdwhOptions::default(), &cfg(2, 2, 8)),
+            Err(QdwhError::Shape(_))
+        ));
     }
 }

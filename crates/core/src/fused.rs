@@ -51,12 +51,12 @@ use crate::options::{graph_tile_nb, poll_progress, IterationKind, IterationPath,
 use crate::params::{halley_parameters, update_ell};
 use crate::qdwh_impl::{QdwhError, QdwhInfo};
 use crate::solve_dag::{
-    emit_term, execute_hooked, record_iterations, HalleyUpdate, NormSink, TermWorkspace,
+    emit_term, execute_hooked, record_iterations, HalleyUpdate, NormSink, TermPtr, TermWorkspace,
 };
 use polar_blas::{gemm, herk, trmm};
 use polar_lapack::{emit_potrf, trtri_lower, LapackError, TilePtr};
 use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
-use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TaskStatus};
+use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TaskGraph, TaskStatus};
 use polar_scalar::{Real, Scalar};
 use std::sync::OnceLock;
 
@@ -99,70 +99,113 @@ pub(crate) fn plan_iterations<R: Real>(l0: R, opts: &QdwhOptions) -> Option<Vec<
     Some(plan)
 }
 
-/// Run the whole planned Halley sequence as one task graph: takes the
-/// iterate, returns it advanced, and updates the run telemetry in place.
-/// On success the caller's loop condition re-check provides the (normally
-/// trivial) continuation; on a planner bail-out (`None` plan) `x` comes
-/// back untouched so the per-iteration loop takes over entirely.
-pub(crate) fn qdwh_fused<S: Scalar>(
-    x: Matrix<S>,
-    ell: &mut S::Real,
-    conv: &mut S::Real,
-    info: &mut QdwhInfo<S::Real>,
-    opts: &QdwhOptions,
-) -> Result<Matrix<S>, QdwhError> {
-    type R<S> = <S as Scalar>::Real;
-    let m = x.nrows();
-    let n = x.ncols();
-    let Some(plan) = plan_iterations(*ell, opts) else { return Ok(x) };
-    let iters = plan.len();
-    if iters == 0 {
-        return Ok(x);
+/// Everything the planned iterations read and write, as the tasks of one
+/// dag see it: `X` double-buffered by iteration parity (iteration `k` reads
+/// parity `k % 2`, writes the other), the stacked-QR workspace, and for the
+/// Cholesky kind `Z` (then its factor `L`) plus one tile column for the
+/// inverses of `L`'s diagonal tiles. The workspaces exist once per solve
+/// (see [`TermWorkspace`]) and only for the kinds the plan contains.
+#[derive(Clone, Copy)]
+struct SolvePtrs<'a, S: Scalar> {
+    x: [TilePtr<'a, S>; 2],
+    term: Option<TermPtr<'a, S>>,
+    chol: Option<(TilePtr<'a, S>, TilePtr<'a, S>)>,
+}
+
+impl<S: Scalar> SolvePtrs<'_, S> {
+    /// Name the sink and every matrix of the solve in `dag`, storage-free.
+    /// The one place the whole-solve graph's matrix ids are handed out, so
+    /// the executed graph and [`qdwh_task_graph`] agree on them.
+    fn shapes(
+        dag: &mut TaskDag<'_>,
+        sink: &mut NormSink,
+        xt: Tiling,
+        plan: &[IterPlan<S::Real>],
+        exploit_structure: bool,
+    ) -> Self {
+        let (m, n, nb) = (xt.m(), xt.n(), xt.nb());
+        sink.name_in(dag);
+        Self {
+            x: [TilePtr::shape(dag, xt), TilePtr::shape(dag, xt)],
+            term: plan
+                .iter()
+                .any(|p| p.qr)
+                .then(|| TermPtr::shape(dag, m, n, nb, exploit_structure.then_some(m))),
+            chol: plan.iter().any(|p| !p.qr).then(|| {
+                let mut tiles = |cols| TilePtr::shape(dag, Tiling::new(n, cols, nb, nb));
+                (tiles(n), tiles(nb.min(n)))
+            }),
+        }
     }
-    // a job cancelled while it queued allocates nothing
-    let (done, l0, conv0) = (info.iterations, ell.to_f64(), conv.to_f64());
-    poll_progress(opts.progress.as_ref(), done + 1, conv0, l0)?;
-    let nb = graph_tile_nb(opts.tile_nb, n);
 
-    let _span = polar_obs::span!("qdwh_fused", m, n);
-    let kernels_before = polar_obs::kernel_snapshot();
-    let start = std::time::Instant::now();
+    /// The same names over storage ([`TilePtr::bind`] checks the tilings).
+    fn bind<'b>(
+        self,
+        x: &'b mut [TiledMatrix<S>; 2],
+        term: Option<&'b mut TermWorkspace<S>>,
+        chol: Option<&'b mut (TiledMatrix<S>, TiledMatrix<S>)>,
+    ) -> SolvePtrs<'b, S> {
+        let [x0, x1] = x;
+        SolvePtrs {
+            x: [self.x[0].bind(x0), self.x[1].bind(x1)],
+            term: self.term.zip(term).map(|(p, ws)| p.bind(ws)),
+            chol: self.chol.zip(chol).map(|((z, li), (zs, ls))| (z.bind(zs), li.bind(ls))),
+        }
+    }
+}
 
-    let xt = Tiling::new(m, n, nb, nb);
-    let mtx = xt.mt();
-    let nt = xt.nt();
-    // X double-buffered by iteration parity: iteration k reads parity k%2,
-    // writes parity (k+1)%2. The workspace is not: see `TermWorkspace`.
-    let mut xb0 = TiledMatrix::from_dense(&x, nb, nb, ProcessGrid::single());
-    drop(x); // the tiles are the iterate from here on
-    let mut xb1 = TiledMatrix::<S>::zeros(xt, ProcessGrid::single());
-    let mut qr_ws = plan
+/// The whole-solve task graph of an `m x n` QDWH solve at tile size `nb`
+/// running the given iteration kinds, without bodies or storage: emitted
+/// by the code [`crate::qdwh`]'s tiled path executes, so its tasks, tile
+/// sets and edges are the executor's (scalar weights never reach the
+/// graph). `S` sets the tile payload bytes. What `polar-sim` schedules
+/// and [`crate::qdwh_distributed`] meters.
+pub fn qdwh_task_graph<S: Scalar>(
+    m: usize,
+    n: usize,
+    nb: usize,
+    kinds: &[IterationKind],
+    exploit_structure: bool,
+) -> TaskGraph {
+    let one = S::Real::ONE;
+    let plan: Vec<_> = kinds
         .iter()
-        .any(|p| p.qr)
-        .then(|| TermWorkspace::<S>::new(m, n, nb, opts.exploit_structure.then_some(m)));
-    // Cholesky workspace: Z, then its factor L, and one tile column for
-    // the inverses of L's diagonal tiles.
-    let mut chol_ws = plan.iter().any(|p| !p.qr).then(|| {
-        let tiles =
-            |cols| TiledMatrix::<S>::zeros(Tiling::new(n, cols, nb, nb), ProcessGrid::single());
-        (tiles(n), tiles(nb.min(n)))
-    });
-    let failure = OnceLock::<LapackError>::new();
-    let mut sink = NormSink::new(iters, xt);
-
+        .map(|&kind| IterPlan {
+            a: one,
+            b: one,
+            c: one,
+            ell_after: one,
+            qr: kind == IterationKind::QrBased,
+        })
+        .collect();
+    let nb = graph_tile_nb(Some(nb), n);
+    let xt = Tiling::new(m, n, nb, nb);
+    let failure = OnceLock::new();
+    let mut sink = NormSink::new(plan.len(), xt);
     let mut dag = TaskDag::new();
-    sink.name_in(&mut dag);
-    let xp = [TilePtr::new(&mut dag, &mut xb0), TilePtr::new(&mut dag, &mut xb1)];
-    let term = qr_ws.as_mut().map(|ws| ws.in_dag(&mut dag));
-    let chol =
-        chol_ws.as_mut().map(|(z, li)| (TilePtr::new(&mut dag, z), TilePtr::new(&mut dag, li)));
+    let at = SolvePtrs::<S>::shapes(&mut dag, &mut sink, xt, &plan, exploit_structure);
+    emit_iterations(&mut dag, at, &plan, &sink, &failure);
+    dag.into_graph()
+}
+
+/// Add every planned iteration to `dag`, one phase each.
+fn emit_iterations<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    at: SolvePtrs<'a, S>,
+    plan: &[IterPlan<S::Real>],
+    sink: &'a NormSink,
+    failure: &'a OnceLock<LapackError>,
+) {
+    type R<S> = <S as Scalar>::Real;
+    let xt = at.x[0].tiling();
+    let (nb, mtx, nt) = (xt.nb(), xt.mt(), xt.nt());
     let nbf = nb as f64;
 
     for (k, pl) in plan.iter().enumerate() {
         if k > 0 {
             dag.next_phase();
         }
-        let (xin, xout) = (xp[k % 2], xp[(k + 1) % 2]);
+        let (xin, xout) = (at.x[k % 2], at.x[(k + 1) % 2]);
         let beta = pl.b / pl.c;
 
         if pl.qr {
@@ -170,21 +213,22 @@ pub(crate) fn qdwh_fused<S: Scalar>(
             let sqrt_c = pl.c.sqrt();
             let theta = (pl.a - beta) / sqrt_c;
             emit_term(
-                &mut dag,
-                term.expect("plan has a QR iteration"),
+                dag,
+                at.term.expect("plan has a QR iteration"),
                 xin,
                 (sqrt_c, R::<S>::ONE),
                 S::from_real(theta),
                 xout,
-                Some(HalleyUpdate { beta, sink: &sink, iter: k }),
+                Some(HalleyUpdate { beta, sink, iter: k }),
             );
         } else {
             // ---- Cholesky-based iteration ----
             let theta = pl.a - beta;
             let c_r = pl.c;
-            let (z, linv) = chol.expect("plan has a Cholesky iteration");
+            let (z, linv) = at.chol.expect("plan has a Cholesky iteration");
 
             // Z = I + c X^H X, lower tiles only (herk on the diagonal).
+            dag.barrier();
             for zj in 0..nt {
                 for zi in zj..nt {
                     let mut reads = Vec::with_capacity(2 * mtx);
@@ -243,12 +287,12 @@ pub(crate) fn qdwh_fused<S: Scalar>(
 
             // Z = L L^H in place. Indefiniteness cancels the whole solve —
             // an error aborts every later iteration too.
-            emit_potrf(&mut dag, z, &failure);
+            emit_potrf(dag, z, failure);
 
             // L_jj^{-1} per diagonal tile, which turns the diagonal solve
             // of both sweeps below into a multiply. A pivot trtri rejects
             // is a factor potrf should have refused: same failure.
-            let failure = &failure;
+            dag.barrier();
             for tj in 0..nt {
                 dag.add_task(
                     KernelKind::Trsm,
@@ -286,6 +330,7 @@ pub(crate) fn qdwh_fused<S: Scalar>(
             for forward in [true, false] {
                 let op = if forward { Op::ConjTrans } else { Op::NoTrans };
                 for step in 0..nt {
+                    dag.barrier();
                     let tj = if forward { step } else { nt - 1 - step };
                     // solved columns this one depends on, and the L tile
                     // that couples it to each
@@ -351,9 +396,9 @@ pub(crate) fn qdwh_fused<S: Scalar>(
 
             // X_out = beta X_in + theta (X Z^{-1}), fused with the
             // convergence partial.
+            dag.barrier();
             for tj in 0..nt {
                 for ti in 0..mtx {
-                    let sink = &sink;
                     dag.add(
                         KernelKind::Geadd,
                         0,
@@ -380,8 +425,62 @@ pub(crate) fn qdwh_fused<S: Scalar>(
                 }
             }
         }
-        sink.emit_reduce::<R<S>>(&mut dag, k);
+        sink.emit_reduce::<R<S>>(dag, k);
     }
+}
+
+/// Run the whole planned Halley sequence as one task graph: takes the
+/// iterate, returns it advanced, and updates the run telemetry in place.
+/// On success the caller's loop condition re-check provides the (normally
+/// trivial) continuation; on a planner bail-out (`None` plan) `x` comes
+/// back untouched so the per-iteration loop takes over entirely.
+pub(crate) fn qdwh_fused<S: Scalar>(
+    x: Matrix<S>,
+    ell: &mut S::Real,
+    conv: &mut S::Real,
+    info: &mut QdwhInfo<S::Real>,
+    opts: &QdwhOptions,
+) -> Result<Matrix<S>, QdwhError> {
+    let m = x.nrows();
+    let n = x.ncols();
+    let Some(plan) = plan_iterations(*ell, opts) else { return Ok(x) };
+    let iters = plan.len();
+    if iters == 0 {
+        return Ok(x);
+    }
+    // a job cancelled while it queued allocates nothing
+    let (done, l0, conv0) = (info.iterations, ell.to_f64(), conv.to_f64());
+    poll_progress(opts.progress.as_ref(), done + 1, conv0, l0)?;
+    let nb = graph_tile_nb(opts.tile_nb, n);
+
+    let _span = polar_obs::span!("qdwh_fused", m, n);
+    let kernels_before = polar_obs::kernel_snapshot();
+    let start = std::time::Instant::now();
+
+    // the storage `SolvePtrs::shapes` names (`bind` checks the two agree);
+    // it has to outlive the dag whose bodies borrow it
+    let xt = Tiling::new(m, n, nb, nb);
+    let zeros = |t: Tiling| TiledMatrix::<S>::zeros(t, ProcessGrid::single());
+    let mut xb = [TiledMatrix::from_dense(&x, nb, nb, ProcessGrid::single()), zeros(xt)];
+    drop(x); // the tiles are the iterate from here on
+    let mut qr_ws = plan
+        .iter()
+        .any(|p| p.qr)
+        .then(|| TermWorkspace::<S>::new(m, n, nb, opts.exploit_structure.then_some(m)));
+    let mut chol_ws = plan
+        .iter()
+        .any(|p| !p.qr)
+        .then(|| (zeros(Tiling::new(n, n, nb, nb)), zeros(Tiling::new(n, nb.min(n), nb, nb))));
+    let failure = OnceLock::<LapackError>::new();
+    let mut sink = NormSink::new(iters, xt);
+
+    let mut dag = TaskDag::new();
+    let at = SolvePtrs::shapes(&mut dag, &mut sink, xt, &plan, opts.exploit_structure).bind(
+        &mut xb,
+        qr_ws.as_mut(),
+        chol_ws.as_mut(),
+    );
+    emit_iterations(&mut dag, at, &plan, &sink, &failure);
 
     let ell_entering = |k: usize| if k == 0 { l0 } else { plan[k - 1].ell_after.to_f64() };
     let outcome = execute_hooked(dag, opts.progress.as_ref(), done, &sink, conv0, ell_entering)?;
@@ -402,7 +501,7 @@ pub(crate) fn qdwh_fused<S: Scalar>(
 
     *ell = plan[iters - 1].ell_after;
     *conv = sink.norm(iters - 1);
-    Ok(if iters % 2 == 0 { xb0.to_dense() } else { xb1.to_dense() })
+    Ok(xb[iters % 2].to_dense())
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@ pub use dist::{qdwh_distributed, DistConfig, DistOutcome};
 pub use elliptic::{
     ellip_k, jacobi_sn_cn_dn, zolotarev_coefficients, zolotarev_eval, zolotarev_weights,
 };
+pub use fused::qdwh_task_graph;
 pub use mixed::{qdwh_mixed, MixedPrecision};
 pub use options::{
     IterationDecision, IterationKind, IterationPath, IterationProgress, L0Strategy, ProgressHook,

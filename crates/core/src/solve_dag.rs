@@ -116,22 +116,37 @@ impl<S: Scalar> TermWorkspace<S> {
             g: TiledMatrix::zeros(Tiling::new(n, n, nb, nb), ProcessGrid::single()),
         }
     }
-
-    pub(crate) fn in_dag<'a>(&'a mut self, dag: &mut TaskDag<'_>) -> TermPtr<'a, S> {
-        TermPtr {
-            w: self.w.in_dag(dag),
-            q: TilePtr::new(dag, &mut self.q),
-            g: TilePtr::new(dag, &mut self.g),
-        }
-    }
 }
 
-/// A [`TermWorkspace`] as the tasks of one dag see it.
+/// A [`TermWorkspace`] as the tasks of one dag see it: registered as a
+/// shape, bound to storage by whoever executes the dag.
 #[derive(Clone, Copy)]
 pub(crate) struct TermPtr<'a, S: Scalar> {
     w: QrPtr<'a, S>,
     q: TilePtr<'a, S>,
     g: TilePtr<'a, S>,
+}
+
+impl<S: Scalar> TermPtr<'_, S> {
+    /// Arguments as for [`TermWorkspace::new`].
+    pub(crate) fn shape(
+        dag: &mut TaskDag<'_>,
+        m: usize,
+        n: usize,
+        nb: usize,
+        top_rows: Option<usize>,
+    ) -> Self {
+        let wt = Tiling::new(m + n, n, nb, nb);
+        Self {
+            w: QrPtr::shape(dag, wt, top_rows),
+            q: TilePtr::shape(dag, wt),
+            g: TilePtr::shape(dag, Tiling::new(n, n, nb, nb)),
+        }
+    }
+
+    pub(crate) fn bind<'b>(self, ws: &'b mut TermWorkspace<S>) -> TermPtr<'b, S> {
+        TermPtr { w: self.w.bind(&mut ws.w), q: self.q.bind(&mut ws.q), g: self.g.bind(&mut ws.g) }
+    }
 }
 
 /// QDWH's fusion of the Halley update into a term's product tiles: they
@@ -170,6 +185,7 @@ pub(crate) fn emit_term<'a, S: Scalar>(
 
     // W = [s X; d I] per tile; the top rows of a tile straddling row m
     // coincide with the X tile of the same index.
+    dag.barrier();
     for j in 0..nt {
         for wi in 0..mtw {
             let reads = if wi < mtx { vec![x.at(wi, j)] } else { Vec::new() };
@@ -200,6 +216,7 @@ pub(crate) fn emit_term<'a, S: Scalar>(
 
     // Gather Q2 (rows m..m+n of Q) into an n x n tiling: each Q2 tile
     // straddles at most two Q tile rows when m % nb != 0.
+    dag.barrier();
     for kc in 0..nt {
         for tj in 0..nt {
             let lo = (m + tj * nb) / nb;
@@ -226,6 +243,7 @@ pub(crate) fn emit_term<'a, S: Scalar>(
 
     // out = alpha Q1 Q2^H per tile, accumulated over the n columns of Q
     // in fixed order (one task per tile: no reduction across tasks).
+    dag.barrier();
     for tj in 0..nt {
         for ti in 0..mtx {
             let mut reads = Vec::with_capacity(2 * nt + 1);

@@ -39,7 +39,9 @@
 use crate::elliptic::{zolotarev_coefficients, zolotarev_eval, zolotarev_weights};
 use crate::options::{graph_tile_nb, poll_progress, IterationKind};
 use crate::qdwh_impl::{QdwhError, QdwhInfo};
-use crate::solve_dag::{emit_term, execute_hooked, record_iterations, NormSink, TermWorkspace};
+use crate::solve_dag::{
+    emit_term, execute_hooked, record_iterations, NormSink, TermPtr, TermWorkspace,
+};
 use crate::zolo::ZoloOptions;
 use polar_lapack::TilePtr;
 use polar_matrix::{Matrix, ProcessGrid, TiledMatrix, Tiling};
@@ -164,8 +166,12 @@ pub(crate) fn zolo_fused<S: Scalar>(
     let mut dag = TaskDag::new();
     sink.name_in(&mut dag);
     let xp = [TilePtr::new(&mut dag, &mut xb0), TilePtr::new(&mut dag, &mut xb1)];
-    let terms: Vec<_> =
-        terms.iter_mut().map(|(ws, y)| (ws.in_dag(&mut dag), TilePtr::new(&mut dag, y))).collect();
+    let terms: Vec<_> = terms
+        .iter_mut()
+        .map(|(ws, y)| {
+            (TermPtr::shape(&mut dag, m, n, nb, Some(m)).bind(ws), TilePtr::new(&mut dag, y))
+        })
+        .collect();
     let nbf = nb as f64;
 
     for (k, pl) in plan.iter().enumerate() {

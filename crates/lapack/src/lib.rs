@@ -41,8 +41,8 @@ pub use norm2est::{norm2est, Norm2Est};
 pub use qr::{extract_r, geqrf, geqrf_blocked, geqrf_stacked, orgqr, unmqr, QrFactors};
 pub use svd::{jacobi_svd, SvdDecomposition};
 pub use tile_qr::{
-    geqrt, geqrt_blocked, geqrt_blocked_into, tsmqr, tsmqr_blocked, tsqrt, tsqrt_blocked,
-    tsqrt_blocked_into, unmqr_tile, unmqr_tile_blocked, TileT,
+    geqrt_blocked, geqrt_blocked_into, tsmqr_blocked, tsqrt_blocked, tsqrt_blocked_into,
+    unmqr_tile_blocked, TileT,
 };
 pub use tiled::{
     auto_tile_nb, default_tile_nb, emit_geqrf, emit_orgqr, emit_potrf, geqrf_tiled,

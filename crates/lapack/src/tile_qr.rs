@@ -1,87 +1,40 @@
 //! PLASMA/SLATE-style tile QR kernels: `geqrt`, `tsqrt`, `tsmqr`.
 //!
 //! SLATE's distributed `geqrf` factors a tiled matrix with exactly these
-//! four operations per panel step `k`:
+//! four operations per panel step `k`, each with inner blocking `ib`:
 //!
-//! 1. [`geqrt`] — QR of the diagonal tile, producing the compact `T`
-//!    factor alongside the packed reflectors;
-//! 2. [`unmqr_tile`] — apply the diagonal tile's `Q^H` to the tiles right
-//!    of it;
-//! 3. [`tsqrt`] — "triangle-on-square" QR: annihilate a sub-diagonal tile
-//!    against the current `R` tile;
-//! 4. [`tsmqr`] — apply a `tsqrt` reflector block to a row pair of
-//!    trailing tiles.
+//! 1. [`geqrt_blocked`] — QR of the diagonal tile (PLASMA `GEQRT`): `R` in
+//!    the upper triangle, reflector tails below, the compact WY factors
+//!    (`Q = I - V T V^H` per panel) in a [`TileT`];
+//! 2. [`unmqr_tile_blocked`] — apply the diagonal tile's `Q^H` to the
+//!    tiles right of it (`UNMQR`);
+//! 3. [`tsqrt_blocked`] — "triangle-on-square" QR (`TSQRT`, LAPACK `tpqrt`
+//!    with `L = 0`): annihilate a dense sub-diagonal tile `B` against the
+//!    current `R` tile; `B` then holds the dense part `V2` of the
+//!    reflectors;
+//! 4. [`tsmqr_blocked`] — apply a `tsqrt` reflector block to a row pair of
+//!    trailing tiles (`TSMQR`): `[A1; A2] := op(Q) [A1; A2]`.
 //!
 //! The structured reflectors of `tsqrt` have the form `V = [I; V2]`
 //! (identity over the `R` tile, dense `V2` over the annihilated tile),
-//! which is what makes the update `O(nb^3)` per tile pair. These kernels
-//! are the numerical counterpart of the symbolic task DAG in `polar-sim`
-//! and power the communication-metered distributed QDWH in `polar-qdwh`.
+//! which is what makes the update `O(nb^3)` per tile pair. One panel as
+//! wide as the tile (`ib >= nb`) is the unblocked kernel, its single `T`
+//! block the full factor. `tiled.rs` emits the task graphs over them.
 
 use crate::householder::larfg;
 use crate::qr::{extract_v, geqr2_scratch, larfb_left, larft};
 use polar_blas::{axpy, dotc, gemm, trmm};
-use polar_matrix::{Diag, MatRef, Matrix, Op, Side, Uplo};
+use polar_matrix::{Diag, Matrix, Op, Side, Uplo};
 use polar_scalar::Scalar;
-
-/// QR of a single tile (PLASMA `GEQRT`).
-///
-/// On exit `a` holds `R` in its upper triangle and the reflector tails
-/// below the diagonal; the returned `T` (`k x k`, `k = min(m, n)`) is the
-/// compact WY factor with `Q = I - V T V^H`.
-pub fn geqrt<S: Scalar>(a: &mut Matrix<S>) -> Matrix<S> {
-    // one panel as wide as the tile: its T block is the full factor
-    geqrt_blocked(a, a.nrows().min(a.ncols())).t
-}
-
-/// Apply `Q` or `Q^H` from a [`geqrt`] factor to a tile `c` with the same
-/// row count (PLASMA `UNMQR`): `C := op(Q) C`.
-pub fn unmqr_tile<S: Scalar>(op: Op, v_packed: &Matrix<S>, t: &Matrix<S>, c: &mut Matrix<S>) {
-    let k = t.nrows();
-    assert_eq!(v_packed.nrows(), c.nrows(), "unmqr_tile: row mismatch");
-    let v = extract_v(v_packed.view(0, 0, v_packed.nrows(), k));
-    larfb_left(op, v.as_ref(), t.as_ref(), c.as_mut());
-}
-
-/// Triangle-on-square QR (PLASMA `TSQRT`, LAPACK `tpqrt` with `L = 0`):
-/// factor the stacked `[R; B]` where `R` is the `nb x nb` upper triangle
-/// held in the top tile `r` and `B` is a dense `m2 x nb` tile.
-///
-/// On exit the triangle of `r` holds the updated `R`, `b` holds the dense
-/// part `V2` of the structured reflectors `V = [I; V2]`, and the returned
-/// `T` is the compact WY factor.
-pub fn tsqrt<S: Scalar>(r: &mut Matrix<S>, b: &mut Matrix<S>) -> Matrix<S> {
-    // one panel as wide as the tile: its panel-local T is the full factor
-    tsqrt_blocked(r, b, r.ncols().min(r.nrows())).t
-}
-
-/// Apply a [`tsqrt`] reflector block to a tile row pair (PLASMA `TSMQR`):
-///
-/// ```text
-/// [A1]        [A1]
-/// [A2] := op(Q) [A2],   Q = I - [I; V2] T [I; V2]^H
-/// ```
-///
-/// `a1` is the `nb x n` tile in the `R` row, `a2` the `m2 x n` tile in the
-/// annihilated row, `v2` the dense reflector part from `tsqrt`.
-pub fn tsmqr<S: Scalar>(
-    op: Op,
-    v2: &Matrix<S>,
-    t: &Matrix<S>,
-    a1: &mut Matrix<S>,
-    a2: &mut Matrix<S>,
-) {
-    tsmqr_panels(op, v2, t.as_ref(), t.nrows().max(1), a1, a2);
-}
 
 /// Per-panel compact `T` factors of a blocked tile factorization, PLASMA's
 /// `ib x nb` T-tile layout: block `b` of width `jb <= ib` stores its upper
 /// triangular `T_b` in `t[0..jb, b*ib..b*ib+jb]`.
 ///
-/// Compared to the single full `T` of [`geqrt`]/[`tsqrt`], the per-panel
-/// representation keeps the scalar (non-level-3) work proportional to `ib`
-/// rather than `nb`: applying the factor block-by-block turns everything
-/// outside the `ib`-wide panels into `gemm`/`trmm`.
+/// Compared to a single full `T`, the per-panel representation keeps the
+/// scalar (non-level-3) work proportional to `ib` rather than `nb`:
+/// applying the factor block-by-block turns everything outside the
+/// `ib`-wide panels into `gemm`/`trmm`.
 #[derive(Debug, Clone)]
 pub struct TileT<S: Scalar> {
     /// `ib x k` matrix of stacked per-panel `T` blocks.
@@ -121,9 +74,9 @@ fn block_order(op: Op, nblocks: usize) -> impl Iterator<Item = usize> {
     (0..nblocks).map(move |s| if op == Op::NoTrans { nblocks - 1 - s } else { s })
 }
 
-/// Blocked [`geqrt`] (PLASMA `GEQRT` with inner blocking `ib`): QR of a
-/// single tile where only `ib`-wide panels run scalar reflector code and
-/// every trailing update is a level-3 `larfb`.
+/// PLASMA `GEQRT` with inner blocking `ib`: QR of a single tile where only
+/// `ib`-wide panels run scalar reflector code and every trailing update is
+/// a level-3 `larfb`.
 ///
 /// The packed reflector/R output in `a` is bit-identical to
 /// [`crate::geqrf_blocked`] with the same `ib` (same panel code path).
@@ -183,10 +136,11 @@ pub fn unmqr_tile_blocked<S: Scalar>(
     }
 }
 
-/// Blocked [`tsqrt`] (PLASMA `TSQRT` with inner blocking `ib`): factor the
-/// stacked `[R; B]` so that scalar reflector generation touches only the
-/// current `ib`-wide panel; the trailing columns of both `R` and `B` are
-/// updated with the panel's compact block reflector through `gemm`/`trmm`.
+/// PLASMA `TSQRT` with inner blocking `ib`: factor the stacked `[R; B]`
+/// (`R` the upper triangle of the top tile) so that scalar reflector
+/// generation touches only the current `ib`-wide panel; the trailing
+/// columns of both `R` and `B` are updated with the panel's compact block
+/// reflector through `gemm`/`trmm`.
 pub fn tsqrt_blocked<S: Scalar>(r: &mut Matrix<S>, b: &mut Matrix<S>, ib: usize) -> TileT<S> {
     let mut tt = TileT::new(ib, r.ncols().min(r.nrows()));
     tsqrt_blocked_into(r, b, &mut tt);
@@ -280,19 +234,7 @@ pub fn tsmqr_blocked<S: Scalar>(
     a1: &mut Matrix<S>,
     a2: &mut Matrix<S>,
 ) {
-    tsmqr_panels(op, v2, tt.t.as_ref(), tt.ib, a1, a2);
-}
-
-/// [`tsmqr_blocked`] over the bare `ib x k` store of per-panel `T` blocks
-/// (a full `k x k` `T` is the one-panel case).
-fn tsmqr_panels<S: Scalar>(
-    op: Op,
-    v2: &Matrix<S>,
-    t: MatRef<'_, S>,
-    ib: usize,
-    a1: &mut Matrix<S>,
-    a2: &mut Matrix<S>,
-) {
+    let (t, ib) = (tt.t.as_ref(), tt.ib);
     let kb = t.ncols();
     let n = a1.ncols();
     let m2 = a2.nrows();
@@ -336,6 +278,18 @@ mod tests {
     use polar_matrix::Norm;
     use polar_scalar::Complex64;
 
+    /// The unblocked kernels the blocked ones are checked against: one
+    /// panel as wide as the tile, whose `T` block is the full `k x k` factor.
+    fn geqrt<S: Scalar>(a: &mut Matrix<S>) -> TileT<S> {
+        let k = a.nrows().min(a.ncols());
+        geqrt_blocked(a, k)
+    }
+
+    fn tsqrt<S: Scalar>(r: &mut Matrix<S>, b: &mut Matrix<S>) -> TileT<S> {
+        let k = r.ncols().min(r.nrows());
+        tsqrt_blocked(r, b, k)
+    }
+
     fn rand_mat(m: usize, n: usize, seed: u64) -> Matrix<f64> {
         let mut s = seed | 1;
         Matrix::from_fn(m, n, |_, _| {
@@ -350,14 +304,14 @@ mod tests {
         let mut a = a0.clone();
         let t = geqrt(&mut a);
         // Q = I - V T V^H applied to R-padded should give A back:
-        // equivalently, unmqr_tile(NoTrans) on [R; 0]
+        // equivalently, unmqr_tile_blocked(NoTrans) on [R; 0]
         let mut r = Matrix::<f64>::zeros(8, 8);
         for j in 0..8 {
             for i in 0..=j {
                 r[(i, j)] = a[(i, j)];
             }
         }
-        unmqr_tile(Op::NoTrans, &a, &t, &mut r);
+        unmqr_tile_blocked(Op::NoTrans, &a, &t, &mut r);
         let mut diff = r;
         add(-1.0, a0.as_ref(), 1.0, diff.as_mut());
         let err: f64 = norm(Norm::Fro, diff.as_ref());
@@ -394,7 +348,7 @@ mod tests {
         let mut q = Matrix::<f64>::identity(mtot, mtot);
         // Q = I - V T V^H
         let mut vt = Matrix::<f64>::zeros(mtot, nb);
-        gemm(Op::NoTrans, Op::NoTrans, 1.0, v.as_ref(), t.as_ref(), 0.0, vt.as_mut());
+        gemm(Op::NoTrans, Op::NoTrans, 1.0, v.as_ref(), t.t.as_ref(), 0.0, vt.as_mut());
         gemm(Op::NoTrans, Op::ConjTrans, -1.0, vt.as_ref(), v.as_ref(), 1.0, q.as_mut());
 
         // Q must be orthogonal
@@ -455,7 +409,7 @@ mod tests {
         let a2_0 = rand_mat(m2, n, 6);
         let mut a1 = a1_0.clone();
         let mut a2 = a2_0.clone();
-        tsmqr(Op::ConjTrans, &b, &t, &mut a1, &mut a2);
+        tsmqr_blocked(Op::ConjTrans, &b, &t, &mut a1, &mut a2);
 
         // explicit Q^H [A1; A2]
         let mtot = nb + m2;
@@ -468,7 +422,7 @@ mod tests {
         }
         let mut q = Matrix::<f64>::identity(mtot, mtot);
         let mut vt = Matrix::<f64>::zeros(mtot, nb);
-        gemm(Op::NoTrans, Op::NoTrans, 1.0, v.as_ref(), t.as_ref(), 0.0, vt.as_mut());
+        gemm(Op::NoTrans, Op::NoTrans, 1.0, v.as_ref(), t.t.as_ref(), 0.0, vt.as_mut());
         gemm(Op::NoTrans, Op::ConjTrans, -1.0, vt.as_ref(), v.as_ref(), 1.0, q.as_mut());
         let stacked = Matrix::vstack(&a1_0, &a2_0);
         let mut expect = Matrix::<f64>::zeros(mtot, n);
@@ -497,8 +451,8 @@ mod tests {
         let a2_0 = rand_mat(m2, n, 9);
         let mut a1 = a1_0.clone();
         let mut a2 = a2_0.clone();
-        tsmqr(Op::ConjTrans, &b, &t, &mut a1, &mut a2);
-        tsmqr(Op::NoTrans, &b, &t, &mut a1, &mut a2);
+        tsmqr_blocked(Op::ConjTrans, &b, &t, &mut a1, &mut a2);
+        tsmqr_blocked(Op::NoTrans, &b, &t, &mut a1, &mut a2);
         let mut d1 = a1;
         add(-1.0, a1_0.as_ref(), 1.0, d1.as_mut());
         let mut d2 = a2;
@@ -538,7 +492,7 @@ mod tests {
         let c0 = rand_mat(12, 5, 32);
         for op in [Op::NoTrans, Op::ConjTrans] {
             let mut cf = c0.clone();
-            unmqr_tile(op, &af, &tf, &mut cf);
+            unmqr_tile_blocked(op, &af, &tf, &mut cf);
             // blocked path
             let mut ab = a0.clone();
             let tb = geqrt_blocked(&mut ab, 4);
@@ -603,7 +557,7 @@ mod tests {
         for op in [Op::NoTrans, Op::ConjTrans] {
             let mut a1f = a1_0.clone();
             let mut a2f = a2_0.clone();
-            tsmqr(op, &bf, &tf, &mut a1f, &mut a2f);
+            tsmqr_blocked(op, &bf, &tf, &mut a1f, &mut a2f);
             let mut a1b = a1_0.clone();
             let mut a2b = a2_0.clone();
             tsmqr_blocked(op, &bb, &tb, &mut a1b, &mut a2b);
@@ -645,7 +599,7 @@ mod tests {
         let c2 = Matrix::from_fn(m2, 4, |_, _| Complex64::new(next(), next()));
         let mut a1f = c1.clone();
         let mut a2f = c2.clone();
-        tsmqr(Op::ConjTrans, &bf, &tf, &mut a1f, &mut a2f);
+        tsmqr_blocked(Op::ConjTrans, &bf, &tf, &mut a1f, &mut a2f);
         let mut a1b = c1.clone();
         let mut a2b = c2.clone();
         tsmqr_blocked(Op::ConjTrans, &bb, &tb, &mut a1b, &mut a2b);
@@ -697,7 +651,7 @@ mod tests {
             Op::NoTrans,
             one,
             v.as_ref(),
-            t.as_ref(),
+            t.t.as_ref(),
             Complex64::default(),
             vt.as_mut(),
         );

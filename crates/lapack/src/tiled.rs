@@ -1,18 +1,22 @@
 //! DAG-scheduled tile factorizations: one emitter per tile graph.
 //!
-//! These are the production counterparts of the symbolic DAG builders in
-//! `polar-sim`: the same PLASMA/SLATE task shapes (`geqrt` → `unmqr` /
-//! `tsqrt` → `tsmqr` per panel step; `potrf`/`trsm`/`herk`/`gemm` for
-//! Cholesky), but with each task carrying a real tile-kernel body, executed
-//! by [`polar_runtime::TaskDag`] on the work-stealing pool with
-//! panel-priority (lookahead) ordering.
+//! The PLASMA/SLATE task shapes (`geqrt` → `unmqr` / `tsqrt` → `tsmqr` per
+//! panel step; `potrf`/`trsm`/`herk`/`gemm` for Cholesky), each task
+//! carrying a real tile-kernel body, executed by [`polar_runtime::TaskDag`]
+//! on the work-stealing pool with panel-priority (lookahead) ordering.
 //!
 //! Each graph is written once, as a function that adds its tasks to a
 //! *caller-owned* dag: [`emit_geqrf`], [`emit_orgqr`], [`emit_potrf`]. The
 //! standalone drivers ([`geqrf_tiled`], [`orgqr_tiled`], [`potrf_tiled`])
 //! are allocate → emit → execute wrappers; the whole-solve graphs in
 //! `polar-qdwh` call the same emitters between their own assembly and
-//! update tasks, so a kernel change lands in every graph at once.
+//! update tasks, so a kernel change lands in every graph at once. The
+//! emitters also run without storage ([`TilePtr::shape`],
+//! [`QrPtr::shape`]): the dag then converts to the body-less
+//! [`polar_runtime::TaskGraph`] the simulator schedules and the
+//! communication meter reads, so those see the graph the executor runs.
+//! Every panel step starts with [`TaskDag::barrier`], which only the
+//! simulator's fork-join mode reads.
 //!
 //! The stacked variant ([`geqrf_tiled_stacked`], or a [`TiledQr`] built
 //! with `top_rows`) exploits the QDWH Eq. (1) `[sqrt(c) A; I]` structure
@@ -83,6 +87,10 @@ pub fn auto_tile_nb(n: usize) -> usize {
 /// the task graph serializes all conflicting accesses. Public so the
 /// whole-solve graphs in `polar-qdwh` put their own assembly and update
 /// tasks under the same access discipline instead of reinventing it.
+///
+/// A pointer starts as a shape ([`TilePtr::shape`]: tiling and matrix id,
+/// null storage) and is good for emitting; [`TilePtr::bind`] gives it the
+/// tiles its bodies will touch. Access through an unbound pointer panics.
 pub struct TilePtr<'a, S> {
     tiles: *mut Matrix<S>,
     tiling: Tiling,
@@ -103,15 +111,22 @@ unsafe impl<S: Send> Send for TilePtr<'_, S> {}
 unsafe impl<S: Send + Sync> Sync for TilePtr<'_, S> {}
 
 impl<'a, S: Scalar> TilePtr<'a, S> {
+    /// Register a matrix of the given tiling with `dag` under a fresh
+    /// matrix id, without storage.
+    pub fn shape(dag: &mut TaskDag<'_>, tiling: Tiling) -> Self {
+        Self { tiles: std::ptr::null_mut(), tiling, id: dag.new_matrix(), _storage: PhantomData }
+    }
+
+    /// The same name in the dag, over the tiles of `m`.
+    pub fn bind<'b>(self, m: &'b mut TiledMatrix<S>) -> TilePtr<'b, S> {
+        assert_eq!(m.tiling(), self.tiling, "TilePtr::bind: storage tiled differently");
+        let tiles = m.tiles_mut().as_mut_ptr();
+        TilePtr { tiles, tiling: self.tiling, id: self.id, _storage: PhantomData }
+    }
+
     /// Register `m` with `dag` under a fresh matrix id.
     pub fn new(dag: &mut TaskDag<'_>, m: &'a mut TiledMatrix<S>) -> Self {
-        let tiling = m.tiling();
-        Self {
-            tiles: m.tiles_mut().as_mut_ptr(),
-            tiling,
-            id: dag.new_matrix(),
-            _storage: PhantomData,
-        }
+        TilePtr::shape(dag, m.tiling()).bind(m)
     }
 
     pub fn tiling(&self) -> Tiling {
@@ -126,6 +141,7 @@ impl<'a, S: Scalar> TilePtr<'a, S> {
     }
 
     fn index(&self, i: usize, j: usize) -> usize {
+        assert!(!self.tiles.is_null(), "tile access through a shape-only TilePtr");
         assert!(i < self.tiling.mt() && j < self.tiling.nt(), "tile ({i}, {j}) out of range");
         i + j * self.tiling.mt()
     }
@@ -199,13 +215,7 @@ impl<S: Scalar> TiledQr<S> {
 
     /// Register the factorization's storage with `dag`.
     pub fn in_dag<'a>(&'a mut self, dag: &mut TaskDag<'_>) -> QrPtr<'a, S> {
-        QrPtr {
-            a: TilePtr::new(dag, &mut self.a),
-            slots: self.t.as_mut_ptr(),
-            n_slots: self.t.len(),
-            t_id: dag.new_matrix(),
-            top_rows: self.top_rows,
-        }
+        QrPtr::shape(dag, self.a.tiling(), self.top_rows).bind(self)
     }
 
     /// The upper-triangular `k x n` `R` factor.
@@ -232,7 +242,8 @@ impl<S: Scalar> TiledQr<S> {
 
 /// A [`TiledQr`] as the tasks of one dag see it: [`TilePtr`] access to the
 /// matrix (`a`, public so the owner's tasks can fill it) and, private to
-/// the emitters, the `T`-factor slab under the same contract.
+/// the emitters, the `T`-factor slab under the same contract — shape first,
+/// storage by [`QrPtr::bind`], like [`TilePtr`].
 pub struct QrPtr<'a, S: Scalar> {
     pub a: TilePtr<'a, S>,
     slots: *mut TileT<S>,
@@ -252,6 +263,31 @@ unsafe impl<S: Scalar> Send for QrPtr<'_, S> {}
 unsafe impl<S: Scalar> Sync for QrPtr<'_, S> {}
 
 impl<'a, S: Scalar> QrPtr<'a, S> {
+    /// Register a factorization of a matrix of the given tiling
+    /// (`top_rows` as in [`TiledQr::zeros`]) with `dag`, without storage.
+    pub fn shape(dag: &mut TaskDag<'_>, tiling: Tiling, top_rows: Option<usize>) -> Self {
+        Self {
+            a: TilePtr::shape(dag, tiling),
+            slots: std::ptr::null_mut(),
+            n_slots: tiling.mt() * tiling.mt().min(tiling.nt()),
+            t_id: dag.new_matrix(),
+            top_rows,
+        }
+    }
+
+    /// The same names in the dag, over the storage of `f`.
+    pub fn bind<'b>(self, f: &'b mut TiledQr<S>) -> QrPtr<'b, S> {
+        assert_eq!(f.top_rows, self.top_rows, "QrPtr::bind: storage pruned differently");
+        assert_eq!(f.t.len(), self.n_slots);
+        QrPtr {
+            a: self.a.bind(&mut f.a),
+            slots: f.t.as_mut_ptr(),
+            n_slots: self.n_slots,
+            t_id: self.t_id,
+            top_rows: self.top_rows,
+        }
+    }
+
     fn t_at(&self, i: usize, k: usize) -> TileRef {
         TileRef::new(self.t_id, i, k, self.a.at(i, k).bytes)
     }
@@ -263,6 +299,7 @@ impl<'a, S: Scalar> QrPtr<'a, S> {
 
     fn slot_index(&self, i: usize, k: usize) -> usize {
         let mt = self.a.tiling().mt();
+        assert!(!self.slots.is_null(), "T slot access through a shape-only QrPtr");
         assert!(i < mt && i + k * mt < self.n_slots, "T slot ({i}, {k}) out of range");
         i + k * mt
     }
@@ -299,7 +336,9 @@ fn stacked_row_limit(tiling: Tiling, top_rows: Option<usize>, k: usize) -> usize
 /// `unmqr` sweep, then `tsqrt` → `tsmqr` per sub-diagonal tile row), in
 /// place, with the `T` factors going to `f`'s slab. With `top_rows` set,
 /// only tile rows inside the fill window get tasks. The read/write sets
-/// chain it behind whatever the caller's earlier tasks wrote into `f.a`.
+/// chain it behind whatever the caller's earlier tasks wrote into `f.a`;
+/// a write set names the task's home tile first, so `tsqrt`/`tsmqr` run
+/// where tile row `i` lives once ranks are assigned.
 pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
     let a = f.a;
     let tiling = a.tiling();
@@ -307,6 +346,7 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
     let kt = mt.min(nt);
     let nb3 = (tiling.nb() as f64).powi(3);
     for k in 0..kt {
+        dag.barrier();
         let step = (kt - k) as i32 * 4;
         // panel: QR of the diagonal tile
         dag.add(KernelKind::Geqrt, step + 2, 2.0 * nb3, vec![], vec![a.at(k, k), f.t_at(k, k)], {
@@ -339,7 +379,7 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
                 step + 2,
                 2.0 * nb3,
                 vec![],
-                vec![a.at(k, k), a.at(i, k), f.t_at(i, k)],
+                vec![a.at(i, k), a.at(k, k), f.t_at(i, k)],
                 move || {
                     // SAFETY: (k, k), (i, k) and slot (i, k) are written.
                     let (r, b, t) = unsafe { (a.tile(k, k), a.tile(i, k), f.slot(i, k)) };
@@ -352,7 +392,7 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
                     step + i32::from(j == k + 1),
                     4.0 * nb3,
                     vec![a.at(i, k), f.t_at(i, k)],
-                    vec![a.at(k, j), a.at(i, j)],
+                    vec![a.at(i, j), a.at(k, j)],
                     move || {
                         // SAFETY: (i, k) and its slot are read; (k, j) and
                         // (i, j), distinct tiles, are written.
@@ -381,6 +421,7 @@ pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: Tile
     assert_eq!(q.tiling().mt(), mt, "emit_orgqr: Q and the factored matrix differ in tile rows");
     let nb = tiling.nb() as f64;
     let nb3 = nb.powi(3);
+    dag.barrier();
     for j in 0..qnt {
         for i in 0..mt {
             dag.add(KernelKind::Geadd, 2, nb * nb, vec![], vec![q.at(i, j)], move || {
@@ -395,6 +436,7 @@ pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: Tile
         }
     }
     for k in (0..kt).rev() {
+        dag.barrier();
         let step = (k + 1) as i32 * 4;
         for i in (k + 1..=f.row_limit(k)).rev() {
             for j in k..qnt {
@@ -403,7 +445,7 @@ pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: Tile
                     step,
                     4.0 * nb3,
                     vec![w.at(i, k), f.t_at(i, k)],
-                    vec![q.at(k, j), q.at(i, j)],
+                    vec![q.at(i, j), q.at(k, j)],
                     move || {
                         // SAFETY: reflector tile and slot (i, k) are read;
                         // Q tiles (k, j) and (i, j), distinct, are written.
@@ -449,6 +491,7 @@ pub fn emit_potrf<'a, S: Scalar>(
     let nb = tiling.nb();
     let nb3 = (nb as f64).powi(3);
     for k in 0..nt {
+        dag.barrier();
         let step = (nt - k) as i32 * 4;
         dag.add_task(KernelKind::Potrf, step + 3, nb3 / 3.0, vec![], vec![a.at(k, k)], move || {
             // SAFETY: (k, k) is this task's write set.

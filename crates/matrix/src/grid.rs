@@ -61,6 +61,12 @@ impl ProcessGrid {
         pi + pj * self.p
     }
 
+    /// Rank owning tile `(i, j)` under the 2D block-cyclic map.
+    #[inline]
+    pub fn owner(&self, i: usize, j: usize) -> usize {
+        self.rank_of(i % self.p, j % self.q)
+    }
+
     /// Grid coordinates of a rank id.
     #[inline]
     pub fn coords_of(&self, rank: usize) -> (usize, usize) {
@@ -95,7 +101,7 @@ impl BlockCyclic {
     #[inline]
     pub fn owner(&self, i: usize, j: usize) -> usize {
         debug_assert!(i < self.tiling.mt() && j < self.tiling.nt());
-        self.grid.rank_of(i % self.grid.p, j % self.grid.q)
+        self.grid.owner(i, j)
     }
 
     /// Number of tiles owned by `rank` (load-balance diagnostics).

@@ -249,6 +249,18 @@ impl<'a> TaskDag<'a> {
         self.builder.current_phase()
     }
 
+    /// Mark a fork-join barrier ([`GraphBuilder::barrier`]); execution
+    /// ignores it.
+    pub fn barrier(&mut self) {
+        self.builder.barrier();
+    }
+
+    /// The dependency graph alone, bodies dropped unrun: what
+    /// [`TaskDag::execute`] would schedule, for simulation and metering.
+    pub fn into_graph(self) -> TaskGraph {
+        self.builder.build()
+    }
+
     /// Number of tasks submitted so far.
     pub fn len(&self) -> usize {
         self.bodies.len()

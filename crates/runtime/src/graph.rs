@@ -1,5 +1,6 @@
 //! Tile-task graphs with inferred data dependencies.
 
+use polar_matrix::ProcessGrid;
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -89,14 +90,35 @@ pub struct Task {
     pub kind: KernelKind,
     /// Real floating-point operations.
     pub flops: f64,
-    /// Executing rank (owner of the primary output tile).
+    /// Executing rank: 0 as emitted, the owner of the home tile after
+    /// [`TaskGraph::assign_ranks`].
     pub rank: usize,
-    /// Fork-join phase: the bulk-synchronous scheduler inserts a global
-    /// barrier between distinct phases. The whole-solve QDWH DAG also uses
-    /// it as the iteration index for lookahead-window scheduling.
+    /// Solver iteration: what the executor's lookahead window and the
+    /// progress hook are keyed on.
     pub phase: u32,
+    /// Fork-join step: the bulk-synchronous scheduler puts a global barrier
+    /// between distinct values. The executor ignores it.
+    pub barrier: u32,
     pub reads: Vec<TileRef>,
+    /// Written tiles, the task's home tile first.
     pub writes: Vec<TileRef>,
+}
+
+/// Point-to-point traffic of a rank-assigned graph ([`TaskGraph::comm`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CommStats {
+    pub point_to_point_messages: u64,
+    pub point_to_point_bytes: u64,
+}
+
+impl CommStats {
+    /// One message per dependency edge that carries tiles.
+    pub(crate) fn of(edge_bytes: &[u64]) -> Self {
+        Self {
+            point_to_point_messages: edge_bytes.iter().filter(|&&b| b > 0).count() as u64,
+            point_to_point_bytes: edge_bytes.iter().sum(),
+        }
+    }
 }
 
 /// Immutable task graph. Dependency edges are stored in two CSR
@@ -163,17 +185,31 @@ impl TaskGraph {
         self.critical_path_to_sink().into_iter().fold(0.0, f64::max)
     }
 
-    /// Bytes that must cross rank boundaries (producer rank != consumer
-    /// rank), the communication volume of the block-cyclic execution.
-    pub fn cross_rank_bytes(&self) -> u64 {
+    /// Run every task where its home tile `(i, j)` lives under the 2D
+    /// block-cyclic map of `grid` (owner computes, as in SLATE).
+    pub fn assign_ranks(&mut self, grid: ProcessGrid) {
+        for t in &mut self.tasks {
+            let home = t.writes.first().expect("a tile task writes a tile");
+            t.rank = grid.owner(home.i as usize, home.j as usize);
+        }
+    }
+
+    /// Bytes each dependency edge moves between ranks, aligned with the
+    /// predecessor lists (`preds(t)[e]` sends the `e`-th entry of task
+    /// `t`'s slice). The one transfer rule of the workspace: a task that
+    /// reads a tile last written on another rank receives it from that
+    /// writer, every time; the tiles of one writer travel as one message.
+    /// Tiles no task has written yet are where their first reader is.
+    pub(crate) fn edge_bytes(&self) -> Vec<u64> {
+        let mut bytes = vec![0u64; self.pred_adj.len()];
         let mut last_writer: HashMap<(u32, u32, u32), TaskId> = HashMap::new();
-        let mut bytes = 0u64;
         for t in &self.tasks {
+            let lo = self.pred_off[t.id] as usize;
             for r in &t.reads {
-                if let Some(&w) = last_writer.get(&r.key()) {
-                    if self.tasks[w].rank != t.rank {
-                        bytes += r.bytes;
-                    }
+                let Some(&w) = last_writer.get(&r.key()) else { continue };
+                if self.tasks[w].rank != t.rank {
+                    let e = self.preds(t.id).binary_search(&(w as u32));
+                    bytes[lo + e.expect("the writer of a read tile is a predecessor")] += r.bytes;
                 }
             }
             for w in &t.writes {
@@ -181,6 +217,13 @@ impl TaskGraph {
             }
         }
         bytes
+    }
+
+    /// Messages and bytes crossing rank boundaries when the graph runs
+    /// under its rank assignment (see [`TaskGraph::edge_bytes`] for the
+    /// rule); [`crate::simulate`] reports the same numbers.
+    pub fn comm(&self) -> CommStats {
+        CommStats::of(&self.edge_bytes())
     }
 }
 
@@ -198,6 +241,7 @@ pub struct GraphBuilder {
     last_writer: HashMap<(u32, u32, u32), TaskId>,
     readers_since_write: HashMap<(u32, u32, u32), Vec<TaskId>>,
     phase: u32,
+    barrier: u32,
     next_matrix: u32,
 }
 
@@ -216,6 +260,7 @@ impl GraphBuilder {
             last_writer: HashMap::new(),
             readers_since_write: HashMap::new(),
             phase: 0,
+            barrier: 0,
             next_matrix: 0,
         }
     }
@@ -227,11 +272,15 @@ impl GraphBuilder {
         id
     }
 
-    /// Begin a new fork-join phase (a barrier point for the
-    /// bulk-synchronous scheduler; a scheduling *hint* — the lookahead
-    /// window — for the task-based one).
+    /// Begin the next solver iteration (also a fork-join barrier).
     pub fn next_phase(&mut self) {
         self.phase += 1;
+        self.barrier += 1;
+    }
+
+    /// Mark a fork-join barrier: a panel step, a sweep step, an assembly.
+    pub fn barrier(&mut self) {
+        self.barrier += 1;
     }
 
     pub fn current_phase(&self) -> u32 {
@@ -279,7 +328,8 @@ impl GraphBuilder {
             self.readers_since_write.insert(w.key(), Vec::new());
         }
 
-        self.tasks.push(Task { id, kind, flops, rank, phase: self.phase, reads, writes });
+        let (phase, barrier) = (self.phase, self.barrier);
+        self.tasks.push(Task { id, kind, flops, rank, phase, barrier, reads, writes });
         id
     }
 
@@ -392,17 +442,35 @@ mod tests {
     }
 
     #[test]
-    fn cross_rank_bytes_counts_remote_reads() {
+    fn comm_counts_remote_reads_of_the_last_writer() {
         let mut b = GraphBuilder::new();
         let m = b.new_matrix();
         let bytes = 8 * 32 * 32u64;
         b.add_task(KernelKind::Potrf, 1.0, 0, vec![], vec![tile(m, 0, 0)]);
         // same-rank read: free
         b.add_task(KernelKind::Trsm, 1.0, 0, vec![tile(m, 0, 0)], vec![tile(m, 1, 0)]);
-        // remote read: one tile transfer
-        b.add_task(KernelKind::Trsm, 1.0, 1, vec![tile(m, 0, 0)], vec![tile(m, 2, 0)]);
+        // remote reads: one message per writer, every time
+        for i in 2..4 {
+            let reads = vec![tile(m, 0, 0), tile(m, 1, 0), tile(m, 9, 9)];
+            b.add_task(KernelKind::Gemm, 1.0, 1, reads, vec![tile(m, i, 0)]);
+        }
         let g = b.build();
-        assert_eq!(g.cross_rank_bytes(), bytes);
+        // one tile from each of the two writers, per reader; the unwritten
+        // (9, 9) is free
+        let expect = CommStats { point_to_point_messages: 4, point_to_point_bytes: 4 * bytes };
+        assert_eq!(g.comm(), expect);
+    }
+
+    #[test]
+    fn assign_ranks_follows_the_home_tile() {
+        let mut b = GraphBuilder::new();
+        let m = b.new_matrix();
+        b.add_task(KernelKind::Tsmqr, 1.0, 0, vec![], vec![tile(m, 3, 2), tile(m, 0, 2)]);
+        let mut g = b.build();
+        g.assign_ranks(ProcessGrid::new(2, 2));
+        assert_eq!(g.tasks[0].rank, ProcessGrid::new(2, 2).rank_of(1, 0));
+        g.assign_ranks(ProcessGrid::single());
+        assert_eq!(g.tasks[0].rank, 0);
     }
 
     #[test]
@@ -415,6 +483,23 @@ mod tests {
         let g = b.build();
         assert_eq!(g.tasks[0].phase, 0);
         assert_eq!(g.tasks[1].phase, 1);
+    }
+
+    #[test]
+    fn barriers_count_steps_and_iterations() {
+        let mut b = GraphBuilder::new();
+        let m = b.new_matrix();
+        let add = |b: &mut GraphBuilder| {
+            b.add_task(KernelKind::Gemm, 1.0, 0, vec![], vec![tile(m, 0, 0)])
+        };
+        add(&mut b);
+        b.barrier();
+        add(&mut b);
+        b.next_phase();
+        add(&mut b);
+        let g = b.build();
+        let marks: Vec<_> = g.tasks.iter().map(|t| (t.phase, t.barrier)).collect();
+        assert_eq!(marks, vec![(0, 0), (0, 1), (1, 2)]);
     }
 
     #[test]

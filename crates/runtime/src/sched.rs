@@ -1,6 +1,6 @@
 //! Deterministic schedule simulation over a [`TaskGraph`].
 
-use crate::graph::{Task, TaskGraph};
+use crate::graph::{CommStats, Task, TaskGraph};
 
 /// Abstract machine executing a task graph. `polar-sim` implements this
 /// for Summit / Frontier node models; tests use unit-cost toys.
@@ -30,9 +30,10 @@ pub enum SchedulingMode {
     /// transfers) is available and a slot frees up; communication overlaps
     /// computation; lookahead across phases emerges naturally.
     TaskBased,
-    /// ScaLAPACK/POLAR: a global barrier separates phases; no task of
-    /// phase `k+1` starts before every task of phase `k` finished
-    /// everywhere (the bulk-synchronous fork-join model of §3).
+    /// ScaLAPACK/POLAR: a global barrier separates steps
+    /// ([`Task::barrier`]); no task of step `k+1` starts before every task
+    /// of step `k` finished everywhere (the bulk-synchronous fork-join
+    /// model of §3).
     ForkJoin,
 }
 
@@ -45,9 +46,9 @@ pub struct ScheduleStats {
     pub total_task_seconds: f64,
     /// Busy time per rank.
     pub per_rank_busy: Vec<f64>,
-    /// Cross-rank tile messages.
+    /// Cross-rank tile messages ([`TaskGraph::comm`]).
     pub messages: u64,
-    /// Cross-rank bytes.
+    /// Cross-rank bytes ([`TaskGraph::comm`]).
     pub bytes: u64,
     /// Tasks executed.
     pub tasks: usize,
@@ -198,53 +199,33 @@ fn simulate_impl<M: ExecutionModel>(
     let mut slots: Vec<Vec<f64>> =
         (0..ranks).map(|r| vec![0.0f64; model.slots(r).max(1)]).collect();
     let mut busy = vec![0.0f64; ranks];
-    let mut messages = 0u64;
-    let mut bytes = 0u64;
+    let edge_bytes = graph.edge_bytes();
+    let mut sent = edge_bytes.iter(); // one entry per predecessor edge, in task order
     let mut total_task_seconds = 0.0f64;
 
-    // fork-join: running end time of the previous phase
-    let mut current_phase = 0u32;
-    let mut phase_end = 0.0f64; // max finish among completed phases
-    let mut running_phase_max = 0.0f64;
+    // fork-join: running end time of the previous step
+    let mut current_step = 0u32;
+    let mut step_end = 0.0f64; // max finish among completed steps
+    let mut running_step_max = 0.0f64;
 
     for t in 0..n {
         let task = &graph.tasks[t];
         let rank = task.rank.min(ranks - 1);
 
-        if mode == SchedulingMode::ForkJoin && task.phase != current_phase {
-            // barrier: everything in earlier phases must have finished
-            phase_end = phase_end.max(running_phase_max) + model.barrier_seconds();
-            running_phase_max = 0.0;
-            current_phase = task.phase;
+        if mode == SchedulingMode::ForkJoin && task.barrier != current_step {
+            // barrier: everything in earlier steps must have finished
+            step_end = step_end.max(running_step_max) + model.barrier_seconds();
+            running_step_max = 0.0;
+            current_step = task.barrier;
         }
 
-        // data-ready: predecessors + tile transfer for cross-rank edges
-        let mut ready = if mode == SchedulingMode::ForkJoin { phase_end } else { 0.0 };
-        for &p in graph.preds(t) {
+        // data-ready: predecessors + tile transfer for cross-rank edges (a
+        // pure ordering edge, WAR/WAW, still needs a zero-byte sync)
+        let mut ready = if mode == SchedulingMode::ForkJoin { step_end } else { 0.0 };
+        for (&p, &bytes) in graph.preds(t).iter().zip(sent.by_ref()) {
             let p = p as usize;
-            let pred = &graph.tasks[p];
-            let prank = pred.rank.min(ranks - 1);
-            let mut when = finish[p];
-            if prank != rank {
-                // transferred payload = tiles this task reads that the
-                // predecessor wrote
-                let mut edge_bytes = 0u64;
-                for r in &task.reads {
-                    if pred.writes.iter().any(|w| w.matrix == r.matrix && w.i == r.i && w.j == r.j)
-                    {
-                        edge_bytes += r.bytes;
-                    }
-                }
-                if edge_bytes == 0 {
-                    // pure ordering edge (WAR/WAW): still needs a sync
-                    when += model.message_seconds(0, prank, rank);
-                } else {
-                    messages += 1;
-                    bytes += edge_bytes;
-                    when += model.message_seconds(edge_bytes, prank, rank);
-                }
-            }
-            ready = ready.max(when);
+            let prank = graph.tasks[p].rank.min(ranks - 1);
+            ready = ready.max(finish[p] + model.message_seconds(bytes, prank, rank));
         }
 
         // earliest free slot on this rank
@@ -265,7 +246,7 @@ fn simulate_impl<M: ExecutionModel>(
         finish[t] = end;
         busy[rank] += dur;
         total_task_seconds += dur;
-        running_phase_max = running_phase_max.max(end);
+        running_step_max = running_step_max.max(end);
         if let Some(ev) = trace.as_deref_mut() {
             ev.push(TraceEvent {
                 task: t,
@@ -281,7 +262,15 @@ fn simulate_impl<M: ExecutionModel>(
     }
 
     let makespan = finish.iter().cloned().fold(0.0f64, f64::max);
-    ScheduleStats { makespan, total_task_seconds, per_rank_busy: busy, messages, bytes, tasks: n }
+    let comm = CommStats::of(&edge_bytes);
+    ScheduleStats {
+        makespan,
+        total_task_seconds,
+        per_rank_busy: busy,
+        messages: comm.point_to_point_messages,
+        bytes: comm.point_to_point_bytes,
+        tasks: n,
+    }
 }
 
 #[cfg(test)]

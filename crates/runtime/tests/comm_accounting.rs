@@ -1,8 +1,8 @@
-//! Integration coverage for the metered communicator's byte-accounting
-//! formulas and for `ScheduleStats` degenerate-input behavior — the
-//! numbers experiment reports and the service metrics layer depend on.
+//! Integration coverage for `ScheduleStats` degenerate-input behavior —
+//! the numbers experiment reports and the service metrics layer depend on.
+//! (Byte accounting is `TaskGraph::comm`, tested with the graph.)
 
-use polar_runtime::{CommStats, ScheduleStats, VirtualComm};
+use polar_runtime::ScheduleStats;
 
 fn stats(makespan: f64, work: f64) -> ScheduleStats {
     ScheduleStats {
@@ -13,87 +13,6 @@ fn stats(makespan: f64, work: f64) -> ScheduleStats {
         bytes: 0,
         tasks: 0,
     }
-}
-
-#[test]
-fn send_meters_each_direction_independently() {
-    let c = VirtualComm::new(4);
-    c.send(0, 1, 100);
-    c.send(1, 0, 250);
-    c.send(3, 2, 7);
-    let s = c.stats();
-    assert_eq!(s.point_to_point_messages, 3);
-    assert_eq!(s.point_to_point_bytes, 357);
-    assert_eq!(s.total_bytes(), 357);
-}
-
-#[test]
-fn self_send_never_counts() {
-    let c = VirtualComm::new(3);
-    for r in 0..3 {
-        c.send(r, r, 1 << 20);
-    }
-    assert_eq!(c.stats(), CommStats::default());
-}
-
-#[test]
-fn bcast_volume_is_bytes_times_p_minus_one() {
-    // binomial tree: p - 1 transfers of the payload, independent of root
-    for p in [2usize, 3, 8, 17] {
-        let c = VirtualComm::new(p);
-        c.bcast(p - 1, 64);
-        let s = c.stats();
-        assert_eq!(s.broadcasts, 1, "p = {p}");
-        assert_eq!(s.broadcast_bytes, 64 * (p as u64 - 1), "p = {p}");
-    }
-}
-
-#[test]
-fn allreduce_volume_is_bytes_times_ceil_log2_p_times_p() {
-    // recursive doubling: ceil(log2 p) rounds, every rank active per round
-    for (p, rounds) in [(2usize, 1u64), (4, 2), (5, 3), (8, 3), (9, 4)] {
-        let c = VirtualComm::new(p);
-        c.allreduce(10);
-        let s = c.stats();
-        assert_eq!(s.reductions, 1, "p = {p}");
-        assert_eq!(s.reduction_bytes, 10 * rounds * p as u64, "p = {p}");
-    }
-}
-
-#[test]
-fn single_rank_collectives_are_free_but_metered_sends_panic_free() {
-    let c = VirtualComm::new(1);
-    c.bcast(0, 4096);
-    c.allreduce(4096);
-    c.send(0, 0, 4096);
-    assert_eq!(c.stats().total_bytes(), 0);
-    assert_eq!(c.stats().broadcasts, 0);
-    assert_eq!(c.stats().reductions, 0);
-}
-
-#[test]
-fn reset_clears_all_counters_across_clones() {
-    let c = VirtualComm::new(4);
-    let clone = c.clone();
-    c.send(0, 1, 10);
-    c.bcast(0, 10);
-    c.allreduce(10);
-    assert!(clone.stats().total_bytes() > 0, "clones share the meter");
-    clone.reset();
-    assert_eq!(c.stats(), CommStats::default());
-    // accounting still works after a reset
-    c.send(1, 2, 5);
-    assert_eq!(clone.stats().point_to_point_bytes, 5);
-}
-
-#[test]
-fn total_bytes_sums_all_three_channels() {
-    let c = VirtualComm::new(4);
-    c.send(0, 1, 100); // 100 p2p
-    c.bcast(0, 10); // 30 bcast
-    c.allreduce(10); // 2 rounds * 4 ranks * 10 = 80
-    let s = c.stats();
-    assert_eq!(s.total_bytes(), 100 + 30 + 80);
 }
 
 #[test]

@@ -143,9 +143,11 @@ proptest! {
         let s = simulate(&g, &model, SchedulingMode::TaskBased);
         // every metered message carries the tile payload of 64 bytes
         prop_assert_eq!(s.bytes, s.messages * 64);
-        // graph-level static estimate upper-bounds... both count the same
-        // producer->consumer cross-rank edges; static dedups by tile, the
-        // schedule counts per edge, so schedule >= static
-        prop_assert!(s.bytes >= g.cross_rank_bytes());
+        // the schedule reports the graph's own meter
+        let metered = g.comm();
+        prop_assert_eq!(
+            (s.messages, s.bytes),
+            (metered.point_to_point_messages, metered.point_to_point_bytes)
+        );
     }
 }

@@ -7,10 +7,12 @@
 //! (DAG shape, flop counts, communication volume, scheduling discipline)
 //! is exact:
 //!
-//! * [`machine`] — node models with the published §7.1 specifications;
-//! * [`dag`] — tile-granularity QDWH task graphs (the same loop nests a
-//!   SLATE run executes), fed to the `polar-runtime` schedulers for
-//!   discrete-event simulation;
+//! * [`machine`] — node models with the published §7.1 specifications,
+//!   an `ExecutionModel` for the `polar-runtime` schedulers: the
+//!   discrete-event simulation runs on the whole-solve task graph the
+//!   solver itself emits (`polar_qdwh::qdwh_task_graph`), placed on a
+//!   process grid by `TaskGraph::assign_ranks` — this crate builds no
+//!   graph of its own;
 //! * [`analytic`] — a closed-form roofline + critical-path model usable at
 //!   full paper scale (n up to 300k, where the tile DAG would have 1e8
 //!   tasks), cross-validated against the discrete-event results.
@@ -20,13 +22,11 @@
 //! gap, growth with matrix size, scaling across nodes).
 
 pub mod analytic;
-pub mod dag;
 pub mod kernel_flops;
 pub mod machine;
 pub mod real;
 
 pub use analytic::{estimate_qdwh_time, estimate_zolo_time, AnalyticBreakdown, Implementation};
-pub use dag::{qdwh_graph, QdwhGraphSpec};
 pub use machine::{ClusterModel, ExecTarget, NodeSpec};
 pub use real::{compare as sim_vs_real, MeasuredHost, SimVsReal};
 

@@ -279,6 +279,7 @@ mod tests {
             flops,
             rank: 0,
             phase: 0,
+            barrier: 0,
             reads: vec![TileRef::new(0, 0, 0, bytes), TileRef::new(1, 0, 0, bytes)],
             writes: vec![TileRef::new(2, 0, 0, bytes)],
         }

@@ -1,14 +1,22 @@
 //! Integration between the numerical library and the performance stack:
-//! the tile DAG, the schedulers, and the analytic model must tell a
-//! mutually consistent story.
+//! the whole-solve tile DAG the solver emits, the schedulers, and the
+//! analytic model must tell a mutually consistent story.
 
-use polar::runtime::{simulate, SchedulingMode};
-use polar::sim::dag::{qdwh_graph, Grid, QdwhGraphSpec};
+use polar::matrix::ProcessGrid;
+use polar::qdwh::{qdwh_task_graph, IterationKind};
+use polar::runtime::{simulate, SchedulingMode, TaskGraph};
 use polar::sim::machine::{ClusterModel, ExecTarget, NodeSpec};
 use polar::sim::{estimate_qdwh_time, qdwh_flops, Implementation};
 
-fn spec(t: usize, ranks: usize, it_qr: usize, it_chol: usize) -> QdwhGraphSpec {
-    QdwhGraphSpec { t, nb: 320, scalar_bytes: 8, grid: Grid::squarest(ranks), it_qr, it_chol }
+/// The graph of a square f64 solve, `t` tiles of 320 a side, on the
+/// squarest grid of `ranks`.
+fn qdwh_graph(t: usize, ranks: usize, it_qr: usize, it_chol: usize) -> TaskGraph {
+    let n = t * 320;
+    let kinds =
+        [vec![IterationKind::QrBased; it_qr], vec![IterationKind::CholeskyBased; it_chol]].concat();
+    let mut g = qdwh_task_graph::<f64>(n, n, 320, &kinds, true);
+    g.assign_ranks(ProcessGrid::squarest(ranks));
+    g
 }
 
 #[test]
@@ -19,14 +27,7 @@ fn dag_flops_match_measured_iteration_profile() {
     let n = 64;
     let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(n, 3));
     let pd = qdwh(&a, &QdwhOptions::default()).unwrap();
-    let g = qdwh_graph(&QdwhGraphSpec {
-        t: 8,
-        nb: 8,
-        scalar_bytes: 8,
-        grid: Grid { p: 2, q: 2 },
-        it_qr: pd.info.qr_iterations,
-        it_chol: pd.info.chol_iterations,
-    });
+    let g = qdwh_task_graph::<f64>(n, n, 8, &pd.info.kinds, true);
     let formula = qdwh_flops(n, pd.info.qr_iterations, pd.info.chol_iterations);
     let ratio = g.total_flops() / formula;
     assert!((0.5..2.5).contains(&ratio), "DAG/formula ratio {ratio}");
@@ -35,7 +36,7 @@ fn dag_flops_match_measured_iteration_profile() {
 
 #[test]
 fn des_fork_join_slower_than_task_based_on_qdwh_dag() {
-    let g = qdwh_graph(&spec(16, 4, 1, 1));
+    let g = qdwh_graph(16, 4, 1, 1);
     let model = ClusterModel::slate(NodeSpec::summit(), 2, ExecTarget::CpuOnly, 320);
     let tb = simulate(&g, &model, SchedulingMode::TaskBased);
     let fj = simulate(&g, &model, SchedulingMode::ForkJoin);
@@ -47,7 +48,7 @@ fn des_fork_join_slower_than_task_based_on_qdwh_dag() {
 
 #[test]
 fn des_gpu_faster_than_cpu_on_qdwh_dag() {
-    let g = qdwh_graph(&spec(20, 2, 3, 3));
+    let g = qdwh_graph(20, 2, 3, 3);
     let node = NodeSpec::summit();
     let gpu = ClusterModel::slate(node.clone(), 1, ExecTarget::GpuAccelerated, 320);
     let cpu = ClusterModel::slate(node, 1, ExecTarget::CpuOnly, 320);
@@ -65,7 +66,7 @@ fn des_and_analytic_agree_on_ordering() {
     let n = t * nb;
     let node = NodeSpec::summit();
 
-    let g_slate = qdwh_graph(&spec(t, 2, 3, 3));
+    let g_slate = qdwh_graph(t, 2, 3, 3);
     let gpu_des = simulate(
         &g_slate,
         &ClusterModel::slate(node.clone(), 1, ExecTarget::GpuAccelerated, nb),
@@ -98,7 +99,7 @@ fn des_and_analytic_agree_on_ordering() {
 
 #[test]
 fn block_cyclic_balances_des_load() {
-    let g = qdwh_graph(&spec(16, 4, 1, 1));
+    let g = qdwh_graph(16, 4, 1, 1);
     let model = ClusterModel::slate(NodeSpec::summit(), 2, ExecTarget::CpuOnly, 320);
     let s = simulate(&g, &model, SchedulingMode::TaskBased);
     let max_busy = s.per_rank_busy.iter().cloned().fold(0.0f64, f64::max);
@@ -108,16 +109,33 @@ fn block_cyclic_balances_des_load() {
 
 #[test]
 fn communication_grows_with_ranks() {
-    let g2 = qdwh_graph(&spec(16, 2, 1, 1));
-    let g8 = qdwh_graph(&spec(16, 8, 1, 1));
-    assert!(g8.cross_rank_bytes() > g2.cross_rank_bytes());
+    let bytes = |ranks| qdwh_graph(16, ranks, 1, 1).comm().point_to_point_bytes;
+    assert_eq!(bytes(1), 0, "one rank: every tile is local");
+    assert!(bytes(8) > bytes(2) && bytes(2) > 0);
+}
+
+#[test]
+fn des_reports_the_graph_meter() {
+    // one byte-counting rule: what the simulator charges transfer time for
+    // is what the meter counts, in either scheduling mode
+    let g = qdwh_graph(8, 4, 1, 1); // a 2 x 2 grid
+    let metered = g.comm();
+    assert!(metered.point_to_point_messages > 0);
+    let model = ClusterModel::slate(NodeSpec::summit(), 2, ExecTarget::CpuOnly, 320);
+    for mode in [SchedulingMode::TaskBased, SchedulingMode::ForkJoin] {
+        let s = simulate(&g, &model, mode);
+        assert_eq!(
+            (s.messages, s.bytes),
+            (metered.point_to_point_messages, metered.point_to_point_bytes)
+        );
+    }
 }
 
 #[test]
 fn more_nodes_reduce_des_makespan_at_fixed_size() {
     let t = 20;
-    let g1 = qdwh_graph(&spec(t, 2, 1, 1));
-    let g4 = qdwh_graph(&spec(t, 8, 1, 1));
+    let g1 = qdwh_graph(t, 2, 1, 1);
+    let g4 = qdwh_graph(t, 8, 1, 1);
     let node = NodeSpec::summit();
     let m1 = ClusterModel::slate(node.clone(), 1, ExecTarget::CpuOnly, 320);
     let m4 = ClusterModel::slate(node, 4, ExecTarget::CpuOnly, 320);
