@@ -87,13 +87,25 @@ stage_lint() {
     # nor may a second file add factorization tasks to a graph, with or
     # without bodies: the simulator and the communication meter read the
     # graph the emit modules build. (Not tile graphs: polar-runtime's and
-    # sim/real.rs's unit tests build toy graphs in the vocabulary, and the
-    # batch engine labels whole-group tasks by their dominant kernel.)
+    # sim/real.rs's unit tests build toy graphs in the vocabulary.)
     local emitters='lapack/src/tiled|core/src/(fused|solve_dag|zolo_fused)'
-    emitters="$emitters|runtime/src/[a-z_]+|sim/src/real|batch/src/engine"
+    emitters="$emitters|runtime/src/[a-z_]+|sim/src/real"
     strays=$(grep -rlPzo '\badd(_task)?\(\s*KernelKind::(Geqrt|Tsqrt|Tsmqr|Unmqr|Potrf)\b' crates/*/src \
         | grep -vE "^crates/($emitters)\.rs$" || true)
     test -z "$strays" || fail "tile-factorization tasks added outside the emit modules: $strays"
+
+    step "env knobs: every POLAR_* name in the sources is on the list"
+    # each knob is one more configuration to test and to benchmark; adding
+    # one means adding a line here, where a reviewer sees it
+    # (POLAR_TEST_UNSET_VAR_XYZ is a unit test's never-set name)
+    local knobs='POLAR_C32_GEMM POLAR_DETERMINISTIC POLAR_GEMM_KC POLAR_GEMM_MC
+        POLAR_GEMM_MR POLAR_GEMM_NC POLAR_GEMM_NR POLAR_LOG POLAR_LOOKAHEAD
+        POLAR_METRICS POLAR_NUM_THREADS POLAR_PAR_THRESHOLD_FLOPS POLAR_SEED
+        POLAR_TEST_UNSET_VAR_XYZ POLAR_TILED POLAR_TILE_NB POLAR_TRACE
+        POLAR_TRACE_MAX_EVENTS'
+    strays=$(grep -rhoE '"POLAR_[A-Z0-9_]+"' crates/*/src crates/shims/*/src src \
+        | tr -d '"' | sort -u | grep -vxFf <(printf '%s\n' $knobs) || true)
+    test -z "$strays" || fail "env knob read but not on ci.sh's list: $strays"
 
     step "no boxed iterators on the tile path"
     # a tile body runs slice loops and packed kernels; an iterator chosen at
@@ -162,6 +174,11 @@ stage_zolo() {
 stage_workspace() {
     step "workspace tests"
     cargo test --offline -q --workspace
+
+    step "serving tier in the build it ships in"
+    # the service's timing tests calibrate themselves, and the batch
+    # engine's bitwise claims are about optimized kernels
+    cargo test --offline --release -q -p polar-svc -p polar-batch
 
     step "facade builds standalone"
     cargo build --offline --release -p polar

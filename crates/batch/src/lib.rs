@@ -9,13 +9,14 @@
 //!
 //! * **Batch-major storage** ([`polar_matrix::BatchedDense`]): the whole
 //!   batch of iterates lives in one contiguous allocation, entry stride
-//!   `m * n`, so buffers are allocated once per *batch* and batch-wide
-//!   elementwise work fuses into single wide-matrix kernel calls.
-//! * **One fused DAG per iteration**: every Halley iteration runs as a
-//!   single [`polar_runtime::TaskDag`] spanning the whole batch — two
-//!   dependency-chained tasks per entry (factor → update), so a batch of
-//!   32 matrices fills the work-stealing pool with one graph instead of
-//!   32 independent solver invocations.
+//!   `m * n`, so buffers are allocated once per *batch* and a round's
+//!   GEMM-shaped work runs as batch-spanning packed sweeps.
+//! * **One sequential round loop per pool lane**: the entries of a wave
+//!   are independent, so the wave is cut into at most one contiguous chunk
+//!   per lane and each chunk runs prologue, Halley rounds and epilogue on
+//!   its own thread, start to finish — no task graph, no barrier between
+//!   rounds, no shared mutable state (the crate is
+//!   `#![forbid(unsafe_code)]`).
 //! * **Shared condition estimation** ([`CondestCache`]): repeated
 //!   `(n, scalar type, condition class)` streams skip the per-entry
 //!   `geqrf` + condition-estimate prologue after the first sighting. The
@@ -23,12 +24,14 @@
 //!   on what a fresh estimate would produce — an underestimated `l_0`
 //!   costs at most extra iterations, never accuracy (the dynamically
 //!   weighted map converges for any `l_0 ∈ (0, 1]`).
-//! * The final `H_k = U_k^H A_k` for every entry is one
-//!   [`polar_blas::gemm_batched`] call over the packed factors.
 //!
-//! Numerics per entry are the scalar [`polar_qdwh::qdwh`] driver's,
-//! iteration for iteration; the batched-vs-sequential parity and
-//! determinism suites in `tests/` pin that contract.
+//! Per entry the iteration follows the scalar [`polar_qdwh::qdwh`] driver
+//! (same parameter sequence, factors equal to rounding), and an entry's
+//! bits depend on neither the pool width nor the rest of the wave; the
+//! batched-vs-sequential parity and determinism suites in `tests/` pin
+//! both.
+
+#![forbid(unsafe_code)]
 
 mod cache;
 mod engine;

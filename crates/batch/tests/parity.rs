@@ -115,3 +115,9 @@ proptest! {
 fn rectangular_mixed_condition_batch_matches_scalar() {
     check_parity::<f64>(&specs_for(48, 20, 5, 7), 1e-9);
 }
+
+#[test]
+fn entries_larger_than_one_gemm_block_match_scalar() {
+    // n = 160 > MC: the batched sweeps take their per-entry five-loop
+    check_parity::<f64>(&specs_for(160, 160, 2, 3), 1e-9);
+}

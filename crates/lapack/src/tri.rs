@@ -14,7 +14,7 @@
 //! `||X||_2 <= 1` has its eigenvalues in `[1, 1 + c]`, so
 //! `kappa(Z) <= 1 + c`, and the Cholesky branch only runs when `c` is
 //! below the QR/Cholesky switch (100 by default; the batch engine widens
-//! it for hinted entries, knowingly: `hinted_qr_switch_threshold`) — `Z`,
+//! it for hinted entries, knowingly: its `HINTED_QR_SWITCH`) — `Z`,
 //! hence `L` and every diagonal block of it, is well conditioned by the
 //! iteration's own plan, whatever the input's conditioning, and the
 //! explicit inverse is as accurate as the solves. No general caller has

@@ -12,10 +12,11 @@
 //! mirrors how SLATE amortizes per-task overhead by batching small tile
 //! kernels while letting big trailing updates own their stream.
 
-use crate::job::JobKind;
+use crate::job::{JobKind, JobSpec};
 use crate::metrics::MetricsRegistry;
 use crate::queue::AdmittedJob;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use polar_batch::BatchOptions;
 use polar_sim::{qdwh_flops, ILL_CONDITIONED_PROFILE};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -160,16 +161,11 @@ pub(crate) fn run_dispatcher(
             let batch_max = cfg.batch_max.max(1);
             let key = (top.job.spec.matrix.nrows(), top.job.spec.matrix.ncols());
             if let Some(window) = cfg.batch_gather_window {
-                // count queued same-shape members (top included); an
-                // under-full group waits until its shape's deadline for
+                // count the queued members of top's group (top included);
+                // an under-full group waits until its shape's deadline for
                 // late arrivals instead of shipping a fragment
-                let queued = 1 + heap
-                    .iter()
-                    .filter(|q| {
-                        q.job.spec.kind == JobKind::Batched
-                            && (q.job.spec.matrix.nrows(), q.job.spec.matrix.ncols()) == key
-                    })
-                    .count();
+                let queued =
+                    1 + heap.iter().filter(|q| fuses_with(&top.job.spec, &q.job.spec)).count();
                 if queued < batch_max && !disconnected {
                     let now = Instant::now();
                     let deadline = *gather.entry(key).or_insert(now + window);
@@ -225,22 +221,30 @@ pub(crate) fn run_dispatcher(
     }
 }
 
-/// Pull every queued [`JobKind::Batched`] job sharing `top`'s shape key
-/// (`(rows, cols)`; the service scalar is `f64`, so shape is the whole
-/// key) out of the heap, up to `batch_max`. Coalescing deliberately
-/// ignores priority among same-shape batched jobs — riding an
-/// already-dispatched fused batch is strictly cheaper than waiting for a
-/// later slot. Everything else is pushed back untouched.
+/// May `b` ride in the `qdwh_batched` call that solves `a`? Both are
+/// [`JobKind::Batched`], share `(rows, cols)` (the service scalar is
+/// `f64`, so shape is the whole storage key) and agree on every solver
+/// option the engine reads — one option set drives a fused group, so a job
+/// fused behind a different one would get that one's answer (no `H` behind
+/// a `factor_only` head, another iteration cap or `l_0`).
+fn fuses_with(a: &JobSpec, b: &JobSpec) -> bool {
+    let shape = |s: &JobSpec| (s.matrix.nrows(), s.matrix.ncols());
+    a.kind == JobKind::Batched
+        && b.kind == JobKind::Batched
+        && shape(a) == shape(b)
+        && BatchOptions::same_numerics(&a.opts, &b.opts)
+}
+
+/// Pull every queued job that [`fuses_with`] `top` out of the heap, up to
+/// `batch_max`. Coalescing deliberately ignores priority inside a group —
+/// riding an already-dispatched fused batch is strictly cheaper than
+/// waiting for a later slot. Everything else is pushed back untouched.
 fn collect_fused(heap: &mut BinaryHeap<Queued>, top: Queued, batch_max: usize) -> Vec<RunnableJob> {
-    let key = (top.job.spec.matrix.nrows(), top.job.spec.matrix.ncols());
     let mut batch = vec![RunnableJob { job: top.job }];
     let mut rest = Vec::new();
     while batch.len() < batch_max {
         match heap.pop() {
-            Some(q)
-                if q.job.spec.kind == JobKind::Batched
-                    && (q.job.spec.matrix.nrows(), q.job.spec.matrix.ncols()) == key =>
-            {
+            Some(q) if fuses_with(&batch[0].job.spec, &q.job.spec) => {
                 batch.push(RunnableJob { job: q.job });
             }
             Some(q) => rest.push(q),

@@ -24,13 +24,15 @@ pub enum JobKind {
     QdwhSvd,
     /// SVD-based polar decomposition, the paper's §3 baseline.
     SvdPolar,
-    /// QDWH via the fused batched engine (`polar-batch`): the dispatcher
-    /// coalesces same-shape `Batched` jobs into one group and the worker
-    /// solves the whole group as fused whole-batch DAGs — one dispatch
-    /// slot, one prologue, one task graph per iteration. Falls back to
-    /// per-job scalar QDWH if the fused engine rejects the group.
+    /// QDWH via the batched engine (`polar-batch`): the dispatcher
+    /// coalesces `Batched` jobs of one shape and one set of solver options
+    /// into a group and the worker solves the whole group as one
+    /// `qdwh_batched` call — one dispatch slot, the group cut into one
+    /// contiguous chunk per pool lane, each chunk solved start to finish
+    /// in batch-major rounds. Falls back to per-job scalar QDWH if the
+    /// engine rejects the group.
     ///
-    /// Caveat: fused execution has no between-iteration hook, so
+    /// Caveat: batched execution has no between-iteration hook, so
     /// cancellation and deadlines are only honored before the batch
     /// starts (or on the scalar fallback path).
     Batched,

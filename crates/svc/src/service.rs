@@ -157,8 +157,8 @@ impl PolarService {
     /// Submit a group of same-shape matrices for the fused batched
     /// engine ([`crate::job::JobKind::Batched`]): each spec's kind is
     /// forced to `Batched` and the dispatcher re-coalesces them (with any
-    /// other queued `Batched` jobs of that shape) into whole-batch
-    /// solves.
+    /// other queued `Batched` jobs of that shape and the same solver
+    /// options) into whole-batch solves.
     ///
     /// Mixed shapes are rejected up front with
     /// [`SubmitError::MixedShapes`] — the fused engine packs entries into

@@ -10,8 +10,8 @@
 //! concatenate with aligned clocks instead of each starting at its own
 //! arbitrary zero.
 
-use parking_lot::Mutex;
 use polar_runtime::{write_chrome_trace, KernelKind, TraceEvent};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Collects job spans; one per service, shared by all workers.
@@ -23,6 +23,12 @@ pub struct SpanLog {
 impl SpanLog {
     pub fn new() -> Self {
         SpanLog { epoch: polar_obs::epoch(), events: Mutex::new(Vec::new()) }
+    }
+
+    /// The span list. A push or a clone leaves it valid at every step, so
+    /// a worker that panicked while holding the lock poisons nothing.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
+        self.events.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The instant job spans are measured from: the process-wide
@@ -58,11 +64,11 @@ impl SpanLog {
             label,
             args: None,
         };
-        self.events.lock().push(ev);
+        self.lock().push(ev);
     }
 
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -71,7 +77,7 @@ impl SpanLog {
 
     /// Snapshot of all spans recorded so far.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+        self.lock().clone()
     }
 
     /// Serialize the spans as Chrome tracing JSON.

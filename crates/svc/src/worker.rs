@@ -105,8 +105,8 @@ fn run_fused(batch: Vec<RunnableJob>, worker_id: usize, ctx: &Arc<ExecContext>) 
             }
         })
         .collect();
-    // one option set drives the whole group; the first member's solver
-    // knobs apply (the dispatcher only guarantees shape homogeneity)
+    // the dispatcher fuses only jobs whose solver options agree
+    // (`dispatch::fuses_with`), so any member's set speaks for the group
     let opts = BatchOptions {
         qdwh: {
             let mut o = fused[0].job.spec.opts.clone();
@@ -116,15 +116,7 @@ fn run_fused(batch: Vec<RunnableJob>, worker_id: usize, ctx: &Arc<ExecContext>) 
         condest_cache: Some(ctx.condest_cache.clone()),
         ..Default::default()
     };
-    // A group of one offers the engine's task graphs no entries to spread
-    // over lanes, and its kernels are small: it is one lane's work, and
-    // run as such it never queues for the pool — which a large job's
-    // whole-solve graph may be holding for the length of its solve.
-    let result = if entries.len() == 1 {
-        rayon::serial_region(|| qdwh_batched(&mut entries, &opts))
-    } else {
-        qdwh_batched(&mut entries, &opts)
-    };
+    let result = qdwh_batched(&mut entries, &opts);
     let end = Instant::now();
     let run = end.duration_since(start);
     metrics.in_flight.fetch_sub(lanes as i64, Ordering::Relaxed);
