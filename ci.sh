@@ -4,7 +4,7 @@
 # jobs, so keep all command lines here — the workflow only dispatches.
 #
 #   ./ci.sh             # all stages
-#   ./ci.sh lint        # rustfmt + clippy (deny warnings) + tile-path guards
+#   ./ci.sh lint        # rustfmt + clippy (deny warnings) + written-once guards
 #   ./ci.sh tier1       # release build, root-package tests, smokes + zolo leg
 #   ./ci.sh zolo        # fused r-way Zolo: parity/determinism tests + CP gate
 #   ./ci.sh workspace   # full workspace tests + standalone facade build
@@ -93,6 +93,26 @@ stage_lint() {
     strays=$(grep -rlPzo '\badd(_task)?\(\s*KernelKind::(Geqrt|Tsqrt|Tsmqr|Unmqr|Potrf)\b' crates/*/src \
         | grep -vE "^crates/($emitters)\.rs$" || true)
     test -z "$strays" || fail "tile-factorization tasks added outside the emit modules: $strays"
+
+    step "one solve skeleton: estimate, plan, cost and telemetry written in core's skeleton.rs only"
+    # Algorithm 1's recipe around the task graphs is crates/core/src/skeleton.rs;
+    # a second file calling what it is built from is a second copy of a stage.
+    # Each rule: code lines (comments dropped) matching a pattern may sit only
+    # in the files named. The simulator's cost model is independent on
+    # purpose (like sim/kernel_flops.rs): what it predicts is checked
+    # against what the solver reports.
+    local rule pattern allowed
+    for rule in \
+        '\b(halley_parameters|update_ell)\(@core/src/(skeleton|params)\.rs' \
+        '\b(tr_sigma_min_est|trcondest|gecondest)\b@core/src/skeleton\.rs|lapack/src/.*' \
+        '\bQdwhInfo \{@core/src/skeleton\.rs' \
+        '8\.0 \+ 2\.0 / 3\.0|10\.0 / 3\.0@core/src/skeleton\.rs|sim/src/.*'
+    do
+        pattern=${rule%@*} allowed=${rule##*@}
+        strays=$(grep -rnE "$pattern" crates/*/src | grep -vE '^[^:]+:[0-9]+:\s*//' \
+            | cut -d: -f1 | sort -u | grep -vE "^crates/($allowed)$" || true)
+        test -z "$strays" || fail "a solve stage written outside the skeleton ($pattern): $strays"
+    done
 
     step "env knobs: every POLAR_* name in the sources is on the list"
     # each knob is one more configuration to test and to benchmark; adding

@@ -19,7 +19,7 @@
 //!   substitution-kernel `trsm`s;
 //! * the condition-estimate prologue consults a [`CondestCache`] keyed by
 //!   `(n, type, cond class)` so hinted repeat streams skip the per-entry
-//!   `geqrf` + estimate entirely;
+//!   `geqrf` + estimate ([`polar_qdwh::estimate_l0`]) entirely;
 //! * the final `H_k = U_k^H A_k` is one more batched sweep.
 //!
 //! Every kernel a chunk calls picks its code path from the entry shape
@@ -36,13 +36,11 @@
 use crate::cache::{cond_class, CondestCache, CondestKey, UNHINTED_CLASS};
 use polar_blas::params::fork_lanes;
 use polar_blas::{gemm_batched_packed, norm, symmetrize};
-use polar_lapack::{
-    geqrf, geqrf_stacked, norm2est, orgqr, potrf_in, tr_sigma_min_est, trcondest, trtri_lower,
-};
+use polar_lapack::{geqrf, geqrf_stacked, norm2est, orgqr, potrf_in, trtri_lower};
 use polar_matrix::{BatchedDense, Matrix, Norm, Op, Uplo};
 use polar_qdwh::{
-    halley_parameters, update_ell, IterationKind, IterationPath, IterationRecord, L0Strategy,
-    QdwhError, QdwhInfo, QdwhOptions,
+    converged, estimate_l0, qdwh_flops, HalleyStep, IterationRecord, QdwhError, QdwhInfo,
+    QdwhOptions,
 };
 use polar_scalar::{Real, Scalar};
 use std::sync::Arc;
@@ -80,13 +78,13 @@ impl<S: Scalar> BatchEntry<S> {
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
     /// Per-entry numerics (iteration family, switch threshold, iteration
-    /// cap, `compute_h`, `l_0` strategy). The tiled and TSQR paths do not
-    /// apply — batch entries are small by design, so factorizations run on
-    /// the flat kernels and parallelism comes from the batch dimension.
-    /// `L0Strategy::LuFormula` falls back to `PaperFormula` here (one QR
-    /// estimate route keeps the prologue uniform). The `progress` hook
-    /// is not consulted (cancellation is the serving tier's job, at batch
-    /// granularity).
+    /// cap, `compute_h`, `l_0` strategy — every
+    /// [`L0Strategy`](polar_qdwh::L0Strategy), through
+    /// [`polar_qdwh::estimate_l0`] on the flat `geqrf`). The tiled path
+    /// does not apply — batch entries are small by design, so
+    /// factorizations run on the flat kernels and parallelism comes from
+    /// the batch dimension. The `progress` hook is not consulted
+    /// (cancellation is the serving tier's job, at batch granularity).
     pub qdwh: QdwhOptions,
     /// Estimate the scaling `alpha` as `sqrt(||A||_1 ||A||_inf)` (one pass
     /// over the data, an upper bound on `||A||_2`) instead of the scalar
@@ -281,14 +279,10 @@ struct EntryState<R: Real> {
     fresh_l0: Option<R>,
 }
 
-/// One round's weights and family for one active entry.
+/// One round's step for the active entry `k`.
 struct Plan<R> {
     k: usize,
-    use_qr: bool,
-    ell_next: R,
-    c: R,
-    theta: R,
-    beta: R,
+    step: HalleyStep<R>,
 }
 
 /// A failed entry: its index (within the chunk until [`solve_lanes`]
@@ -330,7 +324,9 @@ pub fn qdwh_batched<S: Scalar>(
             e.u = Matrix::zeros(m, 0);
             e.h = Matrix::zeros(0, 0);
         }
-        return Ok((0..batch).map(|_| empty_info()).collect());
+        return Ok((0..batch)
+            .map(|_| QdwhInfo::started(S::Real::ZERO, S::Real::ZERO, None))
+            .collect());
     }
     for (k, e) in entries.iter().enumerate() {
         if e.a.has_non_finite() {
@@ -449,13 +445,9 @@ fn run_chunk<S: Scalar>(
     let count = entries.len();
     let m = entries[0].a.nrows();
     let n = entries[0].a.ncols();
-    let eps = S::Real::EPSILON;
-    let five_eps = S::Real::from_f64(5.0) * eps;
-    let conv_tol = five_eps.cbrt();
-    let l0_strategy = match opts.qdwh.l0_strategy {
-        L0Strategy::LuFormula => L0Strategy::PaperFormula,
-        s => s,
-    };
+    // the batched engine never takes the tile drivers (the batch dimension
+    // provides the parallelism instead): no tile decision to report
+    let started = |alpha, l0| QdwhInfo::started(alpha, l0, None);
 
     // ---- pack + prologue: scale and condition-estimate every entry ----
     ensure_slab(&mut slabs.a, m, n, count);
@@ -479,7 +471,7 @@ fn run_chunk<S: Scalar>(
                 ell: S::Real::ONE,
                 conv: S::Real::ZERO,
                 done: true,
-                info: empty_info(),
+                info: started(alpha, S::Real::ZERO),
                 fresh_l0: None,
             });
             continue;
@@ -491,32 +483,24 @@ fn run_chunk<S: Scalar>(
         }
         let fresh_l0 = preset_l0[k].is_none().then(|| {
             let xk = slabs.x.mat(k);
-            let mut r = xk.to_owned();
-            let _f = geqrf(&mut r);
-            let raw = match l0_strategy {
-                L0Strategy::SigmaMinPowerIteration => tr_sigma_min_est(&r) * S::Real::from_f64(0.9),
-                _ => {
-                    let anorm: S::Real = norm(Norm::One, xk);
-                    anorm * trcondest(&r) / S::Real::from_usize(n).sqrt()
-                }
-            };
-            raw.max(eps * eps).min(S::Real::ONE - eps)
+            estimate_l0(xk, opts.qdwh.l0_strategy, || {
+                let mut r = xk.to_owned();
+                geqrf(&mut r);
+                r
+            })
         });
         let l0 = preset_l0[k].or(fresh_l0).expect("l0 preset or just estimated");
-        let mut info = empty_info();
-        info.alpha = alpha;
-        info.l0 = l0;
         states.push(EntryState {
             ell: l0,
             conv: S::Real::from_f64(100.0),
             done: false,
-            info,
+            info: started(alpha, l0),
             fresh_l0,
         });
     }
 
     // ---- the Halley rounds ----
-    let hinted_switch = (HINTED_QR_SWITCH_EPS_CAP / eps.to_f64())
+    let hinted_switch = (HINTED_QR_SWITCH_EPS_CAP / S::Real::EPSILON.to_f64())
         .min(HINTED_QR_SWITCH)
         .max(opts.qdwh.qr_switch_threshold);
     let mut round = 0usize;
@@ -534,7 +518,6 @@ fn run_chunk<S: Scalar>(
             .enumerate()
             .filter(|(_, s)| !s.done)
             .map(|(k, s)| {
-                let p = halley_parameters(s.ell);
                 // hinted entries opted into the extended Cholesky window
                 // (see [`HINTED_QR_SWITCH`]); the stability bound depends
                 // only on the realized c, never on the hint's
@@ -544,20 +527,13 @@ fn run_chunk<S: Scalar>(
                 } else {
                     opts.qdwh.qr_switch_threshold
                 };
-                let use_qr = match opts.qdwh.path {
-                    IterationPath::Auto => p.c.to_f64() > switch,
-                    IterationPath::ForceQr => true,
-                    IterationPath::ForceCholesky => false,
-                };
-                let beta = p.b / p.c;
-                let theta = if use_qr { (p.a - beta) / p.c.sqrt() } else { p.a - beta };
-                Plan { k, use_qr, ell_next: update_ell(s.ell, p), c: p.c, theta, beta }
+                Plan { k, step: HalleyStep::at(s.ell, opts.qdwh.path, switch) }
             })
             .collect();
         let round_start = std::time::Instant::now();
         let _iter_span = polar_obs::span!("qdwh_batched_iter", round, plans.len());
 
-        let chol: Vec<&Plan<S::Real>> = plans.iter().filter(|p| !p.use_qr).collect();
+        let chol: Vec<&Plan<S::Real>> = plans.iter().filter(|p| !p.step.is_qr()).collect();
         if !chol.is_empty() {
             let cnt = chol.len();
             for slab in [&mut slabs.xg, &mut slabs.w1, &mut slabs.yc] {
@@ -582,7 +558,7 @@ fn run_chunk<S: Scalar>(
             );
             for (i, p) in chol.iter().enumerate() {
                 // Z = I + c G in place; only the lower triangle feeds potrf
-                let cs = S::from_real(p.c);
+                let cs = S::from_real(p.step.c);
                 for (j, col) in slabs.g.entry_slice_mut(i).chunks_exact_mut(n).enumerate() {
                     for v in &mut col[j..] {
                         *v *= cs;
@@ -619,13 +595,13 @@ fn run_chunk<S: Scalar>(
                 states[p.k].conv = halley_update(
                     slabs.x.entry_slice_mut(p.k),
                     slabs.yc.entry_slice(i),
-                    p.theta,
-                    p.beta,
+                    p.step.theta,
+                    p.step.beta,
                 );
             }
         }
 
-        let qr: Vec<&Plan<S::Real>> = plans.iter().filter(|p| p.use_qr).collect();
+        let qr: Vec<&Plan<S::Real>> = plans.iter().filter(|p| p.step.is_qr()).collect();
         if !qr.is_empty() {
             let cnt = qr.len();
             for slab in [&mut slabs.q1, &mut slabs.yq] {
@@ -638,7 +614,7 @@ fn run_chunk<S: Scalar>(
             // per-entry stacked QR into the Q1/Q2 slabs
             for (i, p) in qr.iter().enumerate() {
                 let xk = slabs.x.mat(p.k);
-                let sc = S::from_real(p.c.sqrt());
+                let sc = S::from_real(p.step.c.sqrt());
                 let w = &mut slabs.wq;
                 // W = [sqrt(c) X_k; I], fully rewritten (reused)
                 for j in 0..n {
@@ -673,8 +649,8 @@ fn run_chunk<S: Scalar>(
                 states[p.k].conv = halley_update(
                     slabs.x.entry_slice_mut(p.k),
                     slabs.yq.entry_slice(i),
-                    p.theta,
-                    p.beta,
+                    p.step.theta,
+                    p.step.beta,
                 );
             }
         }
@@ -686,41 +662,28 @@ fn run_chunk<S: Scalar>(
             if slabs.x.entry_slice(k).iter().any(|v| !v.is_finite()) {
                 return Err((k, QdwhError::NonFinite { iteration: s.info.iterations + 1 }));
             }
-            s.ell = plan.ell_next;
-            let kind =
-                if plan.use_qr { IterationKind::QrBased } else { IterationKind::CholeskyBased };
-            s.info.iterations += 1;
-            match kind {
-                IterationKind::QrBased => s.info.qr_iterations += 1,
-                IterationKind::CholeskyBased => s.info.chol_iterations += 1,
-            }
-            s.info.kinds.push(kind);
+            s.ell = plan.step.ell_after;
             // seconds is the round's wall time (shared by every active
             // entry of the chunk); per-entry kernel splits are not
             // separable inside a batched sweep, so the snapshot stays
             // zeroed.
-            s.info.records.push(IterationRecord {
-                iteration: s.info.iterations,
-                kind,
+            s.info.push(IterationRecord {
+                iteration: s.info.iterations + 1,
+                kind: plan.step.kind,
                 ell: s.ell,
                 convergence: s.conv,
                 seconds: secs,
                 kernels: Default::default(),
             });
-            s.done = s.conv < conv_tol && (s.ell - S::Real::ONE).abs() < five_eps;
+            s.done = converged(s.conv, s.ell);
         }
     }
 
     // ---- epilogue: flops model, batched H = U^H A, unpack ----
-    let tf = polar_blas::flops::type_factor(S::IS_COMPLEX);
-    let nf = n as f64;
     for s in states.iter_mut() {
         if s.info.iterations > 0 {
-            s.info.flops_estimate = tf
-                * ((4.0 / 3.0) * nf.powi(3)
-                    + (8.0 + 2.0 / 3.0) * nf.powi(3) * s.info.qr_iterations as f64
-                    + (4.0 + 1.0 / 3.0) * nf.powi(3) * s.info.chol_iterations as f64
-                    + 2.0 * nf.powi(3));
+            let (qr, chol) = (s.info.qr_iterations, s.info.chol_iterations);
+            s.info.flops_estimate = qdwh_flops(n, qr, chol, S::IS_COMPLEX);
         }
     }
     if opts.qdwh.compute_h {
@@ -751,22 +714,6 @@ fn run_chunk<S: Scalar>(
         };
     }
     Ok(states)
-}
-
-fn empty_info<R: Real>() -> QdwhInfo<R> {
-    QdwhInfo {
-        alpha: R::ZERO,
-        l0: R::ZERO,
-        iterations: 0,
-        qr_iterations: 0,
-        chol_iterations: 0,
-        kinds: Vec::new(),
-        records: Vec::new(),
-        flops_estimate: 0.0,
-        // the batched engine never takes the tile drivers (the batch
-        // dimension provides the parallelism instead)
-        tiled_decision: None,
-    }
 }
 
 #[cfg(test)]

@@ -6,11 +6,14 @@
 //! (`fast_scale` off, no shared cache), so per-entry iterates follow the
 //! same parameter sequence and the factors agree to rounding.
 
-use polar_batch::{qdwh_batched, BatchEntry, BatchOptions};
+use polar_batch::{qdwh_batched, BatchEntry, BatchError, BatchOptions};
 use polar_blas::{add, norm};
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_matrix::{Matrix, Norm};
-use polar_qdwh::{qdwh, QdwhOptions};
+use polar_qdwh::{
+    qdwh, qdwh_mixed, zolo_pd, IterationPath, PolarDecomposition, QdwhError, QdwhInfo, QdwhOptions,
+    TiledPath, ZoloOptions,
+};
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
 use proptest::prelude::*;
 
@@ -120,4 +123,143 @@ fn rectangular_mixed_condition_batch_matches_scalar() {
 fn entries_larger_than_one_gemm_block_match_scalar() {
     // n = 160 > MC: the batched sweeps take their per-entry five-loop
     check_parity::<f64>(&specs_for(160, 160, 2, 3), 1e-9);
+}
+
+/// The flat loop, the fused graph and the batch engine read one plan:
+/// whatever the start and the path, equal kinds, bit-equal bounds after
+/// every iteration and equal modeled cost.
+fn same_plan_everywhere<S: Scalar>() {
+    let spec = MatrixSpec {
+        m: 24,
+        n: 24,
+        cond: 1e3,
+        distribution: SigmaDistribution::Geometric,
+        seed: 15,
+    };
+    let a = generate::<S>(&spec).0;
+    for l0 in [1e-16, 1e-8, 1e-3, 0.5, 0.9] {
+        for path in [IterationPath::Auto, IterationPath::ForceQr, IterationPath::ForceCholesky] {
+            let case = format!("{} l0={l0:e} {path:?}", S::TYPE_TAG);
+            let on = |tiled| QdwhOptions {
+                l0_override: Some(l0),
+                path,
+                tiled,
+                tile_nb: Some(16),
+                ..Default::default()
+            };
+            let flat = qdwh(&a, &on(TiledPath::Never)).map(|pd| pd.info);
+            let graph = qdwh(&a, &on(TiledPath::Always)).map(|pd| pd.info);
+            let mut entry = [BatchEntry::new(a.clone())];
+            let opts = BatchOptions {
+                qdwh: on(TiledPath::Never),
+                fast_scale: false,
+                ..Default::default()
+            };
+            let batched = qdwh_batched(&mut entry, &opts).map(|mut infos| infos.remove(0));
+            let (Ok(flat), Ok(graph), Ok(batched)) = (&flat, &graph, &batched) else {
+                // a start below the type's range, or a forced Cholesky on
+                // an indefinite Z: refused by all three
+                assert!(flat.is_err() && graph.is_err() && batched.is_err(), "{case}");
+                continue;
+            };
+            for (who, other) in [("graph", graph), ("batched", batched)] {
+                assert_eq!(flat.kinds, other.kinds, "{case}: {who} kinds");
+                assert_eq!(flat.flops_estimate, other.flops_estimate, "{case}: {who} cost");
+                let ells =
+                    |i: &QdwhInfo<S::Real>| i.records.iter().map(|r| r.ell).collect::<Vec<_>>();
+                assert_eq!(ells(flat), ells(other), "{case}: {who} bounds");
+            }
+        }
+    }
+}
+
+#[test]
+fn flat_fused_and_batched_follow_one_plan() {
+    same_plan_everywhere::<f64>();
+    same_plan_everywhere::<f32>();
+}
+
+/// Inputs no iteration runs on get one answer from every driver: `n = 0`
+/// and the zero matrix are solved (`H` is `0 x 0` whenever `compute_h` is
+/// off), a non-finite entry and a wide shape are refused.
+#[test]
+fn degenerate_inputs_are_answered_alike() {
+    type Answer = Result<(Matrix<f64>, Matrix<f64>, QdwhInfo<f64>), QdwhError>;
+    let tiled = |compute_h| QdwhOptions {
+        compute_h,
+        tiled: TiledPath::Always,
+        tile_nb: Some(8),
+        ..Default::default()
+    };
+    let flat = |compute_h| QdwhOptions { compute_h, tiled: TiledPath::Never, ..Default::default() };
+    let of_pd = |pd: PolarDecomposition<f64>| (pd.u, pd.h, pd.info);
+    let zolo = |a: &Matrix<f64>, o: QdwhOptions| {
+        let zopts = ZoloOptions {
+            compute_h: o.compute_h,
+            tiled: o.tiled,
+            tile_nb: o.tile_nb,
+            ..Default::default()
+        };
+        zolo_pd(a, &zopts).map(|z| of_pd(z.pd))
+    };
+    let batched = |a: &Matrix<f64>, compute_h| {
+        let mut entry = [BatchEntry::new(a.clone())];
+        let opts = BatchOptions { qdwh: flat(compute_h), ..Default::default() };
+        match qdwh_batched(&mut entry, &opts) {
+            Ok(mut infos) => {
+                let [e] = entry;
+                Ok((e.u, e.h, infos.remove(0)))
+            }
+            Err(BatchError::Entry { index: 0, source }) => Err(source),
+            Err(BatchError::Shape(msg)) => Err(QdwhError::Shape(msg)),
+            Err(other) => panic!("{other:?}"),
+        }
+    };
+    type Solver<'a> = (&'a str, Box<dyn Fn(&Matrix<f64>, bool) -> Answer + 'a>);
+    let solvers: Vec<Solver> = vec![
+        ("qdwh flat", Box::new(|a, h| qdwh(a, &flat(h)).map(of_pd))),
+        ("qdwh tiled", Box::new(|a, h| qdwh(a, &tiled(h)).map(of_pd))),
+        ("zolo_pd flat", Box::new(|a, h| zolo(a, flat(h)))),
+        ("zolo_pd tiled", Box::new(|a, h| zolo(a, tiled(h)))),
+        ("qdwh_mixed", Box::new(|a, h| qdwh_mixed(a, &flat(h)).map(|(pd, _)| of_pd(pd)))),
+        ("qdwh_batched", Box::new(|a, h| batched(a, h))),
+    ];
+    let mut with_nan = Matrix::<f64>::identity(5, 3);
+    with_nan[(1, 2)] = f64::NAN;
+    let inputs = [
+        ("n = 0", Matrix::<f64>::zeros(5, 0)),
+        ("zero", Matrix::zeros(5, 3)),
+        ("NaN", with_nan),
+        ("wide", Matrix::identity(3, 5)),
+    ];
+    for (name, solve) in &solvers {
+        for (input, a) in &inputs {
+            for compute_h in [true, false] {
+                let case = format!("{name}, {input}, compute_h = {compute_h}");
+                let answer = solve(a, compute_h);
+                match *input {
+                    "NaN" => assert_eq!(
+                        answer.err(),
+                        Some(QdwhError::NonFinite { iteration: 0 }),
+                        "{case}"
+                    ),
+                    "wide" => assert!(matches!(answer, Err(QdwhError::Shape(_))), "{case}"),
+                    _ => {
+                        let (u, h, info) = answer.unwrap_or_else(|e| panic!("{case}: {e:?}"));
+                        let n = a.ncols();
+                        assert_eq!(fro_diff(&u, &Matrix::identity(5, n)), 0.0, "{case}: U");
+                        let order = if compute_h { n } else { 0 };
+                        assert_eq!((h.nrows(), h.ncols()), (order, order), "{case}: H shape");
+                        assert!(h.as_slice().iter().all(|&v| v == 0.0), "{case}: H");
+                        assert_eq!(
+                            (info.iterations, info.alpha, info.flops_estimate),
+                            (0, 0.0, 0.0),
+                            "{case}"
+                        );
+                        assert!(info.records.is_empty() && info.tiled_decision.is_none(), "{case}");
+                    }
+                }
+            }
+        }
+    }
 }

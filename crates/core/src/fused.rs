@@ -7,8 +7,9 @@
 //! `(a_k, b_k, c_k)` and the QR-vs-Cholesky switch depend only on the
 //! scalar `ell` recurrence — a pure function of `l0`, not of the matrix
 //! iterates — so the whole iteration *plan* is known before any flop runs
-//! ([`plan_iterations`], the `itconv` precomputation of Sukkari's POLAR
-//! library). [`qdwh_fused`] then emits, for every planned iteration:
+//! ([`crate::skeleton::plan`] over [`HalleyStep::at`], the `itconv`
+//! precomputation of Sukkari's POLAR library). [`run_graph`] then emits,
+//! for every planned iteration:
 //!
 //! * QR-based (Eq. (1)): one stacked-QR term
 //!   ([`crate::solve_dag::emit_term`]) on `[sqrt(c) X; I]` whose product
@@ -41,17 +42,15 @@
 //! Under `POLAR_DETERMINISTIC=1` the executor additionally fixes the
 //! schedule itself.
 //!
-//! Continuation: the caller runs this *before* its per-iteration `while`
-//! loop and re-checks the loop condition afterwards, so what the plan
-//! could not cover (an iteration-cap overflow, residual `conv` above
-//! tolerance after `ell` converged) continues on the flat kernels with no
-//! extra code.
+//! Continuation: [`crate::skeleton::solve`] runs this *before* its
+//! per-iteration loop and re-checks the stop test afterwards, so what the
+//! plan could not cover continues on the flat kernels with no extra code.
 
-use crate::options::{graph_tile_nb, poll_progress, IterationKind, IterationPath, QdwhOptions};
-use crate::params::{halley_parameters, update_ell};
-use crate::qdwh_impl::{QdwhError, QdwhInfo};
+use crate::options::{graph_tile_nb, IterationKind};
+use crate::qdwh_impl::QdwhError;
+use crate::skeleton::HalleyStep;
 use crate::solve_dag::{
-    emit_term, execute_hooked, record_iterations, HalleyUpdate, NormSink, TermPtr, TermWorkspace,
+    emit_term, execute_hooked, HalleyUpdate, Hooked, NormSink, TermPtr, TermWorkspace,
 };
 use polar_blas::{gemm, herk, trmm};
 use polar_lapack::{emit_potrf, trtri_lower, LapackError, TilePtr};
@@ -59,45 +58,6 @@ use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Upl
 use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TaskGraph, TaskStatus};
 use polar_scalar::{Real, Scalar};
 use std::sync::OnceLock;
-
-/// One precomputed Halley iteration: the weights, the bound after the
-/// update, and which factorization family the `c > threshold` switch
-/// selects.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct IterPlan<R> {
-    pub a: R,
-    pub b: R,
-    pub c: R,
-    /// `l_{k+1}` after this iteration's scalar update.
-    pub ell_after: R,
-    /// QR-based (Eq. (1)) vs Cholesky-based (Eq. (2)).
-    pub qr: bool,
-}
-
-/// Precompute the whole iteration sequence from `l0`: weights, kinds, and
-/// bound trajectory, until `|ell - 1| < 5 eps`. Returns `None` when the
-/// iteration cap would be exceeded first (pathological `l0`; the caller's
-/// per-iteration loop then reports `NoConvergence` with its own
-/// bookkeeping).
-pub(crate) fn plan_iterations<R: Real>(l0: R, opts: &QdwhOptions) -> Option<Vec<IterPlan<R>>> {
-    let five_eps = R::from_f64(5.0) * R::EPSILON;
-    let mut ell = l0;
-    let mut plan = Vec::new();
-    while (ell - R::ONE).abs() >= five_eps {
-        if plan.len() >= opts.max_iterations {
-            return None;
-        }
-        let p = halley_parameters(ell);
-        ell = update_ell(ell, p);
-        let qr = match opts.path {
-            IterationPath::Auto => p.c.to_f64() > opts.qr_switch_threshold,
-            IterationPath::ForceQr => true,
-            IterationPath::ForceCholesky => false,
-        };
-        plan.push(IterPlan { a: p.a, b: p.b, c: p.c, ell_after: ell, qr });
-    }
-    Some(plan)
-}
 
 /// Everything the planned iterations read and write, as the tasks of one
 /// dag see it: `X` double-buffered by iteration parity (iteration `k` reads
@@ -120,7 +80,7 @@ impl<S: Scalar> SolvePtrs<'_, S> {
         dag: &mut TaskDag<'_>,
         sink: &mut NormSink,
         xt: Tiling,
-        plan: &[IterPlan<S::Real>],
+        plan: &[HalleyStep<S::Real>],
         exploit_structure: bool,
     ) -> Self {
         let (m, n, nb) = (xt.m(), xt.n(), xt.nb());
@@ -129,9 +89,9 @@ impl<S: Scalar> SolvePtrs<'_, S> {
             x: [TilePtr::shape(dag, xt), TilePtr::shape(dag, xt)],
             term: plan
                 .iter()
-                .any(|p| p.qr)
+                .any(|p| p.is_qr())
                 .then(|| TermPtr::shape(dag, m, n, nb, exploit_structure.then_some(m))),
-            chol: plan.iter().any(|p| !p.qr).then(|| {
+            chol: plan.iter().any(|p| !p.is_qr()).then(|| {
                 let mut tiles = |cols| TilePtr::shape(dag, Tiling::new(n, cols, nb, nb));
                 (tiles(n), tiles(nb.min(n)))
             }),
@@ -170,12 +130,14 @@ pub fn qdwh_task_graph<S: Scalar>(
     let one = S::Real::ONE;
     let plan: Vec<_> = kinds
         .iter()
-        .map(|&kind| IterPlan {
+        .map(|&kind| HalleyStep {
             a: one,
             b: one,
             c: one,
+            kind,
+            theta: one,
+            beta: one,
             ell_after: one,
-            qr: kind == IterationKind::QrBased,
         })
         .collect();
     let nb = graph_tile_nb(Some(nb), n);
@@ -192,7 +154,7 @@ pub fn qdwh_task_graph<S: Scalar>(
 fn emit_iterations<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     at: SolvePtrs<'a, S>,
-    plan: &[IterPlan<S::Real>],
+    plan: &[HalleyStep<S::Real>],
     sink: &'a NormSink,
     failure: &'a OnceLock<LapackError>,
 ) {
@@ -206,24 +168,21 @@ fn emit_iterations<'a, S: Scalar>(
             dag.next_phase();
         }
         let (xin, xout) = (at.x[k % 2], at.x[(k + 1) % 2]);
-        let beta = pl.b / pl.c;
+        let (theta, beta) = (pl.theta, pl.beta);
 
-        if pl.qr {
+        if pl.is_qr() {
             // X_out = beta X_in + theta Q1 Q2^H, [Q1; Q2] R = [sqrt(c) X_in; I]
-            let sqrt_c = pl.c.sqrt();
-            let theta = (pl.a - beta) / sqrt_c;
             emit_term(
                 dag,
                 at.term.expect("plan has a QR iteration"),
                 xin,
-                (sqrt_c, R::<S>::ONE),
+                (pl.c.sqrt(), R::<S>::ONE),
                 S::from_real(theta),
                 xout,
                 Some(HalleyUpdate { beta, sink, iter: k }),
             );
         } else {
             // ---- Cholesky-based iteration ----
-            let theta = pl.a - beta;
             let c_r = pl.c;
             let (z, linv) = at.chol.expect("plan has a Cholesky iteration");
 
@@ -429,33 +388,18 @@ fn emit_iterations<'a, S: Scalar>(
     }
 }
 
-/// Run the whole planned Halley sequence as one task graph: takes the
-/// iterate, returns it advanced, and updates the run telemetry in place.
-/// On success the caller's loop condition re-check provides the (normally
-/// trivial) continuation; on a planner bail-out (`None` plan) `x` comes
-/// back untouched so the per-iteration loop takes over entirely.
-pub(crate) fn qdwh_fused<S: Scalar>(
+/// Run the planned Halley sequence as one task graph at tile size `nb`:
+/// takes the iterate, returns it advanced with the sink holding each
+/// iteration's convergence norm.
+pub(crate) fn run_graph<S: Scalar>(
     x: Matrix<S>,
-    ell: &mut S::Real,
-    conv: &mut S::Real,
-    info: &mut QdwhInfo<S::Real>,
-    opts: &QdwhOptions,
-) -> Result<Matrix<S>, QdwhError> {
-    let m = x.nrows();
-    let n = x.ncols();
-    let Some(plan) = plan_iterations(*ell, opts) else { return Ok(x) };
-    let iters = plan.len();
-    if iters == 0 {
-        return Ok(x);
-    }
-    // a job cancelled while it queued allocates nothing
-    let (done, l0, conv0) = (info.iterations, ell.to_f64(), conv.to_f64());
-    poll_progress(opts.progress.as_ref(), done + 1, conv0, l0)?;
-    let nb = graph_tile_nb(opts.tile_nb, n);
-
+    nb: usize,
+    plan: &[HalleyStep<S::Real>],
+    exploit_structure: bool,
+    hooked: &Hooked<'_>,
+) -> Result<(Matrix<S>, NormSink), QdwhError> {
+    let (m, n, iters) = (x.nrows(), x.ncols(), plan.len());
     let _span = polar_obs::span!("qdwh_fused", m, n);
-    let kernels_before = polar_obs::kernel_snapshot();
-    let start = std::time::Instant::now();
 
     // the storage `SolvePtrs::shapes` names (`bind` checks the two agree);
     // it has to outlive the dag whose bodies borrow it
@@ -465,50 +409,36 @@ pub(crate) fn qdwh_fused<S: Scalar>(
     drop(x); // the tiles are the iterate from here on
     let mut qr_ws = plan
         .iter()
-        .any(|p| p.qr)
-        .then(|| TermWorkspace::<S>::new(m, n, nb, opts.exploit_structure.then_some(m)));
+        .any(|p| p.is_qr())
+        .then(|| TermWorkspace::<S>::new(m, n, nb, exploit_structure.then_some(m)));
     let mut chol_ws = plan
         .iter()
-        .any(|p| !p.qr)
+        .any(|p| !p.is_qr())
         .then(|| (zeros(Tiling::new(n, n, nb, nb)), zeros(Tiling::new(n, nb.min(n), nb, nb))));
     let failure = OnceLock::<LapackError>::new();
     let mut sink = NormSink::new(iters, xt);
 
     let mut dag = TaskDag::new();
-    let at = SolvePtrs::shapes(&mut dag, &mut sink, xt, &plan, opts.exploit_structure).bind(
+    let at = SolvePtrs::shapes(&mut dag, &mut sink, xt, plan, exploit_structure).bind(
         &mut xb,
         qr_ws.as_mut(),
         chol_ws.as_mut(),
     );
-    emit_iterations(&mut dag, at, &plan, &sink, &failure);
+    emit_iterations(&mut dag, at, plan, &sink, &failure);
 
-    let ell_entering = |k: usize| if k == 0 { l0 } else { plan[k - 1].ell_after.to_f64() };
-    let outcome = execute_hooked(dag, opts.progress.as_ref(), done, &sink, conv0, ell_entering)?;
-    if outcome == ExecOutcome::Cancelled {
+    if execute_hooked(dag, hooked, &sink)? == ExecOutcome::Cancelled {
         let e = failure.into_inner().unwrap_or(LapackError::NotPositiveDefinite(0));
         return Err(QdwhError::Lapack(e));
     }
-
-    // flop weights per kind: 8 2/3 n^3 (QR) vs 4 1/3 n^3 (Cholesky)
-    let steps: Vec<_> = plan
-        .iter()
-        .map(|p| match p.qr {
-            true => (IterationKind::QrBased, p.ell_after, 26.0 / 3.0),
-            false => (IterationKind::CholeskyBased, p.ell_after, 13.0 / 3.0),
-        })
-        .collect();
-    record_iterations(info, &steps, &sink, start, &kernels_before)?;
-
-    *ell = plan[iters - 1].ell_after;
-    *conv = sink.norm(iters - 1);
-    Ok(xb[iters % 2].to_dense())
+    Ok((xb[iters % 2].to_dense(), sink))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::TiledPath;
-    use crate::qdwh_impl::qdwh;
+    use crate::options::{IterationPath, QdwhOptions, TiledPath};
+    use crate::qdwh_impl::{qdwh, Halley, PolarDecomposition};
+    use crate::skeleton::plan;
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
     use polar_scalar::{Complex32, Complex64};
     use proptest::prelude::*;
@@ -619,6 +549,54 @@ mod tests {
             let worst = worst_diff(&pf.u, &pb.u);
             assert!(worst <= 1e-10, "path {path:?}: {worst:e}");
         }
+        // the graph and the loop read the same plan: whatever the start
+        // and the path, equal kinds, bit-equal bounds, equal cost
+        same_plan_on_both_paths(&a);
+        same_plan_on_both_paths(&Matrix::<f32>::from_fn(24, 24, |i, j| a[(i, j)] as f32));
+        // the paper's kappa = 1e16 split, from its sqrt(n)-deflated start
+        let pd = qdwh(&a, &QdwhOptions { l0_override: Some(1e-17), ..flat_opts() }).expect("flat");
+        assert_eq!((pd.info.qr_iterations, pd.info.chol_iterations), (3, 3));
+    }
+
+    fn same_plan_on_both_paths<S: Scalar>(a: &Matrix<S>) {
+        let paths = [IterationPath::Auto, IterationPath::ForceQr, IterationPath::ForceCholesky];
+        for l0 in [1e-16, 1e-8, 1e-3, 0.5, 0.9] {
+            for path in paths {
+                let case = format!("{} l0={l0:e} {path:?}", S::TYPE_TAG);
+                let opts = |o| QdwhOptions { l0_override: Some(l0), path, tile_nb: Some(16), ..o };
+                let (graph, flat) = (qdwh(a, &opts(fused_opts())), qdwh(a, &opts(flat_opts())));
+                let (Ok(graph), Ok(flat)) = (&graph, &flat) else {
+                    // a start below the type's range, or a forced Cholesky
+                    // on an indefinite Z: refused on both paths
+                    assert!(graph.is_err() && flat.is_err(), "{case}: {graph:?} vs {flat:?}");
+                    continue;
+                };
+                assert_eq!(graph.info.kinds, flat.info.kinds, "{case}");
+                assert_eq!(graph.info.flops_estimate, flat.info.flops_estimate, "{case}");
+                let ells = |pd: &PolarDecomposition<S>| -> Vec<S::Real> {
+                    pd.info.records.iter().map(|r| r.ell).collect()
+                };
+                assert_eq!(ells(graph), ells(flat), "{case}");
+                if path == IterationPath::Auto {
+                    // c falls monotonically: QR iterations come first, and
+                    // the bound marches to 1
+                    let first_chol =
+                        flat.info.kinds.iter().position(|&k| k != IterationKind::QrBased);
+                    let tail = &flat.info.kinds[first_chol.unwrap_or(flat.info.kinds.len())..];
+                    assert!(
+                        tail.iter().all(|&k| k != IterationKind::QrBased),
+                        "{case}: {:?}",
+                        flat.info.kinds
+                    );
+                    let ells = ells(flat);
+                    assert!(ells.windows(2).all(|w| w[0] <= w[1]), "{case}");
+                    let last = *ells.last().expect("iterated");
+                    assert!(
+                        (last - S::Real::ONE).abs() < S::Real::from_f64(5.0) * S::Real::EPSILON
+                    );
+                }
+            }
+        }
     }
 
     /// A last tile narrower than nb: the inverted diagonal tile of the
@@ -721,40 +699,24 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_scalar_recurrence() {
-        let opts = QdwhOptions::default();
-        let plan = plan_iterations(1e-17f64, &opts).expect("converges");
-        // the paper's kappa = 1e16 split: 3 QR then 3 Cholesky
-        assert_eq!(plan.len(), 6);
-        assert_eq!(plan.iter().filter(|p| p.qr).count(), 3);
-        assert!(plan.windows(2).all(|w| w[0].ell_after <= w[1].ell_after));
-        let last = plan.last().unwrap();
-        assert!((last.ell_after - 1.0).abs() < 5.0 * f64::EPSILON);
-        // QR iterations must come first (c decreases monotonically)
-        let first_chol = plan.iter().position(|p| !p.qr).unwrap();
-        assert!(plan[first_chol..].iter().all(|p| !p.qr));
-    }
-
-    #[test]
     fn plan_respects_forced_paths() {
         let qr_only = QdwhOptions { path: IterationPath::ForceQr, ..Default::default() };
-        let plan = plan_iterations(0.5f64, &qr_only).unwrap();
-        assert!(!plan.is_empty() && plan.iter().all(|p| p.qr));
+        let steps = plan::<f64, _>(&Halley(&qr_only), 0.5).unwrap();
+        assert!(!steps.is_empty() && steps.iter().all(|p| p.is_qr()));
         let chol_only = QdwhOptions { path: IterationPath::ForceCholesky, ..Default::default() };
-        let plan = plan_iterations(0.5f64, &chol_only).unwrap();
-        assert!(plan.iter().all(|p| !p.qr));
+        let steps = plan::<f64, _>(&Halley(&chol_only), 0.5).unwrap();
+        assert!(steps.iter().all(|p| !p.is_qr()));
     }
 
     #[test]
     fn plan_bails_on_iteration_cap() {
         let opts = QdwhOptions { max_iterations: 1, ..Default::default() };
-        assert!(plan_iterations(1e-17f64, &opts).is_none());
+        assert!(plan::<f64, _>(&Halley(&opts), 1e-17).is_none());
     }
 
     #[test]
     fn plan_empty_when_already_converged() {
         let opts = QdwhOptions::default();
-        let plan = plan_iterations(1.0f64, &opts).unwrap();
-        assert!(plan.is_empty());
+        assert!(plan::<f64, _>(&Halley(&opts), 1.0).unwrap().is_empty());
     }
 }

@@ -32,6 +32,7 @@ mod options;
 mod params;
 mod partial;
 mod qdwh_impl;
+mod skeleton;
 mod solve_dag;
 mod svd_pd;
 mod zolo;
@@ -54,5 +55,6 @@ pub use qdwh_impl::{
     hermitian_deviation, orthogonality_error, psd_deviation, qdwh, IterationRecord,
     PolarDecomposition, QdwhError, QdwhInfo,
 };
+pub use skeleton::{converged, estimate_l0, qdwh_flops, zolo_flops, HalleyStep};
 pub use svd_pd::svd_based_polar;
 pub use zolo::{zolo_pd, ZoloOptions, ZoloOutcome};

@@ -20,8 +20,9 @@
 //! mixed-precision polar algorithms.
 
 use crate::options::QdwhOptions;
-use crate::qdwh_impl::{qdwh, PolarDecomposition, QdwhError, QdwhInfo};
-use polar_blas::{gemm, norm, symmetrize};
+use crate::qdwh_impl::{qdwh, PolarDecomposition, QdwhError};
+use crate::skeleton::finish;
+use polar_blas::{gemm, norm};
 use polar_matrix::{Matrix, Norm, Op};
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
 
@@ -69,11 +70,9 @@ pub fn qdwh_mixed<S: MixedPrecision>(
 ) -> Result<(PolarDecomposition<S>, usize), QdwhError> {
     let m = a.nrows();
     let n = a.ncols();
-    if m < n {
-        return Err(QdwhError::Shape("qdwh_mixed requires m >= n"));
-    }
 
-    // low-precision solve (factor only — H is recomputed at full precision)
+    // low-precision solve (factor only — H is recomputed at full precision;
+    // degenerate inputs are answered here)
     let a_lo = convert_down(a);
     let mut lo_opts = opts.clone();
     lo_opts.compute_h = false;
@@ -105,40 +104,8 @@ pub fn qdwh_mixed<S: MixedPrecision>(
     }
 
     // H at full precision
-    let h = if opts.compute_h {
-        let mut h = Matrix::<S>::zeros(n, n);
-        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, u.as_ref(), a.as_ref(), S::ZERO, h.as_mut());
-        symmetrize(h.as_mut());
-        h
-    } else {
-        Matrix::zeros(0, 0)
-    };
-
-    let info = QdwhInfo {
-        alpha: S::Real::from_f64(pd_lo.info.alpha.to_f64()),
-        l0: S::Real::from_f64(pd_lo.info.l0.to_f64()),
-        iterations: pd_lo.info.iterations,
-        qr_iterations: pd_lo.info.qr_iterations,
-        chol_iterations: pd_lo.info.chol_iterations,
-        kinds: pd_lo.info.kinds.clone(),
-        records: pd_lo
-            .info
-            .records
-            .iter()
-            .map(|r| crate::qdwh_impl::IterationRecord {
-                iteration: r.iteration,
-                kind: r.kind,
-                ell: S::Real::from_f64(r.ell.to_f64()),
-                convergence: S::Real::from_f64(r.convergence.to_f64()),
-                seconds: r.seconds,
-                kernels: r.kernels,
-            })
-            .collect(),
-        flops_estimate: pd_lo.info.flops_estimate,
-        tiled_decision: pd_lo.info.tiled_decision,
-    };
-
-    Ok((PolarDecomposition { u, h, info }, steps))
+    let h = finish(&u, a, opts.compute_h);
+    Ok((PolarDecomposition { u, h, info: pd_lo.info.cast() }, steps))
 }
 
 #[cfg(test)]

@@ -19,10 +19,9 @@ pub enum IterationPath {
 /// kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TiledPath {
-    /// Tiled at and above [`QdwhOptions::tiled_threshold`] columns, flat
-    /// below (tile DAG overheads only pay off once the trailing updates
-    /// dominate). Default. Overridable at runtime with `POLAR_TILED=1`
-    /// (always) or `POLAR_TILED=0` (never).
+    /// Tiled at and above 512 columns, flat below (tile DAG overheads only
+    /// pay off once the trailing updates dominate). Default. Overridable
+    /// at runtime with `POLAR_TILED=1` (always) or `POLAR_TILED=0` (never).
     Auto,
     /// Always use the tile task graph.
     Always,
@@ -52,8 +51,7 @@ pub enum TiledDecision {
     /// `POLAR_TILED=1` pin).
     Tiled,
     /// Flat kernels by request: [`TiledPath::Never`], a `POLAR_TILED=0`
-    /// pin, or [`TiledPath::Auto`] below
-    /// [`QdwhOptions::tiled_threshold`].
+    /// pin, or [`TiledPath::Auto`] below 512 columns.
     FlatRequested,
     /// Granularity guard: fewer than two column tiles at the configured
     /// tile size — no inter-tile parallelism to exploit.
@@ -146,9 +144,6 @@ pub struct QdwhOptions {
     /// (Nakatsukasa & Higham); the cap only guards against pathological
     /// inputs (NaN, severe overscaling).
     pub max_iterations: usize,
-    /// Use the communication-avoiding TSQR instead of flat blocked QR for
-    /// the stacked `[sqrt(c) A; I]` factorization (ablation).
-    pub use_tsqr: bool,
     /// Exploit the `[B; I]` structure of the stacked QR: the identity
     /// block's fill-in stays upper trapezoidal, so each panel runs on a
     /// shrinking-complement row window, removing ~1/3 of the QR
@@ -157,9 +152,6 @@ pub struct QdwhOptions {
     pub exploit_structure: bool,
     /// Whole-solve tile task graph vs per-iteration flat loop.
     pub tiled: TiledPath,
-    /// Problem size (columns) at which [`TiledPath::Auto`] switches to the
-    /// tile drivers.
-    pub tiled_threshold: usize,
     /// Tile size for the tiled path; `None` uses
     /// `polar_lapack::default_tile_nb()` (env `POLAR_TILE_NB`, default 256).
     pub tile_nb: Option<usize>,
@@ -188,10 +180,8 @@ impl std::fmt::Debug for QdwhOptions {
             .field("path", &self.path)
             .field("qr_switch_threshold", &self.qr_switch_threshold)
             .field("max_iterations", &self.max_iterations)
-            .field("use_tsqr", &self.use_tsqr)
             .field("exploit_structure", &self.exploit_structure)
             .field("tiled", &self.tiled)
-            .field("tiled_threshold", &self.tiled_threshold)
             .field("tile_nb", &self.tile_nb)
             .field("compute_h", &self.compute_h)
             .field("l0_override", &self.l0_override)
@@ -207,10 +197,8 @@ impl Default for QdwhOptions {
             path: IterationPath::Auto,
             qr_switch_threshold: 100.0,
             max_iterations: 50,
-            use_tsqr: false,
             exploit_structure: true,
             tiled: TiledPath::Auto,
-            tiled_threshold: 512,
             tile_nb: None,
             compute_h: true,
             l0_override: None,
@@ -245,7 +233,7 @@ impl QdwhOptions {
     /// the pool width (the fused whole-solve DAG wins at one worker too)
     /// nor whether a progress hook is set.
     pub fn resolve_tiled(&self, n: usize) -> TiledDecision {
-        resolve_tiled(self.tiled, self.tiled_threshold, self.tile_nb, n)
+        resolve_tiled(self.tiled, self.tile_nb, n)
     }
 }
 
@@ -257,12 +245,9 @@ pub(crate) fn graph_tile_nb(tile_nb: Option<usize>, n: usize) -> usize {
 
 /// The tile-path decision shared by [`QdwhOptions::resolve_tiled`] and
 /// [`crate::ZoloOptions::resolve_tiled`].
-pub(crate) fn resolve_tiled(
-    tiled: TiledPath,
-    tiled_threshold: usize,
-    tile_nb: Option<usize>,
-    n: usize,
-) -> TiledDecision {
+pub(crate) fn resolve_tiled(tiled: TiledPath, tile_nb: Option<usize>, n: usize) -> TiledDecision {
+    /// Columns at which [`TiledPath::Auto`] switches to the tile drivers.
+    const TILED_MIN_COLS: usize = 512;
     static ENV: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
     let env = *ENV.get_or_init(|| match std::env::var("POLAR_TILED").ok().as_deref() {
         Some("1") | Some("always") | Some("true") => Some(true),
@@ -277,7 +262,7 @@ pub(crate) fn resolve_tiled(
         TiledPath::Never => TiledDecision::FlatRequested,
         TiledPath::Auto => {
             let nb = tile_nb.unwrap_or_else(|| polar_lapack::auto_tile_nb(n));
-            if n < tiled_threshold {
+            if n < TILED_MIN_COLS {
                 TiledDecision::FlatRequested
             } else if n.div_ceil(nb) < 2 {
                 TiledDecision::FlatTooFewTiles
@@ -328,7 +313,7 @@ mod tests {
         if env_pinned() {
             return;
         }
-        let o = QdwhOptions { tiled_threshold: 512, ..Default::default() };
+        let o = QdwhOptions::default();
         assert_eq!(o.resolve_tiled(511), TiledDecision::FlatRequested);
         assert!(!o.use_tiled(511));
     }
@@ -339,8 +324,8 @@ mod tests {
             return;
         }
         // tile_nb >= n: a single column tile -> no inter-tile parallelism
-        let coarse = QdwhOptions { tiled_threshold: 64, tile_nb: Some(4096), ..Default::default() };
-        let fine = QdwhOptions { tiled_threshold: 64, tile_nb: Some(64), ..Default::default() };
+        let coarse = QdwhOptions { tile_nb: Some(4096), ..Default::default() };
+        let fine = QdwhOptions { tile_nb: Some(64), ..Default::default() };
         assert_eq!(coarse.resolve_tiled(1024), TiledDecision::FlatTooFewTiles);
         assert!(!coarse.use_tiled(1024));
         // plenty of tiles: tiled runs regardless of pool width — the fused
@@ -348,8 +333,7 @@ mod tests {
         assert_eq!(fine.resolve_tiled(1024), TiledDecision::Tiled);
         // the auto tile size always yields >= 2 column tiles above the
         // threshold, so default Auto resolves tiled too
-        let auto = QdwhOptions { tiled_threshold: 512, ..Default::default() };
-        assert_eq!(auto.resolve_tiled(1024), TiledDecision::Tiled);
+        assert_eq!(QdwhOptions::default().resolve_tiled(1024), TiledDecision::Tiled);
     }
 
     #[test]

@@ -1,0 +1,510 @@
+//! The solve skeleton: Algorithm 1 as *estimate → plan → step → finish*,
+//! each stage written once. [`scaled_start`] / [`estimate_l0`] scale the
+//! input and bound `sigma_min`; [`HalleyStep::at`] plans one dynamically
+//! weighted Halley step from the scalar bound alone and [`plan`] a whole
+//! sequence; [`solve`] is the one driver (degenerate inputs, the planned
+//! sequence as one task graph when the shape resolves tiled, the
+//! per-iteration continuation with its bookkeeping); [`finish`] forms `H`,
+//! [`qdwh_flops`] / [`zolo_flops`] cost the solve and
+//! [`QdwhInfo::started`] / [`QdwhInfo::push`] keep its telemetry.
+//!
+//! [`crate::qdwh`] and [`crate::zolo_pd`] are [`solve`] under two
+//! [`Method`]s; `qdwh_mixed`, `svd_based_polar`, `polar-batch` and
+//! `polar-svc`'s cost model call the same pieces.
+
+use crate::options::{
+    graph_tile_nb, poll_progress, resolve_tiled, IterationKind, IterationPath, L0Strategy,
+    ProgressHook, TiledDecision, TiledPath,
+};
+use crate::params::{halley_parameters, update_ell};
+use crate::qdwh_impl::{IterationRecord, PolarDecomposition, QdwhError, QdwhInfo};
+use crate::solve_dag::{Hooked, NormSink};
+use polar_blas::flops::type_factor;
+use polar_blas::{add, gemm, norm, scale_real, symmetrize};
+use polar_lapack::{gecondest, geqrf, geqrf_tiled, getrf, norm2est, tr_sigma_min_est, trcondest};
+use polar_matrix::{MatRef, Matrix, Norm, Op};
+use polar_scalar::{Real, Scalar};
+
+/// Lower bound `l_0` on the smallest singular value of the scaled input
+/// `x` (Algorithm 1 lines 14-19), clamped into `[eps^2, 1 - eps]` (`l_0 =
+/// 0` would stall the weights). `r_of_x` produces the `R` of `x = QR` in
+/// the upper triangle of its result, by whichever QR the caller runs
+/// fastest; the LU route does not call it.
+///
+/// [`L0Strategy::LuFormula`] applies to square inputs only (there is no LU
+/// condition estimate for a rectangular `x`): rectangular ones take
+/// [`L0Strategy::PaperFormula`].
+pub fn estimate_l0<S: Scalar>(
+    x: MatRef<'_, S>,
+    strategy: L0Strategy,
+    r_of_x: impl FnOnce() -> Matrix<S>,
+) -> S::Real {
+    let n = x.ncols();
+    let raw = match strategy {
+        // sigma_min(x) = sigma_min(R), estimated tightly by inverse power
+        // iteration; scaled by 0.9 so roundoff and estimator slack keep it
+        // a lower bound
+        L0Strategy::SigmaMinPowerIteration => tr_sigma_min_est(&r_of_x()) * S::Real::from_f64(0.9),
+        formula => {
+            let anorm: S::Real = norm(Norm::One, x);
+            // a reciprocal 1-norm condition estimate: §4 stage (1), by
+            // getrf + gecondest or by QR + trcondest
+            let rcond = if formula == L0Strategy::LuFormula && x.nrows() == n {
+                match getrf(&x.to_owned()) {
+                    Ok(f) | Err((f, _)) => gecondest(&f, anorm),
+                }
+            } else {
+                trcondest(&r_of_x())
+            };
+            anorm * rcond / S::Real::from_usize(n).sqrt()
+        }
+    };
+    let eps = S::Real::EPSILON;
+    raw.max(eps * eps).min(S::Real::ONE - eps)
+}
+
+/// Algorithm 1 lines 10-19 for a dense input: the two-norm estimate
+/// `alpha`, `X_0 = A / alpha` and `l_0` (`l0_override` verbatim, else
+/// [`estimate_l0`]). With `tile_nb` the estimate's QR is the tile graph at
+/// that tile size (twice the flat `geqrf`'s rate), else `geqrf` in place
+/// on a copy. `None` for the zero matrix.
+pub(crate) fn scaled_start<S: Scalar>(
+    a: &Matrix<S>,
+    l0_override: Option<f64>,
+    strategy: L0Strategy,
+    tile_nb: Option<usize>,
+) -> Option<(S::Real, Matrix<S>, S::Real)> {
+    let alpha = norm2est(a).estimate;
+    if alpha == S::Real::ZERO {
+        return None;
+    }
+    let mut x = a.clone();
+    scale_real::<S>(alpha.recip(), x.as_mut());
+    let l0 = match l0_override {
+        Some(v) => S::Real::from_f64(v),
+        None => estimate_l0(x.as_ref(), strategy, || match tile_nb {
+            Some(nb) => geqrf_tiled(&x, nb).extract_r(),
+            None => {
+                let mut w = x.clone();
+                geqrf(&mut w);
+                w
+            }
+        }),
+    };
+    Some((alpha, x, l0))
+}
+
+/// One dynamically weighted Halley step as planned from the bound `l`
+/// entering it (Algorithm 1 lines 23-29): the weights, the factorization
+/// family the switch selects, the coefficients of the update that family
+/// applies and the bound after it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HalleyStep<R> {
+    pub a: R,
+    pub b: R,
+    pub c: R,
+    /// QR-based (Eq. (1)) or Cholesky-based (Eq. (2)).
+    pub kind: IterationKind,
+    /// `X_{k+1} = theta Y + beta X_k`, with `Y = Q1 Q2^H` of `[sqrt(c) X_k;
+    /// I] = [Q1; Q2] R` (QR-based: `theta = (a - b/c) / sqrt(c)`) or `Y =
+    /// X_k (I + c X_k^H X_k)^{-1}` (Cholesky-based: `theta = a - b/c`).
+    pub theta: R,
+    /// `b / c`.
+    pub beta: R,
+    /// `l_{k+1}`.
+    pub ell_after: R,
+}
+
+impl<R: Real> HalleyStep<R> {
+    /// The step from bound `ell`: QR-based while `c > switch` under
+    /// [`IterationPath::Auto`] (the paper's switch is 100).
+    pub fn at(ell: R, path: IterationPath, switch: f64) -> Self {
+        let p = halley_parameters(ell);
+        let qr = match path {
+            IterationPath::Auto => p.c.to_f64() > switch,
+            IterationPath::ForceQr => true,
+            IterationPath::ForceCholesky => false,
+        };
+        let beta = p.b / p.c;
+        let (kind, theta) = if qr {
+            (IterationKind::QrBased, (p.a - beta) / p.c.sqrt())
+        } else {
+            (IterationKind::CholeskyBased, p.a - beta)
+        };
+        Self { a: p.a, b: p.b, c: p.c, kind, theta, beta, ell_after: update_ell(ell, p) }
+    }
+
+    pub fn is_qr(&self) -> bool {
+        self.kind == IterationKind::QrBased
+    }
+}
+
+/// QDWH's stop test (Algorithm 1 line 22): `||X_k - X_{k-1}||_F` below
+/// `cbrt(5 eps)` — the tolerance of a cubically convergent method — and
+/// `|l_k - 1| < 5 eps`.
+pub fn converged<R: Real>(conv: R, ell: R) -> bool {
+    let five_eps = R::from_f64(5.0) * R::EPSILON;
+    conv < five_eps.cbrt() && (ell - R::ONE).abs() < five_eps
+}
+
+/// The whole iteration sequence from `l0`, known before any flop runs: a
+/// method's recurrence is a function of the scalar bound alone, so it is
+/// run until the stop test would pass on a converged iterate. `None` when
+/// the iteration cap comes first (the per-iteration loop then reports
+/// `NoConvergence` with its own bookkeeping).
+pub(crate) fn plan<S: Scalar, M: Method<S>>(method: &M, l0: M::Ell) -> Option<Vec<M::Step>> {
+    let cap = method.common().max_iterations;
+    let mut ell = l0;
+    let mut plan = Vec::new();
+    while !M::converged(0.0, ell) {
+        if plan.len() >= cap {
+            return None;
+        }
+        let step = method.step_at(ell);
+        ell = M::outcome(&step).1;
+        plan.push(step);
+    }
+    Some(plan)
+}
+
+/// Flops of one iteration in units of `n^3` (§4): `8 2/3` QR-based, `4
+/// 1/3` Cholesky-based. Also what a whole-solve graph's wall time is
+/// apportioned by.
+pub(crate) fn step_weight(kind: IterationKind) -> f64 {
+    match kind {
+        IterationKind::QrBased => 8.0 + 2.0 / 3.0,
+        IterationKind::CholeskyBased => 4.0 + 1.0 / 3.0,
+    }
+}
+
+/// The paper's §4 complexity formula (square-matrix form, real flops):
+/// condition estimate, the iterations by kind, the final `H = U^H A`.
+pub fn qdwh_flops(n: usize, it_qr: usize, it_chol: usize, complex: bool) -> f64 {
+    let n3 = (n as f64).powi(3);
+    type_factor(complex)
+        * ((4.0 / 3.0) * n3
+            + step_weight(IterationKind::QrBased) * n3 * it_qr as f64
+            + step_weight(IterationKind::CholeskyBased) * n3 * it_chol as f64
+            + 2.0 * n3)
+}
+
+/// Zolo-PD's cost in real flops: per iteration `r` stacked QRs with their
+/// explicit `Q` (`10/3 n^3` each) and rank-`n` products, plus the final
+/// `H`.
+pub fn zolo_flops(n: usize, iterations: usize, r: usize, complex: bool) -> f64 {
+    let n3 = (n as f64).powi(3);
+    let tf = type_factor(complex);
+    tf * iterations as f64 * r as f64 * ((10.0 / 3.0) * 2.0 + 2.0) * n3 + tf * 2.0 * n3
+}
+
+/// Algorithm 1 line 52: `H = U^H A`, symmetrized; `0 x 0` when the caller
+/// wants the unitary factor only.
+pub(crate) fn finish<S: Scalar>(u: &Matrix<S>, a: &Matrix<S>, compute_h: bool) -> Matrix<S> {
+    if !compute_h {
+        return Matrix::zeros(0, 0);
+    }
+    let n = a.ncols();
+    let mut h = Matrix::<S>::zeros(n, n);
+    gemm(Op::ConjTrans, Op::NoTrans, S::ONE, u.as_ref(), a.as_ref(), S::ZERO, h.as_mut());
+    symmetrize(h.as_mut());
+    h
+}
+
+impl<R: Real> QdwhInfo<R> {
+    /// Telemetry of a solve that has not iterated yet. With zeros and no
+    /// tile decision: of one that never will (a degenerate input, a direct
+    /// method).
+    pub fn started(alpha: R, l0: R, tiled_decision: Option<TiledDecision>) -> Self {
+        QdwhInfo {
+            alpha,
+            l0,
+            iterations: 0,
+            qr_iterations: 0,
+            chol_iterations: 0,
+            kinds: Vec::new(),
+            records: Vec::new(),
+            flops_estimate: 0.0,
+            tiled_decision,
+        }
+    }
+
+    /// Count and keep the record of the iteration that just finished.
+    pub fn push(&mut self, record: IterationRecord<R>) {
+        polar_obs::log!(
+            polar_obs::LogLevel::Debug,
+            "iter {} {:?}: conv={:e} ell={:e} {:.1} GFlop/s",
+            record.iteration,
+            record.kind,
+            record.convergence.to_f64(),
+            record.ell.to_f64(),
+            record.achieved_gflops()
+        );
+        self.iterations += 1;
+        match record.kind {
+            IterationKind::QrBased => self.qr_iterations += 1,
+            IterationKind::CholeskyBased => self.chol_iterations += 1,
+        }
+        self.kinds.push(record.kind);
+        self.records.push(record);
+    }
+
+    /// The same telemetry in another precision.
+    pub(crate) fn cast<T: Real>(&self) -> QdwhInfo<T> {
+        let to = |v: R| T::from_f64(v.to_f64());
+        QdwhInfo {
+            alpha: to(self.alpha),
+            l0: to(self.l0),
+            iterations: self.iterations,
+            qr_iterations: self.qr_iterations,
+            chol_iterations: self.chol_iterations,
+            kinds: self.kinds.clone(),
+            records: self
+                .records
+                .iter()
+                .map(|r| IterationRecord {
+                    iteration: r.iteration,
+                    kind: r.kind,
+                    ell: to(r.ell),
+                    convergence: to(r.convergence),
+                    seconds: r.seconds,
+                    kernels: r.kernels,
+                })
+                .collect(),
+            flops_estimate: self.flops_estimate,
+            tiled_decision: self.tiled_decision,
+        }
+    }
+}
+
+/// The answer to an input no iteration runs on: `u` and an all-zero `H` of
+/// order `h_order`.
+fn without_iterating<S: Scalar>(u: Matrix<S>, h_order: usize) -> PolarDecomposition<S> {
+    let info = QdwhInfo::started(S::Real::ZERO, S::Real::ZERO, None);
+    PolarDecomposition { u, h: Matrix::zeros(h_order, h_order), info }
+}
+
+/// The options every method of the family reads.
+pub(crate) struct Common<'a> {
+    pub max_iterations: usize,
+    pub compute_h: bool,
+    pub tiled: TiledPath,
+    pub tile_nb: Option<usize>,
+    pub progress: Option<&'a ProgressHook>,
+    pub l0_override: Option<f64>,
+    pub l0_strategy: L0Strategy,
+}
+
+/// What tells one member of the QDWH family from another under [`solve`].
+pub(crate) trait Method<S: Scalar> {
+    /// The type the bound's recurrence runs in.
+    type Ell: Real;
+    /// One planned iteration.
+    type Step;
+    /// Span names of the solve and of one iteration on the flat kernels.
+    const NAME: &'static str;
+    const ITER_SPAN: &'static str;
+    /// What the progress hook is told of `||X_k - X_{k-1}||_F` before any
+    /// is known.
+    const FIRST_CONV: f64;
+
+    fn common(&self) -> Common<'_>;
+
+    /// The iteration that starts from the bound `ell`.
+    fn step_at(&self, ell: Self::Ell) -> Self::Step;
+
+    /// A step's kind and the bound after it.
+    fn outcome(step: &Self::Step) -> (IterationKind, Self::Ell);
+
+    /// The stop test, on the last `||X_k - X_{k-1}||_F` and the bound.
+    fn converged(conv: f64, ell: Self::Ell) -> bool;
+
+    /// Apply `step` to `x` (of which `x_prev` is a copy) on flat kernels.
+    fn apply(
+        &self,
+        x: &mut Matrix<S>,
+        x_prev: &Matrix<S>,
+        step: &Self::Step,
+    ) -> Result<(), QdwhError>;
+
+    /// Run `plan` on `x` as one task graph at tile size `nb`: the iterate
+    /// after it and the sink holding each iteration's convergence norm.
+    fn run_graph(
+        &self,
+        x: Matrix<S>,
+        nb: usize,
+        plan: &[Self::Step],
+        hooked: &Hooked<'_>,
+    ) -> Result<(Matrix<S>, NormSink), QdwhError>;
+
+    /// Modeled real flops of a finished solve of `n` columns.
+    fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64;
+}
+
+/// Polar decomposition of `a` by `method` — the one driver.
+pub(crate) fn solve<S: Scalar, M: Method<S>>(
+    a: &Matrix<S>,
+    method: &M,
+) -> Result<PolarDecomposition<S>, QdwhError> {
+    let (m, n) = (a.nrows(), a.ncols());
+    let c = method.common();
+    let _solve_span = polar_obs::span!(M::NAME, m, n);
+    if m < n {
+        return Err(QdwhError::Shape("polar decomposition requires m >= n"));
+    }
+    if n == 0 {
+        return Ok(without_iterating(Matrix::zeros(m, 0), 0));
+    }
+    if a.has_non_finite() {
+        return Err(QdwhError::NonFinite { iteration: 0 });
+    }
+
+    // The tiled-vs-flat choice is resolved once up front, from the shape
+    // alone, so the decision is reportable.
+    let tiled_decision = resolve_tiled(c.tiled, c.tile_nb, n);
+    let tile_nb = tiled_decision.is_tiled().then(|| graph_tile_nb(c.tile_nb, n));
+    if tile_nb.is_some() {
+        // the estimate's QR is a task graph too: a job cancelled while it
+        // queued runs neither graph. (No bound on sigma_min is known yet;
+        // 0 is one.)
+        poll_progress(c.progress, 1, M::FIRST_CONV, 0.0)?;
+    }
+    let Some((alpha, mut x, l0)) = scaled_start(a, c.l0_override, c.l0_strategy, tile_nb) else {
+        // zero matrix: U = leading identity block, H = 0
+        return Ok(without_iterating(Matrix::identity(m, n), if c.compute_h { n } else { 0 }));
+    };
+    let mut info = QdwhInfo::started(alpha, l0, Some(tiled_decision));
+    let mut ell = M::Ell::from_f64(l0.to_f64());
+    let mut conv = M::FIRST_CONV;
+
+    // Tiled path: the whole planned sequence as one task graph. The loop
+    // below is then the continuation for anything the plan could not
+    // cover (an iteration-cap overflow, a residual `conv` above tolerance
+    // after `ell` converged) — normally it exits immediately.
+    let planned = tile_nb.and_then(|nb| plan(method, ell).map(|steps| (nb, steps)));
+    if let Some((nb, steps)) = planned.filter(|(_, steps)| !steps.is_empty()) {
+        // a job cancelled while it queued allocates nothing
+        poll_progress(c.progress, 1, conv, ell.to_f64())?;
+        let kernels_before = polar_obs::kernel_snapshot();
+        let start = std::time::Instant::now();
+        let outcomes: Vec<_> = steps.iter().map(M::outcome).collect();
+        let ells: Vec<f64> =
+            std::iter::once(ell).chain(outcomes.iter().map(|o| o.1)).map(|e| e.to_f64()).collect();
+        let hooked = Hooked { hook: c.progress, first_conv: conv, ells: &ells };
+        let (advanced, sink) = method.run_graph(x, nb, &steps, &hooked)?;
+        x = advanced;
+        // The iterations overlapped, so per-step wall time is not
+        // observable: the elapsed time is split by flop weight, and the
+        // kernel-counter delta of the whole graph lands on the last record.
+        let secs_per_weight =
+            start.elapsed().as_secs_f64() / outcomes.iter().map(|o| step_weight(o.0)).sum::<f64>();
+        let kernels = polar_obs::kernel_snapshot().delta(&kernels_before);
+        for (k, &(kind, ell_after)) in outcomes.iter().enumerate() {
+            let convergence: S::Real = sink.norm(k);
+            if !convergence.to_f64().is_finite() {
+                return Err(QdwhError::NonFinite { iteration: k + 1 });
+            }
+            let last = k + 1 == outcomes.len();
+            info.push(IterationRecord {
+                iteration: k + 1,
+                kind,
+                ell: S::Real::from_f64(ell_after.to_f64()),
+                convergence,
+                seconds: secs_per_weight * step_weight(kind),
+                kernels: if last { kernels } else { Default::default() },
+            });
+            (ell, conv) = (ell_after, convergence.to_f64());
+        }
+    }
+
+    // Per-iteration loop over the flat kernels: small n, the
+    // `TiledPath::Never` reference, and the continuation above.
+    while !M::converged(conv, ell) {
+        if info.iterations >= c.max_iterations {
+            return Err(QdwhError::NoConvergence { iterations: info.iterations });
+        }
+        let iteration = info.iterations + 1;
+        poll_progress(c.progress, iteration, conv, ell.to_f64())?;
+        let step = method.step_at(ell);
+        let (kind, ell_after) = M::outcome(&step);
+        let x_prev = x.clone();
+
+        // Per-iteration kernel-time breakdown: delta of the global kernel
+        // counters around the iteration body (zeros if metrics are off).
+        let kernels_before = polar_obs::kernel_snapshot();
+        let iter_start = std::time::Instant::now();
+        let iter_span = polar_obs::span!(M::ITER_SPAN, iteration, n);
+        method.apply(&mut x, &x_prev, &step)?;
+        if x.has_non_finite() {
+            return Err(QdwhError::NonFinite { iteration });
+        }
+        ell = ell_after;
+
+        // ---- lines 47-48: conv = ||X_k - X_{k-1}||_F ----
+        let mut diff = x_prev;
+        add(S::ONE, x.as_ref(), -S::ONE, diff.as_mut());
+        let convergence: S::Real = norm(Norm::Fro, diff.as_ref());
+        conv = convergence.to_f64();
+        drop(iter_span);
+        info.push(IterationRecord {
+            iteration,
+            kind,
+            ell: S::Real::from_f64(ell.to_f64()),
+            convergence,
+            seconds: iter_start.elapsed().as_secs_f64(),
+            kernels: polar_obs::kernel_snapshot().delta(&kernels_before),
+        });
+    }
+
+    info.flops_estimate = method.flops(n, &info);
+    let h = finish(&x, a, c.compute_h);
+    Ok(PolarDecomposition { u: x, h, info })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cost_models_match_the_paper() {
+        // §4: 4/3 n^3 + 8 2/3 n^3 #QR + 4 1/3 n^3 #Chol + 2 n^3
+        let n3 = 32f64.powi(3);
+        let expect = (4.0 / 3.0) * n3
+            + (8.0 + 2.0 / 3.0) * n3 * 2.0
+            + (4.0 + 1.0 / 3.0) * n3 * 4.0
+            + 2.0 * n3;
+        assert_eq!(qdwh_flops(32, 2, 4, false), expect);
+        assert_eq!(qdwh_flops(32, 2, 4, true), 4.0 * expect);
+        // r QR + Q pairs and products per iteration, then H
+        assert_eq!(
+            zolo_flops(32, 2, 8, false),
+            2.0 * 8.0 * (10.0 / 3.0 * 2.0 + 2.0) * n3 + 2.0 * n3
+        );
+        assert!(zolo_flops(32, 2, 2, false) < zolo_flops(32, 2, 8, false));
+    }
+
+    #[test]
+    fn halley_step_follows_the_switch() {
+        let step = HalleyStep::at(1e-8f64, IterationPath::Auto, 100.0);
+        assert!(step.is_qr() && step.c > 100.0);
+        assert_eq!(step.beta, step.b / step.c);
+        assert_eq!(step.theta, (step.a - step.beta) / step.c.sqrt());
+        // a wider Cholesky window, as the batch engine's hinted entries ask for
+        let wide = HalleyStep::at(1e-8f64, IterationPath::Auto, f64::MAX);
+        assert_eq!(wide.kind, IterationKind::CholeskyBased);
+        assert_eq!(wide.theta, wide.a - wide.beta);
+        assert_eq!(
+            (wide.a, wide.b, wide.c, wide.ell_after),
+            (step.a, step.b, step.c, step.ell_after)
+        );
+        assert!(HalleyStep::at(0.5f64, IterationPath::ForceQr, 100.0).is_qr());
+        assert!(!HalleyStep::at(1e-8f64, IterationPath::ForceCholesky, 100.0).is_qr());
+    }
+
+    #[test]
+    fn stop_test_has_two_parts() {
+        assert!(converged(0.0f64, 1.0));
+        assert!(!converged(1e-3f64, 1.0), "conv above cbrt(5 eps)");
+        assert!(!converged(0.0f64, 1.0 - 1e-12), "bound not at 1");
+        assert!(converged(1e-6f64, 1.0 - 4.0 * f64::EPSILON));
+    }
+}

@@ -11,11 +11,10 @@
 //!   partials published by the update tasks and one fixed-order reduction
 //!   task per iteration that nothing downstream waits on;
 //! * running the graph under the caller's progress hook
-//!   ([`execute_hooked`]) and turning the plan plus the reduced norms into
-//!   [`IterationRecord`]s ([`record_iterations`]).
+//!   ([`execute_hooked`]).
 
-use crate::options::{poll_progress, IterationKind, ProgressHook};
-use crate::qdwh_impl::{IterationRecord, QdwhError, QdwhInfo};
+use crate::options::{poll_progress, ProgressHook};
+use crate::qdwh_impl::QdwhError;
 use polar_blas::gemm;
 use polar_lapack::{emit_geqrf, emit_orgqr, QrPtr, TilePtr, TiledQr};
 use polar_matrix::{Op, ProcessGrid, TiledMatrix, Tiling};
@@ -299,31 +298,35 @@ pub(crate) fn emit_term<'a, S: Scalar>(
     }
 }
 
-/// Run a whole-solve graph whose phase `k` is the solve's iteration
-/// `done + k + 1`. With a progress hook, the executor polls it before
-/// every task release with the oldest iteration still in flight, the norm
-/// the previous iteration's sink published (`first_conv` before the
-/// first) and the planned bound entering it (`ell_entering(k)`); a
-/// `Cancel` abandons the graph and comes back as
+/// What a whole-solve graph tells the caller's progress hook: graph phase
+/// `k` is the solve's iteration `k + 1`, the bound entering it is
+/// `ells[k]`, and the convergence norm before the first is `first_conv`.
+pub(crate) struct Hooked<'a> {
+    pub hook: Option<&'a ProgressHook>,
+    pub first_conv: f64,
+    pub ells: &'a [f64],
+}
+
+/// Run a whole-solve graph. With a progress hook, the executor polls it
+/// before every task release with the oldest iteration still in flight,
+/// the norm the previous iteration's sink published and the planned bound
+/// entering it; a `Cancel` abandons the graph and comes back as
 /// [`QdwhError::Cancelled`]. Any other outcome is the caller's to read.
 pub(crate) fn execute_hooked(
     dag: TaskDag<'_>,
-    hook: Option<&ProgressHook>,
-    done: usize,
+    hooked: &Hooked<'_>,
     sink: &NormSink,
-    first_conv: f64,
-    ell_entering: impl Fn(usize) -> f64 + Sync,
 ) -> Result<ExecOutcome, QdwhError> {
-    let Some(hook) = hook else { return Ok(dag.execute()) };
+    let Some(hook) = hooked.hook else { return Ok(dag.execute()) };
     let cancelled_at = AtomicUsize::new(0);
     let outcome = dag.execute_until(|frontier| {
         let k = frontier as usize;
-        let conv = if k == 0 { first_conv } else { sink.norm::<f64>(k - 1) };
-        let cancel = poll_progress(Some(hook), done + k + 1, conv, ell_entering(k)).is_err();
+        let conv = if k == 0 { hooked.first_conv } else { sink.norm::<f64>(k - 1) };
+        let cancel = poll_progress(Some(hook), k + 1, conv, hooked.ells[k]).is_err();
         if cancel {
             // read back after the run only; `execute_until` has joined
             // every lane by then
-            cancelled_at.store(done + k + 1, Ordering::Relaxed);
+            cancelled_at.store(k + 1, Ordering::Relaxed);
         }
         cancel
     });
@@ -331,53 +334,4 @@ pub(crate) fn execute_hooked(
         0 => Ok(outcome),
         iteration => Err(QdwhError::Cancelled { iteration }),
     }
-}
-
-/// Append one [`IterationRecord`] per planned step `(kind, ell_after,
-/// flop weight)` to `info`, for a graph launched at `start` with the
-/// kernel counters at `kernels_before`. The iterations overlapped, so
-/// per-step wall time is not observable: the elapsed time is split by flop
-/// weight, and the kernel-counter delta for the whole dag lands on the
-/// last record.
-pub(crate) fn record_iterations<R: Real>(
-    info: &mut QdwhInfo<R>,
-    steps: &[(IterationKind, R, f64)],
-    sink: &NormSink,
-    start: std::time::Instant,
-    kernels_before: &polar_obs::KernelSnapshot,
-) -> Result<(), QdwhError> {
-    let total_secs = start.elapsed().as_secs_f64();
-    let kernels = polar_obs::kernel_snapshot().delta(kernels_before);
-    let wsum: f64 = steps.iter().map(|s| s.2).sum();
-    for (k, &(kind, ell, weight)) in steps.iter().enumerate() {
-        let convergence: R = sink.norm(k);
-        if !convergence.to_f64().is_finite() {
-            return Err(QdwhError::NonFinite { iteration: info.iterations + 1 });
-        }
-        info.iterations += 1;
-        match kind {
-            IterationKind::QrBased => info.qr_iterations += 1,
-            IterationKind::CholeskyBased => info.chol_iterations += 1,
-        }
-        info.kinds.push(kind);
-        let last = k + 1 == steps.len();
-        let record = IterationRecord {
-            iteration: info.iterations,
-            kind,
-            ell,
-            convergence,
-            seconds: total_secs * weight / wsum,
-            kernels: if last { kernels } else { polar_obs::KernelSnapshot::default() },
-        };
-        polar_obs::log!(
-            polar_obs::LogLevel::Debug,
-            "fused iter {} {:?}: conv={:e} ell={:e}",
-            record.iteration,
-            record.kind,
-            record.convergence.to_f64(),
-            record.ell.to_f64()
-        );
-        info.records.push(record);
-    }
-    Ok(())
 }

@@ -36,21 +36,9 @@ pub fn svd_based_polar<S: Scalar>(a: &Matrix<S>) -> Result<PolarDecomposition<S>
     gemm(Op::NoTrans, Op::ConjTrans, S::ONE, vs.as_ref(), svd.v.as_ref(), S::ZERO, h.as_mut());
     symmetrize(h.as_mut());
 
-    Ok(PolarDecomposition {
-        u: u_p,
-        h,
-        info: QdwhInfo {
-            alpha: svd.sigma.first().copied().unwrap_or(S::Real::ZERO),
-            l0: S::Real::ZERO,
-            iterations: 0,
-            qr_iterations: 0,
-            chol_iterations: 0,
-            kinds: Vec::new(),
-            records: Vec::new(),
-            flops_estimate: 0.0,
-            tiled_decision: None,
-        },
-    })
+    // no Halley loop: zero iterations, alpha = sigma_max
+    let alpha = svd.sigma.first().copied().unwrap_or(S::Real::ZERO);
+    Ok(PolarDecomposition { u: u_p, h, info: QdwhInfo::started(alpha, S::Real::ZERO, None) })
 }
 
 #[cfg(test)]

@@ -13,15 +13,14 @@
 //! *mutually independent*, which is exactly the extra concurrency the
 //! paper wants for strong scaling.
 
-use crate::options::{
-    graph_tile_nb, poll_progress, ProgressHook, QdwhOptions, TiledDecision, TiledPath,
-};
+use crate::options::{IterationKind, L0Strategy, ProgressHook, TiledPath};
 use crate::qdwh_impl::{PolarDecomposition, QdwhError, QdwhInfo};
+use crate::skeleton::{solve, zolo_flops, Common, Method};
+use crate::solve_dag::{Hooked, NormSink};
 use crate::zolo_fused::ZoloIterPlan;
-use polar_blas::{add, gemm, norm, scale_real, symmetrize};
-use polar_lapack::{norm2est, orgqr, tr_sigma_min_est};
-
-use polar_matrix::{Matrix, Norm, Op};
+use polar_blas::{gemm, scale_real};
+use polar_lapack::orgqr;
+use polar_matrix::{Matrix, Op};
 use polar_scalar::{Real, Scalar};
 
 /// Options for [`zolo_pd`].
@@ -43,9 +42,6 @@ pub struct ZoloOptions {
     /// branches of one graph (`zolo_fused`); otherwise the serial
     /// term-by-term loop runs.
     pub tiled: TiledPath,
-    /// Problem size (columns) at which [`TiledPath::Auto`] routes to the
-    /// fused graph.
-    pub tiled_threshold: usize,
     /// Tile size for the fused path; `None` picks
     /// `polar_lapack::auto_tile_nb`.
     pub tile_nb: Option<usize>,
@@ -62,7 +58,6 @@ impl std::fmt::Debug for ZoloOptions {
             .field("max_iterations", &self.max_iterations)
             .field("compute_h", &self.compute_h)
             .field("tiled", &self.tiled)
-            .field("tiled_threshold", &self.tiled_threshold)
             .field("tile_nb", &self.tile_nb)
             .field("progress", &self.progress.as_ref().map(|_| "<hook>"))
             .finish()
@@ -76,19 +71,9 @@ impl Default for ZoloOptions {
             max_iterations: 6,
             compute_h: true,
             tiled: TiledPath::Auto,
-            tiled_threshold: 512,
             tile_nb: None,
             progress: None,
         }
-    }
-}
-
-impl ZoloOptions {
-    /// Resolve the fused-vs-serial decision for `n` columns, honoring the
-    /// same `POLAR_TILED` env pin and granularity guard as the QDWH
-    /// driver (the decision logic is shared).
-    pub fn resolve_tiled(&self, n: usize) -> TiledDecision {
-        crate::options::resolve_tiled(self.tiled, self.tiled_threshold, self.tile_nb, n)
     }
 }
 
@@ -104,113 +89,79 @@ pub struct ZoloOutcome<S: Scalar> {
 
 /// Zolotarev-rational polar decomposition (`m >= n`).
 pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutcome<S>, QdwhError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if m < n {
-        return Err(QdwhError::Shape("zolo_pd requires m >= n"));
-    }
     if zopts.r == 0 {
         return Err(QdwhError::Shape("zolo_pd requires r >= 1"));
     }
-    if n == 0 || a.has_non_finite() {
-        // degenerate inputs: defer to the QDWH driver's handling
-        let pd = crate::qdwh_impl::qdwh(a, &QdwhOptions::default())?;
-        return Ok(ZoloOutcome { pd, qr_factorizations: 0 });
-    }
+    let pd = solve(a, &Zolotarev(zopts))?;
+    // r stacked QRs per iteration, on either path
+    Ok(ZoloOutcome { qr_factorizations: zopts.r * pd.info.iterations, pd })
+}
 
-    let eps = S::Real::EPSILON;
+/// Zolo-PD under [`solve`]: type-`(2r+1, 2r)` Zolotarev steps, stopped when
+/// the interval bound reaches 1.
+pub(crate) struct Zolotarev<'a>(pub &'a ZoloOptions);
 
-    // scaling and sigma_min bound, as in QDWH
-    let est = norm2est(a);
-    let alpha = est.estimate;
-    if alpha == S::Real::ZERO {
-        let pd = crate::qdwh_impl::qdwh(a, &QdwhOptions::default())?;
-        return Ok(ZoloOutcome { pd, qr_factorizations: 0 });
-    }
-    let mut x = a.clone();
-    scale_real::<S>(alpha.recip(), x.as_mut());
-    let tiled_decision = zopts.resolve_tiled(n);
-    let mut ell = {
-        // the estimate's QR is a task graph when the solve is: a job
-        // cancelled while it queued runs neither
-        if tiled_decision.is_tiled() {
-            poll_progress(zopts.progress.as_ref(), 1, f64::MAX, 0.0)?;
+impl<S: Scalar> Method<S> for Zolotarev<'_> {
+    type Ell = f64;
+    type Step = ZoloIterPlan;
+    const NAME: &'static str = "zolo";
+    const ITER_SPAN: &'static str = "zolo_iter";
+    const FIRST_CONV: f64 = f64::MAX;
+
+    fn common(&self) -> Common<'_> {
+        let o = self.0;
+        Common {
+            max_iterations: o.max_iterations,
+            compute_h: o.compute_h,
+            tiled: o.tiled,
+            tile_nb: o.tile_nb,
+            progress: o.progress.as_ref(),
+            l0_override: None,
+            l0_strategy: L0Strategy::SigmaMinPowerIteration,
         }
-        let tile_nb = tiled_decision.is_tiled().then(|| graph_tile_nb(zopts.tile_nb, n));
-        let r = crate::qdwh_impl::cond_qr(&x, tile_nb);
-        let raw = tr_sigma_min_est(&r) * S::Real::from_f64(0.9);
-        raw.max(eps * eps).min(S::Real::ONE - eps).to_f64()
-    };
-
-    let mut info = QdwhInfo {
-        alpha,
-        l0: S::Real::from_f64(ell),
-        iterations: 0,
-        qr_iterations: 0,
-        chol_iterations: 0,
-        kinds: Vec::new(),
-        records: Vec::new(),
-        flops_estimate: 0.0,
-        tiled_decision: Some(tiled_decision),
-    };
-    let _solve_span = polar_obs::span!("zolo", m, n);
-    let mut qr_count = 0usize;
-    // interval-convergence threshold: the sampled [fmin, fmax] bracket is
-    // accurate to a few ulps and the initial l0 estimate to a few ulps
-    // more (it is sensitive to summation order in the underlying gemm), so
-    // 50 eps (rather than QDWH's 5 eps on the analytic bound) avoids a
-    // spurious third iteration; the factors' accuracy is set by backward
-    // stability, not by this stop test
-    let tol = 50.0 * eps.to_f64();
-
-    // Tiled path: all r stacked-QR terms of every iteration as concurrent
-    // branches of one task graph. The serial loop below is the small-n
-    // path and the planner-overflow continuation (a `None` plan leaves
-    // `ell` untouched, so the loop's own iteration cap reports
-    // `NoConvergence` with the usual bookkeeping).
-    if tiled_decision.is_tiled() {
-        x = crate::zolo_fused::zolo_fused(x, &mut ell, &mut info, &mut qr_count, zopts)?;
     }
 
-    let mut last_conv = info.records.last().map_or(f64::MAX, |r| r.convergence.to_f64());
-    while (ell - 1.0).abs() >= tol {
-        if info.iterations >= zopts.max_iterations {
-            return Err(QdwhError::NoConvergence { iterations: info.iterations });
-        }
-        poll_progress(zopts.progress.as_ref(), info.iterations + 1, last_conv, ell)?;
-        info.iterations += 1;
-        info.qr_iterations += 1; // Zolo iterations are QR-based
-        info.kinds.push(crate::options::IterationKind::QrBased);
-        let kernels_before = polar_obs::kernel_snapshot();
-        let iter_start = std::time::Instant::now();
-        let _iter_span = polar_obs::span!("zolo_iter", info.iterations, n);
+    fn step_at(&self, ell: f64) -> ZoloIterPlan {
+        ZoloIterPlan::at(ell, self.0.r)
+    }
 
-        // coefficients, weights, normalization M = 1 / f(1) and the next
-        // interval: the scalar recurrence the fused graph plans ahead
-        let step = ZoloIterPlan::at(ell, zopts.r);
+    fn outcome(step: &ZoloIterPlan) -> (IterationKind, f64) {
+        (IterationKind::QrBased, step.ell_after)
+    }
 
-        // X_next = M (X + sum_j (a_j / sqrt(c_{2j-1})) Q1_j Q2_j^H),
-        // each term from the stacked QR [X; sqrt(c_{2j-1}) I] = [Q1; Q2] R.
-        // The r factorizations are independent — a distributed run
-        // executes them concurrently (the strong-scaling win of §8).
-        let x_prev = x.clone();
-        let mut x_next = x.clone();
+    /// The sampled `[fmin, fmax]` bracket is accurate to a few ulps and the
+    /// initial `l0` estimate to a few ulps more (it is sensitive to
+    /// summation order in the underlying gemm), so 50 eps (rather than
+    /// QDWH's 5 eps on the analytic bound) avoids a spurious third
+    /// iteration; the factors' accuracy is set by backward stability, not
+    /// by this stop test.
+    fn converged(_conv: f64, ell: f64) -> bool {
+        (ell - 1.0).abs() < 50.0 * S::Real::EPSILON.to_f64()
+    }
+
+    /// `X := M (X + sum_j (a_j / sqrt(c_{2j-1})) Q1_j Q2_j^H)`, each term
+    /// from the stacked QR `[X; sqrt(c_{2j-1}) I] = [Q1; Q2] R`, then the
+    /// `sigma_max <= 1` rescale. The `r` factorizations are independent —
+    /// the fused graph runs them concurrently (the strong-scaling win of
+    /// §8).
+    fn apply(
+        &self,
+        x: &mut Matrix<S>,
+        x_prev: &Matrix<S>,
+        step: &ZoloIterPlan,
+    ) -> Result<(), QdwhError> {
+        let (m, n) = (x.nrows(), x.ncols());
         for (j, &aj) in step.a_w.iter().enumerate() {
             let sqrt_c = step.c[2 * j].sqrt(); // c_{2j-1}
-            let bottom = {
-                let mut i = Matrix::<S>::identity(n, n);
-                scale_real::<S>(S::Real::from_f64(sqrt_c), i.as_mut());
-                i
-            };
-            let mut w = Matrix::vstack(&x_prev, &bottom);
+            let mut bottom = Matrix::<S>::identity(n, n);
+            scale_real::<S>(S::Real::from_f64(sqrt_c), bottom.as_mut());
+            let mut w = Matrix::vstack(x_prev, &bottom);
             // the diagonal bottom block has the same trapezoidal-fill
             // structure QDWH exploits, so the windowed QR applies here too
             let f = polar_lapack::geqrf_stacked(m, &mut w);
-            qr_count += 1;
             let q = orgqr(&w, &f);
             let q1 = q.submatrix_owned(0, 0, m, n);
             let q2 = q.submatrix_owned(m, 0, n, n);
-            // X_next += (a_j / sqrt(c_j)) Q1 Q2^H
             gemm(
                 Op::NoTrans,
                 Op::ConjTrans,
@@ -218,62 +169,40 @@ pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutc
                 q1.as_ref(),
                 q2.as_ref(),
                 S::ONE,
-                x_next.as_mut(),
+                x.as_mut(),
             );
         }
-        scale_real::<S>(S::Real::from_f64(step.m_hat), x_next.as_mut());
-
-        if x_next.has_non_finite() {
-            return Err(QdwhError::NonFinite { iteration: info.iterations });
-        }
-
+        scale_real::<S>(S::Real::from_f64(step.m_hat), x.as_mut());
         // keep sigma_max <= 1 for the next interval
         if step.rescale < 1.0 {
-            scale_real::<S>(S::Real::from_f64(step.rescale), x_next.as_mut());
+            scale_real::<S>(S::Real::from_f64(step.rescale), x.as_mut());
         }
-        ell = step.ell_after;
-
-        // convergence telemetry
-        let mut diff = x_next.clone();
-        add(-S::ONE, x_prev.as_ref(), S::ONE, diff.as_mut());
-        let conv: S::Real = norm(Norm::Fro, diff.as_ref());
-        last_conv = conv.to_f64();
-        drop(_iter_span);
-        info.records.push(crate::qdwh_impl::IterationRecord {
-            iteration: info.iterations,
-            kind: crate::options::IterationKind::QrBased,
-            ell: S::Real::from_f64(ell),
-            convergence: conv,
-            seconds: iter_start.elapsed().as_secs_f64(),
-            kernels: polar_obs::kernel_snapshot().delta(&kernels_before),
-        });
-        x = x_next;
+        Ok(())
     }
 
-    // flop estimate: per iteration, r stacked QRs + Q builds + gemms
-    let nf = n as f64;
-    let tf = polar_blas::flops::type_factor(S::IS_COMPLEX);
-    info.flops_estimate =
-        tf * info.iterations as f64 * zopts.r as f64 * ((10.0 / 3.0) * 2.0 + 2.0) * nf.powi(3)
-            + tf * 2.0 * nf.powi(3);
+    fn run_graph(
+        &self,
+        x: Matrix<S>,
+        nb: usize,
+        plan: &[ZoloIterPlan],
+        hooked: &Hooked<'_>,
+    ) -> Result<(Matrix<S>, NormSink), QdwhError> {
+        crate::zolo_fused::run_graph(x, nb, plan, hooked)
+    }
 
-    let h = if zopts.compute_h {
-        let mut h = Matrix::<S>::zeros(n, n);
-        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, x.as_ref(), a.as_ref(), S::ZERO, h.as_mut());
-        symmetrize(h.as_mut());
-        h
-    } else {
-        Matrix::zeros(0, 0)
-    };
-
-    Ok(ZoloOutcome { pd: PolarDecomposition { u: x, h, info }, qr_factorizations: qr_count })
+    fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {
+        zolo_flops(n, info.iterations, self.0.r, S::IS_COMPLEX)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::qdwh_impl::{orthogonality_error, qdwh};
+    use crate::QdwhOptions;
+    use polar_blas::{add, norm};
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
+    use polar_matrix::Norm;
 
     #[test]
     fn zolo_two_iterations_at_kappa_1e16() {

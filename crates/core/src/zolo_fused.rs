@@ -10,7 +10,8 @@
 //! `M = 1/f(1)`, the `sigma_max <= 1` rescale, and the interval update
 //! `ell -> fmin/fmax` are all pure scalar functions of `ell` — no matrix
 //! data enters the recurrence — so the whole iteration sequence is known
-//! up front ([`plan_zolo_iterations`]). [`zolo_fused`] then emits, per
+//! up front ([`crate::skeleton::plan`] over [`ZoloIterPlan::at`]).
+//! [`run_graph`] then emits, per
 //! planned iteration and per term `j in 0..r`, the same stacked-QR term
 //! QDWH's QR-based iteration is one of ([`crate::solve_dag::emit_term`]),
 //! on `W_j = [X; sqrt(c_{2j}) I]`, with the rank-`n` product
@@ -31,18 +32,14 @@
 //! computed iterates are schedule-independent bit-for-bit, with or
 //! without `POLAR_DETERMINISTIC=1`.
 //!
-//! Continuation: the caller runs this *before* its serial `while` loop and
-//! re-checks the loop condition afterwards, so a planner bail-out
-//! (iteration-cap overflow) continues on the serial path with no extra
-//! code.
+//! Continuation: [`crate::skeleton::solve`] runs this *before* its
+//! per-iteration loop and re-checks the stop test afterwards, so a planner
+//! bail-out (iteration-cap overflow) continues on the serial path with no
+//! extra code.
 
 use crate::elliptic::{zolotarev_coefficients, zolotarev_eval, zolotarev_weights};
-use crate::options::{graph_tile_nb, poll_progress, IterationKind};
-use crate::qdwh_impl::{QdwhError, QdwhInfo};
-use crate::solve_dag::{
-    emit_term, execute_hooked, record_iterations, NormSink, TermPtr, TermWorkspace,
-};
-use crate::zolo::ZoloOptions;
+use crate::qdwh_impl::QdwhError;
+use crate::solve_dag::{emit_term, execute_hooked, Hooked, NormSink, TermPtr, TermWorkspace};
 use polar_lapack::TilePtr;
 use polar_matrix::{Matrix, ProcessGrid, TiledMatrix, Tiling};
 use polar_runtime::{ExecOutcome, KernelKind, TaskDag};
@@ -88,62 +85,19 @@ impl ZoloIterPlan {
     }
 }
 
-/// Precompute the whole Zolotarev iteration sequence from `l0`, stopped by
-/// the serial loop's `|ell - 1| < 50 eps` interval test. Returns `None`
-/// when the iteration cap would be exceeded first (the caller's serial
-/// loop then reports `NoConvergence` with its own bookkeeping).
-pub(crate) fn plan_zolo_iterations(
-    l0: f64,
-    r: usize,
-    max_iterations: usize,
-    eps: f64,
-) -> Option<Vec<ZoloIterPlan>> {
-    let tol = 50.0 * eps;
-    let mut ell = l0;
-    let mut plan = Vec::new();
-    while (ell - 1.0).abs() >= tol {
-        if plan.len() >= max_iterations {
-            return None;
-        }
-        let step = ZoloIterPlan::at(ell, r);
-        ell = step.ell_after;
-        plan.push(step);
-    }
-    Some(plan)
-}
-
-/// Run the whole planned Zolotarev sequence as one task graph: takes the
-/// iterate, returns it advanced, and updates the run telemetry in place.
-/// On success the caller's serial loop condition re-check provides the
-/// (normally trivial) continuation; on a planner bail-out `x` comes back
-/// untouched so the serial path takes over entirely.
-pub(crate) fn zolo_fused<S: Scalar>(
+/// Run the planned Zolotarev sequence as one task graph at tile size
+/// `nb`: takes the iterate, returns it advanced with the sink holding each
+/// iteration's convergence norm.
+pub(crate) fn run_graph<S: Scalar>(
     x: Matrix<S>,
-    ell: &mut f64,
-    info: &mut QdwhInfo<S::Real>,
-    qr_count: &mut usize,
-    zopts: &ZoloOptions,
-) -> Result<Matrix<S>, QdwhError> {
+    nb: usize,
+    plan: &[ZoloIterPlan],
+    hooked: &Hooked<'_>,
+) -> Result<(Matrix<S>, NormSink), QdwhError> {
     type R<S> = <S as Scalar>::Real;
-    let m = x.nrows();
-    let n = x.ncols();
-    let rterms = zopts.r;
-    let eps = S::Real::EPSILON.to_f64();
-    let Some(plan) = plan_zolo_iterations(*ell, rterms, zopts.max_iterations, eps) else {
-        return Ok(x);
-    };
-    let iters = plan.len();
-    if iters == 0 {
-        return Ok(x);
-    }
-    // a job cancelled while it queued allocates nothing
-    let (done, l0) = (info.iterations, *ell);
-    poll_progress(zopts.progress.as_ref(), done + 1, f64::MAX, l0)?;
-    let nb = graph_tile_nb(zopts.tile_nb, n);
-
+    let (m, n, iters) = (x.nrows(), x.ncols(), plan.len());
+    let rterms = plan[0].a_w.len();
     let _span = polar_obs::span!("zolo_fused", m, n);
-    let kernels_before = polar_obs::kernel_snapshot();
-    let start = std::time::Instant::now();
 
     let xt = Tiling::new(m, n, nb, nb);
     let mtx = xt.mt();
@@ -242,21 +196,10 @@ pub(crate) fn zolo_fused<S: Scalar>(
         sink.emit_reduce::<R<S>>(&mut dag, k);
     }
 
-    let ell_entering = |k: usize| if k == 0 { l0 } else { plan[k - 1].ell_after };
-    let outcome =
-        execute_hooked(dag, zopts.progress.as_ref(), done, &sink, f64::MAX, ell_entering)?;
+    let outcome = execute_hooked(dag, hooked, &sink)?;
     // no body of this graph cancels (QR cannot break down)
     debug_assert_eq!(outcome, ExecOutcome::Completed);
-
-    // Same counters the serial loop maintains: one QR-based iteration
-    // (equal flop weights) and r stacked QRs per planned step.
-    let steps: Vec<_> =
-        plan.iter().map(|p| (IterationKind::QrBased, R::<S>::from_f64(p.ell_after), 1.0)).collect();
-    record_iterations(info, &steps, &sink, start, &kernels_before)?;
-    *qr_count += rterms * iters;
-
-    *ell = plan[iters - 1].ell_after;
-    Ok(if iters % 2 == 0 { xb0.to_dense() } else { xb1.to_dense() })
+    Ok((if iters % 2 == 0 { xb0.to_dense() } else { xb1.to_dense() }, sink))
 }
 
 #[cfg(test)]
@@ -264,7 +207,7 @@ mod tests {
     use super::*;
     use crate::options::TiledPath;
     use crate::qdwh_impl::orthogonality_error;
-    use crate::zolo::zolo_pd;
+    use crate::zolo::{zolo_pd, ZoloOptions, Zolotarev};
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
     use polar_scalar::{Complex32, Complex64};
     use proptest::prelude::*;
@@ -447,10 +390,16 @@ mod tests {
         }
     }
 
+    /// The f64 plan from `l0` at degree `r`.
+    fn plan_zolo_iterations(l0: f64, r: usize, max_iterations: usize) -> Option<Vec<ZoloIterPlan>> {
+        let zopts = ZoloOptions { r, max_iterations, ..Default::default() };
+        crate::skeleton::plan::<f64, _>(&Zolotarev(&zopts), l0)
+    }
+
     #[test]
     fn plan_matches_serial_two_iteration_guarantee() {
         // r = 8 at the double-precision floor: two iterations, ell -> 1
-        let plan = plan_zolo_iterations(1e-16, 8, 6, f64::EPSILON).expect("converges");
+        let plan = plan_zolo_iterations(1e-16, 8, 6).expect("converges");
         assert_eq!(plan.len(), 2);
         let last = plan.last().unwrap();
         assert!((last.ell_after - 1.0).abs() < 50.0 * f64::EPSILON);
@@ -466,19 +415,19 @@ mod tests {
 
     #[test]
     fn plan_small_r_needs_more_iterations() {
-        let r8 = plan_zolo_iterations(1e-10, 8, 10, f64::EPSILON).unwrap();
-        let r2 = plan_zolo_iterations(1e-10, 2, 10, f64::EPSILON).unwrap();
+        let r8 = plan_zolo_iterations(1e-10, 8, 10).unwrap();
+        let r2 = plan_zolo_iterations(1e-10, 2, 10).unwrap();
         assert!(r2.len() > r8.len(), "r2 {} vs r8 {}", r2.len(), r8.len());
     }
 
     #[test]
     fn plan_bails_on_iteration_cap() {
-        assert!(plan_zolo_iterations(1e-16, 2, 1, f64::EPSILON).is_none());
+        assert!(plan_zolo_iterations(1e-16, 2, 1).is_none());
     }
 
     #[test]
     fn plan_empty_when_already_converged() {
-        let plan = plan_zolo_iterations(1.0, 8, 6, f64::EPSILON).unwrap();
+        let plan = plan_zolo_iterations(1.0, 8, 6).unwrap();
         assert!(plan.is_empty());
     }
 }

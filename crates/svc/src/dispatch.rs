@@ -17,7 +17,7 @@ use crate::metrics::MetricsRegistry;
 use crate::queue::AdmittedJob;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use polar_batch::BatchOptions;
-use polar_sim::{qdwh_flops, ILL_CONDITIONED_PROFILE};
+use polar_qdwh::{qdwh_flops, zolo_flops};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,10 +28,11 @@ use std::time::{Duration, Instant};
 /// Cholesky) — a deliberate overestimate for well-conditioned inputs so
 /// borderline jobs are routed conservatively. QDWH-SVD adds the
 /// Hermitian EVD + GEMM stages (~`12 n^3`); the one-sided Jacobi
-/// baseline is costed at its typical `O(n^3)` sweep count.
-pub fn estimate_flops(kind: JobKind, m: usize, n: usize) -> f64 {
-    let (it_qr, it_chol) = ILL_CONDITIONED_PROFILE;
-    let base = qdwh_flops(n, it_qr, it_chol);
+/// baseline is costed at its typical `O(n^3)` sweep count. Zolo-PD trades
+/// flops for iterations: its worst-case two iterations at the job's
+/// degree `zolo_r` (read for [`JobKind::Zolo`] only).
+pub fn estimate_flops(kind: JobKind, m: usize, n: usize, zolo_r: usize) -> f64 {
+    let base = qdwh_flops(n, 3, 3, false);
     let n3 = (n as f64).powi(3);
     // rectangular inputs pay the initial QR reduction on top
     let rect = if m > n { 2.0 * (m as f64) * (n as f64) * (n as f64) } else { 0.0 };
@@ -41,10 +42,7 @@ pub fn estimate_flops(kind: JobKind, m: usize, n: usize) -> f64 {
         JobKind::Qdwh | JobKind::Batched => base + rect,
         JobKind::QdwhSvd => base + rect + 12.0 * n3,
         JobKind::SvdPolar => 30.0 * n3 + rect,
-        // Zolo-PD trades flops for iterations: cost the worst-case r = 8
-        // two-iteration profile (r stacked QR+orgqr pairs at 10/3 n^3
-        // each plus the rank-n accumulation, + 2 n^3 for the final H)
-        JobKind::Zolo => 2.0 * 8.0 * (10.0 / 3.0 * 2.0 + 2.0) * n3 + 2.0 * n3 + rect,
+        JobKind::Zolo => zolo_flops(n, 2, zolo_r, false) + rect,
     }
 }
 
@@ -120,7 +118,8 @@ pub(crate) fn run_dispatcher(
 
     let push = |heap: &mut BinaryHeap<Queued>, seq: &mut u64, job: AdmittedJob| {
         let spec = &job.spec;
-        let cost = estimate_flops(spec.kind, spec.matrix.nrows(), spec.matrix.ncols());
+        let (m, n) = (spec.matrix.nrows(), spec.matrix.ncols());
+        let cost = estimate_flops(spec.kind, m, n, spec.zolo.r);
         *seq += 1;
         heap.push(Queued { seq: *seq, priority: spec.priority, cost, job });
     };
@@ -263,13 +262,31 @@ mod tests {
 
     #[test]
     fn cost_model_orders_by_size_and_kind() {
-        let small = estimate_flops(JobKind::Qdwh, 32, 32);
-        let big = estimate_flops(JobKind::Qdwh, 256, 256);
+        let cost = |kind, m, n| estimate_flops(kind, m, n, 8);
+        let small = cost(JobKind::Qdwh, 32, 32);
+        let big = cost(JobKind::Qdwh, 256, 256);
         assert!(big > small * 100.0);
         // SVD costs strictly more than PD at the same size
-        assert!(estimate_flops(JobKind::QdwhSvd, 64, 64) > estimate_flops(JobKind::Qdwh, 64, 64));
+        assert!(cost(JobKind::QdwhSvd, 64, 64) > cost(JobKind::Qdwh, 64, 64));
         // rectangular pays more than square at equal n
-        assert!(estimate_flops(JobKind::Qdwh, 128, 64) > estimate_flops(JobKind::Qdwh, 64, 64));
+        assert!(cost(JobKind::Qdwh, 128, 64) > cost(JobKind::Qdwh, 64, 64));
+        // the paper's §4 number at its (3 QR, 3 Cholesky) profile
+        let n3 = 64f64.powi(3);
+        let paper = 4.0 / 3.0 * n3 + 3.0 * 26.0 / 3.0 * n3 + 3.0 * 13.0 / 3.0 * n3 + 2.0 * n3;
+        assert!((cost(JobKind::Qdwh, 64, 64) / paper - 1.0).abs() < 1e-14);
+    }
+
+    #[test]
+    fn zolo_cost_follows_the_jobs_degree() {
+        let zolo = |r| estimate_flops(JobKind::Zolo, 96, 64, r);
+        assert!((1..8).all(|r| zolo(r) < zolo(r + 1)), "monotone in r");
+        // r = 8: the number the dispatcher used for every Zolo job
+        let (n3, rect) = (64f64.powi(3), 2.0 * 96.0 * 64.0 * 64.0);
+        assert_eq!(zolo(8), 2.0 * 8.0 * (20.0 / 3.0 + 2.0) * n3 + 2.0 * n3 + rect);
+        // a quarter of the stacked QRs: ordered ahead of, and batched
+        // with, what it really costs
+        assert!(zolo(2) < 0.3 * zolo(8));
+        assert!(zolo(2) < estimate_flops(JobKind::Qdwh, 96, 64, 2) * 1.2);
     }
 
     #[test]

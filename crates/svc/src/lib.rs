@@ -13,7 +13,7 @@
 //!   deadline.
 //! * **Dispatch** ([`dispatch`]): priority- plus size-aware ordering.
 //!   Job cost is estimated with the paper's §4 flop formula
-//!   ([`polar_sim::qdwh_flops`]); small jobs are batched onto one worker
+//!   ([`polar_qdwh::qdwh_flops`]); small jobs are batched onto one worker
 //!   (amortizing scheduling overhead the way SLATE batches tile
 //!   kernels), large jobs get a worker to themselves and fan out
 //!   internally with `rayon`.

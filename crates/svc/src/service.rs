@@ -49,7 +49,7 @@ impl Default for ServiceConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(8),
             queue_capacity: 64,
             batch_max: 4,
-            small_job_flops: crate::dispatch::estimate_flops(crate::job::JobKind::Qdwh, 64, 64),
+            small_job_flops: crate::dispatch::estimate_flops(crate::job::JobKind::Qdwh, 64, 64, 0),
             batch_gather_window: None,
             default_timeout: None,
             max_retries: 2,
