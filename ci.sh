@@ -93,6 +93,12 @@ stage_lint() {
     strays=$(grep -rlPzo '\badd(_task)?\(\s*KernelKind::(Geqrt|Tsqrt|Tsmqr|Unmqr|Potrf)\b' crates/*/src \
         | grep -vE "^crates/($emitters)\.rs$" || true)
     test -z "$strays" || fail "tile-factorization tasks added outside the emit modules: $strays"
+    # and the Cholesky term (factor, invert the diagonal tiles, two sweeps)
+    # is emitted by solve_dag.rs for QDWH and Zolo-PD alike: neither
+    # whole-solve graph may carry a sweep of its own
+    strays=$(grep -rlE '\b(emit_potrf|trtri_lower)\(' crates/core/src \
+        | grep -vE '^crates/core/src/solve_dag\.rs$' || true)
+    test -z "$strays" || fail "Cholesky sweep emitted outside core's solve_dag.rs: $strays"
 
     step "one solve skeleton: estimate, plan, cost and telemetry written in core's skeleton.rs only"
     # Algorithm 1's recipe around the task graphs is crates/core/src/skeleton.rs;
@@ -180,7 +186,9 @@ stage_zolo() {
     # dag sits strictly below the serial sum of its QR-class task
     # durations — i.e. the analyzer saw >= 2 concurrently-runnable QR
     # branches. The CP is computed from the dependency graph, so the
-    # gate holds even on single-core runners.
+    # gate holds even on single-core runners. It also asserts the dag
+    # holds task_potrf tasks and qr_factorizations < r * iterations: a
+    # silent fall-back to QR-only iterations fails here.
     POLAR_NUM_THREADS="${POLAR_NUM_THREADS:-4}" \
     cargo run --offline --release -p polar-bench --bin solver_profile -- \
         --smoke --analyze --zolo-r 4 --zolo-cp-gate \

@@ -3,10 +3,12 @@
 //! Two parts:
 //! 1. *numeric* — real runs comparing iteration counts, QR factorization
 //!    counts, and accuracy: Zolo-PD converges in 2 iterations at
-//!    κ = 1e16 where QDWH takes 6, at the price of 8 QRs per iteration;
+//!    κ = 1e16 where QDWH takes 6, at the price of 8 stacked QRs in the
+//!    first and 8 Cholesky factorizations in the second;
 //! 2. *modeled* — the strong-scaling crossover: at a fixed problem size,
 //!    QDWH (fewer flops) wins on few nodes, Zolo-PD (shorter critical
-//!    path, r independent QR chains) wins once the node count grows.
+//!    path, r independent chains per iteration) wins once the node count
+//!    grows.
 //!
 //! ```sh
 //! cargo run --release -p polar-bench --bin ablation_zolo

@@ -27,7 +27,7 @@ use polar_bench::Args;
 use polar_gen::generate;
 use polar_matrix::{Matrix, Op};
 use polar_obs::{KernelClass, Report, SpanRecord};
-use polar_qdwh::{qdwh, zolo_pd, IterationRecord, QdwhOptions, ZoloOptions};
+use polar_qdwh::{qdwh, zolo_pd, IterationRecord, QdwhOptions, ZoloOptions, ZoloOutcome};
 use polar_runtime::TaskGraph;
 use polar_scalar::Scalar;
 use std::fmt::Write as _;
@@ -230,7 +230,24 @@ fn write_analysis(
 /// two concurrently-runnable QR branches — even on a single-core runner,
 /// because the measured CP is computed from the dependency graph, not
 /// the schedule.
-fn zolo_cp_gate(spans: &[SpanRecord], zolo_graphs: &[(u32, Arc<TaskGraph>)], r: usize) {
+///
+/// Also fails a silent fall-back to QR-only: the solve must end
+/// Cholesky-based — fewer stacked QRs than `r` per iteration, and
+/// `task_potrf` tasks in the dag.
+fn zolo_cp_gate(
+    spans: &[SpanRecord],
+    zolo_graphs: &[(u32, Arc<TaskGraph>)],
+    zolo: &ZoloOutcome<f64>,
+    r: usize,
+) {
+    let iterations = zolo.pd.info.iterations;
+    assert!(
+        zolo.qr_factorizations < r * iterations,
+        "zolo cp gate: {} stacked QRs in {iterations} iterations at r={r} — no iteration was \
+         Cholesky-based (kinds {:?})",
+        zolo.qr_factorizations,
+        zolo.pd.info.kinds
+    );
     let pm = polar_runtime::analyze(spans, zolo_graphs);
     let d = pm.dags.iter().max_by_key(|d| d.spans).unwrap_or_else(|| {
         panic!(
@@ -244,6 +261,8 @@ fn zolo_cp_gate(spans: &[SpanRecord], zolo_graphs: &[(u32, Arc<TaskGraph>)], r: 
         .map(|c| c.busy_ns)
         .sum();
     assert!(qr_busy > 0, "zolo dag {} recorded no QR-class tasks", d.dag);
+    let potrf_tasks = d.classes.iter().find(|c| c.name == "task_potrf").map_or(0, |c| c.tasks);
+    assert!(potrf_tasks > 0, "zolo dag {} recorded no task_potrf tasks", d.dag);
     assert!(
         d.critical_path_ns < qr_busy,
         "zolo cp gate: measured critical path {} ns >= serial sum of QR task durations {} ns \
@@ -472,7 +491,7 @@ fn main() {
         write_analysis(&analyze_out, n, smoke, &spans, &graphs, drift_gate);
     }
     if cp_gate {
-        zolo_cp_gate(&spans, &zolo_graphs, zolo_r);
+        zolo_cp_gate(&spans, &zolo_graphs, &zolo, zolo_r);
     }
 
     println!("{j}");

@@ -14,13 +14,11 @@
 //! * QR-based (Eq. (1)): one stacked-QR term
 //!   ([`crate::solve_dag::emit_term`]) on `[sqrt(c) X; I]` whose product
 //!   tiles carry the `theta * Q1 Q2^H + beta * X` update;
-//! * Cholesky-based (Eq. (2)): the `Z = I + c X^H X` assembly as per-tile
-//!   tasks, `polar_lapack::emit_potrf`, one `trtri_lower` per diagonal tile
-//!   of `L`, the two tiled sweeps applying `L^{-H}` then `L^{-1}` from the
-//!   right — per tile the coupling gemms and a `trmm` with the inverted
-//!   diagonal tile, a multiply where a solve would be (safe here and only
-//!   here: `kappa(Z) <= 1 + c`, see `polar_lapack`'s `tri.rs`) — and the
-//!   `beta * X_prev + theta * (X Z^{-1})` update;
+//! * Cholesky-based (Eq. (2)): `Z = I + c X^H X` as per-tile tasks
+//!   ([`crate::solve_dag::emit_gram`]), one Cholesky term
+//!   ([`crate::solve_dag::emit_chol_term`]: tile Cholesky, the inverted
+//!   diagonal tiles of `L`, the two sweeps applying `L^{-H}` then `L^{-1}`
+//!   from the right) and the `beta * X_prev + theta * (X Z^{-1})` update;
 //! * a per-tile convergence partial `|X_k - X_{k-1}|_F^2` fused into each
 //!   update task, plus one fixed-order reduction task per iteration.
 //!
@@ -50,12 +48,12 @@ use crate::options::{graph_tile_nb, IterationKind};
 use crate::qdwh_impl::QdwhError;
 use crate::skeleton::HalleyStep;
 use crate::solve_dag::{
-    emit_term, execute_hooked, HalleyUpdate, Hooked, NormSink, TermPtr, TermWorkspace,
+    emit_chol_term, emit_gram, emit_term, execute_hooked, CholPtr, HalleyUpdate, Hooked, NormSink,
+    TermPtr, TermWorkspace,
 };
-use polar_blas::{gemm, herk, trmm};
-use polar_lapack::{emit_potrf, trtri_lower, LapackError, TilePtr};
-use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
-use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TaskGraph, TaskStatus};
+use polar_lapack::{LapackError, TilePtr};
+use polar_matrix::{Matrix, ProcessGrid, TiledMatrix, Tiling};
+use polar_runtime::{KernelKind, TaskDag, TaskGraph};
 use polar_scalar::{Real, Scalar};
 use std::sync::OnceLock;
 
@@ -69,7 +67,7 @@ use std::sync::OnceLock;
 struct SolvePtrs<'a, S: Scalar> {
     x: [TilePtr<'a, S>; 2],
     term: Option<TermPtr<'a, S>>,
-    chol: Option<(TilePtr<'a, S>, TilePtr<'a, S>)>,
+    chol: Option<CholPtr<'a, S>>,
 }
 
 impl<S: Scalar> SolvePtrs<'_, S> {
@@ -93,7 +91,7 @@ impl<S: Scalar> SolvePtrs<'_, S> {
                 .then(|| TermPtr::shape(dag, m, n, nb, exploit_structure.then_some(m))),
             chol: plan.iter().any(|p| !p.is_qr()).then(|| {
                 let mut tiles = |cols| TilePtr::shape(dag, Tiling::new(n, cols, nb, nb));
-                (tiles(n), tiles(nb.min(n)))
+                CholPtr { z: tiles(n), linv: tiles(nb.min(n)) }
             }),
         }
     }
@@ -109,7 +107,10 @@ impl<S: Scalar> SolvePtrs<'_, S> {
         SolvePtrs {
             x: [self.x[0].bind(x0), self.x[1].bind(x1)],
             term: self.term.zip(term).map(|(p, ws)| p.bind(ws)),
-            chol: self.chol.zip(chol).map(|((z, li), (zs, ls))| (z.bind(zs), li.bind(ls))),
+            chol: self
+                .chol
+                .zip(chol)
+                .map(|(p, (zs, ls))| CholPtr { z: p.z.bind(zs), linv: p.linv.bind(ls) }),
         }
     }
 }
@@ -160,8 +161,8 @@ fn emit_iterations<'a, S: Scalar>(
 ) {
     type R<S> = <S as Scalar>::Real;
     let xt = at.x[0].tiling();
-    let (nb, mtx, nt) = (xt.nb(), xt.mt(), xt.nt());
-    let nbf = nb as f64;
+    let (mtx, nt) = (xt.mt(), xt.nt());
+    let nbf = xt.nb() as f64;
 
     for (k, pl) in plan.iter().enumerate() {
         if k > 0 {
@@ -183,175 +184,12 @@ fn emit_iterations<'a, S: Scalar>(
             );
         } else {
             // ---- Cholesky-based iteration ----
-            let c_r = pl.c;
-            let (z, linv) = at.chol.expect("plan has a Cholesky iteration");
-
-            // Z = I + c X^H X, lower tiles only (herk on the diagonal).
-            dag.barrier();
-            for zj in 0..nt {
-                for zi in zj..nt {
-                    let mut reads = Vec::with_capacity(2 * mtx);
-                    for l in 0..mtx {
-                        reads.push(xin.at(l, zi));
-                        if zi != zj {
-                            reads.push(xin.at(l, zj));
-                        }
-                    }
-                    let flops = if zi == zj {
-                        nbf * nbf * nbf * mtx as f64
-                    } else {
-                        2.0 * nbf * nbf * nbf * mtx as f64
-                    };
-                    dag.add(
-                        if zi == zj { KernelKind::Herk } else { KernelKind::Gemm },
-                        3,
-                        flops,
-                        reads,
-                        vec![z.at(zi, zj)],
-                        move || {
-                            // SAFETY: Z (zi, zj) is written; columns zi and
-                            // zj of X_in are the read set.
-                            let zt_tile = unsafe { z.tile(zi, zj) };
-                            let xcol = |l: usize, j: usize| unsafe { xin.tile_ref(l, j) };
-                            if zi == zj {
-                                zt_tile.set_identity();
-                                for l in 0..mtx {
-                                    herk(
-                                        Uplo::Lower,
-                                        Op::ConjTrans,
-                                        c_r,
-                                        xcol(l, zi).as_ref(),
-                                        R::<S>::ONE,
-                                        zt_tile.as_mut(),
-                                    );
-                                }
-                            } else {
-                                zt_tile.fill(S::ZERO);
-                                for l in 0..mtx {
-                                    gemm(
-                                        Op::ConjTrans,
-                                        Op::NoTrans,
-                                        S::from_real(c_r),
-                                        xcol(l, zi).as_ref(),
-                                        xcol(l, zj).as_ref(),
-                                        S::ONE,
-                                        zt_tile.as_mut(),
-                                    );
-                                }
-                            }
-                        },
-                    );
-                }
-            }
-
-            // Z = L L^H in place. Indefiniteness cancels the whole solve —
-            // an error aborts every later iteration too.
-            emit_potrf(dag, z, failure);
-
-            // L_jj^{-1} per diagonal tile, which turns the diagonal solve
-            // of both sweeps below into a multiply. A pivot trtri rejects
-            // is a factor potrf should have refused: same failure.
-            dag.barrier();
-            for tj in 0..nt {
-                dag.add_task(
-                    KernelKind::Trsm,
-                    3,
-                    nbf * nbf * nbf / 3.0,
-                    vec![z.at(tj, tj)],
-                    vec![linv.at(tj, 0)],
-                    move || {
-                        // SAFETY: L (tj, tj) is read, its inverse's tile
-                        // written.
-                        let (l, t) = unsafe { (z.tile_ref(tj, tj), linv.tile(tj, 0)) };
-                        let r = l.nrows();
-                        match trtri_lower(l.as_ref(), t.view_mut(0, 0, r, r)) {
-                            Ok(()) => TaskStatus::Continue,
-                            Err(e) => {
-                                let at = if let LapackError::SingularPivot(p) = e { p } else { 0 };
-                                let _ =
-                                    failure.set(LapackError::NotPositiveDefinite(tj * nb + at + 1));
-                                TaskStatus::Cancel
-                            }
-                        }
-                    },
-                );
-            }
-
-            // X Z^{-1} by two sweeps over the tile columns, in place in
-            // X_out (whose buffer last held X_{k-1}: every reader of that
-            // is upstream of the L these sweeps wait for). Forward,
-            // C L^H = X_in, tile columns ascending; then backward,
-            // V L = C, descending — so each sweep's RAW edges bind to its
-            // own solved tiles and the in-place WAW chains behind the
-            // forward pass over the same tile. Per tile: subtract the
-            // already-solved columns, then multiply by the inverted
-            // diagonal tile from the right.
-            for forward in [true, false] {
-                let op = if forward { Op::ConjTrans } else { Op::NoTrans };
-                for step in 0..nt {
-                    dag.barrier();
-                    let tj = if forward { step } else { nt - 1 - step };
-                    // solved columns this one depends on, and the L tile
-                    // that couples it to each
-                    let solved = if forward { 0..tj } else { tj + 1..nt };
-                    let l_tile = move |l: usize| if forward { (tj, l) } else { (l, tj) };
-                    for ti in 0..mtx {
-                        let mut reads = Vec::with_capacity(2 * solved.len() + 2);
-                        if forward {
-                            reads.push(xin.at(ti, tj));
-                        }
-                        for l in solved.clone() {
-                            let (i, j) = l_tile(l);
-                            reads.push(xout.at(ti, l));
-                            reads.push(z.at(i, j));
-                        }
-                        reads.push(linv.at(tj, 0));
-                        let solved = solved.clone();
-                        dag.add(
-                            KernelKind::Trsm,
-                            2,
-                            (2.0 * solved.len() as f64 + 1.0) * nbf * nbf * nbf,
-                            reads,
-                            vec![xout.at(ti, tj)],
-                            move || {
-                                // SAFETY: X_out (ti, tj) is written; X_in
-                                // (ti, tj), the solved X_out (ti, l), the L
-                                // tiles named above and the inverted
-                                // diagonal tile are the read set.
-                                let vt = unsafe { xout.tile(ti, tj) };
-                                if forward {
-                                    vt.copy_from(unsafe { xin.tile_ref(ti, tj) });
-                                }
-                                for l in solved {
-                                    let (i, j) = l_tile(l);
-                                    let (vl, zl) =
-                                        unsafe { (xout.tile_ref(ti, l), z.tile_ref(i, j)) };
-                                    gemm(
-                                        Op::NoTrans,
-                                        op,
-                                        -S::ONE,
-                                        vl.as_ref(),
-                                        zl.as_ref(),
-                                        S::ONE,
-                                        vt.as_mut(),
-                                    );
-                                }
-                                let inv = unsafe { linv.tile_ref(tj, 0) };
-                                let r = vt.ncols();
-                                trmm(
-                                    Side::Right,
-                                    Uplo::Lower,
-                                    op,
-                                    Diag::NonUnit,
-                                    S::ONE,
-                                    inv.view(0, 0, r, r),
-                                    vt.as_mut(),
-                                );
-                            },
-                        );
-                    }
-                }
-            }
+            // One Cholesky term over Z = I + c X_in^H X_in leaves
+            // X_in Z^{-1} in X_out (whose buffer last held X_{k-1}: every
+            // reader of that is upstream of the L the sweeps wait for).
+            let chol = at.chol.expect("plan has a Cholesky iteration");
+            emit_gram(dag, xin, chol.z, pl.c, R::<S>::ONE);
+            emit_chol_term(dag, chol, xin, xout, failure);
 
             // X_out = beta X_in + theta (X Z^{-1}), fused with the
             // convergence partial.
@@ -426,10 +264,7 @@ pub(crate) fn run_graph<S: Scalar>(
     );
     emit_iterations(&mut dag, at, plan, &sink, &failure);
 
-    if execute_hooked(dag, hooked, &sink)? == ExecOutcome::Cancelled {
-        let e = failure.into_inner().unwrap_or(LapackError::NotPositiveDefinite(0));
-        return Err(QdwhError::Lapack(e));
-    }
+    execute_hooked(dag, hooked, &sink, &failure)?;
     Ok((xb[iters % 2].to_dense(), sink))
 }
 

@@ -3,7 +3,7 @@
 //! [`Method`] of [`crate::skeleton::solve`].
 
 use crate::options::{IterationKind, QdwhOptions, TiledDecision};
-use crate::skeleton::{converged, qdwh_flops, solve, Common, HalleyStep, Method};
+use crate::skeleton::{converged, qdwh_flops, solve, step_weight, Common, HalleyStep, Method};
 use crate::solve_dag::{Hooked, NormSink};
 use polar_blas::{add, gemm, herk, herk_mirrored, norm, scale_real, trsm};
 use polar_lapack::{geqrf, orgqr, potrf, LapackError};
@@ -308,6 +308,10 @@ impl<S: Scalar> Method<S> for Halley<'_> {
         crate::fused::run_graph(x, nb, plan, self.0.exploit_structure, hooked)
     }
 
+    fn step_weight(&self, kind: IterationKind) -> f64 {
+        step_weight(kind)
+    }
+
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {
         qdwh_flops(n, info.qr_iterations, info.chol_iterations, S::IS_COMPLEX)
     }
@@ -353,8 +357,6 @@ fn qr_iteration<S: Scalar>(x: &mut Matrix<S>, step: &HalleyStep<S::Real>, exploi
 /// Z = I + c X^H X;  Z = L L^H
 /// X := (b/c) X_prev + (a - b/c) (X Z^{-1})
 /// ```
-///
-/// (`X Z^{-1}` via two right-side triangular solves with `L`.)
 fn chol_iteration<S: Scalar>(
     x: &mut Matrix<S>,
     x_prev: &Matrix<S>,
@@ -366,14 +368,24 @@ fn chol_iteration<S: Scalar>(
     // would make Z indefinite — Eq. (2) is the consistent form).
     let mut z = Matrix::<S>::identity(n, n);
     herk(Uplo::Lower, Op::ConjTrans, step.c, x.as_ref(), S::Real::ONE, z.as_mut());
-    potrf(Uplo::Lower, &mut z)?;
-
-    // X := X L^{-H} L^{-1}
-    trsm(Side::Right, Uplo::Lower, Op::ConjTrans, Diag::NonUnit, S::ONE, z.as_ref(), x.as_mut());
-    trsm(Side::Right, Uplo::Lower, Op::NoTrans, Diag::NonUnit, S::ONE, z.as_ref(), x.as_mut());
+    solve_right_hpd(&mut z, x)?;
 
     // X := (b/c) X_prev + (a - b/c) X   (line 44)
     add(S::from_real(step.beta), x_prev.as_ref(), S::from_real(step.theta), x.as_mut());
+    Ok(())
+}
+
+/// `Y := Y Z^{-1}` for the Hermitian positive definite `Z` in the lower
+/// triangle of `z`, which its factor overwrites: `Z = L L^H`, then two
+/// right-side triangular solves with `L`. What QDWH's Cholesky-based
+/// iteration and each term of Zolo-PD's do on flat kernels.
+pub(crate) fn solve_right_hpd<S: Scalar>(
+    z: &mut Matrix<S>,
+    y: &mut Matrix<S>,
+) -> Result<(), LapackError> {
+    potrf(Uplo::Lower, z)?;
+    trsm(Side::Right, Uplo::Lower, Op::ConjTrans, Diag::NonUnit, S::ONE, z.as_ref(), y.as_mut());
+    trsm(Side::Right, Uplo::Lower, Op::NoTrans, Diag::NonUnit, S::ONE, z.as_ref(), y.as_mut());
     Ok(())
 }
 

@@ -167,13 +167,23 @@ pub(crate) fn plan<S: Scalar, M: Method<S>>(method: &M, l0: M::Ell) -> Option<Ve
     Some(plan)
 }
 
-/// Flops of one iteration in units of `n^3` (§4): `8 2/3` QR-based, `4
-/// 1/3` Cholesky-based. Also what a whole-solve graph's wall time is
-/// apportioned by.
+/// Flops of one QDWH iteration in units of `n^3` (§4): `8 2/3` QR-based,
+/// `4 1/3` Cholesky-based.
 pub(crate) fn step_weight(kind: IterationKind) -> f64 {
     match kind {
         IterationKind::QrBased => 8.0 + 2.0 / 3.0,
         IterationKind::CholeskyBased => 4.0 + 1.0 / 3.0,
+    }
+}
+
+/// Flops of one Zolo-PD iteration of degree `r` in units of `n^3`.
+/// QR-based: `r` stacked QRs with their explicit `Q` (`10/3` each) and
+/// rank-`n` products. Cholesky-based: the Gram matrix once, then per term
+/// a Cholesky factorization (`1/3`) and the two sweeps.
+pub(crate) fn zolo_step_weight(kind: IterationKind, r: usize) -> f64 {
+    match kind {
+        IterationKind::QrBased => r as f64 * ((10.0 / 3.0) * 2.0 + 2.0),
+        IterationKind::CholeskyBased => 1.0 + r as f64 * (1.0 / 3.0 + 2.0),
     }
 }
 
@@ -188,13 +198,15 @@ pub fn qdwh_flops(n: usize, it_qr: usize, it_chol: usize, complex: bool) -> f64 
             + 2.0 * n3)
 }
 
-/// Zolo-PD's cost in real flops: per iteration `r` stacked QRs with their
-/// explicit `Q` (`10/3 n^3` each) and rank-`n` products, plus the final
-/// `H`.
-pub fn zolo_flops(n: usize, iterations: usize, r: usize, complex: bool) -> f64 {
+/// Zolo-PD's cost in real flops at degree `r`: the iterations by kind
+/// (`r (20/3 + 2) n^3` QR-based, `(1 + r (1/3 + 2)) n^3` Cholesky-based),
+/// plus the final `H`.
+pub fn zolo_flops(n: usize, it_qr: usize, it_chol: usize, r: usize, complex: bool) -> f64 {
     let n3 = (n as f64).powi(3);
-    let tf = type_factor(complex);
-    tf * iterations as f64 * r as f64 * ((10.0 / 3.0) * 2.0 + 2.0) * n3 + tf * 2.0 * n3
+    type_factor(complex)
+        * (zolo_step_weight(IterationKind::QrBased, r) * n3 * it_qr as f64
+            + zolo_step_weight(IterationKind::CholeskyBased, r) * n3 * it_chol as f64
+            + 2.0 * n3)
 }
 
 /// Algorithm 1 line 52: `H = U^H A`, symmetrized; `0 x 0` when the caller
@@ -336,6 +348,10 @@ pub(crate) trait Method<S: Scalar> {
         hooked: &Hooked<'_>,
     ) -> Result<(Matrix<S>, NormSink), QdwhError>;
 
+    /// Modeled flops of one iteration of `kind` in units of `n^3`: what a
+    /// whole-solve graph's wall time is apportioned by.
+    fn step_weight(&self, kind: IterationKind) -> f64;
+
     /// Modeled real flops of a finished solve of `n` columns.
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64;
 }
@@ -395,8 +411,8 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
         // The iterations overlapped, so per-step wall time is not
         // observable: the elapsed time is split by flop weight, and the
         // kernel-counter delta of the whole graph lands on the last record.
-        let secs_per_weight =
-            start.elapsed().as_secs_f64() / outcomes.iter().map(|o| step_weight(o.0)).sum::<f64>();
+        let weight_sum: f64 = outcomes.iter().map(|o| method.step_weight(o.0)).sum();
+        let secs_per_weight = start.elapsed().as_secs_f64() / weight_sum;
         let kernels = polar_obs::kernel_snapshot().delta(&kernels_before);
         for (k, &(kind, ell_after)) in outcomes.iter().enumerate() {
             let convergence: S::Real = sink.norm(k);
@@ -409,7 +425,7 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
                 kind,
                 ell: S::Real::from_f64(ell_after.to_f64()),
                 convergence,
-                seconds: secs_per_weight * step_weight(kind),
+                seconds: secs_per_weight * method.step_weight(kind),
                 kernels: if last { kernels } else { Default::default() },
             });
             (ell, conv) = (ell_after, convergence.to_f64());
@@ -474,12 +490,14 @@ mod tests {
             + 2.0 * n3;
         assert_eq!(qdwh_flops(32, 2, 4, false), expect);
         assert_eq!(qdwh_flops(32, 2, 4, true), 4.0 * expect);
-        // r QR + Q pairs and products per iteration, then H
-        assert_eq!(
-            zolo_flops(32, 2, 8, false),
-            2.0 * 8.0 * (10.0 / 3.0 * 2.0 + 2.0) * n3 + 2.0 * n3
-        );
-        assert!(zolo_flops(32, 2, 2, false) < zolo_flops(32, 2, 8, false));
+        // QR-based: r QR + Q pairs and products; Cholesky-based: one Gram
+        // matrix, r factorizations and sweep pairs; then H
+        let qr_iter = 8.0 * (10.0 / 3.0 * 2.0 + 2.0) * n3;
+        let chol_iter = n3 + 8.0 * (1.0 / 3.0 + 2.0) * n3;
+        assert_eq!(zolo_flops(32, 2, 0, 8, false), 2.0 * qr_iter + 2.0 * n3);
+        assert_eq!(zolo_flops(32, 1, 1, 8, false), qr_iter + chol_iter + 2.0 * n3);
+        assert_eq!(zolo_flops(32, 1, 1, 8, true), 4.0 * zolo_flops(32, 1, 1, 8, false));
+        assert!(zolo_flops(32, 1, 1, 2, false) < zolo_flops(32, 1, 1, 8, false));
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //!   product tiles; a Zolo-PD iteration is `r` terms with other weights.
 //!   The factorization tasks themselves come from `polar-lapack`'s
 //!   emitters — this crate names no tile kernel;
+//! * the **Cholesky term** ([`emit_chol_term`], behind [`emit_gram`]): tile
+//!   Cholesky of a shifted Gram matrix `Z` → one `trtri_lower` per diagonal
+//!   tile → the two sweeps that leave `X Z^{-1}` in an output slab. QDWH's
+//!   Cholesky-based iteration is one term over `Z = I + c X^H X` with the
+//!   Halley update behind it; a Cholesky-based Zolo-PD iteration is `r`
+//!   terms over `Z_j = X^H X + c_{2j-1} I`, the Gram matrix formed once;
 //! * the **convergence sink** ([`NormSink`]): per-tile `|X_k - X_{k-1}|_F^2`
 //!   partials published by the update tasks and one fixed-order reduction
 //!   task per iteration that nothing downstream waits on;
@@ -15,12 +21,15 @@
 
 use crate::options::{poll_progress, ProgressHook};
 use crate::qdwh_impl::QdwhError;
-use polar_blas::gemm;
-use polar_lapack::{emit_geqrf, emit_orgqr, QrPtr, TilePtr, TiledQr};
-use polar_matrix::{Op, ProcessGrid, TiledMatrix, Tiling};
-use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TileRef};
+use polar_blas::{gemm, herk, trmm};
+use polar_lapack::{
+    emit_geqrf, emit_orgqr, emit_potrf, trtri_lower, LapackError, QrPtr, TilePtr, TiledQr,
+};
+use polar_matrix::{Diag, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
+use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TaskStatus, TileRef};
 use polar_scalar::{Real, Scalar};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Per-tile convergence partials and per-iteration reduced norms of one
 /// whole-solve graph. Values cross threads as `f64` bit patterns (exact
@@ -146,6 +155,24 @@ impl<S: Scalar> TermPtr<'_, S> {
     pub(crate) fn bind<'b>(self, ws: &'b mut TermWorkspace<S>) -> TermPtr<'b, S> {
         TermPtr { w: self.w.bind(&mut ws.w), q: self.q.bind(&mut ws.q), g: self.g.bind(&mut ws.g) }
     }
+}
+
+impl<'a, S: Scalar> TermPtr<'a, S> {
+    /// The same workspace as a Cholesky term's ([`CholPtr`]): `Z` in the
+    /// `n x n` gather buffer, the inverted diagonal tiles in the first tile
+    /// column of `Q`'s top `n` rows.
+    pub(crate) fn chol(self) -> CholPtr<'a, S> {
+        CholPtr { z: self.g, linv: self.q }
+    }
+}
+
+/// Workspace of one Cholesky term: `z`, `n x n`, whose lower tiles hold `Z`
+/// and then its factor `L`; and `linv`, whose tiles `(tj, 0)`, `tj < nt`,
+/// hold the inverses of `L`'s diagonal tiles in their leading corners.
+#[derive(Clone, Copy)]
+pub(crate) struct CholPtr<'a, S> {
+    pub z: TilePtr<'a, S>,
+    pub linv: TilePtr<'a, S>,
 }
 
 /// QDWH's fusion of the Halley update into a term's product tiles: they
@@ -298,6 +325,211 @@ pub(crate) fn emit_term<'a, S: Scalar>(
     }
 }
 
+/// Add `Z = shift I + alpha X^H X` to `dag`, lower tiles only: one task per
+/// tile, `herk` on the diagonal, accumulating over `X`'s tile rows in
+/// fixed order.
+pub(crate) fn emit_gram<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    x: TilePtr<'a, S>,
+    z: TilePtr<'a, S>,
+    alpha: S::Real,
+    shift: S::Real,
+) {
+    let xt = x.tiling();
+    let (mtx, nt) = (xt.mt(), xt.nt());
+    let nbf = xt.nb() as f64;
+
+    dag.barrier();
+    for zj in 0..nt {
+        for zi in zj..nt {
+            let mut reads = Vec::with_capacity(2 * mtx);
+            for l in 0..mtx {
+                reads.push(x.at(l, zi));
+                if zi != zj {
+                    reads.push(x.at(l, zj));
+                }
+            }
+            let flops = if zi == zj {
+                nbf * nbf * nbf * mtx as f64
+            } else {
+                2.0 * nbf * nbf * nbf * mtx as f64
+            };
+            dag.add(
+                if zi == zj { KernelKind::Herk } else { KernelKind::Gemm },
+                3,
+                flops,
+                reads,
+                vec![z.at(zi, zj)],
+                move || {
+                    // SAFETY: Z (zi, zj) is written; columns zi and zj of
+                    // X are the read set.
+                    let zt_tile = unsafe { z.tile(zi, zj) };
+                    let xcol = |l: usize, j: usize| unsafe { x.tile_ref(l, j) };
+                    zt_tile.fill(S::ZERO);
+                    if zi == zj {
+                        for d in 0..zt_tile.ncols() {
+                            zt_tile[(d, d)] = S::from_real(shift);
+                        }
+                        for l in 0..mtx {
+                            herk(
+                                Uplo::Lower,
+                                Op::ConjTrans,
+                                alpha,
+                                xcol(l, zi).as_ref(),
+                                S::Real::ONE,
+                                zt_tile.as_mut(),
+                            );
+                        }
+                    } else {
+                        for l in 0..mtx {
+                            gemm(
+                                Op::ConjTrans,
+                                Op::NoTrans,
+                                S::from_real(alpha),
+                                xcol(l, zi).as_ref(),
+                                xcol(l, zj).as_ref(),
+                                S::ONE,
+                                zt_tile.as_mut(),
+                            );
+                        }
+                    }
+                },
+            );
+        }
+    }
+}
+
+/// Add one Cholesky term to `dag`, from `Z` in the lower tiles of `ws.z`:
+///
+/// ```text
+/// Z = L L^H                        (tile Cholesky, in place)
+/// out = X Z^{-1} = X L^{-H} L^{-1}  (two sweeps over out's tile columns)
+/// ```
+///
+/// `x` and `out` are tiled alike (`m x n`), `ws` at the same `nb`. A `Z`
+/// that is not positive definite stores the error in `failure`, with the
+/// pivot's global index, and cancels the dag.
+///
+/// The sweeps multiply by the inverted diagonal tiles of `L` where a solve
+/// would be: safe only for a well-conditioned `Z` (`polar_lapack`'s
+/// `tri.rs`), which is what makes an iteration Cholesky-based — `kappa(Z)
+/// <= 1 + c <= 101` under QDWH's switch, and the same bound under
+/// Zolo-PD's.
+pub(crate) fn emit_chol_term<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    ws: CholPtr<'a, S>,
+    x: TilePtr<'a, S>,
+    out: TilePtr<'a, S>,
+    failure: &'a OnceLock<LapackError>,
+) {
+    let CholPtr { z, linv } = ws;
+    let xt = x.tiling();
+    let (nb, mtx, nt) = (xt.nb(), xt.mt(), xt.nt());
+    let nbf = nb as f64;
+
+    // Z = L L^H in place. Indefiniteness cancels the whole solve — an
+    // error aborts every later iteration too.
+    emit_potrf(dag, z, failure);
+
+    // L_jj^{-1} per diagonal tile, which turns the diagonal solve of both
+    // sweeps below into a multiply. A pivot trtri rejects is a factor
+    // potrf should have refused: same failure.
+    dag.barrier();
+    for tj in 0..nt {
+        dag.add_task(
+            KernelKind::Trsm,
+            3,
+            nbf * nbf * nbf / 3.0,
+            vec![z.at(tj, tj)],
+            vec![linv.at(tj, 0)],
+            move || {
+                // SAFETY: L (tj, tj) is read, its inverse's tile written.
+                let (l, t) = unsafe { (z.tile_ref(tj, tj), linv.tile(tj, 0)) };
+                let r = l.nrows();
+                match trtri_lower(l.as_ref(), t.view_mut(0, 0, r, r)) {
+                    Ok(()) => TaskStatus::Continue,
+                    Err(e) => {
+                        let at = if let LapackError::SingularPivot(p) = e { p } else { 0 };
+                        let _ = failure.set(LapackError::NotPositiveDefinite(tj * nb + at + 1));
+                        TaskStatus::Cancel
+                    }
+                }
+            },
+        );
+    }
+
+    // X Z^{-1} by two sweeps over the tile columns, in place in `out`.
+    // Forward, C L^H = X, tile columns ascending; then backward, V L = C,
+    // descending — so each sweep's RAW edges bind to its own solved tiles
+    // and the in-place WAW chains behind the forward pass over the same
+    // tile. Per tile: subtract the already-solved columns, then multiply
+    // by the inverted diagonal tile from the right.
+    for forward in [true, false] {
+        let op = if forward { Op::ConjTrans } else { Op::NoTrans };
+        for step in 0..nt {
+            dag.barrier();
+            let tj = if forward { step } else { nt - 1 - step };
+            // solved columns this one depends on, and the L tile that
+            // couples it to each
+            let solved = if forward { 0..tj } else { tj + 1..nt };
+            let l_tile = move |l: usize| if forward { (tj, l) } else { (l, tj) };
+            for ti in 0..mtx {
+                let mut reads = Vec::with_capacity(2 * solved.len() + 2);
+                if forward {
+                    reads.push(x.at(ti, tj));
+                }
+                for l in solved.clone() {
+                    let (i, j) = l_tile(l);
+                    reads.push(out.at(ti, l));
+                    reads.push(z.at(i, j));
+                }
+                reads.push(linv.at(tj, 0));
+                let solved = solved.clone();
+                dag.add(
+                    KernelKind::Trsm,
+                    2,
+                    (2.0 * solved.len() as f64 + 1.0) * nbf * nbf * nbf,
+                    reads,
+                    vec![out.at(ti, tj)],
+                    move || {
+                        // SAFETY: out (ti, tj) is written; X (ti, tj), the
+                        // solved out (ti, l), the L tiles named above and
+                        // the inverted diagonal tile are the read set.
+                        let vt = unsafe { out.tile(ti, tj) };
+                        if forward {
+                            vt.copy_from(unsafe { x.tile_ref(ti, tj) });
+                        }
+                        for l in solved {
+                            let (i, j) = l_tile(l);
+                            let (vl, zl) = unsafe { (out.tile_ref(ti, l), z.tile_ref(i, j)) };
+                            gemm(
+                                Op::NoTrans,
+                                op,
+                                -S::ONE,
+                                vl.as_ref(),
+                                zl.as_ref(),
+                                S::ONE,
+                                vt.as_mut(),
+                            );
+                        }
+                        let inv = unsafe { linv.tile_ref(tj, 0) };
+                        let r = vt.ncols();
+                        trmm(
+                            Side::Right,
+                            Uplo::Lower,
+                            op,
+                            Diag::NonUnit,
+                            S::ONE,
+                            inv.view(0, 0, r, r),
+                            vt.as_mut(),
+                        );
+                    },
+                );
+            }
+        }
+    }
+}
+
 /// What a whole-solve graph tells the caller's progress hook: graph phase
 /// `k` is the solve's iteration `k + 1`, the bound entering it is
 /// `ells[k]`, and the convergence norm before the first is `first_conv`.
@@ -311,13 +543,21 @@ pub(crate) struct Hooked<'a> {
 /// before every task release with the oldest iteration still in flight,
 /// the norm the previous iteration's sink published and the planned bound
 /// entering it; a `Cancel` abandons the graph and comes back as
-/// [`QdwhError::Cancelled`]. Any other outcome is the caller's to read.
+/// [`QdwhError::Cancelled`]. A graph one of its own bodies cancelled comes
+/// back as the error that body left in `failure`.
 pub(crate) fn execute_hooked(
     dag: TaskDag<'_>,
     hooked: &Hooked<'_>,
     sink: &NormSink,
-) -> Result<ExecOutcome, QdwhError> {
-    let Some(hook) = hooked.hook else { return Ok(dag.execute()) };
+    failure: &OnceLock<LapackError>,
+) -> Result<(), QdwhError> {
+    let broke_down = |outcome| match outcome {
+        ExecOutcome::Completed => Ok(()),
+        ExecOutcome::Cancelled => Err(QdwhError::Lapack(
+            failure.get().cloned().unwrap_or(LapackError::NotPositiveDefinite(0)),
+        )),
+    };
+    let Some(hook) = hooked.hook else { return broke_down(dag.execute()) };
     let cancelled_at = AtomicUsize::new(0);
     let outcome = dag.execute_until(|frontier| {
         let k = frontier as usize;
@@ -331,7 +571,42 @@ pub(crate) fn execute_hooked(
         cancel
     });
     match cancelled_at.into_inner() {
-        0 => Ok(outcome),
+        0 => broke_down(outcome),
         iteration => Err(QdwhError::Cancelled { iteration }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use polar_matrix::Matrix;
+
+    /// A `Z` that is not positive definite cancels the dag a Cholesky term
+    /// sits in and names the failing pivot by its index in `Z`, not in its
+    /// tile.
+    #[test]
+    fn chol_term_on_an_indefinite_z_cancels_with_the_global_index() {
+        let (m, n, nb) = (10usize, 10usize, 4usize);
+        let grid = ProcessGrid::single;
+        // the leading minor of order 10 is the first that is not positive:
+        // second pivot of the third diagonal tile
+        let z = Matrix::<f64>::from_fn(n, n, |i, j| match (i == j, i) {
+            (true, 9) => -1.0,
+            (true, _) => 2.0,
+            _ => 0.0,
+        });
+        let mut z = TiledMatrix::from_dense(&z, nb, nb, grid());
+        let mut linv = TiledMatrix::<f64>::zeros(Tiling::new(n, nb, nb, nb), grid());
+        let mut x = TiledMatrix::from_dense(&Matrix::<f64>::identity(m, n), nb, nb, grid());
+        let mut out = TiledMatrix::<f64>::zeros(x.tiling(), grid());
+        let failure = OnceLock::new();
+
+        let mut dag = TaskDag::new();
+        let ws =
+            CholPtr { z: TilePtr::new(&mut dag, &mut z), linv: TilePtr::new(&mut dag, &mut linv) };
+        let (x, out) = (TilePtr::new(&mut dag, &mut x), TilePtr::new(&mut dag, &mut out));
+        emit_chol_term(&mut dag, ws, x, out, &failure);
+        assert_eq!(dag.execute(), ExecOutcome::Cancelled);
+        assert_eq!(failure.get(), Some(&LapackError::NotPositiveDefinite(10)));
     }
 }

@@ -9,18 +9,23 @@
 //! degree-(2r+1, 2r) Zolotarev map: with `r = 8` **two** iterations
 //! suffice at κ = 1e16, because composing two Zolotarev functions is again
 //! Zolotarev-optimal of degree (2r+1)² = 289 (Nakatsukasa & Freund 2016).
-//! The price is `r` QR factorizations per iteration — but they are
-//! *mutually independent*, which is exactly the extra concurrency the
-//! paper wants for strong scaling.
+//! The price is `r` factorizations per iteration — but they are *mutually
+//! independent*, which is exactly the extra concurrency the paper wants
+//! for strong scaling. They are stacked QRs only while they must be: as in
+//! Algorithm 1 (and Nakatsukasa–Freund's Algorithm 5.1), an iteration whose
+//! interval `[ell, 1]` makes every `Z_j = X^H X + c_{2j-1} I` well
+//! conditioned is Cholesky-based — `r` Cholesky factorizations of shifted
+//! copies of one Gram matrix (`ZoloIterPlan::at` decides, from `ell`
+//! alone). At `r = 8` that is the second of the two iterations.
 
 use crate::options::{IterationKind, L0Strategy, ProgressHook, TiledPath};
-use crate::qdwh_impl::{PolarDecomposition, QdwhError, QdwhInfo};
-use crate::skeleton::{solve, zolo_flops, Common, Method};
+use crate::qdwh_impl::{solve_right_hpd, PolarDecomposition, QdwhError, QdwhInfo};
+use crate::skeleton::{plan, solve, zolo_flops, zolo_step_weight, Common, Method};
 use crate::solve_dag::{Hooked, NormSink};
 use crate::zolo_fused::ZoloIterPlan;
-use polar_blas::{gemm, scale_real};
+use polar_blas::{add, gemm, herk, scale_real};
 use polar_lapack::orgqr;
-use polar_matrix::{Matrix, Op};
+use polar_matrix::{Matrix, Op, Uplo};
 use polar_scalar::{Real, Scalar};
 
 /// Options for [`zolo_pd`].
@@ -38,9 +43,8 @@ pub struct ZoloOptions {
     /// Whole-solve fused DAG selection: when the tile path resolves (same
     /// semantics and `POLAR_TILED` pin as
     /// [`QdwhOptions::tiled`](crate::options::QdwhOptions::tiled)), the
-    /// `r` stacked-QR terms of every iteration run as concurrent task
-    /// branches of one graph (`zolo_fused`); otherwise the serial
-    /// term-by-term loop runs.
+    /// `r` terms of every iteration run as concurrent task branches of one
+    /// graph (`zolo_fused`); otherwise the serial term-by-term loop runs.
     pub tiled: TiledPath,
     /// Tile size for the fused path; `None` picks
     /// `polar_lapack::auto_tile_nb`.
@@ -77,13 +81,27 @@ impl Default for ZoloOptions {
     }
 }
 
-/// Result of [`zolo_pd`]: the decomposition plus the count of QR
-/// factorizations performed (the concurrency currency of the method).
+impl ZoloOptions {
+    /// The kind of each iteration [`zolo_pd`] runs under these options from
+    /// the interval bound `l0`: the scalar plan alone, no matrix. `None`
+    /// when `max_iterations` comes first (or `r = 0`).
+    pub fn planned_kinds(&self, l0: f64) -> Option<Vec<IterationKind>> {
+        if self.r == 0 {
+            return None;
+        }
+        let steps = plan::<f64, _>(&Zolotarev(self), l0)?;
+        Some(steps.iter().map(|step| step.kind).collect())
+    }
+}
+
+/// Result of [`zolo_pd`]: the decomposition plus the count of stacked-QR
+/// factorizations performed.
 #[derive(Debug, Clone)]
 pub struct ZoloOutcome<S: Scalar> {
     pub pd: PolarDecomposition<S>,
-    /// Total stacked-QR factorizations across all iterations
-    /// (`r` per iteration, each independent within an iteration).
+    /// Total stacked-QR factorizations: `r` per QR-based iteration
+    /// (`pd.info.qr_iterations`), each independent within its iteration;
+    /// a Cholesky-based iteration (`pd.info.chol_iterations`) has none.
     pub qr_factorizations: usize,
 }
 
@@ -93,8 +111,8 @@ pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutc
         return Err(QdwhError::Shape("zolo_pd requires r >= 1"));
     }
     let pd = solve(a, &Zolotarev(zopts))?;
-    // r stacked QRs per iteration, on either path
-    Ok(ZoloOutcome { qr_factorizations: zopts.r * pd.info.iterations, pd })
+    // r stacked QRs per QR-based iteration, on either path
+    Ok(ZoloOutcome { qr_factorizations: zopts.r * pd.info.qr_iterations, pd })
 }
 
 /// Zolo-PD under [`solve`]: type-`(2r+1, 2r)` Zolotarev steps, stopped when
@@ -126,7 +144,7 @@ impl<S: Scalar> Method<S> for Zolotarev<'_> {
     }
 
     fn outcome(step: &ZoloIterPlan) -> (IterationKind, f64) {
-        (IterationKind::QrBased, step.ell_after)
+        (step.kind, step.ell_after)
     }
 
     /// The sampled `[fmin, fmax]` bracket is accurate to a few ulps and the
@@ -139,11 +157,12 @@ impl<S: Scalar> Method<S> for Zolotarev<'_> {
         (ell - 1.0).abs() < 50.0 * S::Real::EPSILON.to_f64()
     }
 
-    /// `X := M (X + sum_j (a_j / sqrt(c_{2j-1})) Q1_j Q2_j^H)`, each term
-    /// from the stacked QR `[X; sqrt(c_{2j-1}) I] = [Q1; Q2] R`, then the
-    /// `sigma_max <= 1` rescale. The `r` factorizations are independent —
-    /// the fused graph runs them concurrently (the strong-scaling win of
-    /// §8).
+    /// `X := M (X + sum_j a_j X Z_j^{-1})`, `Z_j = X^H X + c_{2j-1} I`, then
+    /// the `sigma_max <= 1` rescale. QR-based, each `X Z_j^{-1}` is `Q1 Q2^H
+    /// / sqrt(c_{2j-1})` of the stacked QR `[X; sqrt(c_{2j-1}) I] = [Q1; Q2]
+    /// R`; Cholesky-based, a solve with the factor of `Z_j`, the Gram matrix
+    /// formed once. The `r` factorizations are independent — the fused
+    /// graph runs them concurrently (the strong-scaling win of §8).
     fn apply(
         &self,
         x: &mut Matrix<S>,
@@ -151,26 +170,40 @@ impl<S: Scalar> Method<S> for Zolotarev<'_> {
         step: &ZoloIterPlan,
     ) -> Result<(), QdwhError> {
         let (m, n) = (x.nrows(), x.ncols());
-        for (j, &aj) in step.a_w.iter().enumerate() {
-            let sqrt_c = step.c[2 * j].sqrt(); // c_{2j-1}
-            let mut bottom = Matrix::<S>::identity(n, n);
-            scale_real::<S>(S::Real::from_f64(sqrt_c), bottom.as_mut());
-            let mut w = Matrix::vstack(x_prev, &bottom);
-            // the diagonal bottom block has the same trapezoidal-fill
-            // structure QDWH exploits, so the windowed QR applies here too
-            let f = polar_lapack::geqrf_stacked(m, &mut w);
-            let q = orgqr(&w, &f);
-            let q1 = q.submatrix_owned(0, 0, m, n);
-            let q2 = q.submatrix_owned(m, 0, n, n);
-            gemm(
-                Op::NoTrans,
-                Op::ConjTrans,
-                S::from_f64(aj / sqrt_c),
-                q1.as_ref(),
-                q2.as_ref(),
-                S::ONE,
-                x.as_mut(),
-            );
+        if step.kind == IterationKind::QrBased {
+            for (j, &aj) in step.a_w.iter().enumerate() {
+                let sqrt_c = step.c[2 * j].sqrt(); // c_{2j-1}
+                let mut bottom = Matrix::<S>::identity(n, n);
+                scale_real::<S>(S::Real::from_f64(sqrt_c), bottom.as_mut());
+                let mut w = Matrix::vstack(x_prev, &bottom);
+                // the diagonal bottom block has the same trapezoidal-fill
+                // structure QDWH exploits, so the windowed QR applies here too
+                let f = polar_lapack::geqrf_stacked(m, &mut w);
+                let q = orgqr(&w, &f);
+                let q1 = q.submatrix_owned(0, 0, m, n);
+                let q2 = q.submatrix_owned(m, 0, n, n);
+                gemm(
+                    Op::NoTrans,
+                    Op::ConjTrans,
+                    S::from_f64(aj / sqrt_c),
+                    q1.as_ref(),
+                    q2.as_ref(),
+                    S::ONE,
+                    x.as_mut(),
+                );
+            }
+        } else {
+            let mut gram = Matrix::<S>::zeros(n, n);
+            let one = S::Real::ONE;
+            herk(Uplo::Lower, Op::ConjTrans, one, x_prev.as_ref(), S::Real::ZERO, gram.as_mut());
+            for (j, &aj) in step.a_w.iter().enumerate() {
+                let (mut z, mut y) = (gram.clone(), x_prev.clone());
+                for d in 0..n {
+                    z[(d, d)] += S::from_f64(step.c[2 * j]); // c_{2j-1}
+                }
+                solve_right_hpd(&mut z, &mut y)?;
+                add(S::from_f64(aj), y.as_ref(), S::ONE, x.as_mut());
+            }
         }
         scale_real::<S>(S::Real::from_f64(step.m_hat), x.as_mut());
         // keep sigma_max <= 1 for the next interval
@@ -190,8 +223,12 @@ impl<S: Scalar> Method<S> for Zolotarev<'_> {
         crate::zolo_fused::run_graph(x, nb, plan, hooked)
     }
 
+    fn step_weight(&self, kind: IterationKind) -> f64 {
+        zolo_step_weight(kind, self.0.r)
+    }
+
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {
-        zolo_flops(n, info.iterations, self.0.r, S::IS_COMPLEX)
+        zolo_flops(n, info.qr_iterations, info.chol_iterations, self.0.r, S::IS_COMPLEX)
     }
 }
 
@@ -213,8 +250,9 @@ mod tests {
         assert!(out.pd.info.iterations <= 2, "iterations = {}", out.pd.info.iterations);
         assert!(orthogonality_error(&out.pd.u) < 1e-12);
         assert!(out.pd.backward_error(&a) < 1e-12);
-        // 8 QRs per iteration
-        assert_eq!(out.qr_factorizations, 8 * out.pd.info.iterations);
+        // 8 QRs per QR-based iteration, none in a Cholesky-based one
+        assert_eq!(out.qr_factorizations, 8 * out.pd.info.qr_iterations);
+        assert_eq!(out.pd.info.qr_iterations + out.pd.info.chol_iterations, out.pd.info.iterations);
 
         let qdwh_run = qdwh(&a, &QdwhOptions::default()).unwrap();
         assert!(out.pd.info.iterations < qdwh_run.info.iterations);

@@ -1,5 +1,5 @@
 //! Whole-solve task graph for Zolo-PD: every iteration's `r` independent
-//! stacked-QR terms as ONE DAG.
+//! terms as ONE DAG.
 //!
 //! The serial driver in `zolo.rs` runs the `r` partial-fraction terms of
 //! each Zolotarev iteration in a `for` loop, even though the code comment
@@ -7,24 +7,31 @@
 //! the whole reason the paper's §8 wants Zolo-PD in the strong-scaling
 //! regime. This module lifts the same trick `fused.rs` plays for QDWH:
 //! the Zolotarev coefficients `c_i`, the weights `a_j`, the normalization
-//! `M = 1/f(1)`, the `sigma_max <= 1` rescale, and the interval update
-//! `ell -> fmin/fmax` are all pure scalar functions of `ell` — no matrix
-//! data enters the recurrence — so the whole iteration sequence is known
-//! up front ([`crate::skeleton::plan`] over [`ZoloIterPlan::at`]).
-//! [`run_graph`] then emits, per
-//! planned iteration and per term `j in 0..r`, the same stacked-QR term
-//! QDWH's QR-based iteration is one of ([`crate::solve_dag::emit_term`]),
-//! on `W_j = [X; sqrt(c_{2j}) I]`, with the rank-`n` product
-//! `Y_j = Q1_j Q2_j^H` going to a *private* per-term slab;
+//! `M = 1/f(1)`, the `sigma_max <= 1` rescale, the interval update `ell ->
+//! fmin/fmax` and the QR-vs-Cholesky kind are all pure scalar functions of
+//! `ell` — no matrix data enters the recurrence — so the whole iteration
+//! sequence is known up front ([`crate::skeleton::plan`] over
+//! [`ZoloIterPlan::at`]). [`run_graph`] then emits, per planned iteration
+//! and per term `j in 0..r`, `Y_j = X Z_j^{-1}` up to a scalar, `Z_j = X^H
+//! X + c_{2j-1} I`, into a *private* per-term slab:
+//!
+//! * QR-based (per term, what QDWH's QR-based iteration is one of): the
+//!   stacked-QR term ([`crate::solve_dag::emit_term`]) on `W_j = [X;
+//!   sqrt(c_{2j-1}) I]`, `Y_j = Q1_j Q2_j^H = sqrt(c_{2j-1}) X Z_j^{-1}`;
+//! * Cholesky-based (what QDWH's Cholesky-based iteration is one of): the
+//!   Gram matrix `X^H X` once per iteration
+//!   ([`crate::solve_dag::emit_gram`]), then per term a shifted copy of
+//!   its lower tiles into the term's workspace and the Cholesky term
+//!   ([`crate::solve_dag::emit_chol_term`]), `Y_j = X Z_j^{-1}`;
 //!
 //! plus, per iteration, one combined-update task per `X` tile that applies
-//! `X_out = M rho X + sum_j (M rho a_j / sqrt(c_{2j})) Y_j` (with `rho`
-//! the planned rescale) in **fixed term order**, fused with the
-//! convergence partial, and a fixed-order reduction sink — all into a
-//! single [`TaskDag`]. The `r` QR chains share no tiles, so they run
-//! concurrently across pool workers. `X` is double-buffered by iteration
-//! parity; each term's workspace and `Y_j` slab exist once and are reused
-//! by every iteration, exactly like `qdwh_fused`.
+//! `X_out = M rho (X + sum_j a_j X Z_j^{-1})` (with `rho` the planned
+//! rescale) in **fixed term order**, fused with the convergence partial,
+//! and a fixed-order reduction sink — all into a single [`TaskDag`]. The
+//! `r` chains share no written tiles, so they run concurrently across pool
+//! workers. `X` is double-buffered by iteration parity; each term's
+//! workspace and `Y_j` slab (and the one Gram matrix) exist once and are
+//! reused by every iteration, exactly like `qdwh_fused`.
 //!
 //! Determinism: every value-affecting ordering is a dependency edge, tile
 //! accumulations happen inside single tasks in fixed loop order, and the
@@ -38,16 +45,25 @@
 //! extra code.
 
 use crate::elliptic::{zolotarev_coefficients, zolotarev_eval, zolotarev_weights};
+use crate::options::IterationKind;
 use crate::qdwh_impl::QdwhError;
-use crate::solve_dag::{emit_term, execute_hooked, Hooked, NormSink, TermPtr, TermWorkspace};
-use polar_lapack::TilePtr;
+use crate::solve_dag::{
+    emit_chol_term, emit_gram, emit_term, execute_hooked, Hooked, NormSink, TermPtr, TermWorkspace,
+};
+use polar_lapack::{LapackError, TilePtr};
 use polar_matrix::{Matrix, ProcessGrid, TiledMatrix, Tiling};
-use polar_runtime::{ExecOutcome, KernelKind, TaskDag};
+use polar_runtime::{KernelKind, TaskDag};
 use polar_scalar::{Real, Scalar};
+use std::sync::OnceLock;
+
+/// The largest `kappa_2(X^H X + c_{2j-1} I)` a Cholesky-based step accepts:
+/// the `kappa_2(I + c X^H X) <= 1 + c <= 101` QDWH's paper switch (`c <=
+/// 100`) allows its own Cholesky iteration.
+const CHOL_MAX_KAPPA_Z: f64 = 1.0 + 100.0;
 
 /// One precomputed Zolotarev iteration: coefficients, weights, the
-/// normalization, the planned `sigma_max <= 1` rescale, and the interval
-/// bound after the update.
+/// normalization, the planned `sigma_max <= 1` rescale, the factorization
+/// family and the interval bound after the update.
 #[derive(Debug, Clone)]
 pub(crate) struct ZoloIterPlan {
     /// The `2r` Zolotarev coefficients `c_1..c_{2r}` for this `ell`.
@@ -59,6 +75,10 @@ pub(crate) struct ZoloIterPlan {
     /// `1/fmax` when the sampled map overshoots 1, else 1 — applied
     /// together with `m_hat` in the combined update.
     pub rescale: f64,
+    /// How the `r` terms `X (X^H X + c_{2j-1} I)^{-1}` are formed: from
+    /// stacked QRs, or — once the interval makes every shifted Gram matrix
+    /// well conditioned — from Cholesky factors of it.
+    pub kind: IterationKind,
     /// `ell_{k+1} = fmin/fmax` after this iteration.
     pub ell_after: f64,
 }
@@ -81,7 +101,14 @@ impl ZoloIterPlan {
             fmax = fmax.max(y);
         }
         let rescale = if fmax > 1.0 { 1.0 / fmax } else { 1.0 };
-        Self { c, a_w, m_hat: 1.0 / f1, rescale, ell_after: (fmin / fmax).min(1.0) }
+        // sigma(X) in [ell, 1]: kappa_2(Z_j) <= (1 + c_{2j-1}) / (ell^2 + c_{2j-1})
+        let kappa_z = (0..r).map(|j| (1.0 + c[2 * j]) / (ell * ell + c[2 * j])).fold(0.0, f64::max);
+        let kind = if kappa_z <= CHOL_MAX_KAPPA_Z {
+            IterationKind::CholeskyBased
+        } else {
+            IterationKind::QrBased
+        };
+        Self { c, a_w, m_hat: 1.0 / f1, rescale, kind, ell_after: (fmin / fmax).min(1.0) }
     }
 }
 
@@ -102,10 +129,11 @@ pub(crate) fn run_graph<S: Scalar>(
     let xt = Tiling::new(m, n, nb, nb);
     let mtx = xt.mt();
     let nt = xt.nt();
-    // X double-buffered by iteration parity; per term, one workspace and
-    // one private accumulation slab Y. The diagonal sqrt(c) I bottom block
-    // has the same trapezoidal fill the QDWH stacked QR exploits, so the
-    // pruned row window always applies.
+    // X double-buffered by iteration parity; per term, one workspace (a
+    // Cholesky term lives in the stacked-QR term's) and one private slab
+    // Y. The diagonal sqrt(c) I bottom block has the same trapezoidal fill
+    // the QDWH stacked QR exploits, so the pruned row window always
+    // applies.
     let mut xb0 = TiledMatrix::from_dense(&x, nb, nb, ProcessGrid::single());
     drop(x); // the tiles are the iterate from here on
     let mut xb1 = TiledMatrix::<S>::zeros(xt, ProcessGrid::single());
@@ -114,6 +142,14 @@ pub(crate) fn run_graph<S: Scalar>(
             (TermWorkspace::new(m, n, nb, Some(m)), TiledMatrix::zeros(xt, ProcessGrid::single()))
         })
         .collect();
+    // the one Gram matrix X^H X every term of a Cholesky-based iteration
+    // shifts a copy of
+    let gt = Tiling::new(n, n, nb, nb);
+    let mut gram = plan
+        .iter()
+        .any(|p| p.kind == IterationKind::CholeskyBased)
+        .then(|| TiledMatrix::<S>::zeros(gt, ProcessGrid::single()));
+    let failure = OnceLock::<LapackError>::new();
 
     let mut sink = NormSink::new(iters, xt);
 
@@ -126,6 +162,7 @@ pub(crate) fn run_graph<S: Scalar>(
             (TermPtr::shape(&mut dag, m, n, nb, Some(m)).bind(ws), TilePtr::new(&mut dag, y))
         })
         .collect();
+    let gram = gram.as_mut().map(|g| TilePtr::new(&mut dag, g));
     let nbf = nb as f64;
 
     for (k, pl) in plan.iter().enumerate() {
@@ -135,22 +172,60 @@ pub(crate) fn run_graph<S: Scalar>(
         let (xin, xout) = (xp[k % 2], xp[(k + 1) % 2]);
         let s0 = pl.m_hat * pl.rescale;
 
-        // ---- r independent stacked-QR term branches: Y_j = Q1_j Q2_j^H ----
+        // ---- r independent term branches into the private slabs Y_j ----
         // Each term touches only its own workspace, so the r waves are
         // fully independent; the reduction over terms happens below, in
-        // fixed order, so a product tile is free to run as soon as its own
-        // term's Q is ready.
-        for (j, &(ws, y)) in terms.iter().enumerate() {
-            let d = R::<S>::from_f64(pl.c[2 * j].sqrt());
-            emit_term(&mut dag, ws, xin, (R::<S>::ONE, d), S::ONE, y, None);
-        }
+        // fixed order, so a tile of Y_j is free to run as soon as its own
+        // term's factor is ready. `coefs[j] Y_j` is the term's share of
+        // the update.
+        let coefs: Vec<f64> = if pl.kind == IterationKind::QrBased {
+            // Y_j = Q1_j Q2_j^H, [Q1_j; Q2_j] R = [X; sqrt(c_{2j-1}) I]
+            for (j, &(ws, y)) in terms.iter().enumerate() {
+                let d = R::<S>::from_f64(pl.c[2 * j].sqrt());
+                emit_term(&mut dag, ws, xin, (R::<S>::ONE, d), S::ONE, y, None);
+            }
+            pl.a_w.iter().enumerate().map(|(j, &aj)| s0 * aj / pl.c[2 * j].sqrt()).collect()
+        } else {
+            // Y_j = X Z_j^{-1} = Q1_j Q2_j^H / sqrt(c_{2j-1}), Z_j = X^H X +
+            // c_{2j-1} I: the Gram matrix once, then per term a shifted
+            // copy of its lower tiles and one Cholesky term over it
+            let gram = gram.expect("plan has a Cholesky iteration");
+            emit_gram(&mut dag, xin, gram, R::<S>::ONE, R::<S>::ZERO);
+            for (j, &(ws, y)) in terms.iter().enumerate() {
+                let chol = ws.chol();
+                let (z, shift) = (chol.z, S::from_f64(pl.c[2 * j]));
+                dag.barrier();
+                for zj in 0..nt {
+                    for zi in zj..nt {
+                        dag.add(
+                            KernelKind::Geadd,
+                            3,
+                            nbf * nbf,
+                            vec![gram.at(zi, zj)],
+                            vec![z.at(zi, zj)],
+                            move || {
+                                // SAFETY: Z_j (zi, zj) is written; the Gram
+                                // tile of the same index is the read set.
+                                let (zt, gt) = unsafe { (z.tile(zi, zj), gram.tile_ref(zi, zj)) };
+                                zt.copy_from(gt);
+                                if zi == zj {
+                                    for d in 0..zt.ncols() {
+                                        zt[(d, d)] += shift;
+                                    }
+                                }
+                            },
+                        );
+                    }
+                }
+                emit_chol_term(&mut dag, chol, xin, y, &failure);
+            }
+            pl.a_w.iter().map(|&aj| s0 * aj).collect()
+        };
 
         // ---- fixed-order combine: X_out = s0 X + sum_j sj Y_j ----
         // One task per X tile, walking the r private slabs in fixed
         // term order (determinism), fused with the convergence partial
         // |X_out - X_in|_F^2 for this tile.
-        let coefs: Vec<f64> =
-            pl.a_w.iter().enumerate().map(|(j, &aj)| s0 * aj / pl.c[2 * j].sqrt()).collect();
         let ys: Vec<TilePtr<S>> = terms.iter().map(|&(_, y)| y).collect();
         for tj in 0..nt {
             for ti in 0..mtx {
@@ -196,9 +271,7 @@ pub(crate) fn run_graph<S: Scalar>(
         sink.emit_reduce::<R<S>>(&mut dag, k);
     }
 
-    let outcome = execute_hooked(dag, hooked, &sink)?;
-    // no body of this graph cancels (QR cannot break down)
-    debug_assert_eq!(outcome, ExecOutcome::Completed);
+    execute_hooked(dag, hooked, &sink, &failure)?;
     Ok((if iters % 2 == 0 { xb0.to_dense() } else { xb1.to_dense() }, sink))
 }
 
@@ -225,7 +298,7 @@ mod tests {
     /// serial path is held to. Elementwise closeness is NOT asserted —
     /// the two paths use different QR algorithms (tile TS-QR vs flat
     /// blocked Householder), whose rounding differs on the
-    /// ill-conditioned stacked panels.
+    /// ill-conditioned stacked panels of the QR-based iterations.
     fn parity_case<S: Scalar>(a: &Matrix<S>, r: usize, tol: f64) {
         let fused = zolo_pd(a, &fused_opts(r)).expect("fused converged");
         let serial = zolo_pd(a, &serial_opts(r)).expect("serial converged");
@@ -235,7 +308,7 @@ mod tests {
             fused.qr_factorizations, serial.qr_factorizations,
             "r={r}: fused QR accounting diverged from the serial loop"
         );
-        assert_eq!(fused.qr_factorizations, r * fused.pd.info.iterations);
+        assert_eq!(fused.qr_factorizations, r * fused.pd.info.qr_iterations);
         let (ff, fs) = (fused.pd.info.flops_estimate, serial.pd.info.flops_estimate);
         assert!(
             (ff - fs).abs() <= 0.01 * fs,
@@ -411,6 +484,44 @@ mod tests {
         }
         // ell trajectory is monotone toward 1
         assert!(plan.windows(2).all(|w| w[0].ell_after <= w[1].ell_after));
+    }
+
+    /// `max_j kappa_2(Z_j)` over `sigma(X) in [ell, 1]`, from the plan's own
+    /// coefficients: what the kind of the step entered at `ell` is chosen by.
+    fn kappa_z(step: &ZoloIterPlan, ell: f64) -> f64 {
+        let shifts = step.c.iter().step_by(2);
+        shifts.map(|&c| (1.0 + c) / (ell * ell + c)).fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn plan_goes_cholesky_once_the_interval_is_well_conditioned() {
+        use IterationKind::{CholeskyBased as Chol, QrBased as Qr};
+        let kinds = |plan: &[ZoloIterPlan]| plan.iter().map(|p| p.kind).collect::<Vec<_>>();
+        // the double-precision floor at r = 8: one QR-based iteration lifts
+        // the interval far enough for the second to be Cholesky-based
+        assert_eq!(kinds(&plan_zolo_iterations(1e-16, 8, 6).unwrap()), [Qr, Chol]);
+        // a start QDWH would itself run Cholesky-only from
+        for l0 in [0.2, 0.5, 0.9, 0.999] {
+            for r in [1usize, 2, 4, 8] {
+                let plan = plan_zolo_iterations(l0, r, 20).unwrap();
+                assert!(plan.iter().all(|p| p.kind == Chol), "l0={l0} r={r}: {:?}", kinds(&plan));
+            }
+        }
+        for r in [2usize, 4, 8] {
+            let plan = plan_zolo_iterations(1e-16, r, 20).unwrap();
+            // a QR prefix, a Cholesky suffix, never back
+            let switch = plan.iter().position(|p| p.kind == Chol).expect("ends Cholesky-based");
+            assert!(switch >= 1, "r={r}: {:?}", kinds(&plan));
+            assert!(plan[switch..].iter().all(|p| p.kind == Chol), "r={r}: {:?}", kinds(&plan));
+            // the bound that licenses the inverted-diagonal sweeps holds on
+            // every Cholesky step and fails on the step before the switch
+            let mut ell = 1e-16;
+            for (k, p) in plan.iter().enumerate() {
+                let kz = kappa_z(p, ell);
+                assert_eq!(kz <= CHOL_MAX_KAPPA_Z, k >= switch, "r={r} step {k}: kappa(Z) {kz:e}");
+                ell = p.ell_after;
+            }
+        }
     }
 
     #[test]

@@ -352,13 +352,16 @@ fn cost_operations(
 }
 
 /// Model Zolo-PD (the paper's §8 future-work algorithm) on the same
-/// machine: `iterations x r` *mutually independent* stacked-QR chains.
+/// machine at its `r = 8` double-precision guarantee of two iterations:
+/// `r` *mutually independent* stacked-QR chains, then — the interval being
+/// well conditioned after one iteration — `r` independent Cholesky chains
+/// over one shared Gram matrix.
 ///
 /// With `nodes >= r`, the node set splits into `r` groups that execute the
-/// chains concurrently, so one Zolo iteration costs what one QR chain
-/// costs on `nodes/r` nodes — and only ~2 iterations are needed. This is
-/// the strong-scaling trade the paper describes: more flops than QDWH,
-/// but a much shorter critical path at high node counts.
+/// chains concurrently, so one Zolo iteration costs what one chain costs
+/// on `nodes/r` nodes — and only 2 iterations are needed. This is the
+/// strong-scaling trade the paper describes: more flops than QDWH, but a
+/// much shorter critical path at high node counts.
 pub fn estimate_zolo_time(
     node: &NodeSpec,
     nodes: usize,
@@ -371,10 +374,10 @@ pub fn estimate_zolo_time(
     let nbf = nb as f64;
     let t = (nf / nbf).ceil().max(1.0);
     let n3 = nf.powi(3);
-    let iterations = 2usize; // the r = 8 double-precision guarantee
 
-    // one partial-fraction chain: stacked geqrf + explicit Q + accumulate
-    let chain_ops = vec![
+    // iteration 1, one partial-fraction chain: stacked geqrf + explicit Q
+    // + accumulate
+    let qr_chain = [
         Op {
             class: OpClass::QrLike,
             flops: (10.0 / 3.0) * n3,
@@ -389,52 +392,55 @@ pub fn estimate_zolo_time(
         },
         Op { class: OpClass::GemmLike, flops: 2.0 * n3, steps: t, panel_flops_per_step: 0.0 },
     ];
-    // shared prologue/epilogue on the full machine: condition estimate + H
-    let shared_ops = vec![
+    // iteration 2, one chain: potrf of the shifted Gram matrix + the two
+    // right-side triangular solves
+    let chol_chain = [
+        Op {
+            class: OpClass::CholLike,
+            flops: n3 / 3.0,
+            steps: t,
+            panel_flops_per_step: nbf.powi(3) / 3.0,
+        },
+        Op { class: OpClass::TrsmLike, flops: 2.0 * n3, steps: 2.0 * t, panel_flops_per_step: 0.0 },
+    ];
+    // on the full machine: condition estimate, iteration 2's Gram matrix
+    // (formed once, shifted per chain), H
+    let shared_ops = [
         Op {
             class: OpClass::QrLike,
             flops: (4.0 / 3.0) * n3,
             steps: t,
             panel_flops_per_step: 2.0 * (nf / 2.0) * nbf * nbf,
         },
+        Op { class: OpClass::CholLike, flops: n3, steps: t, panel_flops_per_step: 0.0 },
         Op { class: OpClass::GemmLike, flops: 2.0 * n3, steps: t, panel_flops_per_step: 0.0 },
     ];
-
-    let chain_flops: f64 = chain_ops.iter().map(|o| o.flops).sum();
-    let shared_flops: f64 = shared_ops.iter().map(|o| o.flops).sum();
-    let total_flops = iterations as f64 * r as f64 * chain_flops + shared_flops;
 
     // group decomposition of the machine
     let groups = nodes.min(r).max(1);
     let nodes_per_group = (nodes / groups).max(1);
-    let rounds = r.div_ceil(groups);
+    let rounds = r.div_ceil(groups) as f64;
 
-    let chain = cost_operations(
-        node,
-        nodes_per_group,
-        Implementation::SlateGpu,
-        n,
-        nb,
-        &chain_ops,
-        chain_flops,
-    );
-    let shared =
-        cost_operations(node, nodes, Implementation::SlateGpu, n, nb, &shared_ops, shared_flops);
+    let cost = |ops: &[Op], nodes| {
+        let flops = ops.iter().map(|o| o.flops).sum();
+        cost_operations(node, nodes, Implementation::SlateGpu, n, nb, ops, flops)
+    };
+    let (qr, chol) = (cost(&qr_chain, nodes_per_group), cost(&chol_chain, nodes_per_group));
+    let shared = cost(&shared_ops, nodes);
+    let total =
+        |part: fn(&AnalyticBreakdown) -> f64| rounds * (part(&qr) + part(&chol)) + part(&shared);
 
-    let seconds = iterations as f64 * rounds as f64 * chain.seconds + shared.seconds;
+    let seconds = total(|b| b.seconds);
+    let flops = r as f64 * (qr.flops + chol.flops) + shared.flops;
     AnalyticBreakdown {
         seconds,
-        compute_seconds: iterations as f64 * rounds as f64 * chain.compute_seconds
-            + shared.compute_seconds,
-        panel_seconds: iterations as f64 * rounds as f64 * chain.panel_seconds
-            + shared.panel_seconds,
-        network_seconds: iterations as f64 * rounds as f64 * chain.network_seconds
-            + shared.network_seconds,
-        staging_seconds: iterations as f64 * rounds as f64 * chain.staging_seconds
-            + shared.staging_seconds,
+        compute_seconds: total(|b| b.compute_seconds),
+        panel_seconds: total(|b| b.panel_seconds),
+        network_seconds: total(|b| b.network_seconds),
+        staging_seconds: total(|b| b.staging_seconds),
         barrier_seconds: 0.0,
-        flops: total_flops,
-        tflops: total_flops / seconds / 1e12,
+        flops,
+        tflops: flops / seconds / 1e12,
     }
 }
 
@@ -579,7 +585,10 @@ mod tests {
         let zolo_time = |nodes| estimate_zolo_time(&node, nodes, n, 320, 8).seconds;
         // few nodes: QDWH's lower flop count wins
         assert!(qdwh_time(1) < zolo_time(1), "1 node: QDWH should win");
-        // many nodes: Zolo's concurrency wins
+        // many nodes: Zolo's concurrency wins (from 16 nodes on since its
+        // second iteration is modeled Cholesky-based; with two QR-based
+        // iterations the crossover sat between 16 and 32)
+        assert!(zolo_time(16) < qdwh_time(16), "16 nodes: Zolo should win");
         assert!(zolo_time(32) < qdwh_time(32), "32 nodes: Zolo should win");
     }
 

@@ -77,9 +77,17 @@ pub fn zolo_term(m: usize, n: usize) -> f64 {
     geqrf(m + n, n) + orgqr(m + n, n) + gemm(m, n, n)
 }
 
-/// One r-way Zolotarev iteration: the r independent terms of the fused
-/// graph (the fixed-order combine and interval update are `O(n²)` noise
-/// the model ignores, matching the serial estimate).
+/// One Cholesky-based Zolotarev term of an `m x n` iterate: the Cholesky
+/// factorization of the shifted Gram matrix `X^H X + c I` (copied from the
+/// iteration's one Gram matrix, `O(n²)`) and the two right-side triangular
+/// solves that form `X Z^{-1}`. For square inputs `(1/3 + 2) n³`.
+pub fn zolo_chol_term(m: usize, n: usize) -> f64 {
+    potrf(n) + 2.0 * trsm_right(m, n)
+}
+
+/// One r-way QR-based Zolotarev iteration: the r independent terms of the
+/// fused graph (the fixed-order combine and interval update are `O(n²)`
+/// noise the model ignores, matching the serial estimate).
 pub fn zolo_iteration(m: usize, n: usize, r: usize) -> f64 {
     r as f64 * zolo_term(m, n)
 }
@@ -122,6 +130,11 @@ mod tests {
         }
         // rectangular panels pay the taller stacked QR
         assert!(zolo_term(200, 100) > zolo_term(100, 100));
+        // a Cholesky-based term: (1/3 + 2) n^3, under a third of the QR one
+        let chol_factor = (1.0 / 3.0 + 2.0) * 90f64.powi(3);
+        assert!((zolo_chol_term(90, 90) - chol_factor).abs() <= 1e-12 * chol_factor);
+        assert!(zolo_chol_term(90, 90) < 0.3 * zolo_term(90, 90));
+        assert!(zolo_chol_term(200, 100) > zolo_chol_term(100, 100));
     }
 
     #[test]

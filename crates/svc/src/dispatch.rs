@@ -17,7 +17,7 @@ use crate::metrics::MetricsRegistry;
 use crate::queue::AdmittedJob;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use polar_batch::BatchOptions;
-use polar_qdwh::{qdwh_flops, zolo_flops};
+use polar_qdwh::{qdwh_flops, zolo_flops, IterationKind, ZoloOptions};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,8 +29,10 @@ use std::time::{Duration, Instant};
 /// borderline jobs are routed conservatively. QDWH-SVD adds the
 /// Hermitian EVD + GEMM stages (~`12 n^3`); the one-sided Jacobi
 /// baseline is costed at its typical `O(n^3)` sweep count. Zolo-PD trades
-/// flops for iterations: its worst-case two iterations at the job's
-/// degree `zolo_r` (read for [`JobKind::Zolo`] only).
+/// flops for iterations: the iterations, by kind, its scalar plan runs from
+/// the worst-case interval `[eps, 1]` at the job's degree `zolo_r` (read
+/// for [`JobKind::Zolo`] only) — one QR-based and one Cholesky-based at
+/// `r = 8`, more and cheaper ones at lower degrees.
 pub fn estimate_flops(kind: JobKind, m: usize, n: usize, zolo_r: usize) -> f64 {
     let base = qdwh_flops(n, 3, 3, false);
     let n3 = (n as f64).powi(3);
@@ -42,7 +44,14 @@ pub fn estimate_flops(kind: JobKind, m: usize, n: usize, zolo_r: usize) -> f64 {
         JobKind::Qdwh | JobKind::Batched => base + rect,
         JobKind::QdwhSvd => base + rect + 12.0 * n3,
         JobKind::SvdPolar => 30.0 * n3 + rect,
-        JobKind::Zolo => zolo_flops(n, 2, zolo_r, false) + rect,
+        JobKind::Zolo => {
+            // 64: no degree needs a tenth of that (an invalid `r = 0` plans
+            // nothing, and the job is refused when it runs)
+            let worst = ZoloOptions { r: zolo_r, max_iterations: 64, ..Default::default() };
+            let kinds = worst.planned_kinds(f64::EPSILON).unwrap_or_default();
+            let it_qr = kinds.iter().filter(|&&k| k == IterationKind::QrBased).count();
+            zolo_flops(n, it_qr, kinds.len() - it_qr, zolo_r, false) + rect
+        }
     }
 }
 
@@ -279,14 +288,26 @@ mod tests {
     #[test]
     fn zolo_cost_follows_the_jobs_degree() {
         let zolo = |r| estimate_flops(JobKind::Zolo, 96, 64, r);
-        assert!((1..8).all(|r| zolo(r) < zolo(r + 1)), "monotone in r");
-        // r = 8: the number the dispatcher used for every Zolo job
         let (n3, rect) = (64f64.powi(3), 2.0 * 96.0 * 64.0 * 64.0);
-        assert_eq!(zolo(8), 2.0 * 8.0 * (20.0 / 3.0 + 2.0) * n3 + 2.0 * n3 + rect);
-        // a quarter of the stacked QRs: ordered ahead of, and batched
-        // with, what it really costs
-        assert!(zolo(2) < 0.3 * zolo(8));
+        let qr_iter = |r: f64| r * (20.0 / 3.0 + 2.0) * n3;
+        let chol_iter = |r: f64| n3 + r * (1.0 / 3.0 + 2.0) * n3;
+        // r = 8 from [eps, 1]: one QR-based iteration, one Cholesky-based
+        assert_eq!(zolo(8), qr_iter(8.0) + chol_iter(8.0) + 2.0 * n3 + rect);
+        // r = 2 needs four (QR, QR, Cholesky, Cholesky) and is costed at
+        // them: ordered ahead of an r = 8 job, batched with what it costs
+        assert_eq!(zolo(2), 2.0 * (qr_iter(2.0) + chol_iter(2.0)) + 2.0 * n3 + rect);
+        assert!(zolo(2) < 0.6 * zolo(8));
         assert!(zolo(2) < estimate_flops(JobKind::Qdwh, 96, 64, 2) * 1.2);
+        // The cost grows with the degree while the planned kinds stay the
+        // same and drops where one more term saves an iteration (r = 4
+        // plans QR, QR, Cholesky; r = 5 plans QR, Cholesky, Cholesky): the
+        // "2 iterations at any r" this replaced was monotone in r and
+        // under-costed every degree below 5.
+        assert!(zolo(1) < zolo(2) && zolo(2) < zolo(3) && zolo(3) < zolo(4));
+        assert!(zolo(5) < zolo(6) && zolo(6) < zolo(7));
+        assert!(zolo(5) < zolo(4) && zolo(8) < zolo(7));
+        // an invalid degree costs its epilogue, without panicking
+        assert_eq!(zolo(0), 2.0 * n3 + rect);
     }
 
     #[test]

@@ -109,9 +109,8 @@ pub struct MetricsRegistry {
     pub fused_capacity: AtomicU64,
     /// Completed Zolo-PD jobs.
     pub zolo_jobs: AtomicU64,
-    /// Total stacked-QR factorizations across completed Zolo jobs
-    /// (`r × iterations` per job). Divided by `zolo_jobs × iterations`
-    /// this is the per-term concurrency the fused r-way graph exposes.
+    /// Total stacked-QR factorizations across completed Zolo jobs (`r`
+    /// per QR-based iteration; a Cholesky-based iteration has none).
     pub zolo_qr_total: AtomicU64,
     pub injected_faults: AtomicU64,
     // gauges

@@ -75,6 +75,7 @@ pub fn cond_label(cond: f64) -> String {
 
 const SQUARE_N: usize = 64;
 const RECT_FACTOR: usize = 3; // the paper's tall case: m = 3n
+const FUSED_N: usize = 512; // the tiled path's minimum column count
 
 /// Master cond sweep for double precision; single precision gets the
 /// same sweep capped at `0.1 / eps_f32` (≈ 8e5) and deduplicated, per
@@ -103,7 +104,9 @@ fn conds_for(eps: f64) -> Vec<f64> {
 /// scalar type, QDWH over square and `3n x n` rectangular shapes across
 /// the type's cond sweep; Zolo-PD and mixed-precision for the double
 /// types (mixed is capped at the single-precision cond range because its
-/// iteration runs in `f32`/`c32`).
+/// iteration runs in `f32`/`c32`); last, Zolo-PD at the smallest order
+/// that resolves to the whole-solve task graph, where a QR-based iteration
+/// is followed by a Cholesky-based one.
 pub fn case_grid() -> Vec<CaseSpec> {
     let n = SQUARE_N;
     let m_rect = RECT_FACTOR * n;
@@ -139,6 +142,13 @@ pub fn case_grid() -> Vec<CaseSpec> {
             grid.push(CaseSpec { type_tag: tag, solver: SolverPath::Mixed, m: n, n, cond, seed });
         }
     }
+    for &tag in &["d", "z"] {
+        for &cond in &[1e4, 1e8] {
+            seed += 1;
+            let n = FUSED_N;
+            grid.push(CaseSpec { type_tag: tag, solver: SolverPath::Zolo, m: n, n, cond, seed });
+        }
+    }
     grid
 }
 
@@ -160,6 +170,12 @@ mod tests {
         assert!(grid.iter().any(|c| c.type_tag == "d" && c.cond == 1e13));
         assert!(grid.iter().filter(|c| c.type_tag == "s").all(|c| c.cond < 1e6));
         assert!(grid.iter().any(|c| c.type_tag == "s" && c.cond > 1e5));
+        // the fused Zolo graph is reached, in both double types
+        for tag in ["d", "z"] {
+            let fused =
+                |c: &&CaseSpec| c.solver == SolverPath::Zolo && c.type_tag == tag && c.n >= FUSED_N;
+            assert_eq!(grid.iter().filter(fused).count(), 2, "fused zolo rows of type {tag}");
+        }
     }
 
     #[test]
