@@ -90,7 +90,7 @@ stage_lint() {
     # sim/real.rs's unit tests build toy graphs in the vocabulary.)
     local emitters='lapack/src/tiled|core/src/(fused|solve_dag|zolo_fused)'
     emitters="$emitters|runtime/src/[a-z_]+|sim/src/real"
-    strays=$(grep -rlPzo '\badd(_task)?\(\s*KernelKind::(Geqrt|Tsqrt|Tsmqr|Unmqr|Potrf)\b' crates/*/src \
+    strays=$(grep -rlPzo '\badd(_task|_on)?\(\s*KernelKind::(Geqrt|Tsqrt|Tsmqr|Unmqr|Potrf)\b' crates/*/src \
         | grep -vE "^crates/($emitters)\.rs$" || true)
     test -z "$strays" || fail "tile-factorization tasks added outside the emit modules: $strays"
     # and the Cholesky term (factor, invert the diagonal tiles, two sweeps)
@@ -125,13 +125,29 @@ stage_lint() {
     # one means adding a line here, where a reviewer sees it
     # (POLAR_TEST_UNSET_VAR_XYZ is a unit test's never-set name)
     local knobs='POLAR_C32_GEMM POLAR_DETERMINISTIC POLAR_GEMM_KC POLAR_GEMM_MC
-        POLAR_GEMM_MR POLAR_GEMM_NC POLAR_GEMM_NR POLAR_LOG POLAR_LOOKAHEAD
-        POLAR_METRICS POLAR_NUM_THREADS POLAR_PAR_THRESHOLD_FLOPS POLAR_SEED
-        POLAR_TEST_UNSET_VAR_XYZ POLAR_TILED POLAR_TILE_NB POLAR_TRACE
-        POLAR_TRACE_MAX_EVENTS'
+        POLAR_GEMM_MR POLAR_GEMM_NC POLAR_GEMM_NR POLAR_LOG POLAR_METRICS
+        POLAR_NUM_THREADS POLAR_PAR_THRESHOLD_FLOPS POLAR_SEED
+        POLAR_TEST_UNSET_VAR_XYZ POLAR_TILED POLAR_TRACE'
     strays=$(grep -rhoE '"POLAR_[A-Z0-9_]+"' crates/*/src crates/shims/*/src src \
         | tr -d '"' | sort -u | grep -vxFf <(printf '%s\n' $knobs) || true)
     test -z "$strays" || fail "env knob read but not on ci.sh's list: $strays"
+
+    step "unsafe: the word appears in code only in the files on the list"
+    # raw-pointer code lives in a few audited files (DESIGN section 10);
+    # everything else that could hold it is #![forbid(unsafe_code)] or
+    # caught here. A new site means a new line below, where a reviewer
+    # sees it
+    local unsafe_ok='matrix/src/view|blas/src/packed|lapack/src/tiled|shims/rayon/src/[a-z_]+'
+    strays=$(grep -rnw unsafe --include='*.rs' crates/*/src crates/*/tests crates/shims/*/src \
+            src tests examples \
+        | grep -vE '^[^:]+:[0-9]+:\s*//' | cut -d: -f1 | sort -u \
+        | grep -vE "^crates/($unsafe_ok)\.rs$" || true)
+    test -z "$strays" || fail "unsafe outside the allow-list: $strays"
+    local c
+    for c in core obs svc sim gen verify scalar runtime batch; do
+        grep -qx '#!\[forbid(unsafe_code)\]' "crates/$c/src/lib.rs" \
+            || fail "crates/$c/src/lib.rs lost its #![forbid(unsafe_code)]"
+    done
 
     step "no boxed iterators on the tile path"
     # a tile body runs slice loops and packed kernels; an iterator chosen at

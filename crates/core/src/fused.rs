@@ -196,16 +196,13 @@ fn emit_iterations<'a, S: Scalar>(
             dag.barrier();
             for tj in 0..nt {
                 for ti in 0..mtx {
-                    dag.add(
+                    let access = (xin.read(ti, tj), xout.write(ti, tj), sink.partial(k, ti, tj));
+                    dag.add_on(
                         KernelKind::Geadd,
                         0,
                         nbf * nbf,
-                        vec![xin.at(ti, tj)],
-                        vec![xout.at(ti, tj), sink.partial_at(k, ti, tj)],
-                        move || {
-                            // SAFETY: X_out (ti, tj) is written; X_in
-                            // (ti, tj) is the read set.
-                            let (xi, xo) = unsafe { (xin.tile_ref(ti, tj), xout.tile(ti, tj)) };
+                        access,
+                        move |(xi, xo, partial)| {
                             let b = S::from_real(beta);
                             let th = S::from_real(theta);
                             let mut acc = R::<S>::ZERO;
@@ -216,7 +213,7 @@ fn emit_iterations<'a, S: Scalar>(
                                     acc += (next - xi[(r, c)]).abs_sq();
                                 }
                             }
-                            sink.publish(k, ti, tj, acc);
+                            partial.publish(acc);
                         },
                     );
                 }

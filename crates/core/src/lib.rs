@@ -23,6 +23,8 @@
 //! divide-and-conquer symmetric eigensolver), and [`qdwh_mixed`]
 //! (mixed-precision iteration + Newton–Schulz refinement, §8).
 
+#![forbid(unsafe_code)]
+
 mod applications;
 mod dist;
 mod elliptic;

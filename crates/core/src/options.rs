@@ -153,7 +153,7 @@ pub struct QdwhOptions {
     /// Whole-solve tile task graph vs per-iteration flat loop.
     pub tiled: TiledPath,
     /// Tile size for the tiled path; `None` uses
-    /// `polar_lapack::default_tile_nb()` (env `POLAR_TILE_NB`, default 256).
+    /// `polar_lapack::auto_tile_nb(n)` (256, less on wide pools).
     pub tile_nb: Option<usize>,
     /// Compute the Hermitian factor `H = U_p^H A` (line 52). Disable when
     /// only the unitary factor is needed (e.g. orthogonalization

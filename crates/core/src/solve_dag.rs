@@ -18,6 +18,12 @@
 //!   task per iteration that nothing downstream waits on;
 //! * running the graph under the caller's progress hook
 //!   ([`execute_hooked`]).
+//!
+//! Every task here is added with [`TaskDag::add_on`]: its read and write
+//! sets are the [`TilePtr::read`] / [`TilePtr::write`] / [`NormSink::partial`]
+//! values it lists, and its body is a closure over the tiles those resolve
+//! to. No body reaches for a tile by index, so none can touch one it did
+//! not declare.
 
 use crate::options::{poll_progress, ProgressHook};
 use crate::qdwh_impl::QdwhError;
@@ -26,7 +32,7 @@ use polar_lapack::{
     emit_geqrf, emit_orgqr, emit_potrf, trtri_lower, LapackError, QrPtr, TilePtr, TiledQr,
 };
 use polar_matrix::{Diag, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
-use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TaskStatus, TileRef};
+use polar_runtime::{Access, ExecOutcome, InBody, KernelKind, TaskDag, TaskStatus, TileRef};
 use polar_scalar::{Real, Scalar};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -68,20 +74,23 @@ impl NormSink {
         (self.partial_id, self.norm_id) = (dag.new_matrix(), dag.new_matrix());
     }
 
-    /// Dependency name of iteration `k`'s partial for tile `(ti, tj)`; goes
-    /// in the write set of the task that calls [`NormSink::publish`].
-    pub(crate) fn partial_at(&self, k: usize, ti: usize, tj: usize) -> TileRef {
-        TileRef::new(self.partial_id, k * self.mt + ti, tj, 8)
+    /// Iteration `k`'s partial for tile `(ti, tj)`, for the write set of the
+    /// task that publishes it.
+    pub(crate) fn partial(&self, k: usize, ti: usize, tj: usize) -> SinkSlot<'_> {
+        SinkSlot {
+            bits: &self.partials[(k * self.nt + tj) * self.mt + ti],
+            name: TileRef::new(self.partial_id, k * self.mt + ti, tj, 8),
+            write: true,
+        }
     }
 
-    pub(crate) fn publish<R: Real>(&self, k: usize, ti: usize, tj: usize, partial: R) {
-        let slot = (k * self.nt + tj) * self.mt + ti;
-        self.partials[slot].store(partial.to_f64().to_bits(), Ordering::Relaxed);
+    fn norm_slot(&self, k: usize) -> SinkSlot<'_> {
+        SinkSlot { bits: &self.norms[k], name: TileRef::new(self.norm_id, k, 0, 8), write: true }
     }
 
     /// `||X_{k+1} - X_k||_F` as reduced by iteration `k`'s sink task.
     pub(crate) fn norm<R: Real>(&self, k: usize) -> R {
-        R::from_f64(f64::from_bits(self.norms[k].load(Ordering::Relaxed)))
+        self.norm_slot(k).load()
     }
 
     /// Add iteration `k`'s fixed-order reduction. A sink: nothing in
@@ -89,16 +98,50 @@ impl NormSink {
     /// overlaps this one's tail.
     pub(crate) fn emit_reduce<'a, R: Real>(&'a self, dag: &mut TaskDag<'a>, k: usize) {
         let (mt, nt) = (self.mt, self.nt);
-        let reads =
-            (0..nt).flat_map(|tj| (0..mt).map(move |ti| self.partial_at(k, ti, tj))).collect();
-        let writes = vec![TileRef::new(self.norm_id, k, 0, 8)];
-        dag.add(KernelKind::Norm, -1, (mt * nt) as f64, reads, writes, move || {
+        let partials: Vec<_> = (0..nt)
+            .flat_map(|tj| {
+                (0..mt).map(move |ti| SinkSlot { write: false, ..self.partial(k, ti, tj) })
+            })
+            .collect();
+        let access = (partials, self.norm_slot(k));
+        dag.add_on(KernelKind::Norm, -1, (mt * nt) as f64, access, |(partials, norm)| {
             let mut s = R::ZERO;
-            for slot in &self.partials[k * mt * nt..(k + 1) * mt * nt] {
-                s += R::from_f64(f64::from_bits(slot.load(Ordering::Relaxed)));
+            for p in partials {
+                s += p.load::<R>();
             }
-            self.norms[k].store(s.sqrt().to_f64().to_bits(), Ordering::Relaxed);
+            norm.publish(s.sqrt());
         });
+    }
+}
+
+/// One slot of a [`NormSink`] in a task's read or write set; the body
+/// receives the slot.
+#[derive(Clone, Copy)]
+pub(crate) struct SinkSlot<'a> {
+    bits: &'a AtomicU64,
+    name: TileRef,
+    write: bool,
+}
+
+impl SinkSlot<'_> {
+    pub(crate) fn publish<R: Real>(self, value: R) {
+        self.bits.store(value.to_f64().to_bits(), Ordering::Relaxed);
+    }
+
+    fn load<R: Real>(self) -> R {
+        R::from_f64(f64::from_bits(self.bits.load(Ordering::Relaxed)))
+    }
+}
+
+impl Access for SinkSlot<'_> {
+    type Out<'t> = Self;
+
+    fn declare(&self, reads: &mut Vec<TileRef>, writes: &mut Vec<TileRef>) {
+        if self.write { writes } else { reads }.push(self.name);
+    }
+
+    fn get(self, _: &InBody) -> Self {
+        self
     }
 }
 
@@ -214,11 +257,9 @@ pub(crate) fn emit_term<'a, S: Scalar>(
     dag.barrier();
     for j in 0..nt {
         for wi in 0..mtw {
-            let reads = if wi < mtx { vec![x.at(wi, j)] } else { Vec::new() };
-            dag.add(KernelKind::Geadd, 2, nbf * nbf, reads, vec![w.at(wi, j)], move || {
-                // SAFETY: W (wi, j) is this task's write set; X (wi, j),
-                // read exactly when that tile exists, its read set.
-                let (wt, xs) = unsafe { (w.tile(wi, j), (wi < mtx).then(|| x.tile_ref(wi, j))) };
+            // X (wi, j) is read exactly when that tile exists
+            let access = (w.write(wi, j), (wi < mtx).then(|| x.read(wi, j)));
+            dag.add_on(KernelKind::Geadd, 2, nbf * nbf, access, move |(wt, xs)| {
                 let (r0, c0) = (wi * nb, j * nb);
                 let top = xs.map_or(0, |xs| xs.nrows());
                 let (sc, dc) = (S::from_real(s), S::from_real(d));
@@ -247,15 +288,9 @@ pub(crate) fn emit_term<'a, S: Scalar>(
         for tj in 0..nt {
             let lo = (m + tj * nb) / nb;
             let hi = (m + tj * nb + g.tiling().tile_rows(tj) - 1) / nb;
-            let mut reads = vec![q.at(lo, kc)];
-            if hi != lo {
-                reads.push(q.at(hi, kc));
-            }
-            dag.add(KernelKind::Geadd, 1, nbf * nbf, reads, vec![g.at(tj, kc)], move || {
-                // SAFETY: G (tj, kc) is written; Q (lo, kc) and (hi, kc),
-                // possibly the same tile, are the read set.
-                let (out, qlo, qhi) =
-                    unsafe { (g.tile(tj, kc), q.tile_ref(lo, kc), q.tile_ref(hi, kc)) };
+            let access = (g.write(tj, kc), q.read(lo, kc), (hi != lo).then(|| q.read(hi, kc)));
+            dag.add_on(KernelKind::Geadd, 1, nbf * nbf, access, move |(out, qlo, qhi)| {
+                let qhi = qhi.unwrap_or(qlo);
                 for c in 0..out.ncols() {
                     for r in 0..out.nrows() {
                         let gr = m + tj * nb + r;
@@ -272,24 +307,16 @@ pub(crate) fn emit_term<'a, S: Scalar>(
     dag.barrier();
     for tj in 0..nt {
         for ti in 0..mtx {
-            let mut reads = Vec::with_capacity(2 * nt + 1);
-            let mut writes = vec![out.at(ti, tj)];
-            if let Some(h) = halley {
-                reads.push(x.at(ti, tj));
-                writes.push(h.sink.partial_at(h.iter, ti, tj));
-            }
-            for kc in 0..nt {
-                reads.push(q.at(ti, kc));
-                reads.push(g.at(tj, kc));
-            }
+            // with `halley`, X (ti, tj) joins the reads and the partial the
+            // writes; then row ti of Q against row tj of G
+            let fused = halley.map(|h| (x.read(ti, tj), h.sink.partial(h.iter, ti, tj)));
+            let rows: Vec<_> = (0..nt).map(|kc| (q.read(ti, kc), g.read(tj, kc))).collect();
             let flops = 2.0 * nbf * nbf * nbf * nt as f64;
-            dag.add(KernelKind::Gemm, 0, flops, reads, writes, move || {
-                // SAFETY: out (ti, tj) is written; X (ti, tj), row ti of Q
-                // and row tj of G are the read set.
-                let o = unsafe { out.tile(ti, tj) };
-                let fused = halley.map(|h| (h, unsafe { x.tile_ref(ti, tj) }));
+            let access = (out.write(ti, tj), fused, rows);
+            dag.add_on(KernelKind::Gemm, 0, flops, access, move |(o, fused, rows)| {
+                let fused = halley.zip(fused);
                 match fused {
-                    Some((h, xi)) => {
+                    Some((h, (xi, _))) => {
                         let b = S::from_real(h.beta);
                         for c in 0..o.ncols() {
                             for r in 0..o.nrows() {
@@ -299,8 +326,7 @@ pub(crate) fn emit_term<'a, S: Scalar>(
                     }
                     None => o.fill(S::ZERO),
                 }
-                for kc in 0..nt {
-                    let (q1, q2) = unsafe { (q.tile_ref(ti, kc), g.tile_ref(tj, kc)) };
+                for (q1, q2) in rows {
                     gemm(
                         Op::NoTrans,
                         Op::ConjTrans,
@@ -311,14 +337,14 @@ pub(crate) fn emit_term<'a, S: Scalar>(
                         o.as_mut(),
                     );
                 }
-                if let Some((h, xi)) = fused {
+                if let Some((_, (xi, partial))) = fused {
                     let mut acc = S::Real::ZERO;
                     for c in 0..o.ncols() {
                         for r in 0..o.nrows() {
                             acc += (o[(r, c)] - xi[(r, c)]).abs_sq();
                         }
                     }
-                    h.sink.publish(h.iter, ti, tj, acc);
+                    partial.publish(acc);
                 }
             });
         }
@@ -342,55 +368,45 @@ pub(crate) fn emit_gram<'a, S: Scalar>(
     dag.barrier();
     for zj in 0..nt {
         for zi in zj..nt {
-            let mut reads = Vec::with_capacity(2 * mtx);
-            for l in 0..mtx {
-                reads.push(x.at(l, zi));
-                if zi != zj {
-                    reads.push(x.at(l, zj));
-                }
-            }
+            // columns zi and, off the diagonal, zj of X
+            let cols: Vec<_> =
+                (0..mtx).map(|l| (x.read(l, zi), (zi != zj).then(|| x.read(l, zj)))).collect();
             let flops = if zi == zj {
                 nbf * nbf * nbf * mtx as f64
             } else {
                 2.0 * nbf * nbf * nbf * mtx as f64
             };
-            dag.add(
+            dag.add_on(
                 if zi == zj { KernelKind::Herk } else { KernelKind::Gemm },
                 3,
                 flops,
-                reads,
-                vec![z.at(zi, zj)],
-                move || {
-                    // SAFETY: Z (zi, zj) is written; columns zi and zj of
-                    // X are the read set.
-                    let zt_tile = unsafe { z.tile(zi, zj) };
-                    let xcol = |l: usize, j: usize| unsafe { x.tile_ref(l, j) };
+                (z.write(zi, zj), cols),
+                move |(zt_tile, cols)| {
                     zt_tile.fill(S::ZERO);
                     if zi == zj {
                         for d in 0..zt_tile.ncols() {
                             zt_tile[(d, d)] = S::from_real(shift);
                         }
-                        for l in 0..mtx {
-                            herk(
+                    }
+                    for (xi, xj) in cols {
+                        match xj {
+                            None => herk(
                                 Uplo::Lower,
                                 Op::ConjTrans,
                                 alpha,
-                                xcol(l, zi).as_ref(),
+                                xi.as_ref(),
                                 S::Real::ONE,
                                 zt_tile.as_mut(),
-                            );
-                        }
-                    } else {
-                        for l in 0..mtx {
-                            gemm(
+                            ),
+                            Some(xj) => gemm(
                                 Op::ConjTrans,
                                 Op::NoTrans,
                                 S::from_real(alpha),
-                                xcol(l, zi).as_ref(),
-                                xcol(l, zj).as_ref(),
+                                xi.as_ref(),
+                                xj.as_ref(),
                                 S::ONE,
                                 zt_tile.as_mut(),
-                            );
+                            ),
                         }
                     }
                 },
@@ -436,15 +452,12 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
     // potrf should have refused: same failure.
     dag.barrier();
     for tj in 0..nt {
-        dag.add_task(
+        dag.add_on(
             KernelKind::Trsm,
             3,
             nbf * nbf * nbf / 3.0,
-            vec![z.at(tj, tj)],
-            vec![linv.at(tj, 0)],
-            move || {
-                // SAFETY: L (tj, tj) is read, its inverse's tile written.
-                let (l, t) = unsafe { (z.tile_ref(tj, tj), linv.tile(tj, 0)) };
+            (z.read(tj, tj), linv.write(tj, 0)),
+            move |(l, t)| {
                 let r = l.nrows();
                 match trtri_lower(l.as_ref(), t.view_mut(0, 0, r, r)) {
                     Ok(()) => TaskStatus::Continue,
@@ -474,34 +487,23 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
             let solved = if forward { 0..tj } else { tj + 1..nt };
             let l_tile = move |l: usize| if forward { (tj, l) } else { (l, tj) };
             for ti in 0..mtx {
-                let mut reads = Vec::with_capacity(2 * solved.len() + 2);
-                if forward {
-                    reads.push(x.at(ti, tj));
-                }
-                for l in solved.clone() {
-                    let (i, j) = l_tile(l);
-                    reads.push(out.at(ti, l));
-                    reads.push(z.at(i, j));
-                }
-                reads.push(linv.at(tj, 0));
-                let solved = solved.clone();
-                dag.add(
+                let pairs: Vec<_> = solved
+                    .clone()
+                    .map(|l| {
+                        let (i, j) = l_tile(l);
+                        (out.read(ti, l), z.read(i, j))
+                    })
+                    .collect();
+                dag.add_on(
                     KernelKind::Trsm,
                     2,
                     (2.0 * solved.len() as f64 + 1.0) * nbf * nbf * nbf,
-                    reads,
-                    vec![out.at(ti, tj)],
-                    move || {
-                        // SAFETY: out (ti, tj) is written; X (ti, tj), the
-                        // solved out (ti, l), the L tiles named above and
-                        // the inverted diagonal tile are the read set.
-                        let vt = unsafe { out.tile(ti, tj) };
-                        if forward {
-                            vt.copy_from(unsafe { x.tile_ref(ti, tj) });
+                    (out.write(ti, tj), forward.then(|| x.read(ti, tj)), pairs, linv.read(tj, 0)),
+                    move |(vt, xt, pairs, inv)| {
+                        if let Some(xt) = xt {
+                            vt.copy_from(xt);
                         }
-                        for l in solved {
-                            let (i, j) = l_tile(l);
-                            let (vl, zl) = unsafe { (out.tile_ref(ti, l), z.tile_ref(i, j)) };
+                        for (vl, zl) in pairs {
                             gemm(
                                 Op::NoTrans,
                                 op,
@@ -512,7 +514,6 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
                                 vt.as_mut(),
                             );
                         }
-                        let inv = unsafe { linv.tile_ref(tj, 0) };
                         let r = vt.ncols();
                         trmm(
                             Side::Right,

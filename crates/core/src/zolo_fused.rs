@@ -197,24 +197,15 @@ pub(crate) fn run_graph<S: Scalar>(
                 dag.barrier();
                 for zj in 0..nt {
                     for zi in zj..nt {
-                        dag.add(
-                            KernelKind::Geadd,
-                            3,
-                            nbf * nbf,
-                            vec![gram.at(zi, zj)],
-                            vec![z.at(zi, zj)],
-                            move || {
-                                // SAFETY: Z_j (zi, zj) is written; the Gram
-                                // tile of the same index is the read set.
-                                let (zt, gt) = unsafe { (z.tile(zi, zj), gram.tile_ref(zi, zj)) };
-                                zt.copy_from(gt);
-                                if zi == zj {
-                                    for d in 0..zt.ncols() {
-                                        zt[(d, d)] += shift;
-                                    }
+                        let access = (z.write(zi, zj), gram.read(zi, zj));
+                        dag.add_on(KernelKind::Geadd, 3, nbf * nbf, access, move |(zt, gt)| {
+                            zt.copy_from(gt);
+                            if zi == zj {
+                                for d in 0..zt.ncols() {
+                                    zt[(d, d)] += shift;
                                 }
-                            },
-                        );
+                            }
+                        });
                     }
                 }
                 emit_chol_term(&mut dag, chol, xin, y, &failure);
@@ -226,30 +217,24 @@ pub(crate) fn run_graph<S: Scalar>(
         // One task per X tile, walking the r private slabs in fixed
         // term order (determinism), fused with the convergence partial
         // |X_out - X_in|_F^2 for this tile.
-        let ys: Vec<TilePtr<S>> = terms.iter().map(|&(_, y)| y).collect();
         for tj in 0..nt {
             for ti in 0..mtx {
-                let mut reads = vec![xin.at(ti, tj)];
-                reads.extend(ys.iter().map(|y| y.at(ti, tj)));
-                let (ys, coefs, sink) = (ys.clone(), coefs.clone(), &sink);
-                dag.add(
+                let ys: Vec<_> = terms.iter().map(|(_, y)| y.read(ti, tj)).collect();
+                let access = (xin.read(ti, tj), ys, xout.write(ti, tj), sink.partial(k, ti, tj));
+                let coefs = coefs.clone();
+                dag.add_on(
                     KernelKind::Geadd,
                     0,
                     nbf * nbf * (rterms as f64 + 1.0),
-                    reads,
-                    vec![xout.at(ti, tj), sink.partial_at(k, ti, tj)],
-                    move || {
-                        // SAFETY: X_out (ti, tj) is written; X_in (ti, tj)
-                        // and every term's Y (ti, tj) are the read set.
-                        let (xi, xo) = unsafe { (xin.tile_ref(ti, tj), xout.tile(ti, tj)) };
+                    access,
+                    move |(xi, ys, xo, partial)| {
                         let b = S::from_f64(s0);
                         for c in 0..xi.ncols() {
                             for rr in 0..xi.nrows() {
                                 xo[(rr, c)] = b * xi[(rr, c)];
                             }
                         }
-                        for (yj, &coef) in ys.iter().zip(&coefs) {
-                            let yt = unsafe { yj.tile_ref(ti, tj) };
+                        for (yt, &coef) in ys.iter().zip(&coefs) {
                             let sj = S::from_f64(coef);
                             for c in 0..xi.ncols() {
                                 for rr in 0..xi.nrows() {
@@ -263,7 +248,7 @@ pub(crate) fn run_graph<S: Scalar>(
                                 acc += (xo[(rr, c)] - xi[(rr, c)]).abs_sq();
                             }
                         }
-                        sink.publish(k, ti, tj, acc);
+                        partial.publish(acc);
                     },
                 );
             }

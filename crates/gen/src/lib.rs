@@ -9,6 +9,8 @@
 //! The condition number drives QDWH convergence: κ = 1e16 (ill-conditioned)
 //! forces the worst case of 3 QR-based + 3 Cholesky-based iterations.
 
+#![forbid(unsafe_code)]
+
 use polar_blas::gemm;
 use polar_matrix::{Matrix, Op};
 use polar_scalar::{Real, Scalar};

@@ -25,14 +25,14 @@
 //! pristine identity/zero tile rows are never emitted (~1/3 of the QR
 //! flops for square `A`).
 //!
-//! Safety model: tiles of a [`TiledMatrix`] are separate allocations, and
-//! the executor's inferred RAW/WAW/WAR edges order every pair of tasks
-//! whose accesses to the same tile conflict. A task takes `&mut` only to
-//! tiles in its *write* set (no other task touches those concurrently) and
-//! `&` to tiles in its *read* set (concurrent readers may alias, so a
-//! shared reference is mandatory there). [`TilePtr`] and [`QrPtr`] below
-//! are the single place that unsafety lives; both borrow the storage they
-//! point into for as long as the dag that uses them can run.
+//! Access model: tiles of a [`TiledMatrix`] are separate allocations, and a
+//! task body receives the tiles it declared: [`TilePtr::read`] /
+//! [`TilePtr::write`] (and [`QrPtr`]'s `T`-slot equivalents) are
+//! [`polar_runtime::Access`]es, whose names give [`TaskDag::add_on`] the
+//! task's read and write sets and whose `get` — the only place below where
+//! a pointer becomes a reference — runs inside the body: `&` for a read
+//! (concurrent readers may alias), `&mut` for a write (the dag's edges keep
+//! every other task off the tile).
 
 use crate::tile_qr::{
     geqrt_blocked_into, tsmqr_blocked, tsqrt_blocked_into, unmqr_tile_blocked, TileT,
@@ -40,88 +40,181 @@ use crate::tile_qr::{
 use crate::{LapackError, DEFAULT_BLOCK};
 use polar_blas::{flops, gemm, herk, trsm};
 use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
-use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TaskStatus, TileRef};
+use polar_runtime::{Access, ExecOutcome, InBody, KernelKind, TaskDag, TaskStatus, TileRef};
 use polar_scalar::{Real, Scalar};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
-/// Default tile size for the DAG-scheduled drivers, overridable with
-/// `POLAR_TILE_NB`. The paper tunes `nb = 192` CPU / `320` GPU; here 256
-/// measured best on the kernels_perf sweep — big enough that the trailing
-/// `tsmqr`/`gemm` tasks run at packed-microkernel speed, small enough that
-/// a 1024-square problem still yields a 4x4 tile grid for the DAG to
-/// overlap.
+/// Default tile size for the DAG-scheduled drivers. The paper tunes `nb =
+/// 192` CPU / `320` GPU; here 256 measured best on the kernels_perf sweep —
+/// big enough that the trailing `tsmqr`/`gemm` tasks run at
+/// packed-microkernel speed, small enough that a 1024-square problem still
+/// yields a 4x4 tile grid for the DAG to overlap.
 pub fn default_tile_nb() -> usize {
-    static NB: OnceLock<usize> = OnceLock::new();
-    *NB.get_or_init(|| {
-        std::env::var("POLAR_TILE_NB")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|v| v.max(16))
-            .unwrap_or(256)
-    })
+    256
 }
 
-/// Tile size tuned to the pool width for an `n`-column problem.
-/// `POLAR_TILE_NB` still pins the size unconditionally. 256 measures best
-/// at every pool width on the whole-solve sweep (at one worker the win
-/// comes from tiled trsm/herk decomposing into gemm-rich tasks, which
-/// favors the same size as the parallel case); with more workers the grid
-/// must additionally offer at least a couple of tile columns per worker
-/// or the DAG starves.
+/// Tile size tuned to the pool width for an `n`-column problem. 256
+/// measures best at every pool width on the whole-solve sweep (at one
+/// worker the win comes from tiled trsm/herk decomposing into gemm-rich
+/// tasks, which favors the same size as the parallel case); with more
+/// workers the grid must additionally offer at least a couple of tile
+/// columns per worker or the DAG starves.
 pub fn auto_tile_nb(n: usize) -> usize {
-    if std::env::var("POLAR_TILE_NB").is_ok() {
-        return default_tile_nb();
-    }
     let workers = rayon::current_num_threads().max(1);
-    let mut nb: usize = 256;
+    let mut nb = default_tile_nb();
     while nb > 128 && n.div_ceil(nb) < 2 * workers.min(8) {
         nb -= 64;
     }
     nb
 }
 
-/// A [`TiledMatrix`] as the tasks of one [`TaskDag`] see it: raw access to
-/// its tiles for dependency-ordered bodies, plus the matrix id under which
-/// the dag tracks them ([`TilePtr::at`]). Tiles are disjoint allocations;
-/// the task graph serializes all conflicting accesses. Public so the
-/// whole-solve graphs in `polar-qdwh` put their own assembly and update
-/// tasks under the same access discipline instead of reinventing it.
-///
-/// A pointer starts as a shape ([`TilePtr::shape`]: tiling and matrix id,
-/// null storage) and is good for emitting; [`TilePtr::bind`] gives it the
-/// tiles its bodies will touch. Access through an unbound pointer panics.
-pub struct TilePtr<'a, S> {
-    tiles: *mut Matrix<S>,
-    tiling: Tiling,
+/// `mt x (len / mt)` values of `T`, column-major, as the tasks of one
+/// [`TaskDag`] see them: the id they are tracked under and, once bound, the
+/// storage. The one index computation behind [`TilePtr`] and [`QrPtr`].
+struct Slab<'a, T> {
+    base: *mut T,
+    mt: usize,
+    len: usize,
     id: u32,
-    _storage: PhantomData<&'a mut Matrix<S>>,
+    /// Payload of one value, for the communication meter.
+    bytes: u64,
+    _storage: PhantomData<&'a mut T>,
 }
 
-impl<S> Clone for TilePtr<'_, S> {
+impl<T> Clone for Slab<'_, T> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<S> Copy for TilePtr<'_, S> {}
-// SAFETY: a `TilePtr` is a `&mut [Matrix<S>]` split by tile at run time;
-// sending it to another thread moves `S` values' accesses there, sharing
-// it lets several threads hold `&Matrix<S>` to one tile.
-unsafe impl<S: Send> Send for TilePtr<'_, S> {}
-unsafe impl<S: Send + Sync> Sync for TilePtr<'_, S> {}
+impl<T> Copy for Slab<'_, T> {}
+
+impl<'a, T> Slab<'a, T> {
+    fn shape(dag: &mut TaskDag<'_>, mt: usize, len: usize, bytes: u64) -> Self {
+        let (base, id) = (std::ptr::null_mut(), dag.new_matrix());
+        Self { base, mt, len, id, bytes, _storage: PhantomData }
+    }
+
+    fn bind<'b>(self, storage: &'b mut [T]) -> Slab<'b, T> {
+        assert_eq!(storage.len(), self.len, "bind: storage of another shape");
+        Slab { base: storage.as_mut_ptr(), _storage: PhantomData, ..self }
+    }
+
+    /// Where `(i, j)` is stored — a shape's null stays null — and the name
+    /// the dag tracks it under.
+    fn slot(&self, i: usize, j: usize) -> (*mut T, TileRef) {
+        assert!(i < self.mt && i + j * self.mt < self.len, "tile ({i}, {j}) out of range");
+        let offset = if self.base.is_null() { 0 } else { i + j * self.mt };
+        (self.base.wrapping_add(offset), TileRef::new(self.id, i, j, self.bytes))
+    }
+
+    fn read(&self, i: usize, j: usize) -> TileRead<'a, T> {
+        let (slot, name) = self.slot(i, j);
+        TileRead { slot, name, _storage: PhantomData }
+    }
+
+    fn write(&self, i: usize, j: usize) -> TileWrite<'a, T> {
+        let (slot, name) = self.slot(i, j);
+        TileWrite { slot, name, _storage: PhantomData }
+    }
+}
+
+/// One tile (or `T` factor) in a task's read set; the body receives `&T`.
+pub struct TileRead<'a, T> {
+    slot: *const T,
+    name: TileRef,
+    _storage: PhantomData<&'a T>,
+}
+
+/// One tile (or `T` factor) in a task's write set; the body receives
+/// `&mut T`.
+pub struct TileWrite<'a, T> {
+    slot: *mut T,
+    name: TileRef,
+    _storage: PhantomData<&'a mut T>,
+}
+
+// SAFETY: the two are a `&'a T` and a `&'a mut T` that do not exist yet;
+// they cross to the lane that runs the body under the bounds those do.
+unsafe impl<T: Sync> Send for TileRead<'_, T> {}
+unsafe impl<T: Send> Send for TileWrite<'_, T> {}
+
+impl<T: 'static> Access for TileRead<'_, T> {
+    type Out<'t> = &'t T;
+
+    fn declare(&self, reads: &mut Vec<TileRef>, _: &mut Vec<TileRef>) {
+        reads.push(self.name);
+    }
+
+    fn get<'t>(self, _: &'t InBody) -> Self::Out<'t> {
+        assert!(!self.slot.is_null(), "task body over a shape-only pointer");
+        // SAFETY: `slot` is in bounds of storage borrowed for `'a`, which
+        // outlives the dag and so this body (`'t`). The body was given this
+        // access by `add_on`, which put `name` in its read set: every task
+        // with `name` in its write set — the only source of a `&mut` to the
+        // slot — is ordered before or after it by a dag edge.
+        unsafe { &*self.slot }
+    }
+}
+
+impl<T: 'static> Access for TileWrite<'_, T> {
+    type Out<'t> = &'t mut T;
+
+    fn declare(&self, _: &mut Vec<TileRef>, writes: &mut Vec<TileRef>) {
+        writes.push(self.name);
+    }
+
+    fn get<'t>(self, _: &'t InBody) -> Self::Out<'t> {
+        assert!(!self.slot.is_null(), "task body over a shape-only pointer");
+        // SAFETY: as for `TileRead`, with `name` in the write set: every
+        // other task that names the slot at all is ordered against this one
+        // by a dag edge, and `add_on` refused a task naming it twice itself.
+        unsafe { &mut *self.slot }
+    }
+}
+
+/// A [`TiledMatrix`] as the tasks of one [`TaskDag`] see it: the matrix id
+/// under which the dag tracks its tiles and, through [`TilePtr::read`] and
+/// [`TilePtr::write`], the tiles themselves — for a task body, and only
+/// for one that declared them:
+///
+/// ```compile_fail
+/// use polar_lapack::TilePtr;
+/// use polar_matrix::{ProcessGrid, TiledMatrix, Tiling};
+/// use polar_runtime::{Access, TaskDag};
+///
+/// let mut m = TiledMatrix::<f64>::zeros(Tiling::new(8, 8, 4, 4), ProcessGrid::single());
+/// let mut dag = TaskDag::new();
+/// let p = TilePtr::new(&mut dag, &mut m);
+/// // no tile accessor outside a body, and no `InBody` to resolve one with
+/// let tile = p.write(0, 0).get(&polar_runtime::InBody(()));
+/// ```
+///
+/// Public so the whole-solve graphs in `polar-qdwh` put their own tasks
+/// under the same discipline. A pointer starts as a shape
+/// ([`TilePtr::shape`]: tiling and matrix id, no storage), good for
+/// emitting; [`TilePtr::bind`] gives it the tiles its bodies will receive,
+/// and a body over an unbound pointer panics. Name a pointer's tiles only
+/// in the dag that named the pointer: two dags do not order their tasks
+/// against each other.
+#[derive(Clone, Copy)]
+pub struct TilePtr<'a, S> {
+    tiles: Slab<'a, Matrix<S>>,
+    tiling: Tiling,
+}
 
 impl<'a, S: Scalar> TilePtr<'a, S> {
     /// Register a matrix of the given tiling with `dag` under a fresh
     /// matrix id, without storage.
     pub fn shape(dag: &mut TaskDag<'_>, tiling: Tiling) -> Self {
-        Self { tiles: std::ptr::null_mut(), tiling, id: dag.new_matrix(), _storage: PhantomData }
+        let bytes = (tiling.nb() * tiling.nb() * std::mem::size_of::<S>()) as u64;
+        Self { tiles: Slab::shape(dag, tiling.mt(), tiling.mt() * tiling.nt(), bytes), tiling }
     }
 
     /// The same name in the dag, over the tiles of `m`.
     pub fn bind<'b>(self, m: &'b mut TiledMatrix<S>) -> TilePtr<'b, S> {
         assert_eq!(m.tiling(), self.tiling, "TilePtr::bind: storage tiled differently");
-        let tiles = m.tiles_mut().as_mut_ptr();
-        TilePtr { tiles, tiling: self.tiling, id: self.id, _storage: PhantomData }
+        TilePtr { tiles: self.tiles.bind(m.tiles_mut()), tiling: self.tiling }
     }
 
     /// Register `m` with `dag` under a fresh matrix id.
@@ -133,37 +226,14 @@ impl<'a, S: Scalar> TilePtr<'a, S> {
         self.tiling
     }
 
-    /// The dependency-tracking name of tile `(i, j)` for a task's read or
-    /// write set.
-    pub fn at(&self, i: usize, j: usize) -> TileRef {
-        let nb = self.tiling.nb();
-        TileRef::new(self.id, i, j, (nb * nb * std::mem::size_of::<S>()) as u64)
+    /// Tile `(i, j)` for a task's read set.
+    pub fn read(&self, i: usize, j: usize) -> TileRead<'a, Matrix<S>> {
+        self.tiles.read(i, j)
     }
 
-    fn index(&self, i: usize, j: usize) -> usize {
-        assert!(!self.tiles.is_null(), "tile access through a shape-only TilePtr");
-        assert!(i < self.tiling.mt() && j < self.tiling.nt(), "tile ({i}, {j}) out of range");
-        i + j * self.tiling.mt()
-    }
-
-    /// # Safety
-    /// Caller must guarantee (via DAG dependencies) that no other task
-    /// holds *any* reference to tile `(i, j)` concurrently — i.e. the tile
-    /// is in the calling task's write set.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn tile(&self, i: usize, j: usize) -> &'a mut Matrix<S> {
-        &mut *self.tiles.add(self.index(i, j))
-    }
-
-    /// Shared access for tiles in a task's *read* set: concurrent readers
-    /// (e.g. every `unmqr` task of one panel reading the diagonal tile) may
-    /// alias, which `&mut` must never do.
-    ///
-    /// # Safety
-    /// Caller must guarantee (via DAG dependencies) that no task holds a
-    /// `&mut` to tile `(i, j)` concurrently.
-    pub unsafe fn tile_ref(&self, i: usize, j: usize) -> &'a Matrix<S> {
-        &*self.tiles.add(self.index(i, j))
+    /// Tile `(i, j)` for a task's write set.
+    pub fn write(&self, i: usize, j: usize) -> TileWrite<'a, Matrix<S>> {
+        self.tiles.write(i, j)
     }
 }
 
@@ -240,81 +310,35 @@ impl<S: Scalar> TiledQr<S> {
     }
 }
 
-/// A [`TiledQr`] as the tasks of one dag see it: [`TilePtr`] access to the
-/// matrix (`a`, public so the owner's tasks can fill it) and, private to
-/// the emitters, the `T`-factor slab under the same contract — shape first,
-/// storage by [`QrPtr::bind`], like [`TilePtr`].
+/// A [`TiledQr`] as the tasks of one dag see it: the matrix (`a`, public
+/// so the owner's tasks can fill it) and, private to the emitters, the
+/// `T`-factor slab under the same contract — shape first, storage by
+/// [`QrPtr::bind`], like [`TilePtr`].
+#[derive(Clone, Copy)]
 pub struct QrPtr<'a, S: Scalar> {
     pub a: TilePtr<'a, S>,
-    slots: *mut TileT<S>,
-    n_slots: usize,
-    t_id: u32,
+    t: Slab<'a, TileT<S>>,
     top_rows: Option<usize>,
 }
-
-impl<S: Scalar> Clone for QrPtr<'_, S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<S: Scalar> Copy for QrPtr<'_, S> {}
-// SAFETY: as for `TilePtr`; the slab is a `&mut [TileT<S>]` split by slot.
-unsafe impl<S: Scalar> Send for QrPtr<'_, S> {}
-unsafe impl<S: Scalar> Sync for QrPtr<'_, S> {}
 
 impl<'a, S: Scalar> QrPtr<'a, S> {
     /// Register a factorization of a matrix of the given tiling
     /// (`top_rows` as in [`TiledQr::zeros`]) with `dag`, without storage.
     pub fn shape(dag: &mut TaskDag<'_>, tiling: Tiling, top_rows: Option<usize>) -> Self {
-        Self {
-            a: TilePtr::shape(dag, tiling),
-            slots: std::ptr::null_mut(),
-            n_slots: tiling.mt() * tiling.mt().min(tiling.nt()),
-            t_id: dag.new_matrix(),
-            top_rows,
-        }
+        let a = TilePtr::shape(dag, tiling);
+        let (mt, kt) = (tiling.mt(), tiling.mt().min(tiling.nt()));
+        Self { a, t: Slab::shape(dag, mt, mt * kt, a.tiles.bytes), top_rows }
     }
 
     /// The same names in the dag, over the storage of `f`.
     pub fn bind<'b>(self, f: &'b mut TiledQr<S>) -> QrPtr<'b, S> {
         assert_eq!(f.top_rows, self.top_rows, "QrPtr::bind: storage pruned differently");
-        assert_eq!(f.t.len(), self.n_slots);
-        QrPtr {
-            a: self.a.bind(&mut f.a),
-            slots: f.t.as_mut_ptr(),
-            n_slots: self.n_slots,
-            t_id: self.t_id,
-            top_rows: self.top_rows,
-        }
-    }
-
-    fn t_at(&self, i: usize, k: usize) -> TileRef {
-        TileRef::new(self.t_id, i, k, self.a.at(i, k).bytes)
+        QrPtr { a: self.a.bind(&mut f.a), t: self.t.bind(&mut f.t), top_rows: self.top_rows }
     }
 
     /// Last tile row with reflector support at panel `k`.
     fn row_limit(&self, k: usize) -> usize {
         stacked_row_limit(self.a.tiling(), self.top_rows, k)
-    }
-
-    fn slot_index(&self, i: usize, k: usize) -> usize {
-        let mt = self.a.tiling().mt();
-        assert!(!self.slots.is_null(), "T slot access through a shape-only QrPtr");
-        assert!(i < mt && i + k * mt < self.n_slots, "T slot ({i}, {k}) out of range");
-        i + k * mt
-    }
-
-    /// # Safety
-    /// Same contract as [`TilePtr::tile`].
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slot(&self, i: usize, k: usize) -> &'a mut TileT<S> {
-        &mut *self.slots.add(self.slot_index(i, k))
-    }
-
-    /// # Safety
-    /// Same contract as [`TilePtr::tile_ref`].
-    unsafe fn slot_ref(&self, i: usize, k: usize) -> &'a TileT<S> {
-        &*self.slots.add(self.slot_index(i, k))
     }
 }
 
@@ -340,7 +364,7 @@ fn stacked_row_limit(tiling: Tiling, top_rows: Option<usize>, k: usize) -> usize
 /// a write set names the task's home tile first, so `tsqrt`/`tsmqr` run
 /// where tile row `i` lives once ranks are assigned.
 pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
-    let a = f.a;
+    let (a, t) = (f.a, f.t);
     let tiling = a.tiling();
     let (mt, nt) = (tiling.mt(), tiling.nt());
     let kt = mt.min(nt);
@@ -349,58 +373,37 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
         dag.barrier();
         let step = (kt - k) as i32 * 4;
         // panel: QR of the diagonal tile
-        dag.add(KernelKind::Geqrt, step + 2, 2.0 * nb3, vec![], vec![a.at(k, k), f.t_at(k, k)], {
-            move || {
-                // SAFETY: tile and slot (k, k) are this task's write set.
-                let (akk, t) = unsafe { (a.tile(k, k), f.slot(k, k)) };
-                geqrt_blocked_into(akk, t);
-            }
+        let panel = (a.write(k, k), t.write(k, k));
+        dag.add_on(KernelKind::Geqrt, step + 2, 2.0 * nb3, panel, |(akk, t)| {
+            geqrt_blocked_into(akk, t)
         });
         // apply Q_kk^H to the tiles right of the diagonal
         for j in k + 1..nt {
-            dag.add(
+            dag.add_on(
                 KernelKind::Unmqr,
                 step + i32::from(j == k + 1),
                 3.0 * nb3,
-                vec![a.at(k, k), f.t_at(k, k)],
-                vec![a.at(k, j)],
-                move || {
-                    // SAFETY: (k, k) and its slot are read, (k, j) written.
-                    let (v, t, c) = unsafe { (a.tile_ref(k, k), f.slot_ref(k, k), a.tile(k, j)) };
-                    unmqr_tile_blocked(Op::ConjTrans, v, t, c);
-                },
+                (a.read(k, k), t.read(k, k), a.write(k, j)),
+                |(v, t, c)| unmqr_tile_blocked(Op::ConjTrans, v, t, c),
             );
         }
         // annihilate sub-diagonal tiles (only rows with reflector support
         // when the stacked structure is known)
         for i in k + 1..=f.row_limit(k) {
-            dag.add(
+            dag.add_on(
                 KernelKind::Tsqrt,
                 step + 2,
                 2.0 * nb3,
-                vec![],
-                vec![a.at(i, k), a.at(k, k), f.t_at(i, k)],
-                move || {
-                    // SAFETY: (k, k), (i, k) and slot (i, k) are written.
-                    let (r, b, t) = unsafe { (a.tile(k, k), a.tile(i, k), f.slot(i, k)) };
-                    tsqrt_blocked_into(r, b, t);
-                },
+                (a.write(i, k), a.write(k, k), t.write(i, k)),
+                |(b, r, t)| tsqrt_blocked_into(r, b, t),
             );
             for j in k + 1..nt {
-                dag.add(
+                dag.add_on(
                     KernelKind::Tsmqr,
                     step + i32::from(j == k + 1),
                     4.0 * nb3,
-                    vec![a.at(i, k), f.t_at(i, k)],
-                    vec![a.at(i, j), a.at(k, j)],
-                    move || {
-                        // SAFETY: (i, k) and its slot are read; (k, j) and
-                        // (i, j), distinct tiles, are written.
-                        let (v2, t, a1, a2) = unsafe {
-                            (a.tile_ref(i, k), f.slot_ref(i, k), a.tile(k, j), a.tile(i, j))
-                        };
-                        tsmqr_blocked(Op::ConjTrans, v2, t, a1, a2);
-                    },
+                    (a.read(i, k), t.read(i, k), a.write(i, j), a.write(k, j)),
+                    |(v2, t, a2, a1)| tsmqr_blocked(Op::ConjTrans, v2, t, a1, a2),
                 );
             }
         }
@@ -413,7 +416,7 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
 /// reflectors are applied with the reverse `tsmqr`/`unmqr` sweep. The
 /// reads of `f` chain the sweep behind an [`emit_geqrf`] in the same dag.
 pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: TilePtr<'a, S>) {
-    let w = f.a;
+    let (w, t) = (f.a, f.t);
     let tiling = w.tiling();
     let mt = tiling.mt();
     let kt = mt.min(tiling.nt());
@@ -424,9 +427,7 @@ pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: Tile
     dag.barrier();
     for j in 0..qnt {
         for i in 0..mt {
-            dag.add(KernelKind::Geadd, 2, nb * nb, vec![], vec![q.at(i, j)], move || {
-                // SAFETY: (i, j) is this task's write set.
-                let t = unsafe { q.tile(i, j) };
+            dag.add_on(KernelKind::Geadd, 2, nb * nb, q.write(i, j), move |t| {
                 if i == j {
                     t.set_identity();
                 } else {
@@ -440,35 +441,22 @@ pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: Tile
         let step = (k + 1) as i32 * 4;
         for i in (k + 1..=f.row_limit(k)).rev() {
             for j in k..qnt {
-                dag.add(
+                dag.add_on(
                     KernelKind::Tsmqr,
                     step,
                     4.0 * nb3,
-                    vec![w.at(i, k), f.t_at(i, k)],
-                    vec![q.at(i, j), q.at(k, j)],
-                    move || {
-                        // SAFETY: reflector tile and slot (i, k) are read;
-                        // Q tiles (k, j) and (i, j), distinct, are written.
-                        let (v2, t, q1, q2) = unsafe {
-                            (w.tile_ref(i, k), f.slot_ref(i, k), q.tile(k, j), q.tile(i, j))
-                        };
-                        tsmqr_blocked(Op::NoTrans, v2, t, q1, q2);
-                    },
+                    (w.read(i, k), t.read(i, k), q.write(i, j), q.write(k, j)),
+                    |(v2, t, q2, q1)| tsmqr_blocked(Op::NoTrans, v2, t, q1, q2),
                 );
             }
         }
         for j in k..qnt {
-            dag.add(
+            dag.add_on(
                 KernelKind::Unmqr,
                 step + 1,
                 3.0 * nb3,
-                vec![w.at(k, k), f.t_at(k, k)],
-                vec![q.at(k, j)],
-                move || {
-                    // SAFETY: (k, k) and its slot are read, Q (k, j) written.
-                    let (v, t, c) = unsafe { (w.tile_ref(k, k), f.slot_ref(k, k), q.tile(k, j)) };
-                    unmqr_tile_blocked(Op::NoTrans, v, t, c);
-                },
+                (w.read(k, k), t.read(k, k), q.write(k, j)),
+                |(v, t, c)| unmqr_tile_blocked(Op::NoTrans, v, t, c),
             );
         }
     }
@@ -493,9 +481,7 @@ pub fn emit_potrf<'a, S: Scalar>(
     for k in 0..nt {
         dag.barrier();
         let step = (nt - k) as i32 * 4;
-        dag.add_task(KernelKind::Potrf, step + 3, nb3 / 3.0, vec![], vec![a.at(k, k)], move || {
-            // SAFETY: (k, k) is this task's write set.
-            let akk = unsafe { a.tile(k, k) };
+        dag.add_on(KernelKind::Potrf, step + 3, nb3 / 3.0, a.write(k, k), move |akk| {
             match crate::potrf(Uplo::Lower, akk) {
                 Ok(()) => TaskStatus::Continue,
                 Err(e) => {
@@ -512,38 +498,27 @@ pub fn emit_potrf<'a, S: Scalar>(
             }
         });
         for i in k + 1..nt {
-            dag.add(
-                KernelKind::Trsm,
-                step + 2,
-                nb3,
-                vec![a.at(k, k)],
-                vec![a.at(i, k)],
-                move || {
-                    // SAFETY: (k, k) is read, (i, k) written.
-                    let (akk, aik) = unsafe { (a.tile_ref(k, k), a.tile(i, k)) };
-                    trsm(
-                        Side::Right,
-                        Uplo::Lower,
-                        Op::ConjTrans,
-                        Diag::NonUnit,
-                        S::ONE,
-                        akk.as_ref(),
-                        aik.as_mut(),
-                    );
-                },
-            );
+            let access = (a.read(k, k), a.write(i, k));
+            dag.add_on(KernelKind::Trsm, step + 2, nb3, access, |(akk, aik)| {
+                trsm(
+                    Side::Right,
+                    Uplo::Lower,
+                    Op::ConjTrans,
+                    Diag::NonUnit,
+                    S::ONE,
+                    akk.as_ref(),
+                    aik.as_mut(),
+                );
+            });
         }
         for i in k + 1..nt {
             // diagonal update; feeding the next panel gets priority
-            dag.add(
+            dag.add_on(
                 KernelKind::Herk,
                 step + i32::from(i == k + 1),
                 nb3,
-                vec![a.at(i, k)],
-                vec![a.at(i, i)],
-                move || {
-                    // SAFETY: (i, k) is read, (i, i) written.
-                    let (aik, aii) = unsafe { (a.tile_ref(i, k), a.tile(i, i)) };
+                (a.read(i, k), a.write(i, i)),
+                |(aik, aii)| {
                     herk(
                         Uplo::Lower,
                         Op::NoTrans,
@@ -555,16 +530,12 @@ pub fn emit_potrf<'a, S: Scalar>(
                 },
             );
             for j in k + 1..i {
-                dag.add(
+                dag.add_on(
                     KernelKind::Gemm,
                     step + i32::from(j == k + 1),
                     2.0 * nb3,
-                    vec![a.at(i, k), a.at(j, k)],
-                    vec![a.at(i, j)],
-                    move || {
-                        // SAFETY: (i, k) and (j, k) are read, (i, j) written.
-                        let (v, w, aij) =
-                            unsafe { (a.tile_ref(i, k), a.tile_ref(j, k), a.tile(i, j)) };
+                    (a.read(i, k), a.read(j, k), a.write(i, j)),
+                    |(v, w, aij)| {
                         gemm(
                             Op::NoTrans,
                             Op::ConjTrans,

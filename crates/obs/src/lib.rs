@@ -27,6 +27,8 @@
 //! [`scope`] API which enables everything, runs, and hands back a
 //! [`Report`].
 
+#![forbid(unsafe_code)]
+
 mod hist;
 mod logging;
 mod registry;

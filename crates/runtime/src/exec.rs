@@ -1,9 +1,8 @@
 //! Dependency-driven execution of tile task DAGs on the work-stealing pool.
 //!
 //! [`GraphBuilder`] (see `graph.rs`) infers RAW/WAW/WAR dependencies from
-//! tile read/write sets exactly like OpenMP `task depend` clauses; until
-//! this module existed those graphs were only ever *simulated*. [`TaskDag`]
-//! attaches a real closure to every task and executes the graph for real:
+//! tile read/write sets exactly like OpenMP `task depend` clauses.
+//! [`TaskDag`] attaches a closure to every task and executes the graph:
 //!
 //! * tasks become *ready* when their last predecessor completes and enter a
 //!   priority heap;
@@ -15,9 +14,9 @@
 //!   factorization with trailing updates. Driver-assigned priorities
 //!   survive only as a tiebreak between equal critical paths;
 //! * a **lookahead window** bounds run-ahead: tasks whose phase (solver
-//!   iteration) is more than `POLAR_LOOKAHEAD` (default 2) steps beyond the
-//!   oldest incomplete phase sort behind every in-window task, so step-k+1
-//!   panel kernels overtake step-k trailing updates but step-k+5 work does
+//!   iteration) is more than `LOOKAHEAD` (2) steps beyond the oldest
+//!   incomplete phase sort behind every in-window task, so step-k+1 panel
+//!   kernels overtake step-k trailing updates but step-k+5 work does
 //!   not flush the caches while step k is still in flight;
 //! * the ready set is drained by one worker loop per pool thread; workers
 //!   sleep on a condvar while no task is ready and are woken by completions.
@@ -45,15 +44,10 @@
 use crate::graph::{GraphBuilder, KernelKind, TaskGraph, TaskId, TileRef};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Lookahead window width in phases; see the module docs.
-fn lookahead_window() -> u32 {
-    static WINDOW: OnceLock<u32> = OnceLock::new();
-    *WINDOW.get_or_init(|| {
-        std::env::var("POLAR_LOOKAHEAD").ok().and_then(|v| v.parse().ok()).unwrap_or(2)
-    })
-}
+const LOOKAHEAD: u32 = 2;
 
 /// Why a [`TaskDag`] execution stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,13 +116,12 @@ struct KeyCtx {
     cp: Vec<f64>,
     /// Driver-assigned static priorities (tiebreak only).
     hints: Vec<i32>,
-    lookahead: u32,
 }
 
 impl KeyCtx {
     fn key(&self, graph: &TaskGraph, frontier: u32, id: TaskId) -> ReadyKey {
         ReadyKey {
-            ahead: graph.tasks[id].phase <= frontier.saturating_add(self.lookahead),
+            ahead: graph.tasks[id].phase <= frontier.saturating_add(LOOKAHEAD),
             cp: self.cp[id],
             hint: self.hints[id],
             id,
@@ -209,24 +202,54 @@ struct ExecState<'a> {
     life: LifeTable,
 }
 
-impl ExecState<'_> {
-    fn advance_frontier(&mut self, completed_phase: u32) {
-        self.phase_rem[completed_phase as usize] -= 1;
+impl<'a> ExecState<'a> {
+    /// Nothing run yet: the graph's roots ready, every phase full.
+    fn new(
+        graph: &TaskGraph,
+        ctx: &KeyCtx,
+        bodies: Vec<Option<Body<'a>>>,
+        mut life: LifeTable,
+    ) -> Self {
+        let n = graph.len();
+        let indeg: Vec<usize> = (0..n).map(|t| graph.preds(t).len()).collect();
+        let mut ready = BinaryHeap::with_capacity(n);
+        for (id, &d) in indeg.iter().enumerate() {
+            if d == 0 {
+                ready.push(ctx.key(graph, 0, id));
+                life.stamp(id);
+            }
+        }
+        let max_phase = graph.tasks.iter().map(|t| t.phase).max().unwrap_or(0);
+        let mut phase_rem = vec![0usize; max_phase as usize + 1];
+        for t in &graph.tasks {
+            phase_rem[t.phase as usize] += 1;
+        }
+        Self { ready, indeg, bodies, remaining: n, cancelled: false, phase_rem, frontier: 0, life }
+    }
+
+    /// Book task `id` as run: move the frontier past the phases that
+    /// drained and release the successors it was the last predecessor of.
+    /// Returns how many became ready. Both drains finish a task here.
+    fn complete(&mut self, graph: &TaskGraph, ctx: &KeyCtx, id: TaskId) -> usize {
+        self.remaining -= 1;
+        self.phase_rem[graph.tasks[id].phase as usize] -= 1;
         while (self.frontier as usize) < self.phase_rem.len()
             && self.phase_rem[self.frontier as usize] == 0
         {
             self.frontier += 1;
         }
+        let mut released = 0;
+        for &s in graph.succs(id) {
+            let s = s as usize;
+            self.indeg[s] -= 1;
+            if self.indeg[s] == 0 {
+                self.ready.push(ctx.key(graph, self.frontier, s));
+                self.life.stamp(s);
+                released += 1;
+            }
+        }
+        released
     }
-}
-
-fn phase_counts(graph: &TaskGraph) -> Vec<usize> {
-    let max_phase = graph.tasks.iter().map(|t| t.phase).max().unwrap_or(0);
-    let mut counts = vec![0usize; max_phase as usize + 1];
-    for t in &graph.tasks {
-        counts[t.phase as usize] += 1;
-    }
-    counts
 }
 
 impl<'a> TaskDag<'a> {
@@ -341,45 +364,25 @@ impl<'a> TaskDag<'a> {
         // When tracing, register the built graph in the post-mortem side
         // table under a fresh dag id so the analyzer can rejoin executed
         // spans (tagged with the same id) to their dependency structure.
-        let mut life = if polar_obs::trace_enabled() {
+        let life = if polar_obs::trace_enabled() {
             let dag = crate::postmortem::record_graph(Arc::clone(&graph));
             LifeTable::new(dag, n)
         } else {
             LifeTable::disabled()
         };
 
-        let ctx = KeyCtx {
-            cp: graph.critical_path_to_sink(),
-            hints: priorities,
-            lookahead: lookahead_window(),
-        };
-        let indeg: Vec<usize> = (0..n).map(|t| graph.preds(t).len()).collect();
-        let mut ready = BinaryHeap::with_capacity(n);
-        for (id, &d) in indeg.iter().enumerate() {
-            if d == 0 {
-                ready.push(ctx.key(&graph, 0, id));
-                life.stamp(id);
-            }
-        }
+        let ctx = KeyCtx { cp: graph.critical_path_to_sink(), hints: priorities };
+        let state = ExecState::new(&graph, &ctx, bodies, life);
 
         // Width 1 is a one-worker pool or a graph executed from inside a
         // task body (a serial region): either way there is no lane to fan
         // out to, so drain inline.
         let lanes = rayon::fork_width();
         if rayon::deterministic_mode().is_some() || lanes <= 1 {
-            return Self::execute_sequential(&graph, &ctx, bodies, ready, indeg, life, &stop);
+            return execute_sequential(&graph, &ctx, state, &stop);
         }
 
-        let state = Mutex::new(ExecState {
-            ready,
-            indeg,
-            bodies,
-            remaining: n,
-            cancelled: false,
-            phase_rem: phase_counts(&graph),
-            frontier: 0,
-            life,
-        });
+        let state = Mutex::new(state);
         let work = Condvar::new();
         fanout(lanes.min(n), &|| worker_loop(&graph, &ctx, &state, &work, &stop));
         let cancelled = state.lock().unwrap().cancelled;
@@ -390,46 +393,29 @@ impl<'a> TaskDag<'a> {
             ExecOutcome::Completed
         }
     }
+}
 
-    /// Fixed-order sequential drain: the deterministic-replay schedule.
-    fn execute_sequential(
-        graph: &TaskGraph,
-        ctx: &KeyCtx,
-        mut bodies: Vec<Option<Body<'a>>>,
-        mut ready: BinaryHeap<ReadyKey>,
-        mut indeg: Vec<usize>,
-        mut life: LifeTable,
-        stop: &dyn Fn(u32) -> bool,
-    ) -> ExecOutcome {
-        let mut phase_rem = phase_counts(graph);
-        let mut frontier = 0u32;
-        while let Some(ReadyKey { id, cp, .. }) = ready.pop() {
-            if stop(frontier) {
+/// Fixed-order sequential drain: the deterministic-replay schedule.
+fn execute_sequential(
+    graph: &TaskGraph,
+    ctx: &KeyCtx,
+    mut state: ExecState<'_>,
+    stop: &dyn Fn(u32) -> bool,
+) -> ExecOutcome {
+    while let Some(ReadyKey { id, cp, .. }) = state.ready.pop() {
+        if stop(state.frontier) {
+            return ExecOutcome::Cancelled;
+        }
+        let body = state.bodies[id].take().expect("task body ran twice");
+        {
+            let _t = task_span(graph, id, cp, state.ready.len(), state.life.lifecycle(id));
+            if body() == TaskStatus::Cancel {
                 return ExecOutcome::Cancelled;
             }
-            let body = bodies[id].take().expect("task body ran twice");
-            {
-                let _t = task_span(graph, id, cp, ready.len(), life.lifecycle(id));
-                if body() == TaskStatus::Cancel {
-                    return ExecOutcome::Cancelled;
-                }
-            }
-            let phase = graph.tasks[id].phase as usize;
-            phase_rem[phase] -= 1;
-            while (frontier as usize) < phase_rem.len() && phase_rem[frontier as usize] == 0 {
-                frontier += 1;
-            }
-            for &s in graph.succs(id) {
-                let s = s as usize;
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    ready.push(ctx.key(graph, frontier, s));
-                    life.stamp(s);
-                }
-            }
         }
-        ExecOutcome::Completed
+        state.complete(graph, ctx, id);
     }
+    ExecOutcome::Completed
 }
 
 /// Cancels the graph and wakes every waiter if dropped while still armed,
@@ -511,22 +497,10 @@ fn worker_loop<'a>(
             work.notify_all();
             return;
         }
-        guard.remaining -= 1;
+        let released = guard.complete(graph, ctx, id);
         if guard.remaining == 0 {
             work.notify_all();
             return;
-        }
-        guard.advance_frontier(graph.tasks[id].phase);
-        let frontier = guard.frontier;
-        let mut released = 0usize;
-        for &s in graph.succs(id) {
-            let s = s as usize;
-            guard.indeg[s] -= 1;
-            if guard.indeg[s] == 0 {
-                guard.ready.push(ctx.key(graph, frontier, s));
-                guard.life.stamp(s);
-                released += 1;
-            }
         }
         // wake sleepers for every newly-ready task beyond the one this
         // worker will take itself
@@ -595,6 +569,15 @@ mod tests {
 
     fn tile(m: u32, i: usize, j: usize) -> TileRef {
         TileRef::new(m, i, j, 64)
+    }
+
+    /// The sequential drain, whatever the pool size.
+    fn drain_sequentially(dag: TaskDag<'_>) -> ExecOutcome {
+        let TaskDag { builder, bodies, priorities } = dag;
+        let graph = builder.build();
+        let ctx = KeyCtx { cp: graph.critical_path_to_sink(), hints: priorities };
+        let state = ExecState::new(&graph, &ctx, bodies, LifeTable::disabled());
+        execute_sequential(&graph, &ctx, state, &|_| false)
     }
 
     #[test]
@@ -712,24 +695,7 @@ mod tests {
                 });
             }
         }
-        // run on the sequential path regardless of pool size
-        let TaskDag { builder, bodies, priorities } = dag;
-        let graph = builder.build();
-        let ctx = KeyCtx { cp: graph.critical_path_to_sink(), hints: priorities, lookahead: 2 };
-        let mut ready = BinaryHeap::new();
-        for id in 0..graph.len() {
-            ready.push(ctx.key(&graph, 0, id));
-        }
-        let indeg: Vec<usize> = (0..graph.len()).map(|t| graph.preds(t).len()).collect();
-        TaskDag::execute_sequential(
-            &graph,
-            &ctx,
-            bodies,
-            ready,
-            indeg,
-            LifeTable::disabled(),
-            &|_| false,
-        );
+        drain_sequentially(dag);
         assert_eq!(*log.lock().unwrap(), vec![1, 2, 0]);
     }
 
@@ -751,25 +717,7 @@ mod tests {
                 log.lock().unwrap().push(99);
             });
         }
-        let TaskDag { builder, bodies, priorities } = dag;
-        let graph = builder.build();
-        let ctx = KeyCtx { cp: graph.critical_path_to_sink(), hints: priorities, lookahead: 2 };
-        let mut ready = BinaryHeap::new();
-        for id in 0..graph.len() {
-            if graph.preds(id).is_empty() {
-                ready.push(ctx.key(&graph, 0, id));
-            }
-        }
-        let indeg: Vec<usize> = (0..graph.len()).map(|t| graph.preds(t).len()).collect();
-        TaskDag::execute_sequential(
-            &graph,
-            &ctx,
-            bodies,
-            ready,
-            indeg,
-            LifeTable::disabled(),
-            &|_| false,
-        );
+        drain_sequentially(dag);
         // chain head first (cp 3.0 beats hint 100 at cp 1.0); once the
         // remaining chain link ties at cp 1.0 the hint decides again
         assert_eq!(*log.lock().unwrap(), vec![0, 1, 99, 2]);
@@ -797,25 +745,7 @@ mod tests {
                 });
             }
         }
-        let TaskDag { builder, bodies, priorities } = dag;
-        let graph = builder.build();
-        let ctx = KeyCtx { cp: graph.critical_path_to_sink(), hints: priorities, lookahead: 2 };
-        let mut ready = BinaryHeap::new();
-        for id in 0..graph.len() {
-            if graph.preds(id).is_empty() {
-                ready.push(ctx.key(&graph, 0, id));
-            }
-        }
-        let indeg: Vec<usize> = (0..graph.len()).map(|t| graph.preds(t).len()).collect();
-        TaskDag::execute_sequential(
-            &graph,
-            &ctx,
-            bodies,
-            ready,
-            indeg,
-            LifeTable::disabled(),
-            &|_| false,
-        );
+        drain_sequentially(dag);
         // phase-0 task first even though the phase-9 chain is longer
         assert_eq!(*log.lock().unwrap(), vec![0, 10, 11, 12]);
     }
@@ -941,21 +871,7 @@ mod tests {
             dag.add(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(m, 0, 0)], || {
                 assert_eq!(widths_on_both_workers(), (2, 2));
             });
-            let TaskDag { builder, bodies, priorities } = dag;
-            let graph = builder.build();
-            let ctx = KeyCtx { cp: graph.critical_path_to_sink(), hints: priorities, lookahead: 2 };
-            let mut ready = BinaryHeap::new();
-            ready.push(ctx.key(&graph, 0, 0));
-            let out = TaskDag::execute_sequential(
-                &graph,
-                &ctx,
-                bodies,
-                ready,
-                vec![0],
-                LifeTable::disabled(),
-                &|_| false,
-            );
-            assert_eq!(out, ExecOutcome::Completed);
+            assert_eq!(drain_sequentially(dag), ExecOutcome::Completed);
         });
     }
 

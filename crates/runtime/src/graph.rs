@@ -76,7 +76,7 @@ impl TileRef {
     }
 
     /// Key ignoring the byte payload (identity of the tile).
-    fn key(&self) -> (u32, u32, u32) {
+    pub(crate) fn key(&self) -> (u32, u32, u32) {
         (self.matrix, self.i, self.j)
     }
 }

@@ -139,17 +139,13 @@ pub fn write_solver_trace_capped<W: std::io::Write>(
 
 /// Drain all buffered spans ([`polar_obs::take_spans`]) and write them to
 /// `path`. Returns the number of spans written. This is the sink end of
-/// `POLAR_TRACE=<path>`: call it once the instrumented work is done.
-/// `POLAR_TRACE_MAX_EVENTS=<n>` caps the complete-event count (see
-/// [`write_solver_trace_capped`]).
+/// `POLAR_TRACE=<path>`: call it once the instrumented work is done. For a
+/// bound on the event count, take the spans and call
+/// [`write_solver_trace_capped`].
 pub fn write_trace_file<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<usize> {
     let spans = polar_obs::take_spans();
-    let max = std::env::var("POLAR_TRACE_MAX_EVENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX);
     let file = std::fs::File::create(path)?;
-    write_solver_trace_capped(&spans, std::io::BufWriter::new(file), max)?;
+    write_solver_trace(&spans, std::io::BufWriter::new(file))?;
     Ok(spans.len())
 }
 

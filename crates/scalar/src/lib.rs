@@ -9,6 +9,8 @@
 //! The complex types are implemented from scratch (see [`Complex`]) because
 //! the workspace builds every substrate itself.
 
+#![forbid(unsafe_code)]
+
 mod complex;
 mod real;
 mod scalar_trait;

@@ -21,6 +21,8 @@
 //! targets the *shape* of Figs. 2–6 (who wins, the ≈18x GPU-vs-ScaLAPACK
 //! gap, growth with matrix size, scaling across nodes).
 
+#![forbid(unsafe_code)]
+
 pub mod analytic;
 pub mod kernel_flops;
 pub mod machine;

@@ -44,6 +44,8 @@
 //! svc.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cancel;
 pub mod dispatch;
 pub mod fault;

@@ -25,6 +25,8 @@
 //! three metrics sit at `O(eps)` — and the cond-sweep methodology follows
 //! the QDWH validation protocol of Keyes et al. (arXiv:2104.14186).
 
+#![forbid(unsafe_code)]
+
 mod cases;
 mod report;
 mod run;
