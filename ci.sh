@@ -124,8 +124,8 @@ stage_lint() {
     # each knob is one more configuration to test and to benchmark; adding
     # one means adding a line here, where a reviewer sees it
     # (POLAR_TEST_UNSET_VAR_XYZ is a unit test's never-set name)
-    local knobs='POLAR_C32_GEMM POLAR_DETERMINISTIC POLAR_GEMM_KC POLAR_GEMM_MC
-        POLAR_GEMM_MR POLAR_GEMM_NC POLAR_GEMM_NR POLAR_LOG POLAR_METRICS
+    local knobs='POLAR_DETERMINISTIC POLAR_GEMM_KC POLAR_GEMM_MC POLAR_GEMM_MR
+        POLAR_GEMM_NC POLAR_GEMM_NR POLAR_LOG POLAR_METRICS
         POLAR_NUM_THREADS POLAR_PAR_THRESHOLD_FLOPS POLAR_SEED
         POLAR_TEST_UNSET_VAR_XYZ POLAR_TILED POLAR_TRACE'
     strays=$(grep -rhoE '"POLAR_[A-Z0-9_]+"' crates/*/src crates/shims/*/src src \

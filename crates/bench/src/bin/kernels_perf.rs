@@ -51,6 +51,7 @@ fn gemm_gflops(n: usize, secs: f64, complex: bool) -> f64 {
 
 struct GemmRow {
     tag: &'static str,
+    microkernel: String,
     n: usize,
     gflops_packed: f64,
     gflops_axpy: f64,
@@ -78,6 +79,7 @@ fn bench_gemm<S: Scalar>(n: usize, reps: usize, time_ref: bool) -> GemmRow {
     };
     GemmRow {
         tag: S::TYPE_TAG,
+        microkernel: polar_blas::microkernel::<S>(),
         n,
         gflops_packed: gemm_gflops(n, t_packed, S::IS_COMPLEX),
         gflops_axpy: gemm_gflops(n, t_axpy, S::IS_COMPLEX),
@@ -523,36 +525,29 @@ fn smoke_tiled<S: Scalar>() {
     eprintln!("smoke: tiled QR/Cholesky match flat for type {}", S::TYPE_TAG);
 }
 
-/// Regression check for the measured Complex32 gemm dispatcher: the
-/// production path probes packed vs axpy at first use and routes to the
-/// winner, so it must not trail the better of its two candidate kernels
-/// by more than a generous noise margin. A mis-route (the historical
-/// 0.98x hard pin pointing the wrong way on a new microarchitecture) is
-/// what this catches; a few percent of timer noise is not.
-fn smoke_c32_dispatch() {
-    let n = 160;
-    let a = rand_mat::<Complex32>(n, n, 31);
-    let b = rand_mat::<Complex32>(n, n, 32);
-    let mut c = Matrix::<Complex32>::zeros(n, n);
-    let one = Complex32::new(1.0, 0.0);
-    let zero = Complex32::new(0.0, 0.0);
-    let t_prod = best_time(5, || {
-        gemm(Op::NoTrans, Op::NoTrans, one, a.as_ref(), b.as_ref(), zero, c.as_mut());
-    });
-    let t_axpy = best_time(5, || {
-        gemm_axpy(Op::NoTrans, Op::NoTrans, one, a.as_ref(), b.as_ref(), zero, c.as_mut());
-    });
-    assert!(
-        t_prod <= t_axpy * 1.5,
-        "c32 dispatch regression: production gemm {:.3} ms vs axpy {:.3} ms",
-        t_prod * 1e3,
-        t_axpy * 1e3
-    );
-    eprintln!(
-        "smoke: c32 gemm dispatch ok (production {:.3} ms, axpy candidate {:.3} ms)",
-        t_prod * 1e3,
-        t_axpy * 1e3
-    );
+/// Smoke check: on a host with AVX2 + FMA or better every scalar type has
+/// a SIMD microkernel, and the default tile shape selects it (a forced
+/// `POLAR_GEMM_MR`/`NR` may name a shape no kernel claims; then there is
+/// nothing to assert).
+fn smoke_simd_selected() {
+    let names = [
+        polar_blas::microkernel::<f32>(),
+        polar_blas::microkernel::<f64>(),
+        polar_blas::microkernel::<Complex32>(),
+        polar_blas::microkernel::<Complex64>(),
+    ];
+    #[cfg(target_arch = "x86_64")]
+    {
+        let p = polar_blas::params::gemm_params();
+        let forced = p.mr_override.is_some() || p.nr_override.is_some();
+        let simd = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma");
+        assert!(
+            forced || !simd || names.iter().all(|n| !n.starts_with("Generic")),
+            "a type fell back to the generic microkernel on a SIMD host: {names:?}"
+        );
+    }
+    eprintln!("smoke: microkernels s/d/c/z = {names:?}");
 }
 
 /// Single-lane rates of the kernels a tile task calls, at tile size `nb`:
@@ -606,22 +601,44 @@ fn tile_kernel_rates<S: Scalar>(nb: usize) -> Vec<(&'static str, f64)> {
 }
 
 /// The `"tile_kernels"` section: [`tile_kernel_rates`] at the two tile
-/// sizes `auto_tile_nb` picks, f64 and c64, each kernel also as a share of
-/// gemm at the same size — the figure the n = 512 two-lane rows hide.
+/// sizes `auto_tile_nb` picks, all four types, each kernel also as a share
+/// of its own type's gemm at the same size — the figure the n = 512
+/// two-lane rows hide — and of the `d` gemm, the host's packed rate.
 fn write_tile_kernels(j: &mut String) {
     eprintln!("single-lane tile kernels...");
+    // A solve has allocated and freed whole matrices before its first tile
+    // task runs, which lifts glibc's dynamic mmap and trim thresholds above
+    // any pack buffer. Do the same here: at the default thresholds the two
+    // 256 KB pack buffers of a `z` gemm at nb = 128 sit exactly on the
+    // 512 KB trim threshold, every call gives them back and faults them in
+    // again (99 faults per call), and the row reads 40 GFlop/s instead of
+    // 62. (8 MB: glibc ignores freed blocks above 32 MB; `black_box`: an
+    // unused allocation is compiled away.)
+    drop(std::hint::black_box(Matrix::<f64>::zeros(1024, 1024)));
     j.push_str("  \"tile_kernels\": [\n");
-    for (i, nb) in [128usize, 128, 256, 256].into_iter().enumerate() {
-        let (tag, rows) = match i % 2 {
-            0 => ("d", tile_kernel_rates::<f64>(nb)),
-            _ => ("z", tile_kernel_rates::<Complex64>(nb)),
-        };
-        let _ = write!(j, "    {{\"type\": \"{tag}\", \"nb\": {nb}");
-        for (name, g) in &rows {
-            let share = json_f(g / rows[0].1);
-            let _ = write!(j, ", \"{name}_gflops\": {}, \"{name}_vs_gemm\": {share}", json_f(*g));
+    for nb in [128usize, 256] {
+        let d = tile_kernel_rates::<f64>(nb);
+        let d_gemm = d[0].1;
+        let all = [
+            ("d", polar_blas::microkernel::<f64>(), d),
+            ("z", polar_blas::microkernel::<Complex64>(), tile_kernel_rates::<Complex64>(nb)),
+            ("s", polar_blas::microkernel::<f32>(), tile_kernel_rates::<f32>(nb)),
+            ("c", polar_blas::microkernel::<Complex32>(), tile_kernel_rates::<Complex32>(nb)),
+        ];
+        for (tag, kernel, rows) in &all {
+            let _ =
+                write!(j, "    {{\"type\": \"{tag}\", \"nb\": {nb}, \"microkernel\": \"{kernel}\"");
+            for (name, g) in rows {
+                let _ = write!(
+                    j,
+                    ", \"{name}_gflops\": {}, \"{name}_vs_gemm\": {}, \"{name}_vs_d_gemm\": {}",
+                    json_f(*g),
+                    json_f(g / rows[0].1),
+                    json_f(g / d_gemm)
+                );
+            }
+            j.push_str(if nb == 256 && *tag == "c" { "}\n" } else { "},\n" });
         }
-        j.push_str(if i < 3 { "},\n" } else { "}\n" });
     }
     j.push_str("  ],\n");
 }
@@ -744,13 +761,14 @@ fn main() {
         smoke_tri::<f64>();
         smoke_tri::<Complex32>();
         smoke_tri::<Complex64>();
-        smoke_c32_dispatch();
+        smoke_simd_selected();
         write_tile_kernels(&mut j);
         // one tiny timed row so the artifact shape matches the full run
         let row = bench_gemm::<f64>(64, 2, true);
         let _ = writeln!(
             j,
-            "  \"gemm\": [{{\"type\": \"d\", \"n\": 64, \"gflops_packed\": {}, \"gflops_axpy\": {}, \"gflops_ref\": {}}}],",
+            "  \"gemm\": [{{\"type\": \"d\", \"microkernel\": \"{}\", \"n\": 64, \"gflops_packed\": {}, \"gflops_axpy\": {}, \"gflops_ref\": {}}}],",
+            row.microkernel,
             json_f(row.gflops_packed),
             json_f(row.gflops_axpy),
             json_f(row.gflops_ref)
@@ -775,8 +793,9 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             j,
-            "    {{\"type\": \"{}\", \"n\": {}, \"gflops_packed\": {}, \"gflops_axpy\": {}, \"gflops_ref\": {}, \"speedup_vs_axpy\": {}, \"speedup_vs_ref\": {}}}",
+            "    {{\"type\": \"{}\", \"microkernel\": \"{}\", \"n\": {}, \"gflops_packed\": {}, \"gflops_axpy\": {}, \"gflops_ref\": {}, \"speedup_vs_axpy\": {}, \"speedup_vs_ref\": {}}}",
             r.tag,
+            r.microkernel,
             r.n,
             json_f(r.gflops_packed),
             json_f(r.gflops_axpy),

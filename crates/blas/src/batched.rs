@@ -64,7 +64,7 @@ pub fn gemm_batched<S: Scalar>(
         (par_threshold_flops() / per_entry).clamp(1, batch)
     };
 
-    let ctx = BatchCtx { op_a, op_b, alpha, beta, k: ak, packed: packs::<S>(m, n, ak) };
+    let ctx = BatchCtx { op_a, op_b, alpha, beta, k: ak, packed: packs(m, n, ak) };
     batched_rec(&ctx, a, b, EntriesMut::new(c), 0, grain);
 }
 

@@ -14,7 +14,7 @@
 use crate::packed::{gemm_packed, gemm_packed_par, Mask};
 use crate::params::{fork_lanes, gemm_params, par_threshold_flops};
 use polar_matrix::{MatMut, MatRef, Op};
-use polar_scalar::{Complex32, Scalar};
+use polar_scalar::Scalar;
 
 /// Element of `op(A)` at `(i, j)`.
 #[inline]
@@ -151,85 +151,13 @@ pub fn gemm_axpy<S: Scalar>(
 /// Below this many multiply-adds the unpacked kernel beats packing.
 const PACK_MIN_FLOPS: usize = 8 * 1024;
 
-/// Complex32 is the one type where the two kernels measure within a few
-/// percent of each other (the 8-byte AoS complex multiply defeats the
-/// generic microkernel's register blocking, historically 0.98x), and the
-/// winner flips across microarchitectures. Instead of a hard-coded pin,
-/// probe both once per process on a packing-sized product and route to
-/// whichever wins.
-///
-/// * `POLAR_C32_GEMM=axpy|packed` pins the choice (CI, A/B runs);
-/// * deterministic replay (`POLAR_DETERMINISTIC=1`) pins axpy, because the
-///   two kernels sum in different orders and a timing-dependent choice
-///   would break bitwise run-to-run equality.
-fn complex32_prefers_axpy() -> bool {
-    static PREF: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PREF.get_or_init(|| {
-        match std::env::var("POLAR_C32_GEMM").ok().as_deref() {
-            Some("axpy") => return true,
-            Some("packed") => return false,
-            _ => {}
-        }
-        if rayon::deterministic_mode().is_some() {
-            return true;
-        }
-        // probe: one NN product big enough to amortize packing, best of 3
-        // per kernel; ~10 MFlop total, a one-time cost of a few ms
-        let n = 96usize;
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f32 / (1u64 << 31) as f32) - 1.0
-        };
-        let a =
-            polar_matrix::Matrix::<Complex32>::from_fn(n, n, |_, _| Complex32::new(next(), next()));
-        let b =
-            polar_matrix::Matrix::<Complex32>::from_fn(n, n, |_, _| Complex32::new(next(), next()));
-        let mut c = polar_matrix::Matrix::<Complex32>::zeros(n, n);
-        let best = |f: &mut dyn FnMut()| {
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t = std::time::Instant::now();
-                f();
-                best = best.min(t.elapsed().as_secs_f64());
-            }
-            best
-        };
-        let one = Complex32::new(1.0, 0.0);
-        let zero = Complex32::new(0.0, 0.0);
-        let t_packed = best(&mut || {
-            gemm_packed(
-                Op::NoTrans,
-                Op::NoTrans,
-                one,
-                a.as_ref(),
-                b.as_ref(),
-                zero,
-                c.as_mut(),
-                Mask::Full,
-            );
-        });
-        let t_axpy = best(&mut || {
-            gemm_axpy(Op::NoTrans, Op::NoTrans, one, a.as_ref(), b.as_ref(), zero, c.as_mut());
-        });
-        t_axpy <= t_packed
-    })
-}
-
-/// Whether leaf products of type `S` should take the unpacked axpy kernel
-/// regardless of size (see [`complex32_prefers_axpy`]).
-#[inline]
-fn prefers_axpy<S: Scalar>() -> bool {
-    std::any::TypeId::of::<S>() == std::any::TypeId::of::<Complex32>() && complex32_prefers_axpy()
-}
-
 /// Whether an `m x n x k` product amortizes packing or takes the unpacked
 /// axpy/dot kernel. Decided once per call and handed to every leaf: the two
 /// sum in different orders, so a per-leaf choice would make an entry's bits
 /// depend on where a parallel split fell.
-pub(crate) fn packs<S: Scalar>(m: usize, n: usize, k: usize) -> bool {
+pub(crate) fn packs(m: usize, n: usize, k: usize) -> bool {
     let work = m.saturating_mul(n).saturating_mul(k.max(1));
-    work >= PACK_MIN_FLOPS && m.min(n) >= 4 && !prefers_axpy::<S>()
+    work >= PACK_MIN_FLOPS && m.min(n) >= 4
 }
 
 /// Sequential leaf on the kernel [`packs`] chose for the call.
@@ -300,7 +228,7 @@ pub fn gemm<S: Scalar>(
         [m, n, ak],
     );
     let work = m.saturating_mul(n).saturating_mul(ak.max(1));
-    let packed = packs::<S>(m, n, ak);
+    let packed = packs(m, n, ak);
     let lanes = fork_lanes(work);
     if lanes > 1 && packed && m >= 2 * gemm_params().mc {
         // Block-grid parallel path: share one packed-B panel across workers
@@ -399,7 +327,7 @@ pub fn gemm_a<S: Scalar>(
         [m, n, ak],
     );
     let work = m.saturating_mul(n).saturating_mul(ak.max(1));
-    let packed = packs::<S>(m, n, ak);
+    let packed = packs(m, n, ak);
     // gemm_par halves the longer output dimension, which for a skinny `C`
     // is the row-block split over `A` this variant exists for
     let grain = split_grain(work, fork_lanes(work));

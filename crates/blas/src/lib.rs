@@ -38,6 +38,7 @@ pub use batched::{gemm_batched, gemm_batched_packed};
 pub use gemm::{gemm, gemm_a, gemm_axpy, gemm_ref};
 pub use level1::{add, axpy, copy_into, dot, dotc, iamax, nrm2, scale, scale_real};
 pub use norms::{col_sums, norm, norm_triangular, row_sums};
+pub use packed::microkernel;
 pub use symm::{herk, herk_mirrored, mirror_triangle, symmetrize};
 pub use trsm::{trmm, trsm};
 

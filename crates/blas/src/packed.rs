@@ -18,13 +18,13 @@
 //! nothing but fused multiply-adds. Fringe tiles are zero-padded in the
 //! packs and spilled through a stack temporary on writeback.
 //!
-//! The microkernel is selected at runtime: hand-written AVX-512/AVX2+FMA
-//! kernels for `f64`/`f32` when the CPU supports them (checked once), and
-//! a const-generic autovectorized kernel otherwise (always for complex).
+//! The microkernel is selected at runtime: hand-written AVX-512 and
+//! AVX2+FMA kernels for all four scalar types when the CPU supports them
+//! (checked once), and a const-generic autovectorized kernel otherwise.
 
 use crate::params::{gemm_params, MAX_MR, MAX_NR};
 use polar_matrix::{MatMut, MatRef, Op, Uplo};
-use polar_scalar::{Complex64, Scalar};
+use polar_scalar::{Complex32, Complex64, Scalar};
 use std::any::TypeId;
 
 /// Microkernel register shape `(MR, NR)` for scalar type `S`, honoring
@@ -34,24 +34,11 @@ pub(crate) fn tile_shape<S: Scalar>() -> (usize, usize) {
     if let (Some(mr), Some(nr)) = (p.mr_override, p.nr_override) {
         return (mr, nr);
     }
-    let t = TypeId::of::<S>();
-    let (mr, nr) = if t == TypeId::of::<f64>() {
-        if cpu_has_avx512() {
-            (16, 8)
-        } else if cpu_has_avx2_fma() {
-            (8, 6)
-        } else {
-            (8, 4)
-        }
-    } else if t == TypeId::of::<f32>() {
-        if cpu_has_avx2_fma() {
-            (16, 6)
-        } else {
-            (8, 4)
-        }
-    } else {
+    let (mr, nr) = match SIMD_KERNELS.iter().find(|k| k.serves::<S>()) {
+        Some(k) => (k.mr, k.nr),
         // complex: each accumulator is two reals; keep the tile small
-        (4, 4)
+        None if S::IS_COMPLEX => (4, 4),
+        None => (8, 4),
     };
     (p.mr_override.unwrap_or(mr), p.nr_override.unwrap_or(nr))
 }
@@ -59,17 +46,80 @@ pub(crate) fn tile_shape<S: Scalar>() -> (usize, usize) {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Kern {
     Generic,
-    #[cfg(target_arch = "x86_64")]
     F64Avx512,
-    #[cfg(target_arch = "x86_64")]
     F64Avx2,
-    #[cfg(target_arch = "x86_64")]
+    F32Avx512,
     F32Avx2,
-    #[cfg(target_arch = "x86_64")]
+    Z64Avx512,
     Z64Avx2,
+    C32Avx512,
+    C32Avx2,
 }
 
-#[cfg(target_arch = "x86_64")]
+/// The scalar types a SIMD kernel is written for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Ty {
+    F32,
+    F64,
+    C32,
+    C64,
+}
+
+impl Ty {
+    fn of<S: Scalar>() -> Option<Ty> {
+        let is = |t: TypeId| TypeId::of::<S>() == t;
+        [
+            (TypeId::of::<f32>(), Ty::F32),
+            (TypeId::of::<f64>(), Ty::F64),
+            (TypeId::of::<Complex32>(), Ty::C32),
+            (TypeId::of::<Complex64>(), Ty::C64),
+        ]
+        .into_iter()
+        .find_map(|(t, ty)| is(t).then_some(ty))
+    }
+}
+
+/// One hand-written kernel: the scalar type and ISA it needs and the one
+/// register tile it computes.
+struct SimdKernel {
+    kern: Kern,
+    ty: Ty,
+    avx512: bool,
+    mr: usize,
+    nr: usize,
+}
+
+impl SimdKernel {
+    #[inline]
+    fn serves<S: Scalar>(&self) -> bool {
+        Some(self.ty) == Ty::of::<S>()
+            && if self.avx512 { cpu_has_avx512() } else { cpu_has_avx2_fma() }
+    }
+}
+
+/// Every SIMD kernel, the widest ISA of a type first: [`tile_shape`] takes
+/// the first one the host can run, [`select_kernel`] the one whose tile is
+/// the shape in force. (A `const` of plain values: for a given `S` the
+/// searches below fold to the one or two ISA checks that can match.)
+const SIMD_KERNELS: [SimdKernel; 8] = {
+    const fn k(kern: Kern, ty: Ty, avx512: bool, mr: usize, nr: usize) -> SimdKernel {
+        SimdKernel { kern, ty, avx512, mr, nr }
+    }
+    [
+        k(Kern::F64Avx512, Ty::F64, true, 16, 8),
+        k(Kern::F64Avx2, Ty::F64, false, 8, 6),
+        k(Kern::F32Avx512, Ty::F32, true, 32, 8),
+        k(Kern::F32Avx2, Ty::F32, false, 16, 6),
+        k(Kern::Z64Avx512, Ty::C64, true, 8, 4),
+        k(Kern::Z64Avx2, Ty::C64, false, 4, 3),
+        k(Kern::C32Avx512, Ty::C32, true, 16, 4),
+        k(Kern::C32Avx2, Ty::C32, false, 8, 3),
+    ]
+};
+
+// Miri interprets no vendor intrinsics: under it every type takes the
+// const-generic kernel, which is what lets it run whole small solves.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 fn cpu_has_avx2_fma() -> bool {
     static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FLAG.get_or_init(|| {
@@ -77,41 +127,34 @@ fn cpu_has_avx2_fma() -> bool {
     })
 }
 
-#[cfg(target_arch = "x86_64")]
+#[cfg(all(target_arch = "x86_64", not(miri)))]
 fn cpu_has_avx512() -> bool {
     static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FLAG.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
 
-#[cfg(not(target_arch = "x86_64"))]
+#[cfg(any(not(target_arch = "x86_64"), miri))]
 fn cpu_has_avx2_fma() -> bool {
     false
 }
 
-#[cfg(not(target_arch = "x86_64"))]
+#[cfg(any(not(target_arch = "x86_64"), miri))]
 fn cpu_has_avx512() -> bool {
     false
 }
 
 pub(crate) fn select_kernel<S: Scalar>(mr: usize, nr: usize) -> Kern {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let t = TypeId::of::<S>();
-        if t == TypeId::of::<f64>() {
-            if mr == 16 && nr == 8 && cpu_has_avx512() {
-                return Kern::F64Avx512;
-            }
-            if mr == 8 && nr == 6 && cpu_has_avx2_fma() {
-                return Kern::F64Avx2;
-            }
-        } else if t == TypeId::of::<f32>() && mr == 16 && nr == 6 && cpu_has_avx2_fma() {
-            return Kern::F32Avx2;
-        } else if t == TypeId::of::<Complex64>() && mr == 4 && nr == 4 && cpu_has_avx2_fma() {
-            return Kern::Z64Avx2;
-        }
-    }
-    let _ = (mr, nr);
-    Kern::Generic
+    SIMD_KERNELS
+        .iter()
+        .find(|k| k.serves::<S>() && (k.mr, k.nr) == (mr, nr))
+        .map_or(Kern::Generic, |k| k.kern)
+}
+
+/// The microkernel packed products of `S` run on in this process and its
+/// tile, as `"Z64Avx512 8x4"` (`"Generic 4x4"`: the const-generic fallback).
+pub fn microkernel<S: Scalar>() -> String {
+    let (mr, nr) = tile_shape::<S>();
+    format!("{:?} {mr}x{nr}", select_kernel::<S>(mr, nr))
 }
 
 /// What one sweep over a block of `C` may skip.
@@ -554,77 +597,48 @@ fn micro_dispatch<S: Scalar>(
     nr: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    match kern {
-        Kern::F64Avx512 => {
-            // SAFETY: kern selection guarantees S == f64, avx512f support,
-            // tile shape 16x8, and packed panels of >= 16*kc / 8*kc elems.
-            unsafe {
-                let cp = col_ptrs::<S, f64>(&mut c, 8);
-                x86::micro_f64_avx512_16x8(
-                    kc,
-                    ap.as_ptr() as *const f64,
-                    bp.as_ptr() as *const f64,
-                    alpha_as(alpha),
-                    alpha_as(beta),
-                    cp,
-                );
-            }
-            return;
+    {
+        // `$f` over the panels and the tile, `S` read as `$scalar` (a real,
+        // or a complex of `[re, im]` pairs of `$real`).
+        macro_rules! run {
+            ($f:ident, $scalar:ty, $real:ty) => {{
+                debug_assert!(ap.len() >= mr * kc && bp.len() >= nr * kc);
+                // SAFETY: `select_kernel` returns `kern` only for S ==
+                // `$scalar` on a CPU with the kernel's ISA and for the
+                // kernel's own `mr x nr`; the panels hold `mr * kc` and
+                // `nr * kc` scalars (the macro kernel slices them so) and
+                // `c` is an `mr x nr` tile, so each of its `nr` column
+                // pointers has `mr` scalars behind it.
+                unsafe {
+                    x86::$f(
+                        kc,
+                        ap.as_ptr() as *const $real,
+                        bp.as_ptr() as *const $real,
+                        alpha_as::<S, $scalar>(alpha),
+                        alpha_as::<S, $scalar>(beta),
+                        col_ptrs::<S, $real>(&mut c, nr),
+                    )
+                }
+                return;
+            }};
         }
-        Kern::F64Avx2 => {
-            // SAFETY: as above with avx2+fma and tile shape 8x6.
-            unsafe {
-                let cp = col_ptrs::<S, f64>(&mut c, 6);
-                x86::micro_f64_avx2_8x6(
-                    kc,
-                    ap.as_ptr() as *const f64,
-                    bp.as_ptr() as *const f64,
-                    alpha_as(alpha),
-                    alpha_as(beta),
-                    cp,
-                );
-            }
-            return;
+        match kern {
+            Kern::F64Avx512 => run!(micro_f64_avx512_16x8, f64, f64),
+            Kern::F64Avx2 => run!(micro_f64_avx2_8x6, f64, f64),
+            Kern::F32Avx512 => run!(micro_f32_avx512_32x8, f32, f32),
+            Kern::F32Avx2 => run!(micro_f32_avx2_16x6, f32, f32),
+            Kern::Z64Avx512 => run!(micro_z64_avx512_8x4, Complex64, f64),
+            Kern::Z64Avx2 => run!(micro_z64_avx2_4x3, Complex64, f64),
+            Kern::C32Avx512 => run!(micro_c32_avx512_16x4, Complex32, f32),
+            Kern::C32Avx2 => run!(micro_c32_avx2_8x3, Complex32, f32),
+            Kern::Generic => {}
         }
-        Kern::F32Avx2 => {
-            // SAFETY: as above with S == f32 and tile shape 16x6.
-            unsafe {
-                let cp = col_ptrs::<S, f32>(&mut c, 6);
-                x86::micro_f32_avx2_16x6(
-                    kc,
-                    ap.as_ptr() as *const f32,
-                    bp.as_ptr() as *const f32,
-                    alpha_as(alpha),
-                    alpha_as(beta),
-                    cp,
-                );
-            }
-            return;
-        }
-        Kern::Z64Avx2 => {
-            // SAFETY: kern selection guarantees S == Complex64 (repr(C)
-            // [re, im] pairs), avx2+fma support, tile shape 4x4, and packed
-            // panels of >= 4*kc complex elements each.
-            unsafe {
-                let cp = col_ptrs::<S, f64>(&mut c, 4);
-                x86::micro_z64_avx2_4x4(
-                    kc,
-                    ap.as_ptr() as *const f64,
-                    bp.as_ptr() as *const f64,
-                    alpha_as(alpha),
-                    alpha_as(beta),
-                    cp,
-                );
-            }
-            return;
-        }
-        Kern::Generic => {}
     }
     let _ = kern;
     micro_generic_dispatch(kc, ap, bp, alpha, beta, c, mr, nr);
 }
 
-/// Reinterpret a scalar known (via `select_kernel`) to be of real type `T`.
+/// Reinterpret a scalar known (via `select_kernel`) to be of type `T`.
 #[cfg(target_arch = "x86_64")]
 fn alpha_as<S: Scalar, T: Copy + 'static>(x: S) -> T {
     debug_assert_eq!(TypeId::of::<S>(), TypeId::of::<T>());
@@ -635,8 +649,8 @@ fn alpha_as<S: Scalar, T: Copy + 'static>(x: S) -> T {
 /// Column base pointers of an MR x NR tile, reinterpreted as `T`.
 ///
 /// # Safety
-/// `S` must be `T` (guaranteed by kernel selection) and the tile must
-/// have at least `n` columns.
+/// `S` must be `T` or a `[T; 2]` complex (guaranteed by kernel selection)
+/// and the tile must have at least `n` columns.
 #[cfg(target_arch = "x86_64")]
 unsafe fn col_ptrs<S: Scalar, T>(c: &mut MatMut<'_, S>, n: usize) -> [*mut T; MAX_NR] {
     let mut p = [std::ptr::null_mut(); MAX_NR];
@@ -740,11 +754,12 @@ fn micro_dyn<S: Scalar>(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! Hand-scheduled SIMD microkernels. Each streams zero-padded packed
-    //! panels (`ap`: MR reals per k-step, `bp`: NR reals per k-step) and
-    //! updates an MR x NR tile of `C` given by per-column base pointers.
+    //! panels (`ap`: MR scalars per k-step, `bp`: NR scalars per k-step; a
+    //! complex scalar is an `[re, im]` pair of reals) and updates an MR x NR
+    //! tile of `C` given by per-column base pointers.
     use super::MAX_NR;
     use core::arch::x86_64::*;
-    use polar_scalar::{Complex64, Scalar};
+    use polar_scalar::{Complex32, Complex64};
 
     /// # Safety
     /// Requires avx512f; `ap`/`bp` hold `16*kc` / `8*kc` readable f64;
@@ -824,54 +839,150 @@ mod x86 {
         }
     }
 
-    /// Complex-f64 microkernel: 4x4 complex tile, two `ymm` accumulators
-    /// per column (2 interleaved `[re, im]` pairs each). Per k-step the
-    /// complex product is two FMA-class ops per accumulator:
-    /// `acc += fmaddsub(a, re(b), swap(a) * im(b))` — even (re) lanes get
-    /// `ar*br - ai*bi`, odd (im) lanes get `ai*br + ar*bi`.
-    ///
+    /// Split-accumulator complex microkernel: `$mv` vectors of `$lanes / 2`
+    /// interleaved `[re, im]` pairs per column of an `($mv * $lanes / 2) x
+    /// $nr` tile. With `a = [ar, ai]`, `swap(a) = [ai, ar]` and `b = br +
+    /// i bi`, the product `a b` is `[ar br - ai bi, ai br + ar bi]`: the
+    /// k-loop keeps `sum a * br` and `sum swap(a) * bi` apart — two FMAs per
+    /// vector and k-step, nothing else — and `fmaddsub(acc_r, 1, acc_i)`
+    /// (even lanes `r - i`, odd lanes `r + i`) joins them once at the end.
+    /// `alpha * v` and `beta * c` are the same product against a constant.
+    macro_rules! complex_microkernel {
+        (
+            $(#[$attr:meta])* $name:ident, $cplx:ty, $real:ty, $lanes:literal x $mv:literal, nr = $nr:literal,
+            $zero:ident, $set1:ident, $load:ident, $store:ident, $swap:expr,
+            $mul:ident, $add:ident, $fmadd:ident, $fmaddsub:ident
+        ) => {
+            $(#[$attr])*
+            pub unsafe fn $name(
+                kc: usize,
+                ap: *const $real,
+                bp: *const $real,
+                alpha: $cplx,
+                beta: $cplx,
+                cp: [*mut $real; MAX_NR],
+            ) {
+                let mut acc_r = [[$zero(); $mv]; $nr];
+                let mut acc_i = [[$zero(); $mv]; $nr];
+                for p in 0..kc {
+                    let mut a = [$zero(); $mv];
+                    let mut s = [$zero(); $mv];
+                    for v in 0..$mv {
+                        a[v] = $load(ap.add(($mv * p + v) * $lanes));
+                        s[v] = $swap(a[v]);
+                    }
+                    for j in 0..$nr {
+                        let br = $set1(*bp.add(2 * ($nr * p + j)));
+                        let bi = $set1(*bp.add(2 * ($nr * p + j) + 1));
+                        for v in 0..$mv {
+                            acc_r[j][v] = $fmadd(a[v], br, acc_r[j][v]);
+                            acc_i[j][v] = $fmadd(s[v], bi, acc_i[j][v]);
+                        }
+                    }
+                }
+                // x * (re + i im) for interleaved x
+                let times = |x, re, im| $fmaddsub(x, re, $mul($swap(x), im));
+                let one = $set1(1.0);
+                let (ar, ai) = ($set1(alpha.re), $set1(alpha.im));
+                let (br, bi) = ($set1(beta.re), $set1(beta.im));
+                let overwrite = beta == <$cplx>::default();
+                for j in 0..$nr {
+                    for v in 0..$mv {
+                        let c = cp[j].add(v * $lanes);
+                        let mut out = times($fmaddsub(acc_r[j][v], one, acc_i[j][v]), ar, ai);
+                        if !overwrite {
+                            out = $add(out, times($load(c), br, bi));
+                        }
+                        $store(c, out);
+                    }
+                }
+            }
+        };
+    }
+
+    complex_microkernel!(
+        /// # Safety
+        /// Requires avx512f; `ap`/`bp` hold `8*kc` / `4*kc` readable
+        /// Complex64; `cp[0..4]` each point at 8 writable Complex64.
+        #[target_feature(enable = "avx512f")]
+        micro_z64_avx512_8x4, Complex64, f64, 8 x 2, nr = 4,
+        _mm512_setzero_pd, _mm512_set1_pd, _mm512_loadu_pd, _mm512_storeu_pd,
+        |x| _mm512_permute_pd(x, 0x55),
+        _mm512_mul_pd, _mm512_add_pd, _mm512_fmadd_pd, _mm512_fmaddsub_pd
+    );
+
+    complex_microkernel!(
+        /// # Safety
+        /// Requires avx512f; `ap`/`bp` hold `16*kc` / `4*kc` readable
+        /// Complex32; `cp[0..4]` each point at 16 writable Complex32.
+        #[target_feature(enable = "avx512f")]
+        micro_c32_avx512_16x4, Complex32, f32, 16 x 2, nr = 4,
+        _mm512_setzero_ps, _mm512_set1_ps, _mm512_loadu_ps, _mm512_storeu_ps,
+        |x| _mm512_permute_ps(x, 0xB1),
+        _mm512_mul_ps, _mm512_add_ps, _mm512_fmadd_ps, _mm512_fmaddsub_ps
+    );
+
+    complex_microkernel!(
+        /// # Safety
+        /// Requires avx2+fma; `ap`/`bp` hold `4*kc` / `3*kc` readable
+        /// Complex64; `cp[0..3]` each point at 4 writable Complex64. (12
+        /// accumulators, 2 + 2 operand vectors: 16 `ymm`.)
+        #[target_feature(enable = "avx2,fma")]
+        micro_z64_avx2_4x3, Complex64, f64, 4 x 2, nr = 3,
+        _mm256_setzero_pd, _mm256_set1_pd, _mm256_loadu_pd, _mm256_storeu_pd,
+        |x| _mm256_permute_pd(x, 0x5),
+        _mm256_mul_pd, _mm256_add_pd, _mm256_fmadd_pd, _mm256_fmaddsub_pd
+    );
+
+    complex_microkernel!(
+        /// # Safety
+        /// Requires avx2+fma; `ap`/`bp` hold `8*kc` / `3*kc` readable
+        /// Complex32; `cp[0..3]` each point at 8 writable Complex32.
+        #[target_feature(enable = "avx2,fma")]
+        micro_c32_avx2_8x3, Complex32, f32, 8 x 2, nr = 3,
+        _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps,
+        |x| _mm256_permute_ps(x, 0xB1),
+        _mm256_mul_ps, _mm256_add_ps, _mm256_fmadd_ps, _mm256_fmaddsub_ps
+    );
+
     /// # Safety
-    /// Requires avx2+fma; `ap`/`bp` hold `4*kc` packed Complex64 (`8*kc`
-    /// readable f64) each; `cp[0..4]` each point at 4 writable Complex64.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn micro_z64_avx2_4x4(
+    /// Requires avx512f; `ap`/`bp` hold `32*kc` / `8*kc` readable f32;
+    /// `cp[0..8]` each point at 32 writable f32.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn micro_f32_avx512_32x8(
         kc: usize,
-        ap: *const f64,
-        bp: *const f64,
-        alpha: Complex64,
-        beta: Complex64,
-        cp: [*mut f64; MAX_NR],
+        ap: *const f32,
+        bp: *const f32,
+        alpha: f32,
+        beta: f32,
+        cp: [*mut f32; MAX_NR],
     ) {
-        let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+        let mut acc = [[_mm512_setzero_ps(); 2]; 8];
         for p in 0..kc {
-            let a0 = _mm256_loadu_pd(ap.add(8 * p)); // re0 im0 re1 im1
-            let a1 = _mm256_loadu_pd(ap.add(8 * p + 4)); // re2 im2 re3 im3
-            let s0 = _mm256_permute_pd(a0, 0x5); // im0 re0 im1 re1
-            let s1 = _mm256_permute_pd(a1, 0x5);
+            let a0 = _mm512_loadu_ps(ap.add(32 * p));
+            let a1 = _mm512_loadu_ps(ap.add(32 * p + 16));
             for (j, accj) in acc.iter_mut().enumerate() {
-                let br = _mm256_broadcast_sd(&*bp.add(8 * p + 2 * j));
-                let bi = _mm256_broadcast_sd(&*bp.add(8 * p + 2 * j + 1));
-                accj[0] = _mm256_add_pd(accj[0], _mm256_fmaddsub_pd(a0, br, _mm256_mul_pd(s0, bi)));
-                accj[1] = _mm256_add_pd(accj[1], _mm256_fmaddsub_pd(a1, br, _mm256_mul_pd(s1, bi)));
+                let bj = _mm512_set1_ps(*bp.add(8 * p + j));
+                accj[0] = _mm512_fmadd_ps(a0, bj, accj[0]);
+                accj[1] = _mm512_fmadd_ps(a1, bj, accj[1]);
             }
         }
-        // complex alpha/beta writeback through a stack spill: 16 scalar
-        // complex multiplies, negligible against the kc-deep FMA loop
-        let mut buf = [0.0f64; 8];
-        for (j, accj) in acc.iter().enumerate() {
-            _mm256_storeu_pd(buf.as_mut_ptr(), accj[0]);
-            _mm256_storeu_pd(buf.as_mut_ptr().add(4), accj[1]);
-            let col = cp[j];
-            for r in 0..4 {
-                let v = Complex64::new(buf[2 * r], buf[2 * r + 1]);
-                let out = if beta == Complex64::ZERO {
-                    alpha * v
-                } else {
-                    let old = Complex64::new(*col.add(2 * r), *col.add(2 * r + 1));
-                    alpha * v + beta * old
-                };
-                *col.add(2 * r) = out.re;
-                *col.add(2 * r + 1) = out.im;
+        let va = _mm512_set1_ps(alpha);
+        if beta == 0.0 {
+            for (j, accj) in acc.iter().enumerate() {
+                _mm512_storeu_ps(cp[j], _mm512_mul_ps(va, accj[0]));
+                _mm512_storeu_ps(cp[j].add(16), _mm512_mul_ps(va, accj[1]));
+            }
+        } else {
+            let vb = _mm512_set1_ps(beta);
+            for (j, accj) in acc.iter().enumerate() {
+                let c0 = _mm512_loadu_ps(cp[j]);
+                let c1 = _mm512_loadu_ps(cp[j].add(16));
+                _mm512_storeu_ps(cp[j], _mm512_fmadd_ps(vb, c0, _mm512_mul_ps(va, accj[0])));
+                _mm512_storeu_ps(
+                    cp[j].add(16),
+                    _mm512_fmadd_ps(vb, c1, _mm512_mul_ps(va, accj[1])),
+                );
             }
         }
     }
@@ -921,14 +1032,22 @@ mod tests {
     use super::*;
     use crate::gemm::gemm_ref;
     use polar_matrix::Matrix;
-    use polar_scalar::Complex64;
+    use polar_scalar::Real;
 
-    fn rand_mat(m: usize, n: usize, seed: u64) -> Matrix<f64> {
+    fn rand_smat<S: Scalar>(m: usize, n: usize, seed: u64) -> Matrix<S> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        Matrix::from_fn(m, n, |_, _| {
+        let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        Matrix::from_fn(m, n, |_, _| {
+            let (re, im) = (next(), next());
+            S::from_parts(S::Real::from_f64(re), S::Real::from_f64(im))
         })
+    }
+
+    fn rand_mat(m: usize, n: usize, seed: u64) -> Matrix<f64> {
+        rand_smat(m, n, seed)
     }
 
     fn check(m: usize, n: usize, k: usize, op_a: Op, op_b: Op) {
@@ -1075,6 +1194,112 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The five loops of `gemm_packed_with` over one MC/NC block, on the
+    /// kernel and tile shape given instead of the ones the process selected.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_on<S: Scalar>(
+        (kern, mr, nr): (Kern, usize, usize),
+        (op_a, op_b): (Op, Op),
+        alpha: S,
+        a: &Matrix<S>,
+        b: &Matrix<S>,
+        beta: S,
+        c: &mut Matrix<S>,
+        k: usize,
+    ) {
+        let (m, n, kc) = (c.nrows(), c.ncols(), gemm_params().kc);
+        let mut apack = vec![S::ZERO; m.next_multiple_of(mr) * kc];
+        let mut bpack = vec![S::ZERO; n.next_multiple_of(nr) * kc];
+        for pc in (0..k).step_by(kc) {
+            let kcb = kc.min(k - pc);
+            let beta = if pc == 0 { beta } else { S::ONE };
+            pack_b(op_b, b.as_ref(), pc, 0, kcb, n, nr, &mut bpack);
+            pack_a(op_a, a.as_ref(), 0, pc, m, kcb, mr, &mut apack);
+            macro_kernel(kern, alpha, &apack, &bpack, beta, c.as_mut(), kcb, mr, nr, Mask::Full);
+        }
+    }
+
+    /// Every SIMD kernel of `S` this host can run — not only the one the
+    /// default tile shape selects — against the reference triple loop and
+    /// against the const-generic kernel at the same tile shape: full tiles
+    /// and both fringes, one k-step to more than a k-block, every op pair,
+    /// `alpha` / `beta` through the 0 / 1 / -1 / general writeback arms.
+    fn simd_kernels_match<S: Scalar>() -> usize {
+        let kc = gemm_params().kc;
+        let ops: &[Op] =
+            if S::IS_COMPLEX { &[Op::NoTrans, Op::Trans, Op::ConjTrans] } else { &[Op::NoTrans] };
+        let general = S::from_parts(S::Real::from_f64(1.25), S::Real::from_f64(-0.5));
+        let coefs = [S::ZERO, S::ONE, -S::ONE, general];
+        let kernels: Vec<_> = SIMD_KERNELS.iter().filter(|k| k.serves::<S>()).collect();
+        for (simd, k) in kernels.iter().flat_map(|s| [1, 7, kc, kc + 9].map(|k| (s, k))) {
+            let (mr, nr) = (simd.mr, simd.nr);
+            let tol = S::Real::from_f64(16.0 * S::Real::EPSILON.to_f64() * (k as f64 + 4.0));
+            for (case, (m, n)) in
+                [(2 * mr, 2 * nr), (2 * mr + 3, 2 * nr), (mr, nr + 1), (mr - 1, 3 * nr - 1)]
+                    .into_iter()
+                    .enumerate()
+            {
+                for (&op_a, &op_b) in ops.iter().flat_map(|a| ops.iter().map(move |b| (a, b))) {
+                    let (ar, ac) = if op_a == Op::NoTrans { (m, k) } else { (k, m) };
+                    let (br, bc) = if op_b == Op::NoTrans { (k, n) } else { (n, k) };
+                    let (a, b) = (rand_smat::<S>(ar, ac, 61), rand_smat::<S>(br, bc, 62));
+                    // the four (alpha, beta) pairs of this case; over the
+                    // four shapes every pair of coefficients comes up
+                    for (ia, &alpha) in coefs.iter().enumerate() {
+                        let beta = coefs[(ia + case) % 4];
+                        let what = format!(
+                            "{} {:?} {m}x{n}x{k} {op_a:?} {op_b:?} alpha={alpha:?} beta={beta:?}",
+                            S::TYPE_TAG,
+                            simd.kern
+                        );
+                        // beta = 0 overwrites: NaN in C must not survive
+                        // (the reference loop multiplies it, so it gets zeros)
+                        let (mut want, c0) = if beta == S::ZERO {
+                            (
+                                Matrix::zeros(m, n),
+                                Matrix::from_fn(m, n, |_, _| S::from_f64(f64::NAN)),
+                            )
+                        } else {
+                            (rand_smat::<S>(m, n, 63), rand_smat::<S>(m, n, 63))
+                        };
+                        let (mut got, mut generic) = (c0.clone(), c0);
+                        gemm_ref(op_a, op_b, alpha, a.as_ref(), b.as_ref(), beta, want.as_mut());
+                        let ops = (op_a, op_b);
+                        gemm_on((simd.kern, mr, nr), ops, alpha, &a, &b, beta, &mut got, k);
+                        gemm_on((Kern::Generic, mr, nr), ops, alpha, &a, &b, beta, &mut generic, k);
+                        for j in 0..n {
+                            for i in 0..m {
+                                let (g, w, f) = (got[(i, j)], want[(i, j)], generic[(i, j)]);
+                                assert!(
+                                    (g - w).abs() <= tol,
+                                    "{what}: ({i},{j}) {g:?} vs ref {w:?}"
+                                );
+                                assert!(
+                                    (g - f).abs() <= tol,
+                                    "{what}: ({i},{j}) {g:?} vs generic {f:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        kernels.len()
+    }
+
+    #[test]
+    fn every_simd_kernel_matches_reference_and_generic() {
+        let ran = [
+            simd_kernels_match::<f32>(),
+            simd_kernels_match::<f64>(),
+            simd_kernels_match::<Complex32>(),
+            simd_kernels_match::<Complex64>(),
+        ];
+        // the table lists the AVX-512 and the AVX2 kernel of each type
+        let want = usize::from(cpu_has_avx512()) + usize::from(cpu_has_avx2_fma());
+        assert_eq!(ran, [want; 4]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! | `POLAR_GEMM_MC`             | rows of the packed `A` block (L2 resident) |
 //! | `POLAR_GEMM_KC`             | depth of the packed rank-`kc` update       |
 //! | `POLAR_GEMM_NC`             | cols of the packed `B` block (L3 resident) |
-//! | `POLAR_GEMM_MR`             | microkernel register rows (1..=16)         |
+//! | `POLAR_GEMM_MR`             | microkernel register rows (1..=32)         |
 //! | `POLAR_GEMM_NR`             | microkernel register cols (1..=8)          |
 //!
 //! `MR`/`NR` default per scalar type (and to the shapes the SIMD
@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 
 /// Hard caps on the microkernel tile so fringe temporaries can live on
 /// the stack.
-pub const MAX_MR: usize = 16;
+pub const MAX_MR: usize = 32;
 /// See [`MAX_MR`].
 pub const MAX_NR: usize = 8;
 

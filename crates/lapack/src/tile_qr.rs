@@ -41,6 +41,12 @@ pub struct TileT<S: Scalar> {
     pub t: Matrix<S>,
     /// Inner blocking factor the tile was factored with.
     pub ib: usize,
+    /// The tile a `tsqrt` annihilates is upper triangular (LAPACK `tpqrt`
+    /// with `l = n`, PLASMA `ttqrt`): its `V2` stays so, and the panel of
+    /// columns `j..j + jb` reaches rows `0..j + jb` only. [`tsqrt_blocked_into`]
+    /// and [`tsmqr_blocked`] then leave the rows below — exact zeros — out of
+    /// every product, which changes no result.
+    pub upper_v2: bool,
 }
 
 impl<S: Scalar> TileT<S> {
@@ -50,7 +56,17 @@ impl<S: Scalar> TileT<S> {
     /// `malloc` out of the task bodies (and off the executor's hot path).
     pub fn new(ib: usize, k: usize) -> Self {
         let ib = ib.max(1);
-        Self { t: Matrix::zeros(ib, k), ib }
+        Self { t: Matrix::zeros(ib, k), ib, upper_v2: false }
+    }
+
+    /// Rows of a `tsqrt` tile of `m2` rows that the panel ending before
+    /// column `end` reaches (see [`TileT::upper_v2`]).
+    fn v2_rows(&self, end: usize, m2: usize) -> usize {
+        if self.upper_v2 {
+            end.min(m2)
+        } else {
+            m2
+        }
     }
 
     /// Number of reflectors covered.
@@ -157,20 +173,25 @@ pub fn tsqrt_blocked_into<S: Scalar>(r: &mut Matrix<S>, b: &mut Matrix<S>, tt_ou
     let ib = tt_out.ib;
     assert_eq!(tt_out.k(), kb, "tsqrt_blocked_into: T storage sized for a different tile");
     tt_out.t.fill(S::ZERO);
+    debug_assert!(
+        !tt_out.upper_v2 || (0..ncols).all(|c| b.col(c).iter().skip(c + 1).all(|&x| x == S::ZERO)),
+        "tsqrt_blocked_into: tile marked upper triangular is not"
+    );
     let mut tau = vec![S::ZERO; kb];
-    let tt = &mut tt_out.t;
     // one W scratch for the whole call, reused across ib-panels
     let mut wbuf = Matrix::<S>::zeros(ib.min(kb), ncols);
 
     let mut j = 0;
     while j < kb {
         let jb = ib.min(kb - j);
+        let rows = tt_out.v2_rows(j + jb, m2);
+        let tt = &mut tt_out.t;
         // --- panel: reflectors of columns j..j+jb, level-1 over columns --
         for c in j..j + jb {
-            let refl = larfg(r[(c, c)], b.col_mut(c));
+            let refl = larfg(r[(c, c)], &mut b.col_mut(c)[..rows]);
             r[(c, c)] = S::from_real(refl.beta);
             tau[c] = refl.tau;
-            let (vs, mut right) = b.as_mut().split_at_col(c + 1);
+            let (vs, mut right) = b.as_mut().submatrix(0, 0, rows, ncols).split_at_col(c + 1);
             let vs = vs.as_ref();
             let vc = vs.col(c);
             if refl.tau != S::ZERO {
@@ -198,8 +219,8 @@ pub fn tsqrt_blocked_into<S: Scalar>(r: &mut Matrix<S>, b: &mut Matrix<S>, tt_ou
         // with V = [e_j..e_{j+jb}; V2_panel] over [R; B] columns j+jb..
         if j + jb < ncols {
             let rest = ncols - (j + jb);
-            let (pan, mut btrail) = b.as_mut().split_at_col(j + jb);
-            let v2p = pan.as_ref().submatrix(0, j, m2, jb);
+            let (pan, mut btrail) = b.as_mut().submatrix(0, 0, rows, ncols).split_at_col(j + jb);
+            let v2p = pan.as_ref().submatrix(0, j, rows, jb);
             // W = R[j..j+jb, rest] + V2p^H B[:, rest]
             let mut w = wbuf.view_mut(0, 0, jb, rest);
             for col in 0..rest {
@@ -249,12 +270,13 @@ pub fn tsmqr_blocked<S: Scalar>(
     let mut wbuf = Matrix::<S>::zeros(ib.min(kb), n);
     for bblk in block_order(op, kb.div_ceil(ib)) {
         let (j, jb) = (bblk * ib, ib.min(kb - bblk * ib));
-        let v2b = v2.view(0, j, m2, jb);
+        let rows = tt.v2_rows(j + jb, m2);
+        let v2b = v2.view(0, j, rows, jb);
         let mut w = wbuf.view_mut(0, 0, jb, n);
         for col in 0..n {
             w.col_mut(col).copy_from_slice(&a1.col(col)[j..j + jb]);
         }
-        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, v2b, a2.as_ref(), S::ONE, w.rb());
+        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, v2b, a2.view(0, 0, rows, n), S::ONE, w.rb());
         trmm(
             Side::Left,
             Uplo::Upper,
@@ -267,7 +289,15 @@ pub fn tsmqr_blocked<S: Scalar>(
         for col in 0..n {
             axpy(-S::ONE, w.as_ref().col(col), &mut a1.col_mut(col)[j..j + jb]);
         }
-        gemm(Op::NoTrans, Op::NoTrans, -S::ONE, v2b, w.as_ref(), S::ONE, a2.as_mut());
+        gemm(
+            Op::NoTrans,
+            Op::NoTrans,
+            -S::ONE,
+            v2b,
+            w.as_ref(),
+            S::ONE,
+            a2.view_mut(0, 0, rows, n),
+        );
     }
 }
 
@@ -569,6 +599,67 @@ mod tests {
                     assert!((a2f[(i, j)] - a2b[(i, j)]).abs() < 1e-11, "A2 ({i},{j}) {op:?}");
                 }
             }
+        }
+    }
+
+    /// `tsqrt` of `[R; B]` with `B` upper triangular, then `tsmqr` of a
+    /// dense tile pair in both directions, at tile order `nb`: every output
+    /// with the row window of [`TileT::upper_v2`] equals the one without,
+    /// entry for entry (the rows it skips hold zeros, whose products add
+    /// nothing; a zero may differ in sign — `larfg` scales the skipped ones).
+    fn upper_v2_window_is_exact<S: Scalar>(nb: usize, ib: usize) {
+        use polar_scalar::Real;
+        let mut s = (nb * 131 + ib) as u64 | 1;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            S::Real::from_f64(((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0)
+        };
+        let mut upper = |shift: f64| {
+            Matrix::from_fn(nb, nb, |i, j| match i.cmp(&j) {
+                std::cmp::Ordering::Less => S::from_parts(next(), next()),
+                std::cmp::Ordering::Equal => S::from_parts(next(), next()) + S::from_f64(shift),
+                std::cmp::Ordering::Greater => S::ZERO,
+            })
+        };
+        let (r0, b0) = (upper(2.0), upper(1.0));
+        let mut dense = |n| Matrix::from_fn(nb, n, |_, _| S::from_parts(next(), next()));
+        let (a1_0, a2_0) = (dense(nb), dense(nb));
+
+        let run = |window: bool| {
+            let (mut r, mut b) = (r0.clone(), b0.clone());
+            let mut tt = TileT::new(ib, nb);
+            tt.upper_v2 = window;
+            tsqrt_blocked_into(&mut r, &mut b, &mut tt);
+            let (mut a1, mut a2) = (a1_0.clone(), a2_0.clone());
+            tsmqr_blocked(Op::ConjTrans, &b, &tt, &mut a1, &mut a2);
+            let (mut q1, mut q2) = (a2_0.clone(), a1_0.clone());
+            tsmqr_blocked(Op::NoTrans, &b, &tt, &mut q1, &mut q2);
+            [r, b, tt.t, a1, a2, q1, q2]
+        };
+        for (which, (w, d)) in run(true).iter().zip(&run(false)).enumerate() {
+            for j in 0..w.ncols() {
+                for i in 0..w.nrows() {
+                    assert!(
+                        w[(i, j)] == d[(i, j)],
+                        "{} nb={nb} ib={ib}: output {which} differs at ({i},{j}): {:?} vs {:?}",
+                        S::TYPE_TAG,
+                        w[(i, j)],
+                        d[(i, j)]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tsqrt_tsmqr_row_window_changes_no_entry() {
+        // the sizes keep every product on one gemm kernel with and without
+        // the window (a shorter k can drop a product under gemm's packing
+        // threshold, and the unpacked kernel rounds differently): all
+        // unpacked at 48 / ib = 3, all packed at 160 / ib = 8 and 32
+        for (nb, ib) in [(48usize, 3usize), (160, 8), (160, 32)] {
+            upper_v2_window_is_exact::<f64>(nb, ib);
+            upper_v2_window_is_exact::<Complex64>(nb, ib);
         }
     }
 

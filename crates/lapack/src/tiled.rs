@@ -273,11 +273,19 @@ impl<S: Scalar> TiledQr<S> {
         // panel k; slots beyond the stacked row window are never written
         // and get zero-width stubs
         let mut t = Vec::with_capacity(mt * kt);
+        // with `B` a whole number of square tiles, `D`'s tile rows start at
+        // `d0` and the one panel `k` reaches is on `D`'s diagonal: upper
+        // triangular, and untouched until then
+        let d0 = top_rows
+            .filter(|tr| tr % tiling.mb() == 0 && tiling.mb() == tiling.nb())
+            .map(|tr| tr / tiling.mb());
         for k in 0..kt {
             let kk = tiling.tile_rows(k).min(tiling.tile_cols(k));
             let lim = stacked_row_limit(tiling, top_rows, k);
             for i in 0..mt {
-                t.push(TileT::new(ib, if i >= k && i <= lim { kk } else { 0 }));
+                let mut tt = TileT::new(ib, if i >= k && i <= lim { kk } else { 0 });
+                tt.upper_v2 = i > k && d0.is_some_and(|d0| i == d0 + k);
+                t.push(tt);
             }
         }
         Self { a, t, top_rows }
@@ -721,12 +729,24 @@ mod tests {
     fn tiled_stacked_matches_dense_tiled() {
         // the windowed task graph must produce the same factorization as
         // the dense one on [B; I] (the skipped tasks are exact no-ops);
-        // 37 x 20 at nb = 16 has the identity start mid-tile
-        for (m, n) in [(24usize, 24usize), (40, 40), (37, 20)] {
+        // 37 x 20 at nb = 16 has the identity start mid-tile; the shapes at
+        // nb = 64 are tile-aligned, so the identity's diagonal tiles run the
+        // row-windowed `tsqrt` / `tsmqr`, two `ib` panels each
+        for (m, n, nb) in [
+            (24usize, 24usize, 16),
+            (40, 40, 16),
+            (37, 20, 16),
+            (32, 32, 16),
+            (64, 64, 64),
+            (128, 64, 64),
+            (128, 128, 64),
+        ] {
             let b = rand_mat(m, n, 10 + n as u64);
             let w = Matrix::vstack(&b, &Matrix::identity(n, n));
-            let mut dense = geqrf_tiled(&w, 16);
-            let mut windowed = geqrf_tiled_stacked(m, &w, 16);
+            let mut dense = geqrf_tiled(&w, nb);
+            let mut windowed = geqrf_tiled_stacked(m, &w, nb);
+            let marked = windowed.t.iter().filter(|t| t.upper_v2).count();
+            assert_eq!(marked, if m % nb == 0 { n / nb } else { 0 }, "m={m} n={n} nb={nb}");
             let qd = orgqr_tiled(&mut dense, n);
             let qw = orgqr_tiled(&mut windowed, n);
             let mut diff = qd.clone();
