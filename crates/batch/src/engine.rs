@@ -80,10 +80,10 @@ pub struct BatchOptions {
     /// Per-entry numerics (iteration family, switch threshold, iteration
     /// cap, `compute_h`, `l_0` strategy — every
     /// [`L0Strategy`](polar_qdwh::L0Strategy), through
-    /// [`polar_qdwh::estimate_l0`] on the flat `geqrf`). The tiled path
-    /// does not apply — batch entries are small by design, so
-    /// factorizations run on the flat kernels and parallelism comes from
-    /// the batch dimension. The `progress` hook is not consulted
+    /// [`polar_qdwh::estimate_l0`] on the flat `geqrf`). `tile_nb` is not
+    /// read — batch entries are small by design, so factorizations run on
+    /// the flat kernels and parallelism comes from the batch dimension.
+    /// The `progress` hook is not consulted
     /// (cancellation is the serving tier's job, at batch granularity).
     pub qdwh: QdwhOptions,
     /// Estimate the scaling `alpha` as `sqrt(||A||_1 ||A||_inf)` (one pass
@@ -324,9 +324,7 @@ pub fn qdwh_batched<S: Scalar>(
             e.u = Matrix::zeros(m, 0);
             e.h = Matrix::zeros(0, 0);
         }
-        return Ok((0..batch)
-            .map(|_| QdwhInfo::started(S::Real::ZERO, S::Real::ZERO, None))
-            .collect());
+        return Ok((0..batch).map(|_| QdwhInfo::started(S::Real::ZERO, S::Real::ZERO)).collect());
     }
     for (k, e) in entries.iter().enumerate() {
         if e.a.has_non_finite() {
@@ -445,10 +443,6 @@ fn run_chunk<S: Scalar>(
     let count = entries.len();
     let m = entries[0].a.nrows();
     let n = entries[0].a.ncols();
-    // the batched engine never takes the tile drivers (the batch dimension
-    // provides the parallelism instead): no tile decision to report
-    let started = |alpha, l0| QdwhInfo::started(alpha, l0, None);
-
     // ---- pack + prologue: scale and condition-estimate every entry ----
     ensure_slab(&mut slabs.a, m, n, count);
     ensure_slab(&mut slabs.x, m, n, count);
@@ -471,7 +465,7 @@ fn run_chunk<S: Scalar>(
                 ell: S::Real::ONE,
                 conv: S::Real::ZERO,
                 done: true,
-                info: started(alpha, S::Real::ZERO),
+                info: QdwhInfo::started(alpha, S::Real::ZERO),
                 fresh_l0: None,
             });
             continue;
@@ -494,7 +488,7 @@ fn run_chunk<S: Scalar>(
             ell: l0,
             conv: S::Real::from_f64(100.0),
             done: false,
-            info: started(alpha, l0),
+            info: QdwhInfo::started(alpha, l0),
             fresh_l0,
         });
     }

@@ -19,12 +19,6 @@ fn bench_pd_family(c: &mut Criterion) {
     g.sample_size(10);
     let a = ill(96, 1);
     g.bench_function("qdwh", |b| b.iter(|| qdwh(&a, &QdwhOptions::default()).unwrap()));
-    g.bench_function("tsqr_stacked_192x96", |b| {
-        // the communication-avoiding QR kernel on one QR iteration's
-        // stacked [X; I] (no solver path uses it)
-        let w = polar_matrix::Matrix::vstack(&a, &polar_matrix::Matrix::identity(96, 96));
-        b.iter(|| polar_lapack::tsqr(&w))
-    });
     g.bench_function("qdwh_unstructured_qr", |b| {
         // ablation: disable the [B; I] window optimization
         let opts = QdwhOptions { exploit_structure: false, ..Default::default() };

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use polar_blas::gemm;
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
-use polar_lapack::{geqrf, jacobi_svd, norm2est, potrf, tsqr};
+use polar_lapack::{geqrf, jacobi_svd, norm2est, potrf};
 use polar_matrix::{Matrix, Op, Uplo};
 use polar_qdwh::{qdwh, svd_based_polar, QdwhOptions};
 
@@ -53,19 +53,6 @@ fn bench_geqrf(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
-}
-
-fn bench_tsqr(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tsqr_vs_flat");
-    let a = rand_mat(2048, 32, 4);
-    group.bench_function("tsqr", |b| b.iter(|| tsqr(&a)));
-    group.bench_function("flat_geqrf", |b| {
-        b.iter(|| {
-            let mut w = a.clone();
-            geqrf(&mut w)
-        })
-    });
     group.finish();
 }
 
@@ -136,7 +123,6 @@ criterion_group!(
     benches,
     bench_gemm,
     bench_geqrf,
-    bench_tsqr,
     bench_potrf,
     bench_norm2est,
     bench_qdwh,

@@ -284,133 +284,78 @@ fn run_batched_sweep(j: &mut String, gate: bool, reps: usize) {
     }
 }
 
-fn zolo_opts(r: usize, tiled: polar_qdwh::TiledPath, nb: Option<usize>) -> polar_qdwh::ZoloOptions {
-    polar_qdwh::ZoloOptions {
-        r,
-        // small r converges slowly at kappa = 1e16; give the sweep headroom
-        max_iterations: 20,
-        tiled,
-        tile_nb: nb,
-        ..Default::default()
-    }
-}
-
-/// Serial vs fused Zolo-PD at degree `r`, timed rep-by-rep in one
-/// interleaved loop (same drift argument as [`bench_geqrf_pair`]).
-/// Returns `(serial_best_s, fused_best_s, iterations)`.
-fn bench_zolo_pair(a: &Matrix<f64>, r: usize, nb: usize, reps: usize) -> (f64, f64, usize) {
-    use polar_qdwh::TiledPath;
-    let serial = zolo_opts(r, TiledPath::Never, None);
-    let fused = zolo_opts(r, TiledPath::Always, Some(nb));
-    let mut s_best = f64::INFINITY;
-    let mut f_best = f64::INFINITY;
-    let mut iters = 0;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let z = polar_qdwh::zolo_pd(a, &serial).expect("serial zolo converges");
-        s_best = s_best.min(t.elapsed().as_secs_f64());
-        iters = z.pd.info.iterations;
-        let t = Instant::now();
-        let zf = polar_qdwh::zolo_pd(a, &fused).expect("fused zolo converges");
-        f_best = f_best.min(t.elapsed().as_secs_f64());
-        assert_eq!(zf.pd.info.iterations, iters, "fused/serial plans diverged at r={r}");
-    }
-    (s_best, f_best, iters)
-}
-
 struct ZoloRow {
     r: usize,
     iterations: usize,
-    serial_s: f64,
-    fused_s: f64,
+    seconds: f64,
     makespan_ns: u64,
     critical_path_ns: u64,
     qr_busy_ns: u64,
 }
 
-/// One instrumented fused solve at degree `r`: post-mortem makespan,
-/// measured critical path, and the serial sum of QR-class task durations
-/// (the r-way concurrency evidence: CP < that sum means at least two QR
-/// branches were runnable at once).
-fn zolo_postmortem(a: &Matrix<f64>, r: usize, nb: usize) -> (u64, u64, u64) {
-    use polar_qdwh::TiledPath;
+/// Zolo-PD at degree `r`: best of two plain solves, then one instrumented
+/// one for the post-mortem makespan, measured critical path, and the
+/// serial sum of QR-class task durations (the r-way concurrency evidence:
+/// CP < that sum means at least two QR branches were runnable at once).
+fn zolo_row(a: &Matrix<f64>, r: usize, nb: usize) -> ZoloRow {
+    let opts = polar_qdwh::ZoloOptions {
+        r,
+        // small r converges slowly at kappa = 1e16; give the sweep headroom
+        max_iterations: 20,
+        tile_nb: Some(nb),
+        ..Default::default()
+    };
+    let (mut seconds, mut iterations) = (f64::INFINITY, 0);
+    for _ in 0..2 {
+        let t = Instant::now();
+        let z = polar_qdwh::zolo_pd(a, &opts).expect("zolo converges");
+        seconds = seconds.min(t.elapsed().as_secs_f64());
+        iterations = z.pd.info.iterations;
+    }
     let _ = polar_runtime::take_executed_graphs(); // drop any stale dags
     let scope = polar_obs::scope();
-    let _ = polar_qdwh::zolo_pd(a, &zolo_opts(r, TiledPath::Always, Some(nb)))
-        .expect("instrumented fused zolo converges");
+    let _ = polar_qdwh::zolo_pd(a, &opts).expect("instrumented zolo converges");
     let report = scope.finish();
     let graphs = polar_runtime::take_executed_graphs();
     let pm = polar_runtime::analyze(&report.spans, &graphs);
-    let d = pm.dags.iter().max_by_key(|d| d.spans).expect("fused zolo executed a dag");
-    let qr_busy: u64 = d
+    let d = pm.dags.iter().max_by_key(|d| d.spans).expect("zolo executed a dag");
+    let qr_busy_ns: u64 = d
         .classes
         .iter()
         .filter(|c| matches!(c.name, "task_geqrt" | "task_tsqrt" | "task_unmqr" | "task_tsmqr"))
         .map(|c| c.busy_ns)
         .sum();
-    (d.makespan_ns, d.critical_path_ns, qr_busy)
+    ZoloRow {
+        r,
+        iterations,
+        seconds,
+        makespan_ns: d.makespan_ns,
+        critical_path_ns: d.critical_path_ns,
+        qr_busy_ns,
+    }
 }
 
-/// The `--zolo` mode: r-sweep over serial vs fused Zolo-PD with
-/// post-mortem rows, and (with `--gate`) the nightly r-scaling floor —
-/// fused r=4 wall-clock <= 0.9x serial, enforced only when the host
-/// has >= 2 cores and the pool >= 2 workers (self-skips otherwise,
-/// same pattern as the tiled-QR gate).
-fn run_zolo_sweep(j: &mut String, n: usize, gate: bool, pool_workers: usize, host_cores: usize) {
+/// The `--zolo` mode: r-sweep over Zolo-PD with post-mortem rows.
+fn run_zolo_sweep(j: &mut String, n: usize) {
     let nb = 64usize;
     let (a, _) = generate::<f64>(&polar_bench::paper_matrix_spec(n, 42));
-    let mut rows: Vec<ZoloRow> = Vec::new();
-    for r in [1usize, 2, 4, 8] {
-        eprintln!("zolo sweep: n={n} r={r}...");
-        let (mut serial_s, mut fused_s, iterations) = bench_zolo_pair(&a, r, nb, 2);
-        if gate && r == 4 && host_cores >= 2 && pool_workers >= 2 {
-            // shared-runner noise: accept the best of several rounds
-            let mut tries = 1;
-            while fused_s > 0.9 * serial_s && tries < 5 {
-                eprintln!("zolo gate: r=4 fused {:.3}x serial, remeasuring...", fused_s / serial_s);
-                let (s2, f2, _) = bench_zolo_pair(&a, r, nb, 3);
-                if f2 / s2 < fused_s / serial_s {
-                    (serial_s, fused_s) = (s2, f2);
-                }
-                tries += 1;
-            }
-            assert!(
-                fused_s <= 0.9 * serial_s,
-                "zolo r-scaling gate: fused r=4 is {:.3}x serial (> 0.9x) at {pool_workers} \
-                 workers after {tries} rounds",
-                fused_s / serial_s
-            );
-            eprintln!("zolo gate: fused r=4 at {:.3}x serial, pass", fused_s / serial_s);
-        } else if gate && r == 4 {
-            eprintln!(
-                "zolo gate: skipped (host_cores={host_cores}, pool_workers={pool_workers}; \
-                 needs >= 2 of each)"
-            );
-        }
-        let (makespan_ns, critical_path_ns, qr_busy_ns) = zolo_postmortem(&a, r, nb);
-        rows.push(ZoloRow {
-            r,
-            iterations,
-            serial_s,
-            fused_s,
-            makespan_ns,
-            critical_path_ns,
-            qr_busy_ns,
-        });
-    }
+    let rows: Vec<ZoloRow> = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|r| {
+            eprintln!("zolo sweep: n={n} r={r}...");
+            zolo_row(&a, r, nb)
+        })
+        .collect();
     j.push_str("  \"zolo\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let _ = write!(
             j,
             "    {{\"type\": \"d\", \"n\": {n}, \"r\": {}, \"iterations\": {}, \
-             \"serial_seconds\": {}, \"fused_seconds\": {}, \"speedup_fused\": {}, \
-             \"makespan_ns\": {}, \"critical_path_ns\": {}, \"qr_busy_ns\": {}, \
-             \"cp_vs_qr_busy\": {}}}",
+             \"seconds\": {}, \"makespan_ns\": {}, \"critical_path_ns\": {}, \
+             \"qr_busy_ns\": {}, \"cp_vs_qr_busy\": {}}}",
             row.r,
             row.iterations,
-            json_f(row.serial_s),
-            json_f(row.fused_s),
-            json_f(row.serial_s / row.fused_s),
+            json_f(row.seconds),
             row.makespan_ns,
             row.critical_path_ns,
             row.qr_busy_ns,
@@ -732,7 +677,7 @@ fn main() {
 
     if args.flag("--zolo") {
         let n: usize = args.get("--n", 256);
-        run_zolo_sweep(&mut j, n, gate, pool_workers, host_cores);
+        run_zolo_sweep(&mut j, n);
         j.push_str("}\n");
         std::fs::write(&out, &j).expect("write zolo sweep json");
         println!("{j}");

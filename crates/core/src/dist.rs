@@ -10,7 +10,7 @@
 //! are what an MPI execution of the same graph would transfer.
 
 use crate::fused::qdwh_task_graph;
-use crate::options::{QdwhOptions, TiledPath};
+use crate::options::QdwhOptions;
 use crate::qdwh_impl::{qdwh, PolarDecomposition, QdwhError};
 use polar_matrix::{Matrix, ProcessGrid};
 use polar_runtime::CommStats;
@@ -35,7 +35,7 @@ pub struct DistOutcome<S: Scalar> {
     pub tile_tasks: usize,
 }
 
-/// Distributed (virtual-cluster) QDWH: [`qdwh`] on the tiled path at tile
+/// Distributed (virtual-cluster) QDWH: [`qdwh`] at tile
 /// size `cfg.nb` — `U` and `H` are that solve's, bit for bit, whatever the
 /// grid — with the cross-rank tile traffic of its task graph under
 /// `cfg.grid` ([`polar_runtime::TaskGraph::comm`]).
@@ -44,7 +44,7 @@ pub fn qdwh_distributed<S: Scalar>(
     opts: &QdwhOptions,
     cfg: &DistConfig,
 ) -> Result<DistOutcome<S>, QdwhError> {
-    let opts = QdwhOptions { tiled: TiledPath::Always, tile_nb: Some(cfg.nb), ..opts.clone() };
+    let opts = QdwhOptions { tile_nb: Some(cfg.nb), ..opts.clone() };
     let pd = qdwh(a, &opts)?;
     let mut graph =
         qdwh_task_graph::<S>(a.nrows(), a.ncols(), cfg.nb, &pd.info.kinds, opts.exploit_structure);
@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn distributed_is_the_tiled_solve_bit_for_bit_on_every_grid() {
         let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(40, 7));
-        let opts = QdwhOptions { tiled: TiledPath::Always, tile_nb: Some(8), ..Default::default() };
+        let opts = QdwhOptions { tile_nb: Some(8), ..Default::default() };
         let tiled = qdwh(&a, &opts).unwrap();
         for (p, q) in [(1, 1), (2, 2), (1, 3)] {
             let dist = qdwh_distributed(&a, &QdwhOptions::default(), &cfg(p, q, 8)).unwrap();

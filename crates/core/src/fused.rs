@@ -1,9 +1,9 @@
 //! Whole-solve task graph: the entire QDWH Halley sequence as ONE DAG.
 //!
-//! A per-iteration driver runs one factorization per step with full
+//! A per-iteration driver would run one factorization per step with full
 //! barriers between them: assemble `W`/`Z`, factor, update, reduce the
-//! convergence norm, and only then start step `k+1`. This module removes
-//! those barriers. The key enabler is that the Halley weight sequence
+//! convergence norm, and only then start step `k+1`. This module has no
+//! such barriers. The key enabler is that the Halley weight sequence
 //! `(a_k, b_k, c_k)` and the QR-vs-Cholesky switch depend only on the
 //! scalar `ell` recurrence — a pure function of `l0`, not of the matrix
 //! iterates — so the whole iteration *plan* is known before any flop runs
@@ -23,8 +23,8 @@
 //!   update task, plus one fixed-order reduction task per iteration.
 //!
 //! into a single [`TaskDag`]. `X` is double-buffered by iteration parity;
-//! the workspace (`W`/`T`/`Q`/`Q2`; `Z` and the `nt` inverted diagonal
-//! tiles of its factor) exists once and is reused by every iteration.
+//! the workspace (`W`/`T`/`Q`; `Z` and the `nt` inverted diagonal tiles of
+//! its factor) exists once and is reused by every iteration.
 //! Nothing in iteration `k+1` waits on the convergence reduction of
 //! iteration `k` — the reduction is a sink — so the executor's
 //! critical-path priorities and lookahead window let step-`k+1` panel
@@ -40,9 +40,10 @@
 //! Under `POLAR_DETERMINISTIC=1` the executor additionally fixes the
 //! schedule itself.
 //!
-//! Continuation: [`crate::skeleton::solve`] runs this *before* its
-//! per-iteration loop and re-checks the stop test afterwards, so what the
-//! plan could not cover continues on the flat kernels with no extra code.
+//! Continuation: [`crate::skeleton::solve`] re-checks the stop test on the
+//! last norm this graph's sink published; what the plan could not cover (a
+//! norm still above tolerance with the bound at 1) is one more planned step
+//! through [`run_graph`].
 
 use crate::options::{graph_tile_nb, IterationKind};
 use crate::qdwh_impl::QdwhError;
@@ -53,7 +54,7 @@ use crate::solve_dag::{
 };
 use polar_lapack::{LapackError, TilePtr};
 use polar_matrix::{Matrix, ProcessGrid, TiledMatrix, Tiling};
-use polar_runtime::{KernelKind, TaskDag, TaskGraph};
+use polar_runtime::{KernelKind, PhaseProfile, TaskDag, TaskGraph};
 use polar_scalar::{Real, Scalar};
 use std::sync::OnceLock;
 
@@ -88,7 +89,7 @@ impl<S: Scalar> SolvePtrs<'_, S> {
             term: plan
                 .iter()
                 .any(|p| p.is_qr())
-                .then(|| TermPtr::shape(dag, m, n, nb, exploit_structure.then_some(m))),
+                .then(|| TermPtr::shape(dag, m, n, nb, exploit_structure)),
             chol: plan.iter().any(|p| !p.is_qr()).then(|| {
                 let mut tiles = |cols| TilePtr::shape(dag, Tiling::new(n, cols, nb, nb));
                 CholPtr { z: tiles(n), linv: tiles(nb.min(n)) }
@@ -117,7 +118,7 @@ impl<S: Scalar> SolvePtrs<'_, S> {
 
 /// The whole-solve task graph of an `m x n` QDWH solve at tile size `nb`
 /// running the given iteration kinds, without bodies or storage: emitted
-/// by the code [`crate::qdwh`]'s tiled path executes, so its tasks, tile
+/// by the code [`crate::qdwh`] executes, so its tasks, tile
 /// sets and edges are the executor's (scalar weights never reach the
 /// graph). `S` sets the tile payload bytes. What `polar-sim` schedules
 /// and [`crate::qdwh_distributed`] meters.
@@ -225,14 +226,14 @@ fn emit_iterations<'a, S: Scalar>(
 
 /// Run the planned Halley sequence as one task graph at tile size `nb`:
 /// takes the iterate, returns it advanced with the sink holding each
-/// iteration's convergence norm.
+/// iteration's convergence norm and the executor's per-phase measurements.
 pub(crate) fn run_graph<S: Scalar>(
     x: Matrix<S>,
     nb: usize,
     plan: &[HalleyStep<S::Real>],
     exploit_structure: bool,
     hooked: &Hooked<'_>,
-) -> Result<(Matrix<S>, NormSink), QdwhError> {
+) -> Result<(Matrix<S>, NormSink, Vec<PhaseProfile>), QdwhError> {
     let (m, n, iters) = (x.nrows(), x.ncols(), plan.len());
     let _span = polar_obs::span!("qdwh_fused", m, n);
 
@@ -245,7 +246,7 @@ pub(crate) fn run_graph<S: Scalar>(
     let mut qr_ws = plan
         .iter()
         .any(|p| p.is_qr())
-        .then(|| TermWorkspace::<S>::new(m, n, nb, exploit_structure.then_some(m)));
+        .then(|| TermWorkspace::<S>::new(m, n, nb, exploit_structure));
     let mut chol_ws = plan
         .iter()
         .any(|p| !p.is_qr())
@@ -261,26 +262,28 @@ pub(crate) fn run_graph<S: Scalar>(
     );
     emit_iterations(&mut dag, at, plan, &sink, &failure);
 
-    execute_hooked(dag, hooked, &sink, &failure)?;
-    Ok((xb[iters % 2].to_dense(), sink))
+    let phases = execute_hooked(dag, hooked, &sink, &failure)?;
+    Ok((xb[iters % 2].to_dense(), sink, phases))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::{IterationPath, QdwhOptions, TiledPath};
-    use crate::qdwh_impl::{qdwh, Halley, PolarDecomposition};
-    use crate::skeleton::plan;
+    use crate::options::{IterationPath, QdwhOptions};
+    use crate::qdwh_impl::{orthogonality_error, qdwh, Halley};
+    use crate::skeleton::{plan, qdwh_flops, Method};
+    use crate::svd_pd::svd_based_polar;
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
     use polar_scalar::{Complex32, Complex64};
     use proptest::prelude::*;
 
+    /// Tiles of 8: several tile rows and columns at test sizes.
     fn fused_opts() -> QdwhOptions {
-        QdwhOptions { tiled: TiledPath::Always, tile_nb: Some(8), ..Default::default() }
+        QdwhOptions { tile_nb: Some(8), ..Default::default() }
     }
 
-    fn flat_opts() -> QdwhOptions {
-        QdwhOptions { tiled: TiledPath::Never, ..Default::default() }
+    fn geometric(m: usize, n: usize, cond: f64, seed: u64) -> MatrixSpec {
+        MatrixSpec { m, n, cond, distribution: SigmaDistribution::Geometric, seed }
     }
 
     fn worst_diff<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>) -> f64 {
@@ -293,134 +296,136 @@ mod tests {
         worst
     }
 
-    /// Fused vs the flat per-iteration loop, the reference. The flat path
-    /// uses a different QR algorithm (blocked Householder vs tile TS-QR),
-    /// whose rounding differences get amplified by `kappa(W) ~ sqrt(c)` on
-    /// ill-conditioned inputs, so here we assert plan parity,
-    /// orthogonality, and backward error instead of elementwise closeness;
+    /// `c` falls monotonically: a QR prefix, a Cholesky suffix, never back.
+    fn qr_iterations_come_first(kinds: &[IterationKind]) -> bool {
+        let first_chol = kinds.iter().position(|&k| k != IterationKind::QrBased);
+        kinds[first_chol.unwrap_or(kinds.len())..].iter().all(|&k| k != IterationKind::QrBased)
+    }
+
+    /// The graph's factors meet the accuracy bars, and its iterations are
+    /// the plan's: QR-based ones first. (Elementwise references need a
+    /// well-conditioned input — `kappa(W) ~ sqrt(c)` amplifies the rounding
+    /// of any two QR algorithms apart — and are `svd_based_polar`'s below;
     /// the tile kernels themselves are checked against the flat ones where
-    /// they live (`polar-lapack`'s `tiled.rs` and proptests run the very
-    /// emitters this graph calls).
-    fn parity_case<S: Scalar>(a: &Matrix<S>, tol: f64) {
+    /// they live, `polar-lapack`'s `tiled.rs` and proptests.)
+    fn graph_case<S: Scalar>(a: &Matrix<S>, tol: f64) {
         let fused = qdwh(a, &fused_opts()).expect("fused converged");
-        let flat = qdwh(a, &flat_opts()).expect("flat converged");
-        assert_eq!(fused.info.kinds, flat.info.kinds, "fused vs flat plans diverged");
-        let orth = crate::qdwh_impl::orthogonality_error(&fused.u).to_f64();
+        assert!(qr_iterations_come_first(&fused.info.kinds), "{:?}", fused.info.kinds);
+        let orth = orthogonality_error(&fused.u).to_f64();
         assert!(orth <= tol, "fused U not orthogonal: {orth:e}");
         let berr = fused.backward_error(a).to_f64();
         assert!(berr <= tol, "fused backward error {berr:e}");
     }
 
     #[test]
-    fn fused_matches_flat_all_types() {
+    fn fused_all_types() {
         let n = 24;
         let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(n, 11));
-        parity_case(&a, 1e-11);
+        graph_case(&a, 1e-11);
         let (az, _) = generate::<Complex64>(&MatrixSpec::ill_conditioned(n, 12));
-        parity_case(&az, 1e-11);
+        graph_case(&az, 1e-11);
         let (af, _) = generate::<f64>(&MatrixSpec::well_conditioned(n, 13));
         let a32 = Matrix::<f32>::from_fn(n, n, |i, j| af[(i, j)] as f32);
-        parity_case(&a32, 2e-4);
+        graph_case(&a32, 2e-4);
         let (ac, _) = generate::<Complex64>(&MatrixSpec::well_conditioned(n, 14));
         let c32 = Matrix::<Complex32>::from_fn(n, n, |i, j| {
             Complex32::new(ac[(i, j)].re as f32, ac[(i, j)].im as f32)
         });
-        parity_case(&c32, 2e-4);
+        graph_case(&c32, 2e-4);
     }
 
     #[test]
-    fn fused_rectangular_with_straddle() {
-        // m not a multiple of nb: the W identity block starts mid-tile and
-        // the Q2 gather straddles two Q tile rows.
-        let spec = MatrixSpec {
-            m: 37,
-            n: 20,
-            cond: 1e8,
-            distribution: SigmaDistribution::Geometric,
-            seed: 9,
-        };
-        let (a, _) = generate::<f64>(&spec);
-        parity_case(&a, 1e-11);
+    fn fused_rectangular_with_padding() {
+        // m not a multiple of nb: X's last tile row is short of W's, whose
+        // identity block starts on the next tile boundary
+        let (a, _) = generate::<f64>(&geometric(37, 20, 1e8, 9));
+        graph_case(&a, 1e-13);
     }
 
-    /// Cholesky-only runs do the same arithmetic on both the fused and the
-    /// flat path up to summation order (herk/potrf on full matrices vs
-    /// tiles; substitution vs the inverted diagonal tiles of a
-    /// well-conditioned factor), so flat parity is tight there — a sharper
-    /// check than the QR case allows.
+    /// A Cholesky-only run against the independent Jacobi-SVD route,
+    /// elementwise.
     #[test]
-    fn fused_chol_matches_flat_tightly() {
+    fn fused_chol_matches_the_svd_route() {
         let (a, _) = generate::<f64>(&MatrixSpec::well_conditioned(24, 11));
         let fused = qdwh(&a, &fused_opts()).expect("fused");
-        let flat = qdwh(&a, &flat_opts()).expect("flat");
-        assert_eq!(fused.info.kinds, flat.info.kinds);
         assert!(fused.info.qr_iterations == 0, "expected Cholesky-only run");
-        let worst = worst_diff(&fused.u, &flat.u);
-        assert!(worst <= 1e-11, "chol-only fused vs flat diff {worst:e}");
+        let reference = svd_based_polar(&a).expect("svd");
+        let worst = worst_diff(&fused.u, &reference.u);
+        assert!(worst <= 1e-12, "chol-only fused vs svd-based U: {worst:e}");
     }
 
     #[test]
-    fn fused_forced_paths_match_bulk() {
+    fn fused_forced_paths_match_the_svd_route() {
         // ForceCholesky needs c * kappa^2 well inside 1/eps or Z = I + c
         // X^H X goes numerically indefinite (the reason for the QR switch)
         // — use a moderate condition number so both forced paths are
-        // viable. It also keeps kappa(W) * eps ~ 1e-13, so the flat loop
-        // is a valid elementwise reference for the forced-QR graph.
-        let spec = MatrixSpec {
-            m: 24,
-            n: 24,
-            cond: 1e3,
-            distribution: SigmaDistribution::Geometric,
-            seed: 15,
-        };
-        let (a, _) = generate::<f64>(&spec);
+        // viable. It also keeps kappa(W) * eps ~ 1e-13, so an independent
+        // route is a valid elementwise reference for the forced-QR graph.
+        let (a, _) = generate::<f64>(&geometric(24, 24, 1e3, 15));
+        let reference = svd_based_polar(&a).expect("svd");
         for path in [IterationPath::ForceQr, IterationPath::ForceCholesky] {
             let pf = qdwh(&a, &QdwhOptions { path, ..fused_opts() }).expect("fused");
-            let pb = qdwh(&a, &QdwhOptions { path, ..flat_opts() }).expect("flat");
-            assert_eq!(pf.info.kinds, pb.info.kinds);
-            let worst = worst_diff(&pf.u, &pb.u);
+            let forced = if path == IterationPath::ForceQr {
+                IterationKind::QrBased
+            } else {
+                IterationKind::CholeskyBased
+            };
+            assert!(pf.info.kinds.iter().all(|&k| k == forced), "{path:?}: {:?}", pf.info.kinds);
+            let worst = worst_diff(&pf.u, &reference.u);
             assert!(worst <= 1e-10, "path {path:?}: {worst:e}");
         }
-        // the graph and the loop read the same plan: whatever the start
-        // and the path, equal kinds, bit-equal bounds, equal cost
-        same_plan_on_both_paths(&a);
-        same_plan_on_both_paths(&Matrix::<f32>::from_fn(24, 24, |i, j| a[(i, j)] as f32));
+        // the solve runs the plan: whatever the start and the path, its
+        // kinds, bit-equal bounds, its cost
+        the_solve_runs_the_plan(&a);
+        the_solve_runs_the_plan(&Matrix::<f32>::from_fn(24, 24, |i, j| a[(i, j)] as f32));
         // the paper's kappa = 1e16 split, from its sqrt(n)-deflated start
-        let pd = qdwh(&a, &QdwhOptions { l0_override: Some(1e-17), ..flat_opts() }).expect("flat");
+        let pd = qdwh(&a, &QdwhOptions { l0_override: Some(1e-17), ..fused_opts() }).expect("run");
         assert_eq!((pd.info.qr_iterations, pd.info.chol_iterations), (3, 3));
     }
 
-    fn same_plan_on_both_paths<S: Scalar>(a: &Matrix<S>) {
+    fn the_solve_runs_the_plan<S: Scalar>(a: &Matrix<S>) {
         let paths = [IterationPath::Auto, IterationPath::ForceQr, IterationPath::ForceCholesky];
         for l0 in [1e-16, 1e-8, 1e-3, 0.5, 0.9] {
             for path in paths {
                 let case = format!("{} l0={l0:e} {path:?}", S::TYPE_TAG);
-                let opts = |o| QdwhOptions { l0_override: Some(l0), path, tile_nb: Some(16), ..o };
-                let (graph, flat) = (qdwh(a, &opts(fused_opts())), qdwh(a, &opts(flat_opts())));
-                let (Ok(graph), Ok(flat)) = (&graph, &flat) else {
+                let opts =
+                    QdwhOptions { l0_override: Some(l0), path, tile_nb: Some(16), ..fused_opts() };
+                let method = Halley(&opts);
+                let first_conv = <Halley<'_> as Method<S>>::FIRST_CONV;
+                let planned = plan::<S, _>(&method, S::Real::from_f64(l0), first_conv, 50)
+                    .expect("inside the cap");
+                let Ok(graph) = qdwh(a, &opts) else {
                     // a start below the type's range, or a forced Cholesky
-                    // on an indefinite Z: refused on both paths
-                    assert!(graph.is_err() && flat.is_err(), "{case}: {graph:?} vs {flat:?}");
+                    // on an indefinite Z
                     continue;
                 };
-                assert_eq!(graph.info.kinds, flat.info.kinds, "{case}");
-                assert_eq!(graph.info.flops_estimate, flat.info.flops_estimate, "{case}");
-                let ells = |pd: &PolarDecomposition<S>| -> Vec<S::Real> {
-                    pd.info.records.iter().map(|r| r.ell).collect()
-                };
-                assert_eq!(ells(graph), ells(flat), "{case}");
+                // the planned steps first; then, one at a time with the bound
+                // at 1, what a norm still above tolerance asked for (a start
+                // above the matrix's sigma_min leaves several)
+                let records = &graph.info.records;
+                assert!(records.len() >= planned.len(), "{case}: {}", records.len());
+                for (rec, step) in records.iter().zip(&planned) {
+                    assert_eq!(rec.kind, step.kind, "{case}");
+                    assert_eq!(rec.ell, step.ell_after, "{case}");
+                }
+                let forced_qr = path == IterationPath::ForceQr;
+                for rec in &records[planned.len()..] {
+                    assert_eq!(rec.kind == IterationKind::QrBased, forced_qr, "{case}");
+                    assert_eq!(rec.ell, S::Real::ONE, "{case}");
+                }
+                let cost = qdwh_flops(
+                    a.ncols(),
+                    graph.info.qr_iterations,
+                    graph.info.chol_iterations,
+                    S::IS_COMPLEX,
+                );
+                assert_eq!(graph.info.flops_estimate, cost, "{case}");
                 if path == IterationPath::Auto {
                     // c falls monotonically: QR iterations come first, and
                     // the bound marches to 1
-                    let first_chol =
-                        flat.info.kinds.iter().position(|&k| k != IterationKind::QrBased);
-                    let tail = &flat.info.kinds[first_chol.unwrap_or(flat.info.kinds.len())..];
-                    assert!(
-                        tail.iter().all(|&k| k != IterationKind::QrBased),
-                        "{case}: {:?}",
-                        flat.info.kinds
-                    );
-                    let ells = ells(flat);
+                    let kinds = &graph.info.kinds;
+                    assert!(qr_iterations_come_first(kinds), "{case}: {kinds:?}");
+                    let ells: Vec<S::Real> = graph.info.records.iter().map(|r| r.ell).collect();
                     assert!(ells.windows(2).all(|w| w[0] <= w[1]), "{case}");
                     let last = *ells.last().expect("iterated");
                     assert!(
@@ -435,21 +440,36 @@ mod tests {
     /// sweeps is then a corner of its workspace tile.
     #[test]
     fn fused_chol_ragged_last_tile() {
-        let spec = MatrixSpec {
-            m: 37,
-            n: 37,
-            cond: 1e3,
-            distribution: SigmaDistribution::Geometric,
-            seed: 21,
-        };
-        let (a, _) = generate::<f64>(&spec);
+        let (a, _) = generate::<f64>(&geometric(37, 37, 1e3, 21));
         let path = IterationPath::ForceCholesky;
         let opts = QdwhOptions { path, tile_nb: Some(16), ..fused_opts() };
         let fused = qdwh(&a, &opts).expect("fused");
-        let flat = qdwh(&a, &QdwhOptions { path, ..flat_opts() }).expect("flat");
-        assert_eq!(fused.info.kinds, flat.info.kinds);
-        let worst = worst_diff(&fused.u, &flat.u);
-        assert!(worst <= 1e-10, "ragged chol-only fused vs flat diff {worst:e}");
+        let reference = svd_based_polar(&a).expect("svd");
+        let worst = worst_diff(&fused.u, &reference.u);
+        assert!(worst <= 1e-10, "ragged chol-only fused vs svd-based U: {worst:e}");
+    }
+
+    /// A norm still above tolerance once the bound is at 1 — every
+    /// well-conditioned start — is one more step through the same graph
+    /// code: planned alone, emitted alone, numbered on.
+    #[test]
+    fn the_continuation_is_one_more_emitted_step() {
+        let (a, _) = generate::<f64>(&geometric(72, 48, 10.0, 7));
+        let opts = QdwhOptions { tile_nb: Some(16), ..Default::default() };
+        let _serial = polar_obs::scope_lock();
+        let scope = polar_obs::scope();
+        let pd = qdwh(&a, &opts).expect("converges");
+        let spans = scope.finish().spans;
+        let graphs = spans.iter().filter(|s| s.name == "qdwh_fused" && s.dims[..2] == [72, 48]);
+        let planned = plan::<f64, _>(&Halley(&opts), pd.info.l0, 100.0, 50).unwrap().len();
+        assert_eq!((graphs.count(), pd.info.iterations), (2, planned + 1));
+        let iterations: Vec<_> = pd.info.records.iter().map(|r| r.iteration).collect();
+        assert_eq!(iterations, (1..=planned + 1).collect::<Vec<_>>());
+        assert!(pd.info.records[planned - 1].convergence > 1e-5, "what asked for the step");
+        assert!(orthogonality_error(&pd.u) < 1e-14 && pd.backward_error(&a) < 1e-14);
+        // a cap the plan fits but the extra step does not
+        let capped = QdwhOptions { max_iterations: planned, ..opts };
+        assert_eq!(qdwh(&a, &capped).err(), Some(QdwhError::NoConvergence { iterations: planned }));
     }
 
     /// An indefinite Z on the Cholesky path must cancel the whole-solve
@@ -491,64 +511,53 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Randomized fused-vs-flat parity, f64: square and rectangular
-        /// shapes, conditioning across the QR/Cholesky switch.
+        /// Randomized shapes, f64: square and rectangular, conditioning
+        /// across the QR/Cholesky switch.
         #[test]
-        fn prop_fused_parity_f64(
+        fn prop_fused_accuracy_f64(
             n in 9usize..28,
             extra in 0usize..13,
             log_cond in 0.0f64..12.0,
             seed in 0u64..1000,
         ) {
-            let spec = MatrixSpec {
-                m: n + extra,
-                n,
-                cond: 10f64.powf(log_cond),
-                distribution: SigmaDistribution::Geometric,
-                seed,
-            };
-            let (a, _) = generate::<f64>(&spec);
-            parity_case(&a, 1e-10);
+            let (a, _) = generate::<f64>(&geometric(n + extra, n, 10f64.powf(log_cond), seed));
+            graph_case(&a, 1e-13);
         }
 
-        /// Randomized fused-vs-flat parity, Complex64.
+        /// Randomized shapes, Complex64.
         #[test]
-        fn prop_fused_parity_c64(
+        fn prop_fused_accuracy_c64(
             n in 9usize..24,
             log_cond in 0.0f64..10.0,
             seed in 0u64..1000,
         ) {
-            let spec = MatrixSpec {
-                m: n,
-                n,
-                cond: 10f64.powf(log_cond),
-                distribution: SigmaDistribution::Geometric,
-                seed,
-            };
-            let (a, _) = generate::<Complex64>(&spec);
-            parity_case(&a, 1e-10);
+            let (a, _) = generate::<Complex64>(&geometric(n, n, 10f64.powf(log_cond), seed));
+            graph_case(&a, 1e-13);
         }
     }
 
     #[test]
     fn plan_respects_forced_paths() {
         let qr_only = QdwhOptions { path: IterationPath::ForceQr, ..Default::default() };
-        let steps = plan::<f64, _>(&Halley(&qr_only), 0.5).unwrap();
+        let steps = plan::<f64, _>(&Halley(&qr_only), 0.5, 0.0, 50).unwrap();
         assert!(!steps.is_empty() && steps.iter().all(|p| p.is_qr()));
         let chol_only = QdwhOptions { path: IterationPath::ForceCholesky, ..Default::default() };
-        let steps = plan::<f64, _>(&Halley(&chol_only), 0.5).unwrap();
+        let steps = plan::<f64, _>(&Halley(&chol_only), 0.5, 0.0, 50).unwrap();
         assert!(steps.iter().all(|p| !p.is_qr()));
     }
 
     #[test]
     fn plan_bails_on_iteration_cap() {
-        let opts = QdwhOptions { max_iterations: 1, ..Default::default() };
-        assert!(plan::<f64, _>(&Halley(&opts), 1e-17).is_none());
+        assert!(plan::<f64, _>(&Halley(&QdwhOptions::default()), 1e-17, 0.0, 1).is_none());
     }
 
     #[test]
-    fn plan_empty_when_already_converged() {
+    fn plan_covers_a_norm_above_tolerance_with_one_step() {
         let opts = QdwhOptions::default();
-        assert!(plan::<f64, _>(&Halley(&opts), 1.0).unwrap().is_empty());
+        assert!(plan::<f64, _>(&Halley(&opts), 1.0, 0.0, 50).unwrap().is_empty());
+        let one = plan::<f64, _>(&Halley(&opts), 1.0, 1e-3, 50).unwrap();
+        assert_eq!(one.len(), 1);
+        assert!(!one[0].is_qr() && one[0].ell_after == 1.0);
+        assert!(plan::<f64, _>(&Halley(&opts), 1.0, 1e-3, 0).is_none());
     }
 }

@@ -49,7 +49,7 @@ pub use fused::qdwh_task_graph;
 pub use mixed::{qdwh_mixed, MixedPrecision};
 pub use options::{
     IterationDecision, IterationKind, IterationPath, IterationProgress, L0Strategy, ProgressHook,
-    QdwhOptions, TiledDecision, TiledPath,
+    QdwhOptions,
 };
 pub use params::{halley_parameters, update_ell, HalleyParams};
 pub use partial::{qdwh_partial_eig, qdwh_partial_svd, PartialEig, PartialSvd};

@@ -2,12 +2,13 @@
 //! (errors, telemetry, accuracy metrics) and QDWH as a
 //! [`Method`] of [`crate::skeleton::solve`].
 
-use crate::options::{IterationKind, QdwhOptions, TiledDecision};
-use crate::skeleton::{converged, qdwh_flops, solve, step_weight, Common, HalleyStep, Method};
+use crate::options::{IterationKind, QdwhOptions};
+use crate::skeleton::{converged, qdwh_flops, solve, Common, HalleyStep, Method};
 use crate::solve_dag::{Hooked, NormSink};
-use polar_blas::{add, gemm, herk, herk_mirrored, norm, scale_real, trsm};
-use polar_lapack::{geqrf, orgqr, potrf, LapackError};
-use polar_matrix::{Diag, Matrix, Norm, Op, Side, Uplo};
+use polar_blas::{gemm, herk_mirrored, norm};
+use polar_lapack::LapackError;
+use polar_matrix::{Matrix, Norm, Op, Uplo};
+use polar_runtime::PhaseProfile;
 use polar_scalar::{Real, Scalar};
 
 /// Errors from the QDWH driver.
@@ -23,8 +24,8 @@ pub enum QdwhError {
     /// The iteration cap was hit before the convergence test passed.
     NoConvergence { iterations: usize },
     /// The [`QdwhOptions::progress`](crate::options::QdwhOptions::progress)
-    /// hook requested cancellation before this iteration completed (on
-    /// the per-iteration loop: before it started).
+    /// hook requested cancellation, polled at a task release, before this
+    /// iteration completed.
     Cancelled { iteration: usize },
 }
 
@@ -75,13 +76,16 @@ impl std::error::Error for QdwhError {}
 /// convergence data (Fig. 2) plus the kernel-time and achieved-GFlop/s
 /// breakdown from `polar-obs`.
 ///
-/// The kernel breakdown (`kernels`) is a [`polar_obs::KernelSnapshot`]
-/// delta covering exactly this iteration; it is all zeros unless metrics
-/// are enabled (`POLAR_METRICS=1`, `polar_obs::scope()`, or
+/// An iteration is one phase of the solve's task graph, and both `seconds`
+/// and `kernels` are what the executor measured of that phase
+/// ([`polar_runtime::PhaseProfile`]). The kernel breakdown counts each of the
+/// phase's tasks as one kernel of its kind's class, with the task's analytic
+/// flops and its busy time; it is all zeros unless metrics are enabled
+/// (`POLAR_METRICS=1`, `polar_obs::scope()`, or
 /// `polar_obs::set_metrics_enabled(true)`). For a QR-based iteration the
-/// time concentrates in the `geqrf`/`orgqr` classes, for a
-/// Cholesky-based one in `herk`/`potrf`/`trsm` — the Eq. (1) vs. Eq. (2)
-/// split the paper's figures are built on.
+/// time concentrates in the `geqrf`/`orgqr` classes, for a Cholesky-based
+/// one in `herk`/`potrf`/`trsm` — the Eq. (1) vs. Eq. (2) split the paper's
+/// figures are built on.
 #[derive(Debug, Clone)]
 pub struct IterationRecord<R> {
     /// 1-based iteration number.
@@ -92,15 +96,19 @@ pub struct IterationRecord<R> {
     pub ell: R,
     /// `||X_k - X_{k-1}||_F` (Algorithm 1 line 48).
     pub convergence: R,
-    /// Wall time of the iteration in seconds.
+    /// Measured window of the iteration in seconds: from the start of its
+    /// first task to the end of its last. The graph overlaps iteration
+    /// `k + 1`'s panel work with iteration `k`'s tail, so consecutive
+    /// windows overlap and their sum exceeds the solve's wall time.
     pub seconds: f64,
-    /// Per-kernel-class calls / analytic flops / time for this iteration.
+    /// Per-kernel-class calls / analytic flops / busy time of this
+    /// iteration's own tasks.
     pub kernels: polar_obs::KernelSnapshot,
 }
 
 impl<R: Real> IterationRecord<R> {
     /// Achieved GFlop/s over the whole iteration (analytic kernel flops
-    /// over iteration wall time); zero when metrics were disabled.
+    /// over the iteration's window); zero when metrics were disabled.
     pub fn achieved_gflops(&self) -> f64 {
         if self.seconds <= 0.0 {
             0.0
@@ -127,17 +135,11 @@ pub struct QdwhInfo<R> {
     /// The kind of each iteration in order.
     pub kinds: Vec<IterationKind>,
     /// One [`IterationRecord`] per iteration, in order: convergence
-    /// residual, `l_k`, wall time, and the kernel breakdown.
+    /// residual, `l_k`, measured window, and the kernel breakdown.
     pub records: Vec<IterationRecord<R>>,
     /// Floating-point operation estimate from the paper's complexity
     /// formula (§4), in real flops.
     pub flops_estimate: f64,
-    /// How the tiled-vs-flat path was resolved for this run, including
-    /// granularity-guard reroutes (see
-    /// [`QdwhOptions::resolve_tiled`](crate::options::QdwhOptions::resolve_tiled)).
-    /// `None` for drivers that never consult the tile path (batched
-    /// engine, viewed/derived infos, trivial inputs).
-    pub tiled_decision: Option<TiledDecision>,
 }
 
 impl<R: Real> QdwhInfo<R> {
@@ -256,7 +258,6 @@ impl<S: Scalar> Method<S> for Halley<'_> {
     type Ell = S::Real;
     type Step = HalleyStep<S::Real>;
     const NAME: &'static str = "qdwh";
-    const ITER_SPAN: &'static str = "qdwh_iter";
     const FIRST_CONV: f64 = 100.0;
 
     fn common(&self) -> Common<'_> {
@@ -264,7 +265,6 @@ impl<S: Scalar> Method<S> for Halley<'_> {
         Common {
             max_iterations: o.max_iterations,
             compute_h: o.compute_h,
-            tiled: o.tiled,
             tile_nb: o.tile_nb,
             progress: o.progress.as_ref(),
             l0_override: o.l0_override,
@@ -284,32 +284,14 @@ impl<S: Scalar> Method<S> for Halley<'_> {
         converged(S::Real::from_f64(conv), ell)
     }
 
-    fn apply(
-        &self,
-        x: &mut Matrix<S>,
-        x_prev: &Matrix<S>,
-        step: &Self::Step,
-    ) -> Result<(), QdwhError> {
-        if step.is_qr() {
-            qr_iteration(x, step, self.0.exploit_structure);
-            Ok(())
-        } else {
-            chol_iteration(x, x_prev, step)
-        }
-    }
-
     fn run_graph(
         &self,
         x: Matrix<S>,
         nb: usize,
         plan: &[Self::Step],
         hooked: &Hooked<'_>,
-    ) -> Result<(Matrix<S>, NormSink), QdwhError> {
+    ) -> Result<(Matrix<S>, NormSink, Vec<PhaseProfile>), QdwhError> {
         crate::fused::run_graph(x, nb, plan, self.0.exploit_structure, hooked)
-    }
-
-    fn step_weight(&self, kind: IterationKind) -> f64 {
-        step_weight(kind)
     }
 
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {
@@ -317,82 +299,11 @@ impl<S: Scalar> Method<S> for Halley<'_> {
     }
 }
 
-/// QR-based iteration (Eq. (1); Algorithm 1 lines 30-36), flat kernels:
-///
-/// ```text
-/// [Q1; Q2] R = [sqrt(c) X; I]
-/// X := (b/c) X + (1/sqrt(c)) (a - b/c) Q1 Q2^H
-/// ```
-fn qr_iteration<S: Scalar>(x: &mut Matrix<S>, step: &HalleyStep<S::Real>, exploit_structure: bool) {
-    let m = x.nrows();
-    let n = x.ncols();
-
-    // W = [sqrt(c) X; I]
-    let mut top = x.clone();
-    scale_real::<S>(step.c.sqrt(), top.as_mut());
-    let mut w = Matrix::vstack(&top, &Matrix::identity(n, n));
-
-    // thin QR and explicit Q (lines 31-32)
-    let f = if exploit_structure { polar_lapack::geqrf_stacked(m, &mut w) } else { geqrf(&mut w) };
-    let q = orgqr(&w, &f);
-    let q1 = q.submatrix_owned(0, 0, m, n);
-    let q2 = q.submatrix_owned(m, 0, n, n);
-
-    // X := theta Q1 Q2^H + beta X
-    gemm(
-        Op::NoTrans,
-        Op::ConjTrans,
-        S::from_real(step.theta),
-        q1.as_ref(),
-        q2.as_ref(),
-        S::from_real(step.beta),
-        x.as_mut(),
-    );
-}
-
-/// Cholesky-based iteration (Eq. (2); Algorithm 1 lines 38-44), flat
-/// kernels; `x_prev` is the caller's copy of the incoming `x`:
-///
-/// ```text
-/// Z = I + c X^H X;  Z = L L^H
-/// X := (b/c) X_prev + (a - b/c) (X Z^{-1})
-/// ```
-fn chol_iteration<S: Scalar>(
-    x: &mut Matrix<S>,
-    x_prev: &Matrix<S>,
-    step: &HalleyStep<S::Real>,
-) -> Result<(), QdwhError> {
-    let n = x.ncols();
-
-    // Z = I + c X^H X (Eq. (2); the paper's line 40 prints "-c", which
-    // would make Z indefinite — Eq. (2) is the consistent form).
-    let mut z = Matrix::<S>::identity(n, n);
-    herk(Uplo::Lower, Op::ConjTrans, step.c, x.as_ref(), S::Real::ONE, z.as_mut());
-    solve_right_hpd(&mut z, x)?;
-
-    // X := (b/c) X_prev + (a - b/c) X   (line 44)
-    add(S::from_real(step.beta), x_prev.as_ref(), S::from_real(step.theta), x.as_mut());
-    Ok(())
-}
-
-/// `Y := Y Z^{-1}` for the Hermitian positive definite `Z` in the lower
-/// triangle of `z`, which its factor overwrites: `Z = L L^H`, then two
-/// right-side triangular solves with `L`. What QDWH's Cholesky-based
-/// iteration and each term of Zolo-PD's do on flat kernels.
-pub(crate) fn solve_right_hpd<S: Scalar>(
-    z: &mut Matrix<S>,
-    y: &mut Matrix<S>,
-) -> Result<(), LapackError> {
-    potrf(Uplo::Lower, z)?;
-    trsm(Side::Right, Uplo::Lower, Op::ConjTrans, Diag::NonUnit, S::ONE, z.as_ref(), y.as_mut());
-    trsm(Side::Right, Uplo::Lower, Op::NoTrans, Diag::NonUnit, S::ONE, z.as_ref(), y.as_mut());
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::options::IterationPath;
+    use polar_blas::add;
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
     use polar_scalar::{Complex32, Complex64};
 
@@ -655,50 +566,80 @@ mod tests {
         assert!(pd.info.qr_iterations >= 2 && pd.info.chol_iterations >= 3);
     }
 
+    /// The hook is polled at task releases of the graph, whatever the size
+    /// (here one tile column): it sees the solve advance, and a `Cancel`
+    /// stops it within one task. `tests/hooked_fused.rs` pins the rest
+    /// (bitwise neutrality, the norms it is shown, the drains).
     #[test]
-    fn progress_hook_observes_every_iteration() {
+    fn progress_hook_watches_and_cancels_a_small_solve() {
         use crate::options::{IterationDecision, IterationProgress};
         use std::sync::{Arc, Mutex};
         let seen: Arc<Mutex<Vec<IterationProgress>>> = Arc::default();
-        let log = seen.clone();
-        let opts = QdwhOptions {
-            progress: Some(Arc::new(move |p: &IterationProgress| {
-                log.lock().unwrap().push(*p);
-                IterationDecision::Continue
-            })),
-            ..Default::default()
+        let hook = |cancel_from: usize| {
+            let log = seen.clone();
+            QdwhOptions {
+                progress: Some(Arc::new(move |p: &IterationProgress| {
+                    log.lock().unwrap().push(*p);
+                    if p.iteration >= cancel_from {
+                        IterationDecision::Cancel
+                    } else {
+                        IterationDecision::Continue
+                    }
+                })),
+                ..Default::default()
+            }
         };
         let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(30, 17));
-        let pd = qdwh(&a, &opts).unwrap();
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), pd.info.iterations);
-        assert_eq!(seen[0].iteration, 1);
-        assert!(seen.last().unwrap().convergence < 1.0);
-    }
+        let pd = qdwh(&a, &hook(usize::MAX)).unwrap();
+        let watched = std::mem::take(&mut *seen.lock().unwrap());
+        assert!(watched.len() > pd.info.iterations, "polled per task release");
+        assert_eq!(watched[0].iteration, 1);
+        assert!(watched.windows(2).all(|w| w[0].iteration <= w[1].iteration));
+        assert!(watched.last().unwrap().convergence < 1.0);
 
-    #[test]
-    fn progress_hook_cancels_between_iterations() {
-        use crate::options::{IterationDecision, IterationProgress};
-        use std::sync::Arc;
-        let opts = QdwhOptions {
-            progress: Some(Arc::new(|p: &IterationProgress| {
-                if p.iteration > 2 {
-                    IterationDecision::Cancel
-                } else {
-                    IterationDecision::Continue
-                }
-            })),
-            ..Default::default()
-        };
-        let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(40, 18));
-        match qdwh(&a, &opts) {
-            Err(QdwhError::Cancelled { iteration: 3 }) => {}
-            other => panic!("expected cancellation before iteration 3, got {other:?}"),
+        match qdwh(&a, &hook(3)) {
+            Err(QdwhError::Cancelled { iteration }) if iteration >= 3 => {}
+            other => panic!("expected cancellation at iteration 3, got {other:?}"),
         }
+        let polled = seen.lock().unwrap();
+        assert_eq!(polled.iter().filter(|p| p.iteration >= 3).count(), 1, "polled after Cancel");
         assert_eq!(
             QdwhError::Cancelled { iteration: 3 }.class(),
             polar_lapack::FailureClass::Permanent
         );
+    }
+
+    /// Every small shape runs the same graph: one tile column no wider than
+    /// the matrix, down to a single entry.
+    #[test]
+    fn tiny_shapes_solve_on_the_graph() {
+        fn case<S: Scalar>(m: usize, n: usize) {
+            let spec = MatrixSpec {
+                m,
+                n,
+                cond: 50.0,
+                distribution: SigmaDistribution::Geometric,
+                seed: (31 * m + n) as u64,
+            };
+            let (az, _) = generate::<Complex64>(&spec);
+            let a = Matrix::<S>::from_fn(m, n, |i, j| {
+                S::from_parts(S::Real::from_f64(az[(i, j)].re), S::Real::from_f64(az[(i, j)].im))
+            });
+            let tol = S::Real::from_f64(50.0) * S::Real::EPSILON;
+            let pd = check_polar(&a, &QdwhOptions::default(), tol);
+            assert!(pd.info.iterations >= 1, "{} {m}x{n}", S::TYPE_TAG);
+            let z = crate::zolo_pd(&a, &crate::ZoloOptions::default()).expect("zolo converged").pd;
+            assert!(orthogonality_error(&z.u) <= tol, "{} zolo {m}x{n}", S::TYPE_TAG);
+            assert!(z.backward_error(&a) <= tol, "{} zolo {m}x{n}", S::TYPE_TAG);
+        }
+        let square = (1..=9).map(|n| (n, n));
+        let tall = [1usize, 2, 7].into_iter().flat_map(|n| [(n + 1, n), (2 * n + 3, n), (40, n)]);
+        for (m, n) in square.chain(tall) {
+            case::<f64>(m, n);
+            case::<Complex64>(m, n);
+            case::<f32>(m, n);
+            case::<Complex32>(m, n);
+        }
     }
 
     #[test]

@@ -3,26 +3,26 @@
 //! input and bound `sigma_min`; [`HalleyStep::at`] plans one dynamically
 //! weighted Halley step from the scalar bound alone and [`plan`] a whole
 //! sequence; [`solve`] is the one driver (degenerate inputs, the planned
-//! sequence as one task graph when the shape resolves tiled, the
-//! per-iteration continuation with its bookkeeping); [`finish`] forms `H`,
-//! [`qdwh_flops`] / [`zolo_flops`] cost the solve and
-//! [`QdwhInfo::started`] / [`QdwhInfo::push`] keep its telemetry.
+//! sequence as one task graph, the per-iteration records the graph's
+//! executor measured); [`finish`] forms `H`, [`qdwh_flops`] /
+//! [`zolo_flops`] cost the solve and [`QdwhInfo::started`] /
+//! [`QdwhInfo::push`] keep its telemetry.
 //!
 //! [`crate::qdwh`] and [`crate::zolo_pd`] are [`solve`] under two
 //! [`Method`]s; `qdwh_mixed`, `svd_based_polar`, `polar-batch` and
 //! `polar-svc`'s cost model call the same pieces.
 
 use crate::options::{
-    graph_tile_nb, poll_progress, resolve_tiled, IterationKind, IterationPath, L0Strategy,
-    ProgressHook, TiledDecision, TiledPath,
+    graph_tile_nb, poll_progress, IterationKind, IterationPath, L0Strategy, ProgressHook,
 };
 use crate::params::{halley_parameters, update_ell};
 use crate::qdwh_impl::{IterationRecord, PolarDecomposition, QdwhError, QdwhInfo};
 use crate::solve_dag::{Hooked, NormSink};
 use polar_blas::flops::type_factor;
-use polar_blas::{add, gemm, norm, scale_real, symmetrize};
-use polar_lapack::{gecondest, geqrf, geqrf_tiled, getrf, norm2est, tr_sigma_min_est, trcondest};
+use polar_blas::{gemm, norm, scale_real, symmetrize};
+use polar_lapack::{gecondest, geqrf_tiled, getrf, norm2est, tr_sigma_min_est, trcondest};
 use polar_matrix::{MatRef, Matrix, Norm, Op};
+use polar_runtime::PhaseProfile;
 use polar_scalar::{Real, Scalar};
 
 /// Lower bound `l_0` on the smallest singular value of the scaled input
@@ -65,14 +65,13 @@ pub fn estimate_l0<S: Scalar>(
 
 /// Algorithm 1 lines 10-19 for a dense input: the two-norm estimate
 /// `alpha`, `X_0 = A / alpha` and `l_0` (`l0_override` verbatim, else
-/// [`estimate_l0`]). With `tile_nb` the estimate's QR is the tile graph at
-/// that tile size (twice the flat `geqrf`'s rate), else `geqrf` in place
-/// on a copy. `None` for the zero matrix.
+/// [`estimate_l0`], its QR the tile graph at tile size `nb`). `None` for
+/// the zero matrix.
 pub(crate) fn scaled_start<S: Scalar>(
     a: &Matrix<S>,
     l0_override: Option<f64>,
     strategy: L0Strategy,
-    tile_nb: Option<usize>,
+    nb: usize,
 ) -> Option<(S::Real, Matrix<S>, S::Real)> {
     let alpha = norm2est(a).estimate;
     if alpha == S::Real::ZERO {
@@ -82,14 +81,7 @@ pub(crate) fn scaled_start<S: Scalar>(
     scale_real::<S>(alpha.recip(), x.as_mut());
     let l0 = match l0_override {
         Some(v) => S::Real::from_f64(v),
-        None => estimate_l0(x.as_ref(), strategy, || match tile_nb {
-            Some(nb) => geqrf_tiled(&x, nb).extract_r(),
-            None => {
-                let mut w = x.clone();
-                geqrf(&mut w);
-                w
-            }
-        }),
+        None => estimate_l0(x.as_ref(), strategy, || geqrf_tiled(&x, nb).extract_r()),
     };
     Some((alpha, x, l0))
 }
@@ -147,17 +139,21 @@ pub fn converged<R: Real>(conv: R, ell: R) -> bool {
     conv < five_eps.cbrt() && (ell - R::ONE).abs() < five_eps
 }
 
-/// The whole iteration sequence from `l0`, known before any flop runs: a
-/// method's recurrence is a function of the scalar bound alone, so it is
-/// run until the stop test would pass on a converged iterate. `None` when
-/// the iteration cap comes first (the per-iteration loop then reports
-/// `NoConvergence` with its own bookkeeping).
-pub(crate) fn plan<S: Scalar, M: Method<S>>(method: &M, l0: M::Ell) -> Option<Vec<M::Step>> {
-    let cap = method.common().max_iterations;
-    let mut ell = l0;
+/// The iteration sequence from the bound `ell`, known before any flop runs:
+/// a method's recurrence is a function of the scalar bound alone, so it is
+/// run until the stop test would pass on a converged iterate. `conv` is the
+/// norm the last step run left (`0` to plan from the bound alone): a bound
+/// already at 1 under a norm still above tolerance plans the one step more
+/// that norm asks for. `None` when the sequence is longer than `budget`.
+pub(crate) fn plan<S: Scalar, M: Method<S>>(
+    method: &M,
+    mut ell: M::Ell,
+    conv: f64,
+    budget: usize,
+) -> Option<Vec<M::Step>> {
     let mut plan = Vec::new();
-    while !M::converged(0.0, ell) {
-        if plan.len() >= cap {
+    while !M::converged(if plan.is_empty() { conv } else { 0.0 }, ell) {
+        if plan.len() >= budget {
             return None;
         }
         let step = method.step_at(ell);
@@ -169,7 +165,7 @@ pub(crate) fn plan<S: Scalar, M: Method<S>>(method: &M, l0: M::Ell) -> Option<Ve
 
 /// Flops of one QDWH iteration in units of `n^3` (§4): `8 2/3` QR-based,
 /// `4 1/3` Cholesky-based.
-pub(crate) fn step_weight(kind: IterationKind) -> f64 {
+fn step_weight(kind: IterationKind) -> f64 {
     match kind {
         IterationKind::QrBased => 8.0 + 2.0 / 3.0,
         IterationKind::CholeskyBased => 4.0 + 1.0 / 3.0,
@@ -180,7 +176,7 @@ pub(crate) fn step_weight(kind: IterationKind) -> f64 {
 /// QR-based: `r` stacked QRs with their explicit `Q` (`10/3` each) and
 /// rank-`n` products. Cholesky-based: the Gram matrix once, then per term
 /// a Cholesky factorization (`1/3`) and the two sweeps.
-pub(crate) fn zolo_step_weight(kind: IterationKind, r: usize) -> f64 {
+fn zolo_step_weight(kind: IterationKind, r: usize) -> f64 {
     match kind {
         IterationKind::QrBased => r as f64 * ((10.0 / 3.0) * 2.0 + 2.0),
         IterationKind::CholeskyBased => 1.0 + r as f64 * (1.0 / 3.0 + 2.0),
@@ -223,10 +219,9 @@ pub(crate) fn finish<S: Scalar>(u: &Matrix<S>, a: &Matrix<S>, compute_h: bool) -
 }
 
 impl<R: Real> QdwhInfo<R> {
-    /// Telemetry of a solve that has not iterated yet. With zeros and no
-    /// tile decision: of one that never will (a degenerate input, a direct
-    /// method).
-    pub fn started(alpha: R, l0: R, tiled_decision: Option<TiledDecision>) -> Self {
+    /// Telemetry of a solve that has not iterated yet. With zeros: of one
+    /// that never will (a degenerate input, a direct method).
+    pub fn started(alpha: R, l0: R) -> Self {
         QdwhInfo {
             alpha,
             l0,
@@ -236,7 +231,6 @@ impl<R: Real> QdwhInfo<R> {
             kinds: Vec::new(),
             records: Vec::new(),
             flops_estimate: 0.0,
-            tiled_decision,
         }
     }
 
@@ -283,7 +277,6 @@ impl<R: Real> QdwhInfo<R> {
                 })
                 .collect(),
             flops_estimate: self.flops_estimate,
-            tiled_decision: self.tiled_decision,
         }
     }
 }
@@ -291,7 +284,7 @@ impl<R: Real> QdwhInfo<R> {
 /// The answer to an input no iteration runs on: `u` and an all-zero `H` of
 /// order `h_order`.
 fn without_iterating<S: Scalar>(u: Matrix<S>, h_order: usize) -> PolarDecomposition<S> {
-    let info = QdwhInfo::started(S::Real::ZERO, S::Real::ZERO, None);
+    let info = QdwhInfo::started(S::Real::ZERO, S::Real::ZERO);
     PolarDecomposition { u, h: Matrix::zeros(h_order, h_order), info }
 }
 
@@ -299,7 +292,6 @@ fn without_iterating<S: Scalar>(u: Matrix<S>, h_order: usize) -> PolarDecomposit
 pub(crate) struct Common<'a> {
     pub max_iterations: usize,
     pub compute_h: bool,
-    pub tiled: TiledPath,
     pub tile_nb: Option<usize>,
     pub progress: Option<&'a ProgressHook>,
     pub l0_override: Option<f64>,
@@ -312,9 +304,8 @@ pub(crate) trait Method<S: Scalar> {
     type Ell: Real;
     /// One planned iteration.
     type Step;
-    /// Span names of the solve and of one iteration on the flat kernels.
+    /// Span name of the solve.
     const NAME: &'static str;
-    const ITER_SPAN: &'static str;
     /// What the progress hook is told of `||X_k - X_{k-1}||_F` before any
     /// is known.
     const FIRST_CONV: f64;
@@ -330,27 +321,16 @@ pub(crate) trait Method<S: Scalar> {
     /// The stop test, on the last `||X_k - X_{k-1}||_F` and the bound.
     fn converged(conv: f64, ell: Self::Ell) -> bool;
 
-    /// Apply `step` to `x` (of which `x_prev` is a copy) on flat kernels.
-    fn apply(
-        &self,
-        x: &mut Matrix<S>,
-        x_prev: &Matrix<S>,
-        step: &Self::Step,
-    ) -> Result<(), QdwhError>;
-
-    /// Run `plan` on `x` as one task graph at tile size `nb`: the iterate
-    /// after it and the sink holding each iteration's convergence norm.
+    /// Run `plan` on `x` as one task graph at tile size `nb`, a phase per
+    /// step: the iterate after it, the sink holding each iteration's
+    /// convergence norm and what the executor measured of each phase.
     fn run_graph(
         &self,
         x: Matrix<S>,
         nb: usize,
         plan: &[Self::Step],
         hooked: &Hooked<'_>,
-    ) -> Result<(Matrix<S>, NormSink), QdwhError>;
-
-    /// Modeled flops of one iteration of `kind` in units of `n^3`: what a
-    /// whole-solve graph's wall time is apportioned by.
-    fn step_weight(&self, kind: IterationKind) -> f64;
+    ) -> Result<(Matrix<S>, NormSink, Vec<PhaseProfile>), QdwhError>;
 
     /// Modeled real flops of a finished solve of `n` columns.
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64;
@@ -374,101 +354,51 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
         return Err(QdwhError::NonFinite { iteration: 0 });
     }
 
-    // The tiled-vs-flat choice is resolved once up front, from the shape
-    // alone, so the decision is reportable.
-    let tiled_decision = resolve_tiled(c.tiled, c.tile_nb, n);
-    let tile_nb = tiled_decision.is_tiled().then(|| graph_tile_nb(c.tile_nb, n));
-    if tile_nb.is_some() {
-        // the estimate's QR is a task graph too: a job cancelled while it
-        // queued runs neither graph. (No bound on sigma_min is known yet;
-        // 0 is one.)
-        poll_progress(c.progress, 1, M::FIRST_CONV, 0.0)?;
-    }
-    let Some((alpha, mut x, l0)) = scaled_start(a, c.l0_override, c.l0_strategy, tile_nb) else {
+    // the estimate's QR is a task graph too: a job cancelled while it
+    // queued runs neither graph. (No bound on sigma_min is known yet; 0 is
+    // one.)
+    poll_progress(c.progress, 1, M::FIRST_CONV, 0.0)?;
+    let nb = graph_tile_nb(c.tile_nb, n);
+    let Some((alpha, mut x, l0)) = scaled_start(a, c.l0_override, c.l0_strategy, nb) else {
         // zero matrix: U = leading identity block, H = 0
         return Ok(without_iterating(Matrix::identity(m, n), if c.compute_h { n } else { 0 }));
     };
-    let mut info = QdwhInfo::started(alpha, l0, Some(tiled_decision));
+    let mut info = QdwhInfo::started(alpha, l0);
     let mut ell = M::Ell::from_f64(l0.to_f64());
     let mut conv = M::FIRST_CONV;
 
-    // Tiled path: the whole planned sequence as one task graph. The loop
-    // below is then the continuation for anything the plan could not
-    // cover (an iteration-cap overflow, a residual `conv` above tolerance
-    // after `ell` converged) — normally it exits immediately.
-    let planned = tile_nb.and_then(|nb| plan(method, ell).map(|steps| (nb, steps)));
-    if let Some((nb, steps)) = planned.filter(|(_, steps)| !steps.is_empty()) {
+    // The whole planned sequence as one task graph, a phase per iteration.
+    // One pass, normally; a last norm still above tolerance with the bound
+    // at 1 plans one step more, which is emitted and run the same way.
+    while !M::converged(conv, ell) {
+        let budget = c.max_iterations.saturating_sub(info.iterations);
+        let Some(steps) = plan(method, ell, conv, budget) else {
+            return Err(QdwhError::NoConvergence { iterations: c.max_iterations });
+        };
+        let first_iteration = info.iterations + 1;
         // a job cancelled while it queued allocates nothing
-        poll_progress(c.progress, 1, conv, ell.to_f64())?;
-        let kernels_before = polar_obs::kernel_snapshot();
-        let start = std::time::Instant::now();
+        poll_progress(c.progress, first_iteration, conv, ell.to_f64())?;
         let outcomes: Vec<_> = steps.iter().map(M::outcome).collect();
         let ells: Vec<f64> =
             std::iter::once(ell).chain(outcomes.iter().map(|o| o.1)).map(|e| e.to_f64()).collect();
-        let hooked = Hooked { hook: c.progress, first_conv: conv, ells: &ells };
-        let (advanced, sink) = method.run_graph(x, nb, &steps, &hooked)?;
+        let hooked = Hooked { hook: c.progress, first_iteration, first_conv: conv, ells: &ells };
+        let (advanced, sink, phases) = method.run_graph(x, nb, &steps, &hooked)?;
         x = advanced;
-        // The iterations overlapped, so per-step wall time is not
-        // observable: the elapsed time is split by flop weight, and the
-        // kernel-counter delta of the whole graph lands on the last record.
-        let weight_sum: f64 = outcomes.iter().map(|o| method.step_weight(o.0)).sum();
-        let secs_per_weight = start.elapsed().as_secs_f64() / weight_sum;
-        let kernels = polar_obs::kernel_snapshot().delta(&kernels_before);
-        for (k, &(kind, ell_after)) in outcomes.iter().enumerate() {
+        for (k, (&(kind, ell_after), phase)) in outcomes.iter().zip(&phases).enumerate() {
             let convergence: S::Real = sink.norm(k);
             if !convergence.to_f64().is_finite() {
-                return Err(QdwhError::NonFinite { iteration: k + 1 });
+                return Err(QdwhError::NonFinite { iteration: first_iteration + k });
             }
-            let last = k + 1 == outcomes.len();
             info.push(IterationRecord {
-                iteration: k + 1,
+                iteration: first_iteration + k,
                 kind,
                 ell: S::Real::from_f64(ell_after.to_f64()),
                 convergence,
-                seconds: secs_per_weight * method.step_weight(kind),
-                kernels: if last { kernels } else { Default::default() },
+                seconds: phase.seconds(),
+                kernels: phase.kernels,
             });
             (ell, conv) = (ell_after, convergence.to_f64());
         }
-    }
-
-    // Per-iteration loop over the flat kernels: small n, the
-    // `TiledPath::Never` reference, and the continuation above.
-    while !M::converged(conv, ell) {
-        if info.iterations >= c.max_iterations {
-            return Err(QdwhError::NoConvergence { iterations: info.iterations });
-        }
-        let iteration = info.iterations + 1;
-        poll_progress(c.progress, iteration, conv, ell.to_f64())?;
-        let step = method.step_at(ell);
-        let (kind, ell_after) = M::outcome(&step);
-        let x_prev = x.clone();
-
-        // Per-iteration kernel-time breakdown: delta of the global kernel
-        // counters around the iteration body (zeros if metrics are off).
-        let kernels_before = polar_obs::kernel_snapshot();
-        let iter_start = std::time::Instant::now();
-        let iter_span = polar_obs::span!(M::ITER_SPAN, iteration, n);
-        method.apply(&mut x, &x_prev, &step)?;
-        if x.has_non_finite() {
-            return Err(QdwhError::NonFinite { iteration });
-        }
-        ell = ell_after;
-
-        // ---- lines 47-48: conv = ||X_k - X_{k-1}||_F ----
-        let mut diff = x_prev;
-        add(S::ONE, x.as_ref(), -S::ONE, diff.as_mut());
-        let convergence: S::Real = norm(Norm::Fro, diff.as_ref());
-        conv = convergence.to_f64();
-        drop(iter_span);
-        info.push(IterationRecord {
-            iteration,
-            kind,
-            ell: S::Real::from_f64(ell.to_f64()),
-            convergence,
-            seconds: iter_start.elapsed().as_secs_f64(),
-            kernels: polar_obs::kernel_snapshot().delta(&kernels_before),
-        });
     }
 
     info.flops_estimate = method.flops(n, &info);

@@ -1,12 +1,12 @@
 //! What the whole-solve task graphs ([`crate::fused`], [`crate::zolo_fused`])
 //! have in common, written once:
 //!
-//! * the **stacked-QR term** ([`emit_term`]): `[s X; d I]` assembly → tile
-//!   QR → explicit `Q` → `Q2` gather → `alpha Q1 Q2^H` product tiles. QDWH's
-//!   QR-based iteration is one term with the Halley update fused into the
-//!   product tiles; a Zolo-PD iteration is `r` terms with other weights.
-//!   The factorization tasks themselves come from `polar-lapack`'s
-//!   emitters — this crate names no tile kernel;
+//! * the **stacked-QR term** ([`emit_term`]): `[s X; 0; d I]` assembly, the
+//!   identity on a tile boundary → tile QR → explicit `Q` → `alpha Q1 Q2^H`
+//!   product tiles. QDWH's QR-based iteration is one term with the Halley
+//!   update fused into the product tiles; a Zolo-PD iteration is `r` terms
+//!   with other weights. The factorization tasks themselves come from
+//!   `polar-lapack`'s emitters — this crate names no tile kernel;
 //! * the **Cholesky term** ([`emit_chol_term`], behind [`emit_gram`]): tile
 //!   Cholesky of a shifted Gram matrix `Z` → one `trtri_lower` per diagonal
 //!   tile → the two sweeps that leave `X Z^{-1}` in an output slab. QDWH's
@@ -29,10 +29,12 @@ use crate::options::{poll_progress, ProgressHook};
 use crate::qdwh_impl::QdwhError;
 use polar_blas::{gemm, herk, trmm};
 use polar_lapack::{
-    emit_geqrf, emit_orgqr, emit_potrf, trtri_lower, LapackError, QrPtr, TilePtr, TiledQr,
+    emit_geqrf, emit_orgqr, emit_potrf, tile_nb3, trtri_lower, LapackError, QrPtr, TilePtr, TiledQr,
 };
 use polar_matrix::{Diag, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
-use polar_runtime::{Access, ExecOutcome, InBody, KernelKind, TaskDag, TaskStatus, TileRef};
+use polar_runtime::{
+    Access, ExecOutcome, InBody, KernelKind, PhaseProfile, TaskDag, TaskStatus, TileRef,
+};
 use polar_scalar::{Real, Scalar};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -145,26 +147,40 @@ impl Access for SinkSlot<'_> {
     }
 }
 
-/// Workspace of one stacked-QR term — `W = [s X; d I]` with its `T`
-/// factors, the explicit `Q`, the gathered `Q2` — allocated once per solve
-/// and reused by every iteration: by the time any tile of `X_{k+1}` exists
-/// every reader of iteration `k`'s workspace has run, so the reuse edges
-/// the dag infers cost no overlap.
+/// Workspace of one stacked-QR term — `W = [s X; 0; d I]` with its `T`
+/// factors and the explicit `Q` — allocated once per solve and reused by
+/// every iteration: by the time any tile of `X_{k+1}` exists every reader of
+/// iteration `k`'s workspace has run, so the reuse edges the dag infers cost
+/// no overlap.
+///
+/// `X`'s `m` rows are padded with zero rows to whole tiles, so the identity
+/// starts on a tile boundary whatever `m` is. The pad rows change nothing
+/// in exact arithmetic (`R` is `W^H W`'s factor, the other rows of `Q` are
+/// `W R^{-1}`'s) and buy three things: no tile kernel sees rows of scale `s`
+/// (up to `1e8`) beside rows of scale `d`, which cost the tile QR its
+/// row-wise accuracy; the `[B; I]` pruning and the triangular-tile windows
+/// apply to every shape ([`TiledQr::zeros`]); and `Q2`'s tile `(tj, kc)` *is*
+/// `Q`'s tile `(mt + tj, kc)`, so the product tiles read `Q` in place.
 pub(crate) struct TermWorkspace<S: Scalar> {
     w: TiledQr<S>,
     q: TiledMatrix<S>,
-    g: TiledMatrix<S>,
+}
+
+/// Tiling of the stacked `W` and `Q` of an `m x n` iterate, and the height
+/// of the padded top block.
+fn stacked_tiling(m: usize, n: usize, nb: usize) -> (Tiling, usize) {
+    let top = m.div_ceil(nb) * nb;
+    (Tiling::new(top + n, n, nb, nb), top)
 }
 
 impl<S: Scalar> TermWorkspace<S> {
-    /// For an `m x n` iterate at tile size `nb`; `top_rows` as in
-    /// [`TiledQr::zeros`].
-    pub(crate) fn new(m: usize, n: usize, nb: usize, top_rows: Option<usize>) -> Self {
-        let wt = Tiling::new(m + n, n, nb, nb);
+    /// For an `m x n` iterate at tile size `nb`; `exploit_structure` prunes
+    /// the factorization to the fill window of `[B; I]`.
+    pub(crate) fn new(m: usize, n: usize, nb: usize, exploit_structure: bool) -> Self {
+        let (wt, top) = stacked_tiling(m, n, nb);
         Self {
-            w: TiledQr::zeros(wt, top_rows),
+            w: TiledQr::zeros(wt, exploit_structure.then_some(top)),
             q: TiledMatrix::zeros(wt, ProcessGrid::single()),
-            g: TiledMatrix::zeros(Tiling::new(n, n, nb, nb), ProcessGrid::single()),
         }
     }
 }
@@ -175,7 +191,6 @@ impl<S: Scalar> TermWorkspace<S> {
 pub(crate) struct TermPtr<'a, S: Scalar> {
     w: QrPtr<'a, S>,
     q: TilePtr<'a, S>,
-    g: TilePtr<'a, S>,
 }
 
 impl<S: Scalar> TermPtr<'_, S> {
@@ -185,27 +200,27 @@ impl<S: Scalar> TermPtr<'_, S> {
         m: usize,
         n: usize,
         nb: usize,
-        top_rows: Option<usize>,
+        exploit_structure: bool,
     ) -> Self {
-        let wt = Tiling::new(m + n, n, nb, nb);
+        let (wt, top) = stacked_tiling(m, n, nb);
         Self {
-            w: QrPtr::shape(dag, wt, top_rows),
+            w: QrPtr::shape(dag, wt, exploit_structure.then_some(top)),
             q: TilePtr::shape(dag, wt),
-            g: TilePtr::shape(dag, Tiling::new(n, n, nb, nb)),
         }
     }
 
     pub(crate) fn bind<'b>(self, ws: &'b mut TermWorkspace<S>) -> TermPtr<'b, S> {
-        TermPtr { w: self.w.bind(&mut ws.w), q: self.q.bind(&mut ws.q), g: self.g.bind(&mut ws.g) }
+        TermPtr { w: self.w.bind(&mut ws.w), q: self.q.bind(&mut ws.q) }
     }
 }
 
 impl<'a, S: Scalar> TermPtr<'a, S> {
-    /// The same workspace as a Cholesky term's ([`CholPtr`]): `Z` in the
-    /// `n x n` gather buffer, the inverted diagonal tiles in the first tile
-    /// column of `Q`'s top `n` rows.
+    /// The same workspace as a Cholesky term's ([`CholPtr`]): `Z` where `Q2`
+    /// goes, the inverted diagonal tiles in the first tile column of `Q1`'s
+    /// rows.
     pub(crate) fn chol(self) -> CholPtr<'a, S> {
-        CholPtr { z: self.g, linv: self.q }
+        let t = self.q.tiling();
+        CholPtr { z: self.q.below(t.mt() - t.nt()), linv: self.q }
     }
 }
 
@@ -231,7 +246,7 @@ pub(crate) struct HalleyUpdate<'a, R> {
 /// Add one stacked-QR term to `dag`:
 ///
 /// ```text
-/// [Q1; Q2] R = [s X; d I]          (tile QR on the pruned row window)
+/// [Q1; 0; Q2] R = [s X; 0; d I]    (tile QR on the pruned row window)
 /// out = alpha Q1 Q2^H              (+ beta X, with `halley`)
 /// ```
 ///
@@ -245,34 +260,36 @@ pub(crate) fn emit_term<'a, S: Scalar>(
     out: TilePtr<'a, S>,
     halley: Option<HalleyUpdate<'a, S::Real>>,
 ) {
-    let TermPtr { w: f, q, g } = ws;
+    let TermPtr { w: f, q } = ws;
     let w = f.a;
     let xt = x.tiling();
-    let (m, nb) = (xt.m(), xt.nb());
     let (mtx, nt, mtw) = (xt.mt(), xt.nt(), w.tiling().mt());
-    let nbf = nb as f64;
+    let (nbf, nb3) = (xt.nb() as f64, tile_nb3::<S>(xt.nb()));
 
-    // W = [s X; d I] per tile; the top rows of a tile straddling row m
-    // coincide with the X tile of the same index.
+    // W = [s X; 0; d I] per tile: tile rows below X's are the identity's
     dag.barrier();
     for j in 0..nt {
         for wi in 0..mtw {
-            // X (wi, j) is read exactly when that tile exists
             let access = (w.write(wi, j), (wi < mtx).then(|| x.read(wi, j)));
             dag.add_on(KernelKind::Geadd, 2, nbf * nbf, access, move |(wt, xs)| {
-                let (r0, c0) = (wi * nb, j * nb);
-                let top = xs.map_or(0, |xs| xs.nrows());
-                let (sc, dc) = (S::from_real(s), S::from_real(d));
-                let copy = s == S::Real::ONE; // s = 1 is a copy, bit for bit
-                for c in 0..wt.ncols() {
-                    if let Some(xs) = xs {
-                        for r in 0..top {
-                            wt[(r, c)] = if copy { xs[(r, c)] } else { sc * xs[(r, c)] };
+                wt.fill(S::ZERO);
+                match xs {
+                    // the last tile row of X may be short of W's: pad rows
+                    Some(xs) => {
+                        let sc = S::from_real(s);
+                        let copy = s == S::Real::ONE; // s = 1 is a copy, bit for bit
+                        for c in 0..xs.ncols() {
+                            for r in 0..xs.nrows() {
+                                wt[(r, c)] = if copy { xs[(r, c)] } else { sc * xs[(r, c)] };
+                            }
                         }
                     }
-                    for r in top..wt.nrows() {
-                        wt[(r, c)] = if r0 + r - m == c0 + c { dc } else { S::ZERO };
+                    None if wi - mtx == j => {
+                        for c in 0..wt.ncols() {
+                            wt[(c, c)] = S::from_real(d);
+                        }
                     }
+                    None => {}
                 }
             });
         }
@@ -281,37 +298,16 @@ pub(crate) fn emit_term<'a, S: Scalar>(
     emit_geqrf(dag, f);
     emit_orgqr(dag, f, q);
 
-    // Gather Q2 (rows m..m+n of Q) into an n x n tiling: each Q2 tile
-    // straddles at most two Q tile rows when m % nb != 0.
-    dag.barrier();
-    for kc in 0..nt {
-        for tj in 0..nt {
-            let lo = (m + tj * nb) / nb;
-            let hi = (m + tj * nb + g.tiling().tile_rows(tj) - 1) / nb;
-            let access = (g.write(tj, kc), q.read(lo, kc), (hi != lo).then(|| q.read(hi, kc)));
-            dag.add_on(KernelKind::Geadd, 1, nbf * nbf, access, move |(out, qlo, qhi)| {
-                let qhi = qhi.unwrap_or(qlo);
-                for c in 0..out.ncols() {
-                    for r in 0..out.nrows() {
-                        let gr = m + tj * nb + r;
-                        let src = if gr / nb == lo { qlo } else { qhi };
-                        out[(r, c)] = src[(gr % nb, c)];
-                    }
-                }
-            });
-        }
-    }
-
     // out = alpha Q1 Q2^H per tile, accumulated over the n columns of Q
     // in fixed order (one task per tile: no reduction across tasks).
     dag.barrier();
     for tj in 0..nt {
         for ti in 0..mtx {
             // with `halley`, X (ti, tj) joins the reads and the partial the
-            // writes; then row ti of Q against row tj of G
+            // writes; then row ti of Q1 against row tj of Q2
             let fused = halley.map(|h| (x.read(ti, tj), h.sink.partial(h.iter, ti, tj)));
-            let rows: Vec<_> = (0..nt).map(|kc| (q.read(ti, kc), g.read(tj, kc))).collect();
-            let flops = 2.0 * nbf * nbf * nbf * nt as f64;
+            let rows: Vec<_> = (0..nt).map(|kc| (q.read(ti, kc), q.read(mtx + tj, kc))).collect();
+            let flops = 2.0 * nb3 * nt as f64;
             let access = (out.write(ti, tj), fused, rows);
             dag.add_on(KernelKind::Gemm, 0, flops, access, move |(o, fused, rows)| {
                 let fused = halley.zip(fused);
@@ -363,7 +359,7 @@ pub(crate) fn emit_gram<'a, S: Scalar>(
 ) {
     let xt = x.tiling();
     let (mtx, nt) = (xt.mt(), xt.nt());
-    let nbf = xt.nb() as f64;
+    let nb3 = tile_nb3::<S>(xt.nb());
 
     dag.barrier();
     for zj in 0..nt {
@@ -371,11 +367,7 @@ pub(crate) fn emit_gram<'a, S: Scalar>(
             // columns zi and, off the diagonal, zj of X
             let cols: Vec<_> =
                 (0..mtx).map(|l| (x.read(l, zi), (zi != zj).then(|| x.read(l, zj)))).collect();
-            let flops = if zi == zj {
-                nbf * nbf * nbf * mtx as f64
-            } else {
-                2.0 * nbf * nbf * nbf * mtx as f64
-            };
+            let flops = if zi == zj { nb3 * mtx as f64 } else { 2.0 * nb3 * mtx as f64 };
             dag.add_on(
                 if zi == zj { KernelKind::Herk } else { KernelKind::Gemm },
                 3,
@@ -441,7 +433,7 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
     let CholPtr { z, linv } = ws;
     let xt = x.tiling();
     let (nb, mtx, nt) = (xt.nb(), xt.mt(), xt.nt());
-    let nbf = nb as f64;
+    let nb3 = tile_nb3::<S>(nb);
 
     // Z = L L^H in place. Indefiniteness cancels the whole solve — an
     // error aborts every later iteration too.
@@ -455,7 +447,7 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
         dag.add_on(
             KernelKind::Trsm,
             3,
-            nbf * nbf * nbf / 3.0,
+            nb3 / 3.0,
             (z.read(tj, tj), linv.write(tj, 0)),
             move |(l, t)| {
                 let r = l.nrows();
@@ -497,7 +489,7 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
                 dag.add_on(
                     KernelKind::Trsm,
                     2,
-                    (2.0 * solved.len() as f64 + 1.0) * nbf * nbf * nbf,
+                    (2.0 * solved.len() as f64 + 1.0) * nb3,
                     (out.write(ti, tj), forward.then(|| x.read(ti, tj)), pairs, linv.read(tj, 0)),
                     move |(vt, xt, pairs, inv)| {
                         if let Some(xt) = xt {
@@ -532,55 +524,133 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
 }
 
 /// What a whole-solve graph tells the caller's progress hook: graph phase
-/// `k` is the solve's iteration `k + 1`, the bound entering it is
-/// `ells[k]`, and the convergence norm before the first is `first_conv`.
+/// `k` is the solve's iteration `first_iteration + k`, the bound entering it
+/// is `ells[k]`, and the convergence norm before the first is `first_conv`.
 pub(crate) struct Hooked<'a> {
     pub hook: Option<&'a ProgressHook>,
+    pub first_iteration: usize,
     pub first_conv: f64,
     pub ells: &'a [f64],
 }
 
-/// Run a whole-solve graph. With a progress hook, the executor polls it
-/// before every task release with the oldest iteration still in flight,
-/// the norm the previous iteration's sink published and the planned bound
-/// entering it; a `Cancel` abandons the graph and comes back as
-/// [`QdwhError::Cancelled`]. A graph one of its own bodies cancelled comes
-/// back as the error that body left in `failure`.
+/// Run a whole-solve graph; what the executor measured of each phase comes
+/// back. With a progress hook, the executor polls it before every task
+/// release with the oldest iteration still in flight, the norm the previous
+/// iteration's sink published and the planned bound entering it; a `Cancel`
+/// abandons the graph and comes back as [`QdwhError::Cancelled`]. A graph
+/// one of its own bodies cancelled comes back as the error that body left
+/// in `failure`.
 pub(crate) fn execute_hooked(
     dag: TaskDag<'_>,
     hooked: &Hooked<'_>,
     sink: &NormSink,
     failure: &OnceLock<LapackError>,
-) -> Result<(), QdwhError> {
-    let broke_down = |outcome| match outcome {
-        ExecOutcome::Completed => Ok(()),
-        ExecOutcome::Cancelled => Err(QdwhError::Lapack(
-            failure.get().cloned().unwrap_or(LapackError::NotPositiveDefinite(0)),
-        )),
-    };
-    let Some(hook) = hooked.hook else { return broke_down(dag.execute()) };
+) -> Result<Vec<PhaseProfile>, QdwhError> {
     let cancelled_at = AtomicUsize::new(0);
-    let outcome = dag.execute_until(|frontier| {
+    let (outcome, phases) = dag.execute_profiled(|frontier| {
+        let Some(hook) = hooked.hook else { return false };
         let k = frontier as usize;
         let conv = if k == 0 { hooked.first_conv } else { sink.norm::<f64>(k - 1) };
-        let cancel = poll_progress(Some(hook), k + 1, conv, hooked.ells[k]).is_err();
+        let iteration = hooked.first_iteration + k;
+        let cancel = poll_progress(Some(hook), iteration, conv, hooked.ells[k]).is_err();
         if cancel {
-            // read back after the run only; `execute_until` has joined
-            // every lane by then
-            cancelled_at.store(k + 1, Ordering::Relaxed);
+            // read back after the run only; the executor has joined every
+            // lane by then
+            cancelled_at.store(iteration, Ordering::Relaxed);
         }
         cancel
     });
-    match cancelled_at.into_inner() {
-        0 => broke_down(outcome),
-        iteration => Err(QdwhError::Cancelled { iteration }),
+    match (cancelled_at.into_inner(), outcome) {
+        (0, ExecOutcome::Completed) => Ok(phases),
+        (0, ExecOutcome::Cancelled) => Err(QdwhError::Lapack(
+            failure.get().cloned().unwrap_or(LapackError::NotPositiveDefinite(0)),
+        )),
+        (iteration, _) => Err(QdwhError::Cancelled { iteration }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polar_matrix::Matrix;
+    use polar_blas::{add, norm};
+    use polar_gen::{generate, MatrixSpec, SigmaDistribution};
+    use polar_lapack::{geqrf, orgqr};
+    use polar_matrix::{Matrix, Norm};
+
+    /// `||Q1 - s X Q2||_F / ||Q1||_F` of `[s X; I] = [Q1; Q2] R`: zero in
+    /// exact arithmetic (`Q2 = R^{-1}`, `Q1 = s X R^{-1}`), and what a QR
+    /// that loses row-wise accuracy shows first.
+    fn q1_residual(x: &Matrix<f64>, s: f64, q1: &Matrix<f64>, q2: &Matrix<f64>) -> f64 {
+        let mut r = q1.clone();
+        gemm(Op::NoTrans, Op::NoTrans, -s, x.as_ref(), q2.as_ref(), 1.0, r.as_mut());
+        let (num, den): (f64, f64) = (norm(Norm::Fro, r.as_ref()), norm(Norm::Fro, q1.as_ref()));
+        num / den
+    }
+
+    /// The stacked term at the scale of QDWH's first iteration from `l0 ~
+    /// 1e-16` (`sqrt(c) ~ 1e8`), on shapes whose `m` is not a whole number
+    /// of tiles: with the identity on a tile boundary the tile QR keeps the
+    /// residual of the flat `geqrf` / `orgqr` (a `W` stacked without the
+    /// pad rows reads 1e-3 ... 1e-6 on these shapes).
+    #[test]
+    fn a_stacked_term_keeps_q1_equal_to_s_x_q2_on_ragged_shapes() {
+        let s = 1e8;
+        for (m, n, nb) in [
+            (40usize, 40usize, 32usize),
+            (48, 48, 32),
+            (63, 63, 32),
+            (72, 40, 32),
+            (80, 64, 32),
+            (96, 96, 128),
+            (100, 100, 32),
+            (200, 200, 128),
+            (37, 20, 16),
+            (96, 96, 32), // aligned: no pad rows
+        ] {
+            let nb = nb.min(n);
+            let spec = MatrixSpec {
+                m,
+                n,
+                cond: 1e16,
+                distribution: SigmaDistribution::Geometric,
+                seed: (m + n) as u64,
+            };
+            let (x, _) = generate::<f64>(&spec);
+
+            let mut w = Matrix::<f64>::zeros(m + n, n);
+            add(s, x.as_ref(), 0.0, w.view_mut(0, 0, m, n));
+            for d in 0..n {
+                w[(m + d, d)] = 1.0;
+            }
+            let f = geqrf(&mut w);
+            let q = orgqr(&w, &f);
+            let (q1, q2) = (q.submatrix_owned(0, 0, m, n), q.submatrix_owned(m, 0, n, n));
+            let flat = q1_residual(&x, s, &q1, &q2);
+
+            let grid = ProcessGrid::single;
+            let mut ws = TermWorkspace::<f64>::new(m, n, nb, true);
+            let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
+            let mut out = TiledMatrix::<f64>::zeros(xt.tiling(), grid());
+            let mut dag = TaskDag::new();
+            let term = TermPtr::shape(&mut dag, m, n, nb, true).bind(&mut ws);
+            let (xp, op) = (TilePtr::new(&mut dag, &mut xt), TilePtr::new(&mut dag, &mut out));
+            emit_term(&mut dag, term, xp, (s, 1.0), 1.0, op, None);
+            assert_eq!(dag.execute(), ExecOutcome::Completed);
+            let top = m.div_ceil(nb) * nb;
+            let q = ws.q.to_dense();
+            let (q1, q2) = (q.submatrix_owned(0, 0, m, n), q.submatrix_owned(top, 0, n, n));
+            let tiled = q1_residual(&x, s, &q1, &q2);
+            assert!(tiled <= 8.0 * flat, "{m}x{n} nb {nb}: tile QR {tiled:e} vs flat {flat:e}");
+            // the pad rows of Q are the zeros they are in exact arithmetic
+            let pad: f64 = norm(Norm::Fro, q.view(m, 0, top - m, n));
+            assert_eq!(pad, 0.0, "{m}x{n} nb {nb}");
+            // and the product tiles read Q2 where it is
+            let mut y = out.to_dense();
+            gemm(Op::NoTrans, Op::ConjTrans, -1.0, q1.as_ref(), q2.as_ref(), 1.0, y.as_mut());
+            let left: f64 = norm(Norm::Fro, y.as_ref());
+            assert!(left <= 1e-13, "{m}x{n} nb {nb}: out - Q1 Q2^H = {left:e}");
+        }
+    }
 
     /// A `Z` that is not positive definite cancels the dag a Cholesky term
     /// sits in and names the failing pivot by its index in `Z`, not in its

@@ -38,7 +38,7 @@ pub fn svd_based_polar<S: Scalar>(a: &Matrix<S>) -> Result<PolarDecomposition<S>
 
     // no Halley loop: zero iterations, alpha = sigma_max
     let alpha = svd.sigma.first().copied().unwrap_or(S::Real::ZERO);
-    Ok(PolarDecomposition { u: u_p, h, info: QdwhInfo::started(alpha, S::Real::ZERO, None) })
+    Ok(PolarDecomposition { u: u_p, h, info: QdwhInfo::started(alpha, S::Real::ZERO) })
 }
 
 #[cfg(test)]

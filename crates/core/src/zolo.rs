@@ -18,14 +18,13 @@
 //! copies of one Gram matrix (`ZoloIterPlan::at` decides, from `ell`
 //! alone). At `r = 8` that is the second of the two iterations.
 
-use crate::options::{IterationKind, L0Strategy, ProgressHook, TiledPath};
-use crate::qdwh_impl::{solve_right_hpd, PolarDecomposition, QdwhError, QdwhInfo};
-use crate::skeleton::{plan, solve, zolo_flops, zolo_step_weight, Common, Method};
+use crate::options::{IterationKind, L0Strategy, ProgressHook};
+use crate::qdwh_impl::{PolarDecomposition, QdwhError, QdwhInfo};
+use crate::skeleton::{plan, solve, zolo_flops, Common, Method};
 use crate::solve_dag::{Hooked, NormSink};
 use crate::zolo_fused::ZoloIterPlan;
-use polar_blas::{add, gemm, herk, scale_real};
-use polar_lapack::orgqr;
-use polar_matrix::{Matrix, Op, Uplo};
+use polar_matrix::Matrix;
+use polar_runtime::PhaseProfile;
 use polar_scalar::{Real, Scalar};
 
 /// Options for [`zolo_pd`].
@@ -40,18 +39,11 @@ pub struct ZoloOptions {
     pub max_iterations: usize,
     /// Compute the Hermitian factor.
     pub compute_h: bool,
-    /// Whole-solve fused DAG selection: when the tile path resolves (same
-    /// semantics and `POLAR_TILED` pin as
-    /// [`QdwhOptions::tiled`](crate::options::QdwhOptions::tiled)), the
-    /// `r` terms of every iteration run as concurrent task branches of one
-    /// graph (`zolo_fused`); otherwise the serial term-by-term loop runs.
-    pub tiled: TiledPath,
-    /// Tile size for the fused path; `None` picks
-    /// `polar_lapack::auto_tile_nb`.
+    /// Tile size of the solve's task graph, as
+    /// [`QdwhOptions::tile_nb`](crate::options::QdwhOptions::tile_nb).
     pub tile_nb: Option<usize>,
     /// Optional progress/cancellation hook, with the semantics of
-    /// [`QdwhOptions::progress`](crate::options::QdwhOptions::progress) on
-    /// either path.
+    /// [`QdwhOptions::progress`](crate::options::QdwhOptions::progress).
     pub progress: Option<ProgressHook>,
 }
 
@@ -61,7 +53,6 @@ impl std::fmt::Debug for ZoloOptions {
             .field("r", &self.r)
             .field("max_iterations", &self.max_iterations)
             .field("compute_h", &self.compute_h)
-            .field("tiled", &self.tiled)
             .field("tile_nb", &self.tile_nb)
             .field("progress", &self.progress.as_ref().map(|_| "<hook>"))
             .finish()
@@ -70,14 +61,7 @@ impl std::fmt::Debug for ZoloOptions {
 
 impl Default for ZoloOptions {
     fn default() -> Self {
-        Self {
-            r: 8,
-            max_iterations: 6,
-            compute_h: true,
-            tiled: TiledPath::Auto,
-            tile_nb: None,
-            progress: None,
-        }
+        Self { r: 8, max_iterations: 6, compute_h: true, tile_nb: None, progress: None }
     }
 }
 
@@ -89,7 +73,7 @@ impl ZoloOptions {
         if self.r == 0 {
             return None;
         }
-        let steps = plan::<f64, _>(&Zolotarev(self), l0)?;
+        let steps = plan::<f64, _>(&Zolotarev(self), l0, 0.0, self.max_iterations)?;
         Some(steps.iter().map(|step| step.kind).collect())
     }
 }
@@ -111,7 +95,7 @@ pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutc
         return Err(QdwhError::Shape("zolo_pd requires r >= 1"));
     }
     let pd = solve(a, &Zolotarev(zopts))?;
-    // r stacked QRs per QR-based iteration, on either path
+    // r stacked QRs per QR-based iteration
     Ok(ZoloOutcome { qr_factorizations: zopts.r * pd.info.qr_iterations, pd })
 }
 
@@ -123,7 +107,6 @@ impl<S: Scalar> Method<S> for Zolotarev<'_> {
     type Ell = f64;
     type Step = ZoloIterPlan;
     const NAME: &'static str = "zolo";
-    const ITER_SPAN: &'static str = "zolo_iter";
     const FIRST_CONV: f64 = f64::MAX;
 
     fn common(&self) -> Common<'_> {
@@ -131,7 +114,6 @@ impl<S: Scalar> Method<S> for Zolotarev<'_> {
         Common {
             max_iterations: o.max_iterations,
             compute_h: o.compute_h,
-            tiled: o.tiled,
             tile_nb: o.tile_nb,
             progress: o.progress.as_ref(),
             l0_override: None,
@@ -158,73 +140,19 @@ impl<S: Scalar> Method<S> for Zolotarev<'_> {
     }
 
     /// `X := M (X + sum_j a_j X Z_j^{-1})`, `Z_j = X^H X + c_{2j-1} I`, then
-    /// the `sigma_max <= 1` rescale. QR-based, each `X Z_j^{-1}` is `Q1 Q2^H
-    /// / sqrt(c_{2j-1})` of the stacked QR `[X; sqrt(c_{2j-1}) I] = [Q1; Q2]
-    /// R`; Cholesky-based, a solve with the factor of `Z_j`, the Gram matrix
-    /// formed once. The `r` factorizations are independent — the fused
-    /// graph runs them concurrently (the strong-scaling win of §8).
-    fn apply(
-        &self,
-        x: &mut Matrix<S>,
-        x_prev: &Matrix<S>,
-        step: &ZoloIterPlan,
-    ) -> Result<(), QdwhError> {
-        let (m, n) = (x.nrows(), x.ncols());
-        if step.kind == IterationKind::QrBased {
-            for (j, &aj) in step.a_w.iter().enumerate() {
-                let sqrt_c = step.c[2 * j].sqrt(); // c_{2j-1}
-                let mut bottom = Matrix::<S>::identity(n, n);
-                scale_real::<S>(S::Real::from_f64(sqrt_c), bottom.as_mut());
-                let mut w = Matrix::vstack(x_prev, &bottom);
-                // the diagonal bottom block has the same trapezoidal-fill
-                // structure QDWH exploits, so the windowed QR applies here too
-                let f = polar_lapack::geqrf_stacked(m, &mut w);
-                let q = orgqr(&w, &f);
-                let q1 = q.submatrix_owned(0, 0, m, n);
-                let q2 = q.submatrix_owned(m, 0, n, n);
-                gemm(
-                    Op::NoTrans,
-                    Op::ConjTrans,
-                    S::from_f64(aj / sqrt_c),
-                    q1.as_ref(),
-                    q2.as_ref(),
-                    S::ONE,
-                    x.as_mut(),
-                );
-            }
-        } else {
-            let mut gram = Matrix::<S>::zeros(n, n);
-            let one = S::Real::ONE;
-            herk(Uplo::Lower, Op::ConjTrans, one, x_prev.as_ref(), S::Real::ZERO, gram.as_mut());
-            for (j, &aj) in step.a_w.iter().enumerate() {
-                let (mut z, mut y) = (gram.clone(), x_prev.clone());
-                for d in 0..n {
-                    z[(d, d)] += S::from_f64(step.c[2 * j]); // c_{2j-1}
-                }
-                solve_right_hpd(&mut z, &mut y)?;
-                add(S::from_f64(aj), y.as_ref(), S::ONE, x.as_mut());
-            }
-        }
-        scale_real::<S>(S::Real::from_f64(step.m_hat), x.as_mut());
-        // keep sigma_max <= 1 for the next interval
-        if step.rescale < 1.0 {
-            scale_real::<S>(S::Real::from_f64(step.rescale), x.as_mut());
-        }
-        Ok(())
-    }
-
+    /// the `sigma_max <= 1` rescale, per planned step. QR-based, each `X
+    /// Z_j^{-1}` is `Q1 Q2^H / sqrt(c_{2j-1})` of the stacked QR `[X;
+    /// sqrt(c_{2j-1}) I] = [Q1; Q2] R`; Cholesky-based, two sweeps with the
+    /// factor of `Z_j`, the Gram matrix formed once. The `r` factorizations
+    /// are independent branches of the graph (the strong-scaling win of §8).
     fn run_graph(
         &self,
         x: Matrix<S>,
         nb: usize,
         plan: &[ZoloIterPlan],
         hooked: &Hooked<'_>,
-    ) -> Result<(Matrix<S>, NormSink), QdwhError> {
+    ) -> Result<(Matrix<S>, NormSink, Vec<PhaseProfile>), QdwhError> {
         crate::zolo_fused::run_graph(x, nb, plan, hooked)
-    }
-
-    fn step_weight(&self, kind: IterationKind) -> f64 {
-        zolo_step_weight(kind, self.0.r)
     }
 
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {

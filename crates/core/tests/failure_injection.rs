@@ -97,7 +97,11 @@ fn nearly_rank_deficient_still_stable() {
     let pd = qdwh(&a, &QdwhOptions::default()).unwrap();
     assert!(orthogonality_error(&pd.u) < 1e-12);
     assert!(pd.backward_error(&a) < 1e-12);
-    assert!(pd.info.iterations <= 7);
+    // six planned steps (the bound from `l0 ~ 2e-18`), then Halley steps on
+    // the singular values rounding left below that estimate: how many is
+    // noise beyond kappa = 1/eps (6 to 9 over a dozen seeds, on this QR and
+    // on a flat one alike; 6 at kappa = 1e16 on every seed)
+    assert!(pd.info.iterations <= 9, "{:?}", pd.info.kinds);
 }
 
 #[test]

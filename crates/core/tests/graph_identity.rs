@@ -5,7 +5,7 @@
 
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_qdwh::{
-    halley_parameters, qdwh, qdwh_task_graph, update_ell, IterationKind, QdwhOptions, TiledPath,
+    halley_parameters, qdwh, qdwh_task_graph, update_ell, IterationKind, QdwhOptions,
 };
 
 #[test]
@@ -18,7 +18,6 @@ fn task_graph_is_the_executed_graph() {
     let first = halley_parameters(l0);
     let second = halley_parameters(update_ell(l0, first));
     let opts = QdwhOptions {
-        tiled: TiledPath::Always,
         tile_nb: Some(nb),
         l0_override: Some(l0),
         qr_switch_threshold: 0.5 * (first.c + second.c),

@@ -7,7 +7,7 @@ use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_matrix::Matrix;
 use polar_qdwh::{
     qdwh, zolo_pd, IterationDecision, IterationProgress, ProgressHook, QdwhError, QdwhOptions,
-    TiledPath, ZoloOptions,
+    ZoloOptions,
 };
 use polar_scalar::{Complex64, Scalar};
 use std::sync::{Arc, Mutex};
@@ -17,17 +17,11 @@ fn spec(m: usize, n: usize, cond: f64, seed: u64) -> MatrixSpec {
 }
 
 fn tiled() -> QdwhOptions {
-    QdwhOptions { tiled: TiledPath::Always, tile_nb: Some(16), ..Default::default() }
+    QdwhOptions { tile_nb: Some(16), ..Default::default() }
 }
 
 fn tiled_zolo(r: usize) -> ZoloOptions {
-    ZoloOptions {
-        r,
-        max_iterations: 12,
-        tiled: TiledPath::Always,
-        tile_nb: Some(16),
-        ..Default::default()
-    }
+    ZoloOptions { r, max_iterations: 12, tile_nb: Some(16), ..Default::default() }
 }
 
 /// A hook that logs every snapshot and cancels from iteration `cancel_at` on.
@@ -82,7 +76,6 @@ fn qdwh_case<S: Scalar>(sp: MatrixSpec) {
     let plain = qdwh(&a, &tiled()).expect("un-hooked solve");
     let (hook, seen) = recording_hook(usize::MAX);
     let hooked = qdwh(&a, &QdwhOptions { progress: Some(hook), ..tiled() }).expect("hooked solve");
-    assert!(hooked.info.tiled_decision.is_some_and(|d| d.is_tiled()));
     assert_eq!(plain.info.kinds, hooked.info.kinds);
     assert_same_bits("qdwh U", &plain.u, &hooked.u);
     assert_same_bits("qdwh H", &plain.h, &hooked.h);
@@ -113,7 +106,6 @@ fn a_hooked_solve_is_bitwise_the_unhooked_solve() {
         let (hook, seen) = recording_hook(usize::MAX);
         let hooked =
             zolo_pd(&a, &ZoloOptions { progress: Some(hook), ..tiled_zolo(r) }).expect("hooked");
-        assert!(hooked.pd.info.tiled_decision.is_some_and(|d| d.is_tiled()));
         assert_eq!(plain.qr_factorizations, hooked.qr_factorizations);
         assert_same_bits("zolo U", &plain.pd.u, &hooked.pd.u);
         assert_same_bits("zolo H", &plain.pd.h, &hooked.pd.h);
@@ -180,7 +172,7 @@ fn a_hook_cancelling_at_iteration_2_stops_the_graph_there() {
 }
 
 #[test]
-fn a_hooked_tiled_solve_runs_the_fused_graph() {
+fn a_hooked_solve_runs_the_fused_graph() {
     let _serial = polar_obs::scope_lock();
     let (a, _) = generate::<f64>(&spec(83, 47, 1e12, 47));
     let (hook, _) = recording_hook(usize::MAX);

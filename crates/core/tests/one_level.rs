@@ -8,7 +8,7 @@
 use polar_blas::gemm;
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_matrix::{Matrix, Op};
-use polar_qdwh::{qdwh, zolo_pd, QdwhOptions, TiledPath, ZoloOptions};
+use polar_qdwh::{qdwh, zolo_pd, QdwhOptions, ZoloOptions};
 use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TileRef};
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
 
@@ -76,10 +76,9 @@ fn on_one_and_two_workers<T: Send>(solve: impl Fn() -> T + Sync) -> (T, T) {
 fn qdwh_fused_case<S: Scalar>(spec: MatrixSpec) {
     let (az, _) = generate::<Complex64>(&spec);
     let a = cast::<S>(&az);
-    let opts = QdwhOptions { tiled: TiledPath::Always, tile_nb: Some(32), ..Default::default() };
+    let opts = QdwhOptions { tile_nb: Some(32), ..Default::default() };
     let (one, two) = on_one_and_two_workers(|| qdwh(&a, &opts).expect("qdwh converges"));
     assert_eq!(one.info.kinds, two.info.kinds);
-    assert!(one.info.tiled_decision.is_some_and(|d| d.is_tiled()));
     assert_same_bits("qdwh fused", &one.u, &two.u);
 }
 
@@ -95,7 +94,7 @@ fn qdwh_fused_dag_is_bitwise_identical_on_one_and_two_workers() {
         seed,
     };
     qdwh_fused_case::<f64>(spec(96, 1e16, 21));
-    qdwh_fused_case::<f64>(spec(150, 1e16, 22)); // identity block starts mid-tile
+    qdwh_fused_case::<f64>(spec(150, 1e16, 22)); // X's last tile row is padded in W
     qdwh_fused_case::<Complex64>(spec(96, 1e16, 23));
     qdwh_fused_case::<f32>(spec(96, 1e5, 24));
     qdwh_fused_case::<Complex32>(spec(96, 1e5, 25));
@@ -110,9 +109,8 @@ fn zolo_fused_dag_is_bitwise_identical_on_one_and_two_workers() {
         distribution: SigmaDistribution::Geometric,
         seed: 31,
     });
-    let zopts = ZoloOptions { tiled: TiledPath::Always, tile_nb: Some(32), ..Default::default() };
+    let zopts = ZoloOptions { tile_nb: Some(32), ..Default::default() };
     let (one, two) = on_one_and_two_workers(|| zolo_pd(&a, &zopts).expect("zolo converges"));
     assert_eq!(one.qr_factorizations, two.qr_factorizations);
-    assert!(one.pd.info.tiled_decision.is_some_and(|d| d.is_tiled()));
     assert_same_bits("zolo fused", &one.pd.u, &two.pd.u);
 }

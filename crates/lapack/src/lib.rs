@@ -5,8 +5,6 @@
 //!
 //! * [`geqrf`] / [`unmqr`] / [`orgqr`] — blocked Householder QR (the
 //!   QR-based QDWH iteration, Algorithm 1 lines 30–36);
-//! * [`tsqr`] — communication-avoiding tall-skinny QR (ablation of the
-//!   stacked `[sqrt(c) A; I]` factorization);
 //! * [`potrf`] / [`posv`] — Cholesky (the Cholesky-based iteration, lines
 //!   38–44);
 //! * [`getrf`] / [`getrs`] — partial-pivoting LU (general condition
@@ -30,7 +28,6 @@ mod svd;
 mod tile_qr;
 mod tiled;
 mod tri;
-mod tsqr;
 
 pub use chol::{posv, potrf, potrf_in};
 pub use condest::{gecondest, norm1est, tr_sigma_min_est, trcondest, OneNormOracle};
@@ -46,10 +43,9 @@ pub use tile_qr::{
 };
 pub use tiled::{
     auto_tile_nb, default_tile_nb, emit_geqrf, emit_orgqr, emit_potrf, geqrf_tiled,
-    geqrf_tiled_stacked, orgqr_tiled, potrf_tiled, QrPtr, TilePtr, TiledQr,
+    geqrf_tiled_stacked, orgqr_tiled, potrf_tiled, tile_nb3, QrPtr, TilePtr, TiledQr,
 };
 pub use tri::trtri_lower;
-pub use tsqr::tsqr;
 
 /// Error type for factorizations.
 #[derive(Debug, Clone, PartialEq, Eq)]

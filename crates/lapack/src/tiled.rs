@@ -59,7 +59,9 @@ pub fn default_tile_nb() -> usize {
 /// worker the win comes from tiled trsm/herk decomposing into gemm-rich
 /// tasks, which favors the same size as the parallel case); with more
 /// workers the grid must additionally offer at least a couple of tile
-/// columns per worker or the DAG starves.
+/// columns per worker or the DAG starves. Never below 128, whatever `n`: a
+/// whole-solve graph clamps its tile to the matrix itself, and pads the
+/// stacked `[B; I]` so that `I` starts on a tile boundary at any size.
 pub fn auto_tile_nb(n: usize) -> usize {
     let workers = rayon::current_num_threads().max(1);
     let mut nb = default_tile_nb();
@@ -76,6 +78,9 @@ struct Slab<'a, T> {
     base: *mut T,
     mt: usize,
     len: usize,
+    /// Row `i` of this view is row `row0 + i` of the storage (and of the
+    /// name): see [`TilePtr::below`].
+    row0: usize,
     id: u32,
     /// Payload of one value, for the communication meter.
     bytes: u64,
@@ -92,7 +97,7 @@ impl<T> Copy for Slab<'_, T> {}
 impl<'a, T> Slab<'a, T> {
     fn shape(dag: &mut TaskDag<'_>, mt: usize, len: usize, bytes: u64) -> Self {
         let (base, id) = (std::ptr::null_mut(), dag.new_matrix());
-        Self { base, mt, len, id, bytes, _storage: PhantomData }
+        Self { base, mt, len, row0: 0, id, bytes, _storage: PhantomData }
     }
 
     fn bind<'b>(self, storage: &'b mut [T]) -> Slab<'b, T> {
@@ -103,6 +108,7 @@ impl<'a, T> Slab<'a, T> {
     /// Where `(i, j)` is stored — a shape's null stays null — and the name
     /// the dag tracks it under.
     fn slot(&self, i: usize, j: usize) -> (*mut T, TileRef) {
+        let i = self.row0 + i;
         assert!(i < self.mt && i + j * self.mt < self.len, "tile ({i}, {j}) out of range");
         let offset = if self.base.is_null() { 0 } else { i + j * self.mt };
         (self.base.wrapping_add(offset), TileRef::new(self.id, i, j, self.bytes))
@@ -226,6 +232,17 @@ impl<'a, S: Scalar> TilePtr<'a, S> {
         self.tiling
     }
 
+    /// Tile rows `i0..` as a matrix of their own: tile `(i, j)` of the result
+    /// is tile `(i0 + i, j)` of this one, storage and name, so tasks on
+    /// either are ordered against each other. How a workspace lends its
+    /// bottom block out (the `Q2` rows of a stacked `Q`).
+    pub fn below(self, i0: usize) -> Self {
+        let t = self.tiling;
+        assert!(i0 < t.mt(), "TilePtr::below: no tile row {i0}");
+        let tiling = Tiling::new(t.m() - i0 * t.mb(), t.n(), t.mb(), t.nb());
+        Self { tiles: Slab { row0: self.tiles.row0 + i0, ..self.tiles }, tiling }
+    }
+
     /// Tile `(i, j)` for a task's read set.
     pub fn read(&self, i: usize, j: usize) -> TileRead<'a, Matrix<S>> {
         self.tiles.read(i, j)
@@ -261,6 +278,12 @@ impl<S: Scalar> TiledQr<S> {
     /// Workspace for factoring a matrix of the given tiling, all zero;
     /// `top_rows = Some(r)` declares the stacked `[B; D]` structure (`B`
     /// is `r` rows, `D` diagonal) and prunes the row window accordingly.
+    /// Make `r` a whole number of tile rows — pad `B` with zero rows, which
+    /// change neither `R` nor the other rows of `Q`: then each tile of `D`
+    /// a panel reaches is upper triangular and runs the row-windowed
+    /// kernels ([`TileT::upper_v2`]), and no tile kernel mixes rows of `B`'s
+    /// scale with rows of `D`'s, which costs the tile QR its row-wise
+    /// accuracy when the two are far apart.
     pub fn zeros(tiling: Tiling, top_rows: Option<usize>) -> Self {
         Self::over(TiledMatrix::zeros(tiling, ProcessGrid::single()), top_rows)
     }
@@ -350,6 +373,13 @@ impl<'a, S: Scalar> QrPtr<'a, S> {
     }
 }
 
+/// `nb^3` in real flops of `S` arithmetic (a complex multiply-add is four
+/// real ones): the unit a tile task's analytic flops are quoted in. A task
+/// is the counted kernel of its class, so the unit carries the type.
+pub fn tile_nb3<S: Scalar>(nb: usize) -> f64 {
+    flops::type_factor(S::IS_COMPLEX) * (nb as f64).powi(3)
+}
+
 /// Last tile row with reflector support at panel `k` for the stacked
 /// `[B; I]` structure (`None` = dense: all rows).
 fn stacked_row_limit(tiling: Tiling, top_rows: Option<usize>, k: usize) -> usize {
@@ -376,7 +406,7 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
     let tiling = a.tiling();
     let (mt, nt) = (tiling.mt(), tiling.nt());
     let kt = mt.min(nt);
-    let nb3 = (tiling.nb() as f64).powi(3);
+    let nb3 = tile_nb3::<S>(tiling.nb());
     for k in 0..kt {
         dag.barrier();
         let step = (kt - k) as i32 * 4;
@@ -431,7 +461,7 @@ pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: Tile
     let qnt = q.tiling().nt();
     assert_eq!(q.tiling().mt(), mt, "emit_orgqr: Q and the factored matrix differ in tile rows");
     let nb = tiling.nb() as f64;
-    let nb3 = nb.powi(3);
+    let nb3 = tile_nb3::<S>(tiling.nb());
     dag.barrier();
     for j in 0..qnt {
         for i in 0..mt {
@@ -485,7 +515,7 @@ pub fn emit_potrf<'a, S: Scalar>(
     let nt = tiling.nt();
     assert_eq!(tiling.mt(), nt, "emit_potrf: matrix must be square");
     let nb = tiling.nb();
-    let nb3 = (nb as f64).powi(3);
+    let nb3 = tile_nb3::<S>(nb);
     for k in 0..nt {
         dag.barrier();
         let step = (nt - k) as i32 * 4;
@@ -728,10 +758,11 @@ mod tests {
     #[test]
     fn tiled_stacked_matches_dense_tiled() {
         // the windowed task graph must produce the same factorization as
-        // the dense one on [B; I] (the skipped tasks are exact no-ops);
-        // 37 x 20 at nb = 16 has the identity start mid-tile; the shapes at
-        // nb = 64 are tile-aligned, so the identity's diagonal tiles run the
-        // row-windowed `tsqrt` / `tsmqr`, two `ib` panels each
+        // the dense one on [B; 0; I], `B` padded to whole tile rows (the
+        // skipped tasks and the skipped rows of the identity's diagonal
+        // tiles are exact no-ops); 40 x 40 and 37 x 20 at nb = 16 pad and
+        // end on a narrower tile, the shapes at nb = 64 run two `ib` panels
+        // per windowed `tsqrt` / `tsmqr`
         for (m, n, nb) in [
             (24usize, 24usize, 16),
             (40, 40, 16),
@@ -740,19 +771,28 @@ mod tests {
             (64, 64, 64),
             (128, 64, 64),
             (128, 128, 64),
+            (100, 96, 64),
         ] {
             let b = rand_mat(m, n, 10 + n as u64);
-            let w = Matrix::vstack(&b, &Matrix::identity(n, n));
+            let top = m.div_ceil(nb) * nb;
+            let padded = Matrix::vstack(&b, &Matrix::zeros(top - m, n));
+            let w = Matrix::vstack(&padded, &Matrix::identity(n, n));
             let mut dense = geqrf_tiled(&w, nb);
-            let mut windowed = geqrf_tiled_stacked(m, &w, nb);
+            let mut windowed = geqrf_tiled_stacked(top, &w, nb);
             let marked = windowed.t.iter().filter(|t| t.upper_v2).count();
-            assert_eq!(marked, if m % nb == 0 { n / nb } else { 0 }, "m={m} n={n} nb={nb}");
+            assert_eq!(marked, n.div_ceil(nb), "m={m} n={n} nb={nb}");
             let qd = orgqr_tiled(&mut dense, n);
             let qw = orgqr_tiled(&mut windowed, n);
             let mut diff = qd.clone();
             add(-1.0, qw.as_ref(), 1.0, diff.as_mut());
             let err: f64 = norm(Norm::Fro, diff.as_ref());
             assert!(err == 0.0, "windowed Q differs: {err} (m={m} n={n})");
+            // a top block that ends inside a tile marks nothing
+            if top != m {
+                let w = Matrix::vstack(&b, &Matrix::identity(n, n));
+                let ragged = geqrf_tiled_stacked(m, &w, nb);
+                assert!(ragged.t.iter().all(|t| !t.upper_v2), "m={m} n={n} nb={nb}");
+            }
         }
     }
 

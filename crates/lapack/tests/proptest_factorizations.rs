@@ -4,7 +4,7 @@
 use polar_blas::{add, gemm, norm};
 use polar_lapack::{
     extract_r, geqrf, geqrf_blocked, geqrf_tiled, getrf, getrs, jacobi_eig, jacobi_svd, norm2est,
-    orgqr, orgqr_tiled, posv, potrf, potrf_tiled, tsqr,
+    orgqr, orgqr_tiled, posv, potrf, potrf_tiled,
 };
 use polar_matrix::{Matrix, Norm, Op, Uplo};
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
@@ -169,17 +169,6 @@ proptest! {
         let mut b_lu = b0.clone();
         getrs(Op::NoTrans, &f, &mut b_lu).unwrap();
         prop_assert!(fro_diff(&b_chol, &b_lu) < 1e-8);
-    }
-
-    #[test]
-    fn tsqr_equals_flat_qr_in_span(rows in 50usize..400, cols in 1usize..8, seed in 0u64..200) {
-        let a = mat(rows, cols, seed);
-        let (q, r) = tsqr(&a);
-        // Q R = A
-        let mut qr = Matrix::<f64>::zeros(rows, cols);
-        gemm(Op::NoTrans, Op::NoTrans, 1.0, q.as_ref(), r.as_ref(), 0.0, qr.as_mut());
-        let scale: f64 = norm(Norm::Fro, a.as_ref());
-        prop_assert!(fro_diff(&qr, &a) <= 1e-12 * (1.0 + scale));
     }
 
     #[test]

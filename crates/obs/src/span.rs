@@ -109,7 +109,7 @@ pub enum KernelClass {
     Herk = 1,
     /// Triangular solve / triangular multiply.
     Trsm = 2,
-    /// QR factorization (`geqrf`, stacked variant, TSQR).
+    /// QR factorization (`geqrf`, stacked variant, tile `geqrt` / `tsqrt`).
     Geqrf = 3,
     /// Q formation / application (`orgqr`, `unmqr`).
     Orgqr = 4,
@@ -383,7 +383,7 @@ pub struct SpanRecord {
     /// Up to three problem dimensions (m, n, k); zeros when unused.
     pub dims: [usize; 3],
     /// Executor lifecycle metadata; `Some` only for DAG task spans
-    /// recorded via [`task_span`].
+    /// ([`task_span`]) of a graph launched with tracing on.
     pub lifecycle: Option<TaskLifecycle>,
 }
 
@@ -495,23 +495,26 @@ pub fn leaf_span(
     span_slow(name, Some(class), flops, dims, None, false)
 }
 
-/// [`leaf_span`] for DAG task bodies: a trace-only span additionally
-/// carrying the executor's [`TaskLifecycle`] metadata, from which the
-/// post-mortem analyzer reconstructs the executed graph (queue waits,
-/// measured critical path, worker occupancy). Disabled path: one relaxed
-/// load.
+/// [`kernel_span`] for a DAG task body: on a graph the task is the counted
+/// kernel — it owns the class counters with its analytic `flops`, and the
+/// kernels its body calls are nested under it — unless the graph itself
+/// runs inside a counted kernel. The trace span additionally carries the
+/// executor's [`TaskLifecycle`] metadata when it stamped one, from which
+/// the post-mortem analyzer reconstructs the executed graph (queue waits,
+/// measured critical path, worker occupancy). [`SpanGuard::finish`] tells
+/// the executor what was counted. Disabled path: one relaxed load.
 #[inline]
 pub fn task_span(
     class: KernelClass,
     name: &'static str,
     flops: f64,
     dims: [usize; 3],
-    lifecycle: TaskLifecycle,
+    lifecycle: Option<TaskLifecycle>,
 ) -> SpanGuard {
-    if state() & TRACE_BIT == 0 {
+    if state() == 0 {
         return SpanGuard::INERT;
     }
-    span_slow(name, Some(class), flops, dims, Some(lifecycle), false)
+    span_slow(name, Some(class), flops, dims, lifecycle, true)
 }
 
 /// Open a named phase span (no kernel class, no flops): QDWH iterations,
@@ -571,12 +574,17 @@ fn span_slow(
     }
 }
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some(a) = self.active.take() else {
-            return;
-        };
+impl SpanGuard {
+    /// End the span now. The nanoseconds it added to its class's counters,
+    /// if it owned them (metrics on, outermost kernel); `None` otherwise.
+    pub fn finish(mut self) -> Option<u64> {
+        self.end()
+    }
+
+    fn end(&mut self) -> Option<u64> {
+        let a = self.active.take()?;
         let end_ns = now_ns();
+        let elapsed = end_ns.saturating_sub(a.start_ns);
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         if a.counts {
             SUPPRESS.with(|s| s.set(s.get().saturating_sub(1)));
@@ -584,7 +592,7 @@ impl Drop for SpanGuard {
                 let stats = &kernel_stats()[class as usize];
                 stats.calls.fetch_add(1, Ordering::Relaxed);
                 stats.flops.fetch_add(a.flops.max(0.0).round() as u64, Ordering::Relaxed);
-                stats.time_ns.fetch_add(end_ns.saturating_sub(a.start_ns), Ordering::Relaxed);
+                stats.time_ns.fetch_add(elapsed, Ordering::Relaxed);
             }
         }
         if a.traced {
@@ -601,6 +609,13 @@ impl Drop for SpanGuard {
                 lifecycle: a.lifecycle,
             });
         }
+        a.counts.then_some(elapsed)
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        self.end();
     }
 }
 
@@ -728,6 +743,25 @@ mod tests {
         assert_eq!(report.spans.len(), 2);
         let inner = report.spans.iter().find(|s| s.name == "gemm").unwrap();
         assert_eq!(inner.depth, 1);
+    }
+
+    #[test]
+    fn a_task_span_is_the_counted_kernel_and_says_so() {
+        let _g = lock();
+        let s = scope();
+        let task = task_span(KernelClass::Geqrf, "task_geqrt", 40.0, [0; 3], None);
+        drop(kernel_span(KernelClass::Gemm, "gemm", 999.0, [4, 4, 4]));
+        let counted = task.finish();
+        // a graph run inside a counted kernel: its tasks are nested in it
+        let driver = kernel_span(KernelClass::Potrf, "potrf_tiled", 7.0, [0; 3]);
+        assert_eq!(task_span(KernelClass::Potrf, "task_potrf", 5.0, [0; 3], None).finish(), None);
+        drop(driver);
+        let report = s.finish();
+        let geqrf = report.kernels.get(KernelClass::Geqrf);
+        assert_eq!((geqrf.calls, geqrf.flops, Some(geqrf.time_ns)), (1, 40, counted));
+        assert_eq!(report.kernels.get(KernelClass::Gemm).calls, 0);
+        assert_eq!(report.kernels.get(KernelClass::Potrf).flops, 7);
+        assert_eq!(report.spans.len(), 4);
     }
 
     #[test]

@@ -60,6 +60,28 @@ pub enum ExecOutcome {
     Cancelled,
 }
 
+/// What the executor measured of one phase (solver iteration) of a graph.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseProfile {
+    /// When the phase's first task started and its last one ended,
+    /// nanoseconds since [`polar_obs::epoch`]; stamped on every run. The
+    /// windows of consecutive phases overlap: that is the lookahead.
+    pub start_ns: u64,
+    pub end_ns: u64,
+    /// Calls, analytic flops and busy time of the phase's tasks by kernel
+    /// class, each task counted as one kernel of its kind's class. Zeros
+    /// unless metrics were on — or the graph ran inside a counted kernel,
+    /// whose flops these then are.
+    pub kernels: polar_obs::KernelSnapshot,
+}
+
+impl PhaseProfile {
+    /// The measured window in seconds.
+    pub fn seconds(&self) -> f64 {
+        self.end_ns.saturating_sub(self.start_ns) as f64 * 1e-9
+    }
+}
+
 /// Control value returned by a task body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskStatus {
@@ -198,6 +220,8 @@ struct ExecState<'a> {
     phase_rem: Vec<usize>,
     /// Oldest phase with unfinished tasks.
     frontier: u32,
+    /// Per phase: `start_ns` of 0 until its first task is taken.
+    profile: Vec<PhaseProfile>,
     /// Lifecycle stamps (empty when tracing is off).
     life: LifeTable,
 }
@@ -224,15 +248,56 @@ impl<'a> ExecState<'a> {
         for t in &graph.tasks {
             phase_rem[t.phase as usize] += 1;
         }
-        Self { ready, indeg, bodies, remaining: n, cancelled: false, phase_rem, frontier: 0, life }
+        let profile = vec![PhaseProfile::default(); phase_rem.len()];
+        Self {
+            ready,
+            indeg,
+            bodies,
+            remaining: n,
+            cancelled: false,
+            phase_rem,
+            frontier: 0,
+            profile,
+            life,
+        }
     }
 
-    /// Book task `id` as run: move the frontier past the phases that
-    /// drained and release the successors it was the last predecessor of.
-    /// Returns how many became ready. Both drains finish a task here.
-    fn complete(&mut self, graph: &TaskGraph, ctx: &KeyCtx, id: TaskId) -> usize {
+    /// Take the ready task the heap ranks first, with the ready-queue depth
+    /// behind it. Both drains start a task here.
+    fn take(&mut self, graph: &TaskGraph) -> (ReadyKey, usize, Body<'a>) {
+        let key = self.ready.pop().expect("ready heap checked non-empty");
+        let phase = &mut self.profile[graph.tasks[key.id].phase as usize];
+        if phase.start_ns == 0 {
+            phase.start_ns = polar_obs::now_ns().max(1);
+        }
+        let body = self.bodies[key.id].take().expect("task body ran twice");
+        (key, self.ready.len(), body)
+    }
+
+    /// Book task `id` as run — `counted_ns` of busy time if its span owned
+    /// the kernel counters: move the frontier past the phases that drained
+    /// and release the successors it was the last predecessor of. Returns
+    /// how many became ready. Both drains finish a task here.
+    fn complete(
+        &mut self,
+        graph: &TaskGraph,
+        ctx: &KeyCtx,
+        id: TaskId,
+        counted_ns: Option<u64>,
+    ) -> usize {
+        let task = &graph.tasks[id];
+        let phase = task.phase as usize;
+        if let Some(ns) = counted_ns {
+            let class = &mut self.profile[phase].kernels.classes[kind_label(task.kind).0 as usize];
+            class.calls += 1;
+            class.flops += task.flops.max(0.0).round() as u64;
+            class.time_ns += ns;
+        }
         self.remaining -= 1;
-        self.phase_rem[graph.tasks[id].phase as usize] -= 1;
+        self.phase_rem[phase] -= 1;
+        if self.phase_rem[phase] == 0 {
+            self.profile[phase].end_ns = polar_obs::now_ns();
+        }
         while (self.frontier as usize) < self.phase_rem.len()
             && self.phase_rem[self.frontier as usize] == 0
         {
@@ -354,11 +419,21 @@ impl<'a> TaskDag<'a> {
     /// pool thread releases next, and holds up the other lanes' releases
     /// while it does.
     pub fn execute_until(self, stop: impl Fn(u32) -> bool + Sync) -> ExecOutcome {
+        self.execute_profiled(stop).0
+    }
+
+    /// [`TaskDag::execute_until`], and what the run measured of each phase
+    /// (all of them, in order; a phase a cancelled run never finished has no
+    /// end).
+    pub fn execute_profiled(
+        self,
+        stop: impl Fn(u32) -> bool + Sync,
+    ) -> (ExecOutcome, Vec<PhaseProfile>) {
         let TaskDag { builder, bodies, priorities } = self;
         let graph = Arc::new(builder.build());
         let n = graph.len();
         if n == 0 {
-            return ExecOutcome::Completed;
+            return (ExecOutcome::Completed, Vec::new());
         }
 
         // When tracing, register the built graph in the post-mortem side
@@ -385,13 +460,9 @@ impl<'a> TaskDag<'a> {
         let state = Mutex::new(state);
         let work = Condvar::new();
         fanout(lanes.min(n), &|| worker_loop(&graph, &ctx, &state, &work, &stop));
-        let cancelled = state.lock().unwrap().cancelled;
-        // take/drop the leftover bodies before `state` unwinds borrows
-        if cancelled {
-            ExecOutcome::Cancelled
-        } else {
-            ExecOutcome::Completed
-        }
+        let state = state.into_inner().expect("a panicking body unwinds out of the fanout");
+        let outcome = if state.cancelled { ExecOutcome::Cancelled } else { ExecOutcome::Completed };
+        (outcome, state.profile)
     }
 }
 
@@ -401,21 +472,21 @@ fn execute_sequential(
     ctx: &KeyCtx,
     mut state: ExecState<'_>,
     stop: &dyn Fn(u32) -> bool,
-) -> ExecOutcome {
-    while let Some(ReadyKey { id, cp, .. }) = state.ready.pop() {
+) -> (ExecOutcome, Vec<PhaseProfile>) {
+    while !state.ready.is_empty() {
         if stop(state.frontier) {
-            return ExecOutcome::Cancelled;
+            return (ExecOutcome::Cancelled, state.profile);
         }
-        let body = state.bodies[id].take().expect("task body ran twice");
-        {
-            let _t = task_span(graph, id, cp, state.ready.len(), state.life.lifecycle(id));
-            if body() == TaskStatus::Cancel {
-                return ExecOutcome::Cancelled;
-            }
+        let (ReadyKey { id, cp, .. }, depth, body) = state.take(graph);
+        let span = task_span(graph, id, cp, depth, state.life.lifecycle(id));
+        let status = body();
+        let counted_ns = span.finish();
+        if status == TaskStatus::Cancel {
+            return (ExecOutcome::Cancelled, state.profile);
         }
-        state.complete(graph, ctx, id);
+        state.complete(graph, ctx, id, counted_ns);
     }
-    ExecOutcome::Completed
+    (ExecOutcome::Completed, state.profile)
 }
 
 /// Cancels the graph and wakes every waiter if dropped while still armed,
@@ -474,17 +545,14 @@ fn worker_loop<'a>(
             work.notify_all();
             return;
         }
-        let ReadyKey { id, cp, .. } = guard.ready.pop().expect("ready heap checked non-empty");
-        let depth = guard.ready.len();
-        let body = guard.bodies[id].take().expect("task body ran twice");
+        let (ReadyKey { id, cp, .. }, depth, body) = guard.take(graph);
         let lifecycle = guard.life.lifecycle(id);
         drop(guard);
 
         let mut unwind_guard = BodyGuard { state, work, armed: true };
-        let status = {
-            let _t = task_span(graph, id, cp, depth, lifecycle);
-            rayon::serial_region(body)
-        };
+        let span = task_span(graph, id, cp, depth, lifecycle);
+        let status = rayon::serial_region(body);
+        let counted_ns = span.finish();
         unwind_guard.armed = false;
         drop(unwind_guard);
         // this lane holds its pool worker until the graph drains: between
@@ -497,7 +565,7 @@ fn worker_loop<'a>(
             work.notify_all();
             return;
         }
-        let released = guard.complete(graph, ctx, id);
+        let released = guard.complete(graph, ctx, id, counted_ns);
         if guard.remaining == 0 {
             work.notify_all();
             return;
@@ -512,14 +580,14 @@ fn worker_loop<'a>(
     }
 }
 
-/// Trace-only span for one tile task (suppressed-counting `leaf_span`, so
-/// the driver-level `kernel_span` keeps sole ownership of the flop totals).
-/// The span dims carry the scheduler's decision inputs — critical-path
-/// priority (flops), ready-queue depth at dispatch, and phase — which
-/// `solver_trace` surfaces as Chrome-trace args. When the executor has a
-/// lifecycle stamp for the task (tracing was on when the graph launched)
-/// the span additionally carries `{dag, task, ready_ns, ready_lane}` so
-/// the post-mortem layer can rejoin it to the recorded [`TaskGraph`].
+/// The span of one tile task: the counted kernel of its kind's class
+/// ([`polar_obs::task_span`]) with the task's analytic flops. The span dims
+/// carry the scheduler's decision inputs — critical-path priority (flops),
+/// ready-queue depth at dispatch, and phase — which `solver_trace` surfaces
+/// as Chrome-trace args. When the executor has a lifecycle stamp for the
+/// task (tracing was on when the graph launched) the span additionally
+/// carries `{dag, task, ready_ns, ready_lane}` so the post-mortem layer can
+/// rejoin it to the recorded [`TaskGraph`].
 fn task_span(
     graph: &TaskGraph,
     id: TaskId,
@@ -530,10 +598,7 @@ fn task_span(
     let t = &graph.tasks[id];
     let (class, name) = kind_label(t.kind);
     let dims = [cp as usize, ready_depth, t.phase as usize];
-    match lifecycle {
-        Some(l) => polar_obs::task_span(class, name, t.flops, dims, l),
-        None => polar_obs::leaf_span(class, name, t.flops, dims),
-    }
+    polar_obs::task_span(class, name, t.flops, dims, lifecycle)
 }
 
 pub(crate) fn kind_label(kind: KernelKind) -> (polar_obs::KernelClass, &'static str) {
@@ -577,7 +642,7 @@ mod tests {
         let graph = builder.build();
         let ctx = KeyCtx { cp: graph.critical_path_to_sink(), hints: priorities };
         let state = ExecState::new(&graph, &ctx, bodies, LifeTable::disabled());
-        execute_sequential(&graph, &ctx, state, &|_| false)
+        execute_sequential(&graph, &ctx, state, &|_| false).0
     }
 
     #[test]
@@ -748,6 +813,58 @@ mod tests {
         drain_sequentially(dag);
         // phase-0 task first even though the phase-9 chain is longer
         assert_eq!(*log.lock().unwrap(), vec![0, 10, 11, 12]);
+    }
+
+    /// Two phases of `per_phase` chained tasks each, 10 flops a task.
+    fn two_phase_dag<'a>(per_phase: usize) -> TaskDag<'a> {
+        let mut dag = TaskDag::new();
+        let m = dag.new_matrix();
+        for phase in 0..2 {
+            if phase == 1 {
+                dag.next_phase();
+            }
+            let kind = if phase == 0 { KernelKind::Geqrt } else { KernelKind::Potrf };
+            for _ in 0..per_phase {
+                dag.add(kind, 0, 10.0, vec![], vec![tile(m, 0, 0)], || {});
+            }
+        }
+        dag
+    }
+
+    #[test]
+    fn phases_are_stamped_always_and_counted_under_metrics() {
+        use polar_obs::KernelClass;
+        let _serial = polar_obs::scope_lock();
+        let (outcome, quiet) = two_phase_dag(3).execute_profiled(|_| false);
+        assert_eq!(outcome, ExecOutcome::Completed);
+        assert_eq!(quiet.len(), 2);
+        for p in &quiet {
+            assert!(p.start_ns > 0 && p.end_ns >= p.start_ns, "{p:?}");
+            assert_eq!(p.kernels.total_calls(), 0, "metrics are off");
+        }
+        assert!(quiet[0].end_ns <= quiet[1].end_ns);
+
+        let scope = polar_obs::scope();
+        let (_, counted) = two_phase_dag(3).execute_profiled(|_| false);
+        // inside a counted kernel the tasks are nested: nothing of theirs
+        let driver = polar_obs::kernel_span(KernelClass::Geqrf, "driver", 1.0, [0; 3]);
+        let (_, nested) = two_phase_dag(3).execute_profiled(|_| false);
+        drop(driver);
+        let report = scope.finish();
+        let qr = counted[0].kernels.get(KernelClass::Geqrf);
+        assert_eq!((qr.calls, qr.flops), (3, 30));
+        assert_eq!(counted[0].kernels.total_calls(), 3, "phase 0 holds its own tasks only");
+        assert_eq!(counted[1].kernels.get(KernelClass::Potrf).calls, 3);
+        assert!(nested.iter().all(|p| p.kernels.total_calls() == 0));
+        // the process-wide counters saw the same tasks, and the driver
+        // (and whatever the other tests of this binary ran meanwhile)
+        assert!(report.kernels.get(KernelClass::Geqrf).flops >= 31);
+        assert!(report.kernels.get(KernelClass::Potrf).calls >= 3);
+
+        // a cancelled run returns what it measured so far
+        let (outcome, cut) = two_phase_dag(3).execute_profiled(|phase| phase == 1);
+        assert_eq!(outcome, ExecOutcome::Cancelled);
+        assert!(cut[0].end_ns > 0 && cut[1].end_ns == 0, "{cut:?}");
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub enum JobKind {
     Batched,
     /// Zolotarev polar decomposition (`zolo_pd`): trades `r` times the
     /// flops of QDWH for fewer iterations, with the r shifted stacked-QR
-    /// terms of each iteration running concurrently in one task graph on
-    /// the fused path. Configure via [`JobSpec::zolo`] /
+    /// terms of each iteration running concurrently in one task graph.
+    /// Configure via [`JobSpec::zolo`] /
     /// [`JobSpec::with_zolo_r`].
     Zolo,
 }
@@ -54,9 +54,10 @@ pub struct JobSpec {
     /// (shortest-job-first), then submission order.
     pub priority: u8,
     /// Per-job wall-clock budget measured from run start; `None` falls
-    /// back to the service default. Enforced wherever the solver polls its
-    /// progress hook: at every task release on the tiled path, between
-    /// iterations below it (see [`JobKind::Batched`] for the exception).
+    /// back to the service default. Enforced where the solver polls its
+    /// progress hook: at every task release of the solve's graph, so within
+    /// one tile task at any size (see [`JobKind::Batched`] for the
+    /// exception).
     pub timeout: Option<Duration>,
     /// Solver options (the service overwrites the `progress` hook).
     pub opts: QdwhOptions,

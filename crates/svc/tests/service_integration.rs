@@ -4,13 +4,14 @@
 
 use polar_gen::{generate, MatrixSpec};
 use polar_matrix::Matrix;
-use polar_qdwh::{IterationPath, QdwhOptions, TiledDecision, TiledPath, ZoloOptions};
+use polar_qdwh::{IterationPath, QdwhOptions, ZoloOptions};
 use polar_svc::{
     FaultPlan, JobError, JobKind, JobOutput, JobSpec, PolarService, ServiceConfig, SubmitError,
 };
 use std::time::{Duration, Instant};
 
-/// A forced-QR job of order `n`: nine iterations, polled between each.
+/// A forced-QR job of order `n`: nine iterations, polled at every task
+/// release.
 fn slow_job_of(n: usize) -> JobSpec {
     let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(n, 3));
     let mut spec = JobSpec::qdwh(a);
@@ -32,7 +33,6 @@ fn slow_job() -> JobSpec {
     slow_job_of(*ORDER.get_or_init(|| {
         let svc = PolarService::start(ServiceConfig { workers: 1, ..Default::default() });
         let mut n = 100;
-        // below the tiled threshold (512): the flat path, polled per iteration
         while n < 500 {
             let r = svc.try_submit(slow_job_of(n)).unwrap().wait();
             assert!(r.output.is_ok());
@@ -73,13 +73,10 @@ fn normal_jobs_complete_with_correct_factors() {
 
 #[test]
 fn zolo_jobs_run_fused_and_report_qr_metrics() {
-    use polar_qdwh::TiledPath;
-
     let svc = PolarService::start(ServiceConfig::default());
     let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(32, 9));
     let mut spec = JobSpec::zolo(a.clone()).with_zolo_r(4);
-    // force the fused r-way graph even at this test-sized n
-    spec.zolo.tiled = TiledPath::Always;
+    // several tiles a term even at this test-sized n
     spec.zolo.tile_nb = Some(8);
     let h = svc.try_submit(spec).unwrap();
     let r = h.wait();
@@ -167,21 +164,14 @@ fn cancellation_lands_between_iterations() {
     svc.shutdown();
 }
 
-/// The n = 100 forced-QR job, or its Zolo-PD counterpart, forced onto the
-/// whole-solve task graph with small tiles: a few thousand tile tasks, so
-/// a cancel or a deadline has to land *inside* the graph.
+/// The n = 100 forced-QR job, or its Zolo-PD counterpart, with small
+/// tiles: a few thousand tile tasks, so a cancel or a deadline has to land
+/// *inside* the graph.
 fn slow_fused_job(kind: JobKind) -> JobSpec {
     let mut spec = slow_job_of(100);
     spec.kind = kind;
-    spec.opts.tiled = TiledPath::Always;
     spec.opts.tile_nb = Some(16);
-    spec.zolo = ZoloOptions {
-        r: 2,
-        max_iterations: 12,
-        tiled: TiledPath::Always,
-        tile_nb: Some(16),
-        ..Default::default()
-    };
+    spec.zolo = ZoloOptions { r: 2, max_iterations: 12, tile_nb: Some(16), ..Default::default() };
     spec
 }
 
@@ -189,14 +179,9 @@ fn slow_fused_job(kind: JobKind) -> JobSpec {
 fn cancel_and_deadline_land_inside_the_fused_graph() {
     for kind in [JobKind::Qdwh, JobKind::Zolo] {
         let svc = PolarService::start(ServiceConfig { workers: 1, ..Default::default() });
-        // the un-cancelled solve: takes the tiled path, and sets the scale
+        // the un-cancelled solve sets the scale
         let full = svc.try_submit(slow_fused_job(kind)).unwrap().wait();
-        match full.output.expect("uncancelled job succeeds") {
-            JobOutput::Polar(pd) => {
-                assert_eq!(pd.info.tiled_decision, Some(TiledDecision::Tiled), "{kind:?}")
-            }
-            JobOutput::Svd(_) => unreachable!("polar job kinds only"),
-        }
+        assert!(full.output.is_ok(), "{kind:?}: uncancelled job succeeds");
         let quarter = full.run / 4;
 
         let h = svc.try_submit(slow_fused_job(kind)).unwrap();

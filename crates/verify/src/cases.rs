@@ -75,7 +75,7 @@ pub fn cond_label(cond: f64) -> String {
 
 const SQUARE_N: usize = 64;
 const RECT_FACTOR: usize = 3; // the paper's tall case: m = 3n
-const FUSED_N: usize = 512; // the tiled path's minimum column count
+const FUSED_N: usize = 512; // several tile columns at the default tile size
 
 /// Master cond sweep for double precision; single precision gets the
 /// same sweep capped at `0.1 / eps_f32` (≈ 8e5) and deduplicated, per
@@ -104,9 +104,9 @@ fn conds_for(eps: f64) -> Vec<f64> {
 /// scalar type, QDWH over square and `3n x n` rectangular shapes across
 /// the type's cond sweep; Zolo-PD and mixed-precision for the double
 /// types (mixed is capped at the single-precision cond range because its
-/// iteration runs in `f32`/`c32`); last, Zolo-PD at the smallest order
-/// that resolves to the whole-solve task graph, where a QR-based iteration
-/// is followed by a Cholesky-based one.
+/// iteration runs in `f32`/`c32`); last, Zolo-PD at an order of several
+/// tile columns, where a QR-based iteration is followed by a
+/// Cholesky-based one.
 pub fn case_grid() -> Vec<CaseSpec> {
     let n = SQUARE_N;
     let m_rect = RECT_FACTOR * n;
