@@ -4,18 +4,19 @@
 //!
 //! The engine is configured to match the scalar prologue exactly
 //! (`fast_scale` off, no shared cache), so per-entry iterates follow the
-//! same parameter sequence. The two run different QR algorithms (flat
-//! blocked Householder in the engine, the tile graph in `qdwh`), so the
-//! factors agree as far as the problem's conditioning lets two backward
-//! stable solves agree: `H` to rounding, `U` to rounding times `kappa(A)`.
+//! same parameter sequence and the factors agree to rounding. The two run
+//! different QR algorithms (flat blocked Householder in the engine, the tile
+//! graph in `qdwh`); on an ill-conditioned entry, where two backward stable
+//! routes to `U` may differ by `eps kappa(A)`, each `U` is held to what
+//! defines the polar factor instead.
 
 use polar_batch::{qdwh_batched, BatchEntry, BatchError, BatchOptions};
-use polar_blas::{add, norm};
+use polar_blas::{add, gemm, norm};
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
-use polar_matrix::{Matrix, Norm};
+use polar_matrix::{Matrix, Norm, Op};
 use polar_qdwh::{
-    qdwh, qdwh_mixed, zolo_pd, IterationPath, PolarDecomposition, QdwhError, QdwhInfo, QdwhOptions,
-    ZoloOptions,
+    orthogonality_error, qdwh, qdwh_mixed, zolo_pd, IterationPath, PolarDecomposition, QdwhError,
+    QdwhInfo, QdwhOptions, ZoloOptions,
 };
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
 use proptest::prelude::*;
@@ -26,10 +27,22 @@ fn fro_diff<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>) -> f64 {
     norm(Norm::Fro, d.as_ref()).to_f64()
 }
 
-/// Run one batch in both engines and compare factors entry by entry:
-/// `H` within `tol`, `U` within `64 eps kappa(A)` per entry (the forward
-/// error of the unitary factor under a backward error of a few `eps` is
-/// bounded by `2 ||dA|| / (sigma_n + sigma_{n-1})`).
+/// `||U^H A - (U^H A)^H||_F / ||A||_F`: zero exactly when `U^H A` is
+/// Hermitian, which with orthonormal columns is what makes `U` the polar
+/// factor of `A` (Benner-Nakatsukasa-Penke, arXiv 2104.06659).
+fn hermitian_residual<S: Scalar>(u: &Matrix<S>, a: &Matrix<S>) -> f64 {
+    let n = a.ncols();
+    let mut uha = Matrix::<S>::zeros(n, n);
+    gemm(Op::ConjTrans, Op::NoTrans, S::ONE, u.as_ref(), a.as_ref(), S::ZERO, uha.as_mut());
+    let skew = Matrix::<S>::from_fn(n, n, |i, j| uha[(i, j)] - uha[(j, i)].conj());
+    (norm(Norm::Fro, skew.as_ref()) / norm(Norm::Fro, a.as_ref())).to_f64()
+}
+
+/// Run one batch in both engines and compare factors entry by entry, `U`
+/// and `H` within `tol`. Past `kappa = 1e6` the difference of the two `U`s
+/// is a property of the input, not of either solve: there each `U` has to
+/// be orthonormal, reproduce `A` with the shared `H` and leave `U^H A`
+/// Hermitian, all to `50 eps`.
 fn check_parity<S: Scalar>(specs: &[MatrixSpec], tol: f64) {
     let inputs: Vec<Matrix<S>> = specs.iter().map(|s| generate::<S>(s).0).collect();
     let scalar_opts = QdwhOptions::default();
@@ -43,13 +56,29 @@ fn check_parity<S: Scalar>(specs: &[MatrixSpec], tol: f64) {
         let (m, n) = (a.nrows(), a.ncols());
         let scale = (m.max(1) * n.max(1)) as f64;
 
-        let du = fro_diff(&entries[k].u, &scalar.u);
-        let u_tol = 64.0 * S::Real::EPSILON.to_f64() * specs[k].cond.max(1.0);
-        assert!(
-            du <= u_tol * scale.sqrt(),
-            "entry {k}: ||U_batch - U_scalar|| = {du:e} (m={m} n={n} kappa={:e})",
-            specs[k].cond
-        );
+        if specs[k].cond <= 1e6 {
+            let du = fro_diff(&entries[k].u, &scalar.u);
+            assert!(
+                du <= tol * scale.sqrt(),
+                "entry {k}: ||U_batch - U_scalar|| = {du:e} (m={m} n={n})"
+            );
+        } else {
+            let tight = 50.0 * S::Real::EPSILON.to_f64();
+            let batched = PolarDecomposition {
+                u: entries[k].u.clone(),
+                h: entries[k].h.clone(),
+                info: infos[k].clone(),
+            };
+            for (who, pd) in [("batched", &batched), ("scalar", &scalar)] {
+                let orth = orthogonality_error(&pd.u).to_f64();
+                let berr = pd.backward_error(a).to_f64();
+                let herm = hermitian_residual(&pd.u, a);
+                assert!(
+                    orth <= tight && berr <= tight && herm <= tight,
+                    "entry {k} ({who}, m={m} n={n}): orth {orth:e} berr {berr:e} U^H A {herm:e}"
+                );
+            }
+        }
         let dh = fro_diff(&entries[k].h, &scalar.h);
         let href = norm(Norm::Fro, scalar.h.as_ref()).to_f64();
         assert!(dh <= tol * (1.0 + href), "entry {k}: ||H_batch - H_scalar|| = {dh:e}");

@@ -43,17 +43,17 @@
 //! Continuation: [`crate::skeleton::solve`] re-checks the stop test on the
 //! last norm this graph's sink published; what the plan could not cover (a
 //! norm still above tolerance with the bound at 1) is one more planned step
-//! through [`run_graph`].
+//! through [`run_graph`], on the same tiled iterate and workspaces.
 
 use crate::options::{graph_tile_nb, IterationKind};
 use crate::qdwh_impl::QdwhError;
 use crate::skeleton::HalleyStep;
 use crate::solve_dag::{
-    emit_chol_term, emit_gram, emit_term, execute_hooked, CholPtr, HalleyUpdate, Hooked, NormSink,
-    TermPtr, TermWorkspace,
+    emit_chol_term, emit_gram, emit_term, execute_hooked, CholPtr, HalleyUpdate, Hooked, Iterate,
+    NormSink, TermPtr, TermWorkspace,
 };
 use polar_lapack::{LapackError, TilePtr};
-use polar_matrix::{Matrix, ProcessGrid, TiledMatrix, Tiling};
+use polar_matrix::{ProcessGrid, TiledMatrix, Tiling};
 use polar_runtime::{KernelKind, PhaseProfile, TaskDag, TaskGraph};
 use polar_scalar::{Real, Scalar};
 use std::sync::OnceLock;
@@ -224,46 +224,60 @@ fn emit_iterations<'a, S: Scalar>(
     }
 }
 
-/// Run the planned Halley sequence as one task graph at tile size `nb`:
-/// takes the iterate, returns it advanced with the sink holding each
-/// iteration's convergence norm and the executor's per-phase measurements.
+/// The workspaces of a QDWH solve, allocated by the first graph that needs
+/// them and kept for the next graph of the same solve: the stacked-QR term's,
+/// and for the Cholesky kind `Z` with the tile column of its factor's
+/// inverted diagonal tiles.
+pub(crate) struct HalleyWorkspace<S: Scalar> {
+    term: Option<TermWorkspace<S>>,
+    chol: Option<(TiledMatrix<S>, TiledMatrix<S>)>,
+}
+
+impl<S: Scalar> Default for HalleyWorkspace<S> {
+    fn default() -> Self {
+        Self { term: None, chol: None }
+    }
+}
+
+/// Run the planned Halley sequence on `x` as one task graph: the iterate
+/// advanced in place, the sink holding each iteration's convergence norm
+/// and the executor's per-phase measurements.
 pub(crate) fn run_graph<S: Scalar>(
-    x: Matrix<S>,
-    nb: usize,
+    x: &mut Iterate<S>,
+    ws: &mut HalleyWorkspace<S>,
     plan: &[HalleyStep<S::Real>],
     exploit_structure: bool,
     hooked: &Hooked<'_>,
-) -> Result<(Matrix<S>, NormSink, Vec<PhaseProfile>), QdwhError> {
-    let (m, n, iters) = (x.nrows(), x.ncols(), plan.len());
+) -> Result<(NormSink, Vec<PhaseProfile>), QdwhError> {
+    let xt = x.tiling();
+    let (m, n, nb) = (xt.m(), xt.n(), xt.nb());
     let _span = polar_obs::span!("qdwh_fused", m, n);
 
     // the storage `SolvePtrs::shapes` names (`bind` checks the two agree);
     // it has to outlive the dag whose bodies borrow it
-    let xt = Tiling::new(m, n, nb, nb);
     let zeros = |t: Tiling| TiledMatrix::<S>::zeros(t, ProcessGrid::single());
-    let mut xb = [TiledMatrix::from_dense(&x, nb, nb, ProcessGrid::single()), zeros(xt)];
-    drop(x); // the tiles are the iterate from here on
-    let mut qr_ws = plan
-        .iter()
-        .any(|p| p.is_qr())
-        .then(|| TermWorkspace::<S>::new(m, n, nb, exploit_structure));
-    let mut chol_ws = plan
-        .iter()
-        .any(|p| !p.is_qr())
-        .then(|| (zeros(Tiling::new(n, n, nb, nb)), zeros(Tiling::new(n, nb.min(n), nb, nb))));
+    if plan.iter().any(|p| p.is_qr()) {
+        ws.term.get_or_insert_with(|| TermWorkspace::new(m, n, nb, exploit_structure));
+    }
+    if plan.iter().any(|p| !p.is_qr()) {
+        ws.chol.get_or_insert_with(|| {
+            (zeros(Tiling::new(n, n, nb, nb)), zeros(Tiling::new(n, nb.min(n), nb, nb)))
+        });
+    }
     let failure = OnceLock::<LapackError>::new();
-    let mut sink = NormSink::new(iters, xt);
+    let mut sink = NormSink::new(plan.len(), xt);
 
     let mut dag = TaskDag::new();
     let at = SolvePtrs::shapes(&mut dag, &mut sink, xt, plan, exploit_structure).bind(
-        &mut xb,
-        qr_ws.as_mut(),
-        chol_ws.as_mut(),
+        x.bufs(),
+        ws.term.as_mut(),
+        ws.chol.as_mut(),
     );
     emit_iterations(&mut dag, at, plan, &sink, &failure);
 
     let phases = execute_hooked(dag, hooked, &sink, &failure)?;
-    Ok((xb[iters % 2].to_dense(), sink, phases))
+    x.advance(plan.len());
+    Ok((sink, phases))
 }
 
 #[cfg(test)]
@@ -274,6 +288,7 @@ mod tests {
     use crate::skeleton::{plan, qdwh_flops, Method};
     use crate::svd_pd::svd_based_polar;
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
+    use polar_matrix::Matrix;
     use polar_scalar::{Complex32, Complex64};
     use proptest::prelude::*;
 
@@ -297,7 +312,7 @@ mod tests {
     }
 
     /// `c` falls monotonically: a QR prefix, a Cholesky suffix, never back.
-    fn qr_iterations_come_first(kinds: &[IterationKind]) -> bool {
+    fn qr_kinds_come_first(kinds: &[IterationKind]) -> bool {
         let first_chol = kinds.iter().position(|&k| k != IterationKind::QrBased);
         kinds[first_chol.unwrap_or(kinds.len())..].iter().all(|&k| k != IterationKind::QrBased)
     }
@@ -310,7 +325,7 @@ mod tests {
     /// they live, `polar-lapack`'s `tiled.rs` and proptests.)
     fn graph_case<S: Scalar>(a: &Matrix<S>, tol: f64) {
         let fused = qdwh(a, &fused_opts()).expect("fused converged");
-        assert!(qr_iterations_come_first(&fused.info.kinds), "{:?}", fused.info.kinds);
+        assert!(qr_kinds_come_first(&fused.info.kinds), "{:?}", fused.info.kinds);
         let orth = orthogonality_error(&fused.u).to_f64();
         assert!(orth <= tol, "fused U not orthogonal: {orth:e}");
         let berr = fused.backward_error(a).to_f64();
@@ -424,7 +439,7 @@ mod tests {
                     // c falls monotonically: QR iterations come first, and
                     // the bound marches to 1
                     let kinds = &graph.info.kinds;
-                    assert!(qr_iterations_come_first(kinds), "{case}: {kinds:?}");
+                    assert!(qr_kinds_come_first(kinds), "{case}: {kinds:?}");
                     let ells: Vec<S::Real> = graph.info.records.iter().map(|r| r.ell).collect();
                     assert!(ells.windows(2).all(|w| w[0] <= w[1]), "{case}");
                     let last = *ells.last().expect("iterated");

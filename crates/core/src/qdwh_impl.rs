@@ -2,9 +2,10 @@
 //! (errors, telemetry, accuracy metrics) and QDWH as a
 //! [`Method`] of [`crate::skeleton::solve`].
 
+use crate::fused::HalleyWorkspace;
 use crate::options::{IterationKind, QdwhOptions};
 use crate::skeleton::{converged, qdwh_flops, solve, Common, HalleyStep, Method};
-use crate::solve_dag::{Hooked, NormSink};
+use crate::solve_dag::{Hooked, Iterate, NormSink};
 use polar_blas::{gemm, herk_mirrored, norm};
 use polar_lapack::LapackError;
 use polar_matrix::{Matrix, Norm, Op, Uplo};
@@ -257,6 +258,7 @@ pub(crate) struct Halley<'a>(pub &'a QdwhOptions);
 impl<S: Scalar> Method<S> for Halley<'_> {
     type Ell = S::Real;
     type Step = HalleyStep<S::Real>;
+    type Workspace = HalleyWorkspace<S>;
     const NAME: &'static str = "qdwh";
     const FIRST_CONV: f64 = 100.0;
 
@@ -286,12 +288,12 @@ impl<S: Scalar> Method<S> for Halley<'_> {
 
     fn run_graph(
         &self,
-        x: Matrix<S>,
-        nb: usize,
+        x: &mut Iterate<S>,
+        ws: &mut HalleyWorkspace<S>,
         plan: &[Self::Step],
         hooked: &Hooked<'_>,
-    ) -> Result<(Matrix<S>, NormSink, Vec<PhaseProfile>), QdwhError> {
-        crate::fused::run_graph(x, nb, plan, self.0.exploit_structure, hooked)
+    ) -> Result<(NormSink, Vec<PhaseProfile>), QdwhError> {
+        crate::fused::run_graph(x, ws, plan, self.0.exploit_structure, hooked)
     }
 
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {

@@ -17,7 +17,7 @@ use crate::options::{
 };
 use crate::params::{halley_parameters, update_ell};
 use crate::qdwh_impl::{IterationRecord, PolarDecomposition, QdwhError, QdwhInfo};
-use crate::solve_dag::{Hooked, NormSink};
+use crate::solve_dag::{Hooked, Iterate, NormSink};
 use polar_blas::flops::type_factor;
 use polar_blas::{gemm, norm, scale_real, symmetrize};
 use polar_lapack::{gecondest, geqrf_tiled, getrf, norm2est, tr_sigma_min_est, trcondest};
@@ -321,16 +321,20 @@ pub(crate) trait Method<S: Scalar> {
     /// The stop test, on the last `||X_k - X_{k-1}||_F` and the bound.
     fn converged(conv: f64, ell: Self::Ell) -> bool;
 
-    /// Run `plan` on `x` as one task graph at tile size `nb`, a phase per
-    /// step: the iterate after it, the sink holding each iteration's
-    /// convergence norm and what the executor measured of each phase.
+    /// What one graph of a solve allocates and the next one (a continuation
+    /// step) finds in place.
+    type Workspace: Default;
+
+    /// Run `plan` on `x` as one task graph, a phase per step: the iterate
+    /// advanced in place, the sink holding each iteration's convergence
+    /// norm and what the executor measured of each phase.
     fn run_graph(
         &self,
-        x: Matrix<S>,
-        nb: usize,
+        x: &mut Iterate<S>,
+        ws: &mut Self::Workspace,
         plan: &[Self::Step],
         hooked: &Hooked<'_>,
-    ) -> Result<(Matrix<S>, NormSink, Vec<PhaseProfile>), QdwhError>;
+    ) -> Result<(NormSink, Vec<PhaseProfile>), QdwhError>;
 
     /// Modeled real flops of a finished solve of `n` columns.
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64;
@@ -359,17 +363,23 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
     // one.)
     poll_progress(c.progress, 1, M::FIRST_CONV, 0.0)?;
     let nb = graph_tile_nb(c.tile_nb, n);
-    let Some((alpha, mut x, l0)) = scaled_start(a, c.l0_override, c.l0_strategy, nb) else {
+    let Some((alpha, x0, l0)) = scaled_start(a, c.l0_override, c.l0_strategy, nb) else {
         // zero matrix: U = leading identity block, H = 0
         return Ok(without_iterating(Matrix::identity(m, n), if c.compute_h { n } else { 0 }));
     };
+    // the tiles are the iterate from here on, and they and the workspaces
+    // outlive the graph that made them
+    let mut x = Iterate::from_dense(&x0, nb);
+    drop(x0);
+    let mut ws = M::Workspace::default();
     let mut info = QdwhInfo::started(alpha, l0);
     let mut ell = M::Ell::from_f64(l0.to_f64());
     let mut conv = M::FIRST_CONV;
 
     // The whole planned sequence as one task graph, a phase per iteration.
     // One pass, normally; a last norm still above tolerance with the bound
-    // at 1 plans one step more, which is emitted and run the same way.
+    // at 1 plans one step more, which is emitted and run the same way on
+    // the same tiles and workspaces.
     while !M::converged(conv, ell) {
         let budget = c.max_iterations.saturating_sub(info.iterations);
         let Some(steps) = plan(method, ell, conv, budget) else {
@@ -382,8 +392,7 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
         let ells: Vec<f64> =
             std::iter::once(ell).chain(outcomes.iter().map(|o| o.1)).map(|e| e.to_f64()).collect();
         let hooked = Hooked { hook: c.progress, first_iteration, first_conv: conv, ells: &ells };
-        let (advanced, sink, phases) = method.run_graph(x, nb, &steps, &hooked)?;
-        x = advanced;
+        let (sink, phases) = method.run_graph(&mut x, &mut ws, &steps, &hooked)?;
         for (k, (&(kind, ell_after), phase)) in outcomes.iter().zip(&phases).enumerate() {
             let convergence: S::Real = sink.norm(k);
             if !convergence.to_f64().is_finite() {
@@ -401,9 +410,11 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
         }
     }
 
+    drop(ws);
+    let u = x.into_dense();
     info.flops_estimate = method.flops(n, &info);
-    let h = finish(&x, a, c.compute_h);
-    Ok(PolarDecomposition { u: x, h, info })
+    let h = finish(&u, a, c.compute_h);
+    Ok(PolarDecomposition { u, h, info })
 }
 
 #[cfg(test)]

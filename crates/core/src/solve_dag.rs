@@ -31,7 +31,7 @@ use polar_blas::{gemm, herk, trmm};
 use polar_lapack::{
     emit_geqrf, emit_orgqr, emit_potrf, tile_nb3, trtri_lower, LapackError, QrPtr, TilePtr, TiledQr,
 };
-use polar_matrix::{Diag, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
+use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
 use polar_runtime::{
     Access, ExecOutcome, InBody, KernelKind, PhaseProfile, TaskDag, TaskStatus, TileRef,
 };
@@ -144,6 +144,44 @@ impl Access for SinkSlot<'_> {
 
     fn get(self, _: &InBody) -> Self {
         self
+    }
+}
+
+/// The iterate of one solve as its graphs see it: tiled once, double-buffered
+/// (iteration `k` of a graph reads buffer `k % 2` and writes the other), and
+/// kept tiled from one graph of the solve to the next.
+pub(crate) struct Iterate<S: Scalar> {
+    bufs: [TiledMatrix<S>; 2],
+}
+
+impl<S: Scalar> Iterate<S> {
+    pub(crate) fn from_dense(x: &Matrix<S>, nb: usize) -> Self {
+        let first = TiledMatrix::from_dense(x, nb, nb, ProcessGrid::single());
+        let spare = TiledMatrix::zeros(first.tiling(), ProcessGrid::single());
+        Self { bufs: [first, spare] }
+    }
+
+    pub(crate) fn tiling(&self) -> Tiling {
+        self.bufs[0].tiling()
+    }
+
+    /// The two buffers, the one holding the iterate first.
+    pub(crate) fn bufs(&mut self) -> &mut [TiledMatrix<S>; 2] {
+        &mut self.bufs
+    }
+
+    /// A graph of `iters` iterations has run on [`Iterate::bufs`]: put the
+    /// buffer its last iteration wrote first.
+    pub(crate) fn advance(&mut self, iters: usize) {
+        if iters % 2 == 1 {
+            self.bufs.swap(0, 1);
+        }
+    }
+
+    pub(crate) fn into_dense(self) -> Matrix<S> {
+        let [x, spare] = self.bufs;
+        drop(spare);
+        x.to_dense()
     }
 }
 

@@ -21,8 +21,8 @@
 use crate::options::{IterationKind, L0Strategy, ProgressHook};
 use crate::qdwh_impl::{PolarDecomposition, QdwhError, QdwhInfo};
 use crate::skeleton::{plan, solve, zolo_flops, Common, Method};
-use crate::solve_dag::{Hooked, NormSink};
-use crate::zolo_fused::ZoloIterPlan;
+use crate::solve_dag::{Hooked, Iterate, NormSink};
+use crate::zolo_fused::{ZoloIterPlan, ZoloWorkspace};
 use polar_matrix::Matrix;
 use polar_runtime::PhaseProfile;
 use polar_scalar::{Real, Scalar};
@@ -106,6 +106,7 @@ pub(crate) struct Zolotarev<'a>(pub &'a ZoloOptions);
 impl<S: Scalar> Method<S> for Zolotarev<'_> {
     type Ell = f64;
     type Step = ZoloIterPlan;
+    type Workspace = ZoloWorkspace<S>;
     const NAME: &'static str = "zolo";
     const FIRST_CONV: f64 = f64::MAX;
 
@@ -147,12 +148,12 @@ impl<S: Scalar> Method<S> for Zolotarev<'_> {
     /// are independent branches of the graph (the strong-scaling win of §8).
     fn run_graph(
         &self,
-        x: Matrix<S>,
-        nb: usize,
+        x: &mut Iterate<S>,
+        ws: &mut ZoloWorkspace<S>,
         plan: &[ZoloIterPlan],
         hooked: &Hooked<'_>,
-    ) -> Result<(Matrix<S>, NormSink, Vec<PhaseProfile>), QdwhError> {
-        crate::zolo_fused::run_graph(x, nb, plan, hooked)
+    ) -> Result<(NormSink, Vec<PhaseProfile>), QdwhError> {
+        crate::zolo_fused::run_graph(x, ws, plan, hooked)
     }
 
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {

@@ -45,10 +45,11 @@ use crate::elliptic::{zolotarev_coefficients, zolotarev_eval, zolotarev_weights}
 use crate::options::IterationKind;
 use crate::qdwh_impl::QdwhError;
 use crate::solve_dag::{
-    emit_chol_term, emit_gram, emit_term, execute_hooked, Hooked, NormSink, TermPtr, TermWorkspace,
+    emit_chol_term, emit_gram, emit_term, execute_hooked, Hooked, Iterate, NormSink, TermPtr,
+    TermWorkspace,
 };
 use polar_lapack::{LapackError, TilePtr};
-use polar_matrix::{Matrix, ProcessGrid, TiledMatrix, Tiling};
+use polar_matrix::{ProcessGrid, TiledMatrix, Tiling};
 use polar_runtime::{KernelKind, PhaseProfile, TaskDag};
 use polar_scalar::{Real, Scalar};
 use std::sync::OnceLock;
@@ -108,57 +109,63 @@ impl ZoloIterPlan {
     }
 }
 
-/// Run the planned Zolotarev sequence as one task graph at tile size
-/// `nb`: takes the iterate, returns it advanced with the sink holding each
-/// iteration's convergence norm and the executor's per-phase measurements.
+/// The workspaces of a Zolo-PD solve, allocated by the first graph that
+/// needs them and kept for the next graph of the same solve: per term, one
+/// workspace (a Cholesky term lives in the stacked-QR term's) and one private
+/// slab `Y_j`; and the one Gram matrix `X^H X` every term of a Cholesky-based
+/// iteration shifts a copy of.
+pub(crate) struct ZoloWorkspace<S: Scalar> {
+    terms: Vec<(TermWorkspace<S>, TiledMatrix<S>)>,
+    gram: Option<TiledMatrix<S>>,
+}
+
+impl<S: Scalar> Default for ZoloWorkspace<S> {
+    fn default() -> Self {
+        Self { terms: Vec::new(), gram: None }
+    }
+}
+
+/// Run the planned Zolotarev sequence on `x` as one task graph: the iterate
+/// advanced in place, the sink holding each iteration's convergence norm
+/// and the executor's per-phase measurements.
 pub(crate) fn run_graph<S: Scalar>(
-    x: Matrix<S>,
-    nb: usize,
+    x: &mut Iterate<S>,
+    ws: &mut ZoloWorkspace<S>,
     plan: &[ZoloIterPlan],
     hooked: &Hooked<'_>,
-) -> Result<(Matrix<S>, NormSink, Vec<PhaseProfile>), QdwhError> {
+) -> Result<(NormSink, Vec<PhaseProfile>), QdwhError> {
     type R<S> = <S as Scalar>::Real;
-    let (m, n, iters) = (x.nrows(), x.ncols(), plan.len());
+    let xt = x.tiling();
+    let (m, n, nb) = (xt.m(), xt.n(), xt.nb());
     let rterms = plan[0].a_w.len();
     let _span = polar_obs::span!("zolo_fused", m, n);
 
-    let xt = Tiling::new(m, n, nb, nb);
     let mtx = xt.mt();
     let nt = xt.nt();
-    // X double-buffered by iteration parity; per term, one workspace (a
-    // Cholesky term lives in the stacked-QR term's) and one private slab
-    // Y. The diagonal sqrt(c) I bottom block has the same trapezoidal fill
-    // the QDWH stacked QR exploits, so the pruned row window always
-    // applies.
-    let mut xb0 = TiledMatrix::from_dense(&x, nb, nb, ProcessGrid::single());
-    drop(x); // the tiles are the iterate from here on
-    let mut xb1 = TiledMatrix::<S>::zeros(xt, ProcessGrid::single());
-    let mut terms: Vec<(TermWorkspace<S>, TiledMatrix<S>)> = (0..rterms)
-        .map(|_| {
-            (TermWorkspace::new(m, n, nb, true), TiledMatrix::zeros(xt, ProcessGrid::single()))
-        })
-        .collect();
-    // the one Gram matrix X^H X every term of a Cholesky-based iteration
-    // shifts a copy of
-    let gt = Tiling::new(n, n, nb, nb);
-    let mut gram = plan
-        .iter()
-        .any(|p| p.kind == IterationKind::CholeskyBased)
-        .then(|| TiledMatrix::<S>::zeros(gt, ProcessGrid::single()));
+    // The diagonal sqrt(c) I bottom block has the same trapezoidal fill the
+    // QDWH stacked QR exploits, so the pruned row window always applies.
+    let zeros = |t: Tiling| TiledMatrix::<S>::zeros(t, ProcessGrid::single());
+    ws.terms.resize_with(rterms, || (TermWorkspace::new(m, n, nb, true), zeros(xt)));
+    let has_chol = plan.iter().any(|p| p.kind == IterationKind::CholeskyBased);
+    if has_chol {
+        ws.gram.get_or_insert_with(|| zeros(Tiling::new(n, n, nb, nb)));
+    }
     let failure = OnceLock::<LapackError>::new();
 
-    let mut sink = NormSink::new(iters, xt);
+    let mut sink = NormSink::new(plan.len(), xt);
 
     let mut dag = TaskDag::new();
     sink.name_in(&mut dag);
-    let xp = [TilePtr::new(&mut dag, &mut xb0), TilePtr::new(&mut dag, &mut xb1)];
-    let terms: Vec<_> = terms
+    let [xb0, xb1] = x.bufs();
+    let xp = [TilePtr::new(&mut dag, xb0), TilePtr::new(&mut dag, xb1)];
+    let terms: Vec<_> = ws
+        .terms
         .iter_mut()
         .map(|(ws, y)| {
             (TermPtr::shape(&mut dag, m, n, nb, true).bind(ws), TilePtr::new(&mut dag, y))
         })
         .collect();
-    let gram = gram.as_mut().map(|g| TilePtr::new(&mut dag, g));
+    let gram = ws.gram.as_mut().filter(|_| has_chol).map(|g| TilePtr::new(&mut dag, g));
     let nbf = nb as f64;
 
     for (k, pl) in plan.iter().enumerate() {
@@ -253,7 +260,8 @@ pub(crate) fn run_graph<S: Scalar>(
     }
 
     let phases = execute_hooked(dag, hooked, &sink, &failure)?;
-    Ok((if iters % 2 == 0 { xb0.to_dense() } else { xb1.to_dense() }, sink, phases))
+    x.advance(plan.len());
+    Ok((sink, phases))
 }
 
 #[cfg(test)]
@@ -264,6 +272,7 @@ mod tests {
     use crate::svd_pd::svd_based_polar;
     use crate::zolo::{zolo_pd, ZoloOptions, Zolotarev};
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
+    use polar_matrix::Matrix;
     use polar_scalar::{Complex32, Complex64};
     use proptest::prelude::*;
 

@@ -37,40 +37,53 @@ fn input<S: Scalar>(m: usize, n: usize, cond: f64) -> Matrix<S> {
     }
 }
 
+/// Where `zolo_pd` misses the double-precision bar — type, shape, tile size,
+/// `kappa`: its two planned iterations leave a backward error of 1.1e-14 ...
+/// 2.5e-14 on these inputs (orthogonality 5e-15 or better), the same digits
+/// on a flat `geqrf`. Not the stacking: ROADMAP item 1, open. The stop test
+/// cannot see it either — the last step's norm reads 1.6 ... 4.8 on solves
+/// that did converge.
+const ZOLO_TAILS: [(&str, usize, usize, Option<usize>, f64); 4] = [
+    ("d", 80, 64, Some(32), 1e8),
+    ("d", 96, 96, Some(128), 1e16),
+    ("z", 100, 100, Some(32), 1e16),
+    ("z", 100, 100, None, 1e16),
+];
+
 /// Both solvers on every shape at condition number `cond`: backward error
-/// and orthogonality within `qdwh_tol` / `zolo_tol`.
-fn sweep<S: Scalar>(cond: f64, qdwh_tol: f64, zolo_tol: f64) {
+/// and orthogonality within `tol` (`zolo_pd`'s backward error within `5 tol`
+/// on [`ZOLO_TAILS`]).
+fn sweep<S: Scalar>(cond: f64, tol: f64) {
     for (m, n, tile_nb) in SHAPES {
         let a = input::<S>(m, n, cond);
         let case = format!("{} {m}x{n} nb {tile_nb:?} kappa {cond:e}", S::TYPE_TAG);
         let pd = qdwh(&a, &QdwhOptions { tile_nb, ..Default::default() }).expect("qdwh");
         let (orth, berr) = (orthogonality_error(&pd.u).to_f64(), pd.backward_error(&a).to_f64());
-        assert!(orth <= qdwh_tol && berr <= qdwh_tol, "qdwh {case}: orth {orth:e} berr {berr:e}");
+        assert!(orth <= tol && berr <= tol, "qdwh {case}: orth {orth:e} berr {berr:e}");
         let pd = zolo_pd(&a, &ZoloOptions { tile_nb, ..Default::default() }).expect("zolo_pd").pd;
         let (orth, berr) = (orthogonality_error(&pd.u).to_f64(), pd.backward_error(&a).to_f64());
-        assert!(orth <= zolo_tol && berr <= zolo_tol, "zolo {case}: orth {orth:e} berr {berr:e}");
+        let tail = ZOLO_TAILS.contains(&(S::TYPE_TAG, m, n, tile_nb, cond));
+        let berr_tol = if tail { 5.0 * tol } else { tol };
+        assert!(orth <= tol && berr <= berr_tol, "zolo {case}: orth {orth:e} berr {berr:e}");
     }
 }
 
-/// Double precision: 1e-14 for QDWH. Zolo-PD is held to 5e-14: its two
-/// planned iterations leave a convergence tail of 1e-14 ... 2.5e-14 on a
-/// few of these inputs whatever the stacking (ROADMAP item 1; the same
-/// digits on a flat `geqrf`).
+/// Double precision: 1e-14.
 #[test]
 fn ragged_shapes_meet_the_accuracy_contract_f64() {
-    sweep::<f64>(1e8, 1e-14, 5e-14);
-    sweep::<f64>(1e16, 1e-14, 5e-14);
+    sweep::<f64>(1e8, 1e-14);
+    sweep::<f64>(1e16, 1e-14);
 }
 
 #[test]
 fn ragged_shapes_meet_the_accuracy_contract_c64() {
-    sweep::<Complex64>(1e8, 1e-14, 5e-14);
-    sweep::<Complex64>(1e16, 1e-14, 5e-14);
+    sweep::<Complex64>(1e8, 1e-14);
+    sweep::<Complex64>(1e16, 1e-14);
 }
 
 #[test]
 fn ragged_shapes_meet_the_accuracy_contract_single_precision() {
     let tol = 50.0 * f32::EPSILON as f64;
-    sweep::<f32>(1e4, tol, tol);
-    sweep::<Complex32>(1e4, tol, tol);
+    sweep::<f32>(1e4, tol);
+    sweep::<Complex32>(1e4, tol);
 }

@@ -400,7 +400,9 @@ fn stacked_row_limit(tiling: Tiling, top_rows: Option<usize>, k: usize) -> usize
 /// only tile rows inside the fill window get tasks. The read/write sets
 /// chain it behind whatever the caller's earlier tasks wrote into `f.a`;
 /// a write set names the task's home tile first, so `tsqrt`/`tsmqr` run
-/// where tile row `i` lives once ranks are assigned.
+/// where tile row `i` lives once ranks are assigned. A task's flops are the
+/// LAWN 41 count of its tile kernel — `geqrt` `4/3 nb^3`, `unmqr` 2, `tsqrt`
+/// 2, `tsmqr` 4 — since the task is what the kernel counters count.
 pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
     let (a, t) = (f.a, f.t);
     let tiling = a.tiling();
@@ -412,7 +414,7 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
         let step = (kt - k) as i32 * 4;
         // panel: QR of the diagonal tile
         let panel = (a.write(k, k), t.write(k, k));
-        dag.add_on(KernelKind::Geqrt, step + 2, 2.0 * nb3, panel, |(akk, t)| {
+        dag.add_on(KernelKind::Geqrt, step + 2, 4.0 / 3.0 * nb3, panel, |(akk, t)| {
             geqrt_blocked_into(akk, t)
         });
         // apply Q_kk^H to the tiles right of the diagonal
@@ -420,7 +422,7 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
             dag.add_on(
                 KernelKind::Unmqr,
                 step + i32::from(j == k + 1),
-                3.0 * nb3,
+                2.0 * nb3,
                 (a.read(k, k), t.read(k, k), a.write(k, j)),
                 |(v, t, c)| unmqr_tile_blocked(Op::ConjTrans, v, t, c),
             );
@@ -492,7 +494,7 @@ pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: Tile
             dag.add_on(
                 KernelKind::Unmqr,
                 step + 1,
-                3.0 * nb3,
+                2.0 * nb3,
                 (w.read(k, k), t.read(k, k), q.write(k, j)),
                 |(v, t, c)| unmqr_tile_blocked(Op::NoTrans, v, t, c),
             );

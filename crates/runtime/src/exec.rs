@@ -555,9 +555,6 @@ fn worker_loop<'a>(
         let counted_ns = span.finish();
         unwind_guard.armed = false;
         drop(unwind_guard);
-        // this lane holds its pool worker until the graph drains: between
-        // two tasks, serve what the rest of the process queued for the pool
-        rayon::yield_to_injected();
 
         guard = state.lock().unwrap();
         if status == TaskStatus::Cancel {
@@ -570,13 +567,23 @@ fn worker_loop<'a>(
             work.notify_all();
             return;
         }
-        // wake sleepers for every newly-ready task beyond the one this
-        // worker will take itself
+        // wake a sleeper for every newly-ready task: this worker may be
+        // away for a while before it takes one itself
         if released > 1 {
             work.notify_all();
         } else if released == 1 {
             work.notify_one();
         }
+        // This lane holds its pool worker until the graph drains: between
+        // two tasks, serve what the rest of the process queued for the
+        // pool. Only with the finished task booked — what runs here may be
+        // another graph's whole fan-out, whose idle frames steal unstarted
+        // lanes of *this* graph, and such a lane, parked on top of this
+        // frame for the successors of a task still unbooked in it, waits
+        // forever.
+        drop(guard);
+        rayon::yield_to_injected();
+        guard = state.lock().unwrap();
     }
 }
 
