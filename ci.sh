@@ -88,17 +88,22 @@ stage_lint() {
     # without bodies: the simulator and the communication meter read the
     # graph the emit modules build. (Not tile graphs: polar-runtime's and
     # sim/real.rs's unit tests build toy graphs in the vocabulary.)
-    local emitters='lapack/src/tiled|core/src/(fused|solve_dag|zolo_fused)'
+    local emitters='lapack/src/tiled|core/src/(graph|solve_dag)'
     emitters="$emitters|runtime/src/[a-z_]+|sim/src/real"
     strays=$(grep -rlPzo '\badd(_task|_on)?\(\s*KernelKind::(Geqrt|Tsqrt|Tsmqr|Unmqr|Potrf)\b' crates/*/src \
         | grep -vE "^crates/($emitters)\.rs$" || true)
     test -z "$strays" || fail "tile-factorization tasks added outside the emit modules: $strays"
     # and the Cholesky term (factor, invert the diagonal tiles, two sweeps)
-    # is emitted by solve_dag.rs for QDWH and Zolo-PD alike: neither
-    # whole-solve graph may carry a sweep of its own
+    # is emitted by solve_dag.rs for every step: the whole-solve graph may
+    # not carry a sweep of its own
     strays=$(grep -rlE '\b(emit_potrf|trtri_lower)\(' crates/core/src \
         | grep -vE '^crates/core/src/solve_dag\.rs$' || true)
     test -z "$strays" || fail "Cholesky sweep emitted outside core's solve_dag.rs: $strays"
+    # a step is emitted once, for QDWH's one term and Zolo-PD's r: the
+    # phase loop of a whole-solve graph is in one file
+    strays=$(grep -rl 'next_phase(' crates/core/src || true)
+    test "$strays" = crates/core/src/graph.rs \
+        || fail "the whole-solve phase loop is not in core's graph.rs alone: $strays"
 
     step "one solve skeleton: estimate, plan, cost and telemetry written in core's skeleton.rs only"
     # Algorithm 1's recipe around the task graphs is crates/core/src/skeleton.rs;

@@ -4,7 +4,7 @@
 //! impractical under fork-join).
 //!
 //! Runs the discrete-event scheduler in both modes over the whole-solve
-//! graph the solver itself emits (`polar_qdwh::qdwh_task_graph`; fork-join
+//! graph the solver itself emits (`polar_qdwh::task_graph`; fork-join
 //! reads the panel-step barriers the emitters mark) and reports the
 //! makespan gap and parallel efficiency.
 //!

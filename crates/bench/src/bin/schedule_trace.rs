@@ -1,5 +1,5 @@
 //! Export a Chrome-tracing JSON of a simulated schedule of the whole-solve
-//! QDWH graph the solver emits (`polar_qdwh::qdwh_task_graph`) — open the
+//! QDWH graph the solver emits (`polar_qdwh::task_graph`) — open the
 //! output in `chrome://tracing` or https://ui.perfetto.dev to *see* the
 //! task-based pipeline (and, side by side, the fork-join bubbles the
 //! paper's §3 complains about).

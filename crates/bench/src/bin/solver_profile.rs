@@ -340,9 +340,9 @@ fn validate_artifacts(
     for expected in ["qdwh", "gemm", "potrf", "trsm", "herk"] {
         assert!(names.contains(expected), "trace lacks '{expected}' spans: {names:?}");
     }
-    // the condition-estimate QR (a tile graph of its own) and the two
-    // whole-solve graphs
-    for expected in ["geqrf_tiled", "qdwh_fused", "zolo_fused"] {
+    // the condition-estimate QR (a tile graph of its own), the whole-solve
+    // graph, and Zolo-PD's span around its own
+    for expected in ["geqrf_tiled", "solve_graph", "zolo"] {
         assert!(names.contains(expected), "trace lacks '{expected}' spans: {names:?}");
     }
     if rayon::current_num_threads() > 1 {

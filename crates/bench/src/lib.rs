@@ -112,7 +112,7 @@ pub fn paper_profile_graph(t: usize, nb: usize, ranks: usize) -> polar_runtime::
     use polar_qdwh::IterationKind::{CholeskyBased, QrBased};
     let (it_qr, it_chol) = polar_sim::ILL_CONDITIONED_PROFILE;
     let kinds = [vec![QrBased; it_qr], vec![CholeskyBased; it_chol]].concat();
-    let mut g = polar_qdwh::qdwh_task_graph::<f64>(t * nb, t * nb, nb, &kinds, true);
+    let mut g = polar_qdwh::task_graph::<f64>(t * nb, t * nb, nb, &kinds, 1, true);
     g.assign_ranks(polar_matrix::ProcessGrid::squarest(ranks));
     g
 }

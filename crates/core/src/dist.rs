@@ -5,11 +5,11 @@
 //! one address space here (no real network — see DESIGN.md's substitution
 //! policy), so a distributed run is the shared-memory tiled solve plus
 //! accounting: solve, emit the whole-solve graph of the iterations that
-//! ran ([`qdwh_task_graph`], the code the solve executed), place its tasks
+//! ran ([`task_graph`], the code the solve executed), place its tasks
 //! on the grid and meter the tiles that cross a rank boundary. The counts
 //! are what an MPI execution of the same graph would transfer.
 
-use crate::fused::qdwh_task_graph;
+use crate::graph::task_graph;
 use crate::options::QdwhOptions;
 use crate::qdwh_impl::{qdwh, PolarDecomposition, QdwhError};
 use polar_matrix::{Matrix, ProcessGrid};
@@ -47,7 +47,7 @@ pub fn qdwh_distributed<S: Scalar>(
     let opts = QdwhOptions { tile_nb: Some(cfg.nb), ..opts.clone() };
     let pd = qdwh(a, &opts)?;
     let mut graph =
-        qdwh_task_graph::<S>(a.nrows(), a.ncols(), cfg.nb, &pd.info.kinds, opts.exploit_structure);
+        task_graph::<S>(a.nrows(), a.ncols(), cfg.nb, &pd.info.kinds, 1, opts.exploit_structure);
     graph.assign_ranks(cfg.grid);
     Ok(DistOutcome { pd, comm: graph.comm(), tile_tasks: graph.len() })
 }

@@ -1,279 +1,268 @@
-//! Whole-solve task graph: the entire QDWH Halley sequence as ONE DAG.
+//! The whole-solve task graph: every planned [`Step`] of a solve as ONE DAG,
+//! for QDWH (one term per step) and Zolo-PD (`r`) alike.
 //!
-//! A per-iteration driver would run one factorization per step with full
-//! barriers between them: assemble `W`/`Z`, factor, update, reduce the
-//! convergence norm, and only then start step `k+1`. This module has no
-//! such barriers. The key enabler is that the Halley weight sequence
-//! `(a_k, b_k, c_k)` and the QR-vs-Cholesky switch depend only on the
-//! scalar `ell` recurrence — a pure function of `l0`, not of the matrix
-//! iterates — so the whole iteration *plan* is known before any flop runs
-//! ([`crate::skeleton::plan`] over [`HalleyStep::at`], the `itconv`
-//! precomputation of Sukkari's POLAR library). [`run_graph`] then emits,
-//! for every planned iteration:
+//! A per-iteration driver would put full barriers between steps: assemble,
+//! factor, update, reduce the convergence norm, and only then start step
+//! `k+1`. This module has none. The enabler is that a step's weights and its
+//! QR-vs-Cholesky kind depend only on the scalar recurrence of the bound
+//! `ell` — a function of `l0`, not of the matrix iterates — so the whole
+//! *plan* is known before any flop runs ([`crate::skeleton::plan`], the
+//! `itconv` precomputation of Sukkari's POLAR library). [`run_graph`] emits,
+//! per planned step `X <- x_coef X + sum_j weight_j X Z_j^{-1}`, `Z_j =
+//! alpha_j X^H X + shift_j I`:
 //!
-//! * QR-based (Eq. (1)): one stacked-QR term
-//!   ([`crate::solve_dag::emit_term`]) on `[sqrt(c) X; I]` whose product
-//!   tiles carry the `theta * Q1 Q2^H + beta * X` update;
-//! * Cholesky-based (Eq. (2)): `Z = I + c X^H X` as per-tile tasks
-//!   ([`crate::solve_dag::emit_gram`]), one Cholesky term
-//!   ([`crate::solve_dag::emit_chol_term`]: tile Cholesky, the inverted
-//!   diagonal tiles of `L`, the two sweeps applying `L^{-H}` then `L^{-1}`
-//!   from the right) and the `beta * X_prev + theta * (X Z^{-1})` update;
-//! * a per-tile convergence partial `|X_k - X_{k-1}|_F^2` fused into each
-//!   update task, plus one fixed-order reduction task per iteration.
-//!
-//! into a single [`TaskDag`]. `X` is double-buffered by iteration parity;
-//! the workspace (`W`/`T`/`Q`; `Z` and the `nt` inverted diagonal tiles of
-//! its factor) exists once and is reused by every iteration.
-//! Nothing in iteration `k+1` waits on the convergence reduction of
-//! iteration `k` — the reduction is a sink — so the executor's
-//! critical-path priorities and lookahead window let step-`k+1` panel
-//! kernels overlap step-`k` trailing updates across the whole solve.
-//! Each iteration advances the DAG phase ([`TaskDag::next_phase`]), which
-//! is what the lookahead window is keyed on — and what the progress hook
-//! is told ([`crate::solve_dag::execute_hooked`]).
+//! * per term but the last, its multiple of `X Z_j^{-1}` into a *private* slab
+//!   `Y_j`: QR-based a stacked-QR term on `[sqrt(alpha_j) X; sqrt(shift_j) I]`,
+//!   Cholesky-based a Cholesky term over `Z_j` (both [`crate::solve_dag`]'s).
+//!   The terms share no written tile, so the `r` chains run concurrently —
+//!   the concurrency the paper's §8 wants Zolo-PD for;
+//! * the last term, which **carries the combine** ([`Combine`]): QR-based,
+//!   its product tiles start from `x_coef X + sum_j coef_j Y_j` instead of
+//!   zero; Cholesky-based, its sweeps run in place in `X_out` and one update
+//!   task per tile adds the same sum. Either way the sum walks the terms in
+//!   fixed order and the task publishes the tile's convergence partial
+//!   `|X_k - X_{k-1}|_F^2`; a one-term step has no slab and no extra pass;
+//! * the Gram matrix of a Cholesky-based step: in place in the term's `Z`
+//!   when the step has one term, once into a shared slab each term copies
+//!   and shifts when it has several;
+//! * one fixed-order reduction task per step. Nothing in step `k+1` waits on
+//!   it — it is a sink — so the executor's critical-path priorities and
+//!   lookahead window let step-`k+1` panel kernels overlap step-`k` trailing
+//!   updates. Each step advances the DAG phase ([`TaskDag::next_phase`]),
+//!   which the window is keyed on and the progress hook is told.
 //!
 //! Determinism: every value-affecting ordering is a dependency edge (tasks
 //! write disjoint tiles; accumulations happen inside single tasks in fixed
-//! loop order; the convergence reduction sums partials in fixed tile
-//! order), so the computed iterates are schedule-independent bit-for-bit.
-//! Under `POLAR_DETERMINISTIC=1` the executor additionally fixes the
-//! schedule itself.
-//!
-//! Continuation: [`crate::skeleton::solve`] re-checks the stop test on the
-//! last norm this graph's sink published; what the plan could not cover (a
-//! norm still above tolerance with the bound at 1) is one more planned step
-//! through [`run_graph`], on the same tiled iterate and workspaces.
+//! loop order; the combine and the reduction sum in fixed term and tile
+//! order), so the iterates are schedule-independent bit for bit.
+//! `POLAR_DETERMINISTIC=1` additionally fixes the schedule itself.
 
 use crate::options::{graph_tile_nb, IterationKind};
 use crate::qdwh_impl::QdwhError;
-use crate::skeleton::HalleyStep;
+use crate::skeleton::{Step, Term};
 use crate::solve_dag::{
-    emit_chol_term, emit_gram, emit_term, execute_hooked, CholPtr, HalleyUpdate, Hooked, Iterate,
-    NormSink, TermPtr, TermWorkspace,
+    emit_chol_term, emit_combine, emit_gram, emit_shifted, emit_term, execute_hooked, CholPtr,
+    Combine, Hooked, Iterate, NormSink, TermPtr, TermWorkspace,
 };
 use polar_lapack::{LapackError, TilePtr};
 use polar_matrix::{ProcessGrid, TiledMatrix, Tiling};
-use polar_runtime::{KernelKind, PhaseProfile, TaskDag, TaskGraph};
+use polar_runtime::{PhaseProfile, TaskDag, TaskGraph};
 use polar_scalar::{Real, Scalar};
 use std::sync::OnceLock;
 
-/// Everything the planned iterations read and write, as the tasks of one
-/// dag see it: `X` double-buffered by iteration parity (iteration `k` reads
-/// parity `k % 2`, writes the other), the stacked-QR workspace, and for the
-/// Cholesky kind `Z` (then its factor `L`) plus one tile column for the
-/// inverses of `L`'s diagonal tiles. The workspaces exist once per solve
-/// (see [`TermWorkspace`]) and only for the kinds the plan contains.
-#[derive(Clone, Copy)]
-struct SolvePtrs<'a, S: Scalar> {
-    x: [TilePtr<'a, S>; 2],
-    term: Option<TermPtr<'a, S>>,
-    chol: Option<CholPtr<'a, S>>,
+/// What a solve's graphs allocate, each matrix by the first graph that names
+/// it, kept for the next (a continuation step). Per term: a stacked-QR
+/// workspace only if a graph plans a QR-based step; a Cholesky term lives in
+/// that workspace's `Q` ([`TermPtr::chol`]) when there is one, else in a host
+/// of its own (`n x n` and one tile row: [`CholPtr::within`]); and, for every
+/// term but the one that carries the combine, the private slab `Y_j`.
+/// Shared: the Gram matrix of a several-term Cholesky-based step.
+#[derive(Default)]
+pub(crate) struct Workspace<S: Scalar> {
+    terms: Vec<TermStore<S>>,
+    gram: Option<TiledMatrix<S>>,
 }
 
-impl<S: Scalar> SolvePtrs<'_, S> {
-    /// Name the sink and every matrix of the solve in `dag`, storage-free.
-    /// The one place the whole-solve graph's matrix ids are handed out, so
-    /// the executed graph and [`qdwh_task_graph`] agree on them.
-    fn shapes(
+#[derive(Default)]
+struct TermStore<S: Scalar> {
+    qr: Option<TermWorkspace<S>>,
+    chol: Option<TiledMatrix<S>>,
+    y: Option<TiledMatrix<S>>,
+}
+
+/// Everything the planned steps read and write, as the tasks of one dag see
+/// it: `X` double-buffered by step parity (step `k` reads parity `k % 2`,
+/// writes the other) and the [`Workspace`].
+struct GraphPtrs<'a, S: Scalar> {
+    x: [TilePtr<'a, S>; 2],
+    terms: Vec<TermSlot<'a, S>>,
+    gram: Option<TilePtr<'a, S>>,
+}
+
+struct TermSlot<'a, S: Scalar> {
+    qr: Option<TermPtr<'a, S>>,
+    chol: Option<CholPtr<'a, S>>,
+    y: Option<TilePtr<'a, S>>,
+}
+
+/// Name a workspace matrix tiled as `t` in `dag`: a shape, or with `backed`
+/// over `store`, allocated on first use.
+fn tiles<'a, S: Scalar>(
+    dag: &mut TaskDag<'_>,
+    t: Tiling,
+    store: &'a mut Option<TiledMatrix<S>>,
+    backed: bool,
+) -> TilePtr<'a, S> {
+    let shape = TilePtr::shape(dag, t);
+    if !backed {
+        return shape;
+    }
+    shape.bind(store.get_or_insert_with(|| TiledMatrix::zeros(t, ProcessGrid::single())))
+}
+
+impl<'a, S: Scalar> GraphPtrs<'a, S> {
+    /// Name the sink and every matrix the graph of `plan` touches in `dag` —
+    /// the one place its matrix ids are handed out, so the executed graph
+    /// and [`task_graph`] agree on them. With `x`, over storage: the
+    /// iterate's two buffers and `ws`, which allocates what it lacks and has
+    /// to outlive the dag whose bodies borrow it. Without, storage-free.
+    fn name<R>(
         dag: &mut TaskDag<'_>,
         sink: &mut NormSink,
         xt: Tiling,
-        plan: &[HalleyStep<S::Real>],
+        plan: &[Step<R>],
         exploit_structure: bool,
+        x: Option<&'a mut [TiledMatrix<S>; 2]>,
+        ws: &'a mut Workspace<S>,
     ) -> Self {
         let (m, n, nb) = (xt.m(), xt.n(), xt.nb());
+        let backed = x.is_some();
         sink.name_in(dag);
-        Self {
-            x: [TilePtr::shape(dag, xt), TilePtr::shape(dag, xt)],
-            term: plan
-                .iter()
-                .any(|p| p.is_qr())
-                .then(|| TermPtr::shape(dag, m, n, nb, exploit_structure)),
-            chol: plan.iter().any(|p| !p.is_qr()).then(|| {
-                let mut tiles = |cols| TilePtr::shape(dag, Tiling::new(n, cols, nb, nb));
-                CholPtr { z: tiles(n), linv: tiles(nb.min(n)) }
-            }),
-        }
-    }
+        let shapes = [TilePtr::shape(dag, xt), TilePtr::shape(dag, xt)];
+        let x = match x {
+            Some([x0, x1]) => [shapes[0].bind(x0), shapes[1].bind(x1)],
+            None => shapes,
+        };
 
-    /// The same names over storage ([`TilePtr::bind`] checks the tilings).
-    fn bind<'b>(
-        self,
-        x: &'b mut [TiledMatrix<S>; 2],
-        term: Option<&'b mut TermWorkspace<S>>,
-        chol: Option<&'b mut (TiledMatrix<S>, TiledMatrix<S>)>,
-    ) -> SolvePtrs<'b, S> {
-        let [x0, x1] = x;
-        SolvePtrs {
-            x: [self.x[0].bind(x0), self.x[1].bind(x1)],
-            term: self.term.zip(term).map(|(p, ws)| p.bind(ws)),
-            chol: self
-                .chol
-                .zip(chol)
-                .map(|(p, (zs, ls))| CholPtr { z: p.z.bind(zs), linv: p.linv.bind(ls) }),
+        let chol = || plan.iter().filter(|p| p.kind == IterationKind::CholeskyBased);
+        let qr = chol().count() < plan.len() || ws.terms.iter().any(|t| t.qr.is_some());
+        let own_chol = !qr && chol().count() > 0;
+        let terms = plan.iter().map(|p| p.terms.len()).max().unwrap_or(0);
+        if ws.terms.len() < terms {
+            ws.terms.resize_with(terms, TermStore::default);
         }
+        let slot = |(j, store): (usize, &'a mut TermStore<S>)| {
+            let qr = qr.then(|| {
+                let shape = TermPtr::shape(dag, m, n, nb, exploit_structure);
+                let new = || TermWorkspace::new(m, n, nb, exploit_structure);
+                if backed {
+                    shape.bind(store.qr.get_or_insert_with(new))
+                } else {
+                    shape
+                }
+            });
+            let host = Tiling::new(n + nb, n, nb, nb);
+            let own = own_chol.then(|| CholPtr::within(tiles(dag, host, &mut store.chol, backed)));
+            let y = (j + 1 < terms).then(|| tiles(dag, xt, &mut store.y, backed));
+            TermSlot { qr, chol: qr.map(TermPtr::chol).or(own), y }
+        };
+        let terms = ws.terms.iter_mut().take(terms).enumerate().map(slot).collect();
+        let shared = chol().any(|p| p.terms.len() > 1);
+        let gram = shared.then(|| tiles(dag, Tiling::new(n, n, nb, nb), &mut ws.gram, backed));
+        Self { x, terms, gram }
     }
 }
 
-/// The whole-solve task graph of an `m x n` QDWH solve at tile size `nb`
-/// running the given iteration kinds, without bodies or storage: emitted
-/// by the code [`crate::qdwh`] executes, so its tasks, tile
-/// sets and edges are the executor's (scalar weights never reach the
-/// graph). `S` sets the tile payload bytes. What `polar-sim` schedules
-/// and [`crate::qdwh_distributed`] meters.
-pub fn qdwh_task_graph<S: Scalar>(
+/// The whole-solve task graph of an `m x n` solve at tile size `nb` running
+/// steps of the given kinds with `terms` terms each (QDWH: 1; Zolo-PD: its
+/// `r`), without bodies or storage: emitted by the code [`crate::qdwh`] and
+/// [`crate::zolo_pd`] execute, so its tasks, tile sets and edges are the
+/// executor's (scalar weights never reach the graph). `S` sets the tile
+/// payload bytes. What `polar-sim` schedules and
+/// [`crate::qdwh_distributed`] meters.
+pub fn task_graph<S: Scalar>(
     m: usize,
     n: usize,
     nb: usize,
     kinds: &[IterationKind],
+    terms: usize,
     exploit_structure: bool,
 ) -> TaskGraph {
-    let one = S::Real::ONE;
-    let plan: Vec<_> = kinds
-        .iter()
-        .map(|&kind| HalleyStep {
-            a: one,
-            b: one,
-            c: one,
-            kind,
-            theta: one,
-            beta: one,
-            ell_after: one,
-        })
-        .collect();
+    assert!(terms > 0, "a step has at least one term");
+    let unit = Term { alpha: 1.0, shift: 1.0, weight: 1.0 };
+    let step = |&kind| Step { kind, ell_after: 1.0, x_coef: 1.0, terms: vec![unit; terms] };
+    let plan: Vec<_> = kinds.iter().map(step).collect();
     let nb = graph_tile_nb(Some(nb), n);
     let xt = Tiling::new(m, n, nb, nb);
     let failure = OnceLock::new();
     let mut sink = NormSink::new(plan.len(), xt);
+    let mut ws = Workspace::<S>::default();
     let mut dag = TaskDag::new();
-    let at = SolvePtrs::<S>::shapes(&mut dag, &mut sink, xt, &plan, exploit_structure);
-    emit_iterations(&mut dag, at, &plan, &sink, &failure);
+    let at = GraphPtrs::name(&mut dag, &mut sink, xt, &plan, exploit_structure, None, &mut ws);
+    emit_steps(&mut dag, &at, &plan, &sink, &failure);
     dag.into_graph()
 }
 
-/// Add every planned iteration to `dag`, one phase each.
-fn emit_iterations<'a, S: Scalar>(
+/// Add every planned step to `dag`, one phase each.
+fn emit_steps<'a, S: Scalar, R: Real>(
     dag: &mut TaskDag<'a>,
-    at: SolvePtrs<'a, S>,
-    plan: &[HalleyStep<S::Real>],
+    at: &GraphPtrs<'a, S>,
+    plan: &[Step<R>],
     sink: &'a NormSink,
     failure: &'a OnceLock<LapackError>,
 ) {
-    type R<S> = <S as Scalar>::Real;
-    let xt = at.x[0].tiling();
-    let (mtx, nt) = (xt.mt(), xt.nt());
-    let nbf = xt.nb() as f64;
-
-    for (k, pl) in plan.iter().enumerate() {
+    let real = |v: R| S::Real::from_f64(v.to_f64());
+    let scalar = |v: R| S::from_f64(v.to_f64());
+    for (k, step) in plan.iter().enumerate() {
         if k > 0 {
             dag.next_phase();
         }
         let (xin, xout) = (at.x[k % 2], at.x[(k + 1) % 2]);
-        let (theta, beta) = (pl.theta, pl.beta);
+        // per term, in the step's kind: what its matrix is built from and
+        // the coefficient of what its factorization leaves
+        let applied: Vec<_> = step.terms.iter().map(|t| t.applied(step.kind)).collect();
+        let coefs: Vec<S> = applied.iter().map(|a| scalar(a.2)).collect();
+        let last = applied.len() - 1;
+        let slab = |j: usize| at.terms[j].y.expect("every term but the last has a slab");
+        let (ys, x_coef) = ((0..last).map(slab).collect(), scalar(step.x_coef));
+        let combine = Combine { x_coef, ys, coefs: coefs[..last].to_vec(), sink, iter: k };
 
-        if pl.is_qr() {
-            // X_out = beta X_in + theta Q1 Q2^H, [Q1; Q2] R = [sqrt(c) X_in; I]
-            emit_term(
-                dag,
-                at.term.expect("plan has a QR iteration"),
-                xin,
-                (pl.c.sqrt(), R::<S>::ONE),
-                S::from_real(theta),
-                xout,
-                Some(HalleyUpdate { beta, sink, iter: k }),
-            );
-        } else {
-            // ---- Cholesky-based iteration ----
-            // One Cholesky term over Z = I + c X_in^H X_in leaves
-            // X_in Z^{-1} in X_out (whose buffer last held X_{k-1}: every
-            // reader of that is upstream of the L the sweeps wait for).
-            let chol = at.chol.expect("plan has a Cholesky iteration");
-            emit_gram(dag, xin, chol.z, pl.c, R::<S>::ONE);
-            emit_chol_term(dag, chol, xin, xout, failure);
-
-            // X_out = beta X_in + theta (X Z^{-1}), fused with the
-            // convergence partial.
-            dag.barrier();
-            for tj in 0..nt {
-                for ti in 0..mtx {
-                    let access = (xin.read(ti, tj), xout.write(ti, tj), sink.partial(k, ti, tj));
-                    dag.add_on(
-                        KernelKind::Geadd,
-                        0,
-                        nbf * nbf,
-                        access,
-                        move |(xi, xo, partial)| {
-                            let b = S::from_real(beta);
-                            let th = S::from_real(theta);
-                            let mut acc = R::<S>::ZERO;
-                            for c in 0..xi.ncols() {
-                                for r in 0..xi.nrows() {
-                                    let next = b * xi[(r, c)] + th * xo[(r, c)];
-                                    xo[(r, c)] = next;
-                                    acc += (next - xi[(r, c)]).abs_sq();
-                                }
-                            }
-                            partial.publish(acc);
-                        },
-                    );
+        match step.kind {
+            // coef_j Q1 Q2^H, [Q1; Q2] R = [sqrt(alpha_j) X_in; sqrt(shift_j) I]
+            IterationKind::QrBased => {
+                for (j, (term, &(s, d, _))) in at.terms.iter().zip(&applied).enumerate() {
+                    let ws = term.qr.expect("plan has a QR-based step");
+                    let scales = (real(s), real(d));
+                    if j < last {
+                        emit_term(dag, ws, xin, scales, S::ONE, slab(j), None);
+                    } else {
+                        emit_term(dag, ws, xin, scales, coefs[j], xout, Some(&combine));
+                    }
                 }
             }
+            // coef_j X_in Z_j^{-1}, Z_j = alpha_j X_in^H X_in + shift_j I; the
+            // last term's in X_out (whose buffer last held X_{k-1}: every
+            // reader of that is upstream of the L the sweeps wait for)
+            IterationKind::CholeskyBased => {
+                // one term forms its Z in place, several share X_in^H X_in
+                let gram = at.gram.filter(|_| last > 0);
+                if let Some(gram) = gram {
+                    emit_gram(dag, xin, gram, S::Real::ONE, S::Real::ZERO);
+                }
+                for (j, (term, &(alpha, shift, _))) in at.terms.iter().zip(&applied).enumerate() {
+                    let chol = term.chol.expect("plan has a Cholesky-based step");
+                    match gram {
+                        Some(gram) => emit_shifted(dag, gram, chol.z, real(alpha), real(shift)),
+                        None => emit_gram(dag, xin, chol.z, real(alpha), real(shift)),
+                    }
+                    emit_chol_term(dag, chol, xin, if j < last { slab(j) } else { xout }, failure);
+                }
+                emit_combine(dag, xin, xout, coefs[last], &combine);
+            }
         }
-        sink.emit_reduce::<R<S>>(dag, k);
+        sink.emit_reduce::<S::Real>(dag, k);
     }
 }
 
-/// The workspaces of a QDWH solve, allocated by the first graph that needs
-/// them and kept for the next graph of the same solve: the stacked-QR term's,
-/// and for the Cholesky kind `Z` with the tile column of its factor's
-/// inverted diagonal tiles.
-pub(crate) struct HalleyWorkspace<S: Scalar> {
-    term: Option<TermWorkspace<S>>,
-    chol: Option<(TiledMatrix<S>, TiledMatrix<S>)>,
-}
-
-impl<S: Scalar> Default for HalleyWorkspace<S> {
-    fn default() -> Self {
-        Self { term: None, chol: None }
-    }
-}
-
-/// Run the planned Halley sequence on `x` as one task graph: the iterate
-/// advanced in place, the sink holding each iteration's convergence norm
-/// and the executor's per-phase measurements.
-pub(crate) fn run_graph<S: Scalar>(
+/// Run the planned steps on `x` as one task graph: the iterate advanced in
+/// place, the sink holding each step's convergence norm and the executor's
+/// per-phase measurements.
+pub(crate) fn run_graph<S: Scalar, R: Real>(
     x: &mut Iterate<S>,
-    ws: &mut HalleyWorkspace<S>,
-    plan: &[HalleyStep<S::Real>],
+    ws: &mut Workspace<S>,
+    plan: &[Step<R>],
     exploit_structure: bool,
     hooked: &Hooked<'_>,
 ) -> Result<(NormSink, Vec<PhaseProfile>), QdwhError> {
     let xt = x.tiling();
-    let (m, n, nb) = (xt.m(), xt.n(), xt.nb());
-    let _span = polar_obs::span!("qdwh_fused", m, n);
-
-    // the storage `SolvePtrs::shapes` names (`bind` checks the two agree);
-    // it has to outlive the dag whose bodies borrow it
-    let zeros = |t: Tiling| TiledMatrix::<S>::zeros(t, ProcessGrid::single());
-    if plan.iter().any(|p| p.is_qr()) {
-        ws.term.get_or_insert_with(|| TermWorkspace::new(m, n, nb, exploit_structure));
-    }
-    if plan.iter().any(|p| !p.is_qr()) {
-        ws.chol.get_or_insert_with(|| {
-            (zeros(Tiling::new(n, n, nb, nb)), zeros(Tiling::new(n, nb.min(n), nb, nb)))
-        });
-    }
+    let _span = polar_obs::span!("solve_graph", xt.m(), xt.n());
     let failure = OnceLock::<LapackError>::new();
     let mut sink = NormSink::new(plan.len(), xt);
 
     let mut dag = TaskDag::new();
-    let at = SolvePtrs::shapes(&mut dag, &mut sink, xt, plan, exploit_structure).bind(
-        x.bufs(),
-        ws.term.as_mut(),
-        ws.chol.as_mut(),
-    );
-    emit_iterations(&mut dag, at, plan, &sink, &failure);
+    let bufs = Some(x.bufs());
+    let at = GraphPtrs::name(&mut dag, &mut sink, xt, plan, exploit_structure, bufs, ws);
+    emit_steps(&mut dag, &at, plan, &sink, &failure);
 
     let phases = execute_hooked(dag, hooked, &sink, &failure)?;
     x.advance(plan.len());
@@ -475,7 +464,7 @@ mod tests {
         let scope = polar_obs::scope();
         let pd = qdwh(&a, &opts).expect("converges");
         let spans = scope.finish().spans;
-        let graphs = spans.iter().filter(|s| s.name == "qdwh_fused" && s.dims[..2] == [72, 48]);
+        let graphs = spans.iter().filter(|s| s.name == "solve_graph" && s.dims[..2] == [72, 48]);
         let planned = plan::<f64, _>(&Halley(&opts), pd.info.l0, 100.0, 50).unwrap().len();
         assert_eq!((graphs.count(), pd.info.iterations), (2, planned + 1));
         let iterations: Vec<_> = pd.info.records.iter().map(|r| r.iteration).collect();
@@ -555,10 +544,10 @@ mod tests {
     fn plan_respects_forced_paths() {
         let qr_only = QdwhOptions { path: IterationPath::ForceQr, ..Default::default() };
         let steps = plan::<f64, _>(&Halley(&qr_only), 0.5, 0.0, 50).unwrap();
-        assert!(!steps.is_empty() && steps.iter().all(|p| p.is_qr()));
+        assert!(!steps.is_empty() && steps.iter().all(|p| p.kind == IterationKind::QrBased));
         let chol_only = QdwhOptions { path: IterationPath::ForceCholesky, ..Default::default() };
         let steps = plan::<f64, _>(&Halley(&chol_only), 0.5, 0.0, 50).unwrap();
-        assert!(steps.iter().all(|p| !p.is_qr()));
+        assert!(steps.iter().all(|p| p.kind == IterationKind::CholeskyBased));
     }
 
     #[test]
@@ -572,7 +561,7 @@ mod tests {
         assert!(plan::<f64, _>(&Halley(&opts), 1.0, 0.0, 50).unwrap().is_empty());
         let one = plan::<f64, _>(&Halley(&opts), 1.0, 1e-3, 50).unwrap();
         assert_eq!(one.len(), 1);
-        assert!(!one[0].is_qr() && one[0].ell_after == 1.0);
+        assert!(one[0].kind == IterationKind::CholeskyBased && one[0].ell_after == 1.0);
         assert!(plan::<f64, _>(&Halley(&opts), 1.0, 1e-3, 0).is_none());
     }
 }

@@ -28,7 +28,7 @@
 mod applications;
 mod dist;
 mod elliptic;
-mod fused;
+mod graph;
 mod mixed;
 mod options;
 mod params;
@@ -38,14 +38,13 @@ mod skeleton;
 mod solve_dag;
 mod svd_pd;
 mod zolo;
-mod zolo_fused;
 
 pub use applications::{qdwh_eig, qdwh_svd, QdwhEig, QdwhSvd};
 pub use dist::{qdwh_distributed, DistConfig, DistOutcome};
 pub use elliptic::{
     ellip_k, jacobi_sn_cn_dn, zolotarev_coefficients, zolotarev_eval, zolotarev_weights,
 };
-pub use fused::qdwh_task_graph;
+pub use graph::task_graph;
 pub use mixed::{qdwh_mixed, MixedPrecision};
 pub use options::{
     IterationDecision, IterationKind, IterationPath, IterationProgress, L0Strategy, ProgressHook,

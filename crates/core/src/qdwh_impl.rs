@@ -2,14 +2,11 @@
 //! (errors, telemetry, accuracy metrics) and QDWH as a
 //! [`Method`] of [`crate::skeleton::solve`].
 
-use crate::fused::HalleyWorkspace;
 use crate::options::{IterationKind, QdwhOptions};
-use crate::skeleton::{converged, qdwh_flops, solve, Common, HalleyStep, Method};
-use crate::solve_dag::{Hooked, Iterate, NormSink};
+use crate::skeleton::{converged, qdwh_flops, solve, Common, HalleyStep, Method, Step};
 use polar_blas::{gemm, herk_mirrored, norm};
 use polar_lapack::LapackError;
 use polar_matrix::{Matrix, Norm, Op, Uplo};
-use polar_runtime::PhaseProfile;
 use polar_scalar::{Real, Scalar};
 
 /// Errors from the QDWH driver.
@@ -257,8 +254,6 @@ pub(crate) struct Halley<'a>(pub &'a QdwhOptions);
 
 impl<S: Scalar> Method<S> for Halley<'_> {
     type Ell = S::Real;
-    type Step = HalleyStep<S::Real>;
-    type Workspace = HalleyWorkspace<S>;
     const NAME: &'static str = "qdwh";
     const FIRST_CONV: f64 = 100.0;
 
@@ -268,32 +263,19 @@ impl<S: Scalar> Method<S> for Halley<'_> {
             max_iterations: o.max_iterations,
             compute_h: o.compute_h,
             tile_nb: o.tile_nb,
+            exploit_structure: o.exploit_structure,
             progress: o.progress.as_ref(),
             l0_override: o.l0_override,
             l0_strategy: o.l0_strategy,
         }
     }
 
-    fn step_at(&self, ell: S::Real) -> Self::Step {
-        HalleyStep::at(ell, self.0.path, self.0.qr_switch_threshold)
-    }
-
-    fn outcome(step: &Self::Step) -> (IterationKind, S::Real) {
-        (step.kind, step.ell_after)
+    fn step_at(&self, ell: S::Real) -> Step<S::Real> {
+        HalleyStep::at(ell, self.0.path, self.0.qr_switch_threshold).step()
     }
 
     fn converged(conv: f64, ell: S::Real) -> bool {
         converged(S::Real::from_f64(conv), ell)
-    }
-
-    fn run_graph(
-        &self,
-        x: &mut Iterate<S>,
-        ws: &mut HalleyWorkspace<S>,
-        plan: &[Self::Step],
-        hooked: &Hooked<'_>,
-    ) -> Result<(NormSink, Vec<PhaseProfile>), QdwhError> {
-        crate::fused::run_graph(x, ws, plan, self.0.exploit_structure, hooked)
     }
 
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {

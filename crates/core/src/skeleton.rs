@@ -1,28 +1,28 @@
 //! The solve skeleton: Algorithm 1 as *estimate → plan → step → finish*,
 //! each stage written once. [`scaled_start`] / [`estimate_l0`] scale the
-//! input and bound `sigma_min`; [`HalleyStep::at`] plans one dynamically
-//! weighted Halley step from the scalar bound alone and [`plan`] a whole
-//! sequence; [`solve`] is the one driver (degenerate inputs, the planned
-//! sequence as one task graph, the per-iteration records the graph's
-//! executor measured); [`finish`] forms `H`, [`qdwh_flops`] /
-//! [`zolo_flops`] cost the solve and [`QdwhInfo::started`] /
-//! [`QdwhInfo::push`] keep its telemetry.
+//! input and bound `sigma_min`; a [`Step`] is one rational step of the
+//! family, planned from the scalar bound alone ([`HalleyStep::at`] plans
+//! QDWH's one-term step), and [`plan`] a whole sequence; [`solve`] is the one
+//! driver (degenerate inputs, the planned sequence as one task graph, the
+//! per-iteration records the graph's executor measured); [`finish`] forms
+//! `H`, [`qdwh_flops`] / [`zolo_flops`] cost the solve and
+//! [`QdwhInfo::started`] / [`QdwhInfo::push`] keep its telemetry.
 //!
 //! [`crate::qdwh`] and [`crate::zolo_pd`] are [`solve`] under two
 //! [`Method`]s; `qdwh_mixed`, `svd_based_polar`, `polar-batch` and
 //! `polar-svc`'s cost model call the same pieces.
 
+use crate::graph::{run_graph, Workspace};
 use crate::options::{
     graph_tile_nb, poll_progress, IterationKind, IterationPath, L0Strategy, ProgressHook,
 };
 use crate::params::{halley_parameters, update_ell};
 use crate::qdwh_impl::{IterationRecord, PolarDecomposition, QdwhError, QdwhInfo};
-use crate::solve_dag::{Hooked, Iterate, NormSink};
+use crate::solve_dag::{Hooked, Iterate};
 use polar_blas::flops::type_factor;
 use polar_blas::{gemm, norm, scale_real, symmetrize};
 use polar_lapack::{gecondest, geqrf_tiled, getrf, norm2est, tr_sigma_min_est, trcondest};
 use polar_matrix::{MatRef, Matrix, Norm, Op};
-use polar_runtime::PhaseProfile;
 use polar_scalar::{Real, Scalar};
 
 /// Lower bound `l_0` on the smallest singular value of the scaled input
@@ -86,6 +86,48 @@ pub(crate) fn scaled_start<S: Scalar>(
     Some((alpha, x, l0))
 }
 
+/// One partial-fraction term `weight * X (alpha X^H X + shift I)^{-1}` of a
+/// rational step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Term<R> {
+    pub alpha: R,
+    pub shift: R,
+    pub weight: R,
+}
+
+impl<R: Real> Term<R> {
+    /// How a step of `kind` forms the term — the one place the two families'
+    /// coefficients are derived. QR-based: `(s, d, coef)` with `coef Q1 Q2^H`
+    /// of `[s X; d I] = [Q1; Q2] R`, `s = sqrt(alpha)`, `d = sqrt(shift)`.
+    /// Cholesky-based: `(alpha, shift, coef)` with `coef X Z^{-1}`, `Z =
+    /// alpha X^H X + shift I`.
+    pub(crate) fn applied(&self, kind: IterationKind) -> (R, R, R) {
+        match kind {
+            IterationKind::QrBased => (
+                self.alpha.sqrt(),
+                self.shift.sqrt(),
+                self.weight / (self.alpha * self.shift).sqrt(),
+            ),
+            IterationKind::CholeskyBased => (self.alpha, self.shift, self.weight),
+        }
+    }
+}
+
+/// One step of the family, planned from the scalar bound alone:
+/// `X <- x_coef X + sum_j weight_j X (alpha_j X^H X + shift_j I)^{-1}`. QDWH's
+/// dynamically weighted Halley step has one term ([`HalleyStep::step`]),
+/// Zolo-PD's Zolotarev step of degree `r` has `r`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Step<R> {
+    /// How every term's inverse is applied: stacked QRs (Eq. (1)) or
+    /// Cholesky factors of the shifted Gram matrices (Eq. (2)).
+    pub kind: IterationKind,
+    /// The bound on `sigma_min` after the step.
+    pub ell_after: R,
+    pub x_coef: R,
+    pub terms: Vec<Term<R>>,
+}
+
 /// One dynamically weighted Halley step as planned from the bound `l`
 /// entering it (Algorithm 1 lines 23-29): the weights, the factorization
 /// family the switch selects, the coefficients of the update that family
@@ -112,22 +154,30 @@ impl<R: Real> HalleyStep<R> {
     /// [`IterationPath::Auto`] (the paper's switch is 100).
     pub fn at(ell: R, path: IterationPath, switch: f64) -> Self {
         let p = halley_parameters(ell);
-        let qr = match path {
-            IterationPath::Auto => p.c.to_f64() > switch,
-            IterationPath::ForceQr => true,
-            IterationPath::ForceCholesky => false,
+        let kind = match path {
+            IterationPath::Auto if p.c.to_f64() > switch => IterationKind::QrBased,
+            IterationPath::Auto => IterationKind::CholeskyBased,
+            IterationPath::ForceQr => IterationKind::QrBased,
+            IterationPath::ForceCholesky => IterationKind::CholeskyBased,
         };
         let beta = p.b / p.c;
-        let (kind, theta) = if qr {
-            (IterationKind::QrBased, (p.a - beta) / p.c.sqrt())
-        } else {
-            (IterationKind::CholeskyBased, p.a - beta)
-        };
+        let theta = Self::term(p.a, beta, p.c).applied(kind).2;
         Self { a: p.a, b: p.b, c: p.c, kind, theta, beta, ell_after: update_ell(ell, p) }
     }
 
     pub fn is_qr(&self) -> bool {
         self.kind == IterationKind::QrBased
+    }
+
+    /// `(a - b/c) X (c X^H X + I)^{-1}`.
+    fn term(a: R, beta: R, c: R) -> Term<R> {
+        Term { alpha: c, shift: R::ONE, weight: a - beta }
+    }
+
+    /// The same step as the one-term member of the family, `x_coef = b/c`.
+    pub(crate) fn step(&self) -> Step<R> {
+        let terms = vec![Self::term(self.a, self.beta, self.c)];
+        Step { kind: self.kind, ell_after: self.ell_after, x_coef: self.beta, terms }
     }
 }
 
@@ -150,14 +200,14 @@ pub(crate) fn plan<S: Scalar, M: Method<S>>(
     mut ell: M::Ell,
     conv: f64,
     budget: usize,
-) -> Option<Vec<M::Step>> {
+) -> Option<Vec<Step<M::Ell>>> {
     let mut plan = Vec::new();
     while !M::converged(if plan.is_empty() { conv } else { 0.0 }, ell) {
         if plan.len() >= budget {
             return None;
         }
         let step = method.step_at(ell);
-        ell = M::outcome(&step).1;
+        ell = step.ell_after;
         plan.push(step);
     }
     Some(plan)
@@ -293,6 +343,8 @@ pub(crate) struct Common<'a> {
     pub max_iterations: usize,
     pub compute_h: bool,
     pub tile_nb: Option<usize>,
+    /// Prune every stacked QR to the fill window of `[B; I]`.
+    pub exploit_structure: bool,
     pub progress: Option<&'a ProgressHook>,
     pub l0_override: Option<f64>,
     pub l0_strategy: L0Strategy,
@@ -302,8 +354,6 @@ pub(crate) struct Common<'a> {
 pub(crate) trait Method<S: Scalar> {
     /// The type the bound's recurrence runs in.
     type Ell: Real;
-    /// One planned iteration.
-    type Step;
     /// Span name of the solve.
     const NAME: &'static str;
     /// What the progress hook is told of `||X_k - X_{k-1}||_F` before any
@@ -313,28 +363,10 @@ pub(crate) trait Method<S: Scalar> {
     fn common(&self) -> Common<'_>;
 
     /// The iteration that starts from the bound `ell`.
-    fn step_at(&self, ell: Self::Ell) -> Self::Step;
-
-    /// A step's kind and the bound after it.
-    fn outcome(step: &Self::Step) -> (IterationKind, Self::Ell);
+    fn step_at(&self, ell: Self::Ell) -> Step<Self::Ell>;
 
     /// The stop test, on the last `||X_k - X_{k-1}||_F` and the bound.
     fn converged(conv: f64, ell: Self::Ell) -> bool;
-
-    /// What one graph of a solve allocates and the next one (a continuation
-    /// step) finds in place.
-    type Workspace: Default;
-
-    /// Run `plan` on `x` as one task graph, a phase per step: the iterate
-    /// advanced in place, the sink holding each iteration's convergence
-    /// norm and what the executor measured of each phase.
-    fn run_graph(
-        &self,
-        x: &mut Iterate<S>,
-        ws: &mut Self::Workspace,
-        plan: &[Self::Step],
-        hooked: &Hooked<'_>,
-    ) -> Result<(NormSink, Vec<PhaseProfile>), QdwhError>;
 
     /// Modeled real flops of a finished solve of `n` columns.
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64;
@@ -371,7 +403,7 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
     // outlive the graph that made them
     let mut x = Iterate::from_dense(&x0, nb);
     drop(x0);
-    let mut ws = M::Workspace::default();
+    let mut ws = Workspace::default();
     let mut info = QdwhInfo::started(alpha, l0);
     let mut ell = M::Ell::from_f64(l0.to_f64());
     let mut conv = M::FIRST_CONV;
@@ -388,25 +420,24 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
         let first_iteration = info.iterations + 1;
         // a job cancelled while it queued allocates nothing
         poll_progress(c.progress, first_iteration, conv, ell.to_f64())?;
-        let outcomes: Vec<_> = steps.iter().map(M::outcome).collect();
-        let ells: Vec<f64> =
-            std::iter::once(ell).chain(outcomes.iter().map(|o| o.1)).map(|e| e.to_f64()).collect();
+        let bounds = std::iter::once(ell).chain(steps.iter().map(|s| s.ell_after));
+        let ells: Vec<f64> = bounds.map(|e| e.to_f64()).collect();
         let hooked = Hooked { hook: c.progress, first_iteration, first_conv: conv, ells: &ells };
-        let (sink, phases) = method.run_graph(&mut x, &mut ws, &steps, &hooked)?;
-        for (k, (&(kind, ell_after), phase)) in outcomes.iter().zip(&phases).enumerate() {
+        let (sink, phases) = run_graph(&mut x, &mut ws, &steps, c.exploit_structure, &hooked)?;
+        for (k, (step, phase)) in steps.iter().zip(&phases).enumerate() {
             let convergence: S::Real = sink.norm(k);
             if !convergence.to_f64().is_finite() {
                 return Err(QdwhError::NonFinite { iteration: first_iteration + k });
             }
             info.push(IterationRecord {
                 iteration: first_iteration + k,
-                kind,
-                ell: S::Real::from_f64(ell_after.to_f64()),
+                kind: step.kind,
+                ell: S::Real::from_f64(step.ell_after.to_f64()),
                 convergence,
                 seconds: phase.seconds(),
                 kernels: phase.kernels,
             });
-            (ell, conv) = (ell_after, convergence.to_f64());
+            (ell, conv) = (step.ell_after, convergence.to_f64());
         }
     }
 
@@ -457,6 +488,38 @@ mod tests {
         );
         assert!(HalleyStep::at(0.5f64, IterationPath::ForceQr, 100.0).is_qr());
         assert!(!HalleyStep::at(1e-8f64, IterationPath::ForceCholesky, 100.0).is_qr());
+    }
+
+    /// A step is a scalar map on the singular values: it sends `[ell, 1]`
+    /// into `[ell_after, 1]`, whichever family applies its terms.
+    #[test]
+    fn a_step_maps_the_interval_onto_the_bound_after_it() {
+        let paths = [IterationPath::Auto, IterationPath::ForceQr, IterationPath::ForceCholesky];
+        for ell in [1e-16, 1e-8, 1e-3, 0.5, 0.9] {
+            let halley = paths.map(|path| HalleyStep::at(ell, path, 100.0).step());
+            let zolotarev = [1usize, 2, 4, 8].map(|r| Step::zolotarev(ell, r));
+            for step in halley.iter().chain(&zolotarev) {
+                let case = format!("ell = {ell:e}, {} terms, {:?}", step.terms.len(), step.kind);
+                let (lo, hi) = (step.ell_after * (1.0 - 1e-9), 1.0 + 1e-9);
+                for i in 0..=2000 {
+                    // log-spaced from ell to 1, both ends included
+                    let x = ell.powf(1.0 - i as f64 / 2000.0);
+                    let inv = |t: &Term<f64>| x / (t.alpha * x * x + t.shift);
+                    let y =
+                        step.x_coef * x + step.terms.iter().map(|t| t.weight * inv(t)).sum::<f64>();
+                    assert!((lo..=hi).contains(&y), "{case}: f({x:e}) = {y:e}, bound {lo:e}");
+                    // the QR-based form of a term, `coef Q1 Q2^H` of `[s X; d
+                    // I]`, is `coef s d x / (s^2 x^2 + d^2)`: the same function
+                    for t in &step.terms {
+                        let (s, d, coef) = t.applied(IterationKind::QrBased);
+                        let qr = coef * s * d * x / (s * s * x * x + d * d);
+                        let (alpha, shift, coef) = t.applied(IterationKind::CholeskyBased);
+                        let chol = coef * x / (alpha * x * x + shift);
+                        assert!((qr - chol).abs() <= 1e-14 * chol.abs(), "{case}: {qr:e} {chol:e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

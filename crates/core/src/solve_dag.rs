@@ -1,20 +1,16 @@
-//! What the whole-solve task graphs ([`crate::fused`], [`crate::zolo_fused`])
-//! have in common, written once:
+//! What the whole-solve task graph ([`crate::graph`]) builds a step from:
 //!
 //! * the **stacked-QR term** ([`emit_term`]): `[s X; 0; d I]` assembly, the
 //!   identity on a tile boundary → tile QR → explicit `Q` → `alpha Q1 Q2^H`
-//!   product tiles. QDWH's QR-based iteration is one term with the Halley
-//!   update fused into the product tiles; a Zolo-PD iteration is `r` terms
-//!   with other weights. The factorization tasks themselves come from
+//!   product tiles. The factorization tasks themselves come from
 //!   `polar-lapack`'s emitters — this crate names no tile kernel;
-//! * the **Cholesky term** ([`emit_chol_term`], behind [`emit_gram`]): tile
-//!   Cholesky of a shifted Gram matrix `Z` → one `trtri_lower` per diagonal
-//!   tile → the two sweeps that leave `X Z^{-1}` in an output slab. QDWH's
-//!   Cholesky-based iteration is one term over `Z = I + c X^H X` with the
-//!   Halley update behind it; a Cholesky-based Zolo-PD iteration is `r`
-//!   terms over `Z_j = X^H X + c_{2j-1} I`, the Gram matrix formed once;
+//! * the **Cholesky term** ([`emit_chol_term`], over a `Z` formed by
+//!   [`emit_gram`] or [`emit_shifted`]): tile Cholesky → one `trtri_lower` per
+//!   diagonal tile → the two sweeps that leave `X Z^{-1}` in an output slab;
+//! * the **combine** ([`Combine`]) one term of a step carries — in its
+//!   product tiles, or in [`emit_combine`]'s update tasks behind its sweeps;
 //! * the **convergence sink** ([`NormSink`]): per-tile `|X_k - X_{k-1}|_F^2`
-//!   partials published by the update tasks and one fixed-order reduction
+//!   partials published by the carrying tasks and one fixed-order reduction
 //!   task per iteration that nothing downstream waits on;
 //! * running the graph under the caller's progress hook
 //!   ([`execute_hooked`]).
@@ -27,7 +23,7 @@
 
 use crate::options::{poll_progress, ProgressHook};
 use crate::qdwh_impl::QdwhError;
-use polar_blas::{gemm, herk, trmm};
+use polar_blas::{gemm, herk, scale_real, trmm};
 use polar_lapack::{
     emit_geqrf, emit_orgqr, emit_potrf, tile_nb3, trtri_lower, LapackError, QrPtr, TilePtr, TiledQr,
 };
@@ -231,7 +227,7 @@ pub(crate) struct TermPtr<'a, S: Scalar> {
     q: TilePtr<'a, S>,
 }
 
-impl<S: Scalar> TermPtr<'_, S> {
+impl<'a, S: Scalar> TermPtr<'a, S> {
     /// Arguments as for [`TermWorkspace::new`].
     pub(crate) fn shape(
         dag: &mut TaskDag<'_>,
@@ -250,42 +246,66 @@ impl<S: Scalar> TermPtr<'_, S> {
     pub(crate) fn bind<'b>(self, ws: &'b mut TermWorkspace<S>) -> TermPtr<'b, S> {
         TermPtr { w: self.w.bind(&mut ws.w), q: self.q.bind(&mut ws.q) }
     }
-}
 
-impl<'a, S: Scalar> TermPtr<'a, S> {
-    /// The same workspace as a Cholesky term's ([`CholPtr`]): `Z` where `Q2`
-    /// goes, the inverted diagonal tiles in the first tile column of `Q1`'s
-    /// rows.
+    /// The same workspace as a Cholesky term's: `Z` where `Q2` goes, the
+    /// inverted diagonal tiles in the first tile row of `Q1`.
     pub(crate) fn chol(self) -> CholPtr<'a, S> {
-        let t = self.q.tiling();
-        CholPtr { z: self.q.below(t.mt() - t.nt()), linv: self.q }
+        CholPtr::within(self.q)
     }
 }
 
 /// Workspace of one Cholesky term: `z`, `n x n`, whose lower tiles hold `Z`
-/// and then its factor `L`; and `linv`, whose tiles `(tj, 0)`, `tj < nt`,
-/// hold the inverses of `L`'s diagonal tiles in their leading corners.
+/// and then its factor `L`; and `linv`, whose tiles `(0, tj)` hold the
+/// inverses of `L`'s diagonal tiles in their leading corners.
 #[derive(Clone, Copy)]
 pub(crate) struct CholPtr<'a, S> {
     pub z: TilePtr<'a, S>,
-    pub linv: TilePtr<'a, S>,
+    linv: TilePtr<'a, S>,
 }
 
-/// QDWH's fusion of the Halley update into a term's product tiles: they
-/// start from `beta X` instead of zero, and each publishes its convergence
-/// partial `|out - X|_F^2` for iteration `iter`.
-#[derive(Clone, Copy)]
-pub(crate) struct HalleyUpdate<'a, R> {
-    pub beta: R,
+impl<'a, S: Scalar> CholPtr<'a, S> {
+    /// In a host of `nt` tile columns and more than `nt` tile rows: `Z` in
+    /// its last `nt` tile rows, the inverted diagonal tiles in its first.
+    pub(crate) fn within(host: TilePtr<'a, S>) -> Self {
+        let t = host.tiling();
+        Self { z: host.below(t.mt() - t.nt()), linv: host }
+    }
+}
+
+/// What the one term of a step that carries its combine adds to its output
+/// tiles: `x_coef X + sum_j coef_j Y_j`, the `Y_j` the private slabs the
+/// step's other terms left their `X Z_j^{-1}` multiples in, summed in fixed
+/// term order; and each tile publishes its convergence partial `|out -
+/// X|_F^2` for iteration `iter`. A one-term step has no slab: QDWH's Halley
+/// update, fused.
+pub(crate) struct Combine<'a, S: Scalar> {
+    pub x_coef: S,
+    pub ys: Vec<TilePtr<'a, S>>,
+    pub coefs: Vec<S>,
     pub sink: &'a NormSink,
     pub iter: usize,
+}
+
+/// `x_coef X + sum_j coef_j Y_j` at entry `at`.
+fn combined<S: Scalar>(
+    x_coef: S,
+    x: &Matrix<S>,
+    coefs: &[S],
+    ys: &[&Matrix<S>],
+    at: (usize, usize),
+) -> S {
+    let mut sum = x_coef * x[at];
+    for (&coef, y) in coefs.iter().zip(ys) {
+        sum += coef * y[at];
+    }
+    sum
 }
 
 /// Add one stacked-QR term to `dag`:
 ///
 /// ```text
 /// [Q1; 0; Q2] R = [s X; 0; d I]    (tile QR on the pruned row window)
-/// out = alpha Q1 Q2^H              (+ beta X, with `halley`)
+/// out = alpha Q1 Q2^H              (+ the combine, for the term that carries it)
 /// ```
 ///
 /// `x` and `out` are tiled alike (`m x n`); `ws` was sized for them.
@@ -296,7 +316,7 @@ pub(crate) fn emit_term<'a, S: Scalar>(
     (s, d): (S::Real, S::Real),
     alpha: S,
     out: TilePtr<'a, S>,
-    halley: Option<HalleyUpdate<'a, S::Real>>,
+    combine: Option<&Combine<'a, S>>,
 ) {
     let TermPtr { w: f, q } = ws;
     let w = f.a;
@@ -341,20 +361,23 @@ pub(crate) fn emit_term<'a, S: Scalar>(
     dag.barrier();
     for tj in 0..nt {
         for ti in 0..mtx {
-            // with `halley`, X (ti, tj) joins the reads and the partial the
-            // writes; then row ti of Q1 against row tj of Q2
-            let fused = halley.map(|h| (x.read(ti, tj), h.sink.partial(h.iter, ti, tj)));
+            // with the combine, X (ti, tj) and the slabs' join the reads and
+            // the partial the writes; then row ti of Q1 against row tj of Q2
+            let carried = combine.map(|c| {
+                let ys: Vec<_> = c.ys.iter().map(|y| y.read(ti, tj)).collect();
+                (x.read(ti, tj), ys, c.sink.partial(c.iter, ti, tj))
+            });
+            let (x_coef, coefs) =
+                combine.map_or((S::ZERO, Vec::new()), |c| (c.x_coef, c.coefs.clone()));
             let rows: Vec<_> = (0..nt).map(|kc| (q.read(ti, kc), q.read(mtx + tj, kc))).collect();
-            let flops = 2.0 * nb3 * nt as f64;
-            let access = (out.write(ti, tj), fused, rows);
-            dag.add_on(KernelKind::Gemm, 0, flops, access, move |(o, fused, rows)| {
-                let fused = halley.zip(fused);
-                match fused {
-                    Some((h, (xi, _))) => {
-                        let b = S::from_real(h.beta);
+            let flops = 2.0 * nb3 * nt as f64 + nbf * nbf * coefs.len() as f64;
+            let access = (out.write(ti, tj), carried, rows);
+            dag.add_on(KernelKind::Gemm, 0, flops, access, move |(o, carried, rows)| {
+                match &carried {
+                    Some((xi, ys, _)) => {
                         for c in 0..o.ncols() {
                             for r in 0..o.nrows() {
-                                o[(r, c)] = b * xi[(r, c)];
+                                o[(r, c)] = combined(x_coef, xi, &coefs, ys, (r, c));
                             }
                         }
                     }
@@ -371,7 +394,7 @@ pub(crate) fn emit_term<'a, S: Scalar>(
                         o.as_mut(),
                     );
                 }
-                if let Some((_, (xi, partial))) = fused {
+                if let Some((xi, _, partial)) = carried {
                     let mut acc = S::Real::ZERO;
                     for c in 0..o.ncols() {
                         for r in 0..o.nrows() {
@@ -486,7 +509,7 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
             KernelKind::Trsm,
             3,
             nb3 / 3.0,
-            (z.read(tj, tj), linv.write(tj, 0)),
+            (z.read(tj, tj), linv.write(0, tj)),
             move |(l, t)| {
                 let r = l.nrows();
                 match trtri_lower(l.as_ref(), t.view_mut(0, 0, r, r)) {
@@ -528,7 +551,7 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
                     KernelKind::Trsm,
                     2,
                     (2.0 * solved.len() as f64 + 1.0) * nb3,
-                    (out.write(ti, tj), forward.then(|| x.read(ti, tj)), pairs, linv.read(tj, 0)),
+                    (out.write(ti, tj), forward.then(|| x.read(ti, tj)), pairs, linv.read(0, tj)),
                     move |(vt, xt, pairs, inv)| {
                         if let Some(xt) = xt {
                             vt.copy_from(xt);
@@ -557,6 +580,68 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
                     },
                 );
             }
+        }
+    }
+}
+
+/// Add `Z = alpha G + shift I` to `dag`, lower tiles only, from the Gram
+/// matrix `G` the terms of a step share: one task per tile.
+pub(crate) fn emit_shifted<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    gram: TilePtr<'a, S>,
+    z: TilePtr<'a, S>,
+    alpha: S::Real,
+    shift: S::Real,
+) {
+    let (nt, nbf) = (gram.tiling().nt(), gram.tiling().nb() as f64);
+    dag.barrier();
+    for zj in 0..nt {
+        for zi in zj..nt {
+            let access = (z.write(zi, zj), gram.read(zi, zj));
+            dag.add_on(KernelKind::Geadd, 3, nbf * nbf, access, move |(zt, gt)| {
+                zt.copy_from(gt);
+                scale_real(alpha, zt.as_mut());
+                if zi == zj {
+                    for d in 0..zt.ncols() {
+                        zt[(d, d)] += S::from_real(shift);
+                    }
+                }
+            });
+        }
+    }
+}
+
+/// Add the update of a Cholesky-based step to `dag`: `out = weight out +`
+/// the combine, per tile — `out` holding the carrying term's `X Z^{-1}`,
+/// which its sweeps ran in place there.
+pub(crate) fn emit_combine<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    x: TilePtr<'a, S>,
+    out: TilePtr<'a, S>,
+    weight: S,
+    combine: &Combine<'a, S>,
+) {
+    let xt = x.tiling();
+    let nbf = xt.nb() as f64;
+    dag.barrier();
+    for tj in 0..xt.nt() {
+        for ti in 0..xt.mt() {
+            let ys: Vec<_> = combine.ys.iter().map(|y| y.read(ti, tj)).collect();
+            let flops = nbf * nbf * (ys.len() + 1) as f64;
+            let partial = combine.sink.partial(combine.iter, ti, tj);
+            let access = (x.read(ti, tj), ys, out.write(ti, tj), partial);
+            let (x_coef, coefs) = (combine.x_coef, combine.coefs.clone());
+            dag.add_on(KernelKind::Geadd, 0, flops, access, move |(xi, ys, xo, partial)| {
+                let mut acc = S::Real::ZERO;
+                for c in 0..xi.ncols() {
+                    for r in 0..xi.nrows() {
+                        let next = combined(x_coef, xi, &coefs, &ys, (r, c)) + weight * xo[(r, c)];
+                        xo[(r, c)] = next;
+                        acc += (next - xi[(r, c)]).abs_sq();
+                    }
+                }
+                partial.publish(acc);
+            });
         }
     }
 }
@@ -705,7 +790,7 @@ mod tests {
             _ => 0.0,
         });
         let mut z = TiledMatrix::from_dense(&z, nb, nb, grid());
-        let mut linv = TiledMatrix::<f64>::zeros(Tiling::new(n, nb, nb, nb), grid());
+        let mut linv = TiledMatrix::<f64>::zeros(Tiling::new(nb, n, nb, nb), grid());
         let mut x = TiledMatrix::from_dense(&Matrix::<f64>::identity(m, n), nb, nb, grid());
         let mut out = TiledMatrix::<f64>::zeros(x.tiling(), grid());
         let failure = OnceLock::new();

@@ -167,7 +167,7 @@ fn a_hook_cancelling_at_iteration_2_stops_the_graph_there() {
     assert_eq!(qdwh(&a, &opts).err(), Some(QdwhError::Cancelled { iteration: 1 }));
     let report = scope.finish();
     assert!(task_phases(&report).is_empty());
-    assert!(report.spans.iter().all(|s| s.name != "qdwh_fused"), "no graph, no allocation");
+    assert!(report.spans.iter().all(|s| s.name != "solve_graph"), "no graph, no allocation");
     assert_eq!(seen.lock().unwrap().len(), 1);
 }
 
@@ -179,11 +179,11 @@ fn a_hooked_solve_runs_the_fused_graph() {
     let scope = polar_obs::scope();
     qdwh(&a, &QdwhOptions { progress: Some(hook), ..tiled() }).expect("hooked solve");
     let spans = scope.finish().spans;
-    assert!(spans.iter().any(|s| s.name == "qdwh_fused" && s.dims[..2] == [83, 47]));
+    assert!(spans.iter().any(|s| s.name == "solve_graph" && s.dims[..2] == [83, 47]));
 
     let (hook, _) = recording_hook(usize::MAX);
     let scope = polar_obs::scope();
     zolo_pd(&a, &ZoloOptions { progress: Some(hook), ..tiled_zolo(4) }).expect("hooked zolo");
     let spans = scope.finish().spans;
-    assert!(spans.iter().any(|s| s.name == "zolo_fused" && s.dims[..2] == [83, 47]));
+    assert!(spans.iter().any(|s| s.name == "solve_graph" && s.dims[..2] == [83, 47]));
 }

@@ -7,7 +7,7 @@
 //! kernel's rate: `(X T^H) T` with `T = L^{-1}` on the batch path
 //! (`polar-batch`'s engine: two batch-major GEMMs), `trmm` with
 //! `T_jj = L_jj^{-1}` per diagonal tile in the fused whole-solve graph
-//! (`polar-qdwh`'s `fused.rs`: the sweeps' coupling gemms stay, only the
+//! (`polar-qdwh`'s `solve_dag.rs`: the sweeps' coupling gemms stay, only the
 //! diagonal solve becomes a multiply).
 //!
 //! Why that is safe in exactly those two places: `Z = I + c X^H X` with

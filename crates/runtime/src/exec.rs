@@ -332,11 +332,6 @@ impl<'a> TaskDag<'a> {
         self.builder.next_phase();
     }
 
-    /// Phase subsequently-added tasks will carry.
-    pub fn current_phase(&self) -> u32 {
-        self.builder.current_phase()
-    }
-
     /// Mark a fork-join barrier ([`GraphBuilder::barrier`]); execution
     /// ignores it.
     pub fn barrier(&mut self) {

@@ -283,10 +283,6 @@ impl GraphBuilder {
         self.barrier += 1;
     }
 
-    pub fn current_phase(&self) -> u32 {
-        self.phase
-    }
-
     /// Append a task; dependencies on earlier tasks are inferred.
     pub fn add_task(
         &mut self,

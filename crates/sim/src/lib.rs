@@ -10,7 +10,7 @@
 //! * [`machine`] — node models with the published §7.1 specifications,
 //!   an `ExecutionModel` for the `polar-runtime` schedulers: the
 //!   discrete-event simulation runs on the whole-solve task graph the
-//!   solver itself emits (`polar_qdwh::qdwh_task_graph`), placed on a
+//!   solver itself emits (`polar_qdwh::task_graph`), placed on a
 //!   process grid by `TaskGraph::assign_ranks` — this crate builds no
 //!   graph of its own;
 //! * [`analytic`] — a closed-form roofline + critical-path model usable at

@@ -45,7 +45,7 @@ pub fn estimate_flops(kind: JobKind, m: usize, n: usize, zolo_r: usize) -> f64 {
         JobKind::QdwhSvd => base + rect + 12.0 * n3,
         JobKind::SvdPolar => 30.0 * n3 + rect,
         JobKind::Zolo => {
-            // 64: no degree needs a tenth of that (an invalid `r = 0` plans
+            // 64: no degree needs a tenth of that (an `r` outside 1..=8 plans
             // nothing, and the job is refused when it runs)
             let worst = ZoloOptions { r: zolo_r, max_iterations: 64, ..Default::default() };
             let kinds = worst.planned_kinds(f64::EPSILON).unwrap_or_default();

@@ -277,12 +277,15 @@ fn permanent_failures_do_not_retry() {
         PolarService::start(ServiceConfig { workers: 1, max_retries: 5, ..Default::default() });
     let mut a = Matrix::<f64>::identity(8, 8);
     a[(2, 3)] = f64::NAN;
-    let r = svc.try_submit(JobSpec::qdwh(a)).unwrap().wait();
-    match r.output {
-        Err(JobError::Failed { attempts, .. }) => {
-            assert_eq!(attempts, 1, "NonFinite is permanent: no retry")
+    // a degree outside 1..=8 would size `r` workspaces: refused as a shape
+    let out_of_range = JobSpec::zolo(Matrix::identity(8, 8)).with_zolo_r(9);
+    for (spec, why) in [(JobSpec::qdwh(a), "NonFinite"), (out_of_range, "Shape")] {
+        match svc.try_submit(spec).unwrap().wait().output {
+            Err(JobError::Failed { attempts, .. }) => {
+                assert_eq!(attempts, 1, "{why} is permanent: no retry")
+            }
+            other => panic!("expected {why} failure, got {other:?}"),
         }
-        other => panic!("expected failure, got {other:?}"),
     }
     assert_eq!(svc.metrics().retries, 0);
     svc.shutdown();

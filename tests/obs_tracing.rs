@@ -69,7 +69,7 @@ fn trace_round_trips_and_spans_nest_per_lane() {
     for expected in [
         "qdwh",
         "geqrf_tiled",
-        "qdwh_fused",
+        "solve_graph",
         "task_geqrt",
         "task_tsqrt",
         "task_tsmqr",
