@@ -145,6 +145,21 @@ stage_lint() {
         crates/*/src src tests examples || true)
     test -z "$strays" || fail "the tiled/flat switch is back: $strays"
 
+    step "one queue, one job epilogue: no channel shim, no second finish"
+    # the service's queue is crates/svc/src/queue.rs and a job's result a
+    # std sync_channel; the channel shim had one user
+    strays=$(grep -rli crossbeam --include='Cargo.toml' --include='*.rs' \
+        Cargo.toml crates src tests examples || true)
+    test -z "$strays" || fail "crossbeam is named again: $strays"
+    # a job that ran ends in worker.rs' finish_job; the only other send is
+    # the queued-cancel return of a job that never ran. A second copy of
+    # the epilogue comes back as a third send
+    local sends
+    sends=$(grep -c 'result_tx\.send' crates/svc/src/worker.rs)
+    test "$sends" -eq 2 || fail "worker.rs sends on result_tx in $sends places, not 2"
+    strays=$(grep -rn 'falling back to scalar' crates || true)
+    test -z "$strays" || fail "a fused group re-runs as scalar jobs again: $strays"
+
     step "unsafe: the word appears in code only in the files on the list"
     # raw-pointer code lives in a few audited files (DESIGN section 10);
     # everything else that could hold it is #![forbid(unsafe_code)] or

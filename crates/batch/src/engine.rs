@@ -27,11 +27,11 @@
 //! not depend on the pool width, on how the wave was cut, or on which
 //! other entries share it.
 //!
-//! Entries converge independently: a converged entry drops out of later
-//! rounds while the rest keep iterating. Any per-entry failure (breakdown,
-//! non-finite data, iteration-cap exhaustion) aborts the whole batch with
-//! [`BatchError::Entry`] — the serving tier falls back to per-job scalar
-//! solves, which keeps failure semantics identical to the unbatched path.
+//! Entries end independently, and only at a round boundary: one that
+//! converged, failed (non-finite data, an indefinite `Z`, the iteration
+//! cap) or was cancelled by its own [`BatchEntry::progress`] hook drops out
+//! of later rounds while the rest keep iterating, and
+//! [`qdwh_batched_each`] answers for every entry on its own.
 
 use crate::cache::{cond_class, CondestCache, CondestKey, UNHINTED_CLASS};
 use polar_blas::params::fork_lanes;
@@ -39,16 +39,16 @@ use polar_blas::{gemm_batched_packed, norm, symmetrize};
 use polar_lapack::{geqrf, geqrf_stacked, norm2est, orgqr, potrf_in, trtri_lower};
 use polar_matrix::{BatchedDense, Matrix, Norm, Op, Uplo};
 use polar_qdwh::{
-    converged, estimate_l0, qdwh_flops, HalleyStep, IterationRecord, QdwhError, QdwhInfo,
-    QdwhOptions,
+    converged, estimate_l0, qdwh_flops, HalleyStep, IterationDecision, IterationProgress,
+    IterationRecord, ProgressHook, QdwhError, QdwhInfo, QdwhOptions,
 };
 use polar_scalar::{Real, Scalar};
 use std::sync::Arc;
 
-/// One matrix of a batch: the input `A` and, after a successful
-/// [`qdwh_batched`] call, the polar factors `U` (and `H` when
-/// `compute_h`). Factors are empty `0 x 0` matrices until then.
-#[derive(Debug, Clone)]
+/// One matrix of a batch: the input `A` and, once the engine has solved
+/// it, the polar factors `U` (and `H` when `compute_h`). Factors are empty
+/// `0 x 0` matrices until then, and stay so for an entry that failed.
+#[derive(Clone)]
 pub struct BatchEntry<S: Scalar> {
     /// Input, preserved (the engine reads it for the scaling prologue and
     /// the final `H = U^H A`).
@@ -62,11 +62,18 @@ pub struct BatchEntry<S: Scalar> {
     /// [`CondestCache`] sharing; entries without a hint always estimate
     /// their own `l_0`.
     pub cond_hint: Option<f64>,
+    /// This entry's progress hook, polled at the top of every round the
+    /// entry is still active in with the round's number, the previous
+    /// round's convergence norm and the bound `l_k` entering it; a
+    /// [`IterationDecision::Cancel`] ends this entry, and no other, with
+    /// [`QdwhError::Cancelled`].
+    pub progress: Option<ProgressHook>,
 }
 
 impl<S: Scalar> BatchEntry<S> {
     pub fn new(a: Matrix<S>) -> Self {
-        Self { a, u: Matrix::zeros(0, 0), h: Matrix::zeros(0, 0), cond_hint: None }
+        let empty = || Matrix::zeros(0, 0);
+        Self { a, u: empty(), h: empty(), cond_hint: None, progress: None }
     }
 
     pub fn with_cond_hint(a: Matrix<S>, cond: f64) -> Self {
@@ -83,8 +90,8 @@ pub struct BatchOptions {
     /// [`polar_qdwh::estimate_l0`] on the flat `geqrf`). `tile_nb` is not
     /// read — batch entries are small by design, so factorizations run on
     /// the flat kernels and parallelism comes from the batch dimension.
-    /// The `progress` hook is not consulted
-    /// (cancellation is the serving tier's job, at batch granularity).
+    /// Nor is `progress`: a hook belongs to one solve, so each entry
+    /// carries its own ([`BatchEntry::progress`]).
     pub qdwh: QdwhOptions,
     /// Estimate the scaling `alpha` as `sqrt(||A||_1 ||A||_inf)` (one pass
     /// over the data, an upper bound on `||A||_2`) instead of the scalar
@@ -118,7 +125,8 @@ impl BatchOptions {
     }
 }
 
-/// Errors from [`qdwh_batched`].
+/// What [`qdwh_batched_each`] refuses a whole wave for, and (`Entry`)
+/// what [`qdwh_batched`] folds the per-entry results into.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchError {
     /// Entries do not all share one `(m, n)` shape. The engine requires
@@ -127,8 +135,8 @@ pub enum BatchError {
     MixedShapes { index: usize, expected: (usize, usize), got: (usize, usize) },
     /// Every entry is `m < n`; transpose inputs as for the scalar driver.
     Shape(&'static str),
-    /// Entry `index` failed; the whole batch is abandoned (callers fall
-    /// back to per-entry scalar solves).
+    /// Entry `index` is the first that failed ([`qdwh_batched`] only; the
+    /// others were solved all the same).
     Entry { index: usize, source: QdwhError },
 }
 
@@ -147,6 +155,17 @@ impl std::fmt::Display for BatchError {
 }
 
 impl std::error::Error for BatchError {}
+
+/// What [`polar_qdwh::qdwh`] would have told the caller of one entry.
+impl From<BatchError> for QdwhError {
+    fn from(e: BatchError) -> Self {
+        match e {
+            BatchError::MixedShapes { .. } => QdwhError::Shape("mixed shapes in batch"),
+            BatchError::Shape(msg) => QdwhError::Shape(msg),
+            BatchError::Entry { source, .. } => source,
+        }
+    }
+}
 
 /// QR→Cholesky switch value for entries that declared a
 /// [`BatchEntry::with_cond_hint`] conditioning class (unhinted entries
@@ -238,10 +257,12 @@ fn ensure_slab<S: Scalar>(bd: &mut BatchedDense<S>, rows: usize, cols: usize, co
 /// reallocating ~10 MB of zeroed slabs per call costs more in page
 /// faults than whole rounds of kernel work at serving sizes. Each
 /// thread keeps its last call's slabs and reuses them. Every slab entry
-/// that is read is fully written first (Gram, GEMM-with-beta-0, full
+/// a solve reads it has fully written first (Gram, GEMM-with-beta-0, full
 /// gathers, `trtri`'s full-triangle writes), so reuse never leaks values
-/// between calls; error paths drop the slabs instead of recaching them,
-/// and oversized ones are never cached.
+/// between calls (the batch-spanning sweeps do read a failed entry's slots
+/// as they were left; nothing reads the result); a chunk in which an entry
+/// failed drops the slabs instead of recaching them, and oversized ones are
+/// never cached.
 const SLAB_CACHE_MAX_BYTES: usize = 32 << 20;
 
 thread_local! {
@@ -272,11 +293,24 @@ fn slab_cache_put<S: Scalar>(slabs: Slabs<S>) {
 struct EntryState<R: Real> {
     ell: R,
     conv: R,
-    done: bool,
+    /// `None` while the entry iterates, then how it ended: converged (or
+    /// the zero matrix), or the error that took it out of the wave.
+    outcome: Option<Result<(), QdwhError>>,
     info: QdwhInfo<R>,
     /// Freshly estimated `l_0`, `None` when the entry used an override or
-    /// a cached bound, or is the zero matrix.
+    /// a cached bound, is the zero matrix or never got that far.
     fresh_l0: Option<R>,
+}
+
+impl<R: Real> EntryState<R> {
+    fn ended(outcome: Result<(), QdwhError>, alpha: R) -> Self {
+        let info = QdwhInfo::started(alpha, R::ZERO);
+        Self { ell: R::ONE, conv: R::ZERO, outcome: Some(outcome), info, fresh_l0: None }
+    }
+
+    fn solved(&self) -> bool {
+        self.outcome == Some(Ok(()))
+    }
 }
 
 /// One round's step for the active entry `k`.
@@ -285,13 +319,24 @@ struct Plan<R> {
     step: HalleyStep<R>,
 }
 
-/// A failed entry: its index (within the chunk until [`solve_lanes`]
-/// rebases it to the whole batch) and what went wrong.
-type EntryFailure = (usize, QdwhError);
+/// How one entry of a wave ended: its iteration record, or the error that
+/// took it, and it alone, out.
+pub type EntryResult<R> = Result<QdwhInfo<R>, QdwhError>;
+
+/// [`qdwh_batched_each`] for callers that want all or nothing: every
+/// entry's [`QdwhInfo`] in order, or the failure with the lowest index
+/// (entries that did not fail hold their factors either way).
+pub fn qdwh_batched<S: Scalar>(
+    entries: &mut [BatchEntry<S>],
+    opts: &BatchOptions,
+) -> Result<Vec<QdwhInfo<S::Real>>, BatchError> {
+    let each = qdwh_batched_each(entries, opts)?.into_iter().enumerate();
+    each.map(|(index, r)| r.map_err(|source| BatchError::Entry { index, source })).collect()
+}
 
 /// QDWH polar decomposition of a same-shape batch: `A_k = U_k H_k` for
-/// every entry, results stored back into the entries, one
-/// [`QdwhInfo`] per entry returned in order.
+/// every entry, results stored back into the entries, one [`EntryResult`]
+/// per entry returned in order (a failed entry's factors stay empty).
 ///
 /// See the module docs for the execution model. Per entry the iteration
 /// follows [`polar_qdwh::qdwh`] with the same [`QdwhOptions`] — same
@@ -299,10 +344,10 @@ type EntryFailure = (usize, QdwhError);
 /// apply `Z^{-1}` through an explicit inverse, so not bit for bit) — and
 /// its bits depend on nothing but the entry, the options and the `l_0`
 /// the [`CondestCache`] held when the call started.
-pub fn qdwh_batched<S: Scalar>(
+pub fn qdwh_batched_each<S: Scalar>(
     entries: &mut [BatchEntry<S>],
     opts: &BatchOptions,
-) -> Result<Vec<QdwhInfo<S::Real>>, BatchError> {
+) -> Result<Vec<EntryResult<S::Real>>, BatchError> {
     let batch = entries.len();
     if batch == 0 {
         return Ok(Vec::new());
@@ -324,15 +369,8 @@ pub fn qdwh_batched<S: Scalar>(
             e.u = Matrix::zeros(m, 0);
             e.h = Matrix::zeros(0, 0);
         }
-        return Ok((0..batch).map(|_| QdwhInfo::started(S::Real::ZERO, S::Real::ZERO)).collect());
-    }
-    for (k, e) in entries.iter().enumerate() {
-        if e.a.has_non_finite() {
-            return Err(BatchError::Entry {
-                index: k,
-                source: QdwhError::NonFinite { iteration: 0 },
-            });
-        }
+        let started = || Ok(QdwhInfo::started(S::Real::ZERO, S::Real::ZERO));
+        return Ok((0..batch).map(|_| started()).collect());
     }
 
     // ---- resolve per-entry l0 sources against the cache, batch-start ----
@@ -363,60 +401,56 @@ pub fn qdwh_batched<S: Scalar>(
     // worth a second lane; every round runs at least three of them
     let sweep = batch.saturating_mul(m).saturating_mul(n).saturating_mul(n);
     let lanes = fork_lanes(sweep).min(batch);
-    let solved = solve_lanes(entries, &preset_l0, 0, lanes, opts)
-        .map_err(|(index, source)| BatchError::Entry { index, source })?;
+    let states = solve_lanes(entries, &preset_l0, lanes, opts);
 
     if let Some(cache) = &opts.condest_cache {
-        for (key, s) in fold_keys.iter().zip(&solved) {
+        // only a solve that went through vouches for its estimate
+        for (key, s) in fold_keys.iter().zip(&states).filter(|(_, s)| s.solved()) {
             if let (Some(key), Some(l0)) = (key, s.fresh_l0) {
                 cache.fold_min(*key, l0.to_f64());
             }
         }
     }
-    Ok(solved.into_iter().map(|s| s.info).collect())
+    Ok(states.into_iter().map(|s| s.outcome.expect("every entry ended").map(|()| s.info)).collect())
 }
 
-/// Cut `entries` (which start at index `base` of the batch) into `lanes`
-/// contiguous chunks of near-equal length and solve them concurrently;
-/// results come back in entry order, and of several failures the one with
-/// the lowest index is reported.
+/// Cut `entries` into `lanes` contiguous chunks of near-equal length and
+/// solve them concurrently; the states come back in entry order.
 fn solve_lanes<S: Scalar>(
     entries: &mut [BatchEntry<S>],
     preset_l0: &[Option<S::Real>],
-    base: usize,
     lanes: usize,
     opts: &BatchOptions,
-) -> Result<Vec<EntryState<S::Real>>, EntryFailure> {
+) -> Vec<EntryState<S::Real>> {
     if lanes <= 1 {
         // the chunk is one lane's work: its kernels must not fork
-        return rayon::serial_region(|| solve_chunk(entries, preset_l0, opts))
-            .map_err(|(k, source)| (base + k, source));
+        return rayon::serial_region(|| solve_chunk(entries, preset_l0, opts));
     }
     let left = lanes / 2;
     let cut = entries.len() * left / lanes;
     let (e_lo, e_hi) = entries.split_at_mut(cut);
     let (p_lo, p_hi) = preset_l0.split_at(cut);
-    let (lo, hi) = rayon::join(
-        || solve_lanes(e_lo, p_lo, base, left, opts),
-        || solve_lanes(e_hi, p_hi, base + cut, lanes - left, opts),
+    let (mut states, hi) = rayon::join(
+        || solve_lanes(e_lo, p_lo, left, opts),
+        || solve_lanes(e_hi, p_hi, lanes - left, opts),
     );
-    let mut solved = lo?;
-    solved.extend(hi?);
-    Ok(solved)
+    states.extend(hi);
+    states
 }
 
-/// Solve one chunk on the calling thread's cached slabs. A failure
-/// carries the entry's index within the chunk.
+/// Solve one chunk on the calling thread's cached slabs.
 fn solve_chunk<S: Scalar>(
     entries: &mut [BatchEntry<S>],
     preset_l0: &[Option<S::Real>],
     opts: &BatchOptions,
-) -> Result<Vec<EntryState<S::Real>>, EntryFailure> {
+) -> Vec<EntryState<S::Real>> {
     let mut slabs = slab_cache_take::<S>();
+    let states = run_chunk(entries, preset_l0, opts, &mut slabs);
     // a failed entry may have left non-finite values behind: drop the slabs
-    let solved = run_chunk(entries, preset_l0, opts, &mut slabs)?;
-    slab_cache_put(slabs);
-    Ok(solved)
+    if states.iter().all(EntryState::solved) {
+        slab_cache_put(slabs);
+    }
+    states
 }
 
 /// `X_k := theta Y + beta X_k`, fused with the `||X_k - X_{k-1}||_F`
@@ -439,7 +473,7 @@ fn run_chunk<S: Scalar>(
     preset_l0: &[Option<S::Real>],
     opts: &BatchOptions,
     slabs: &mut Slabs<S>,
-) -> Result<Vec<EntryState<S::Real>>, EntryFailure> {
+) -> Vec<EntryState<S::Real>> {
     let count = entries.len();
     let m = entries[0].a.nrows();
     let n = entries[0].a.ncols();
@@ -448,6 +482,11 @@ fn run_chunk<S: Scalar>(
     ensure_slab(&mut slabs.x, m, n, count);
     let mut states: Vec<EntryState<S::Real>> = Vec::with_capacity(count);
     for (k, e) in entries.iter().enumerate() {
+        if e.a.has_non_finite() {
+            let source = QdwhError::NonFinite { iteration: 0 };
+            states.push(EntryState::ended(Err(source), S::Real::ZERO));
+            continue;
+        }
         slabs.a.set_entry(k, &e.a);
         let alpha = if opts.fast_scale {
             let n1: S::Real = norm(Norm::One, e.a.as_ref());
@@ -461,13 +500,7 @@ fn run_chunk<S: Scalar>(
             // The slab may hold a previous call's iterate and the H
             // epilogue reads every entry of X.
             slabs.x.entry_slice_mut(k).fill(S::ZERO);
-            states.push(EntryState {
-                ell: S::Real::ONE,
-                conv: S::Real::ZERO,
-                done: true,
-                info: QdwhInfo::started(alpha, S::Real::ZERO),
-                fresh_l0: None,
-            });
+            states.push(EntryState::ended(Ok(()), alpha));
             continue;
         }
         // X_k := A_k / alpha
@@ -487,7 +520,7 @@ fn run_chunk<S: Scalar>(
         states.push(EntryState {
             ell: l0,
             conv: S::Real::from_f64(100.0),
-            done: false,
+            outcome: None,
             info: QdwhInfo::started(alpha, l0),
             fresh_l0,
         });
@@ -498,11 +531,23 @@ fn run_chunk<S: Scalar>(
         .min(HINTED_QR_SWITCH)
         .max(opts.qdwh.qr_switch_threshold);
     let mut round = 0usize;
-    while states.iter().any(|s| !s.done) {
+    // An entry ends in this loop and nowhere else: at the top of a round
+    // (cap, its own hook), where its factorization breaks down, or in the
+    // round's bookkeeping (non-finite iterate, convergence).
+    while states.iter().any(|s| s.outcome.is_none()) {
         round += 1;
-        for (k, s) in states.iter().enumerate() {
-            if !s.done && s.info.iterations >= opts.qdwh.max_iterations {
-                return Err((k, QdwhError::NoConvergence { iterations: s.info.iterations }));
+        for (s, e) in states.iter_mut().zip(entries.iter()).filter(|(s, _)| s.outcome.is_none()) {
+            let iterations = s.info.iterations;
+            if iterations >= opts.qdwh.max_iterations {
+                s.outcome = Some(Err(QdwhError::NoConvergence { iterations }));
+            } else if let Some(hook) = &e.progress {
+                let iteration = iterations + 1;
+                let (convergence, ell) = (s.conv.to_f64(), s.ell.to_f64());
+                if hook(&IterationProgress { iteration, convergence, ell })
+                    == IterationDecision::Cancel
+                {
+                    s.outcome = Some(Err(QdwhError::Cancelled { iteration }));
+                }
             }
         }
 
@@ -510,7 +555,7 @@ fn run_chunk<S: Scalar>(
         let plans: Vec<Plan<S::Real>> = states
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.done)
+            .filter(|(_, s)| s.outcome.is_none())
             .map(|(k, s)| {
                 // hinted entries opted into the extended Cholesky window
                 // (see [`HINTED_QR_SWITCH`]); the stability bound depends
@@ -524,6 +569,9 @@ fn run_chunk<S: Scalar>(
                 Plan { k, step: HalleyStep::at(s.ell, opts.qdwh.path, switch) }
             })
             .collect();
+        if plans.is_empty() {
+            break;
+        }
         let round_start = std::time::Instant::now();
         let _iter_span = polar_obs::span!("qdwh_batched_iter", round, plans.len());
 
@@ -561,9 +609,13 @@ fn run_chunk<S: Scalar>(
                 }
                 // an explicit inverse where a solve would be:
                 // kappa(Z) <= 1 + c, see polar_lapack's tri.rs
-                potrf_in(Uplo::Lower, slabs.g.mat_mut(i))
+                if let Err(e) = potrf_in(Uplo::Lower, slabs.g.mat_mut(i))
                     .and_then(|()| trtri_lower(slabs.g.mat(i), slabs.t.mat_mut(i)))
-                    .map_err(|e| (p.k, QdwhError::Lapack(e)))?;
+                {
+                    // the sweeps below still span the entry's slot; the
+                    // update skips it
+                    states[p.k].outcome = Some(Err(QdwhError::Lapack(e)));
+                }
             }
             // two batched sweeps: Y = (X T^H) T = X L^{-H} L^{-1}
             let t = slabs.t.as_batched_ref().prefix(cnt);
@@ -586,6 +638,9 @@ fn run_chunk<S: Scalar>(
                 slabs.yc.as_batched_mut().prefix(cnt),
             );
             for (i, p) in chol.iter().enumerate() {
+                if states[p.k].outcome.is_some() {
+                    continue;
+                }
                 states[p.k].conv = halley_update(
                     slabs.x.entry_slice_mut(p.k),
                     slabs.yc.entry_slice(i),
@@ -653,8 +708,13 @@ fn run_chunk<S: Scalar>(
         for plan in &plans {
             let k = plan.k;
             let s = &mut states[k];
+            if s.outcome.is_some() {
+                continue;
+            }
             if slabs.x.entry_slice(k).iter().any(|v| !v.is_finite()) {
-                return Err((k, QdwhError::NonFinite { iteration: s.info.iterations + 1 }));
+                let source = QdwhError::NonFinite { iteration: s.info.iterations + 1 };
+                s.outcome = Some(Err(source));
+                continue;
             }
             s.ell = plan.step.ell_after;
             // seconds is the round's wall time (shared by every active
@@ -669,7 +729,7 @@ fn run_chunk<S: Scalar>(
                 seconds: secs,
                 kernels: Default::default(),
             });
-            s.done = converged(s.conv, s.ell);
+            s.outcome = converged(s.conv, s.ell).then_some(Ok(()));
         }
     }
 
@@ -692,7 +752,8 @@ fn run_chunk<S: Scalar>(
             slabs.h.as_batched_mut().prefix(count),
         );
     }
-    for (k, e) in entries.iter_mut().enumerate() {
+    // the sweep spans every slot; only a solved entry's is unpacked
+    for (k, e) in entries.iter_mut().enumerate().filter(|(k, _)| states[*k].solved()) {
         e.h = if opts.qdwh.compute_h {
             let mut h = slabs.h.to_matrix(k);
             symmetrize(h.as_mut());
@@ -707,7 +768,7 @@ fn run_chunk<S: Scalar>(
             slabs.x.to_matrix(k)
         };
     }
-    Ok(states)
+    states
 }
 
 #[cfg(test)]
@@ -816,6 +877,37 @@ mod tests {
             let source = QdwhError::NoConvergence { iterations: 4 };
             assert_eq!(err, BatchError::Entry { index: failing[0], source }, "{failing:?}");
         }
+    }
+
+    #[test]
+    fn a_chunk_with_a_failed_entry_drops_its_slabs() {
+        let wave = |poison: bool| -> Vec<BatchEntry<f64>> {
+            let specs: Vec<MatrixSpec> =
+                (0..3).map(|k| MatrixSpec::ill_conditioned(16, 60 + k)).collect();
+            let mut entries = entries_from_specs::<f64>(&specs);
+            if poison {
+                entries[1].a[(4, 4)] = f64::NAN;
+            }
+            entries
+        };
+        let opts = BatchOptions::default();
+        // on this thread, so that the cache read below is the one the chunk used
+        rayon::serial_region(|| {
+            qdwh_batched(&mut wave(false), &opts).unwrap();
+            let cached = slab_cache_take::<f64>();
+            assert!(cached.bytes() > 0, "a solved chunk caches its slabs");
+            slab_cache_put(cached);
+
+            let mut bad = wave(true);
+            let each = qdwh_batched_each(&mut bad, &opts).unwrap();
+            assert_eq!(each[1].as_ref().err(), Some(&QdwhError::NonFinite { iteration: 0 }));
+            // the survivors are unpacked before the slabs go
+            for k in [0, 2] {
+                assert!(each[k].is_ok());
+                assert!(orthogonality_error(&bad[k].u) < 1e-12);
+            }
+            assert_eq!(slab_cache_take::<f64>().bytes(), 0, "dropped, not recached");
+        });
     }
 
     #[test]

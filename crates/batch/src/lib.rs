@@ -25,6 +25,11 @@
 //!   costs at most extra iterations, never accuracy (the dynamically
 //!   weighted map converges for any `l_0 ∈ (0, 1]`).
 //!
+//! A wave answers per entry ([`qdwh_batched_each`]): a failure, or a
+//! cancel through the entry's own progress hook, ends that entry at a round
+//! boundary and leaves the bits of every other entry what they would have
+//! been without it; [`qdwh_batched`] folds the answers into all-or-first-error.
+//!
 //! Per entry the iteration follows the scalar [`polar_qdwh::qdwh`] driver
 //! (same parameter sequence, factors equal to rounding), and an entry's
 //! bits depend on neither the pool width nor the rest of the wave; the
@@ -37,4 +42,6 @@ mod cache;
 mod engine;
 
 pub use cache::{cond_class, CondestCache, CondestKey, UNHINTED_CLASS};
-pub use engine::{qdwh_batched, BatchEntry, BatchError, BatchOptions};
+pub use engine::{
+    qdwh_batched, qdwh_batched_each, BatchEntry, BatchError, BatchOptions, EntryResult,
+};

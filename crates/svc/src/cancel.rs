@@ -3,9 +3,9 @@
 //! A solver cannot be stopped from outside mid-kernel (the state is a
 //! half-applied factorization), so cancellation is cooperative: the worker
 //! installs a progress hook that consults the token wherever the solver
-//! polls it — between Halley iterations on the small-n loop, before every
-//! tile-task release inside a whole-solve graph — and the run is abandoned
-//! there.
+//! polls it — before every tile-task release of a solve's graph, at the
+//! top of every round of a batched wave (each member under its own hook) —
+//! and the run is abandoned there.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -14,8 +14,7 @@
 
 use crate::job::{JobKind, JobSpec};
 use crate::metrics::MetricsRegistry;
-use crate::queue::AdmittedJob;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crate::queue::{AdmittedJob, Bounded, PopError, Producer};
 use polar_batch::BatchOptions;
 use polar_qdwh::{qdwh_flops, zolo_flops, IterationKind, ZoloOptions};
 use std::collections::{BinaryHeap, HashMap};
@@ -55,20 +54,15 @@ pub fn estimate_flops(kind: JobKind, m: usize, n: usize, zolo_r: usize) -> f64 {
     }
 }
 
-/// A job ready to execute.
-pub(crate) struct RunnableJob {
-    pub job: AdmittedJob,
-}
-
 /// What a worker receives: one large job, a coalesced batch of small
 /// ones (each solved independently), or a shape-homogeneous fused group
 /// for the whole-batch engine.
 pub(crate) enum WorkItem {
-    Single(Box<RunnableJob>),
-    Batch(Vec<RunnableJob>),
+    Single(Box<AdmittedJob>),
+    Batch(Vec<AdmittedJob>),
     /// Same-shape [`crate::job::JobKind::Batched`] jobs, solved as one
     /// `polar_batch::qdwh_batched` call.
-    Fused(Vec<RunnableJob>),
+    Fused(Vec<AdmittedJob>),
 }
 
 struct Queued {
@@ -110,17 +104,18 @@ pub(crate) struct DispatcherConfig {
     pub batch_gather_window: Option<Duration>,
 }
 
-/// Dispatcher thread body: runs until the admission channel disconnects
-/// and the heap drains, then closes the work channel (stopping workers).
+/// Dispatcher thread body: runs until the admission queue is closed and
+/// the heap drains, then closes the work queue by dropping its producer
+/// (stopping workers).
 pub(crate) fn run_dispatcher(
-    admission: Receiver<AdmittedJob>,
-    work: Sender<WorkItem>,
+    admission: Arc<Bounded<AdmittedJob>>,
+    work: Producer<WorkItem>,
     cfg: DispatcherConfig,
     metrics: Arc<MetricsRegistry>,
 ) {
     let mut heap: BinaryHeap<Queued> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut disconnected = false;
+    let mut closed = false;
     // per-shape deadline for the bounded batch-gathering window: set when
     // an under-full Batched group is first held, cleared when it ships
     let mut gather: HashMap<(usize, usize), Instant> = HashMap::new();
@@ -135,28 +130,23 @@ pub(crate) fn run_dispatcher(
 
     loop {
         // pump admissions: block briefly when idle, drain greedily after
-        if !disconnected {
-            if heap.is_empty() {
-                match admission.recv_timeout(Duration::from_millis(5)) {
-                    Ok(job) => push(&mut heap, &mut seq, job),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => disconnected = true,
-                }
-            }
+        if !closed {
+            let mut wait = if heap.is_empty() { Duration::from_millis(5) } else { Duration::ZERO };
             loop {
-                match admission.try_recv() {
+                match admission.pop(Some(wait)) {
                     Ok(job) => push(&mut heap, &mut seq, job),
-                    Err(crossbeam::channel::TryRecvError::Empty) => break,
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                        disconnected = true;
+                    Err(PopError::Timeout) => break,
+                    Err(PopError::Closed) => {
+                        closed = true;
                         break;
                     }
                 }
+                wait = Duration::ZERO;
             }
         }
 
         if heap.is_empty() {
-            if disconnected {
+            if closed {
                 break; // nothing queued, nothing can arrive: stop workers
             }
             continue;
@@ -174,19 +164,19 @@ pub(crate) fn run_dispatcher(
                 // late arrivals instead of shipping a fragment
                 let queued =
                     1 + heap.iter().filter(|q| fuses_with(&top.job.spec, &q.job.spec)).count();
-                if queued < batch_max && !disconnected {
+                if queued < batch_max && !closed {
                     let now = Instant::now();
                     let deadline = *gather.entry(key).or_insert(now + window);
                     if now < deadline {
                         heap.push(top);
-                        // sleep on the admission channel so the hold
+                        // sleep on the admission queue so the hold
                         // doesn't busy-spin; new arrivals re-enter the
                         // loop immediately
                         let wait = (deadline - now).min(Duration::from_millis(1));
-                        match admission.recv_timeout(wait) {
+                        match admission.pop(Some(wait)) {
                             Ok(job) => push(&mut heap, &mut seq, job),
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => disconnected = true,
+                            Err(PopError::Timeout) => {}
+                            Err(PopError::Closed) => closed = true,
                         }
                         continue;
                     }
@@ -203,12 +193,12 @@ pub(crate) fn run_dispatcher(
             metrics.queue_depth.fetch_sub(batch.len() as i64, std::sync::atomic::Ordering::Relaxed);
             WorkItem::Fused(batch)
         } else if top.cost <= cfg.small_job_flops && cfg.batch_max > 1 {
-            let mut batch = vec![RunnableJob { job: top.job }];
+            let mut batch = vec![top.job];
             while batch.len() < cfg.batch_max {
                 match heap.peek() {
                     Some(next) if next.cost <= cfg.small_job_flops => {
                         let q = heap.pop().unwrap();
-                        batch.push(RunnableJob { job: q.job });
+                        batch.push(q.job);
                     }
                     _ => break,
                 }
@@ -220,12 +210,11 @@ pub(crate) fn run_dispatcher(
             WorkItem::Batch(batch)
         } else {
             metrics.queue_depth.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            WorkItem::Single(Box::new(RunnableJob { job: top.job }))
+            WorkItem::Single(Box::new(top.job))
         };
 
-        if work.send(item).is_err() {
-            break; // workers gone: shutting down
-        }
+        // waits for a free worker: the hand-off holds one item
+        let _ = work.push(item, None);
     }
 }
 
@@ -247,13 +236,13 @@ fn fuses_with(a: &JobSpec, b: &JobSpec) -> bool {
 /// `batch_max`. Coalescing deliberately ignores priority inside a group —
 /// riding an already-dispatched fused batch is strictly cheaper than
 /// waiting for a later slot. Everything else is pushed back untouched.
-fn collect_fused(heap: &mut BinaryHeap<Queued>, top: Queued, batch_max: usize) -> Vec<RunnableJob> {
-    let mut batch = vec![RunnableJob { job: top.job }];
+fn collect_fused(heap: &mut BinaryHeap<Queued>, top: Queued, batch_max: usize) -> Vec<AdmittedJob> {
+    let mut batch = vec![top.job];
     let mut rest = Vec::new();
     while batch.len() < batch_max {
         match heap.pop() {
-            Some(q) if fuses_with(&batch[0].job.spec, &q.job.spec) => {
-                batch.push(RunnableJob { job: q.job });
+            Some(q) if fuses_with(&batch[0].spec, &q.job.spec) => {
+                batch.push(q.job);
             }
             Some(q) => rest.push(q),
             None => break,
@@ -318,7 +307,7 @@ mod tests {
         use std::time::Instant;
 
         let mk = |seq: u64, priority: u8, cost: f64| {
-            let (result_tx, _rx) = crossbeam::channel::bounded(1);
+            let (result_tx, _rx) = std::sync::mpsc::sync_channel(1);
             Queued {
                 seq,
                 priority,

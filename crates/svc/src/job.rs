@@ -29,12 +29,9 @@ pub enum JobKind {
     /// into a group and the worker solves the whole group as one
     /// `qdwh_batched` call — one dispatch slot, the group cut into one
     /// contiguous chunk per pool lane, each chunk solved start to finish
-    /// in batch-major rounds. Falls back to per-job scalar QDWH if the
-    /// engine rejects the group.
-    ///
-    /// Caveat: batched execution has no between-iteration hook, so
-    /// cancellation and deadlines are only honored before the batch
-    /// starts (or on the scalar fallback path).
+    /// in batch-major rounds. A member is told what a scalar job is told:
+    /// its own failure, cancellation or deadline ends it at the next round
+    /// and leaves the rest of its wave untouched.
     Batched,
     /// Zolotarev polar decomposition (`zolo_pd`): trades `r` times the
     /// flops of QDWH for fewer iterations, with the r shifted stacked-QR
@@ -56,8 +53,8 @@ pub struct JobSpec {
     /// Per-job wall-clock budget measured from run start; `None` falls
     /// back to the service default. Enforced where the solver polls its
     /// progress hook: at every task release of the solve's graph, so within
-    /// one tile task at any size (see [`JobKind::Batched`] for the
-    /// exception).
+    /// one tile task at any size; at every round of a [`JobKind::Batched`]
+    /// wave.
     pub timeout: Option<Duration>,
     /// Solver options (the service overwrites the `progress` hook).
     pub opts: QdwhOptions,
@@ -189,7 +186,7 @@ pub struct JobResult {
 pub struct JobHandle {
     pub(crate) id: JobId,
     pub(crate) cancel: CancelToken,
-    pub(crate) result: crossbeam::channel::Receiver<JobResult>,
+    pub(crate) result: std::sync::mpsc::Receiver<JobResult>,
 }
 
 impl JobHandle {

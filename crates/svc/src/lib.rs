@@ -19,11 +19,11 @@
 //!   internally with `rayon`.
 //! * **Execution** ([`worker`]): per-job timeout and cooperative
 //!   cancellation, both enforced through the
-//!   [`polar_qdwh::QdwhOptions::progress`] hook — between iterations on
-//!   the solvers' small-n loop, at every tile-task release inside their
-//!   whole-solve graphs; transient failures
-//!   (classified by [`polar_qdwh::QdwhError::class`]) retry with
-//!   exponential backoff, permanent ones reject immediately.
+//!   [`polar_qdwh::QdwhOptions::progress`] hook — at every tile-task
+//!   release of a solve's graph, at every round of a batched wave, member
+//!   by member; transient failures (classified by
+//!   [`polar_qdwh::QdwhError::class`]) retry with exponential backoff,
+//!   permanent ones reject immediately.
 //! * **Telemetry** ([`metrics`], [`trace`]): counters, gauges and
 //!   log-scale latency histograms with JSON/CSV export, plus per-job
 //!   spans exported through the runtime's Chrome-trace writer so job

@@ -4,7 +4,7 @@ use crate::dispatch::{run_dispatcher, DispatcherConfig, WorkItem};
 use crate::fault::FaultPlan;
 use crate::job::{JobHandle, JobSpec};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::queue::{AdmissionQueue, SubmitError};
+use crate::queue::{AdmissionQueue, Bounded, SubmitError};
 use crate::trace::SpanLog;
 use crate::worker::{run_worker, ExecContext};
 use polar_batch::CondestCache;
@@ -86,9 +86,9 @@ impl PolarService {
         let (queue, admission_rx) =
             AdmissionQueue::new(cfg.queue_capacity, accepting.clone(), metrics.clone());
 
-        // work channel is shallow so priority decisions stay in the heap
-        // until a worker is actually free
-        let (work_tx, work_rx) = crossbeam::channel::bounded::<WorkItem>(1);
+        // the work hand-off is shallow so priority decisions stay in the
+        // heap until a worker is actually free
+        let (work_tx, work_rx) = Bounded::<WorkItem>::new(1);
 
         let dispatcher = {
             let metrics = metrics.clone();
@@ -146,7 +146,7 @@ impl PolarService {
     /// Non-blocking submission; [`SubmitError::QueueFull`] under
     /// backpressure.
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
-        self.queue()?.try_submit(spec)
+        self.queue()?.submit(spec, Duration::ZERO)
     }
 
     /// Blocking submission: waits up to `deadline` for queue space.
@@ -180,7 +180,7 @@ impl PolarService {
         let mut handles = Vec::with_capacity(specs.len());
         for mut spec in specs {
             spec.kind = crate::job::JobKind::Batched;
-            match queue.try_submit(spec) {
+            match queue.submit(spec, Duration::ZERO) {
                 Ok(h) => handles.push(h),
                 Err(e) => {
                     for h in &handles {
@@ -239,7 +239,7 @@ impl PolarService {
     pub fn shutdown(mut self) {
         self.drain();
         // closing admission lets the dispatcher exit, which closes the
-        // work channel, which stops the workers
+        // work queue, which stops the workers
         drop(self.queue.take());
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();

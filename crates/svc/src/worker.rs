@@ -1,19 +1,19 @@
 //! Worker pool: executes dispatched jobs with timeout, cancellation,
 //! fault injection, and retry-with-backoff.
 //!
-//! Workers share one MPMC work channel; each loops `recv -> execute`
-//! until the dispatcher closes the channel. A [`WorkItem::Batch`] is fan
-//! out inside the worker with `rayon::join` (recursive halving), so a
-//! batch of small jobs fills the worker's cores without occupying more
-//! than one dispatch slot.
+//! Workers share one MPMC work queue; each loops `pop -> execute` until
+//! the dispatcher closes it. A [`WorkItem::Batch`] is fanned out inside
+//! the worker with `rayon::join` (recursive halving), so a batch of small
+//! jobs fills the worker's cores without occupying more than one dispatch
+//! slot. Whatever ran a job, [`finish_job`] is how it ends.
 
-use crate::dispatch::{RunnableJob, WorkItem};
+use crate::dispatch::WorkItem;
 use crate::fault::FaultPlan;
 use crate::job::{JobError, JobOutput, JobResult, JobSpec};
 use crate::metrics::MetricsRegistry;
+use crate::queue::{AdmittedJob, Bounded};
 use crate::trace::SpanLog;
-use crossbeam::channel::Receiver;
-use polar_batch::{qdwh_batched, BatchEntry, BatchOptions, CondestCache};
+use polar_batch::{qdwh_batched_each, BatchEntry, BatchOptions, CondestCache};
 use polar_lapack::FailureClass;
 use polar_qdwh::{
     qdwh, qdwh_svd, svd_based_polar, zolo_pd, IterationDecision, PolarDecomposition, ProgressHook,
@@ -38,10 +38,10 @@ pub(crate) struct ExecContext {
 }
 
 /// Worker thread body.
-pub(crate) fn run_worker(worker_id: usize, work: Receiver<WorkItem>, ctx: Arc<ExecContext>) {
-    while let Ok(item) = work.recv() {
+pub(crate) fn run_worker(worker_id: usize, work: Arc<Bounded<WorkItem>>, ctx: Arc<ExecContext>) {
+    while let Ok(item) = work.pop(None) {
         match item {
-            WorkItem::Single(rj) => execute_job(*rj, worker_id, 0, &ctx),
+            WorkItem::Single(job) => execute_job(*job, worker_id, 0, &ctx),
             WorkItem::Batch(batch) => run_batch(batch, worker_id, &ctx),
             WorkItem::Fused(batch) => run_fused(batch, worker_id, &ctx),
         }
@@ -51,17 +51,17 @@ pub(crate) fn run_worker(worker_id: usize, work: Receiver<WorkItem>, ctx: Arc<Ex
 /// Recursive halving over the batch with `rayon::join`: lanes run
 /// concurrently when threads are available, degrading gracefully to
 /// sequential execution under load.
-fn run_batch(batch: Vec<RunnableJob>, worker_id: usize, ctx: &Arc<ExecContext>) {
-    let indexed: Vec<(usize, RunnableJob)> = batch.into_iter().enumerate().collect();
+fn run_batch(batch: Vec<AdmittedJob>, worker_id: usize, ctx: &Arc<ExecContext>) {
+    let indexed: Vec<(usize, AdmittedJob)> = batch.into_iter().enumerate().collect();
     run_batch_rec(indexed, worker_id, ctx);
 }
 
-fn run_batch_rec(mut jobs: Vec<(usize, RunnableJob)>, worker_id: usize, ctx: &Arc<ExecContext>) {
+fn run_batch_rec(mut jobs: Vec<(usize, AdmittedJob)>, worker_id: usize, ctx: &Arc<ExecContext>) {
     match jobs.len() {
         0 => {}
         1 => {
-            let (lane, rj) = jobs.pop().unwrap();
-            execute_job(rj, worker_id, lane, ctx);
+            let (lane, job) = jobs.pop().unwrap();
+            execute_job(job, worker_id, lane, ctx);
         }
         n => {
             let rest = jobs.split_off(n / 2);
@@ -71,99 +71,95 @@ fn run_batch_rec(mut jobs: Vec<(usize, RunnableJob)>, worker_id: usize, ctx: &Ar
     }
 }
 
-/// Execute a shape-homogeneous group of [`crate::job::JobKind::Batched`]
-/// jobs as one `qdwh_batched` call. Jobs that are already cancelled or
-/// flagged by the fault injector take the scalar path (which owns those
-/// semantics); if the fused engine rejects the group, every member falls
-/// back to scalar execution, so per-job retry/timeout behavior is
-/// preserved on failure.
-fn run_fused(batch: Vec<RunnableJob>, worker_id: usize, ctx: &Arc<ExecContext>) {
-    let mut fused: Vec<RunnableJob> = Vec::new();
-    for rj in batch {
-        if rj.job.cancel.is_cancelled() || ctx.fault.should_fail(rj.job.id.0, 1) {
-            execute_job(rj, worker_id, 0, ctx);
+/// The budget a job runs under: its own, else the service default.
+fn budget(job: &AdmittedJob, ctx: &ExecContext) -> Option<Duration> {
+    job.spec.timeout.or(ctx.default_timeout)
+}
+
+/// When the budget of a job started at `start` runs out.
+fn deadline(job: &AdmittedJob, start: Instant, ctx: &ExecContext) -> Option<Instant> {
+    budget(job, ctx).map(|b| start + b)
+}
+
+/// The hook a job's solver polls: its cancel token, then its deadline.
+fn job_hook(job: &AdmittedJob, deadline: Option<Instant>) -> ProgressHook {
+    let cancel = job.cancel.clone();
+    Arc::new(move |_progress| {
+        if cancel.is_cancelled() || deadline.is_some_and(|d| Instant::now() >= d) {
+            IterationDecision::Cancel
         } else {
-            fused.push(rj);
+            IterationDecision::Continue
+        }
+    })
+}
+
+/// What [`job_hook`] firing meant: the token beats the deadline for
+/// attribution.
+fn hook_fired(job: &AdmittedJob, ctx: &ExecContext) -> JobError {
+    if job.cancel.is_cancelled() {
+        JobError::Cancelled
+    } else {
+        JobError::TimedOut { budget: budget(job, ctx).unwrap_or_default() }
+    }
+}
+
+/// Execute a shape-homogeneous group of [`crate::job::JobKind::Batched`]
+/// jobs as one engine call: the wave is every member's first attempt, each
+/// under its own hook. Jobs that are already cancelled or flagged by the
+/// fault injector take the scalar path (which owns those semantics), and so
+/// does, alone and from its second attempt on, a member the engine failed:
+/// the retry policy lives there.
+fn run_fused(batch: Vec<AdmittedJob>, worker_id: usize, ctx: &Arc<ExecContext>) {
+    let mut fused: Vec<AdmittedJob> = Vec::new();
+    for job in batch {
+        if job.cancel.is_cancelled() || ctx.fault.should_fail(job.id.0, 1) {
+            execute_job(job, worker_id, 0, ctx);
+        } else {
+            fused.push(job);
         }
     }
     if fused.is_empty() {
         return;
     }
 
-    let metrics = &ctx.metrics;
     let lanes = fused.len();
-    metrics.in_flight.fetch_add(lanes as i64, Ordering::Relaxed);
+    ctx.metrics.in_flight.fetch_add(lanes as i64, Ordering::Relaxed);
     let start = Instant::now();
 
     let mut entries: Vec<BatchEntry<f64>> = fused
         .iter()
-        .map(|rj| {
-            let a = rj.job.spec.matrix.clone();
-            match rj.job.spec.cond_hint {
-                Some(c) => BatchEntry::with_cond_hint(a, c),
-                None => BatchEntry::new(a),
-            }
+        .map(|job| BatchEntry {
+            cond_hint: job.spec.cond_hint,
+            progress: Some(job_hook(job, deadline(job, start, ctx))),
+            ..BatchEntry::new(job.spec.matrix.clone())
         })
         .collect();
     // the dispatcher fuses only jobs whose solver options agree
     // (`dispatch::fuses_with`), so any member's set speaks for the group
     let opts = BatchOptions {
-        qdwh: {
-            let mut o = fused[0].job.spec.opts.clone();
-            o.progress = None; // no between-iteration hook in fused mode
-            o
-        },
+        qdwh: fused[0].spec.opts.clone(),
         condest_cache: Some(ctx.condest_cache.clone()),
         ..Default::default()
     };
-    let result = qdwh_batched(&mut entries, &opts);
-    let end = Instant::now();
-    let run = end.duration_since(start);
-    metrics.in_flight.fetch_sub(lanes as i64, Ordering::Relaxed);
+    // a wave refused whole (a wide shape) is every member's own failure
+    let verdicts = qdwh_batched_each(&mut entries, &opts)
+        .unwrap_or_else(|refused| vec![Err(QdwhError::from(refused)); lanes]);
+    ctx.metrics.in_flight.fetch_sub(lanes as i64, Ordering::Relaxed);
 
-    match result {
-        Ok(infos) => {
-            // one whole-batch span (slot 0), then a lane span per member
-            ctx.spans.record_labeled(
-                fused[0].job.id.0,
-                worker_id,
-                0,
-                start,
-                end,
-                Some("fused_batch"),
-            );
-            for (lane, ((rj, entry), info)) in fused.into_iter().zip(entries).zip(infos).enumerate()
-            {
-                let job = rj.job;
-                let wait = start.duration_since(job.submitted);
-                metrics.wait.record(wait);
-                metrics.run.record(run);
-                metrics.health.record(
-                    polar_obs::now_ns(),
-                    wait.as_nanos() as u64,
-                    run.as_nanos() as u64,
-                );
-                MetricsRegistry::inc(&metrics.completed);
-                ctx.spans.record(job.id.0, worker_id, lane + 1, start, end);
-                let pd = PolarDecomposition { u: entry.u, h: entry.h, info };
-                let _ = job.result_tx.send(JobResult {
-                    id: job.id,
-                    attempts: 1,
-                    wait,
-                    run,
-                    output: Ok(JobOutput::Polar(pd)),
-                });
+    // one whole-batch span (slot 0), then a lane span per member
+    let first = fused[0].id.0;
+    ctx.spans.record_labeled(first, worker_id, 0, start, Instant::now(), Some("fused_batch"));
+    for (lane, ((job, entry), verdict)) in fused.into_iter().zip(entries).zip(verdicts).enumerate()
+    {
+        let output = match verdict {
+            Ok(info) => Ok(JobOutput::Polar(PolarDecomposition { u: entry.u, h: entry.h, info })),
+            Err(QdwhError::Cancelled { .. }) => Err(hook_fired(&job, ctx)),
+            Err(e) => {
+                run_attempts(job, worker_id, lane + 1, ctx, start, Some(e));
+                continue;
             }
-        }
-        Err(e) => {
-            polar_obs::log!(
-                polar_obs::LogLevel::Error,
-                "fused batch of {lanes} rejected ({e}); falling back to scalar jobs"
-            );
-            for rj in fused {
-                execute_job(rj, worker_id, 0, ctx);
-            }
-        }
+        };
+        finish_job(job, worker_id, lane + 1, ctx, start, 1, output);
     }
 }
 
@@ -175,8 +171,8 @@ fn solve(
     let mut opts = spec.opts.clone();
     opts.progress = Some(hook.clone());
     match spec.kind {
-        // a Batched job on the scalar path (fallback, cancellation,
-        // fault injection) is just a QDWH solve
+        // a Batched job on the scalar path (fault injection, a retry) is
+        // just a QDWH solve
         crate::job::JobKind::Qdwh | crate::job::JobKind::Batched => {
             qdwh(&spec.matrix, &opts).map(JobOutput::Polar)
         }
@@ -201,13 +197,10 @@ fn injected_error() -> QdwhError {
     QdwhError::NoConvergence { iterations: 0 }
 }
 
-fn execute_job(rj: RunnableJob, worker_id: usize, lane: usize, ctx: &Arc<ExecContext>) {
-    let job = rj.job;
-    let metrics = &ctx.metrics;
-
+fn execute_job(job: AdmittedJob, worker_id: usize, lane: usize, ctx: &Arc<ExecContext>) {
     // cancelled while still queued: never starts
     if job.cancel.is_cancelled() {
-        MetricsRegistry::inc(&metrics.cancelled);
+        MetricsRegistry::inc(&ctx.metrics.cancelled);
         let _ = job.result_tx.send(JobResult {
             id: job.id,
             attempts: 0,
@@ -217,31 +210,30 @@ fn execute_job(rj: RunnableJob, worker_id: usize, lane: usize, ctx: &Arc<ExecCon
         });
         return;
     }
+    run_attempts(job, worker_id, lane, ctx, Instant::now(), None);
+}
 
+/// The attempt loop of a job that started at `start`. `first` is what a
+/// fused wave already said about its first attempt.
+fn run_attempts(
+    job: AdmittedJob,
+    worker_id: usize,
+    lane: usize,
+    ctx: &Arc<ExecContext>,
+    start: Instant,
+    mut first: Option<QdwhError>,
+) {
+    let metrics = &ctx.metrics;
     metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-    let budget = job.spec.timeout.or(ctx.default_timeout);
-    let start = Instant::now();
-    let wait = start.duration_since(job.submitted);
-    metrics.wait.record(wait);
-    let deadline = budget.map(|b| start + b);
-
-    let cancel = job.cancel.clone();
-    let hook: ProgressHook = Arc::new(move |_progress| {
-        if cancel.is_cancelled() {
-            return IterationDecision::Cancel;
-        }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return IterationDecision::Cancel;
-            }
-        }
-        IterationDecision::Continue
-    });
+    let deadline = deadline(&job, start, ctx);
+    let hook = job_hook(&job, deadline);
 
     let mut attempts = 0u32;
     let outcome: Result<JobOutput, JobError> = loop {
         attempts += 1;
-        let result = if ctx.fault.should_fail(job.id.0, attempts) {
+        let result = if let Some(e) = first.take() {
+            Err(e)
+        } else if ctx.fault.should_fail(job.id.0, attempts) {
             MetricsRegistry::inc(&metrics.injected_faults);
             Err(injected_error())
         } else {
@@ -250,13 +242,7 @@ fn execute_job(rj: RunnableJob, worker_id: usize, lane: usize, ctx: &Arc<ExecCon
 
         match result {
             Ok(out) => break Ok(out),
-            Err(QdwhError::Cancelled { .. }) => {
-                // the hook fired: token beats deadline for attribution
-                if job.cancel.is_cancelled() {
-                    break Err(JobError::Cancelled);
-                }
-                break Err(JobError::TimedOut { budget: budget.unwrap_or_default() });
-            }
+            Err(QdwhError::Cancelled { .. }) => break Err(hook_fired(&job, ctx)),
             Err(e) => {
                 let retryable = e.class() == FailureClass::Transient
                     && attempts <= ctx.max_retries
@@ -277,20 +263,33 @@ fn execute_job(rj: RunnableJob, worker_id: usize, lane: usize, ctx: &Arc<ExecCon
             }
         }
     };
+    metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+    finish_job(job, worker_id, lane, ctx, start, attempts, outcome);
+}
 
+/// The one way a job that ran ends: latency histograms, the health
+/// window, the outcome counter, its span, then the result to its handle.
+fn finish_job(
+    job: AdmittedJob,
+    worker_id: usize,
+    lane: usize,
+    ctx: &ExecContext,
+    start: Instant,
+    attempts: u32,
+    output: Result<JobOutput, JobError>,
+) {
+    let metrics = &ctx.metrics;
     let end = Instant::now();
-    let run = end.duration_since(start);
+    let (wait, run) = (start.duration_since(job.submitted), end.duration_since(start));
+    metrics.wait.record(wait);
     metrics.run.record(run);
     metrics.health.record(polar_obs::now_ns(), wait.as_nanos() as u64, run.as_nanos() as u64);
-    metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
     ctx.spans.record(job.id.0, worker_id, lane, start, end);
-
-    match &outcome {
-        Ok(_) => MetricsRegistry::inc(&metrics.completed),
-        Err(JobError::Cancelled) => MetricsRegistry::inc(&metrics.cancelled),
-        Err(JobError::TimedOut { .. }) => MetricsRegistry::inc(&metrics.timed_out),
-        Err(_) => MetricsRegistry::inc(&metrics.failed),
-    }
-
-    let _ = job.result_tx.send(JobResult { id: job.id, attempts, wait, run, output: outcome });
+    MetricsRegistry::inc(match &output {
+        Ok(_) => &metrics.completed,
+        Err(JobError::Cancelled) => &metrics.cancelled,
+        Err(JobError::TimedOut { .. }) => &metrics.timed_out,
+        Err(_) => &metrics.failed,
+    });
+    let _ = job.result_tx.send(JobResult { id: job.id, attempts, wait, run, output });
 }

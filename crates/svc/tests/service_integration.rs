@@ -23,14 +23,13 @@ fn slow_job_of(n: usize) -> JobSpec {
     spec
 }
 
-/// A job that keeps a worker busy for a few hundred milliseconds in this
-/// build, whatever the profile (n = 100 does in a debug build and takes
-/// 14 ms in a release one): sized once per process by timing runs of
-/// growing order. Tests that act *during* a run time one full run of their
-/// own and act at a fraction of it.
-fn slow_job() -> JobSpec {
+/// The order at which [`slow_job_of`] keeps a worker busy for a few hundred
+/// milliseconds in this build, whatever the profile (n = 100 does in a
+/// debug build and takes 14 ms in a release one): sized once per process by
+/// timing runs of growing order.
+fn slow_order() -> usize {
     static ORDER: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    slow_job_of(*ORDER.get_or_init(|| {
+    *ORDER.get_or_init(|| {
         let svc = PolarService::start(ServiceConfig { workers: 1, ..Default::default() });
         let mut n = 100;
         while n < 500 {
@@ -43,7 +42,23 @@ fn slow_job() -> JobSpec {
         }
         svc.shutdown();
         n
-    }))
+    })
+}
+
+/// A job that keeps a worker busy for a few hundred milliseconds. Tests
+/// that act *during* a run wait for the run to show in the metrics
+/// ([`wait_in_flight`]), not for a measured share of another run.
+fn slow_job() -> JobSpec {
+    slow_job_of(slow_order())
+}
+
+/// Block until exactly `n` jobs are executing.
+fn wait_in_flight(svc: &PolarService, n: u64) {
+    let give_up = Instant::now() + Duration::from_secs(60);
+    while svc.metrics().in_flight != n {
+        assert!(Instant::now() < give_up, "never saw {n} jobs in flight");
+        std::thread::sleep(Duration::from_micros(100));
+    }
 }
 
 fn small_job(seed: u64) -> JobSpec {
@@ -150,11 +165,10 @@ fn cancellation_lands_between_iterations() {
     let svc = PolarService::start(ServiceConfig { workers: 1, ..Default::default() });
     let full = svc.try_submit(slow_job()).unwrap().wait();
     assert!(full.output.is_ok(), "uncancelled job succeeds");
-    let quarter = full.run / 4;
 
     let h = svc.try_submit(slow_job()).unwrap();
-    // let the job get into its iteration loop, then cancel
-    std::thread::sleep(quarter);
+    // the job is running: cancel
+    wait_in_flight(&svc, 1);
     h.cancel();
     let r = h.wait();
     assert_eq!(r.output.err(), Some(JobError::Cancelled));
@@ -185,7 +199,7 @@ fn cancel_and_deadline_land_inside_the_fused_graph() {
         let quarter = full.run / 4;
 
         let h = svc.try_submit(slow_fused_job(kind)).unwrap();
-        std::thread::sleep(quarter);
+        wait_in_flight(&svc, 1);
         h.cancel();
         let r = h.wait();
         assert_eq!(r.output.err(), Some(JobError::Cancelled), "{kind:?}");
@@ -382,7 +396,7 @@ fn priorities_order_queued_work() {
         ..Default::default()
     });
     let blockers = [svc.try_submit(slow_job()).unwrap(), svc.try_submit(slow_job()).unwrap()];
-    std::thread::sleep(Duration::from_millis(50)); // first blocker is running
+    wait_in_flight(&svc, 1); // first blocker is running
     let lows: Vec<_> =
         (0..5).map(|s| svc.try_submit(small_job(50 + s).with_priority(0)).unwrap()).collect();
     let high = svc.try_submit(small_job(60).with_priority(9)).unwrap();
@@ -508,7 +522,7 @@ fn cancelled_batched_job_takes_scalar_path_and_reports_cancelled() {
     let svc = PolarService::start(ServiceConfig { workers: 1, ..Default::default() });
     // occupy the single worker so the batched jobs sit in the queue
     let blocker = svc.try_submit(slow_job()).unwrap();
-    std::thread::sleep(Duration::from_millis(30));
+    wait_in_flight(&svc, 1);
     let specs: Vec<JobSpec> = (0..2)
         .map(|s| {
             let (a, _) = generate::<f64>(&MatrixSpec::well_conditioned(16, 200 + s));
@@ -520,6 +534,111 @@ fn cancelled_batched_job_takes_scalar_path_and_reports_cancelled() {
     assert!(blocker.wait().output.is_ok());
     let r0 = handles.into_iter().next().unwrap().wait();
     assert_eq!(r0.output.unwrap_err(), JobError::Cancelled);
+    svc.shutdown();
+}
+
+/// A service whose one worker solves eight queued `Batched` jobs of one
+/// shape as one wave: the group ships the moment the eighth is queued.
+fn one_wave_service(max_retries: u32) -> PolarService {
+    PolarService::start(ServiceConfig {
+        workers: 1,
+        batch_max: 8,
+        batch_gather_window: Some(Duration::from_secs(30)),
+        max_retries,
+        ..Default::default()
+    })
+}
+
+fn batched_member(seed: u64, cond: f64) -> JobSpec {
+    let spec = MatrixSpec {
+        m: 32,
+        n: 32,
+        cond,
+        distribution: polar_gen::SigmaDistribution::Geometric,
+        seed,
+    };
+    JobSpec::batched(generate::<f64>(&spec).0)
+}
+
+#[test]
+fn a_poisoned_member_of_a_wave_fails_alone() {
+    let svc = one_wave_service(5);
+    let mut specs: Vec<JobSpec> = (0..8).map(|s| batched_member(600 + s, 1e3)).collect();
+    specs[3].matrix[(2, 3)] = f64::NAN;
+    let results: Vec<_> = svc.submit_batch(specs).unwrap().into_iter().map(|h| h.wait()).collect();
+    for (k, r) in results.iter().enumerate() {
+        assert_eq!(r.attempts, 1, "member {k}: the wave was everyone's only attempt");
+        match &r.output {
+            Err(e) if k == 3 => {
+                let error = polar_qdwh::QdwhError::NonFinite { iteration: 0 };
+                assert_eq!(*e, JobError::Failed { error, attempts: 1 });
+            }
+            Ok(out) => assert!(polar_qdwh::orthogonality_error(out.u()) < 1e-12, "member {k}"),
+            Err(e) => panic!("member {k} went down with the poisoned one: {e}"),
+        }
+    }
+    svc.drain();
+    // one engine call answered all eight; nobody was run again
+    let m = svc.metrics();
+    assert_eq!((m.fused_batches, m.fused_jobs), (1, 8), "{m:?}");
+    assert_eq!((m.completed, m.failed, m.retries), (7, 1, 0), "{m:?}");
+    svc.shutdown();
+}
+
+#[test]
+fn a_transient_failure_in_a_wave_retries_alone_on_the_scalar_path() {
+    // kappa = 2 converges in 4 rounds, kappa = 1e10 needs 5: the cap is a
+    // transient failure, and the same cap fails both scalar retries
+    let svc = one_wave_service(2);
+    let mut specs: Vec<JobSpec> = (0..8).map(|s| batched_member(620 + s, 2.0)).collect();
+    specs[5] = batched_member(625, 1e10);
+    for spec in &mut specs {
+        spec.opts.max_iterations = 4;
+    }
+    let results: Vec<_> = svc.submit_batch(specs).unwrap().into_iter().map(|h| h.wait()).collect();
+    for (k, r) in results.iter().enumerate() {
+        if k == 5 {
+            let error = polar_qdwh::QdwhError::NoConvergence { iterations: 4 };
+            assert_eq!(r.output.as_ref().err(), Some(&JobError::Failed { error, attempts: 3 }));
+        } else {
+            assert!(r.output.is_ok(), "member {k}: {:?}", r.output.as_ref().err());
+            assert_eq!(r.attempts, 1, "member {k} was not run again");
+        }
+    }
+    svc.drain();
+    let m = svc.metrics();
+    assert_eq!((m.fused_batches, m.fused_jobs), (1, 8), "{m:?}");
+    assert_eq!((m.completed, m.failed, m.retries), (7, 1, 2), "{m:?}");
+    svc.shutdown();
+}
+
+#[test]
+fn cancel_and_deadline_end_one_member_each_of_a_wave_in_flight() {
+    // nine forced-QR rounds an entry, at an order that keeps the wave in
+    // flight for a good part of a second in this build
+    let svc = one_wave_service(0);
+    let budget = Duration::from_millis(1);
+    let mut specs: Vec<JobSpec> = (0..8)
+        .map(|_| JobSpec { kind: JobKind::Batched, ..slow_job_of(slow_order() / 2) })
+        .collect();
+    specs[5] = specs[5].clone().with_timeout(budget);
+    let handles = svc.submit_batch(specs).unwrap();
+    wait_in_flight(&svc, 8);
+    handles[2].cancel();
+
+    let results: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
+    for (k, r) in results.iter().enumerate() {
+        assert_eq!(r.attempts, 1, "member {k} rode the wave");
+        match k {
+            2 => assert_eq!(r.output.as_ref().err(), Some(&JobError::Cancelled)),
+            5 => assert_eq!(r.output.as_ref().err(), Some(&JobError::TimedOut { budget })),
+            _ => assert!(r.output.is_ok(), "member {k}: {:?}", r.output.as_ref().err()),
+        }
+    }
+    svc.drain();
+    let m = svc.metrics();
+    assert_eq!((m.fused_batches, m.fused_jobs), (1, 8), "{m:?}");
+    assert_eq!((m.completed, m.cancelled, m.timed_out), (6, 1, 1), "{m:?}");
     svc.shutdown();
 }
 
