@@ -121,7 +121,6 @@ impl BatchOptions {
             && a.max_iterations == b.max_iterations
             && a.l0_override == b.l0_override
             && a.l0_strategy == b.l0_strategy
-            && a.exploit_structure == b.exploit_structure
     }
 }
 
@@ -674,7 +673,7 @@ fn run_chunk<S: Scalar>(
                         w[(m + r, j)] = if r == j { S::ONE } else { S::ZERO };
                     }
                 }
-                let f = if opts.qdwh.exploit_structure { geqrf_stacked(m, w) } else { geqrf(w) };
+                let f = geqrf_stacked(m, w);
                 let q = orgqr(w, &f);
                 let q1 = slabs.q1.entry_slice_mut(i).chunks_exact_mut(m);
                 let q2 = slabs.q2.entry_slice_mut(i).chunks_exact_mut(n);

@@ -1,24 +1,17 @@
-//! Kernel performance sweep: packed GEMM vs the axpy baseline and the
-//! reference triple loop, plus trsm / herk / geqrf and the full QDWH
-//! driver, with a thread-scaling curve over the work-stealing pool.
+//! Single-lane rates of the kernels a tile task calls, the one kernel-level
+//! row `benchmark/` does not measure: every kernel of the fused QDWH graph
+//! at the two tile sizes `auto_tile_nb` picks, all four scalar types, each
+//! as a share of its own type's gemm and of the `d` gemm.
 //!
-//! Writes `BENCH_kernels.json` (repo root by default, `--out` to
-//! override) so every PR has a measurable perf contract against the
-//! pre-optimization snapshot in `results/BENCH_baseline.json`.
-//!
-//! `--smoke` runs a seconds-long correctness-oriented pass (tiny and
-//! prime sizes, packed GEMM asserted against `gemm_ref`) for CI.
-//!
-//! `--gate` (nightly CI) additionally asserts the tiled-vs-flat QR perf
-//! contract: >= 0.95x flat at one worker, >= 1.5x at two or more workers
-//! on hosts with at least two cores.
+//! Writes the `"tile_kernels"` section to `target/kernels_perf.json`
+//! (`--out` to override).
 
 use polar_bench::Args;
-use polar_blas::{gemm, gemm_axpy, gemm_batched_packed, gemm_ref, herk, trmm, trsm};
-use polar_gen::generate;
-use polar_matrix::{BatchedDense, Diag, Matrix, Op, Side, Uplo};
+use polar_blas::{gemm, herk, trmm, trsm};
+use polar_matrix::{Diag, Matrix, Op, Side, Uplo};
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::time::Instant;
 
 fn rand_mat<S: Scalar>(m: usize, n: usize, seed: u64) -> Matrix<S> {
@@ -43,456 +36,6 @@ fn best_time<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         best = best.min(t.elapsed().as_secs_f64());
     }
     best
-}
-
-fn gemm_gflops(n: usize, secs: f64, complex: bool) -> f64 {
-    polar_blas::flops::type_factor(complex) * 2.0 * (n as f64).powi(3) / secs / 1e9
-}
-
-struct GemmRow {
-    tag: &'static str,
-    microkernel: String,
-    n: usize,
-    gflops_packed: f64,
-    gflops_axpy: f64,
-    gflops_ref: f64,
-}
-
-/// Time the production gemm, the old axpy kernel, and (for small n) the
-/// reference triple loop on the same n x n x n problem.
-fn bench_gemm<S: Scalar>(n: usize, reps: usize, time_ref: bool) -> GemmRow {
-    let a = rand_mat::<S>(n, n, 1);
-    let b = rand_mat::<S>(n, n, 2);
-    let mut c = Matrix::<S>::zeros(n, n);
-    let t_packed = best_time(reps, || {
-        gemm(Op::NoTrans, Op::NoTrans, S::ONE, a.as_ref(), b.as_ref(), S::ZERO, c.as_mut());
-    });
-    let t_axpy = best_time(reps, || {
-        gemm_axpy(Op::NoTrans, Op::NoTrans, S::ONE, a.as_ref(), b.as_ref(), S::ZERO, c.as_mut());
-    });
-    let t_ref = if time_ref {
-        best_time(1, || {
-            gemm_ref(Op::NoTrans, Op::NoTrans, S::ONE, a.as_ref(), b.as_ref(), S::ZERO, c.as_mut());
-        })
-    } else {
-        f64::NAN
-    };
-    GemmRow {
-        tag: S::TYPE_TAG,
-        microkernel: polar_blas::microkernel::<S>(),
-        n,
-        gflops_packed: gemm_gflops(n, t_packed, S::IS_COMPLEX),
-        gflops_axpy: gemm_gflops(n, t_axpy, S::IS_COMPLEX),
-        gflops_ref: if time_ref { gemm_gflops(n, t_ref, S::IS_COMPLEX) } else { f64::NAN },
-    }
-}
-
-/// trsm Left/Lower solve against a well-conditioned unit-ish triangle.
-fn bench_trsm(n: usize, reps: usize) -> f64 {
-    let mut a = rand_mat::<f64>(n, n, 3);
-    for i in 0..n {
-        a[(i, i)] = 4.0 + i as f64 / n as f64; // keep the solve stable
-    }
-    let b0 = rand_mat::<f64>(n, n, 4);
-    let mut b = b0.clone();
-    let secs = best_time(reps, || {
-        b.as_mut().copy_from(b0.as_ref());
-        trsm(Side::Left, Uplo::Lower, Op::NoTrans, Diag::NonUnit, 1.0, a.as_ref(), b.as_mut());
-    });
-    polar_blas::flops::trsm_left(n, n) / secs / 1e9
-}
-
-fn bench_herk(n: usize, reps: usize) -> f64 {
-    let a = rand_mat::<f64>(n, n, 5);
-    let mut c = Matrix::<f64>::zeros(n, n);
-    let secs = best_time(reps, || {
-        herk(Uplo::Lower, Op::ConjTrans, 1.0, a.as_ref(), 0.0, c.as_mut());
-    });
-    polar_blas::flops::herk(n, n) / secs / 1e9
-}
-
-fn bench_geqrf(n: usize, reps: usize) -> f64 {
-    let a0 = rand_mat::<f64>(n, n, 6);
-    let mut a = a0.clone();
-    let secs = best_time(reps, || {
-        a.as_mut().copy_from(a0.as_ref());
-        let _ = polar_lapack::geqrf(&mut a);
-    });
-    // geqrf flops for square n: (4/3) n^3
-    (4.0 / 3.0) * (n as f64).powi(3) / secs / 1e9
-}
-
-/// Flat vs DAG-scheduled tile QR under a pool of `threads` workers, as
-/// `(flat_gflops, tiled_gflops)`. The two variants are timed rep-by-rep in
-/// one interleaved loop: on a shared host, timing all flat reps and then all
-/// tiled reps lets background-load drift between the two phases bias the
-/// ratio by far more than the ~5% the gate resolves.
-fn bench_geqrf_pair(n: usize, threads: usize, reps: usize) -> (f64, f64) {
-    let pool = rayon::ThreadPool::new(threads);
-    let a0 = rand_mat::<f64>(n, n, 6);
-    let mut a = a0.clone();
-    // resolve the tile size inside the pool so the worker-count heuristic
-    // sees the same width production would
-    let nb = pool.install(|| polar_lapack::auto_tile_nb(n));
-    let mut flat_best = f64::INFINITY;
-    let mut tiled_best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        a.as_mut().copy_from(a0.as_ref());
-        let _ = polar_lapack::geqrf(&mut a);
-        flat_best = flat_best.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        pool.install(|| {
-            let _ = polar_lapack::geqrf_tiled(&a0, nb);
-        });
-        tiled_best = tiled_best.min(t.elapsed().as_secs_f64());
-    }
-    let gf = |secs: f64| (4.0 / 3.0) * (n as f64).powi(3) / secs / 1e9;
-    (gf(flat_best), gf(tiled_best))
-}
-
-struct BatchedGemmRow {
-    tag: &'static str,
-    n: usize,
-    batch: usize,
-    gflops_batch_major: f64,
-    gflops_per_entry: f64,
-    gflops_ref: f64,
-}
-
-/// Batch-major packed GEMM (one KC sweep serves every entry, one hot
-/// pack-buffer pair) vs the per-entry production `gemm` loop vs the
-/// per-entry reference triple loop, on `batch` independent n x n x n
-/// products. Variants are timed rep-by-rep in one interleaved loop (same
-/// drift argument as [`bench_geqrf_pair`]).
-fn bench_gemm_batched<S: Scalar>(n: usize, batch: usize, reps: usize) -> BatchedGemmRow {
-    let mats_a: Vec<Matrix<S>> = (0..batch).map(|k| rand_mat::<S>(n, n, 21 + k as u64)).collect();
-    let mats_b: Vec<Matrix<S>> = (0..batch).map(|k| rand_mat::<S>(n, n, 91 + k as u64)).collect();
-    let a = BatchedDense::from_matrices(&mats_a);
-    let b = BatchedDense::from_matrices(&mats_b);
-    let mut c = BatchedDense::<S>::zeros(n, n, batch);
-    let mut bm_best = f64::INFINITY;
-    let mut pe_best = f64::INFINITY;
-    let mut ref_best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        gemm_batched_packed(
-            Op::NoTrans,
-            Op::NoTrans,
-            S::ONE,
-            a.as_batched_ref(),
-            b.as_batched_ref(),
-            S::ZERO,
-            c.as_batched_mut(),
-        );
-        bm_best = bm_best.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        for e in 0..batch {
-            gemm(Op::NoTrans, Op::NoTrans, S::ONE, a.mat(e), b.mat(e), S::ZERO, c.mat_mut(e));
-        }
-        pe_best = pe_best.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        for e in 0..batch {
-            gemm_ref(Op::NoTrans, Op::NoTrans, S::ONE, a.mat(e), b.mat(e), S::ZERO, c.mat_mut(e));
-        }
-        ref_best = ref_best.min(t.elapsed().as_secs_f64());
-    }
-    let gf = |secs: f64| {
-        polar_blas::flops::type_factor(S::IS_COMPLEX) * batch as f64 * 2.0 * (n as f64).powi(3)
-            / secs
-            / 1e9
-    };
-    BatchedGemmRow {
-        tag: S::TYPE_TAG,
-        n,
-        batch,
-        gflops_batch_major: gf(bm_best),
-        gflops_per_entry: gf(pe_best),
-        gflops_ref: gf(ref_best),
-    }
-}
-
-/// The batched GEMM sweep section (`"gemm_batched"`): batch-major vs
-/// per-entry production gemm vs reference across serving sizes. With
-/// `gate`, enforces the batch-major perf floors on 1+ core hosts: at
-/// least 1.5x per-entry at n = 16 (below `PACK_MIN_FLOPS` the per-entry
-/// path cannot pack at all, so the shared pack sweep wins big) and at
-/// least 0.95x (parity within measurement noise) at n = 32/64, where
-/// both paths run the same microkernels and the win is only amortized
-/// pack/dispatch overhead — measured 1.0-1.25x on the reference host,
-/// gated at no-regression rather than at the midpoint of that noise.
-/// Ratios are remeasured best-of-rounds like every other gate here.
-fn run_batched_sweep(j: &mut String, gate: bool, reps: usize) {
-    eprintln!("batched gemm sweep...");
-    let mut rows: Vec<BatchedGemmRow> = Vec::new();
-    for &n in &[16usize, 32, 64] {
-        for &batch in &[1usize, 8, 32, 64] {
-            let mut row = bench_gemm_batched::<f64>(n, batch, reps);
-            let floor = if !gate || batch < 8 {
-                None
-            } else if n == 16 {
-                Some(1.5)
-            } else {
-                Some(0.95)
-            };
-            if let Some(floor) = floor {
-                let mut tries = 1;
-                while row.gflops_batch_major / row.gflops_per_entry + 1e-9 < floor && tries < 5 {
-                    eprintln!(
-                        "perf gate: gemm_batched n={n} batch={batch} measured {:.3}x, remeasuring...",
-                        row.gflops_batch_major / row.gflops_per_entry
-                    );
-                    let r2 = bench_gemm_batched::<f64>(n, batch, 2 * reps);
-                    if r2.gflops_batch_major / r2.gflops_per_entry
-                        > row.gflops_batch_major / row.gflops_per_entry
-                    {
-                        row = r2;
-                    }
-                    tries += 1;
-                }
-                assert!(
-                    row.gflops_batch_major / row.gflops_per_entry + 1e-9 >= floor,
-                    "perf gate: gemm_batched n={n} batch={batch} is {:.3}x per-entry (< {floor}x) \
-                     after {tries} rounds",
-                    row.gflops_batch_major / row.gflops_per_entry
-                );
-            }
-            rows.push(row);
-        }
-    }
-    rows.push(bench_gemm_batched::<f32>(32, 32, reps));
-    rows.push(bench_gemm_batched::<Complex64>(32, 32, reps));
-    j.push_str("  \"gemm_batched\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            j,
-            "    {{\"type\": \"{}\", \"n\": {}, \"batch\": {}, \"gflops_batch_major\": {}, \"gflops_per_entry\": {}, \"gflops_ref\": {}, \"speedup_vs_per_entry\": {}, \"speedup_vs_ref\": {}}}",
-            r.tag,
-            r.n,
-            r.batch,
-            json_f(r.gflops_batch_major),
-            json_f(r.gflops_per_entry),
-            json_f(r.gflops_ref),
-            json_f(r.gflops_batch_major / r.gflops_per_entry),
-            json_f(r.gflops_batch_major / r.gflops_ref),
-        );
-        j.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    j.push_str("  ],\n");
-    if gate {
-        eprintln!("perf gate: gemm_batched floors pass");
-    }
-}
-
-struct ZoloRow {
-    r: usize,
-    iterations: usize,
-    seconds: f64,
-    makespan_ns: u64,
-    critical_path_ns: u64,
-    qr_busy_ns: u64,
-}
-
-/// Zolo-PD at degree `r`: best of two plain solves, then one instrumented
-/// one for the post-mortem makespan, measured critical path, and the
-/// serial sum of QR-class task durations (the r-way concurrency evidence:
-/// CP < that sum means at least two QR branches were runnable at once).
-fn zolo_row(a: &Matrix<f64>, r: usize, nb: usize) -> ZoloRow {
-    let opts = polar_qdwh::ZoloOptions {
-        r,
-        // small r converges slowly at kappa = 1e16; give the sweep headroom
-        max_iterations: 20,
-        tile_nb: Some(nb),
-        ..Default::default()
-    };
-    let (mut seconds, mut iterations) = (f64::INFINITY, 0);
-    for _ in 0..2 {
-        let t = Instant::now();
-        let z = polar_qdwh::zolo_pd(a, &opts).expect("zolo converges");
-        seconds = seconds.min(t.elapsed().as_secs_f64());
-        iterations = z.pd.info.iterations;
-    }
-    let _ = polar_runtime::take_executed_graphs(); // drop any stale dags
-    let scope = polar_obs::scope();
-    let _ = polar_qdwh::zolo_pd(a, &opts).expect("instrumented zolo converges");
-    let report = scope.finish();
-    let graphs = polar_runtime::take_executed_graphs();
-    let pm = polar_runtime::analyze(&report.spans, &graphs);
-    let d = pm.dags.iter().max_by_key(|d| d.spans).expect("zolo executed a dag");
-    let qr_busy_ns: u64 = d
-        .classes
-        .iter()
-        .filter(|c| matches!(c.name, "task_geqrt" | "task_tsqrt" | "task_unmqr" | "task_tsmqr"))
-        .map(|c| c.busy_ns)
-        .sum();
-    ZoloRow {
-        r,
-        iterations,
-        seconds,
-        makespan_ns: d.makespan_ns,
-        critical_path_ns: d.critical_path_ns,
-        qr_busy_ns,
-    }
-}
-
-/// The `--zolo` mode: r-sweep over Zolo-PD with post-mortem rows.
-fn run_zolo_sweep(j: &mut String, n: usize) {
-    let nb = 64usize;
-    let (a, _) = generate::<f64>(&polar_bench::paper_matrix_spec(n, 42));
-    let rows: Vec<ZoloRow> = [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|r| {
-            eprintln!("zolo sweep: n={n} r={r}...");
-            zolo_row(&a, r, nb)
-        })
-        .collect();
-    j.push_str("  \"zolo\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = write!(
-            j,
-            "    {{\"type\": \"d\", \"n\": {n}, \"r\": {}, \"iterations\": {}, \
-             \"seconds\": {}, \"makespan_ns\": {}, \"critical_path_ns\": {}, \
-             \"qr_busy_ns\": {}, \"cp_vs_qr_busy\": {}}}",
-            row.r,
-            row.iterations,
-            json_f(row.seconds),
-            row.makespan_ns,
-            row.critical_path_ns,
-            row.qr_busy_ns,
-            json_f(row.critical_path_ns as f64 / row.qr_busy_ns.max(1) as f64),
-        );
-        j.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    j.push_str("  ]\n");
-}
-
-fn bench_qdwh(n: usize) -> (f64, usize) {
-    let (a, _) = generate::<f64>(&polar_bench::paper_matrix_spec(n, 42));
-    let t = Instant::now();
-    let pd = polar_qdwh::qdwh(&a, &polar_qdwh::QdwhOptions::default()).expect("qdwh converges");
-    (t.elapsed().as_secs_f64(), pd.info.iterations)
-}
-
-/// Packed-path GFLOP/s at `n` under a pool of `t` workers.
-fn bench_gemm_threads(n: usize, threads: usize, reps: usize) -> f64 {
-    let pool = rayon::ThreadPool::new(threads);
-    let a = rand_mat::<f64>(n, n, 7);
-    let b = rand_mat::<f64>(n, n, 8);
-    let mut c = Matrix::<f64>::zeros(n, n);
-    let secs = best_time(reps, || {
-        pool.install(|| {
-            gemm(Op::NoTrans, Op::NoTrans, 1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
-        });
-    });
-    gemm_gflops(n, secs, false)
-}
-
-/// Smoke check: packed gemm must match the reference triple loop on
-/// tiny, prime, and fringe shapes for every scalar type and op pair.
-fn smoke_check<S: Scalar>() {
-    // the last two shapes exceed PACK_MIN_FLOPS so they exercise the
-    // packed kernel (the tiny ones route to the axpy small-problem path)
-    let shapes =
-        [(1usize, 1usize, 1usize), (2, 3, 5), (7, 11, 13), (17, 5, 23), (31, 29, 37), (64, 48, 16)];
-    let ops: &[Op] = if S::IS_COMPLEX {
-        &[Op::NoTrans, Op::Trans, Op::ConjTrans]
-    } else {
-        &[Op::NoTrans, Op::Trans]
-    };
-    for &(m, n, k) in &shapes {
-        for &op_a in ops {
-            for &op_b in ops {
-                let (ar, ac) = if op_a == Op::NoTrans { (m, k) } else { (k, m) };
-                let (br, bc) = if op_b == Op::NoTrans { (k, n) } else { (n, k) };
-                let a = rand_mat::<S>(ar, ac, 11);
-                let b = rand_mat::<S>(br, bc, 12);
-                let alpha = S::from_parts(S::Real::from_f64(1.25), S::Real::from_f64(-0.5));
-                let beta = S::from_parts(S::Real::from_f64(-0.75), S::Real::from_f64(0.25));
-                let mut c1 = rand_mat::<S>(m, n, 13);
-                let mut c2 = c1.clone();
-                gemm_ref(op_a, op_b, alpha, a.as_ref(), b.as_ref(), beta, c1.as_mut());
-                gemm(op_a, op_b, alpha, a.as_ref(), b.as_ref(), beta, c2.as_mut());
-                let tol = S::Real::from_f64(1e-4); // f32 headroom; f64 is ~1e-13
-                for j in 0..n {
-                    for i in 0..m {
-                        let d = (c1[(i, j)] - c2[(i, j)]).abs();
-                        assert!(
-                            d <= tol,
-                            "smoke mismatch {}: ({i},{j}) {op_a:?}x{op_b:?} m={m} n={n} k={k}",
-                            S::TYPE_TAG
-                        );
-                    }
-                }
-            }
-        }
-    }
-    eprintln!("smoke: packed gemm matches gemm_ref for type {}", S::TYPE_TAG);
-}
-
-/// Smoke check: the DAG-scheduled tile drivers must agree with the flat
-/// factorizations — `geqrf_tiled` by reconstruction (`Q R = A` to the same
-/// accuracy as the flat path) and `potrf_tiled` by direct factor equality
-/// (the Cholesky factor with positive diagonal is unique).
-fn smoke_tiled<S: Scalar>() {
-    use polar_blas::{add, norm};
-    use polar_matrix::Norm;
-
-    let tol = S::Real::from_f64(1e-4); // f32 headroom; f64 lands ~1e-14
-    for (m, n, nb) in [(48usize, 32usize, 16usize), (37, 29, 16), (30, 30, 64)] {
-        let a0 = rand_mat::<S>(m, n, 17);
-        let mut f = polar_lapack::geqrf_tiled(&a0, nb);
-        let q = polar_lapack::orgqr_tiled(&mut f, n);
-        let r = f.extract_r();
-        let mut qr = Matrix::<S>::zeros(m, n);
-        gemm(Op::NoTrans, Op::NoTrans, S::ONE, q.as_ref(), r.as_ref(), S::ZERO, qr.as_mut());
-        add(-S::ONE, a0.as_ref(), S::ONE, qr.as_mut());
-        let err = norm(Norm::Fro, qr.as_ref()) / norm(Norm::Fro, a0.as_ref()).max(S::Real::ONE);
-        assert!(err <= tol, "smoke tiled QR {}: ||QR-A|| = {err:?} (m={m} n={n})", S::TYPE_TAG);
-    }
-
-    let n = 40;
-    let b = rand_mat::<S>(n, n, 18);
-    let mut spd = Matrix::<S>::zeros(n, n);
-    for d in 0..n {
-        spd[(d, d)] = S::from_parts(S::Real::from_f64(n as f64), S::Real::ZERO);
-    }
-    gemm(Op::NoTrans, Op::ConjTrans, S::ONE, b.as_ref(), b.as_ref(), S::ONE, spd.as_mut());
-    let mut flat = spd.clone();
-    polar_lapack::potrf(Uplo::Lower, &mut flat).expect("flat potrf");
-    let mut tiled = spd;
-    polar_lapack::potrf_tiled(Uplo::Lower, &mut tiled, 16).expect("tiled potrf");
-    for j in 0..n {
-        for i in j..n {
-            let d = (flat[(i, j)] - tiled[(i, j)]).abs();
-            assert!(d <= tol, "smoke tiled potrf {}: L({i},{j}) diff {d:?}", S::TYPE_TAG);
-        }
-    }
-    eprintln!("smoke: tiled QR/Cholesky match flat for type {}", S::TYPE_TAG);
-}
-
-/// Smoke check: on a host with AVX2 + FMA or better every scalar type has
-/// a SIMD microkernel, and the default tile shape selects it (a forced
-/// `POLAR_GEMM_MR`/`NR` may name a shape no kernel claims; then there is
-/// nothing to assert).
-fn smoke_simd_selected() {
-    let names = [
-        polar_blas::microkernel::<f32>(),
-        polar_blas::microkernel::<f64>(),
-        polar_blas::microkernel::<Complex32>(),
-        polar_blas::microkernel::<Complex64>(),
-    ];
-    #[cfg(target_arch = "x86_64")]
-    {
-        let p = polar_blas::params::gemm_params();
-        let forced = p.mr_override.is_some() || p.nr_override.is_some();
-        let simd = std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma");
-        assert!(
-            forced || !simd || names.iter().all(|n| !n.starts_with("Generic")),
-            "a type fell back to the generic microkernel on a SIMD host: {names:?}"
-        );
-    }
-    eprintln!("smoke: microkernels s/d/c/z = {names:?}");
 }
 
 /// Single-lane rates of the kernels a tile task calls, at tile size `nb`:
@@ -585,59 +128,7 @@ fn write_tile_kernels(j: &mut String) {
             j.push_str(if nb == 256 && *tag == "c" { "}\n" } else { "},\n" });
         }
     }
-    j.push_str("  ],\n");
-}
-
-/// Smoke check: packed `herk` and `trmm` against the reference triple loop,
-/// every triangle and op, with the triangle the kernel must not touch (of
-/// `C`) or read (of the triangular operand) poisoned with NaN.
-fn smoke_tri<S: Scalar>() {
-    let tol = S::Real::from_f64(if S::Real::EPSILON.to_f64() > 1e-10 { 2e-3 } else { 1e-10 });
-    let conj = if S::IS_COMPLEX { Op::ConjTrans } else { Op::Trans };
-    for (n, k, uplo, op) in
-        [(1usize, 3usize), (7, 13), (65, 40), (130, 33)].into_iter().flat_map(|(n, k)| {
-            [Uplo::Lower, Uplo::Upper]
-                .into_iter()
-                .flat_map(move |u| [(n, k, u, Op::NoTrans), (n, k, u, conj)])
-        })
-    {
-        let what = format!("{} {uplo:?} {op:?} n={n} k={k}", S::TYPE_TAG);
-        // `m` where the triangle stores, `other` elsewhere
-        let stored = |i: usize, j: usize| (i >= j) == (uplo == Uplo::Lower) || i == j;
-        let tri = |m: &Matrix<S>, other: S| {
-            Matrix::from_fn(n, n, |i, j| if stored(i, j) { m[(i, j)] } else { other })
-        };
-        let (zeros, nan) = (Matrix::<S>::zeros(n, n), S::from_f64(f64::NAN));
-        let a = if op == Op::NoTrans { rand_mat::<S>(n, k, 51) } else { rand_mat::<S>(k, n, 51) };
-        let op_h = if op == Op::NoTrans { conj } else { Op::NoTrans };
-        let mut want = zeros.clone();
-        gemm_ref(op, op_h, S::ONE, a.as_ref(), a.as_ref(), S::ZERO, want.as_mut());
-        let mut c = tri(&zeros, nan);
-        herk(uplo, op, S::Real::ONE, a.as_ref(), S::Real::ZERO, c.as_mut());
-        let (got, want) = (tri(&c, S::ZERO), tri(&want, S::ZERO));
-        let kept = (0..n).all(|j| (0..n).all(|i| stored(i, j) || c[(i, j)].is_nan()));
-        assert!(kept, "smoke herk {what}: wrote outside the triangle");
-        let t = rand_mat::<S>(n, n, 52);
-        let (b0, mut bw) = (rand_mat::<S>(n, k, 53), Matrix::<S>::zeros(n, k));
-        let mut b = b0.clone();
-        trmm(Side::Left, uplo, op, Diag::NonUnit, S::ONE, tri(&t, nan).as_ref(), b.as_mut());
-        gemm_ref(
-            op,
-            Op::NoTrans,
-            S::ONE,
-            tri(&t, S::ZERO).as_ref(),
-            b0.as_ref(),
-            S::ZERO,
-            bw.as_mut(),
-        );
-        let close = |x: &Matrix<S>, y: &Matrix<S>| {
-            (0..x.ncols())
-                .all(|j| x.col(j).iter().zip(y.col(j)).all(|(&p, &q)| (p - q).abs() <= tol))
-        };
-        assert!(close(&got, &want), "smoke herk {what}");
-        assert!(close(&b, &bw), "smoke trmm {what}");
-    }
-    eprintln!("smoke: packed herk/trmm match gemm_ref for type {}", S::TYPE_TAG);
+    j.push_str("  ]\n");
 }
 
 fn json_f(x: f64) -> String {
@@ -649,21 +140,12 @@ fn json_f(x: f64) -> String {
 }
 
 fn main() {
-    let args = Args::parse();
-    let smoke = args.flag("--smoke");
-    let gate = args.flag("--gate");
-    let out = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_kernels.json".into());
+    let out: String = Args::parse().get("--out", String::from("target/kernels_perf.json"));
 
-    let prov = polar_bench::Provenance::collect();
-    let (pool_workers, host_cores) = (prov.pool_workers, prov.host_cores);
     let mut j = String::new();
     j.push_str("{\n");
     let _ = writeln!(j, "  \"harness\": \"kernels_perf\",");
-    let _ = writeln!(j, "  \"smoke\": {smoke},");
-    j.push_str(&prov.json_fields());
+    j.push_str(&polar_bench::Provenance::collect().json_fields());
     #[cfg(target_arch = "x86_64")]
     let _ = writeln!(
         j,
@@ -674,250 +156,9 @@ fn main() {
     );
     #[cfg(not(target_arch = "x86_64"))]
     let _ = writeln!(j, "  \"cpu\": {{}},");
-
-    if args.flag("--zolo") {
-        let n: usize = args.get("--n", 256);
-        run_zolo_sweep(&mut j, n);
-        j.push_str("}\n");
-        std::fs::write(&out, &j).expect("write zolo sweep json");
-        println!("{j}");
-        return;
-    }
-
-    if args.flag("--batched") {
-        run_batched_sweep(&mut j, gate, 5);
-        let _ = writeln!(j, "  \"mode\": \"batched\"");
-        j.push_str("}\n");
-        std::fs::write(&out, &j).expect("write batched sweep json");
-        println!("{j}");
-        return;
-    }
-
-    if smoke {
-        smoke_check::<f32>();
-        smoke_check::<f64>();
-        smoke_check::<Complex32>();
-        smoke_check::<Complex64>();
-        smoke_tiled::<f32>();
-        smoke_tiled::<f64>();
-        smoke_tiled::<Complex32>();
-        smoke_tiled::<Complex64>();
-        smoke_tri::<f32>();
-        smoke_tri::<f64>();
-        smoke_tri::<Complex32>();
-        smoke_tri::<Complex64>();
-        smoke_simd_selected();
-        write_tile_kernels(&mut j);
-        // one tiny timed row so the artifact shape matches the full run
-        let row = bench_gemm::<f64>(64, 2, true);
-        let _ = writeln!(
-            j,
-            "  \"gemm\": [{{\"type\": \"d\", \"microkernel\": \"{}\", \"n\": 64, \"gflops_packed\": {}, \"gflops_axpy\": {}, \"gflops_ref\": {}}}],",
-            row.microkernel,
-            json_f(row.gflops_packed),
-            json_f(row.gflops_axpy),
-            json_f(row.gflops_ref)
-        );
-        let _ = writeln!(j, "  \"smoke_checked_types\": [\"s\", \"d\", \"c\", \"z\"]");
-        j.push_str("}\n");
-        std::fs::write(&out, &j).expect("write smoke json");
-        println!("{j}");
-        return;
-    }
-
-    // ---- gemm sweep: production (packed) vs axpy vs reference ----
-    eprintln!("gemm sweep...");
-    let mut rows = Vec::new();
-    for n in [128usize, 256, 512, 1024] {
-        rows.push(bench_gemm::<f64>(n, 3, n <= 512));
-    }
-    rows.push(bench_gemm::<f32>(512, 3, true));
-    rows.push(bench_gemm::<Complex64>(256, 3, true));
-    rows.push(bench_gemm::<Complex32>(256, 3, true));
-    j.push_str("  \"gemm\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            j,
-            "    {{\"type\": \"{}\", \"microkernel\": \"{}\", \"n\": {}, \"gflops_packed\": {}, \"gflops_axpy\": {}, \"gflops_ref\": {}, \"speedup_vs_axpy\": {}, \"speedup_vs_ref\": {}}}",
-            r.tag,
-            r.microkernel,
-            r.n,
-            json_f(r.gflops_packed),
-            json_f(r.gflops_axpy),
-            json_f(r.gflops_ref),
-            json_f(r.gflops_packed / r.gflops_axpy),
-            json_f(r.gflops_packed / r.gflops_ref),
-        );
-        j.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    j.push_str("  ],\n");
-
-    // ---- batch-major packed gemm vs the per-entry loop ----
-    run_batched_sweep(&mut j, false, 3);
-
-    // ---- level-3 kernels routed through the packed core ----
-    eprintln!("trsm/herk/geqrf...");
-    let _ = writeln!(
-        j,
-        "  \"trsm\": [{{\"type\": \"d\", \"n\": 512, \"gflops\": {}}}],",
-        json_f(bench_trsm(512, 3))
-    );
-    let _ = writeln!(
-        j,
-        "  \"herk\": [{{\"type\": \"d\", \"n\": 512, \"gflops\": {}}}],",
-        json_f(bench_herk(512, 3))
-    );
-    let _ = writeln!(
-        j,
-        "  \"geqrf\": [{{\"type\": \"d\", \"n\": 512, \"gflops\": {}}}],",
-        json_f(bench_geqrf(512, 2))
-    );
-
-    // ---- what a tile task calls, one lane, at the solver's tile sizes ----
     write_tile_kernels(&mut j);
+    j.push_str("}\n");
 
-    // ---- tiled (DAG-scheduled) vs flat QR ----
-    eprintln!("tiled qr...");
-    // geqrf at n=512 takes ~10 ms, so a best-of-2 ratio wanders +-8% on a
-    // shared host; the smaller the kernel the more repetitions the gated
-    // ratio needs to be stable
-    let reps_for = |n: usize| if n <= 512 { 6 } else { 3 };
-    let mut tiled_threads = vec![1usize];
-    if host_cores > 1 {
-        tiled_threads.push(4.min(host_cores));
-        tiled_threads.dedup();
-    }
-    j.push_str("  \"geqrf_tiled\": [\n");
-    let mut first = true;
-    let mut tiled_ratios: Vec<(usize, usize, f64)> = Vec::new(); // (n, workers, ratio)
-    for n in [512usize, 1024] {
-        for &t in &tiled_threads {
-            let (mut flat, mut g) = bench_geqrf_pair(n, t, reps_for(n));
-            // Nightly perf-gate floors: at one worker tiled QR must at least
-            // break even with flat (older drivers sat at 0.78-0.81x); with
-            // real cores to feed, the DAG must deliver genuine parallel
-            // speedup. Shared runners (VM steal time) swing individual
-            // rounds by +-20%, so the gate accepts the best of several
-            // measurement rounds: a true regression (0.8x-class) is centered
-            // far below the floor and fails every round, while a healthy
-            // ratio only needs one quiet window. The artifact row records
-            // the accepted measurement, so checked-in ratios match the
-            // asserted floors.
-            let floor = if t == 1 {
-                Some(0.95)
-            } else if t >= 2 && host_cores >= 2 {
-                Some(1.5)
-            } else {
-                None
-            };
-            if let Some(floor) = floor.filter(|_| gate) {
-                let mut tries = 1;
-                while g / flat + 1e-9 < floor && tries < 5 {
-                    eprintln!(
-                        "perf gate: geqrf_tiled n={n} at {t} worker(s) measured {:.3}x, remeasuring...",
-                        g / flat
-                    );
-                    let (f2, g2) = bench_geqrf_pair(n, t, 2 * reps_for(n));
-                    if g2 / f2 > g / flat {
-                        (flat, g) = (f2, g2);
-                    }
-                    tries += 1;
-                }
-                assert!(
-                    g / flat + 1e-9 >= floor,
-                    "perf gate: geqrf_tiled n={n} at {t} worker(s) is {:.3}x flat (< {floor}x) after {tries} rounds",
-                    g / flat
-                );
-            }
-            tiled_ratios.push((n, t, g / flat));
-            if !first {
-                j.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                j,
-                "    {{\"type\": \"d\", \"n\": {n}, \"pool_workers\": {t}, \"host_cores\": {host_cores}, \"gflops\": {}, \"gflops_flat\": {}, \"speedup_vs_flat\": {}}}",
-                json_f(g),
-                json_f(flat),
-                json_f(g / flat)
-            );
-        }
-    }
-    j.push_str("\n  ],\n");
-    if gate {
-        eprintln!("perf gate: geqrf_tiled ratios pass ({tiled_ratios:?})");
-    }
-
-    // ---- thread-scaling curve on the work-stealing pool ----
-    // Oversubscribed pool sizes (more workers than physical cores) time
-    // context-switch thrash, not kernel scaling, and have polluted past
-    // artifacts with sub-1.0 "efficiency" at sizes the host cannot run.
-    // Skip any size beyond host_cores except the configured pool width
-    // itself, which is kept (someone pinned it deliberately) but flagged.
-    eprintln!("thread scaling...");
-    let mut tset = vec![1usize, 2, 4];
-    if !tset.contains(&pool_workers) {
-        tset.push(pool_workers);
-    }
-    if !tset.contains(&host_cores) {
-        tset.push(host_cores);
-    }
-    tset.sort_unstable();
-    tset.dedup();
-    let skipped: Vec<usize> =
-        tset.iter().copied().filter(|&t| t > host_cores && t != pool_workers).collect();
-    tset.retain(|&t| t <= host_cores || t == pool_workers);
-    if !skipped.is_empty() {
-        eprintln!("thread scaling: skipping oversubscribed pool sizes {skipped:?} (host has {host_cores} cores)");
-    }
-    let base = bench_gemm_threads(1024, 1, 2);
-    j.push_str("  \"thread_scaling\": [\n");
-    for (i, &t) in tset.iter().enumerate() {
-        let g = if t == 1 { base } else { bench_gemm_threads(1024, t, 2) };
-        let eff = g / (base * t as f64);
-        let _ = write!(
-            j,
-            "    {{\"pool_workers\": {t}, \"host_cores\": {host_cores}, \"n\": 1024, \"oversubscribed\": {}, \"gflops\": {}, \"efficiency_vs_ideal\": {}}}",
-            t > host_cores,
-            json_f(g),
-            json_f(eff)
-        );
-        j.push_str(if i + 1 < tset.len() { ",\n" } else { "\n" });
-    }
-    j.push_str("  ],\n");
-    let _ = writeln!(j, "  \"thread_scaling_skipped_oversubscribed\": {skipped:?},");
-    let eff_at_workers = {
-        let g = if pool_workers == 1 { base } else { bench_gemm_threads(1024, pool_workers, 2) };
-        g / (base * pool_workers as f64)
-    };
-    let _ = writeln!(j, "  \"scaling_efficiency_at_pool_workers\": {},", json_f(eff_at_workers));
-
-    // ---- end-to-end QDWH against the checked-in pre-PR baseline ----
-    eprintln!("qdwh end-to-end...");
-    let baseline: Option<f64> =
-        std::fs::read_to_string("results/BENCH_baseline.json").ok().and_then(|s| {
-            s.lines()
-                .find(|l| l.contains("qdwh_seconds_n1024_d"))
-                .and_then(|l| l.split(':').nth(1))
-                .and_then(|v| v.trim().trim_end_matches(',').parse().ok())
-        });
-    let (s512, it512) = bench_qdwh(512);
-    let (s1024, it1024) = bench_qdwh(1024);
-    j.push_str("  \"qdwh\": [\n");
-    let _ = writeln!(
-        j,
-        "    {{\"type\": \"d\", \"n\": 512, \"seconds\": {}, \"iterations\": {it512}}},",
-        json_f(s512)
-    );
-    let _ = writeln!(
-        j,
-        "    {{\"type\": \"d\", \"n\": 1024, \"seconds\": {}, \"iterations\": {it1024}, \"baseline_seconds\": {}, \"speedup_vs_baseline\": {}}}",
-        json_f(s1024),
-        baseline.map(json_f).unwrap_or_else(|| "null".into()),
-        baseline.map(|b| json_f(b / s1024)).unwrap_or_else(|| "null".into()),
-    );
-    j.push_str("  ]\n}\n");
-
-    std::fs::write(&out, &j).expect("write bench json");
+    polar_bench::create_out(&out).write_all(j.as_bytes()).expect("write kernels_perf json");
     println!("{j}");
 }

@@ -6,7 +6,7 @@
 //!
 //! ```sh
 //! cargo run --release -p polar-bench --bin schedule_trace -- \
-//!     --tiles 12 --nodes 1 [--fork-join] [--out trace.json]
+//!     --tiles 12 --nodes 1 [--fork-join] [--out target/schedule_trace.json]
 //! ```
 
 use polar_bench::{paper_profile_graph, Args};
@@ -18,14 +18,14 @@ fn main() {
     let t = args.get("--tiles", 12usize);
     let nodes = args.get("--nodes", 1usize);
     let fork_join = args.flag("--fork-join");
-    let out: String = args.get("--out", String::from("schedule_trace.json"));
+    let out: String = args.get("--out", String::from("target/schedule_trace.json"));
 
     let summit = NodeSpec::summit();
     let g = paper_profile_graph(t, 320, nodes * summit.slate_ranks_per_node);
     let model = ClusterModel::slate(summit, nodes, ExecTarget::CpuOnly, 320);
     let mode = if fork_join { SchedulingMode::ForkJoin } else { SchedulingMode::TaskBased };
     let (stats, events) = simulate_traced(&g, &model, mode);
-    let file = std::fs::File::create(&out).expect("create trace file");
+    let file = polar_bench::create_out(&out);
     write_chrome_trace(&events, std::io::BufWriter::new(file)).expect("write trace");
     println!(
         "wrote {} events to {out} ({:?}, {} tiles/side, {nodes} node(s)): makespan {:.3}s, {} messages",

@@ -3,17 +3,17 @@
 //!
 //! Writes up to three artifacts:
 //!
-//! * a JSON profile (`--out`, default `PROFILE_solver.json`): wall time,
+//! * a JSON profile (`--out`, default `target/solver_profile.json`): wall time,
 //!   per-kernel-class achieved GFlop/s, per-iteration records with the
 //!   QR-vs-Cholesky kernel-time split, and pool counters;
-//! * a Chrome trace (`--trace`, default `TRACE_solver.json`): open in
+//! * a Chrome trace (`--trace`, default `target/solver_trace.json`): open in
 //!   Perfetto — one lane (`pid`) per pool worker, spans for
 //!   gemm/herk/trsm/geqrf/potrf and the solver phases, plus
 //!   `worker_occupancy` / `ready_queue_depth` counter tracks.
 //!   `--trace-max-events N` bounds the complete-event count (head+tail
 //!   kept, `"truncated": true` recorded);
 //! * with `--analyze`, a scheduler post-mortem (`--analyze-out`, default
-//!   `ANALYZE_solver.json`): per executed dag the measured critical path,
+//!   `target/solver_analyze.json`): per executed dag the measured critical path,
 //!   per-worker utilization, queue-wait and ready-starvation histograms,
 //!   top-slack bottlenecks, and a sim-vs-real row replaying the executed
 //!   graph through the calibrated discrete-event scheduler.
@@ -31,6 +31,7 @@ use polar_qdwh::{qdwh, zolo_pd, IterationRecord, QdwhOptions, ZoloOptions, ZoloO
 use polar_runtime::TaskGraph;
 use polar_scalar::Scalar;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -126,7 +127,7 @@ fn pool_json() -> String {
 }
 
 /// Scheduler post-mortem over the drained spans + executed graphs: writes
-/// `ANALYZE_solver.json` and enforces the structural invariants (worker
+/// the `--analyze-out` JSON and enforces the structural invariants (worker
 /// utilization <= 1, makespan >= measured critical path) plus the
 /// optional sim-vs-real drift gate.
 fn write_analysis(
@@ -182,7 +183,7 @@ fn write_analysis(
     let _ = writeln!(j, "  \"pool\": {},", pool_json());
     let _ = writeln!(j, "  \"sim_vs_real\": {}", cmp.to_json());
     j.push_str("}\n");
-    std::fs::write(path, &j).expect("write analyze json");
+    polar_bench::create_out(path).write_all(j.as_bytes()).expect("write analyze json");
 
     for d in &pm.dags {
         eprintln!(
@@ -396,18 +397,9 @@ fn main() {
     let trace_max: usize = args.get("--trace-max-events", 0);
     let trace_cap = if trace_max == 0 { usize::MAX } else { trace_max };
     let drift_gate: f64 = args.get("--drift-gate", 0.0);
-    let out = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
-        .unwrap_or_else(|| "PROFILE_solver.json".into());
-    let trace_out = std::env::args()
-        .skip_while(|a| a != "--trace")
-        .nth(1)
-        .unwrap_or_else(|| "TRACE_solver.json".into());
-    let analyze_out = std::env::args()
-        .skip_while(|a| a != "--analyze-out")
-        .nth(1)
-        .unwrap_or_else(|| "ANALYZE_solver.json".into());
+    let out: String = args.get("--out", "target/solver_profile.json".into());
+    let trace_out: String = args.get("--trace", "target/solver_trace.json".into());
+    let analyze_out: String = args.get("--analyze-out", "target/solver_analyze.json".into());
 
     // Measure the disabled path before anything enables observability.
     let (guard_ns, gemm_ns) = disabled_overhead();
@@ -457,13 +449,13 @@ fn main() {
     let _ = writeln!(j, "{},", phase_json("zolo", &zolo_report, &zolo.pd.info.records));
     let _ = writeln!(j, "  \"pool\": {}", pool_json());
     j.push_str("}\n");
-    std::fs::write(&out, &j).expect("write profile json");
+    polar_bench::create_out(&out).write_all(j.as_bytes()).expect("write profile json");
 
     // ---- Chrome trace: both phases share the process epoch, so their
     // spans concatenate into one aligned timeline ----
     let mut spans = qdwh_report.spans.clone();
     spans.extend(zolo_report.spans.iter().cloned());
-    let file = std::fs::File::create(&trace_out).expect("create trace file");
+    let file = polar_bench::create_out(&trace_out);
     polar_runtime::write_solver_trace_capped(&spans, std::io::BufWriter::new(file), trace_cap)
         .expect("write chrome trace");
 

@@ -98,6 +98,16 @@ pub fn git_rev() -> Option<String> {
     }
 }
 
+/// Open `path` for writing, creating its directory first. The harnesses'
+/// default outputs live under `target/`, never the repository root, and a
+/// build with `CARGO_TARGET_DIR` set elsewhere does not create `target/`.
+pub fn create_out(path: &str) -> std::fs::File {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
+    std::fs::File::create(path).unwrap_or_else(|e| panic!("create {path}: {e}"))
+}
+
 /// The paper's benchmark matrix: ill-conditioned, κ = 1e16, geometric
 /// spectrum (§7.1).
 pub fn paper_matrix_spec(n: usize, seed: u64) -> MatrixSpec {
@@ -112,7 +122,7 @@ pub fn paper_profile_graph(t: usize, nb: usize, ranks: usize) -> polar_runtime::
     use polar_qdwh::IterationKind::{CholeskyBased, QrBased};
     let (it_qr, it_chol) = polar_sim::ILL_CONDITIONED_PROFILE;
     let kinds = [vec![QrBased; it_qr], vec![CholeskyBased; it_chol]].concat();
-    let mut g = polar_qdwh::task_graph::<f64>(t * nb, t * nb, nb, &kinds, 1, true);
+    let mut g = polar_qdwh::task_graph::<f64>(t * nb, t * nb, nb, &kinds, 1);
     g.assign_ranks(polar_matrix::ProcessGrid::squarest(ranks));
     g
 }

@@ -3,9 +3,8 @@
 //! Three implementations with distinct roles:
 //!
 //! * [`gemm_ref`] — naive triple loop, the correctness oracle;
-//! * [`gemm_axpy`] — unpacked cache-aware axpy/dot kernel, used for
-//!   problems too small to amortize packing (and as the bench baseline —
-//!   it was the previous hot-path kernel);
+//! * `gemm_axpy` — unpacked cache-aware axpy/dot kernel, the leaf for
+//!   problems too small to amortize packing;
 //! * [`gemm`] — the production path: one call of the BLIS-style packed
 //!   kernel (`crate::packed`) when the caller has no lane to fork to
 //!   ([`fork_lanes`]), else a parallel split over the output with leaf
@@ -60,10 +59,9 @@ pub fn gemm_ref<S: Scalar>(
 ///
 /// For `op_a = NoTrans` the inner kernel is a column `axpy` (contiguous
 /// access to both `A` and `C`); for transposed `A` it is a column dot
-/// product. `k` is blocked to keep the working set in cache. Kept as the
-/// small-problem path (packing doesn't pay below a few thousand flops)
-/// and as the speedup baseline in `kernels_perf`.
-pub fn gemm_axpy<S: Scalar>(
+/// product. `k` is blocked to keep the working set in cache. The
+/// small-problem path: packing doesn't pay below a few thousand flops.
+fn gemm_axpy<S: Scalar>(
     op_a: Op,
     op_b: Op,
     alpha: S,

@@ -35,7 +35,7 @@ mod symm;
 mod trsm;
 
 pub use batched::{gemm_batched, gemm_batched_packed};
-pub use gemm::{gemm, gemm_a, gemm_axpy, gemm_ref};
+pub use gemm::{gemm, gemm_a, gemm_ref};
 pub use level1::{add, axpy, copy_into, dot, dotc, iamax, nrm2, scale, scale_real};
 pub use norms::{col_sums, norm, norm_triangular, row_sums};
 pub use packed::microkernel;

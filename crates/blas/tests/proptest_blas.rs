@@ -250,7 +250,8 @@ proptest! {
 #[test]
 fn gemm_degenerate_shapes() {
     // empty, scalar, vector-like, and prime shapes across all types,
-    // exercising fringe tiles and the zero-size early outs
+    // exercising fringe tiles and the zero-size early outs; the last one
+    // takes the packed kernel with k below every k-block
     let shapes = [
         (0usize, 5usize, 3usize),
         (5, 0, 3),
@@ -260,6 +261,8 @@ fn gemm_degenerate_shapes() {
         (31, 29, 37),
         (17, 1, 5),
         (1, 19, 3),
+        (17, 5, 23),
+        (64, 48, 16),
     ];
     for &(m, n, k) in &shapes {
         check_all_ops::<f32>(m, n, k, 21);

@@ -46,8 +46,7 @@ pub fn qdwh_distributed<S: Scalar>(
 ) -> Result<DistOutcome<S>, QdwhError> {
     let opts = QdwhOptions { tile_nb: Some(cfg.nb), ..opts.clone() };
     let pd = qdwh(a, &opts)?;
-    let mut graph =
-        task_graph::<S>(a.nrows(), a.ncols(), cfg.nb, &pd.info.kinds, 1, opts.exploit_structure);
+    let mut graph = task_graph::<S>(a.nrows(), a.ncols(), cfg.nb, &pd.info.kinds, 1);
     graph.assign_ranks(cfg.grid);
     Ok(DistOutcome { pd, comm: graph.comm(), tile_tasks: graph.len() })
 }

@@ -111,7 +111,6 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
         sink: &mut NormSink,
         xt: Tiling,
         plan: &[Step<R>],
-        exploit_structure: bool,
         x: Option<&'a mut [TiledMatrix<S>; 2]>,
         ws: &'a mut Workspace<S>,
     ) -> Self {
@@ -133,8 +132,8 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
         }
         let slot = |(j, store): (usize, &'a mut TermStore<S>)| {
             let qr = qr.then(|| {
-                let shape = TermPtr::shape(dag, m, n, nb, exploit_structure);
-                let new = || TermWorkspace::new(m, n, nb, exploit_structure);
+                let shape = TermPtr::shape(dag, m, n, nb);
+                let new = || TermWorkspace::new(m, n, nb);
                 if backed {
                     shape.bind(store.qr.get_or_insert_with(new))
                 } else {
@@ -166,7 +165,6 @@ pub fn task_graph<S: Scalar>(
     nb: usize,
     kinds: &[IterationKind],
     terms: usize,
-    exploit_structure: bool,
 ) -> TaskGraph {
     assert!(terms > 0, "a step has at least one term");
     let unit = Term { alpha: 1.0, shift: 1.0, weight: 1.0 };
@@ -178,7 +176,7 @@ pub fn task_graph<S: Scalar>(
     let mut sink = NormSink::new(plan.len(), xt);
     let mut ws = Workspace::<S>::default();
     let mut dag = TaskDag::new();
-    let at = GraphPtrs::name(&mut dag, &mut sink, xt, &plan, exploit_structure, None, &mut ws);
+    let at = GraphPtrs::name(&mut dag, &mut sink, xt, &plan, None, &mut ws);
     emit_steps(&mut dag, &at, &plan, &sink, &failure);
     dag.into_graph()
 }
@@ -251,7 +249,6 @@ pub(crate) fn run_graph<S: Scalar, R: Real>(
     x: &mut Iterate<S>,
     ws: &mut Workspace<S>,
     plan: &[Step<R>],
-    exploit_structure: bool,
     hooked: &Hooked<'_>,
 ) -> Result<(NormSink, Vec<PhaseProfile>), QdwhError> {
     let xt = x.tiling();
@@ -261,7 +258,7 @@ pub(crate) fn run_graph<S: Scalar, R: Real>(
 
     let mut dag = TaskDag::new();
     let bufs = Some(x.bufs());
-    let at = GraphPtrs::name(&mut dag, &mut sink, xt, plan, exploit_structure, bufs, ws);
+    let at = GraphPtrs::name(&mut dag, &mut sink, xt, plan, bufs, ws);
     emit_steps(&mut dag, &at, plan, &sink, &failure);
 
     let phases = execute_hooked(dag, hooked, &sink, &failure)?;

@@ -98,12 +98,6 @@ pub struct QdwhOptions {
     /// (Nakatsukasa & Higham); the cap only guards against pathological
     /// inputs (NaN, severe overscaling).
     pub max_iterations: usize,
-    /// Exploit the `[B; I]` structure of the stacked QR: the identity
-    /// block's fill-in stays upper trapezoidal, so each panel runs on a
-    /// shrinking-complement row window, removing ~1/3 of the QR
-    /// iteration's factorization flops (the standard QDWH structure
-    /// optimization). Numerically identical to the general path.
-    pub exploit_structure: bool,
     /// Tile size of the solve's task graph; `None` uses
     /// `polar_lapack::auto_tile_nb(n)` (256, less on wide pools). Never
     /// wider than the matrix: `n` columns at most.
@@ -132,7 +126,6 @@ impl std::fmt::Debug for QdwhOptions {
             .field("path", &self.path)
             .field("qr_switch_threshold", &self.qr_switch_threshold)
             .field("max_iterations", &self.max_iterations)
-            .field("exploit_structure", &self.exploit_structure)
             .field("tile_nb", &self.tile_nb)
             .field("compute_h", &self.compute_h)
             .field("l0_override", &self.l0_override)
@@ -148,7 +141,6 @@ impl Default for QdwhOptions {
             path: IterationPath::Auto,
             qr_switch_threshold: 100.0,
             max_iterations: 50,
-            exploit_structure: true,
             tile_nb: None,
             compute_h: true,
             l0_override: None,

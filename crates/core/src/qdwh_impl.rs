@@ -263,7 +263,6 @@ impl<S: Scalar> Method<S> for Halley<'_> {
             max_iterations: o.max_iterations,
             compute_h: o.compute_h,
             tile_nb: o.tile_nb,
-            exploit_structure: o.exploit_structure,
             progress: o.progress.as_ref(),
             l0_override: o.l0_override,
             l0_strategy: o.l0_strategy,
@@ -287,7 +286,6 @@ impl<S: Scalar> Method<S> for Halley<'_> {
 mod tests {
     use super::*;
     use crate::options::IterationPath;
-    use polar_blas::add;
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
     use polar_scalar::{Complex32, Complex64};
 
@@ -458,19 +456,6 @@ mod tests {
         let opts = QdwhOptions { path: IterationPath::ForceQr, ..Default::default() };
         let pd = check_polar(&a, &opts, 1e-12);
         assert_eq!(pd.info.chol_iterations, 0);
-    }
-
-    #[test]
-    fn structured_qr_matches_general_path() {
-        let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(50, 23));
-        let structured = qdwh(&a, &QdwhOptions::default()).unwrap();
-        let general =
-            qdwh(&a, &QdwhOptions { exploit_structure: false, ..Default::default() }).unwrap();
-        assert_eq!(structured.info.iterations, general.info.iterations);
-        let mut d = structured.u.clone();
-        add(-1.0, general.u.as_ref(), 1.0, d.as_mut());
-        let err: f64 = norm(Norm::Fro, d.as_ref());
-        assert!(err < 1e-13, "structure exploitation changed U by {err}");
     }
 
     #[test]

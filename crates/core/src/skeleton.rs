@@ -343,8 +343,6 @@ pub(crate) struct Common<'a> {
     pub max_iterations: usize,
     pub compute_h: bool,
     pub tile_nb: Option<usize>,
-    /// Prune every stacked QR to the fill window of `[B; I]`.
-    pub exploit_structure: bool,
     pub progress: Option<&'a ProgressHook>,
     pub l0_override: Option<f64>,
     pub l0_strategy: L0Strategy,
@@ -423,7 +421,7 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
         let bounds = std::iter::once(ell).chain(steps.iter().map(|s| s.ell_after));
         let ells: Vec<f64> = bounds.map(|e| e.to_f64()).collect();
         let hooked = Hooked { hook: c.progress, first_iteration, first_conv: conv, ells: &ells };
-        let (sink, phases) = run_graph(&mut x, &mut ws, &steps, c.exploit_structure, &hooked)?;
+        let (sink, phases) = run_graph(&mut x, &mut ws, &steps, &hooked)?;
         for (k, (step, phase)) in steps.iter().zip(&phases).enumerate() {
             let convergence: S::Real = sink.norm(k);
             if !convergence.to_f64().is_finite() {

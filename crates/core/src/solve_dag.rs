@@ -208,14 +208,11 @@ fn stacked_tiling(m: usize, n: usize, nb: usize) -> (Tiling, usize) {
 }
 
 impl<S: Scalar> TermWorkspace<S> {
-    /// For an `m x n` iterate at tile size `nb`; `exploit_structure` prunes
-    /// the factorization to the fill window of `[B; I]`.
-    pub(crate) fn new(m: usize, n: usize, nb: usize, exploit_structure: bool) -> Self {
+    /// For an `m x n` iterate at tile size `nb`, the factorization pruned
+    /// to the fill window of `[B; I]`.
+    pub(crate) fn new(m: usize, n: usize, nb: usize) -> Self {
         let (wt, top) = stacked_tiling(m, n, nb);
-        Self {
-            w: TiledQr::zeros(wt, exploit_structure.then_some(top)),
-            q: TiledMatrix::zeros(wt, ProcessGrid::single()),
-        }
+        Self { w: TiledQr::zeros(wt, Some(top)), q: TiledMatrix::zeros(wt, ProcessGrid::single()) }
     }
 }
 
@@ -229,18 +226,9 @@ pub(crate) struct TermPtr<'a, S: Scalar> {
 
 impl<'a, S: Scalar> TermPtr<'a, S> {
     /// Arguments as for [`TermWorkspace::new`].
-    pub(crate) fn shape(
-        dag: &mut TaskDag<'_>,
-        m: usize,
-        n: usize,
-        nb: usize,
-        exploit_structure: bool,
-    ) -> Self {
+    pub(crate) fn shape(dag: &mut TaskDag<'_>, m: usize, n: usize, nb: usize) -> Self {
         let (wt, top) = stacked_tiling(m, n, nb);
-        Self {
-            w: QrPtr::shape(dag, wt, exploit_structure.then_some(top)),
-            q: TilePtr::shape(dag, wt),
-        }
+        Self { w: QrPtr::shape(dag, wt, Some(top)), q: TilePtr::shape(dag, wt) }
     }
 
     pub(crate) fn bind<'b>(self, ws: &'b mut TermWorkspace<S>) -> TermPtr<'b, S> {
@@ -751,11 +739,11 @@ mod tests {
             let flat = q1_residual(&x, s, &q1, &q2);
 
             let grid = ProcessGrid::single;
-            let mut ws = TermWorkspace::<f64>::new(m, n, nb, true);
+            let mut ws = TermWorkspace::<f64>::new(m, n, nb);
             let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
             let mut out = TiledMatrix::<f64>::zeros(xt.tiling(), grid());
             let mut dag = TaskDag::new();
-            let term = TermPtr::shape(&mut dag, m, n, nb, true).bind(&mut ws);
+            let term = TermPtr::shape(&mut dag, m, n, nb).bind(&mut ws);
             let (xp, op) = (TilePtr::new(&mut dag, &mut xt), TilePtr::new(&mut dag, &mut out));
             emit_term(&mut dag, term, xp, (s, 1.0), 1.0, op, None);
             assert_eq!(dag.execute(), ExecOutcome::Completed);

@@ -162,8 +162,6 @@ impl<S: Scalar> Method<S> for Zolotarev<'_> {
             max_iterations: o.max_iterations,
             compute_h: o.compute_h,
             tile_nb: o.tile_nb,
-            // the sqrt(c) I bottom block has the trapezoidal fill of QDWH's I
-            exploit_structure: true,
             progress: o.progress.as_ref(),
             l0_override: None,
             l0_strategy: L0Strategy::SigmaMinPowerIteration,

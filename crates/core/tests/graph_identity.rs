@@ -63,10 +63,8 @@ fn task_graph_is_the_executed_graph() {
     // the whole solve
     assert_eq!(ran.len(), 1);
 
-    let emitted = task_graph::<f64>(N, N, NB, &pd.info.kinds, 1, opts.exploit_structure);
+    let emitted = task_graph::<f64>(N, N, NB, &pd.info.kinds, 1);
     assert_same_graph(&emitted, &ran[0]);
-    // PR 15's trtri tasks and the structure-exploiting row limit are in it
-    assert!(emitted.len() < task_graph::<f64>(N, N, NB, &pd.info.kinds, 1, false).len());
 
     // Zolo-PD's graph is the same emitter at `terms = r`: `r` stacked QRs
     // and `r - 1` private slabs in the QR-based step, `r` Cholesky terms
@@ -78,8 +76,8 @@ fn task_graph_is_the_executed_graph() {
         assert_eq!(out.pd.info.kinds, QR_THEN_CHOL, "r = {r}");
         // the condition estimate's QR, then the whole solve
         assert_eq!(ran.len(), 2, "r = {r}");
-        let emitted = task_graph::<f64>(N, N, NB, &out.pd.info.kinds, r, true);
+        let emitted = task_graph::<f64>(N, N, NB, &out.pd.info.kinds, r);
         assert_same_graph(&emitted, &ran[1]);
-        assert!(emitted.len() > task_graph::<f64>(N, N, NB, &out.pd.info.kinds, 1, true).len());
+        assert!(emitted.len() > task_graph::<f64>(N, N, NB, &out.pd.info.kinds, 1).len());
     }
 }

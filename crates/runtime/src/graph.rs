@@ -1,12 +1,11 @@
 //! Tile-task graphs with inferred data dependencies.
 
 use polar_matrix::ProcessGrid;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Dense-kernel task types appearing in the QDWH DAG. The names follow
 /// the PLASMA/SLATE tile-kernel vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// QR of a single diagonal tile.
     Geqrt,
@@ -62,7 +61,7 @@ impl KernelKind {
 
 /// A tile of some matrix: `(matrix id, tile row, tile col)` plus its
 /// payload size in bytes (for communication costing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileRef {
     pub matrix: u32,
     pub i: u32,
@@ -84,7 +83,7 @@ impl TileRef {
 pub type TaskId = usize;
 
 /// One tile task.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Task {
     pub id: TaskId,
     pub kind: KernelKind,

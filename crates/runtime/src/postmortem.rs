@@ -31,7 +31,7 @@
 //! to `polar-sim`: calibrating an [`crate::sched::ExecutionModel`] from
 //! measured seconds-per-flop and replaying the same graph through
 //! [`crate::sched::simulate`] yields the sim-vs-real makespan comparison
-//! emitted in `ANALYZE_solver.json` (see `polar-sim::real`).
+//! `solver_profile --analyze` emits (see `polar-sim::real`).
 
 use crate::graph::TaskGraph;
 use crate::sched::{ScheduleStats, SchedulingMode};

@@ -6,7 +6,6 @@
 //! root, and mixed complex×real scaling.
 
 use crate::Real;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 ///
 /// `repr(C)` pins the `[re, im]` memory layout that the packed SIMD
 /// microkernels rely on when streaming complex panels as real pairs.
-#[derive(Copy, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Default, PartialEq)]
 #[repr(C)]
 pub struct Complex<T> {
     /// Real part.

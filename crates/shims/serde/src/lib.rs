@@ -1,26 +1,11 @@
-//! Offline drop-in subset of `serde`.
+//! Offline stand-in for the part of `serde` / `serde_json` this workspace
+//! uses: reading JSON back.
 //!
-//! Re-exports the no-op derive macros (feature `derive`) so
-//! `#[derive(Serialize, Deserialize)]` compiles without the real serde
-//! stack. The same-named traits exist for `use serde::Serialize;` imports
-//! and occasional bounds (satisfied by blanket impls), but carry no
-//! methods — all real serialization in this workspace is handwritten
-//! (see `polar_runtime::write_chrome_trace` and the metrics exporters).
-//!
-//! The [`json`] module is the *reader* counterpart: a small recursive-
-//! descent JSON parser into a dynamic [`json::Value`], enough for tests
-//! and benches to re-parse the traces and profiles the workspace writes.
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+//! Every artifact the workspace writes (Chrome traces, profiles, reports)
+//! is serialized by hand (see `polar_runtime::write_chrome_trace` and the
+//! metrics exporters); the [`json`] module is the *reader* counterpart, a
+//! small recursive-descent JSON parser into a dynamic [`json::Value`],
+//! enough for `polar-verify`, the tests and the benchmark to re-parse what
+//! the workspace writes.
 
 pub mod json;
-
-/// Marker standing in for `serde::Serialize` in bounds; the blanket impl
-/// makes any such bound hold (the no-op derive generates nothing).
-pub trait Serialize {}
-impl<T: ?Sized> Serialize for T {}
-
-/// Marker standing in for `serde::Deserialize` in bounds.
-pub trait Deserialize<'de> {}
-impl<'de, T: ?Sized> Deserialize<'de> for T {}

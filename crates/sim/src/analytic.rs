@@ -24,11 +24,10 @@
 
 use crate::machine::{ExecTarget, NodeSpec};
 use crate::qdwh_flops;
-use serde::Serialize;
 
 /// Which implementation of QDWH is being modeled (the three series of
 /// Figs. 2–3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Implementation {
     /// SLATE, GPU-accelerated, task-based (blue squares).
     SlateGpu,
@@ -59,7 +58,7 @@ impl Implementation {
 }
 
 /// Time breakdown returned by [`estimate_qdwh_time`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AnalyticBreakdown {
     pub seconds: f64,
     pub compute_seconds: f64,

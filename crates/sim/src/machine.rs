@@ -2,10 +2,9 @@
 //! implementation of the runtime's [`ExecutionModel`] on top of them.
 
 use polar_runtime::{ExecutionModel, KernelKind, Task};
-use serde::{Deserialize, Serialize};
 
 /// Execution target: which resources run the compute kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecTarget {
     /// CPU cores only (the paper's "SLATE CPU" and ScaLAPACK series).
     CpuOnly,
@@ -18,7 +17,7 @@ pub enum ExecTarget {
 /// One node's hardware parameters. Rates are *achievable dgemm* rates,
 /// not theoretical peaks (peaks are recorded separately for the
 /// percent-of-peak numbers the paper quotes).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSpec {
     pub name: &'static str,
     /// Usable CPU cores per node (OS-reserved cores excluded, §7.1).

@@ -137,7 +137,7 @@ pub fn compare(graph: &TaskGraph, measured: &DagPostmortem) -> SimVsReal {
 
 impl SimVsReal {
     /// Serialize as one JSON object (the `sim_vs_real` row of
-    /// `ANALYZE_solver.json`).
+    /// `solver_profile --analyze`'s report).
     pub fn to_json(&self) -> String {
         let classes: Vec<String> = self
             .classes

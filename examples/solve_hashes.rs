@@ -64,11 +64,6 @@ fn cases<S: Scalar>(high: f64, threads: usize) {
         ("qdwh-force-chol", input(83, 47, 1e3, 5), forced(IterationPath::ForceCholesky)),
         // kappa = 10 plans three steps and converges in four
         ("qdwh-continuation", input(72, 48, 10.0, 6), tiled.clone()),
-        (
-            "qdwh-unpruned",
-            input(83, 47, high, 7),
-            QdwhOptions { exploit_structure: false, ..tiled.clone() },
-        ),
     ];
     for (case, a, opts) in &qdwh_cases {
         line(case, threads, &qdwh(a, opts).expect("qdwh converges"));

@@ -14,7 +14,7 @@ fn qdwh_graph(t: usize, ranks: usize, it_qr: usize, it_chol: usize) -> TaskGraph
     let n = t * 320;
     let kinds =
         [vec![IterationKind::QrBased; it_qr], vec![IterationKind::CholeskyBased; it_chol]].concat();
-    let mut g = task_graph::<f64>(n, n, 320, &kinds, 1, true);
+    let mut g = task_graph::<f64>(n, n, 320, &kinds, 1);
     g.assign_ranks(ProcessGrid::squarest(ranks));
     g
 }
@@ -27,7 +27,7 @@ fn dag_flops_match_measured_iteration_profile() {
     let n = 64;
     let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(n, 3));
     let pd = qdwh(&a, &QdwhOptions::default()).unwrap();
-    let g = task_graph::<f64>(n, n, 8, &pd.info.kinds, 1, true);
+    let g = task_graph::<f64>(n, n, 8, &pd.info.kinds, 1);
     let formula = qdwh_flops(n, pd.info.qr_iterations, pd.info.chol_iterations);
     let ratio = g.total_flops() / formula;
     assert!((0.5..2.5).contains(&ratio), "DAG/formula ratio {ratio}");
