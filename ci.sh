@@ -123,6 +123,17 @@ stage_lint() {
         test -z "$strays" || fail "a solve stage written outside the skeleton ($pattern): $strays"
     done
 
+    step "one step definition: the batch engine plays the skeleton's Steps"
+    # polar-batch reads every coefficient of a step off skeleton::Step
+    # (Term::applied); a Halley step type of its own, or the old update's
+    # theta / beta, is a second copy of the step. The type is gone from the
+    # sources and the design documents (CHANGES.md is history)
+    strays=$(grep -rlwE 'HalleyStep|halley_update|theta|beta' crates/batch/src || true)
+    test -z "$strays" || fail "the batch engine writes its own Halley step: $strays"
+    strays=$(grep -rlw HalleyStep --include='*.rs' crates src tests examples benchmark/src || true)
+    strays+=$(grep -lw HalleyStep README.md DESIGN.md EXPERIMENTS.md ROADMAP.md || true)
+    test -z "$strays" || fail "a second step type is back: $strays"
+
     step "env knobs: every POLAR_* name in the sources is on the list"
     # each knob is one more configuration to test and to benchmark; adding
     # one means adding a line here, where a reviewer sees it

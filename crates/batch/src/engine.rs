@@ -10,13 +10,16 @@
 //! Inside a chunk the work is *batch-major*:
 //!
 //! * all iterates `X_k` sit in one [`BatchedDense`] (entry stride `m * n`);
-//! * each Halley round splits the still-active entries by iteration family
-//!   and runs each family's GEMM-shaped work as batch-spanning
-//!   [`gemm_batched_packed`] sweeps over compact gathered slabs. Only the
+//! * every entry plays the [`Step`]s [`qdwh_plan`] plans for it (a hinted
+//!   entry under its widened `qr_switch_threshold`), re-planning when a plan
+//!   runs out: an empty plan is convergence, none the iteration cap;
+//! * each round groups the active entries by their next step's kind and
+//!   runs each family's GEMM-shaped work as batch-spanning
+//!   [`gemm_batched_packed`] sweeps over compact gathered slabs, every
+//!   coefficient from [`Term::applied`](polar_qdwh::Term::applied). Only the
 //!   factorizations (`potrf` + `trtri`, or the stacked QR) are per-entry
-//!   calls. The Cholesky family applies `Z^{-1}` through the explicit
-//!   inverse `T = L^{-1}` (two batched GEMMs) instead of two per-entry
-//!   substitution-kernel `trsm`s;
+//!   calls; the Cholesky family applies `Z^{-1}` through the explicit inverse
+//!   `T = L^{-1}` (two batched GEMMs) instead of two per-entry `trsm`s;
 //! * the condition-estimate prologue consults a [`CondestCache`] keyed by
 //!   `(n, type, cond class)` so hinted repeat streams skip the per-entry
 //!   `geqrf` + estimate ([`polar_qdwh::estimate_l0`]) entirely;
@@ -39,8 +42,8 @@ use polar_blas::{gemm_batched_packed, norm, symmetrize};
 use polar_lapack::{geqrf, geqrf_stacked, norm2est, orgqr, potrf_in, trtri_lower};
 use polar_matrix::{BatchedDense, Matrix, Norm, Op, Uplo};
 use polar_qdwh::{
-    converged, estimate_l0, qdwh_flops, HalleyStep, IterationDecision, IterationProgress,
-    IterationRecord, ProgressHook, QdwhError, QdwhInfo, QdwhOptions,
+    estimate_l0, qdwh_flops, qdwh_plan, IterationDecision, IterationKind, IterationProgress,
+    IterationRecord, ProgressHook, QdwhError, QdwhInfo, QdwhOptions, Step,
 };
 use polar_scalar::{Real, Scalar};
 use std::sync::Arc;
@@ -166,9 +169,9 @@ impl From<BatchError> for QdwhError {
     }
 }
 
-/// QR→Cholesky switch value for entries that declared a
-/// [`BatchEntry::with_cond_hint`] conditioning class (unhinted entries
-/// keep `qdwh.qr_switch_threshold`, classically 100). Safe to widen
+/// The `qr_switch_threshold` an entry that declared a
+/// [`BatchEntry::with_cond_hint`] conditioning class plans under (unhinted
+/// entries keep `qdwh.qr_switch_threshold`, classically 100). Safe to widen
 /// regardless of whether the hint is truthful: `Z = I + c XᴴX` has
 /// eigenvalues in `[1, 1 + c]`, so `κ(Z) ≤ 1 + c` is bounded by the
 /// switch value alone — the widened window costs at most `~c·ε` backward
@@ -256,7 +259,7 @@ fn ensure_slab<S: Scalar>(bd: &mut BatchedDense<S>, rows: usize, cols: usize, co
 /// reallocating ~10 MB of zeroed slabs per call costs more in page
 /// faults than whole rounds of kernel work at serving sizes. Each
 /// thread keeps its last call's slabs and reuses them. Every slab entry
-/// a solve reads it has fully written first (Gram, GEMM-with-beta-0, full
+/// a solve reads it has fully written first (Gram, overwriting GEMMs, full
 /// gathers, `trtri`'s full-triangle writes), so reuse never leaks values
 /// between calls (the batch-spanning sweeps do read a failed entry's slots
 /// as they were left; nothing reads the result); a chunk in which an entry
@@ -290,8 +293,9 @@ fn slab_cache_put<S: Scalar>(slabs: Slabs<S>) {
 
 /// Running per-entry iteration state.
 struct EntryState<R: Real> {
-    ell: R,
-    conv: R,
+    /// The planned steps, and how many of them have run.
+    steps: Vec<Step<R>>,
+    next: usize,
     /// `None` while the entry iterates, then how it ended: converged (or
     /// the zero matrix), or the error that took it out of the wave.
     outcome: Option<Result<(), QdwhError>>,
@@ -304,18 +308,42 @@ struct EntryState<R: Real> {
 impl<R: Real> EntryState<R> {
     fn ended(outcome: Result<(), QdwhError>, alpha: R) -> Self {
         let info = QdwhInfo::started(alpha, R::ZERO);
-        Self { ell: R::ONE, conv: R::ZERO, outcome: Some(outcome), info, fresh_l0: None }
+        Self { steps: Vec::new(), next: 0, outcome: Some(outcome), info, fresh_l0: None }
     }
 
     fn solved(&self) -> bool {
         self.outcome == Some(Ok(()))
     }
-}
 
-/// One round's step for the active entry `k`.
-struct Plan<R> {
-    k: usize,
-    step: HalleyStep<R>,
+    /// The norm and the bound the last round left: before any, the `100`
+    /// the scalar driver shows a hook and `l_0`.
+    fn last(&self) -> (f64, R) {
+        let last = self.info.records.last();
+        last.map_or((100.0, self.info.l0), |r| (r.convergence.to_f64(), r.ell))
+    }
+
+    /// Plan the steps from where the entry stands: none left to run ends it
+    /// converged, a plan past the iteration cap ends it unconverged.
+    fn replan<S: Scalar<Real = R>>(&mut self, opts: &QdwhOptions) {
+        let (conv, ell) = self.last();
+        let budget = opts.max_iterations.saturating_sub(self.info.iterations);
+        match qdwh_plan::<S>(opts, ell, conv, budget) {
+            Some(steps) if steps.is_empty() => self.outcome = Some(Ok(())),
+            Some(steps) => (self.steps, self.next) = (steps, 0),
+            None => {
+                let iterations = opts.max_iterations;
+                self.outcome = Some(Err(QdwhError::NoConvergence { iterations }));
+            }
+        }
+    }
+
+    /// The step this round plays: its kind, `x_coef` and its one term as
+    /// that kind applies it. (The engine plays one-term steps: QDWH's.)
+    fn next_step(&self) -> (IterationKind, R, (R, R, R)) {
+        let step = &self.steps[self.next];
+        let [term] = &step.terms[..] else { panic!("a batched step has one term") };
+        (step.kind, step.x_coef, term.applied(step.kind))
+    }
 }
 
 /// How one entry of a wave ended: its iteration record, or the error that
@@ -338,8 +366,8 @@ pub fn qdwh_batched<S: Scalar>(
 /// per entry returned in order (a failed entry's factors stay empty).
 ///
 /// See the module docs for the execution model. Per entry the iteration
-/// follows [`polar_qdwh::qdwh`] with the same [`QdwhOptions`] — same
-/// parameter sequence, factors equal to rounding (the Cholesky rounds
+/// follows [`polar_qdwh::qdwh`] with the same [`QdwhOptions`] — the same
+/// planned steps, factors equal to rounding (the Cholesky rounds
 /// apply `Z^{-1}` through an explicit inverse, so not bit for bit) — and
 /// its bits depend on nothing but the entry, the options and the `l_0`
 /// the [`CondestCache`] held when the call started.
@@ -452,15 +480,14 @@ fn solve_chunk<S: Scalar>(
     states
 }
 
-/// `X_k := theta Y + beta X_k`, fused with the `||X_k - X_{k-1}||_F`
+/// `X := x_coef X + coef Y`, fused with the `||X_new - X_old||_F`
 /// convergence reduction.
-fn halley_update<S: Scalar>(x: &mut [S], y: &[S], theta: S::Real, beta: S::Real) -> S::Real {
-    let th = S::from_real(theta);
-    let be = S::from_real(beta);
+fn update<S: Scalar>(x: &mut [S], y: &[S], x_coef: S::Real, coef: S::Real) -> S::Real {
+    let (xc, yc) = (S::from_real(x_coef), S::from_real(coef));
     let mut acc = S::Real::ZERO;
     for (xi, yi) in x.iter_mut().zip(y) {
         let old = *xi;
-        let new = *yi * th + old * be;
+        let new = *yi * yc + old * xc;
         acc += (new - old).abs_sq();
         *xi = new;
     }
@@ -479,6 +506,15 @@ fn run_chunk<S: Scalar>(
     // ---- pack + prologue: scale and condition-estimate every entry ----
     ensure_slab(&mut slabs.a, m, n, count);
     ensure_slab(&mut slabs.x, m, n, count);
+    // hinted entries opted into the widened Cholesky window (see
+    // [`HINTED_QR_SWITCH`]): their plans run under it, nothing else differs
+    let hinted = QdwhOptions {
+        qr_switch_threshold: (HINTED_QR_SWITCH_EPS_CAP / S::Real::EPSILON.to_f64())
+            .min(HINTED_QR_SWITCH)
+            .max(opts.qdwh.qr_switch_threshold),
+        ..opts.qdwh.clone()
+    };
+    let opts_of = |k: usize| if entries[k].cond_hint.is_some() { &hinted } else { &opts.qdwh };
     let mut states: Vec<EntryState<S::Real>> = Vec::with_capacity(count);
     for (k, e) in entries.iter().enumerate() {
         if e.a.has_non_finite() {
@@ -516,32 +552,25 @@ fn run_chunk<S: Scalar>(
             })
         });
         let l0 = preset_l0[k].or(fresh_l0).expect("l0 preset or just estimated");
-        states.push(EntryState {
-            ell: l0,
-            conv: S::Real::from_f64(100.0),
-            outcome: None,
-            info: QdwhInfo::started(alpha, l0),
-            fresh_l0,
-        });
+        let info = QdwhInfo::started(alpha, l0);
+        let mut state = EntryState { steps: Vec::new(), next: 0, outcome: None, info, fresh_l0 };
+        state.replan::<S>(opts_of(k));
+        states.push(state);
     }
 
-    // ---- the Halley rounds ----
-    let hinted_switch = (HINTED_QR_SWITCH_EPS_CAP / S::Real::EPSILON.to_f64())
-        .min(HINTED_QR_SWITCH)
-        .max(opts.qdwh.qr_switch_threshold);
+    // ---- the rounds: each active entry plays its next step ----
     let mut round = 0usize;
     // An entry ends in this loop and nowhere else: at the top of a round
-    // (cap, its own hook), where its factorization breaks down, or in the
-    // round's bookkeeping (non-finite iterate, convergence).
+    // (its own hook), where its factorization breaks down, or in the
+    // round's bookkeeping (non-finite iterate, its plan run out and the
+    // next one empty or past the cap).
     while states.iter().any(|s| s.outcome.is_none()) {
         round += 1;
         for (s, e) in states.iter_mut().zip(entries.iter()).filter(|(s, _)| s.outcome.is_none()) {
-            let iterations = s.info.iterations;
-            if iterations >= opts.qdwh.max_iterations {
-                s.outcome = Some(Err(QdwhError::NoConvergence { iterations }));
-            } else if let Some(hook) = &e.progress {
-                let iteration = iterations + 1;
-                let (convergence, ell) = (s.conv.to_f64(), s.ell.to_f64());
+            if let Some(hook) = &e.progress {
+                let iteration = s.info.iterations + 1;
+                let (convergence, ell) = s.last();
+                let ell = ell.to_f64();
                 if hook(&IterationProgress { iteration, convergence, ell })
                     == IterationDecision::Cancel
                 {
@@ -549,32 +578,17 @@ fn run_chunk<S: Scalar>(
                 }
             }
         }
-
-        // plan: per-entry weights and family, before touching any data
-        let plans: Vec<Plan<S::Real>> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.outcome.is_none())
-            .map(|(k, s)| {
-                // hinted entries opted into the extended Cholesky window
-                // (see [`HINTED_QR_SWITCH`]); the stability bound depends
-                // only on the realized c, never on the hint's
-                // truthfulness, so no validation is needed here
-                let switch = if entries[k].cond_hint.is_some() {
-                    hinted_switch
-                } else {
-                    opts.qdwh.qr_switch_threshold
-                };
-                Plan { k, step: HalleyStep::at(s.ell, opts.qdwh.path, switch) }
-            })
-            .collect();
-        if plans.is_empty() {
+        let active: Vec<usize> = (0..count).filter(|&k| states[k].outcome.is_none()).collect();
+        if active.is_empty() {
             break;
         }
         let round_start = std::time::Instant::now();
-        let _iter_span = polar_obs::span!("qdwh_batched_iter", round, plans.len());
+        let _iter_span = polar_obs::span!("qdwh_batched_iter", round, active.len());
+        let family = |kind| -> Vec<usize> {
+            active.iter().copied().filter(|&k| states[k].next_step().0 == kind).collect()
+        };
+        let (chol, qr) = (family(IterationKind::CholeskyBased), family(IterationKind::QrBased));
 
-        let chol: Vec<&Plan<S::Real>> = plans.iter().filter(|p| !p.step.is_qr()).collect();
         if !chol.is_empty() {
             let cnt = chol.len();
             for slab in [&mut slabs.xg, &mut slabs.w1, &mut slabs.yc] {
@@ -584,8 +598,8 @@ fn run_chunk<S: Scalar>(
                 ensure_slab(slab, n, n, count);
             }
             // gather + one batched Gram sweep: G_i = X_i^H X_i
-            for (i, p) in chol.iter().enumerate() {
-                slabs.xg.copy_entry_from(i, &slabs.x, p.k);
+            for (i, &k) in chol.iter().enumerate() {
+                slabs.xg.copy_entry_from(i, &slabs.x, k);
             }
             let xg = slabs.xg.as_batched_ref().prefix(cnt);
             gemm_batched_packed(
@@ -597,14 +611,16 @@ fn run_chunk<S: Scalar>(
                 S::ZERO,
                 slabs.g.as_batched_mut().prefix(cnt),
             );
-            for (i, p) in chol.iter().enumerate() {
-                // Z = I + c G in place; only the lower triangle feeds potrf
-                let cs = S::from_real(p.step.c);
+            for (i, &k) in chol.iter().enumerate() {
+                // Z = alpha G + shift I in place; only the lower triangle
+                // feeds potrf
+                let (_, _, (alpha, shift, _)) = states[k].next_step();
+                let (alpha, shift) = (S::from_real(alpha), S::from_real(shift));
                 for (j, col) in slabs.g.entry_slice_mut(i).chunks_exact_mut(n).enumerate() {
                     for v in &mut col[j..] {
-                        *v *= cs;
+                        *v *= alpha;
                     }
-                    col[j] += S::ONE;
+                    col[j] += shift;
                 }
                 // an explicit inverse where a solve would be:
                 // kappa(Z) <= 1 + c, see polar_lapack's tri.rs
@@ -613,7 +629,7 @@ fn run_chunk<S: Scalar>(
                 {
                     // the sweeps below still span the entry's slot; the
                     // update skips it
-                    states[p.k].outcome = Some(Err(QdwhError::Lapack(e)));
+                    states[k].outcome = Some(Err(QdwhError::Lapack(e)));
                 }
             }
             // two batched sweeps: Y = (X T^H) T = X L^{-H} L^{-1}
@@ -636,20 +652,8 @@ fn run_chunk<S: Scalar>(
                 S::ZERO,
                 slabs.yc.as_batched_mut().prefix(cnt),
             );
-            for (i, p) in chol.iter().enumerate() {
-                if states[p.k].outcome.is_some() {
-                    continue;
-                }
-                states[p.k].conv = halley_update(
-                    slabs.x.entry_slice_mut(p.k),
-                    slabs.yc.entry_slice(i),
-                    p.step.theta,
-                    p.step.beta,
-                );
-            }
         }
 
-        let qr: Vec<&Plan<S::Real>> = plans.iter().filter(|p| p.step.is_qr()).collect();
         if !qr.is_empty() {
             let cnt = qr.len();
             for slab in [&mut slabs.q1, &mut slabs.yq] {
@@ -660,17 +664,18 @@ fn run_chunk<S: Scalar>(
                 slabs.wq = Matrix::zeros(m + n, n);
             }
             // per-entry stacked QR into the Q1/Q2 slabs
-            for (i, p) in qr.iter().enumerate() {
-                let xk = slabs.x.mat(p.k);
-                let sc = S::from_real(p.step.c.sqrt());
+            for (i, &k) in qr.iter().enumerate() {
+                let xk = slabs.x.mat(k);
+                let (_, _, (s, d, _)) = states[k].next_step();
+                let (s, d) = (S::from_real(s), S::from_real(d));
                 let w = &mut slabs.wq;
-                // W = [sqrt(c) X_k; I], fully rewritten (reused)
+                // W = [s X_k; d I], fully rewritten (reused)
                 for j in 0..n {
                     for r in 0..m {
-                        w[(r, j)] = xk.at(r, j) * sc;
+                        w[(r, j)] = xk.at(r, j) * s;
                     }
                     for r in 0..n {
-                        w[(m + r, j)] = if r == j { S::ONE } else { S::ZERO };
+                        w[(m + r, j)] = if r == j { d } else { S::ZERO };
                     }
                 }
                 let f = geqrf_stacked(m, w);
@@ -693,42 +698,41 @@ fn run_chunk<S: Scalar>(
                 S::ZERO,
                 slabs.yq.as_batched_mut().prefix(cnt),
             );
-            for (i, p) in qr.iter().enumerate() {
-                states[p.k].conv = halley_update(
-                    slabs.x.entry_slice_mut(p.k),
-                    slabs.yq.entry_slice(i),
-                    p.step.theta,
-                    p.step.beta,
-                );
-            }
         }
 
-        let secs = round_start.elapsed().as_secs_f64();
-        for plan in &plans {
-            let k = plan.k;
-            let s = &mut states[k];
-            if s.outcome.is_some() {
-                continue;
+        // X := x_coef X + coef Y and the round's bookkeeping. Seconds is the
+        // round's wall time (shared by every active entry of the chunk);
+        // per-entry kernel splits are not separable inside a batched sweep,
+        // so the snapshot stays zeroed.
+        let seconds = round_start.elapsed().as_secs_f64();
+        for (family, y) in [(&chol, &slabs.yc), (&qr, &slabs.yq)] {
+            for (i, &k) in family.iter().enumerate() {
+                let s = &mut states[k];
+                if s.outcome.is_some() {
+                    continue;
+                }
+                let (kind, x_coef, (_, _, coef)) = s.next_step();
+                let x = slabs.x.entry_slice_mut(k);
+                let convergence = update(x, y.entry_slice(i), x_coef, coef);
+                let iteration = s.info.iterations + 1;
+                if x.iter().any(|v| !v.is_finite()) {
+                    s.outcome = Some(Err(QdwhError::NonFinite { iteration }));
+                    continue;
+                }
+                let ell = s.steps[s.next].ell_after;
+                s.info.push(IterationRecord {
+                    iteration,
+                    kind,
+                    ell,
+                    convergence,
+                    seconds,
+                    kernels: Default::default(),
+                });
+                s.next += 1;
+                if s.next == s.steps.len() {
+                    s.replan::<S>(opts_of(k));
+                }
             }
-            if slabs.x.entry_slice(k).iter().any(|v| !v.is_finite()) {
-                let source = QdwhError::NonFinite { iteration: s.info.iterations + 1 };
-                s.outcome = Some(Err(source));
-                continue;
-            }
-            s.ell = plan.step.ell_after;
-            // seconds is the round's wall time (shared by every active
-            // entry of the chunk); per-entry kernel splits are not
-            // separable inside a batched sweep, so the snapshot stays
-            // zeroed.
-            s.info.push(IterationRecord {
-                iteration: s.info.iterations + 1,
-                kind: plan.step.kind,
-                ell: s.ell,
-                convergence: s.conv,
-                seconds: secs,
-                kernels: Default::default(),
-            });
-            s.outcome = converged(s.conv, s.ell).then_some(Ok(()));
         }
     }
 
@@ -876,6 +880,23 @@ mod tests {
             let source = QdwhError::NoConvergence { iterations: 4 };
             assert_eq!(err, BatchError::Entry { index: failing[0], source }, "{failing:?}");
         }
+    }
+
+    #[test]
+    fn a_plan_past_the_cap_ends_the_entry_before_it_runs() {
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let polls = Arc::new(AtomicUsize::new(0));
+        let seen = polls.clone();
+        let mut entry = BatchEntry::new(generate::<f64>(&MatrixSpec::ill_conditioned(16, 5)).0);
+        entry.progress = Some(Arc::new(move |_: &IterationProgress| {
+            seen.fetch_add(1, Relaxed);
+            IterationDecision::Continue
+        }));
+        let qdwh = QdwhOptions { max_iterations: 2, ..Default::default() };
+        let each = qdwh_batched_each(&mut [entry], &BatchOptions { qdwh, ..Default::default() });
+        let source = QdwhError::NoConvergence { iterations: 2 };
+        assert_eq!(each.unwrap()[0].as_ref().err(), Some(&source));
+        assert_eq!(polls.load(Relaxed), 0, "no round ran");
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! boundary and leaves the bits of every other entry what they would have
 //! been without it; [`qdwh_batched`] folds the answers into all-or-first-error.
 //!
-//! Per entry the iteration follows the scalar [`polar_qdwh::qdwh`] driver
-//! (same parameter sequence, factors equal to rounding), and an entry's
+//! Per entry the rounds play the steps [`polar_qdwh::qdwh_plan`] plans for
+//! the scalar driver (factors equal to rounding), and an entry's
 //! bits depend on neither the pool width nor the rest of the wave; the
 //! batched-vs-sequential parity and determinism suites in `tests/` pin
 //! both.

@@ -164,7 +164,8 @@ fn entries_larger_than_one_gemm_block_match_scalar() {
 
 /// The solve's graph and the batch engine read one plan: whatever the
 /// start and the path, equal kinds, bit-equal bounds after every iteration
-/// and equal modeled cost.
+/// and equal modeled cost. A hinted entry plans as `qdwh` does under the
+/// engine's widened switch: `1e-4 / eps`, at most `1e5` (f32: ~840).
 fn same_plan_everywhere<S: Scalar>() {
     let spec = MatrixSpec {
         m: 24,
@@ -174,29 +175,39 @@ fn same_plan_everywhere<S: Scalar>() {
         seed: 15,
     };
     let a = generate::<S>(&spec).0;
+    let hinted_switch = (1e-4 / S::Real::EPSILON.to_f64()).min(1e5);
     for l0 in [1e-16, 1e-8, 1e-3, 0.5, 0.9] {
         for path in [IterationPath::Auto, IterationPath::ForceQr, IterationPath::ForceCholesky] {
-            let case = format!("{} l0={l0:e} {path:?}", S::TYPE_TAG);
-            let qdwh_opts = QdwhOptions {
-                l0_override: Some(l0),
-                path,
-                tile_nb: Some(16),
-                ..Default::default()
-            };
-            let graph = qdwh(&a, &qdwh_opts).map(|pd| pd.info);
-            let mut entry = [BatchEntry::new(a.clone())];
-            let opts = BatchOptions { qdwh: qdwh_opts, fast_scale: false, ..Default::default() };
-            let batched = qdwh_batched(&mut entry, &opts).map(|mut infos| infos.remove(0));
-            let (Ok(graph), Ok(batched)) = (&graph, &batched) else {
-                // a start below the type's range, or a forced Cholesky on
-                // an indefinite Z: refused by both
-                assert!(graph.is_err() && batched.is_err(), "{case}");
-                continue;
-            };
-            assert_eq!(graph.kinds, batched.kinds, "{case}: kinds");
-            assert_eq!(graph.flops_estimate, batched.flops_estimate, "{case}: cost");
-            let ells = |i: &QdwhInfo<S::Real>| i.records.iter().map(|r| r.ell).collect::<Vec<_>>();
-            assert_eq!(ells(graph), ells(batched), "{case}: bounds");
+            for hint in [None, Some(100.0)] {
+                let case = format!("{} l0={l0:e} {path:?} hint={hint:?}", S::TYPE_TAG);
+                let qdwh_opts = QdwhOptions {
+                    l0_override: Some(l0),
+                    path,
+                    tile_nb: Some(16),
+                    ..Default::default()
+                };
+                let switch = if hint.is_some() { hinted_switch } else { 100.0 };
+                let graph_opts = QdwhOptions { qr_switch_threshold: switch, ..qdwh_opts.clone() };
+                let graph = qdwh(&a, &graph_opts).map(|pd| pd.info);
+                let mut entry = [match hint {
+                    Some(cond) => BatchEntry::with_cond_hint(a.clone(), cond),
+                    None => BatchEntry::new(a.clone()),
+                }];
+                let opts =
+                    BatchOptions { qdwh: qdwh_opts, fast_scale: false, ..Default::default() };
+                let batched = qdwh_batched(&mut entry, &opts).map(|mut infos| infos.remove(0));
+                let (Ok(graph), Ok(batched)) = (&graph, &batched) else {
+                    // a start below the type's range, or a forced Cholesky on
+                    // an indefinite Z: refused by both
+                    assert!(graph.is_err() && batched.is_err(), "{case}");
+                    continue;
+                };
+                assert_eq!(graph.kinds, batched.kinds, "{case}: kinds");
+                assert_eq!(graph.flops_estimate, batched.flops_estimate, "{case}: cost");
+                let ells =
+                    |i: &QdwhInfo<S::Real>| i.records.iter().map(|r| r.ell).collect::<Vec<_>>();
+                assert_eq!(ells(graph), ells(batched), "{case}: bounds");
+            }
         }
     }
 }

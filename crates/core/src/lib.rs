@@ -53,9 +53,9 @@ pub use options::{
 pub use params::{halley_parameters, update_ell, HalleyParams};
 pub use partial::{qdwh_partial_eig, qdwh_partial_svd, PartialEig, PartialSvd};
 pub use qdwh_impl::{
-    hermitian_deviation, orthogonality_error, psd_deviation, qdwh, IterationRecord,
+    hermitian_deviation, orthogonality_error, psd_deviation, qdwh, qdwh_plan, IterationRecord,
     PolarDecomposition, QdwhError, QdwhInfo,
 };
-pub use skeleton::{converged, estimate_l0, qdwh_flops, zolo_flops, HalleyStep};
+pub use skeleton::{estimate_l0, qdwh_flops, zolo_flops, Step, Term};
 pub use svd_pd::svd_based_polar;
 pub use zolo::{zolo_pd, ZoloOptions, ZoloOutcome};

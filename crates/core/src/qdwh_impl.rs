@@ -3,7 +3,7 @@
 //! [`Method`] of [`crate::skeleton::solve`].
 
 use crate::options::{IterationKind, QdwhOptions};
-use crate::skeleton::{converged, qdwh_flops, solve, Common, HalleyStep, Method, Step};
+use crate::skeleton::{plan, qdwh_flops, solve, Common, Method, Step};
 use polar_blas::{gemm, herk_mirrored, norm};
 use polar_lapack::LapackError;
 use polar_matrix::{Matrix, Norm, Op, Uplo};
@@ -248,6 +248,18 @@ pub fn qdwh<S: Scalar>(
     solve(a, &Halley(opts))
 }
 
+/// QDWH's steps from the bound `ell` as [`qdwh`] plans them under `opts`:
+/// empty when the last step's norm `conv` and `ell` pass the stop test,
+/// `None` past `budget` steps.
+pub fn qdwh_plan<S: Scalar>(
+    opts: &QdwhOptions,
+    ell: S::Real,
+    conv: f64,
+    budget: usize,
+) -> Option<Vec<Step<S::Real>>> {
+    plan::<S, _>(&Halley(opts), ell, conv, budget)
+}
+
 /// QDWH under [`solve`]: dynamically weighted Halley steps, stopped by the
 /// paper's two-part test.
 pub(crate) struct Halley<'a>(pub &'a QdwhOptions);
@@ -270,11 +282,14 @@ impl<S: Scalar> Method<S> for Halley<'_> {
     }
 
     fn step_at(&self, ell: S::Real) -> Step<S::Real> {
-        HalleyStep::at(ell, self.0.path, self.0.qr_switch_threshold).step()
+        Step::halley(ell, self.0.path, self.0.qr_switch_threshold)
     }
 
+    /// Algorithm 1 line 22: `||X_k - X_{k-1}||_F` below `cbrt(5 eps)` — the
+    /// tolerance of a cubically convergent method — and `|l_k - 1| < 5 eps`.
     fn converged(conv: f64, ell: S::Real) -> bool {
-        converged(S::Real::from_f64(conv), ell)
+        let five_eps = S::Real::from_f64(5.0) * S::Real::EPSILON;
+        S::Real::from_f64(conv) < five_eps.cbrt() && (ell - S::Real::ONE).abs() < five_eps
     }
 
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {
@@ -308,6 +323,15 @@ mod tests {
             }
         }
         pd
+    }
+
+    #[test]
+    fn stop_test_has_two_parts() {
+        let converged = <Halley as Method<f64>>::converged;
+        assert!(converged(0.0, 1.0));
+        assert!(!converged(1e-3, 1.0), "conv above cbrt(5 eps)");
+        assert!(!converged(0.0, 1.0 - 1e-12), "bound not at 1");
+        assert!(converged(1e-6, 1.0 - 4.0 * f64::EPSILON));
     }
 
     #[test]

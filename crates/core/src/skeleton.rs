@@ -1,7 +1,7 @@
 //! The solve skeleton: Algorithm 1 as *estimate → plan → step → finish*,
 //! each stage written once. [`scaled_start`] / [`estimate_l0`] scale the
 //! input and bound `sigma_min`; a [`Step`] is one rational step of the
-//! family, planned from the scalar bound alone ([`HalleyStep::at`] plans
+//! family, planned from the scalar bound alone ([`Step::halley`] plans
 //! QDWH's one-term step), and [`plan`] a whole sequence; [`solve`] is the one
 //! driver (degenerate inputs, the planned sequence as one task graph, the
 //! per-iteration records the graph's executor measured); [`finish`] forms
@@ -9,8 +9,9 @@
 //! [`QdwhInfo::started`] / [`QdwhInfo::push`] keep its telemetry.
 //!
 //! [`crate::qdwh`] and [`crate::zolo_pd`] are [`solve`] under two
-//! [`Method`]s; `qdwh_mixed`, `svd_based_polar`, `polar-batch` and
-//! `polar-svc`'s cost model call the same pieces.
+//! [`Method`]s; `qdwh_mixed`, `svd_based_polar` and `polar-svc`'s cost model
+//! call the same pieces, and `polar-batch` plays the steps
+//! [`crate::qdwh_plan`] plans.
 
 use crate::graph::{run_graph, Workspace};
 use crate::options::{
@@ -89,7 +90,7 @@ pub(crate) fn scaled_start<S: Scalar>(
 /// One partial-fraction term `weight * X (alpha X^H X + shift I)^{-1}` of a
 /// rational step.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Term<R> {
+pub struct Term<R> {
     pub alpha: R,
     pub shift: R,
     pub weight: R,
@@ -101,7 +102,7 @@ impl<R: Real> Term<R> {
     /// of `[s X; d I] = [Q1; Q2] R`, `s = sqrt(alpha)`, `d = sqrt(shift)`.
     /// Cholesky-based: `(alpha, shift, coef)` with `coef X Z^{-1}`, `Z =
     /// alpha X^H X + shift I`.
-    pub(crate) fn applied(&self, kind: IterationKind) -> (R, R, R) {
+    pub fn applied(&self, kind: IterationKind) -> (R, R, R) {
         match kind {
             IterationKind::QrBased => (
                 self.alpha.sqrt(),
@@ -115,10 +116,10 @@ impl<R: Real> Term<R> {
 
 /// One step of the family, planned from the scalar bound alone:
 /// `X <- x_coef X + sum_j weight_j X (alpha_j X^H X + shift_j I)^{-1}`. QDWH's
-/// dynamically weighted Halley step has one term ([`HalleyStep::step`]),
+/// dynamically weighted Halley step has one term ([`Step::halley`]),
 /// Zolo-PD's Zolotarev step of degree `r` has `r`.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Step<R> {
+pub struct Step<R> {
     /// How every term's inverse is applied: stacked QRs (Eq. (1)) or
     /// Cholesky factors of the shifted Gram matrices (Eq. (2)).
     pub kind: IterationKind,
@@ -128,31 +129,12 @@ pub(crate) struct Step<R> {
     pub terms: Vec<Term<R>>,
 }
 
-/// One dynamically weighted Halley step as planned from the bound `l`
-/// entering it (Algorithm 1 lines 23-29): the weights, the factorization
-/// family the switch selects, the coefficients of the update that family
-/// applies and the bound after it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HalleyStep<R> {
-    pub a: R,
-    pub b: R,
-    pub c: R,
-    /// QR-based (Eq. (1)) or Cholesky-based (Eq. (2)).
-    pub kind: IterationKind,
-    /// `X_{k+1} = theta Y + beta X_k`, with `Y = Q1 Q2^H` of `[sqrt(c) X_k;
-    /// I] = [Q1; Q2] R` (QR-based: `theta = (a - b/c) / sqrt(c)`) or `Y =
-    /// X_k (I + c X_k^H X_k)^{-1}` (Cholesky-based: `theta = a - b/c`).
-    pub theta: R,
-    /// `b / c`.
-    pub beta: R,
-    /// `l_{k+1}`.
-    pub ell_after: R,
-}
-
-impl<R: Real> HalleyStep<R> {
-    /// The step from bound `ell`: QR-based while `c > switch` under
+impl<R: Real> Step<R> {
+    /// The dynamically weighted Halley step from the bound `ell` (Algorithm
+    /// 1 lines 23-29): `x_coef = b/c` and the one term
+    /// `(a - b/c) X (c X^H X + I)^{-1}`, QR-based while `c > switch` under
     /// [`IterationPath::Auto`] (the paper's switch is 100).
-    pub fn at(ell: R, path: IterationPath, switch: f64) -> Self {
+    pub(crate) fn halley(ell: R, path: IterationPath, switch: f64) -> Self {
         let p = halley_parameters(ell);
         let kind = match path {
             IterationPath::Auto if p.c.to_f64() > switch => IterationKind::QrBased,
@@ -160,33 +142,10 @@ impl<R: Real> HalleyStep<R> {
             IterationPath::ForceQr => IterationKind::QrBased,
             IterationPath::ForceCholesky => IterationKind::CholeskyBased,
         };
-        let beta = p.b / p.c;
-        let theta = Self::term(p.a, beta, p.c).applied(kind).2;
-        Self { a: p.a, b: p.b, c: p.c, kind, theta, beta, ell_after: update_ell(ell, p) }
+        let x_coef = p.b / p.c;
+        let term = Term { alpha: p.c, shift: R::ONE, weight: p.a - x_coef };
+        Step { kind, ell_after: update_ell(ell, p), x_coef, terms: vec![term] }
     }
-
-    pub fn is_qr(&self) -> bool {
-        self.kind == IterationKind::QrBased
-    }
-
-    /// `(a - b/c) X (c X^H X + I)^{-1}`.
-    fn term(a: R, beta: R, c: R) -> Term<R> {
-        Term { alpha: c, shift: R::ONE, weight: a - beta }
-    }
-
-    /// The same step as the one-term member of the family, `x_coef = b/c`.
-    pub(crate) fn step(&self) -> Step<R> {
-        let terms = vec![Self::term(self.a, self.beta, self.c)];
-        Step { kind: self.kind, ell_after: self.ell_after, x_coef: self.beta, terms }
-    }
-}
-
-/// QDWH's stop test (Algorithm 1 line 22): `||X_k - X_{k-1}||_F` below
-/// `cbrt(5 eps)` — the tolerance of a cubically convergent method — and
-/// `|l_k - 1| < 5 eps`.
-pub fn converged<R: Real>(conv: R, ell: R) -> bool {
-    let five_eps = R::from_f64(5.0) * R::EPSILON;
-    conv < five_eps.cbrt() && (ell - R::ONE).abs() < five_eps
 }
 
 /// The iteration sequence from the bound `ell`, known before any flop runs:
@@ -471,21 +430,31 @@ mod tests {
     }
 
     #[test]
-    fn halley_step_follows_the_switch() {
-        let step = HalleyStep::at(1e-8f64, IterationPath::Auto, 100.0);
-        assert!(step.is_qr() && step.c > 100.0);
-        assert_eq!(step.beta, step.b / step.c);
-        assert_eq!(step.theta, (step.a - step.beta) / step.c.sqrt());
+    fn halley_step_is_the_one_term_member() {
+        let ell = 1e-8f64;
+        let p = halley_parameters(ell);
+        let step = Step::halley(ell, IterationPath::Auto, 100.0);
+        assert!(step.kind == IterationKind::QrBased && p.c > 100.0);
+        assert_eq!(step.x_coef, p.b / p.c);
+        assert_eq!(step.terms, [Term { alpha: p.c, shift: 1.0, weight: p.a - p.b / p.c }]);
+        assert_eq!(step.ell_after, update_ell(ell, p));
+        // the update coefficient each family applies, bit for bit
+        let (s, d, coef) = step.terms[0].applied(IterationKind::QrBased);
+        assert_eq!((s, d, coef), (p.c.sqrt(), 1.0, (p.a - p.b / p.c) / p.c.sqrt()));
         // a wider Cholesky window, as the batch engine's hinted entries ask for
-        let wide = HalleyStep::at(1e-8f64, IterationPath::Auto, f64::MAX);
+        let wide = Step::halley(ell, IterationPath::Auto, f64::MAX);
         assert_eq!(wide.kind, IterationKind::CholeskyBased);
-        assert_eq!(wide.theta, wide.a - wide.beta);
+        assert_eq!(wide.terms[0].applied(wide.kind), (p.c, 1.0, p.a - p.b / p.c));
         assert_eq!(
-            (wide.a, wide.b, wide.c, wide.ell_after),
-            (step.a, step.b, step.c, step.ell_after)
+            (wide.x_coef, &wide.terms, wide.ell_after),
+            (step.x_coef, &step.terms, step.ell_after)
         );
-        assert!(HalleyStep::at(0.5f64, IterationPath::ForceQr, 100.0).is_qr());
-        assert!(!HalleyStep::at(1e-8f64, IterationPath::ForceCholesky, 100.0).is_qr());
+        assert_eq!(
+            Step::halley(0.5f64, IterationPath::ForceQr, 100.0).kind,
+            IterationKind::QrBased
+        );
+        let forced = Step::halley(ell, IterationPath::ForceCholesky, 100.0);
+        assert_eq!(forced.kind, IterationKind::CholeskyBased);
     }
 
     /// A step is a scalar map on the singular values: it sends `[ell, 1]`
@@ -494,7 +463,7 @@ mod tests {
     fn a_step_maps_the_interval_onto_the_bound_after_it() {
         let paths = [IterationPath::Auto, IterationPath::ForceQr, IterationPath::ForceCholesky];
         for ell in [1e-16, 1e-8, 1e-3, 0.5, 0.9] {
-            let halley = paths.map(|path| HalleyStep::at(ell, path, 100.0).step());
+            let halley = paths.map(|path| Step::halley(ell, path, 100.0));
             let zolotarev = [1usize, 2, 4, 8].map(|r| Step::zolotarev(ell, r));
             for step in halley.iter().chain(&zolotarev) {
                 let case = format!("ell = {ell:e}, {} terms, {:?}", step.terms.len(), step.kind);
@@ -518,13 +487,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stop_test_has_two_parts() {
-        assert!(converged(0.0f64, 1.0));
-        assert!(!converged(1e-3f64, 1.0), "conv above cbrt(5 eps)");
-        assert!(!converged(0.0f64, 1.0 - 1e-12), "bound not at 1");
-        assert!(converged(1e-6f64, 1.0 - 4.0 * f64::EPSILON));
     }
 }

@@ -1,6 +1,7 @@
 //! One FNV-1a line per pinned solve: the bits of `U`, of `H` and of the
-//! per-iteration convergence norms. "Bit-identical to another commit" is
-//! this example run on both trees and `cmp` on the two outputs.
+//! per-iteration convergence norms, of scalar `qdwh` / `zolo_pd` solves and
+//! of every entry of a batched wave (`batched-*`). "Bit-identical to another
+//! commit" is this example run on both trees and `cmp` on the two outputs.
 //!
 //! Nothing is asserted: the hashes depend on the SIMD microkernel the host
 //! selects, so they compare two trees on one host, not a tree against a
@@ -13,6 +14,7 @@
 
 use polar::prelude::*;
 use polar::qdwh::{IterationPath, ZoloOutcome};
+use polar_batch::{qdwh_batched, BatchEntry, BatchOptions};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -76,6 +78,38 @@ fn cases<S: Scalar>(high: f64, threads: usize) {
     }
 }
 
+/// One mixed wave per type through the batch engine: unhinted high-kappa
+/// entries, hinted kappa = 100 ones (the widened Cholesky window), a kappa =
+/// 10 entry and the zero matrix. It runs twice: with `H` and the scalar
+/// driver's two-norm estimate, under which the kappa = 10 entry plans three
+/// steps and converges in four (in `d` and `z`), and without `H` under the
+/// cheap `fast_scale` bound.
+fn batched<S: Scalar>(high: f64, threads: usize) {
+    let (m, n) = (56, 40);
+    let input = |cond, seed| {
+        let spec = MatrixSpec { m, n, cond, distribution: SigmaDistribution::Geometric, seed };
+        generate::<S>(&spec).0
+    };
+    for (compute_h, fast_scale) in [(true, false), (false, true)] {
+        let cases = ["high-a", "high-b", "hinted-a", "hinted-b", "continuation", "zero"];
+        let mut wave = vec![
+            BatchEntry::new(input(high, 21)),
+            BatchEntry::new(input(high, 22)),
+            BatchEntry::with_cond_hint(input(100.0, 23), 100.0),
+            BatchEntry::with_cond_hint(input(100.0, 24), 100.0),
+            BatchEntry::new(input(10.0, 0)),
+            BatchEntry::new(Matrix::zeros(m, n)),
+        ];
+        let qdwh = QdwhOptions { compute_h, ..Default::default() };
+        let opts = BatchOptions { qdwh, fast_scale, ..Default::default() };
+        let infos = qdwh_batched(&mut wave, &opts).expect("the wave converges");
+        for ((case, e), info) in cases.into_iter().zip(wave).zip(infos) {
+            let pd = PolarDecomposition { u: e.u, h: e.h, info };
+            line(&format!("batched-{case}-h{}", u8::from(compute_h)), threads, &pd);
+        }
+    }
+}
+
 fn main() {
     for threads in [1usize, 2] {
         rayon::ThreadPool::new(threads).install(|| {
@@ -83,6 +117,10 @@ fn main() {
             cases::<Complex64>(1e16, threads);
             cases::<f32>(1e5, threads);
             cases::<Complex32>(1e5, threads);
+            batched::<f64>(1e16, threads);
+            batched::<Complex64>(1e16, threads);
+            batched::<f32>(1e5, threads);
+            batched::<Complex32>(1e5, threads);
         });
     }
 }
