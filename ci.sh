@@ -10,6 +10,8 @@
 #   ./ci.sh workspace   # full workspace tests + standalone facade build
 #   ./ci.sh verify      # accuracy gate, run twice under deterministic
 #                       # replay — the two reports must be byte-identical
+#   ./ci.sh figures     # regenerate every paper artifact under results/
+#                       # (deterministic replay); fails on any drift
 #   ./ci.sh bench       # benchmark package: its unit tests + a smoke run
 #                       # of all five workloads with every output checked
 #   ./ci.sh fast        # lint + tier1 only
@@ -47,6 +49,9 @@ artifacts_for() {
         workspace) ;; # tests and runs that check themselves: no artifact
         verify)
             printf '%s\n' ACCURACY_report.json
+            ;;
+        figures)
+            printf '%s\n' results/all_figures.txt
             ;;
         bench)
             printf '%s\n' benchmark/out/result.json
@@ -176,6 +181,18 @@ stage_lint() {
     strays=$(git ls-files -- '*.json' | grep -v / | grep -vx BENCHMARK.json || true)
     test -z "$strays" || fail "JSON tracked at the repository root: $strays"
 
+    step "one figures harness: the paper artifacts come from figures.rs alone"
+    # every results/ file but the accuracy baseline is written by one run of
+    # `figures` (./ci.sh figures holds them to it); a figure binary or a
+    # writer under results/ beside it is a copy ./ci.sh figures never runs
+    strays=$(ls crates/bench/src/bin \
+        | grep -vxE '(figures|kernels_perf|solver_profile|schedule_trace)\.rs' || true)
+    test -z "$strays" || fail "a binary beside figures in crates/bench/src/bin: $strays"
+    strays=$(grep -rnE '"results(/|")' --include='*.rs' crates src tests examples benchmark/src \
+        | grep -vE '^[^:]+:[0-9]+:\s*//' | grep -v '"results/ACCURACY_baseline\.json"' \
+        | cut -d: -f1 | sort -u | grep -vx crates/bench/src/bin/figures.rs || true)
+    test -z "$strays" || fail "results/ written outside figures.rs: $strays"
+
     step "unsafe: the word appears in code only in the files on the list"
     # raw-pointer code lives in a few audited files (DESIGN section 10);
     # everything else that could hold it is #![forbid(unsafe_code)] or
@@ -272,11 +289,6 @@ stage_workspace() {
 
     step "facade builds standalone"
     cargo build --offline --release -p polar
-
-    step "distributed emulation: the graph meter on 1x1 ... 4x4 grids"
-    # solve -> emit -> place -> meter on every grid; the example asserts
-    # the factors do not depend on the grid
-    cargo run --offline --release -q --example distributed_emulation >/dev/null
 }
 
 stage_verify() {
@@ -293,6 +305,27 @@ stage_verify() {
     cp target/verify_run_a.json ACCURACY_report.json
     check_artifacts verify
     echo "deterministic replay OK: reports byte-identical"
+}
+
+stage_figures() {
+    step "figures: every paper artifact regenerated, byte for byte"
+    # deterministic replay pins the pool at 4 workers, which fixes the tile
+    # size and with it the real-arithmetic rows (the seed does not move
+    # them); the model rows depend on nothing. The tracked artifacts are
+    # deleted first, so one the run does not rewrite shows as deleted, and
+    # nothing under results/ is git-ignored, so a new one shows as untracked
+    git ls-files results | grep -vx results/ACCURACY_baseline.json | xargs rm -f
+    POLAR_DETERMINISTIC=1 POLAR_SEED=42 POLAR_NUM_THREADS=4 \
+    cargo run --offline --release -q -p polar-bench --bin figures >/dev/null
+    check_artifacts figures
+    local drift
+    drift=$(git status --porcelain results/)
+    if test -n "$drift"; then
+        git --no-pager diff --no-color results/ | head -40 >&2 || true
+        fail "results/ drifted from the checked-in artifacts (git checkout results/ restores them):
+$drift"
+    fi
+    echo "figures OK: results/ byte-identical to the checked-in artifacts"
 }
 
 stage_bench() {
@@ -318,11 +351,12 @@ case "${1:-all}" in
     zolo)      stage_zolo ;;
     workspace) stage_workspace ;;
     verify)    stage_verify ;;
+    figures)   stage_figures ;;
     bench)     stage_bench ;;
     fast)      stage_lint; stage_tier1 ;;
-    all)       stage_lint; stage_tier1; stage_workspace; stage_verify; stage_bench ;;
+    all)       stage_lint; stage_tier1; stage_workspace; stage_verify; stage_figures; stage_bench ;;
     artifacts) artifacts_for "${2:?usage: ./ci.sh artifacts <stage>}"; exit 0 ;;
-    *)         fail "unknown stage '${1}' (expected lint|tier1|zolo|workspace|verify|bench|fast|all|artifacts)" ;;
+    *)         fail "unknown stage '${1}' (expected lint|tier1|zolo|workspace|verify|figures|bench|fast|all|artifacts)" ;;
 esac
 
 step "OK"

@@ -1,8 +1,7 @@
-//! Shared helpers for the figure-regeneration harnesses.
-//!
-//! Each binary in `src/bin/` regenerates one figure (or in-text table) of
-//! the paper; see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-//! for recorded paper-vs-measured outcomes.
+//! Shared helpers for the binaries in `src/bin/`: `figures` regenerates
+//! every paper artifact under `results/` (DESIGN.md §4 is the experiment
+//! index, EXPERIMENTS.md the paper-vs-measured record), `kernels_perf`,
+//! `solver_profile` and `schedule_trace` write under `target/`.
 
 use polar_gen::{MatrixSpec, SigmaDistribution};
 
@@ -127,62 +126,9 @@ pub fn paper_profile_graph(t: usize, nb: usize, ranks: usize) -> polar_runtime::
     g
 }
 
-/// Default numerical sweep sizes, scaled for a laptop-class run; pass
-/// `--max-n` to the binaries to extend.
-pub fn accuracy_sweep(max_n: usize) -> Vec<usize> {
-    [128usize, 192, 256, 384, 512, 768, 1024, 1536, 2048]
-        .into_iter()
-        .filter(|&n| n <= max_n)
-        .collect()
-}
-
-/// Paper-scale performance sweep (the analytic model has no size limit).
-pub fn perf_sweep() -> Vec<usize> {
-    vec![20_000, 40_000, 60_000, 80_000, 100_000, 130_000, 160_000, 200_000, 250_000, 300_000]
-}
-
-/// CSV artifact writer: every figure harness mirrors its stdout series to
-/// `results/<name>.csv` so the data can be re-plotted downstream.
-pub struct CsvOut {
-    file: std::io::BufWriter<std::fs::File>,
-    pub path: std::path::PathBuf,
-}
-
-impl CsvOut {
-    /// Create `results/<name>.csv` (directory created on demand) and write
-    /// the header row.
-    pub fn create(name: &str, header: &[&str]) -> std::io::Result<Self> {
-        let dir = std::path::Path::new("results");
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
-        use std::io::Write;
-        writeln!(file, "{}", header.join(","))?;
-        Ok(Self { file, path })
-    }
-
-    pub fn row(&mut self, fields: &[String]) {
-        use std::io::Write;
-        let _ = writeln!(self.file, "{}", fields.join(","));
-    }
-}
-
-/// Format helper for CSV rows.
-#[macro_export]
-macro_rules! csv_row {
-    ($csv:expr, $($v:expr),+ $(,)?) => {
-        $csv.row(&[$(format!("{}", $v)),+])
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_respects_cap() {
-        assert_eq!(accuracy_sweep(512), vec![128, 192, 256, 384, 512]);
-    }
 
     #[test]
     fn paper_spec_is_ill_conditioned() {
