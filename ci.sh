@@ -139,6 +139,20 @@ stage_lint() {
     strays+=$(grep -lw HalleyStep README.md DESIGN.md EXPERIMENTS.md ROADMAP.md || true)
     test -z "$strays" || fail "a second step type is back: $strays"
 
+    step "one options type: Zolo-PD is qdwh with QdwhOptions::terms > 1"
+    # one entry point, one options type, one job kind: a Zolo-PD options
+    # type, outcome wrapper, entry point or job kind beside them is a second
+    # API. Only the compat module of core's zolo.rs names these, for
+    # benchmark/ (exempt until its workload moves to qdwh)
+    local zolo_api='\b(ZoloOptions|ZoloOutcome|zolo_pd|with_zolo_r)\b|\bJobKind::Zolo\b'
+    strays=$( {
+        grep -rnE "$zolo_api" --include='*.rs' crates/*/src crates/*/tests src examples tests \
+            | grep -v '^crates/core/src/zolo\.rs:' || true
+        awk '/^pub mod compat \{/,/^\}/ { next } { print FILENAME ":" FNR ":" $0 }' \
+            crates/core/src/zolo.rs | grep -E "$zolo_api" || true
+    } | cut -d: -f1 | sort -u)
+    test -z "$strays" || fail "Zolo-PD named outside QdwhOptions::terms: $strays"
+
     step "env knobs: every POLAR_* name in the sources is on the list"
     # each knob is one more configuration to test and to benchmark; adding
     # one means adding a line here, where a reviewer sees it
@@ -266,8 +280,9 @@ stage_zolo() {
     # durations — i.e. the analyzer saw >= 2 concurrently-runnable QR
     # branches. The CP is computed from the dependency graph, so the
     # gate holds even on single-core runners. It also asserts the dag
-    # holds task_potrf tasks and qr_factorizations < r * iterations: a
-    # silent fall-back to QR-only iterations fails here.
+    # holds task_potrf tasks and that the stacked QRs, r per QR-based
+    # iteration (terms * info.qr_iterations), number fewer than
+    # r * iterations: a silent fall-back to QR-only iterations fails here.
     POLAR_NUM_THREADS="${POLAR_NUM_THREADS:-4}" \
     cargo run --offline --release -p polar-bench --bin solver_profile -- \
         --smoke --analyze --zolo-r 4 --zolo-cp-gate \

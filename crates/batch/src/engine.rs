@@ -94,7 +94,8 @@ pub struct BatchOptions {
     /// read — batch entries are small by design, so factorizations run on
     /// the flat kernels and parallelism comes from the batch dimension.
     /// Nor is `progress`: a hook belongs to one solve, so each entry
-    /// carries its own ([`BatchEntry::progress`]).
+    /// carries its own ([`BatchEntry::progress`]). `terms` must be 1: the
+    /// engine plays QDWH's one-term steps and refuses any other wave whole.
     pub qdwh: QdwhOptions,
     /// Estimate the scaling `alpha` as `sqrt(||A||_1 ||A||_inf)` (one pass
     /// over the data, an upper bound on `||A||_2`) instead of the scalar
@@ -119,6 +120,7 @@ impl BatchOptions {
     /// changes with the code that reads the fields.
     pub fn same_numerics(a: &QdwhOptions, b: &QdwhOptions) -> bool {
         a.compute_h == b.compute_h
+            && a.terms == b.terms
             && a.path == b.path
             && a.qr_switch_threshold == b.qr_switch_threshold
             && a.max_iterations == b.max_iterations
@@ -135,7 +137,8 @@ pub enum BatchError {
     /// shape-homogeneous batches (the dispatcher keys batches by shape);
     /// this is a typed error, never a panic.
     MixedShapes { index: usize, expected: (usize, usize), got: (usize, usize) },
-    /// Every entry is `m < n`; transpose inputs as for the scalar driver.
+    /// Every entry is `m < n` (transpose inputs as for the scalar driver),
+    /// or the options ask for steps of more than one term.
     Shape(&'static str),
     /// Entry `index` is the first that failed ([`qdwh_batched`] only; the
     /// others were solved all the same).
@@ -375,6 +378,9 @@ pub fn qdwh_batched_each<S: Scalar>(
     entries: &mut [BatchEntry<S>],
     opts: &BatchOptions,
 ) -> Result<Vec<EntryResult<S::Real>>, BatchError> {
+    if opts.qdwh.terms != 1 {
+        return Err(BatchError::Shape("qdwh_batched plays one-term steps: terms must be 1"));
+    }
     let batch = entries.len();
     if batch == 0 {
         return Ok(Vec::new());
@@ -840,6 +846,16 @@ mod tests {
             qdwh_batched(&mut entries, &BatchOptions::default()),
             Err(BatchError::Shape(_))
         ));
+    }
+
+    #[test]
+    fn multi_term_steps_refused_whole() {
+        let mut entries = vec![BatchEntry::new(Matrix::<f64>::identity(8, 8))];
+        let qdwh = QdwhOptions { terms: 4, ..Default::default() };
+        let opts = BatchOptions { qdwh, ..Default::default() };
+        assert!(matches!(qdwh_batched_each(&mut entries, &opts), Err(BatchError::Shape(_))));
+        assert_eq!(entries[0].u.nrows(), 0, "nothing ran");
+        assert!(!BatchOptions::same_numerics(&opts.qdwh, &QdwhOptions::default()));
     }
 
     #[test]

@@ -15,8 +15,8 @@ use polar_blas::{add, gemm, norm};
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_matrix::{Matrix, Norm, Op};
 use polar_qdwh::{
-    orthogonality_error, qdwh, qdwh_mixed, zolo_pd, IterationPath, PolarDecomposition, QdwhError,
-    QdwhInfo, QdwhOptions, ZoloOptions,
+    orthogonality_error, qdwh, qdwh_mixed, IterationPath, PolarDecomposition, QdwhError, QdwhInfo,
+    QdwhOptions,
 };
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
 use proptest::prelude::*;
@@ -227,11 +227,7 @@ fn degenerate_inputs_are_answered_alike() {
     let tiles_of_8 = |compute_h| QdwhOptions { compute_h, tile_nb: Some(8), ..Default::default() };
     let default = |compute_h| QdwhOptions { compute_h, ..Default::default() };
     let of_pd = |pd: PolarDecomposition<f64>| (pd.u, pd.h, pd.info);
-    let zolo = |a: &Matrix<f64>, o: QdwhOptions| {
-        let zopts =
-            ZoloOptions { compute_h: o.compute_h, tile_nb: o.tile_nb, ..Default::default() };
-        zolo_pd(a, &zopts).map(|z| of_pd(z.pd))
-    };
+    let zolo = |a: &Matrix<f64>, o: QdwhOptions| qdwh(a, &QdwhOptions { terms: 8, ..o }).map(of_pd);
     let batched = |a: &Matrix<f64>, compute_h| {
         let mut entry = [BatchEntry::new(a.clone())];
         let opts = BatchOptions { qdwh: default(compute_h), ..Default::default() };
@@ -249,8 +245,8 @@ fn degenerate_inputs_are_answered_alike() {
     let solvers: Vec<Solver> = vec![
         ("qdwh", Box::new(|a, h| qdwh(a, &default(h)).map(of_pd))),
         ("qdwh, tiles of 8", Box::new(|a, h| qdwh(a, &tiles_of_8(h)).map(of_pd))),
-        ("zolo_pd", Box::new(|a, h| zolo(a, default(h)))),
-        ("zolo_pd, tiles of 8", Box::new(|a, h| zolo(a, tiles_of_8(h)))),
+        ("zolo", Box::new(|a, h| zolo(a, default(h)))),
+        ("zolo, tiles of 8", Box::new(|a, h| zolo(a, tiles_of_8(h)))),
         ("qdwh_mixed", Box::new(|a, h| qdwh_mixed(a, &default(h)).map(|(pd, _)| of_pd(pd)))),
         ("qdwh_batched", Box::new(|a, h| batched(a, h))),
     ];

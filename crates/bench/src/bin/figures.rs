@@ -24,8 +24,7 @@ use polar_bench::{paper_matrix_spec, paper_profile_graph};
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_matrix::ProcessGrid;
 use polar_qdwh::{
-    orthogonality_error, qdwh, qdwh_distributed, zolo_pd, DistConfig, L0Strategy, QdwhInfo,
-    QdwhOptions, ZoloOptions,
+    orthogonality_error, qdwh, qdwh_distributed, DistConfig, L0Strategy, QdwhInfo, QdwhOptions,
 };
 use polar_runtime::{simulate, ExecutionModel, SchedulingMode};
 use polar_sim::machine::{ClusterModel, ExecTarget, NodeSpec};
@@ -422,8 +421,9 @@ fn abl_zolo(out: &mut Out) {
     out.line("# ABL-ZOLO part 1: numeric comparison at kappa = 1e16 (n = 96)");
     let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(96, 8));
     let q = qdwh(&a, &QdwhOptions::default()).expect("qdwh");
-    let z = zolo_pd(&a, &ZoloOptions::default()).expect("zolo_pd");
-    assert!(z.pd.info.iterations <= 2 && q.info.iterations >= 5);
+    let zolo = QdwhOptions { terms: 8, ..Default::default() };
+    let z = qdwh(&a, &zolo).expect("zolo");
+    assert!(z.info.iterations <= 2 && q.info.iterations >= 5);
     let mut t = out.table(
         None,
         vec![
@@ -435,9 +435,9 @@ fn abl_zolo(out: &mut Out) {
             col("flops", 12),
         ],
     );
-    for (method, pd, qrs) in
-        [("qdwh", &q, q.info.qr_iterations), ("zolo-pd", &z.pd, z.qr_factorizations)]
-    {
+    // stacked QRs: one per term of every QR-based iteration
+    for (method, pd, terms) in [("qdwh", &q, 1), ("zolo-pd", &z, zolo.terms)] {
+        let qrs = terms * pd.info.qr_iterations;
         t.row([
             plain(method),
             plain(pd.info.iterations),

@@ -27,7 +27,7 @@ use polar_bench::Args;
 use polar_gen::generate;
 use polar_matrix::{Matrix, Op};
 use polar_obs::{KernelClass, Report, SpanRecord};
-use polar_qdwh::{qdwh, zolo_pd, IterationRecord, QdwhOptions, ZoloOptions, ZoloOutcome};
+use polar_qdwh::{qdwh, IterationRecord, PolarDecomposition, QdwhOptions};
 use polar_runtime::TaskGraph;
 use polar_scalar::Scalar;
 use std::fmt::Write as _;
@@ -234,16 +234,15 @@ fn write_analysis(
 fn zolo_cp_gate(
     spans: &[SpanRecord],
     zolo_graphs: &[(u32, Arc<TaskGraph>)],
-    zolo: &ZoloOutcome<f64>,
+    zolo: &PolarDecomposition<f64>,
     r: usize,
 ) {
-    let iterations = zolo.pd.info.iterations;
+    let (iterations, qrs) = (zolo.info.iterations, r * zolo.info.qr_iterations);
     assert!(
-        zolo.qr_factorizations < r * iterations,
-        "zolo cp gate: {} stacked QRs in {iterations} iterations at r={r} — no iteration was \
+        qrs < r * iterations,
+        "zolo cp gate: {qrs} stacked QRs in {iterations} iterations at r={r} — no iteration was \
          Cholesky-based (kinds {:?})",
-        zolo.qr_factorizations,
-        zolo.pd.info.kinds
+        zolo.info.kinds
     );
     let pm = polar_runtime::analyze(spans, zolo_graphs);
     let d = pm.dags.iter().max_by_key(|d| d.spans).expect("--zolo-cp-gate saw no zolo dag");
@@ -426,14 +425,9 @@ fn main() {
     let mut graphs = polar_runtime::take_executed_graphs();
 
     eprintln!("zolo n={n} r={zolo_r} (instrumented)...");
-    let zopts = ZoloOptions {
-        r: zolo_r,
-        // small r converges slowly on the kappa = 1e16 spec
-        max_iterations: 20,
-        ..Default::default()
-    };
+    let zopts = QdwhOptions { terms: zolo_r, ..Default::default() };
     let scope = polar_obs::scope();
-    let zolo = zolo_pd(&a, &zopts).expect("zolo converges");
+    let zolo = qdwh(&a, &zopts).expect("zolo converges");
     let zolo_report = scope.finish();
     let zolo_graphs = polar_runtime::take_executed_graphs();
     graphs.extend(zolo_graphs.iter().cloned());
@@ -446,7 +440,7 @@ fn main() {
     let _ = writeln!(j, "  \"type\": \"{}\",", f64::TYPE_TAG);
     j.push_str(&polar_bench::Provenance::collect().json_fields());
     let _ = writeln!(j, "{},", phase_json("qdwh", &qdwh_report, &pd.info.records));
-    let _ = writeln!(j, "{},", phase_json("zolo", &zolo_report, &zolo.pd.info.records));
+    let _ = writeln!(j, "{},", phase_json("zolo", &zolo_report, &zolo.info.records));
     let _ = writeln!(j, "  \"pool\": {}", pool_json());
     j.push_str("}\n");
     polar_bench::create_out(&out).write_all(j.as_bytes()).expect("write profile json");
@@ -472,7 +466,7 @@ fn main() {
         "qdwh: {} iters, {:.2} GFlop/s | zolo: {} iters, {:.2} GFlop/s | trace: {} spans -> {trace_out}",
         pd.info.iterations,
         qdwh_report.achieved_gflops(),
-        zolo.pd.info.iterations,
+        zolo.info.iterations,
         zolo_report.achieved_gflops(),
         spans.len()
     );

@@ -37,8 +37,8 @@ pub struct DistOutcome<S: Scalar> {
 
 /// Distributed (virtual-cluster) QDWH: [`qdwh`] at tile
 /// size `cfg.nb` — `U` and `H` are that solve's, bit for bit, whatever the
-/// grid — with the cross-rank tile traffic of its task graph under
-/// `cfg.grid` ([`polar_runtime::TaskGraph::comm`]).
+/// grid — with the cross-rank tile traffic of its task graph, at the solve's
+/// own `opts.terms`, under `cfg.grid` ([`polar_runtime::TaskGraph::comm`]).
 pub fn qdwh_distributed<S: Scalar>(
     a: &Matrix<S>,
     opts: &QdwhOptions,
@@ -46,7 +46,7 @@ pub fn qdwh_distributed<S: Scalar>(
 ) -> Result<DistOutcome<S>, QdwhError> {
     let opts = QdwhOptions { tile_nb: Some(cfg.nb), ..opts.clone() };
     let pd = qdwh(a, &opts)?;
-    let mut graph = task_graph::<S>(a.nrows(), a.ncols(), cfg.nb, &pd.info.kinds, 1);
+    let mut graph = task_graph::<S>(a.nrows(), a.ncols(), cfg.nb, &pd.info.kinds, opts.terms);
     graph.assign_ranks(cfg.grid);
     Ok(DistOutcome { pd, comm: graph.comm(), tile_tasks: graph.len() })
 }
@@ -100,6 +100,19 @@ mod tests {
             assert_eq!(dist.pd.u.as_slice(), tiled.u.as_slice(), "U on {p}x{q}");
             assert_eq!(dist.pd.h.as_slice(), tiled.h.as_slice(), "H on {p}x{q}");
         }
+    }
+
+    /// A Zolo-PD solve meters the `r`-term graph it ran, not QDWH's.
+    #[test]
+    fn distributed_zolo_meters_its_own_graph() {
+        let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(40, 7));
+        let opts = QdwhOptions { terms: 4, ..Default::default() };
+        let tiled = qdwh(&a, &QdwhOptions { tile_nb: Some(8), ..opts.clone() }).unwrap();
+        let dist = qdwh_distributed(&a, &opts, &cfg(2, 2, 8)).unwrap();
+        let kinds = &dist.pd.info.kinds;
+        assert_eq!(dist.tile_tasks, task_graph::<f64>(40, 40, 8, kinds, 4).len());
+        assert!(dist.tile_tasks > task_graph::<f64>(40, 40, 8, kinds, 1).len());
+        assert_eq!(dist.pd.u.as_slice(), tiled.u.as_slice());
     }
 
     #[test]

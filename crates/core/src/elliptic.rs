@@ -1,6 +1,7 @@
 //! Elliptic integrals and Jacobi elliptic functions, the scalar machinery
 //! behind Zolotarev's optimal rational sign-function approximations
-//! (used by [`crate::zolo_pd`], the paper's §8 "Zolo PD" future work).
+//! (used by Zolo-PD, [`crate::qdwh`] at `terms > 1`, the paper's §8 "Zolo
+//! PD" future work).
 //!
 //! Only the real-argument, `0 <= k <= 1`, `0 <= u <= K(k)` regime is
 //! needed: Zolo-PD evaluates `sn/cn` at `u = j K'/(2r+1)` inside the

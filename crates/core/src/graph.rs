@@ -154,8 +154,8 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
 
 /// The whole-solve task graph of an `m x n` solve at tile size `nb` running
 /// steps of the given kinds with `terms` terms each (QDWH: 1; Zolo-PD: its
-/// `r`), without bodies or storage: emitted by the code [`crate::qdwh`] and
-/// [`crate::zolo_pd`] execute, so its tasks, tile sets and edges are the
+/// `r`), without bodies or storage: emitted by the code [`crate::qdwh`]
+/// executes at every `terms`, so its tasks, tile sets and edges are the
 /// executor's (scalar weights never reach the graph). `S` sets the tile
 /// payload bytes. What `polar-sim` schedules and
 /// [`crate::qdwh_distributed`] meters.

@@ -20,8 +20,9 @@
 //! introduction motivates and its future-work section proposes:
 //! [`svd_based_polar`] (the baseline QDWH is compared against),
 //! [`qdwh_svd`] (SVD through PD + EVD, §3), [`qdwh_eig`] (spectral
-//! divide-and-conquer symmetric eigensolver), and [`qdwh_mixed`]
-//! (mixed-precision iteration + Newton–Schulz refinement, §8).
+//! divide-and-conquer symmetric eigensolver), [`qdwh_mixed`]
+//! (mixed-precision iteration + Newton–Schulz refinement, §8) and Zolo-PD
+//! (§8: [`qdwh`] with [`QdwhOptions::terms`] above one).
 
 #![forbid(unsafe_code)]
 
@@ -58,4 +59,4 @@ pub use qdwh_impl::{
 };
 pub use skeleton::{estimate_l0, qdwh_flops, zolo_flops, Step, Term};
 pub use svd_pd::svd_based_polar;
-pub use zolo::{zolo_pd, ZoloOptions, ZoloOutcome};
+pub use zolo::compat::*;

@@ -90,9 +90,17 @@ pub(crate) fn poll_progress(
 /// Tuning and behavior knobs for [`crate::qdwh`].
 #[derive(Clone)]
 pub struct QdwhOptions {
+    /// Terms per rational step, `1..=8`. `1` is QDWH: dynamically weighted
+    /// Halley steps. `r > 1` is Zolo-PD: Zolotarev steps of type `(2r+1,
+    /// 2r)`, whose `r` factorizations per iteration are independent; `8`
+    /// converges in two iterations at `kappa = 1/eps`.
+    pub terms: usize,
     /// Iteration-family selection (default: the paper's `c > 100` switch).
+    /// Read at `terms == 1` only: a Zolotarev step picks its kind from the
+    /// bound.
     pub path: IterationPath,
     /// The `c` threshold for the QR→Cholesky switch (paper value: 100).
+    /// Read at `terms == 1` only.
     pub qr_switch_threshold: f64,
     /// Safety cap on iterations. Theory guarantees ≤ 6 in double precision
     /// (Nakatsukasa & Higham); the cap only guards against pathological
@@ -123,6 +131,7 @@ pub struct QdwhOptions {
 impl std::fmt::Debug for QdwhOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QdwhOptions")
+            .field("terms", &self.terms)
             .field("path", &self.path)
             .field("qr_switch_threshold", &self.qr_switch_threshold)
             .field("max_iterations", &self.max_iterations)
@@ -138,6 +147,7 @@ impl std::fmt::Debug for QdwhOptions {
 impl Default for QdwhOptions {
     fn default() -> Self {
         Self {
+            terms: 1,
             path: IterationPath::Auto,
             qr_switch_threshold: 100.0,
             max_iterations: 50,

@@ -1,9 +1,10 @@
 //! The QDWH driver — Algorithm 1 of the paper: the solve's vocabulary
-//! (errors, telemetry, accuracy metrics) and QDWH as a
-//! [`Method`] of [`crate::skeleton::solve`].
+//! (errors, telemetry, accuracy metrics), the one entry point [`qdwh`] and
+//! QDWH as a [`Method`] of [`crate::skeleton::solve`].
 
 use crate::options::{IterationKind, QdwhOptions};
-use crate::skeleton::{plan, qdwh_flops, solve, Common, Method, Step};
+use crate::skeleton::{plan, qdwh_flops, solve, Method, Step};
+use crate::zolo::{Zolotarev, DEGREES};
 use polar_blas::{gemm, herk_mirrored, norm};
 use polar_lapack::LapackError;
 use polar_matrix::{Matrix, Norm, Op, Uplo};
@@ -240,24 +241,38 @@ impl<S: Scalar> PolarDecomposition<S> {
     }
 }
 
-/// QDWH-based polar decomposition (Algorithm 1). `A` is `m x n`, `m >= n`.
+/// Polar decomposition (`A` is `m x n`, `m >= n`) by rational steps of
+/// `opts.terms` terms: QDWH (Algorithm 1) at one, Zolo-PD above. A `terms`
+/// outside `1..=8` is a `Shape` error, before anything is allocated.
 pub fn qdwh<S: Scalar>(
     a: &Matrix<S>,
     opts: &QdwhOptions,
 ) -> Result<PolarDecomposition<S>, QdwhError> {
-    solve(a, &Halley(opts))
+    match opts.terms {
+        1 => solve(a, opts, &Halley(opts)),
+        r if DEGREES.contains(&r) => solve(a, opts, &Zolotarev(r)),
+        _ => Err(QdwhError::Shape("QdwhOptions::terms must lie in 1..=8")),
+    }
 }
 
-/// QDWH's steps from the bound `ell` as [`qdwh`] plans them under `opts`:
+/// The steps from the bound `ell` as [`qdwh`] plans them under `opts`:
 /// empty when the last step's norm `conv` and `ell` pass the stop test,
-/// `None` past `budget` steps.
+/// `None` past `budget` steps or for a `terms` outside `1..=8`. A Zolotarev
+/// plan (`terms > 1`) runs in f64 whatever `S`.
 pub fn qdwh_plan<S: Scalar>(
     opts: &QdwhOptions,
     ell: S::Real,
     conv: f64,
     budget: usize,
 ) -> Option<Vec<Step<S::Real>>> {
-    plan::<S, _>(&Halley(opts), ell, conv, budget)
+    match opts.terms {
+        1 => plan::<S, _>(&Halley(opts), ell, conv, budget),
+        r if DEGREES.contains(&r) => {
+            let steps = plan::<S, _>(&Zolotarev(r), ell.to_f64(), conv, budget)?;
+            Some(steps.iter().map(Step::cast).collect())
+        }
+        _ => None,
+    }
 }
 
 /// QDWH under [`solve`]: dynamically weighted Halley steps, stopped by the
@@ -268,18 +283,6 @@ impl<S: Scalar> Method<S> for Halley<'_> {
     type Ell = S::Real;
     const NAME: &'static str = "qdwh";
     const FIRST_CONV: f64 = 100.0;
-
-    fn common(&self) -> Common<'_> {
-        let o = self.0;
-        Common {
-            max_iterations: o.max_iterations,
-            compute_h: o.compute_h,
-            tile_nb: o.tile_nb,
-            progress: o.progress.as_ref(),
-            l0_override: o.l0_override,
-            l0_strategy: o.l0_strategy,
-        }
-    }
 
     fn step_at(&self, ell: S::Real) -> Step<S::Real> {
         Step::halley(ell, self.0.path, self.0.qr_switch_threshold)
@@ -621,7 +624,8 @@ mod tests {
             let tol = S::Real::from_f64(50.0) * S::Real::EPSILON;
             let pd = check_polar(&a, &QdwhOptions::default(), tol);
             assert!(pd.info.iterations >= 1, "{} {m}x{n}", S::TYPE_TAG);
-            let z = crate::zolo_pd(&a, &crate::ZoloOptions::default()).expect("zolo converged").pd;
+            let zolo = QdwhOptions { terms: 8, ..Default::default() };
+            let z = qdwh(&a, &zolo).expect("zolo converged");
             assert!(orthogonality_error(&z.u) <= tol, "{} zolo {m}x{n}", S::TYPE_TAG);
             assert!(z.backward_error(&a) <= tol, "{} zolo {m}x{n}", S::TYPE_TAG);
         }

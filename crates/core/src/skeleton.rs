@@ -8,14 +8,14 @@
 //! `H`, [`qdwh_flops`] / [`zolo_flops`] cost the solve and
 //! [`QdwhInfo::started`] / [`QdwhInfo::push`] keep its telemetry.
 //!
-//! [`crate::qdwh`] and [`crate::zolo_pd`] are [`solve`] under two
-//! [`Method`]s; `qdwh_mixed`, `svd_based_polar` and `polar-svc`'s cost model
-//! call the same pieces, and `polar-batch` plays the steps
+//! [`crate::qdwh`] is [`solve`] under one of two [`Method`]s, picked by
+//! [`QdwhOptions::terms`]; `qdwh_mixed`, `svd_based_polar` and `polar-svc`'s
+//! cost model call the same pieces, and `polar-batch` plays the steps
 //! [`crate::qdwh_plan`] plans.
 
 use crate::graph::{run_graph, Workspace};
 use crate::options::{
-    graph_tile_nb, poll_progress, IterationKind, IterationPath, L0Strategy, ProgressHook,
+    graph_tile_nb, poll_progress, IterationKind, IterationPath, L0Strategy, QdwhOptions,
 };
 use crate::params::{halley_parameters, update_ell};
 use crate::qdwh_impl::{IterationRecord, PolarDecomposition, QdwhError, QdwhInfo};
@@ -145,6 +145,19 @@ impl<R: Real> Step<R> {
         let x_coef = p.b / p.c;
         let term = Term { alpha: p.c, shift: R::ONE, weight: p.a - x_coef };
         Step { kind, ell_after: update_ell(ell, p), x_coef, terms: vec![term] }
+    }
+
+    /// The same step in another precision.
+    pub(crate) fn cast<T: Real>(&self) -> Step<T> {
+        let to = |v: R| T::from_f64(v.to_f64());
+        let term =
+            |t: &Term<R>| Term { alpha: to(t.alpha), shift: to(t.shift), weight: to(t.weight) };
+        Step {
+            kind: self.kind,
+            ell_after: to(self.ell_after),
+            x_coef: to(self.x_coef),
+            terms: self.terms.iter().map(term).collect(),
+        }
     }
 }
 
@@ -297,17 +310,11 @@ fn without_iterating<S: Scalar>(u: Matrix<S>, h_order: usize) -> PolarDecomposit
     PolarDecomposition { u, h: Matrix::zeros(h_order, h_order), info }
 }
 
-/// The options every method of the family reads.
-pub(crate) struct Common<'a> {
-    pub max_iterations: usize,
-    pub compute_h: bool,
-    pub tile_nb: Option<usize>,
-    pub progress: Option<&'a ProgressHook>,
-    pub l0_override: Option<f64>,
-    pub l0_strategy: L0Strategy,
-}
-
-/// What tells one member of the QDWH family from another under [`solve`].
+/// What tells one member of the QDWH family from another under [`solve`]
+/// — all of it something a merge of the two would change: the type the
+/// bound's recurrence runs in, the stop test, the sentinel a hook sees
+/// first, the span name and the cost model. Every other option both read
+/// from the one [`QdwhOptions`].
 pub(crate) trait Method<S: Scalar> {
     /// The type the bound's recurrence runs in.
     type Ell: Real;
@@ -316,8 +323,6 @@ pub(crate) trait Method<S: Scalar> {
     /// What the progress hook is told of `||X_k - X_{k-1}||_F` before any
     /// is known.
     const FIRST_CONV: f64;
-
-    fn common(&self) -> Common<'_>;
 
     /// The iteration that starts from the bound `ell`.
     fn step_at(&self, ell: Self::Ell) -> Step<Self::Ell>;
@@ -329,14 +334,15 @@ pub(crate) trait Method<S: Scalar> {
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64;
 }
 
-/// Polar decomposition of `a` by `method` — the one driver.
+/// Polar decomposition of `a` by `method` under `opts` — the one driver.
 pub(crate) fn solve<S: Scalar, M: Method<S>>(
     a: &Matrix<S>,
+    opts: &QdwhOptions,
     method: &M,
 ) -> Result<PolarDecomposition<S>, QdwhError> {
     let (m, n) = (a.nrows(), a.ncols());
-    let c = method.common();
     let _solve_span = polar_obs::span!(M::NAME, m, n);
+    let hook = opts.progress.as_ref();
     if m < n {
         return Err(QdwhError::Shape("polar decomposition requires m >= n"));
     }
@@ -350,11 +356,11 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
     // the estimate's QR is a task graph too: a job cancelled while it
     // queued runs neither graph. (No bound on sigma_min is known yet; 0 is
     // one.)
-    poll_progress(c.progress, 1, M::FIRST_CONV, 0.0)?;
-    let nb = graph_tile_nb(c.tile_nb, n);
-    let Some((alpha, x0, l0)) = scaled_start(a, c.l0_override, c.l0_strategy, nb) else {
+    poll_progress(hook, 1, M::FIRST_CONV, 0.0)?;
+    let nb = graph_tile_nb(opts.tile_nb, n);
+    let Some((alpha, x0, l0)) = scaled_start(a, opts.l0_override, opts.l0_strategy, nb) else {
         // zero matrix: U = leading identity block, H = 0
-        return Ok(without_iterating(Matrix::identity(m, n), if c.compute_h { n } else { 0 }));
+        return Ok(without_iterating(Matrix::identity(m, n), if opts.compute_h { n } else { 0 }));
     };
     // the tiles are the iterate from here on, and they and the workspaces
     // outlive the graph that made them
@@ -370,16 +376,16 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
     // at 1 plans one step more, which is emitted and run the same way on
     // the same tiles and workspaces.
     while !M::converged(conv, ell) {
-        let budget = c.max_iterations.saturating_sub(info.iterations);
+        let budget = opts.max_iterations.saturating_sub(info.iterations);
         let Some(steps) = plan(method, ell, conv, budget) else {
-            return Err(QdwhError::NoConvergence { iterations: c.max_iterations });
+            return Err(QdwhError::NoConvergence { iterations: opts.max_iterations });
         };
         let first_iteration = info.iterations + 1;
         // a job cancelled while it queued allocates nothing
-        poll_progress(c.progress, first_iteration, conv, ell.to_f64())?;
+        poll_progress(hook, first_iteration, conv, ell.to_f64())?;
         let bounds = std::iter::once(ell).chain(steps.iter().map(|s| s.ell_after));
         let ells: Vec<f64> = bounds.map(|e| e.to_f64()).collect();
-        let hooked = Hooked { hook: c.progress, first_iteration, first_conv: conv, ells: &ells };
+        let hooked = Hooked { hook, first_iteration, first_conv: conv, ells: &ells };
         let (sink, phases) = run_graph(&mut x, &mut ws, &steps, &hooked)?;
         for (k, (step, phase)) in steps.iter().zip(&phases).enumerate() {
             let convergence: S::Real = sink.norm(k);
@@ -401,7 +407,7 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
     drop(ws);
     let u = x.into_dense();
     info.flops_estimate = method.flops(n, &info);
-    let h = finish(&u, a, c.compute_h);
+    let h = finish(&u, a, opts.compute_h);
     Ok(PolarDecomposition { u, h, info })
 }
 

@@ -20,13 +20,14 @@
 //!
 //! A Zolotarev step is the `r`-term member of the family QDWH's Halley step
 //! is the one-term member of ([`Step`]); both run through the one task graph
-//! of [`crate::graph`].
+//! of [`crate::graph`], and both are [`crate::qdwh`]: Zolo-PD is
+//! `QdwhOptions::terms = r > 1`, reading every other option QDWH reads
+//! (`path` and `qr_switch_threshold` excepted).
 
 use crate::elliptic::{zolotarev_coefficients, zolotarev_eval, zolotarev_weights};
-use crate::options::{IterationKind, L0Strategy, ProgressHook};
-use crate::qdwh_impl::{PolarDecomposition, QdwhError, QdwhInfo};
-use crate::skeleton::{plan, solve, zolo_flops, Common, Method, Step, Term};
-use polar_matrix::Matrix;
+use crate::options::IterationKind;
+use crate::qdwh_impl::QdwhInfo;
+use crate::skeleton::{zolo_flops, Method, Step, Term};
 use polar_scalar::{Real, Scalar};
 
 /// The largest `kappa_2(X^H X + c_{2j-1} I)` a Cholesky-based step accepts:
@@ -34,9 +35,9 @@ use polar_scalar::{Real, Scalar};
 /// 100`) allows its own Cholesky iteration.
 const CHOL_MAX_KAPPA_Z: f64 = 1.0 + 100.0;
 
-/// The degrees [`zolo_pd`] runs: a job's `r` sizes `r` workspaces, and two
-/// iterations already suffice at `kappa = 1/eps` with 8.
-const DEGREES: std::ops::RangeInclusive<usize> = 1..=8;
+/// The `QdwhOptions::terms` [`crate::qdwh`] accepts: `r` terms size `r`
+/// workspaces, and two iterations already suffice at `kappa = 1/eps` with 8.
+pub(crate) const DEGREES: std::ops::RangeInclusive<usize> = 1..=8;
 
 impl Step<f64> {
     /// The Zolotarev step of degree `r` that starts from the interval bound
@@ -75,101 +76,17 @@ impl Step<f64> {
     }
 }
 
-/// Options for [`zolo_pd`].
-#[derive(Clone)]
-pub struct ZoloOptions {
-    /// Zolotarev degree parameter: `r` partial-fraction terms, i.e. a
-    /// type-(2r+1, 2r) rational map per iteration. `r = 8` gives the
-    /// two-iteration guarantee at double precision; smaller `r`
-    /// interpolates toward QDWH-like behavior.
-    pub r: usize,
-    /// Iteration safety cap.
-    pub max_iterations: usize,
-    /// Compute the Hermitian factor.
-    pub compute_h: bool,
-    /// Tile size of the solve's task graph, as
-    /// [`QdwhOptions::tile_nb`](crate::options::QdwhOptions::tile_nb).
-    pub tile_nb: Option<usize>,
-    /// Optional progress/cancellation hook, with the semantics of
-    /// [`QdwhOptions::progress`](crate::options::QdwhOptions::progress).
-    pub progress: Option<ProgressHook>,
-}
+/// Zolo-PD under [`solve`](crate::skeleton::solve): type-`(2r+1, 2r)`
+/// Zolotarev steps of degree `.0`, stopped when the interval bound reaches 1.
+pub(crate) struct Zolotarev(pub usize);
 
-impl std::fmt::Debug for ZoloOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ZoloOptions")
-            .field("r", &self.r)
-            .field("max_iterations", &self.max_iterations)
-            .field("compute_h", &self.compute_h)
-            .field("tile_nb", &self.tile_nb)
-            .field("progress", &self.progress.as_ref().map(|_| "<hook>"))
-            .finish()
-    }
-}
-
-impl Default for ZoloOptions {
-    fn default() -> Self {
-        Self { r: 8, max_iterations: 6, compute_h: true, tile_nb: None, progress: None }
-    }
-}
-
-impl ZoloOptions {
-    /// The kind of each iteration [`zolo_pd`] runs under these options from
-    /// the interval bound `l0`: the scalar plan alone, no matrix. `None`
-    /// when `max_iterations` comes first (or `r` is outside `1..=8`).
-    pub fn planned_kinds(&self, l0: f64) -> Option<Vec<IterationKind>> {
-        if !DEGREES.contains(&self.r) {
-            return None;
-        }
-        let steps = plan::<f64, _>(&Zolotarev(self), l0, 0.0, self.max_iterations)?;
-        Some(steps.iter().map(|step| step.kind).collect())
-    }
-}
-
-/// Result of [`zolo_pd`]: the decomposition plus the count of stacked-QR
-/// factorizations performed.
-#[derive(Debug, Clone)]
-pub struct ZoloOutcome<S: Scalar> {
-    pub pd: PolarDecomposition<S>,
-    /// Total stacked-QR factorizations: `r` per QR-based iteration
-    /// (`pd.info.qr_iterations`), each independent within its iteration;
-    /// a Cholesky-based iteration (`pd.info.chol_iterations`) has none.
-    pub qr_factorizations: usize,
-}
-
-/// Zolotarev-rational polar decomposition (`m >= n`, `r` in `1..=8`).
-pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, zopts: &ZoloOptions) -> Result<ZoloOutcome<S>, QdwhError> {
-    if !DEGREES.contains(&zopts.r) {
-        return Err(QdwhError::Shape("zolo_pd requires 1 <= r <= 8"));
-    }
-    let pd = solve(a, &Zolotarev(zopts))?;
-    // r stacked QRs per QR-based iteration
-    Ok(ZoloOutcome { qr_factorizations: zopts.r * pd.info.qr_iterations, pd })
-}
-
-/// Zolo-PD under [`solve`]: type-`(2r+1, 2r)` Zolotarev steps, stopped when
-/// the interval bound reaches 1.
-pub(crate) struct Zolotarev<'a>(pub &'a ZoloOptions);
-
-impl<S: Scalar> Method<S> for Zolotarev<'_> {
+impl<S: Scalar> Method<S> for Zolotarev {
     type Ell = f64;
     const NAME: &'static str = "zolo";
     const FIRST_CONV: f64 = f64::MAX;
 
-    fn common(&self) -> Common<'_> {
-        let o = self.0;
-        Common {
-            max_iterations: o.max_iterations,
-            compute_h: o.compute_h,
-            tile_nb: o.tile_nb,
-            progress: o.progress.as_ref(),
-            l0_override: None,
-            l0_strategy: L0Strategy::SigmaMinPowerIteration,
-        }
-    }
-
     fn step_at(&self, ell: f64) -> Step<f64> {
-        Step::zolotarev(ell, self.0.r)
+        Step::zolotarev(ell, self.0)
     }
 
     /// The sampled `[fmin, fmax]` bracket is accurate to a few ulps and the
@@ -183,37 +100,80 @@ impl<S: Scalar> Method<S> for Zolotarev<'_> {
     }
 
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {
-        zolo_flops(n, info.qr_iterations, info.chol_iterations, self.0.r, S::IS_COMPLEX)
+        zolo_flops(n, info.qr_iterations, info.chol_iterations, self.0, S::IS_COMPLEX)
+    }
+}
+
+pub mod compat {
+    //! Compatibility shim for the `benchmark/` package, whose `zolo_ill_768`
+    //! workload still calls `zolo_pd`: [`qdwh`] at `terms: r`, every other
+    //! option at its default. Deleted when that workload moves to `qdwh`;
+    //! nothing outside this module may name these items (`./ci.sh lint`).
+    use crate::options::QdwhOptions;
+    use crate::qdwh_impl::{qdwh, PolarDecomposition, QdwhError};
+    use polar_matrix::Matrix;
+    use polar_scalar::Scalar;
+
+    /// The degree of [`zolo_pd`]: 8 by default.
+    #[derive(Debug, Clone)]
+    pub struct ZoloOptions {
+        pub r: usize,
+    }
+
+    impl Default for ZoloOptions {
+        fn default() -> Self {
+            Self { r: 8 }
+        }
+    }
+
+    /// What [`zolo_pd`] returns.
+    #[derive(Debug, Clone)]
+    pub struct ZoloOutcome<S: Scalar> {
+        pub pd: PolarDecomposition<S>,
+    }
+
+    /// [`qdwh`] with `terms: o.r`.
+    pub fn zolo_pd<S: Scalar>(a: &Matrix<S>, o: &ZoloOptions) -> Result<ZoloOutcome<S>, QdwhError> {
+        let pd = qdwh(a, &QdwhOptions { terms: o.r, ..Default::default() })?;
+        Ok(ZoloOutcome { pd })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qdwh_impl::{orthogonality_error, qdwh};
+    use crate::qdwh_impl::{orthogonality_error, qdwh, qdwh_plan, QdwhError};
+    use crate::skeleton::plan;
     use crate::svd_pd::svd_based_polar;
     use crate::QdwhOptions;
     use polar_blas::{add, norm};
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
-    use polar_matrix::Norm;
+    use polar_matrix::{Matrix, Norm};
     use polar_scalar::{Complex32, Complex64};
     use proptest::prelude::*;
+
+    /// Zolo-PD of degree `r`, every other option at its default.
+    fn zolo(r: usize) -> QdwhOptions {
+        QdwhOptions { terms: r, ..Default::default() }
+    }
+
+    fn kinds<R>(steps: &[Step<R>]) -> Vec<IterationKind> {
+        steps.iter().map(|step| step.kind).collect()
+    }
 
     #[test]
     fn zolo_two_iterations_at_kappa_1e16() {
         // the headline Zolo-PD property: r = 8 needs two iterations where
         // QDWH needs six
         let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(48, 1));
-        let out = zolo_pd(&a, &ZoloOptions::default()).unwrap();
-        assert!(out.pd.info.iterations <= 2, "iterations = {}", out.pd.info.iterations);
-        assert!(orthogonality_error(&out.pd.u) < 1e-12);
-        assert!(out.pd.backward_error(&a) < 1e-12);
-        // 8 QRs per QR-based iteration, none in a Cholesky-based one
-        assert_eq!(out.qr_factorizations, 8 * out.pd.info.qr_iterations);
-        assert_eq!(out.pd.info.qr_iterations + out.pd.info.chol_iterations, out.pd.info.iterations);
+        let pd = qdwh(&a, &zolo(8)).unwrap();
+        assert!(pd.info.iterations <= 2, "iterations = {}", pd.info.iterations);
+        assert!(orthogonality_error(&pd.u) < 1e-12);
+        assert!(pd.backward_error(&a) < 1e-12);
+        assert_eq!(pd.info.qr_iterations + pd.info.chol_iterations, pd.info.iterations);
 
         let qdwh_run = qdwh(&a, &QdwhOptions::default()).unwrap();
-        assert!(out.pd.info.iterations < qdwh_run.info.iterations);
+        assert!(pd.info.iterations < qdwh_run.info.iterations);
     }
 
     #[test]
@@ -226,9 +186,9 @@ mod tests {
             seed: 2,
         };
         let (a, _) = generate::<f64>(&spec);
-        let z = zolo_pd(&a, &ZoloOptions::default()).unwrap();
+        let z = qdwh(&a, &zolo(8)).unwrap();
         let q = qdwh(&a, &QdwhOptions::default()).unwrap();
-        let mut d = z.pd.u.clone();
+        let mut d = z.u.clone();
         add(-1.0, q.u.as_ref(), 1.0, d.as_mut());
         let err: f64 = norm(Norm::Fro, d.as_ref());
         assert!(err < 1e-9, "U factors differ by {err}");
@@ -236,7 +196,6 @@ mod tests {
 
     #[test]
     fn zolo_rectangular_and_complex() {
-        use polar_scalar::Complex64;
         let spec = MatrixSpec {
             m: 40,
             n: 20,
@@ -245,22 +204,21 @@ mod tests {
             seed: 3,
         };
         let (a, _) = generate::<Complex64>(&spec);
-        let out = zolo_pd(&a, &ZoloOptions::default()).unwrap();
-        assert!(orthogonality_error(&out.pd.u) < 1e-12);
-        assert!(out.pd.backward_error(&a) < 1e-12);
-        assert!(out.pd.info.iterations <= 2);
+        let pd = qdwh(&a, &zolo(8)).unwrap();
+        assert!(orthogonality_error(&pd.u) < 1e-12);
+        assert!(pd.backward_error(&a) < 1e-12);
+        assert!(pd.info.iterations <= 2);
     }
 
     #[test]
     fn small_r_needs_more_iterations() {
         let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(32, 4));
-        let r8 = zolo_pd(&a, &ZoloOptions::default()).unwrap();
-        let r2 =
-            zolo_pd(&a, &ZoloOptions { r: 2, max_iterations: 10, ..Default::default() }).unwrap();
-        assert!(r2.pd.info.iterations > r8.pd.info.iterations);
-        assert!(orthogonality_error(&r2.pd.u) < 1e-12);
+        let r8 = qdwh(&a, &zolo(8)).unwrap();
+        let r2 = qdwh(&a, &zolo(2)).unwrap();
+        assert!(r2.info.iterations > r8.info.iterations);
+        assert!(orthogonality_error(&r2.u) < 1e-12);
         // trade-off: fewer iterations but more total QRs for big r
-        assert!(r8.qr_factorizations > r2.pd.info.iterations);
+        assert!(8 * r8.info.qr_iterations > r2.info.iterations);
     }
 
     #[test]
@@ -273,60 +231,91 @@ mod tests {
             seed: 9,
         });
         let a = Matrix::<f32>::from_fn(32, 32, |i, j| a64[(i, j)] as f32);
-        let out = zolo_pd(&a, &ZoloOptions::default()).unwrap();
-        assert!(out.pd.info.iterations <= 2, "iters {}", out.pd.info.iterations);
-        assert!(orthogonality_error(&out.pd.u) < 1e-5);
-        assert!(out.pd.backward_error(&a) < 1e-5);
+        let pd = qdwh(&a, &zolo(8)).unwrap();
+        assert!(pd.info.iterations <= 2, "iters {}", pd.info.iterations);
+        assert!(orthogonality_error(&pd.u) < 1e-5);
+        assert!(pd.backward_error(&a) < 1e-5);
     }
 
     #[test]
     fn zolo_rejects_bad_args() {
         let a = Matrix::<f64>::zeros(3, 5);
-        assert!(zolo_pd(&a, &ZoloOptions::default()).is_err());
+        assert!(qdwh(&a, &zolo(8)).is_err());
         // a degree sizes r workspaces: outside 1..=8 nothing is planned or run
         let a = Matrix::<f64>::identity(4, 4);
         for r in [0usize, 9, usize::MAX] {
-            let opts = ZoloOptions { r, ..Default::default() };
-            assert!(matches!(zolo_pd(&a, &opts), Err(QdwhError::Shape(_))), "r = {r}");
-            assert_eq!(opts.planned_kinds(1e-16), None, "r = {r}");
+            assert!(matches!(qdwh(&a, &zolo(r)), Err(QdwhError::Shape(_))), "r = {r}");
+            assert_eq!(qdwh_plan::<f64>(&zolo(r), 1e-16, 0.0, 50), None, "r = {r}");
         }
-        assert!(ZoloOptions { r: 8, ..Default::default() }.planned_kinds(1e-16).is_some());
+        assert!(qdwh_plan::<f64>(&zolo(8), 1e-16, 0.0, 50).is_some());
+    }
+
+    /// One term is QDWH, whichever way it is asked for: the Halley plan.
+    #[test]
+    fn zolo_of_one_term_is_qdwh() {
+        let halley = |ell| Step::halley(ell, crate::options::IterationPath::Auto, 100.0);
+        let qdwh_steps = qdwh_plan::<f64>(&zolo(1), 1e-10, 100.0, 50).unwrap();
+        let mut ell = 1e-10;
+        for step in &qdwh_steps {
+            assert_eq!(*step, halley(ell));
+            ell = step.ell_after;
+        }
+    }
+
+    /// The caller's bound reaches the Zolotarev plan: a start the estimate
+    /// puts above 0.2 is Cholesky-only, the worst case is not.
+    #[test]
+    fn zolo_plans_from_the_callers_bound() {
+        use IterationKind::{CholeskyBased as Chol, QrBased as Qr};
+        let spec = MatrixSpec {
+            m: 48,
+            n: 48,
+            cond: 10.0,
+            distribution: SigmaDistribution::Geometric,
+            seed: 7,
+        };
+        let (a, _) = generate::<f64>(&spec);
+        let estimated = qdwh(&a, &zolo(8)).unwrap();
+        assert!(estimated.info.kinds.iter().all(|&k| k == Chol), "{:?}", estimated.info.kinds);
+
+        let worst = QdwhOptions { l0_override: Some(1e-16), ..zolo(8) };
+        let pd = qdwh(&a, &worst).unwrap();
+        assert_eq!(pd.info.l0, 1e-16);
+        assert_eq!(pd.info.kinds, [Qr, Chol]);
+        let planned = qdwh_plan::<f64>(&worst, 1e-16, 0.0, worst.max_iterations).unwrap();
+        assert_eq!(pd.info.kinds, kinds(&planned));
     }
 
     #[test]
     fn zolo_identity_fast_path() {
         let a = Matrix::<f64>::identity(8, 8);
-        let out = zolo_pd(&a, &ZoloOptions::default()).unwrap();
-        assert!(out.pd.info.iterations <= 2);
+        let pd = qdwh(&a, &zolo(8)).unwrap();
+        assert!(pd.info.iterations <= 2);
         for i in 0..8 {
-            assert!((out.pd.u[(i, i)] - 1.0).abs() < 1e-13);
+            assert!((pd.u[(i, i)] - 1.0).abs() < 1e-13);
         }
     }
 
     /// Tiles of 8: several tile rows and columns at test sizes.
-    fn fused_opts(r: usize) -> ZoloOptions {
-        ZoloOptions { r, tile_nb: Some(8), ..Default::default() }
+    fn fused_opts(r: usize) -> QdwhOptions {
+        QdwhOptions { tile_nb: Some(8), ..zolo(r) }
     }
 
-    /// The graph runs the plan — its kinds from the solve's own `l0`, `r`
-    /// stacked QRs per QR-based iteration, the modeled cost of those
-    /// iterations — and its factors meet the accuracy bars.
+    /// The graph runs the plan — its kinds from the solve's own `l0`, the
+    /// modeled cost of those iterations — and its factors meet the accuracy
+    /// bars.
     fn graph_case<S: Scalar>(a: &Matrix<S>, r: usize, tol: f64) {
         let opts = fused_opts(r);
-        let fused = zolo_pd(a, &opts).expect("fused converged");
-        let info = &fused.pd.info;
-        // (`planned_kinds` stops at double precision's tolerance: in single
-        // precision the solve is done a step or so earlier)
-        let planned = opts.planned_kinds(info.l0.to_f64()).expect("inside the cap");
-        assert!(planned.starts_with(&info.kinds), "r={r}: {:?} vs {planned:?}", info.kinds);
-        assert!(S::Real::EPSILON.to_f64() > 1e-10 || info.kinds == planned, "r={r}: {planned:?}");
-        assert_eq!(fused.qr_factorizations, r * info.qr_iterations);
+        let fused = qdwh(a, &opts).expect("fused converged");
+        let info = &fused.info;
+        let planned = qdwh_plan::<S>(&opts, info.l0, 0.0, opts.max_iterations);
+        assert_eq!(info.kinds, kinds(&planned.expect("inside the cap")), "r={r}");
         let cost =
             zolo_flops(a.ncols(), info.qr_iterations, info.chol_iterations, r, S::IS_COMPLEX);
         assert_eq!(info.flops_estimate, cost, "r={r}");
-        let orth = orthogonality_error(&fused.pd.u).to_f64();
+        let orth = orthogonality_error(&fused.u).to_f64();
         assert!(orth <= tol, "r={r}: fused U not orthogonal: {orth:e}");
-        let berr = fused.pd.backward_error(a).to_f64();
+        let berr = fused.backward_error(a).to_f64();
         assert!(berr <= tol, "r={r}: fused backward error {berr:e}");
     }
 
@@ -385,12 +374,12 @@ mod tests {
         let (a, _) = generate::<f64>(&spec);
         let reference = svd_based_polar(&a).expect("svd");
         for r in [2usize, 8] {
-            let fused = zolo_pd(&a, &fused_opts(r)).expect("fused");
-            assert!(fused.pd.info.chol_iterations >= 1, "{:?}", fused.pd.info.kinds);
+            let fused = qdwh(&a, &fused_opts(r)).expect("fused");
+            assert!(fused.info.chol_iterations >= 1, "{:?}", fused.info.kinds);
             let mut worst = 0.0f64;
             for j in 0..a.ncols() {
                 for i in 0..a.nrows() {
-                    worst = worst.max((fused.pd.u[(i, j)] - reference.u[(i, j)]).abs());
+                    worst = worst.max((fused.u[(i, j)] - reference.u[(i, j)]).abs());
                 }
             }
             assert!(worst <= 1e-10, "r={r}: fused vs svd-based U: {worst:e}");
@@ -405,24 +394,24 @@ mod tests {
     #[test]
     fn fused_is_bitwise_deterministic() {
         let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(40, 25));
-        let r1 = zolo_pd(&a, &fused_opts(4)).expect("run 1");
-        let r2 = zolo_pd(&a, &fused_opts(4)).expect("run 2");
+        let r1 = qdwh(&a, &fused_opts(4)).expect("run 1");
+        let r2 = qdwh(&a, &fused_opts(4)).expect("run 2");
         for j in 0..a.ncols() {
             for i in 0..a.nrows() {
                 assert_eq!(
-                    r1.pd.u[(i, j)].to_bits(),
-                    r2.pd.u[(i, j)].to_bits(),
+                    r1.u[(i, j)].to_bits(),
+                    r2.u[(i, j)].to_bits(),
                     "U nondeterministic at ({i},{j})"
                 );
                 assert_eq!(
-                    r1.pd.h[(i, j)].to_bits(),
-                    r2.pd.h[(i, j)].to_bits(),
+                    r1.h[(i, j)].to_bits(),
+                    r2.h[(i, j)].to_bits(),
                     "H nondeterministic at ({i},{j})"
                 );
             }
         }
-        assert_eq!(r1.pd.info.iterations, r2.pd.info.iterations);
-        for (ra, rb) in r1.pd.info.records.iter().zip(&r2.pd.info.records) {
+        assert_eq!(r1.info.iterations, r2.info.iterations);
+        for (ra, rb) in r1.info.records.iter().zip(&r2.info.records) {
             assert_eq!(ra.convergence.to_bits(), rb.convergence.to_bits());
         }
     }
@@ -434,8 +423,8 @@ mod tests {
         use crate::options::{IterationDecision, IterationProgress};
         let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(24, 26));
         // r = 2 needs several iterations at kappa = 1e16
-        let base = ZoloOptions { max_iterations: 10, ..fused_opts(2) };
-        let cancelling = ZoloOptions {
+        let base = fused_opts(2);
+        let cancelling = QdwhOptions {
             progress: Some(std::sync::Arc::new(|p: &IterationProgress| {
                 if p.iteration >= 2 {
                     IterationDecision::Cancel
@@ -445,14 +434,14 @@ mod tests {
             })),
             ..base.clone()
         };
-        match zolo_pd(&a, &cancelling) {
+        match qdwh(&a, &cancelling) {
             // 2, unless the parallel drain's frontier stepped over a phase
             Err(QdwhError::Cancelled { iteration }) if iteration >= 2 => {}
             other => panic!("expected cancellation at iteration 2, got {other:?}"),
         }
-        let ok = zolo_pd(&a, &base).expect("clean state after cancel");
-        assert!(ok.pd.info.iterations > 2);
-        assert!(orthogonality_error(&ok.pd.u).to_f64() < 1e-12);
+        let ok = qdwh(&a, &base).expect("clean state after cancel");
+        assert!(ok.info.iterations > 2);
+        assert!(orthogonality_error(&ok.u).to_f64() < 1e-12);
     }
 
     proptest! {
@@ -501,8 +490,7 @@ mod tests {
 
     /// The f64 plan from `l0` at degree `r`.
     fn plan_zolo_iterations(l0: f64, r: usize, max_iterations: usize) -> Option<Vec<Step<f64>>> {
-        let zopts = ZoloOptions { r, max_iterations, ..Default::default() };
-        plan::<f64, _>(&Zolotarev(&zopts), l0, 0.0, max_iterations)
+        plan::<f64, _>(&Zolotarev(r), l0, 0.0, max_iterations)
     }
 
     #[test]
@@ -531,7 +519,6 @@ mod tests {
     #[test]
     fn plan_goes_cholesky_once_the_interval_is_well_conditioned() {
         use IterationKind::{CholeskyBased as Chol, QrBased as Qr};
-        let kinds = |plan: &[Step<f64>]| plan.iter().map(|p| p.kind).collect::<Vec<_>>();
         // the double-precision floor at r = 8: one QR-based iteration lifts
         // the interval far enough for the second to be Cholesky-based
         assert_eq!(kinds(&plan_zolo_iterations(1e-16, 8, 6).unwrap()), [Qr, Chol]);

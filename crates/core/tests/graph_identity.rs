@@ -6,10 +6,7 @@
 
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_matrix::Matrix;
-use polar_qdwh::{
-    halley_parameters, qdwh, task_graph, update_ell, zolo_pd, IterationKind, QdwhOptions,
-    ZoloOptions,
-};
+use polar_qdwh::{halley_parameters, qdwh, task_graph, update_ell, IterationKind, QdwhOptions};
 use polar_runtime::TaskGraph;
 use std::sync::Arc;
 
@@ -70,14 +67,14 @@ fn task_graph_is_the_executed_graph() {
     // and `r - 1` private slabs in the QR-based step, `r` Cholesky terms
     // over one shared Gram matrix in the Cholesky-based one
     for (r, cond) in [(3usize, 60.0), (8, 1e16)] {
-        let opts = ZoloOptions { r, tile_nb: Some(NB), ..Default::default() };
+        let opts = QdwhOptions { terms: r, tile_nb: Some(NB), ..Default::default() };
         let a = input(cond);
-        let (out, ran) = executed(|| zolo_pd(&a, &opts).expect("converges"));
-        assert_eq!(out.pd.info.kinds, QR_THEN_CHOL, "r = {r}");
+        let (pd, ran) = executed(|| qdwh(&a, &opts).expect("converges"));
+        assert_eq!(pd.info.kinds, QR_THEN_CHOL, "r = {r}");
         // the condition estimate's QR, then the whole solve
         assert_eq!(ran.len(), 2, "r = {r}");
-        let emitted = task_graph::<f64>(N, N, NB, &out.pd.info.kinds, r);
+        let emitted = task_graph::<f64>(N, N, NB, &pd.info.kinds, r);
         assert_same_graph(&emitted, &ran[1]);
-        assert!(emitted.len() > task_graph::<f64>(N, N, NB, &out.pd.info.kinds, 1).len());
+        assert!(emitted.len() > task_graph::<f64>(N, N, NB, &pd.info.kinds, 1).len());
     }
 }

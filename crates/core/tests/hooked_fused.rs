@@ -6,8 +6,7 @@
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_matrix::Matrix;
 use polar_qdwh::{
-    qdwh, zolo_pd, IterationDecision, IterationProgress, ProgressHook, QdwhError, QdwhOptions,
-    ZoloOptions,
+    qdwh, IterationDecision, IterationProgress, ProgressHook, QdwhError, QdwhOptions,
 };
 use polar_scalar::{Complex64, Scalar};
 use std::sync::{Arc, Mutex};
@@ -20,8 +19,8 @@ fn tiled() -> QdwhOptions {
     QdwhOptions { tile_nb: Some(16), ..Default::default() }
 }
 
-fn tiled_zolo(r: usize) -> ZoloOptions {
-    ZoloOptions { r, max_iterations: 12, tile_nb: Some(16), ..Default::default() }
+fn tiled_zolo(r: usize) -> QdwhOptions {
+    QdwhOptions { terms: r, ..tiled() }
 }
 
 /// A hook that logs every snapshot and cancels from iteration `cancel_at` on.
@@ -102,20 +101,20 @@ fn a_hooked_solve_is_bitwise_the_unhooked_solve() {
 
     for (r, sp) in [(2usize, spec(70, 52, 1e8, 43)), (4, spec(64, 64, 1e16, 44))] {
         let (a, _) = generate::<f64>(&sp);
-        let plain = zolo_pd(&a, &tiled_zolo(r)).expect("un-hooked zolo");
+        let plain = qdwh(&a, &tiled_zolo(r)).expect("un-hooked zolo");
         let (hook, seen) = recording_hook(usize::MAX);
         let hooked =
-            zolo_pd(&a, &ZoloOptions { progress: Some(hook), ..tiled_zolo(r) }).expect("hooked");
-        assert_eq!(plain.qr_factorizations, hooked.qr_factorizations);
-        assert_same_bits("zolo U", &plain.pd.u, &hooked.pd.u);
-        assert_same_bits("zolo H", &plain.pd.h, &hooked.pd.h);
-        assert_watched_the_solve(&seen.lock().unwrap(), &norms(&hooked.pd.info));
+            qdwh(&a, &QdwhOptions { progress: Some(hook), ..tiled_zolo(r) }).expect("hooked");
+        assert_eq!(plain.info.kinds, hooked.info.kinds);
+        assert_same_bits("zolo U", &plain.u, &hooked.u);
+        assert_same_bits("zolo H", &plain.h, &hooked.h);
+        assert_watched_the_solve(&seen.lock().unwrap(), &norms(&hooked.info));
     }
     let (az, _) = generate::<Complex64>(&spec(64, 64, 1e10, 45));
-    let plain = zolo_pd(&az, &tiled_zolo(3)).expect("un-hooked zolo");
+    let plain = qdwh(&az, &tiled_zolo(3)).expect("un-hooked zolo");
     let (hook, _) = recording_hook(usize::MAX);
-    let hooked = zolo_pd(&az, &ZoloOptions { progress: Some(hook), ..tiled_zolo(3) }).unwrap();
-    assert_same_bits("zolo U", &plain.pd.u, &hooked.pd.u);
+    let hooked = qdwh(&az, &QdwhOptions { progress: Some(hook), ..tiled_zolo(3) }).unwrap();
+    assert_same_bits("zolo U", &plain.u, &hooked.u);
 }
 
 /// Phases (0-based) of the tile tasks a scope recorded.
@@ -183,7 +182,7 @@ fn a_hooked_solve_runs_the_fused_graph() {
 
     let (hook, _) = recording_hook(usize::MAX);
     let scope = polar_obs::scope();
-    zolo_pd(&a, &ZoloOptions { progress: Some(hook), ..tiled_zolo(4) }).expect("hooked zolo");
+    qdwh(&a, &QdwhOptions { progress: Some(hook), ..tiled_zolo(4) }).expect("hooked zolo");
     let spans = scope.finish().spans;
     assert!(spans.iter().any(|s| s.name == "solve_graph" && s.dims[..2] == [83, 47]));
 }

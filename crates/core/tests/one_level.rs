@@ -8,7 +8,7 @@
 use polar_blas::gemm;
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_matrix::{Matrix, Op};
-use polar_qdwh::{qdwh, zolo_pd, QdwhOptions, ZoloOptions};
+use polar_qdwh::{qdwh, QdwhOptions};
 use polar_runtime::{ExecOutcome, KernelKind, TaskDag, TileRef};
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
 
@@ -109,8 +109,8 @@ fn zolo_fused_dag_is_bitwise_identical_on_one_and_two_workers() {
         distribution: SigmaDistribution::Geometric,
         seed: 31,
     });
-    let zopts = ZoloOptions { tile_nb: Some(32), ..Default::default() };
-    let (one, two) = on_one_and_two_workers(|| zolo_pd(&a, &zopts).expect("zolo converges"));
-    assert_eq!(one.qr_factorizations, two.qr_factorizations);
-    assert_same_bits("zolo fused", &one.pd.u, &two.pd.u);
+    let zopts = QdwhOptions { terms: 8, tile_nb: Some(32), ..Default::default() };
+    let (one, two) = on_one_and_two_workers(|| qdwh(&a, &zopts).expect("zolo converges"));
+    assert_eq!(one.info.kinds, two.info.kinds);
+    assert_same_bits("zolo fused", &one.u, &two.u);
 }

@@ -8,7 +8,7 @@
 
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_matrix::Matrix;
-use polar_qdwh::{orthogonality_error, qdwh, zolo_pd, QdwhOptions, ZoloOptions};
+use polar_qdwh::{orthogonality_error, qdwh, QdwhOptions};
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
 
 /// `(m, n, tile_nb)`; `None` is the default tile size.
@@ -37,7 +37,7 @@ fn input<S: Scalar>(m: usize, n: usize, cond: f64) -> Matrix<S> {
     }
 }
 
-/// Where `zolo_pd` misses the double-precision bar — type, shape, tile size,
+/// Where Zolo-PD (`terms: 8`) misses the double-precision bar — type, shape, tile size,
 /// `kappa`: its two planned iterations leave a backward error of 1.1e-14 ...
 /// 2.5e-14 on these inputs (orthogonality 5e-15 or better), the same digits
 /// on a flat `geqrf`. Not the stacking: ROADMAP item 1, open. The stop test
@@ -51,7 +51,7 @@ const ZOLO_TAILS: [(&str, usize, usize, Option<usize>, f64); 4] = [
 ];
 
 /// Both solvers on every shape at condition number `cond`: backward error
-/// and orthogonality within `tol` (`zolo_pd`'s backward error within `5 tol`
+/// and orthogonality within `tol` (Zolo-PD's backward error within `5 tol`
 /// on [`ZOLO_TAILS`]).
 fn sweep<S: Scalar>(cond: f64, tol: f64) {
     for (m, n, tile_nb) in SHAPES {
@@ -60,7 +60,7 @@ fn sweep<S: Scalar>(cond: f64, tol: f64) {
         let pd = qdwh(&a, &QdwhOptions { tile_nb, ..Default::default() }).expect("qdwh");
         let (orth, berr) = (orthogonality_error(&pd.u).to_f64(), pd.backward_error(&a).to_f64());
         assert!(orth <= tol && berr <= tol, "qdwh {case}: orth {orth:e} berr {berr:e}");
-        let pd = zolo_pd(&a, &ZoloOptions { tile_nb, ..Default::default() }).expect("zolo_pd").pd;
+        let pd = qdwh(&a, &QdwhOptions { terms: 8, tile_nb, ..Default::default() }).expect("zolo");
         let (orth, berr) = (orthogonality_error(&pd.u).to_f64(), pd.backward_error(&a).to_f64());
         let tail = ZOLO_TAILS.contains(&(S::TYPE_TAG, m, n, tile_nb, cond));
         let berr_tol = if tail { 5.0 * tol } else { tol };

@@ -71,8 +71,8 @@ pub fn potrf(n: usize) -> f64 {
 /// One Zolotarev term of an `m x n` iterate: the stacked QR of the
 /// `(m+n) x n` panel `[X; sqrt(c) I]`, forming its Q, and the rank-n
 /// `Q1 Q2^H` accumulation into the private term slab. For square inputs
-/// this is `((10/3)·2 + 2) n³` — the per-term factor of the serial
-/// `zolo_pd` flop estimate.
+/// this is `((10/3)·2 + 2) n³` — the per-term factor of the solver's
+/// Zolo-PD flop estimate (`polar_qdwh::zolo_flops`).
 pub fn zolo_term(m: usize, n: usize) -> f64 {
     geqrf(m + n, n) + orgqr(m + n, n) + gemm(m, n, n)
 }
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn zolo_term_matches_the_serial_estimate_factor() {
-        // the serial zolo_pd accuracy-gate flop model charges
+        // the solver's Zolo-PD flop model (`zolo_flops`) charges
         // ((10/3)*2 + 2) n^3 per term for square inputs; the structural
         // per-kernel sum must agree within 1%
         for n in [64usize, 256, 1000] {

@@ -16,7 +16,7 @@ use crate::job::{JobKind, JobSpec};
 use crate::metrics::MetricsRegistry;
 use crate::queue::{AdmittedJob, Bounded, PopError, Producer};
 use polar_batch::BatchOptions;
-use polar_qdwh::{qdwh_flops, zolo_flops, IterationKind, ZoloOptions};
+use polar_qdwh::{qdwh_flops, qdwh_plan, zolo_flops, IterationKind, QdwhOptions};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,30 +27,30 @@ use std::time::{Duration, Instant};
 /// Cholesky) — a deliberate overestimate for well-conditioned inputs so
 /// borderline jobs are routed conservatively. QDWH-SVD adds the
 /// Hermitian EVD + GEMM stages (~`12 n^3`); the one-sided Jacobi
-/// baseline is costed at its typical `O(n^3)` sweep count. Zolo-PD trades
-/// flops for iterations: the iterations, by kind, its scalar plan runs from
-/// the worst-case interval `[eps, 1]` at the job's degree `zolo_r` (read
-/// for [`JobKind::Zolo`] only) — one QR-based and one Cholesky-based at
-/// `r = 8`, more and cheaper ones at lower degrees.
-pub fn estimate_flops(kind: JobKind, m: usize, n: usize, zolo_r: usize) -> f64 {
+/// baseline is costed at its typical `O(n^3)` sweep count. A QDWH job of
+/// `terms > 1` is Zolo-PD, which trades flops for iterations: the
+/// iterations, by kind, its scalar plan runs from the worst-case interval
+/// `[eps, 1]` at that degree — one QR-based and one Cholesky-based at
+/// `terms = 8`, more and cheaper ones at lower degrees.
+pub fn estimate_flops(kind: JobKind, m: usize, n: usize, terms: usize) -> f64 {
     let base = qdwh_flops(n, 3, 3, false);
     let n3 = (n as f64).powi(3);
     // rectangular inputs pay the initial QR reduction on top
     let rect = if m > n { 2.0 * (m as f64) * (n as f64) * (n as f64) } else { 0.0 };
     match kind {
+        JobKind::Qdwh if terms != 1 => {
+            // 64: no degree needs a tenth of that (a `terms` outside 1..=8
+            // plans nothing, and the job is refused when it runs)
+            let worst = QdwhOptions { terms, ..Default::default() };
+            let steps = qdwh_plan::<f64>(&worst, f64::EPSILON, 0.0, 64).unwrap_or_default();
+            let it_qr = steps.iter().filter(|s| s.kind == IterationKind::QrBased).count();
+            zolo_flops(n, it_qr, steps.len() - it_qr, terms, false) + rect
+        }
         // the fused engine saves wall time, not modeled flops: cost a
         // Batched job exactly like a scalar QDWH of the same shape
         JobKind::Qdwh | JobKind::Batched => base + rect,
         JobKind::QdwhSvd => base + rect + 12.0 * n3,
         JobKind::SvdPolar => 30.0 * n3 + rect,
-        JobKind::Zolo => {
-            // 64: no degree needs a tenth of that (an `r` outside 1..=8 plans
-            // nothing, and the job is refused when it runs)
-            let worst = ZoloOptions { r: zolo_r, max_iterations: 64, ..Default::default() };
-            let kinds = worst.planned_kinds(f64::EPSILON).unwrap_or_default();
-            let it_qr = kinds.iter().filter(|&&k| k == IterationKind::QrBased).count();
-            zolo_flops(n, it_qr, kinds.len() - it_qr, zolo_r, false) + rect
-        }
     }
 }
 
@@ -123,7 +123,7 @@ pub(crate) fn run_dispatcher(
     let push = |heap: &mut BinaryHeap<Queued>, seq: &mut u64, job: AdmittedJob| {
         let spec = &job.spec;
         let (m, n) = (spec.matrix.nrows(), spec.matrix.ncols());
-        let cost = estimate_flops(spec.kind, m, n, spec.zolo.r);
+        let cost = estimate_flops(spec.kind, m, n, spec.opts.terms);
         *seq += 1;
         heap.push(Queued { seq: *seq, priority: spec.priority, cost, job });
     };
@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn cost_model_orders_by_size_and_kind() {
-        let cost = |kind, m, n| estimate_flops(kind, m, n, 8);
+        let cost = |kind, m, n| estimate_flops(kind, m, n, 1);
         let small = cost(JobKind::Qdwh, 32, 32);
         let big = cost(JobKind::Qdwh, 256, 256);
         assert!(big > small * 100.0);
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn zolo_cost_follows_the_jobs_degree() {
-        let zolo = |r| estimate_flops(JobKind::Zolo, 96, 64, r);
+        let zolo = |r| estimate_flops(JobKind::Qdwh, 96, 64, r);
         let (n3, rect) = (64f64.powi(3), 2.0 * 96.0 * 64.0 * 64.0);
         let qr_iter = |r: f64| r * (20.0 / 3.0 + 2.0) * n3;
         let chol_iter = |r: f64| n3 + r * (1.0 / 3.0 + 2.0) * n3;
@@ -286,13 +286,13 @@ mod tests {
         // them: ordered ahead of an r = 8 job, batched with what it costs
         assert_eq!(zolo(2), 2.0 * (qr_iter(2.0) + chol_iter(2.0)) + 2.0 * n3 + rect);
         assert!(zolo(2) < 0.6 * zolo(8));
-        assert!(zolo(2) < estimate_flops(JobKind::Qdwh, 96, 64, 2) * 1.2);
+        assert!(zolo(2) < estimate_flops(JobKind::Qdwh, 96, 64, 1) * 1.2);
         // The cost grows with the degree while the planned kinds stay the
         // same and drops where one more term saves an iteration (r = 4
         // plans QR, QR, Cholesky; r = 5 plans QR, Cholesky, Cholesky): the
         // "2 iterations at any r" this replaced was monotone in r and
         // under-costed every degree below 5.
-        assert!(zolo(1) < zolo(2) && zolo(2) < zolo(3) && zolo(3) < zolo(4));
+        assert!(zolo(2) < zolo(3) && zolo(3) < zolo(4));
         assert!(zolo(5) < zolo(6) && zolo(6) < zolo(7));
         assert!(zolo(5) < zolo(4) && zolo(8) < zolo(7));
         // an invalid degree costs its epilogue, without panicking

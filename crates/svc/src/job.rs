@@ -2,7 +2,7 @@
 
 use crate::cancel::CancelToken;
 use polar_matrix::Matrix;
-use polar_qdwh::{PolarDecomposition, QdwhError, QdwhOptions, QdwhSvd, ZoloOptions};
+use polar_qdwh::{PolarDecomposition, QdwhError, QdwhOptions, QdwhSvd};
 use std::time::Duration;
 
 /// Monotonically increasing job identifier, assigned at admission.
@@ -18,7 +18,10 @@ impl std::fmt::Display for JobId {
 /// Which solver a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
-    /// QDWH polar decomposition (Algorithm 1) — the workhorse.
+    /// QDWH polar decomposition (Algorithm 1) — the workhorse. With
+    /// `opts.terms = r > 1` it is Zolo-PD: `r` times the flops of QDWH per
+    /// iteration for fewer iterations, the `r` terms of each iteration
+    /// running concurrently in one task graph.
     Qdwh,
     /// Thin SVD via QDWH-PD + Hermitian EVD (§3 application).
     QdwhSvd,
@@ -31,14 +34,9 @@ pub enum JobKind {
     /// contiguous chunk per pool lane, each chunk solved start to finish
     /// in batch-major rounds. A member is told what a scalar job is told:
     /// its own failure, cancellation or deadline ends it at the next round
-    /// and leaves the rest of its wave untouched.
+    /// and leaves the rest of its wave untouched. The engine plays one-term
+    /// steps: a job with `opts.terms != 1` fails, permanently.
     Batched,
-    /// Zolotarev polar decomposition (`zolo_pd`): trades `r` times the
-    /// flops of QDWH for fewer iterations, with the r shifted stacked-QR
-    /// terms of each iteration running concurrently in one task graph.
-    /// Configure via [`JobSpec::zolo`] /
-    /// [`JobSpec::with_zolo_r`].
-    Zolo,
 }
 
 /// A unit of work: solver kind, input matrix, and scheduling knobs.
@@ -58,10 +56,6 @@ pub struct JobSpec {
     pub timeout: Option<Duration>,
     /// Solver options (the service overwrites the `progress` hook).
     pub opts: QdwhOptions,
-    /// Zolotarev options, consulted only by [`JobKind::Zolo`] jobs
-    /// (`zolo.r` picks the degree; the service overwrites the `progress`
-    /// hook).
-    pub zolo: ZoloOptions,
     /// Client-supplied condition-number estimate for the input (e.g. a
     /// tensor-network loop that knows its truncation spectra). Consulted
     /// only on the fused [`JobKind::Batched`] path, where it keys the
@@ -80,11 +74,6 @@ impl JobSpec {
         Self::new(JobKind::Batched, matrix)
     }
 
-    /// A Zolotarev polar-decomposition job (see [`JobKind::Zolo`]).
-    pub fn zolo(matrix: Matrix<f64>) -> Self {
-        Self::new(JobKind::Zolo, matrix)
-    }
-
     pub fn new(kind: JobKind, matrix: Matrix<f64>) -> Self {
         JobSpec {
             kind,
@@ -92,7 +81,6 @@ impl JobSpec {
             priority: 0,
             timeout: None,
             opts: QdwhOptions::default(),
-            zolo: ZoloOptions::default(),
             cond_hint: None,
         }
     }
@@ -104,12 +92,6 @@ impl JobSpec {
 
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
-        self
-    }
-
-    /// Set the Zolotarev degree `r ∈ 1..=8` for a [`JobKind::Zolo`] job.
-    pub fn with_zolo_r(mut self, r: usize) -> Self {
-        self.zolo.r = r;
         self
     }
 

@@ -107,11 +107,6 @@ pub struct MetricsRegistry {
     /// slots *could* have carried. `fused_jobs / fused_capacity` is the
     /// fill ratio the batch-gathering window exists to raise.
     pub fused_capacity: AtomicU64,
-    /// Completed Zolo-PD jobs.
-    pub zolo_jobs: AtomicU64,
-    /// Total stacked-QR factorizations across completed Zolo jobs (`r`
-    /// per QR-based iteration; a Cholesky-based iteration has none).
-    pub zolo_qr_total: AtomicU64,
     pub injected_faults: AtomicU64,
     // gauges
     pub queue_depth: AtomicI64,
@@ -155,8 +150,6 @@ impl MetricsRegistry {
             fused_capacity: self.fused_capacity.load(Ordering::Relaxed),
             condest_hits: 0,
             condest_misses: 0,
-            zolo_jobs: self.zolo_jobs.load(Ordering::Relaxed),
-            zolo_qr_total: self.zolo_qr_total.load(Ordering::Relaxed),
             injected_faults: self.injected_faults.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed).max(0) as u64,
             in_flight: self.in_flight.load(Ordering::Relaxed).max(0) as u64,
@@ -190,11 +183,6 @@ pub struct MetricsSnapshot {
     /// [`crate::PolarService::metrics`].
     pub condest_hits: u64,
     pub condest_misses: u64,
-    /// Completed Zolo-PD jobs.
-    pub zolo_jobs: u64,
-    /// Stacked-QR factorizations across Zolo jobs (see
-    /// [`MetricsRegistry::zolo_qr_total`]).
-    pub zolo_qr_total: u64,
     pub injected_faults: u64,
     pub queue_depth: u64,
     pub in_flight: u64,
@@ -247,8 +235,6 @@ impl MetricsSnapshot {
             ("batch_fill_ratio", self.batch_fill_ratio()),
             ("condest_hits", self.condest_hits as f64),
             ("condest_misses", self.condest_misses as f64),
-            ("zolo_jobs", self.zolo_jobs as f64),
-            ("zolo_qr_total", self.zolo_qr_total as f64),
             ("injected_faults", self.injected_faults as f64),
             ("queue_depth", self.queue_depth as f64),
             ("in_flight", self.in_flight as f64),

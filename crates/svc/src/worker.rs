@@ -16,8 +16,8 @@ use crate::trace::SpanLog;
 use polar_batch::{qdwh_batched_each, BatchEntry, BatchOptions, CondestCache};
 use polar_lapack::FailureClass;
 use polar_qdwh::{
-    qdwh, qdwh_svd, svd_based_polar, zolo_pd, IterationDecision, PolarDecomposition, ProgressHook,
-    QdwhError, ZoloOptions,
+    qdwh, qdwh_svd, svd_based_polar, IterationDecision, PolarDecomposition, ProgressHook,
+    QdwhError, QdwhOptions,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -163,13 +163,8 @@ fn run_fused(batch: Vec<AdmittedJob>, worker_id: usize, ctx: &Arc<ExecContext>) 
     }
 }
 
-fn solve(
-    spec: &JobSpec,
-    hook: ProgressHook,
-    metrics: &MetricsRegistry,
-) -> Result<JobOutput, QdwhError> {
-    let mut opts = spec.opts.clone();
-    opts.progress = Some(hook.clone());
+fn solve(spec: &JobSpec, hook: ProgressHook) -> Result<JobOutput, QdwhError> {
+    let opts = QdwhOptions { progress: Some(hook), ..spec.opts.clone() };
     match spec.kind {
         // a Batched job on the scalar path (fault injection, a retry) is
         // just a QDWH solve
@@ -180,14 +175,6 @@ fn solve(
         // the Jacobi baseline has no iteration hook; cancellation and
         // deadline are checked between attempts only
         crate::job::JobKind::SvdPolar => svd_based_polar(&spec.matrix).map(JobOutput::Polar),
-        crate::job::JobKind::Zolo => {
-            let zolo = ZoloOptions { progress: Some(hook), ..spec.zolo.clone() };
-            zolo_pd(&spec.matrix, &zolo).map(|out| {
-                MetricsRegistry::inc(&metrics.zolo_jobs);
-                metrics.zolo_qr_total.fetch_add(out.qr_factorizations as u64, Ordering::Relaxed);
-                JobOutput::Polar(out.pd)
-            })
-        }
     }
 }
 
@@ -237,7 +224,7 @@ fn run_attempts(
             MetricsRegistry::inc(&metrics.injected_faults);
             Err(injected_error())
         } else {
-            solve(&job.spec, hook.clone(), metrics)
+            solve(&job.spec, hook.clone())
         };
 
         match result {

@@ -4,7 +4,7 @@
 
 use polar_gen::{generate, MatrixSpec};
 use polar_matrix::Matrix;
-use polar_qdwh::{IterationPath, QdwhOptions, ZoloOptions};
+use polar_qdwh::{IterationPath, QdwhError, QdwhOptions};
 use polar_svc::{
     FaultPlan, JobError, JobKind, JobOutput, JobSpec, PolarService, ServiceConfig, SubmitError,
 };
@@ -77,32 +77,50 @@ fn normal_jobs_complete_with_correct_factors() {
     assert_eq!(r.attempts, 1);
     assert!(r.run > Duration::ZERO);
 
-    // all solver kinds work end to end
+    // all solver kinds work end to end, Zolo-PD among them
     let (b, _) = generate::<f64>(&MatrixSpec::well_conditioned(24, 6));
-    for kind in [JobKind::Qdwh, JobKind::QdwhSvd, JobKind::SvdPolar, JobKind::Zolo] {
-        let h = svc.try_submit(JobSpec::new(kind, b.clone())).unwrap();
-        assert!(h.wait().output.is_ok(), "{kind:?}");
+    for (kind, terms) in
+        [(JobKind::Qdwh, 1), (JobKind::QdwhSvd, 1), (JobKind::SvdPolar, 1), (JobKind::Qdwh, 8)]
+    {
+        let mut spec = JobSpec::new(kind, b.clone());
+        spec.opts.terms = terms;
+        let h = svc.try_submit(spec).unwrap();
+        assert!(h.wait().output.is_ok(), "{kind:?} terms {terms}");
     }
     svc.shutdown();
 }
 
 #[test]
-fn zolo_jobs_run_fused_and_report_qr_metrics() {
+fn zolo_jobs_are_qdwh_jobs_with_terms() {
     let svc = PolarService::start(ServiceConfig::default());
     let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(32, 9));
-    let mut spec = JobSpec::zolo(a.clone()).with_zolo_r(4);
+    let mut spec = JobSpec::qdwh(a.clone());
     // several tiles a term even at this test-sized n
-    spec.zolo.tile_nb = Some(8);
-    let h = svc.try_submit(spec).unwrap();
-    let r = h.wait();
-    let out = r.output.expect("zolo job succeeds");
-    assert!(polar_qdwh::orthogonality_error(out.u()) < 1e-12);
+    spec.opts = QdwhOptions { terms: 4, tile_nb: Some(8), ..Default::default() };
+    let out = svc.try_submit(spec.clone()).unwrap().wait().output.expect("zolo job succeeds");
+    let JobOutput::Polar(pd) = out else { panic!("a polar job answers with a decomposition") };
+    assert!(polar_qdwh::orthogonality_error(&pd.u) < 1e-12);
+    // the service ran the library's solve: the same four-term steps, bit for bit
+    let direct = polar_qdwh::qdwh(&a, &spec.opts).unwrap();
+    assert_eq!(pd.info.kinds, direct.info.kinds);
+    assert_eq!(pd.u.as_slice(), direct.u.as_slice());
+    svc.shutdown();
+}
 
-    let m = svc.metrics();
-    assert_eq!(m.zolo_jobs, 1);
-    // per-term concurrency metric: r QR factorizations per iteration
-    assert!(m.zolo_qr_total >= 4, "expected >= r stacked QRs, got {}", m.zolo_qr_total);
-    assert_eq!(m.zolo_qr_total % 4, 0, "QR count must be r x iterations");
+/// The batch engine plays one-term steps: a `Batched` job asking for more
+/// fails at once, with no retry, instead of running as QDWH.
+#[test]
+fn a_batched_job_of_several_terms_fails_permanently() {
+    let svc =
+        PolarService::start(ServiceConfig { workers: 1, max_retries: 5, ..Default::default() });
+    let (a, _) = generate::<f64>(&MatrixSpec::well_conditioned(16, 12));
+    let mut spec = JobSpec::batched(a);
+    spec.opts.terms = 4;
+    match svc.try_submit(spec).unwrap().wait().output {
+        Err(JobError::Failed { error: QdwhError::Shape(_), attempts: 1 }) => {}
+        other => panic!("expected a permanent Shape failure, got {other:?}"),
+    }
+    assert_eq!(svc.metrics().retries, 0);
     svc.shutdown();
 }
 
@@ -178,42 +196,40 @@ fn cancellation_lands_between_iterations() {
     svc.shutdown();
 }
 
-/// The n = 100 forced-QR job, or its Zolo-PD counterpart, with small
-/// tiles: a few thousand tile tasks, so a cancel or a deadline has to land
-/// *inside* the graph.
-fn slow_fused_job(kind: JobKind) -> JobSpec {
+/// The n = 100 forced-QR job (`terms = 1`), or its Zolo-PD counterpart,
+/// with small tiles: a few thousand tile tasks, so a cancel or a deadline
+/// has to land *inside* the graph.
+fn slow_fused_job(terms: usize) -> JobSpec {
     let mut spec = slow_job_of(100);
-    spec.kind = kind;
-    spec.opts.tile_nb = Some(16);
-    spec.zolo = ZoloOptions { r: 2, max_iterations: 12, tile_nb: Some(16), ..Default::default() };
+    spec.opts = QdwhOptions { terms, tile_nb: Some(16), ..spec.opts };
     spec
 }
 
 #[test]
 fn cancel_and_deadline_land_inside_the_fused_graph() {
-    for kind in [JobKind::Qdwh, JobKind::Zolo] {
+    for terms in [1, 2] {
         let svc = PolarService::start(ServiceConfig { workers: 1, ..Default::default() });
         // the un-cancelled solve sets the scale
-        let full = svc.try_submit(slow_fused_job(kind)).unwrap().wait();
-        assert!(full.output.is_ok(), "{kind:?}: uncancelled job succeeds");
+        let full = svc.try_submit(slow_fused_job(terms)).unwrap().wait();
+        assert!(full.output.is_ok(), "terms {terms}: uncancelled job succeeds");
         let quarter = full.run / 4;
 
-        let h = svc.try_submit(slow_fused_job(kind)).unwrap();
+        let h = svc.try_submit(slow_fused_job(terms)).unwrap();
         wait_in_flight(&svc, 1);
         h.cancel();
         let r = h.wait();
-        assert_eq!(r.output.err(), Some(JobError::Cancelled), "{kind:?}");
-        assert_eq!(r.attempts, 1, "{kind:?}: was mid-run, not queued");
-        assert!(r.run < full.run, "{kind:?}: cancelled after {:?} of {:?}", r.run, full.run);
+        assert_eq!(r.output.err(), Some(JobError::Cancelled), "terms {terms}");
+        assert_eq!(r.attempts, 1, "terms {terms}: was mid-run, not queued");
+        assert!(r.run < full.run, "terms {terms}: cancelled after {:?} of {:?}", r.run, full.run);
 
-        let h = svc.try_submit(slow_fused_job(kind).with_timeout(quarter)).unwrap();
+        let h = svc.try_submit(slow_fused_job(terms).with_timeout(quarter)).unwrap();
         let r = h.wait();
-        assert_eq!(r.output.err(), Some(JobError::TimedOut { budget: quarter }), "{kind:?}");
-        assert!(r.run >= quarter, "{kind:?}: budget elapsed before the hook fired");
-        assert!(r.run < full.run, "{kind:?}: timed out after {:?} of {:?}", r.run, full.run);
+        assert_eq!(r.output.err(), Some(JobError::TimedOut { budget: quarter }), "terms {terms}");
+        assert!(r.run >= quarter, "terms {terms}: budget elapsed before the hook fired");
+        assert!(r.run < full.run, "terms {terms}: timed out after {:?} of {:?}", r.run, full.run);
 
         let m = svc.metrics();
-        assert_eq!((m.completed, m.cancelled, m.timed_out), (1, 1, 1), "{kind:?}");
+        assert_eq!((m.completed, m.cancelled, m.timed_out), (1, 1, 1), "terms {terms}");
         svc.shutdown();
     }
 }
@@ -292,7 +308,8 @@ fn permanent_failures_do_not_retry() {
     let mut a = Matrix::<f64>::identity(8, 8);
     a[(2, 3)] = f64::NAN;
     // a degree outside 1..=8 would size `r` workspaces: refused as a shape
-    let out_of_range = JobSpec::zolo(Matrix::identity(8, 8)).with_zolo_r(9);
+    let mut out_of_range = JobSpec::qdwh(Matrix::identity(8, 8));
+    out_of_range.opts.terms = 9;
     for (spec, why) in [(JobSpec::qdwh(a), "NonFinite"), (out_of_range, "Shape")] {
         match svc.try_submit(spec).unwrap().wait().output {
             Err(JobError::Failed { attempts, .. }) => {

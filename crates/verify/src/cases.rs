@@ -7,7 +7,8 @@ use polar_gen::{MatrixSpec, SigmaDistribution};
 pub enum SolverPath {
     /// `polar_qdwh::qdwh` with default options (the paper's Algorithm 1).
     Qdwh,
-    /// `polar_qdwh::zolo_pd` (Zolotarev-rational PD, §8 future work).
+    /// Zolo-PD: `polar_qdwh::qdwh` at `terms: 8` (Zolotarev-rational PD,
+    /// §8 future work).
     Zolo,
     /// `polar_qdwh::qdwh_mixed` (low-precision solve + Newton–Schulz).
     Mixed,

@@ -5,8 +5,8 @@ use polar_blas::gemm;
 use polar_gen::generate;
 use polar_matrix::{Matrix, Op};
 use polar_qdwh::{
-    hermitian_deviation, orthogonality_error, psd_deviation, qdwh, qdwh_mixed, zolo_pd,
-    MixedPrecision, PolarDecomposition, QdwhOptions, ZoloOptions,
+    hermitian_deviation, orthogonality_error, psd_deviation, qdwh, qdwh_mixed, MixedPrecision,
+    PolarDecomposition, QdwhOptions,
 };
 use polar_scalar::{Complex32, Complex64, Real, Scalar};
 
@@ -93,15 +93,13 @@ fn result_from<S: Scalar>(
 
 fn run_direct<S: Scalar>(spec: &CaseSpec) -> Result<CaseResult, String> {
     let (a, _) = generate::<S>(&spec.matrix_spec());
-    let pd = match spec.solver {
-        SolverPath::Qdwh => {
-            qdwh(&a, &QdwhOptions::default()).map_err(|e| format!("{}: {e}", spec.id()))?
-        }
-        SolverPath::Zolo => {
-            zolo_pd(&a, &ZoloOptions::default()).map_err(|e| format!("{}: {e}", spec.id()))?.pd
-        }
+    let terms = match spec.solver {
+        SolverPath::Qdwh => 1,
+        SolverPath::Zolo => 8,
         SolverPath::Mixed => unreachable!("mixed dispatches through run_mixed"),
     };
+    let opts = QdwhOptions { terms, ..Default::default() };
+    let pd = qdwh(&a, &opts).map_err(|e| format!("{}: {e}", spec.id()))?;
     result_from(spec, &a, &pd)
 }
 

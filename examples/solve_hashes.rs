@@ -1,7 +1,8 @@
 //! One FNV-1a line per pinned solve: the bits of `U`, of `H` and of the
-//! per-iteration convergence norms, of scalar `qdwh` / `zolo_pd` solves and
-//! of every entry of a batched wave (`batched-*`). "Bit-identical to another
-//! commit" is this example run on both trees and `cmp` on the two outputs.
+//! per-iteration convergence norms, of scalar `qdwh` solves (QDWH, and
+//! Zolo-PD at `terms` 4 and 8) and of every entry of a batched wave
+//! (`batched-*`). "Bit-identical to another commit" is this example run on
+//! both trees and `cmp` on the two outputs.
 //!
 //! Nothing is asserted: the hashes depend on the SIMD microkernel the host
 //! selects, so they compare two trees on one host, not a tree against a
@@ -13,7 +14,7 @@
 //! ```
 
 use polar::prelude::*;
-use polar::qdwh::{IterationPath, ZoloOutcome};
+use polar::qdwh::IterationPath;
 use polar_batch::{qdwh_batched, BatchEntry, BatchOptions};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -72,9 +73,8 @@ fn cases<S: Scalar>(high: f64, threads: usize) {
     }
     for r in [4usize, 8] {
         let a = input(83, 47, high, 8 + r as u64);
-        let opts = ZoloOptions { r, max_iterations: 10, tile_nb: Some(32), ..Default::default() };
-        let ZoloOutcome { pd, .. } = zolo_pd(&a, &opts).expect("zolo_pd converges");
-        line(&format!("zolo-r{r}"), threads, &pd);
+        let opts = QdwhOptions { terms: r, ..tiled.clone() };
+        line(&format!("zolo-r{r}"), threads, &qdwh(&a, &opts).expect("zolo converges"));
     }
 }
 

@@ -45,24 +45,31 @@ fn cmd_decompose(args: &[String]) -> Result<(), QdwhError> {
         spec.m, spec.n, spec.cond
     );
     let t0 = std::time::Instant::now();
+    // Zolo-PD is QDWH with eight terms per step
+    let terms = if method == "zolo" { 8 } else { 1 };
+    let opts = QdwhOptions { terms, ..Default::default() };
     let run =
         |a: &Matrix<f64>| -> Result<(polar::qdwh::PolarDecomposition<f64>, String), QdwhError> {
             match method.as_str() {
-                "zolo" => {
-                    let out = polar::qdwh::zolo_pd(a, &ZoloOptions::default())?;
-                    let extra = format!(", {} QR factorizations", out.qr_factorizations);
-                    Ok((out.pd, extra))
-                }
                 "svd" => Ok((svd_based_polar(a)?, String::new())),
-                _ => Ok((qdwh(a, &QdwhOptions::default())?, String::new())),
+                _ => {
+                    let pd = qdwh(a, &opts)?;
+                    // a stacked QR per term of every QR-based iteration
+                    let qrs = terms * pd.info.qr_iterations;
+                    let extra = if terms > 1 {
+                        format!(", {qrs} QR factorizations")
+                    } else {
+                        String::new()
+                    };
+                    Ok((pd, extra))
+                }
             }
         };
     if flag(args, "--complex") {
         let (a, _) = generate::<Complex64>(&spec);
         let pd = match method.as_str() {
             "svd" => svd_based_polar(&a)?,
-            "zolo" => polar::qdwh::zolo_pd(&a, &ZoloOptions::default())?.pd,
-            _ => qdwh(&a, &QdwhOptions::default())?,
+            _ => qdwh(&a, &opts)?,
         };
         println!("  scalar type        : complex f64");
         println!("  iterations         : {}", pd.info.iterations);

@@ -53,7 +53,7 @@ pub mod prelude {
     pub use polar_qdwh::DistConfig;
     pub use polar_qdwh::{
         qdwh, qdwh_distributed, qdwh_eig, qdwh_mixed, qdwh_partial_eig, qdwh_partial_svd, qdwh_svd,
-        svd_based_polar, zolo_pd, PolarDecomposition, QdwhOptions, ZoloOptions,
+        svd_based_polar, PolarDecomposition, QdwhOptions,
     };
     pub use polar_scalar::{Complex32, Complex64, Real, Scalar};
     pub use polar_svc::{FaultPlan, JobKind, JobSpec, PolarService, ServiceConfig, SubmitError};
