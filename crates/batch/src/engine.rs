@@ -876,7 +876,7 @@ mod tests {
             qdwh: QdwhOptions { max_iterations: 4, ..Default::default() },
             ..Default::default()
         };
-        let pool = rayon::ThreadPool::with_seed(2, None);
+        let pool = rayon::ThreadPool::new(2);
         // 8 entries of 32 x 32 on 2 lanes: chunks 0..4 and 4..8
         for failing in [vec![1, 6], vec![6], vec![0, 7], vec![3, 4]] {
             let mut entries: Vec<BatchEntry<f64>> = (0..8)

@@ -1,12 +1,10 @@
-//! Bitwise determinism of the batched engine: run to run under
-//! `POLAR_DETERMINISTIC=1`, and — the engine's lane seam — across pool
-//! widths, wave sizes and wave compositions.
+//! Bitwise determinism of the batched engine: run to run, and — the
+//! engine's lane seam — across pool widths, wave sizes and wave
+//! compositions.
 //!
-//! Runs in its own test binary so the env var is set before the global
-//! pool (or any `OnceLock`-cached mode flag) is first touched. A chunk of
-//! a wave runs sequentially and every kernel under it picks its code path
-//! from the entry shape alone, so an entry's bits can depend on nothing
-//! but the entry.
+//! A chunk of a wave runs sequentially and every kernel under it picks its
+//! code path from the entry shape alone, so an entry's bits can depend on
+//! nothing but the entry.
 
 use polar_batch::{cond_class, qdwh_batched, BatchEntry, BatchOptions, CondestCache, CondestKey};
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
@@ -14,13 +12,6 @@ use polar_matrix::Matrix;
 use polar_qdwh::QdwhInfo;
 use polar_scalar::{Complex64, Scalar};
 use std::sync::Arc;
-
-/// Every test calls this first: whichever runs first sets the variable
-/// before the process reads it.
-fn pin_replay_mode() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| std::env::set_var("POLAR_DETERMINISTIC", "1"));
-}
 
 fn entries<S: Scalar>(m: usize, n: usize, batch: usize, seed: u64, ill: f64) -> Vec<BatchEntry<S>> {
     (0..batch)
@@ -79,7 +70,6 @@ fn run_twice_and_compare<S: Scalar>(m: usize, n: usize, batch: usize, seed: u64,
 
 #[test]
 fn batched_runs_are_bitwise_deterministic() {
-    pin_replay_mode();
     run_twice_and_compare::<f64>(48, 48, 6, 11, 1e10);
     run_twice_and_compare::<f64>(40, 16, 4, 23, 1e10); // rectangular
     run_twice_and_compare::<Complex64>(24, 24, 3, 31, 1e10);
@@ -126,8 +116,7 @@ struct Solved<S: Scalar> {
 }
 
 fn solve_on<S: Scalar>(threads: usize, batch: usize, seed: u64, ill: f64) -> Solved<S> {
-    // a free-running pool, whatever the process-wide replay mode says
-    let pool = rayon::ThreadPool::with_seed(threads, None);
+    let pool = rayon::ThreadPool::new(threads);
     let cache = Arc::new(CondestCache::new());
     let opts = BatchOptions { condest_cache: Some(cache.clone()), ..Default::default() };
     let waves = [seed, seed + 1000].map(|s| {
@@ -182,18 +171,15 @@ fn pool_width_and_company_do_not_change_bits<S: Scalar>(seed: u64, ill: f64) {
 
 #[test]
 fn bits_do_not_depend_on_pool_width_or_company_f64() {
-    pin_replay_mode();
     pool_width_and_company_do_not_change_bits::<f64>(7, 1e10);
 }
 
 #[test]
 fn bits_do_not_depend_on_pool_width_or_company_f32() {
-    pin_replay_mode();
     pool_width_and_company_do_not_change_bits::<f32>(17, 1e4);
 }
 
 #[test]
 fn bits_do_not_depend_on_pool_width_or_company_c64() {
-    pin_replay_mode();
     pool_width_and_company_do_not_change_bits::<Complex64>(27, 1e10);
 }

@@ -33,7 +33,7 @@ fn solve_on(
     wave: &mut [BatchEntry<f64>],
     opts: &BatchOptions,
 ) -> Vec<EntryResult<f64>> {
-    let pool = rayon::ThreadPool::with_seed(width, None);
+    let pool = rayon::ThreadPool::new(width);
     pool.install(|| qdwh_batched_each(wave, opts)).expect("one tall shape")
 }
 
@@ -93,7 +93,7 @@ fn bad_entries_fail_alone(
             // the all-or-nothing fold names the first of them
             let mut again: Vec<BatchEntry<f64>> =
                 wave.iter().map(|e| BatchEntry::new(e.a.clone())).collect();
-            let pool = rayon::ThreadPool::with_seed(width, None);
+            let pool = rayon::ThreadPool::new(width);
             match pool.install(|| qdwh_batched(&mut again, opts)) {
                 Err(BatchError::Entry { index, source }) => {
                     assert_eq!(index, failing[0], "{what}");

@@ -4,18 +4,18 @@
 //! to `results/all_figures.txt`, the figure series also to one CSV each.
 //!
 //! FIG1A/FIG1B, TAB-ITER and the first ABL-ZOLO table run the real
-//! arithmetic. Their last digits depend on the pool width (`auto_tile_nb`
-//! picks the tile size from it) and on the microkernel, so the text opens
-//! with both; under deterministic replay they do not depend on the seed.
-//! Every other table is the Summit/Frontier model or the discrete-event
-//! simulator, which depend on neither.
+//! arithmetic. Their last digits depend on the microkernel, so the text
+//! opens with its name; they do not depend on the pool width (a solve's
+//! tile size is a function of its shape). Every other table is the
+//! Summit/Frontier model or the discrete-event simulator, which depend on
+//! neither.
 //!
 //! ```sh
-//! POLAR_DETERMINISTIC=1 POLAR_SEED=42 cargo run --release -p polar-bench --bin figures
+//! cargo run --release -p polar-bench --bin figures
 //! ```
 //!
-//! `./ci.sh figures` runs this, the pool pinned at 4 workers, and fails if
-//! one byte under `results/` differs from the checked-in files.
+//! `./ci.sh figures` runs this and fails if one byte under `results/`
+//! differs from the checked-in files.
 
 use std::fmt::Display;
 use std::io::Write as _;
@@ -42,13 +42,8 @@ const FRONTIER_SIZES: [usize; 7] = [25_000, 50_000, 75_000, 100_000, 125_000, 15
 
 fn main() {
     let mut out = Out::default();
-    out.line(format!(
-        "# replay: {}, {} pool workers; f64 microkernel {}",
-        if rayon::deterministic_mode().is_some() { "deterministic" } else { "free-running" },
-        rayon::current_num_threads(),
-        polar_blas::microkernel::<f64>()
-    ));
-    out.line("# the real-arithmetic rows (FIG1A/FIG1B, TAB-ITER, ABL-ZOLO part 1) depend on both; the models on neither");
+    out.line(format!("# f64 microkernel {}", polar_blas::microkernel::<f64>()));
+    out.line("# the real-arithmetic rows (FIG1A/FIG1B, TAB-ITER, ABL-ZOLO part 1) depend on it; the models do not");
     let sections: [fn(&mut Out); 10] =
         [fig1, fig2_3, fig4, fig5, fig6, tab_iter, abl_nb, abl_sched, comm, abl_zolo];
     for section in sections {

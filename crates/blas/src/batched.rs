@@ -98,8 +98,7 @@ const BATCH_PACK_CAP: usize = 1 << 20;
 /// buffers — still amortizing allocation, just not the pack sweep.
 ///
 /// The sweep is sequential and its operation order is fixed by shape
-/// alone, so results are bitwise reproducible across thread counts
-/// (deterministic replay included).
+/// alone, so results are bitwise reproducible across thread counts.
 pub fn gemm_batched_packed<S: Scalar>(
     op_a: Op,
     op_b: Op,

@@ -315,7 +315,7 @@ pub(crate) fn gemm_packed_with<S: Scalar>(
 /// read-only by every worker; each MC block packs its own A panel and
 /// writes a disjoint row stripe of `C`. The per-element operation order is
 /// identical to the sequential path regardless of thread count, so results
-/// are bitwise reproducible (deterministic replay included).
+/// are bitwise reproducible at any pool width.
 pub(crate) fn gemm_packed_par<S: Scalar>(
     op_a: Op,
     op_b: Op,
@@ -559,25 +559,21 @@ pub(crate) fn macro_kernel<S: Scalar>(
                 let tile = c.rb().submatrix(i0, j0, mr, nr);
                 micro_dispatch(kern, k1 - k0, apanel, bpanel, alpha, beta, tile, mr, nr);
             } else {
-                // fringe: full-width kernel into a stack tile, then merge
-                // the valid region
+                // fringe: the full-width kernel on a stack copy of the tile,
+                // then the valid region back. Every entry is scaled and
+                // summed exactly as in a whole tile, so where a tile edge
+                // falls (which a parallel split of C moves) never changes
+                // an entry's bits
+                for j in 0..cols {
+                    let cj = &c.col_mut(j0 + j)[i0..i0 + rows];
+                    tmp[j * mr..j * mr + rows].copy_from_slice(cj);
+                }
                 let t = MatMut::from_slice(&mut tmp[..mr * nr], mr, nr, mr);
-                micro_dispatch(kern, k1 - k0, apanel, bpanel, alpha, S::ZERO, t, mr, nr);
+                micro_dispatch(kern, k1 - k0, apanel, bpanel, alpha, beta, t, mr, nr);
                 for j in 0..cols {
                     let keep = kept(j);
-                    let cj = &mut c.col_mut(j0 + j)[i0..i0 + rows][keep.clone()];
-                    let tj = &tmp[j * mr..j * mr + rows][keep];
-                    if beta == S::ZERO {
-                        cj.copy_from_slice(tj);
-                    } else if beta == S::ONE {
-                        for (x, &t) in cj.iter_mut().zip(tj) {
-                            *x += t;
-                        }
-                    } else {
-                        for (x, &t) in cj.iter_mut().zip(tj) {
-                            *x = t + beta * *x;
-                        }
-                    }
+                    let tj = &tmp[j * mr..j * mr + rows][keep.clone()];
+                    c.col_mut(j0 + j)[i0..i0 + rows][keep].copy_from_slice(tj);
                 }
             }
         }

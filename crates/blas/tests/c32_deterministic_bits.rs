@@ -1,57 +1,40 @@
-//! `Complex32` products take the packed kernel whatever the run mode: the
-//! bits of a forked `gemm` under `POLAR_DETERMINISTIC=1` equal the
-//! free-running ones. (They did not while a timing probe chose between the
-//! packed and the axpy kernel and deterministic replay pinned axpy.)
-//!
-//! The replay flag is latched once per process, so the deterministic side
-//! runs in a child: this test binary re-invoked with `C32_BITS_CHILD` set,
-//! in which the test only prints its hash.
+//! `Complex32` products take the packed kernel whatever the pool width: the
+//! bits of a `gemm` forked over two workers equal those of the same product
+//! on one. (They did not while a timing probe chose between the packed and
+//! the axpy kernel.) The same holds for every type at a general `beta`:
+//! the fork halves `C`, which moves where a microkernel tile's edge falls,
+//! and an edge tile is scaled exactly as a whole one.
 
 use polar_blas::gemm;
 use polar_matrix::{Matrix, Op};
-use polar_scalar::Complex32;
+use polar_scalar::{Complex32, Real, Scalar};
 
-/// A 200 x 168 x 300 product (row and column fringes, two k-blocks) on a
-/// two-worker pool; FNV hash of the result's bits.
-fn gemm_bits() -> u64 {
-    let val = |i: usize, j: usize, s: usize| ((i * 31 + j * 17 + s) % 23) as f32 / 23.0 - 0.5;
-    let a = Matrix::from_fn(300, 200, |i, j| Complex32::new(val(i, j, 1), val(j, i, 2)));
-    let b = Matrix::from_fn(300, 168, |i, j| Complex32::new(val(i, j, 3), val(j, i, 4)));
-    let mut c = Matrix::from_fn(200, 168, |i, j| Complex32::new(val(i, j, 5), val(j, i, 6)));
-    let (alpha, beta) = (Complex32::new(1.25, -0.5), Complex32::new(-0.75, 0.25));
-    rayon::ThreadPool::new(2).install(|| {
+/// A 200 x 168 x 300 product (row and column fringes, two k-blocks) with a
+/// general `alpha` and `beta` on a pool of `workers`; FNV hash of the
+/// result's bits.
+fn gemm_bits<S: Scalar>(workers: usize, alpha: S, beta: S) -> u64 {
+    let val = |i: usize, j: usize, s: usize| {
+        S::Real::from_f64(((i * 31 + j * 17 + s) % 23) as f64 / 23.0 - 0.5)
+    };
+    let entry = |i, j, s| S::from_parts(val(i, j, s), val(j, i, s + 1));
+    let a = Matrix::from_fn(300, 200, |i, j| entry(i, j, 1));
+    let b = Matrix::from_fn(300, 168, |i, j| entry(i, j, 3));
+    let mut c = Matrix::from_fn(200, 168, |i, j| entry(i, j, 5));
+    rayon::ThreadPool::new(workers).install(|| {
         gemm(Op::ConjTrans, Op::NoTrans, alpha, a.as_ref(), b.as_ref(), beta, c.as_mut())
     });
     let mut h = 0xcbf29ce484222325u64;
-    for j in 0..c.ncols() {
-        for x in c.col(j) {
-            h = (h ^ ((x.re.to_bits() as u64) << 32 | x.im.to_bits() as u64))
-                .wrapping_mul(0x100000001b3);
+    for x in c.as_slice() {
+        for bits in [x.re().to_f64().to_bits(), x.im().to_f64().to_bits()] {
+            h = (h ^ bits).wrapping_mul(0x100000001b3);
         }
     }
     h
 }
 
 #[test]
-fn deterministic_replay_does_not_move_c32_bits() {
-    if std::env::var_os("C32_BITS_CHILD").is_some() {
-        assert!(rayon::deterministic_mode().is_some(), "child is not in replay mode");
-        println!("c32_bits={:016x}", gemm_bits());
-        return;
-    }
-    assert!(rayon::deterministic_mode().is_none(), "this side must run free");
-    let free = gemm_bits();
-    let child = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-        .args(["--exact", "deterministic_replay_does_not_move_c32_bits", "--nocapture"])
-        .env("C32_BITS_CHILD", "1")
-        .env("POLAR_DETERMINISTIC", "1")
-        .output()
-        .expect("re-run this test binary");
-    assert!(child.status.success(), "child failed: {}", String::from_utf8_lossy(&child.stderr));
-    let out = String::from_utf8_lossy(&child.stdout);
-    let replayed = out
-        .lines()
-        .find_map(|l| l.split("c32_bits=").nth(1))
-        .unwrap_or_else(|| panic!("no hash in child output: {out}"));
-    assert_eq!(replayed.trim(), format!("{free:016x}"), "replay mode moved c32 gemm's bits");
+fn pool_width_does_not_move_gemm_bits() {
+    let (alpha, beta) = (Complex32::new(1.25, -0.5), Complex32::new(-0.75, 0.25));
+    assert_eq!(gemm_bits(1, alpha, beta), gemm_bits(2, alpha, beta), "c32 bits moved");
+    assert_eq!(gemm_bits(1, 1.25f64, -0.75), gemm_bits(2, 1.25f64, -0.75), "f64 bits moved");
 }

@@ -34,8 +34,10 @@
 //! Determinism: every value-affecting ordering is a dependency edge (tasks
 //! write disjoint tiles; accumulations happen inside single tasks in fixed
 //! loop order; the combine and the reduction sum in fixed term and tile
-//! order), so the iterates are schedule-independent bit for bit.
-//! `POLAR_DETERMINISTIC=1` additionally fixes the schedule itself.
+//! order), so the iterates are schedule-independent bit for bit. The tile
+//! size is a function of the shape alone (`auto_tile_nb`), so they do not
+//! depend on the pool width either; a one-worker pool fixes the schedule
+//! itself.
 
 use crate::options::{graph_tile_nb, IterationKind};
 use crate::qdwh_impl::QdwhError;
@@ -488,7 +490,7 @@ mod tests {
 
     /// Every value-affecting ordering in the fused DAG is a dependency
     /// edge, so two runs must agree bit-for-bit even with a parallel,
-    /// work-stealing schedule and no POLAR_DETERMINISTIC pin.
+    /// work-stealing schedule.
     #[test]
     fn fused_is_bitwise_deterministic() {
         let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(40, 16));

@@ -107,8 +107,9 @@ pub struct QdwhOptions {
     /// inputs (NaN, severe overscaling).
     pub max_iterations: usize,
     /// Tile size of the solve's task graph; `None` uses
-    /// `polar_lapack::auto_tile_nb(n)` (256, less on wide pools). Never
-    /// wider than the matrix: `n` columns at most.
+    /// `polar_lapack::auto_tile_nb(n)` (256, less below 1024 columns; a
+    /// function of `n` alone). Never wider than the matrix: `n` columns at
+    /// most.
     pub tile_nb: Option<usize>,
     /// Compute the Hermitian factor `H = U_p^H A` (line 52). Disable when
     /// only the unitary factor is needed (e.g. orthogonalization

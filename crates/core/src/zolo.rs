@@ -389,8 +389,7 @@ mod tests {
     /// Every value-affecting ordering in the fused Zolo DAG is a
     /// dependency edge and the per-tile combine walks terms in fixed
     /// order, so two runs must agree bit-for-bit on U *and* H even with a
-    /// parallel work-stealing schedule (POLAR_DETERMINISTIC additionally
-    /// pins the schedule; the CI zolo leg runs this test under that pin).
+    /// parallel work-stealing schedule.
     #[test]
     fn fused_is_bitwise_deterministic() {
         let (a, _) = generate::<f64>(&MatrixSpec::ill_conditioned(40, 25));

@@ -80,9 +80,8 @@ fn qdwh_case<S: Scalar>(sp: MatrixSpec) {
     assert_same_bits("qdwh H", &plain.h, &hooked.h);
     assert_watched_the_solve(&seen.lock().unwrap(), &norms(&hooked.info));
 
-    // on a one-worker pool the drain is sequential (as under
-    // POLAR_DETERMINISTIC=1): the frontier is exact, so the last release
-    // is polled as the last iteration
+    // on a one-worker pool the drain is sequential: the frontier is exact,
+    // so the last release is polled as the last iteration
     let (hook, seen) = recording_hook(usize::MAX);
     let opts = QdwhOptions { progress: Some(hook), ..tiled() };
     let one = rayon::ThreadPool::new(1).install(|| qdwh(&a, &opts)).expect("one worker");
@@ -147,10 +146,9 @@ fn a_hook_cancelling_at_iteration_2_stops_the_graph_there() {
     assert_eq!(seen.iter().filter(|p| p.iteration >= 2).count(), 1, "never polled after Cancel");
     assert!(seen.last().unwrap().convergence > 0.0, "iteration 1's norm came with the cancel");
 
-    // a one-worker pool drains in heap order (the POLAR_DETERMINISTIC
-    // drain): phases beyond the lookahead window of the frontier never
-    // start, so with the frontier on phase 0 until the cancel nothing of
-    // iteration 4 or later has run
+    // a one-worker pool drains in heap order: phases beyond the lookahead
+    // window of the frontier never start, so with the frontier on phase 0
+    // until the cancel nothing of iteration 4 or later has run
     let (hook, _) = recording_hook(2);
     let opts = QdwhOptions { progress: Some(hook), ..tiled() };
     let scope = polar_obs::scope();

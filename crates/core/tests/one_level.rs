@@ -14,9 +14,6 @@ use polar_scalar::{Complex32, Complex64, Real, Scalar};
 
 #[test]
 fn gemm_inside_a_task_body_is_one_leaf() {
-    if rayon::deterministic_mode().is_some() {
-        return; // the replay drain's bodies are the documented exception
-    }
     // below two MC blocks: the forking path would be the recursive split,
     // one `gemm_leaf` span per leaf. The odd inner dimension (splits never
     // cut it) tells this call's leaves from those of the solves the other

@@ -54,18 +54,23 @@ pub fn default_tile_nb() -> usize {
     256
 }
 
-/// Tile size tuned to the pool width for an `n`-column problem. 256
-/// measures best at every pool width on the whole-solve sweep (at one
-/// worker the win comes from tiled trsm/herk decomposing into gemm-rich
-/// tasks, which favors the same size as the parallel case); with more
-/// workers the grid must additionally offer at least a couple of tile
-/// columns per worker or the DAG starves. Never below 128, whatever `n`: a
-/// whole-solve graph clamps its tile to the matrix itself, and pads the
-/// stacked `[B; I]` so that `I` starts on a tile boundary at any size.
+/// Lanes [`auto_tile_nb`] sizes the tile grid for: the pool width every
+/// benchmark workload runs at on the 2-core host its numbers were recorded
+/// on. A constant, not the pool's width, so that a solve's tile size — and
+/// with it every bit of its result — is a function of its shape alone.
+const TILE_LANES: usize = 2;
+
+/// Tile size for an `n`-column problem: the largest of 256, 192 and 128
+/// that gives at least two tile columns per lane of [`TILE_LANES`], else
+/// 128. 256 measures best on the whole-solve sweep (even at one worker,
+/// where tiled trsm/herk decompose into gemm-rich tasks); a smaller problem
+/// trades tile size for columns the DAG can overlap. Never below 128,
+/// whatever `n`: a whole-solve graph clamps its tile to the matrix itself,
+/// and pads the stacked `[B; I]` so that `I` starts on a tile boundary at
+/// any size.
 pub fn auto_tile_nb(n: usize) -> usize {
-    let workers = rayon::current_num_threads().max(1);
     let mut nb = default_tile_nb();
-    while nb > 128 && n.div_ceil(nb) < 2 * workers.min(8) {
+    while nb > 128 && n.div_ceil(nb) < 2 * TILE_LANES {
         nb -= 64;
     }
     nb
@@ -710,6 +715,16 @@ mod tests {
     use polar_blas::{add, norm};
     use polar_matrix::Norm;
     use polar_scalar::Complex64;
+
+    #[test]
+    fn auto_tile_nb_depends_on_the_shape_alone() {
+        let sizes = [64, 200, 512, 768, 1024, 1536];
+        let picks = || sizes.map(auto_tile_nb);
+        assert_eq!(picks(), [128, 128, 128, 192, 256, 256]);
+        for workers in [1, 8] {
+            assert_eq!(rayon::ThreadPool::new(workers).install(picks), picks(), "{workers}");
+        }
+    }
 
     fn rand_mat(m: usize, n: usize, seed: u64) -> Matrix<f64> {
         let mut s = seed | 1;

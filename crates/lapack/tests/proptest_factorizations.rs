@@ -233,21 +233,21 @@ proptest! {
     }
 }
 
-/// Two deterministic-replay tiled solves must be bitwise identical. The
-/// `POLAR_DETERMINISTIC` flag is latched by the thread-pool shim on first
-/// use, so it is set up front; independently of whether replay mode
-/// engaged before another test touched the pool, the tile DAG's results
-/// are schedule-independent by construction, so exact equality must hold.
+/// A tiled QR on one worker (the sequential drain) and on three (the
+/// parallel one) must be bitwise identical: the tile DAG's results are
+/// schedule-independent by construction.
 #[test]
-fn tiled_qr_deterministic_bitwise_replay() {
-    std::env::set_var("POLAR_DETERMINISTIC", "1");
+fn tiled_qr_bits_do_not_depend_on_the_pool_width() {
+    fn on<R: Send>(workers: usize, run: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPool::new(workers).install(run)
+    }
     let run_f64 = || {
         let a = mat(67, 45, 42);
         let mut f = geqrf_tiled(&a, 16);
         (orgqr_tiled(&mut f, 45), f.extract_r())
     };
-    let (q1, r1) = run_f64();
-    let (q2, r2) = run_f64();
+    let (q1, r1) = on(1, run_f64);
+    let (q2, r2) = on(3, run_f64);
     for (x, y) in [(&q1, &q2), (&r1, &r2)] {
         for j in 0..x.ncols() {
             for i in 0..x.nrows() {
@@ -260,8 +260,8 @@ fn tiled_qr_deterministic_bitwise_replay() {
         let mut f = geqrf_tiled(&a, 16);
         (orgqr_tiled(&mut f, 38), f.extract_r())
     };
-    let (q1, r1) = run_z64();
-    let (q2, r2) = run_z64();
+    let (q1, r1) = on(1, run_z64);
+    let (q2, r2) = on(3, run_z64);
     for (x, y) in [(&q1, &q2), (&r1, &r2)] {
         for j in 0..x.ncols() {
             for i in 0..x.nrows() {

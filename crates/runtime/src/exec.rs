@@ -30,16 +30,12 @@
 //! graph built and executed from inside a body drains inline on that
 //! thread.
 //!
-//! Under deterministic replay (`POLAR_DETERMINISTIC=1`,
-//! [`rayon::deterministic_mode`]) the DAG runs sequentially on the calling
-//! thread in exact heap order: the release order is then a pure function of
-//! the graph, making two runs schedule — and therefore execute — task
-//! bodies identically. (Task *values* are schedule-independent anyway:
+//! A fork width of 1 (a one-worker pool, or a graph executed from inside a
+//! body) drains on the calling thread in exact heap order: the release
+//! order is then a pure function of the graph, which is how a test
+//! reproduces a *schedule*. Task *values* do not depend on the schedule:
 //! every task writes tiles no concurrent task touches, and all
-//! value-affecting orderings are dependency edges.) That drain is the one
-//! exception to the rule above: with a single task in flight the only
-//! parallelism left is the kernels' own, so its bodies are *not* serial
-//! regions and fork across the pool as a top-level call would.
+//! value-affecting orderings are dependency edges.
 
 use crate::graph::{GraphBuilder, KernelKind, TaskGraph, TaskId, TileRef};
 use std::cmp::Ordering;
@@ -394,8 +390,8 @@ impl<'a> TaskDag<'a> {
 
     /// Build the dependency graph and run every task, respecting
     /// dependencies and priorities. Blocks until the graph is drained (or
-    /// cancelled). Uses the global work-stealing pool; under deterministic
-    /// replay the schedule collapses to a fixed sequential order.
+    /// cancelled). Uses the pool serving the calling thread; at a fork
+    /// width of 1 the schedule is a fixed sequential order.
     pub fn execute(self) -> ExecOutcome {
         self.execute_until(|_| false)
     }
@@ -448,7 +444,7 @@ impl<'a> TaskDag<'a> {
         // task body (a serial region): either way there is no lane to fan
         // out to, so drain inline.
         let lanes = rayon::fork_width();
-        if rayon::deterministic_mode().is_some() || lanes <= 1 {
+        if lanes <= 1 {
             return execute_sequential(&graph, &ctx, state, &stop);
         }
 
@@ -461,7 +457,7 @@ impl<'a> TaskDag<'a> {
     }
 }
 
-/// Fixed-order sequential drain: the deterministic-replay schedule.
+/// Fixed-order sequential drain: the one-lane schedule.
 fn execute_sequential(
     graph: &TaskGraph,
     ctx: &KeyCtx,
@@ -874,12 +870,6 @@ mod tests {
         assert_eq!(TaskDag::new().execute(), ExecOutcome::Completed);
     }
 
-    /// The tests below assert what the *parallel* drain does to its bodies;
-    /// under `POLAR_DETERMINISTIC=1` every graph takes the sequential drain.
-    fn parallel_drain() -> bool {
-        rayon::deterministic_mode().is_none()
-    }
-
     /// Fork width seen by each worker of the installed 2-worker pool: the
     /// barrier makes the two closures overlap, so they sit on both workers.
     fn widths_on_both_workers() -> (usize, usize) {
@@ -920,9 +910,6 @@ mod tests {
 
     #[test]
     fn bodies_are_serial_regions() {
-        if !parallel_drain() {
-            return;
-        }
         let pool = rayon::ThreadPool::new(2);
         pool.install(|| {
             let both = std::sync::Barrier::new(2);
@@ -934,8 +921,8 @@ mod tests {
 
     #[test]
     fn joins_inside_bodies_run_both_closures_inline() {
-        // both closures of every join run and return in order under either
-        // drain; under the parallel one they also stay on the body's thread
+        // both closures of every join run, return in order and stay on the
+        // body's thread
         let (sum, inline) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let mut dag = TaskDag::new();
         let m = dag.new_matrix();
@@ -954,16 +941,11 @@ mod tests {
         let pool = rayon::ThreadPool::new(2);
         assert_eq!(pool.install(|| dag.execute()), ExecOutcome::Completed);
         assert_eq!(sum.load(AtOrd::SeqCst), 64 * 21);
-        if parallel_drain() {
-            assert_eq!(inline.load(AtOrd::SeqCst), 64);
-        }
+        assert_eq!(inline.load(AtOrd::SeqCst), 64);
     }
 
     #[test]
     fn width_is_restored_after_cancel_and_after_a_panicking_body() {
-        if !parallel_drain() {
-            return;
-        }
         let pool = rayon::ThreadPool::new(2);
         pool.install(|| {
             let both = std::sync::Barrier::new(2);
@@ -976,21 +958,6 @@ mod tests {
             let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dag.execute()));
             assert!(res.is_err(), "body panic must unwind out of execute()");
             assert_eq!(widths_on_both_workers(), (2, 2), "width restored after a panic");
-        });
-    }
-
-    #[test]
-    fn sequential_drain_bodies_still_fork() {
-        // the deterministic-replay drain runs one task at a time, so its
-        // bodies keep the pool: not serial regions, joins really fork
-        let pool = rayon::ThreadPool::new(2);
-        pool.install(|| {
-            let mut dag = TaskDag::new();
-            let m = dag.new_matrix();
-            dag.add(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(m, 0, 0)], || {
-                assert_eq!(widths_on_both_workers(), (2, 2));
-            });
-            assert_eq!(drain_sequentially(dag), ExecOutcome::Completed);
         });
     }
 
@@ -1024,10 +991,8 @@ mod tests {
     #[test]
     fn nested_execute_inside_body_inherits_the_region() {
         // a task body may itself build and execute a graph: it drains inline
-        // on the body's thread under either drain, and under the parallel
-        // one the inner bodies are still inside the outer body's serial
-        // region (the deterministic drain's bodies keep the pool's width)
-        let width = if parallel_drain() { 1 } else { 2 };
+        // on the body's thread, and the inner bodies are still inside the
+        // outer body's serial region
         let pool = rayon::ThreadPool::new(2);
         let inner_ran = AtomicUsize::new(0);
         let mut dag = TaskDag::new();
@@ -1039,13 +1004,13 @@ mod tests {
             let mi = inner.new_matrix();
             for j in 0..4 {
                 inner.add(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(mi, 0, j)], move || {
-                    assert_eq!(rayon::fork_width(), width);
+                    assert_eq!(rayon::fork_width(), 1);
                     assert_eq!(std::thread::current().id(), outer);
                     inner_ran.fetch_add(1, AtOrd::SeqCst);
                 });
             }
             assert_eq!(inner.execute(), ExecOutcome::Completed);
-            assert_eq!(rayon::fork_width(), width, "still inside the outer body");
+            assert_eq!(rayon::fork_width(), 1, "still inside the outer body");
         });
         // a second task so the outer graph fans out over both lanes
         dag.add(KernelKind::Gemm, 0, 1.0, vec![], vec![tile(m, 0, 1)], || {});

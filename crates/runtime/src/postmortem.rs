@@ -419,8 +419,8 @@ impl DagPostmortem {
 impl Postmortem {
     /// Canonical timing-free description of what executed: per dag (in
     /// launch order, renumbered so process-global ids cancel out) the task
-    /// count, graph shape digest, and the execution order itself. Under
-    /// deterministic replay two runs of the same solve must produce
+    /// count, graph shape digest, and the execution order itself. On a
+    /// one-worker pool two runs of the same solve must produce
     /// byte-identical digests — the replay CI gate compares exactly this.
     pub fn schedule_digest(&self) -> String {
         let mut out = String::new();

@@ -28,7 +28,7 @@ fn phased_dag(phases: usize, per_phase: usize, ran: &AtomicUsize) -> TaskDag<'_>
 
 #[test]
 fn stop_in_the_sequential_drain_abandons_the_rest() {
-    // a one-worker pool takes the same drain POLAR_DETERMINISTIC=1 does
+    // a one-worker pool drains sequentially
     let pool = rayon::ThreadPool::new(1);
     let (ran, seen) = (AtomicUsize::new(0), Mutex::new(Vec::new()));
     let stop = |at: usize| {
@@ -57,9 +57,6 @@ fn stop_in_the_sequential_drain_abandons_the_rest() {
 
 #[test]
 fn stop_in_the_parallel_drain_lets_in_flight_bodies_finish() {
-    if rayon::deterministic_mode().is_some() {
-        return; // every graph takes the sequential drain
-    }
     let pool = rayon::ThreadPool::new(2);
     pool.install(|| {
         // bodies 0 and 1 rendezvous, so both lanes are inside a body;

@@ -1,6 +1,5 @@
-//! Deterministic-replay gate: under `POLAR_DETERMINISTIC=1` two in-process
-//! runs of the same task dag must yield byte-identical post-mortem
-//! schedule digests. The digest ([`Postmortem::schedule_digest`]) is
+//! Schedule replay gate: on a one-worker pool two in-process runs of the
+//! same task dag must yield byte-identical post-mortem schedule digests. The digest ([`Postmortem::schedule_digest`]) is
 //! timing-free — task counts, graph flops, and the execution order itself
 //! — and renumbers process-global dag ids, so the only way two runs can
 //! differ is a genuinely nondeterministic schedule, which is exactly the
@@ -14,9 +13,9 @@ fn tile(m: u32, i: usize, j: usize) -> TileRef {
 }
 
 /// A small diamond-plus-chain dag with enough width that a work-stealing
-/// schedule would be racy: the deterministic mode must serialize it into
-/// one stable order.
-fn run_solve_once() -> String {
+/// schedule would be racy: the one-lane drain must serialize it into one
+/// stable order.
+fn run_solve_once(pool: &rayon::ThreadPool) -> String {
     let scope = polar_obs::scope();
     let done = AtomicUsize::new(0);
     {
@@ -61,7 +60,7 @@ fn run_solve_once() -> String {
                 done.fetch_add(1, Ordering::Relaxed);
             },
         );
-        dag.execute();
+        pool.install(|| dag.execute());
     }
     assert_eq!(done.load(Ordering::Relaxed), 7, "every task body ran");
 
@@ -77,20 +76,17 @@ fn run_solve_once() -> String {
 }
 
 #[test]
-fn deterministic_replay_is_byte_stable() {
+fn one_lane_replay_is_byte_stable() {
     let _g = polar_obs::scope_lock();
-    // Deterministic mode pins the executor to one sequential schedule;
-    // edition-2021 set_var (no unsafe) — tests in this file share the
-    // process, hence the scope_lock above.
-    std::env::set_var("POLAR_DETERMINISTIC", "1");
-
-    let first = run_solve_once();
-    let second = run_solve_once();
+    // a one-worker pool pins the executor to its one sequential schedule
+    let pool = rayon::ThreadPool::new(1);
+    let first = run_solve_once(&pool);
+    let second = run_solve_once(&pool);
     assert!(!first.is_empty());
     assert_eq!(first, second, "post-mortem digests diverged between replays");
 
     // The digest is order-sensitive: it must encode the actual schedule,
-    // not just the task multiset. The deterministic executor pops ready
+    // not just the task multiset. The one-lane drain pops ready
     // tasks by descending critical-path length, so the wide layer runs
     // heaviest-first (task 3 carries 4e6 flops, task 0 only 1e6).
     assert!(first.contains("order=[3, 2, 1, 0, 4, 5, 6]"), "unexpected digest: {first}");

@@ -31,61 +31,6 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
-// Deterministic replay mode.
-//
-// `POLAR_DETERMINISTIC=1` puts the pool into replay mode, seeded by
-// `POLAR_SEED` (default 0):
-//
-// * the global pool gets a *fixed* worker count (`POLAR_NUM_THREADS` or
-//   4) instead of `available_parallelism`, so the thread-count-dependent
-//   split trees in the BLAS kernels are identical across runs and
-//   machines;
-// * victim selection uses a per-worker xorshift stream seeded from
-//   `POLAR_SEED ^ worker index` instead of the shared free-running
-//   rotor, so the steal scan order is a pure function of the seed;
-// * joins are *ordered*: a worker whose forked closure was stolen
-//   blocks on its latch instead of opportunistically executing
-//   unrelated queued jobs, so each worker's execution order matches the
-//   program's fork-tree order.
-//
-// Bitwise-identical numerics follow from the first point alone — every
-// fork writes a disjoint output region and the fork tree is a function
-// of problem shape and thread count — while the second and third pin
-// down the *schedule*, which is what lets stress tests replay a
-// scheduling-sensitive interleaving from just the seed.
-// ---------------------------------------------------------------------------
-
-/// `Some(seed)` when deterministic replay mode is active (read once from
-/// `POLAR_DETERMINISTIC` / `POLAR_SEED` on first use).
-pub fn deterministic_mode() -> Option<u64> {
-    static MODE: OnceLock<Option<u64>> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        let on = std::env::var("POLAR_DETERMINISTIC")
-            .map(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0"
-            })
-            .unwrap_or(false);
-        if !on {
-            return None;
-        }
-        let seed = std::env::var("POLAR_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0);
-        Some(seed)
-    })
-}
-
-/// SplitMix64: expands a seed into a well-mixed nonzero xorshift state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    (x ^ (x >> 31)) | 1
-}
-
-// ---------------------------------------------------------------------------
 // Jobs: type-erased pointers to stack-allocated closures. A `StackJob`
 // lives on the stack of the thread that created it, which blocks (or
 // keeps stealing) until the job's latch is set — so the raw pointer in
@@ -223,13 +168,10 @@ struct Registry {
     wake: Condvar,
     terminate: AtomicBool,
     steal_rotor: AtomicUsize,
-    /// `Some(seed)`: deterministic replay (seeded victim selection,
-    /// ordered joins).
-    seed: Option<u64>,
 }
 
 impl Registry {
-    fn new(workers: usize, seed: Option<u64>) -> Self {
+    fn new(workers: usize) -> Self {
         Self {
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             injected: Mutex::new(VecDeque::new()),
@@ -237,24 +179,6 @@ impl Registry {
             wake: Condvar::new(),
             terminate: AtomicBool::new(false),
             steal_rotor: AtomicUsize::new(0),
-            seed,
-        }
-    }
-
-    /// First victim index for a steal scan: the per-worker seeded stream
-    /// in replay mode, the shared free-running rotor otherwise.
-    fn steal_start(&self) -> usize {
-        if self.seed.is_some() {
-            STEAL_RNG.with(|c| {
-                let mut x = c.get();
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                c.set(x);
-                x as usize
-            })
-        } else {
-            self.steal_rotor.fetch_add(1, Ordering::Relaxed)
         }
     }
 
@@ -293,7 +217,7 @@ impl Registry {
             return Some(job);
         }
         let n = self.deques.len();
-        let start = self.steal_start();
+        let start = self.steal_rotor.fetch_add(1, Ordering::Relaxed);
         for off in 0..n {
             let victim = (start + off) % n;
             if victim == index {
@@ -364,17 +288,12 @@ thread_local! {
     /// pool worker. The raw pointer is valid for the worker's lifetime
     /// because the worker thread owns an `Arc<Registry>`.
     static CURRENT_WORKER: Cell<Option<(*const Registry, usize)>> = const { Cell::new(None) };
-    /// Per-worker xorshift state for seeded victim selection.
-    static STEAL_RNG: Cell<u64> = const { Cell::new(1) };
     /// Set while the current thread is inside a [`serial_region`].
     static SERIAL: Cell<bool> = const { Cell::new(false) };
 }
 
 fn worker_main(registry: Arc<Registry>, index: usize) {
     CURRENT_WORKER.with(|c| c.set(Some((Arc::as_ptr(&registry), index))));
-    if let Some(seed) = registry.seed {
-        STEAL_RNG.with(|c| c.set(splitmix64(seed ^ (index as u64).wrapping_mul(0xA5A5_A5A5))));
-    }
     // Worker i reports on trace lane i + 1 (lane 0 = external threads).
     polar_obs::set_worker_lane(index);
     let tasks = worker_tasks_counter(index);
@@ -428,18 +347,10 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Pool with exactly `workers` worker threads (minimum 1), in
-    /// replay mode when the process-wide [`deterministic_mode`] is on.
+    /// Pool with exactly `workers` worker threads (minimum 1).
     pub fn new(workers: usize) -> Self {
-        Self::with_seed(workers, deterministic_mode())
-    }
-
-    /// Pool with an explicit determinism setting, independent of the
-    /// environment: `Some(seed)` enables seeded victim selection and
-    /// ordered joins on this pool only.
-    pub fn with_seed(workers: usize, seed: Option<u64>) -> Self {
         let workers = workers.max(1);
-        let registry = Arc::new(Registry::new(workers, seed));
+        let registry = Arc::new(Registry::new(workers));
         let handles = (0..workers)
             .map(|i| {
                 let reg = Arc::clone(&registry);
@@ -543,13 +454,6 @@ where
     if registry.pop_local_if(index, data) {
         // not stolen: run inline
         StackJob::<B, RB>::execute_raw(data);
-    } else if registry.seed.is_some() {
-        // ordered join (replay mode): block until the thief finishes so
-        // this worker's execution order follows the fork tree. Progress
-        // is guaranteed — a stolen job is already *running* on the
-        // thief, and wait chains follow the finite fork tree down to a
-        // leaf that is executing code.
-        job_b.latch.wait();
     } else {
         // stolen: help with other work instead of blocking the core
         while !job_b.latch.probe() {
@@ -573,16 +477,8 @@ fn parse_threads(var: Option<&str>) -> Option<usize> {
 }
 
 fn default_pool_size() -> usize {
-    parse_threads(std::env::var("POLAR_NUM_THREADS").ok().as_deref()).unwrap_or_else(|| {
-        if deterministic_mode().is_some() {
-            // replay mode: a fixed count, never the machine's core count,
-            // so the thread-count-dependent kernel split trees (and hence
-            // the floating-point summation order) are machine-independent
-            4
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        }
-    })
+    parse_threads(std::env::var("POLAR_NUM_THREADS").ok().as_deref())
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
 }
 
 fn global_pool() -> &'static ThreadPool {
@@ -831,57 +727,5 @@ mod tests {
             assert!(r.is_err());
             assert_eq!(fork_width(), 2, "a panic must not leave the thread serial");
         });
-    }
-
-    fn tree_sum(pool: &ThreadPool, depth: usize, salt: u64) -> u64 {
-        fn go(d: usize, x: u64) -> u64 {
-            if d == 0 {
-                return splitmix64(x);
-            }
-            let (a, b) = join(|| go(d - 1, x.wrapping_mul(3)), || go(d - 1, x.wrapping_mul(5)));
-            a.wrapping_add(b.rotate_left(7))
-        }
-        pool.install(|| go(depth, salt))
-    }
-
-    #[test]
-    fn deterministic_pool_computes_same_results() {
-        // results must be identical to a free-running pool's — replay
-        // mode changes scheduling, never values
-        let free = ThreadPool::with_seed(4, None);
-        let det = ThreadPool::with_seed(4, Some(42));
-        for salt in [1u64, 99, 12345] {
-            assert_eq!(tree_sum(&free, 10, salt), tree_sum(&det, 10, salt));
-        }
-    }
-
-    #[test]
-    fn deterministic_nested_joins_do_not_deadlock() {
-        // ordered joins block the owner on stolen jobs; deep nesting on
-        // a small pool must still make progress
-        let pool = ThreadPool::with_seed(2, Some(7));
-        for round in 0..8 {
-            let s = tree_sum(&pool, 12, round);
-            assert_eq!(s, tree_sum(&pool, 12, round));
-        }
-    }
-
-    #[test]
-    #[ignore = "nightly stress gate: 10k seeded iterations (run with --ignored)"]
-    fn deterministic_pool_stress_10k() {
-        // Two independent pools with the same seed run the same 10k-join
-        // workload; the accumulated checksums (which fold in every leaf
-        // value) must agree exactly, and no iteration may hang or panic.
-        let run = |seed: u64| -> u64 {
-            let pool = ThreadPool::with_seed(4, Some(seed));
-            let mut acc = 0u64;
-            for i in 0..10_000u64 {
-                let depth = 2 + (i % 6) as usize;
-                acc =
-                    acc.wrapping_mul(31).wrapping_add(tree_sum(&pool, depth, i.wrapping_add(seed)));
-            }
-            acc
-        };
-        assert_eq!(run(42), run(42));
     }
 }

@@ -17,8 +17,8 @@
 //!    (`results/ACCURACY_baseline.json`) with per-metric tolerance
 //!    bands, and [`render_report`] emits a byte-deterministic
 //!    `ACCURACY_report.json` artifact (no timestamps, fixed case order,
-//!    shortest-roundtrip float formatting) so two deterministic-mode
-//!    runs produce identical bytes.
+//!    shortest-roundtrip float formatting) so two runs, at any pool
+//!    width, produce identical bytes.
 //!
 //! The tolerance-band criteria follow Benner/Nakatsukasa/Penke
 //! (arXiv:2104.06659) — a QDWH-type iteration is backward stable iff all

@@ -7,10 +7,9 @@
 //! ```
 //!
 //! Flags: `--baseline <path>` (default `results/ACCURACY_baseline.json`),
-//! `--out <path>` (default `ACCURACY_report.json`). With
-//! `POLAR_DETERMINISTIC=1 POLAR_SEED=<n>` two consecutive runs produce
-//! byte-identical reports (fixed pool, seeded schedule, timestamp-free
-//! artifact).
+//! `--out <path>` (default `ACCURACY_report.json`). Any two runs produce
+//! byte-identical reports, whatever the pool width: a solve's bits depend on
+//! its shape alone, and the artifact is timestamp-free.
 
 use polar_verify::{
     case_grid, check, parse_baseline, render_baseline, render_report, run_grid, METRIC_NAMES,
@@ -29,17 +28,8 @@ fn main() -> ExitCode {
         arg_value(&args, "--baseline").unwrap_or_else(|| "results/ACCURACY_baseline.json".into());
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "ACCURACY_report.json".into());
 
-    let deterministic = rayon::deterministic_mode();
     let grid = case_grid();
-    eprintln!(
-        "polar-verify: {} cases, {} pool workers{}",
-        grid.len(),
-        rayon::current_num_threads(),
-        match deterministic {
-            Some(seed) => format!(", deterministic replay (seed {seed})"),
-            None => String::new(),
-        }
-    );
+    eprintln!("polar-verify: {} cases, {} pool workers", grid.len(), rayon::current_num_threads());
 
     let results = match run_grid(&grid) {
         Ok(r) => r,
@@ -99,8 +89,7 @@ fn main() -> ExitCode {
         None
     };
 
-    let report =
-        render_report(&results, baseline.as_ref(), deterministic, rayon::current_num_threads());
+    let report = render_report(&results, baseline.as_ref());
     if let Err(e) = std::fs::write(&out_path, &report) {
         eprintln!("polar-verify: cannot write report {out_path}: {e}");
         return ExitCode::FAILURE;

@@ -1,9 +1,9 @@
 //! Baseline compare, tolerance bands, and the JSON artifacts.
 //!
 //! Both artifacts are rendered with a fixed case order, fixed key order,
-//! shortest-roundtrip float formatting, and no timestamps — so a
-//! deterministic-mode rerun produces byte-identical output, which is the
-//! property the CI gate asserts.
+//! shortest-roundtrip float formatting, and no timestamps — so a rerun,
+//! at any pool width, produces byte-identical output, which is the property
+//! the CI gate asserts.
 
 use crate::cases::CaseSpec;
 use crate::run::{eps_for_tag, CaseMetrics, CaseResult, METRIC_NAMES};
@@ -190,25 +190,10 @@ pub fn render_baseline(results: &[CaseResult]) -> String {
 /// Render the report artifact: observed metrics, the bands they were
 /// judged against (when a baseline was provided), pass/fail per metric,
 /// and the iteration telemetry. Deliberately timestamp-free.
-pub fn render_report(
-    results: &[CaseResult],
-    baseline: Option<&Baseline>,
-    deterministic: Option<u64>,
-    pool_workers: usize,
-) -> String {
+pub fn render_report(results: &[CaseResult], baseline: Option<&Baseline>) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": 1,");
     let _ = writeln!(out, "  \"kind\": \"report\",");
-    let _ = writeln!(out, "  \"deterministic\": {},", deterministic.is_some());
-    match deterministic {
-        Some(seed) => {
-            let _ = writeln!(out, "  \"seed\": {seed},");
-        }
-        None => {
-            let _ = writeln!(out, "  \"seed\": null,");
-        }
-    }
-    let _ = writeln!(out, "  \"pool_workers\": {pool_workers},");
     let failures = baseline.map(|b| check(results, b));
     match &failures {
         None => {

@@ -6,8 +6,9 @@
 //!
 //! Nothing is asserted: the hashes depend on the SIMD microkernel the host
 //! selects, so they compare two trees on one host, not a tree against a
-//! golden file. Every case pins `tile_nb` (the default depends on the pool
-//! width) and runs on a pool of one and of two threads.
+//! golden file. Every case pins `tile_nb` at 32, so that these small
+//! solves still run graphs of several tile columns, and runs on a pool of
+//! one and of two threads.
 //!
 //! ```sh
 //! cargo run --release --example solve_hashes > here.txt
