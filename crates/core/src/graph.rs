@@ -11,20 +11,24 @@
 //! per planned step `X <- x_coef X + sum_j weight_j X Z_j^{-1}`, `Z_j =
 //! alpha_j X^H X + shift_j I`:
 //!
-//! * per term but the last, its multiple of `X Z_j^{-1}` into a *private* slab
-//!   `Y_j`: QR-based a stacked-QR term on `[sqrt(alpha_j) X; sqrt(shift_j) I]`,
-//!   Cholesky-based a Cholesky term over `Z_j` (both [`crate::solve_dag`]'s).
-//!   The terms share no written tile, so the `r` chains run concurrently —
-//!   the concurrency the paper's §8 wants Zolo-PD for;
-//! * the last term, which **carries the combine** ([`Combine`]): QR-based,
-//!   its product tiles start from `x_coef X + sum_j coef_j Y_j` instead of
-//!   zero; Cholesky-based, its sweeps run in place in `X_out` and one update
-//!   task per tile adds the same sum. Either way the sum walks the terms in
-//!   fixed order and the task publishes the tile's convergence partial
-//!   `|X_k - X_{k-1}|_F^2`; a one-term step has no slab and no extra pass;
-//! * the Gram matrix of a Cholesky-based step: in place in the term's `Z`
-//!   when the step has one term, once into a shared slab each term copies
-//!   and shifts when it has several;
+//! * QR-based with one term (QDWH): a stacked-QR term on `[sqrt(alpha) X;
+//!   sqrt(shift) I]` ([`crate::solve_dag`]'s), whose product tiles start
+//!   from `x_coef X` instead of zero — the update fused;
+//! * QR-based with several terms (Zolo-PD): one QR of `X = Q_x R`, then per
+//!   term a QR of the two-triangle stack `[sqrt(alpha_j) R; sqrt(shift_j)
+//!   I]` only — the terms share no written tile, so the `r` chains run
+//!   concurrently, the concurrency the paper's §8 wants Zolo-PD for — their
+//!   `coef_j Q1 Q2^H` summed in fixed term order into the top `n x n` of
+//!   `X_out`, `Q_x` applied, and one update task per tile adding `x_coef X`;
+//! * Cholesky-based: per term but the last, its multiple of `X Z_j^{-1}`
+//!   into a *private* slab `Y_j`; the last **carries the combine**
+//!   ([`Combine`]): its sweeps run in place in `X_out` and one update task
+//!   per tile adds `x_coef X + sum_j coef_j Y_j`, the terms in fixed order.
+//!   A one-term step has no slab. The Gram matrix is formed in place in the
+//!   term's `Z` when the step has one term, once into a shared slab each
+//!   term copies and shifts when it has several.
+//!   Whatever the step, the task that writes a tile of `X_out` last
+//!   publishes its convergence partial `|X_k - X_{k-1}|_F^2`;
 //! * one fixed-order reduction task per step. Nothing in step `k+1` waits on
 //!   it — it is a sink — so the executor's critical-path priorities and
 //!   lookahead window let step-`k+1` panel kernels overlap step-`k` trailing
@@ -43,10 +47,10 @@ use crate::options::{graph_tile_nb, IterationKind};
 use crate::qdwh_impl::QdwhError;
 use crate::skeleton::{Step, Term};
 use crate::solve_dag::{
-    emit_chol_term, emit_combine, emit_gram, emit_shifted, emit_term, execute_hooked, CholPtr,
-    Combine, Hooked, Iterate, NormSink, TermPtr, TermWorkspace,
+    emit_chol_term, emit_combine, emit_factored_step, emit_gram, emit_shifted, emit_term,
+    execute_hooked, CholPtr, Combine, Hooked, Iterate, NormSink, TermPtr, TermWorkspace,
 };
-use polar_lapack::{LapackError, TilePtr};
+use polar_lapack::{LapackError, QrPtr, QrStructure, TilePtr, TiledQr};
 use polar_matrix::{ProcessGrid, TiledMatrix, Tiling};
 use polar_runtime::{PhaseProfile, TaskDag, TaskGraph};
 use polar_scalar::{Real, Scalar};
@@ -54,15 +58,19 @@ use std::sync::OnceLock;
 
 /// What a solve's graphs allocate, each matrix by the first graph that names
 /// it, kept for the next (a continuation step). Per term: a stacked-QR
-/// workspace only if a graph plans a QR-based step; a Cholesky term lives in
-/// that workspace's `Q` ([`TermPtr::chol`]) when there is one, else in a host
-/// of its own (`n x n` and one tile row: [`CholPtr::within`]); and, for every
-/// term but the one that carries the combine, the private slab `Y_j`.
-/// Shared: the Gram matrix of a several-term Cholesky-based step.
+/// workspace only if a graph plans a QR-based step (over `X`, or with
+/// several terms over `X`'s `R`); a Cholesky term lives in that workspace's
+/// `Q` ([`TermPtr::chol`]) when there is one, else in a host of its own (`n
+/// x n` and one tile row: [`CholPtr::within`]); and, for every term but the
+/// one that carries the combine, the private slab `Y_j`. Shared: the Gram
+/// matrix of a several-term Cholesky-based step, and the QR of `X` of a
+/// several-term QR-based one — whose matrix is the first term's slab, which
+/// such a step leaves unused.
 #[derive(Default)]
 pub(crate) struct Workspace<S: Scalar> {
     terms: Vec<TermStore<S>>,
     gram: Option<TiledMatrix<S>>,
+    factor: Option<TiledQr<S>>,
 }
 
 #[derive(Default)]
@@ -79,6 +87,7 @@ struct GraphPtrs<'a, S: Scalar> {
     x: [TilePtr<'a, S>; 2],
     terms: Vec<TermSlot<'a, S>>,
     gram: Option<TilePtr<'a, S>>,
+    factor: Option<QrPtr<'a, S>>,
 }
 
 struct TermSlot<'a, S: Scalar> {
@@ -132,10 +141,21 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
         if ws.terms.len() < terms {
             ws.terms.resize_with(terms, TermStore::default);
         }
+        // several QR-based terms factor X once and stack its R
+        let over_r = qr && terms > 1;
+        let factor = over_r.then(|| {
+            let shape = QrPtr::shape(dag, xt, QrStructure::Dense);
+            let new = || TiledQr::zeros(xt, QrStructure::Dense);
+            if backed {
+                shape.bind(ws.factor.get_or_insert_with(new))
+            } else {
+                shape
+            }
+        });
         let slot = |(j, store): (usize, &'a mut TermStore<S>)| {
             let qr = qr.then(|| {
-                let shape = TermPtr::shape(dag, m, n, nb);
-                let new = || TermWorkspace::new(m, n, nb);
+                let shape = TermPtr::shape(dag, m, n, nb, over_r);
+                let new = || TermWorkspace::new(m, n, nb, over_r);
                 if backed {
                     shape.bind(store.qr.get_or_insert_with(new))
                 } else {
@@ -144,13 +164,16 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
             });
             let host = Tiling::new(n + nb, n, nb, nb);
             let own = own_chol.then(|| CholPtr::within(tiles(dag, host, &mut store.chol, backed)));
-            let y = (j + 1 < terms).then(|| tiles(dag, xt, &mut store.y, backed));
+            let y = (j + 1 < terms).then(|| match factor {
+                Some(f) if j == 0 => f.a,
+                _ => tiles(dag, xt, &mut store.y, backed),
+            });
             TermSlot { qr, chol: qr.map(TermPtr::chol).or(own), y }
         };
         let terms = ws.terms.iter_mut().take(terms).enumerate().map(slot).collect();
         let shared = chol().any(|p| p.terms.len() > 1);
         let gram = shared.then(|| tiles(dag, Tiling::new(n, n, nb, nb), &mut ws.gram, backed));
-        Self { x, terms, gram }
+        Self { x, terms, gram, factor }
     }
 }
 
@@ -202,28 +225,36 @@ fn emit_steps<'a, S: Scalar, R: Real>(
         // the coefficient of what its factorization leaves
         let applied: Vec<_> = step.terms.iter().map(|t| t.applied(step.kind)).collect();
         let coefs: Vec<S> = applied.iter().map(|a| scalar(a.2)).collect();
-        let last = applied.len() - 1;
-        let slab = |j: usize| at.terms[j].y.expect("every term but the last has a slab");
-        let (ys, x_coef) = ((0..last).map(slab).collect(), scalar(step.x_coef));
-        let combine = Combine { x_coef, ys, coefs: coefs[..last].to_vec(), sink, iter: k };
+        let x_coef = scalar(step.x_coef);
+        let combine = |ys, coefs| Combine { x: xin, x_coef, ys, coefs, sink, iter: k };
 
         match step.kind {
             // coef_j Q1 Q2^H, [Q1; Q2] R = [sqrt(alpha_j) X_in; sqrt(shift_j) I]
             IterationKind::QrBased => {
-                for (j, (term, &(s, d, _))) in at.terms.iter().zip(&applied).enumerate() {
-                    let ws = term.qr.expect("plan has a QR-based step");
-                    let scales = (real(s), real(d));
-                    if j < last {
-                        emit_term(dag, ws, xin, scales, S::ONE, slab(j), None);
-                    } else {
-                        emit_term(dag, ws, xin, scales, coefs[j], xout, Some(&combine));
+                let combine = combine(Vec::new(), Vec::new());
+                let qr = |j: usize| at.terms[j].qr.expect("plan has a QR-based step");
+                match (at.factor, &applied[..]) {
+                    // several terms: X_in = Q_x R once, the terms' QRs of
+                    // [sqrt(alpha_j) R; sqrt(shift_j) I], summed before Q_x
+                    (Some(f), _) => {
+                        let terms: Vec<_> = (0..applied.len()).map(|j| (qr(j), coefs[j])).collect();
+                        let scales: Vec<_> =
+                            applied.iter().map(|&(s, d, _)| (real(s), real(d))).collect();
+                        emit_factored_step(dag, f, &terms, &scales, xout, &combine);
                     }
+                    (None, &[(s, d, _)]) => {
+                        let scales = (real(s), real(d));
+                        emit_term(dag, qr(0), xin, scales, coefs[0], xout, Some(&combine));
+                    }
+                    (None, _) => unreachable!("a solve of several terms factors X once"),
                 }
             }
             // coef_j X_in Z_j^{-1}, Z_j = alpha_j X_in^H X_in + shift_j I; the
             // last term's in X_out (whose buffer last held X_{k-1}: every
             // reader of that is upstream of the L the sweeps wait for)
             IterationKind::CholeskyBased => {
+                let last = applied.len() - 1;
+                let slab = |j: usize| at.terms[j].y.expect("every term but the last has a slab");
                 // one term forms its Z in place, several share X_in^H X_in
                 let gram = at.gram.filter(|_| last > 0);
                 if let Some(gram) = gram {
@@ -237,7 +268,8 @@ fn emit_steps<'a, S: Scalar, R: Real>(
                     }
                     emit_chol_term(dag, chol, xin, if j < last { slab(j) } else { xout }, failure);
                 }
-                emit_combine(dag, xin, xout, coefs[last], &combine);
+                let combine = combine((0..last).map(slab).collect(), coefs[..last].to_vec());
+                emit_combine(dag, xout, coefs[last], &combine);
             }
         }
         sink.emit_reduce::<S::Real>(dag, k);

@@ -4,6 +4,10 @@
 //!   identity on a tile boundary → tile QR → explicit `Q` → `alpha Q1 Q2^H`
 //!   product tiles. The factorization tasks themselves come from
 //!   `polar-lapack`'s emitters — this crate names no tile kernel;
+//! * the **factored QR-based step** of several terms
+//!   ([`emit_factored_step`]): one tile QR of `X`, the same term over its
+//!   `R` for each — `[s_j R; 0; d_j I]`, a triangular top — then the terms'
+//!   product tiles summed, `Q_x` applied and the combine;
 //! * the **Cholesky term** ([`emit_chol_term`], over a `Z` formed by
 //!   [`emit_gram`] or [`emit_shifted`]): tile Cholesky → one `trtri_lower` per
 //!   diagonal tile → the two sweeps that leave `X Z^{-1}` in an output slab;
@@ -25,7 +29,8 @@ use crate::options::{poll_progress, ProgressHook};
 use crate::qdwh_impl::QdwhError;
 use polar_blas::{gemm, herk, scale_real, trmm};
 use polar_lapack::{
-    emit_geqrf, emit_orgqr, emit_potrf, tile_nb3, trtri_lower, LapackError, QrPtr, TilePtr, TiledQr,
+    emit_geqrf, emit_orgqr, emit_potrf, emit_unmqr, tile_nb3, trtri_lower, LapackError, QrPtr,
+    QrStructure, TilePtr, TiledQr,
 };
 use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
 use polar_runtime::{
@@ -181,38 +186,47 @@ impl<S: Scalar> Iterate<S> {
     }
 }
 
-/// Workspace of one stacked-QR term — `W = [s X; 0; d I]` with its `T`
+/// Workspace of one stacked-QR term — `W = [s B; 0; d I]` with its `T`
 /// factors and the explicit `Q` — allocated once per solve and reused by
 /// every iteration: by the time any tile of `X_{k+1}` exists every reader of
 /// iteration `k`'s workspace has run, so the reuse edges the dag infers cost
-/// no overlap.
+/// no overlap. `B` is the iterate `X` itself, or — in a step of several
+/// terms, which factors `X` once ([`emit_factored_step`]) — `X`'s `R`
+/// factor: `n x n`, upper triangular.
 ///
-/// `X`'s `m` rows are padded with zero rows to whole tiles, so the identity
-/// starts on a tile boundary whatever `m` is. The pad rows change nothing
-/// in exact arithmetic (`R` is `W^H W`'s factor, the other rows of `Q` are
-/// `W R^{-1}`'s) and buy three things: no tile kernel sees rows of scale `s`
-/// (up to `1e8`) beside rows of scale `d`, which cost the tile QR its
-/// row-wise accuracy; the `[B; I]` pruning and the triangular-tile windows
-/// apply to every shape ([`TiledQr::zeros`]); and `Q2`'s tile `(tj, kc)` *is*
-/// `Q`'s tile `(mt + tj, kc)`, so the product tiles read `Q` in place.
+/// `B`'s rows are padded with zero rows to whole tiles, so the identity
+/// starts on a tile boundary whatever its height is. The pad rows change
+/// nothing in exact arithmetic (`R` is `W^H W`'s factor, the other rows of
+/// `Q` are `W R^{-1}`'s) and buy three things: no tile kernel sees rows of
+/// scale `s` (up to `1e8`) beside rows of scale `d`, which cost the tile QR
+/// its row-wise accuracy; the `[B; I]` pruning and the triangular-tile
+/// windows apply to every shape ([`QrStructure::Stacked`]); and `Q2`'s tile
+/// `(tj, kc)` *is* `Q`'s tile `(mt + tj, kc)`, `mt` the padded `B`'s tile
+/// rows, so the product tiles read `Q` in place.
 pub(crate) struct TermWorkspace<S: Scalar> {
     w: TiledQr<S>,
     q: TiledMatrix<S>,
 }
 
-/// Tiling of the stacked `W` and `Q` of an `m x n` iterate, and the height
-/// of the padded top block.
-fn stacked_tiling(m: usize, n: usize, nb: usize) -> (Tiling, usize) {
-    let top = m.div_ceil(nb) * nb;
-    (Tiling::new(top + n, n, nb, nb), top)
+/// Tiling of the stacked `W` and `Q` of an `m x n` iterate, and the
+/// structure of its factorization: `[X; 0; I]`, or with `over_r` `[R; 0; I]`
+/// (`R` `n x n` upper triangular).
+fn stacked(m: usize, n: usize, nb: usize, over_r: bool) -> (Tiling, QrStructure) {
+    let top_rows = if over_r { n } else { m }.div_ceil(nb) * nb;
+    let structure = if over_r {
+        QrStructure::TriangularTop { top_rows }
+    } else {
+        QrStructure::Stacked { top_rows }
+    };
+    (Tiling::new(top_rows + n, n, nb, nb), structure)
 }
 
 impl<S: Scalar> TermWorkspace<S> {
-    /// For an `m x n` iterate at tile size `nb`, the factorization pruned
-    /// to the fill window of `[B; I]`.
-    pub(crate) fn new(m: usize, n: usize, nb: usize) -> Self {
-        let (wt, top) = stacked_tiling(m, n, nb);
-        Self { w: TiledQr::zeros(wt, Some(top)), q: TiledMatrix::zeros(wt, ProcessGrid::single()) }
+    /// For an `m x n` iterate at tile size `nb`, stacking `X` (or, with
+    /// `over_r`, its `R`), the factorization pruned to the fill window.
+    pub(crate) fn new(m: usize, n: usize, nb: usize, over_r: bool) -> Self {
+        let (wt, structure) = stacked(m, n, nb, over_r);
+        Self { w: TiledQr::zeros(wt, structure), q: TiledMatrix::zeros(wt, ProcessGrid::single()) }
     }
 }
 
@@ -222,17 +236,24 @@ impl<S: Scalar> TermWorkspace<S> {
 pub(crate) struct TermPtr<'a, S: Scalar> {
     w: QrPtr<'a, S>,
     q: TilePtr<'a, S>,
+    over_r: bool,
 }
 
 impl<'a, S: Scalar> TermPtr<'a, S> {
     /// Arguments as for [`TermWorkspace::new`].
-    pub(crate) fn shape(dag: &mut TaskDag<'_>, m: usize, n: usize, nb: usize) -> Self {
-        let (wt, top) = stacked_tiling(m, n, nb);
-        Self { w: QrPtr::shape(dag, wt, Some(top)), q: TilePtr::shape(dag, wt) }
+    pub(crate) fn shape(
+        dag: &mut TaskDag<'_>,
+        m: usize,
+        n: usize,
+        nb: usize,
+        over_r: bool,
+    ) -> Self {
+        let (wt, structure) = stacked(m, n, nb, over_r);
+        Self { w: QrPtr::shape(dag, wt, structure), q: TilePtr::shape(dag, wt), over_r }
     }
 
     pub(crate) fn bind<'b>(self, ws: &'b mut TermWorkspace<S>) -> TermPtr<'b, S> {
-        TermPtr { w: self.w.bind(&mut ws.w), q: self.q.bind(&mut ws.q) }
+        TermPtr { w: self.w.bind(&mut ws.w), q: self.q.bind(&mut ws.q), over_r: self.over_r }
     }
 
     /// The same workspace as a Cholesky term's: `Z` where `Q2` goes, the
@@ -260,13 +281,14 @@ impl<'a, S: Scalar> CholPtr<'a, S> {
     }
 }
 
-/// What the one term of a step that carries its combine adds to its output
-/// tiles: `x_coef X + sum_j coef_j Y_j`, the `Y_j` the private slabs the
-/// step's other terms left their `X Z_j^{-1}` multiples in, summed in fixed
-/// term order; and each tile publishes its convergence partial `|out -
-/// X|_F^2` for iteration `iter`. A one-term step has no slab: QDWH's Halley
-/// update, fused.
+/// What the one term of a step that carries its combine (or a factored
+/// step's update tasks) adds to its output tiles: `x_coef X + sum_j coef_j
+/// Y_j`, the `Y_j` the private slabs the step's other terms left their `X
+/// Z_j^{-1}` multiples in, summed in fixed term order; and each tile
+/// publishes its convergence partial `|out - X|_F^2` for iteration `iter`.
+/// A one-term step has no slab: QDWH's Halley update, fused.
 pub(crate) struct Combine<'a, S: Scalar> {
+    pub x: TilePtr<'a, S>,
     pub x_coef: S,
     pub ys: Vec<TilePtr<'a, S>>,
     pub coefs: Vec<S>,
@@ -301,36 +323,95 @@ pub(crate) fn emit_term<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     ws: TermPtr<'a, S>,
     x: TilePtr<'a, S>,
-    (s, d): (S::Real, S::Real),
+    scales: (S::Real, S::Real),
     alpha: S,
     out: TilePtr<'a, S>,
     combine: Option<&Combine<'a, S>>,
 ) {
-    let TermPtr { w: f, q } = ws;
-    let w = f.a;
-    let xt = x.tiling();
-    let (mtx, nt, mtw) = (xt.mt(), xt.nt(), w.tiling().mt());
-    let (nbf, nb3) = (xt.nb() as f64, tile_nb3::<S>(xt.nb()));
+    emit_stacked_q(dag, ws, x, scales);
+    emit_product(dag, &[(ws, alpha)], out, combine);
+}
 
-    // W = [s X; 0; d I] per tile: tile rows below X's are the identity's
+/// Add a QR-based step of several terms to `dag`, each term's QR built on
+/// one QR of `X`:
+///
+/// ```text
+/// X = Q_x R                                 (tile QR of a copy of X, in f)
+/// [Q1_j; 0; Q2_j] R_j = [s_j R; 0; d_j I]   (per term, on two triangles)
+/// out = Q_x [sum_j coef_j Q1_j Q2_j^H; 0]   (+ the combine)
+/// ```
+///
+/// `[s X; d I] = diag(Q_x, I) [s R; d I]`, so term `j`'s `Q1 Q2^H` of the
+/// stacked `[s_j X; d_j I]` is `Q_x [Q1_j Q2_j^H; 0]`: the step
+/// [`emit_term`] per term computes, with one QR of `X` where it factors
+/// `X` once per term. The terms share no written tile, so their chains run
+/// concurrently. `terms` holds each term's workspace (built `over_r`) and
+/// `coef`, `scales` its `(s, d)`; `f` is tiled like `X`.
+pub(crate) fn emit_factored_step<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    f: QrPtr<'a, S>,
+    terms: &[(TermPtr<'a, S>, S)],
+    scales: &[(S::Real, S::Real)],
+    out: TilePtr<'a, S>,
+    combine: &Combine<'a, S>,
+) {
+    let (x, xt) = (combine.x, combine.x.tiling());
+    let nbf = xt.nb() as f64;
+    dag.barrier();
+    for j in 0..xt.nt() {
+        for i in 0..xt.mt() {
+            let access = (f.a.write(i, j), x.read(i, j));
+            dag.add_on(KernelKind::Geadd, 2, nbf * nbf, access, |(ft, xs)| ft.copy_from(xs));
+        }
+    }
+    emit_geqrf(dag, f);
+    for (&(ws, _), &scales) in terms.iter().zip(scales) {
+        emit_stacked_q(dag, ws, f.a, scales);
+    }
+    emit_product(dag, terms, out, None);
+    emit_unmqr(dag, f, out, false);
+    emit_combine(dag, out, S::ONE, combine);
+}
+
+/// Add `[Q1; 0; Q2] R = [s B; 0; d I]` to `dag`, in `ws`: the stack filled
+/// per tile from `top` — `X`, or for a workspace built `over_r` the upper
+/// triangle of a factored `X`'s tiles, its `R` — then its tile QR and
+/// explicit `Q`.
+fn emit_stacked_q<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    ws: TermPtr<'a, S>,
+    top: TilePtr<'a, S>,
+    (s, d): (S::Real, S::Real),
+) {
+    let TermPtr { w: f, q, over_r } = ws;
+    let w = f.a;
+    let (nt, mtw, nbf) = (top.tiling().nt(), w.tiling().mt(), w.tiling().nb() as f64);
+    // W's tile rows from d0 on are the identity's
+    let d0 = mtw - nt;
+
+    // W = [s B; 0; d I] per tile
     dag.barrier();
     for j in 0..nt {
         for wi in 0..mtw {
-            let access = (w.write(wi, j), (wi < mtx).then(|| x.read(wi, j)));
-            dag.add_on(KernelKind::Geadd, 2, nbf * nbf, access, move |(wt, xs)| {
+            let read = wi < d0 && (!over_r || wi <= j);
+            let access = (w.write(wi, j), read.then(|| top.read(wi, j)));
+            // R's diagonal tile is a factored tile: R above, reflectors below
+            let triangle = over_r && wi == j;
+            dag.add_on(KernelKind::Geadd, 2, nbf * nbf, access, move |(wt, ts)| {
                 wt.fill(S::ZERO);
-                match xs {
-                    // the last tile row of X may be short of W's: pad rows
-                    Some(xs) => {
+                match ts {
+                    // the last tile row of B may be short of W's: pad rows
+                    Some(ts) => {
                         let sc = S::from_real(s);
                         let copy = s == S::Real::ONE; // s = 1 is a copy, bit for bit
-                        for c in 0..xs.ncols() {
-                            for r in 0..xs.nrows() {
-                                wt[(r, c)] = if copy { xs[(r, c)] } else { sc * xs[(r, c)] };
+                        for c in 0..ts.ncols() {
+                            let rows = if triangle { ts.nrows().min(c + 1) } else { ts.nrows() };
+                            for r in 0..rows {
+                                wt[(r, c)] = if copy { ts[(r, c)] } else { sc * ts[(r, c)] };
                             }
                         }
                     }
-                    None if wi - mtx == j => {
+                    None if wi >= d0 && wi - d0 == j => {
                         for c in 0..wt.ncols() {
                             wt[(c, c)] = S::from_real(d);
                         }
@@ -343,46 +424,72 @@ pub(crate) fn emit_term<'a, S: Scalar>(
 
     emit_geqrf(dag, f);
     emit_orgqr(dag, f, q);
+}
 
-    // out = alpha Q1 Q2^H per tile, accumulated over the n columns of Q
-    // in fixed order (one task per tile: no reduction across tasks).
+/// Add `out = sum_j coef_j Q1_j Q2_j^H` to `dag`, per tile of `out`, from
+/// the explicit `Q`s of the stacked terms `qs` (`(workspace, coef_j)`), the
+/// terms in fixed order and each accumulated over the columns of its `Q` in
+/// fixed order (one task per tile: no reduction across tasks). With the
+/// combine of a one-term step, the tiles start from `x_coef X` instead of
+/// zero and publish their convergence partials. `Q2`'s tiles `(tj, kc <
+/// tj)` are never reached by the sweep that formed it, exact zeros, and
+/// with a triangular top (`over_r`) neither are `Q1`'s `(ti, kc < ti)`: the
+/// products skip them. Tile rows of `out` below `Q1`'s are zero.
+fn emit_product<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    qs: &[(TermPtr<'a, S>, S)],
+    out: TilePtr<'a, S>,
+    combine: Option<&Combine<'a, S>>,
+) {
+    let ot = out.tiling();
+    let (nt, nbf, nb3) = (ot.nt(), ot.nb() as f64, tile_nb3::<S>(ot.nb()));
     dag.barrier();
     for tj in 0..nt {
-        for ti in 0..mtx {
-            // with the combine, X (ti, tj) and the slabs' join the reads and
-            // the partial the writes; then row ti of Q1 against row tj of Q2
-            let carried = combine.map(|c| {
-                let ys: Vec<_> = c.ys.iter().map(|y| y.read(ti, tj)).collect();
-                (x.read(ti, tj), ys, c.sink.partial(c.iter, ti, tj))
-            });
-            let (x_coef, coefs) =
-                combine.map_or((S::ZERO, Vec::new()), |c| (c.x_coef, c.coefs.clone()));
-            let rows: Vec<_> = (0..nt).map(|kc| (q.read(ti, kc), q.read(mtx + tj, kc))).collect();
-            let flops = 2.0 * nb3 * nt as f64 + nbf * nbf * coefs.len() as f64;
+        for ti in 0..ot.mt() {
+            // with the combine, X (ti, tj) joins the reads and the partial
+            // the writes; then per term row ti of Q1 against row tj of Q2,
+            // from the first column where neither is zero
+            let carried = combine.map(|c| (c.x.read(ti, tj), c.sink.partial(c.iter, ti, tj)));
+            let x_coef = combine.map_or(S::ZERO, |c| c.x_coef);
+            let rows: Vec<Vec<_>> = qs
+                .iter()
+                .map(|&(TermPtr { q, over_r, .. }, _)| {
+                    let q2 = q.tiling().mt() - nt;
+                    let first = if over_r { ti.max(tj) } else { tj };
+                    (first..nt).map(|kc| (q.read(ti, kc), q.read(q2 + tj, kc))).collect()
+                })
+                .collect();
+            let alphas: Vec<S> = qs.iter().map(|&(_, coef)| coef).collect();
+            let (kind, flops) = match rows.iter().map(Vec::len).sum::<usize>() {
+                0 => (KernelKind::Geadd, nbf * nbf),
+                pairs => (KernelKind::Gemm, 2.0 * nb3 * pairs as f64),
+            };
             let access = (out.write(ti, tj), carried, rows);
-            dag.add_on(KernelKind::Gemm, 0, flops, access, move |(o, carried, rows)| {
+            dag.add_on(kind, 0, flops, access, move |(o, carried, rows)| {
                 match &carried {
-                    Some((xi, ys, _)) => {
+                    Some((xi, _)) => {
                         for c in 0..o.ncols() {
                             for r in 0..o.nrows() {
-                                o[(r, c)] = combined(x_coef, xi, &coefs, ys, (r, c));
+                                o[(r, c)] = x_coef * xi[(r, c)];
                             }
                         }
                     }
                     None => o.fill(S::ZERO),
                 }
-                for (q1, q2) in rows {
-                    gemm(
-                        Op::NoTrans,
-                        Op::ConjTrans,
-                        alpha,
-                        q1.view(0, 0, o.nrows(), q1.ncols()),
-                        q2.as_ref(),
-                        S::ONE,
-                        o.as_mut(),
-                    );
+                for (&alpha, pairs) in alphas.iter().zip(rows) {
+                    for (q1, q2) in pairs {
+                        gemm(
+                            Op::NoTrans,
+                            Op::ConjTrans,
+                            alpha,
+                            q1.view(0, 0, o.nrows(), q1.ncols()),
+                            q2.as_ref(),
+                            S::ONE,
+                            o.as_mut(),
+                        );
+                    }
                 }
-                if let Some((xi, _, partial)) = carried {
+                if let Some((xi, partial)) = carried {
                     let mut acc = S::Real::ZERO;
                     for c in 0..o.ncols() {
                         for r in 0..o.nrows() {
@@ -599,17 +706,16 @@ pub(crate) fn emit_shifted<'a, S: Scalar>(
     }
 }
 
-/// Add the update of a Cholesky-based step to `dag`: `out = weight out +`
-/// the combine, per tile — `out` holding the carrying term's `X Z^{-1}`,
-/// which its sweeps ran in place there.
+/// Add the update of a step to `dag`: `out = weight out +` the combine, per
+/// tile — `out` holding the carrying Cholesky term's `X Z^{-1}`, which its
+/// sweeps ran in place there, or a factored QR-based step's sum of terms.
 pub(crate) fn emit_combine<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
-    x: TilePtr<'a, S>,
     out: TilePtr<'a, S>,
     weight: S,
     combine: &Combine<'a, S>,
 ) {
-    let xt = x.tiling();
+    let (x, xt) = (combine.x, combine.x.tiling());
     let nbf = xt.nb() as f64;
     dag.barrier();
     for tj in 0..xt.nt() {
@@ -739,11 +845,11 @@ mod tests {
             let flat = q1_residual(&x, s, &q1, &q2);
 
             let grid = ProcessGrid::single;
-            let mut ws = TermWorkspace::<f64>::new(m, n, nb);
+            let mut ws = TermWorkspace::<f64>::new(m, n, nb, false);
             let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
             let mut out = TiledMatrix::<f64>::zeros(xt.tiling(), grid());
             let mut dag = TaskDag::new();
-            let term = TermPtr::shape(&mut dag, m, n, nb).bind(&mut ws);
+            let term = TermPtr::shape(&mut dag, m, n, nb, false).bind(&mut ws);
             let (xp, op) = (TilePtr::new(&mut dag, &mut xt), TilePtr::new(&mut dag, &mut out));
             emit_term(&mut dag, term, xp, (s, 1.0), 1.0, op, None);
             assert_eq!(dag.execute(), ExecOutcome::Completed);

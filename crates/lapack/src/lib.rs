@@ -42,8 +42,8 @@ pub use tile_qr::{
     unmqr_tile_blocked, TileT,
 };
 pub use tiled::{
-    auto_tile_nb, default_tile_nb, emit_geqrf, emit_orgqr, emit_potrf, geqrf_tiled,
-    geqrf_tiled_stacked, orgqr_tiled, potrf_tiled, tile_nb3, QrPtr, TilePtr, TiledQr,
+    auto_tile_nb, default_tile_nb, emit_geqrf, emit_orgqr, emit_potrf, emit_unmqr, geqrf_tiled,
+    geqrf_tiled_stacked, orgqr_tiled, potrf_tiled, tile_nb3, QrPtr, QrStructure, TilePtr, TiledQr,
 };
 pub use tri::trtri_lower;
 

@@ -6,7 +6,8 @@
 //! on the work-stealing pool with panel-priority (lookahead) ordering.
 //!
 //! Each graph is written once, as a function that adds its tasks to a
-//! *caller-owned* dag: [`emit_geqrf`], [`emit_orgqr`], [`emit_potrf`]. The
+//! *caller-owned* dag: [`emit_geqrf`], [`emit_unmqr`] (and [`emit_orgqr`],
+//! which is identity tasks plus that sweep), [`emit_potrf`]. The
 //! standalone drivers ([`geqrf_tiled`], [`orgqr_tiled`], [`potrf_tiled`])
 //! are allocate → emit → execute wrappers; the whole-solve graphs in
 //! `polar-qdwh` call the same emitters between their own assembly and
@@ -19,11 +20,12 @@
 //! simulator's fork-join mode reads.
 //!
 //! The stacked variant ([`geqrf_tiled_stacked`], or a [`TiledQr`] built
-//! with `top_rows`) exploits the QDWH Eq. (1) `[sqrt(c) A; I]` structure
-//! the way `geqrf_stacked` does for the flat path: at panel `k` only tile
-//! rows up to the fill boundary carry reflector support, so tasks on
-//! pristine identity/zero tile rows are never emitted (~1/3 of the QR
-//! flops for square `A`).
+//! with [`QrStructure::Stacked`]) exploits the QDWH Eq. (1) `[sqrt(c) A; I]`
+//! structure the way `geqrf_stacked` does for the flat path: at panel `k`
+//! only tile rows up to the fill boundary carry reflector support, so tasks
+//! on pristine identity/zero tile rows are never emitted (~1/3 of the QR
+//! flops for square `A`). [`QrStructure::TriangularTop`] goes further for
+//! `[R; I]`, `R` upper triangular: each panel is then only its `D` rows.
 //!
 //! Access model: tiles of a [`TiledMatrix`] are separate allocations, and a
 //! task body receives the tiles it declared: [`TilePtr::read`] /
@@ -43,6 +45,7 @@ use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Upl
 use polar_runtime::{Access, ExecOutcome, InBody, KernelKind, TaskDag, TaskStatus, TileRef};
 use polar_scalar::{Real, Scalar};
 use std::marker::PhantomData;
+use std::ops::RangeInclusive;
 use std::sync::OnceLock;
 
 /// Default tile size for the DAG-scheduled drivers. The paper tunes `nb =
@@ -259,11 +262,53 @@ impl<'a, S: Scalar> TilePtr<'a, S> {
     }
 }
 
+/// The zeros a [`TiledQr`] knows its matrix to have, which decide the tasks
+/// its graphs get.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QrStructure {
+    /// None: panel `k` reaches every tile row below the diagonal.
+    Dense,
+    /// `[B; D]`, `B` the first `top_rows` rows and `D` diagonal: panel `k`
+    /// reaches the tile rows up to `D`'s fill boundary only.
+    ///
+    /// Make `top_rows` a whole number of tile rows — pad `B` with zero
+    /// rows, which change neither `R` nor the other rows of `Q`: then each
+    /// tile of `D` a panel reaches is upper triangular and runs the
+    /// row-windowed kernels ([`TileT::upper_v2`]), and no tile kernel mixes
+    /// rows of `B`'s scale with rows of `D`'s, which costs the tile QR its
+    /// row-wise accuracy when the two are far apart.
+    Stacked { top_rows: usize },
+    /// `[R; D]`: as `Stacked`, `top_rows` a whole number of tile rows and at
+    /// least one per tile column, and `R` upper triangular with a real
+    /// diagonal (a QR's `R` factor, its last tile row padded with zero
+    /// rows). Panel `k`'s diagonal tile is then already triangular with a
+    /// real diagonal, so its `geqrt` and `unmqr` would be exact no-ops, and
+    /// so would the `tsqrt` / `tsmqr` of `R`'s zero tiles below it: the
+    /// panel is `D`'s tile rows alone.
+    TriangularTop { top_rows: usize },
+}
+
+impl QrStructure {
+    fn top_rows(self) -> Option<usize> {
+        match self {
+            QrStructure::Dense => None,
+            QrStructure::Stacked { top_rows } | QrStructure::TriangularTop { top_rows } => {
+                Some(top_rows)
+            }
+        }
+    }
+
+    /// Whether a panel factors its diagonal tile (`geqrt`, `unmqr`).
+    fn factors_diagonal(self) -> bool {
+        !matches!(self, QrStructure::TriangularTop { .. })
+    }
+}
+
 /// A tile QR factorization in progress or done: the matrix being factored
 /// in place plus the per-tile compact `T` factors needed to apply or form
 /// `Q`. [`geqrf_tiled`] returns one; a whole-solve graph allocates one with
 /// [`TiledQr::zeros`], fills `a` from its own tasks and hands
-/// [`TiledQr::in_dag`] to [`emit_geqrf`] / [`emit_orgqr`].
+/// [`TiledQr::in_dag`] to [`emit_geqrf`] / [`emit_orgqr`] / [`emit_unmqr`].
 pub struct TiledQr<S: Scalar> {
     /// Packed tiles: `R` on and above the tile diagonal, `geqrt` reflector
     /// tails below inside diagonal tiles, `tsqrt` `V2` blocks below the
@@ -274,54 +319,53 @@ pub struct TiledQr<S: Scalar> {
     /// allocate; slots outside the factorization's row window stay empty
     /// (`k() == 0`).
     t: Vec<TileT<S>>,
-    /// Dense-row count of the stacked top block when the trailing-identity
-    /// structure is exploited.
-    top_rows: Option<usize>,
+    structure: QrStructure,
 }
 
 impl<S: Scalar> TiledQr<S> {
-    /// Workspace for factoring a matrix of the given tiling, all zero;
-    /// `top_rows = Some(r)` declares the stacked `[B; D]` structure (`B`
-    /// is `r` rows, `D` diagonal) and prunes the row window accordingly.
-    /// Make `r` a whole number of tile rows — pad `B` with zero rows, which
-    /// change neither `R` nor the other rows of `Q`: then each tile of `D`
-    /// a panel reaches is upper triangular and runs the row-windowed
-    /// kernels ([`TileT::upper_v2`]), and no tile kernel mixes rows of `B`'s
-    /// scale with rows of `D`'s, which costs the tile QR its row-wise
-    /// accuracy when the two are far apart.
-    pub fn zeros(tiling: Tiling, top_rows: Option<usize>) -> Self {
-        Self::over(TiledMatrix::zeros(tiling, ProcessGrid::single()), top_rows)
+    /// Workspace for factoring a matrix of the given tiling and structure,
+    /// all zero.
+    pub fn zeros(tiling: Tiling, structure: QrStructure) -> Self {
+        Self::over(TiledMatrix::zeros(tiling, ProcessGrid::single()), structure)
     }
 
-    fn over(a: TiledMatrix<S>, top_rows: Option<usize>) -> Self {
+    fn over(a: TiledMatrix<S>, structure: QrStructure) -> Self {
         let tiling = a.tiling();
         let (mt, kt) = (tiling.mt(), tiling.mt().min(tiling.nt()));
         let ib = DEFAULT_BLOCK.min(tiling.nb());
-        // slot (i, k) needs ib x kk storage, kk the reflector count of
-        // panel k; slots beyond the stacked row window are never written
-        // and get zero-width stubs
-        let mut t = Vec::with_capacity(mt * kt);
         // with `B` a whole number of square tiles, `D`'s tile rows start at
         // `d0` and the one panel `k` reaches is on `D`'s diagonal: upper
         // triangular, and untouched until then
-        let d0 = top_rows
+        let d0 = structure
+            .top_rows()
             .filter(|tr| tr % tiling.mb() == 0 && tiling.mb() == tiling.nb())
             .map(|tr| tr / tiling.mb());
+        if let QrStructure::TriangularTop { top_rows } = structure {
+            assert!(
+                d0.is_some_and(|d0| d0 >= tiling.nt()),
+                "TiledQr: a triangular top of {top_rows} rows is not a whole tile row per column"
+            );
+        }
+        // slot (i, k) needs ib x kk storage, kk the reflector count of
+        // panel k; slots outside the panel's tasks are never written and get
+        // zero-width stubs
+        let mut t = Vec::with_capacity(mt * kt);
         for k in 0..kt {
             let kk = tiling.tile_rows(k).min(tiling.tile_cols(k));
-            let lim = stacked_row_limit(tiling, top_rows, k);
+            let rows = panel_rows(tiling, structure, k);
             for i in 0..mt {
-                let mut tt = TileT::new(ib, if i >= k && i <= lim { kk } else { 0 });
+                let written = rows.contains(&i) || (i == k && structure.factors_diagonal());
+                let mut tt = TileT::new(ib, if written { kk } else { 0 });
                 tt.upper_v2 = i > k && d0.is_some_and(|d0| i == d0 + k);
                 t.push(tt);
             }
         }
-        Self { a, t, top_rows }
+        Self { a, t, structure }
     }
 
     /// Register the factorization's storage with `dag`.
     pub fn in_dag<'a>(&'a mut self, dag: &mut TaskDag<'_>) -> QrPtr<'a, S> {
-        QrPtr::shape(dag, self.a.tiling(), self.top_rows).bind(self)
+        QrPtr::shape(dag, self.a.tiling(), self.structure).bind(self)
     }
 
     /// The upper-triangular `k x n` `R` factor.
@@ -354,27 +398,27 @@ impl<S: Scalar> TiledQr<S> {
 pub struct QrPtr<'a, S: Scalar> {
     pub a: TilePtr<'a, S>,
     t: Slab<'a, TileT<S>>,
-    top_rows: Option<usize>,
+    structure: QrStructure,
 }
 
 impl<'a, S: Scalar> QrPtr<'a, S> {
-    /// Register a factorization of a matrix of the given tiling
-    /// (`top_rows` as in [`TiledQr::zeros`]) with `dag`, without storage.
-    pub fn shape(dag: &mut TaskDag<'_>, tiling: Tiling, top_rows: Option<usize>) -> Self {
+    /// Register a factorization of a matrix of the given tiling and
+    /// structure with `dag`, without storage.
+    pub fn shape(dag: &mut TaskDag<'_>, tiling: Tiling, structure: QrStructure) -> Self {
         let a = TilePtr::shape(dag, tiling);
         let (mt, kt) = (tiling.mt(), tiling.mt().min(tiling.nt()));
-        Self { a, t: Slab::shape(dag, mt, mt * kt, a.tiles.bytes), top_rows }
+        Self { a, t: Slab::shape(dag, mt, mt * kt, a.tiles.bytes), structure }
     }
 
     /// The same names in the dag, over the storage of `f`.
     pub fn bind<'b>(self, f: &'b mut TiledQr<S>) -> QrPtr<'b, S> {
-        assert_eq!(f.top_rows, self.top_rows, "QrPtr::bind: storage pruned differently");
-        QrPtr { a: self.a.bind(&mut f.a), t: self.t.bind(&mut f.t), top_rows: self.top_rows }
+        assert_eq!(f.structure, self.structure, "QrPtr::bind: storage pruned differently");
+        QrPtr { a: self.a.bind(&mut f.a), t: self.t.bind(&mut f.t), structure: self.structure }
     }
 
-    /// Last tile row with reflector support at panel `k`.
-    fn row_limit(&self, k: usize) -> usize {
-        stacked_row_limit(self.a.tiling(), self.top_rows, k)
+    /// The tile rows panel `k` annihilates.
+    fn rows(&self, k: usize) -> RangeInclusive<usize> {
+        panel_rows(self.a.tiling(), self.structure, k)
     }
 }
 
@@ -385,24 +429,28 @@ pub fn tile_nb3<S: Scalar>(nb: usize) -> f64 {
     flops::type_factor(S::IS_COMPLEX) * (nb as f64).powi(3)
 }
 
-/// Last tile row with reflector support at panel `k` for the stacked
-/// `[B; I]` structure (`None` = dense: all rows).
-fn stacked_row_limit(tiling: Tiling, top_rows: Option<usize>, k: usize) -> usize {
+/// The tile rows below the diagonal that panel `k` of a factorization of
+/// the given structure annihilates: up to the last with reflector support
+/// (all of them when dense), from the first of `D` under a triangular top.
+fn panel_rows(tiling: Tiling, structure: QrStructure, k: usize) -> RangeInclusive<usize> {
     let mt = tiling.mt();
-    match top_rows {
+    let last = match structure.top_rows() {
         None => mt - 1,
         Some(tr) => {
-            let nb = tiling.nb();
-            let last_col = ((k + 1) * nb).min(tiling.n());
+            let last_col = ((k + 1) * tiling.nb()).min(tiling.n());
             (((tr + last_col - 1) / tiling.mb()).max(k)).min(mt - 1)
         }
+    };
+    match structure {
+        QrStructure::TriangularTop { top_rows } => top_rows / tiling.mb()..=last,
+        _ => k + 1..=last,
     }
 }
 
 /// Add the tile QR of `f.a` to `dag` (PLASMA/SLATE `geqrf`: `geqrt` →
 /// `unmqr` sweep, then `tsqrt` → `tsmqr` per sub-diagonal tile row), in
-/// place, with the `T` factors going to `f`'s slab. With `top_rows` set,
-/// only tile rows inside the fill window get tasks. The read/write sets
+/// place, with the `T` factors going to `f`'s slab. Under a structure, only
+/// the tile rows it leaves a panel get tasks. The read/write sets
 /// chain it behind whatever the caller's earlier tasks wrote into `f.a`;
 /// a write set names the task's home tile first, so `tsqrt`/`tsmqr` run
 /// where tile row `i` lives once ranks are assigned. A task's flops are the
@@ -417,24 +465,26 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
     for k in 0..kt {
         dag.barrier();
         let step = (kt - k) as i32 * 4;
-        // panel: QR of the diagonal tile
-        let panel = (a.write(k, k), t.write(k, k));
-        dag.add_on(KernelKind::Geqrt, step + 2, 4.0 / 3.0 * nb3, panel, |(akk, t)| {
-            geqrt_blocked_into(akk, t)
-        });
-        // apply Q_kk^H to the tiles right of the diagonal
-        for j in k + 1..nt {
-            dag.add_on(
-                KernelKind::Unmqr,
-                step + i32::from(j == k + 1),
-                2.0 * nb3,
-                (a.read(k, k), t.read(k, k), a.write(k, j)),
-                |(v, t, c)| unmqr_tile_blocked(Op::ConjTrans, v, t, c),
-            );
+        if f.structure.factors_diagonal() {
+            // panel: QR of the diagonal tile
+            let panel = (a.write(k, k), t.write(k, k));
+            dag.add_on(KernelKind::Geqrt, step + 2, 4.0 / 3.0 * nb3, panel, |(akk, t)| {
+                geqrt_blocked_into(akk, t)
+            });
+            // apply Q_kk^H to the tiles right of the diagonal
+            for j in k + 1..nt {
+                dag.add_on(
+                    KernelKind::Unmqr,
+                    step + i32::from(j == k + 1),
+                    2.0 * nb3,
+                    (a.read(k, k), t.read(k, k), a.write(k, j)),
+                    |(v, t, c)| unmqr_tile_blocked(Op::ConjTrans, v, t, c),
+                );
+            }
         }
         // annihilate sub-diagonal tiles (only rows with reflector support
-        // when the stacked structure is known)
-        for i in k + 1..=f.row_limit(k) {
+        // when the structure is known)
+        for i in f.rows(k) {
             dag.add_on(
                 KernelKind::Tsqrt,
                 step + 2,
@@ -457,21 +507,13 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
 
 /// Add the formation of the explicit thin `Q` of the factorization `f`
 /// to `dag`: `q` (same row tiling as `f.a`, as many columns as wanted)
-/// is reset to the thin identity by per-tile tasks, then the stored
-/// reflectors are applied with the reverse `tsmqr`/`unmqr` sweep. The
-/// reads of `f` chain the sweep behind an [`emit_geqrf`] in the same dag.
+/// is reset to the thin identity by per-tile tasks, then [`emit_unmqr`]
+/// applies the stored reflectors to it.
 pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: TilePtr<'a, S>) {
-    let (w, t) = (f.a, f.t);
-    let tiling = w.tiling();
-    let mt = tiling.mt();
-    let kt = mt.min(tiling.nt());
-    let qnt = q.tiling().nt();
-    assert_eq!(q.tiling().mt(), mt, "emit_orgqr: Q and the factored matrix differ in tile rows");
-    let nb = tiling.nb() as f64;
-    let nb3 = tile_nb3::<S>(tiling.nb());
+    let nb = q.tiling().nb() as f64;
     dag.barrier();
-    for j in 0..qnt {
-        for i in 0..mt {
+    for j in 0..q.tiling().nt() {
+        for i in 0..q.tiling().mt() {
             dag.add_on(KernelKind::Geadd, 2, nb * nb, q.write(i, j), move |t| {
                 if i == j {
                     t.set_identity();
@@ -481,28 +523,56 @@ pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: Tile
             });
         }
     }
+    emit_unmqr(dag, f, q, true);
+}
+
+/// Add `C := Q C` to `dag`, `Q` the factorization `f`'s and `c` of the
+/// same row tiling as `f.a`: the stored reflectors applied with the reverse
+/// `tsmqr`/`unmqr` sweep. The reads of `f` chain the sweep behind an
+/// [`emit_geqrf`] in the same dag. With `upper`, `C` is zero below its tile
+/// diagonal (the identity [`emit_orgqr`] starts from), and panel `k` leaves
+/// the tile columns left of `k` alone: it would map their zeros to zeros.
+pub fn emit_unmqr<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    f: QrPtr<'a, S>,
+    c: TilePtr<'a, S>,
+    upper: bool,
+) {
+    let (w, t) = (f.a, f.t);
+    let tiling = w.tiling();
+    let kt = tiling.mt().min(tiling.nt());
+    let cnt = c.tiling().nt();
+    assert_eq!(
+        c.tiling().mt(),
+        tiling.mt(),
+        "emit_unmqr: C and the factored matrix differ in tile rows"
+    );
+    let nb3 = tile_nb3::<S>(tiling.nb());
     for k in (0..kt).rev() {
         dag.barrier();
         let step = (k + 1) as i32 * 4;
-        for i in (k + 1..=f.row_limit(k)).rev() {
-            for j in k..qnt {
+        let cols = if upper { k } else { 0 }..cnt;
+        for i in f.rows(k).rev() {
+            for j in cols.clone() {
                 dag.add_on(
                     KernelKind::Tsmqr,
                     step,
                     4.0 * nb3,
-                    (w.read(i, k), t.read(i, k), q.write(i, j), q.write(k, j)),
-                    |(v2, t, q2, q1)| tsmqr_blocked(Op::NoTrans, v2, t, q1, q2),
+                    (w.read(i, k), t.read(i, k), c.write(i, j), c.write(k, j)),
+                    |(v2, t, c2, c1)| tsmqr_blocked(Op::NoTrans, v2, t, c1, c2),
                 );
             }
         }
-        for j in k..qnt {
-            dag.add_on(
-                KernelKind::Unmqr,
-                step + 1,
-                2.0 * nb3,
-                (w.read(k, k), t.read(k, k), q.write(k, j)),
-                |(v, t, c)| unmqr_tile_blocked(Op::NoTrans, v, t, c),
-            );
+        if f.structure.factors_diagonal() {
+            for j in cols {
+                dag.add_on(
+                    KernelKind::Unmqr,
+                    step + 1,
+                    2.0 * nb3,
+                    (w.read(k, k), t.read(k, k), c.write(k, j)),
+                    |(v, t, c)| unmqr_tile_blocked(Op::NoTrans, v, t, c),
+                );
+            }
         }
     }
 }
@@ -600,7 +670,7 @@ pub fn emit_potrf<'a, S: Scalar>(
 fn geqrf_tiled_inner<S: Scalar>(
     a_dense: &Matrix<S>,
     nb: usize,
-    top_rows: Option<usize>,
+    structure: QrStructure,
 ) -> TiledQr<S> {
     let m = a_dense.nrows();
     let n = a_dense.ncols();
@@ -611,7 +681,7 @@ fn geqrf_tiled_inner<S: Scalar>(
         [m, n, nb],
     );
     let tiles = TiledMatrix::from_dense(a_dense, nb, nb, ProcessGrid::single());
-    let mut f = TiledQr::over(tiles, top_rows);
+    let mut f = TiledQr::over(tiles, structure);
     let mut dag = TaskDag::new();
     let fp = f.in_dag(&mut dag);
     emit_geqrf(&mut dag, fp);
@@ -626,7 +696,7 @@ fn geqrf_tiled_inner<S: Scalar>(
 /// into `nb x nb` tiles and factors them with the `geqrt`/`unmqr`/`tsqrt`/
 /// `tsmqr` task graph on the work-stealing pool.
 pub fn geqrf_tiled<S: Scalar>(a: &Matrix<S>, nb: usize) -> TiledQr<S> {
-    geqrf_tiled_inner(a, nb.max(8), None)
+    geqrf_tiled_inner(a, nb.max(8), QrStructure::Dense)
 }
 
 /// [`geqrf_tiled`] of the QDWH stacked matrix `W = [B; I]` (`B` is
@@ -635,7 +705,7 @@ pub fn geqrf_tiled<S: Scalar>(a: &Matrix<S>, nb: usize) -> TiledQr<S> {
 /// [`crate::geqrf_stacked`]'s shrinking row window.
 pub fn geqrf_tiled_stacked<S: Scalar>(top_rows: usize, a: &Matrix<S>, nb: usize) -> TiledQr<S> {
     assert!(top_rows <= a.nrows(), "geqrf_tiled_stacked: top block larger than matrix");
-    geqrf_tiled_inner(a, nb.max(8), Some(top_rows))
+    geqrf_tiled_inner(a, nb.max(8), QrStructure::Stacked { top_rows })
 }
 
 /// Form the explicit thin `Q` (`m x k_cols`) of a [`geqrf_tiled`]
@@ -811,6 +881,114 @@ mod tests {
                 assert!(ragged.t.iter().all(|t| !t.upper_v2), "m={m} n={n} nb={nb}");
             }
         }
+    }
+
+    fn rand_scalar_mat<S: Scalar>(m: usize, n: usize, seed: u64) -> Matrix<S> {
+        let (re, im) = (rand_mat(m, n, seed), rand_mat(m, n, seed + 1000));
+        Matrix::from_fn(m, n, |i, j| {
+            S::from_parts(S::Real::from_f64(re[(i, j)]), S::Real::from_f64(im[(i, j)]))
+        })
+    }
+
+    /// `[s R; 0; d I]`, `R` the `n x n` factor of a tile QR (upper
+    /// triangular, real diagonal) padded to whole tile rows, and the row
+    /// count of its top block.
+    fn triangle_stack<S: Scalar>(n: usize, nb: usize, seed: u64) -> (Matrix<S>, usize) {
+        let r = geqrf_tiled(&rand_scalar_mat::<S>(n + 9, n, seed), nb).extract_r();
+        let top = n.div_ceil(nb) * nb;
+        let s = S::from_f64(1e4);
+        let w = Matrix::from_fn(top + n, n, |i, j| match i {
+            _ if i < n => s * r[(i, j)],
+            _ if i >= top && i - top == j => S::from_f64(0.5),
+            _ => S::ZERO,
+        });
+        (w, top)
+    }
+
+    fn same_entries<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>) -> bool {
+        (0..a.ncols()).all(|j| (0..a.nrows()).all(|i| a[(i, j)] == b[(i, j)]))
+    }
+
+    /// On `[R; d I]` the triangular-top graph factors only `D`'s tile rows,
+    /// and what it skips are exact no-ops: its packed tiles, `T` slots and
+    /// `Q` are the dense graph's, entry for entry (the dense graph's slots
+    /// the triangular one never writes hold zeros). Aligned `n`, and ragged
+    /// ones whose last `R` tile row is padded.
+    fn triangular_top_matches_dense<S: Scalar>() {
+        for (n, nb) in [(32usize, 16usize), (40, 16), (37, 16), (64, 64), (100, 64)] {
+            let (w, top) = triangle_stack::<S>(n, nb, n as u64);
+            let mut dense = geqrf_tiled(&w, nb);
+            let mut tri = geqrf_tiled_inner(&w, nb, QrStructure::TriangularTop { top_rows: top });
+            let case = format!("{} n={n} nb={nb}", S::TYPE_TAG);
+            assert!(same_entries(&tri.a.to_dense(), &dense.a.to_dense()), "{case}: packed tiles");
+            for (slot, (t, d)) in tri.t.iter().zip(&dense.t).enumerate() {
+                let same = match t.k() {
+                    0 => d.t.as_slice().iter().all(|&v| v == S::ZERO),
+                    _ => same_entries(&t.t, &d.t),
+                };
+                assert!(same, "{case}: T slot {slot}");
+            }
+            let qd = orgqr_tiled(&mut dense, n);
+            let qt = orgqr_tiled(&mut tri, n);
+            assert!(same_entries(&qt, &qd), "{case}: Q");
+            // and it is the smaller graph: no geqrt, no unmqr
+            assert!(tri.t.iter().step_by(tri.a.tiling().mt() + 1).all(|t| t.k() == 0), "{case}");
+        }
+    }
+
+    #[test]
+    fn triangular_top_qr_matches_the_dense_graph() {
+        triangular_top_matches_dense::<f64>();
+        triangular_top_matches_dense::<Complex64>();
+    }
+
+    /// `Q` of a stacked factorization is block upper triangular in each of
+    /// its two blocks wherever the sweep never reached: `Q2`'s tiles `(tj,
+    /// kc < tj)` are exact zeros under `[B; I]`, and `Q1`'s `(ti, kc < ti)`
+    /// as well under `[R; I]` — the tiles a product `Q1 Q2^H` may skip.
+    #[test]
+    fn stacked_q_is_exactly_zero_below_its_block_diagonals() {
+        for (m, n, nb) in [(64usize, 48usize, 16usize), (37, 20, 16), (100, 100, 32)] {
+            let top = m.div_ceil(nb) * nb;
+            let b = Matrix::vstack(&rand_mat(m, n, 7 + m as u64), &Matrix::zeros(top - m, n));
+            let w = Matrix::vstack(&b, &Matrix::identity(n, n));
+            let q = orgqr_tiled(&mut geqrf_tiled_stacked(top, &w, nb), n);
+            let (r_top, r_q) = (n.div_ceil(nb) * nb, triangle_stack::<f64>(n, nb, 3 + n as u64));
+            let tri = QrStructure::TriangularTop { top_rows: r_top };
+            let qr = orgqr_tiled(&mut geqrf_tiled_inner(&r_q.0, nb, tri), n);
+            for (tj, kc) in (0..n.div_ceil(nb)).flat_map(|t| (0..t).map(move |kc| (t, kc))) {
+                let cols = kc * nb..(kc + 1) * nb;
+                let rows = |t: usize| t * nb..((t + 1) * nb).min(n);
+                for (i, j) in rows(tj).flat_map(|i| cols.clone().map(move |j| (i, j))) {
+                    assert_eq!(q[(top + i, j)], 0.0, "[B; I] m={m} n={n}: Q2 ({i}, {j})");
+                    assert_eq!(qr[(r_top + i, j)], 0.0, "[R; I] n={n}: Q2 ({i}, {j})");
+                    assert_eq!(qr[(i, j)], 0.0, "[R; I] n={n}: Q1 ({i}, {j})");
+                }
+            }
+        }
+    }
+
+    /// Applying the reflectors to a block upper triangular `C` changes no
+    /// entry when panel `k` skips the tile columns left of `k`: the
+    /// identity [`emit_orgqr`] fills, and a general one.
+    #[test]
+    fn unmqr_on_an_upper_c_skips_only_zeros() {
+        let (m, n, nb) = (70usize, 40usize, 16usize);
+        let mut f = geqrf_tiled(&rand_mat(m, n, 5), nb);
+        let c0 = rand_mat(m, n, 6);
+        let c0 = Matrix::from_fn(m, n, |i, j| if i / nb > j / nb { 0.0 } else { c0[(i, j)] });
+        let applied = |f: &mut TiledQr<f64>, upper: bool| {
+            let mut c = TiledMatrix::from_dense(&c0, nb, nb, ProcessGrid::single());
+            let mut dag = TaskDag::new();
+            let (fp, cp) = (f.in_dag(&mut dag), TilePtr::new(&mut dag, &mut c));
+            emit_unmqr(&mut dag, fp, cp, upper);
+            assert_eq!(dag.execute(), ExecOutcome::Completed);
+            c.to_dense()
+        };
+        let (full, upper) = (applied(&mut f, false), applied(&mut f, true));
+        assert!(same_entries(&full, &upper));
+        // Q C = C is no application at all
+        assert!(!same_entries(&full, &c0));
     }
 
     #[test]
