@@ -303,6 +303,9 @@ stage_workspace() {
     step "workspace tests"
     cargo test --offline -q --workspace
 
+    step "the l0 audit at full size (its debug run is one seed, one shape)"
+    cargo test --offline --release -q -p polar-qdwh --test l0_audit
+
     step "serving tier in the build it ships in"
     # the service's timing tests calibrate themselves, and the batch
     # engine's bitwise claims are about optimized kernels

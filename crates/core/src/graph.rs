@@ -26,7 +26,9 @@
 //!   per tile adds `x_coef X + sum_j coef_j Y_j`, the terms in fixed order.
 //!   A one-term step has no slab. The Gram matrix is formed in place in the
 //!   term's `Z` when the step has one term, once into a shared slab each
-//!   term copies and shifts when it has several.
+//!   term copies and shifts when it has several — or, for a solve's first
+//!   step, not at all when the start stage certified `l0` on it
+//!   ([`crate::skeleton::scaled_start`]): every term shifts that one.
 //!   Whatever the step, the task that writes a tile of `X_out` last
 //!   publishes its convergence partial `|X_k - X_{k-1}|_F^2`;
 //! * one fixed-order reduction task per step. Nothing in step `k+1` waits on
@@ -63,14 +65,25 @@ use std::sync::OnceLock;
 /// `Q` ([`TermPtr::chol`]) when there is one, else in a host of its own (`n
 /// x n` and one tile row: [`CholPtr::within`]); and, for every term but the
 /// one that carries the combine, the private slab `Y_j`. Shared: the Gram
-/// matrix of a several-term Cholesky-based step, and the QR of `X` of a
-/// several-term QR-based one — whose matrix is the first term's slab, which
-/// such a step leaves unused.
+/// matrix — of a several-term Cholesky-based step, or the one the start
+/// stage certified `l_0` on, which a Cholesky-based first step reads instead
+/// of forming its own — and the QR of `X` of a several-term QR-based step,
+/// whose matrix is the first term's slab, which such a step leaves unused.
 #[derive(Default)]
 pub(crate) struct Workspace<S: Scalar> {
     terms: Vec<TermStore<S>>,
     gram: Option<TiledMatrix<S>>,
     factor: Option<TiledQr<S>>,
+    /// `gram` holds `X^H X` of the iterate the next graph starts from.
+    gram_given: bool,
+}
+
+impl<S: Scalar> Workspace<S> {
+    /// The workspace of a solve, holding `X_0^H X_0` when the start stage
+    /// formed it.
+    pub(crate) fn new(gram: Option<TiledMatrix<S>>) -> Self {
+        Self { gram_given: gram.is_some(), gram, ..Self::default() }
+    }
 }
 
 #[derive(Default)]
@@ -87,6 +100,8 @@ struct GraphPtrs<'a, S: Scalar> {
     x: [TilePtr<'a, S>; 2],
     terms: Vec<TermSlot<'a, S>>,
     gram: Option<TilePtr<'a, S>>,
+    /// `gram` holds `X_in^H X_in` of the first step: it forms none.
+    gram_given: bool,
     factor: Option<QrPtr<'a, S>>,
 }
 
@@ -116,7 +131,9 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
     /// the one place its matrix ids are handed out, so the executed graph
     /// and [`task_graph`] agree on them. With `x`, over storage: the
     /// iterate's two buffers and `ws`, which allocates what it lacks and has
-    /// to outlive the dag whose bodies borrow it. Without, storage-free.
+    /// to outlive the dag whose bodies borrow it. Without, storage-free. A
+    /// Gram matrix `ws` was given is the first step's, if that step is
+    /// Cholesky-based, and no later graph's.
     fn name<R>(
         dag: &mut TaskDag<'_>,
         sink: &mut NormSink,
@@ -135,6 +152,8 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
         };
 
         let chol = || plan.iter().filter(|p| p.kind == IterationKind::CholeskyBased);
+        let first_chol = plan.first().is_some_and(|p| p.kind == IterationKind::CholeskyBased);
+        let gram_given = std::mem::take(&mut ws.gram_given) && first_chol;
         let qr = chol().count() < plan.len() || ws.terms.iter().any(|t| t.qr.is_some());
         let own_chol = !qr && chol().count() > 0;
         let terms = plan.iter().map(|p| p.terms.len()).max().unwrap_or(0);
@@ -171,9 +190,9 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
             TermSlot { qr, chol: qr.map(TermPtr::chol).or(own), y }
         };
         let terms = ws.terms.iter_mut().take(terms).enumerate().map(slot).collect();
-        let shared = chol().any(|p| p.terms.len() > 1);
+        let shared = gram_given || chol().any(|p| p.terms.len() > 1);
         let gram = shared.then(|| tiles(dag, Tiling::new(n, n, nb, nb), &mut ws.gram, backed));
-        Self { x, terms, gram, factor }
+        Self { x, terms, gram, gram_given, factor }
     }
 }
 
@@ -183,7 +202,11 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
 /// executes at every `terms`, so its tasks, tile sets and edges are the
 /// executor's (scalar weights never reach the graph). `S` sets the tile
 /// payload bytes. What `polar-sim` schedules and
-/// [`crate::qdwh_distributed`] meters.
+/// [`crate::qdwh_distributed`] meters. A Cholesky-based first step reads
+/// the Gram matrix the start stage formed, as in a solve whose `l_0` was
+/// certified on it (every Cholesky-first solve of the default options, in
+/// practice): that graph — like the QR a QR-first solve estimates `l_0`
+/// with — is not part of this one.
 pub fn task_graph<S: Scalar>(
     m: usize,
     n: usize,
@@ -199,7 +222,7 @@ pub fn task_graph<S: Scalar>(
     let xt = Tiling::new(m, n, nb, nb);
     let failure = OnceLock::new();
     let mut sink = NormSink::new(plan.len(), xt);
-    let mut ws = Workspace::<S>::default();
+    let mut ws = Workspace::<S> { gram_given: true, ..Workspace::default() };
     let mut dag = TaskDag::new();
     let at = GraphPtrs::name(&mut dag, &mut sink, xt, &plan, None, &mut ws);
     emit_steps(&mut dag, &at, &plan, &sink, &failure);
@@ -255,9 +278,11 @@ fn emit_steps<'a, S: Scalar, R: Real>(
             IterationKind::CholeskyBased => {
                 let last = applied.len() - 1;
                 let slab = |j: usize| at.terms[j].y.expect("every term but the last has a slab");
-                // one term forms its Z in place, several share X_in^H X_in
-                let gram = at.gram.filter(|_| last > 0);
-                if let Some(gram) = gram {
+                // one term forms its Z in place, several share X_in^H X_in —
+                // which the first step may have been given
+                let given = k == 0 && at.gram_given;
+                let gram = at.gram.filter(|_| last > 0 || given);
+                if let (Some(gram), false) = (gram, given) {
                     emit_gram(dag, xin, gram, S::Real::ONE, S::Real::ZERO);
                 }
                 for (j, (term, &(alpha, shift, _))) in at.terms.iter().zip(&applied).enumerate() {
@@ -303,9 +328,9 @@ pub(crate) fn run_graph<S: Scalar, R: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::{IterationPath, QdwhOptions};
+    use crate::options::{IterationPath, L0Strategy, QdwhOptions};
     use crate::qdwh_impl::{orthogonality_error, qdwh, Halley};
-    use crate::skeleton::{plan, qdwh_flops, Method};
+    use crate::skeleton::{estimate_l0, plan, qdwh_flops, Method};
     use crate::svd_pd::svd_based_polar;
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
     use polar_matrix::Matrix;
@@ -490,7 +515,14 @@ mod tests {
     #[test]
     fn the_continuation_is_one_more_emitted_step() {
         let (a, _) = generate::<f64>(&geometric(72, 48, 10.0, 7));
-        let opts = QdwhOptions { tile_nb: Some(16), ..Default::default() };
+        // the QR route's bound plans three steps here, the last norm still
+        // above tolerance (the Gram route's, a few ulps away, lands the
+        // third bound on the stop test's edge and plans a fourth instead)
+        let alpha = polar_lapack::norm2est(&a).estimate;
+        let x = Matrix::from_fn(72, 48, |i, j| a[(i, j)] * alpha.recip());
+        let qr = || polar_lapack::geqrf_tiled(&x, 16).extract_r();
+        let l0 = estimate_l0(x.as_ref(), L0Strategy::SigmaMinPowerIteration, qr);
+        let opts = QdwhOptions { tile_nb: Some(16), l0_override: Some(l0), ..Default::default() };
         let _serial = polar_obs::scope_lock();
         let scope = polar_obs::scope();
         let pd = qdwh(&a, &opts).expect("converges");

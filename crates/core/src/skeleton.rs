@@ -1,8 +1,11 @@
 //! The solve skeleton: Algorithm 1 as *estimate → plan → step → finish*,
 //! each stage written once. [`scaled_start`] / [`estimate_l0`] scale the
-//! input and bound `sigma_min`; a [`Step`] is one rational step of the
-//! family, planned from the scalar bound alone ([`Step::halley`] plans
-//! QDWH's one-term step), and [`plan`] a whole sequence; [`solve`] is the one
+//! input and bound `sigma_min` — on the Gram matrix `X^H X` when that
+//! bound starts the plan Cholesky-based (whose first step then reads that
+//! matrix), else on the `R` of a tile QR of `X`; a [`Step`] is one
+//! rational step of the family, planned from the scalar bound alone
+//! ([`Step::halley`] plans QDWH's one-term step), and [`plan`] a whole
+//! sequence; [`solve`] is the one
 //! driver (degenerate inputs, the planned sequence as one task graph, the
 //! per-iteration records the graph's executor measured); [`finish`] forms
 //! `H`, [`qdwh_flops`] / [`zolo_flops`] cost the solve and
@@ -15,26 +18,39 @@
 
 use crate::graph::{run_graph, Workspace};
 use crate::options::{
-    graph_tile_nb, poll_progress, IterationKind, IterationPath, L0Strategy, QdwhOptions,
+    graph_tile_nb, poll_progress, IterationKind, IterationPath, L0Strategy, ProgressHook,
+    QdwhOptions,
 };
 use crate::params::{halley_parameters, update_ell};
 use crate::qdwh_impl::{IterationRecord, PolarDecomposition, QdwhError, QdwhInfo};
-use crate::solve_dag::{Hooked, Iterate};
+use crate::solve_dag::{run_gram_start, Hooked, Iterate};
 use polar_blas::flops::type_factor;
-use polar_blas::{gemm, norm, scale_real, symmetrize};
+use polar_blas::{gemm, norm, symmetrize};
 use polar_lapack::{gecondest, geqrf_tiled, getrf, norm2est, tr_sigma_min_est, trcondest};
-use polar_matrix::{MatRef, Matrix, Norm, Op};
+use polar_matrix::{MatRef, Matrix, Norm, Op, ProcessGrid, TiledMatrix, Tiling};
 use polar_scalar::{Real, Scalar};
 
+/// The share of a `sigma_min` estimate `l_0` keeps, so that roundoff and
+/// the estimator's slack leave it a lower bound.
+const MARGIN: f64 = 0.9;
+
+/// `raw` clamped into `[eps^2, 1 - eps]`: `l_0 = 0` would stall the weights.
+fn clamp_l0<R: Real>(raw: R) -> R {
+    let eps = R::EPSILON;
+    raw.max(eps * eps).min(R::ONE - eps)
+}
+
 /// Lower bound `l_0` on the smallest singular value of the scaled input
-/// `x` (Algorithm 1 lines 14-19), clamped into `[eps^2, 1 - eps]` (`l_0 =
-/// 0` would stall the weights). `r_of_x` produces the `R` of `x = QR` in
-/// the upper triangle of its result, by whichever QR the caller runs
-/// fastest; the LU route does not call it.
+/// `x` (Algorithm 1 lines 14-19), clamped into `[eps^2, 1 - eps]`. `r_of_x`
+/// produces the `R` of `x = QR` in the upper triangle of its result, by
+/// whichever QR the caller runs fastest; the LU route does not call it.
 ///
 /// [`L0Strategy::LuFormula`] applies to square inputs only (there is no LU
 /// condition estimate for a rectangular `x`): rectangular ones take
 /// [`L0Strategy::PaperFormula`].
+///
+/// A solve that may start Cholesky-based asks the Gram matrix first
+/// (`scaled_start`); this is the route it falls back on.
 pub fn estimate_l0<S: Scalar>(
     x: MatRef<'_, S>,
     strategy: L0Strategy,
@@ -43,9 +59,10 @@ pub fn estimate_l0<S: Scalar>(
     let n = x.ncols();
     let raw = match strategy {
         // sigma_min(x) = sigma_min(R), estimated tightly by inverse power
-        // iteration; scaled by 0.9 so roundoff and estimator slack keep it
-        // a lower bound
-        L0Strategy::SigmaMinPowerIteration => tr_sigma_min_est(&r_of_x()) * S::Real::from_f64(0.9),
+        // iteration
+        L0Strategy::SigmaMinPowerIteration => {
+            tr_sigma_min_est(&r_of_x()) * S::Real::from_f64(MARGIN)
+        }
         formula => {
             let anorm: S::Real = norm(Norm::One, x);
             // a reciprocal 1-norm condition estimate: §4 stage (1), by
@@ -60,31 +77,132 @@ pub fn estimate_l0<S: Scalar>(
             anorm * rcond / S::Real::from_usize(n).sqrt()
         }
     };
-    let eps = S::Real::EPSILON;
-    raw.max(eps * eps).min(S::Real::ONE - eps)
+    clamp_l0(raw)
 }
 
-/// Algorithm 1 lines 10-19 for a dense input: the two-norm estimate
-/// `alpha`, `X_0 = A / alpha` and `l_0` (`l0_override` verbatim, else
-/// [`estimate_l0`], its QR the tile graph at tile size `nb`). `None` for
-/// the zero matrix.
-pub(crate) fn scaled_start<S: Scalar>(
-    a: &Matrix<S>,
-    l0_override: Option<f64>,
-    strategy: L0Strategy,
-    nb: usize,
-) -> Option<(S::Real, Matrix<S>, S::Real)> {
-    let alpha = norm2est(a).estimate;
-    if alpha == S::Real::ZERO {
+/// The bound `ell*` from which `method` steps Cholesky-based: the lower
+/// end of the interval below `1 - eps` on which every step is, `eps^2` if
+/// that is all of them (a forced Cholesky path); `None` when even the step
+/// from `1 - eps` is QR-based (a forced QR path). Found by stepping down a
+/// decade at a time to the first QR-based step, then bisecting in the
+/// logarithm — never from below: in single precision Halley's weights
+/// overflow under `ell ~ 1e-10`, and such a step is no sign of either kind.
+fn cholesky_from<S: Scalar, M: Method<S>>(method: &M) -> Option<f64> {
+    let eps = S::Real::EPSILON.to_f64();
+    let chol =
+        |ell: f64| method.step_at(M::Ell::from_f64(ell)).kind == IterationKind::CholeskyBased;
+    let (floor, mut hi) = (eps * eps, 1.0 - eps);
+    if !chol(hi) {
         return None;
     }
-    let mut x = a.clone();
-    scale_real::<S>(alpha.recip(), x.as_mut());
-    let l0 = match l0_override {
-        Some(v) => S::Real::from_f64(v),
-        None => estimate_l0(x.as_ref(), strategy, || geqrf_tiled(&x, nb).extract_r()),
+    let mut qr = hi;
+    while chol(qr) {
+        if qr <= floor {
+            return Some(floor);
+        }
+        hi = qr;
+        qr = (qr * 0.1).max(floor);
+    }
+    for _ in 0..64 {
+        let mid = (qr * hi).sqrt();
+        if chol(mid) {
+            hi = mid;
+        } else {
+            qr = mid;
+        }
+    }
+    Some(hi)
+}
+
+/// The Gram route's error bound on `sigma_hat^2`, relative: forming `G =
+/// X^H X` and factoring it move its eigenvalues by about `m eps ||X||^2`
+/// (`m` the length of its inner products, `||X|| ~ 1` once scaled).
+/// `sigma_hat` is trusted while this stays a tenth of the margin `1 -
+/// MARGIN`: `sigma_hat` then errs by well under the slack `l_0` keeps.
+fn gram_error<R: Real>(m: usize, sigma_hat: R) -> f64 {
+    m as f64 * R::EPSILON.to_f64() / sigma_hat.to_f64().powi(2)
+}
+
+/// A bound `l_0` and the Gram matrix it was certified on.
+type Certified<S> = (<S as Scalar>::Real, TiledMatrix<S>);
+
+/// `l_0` certified on the Gram matrix, with that matrix, or `None`. Run
+/// only for a method whose step from `1 - eps` is Cholesky-based: `G = X^H
+/// X` is formed, a copy factored `G = R^H R` stopping at the first pivot
+/// below `tau = ell* / MARGIN` (`sigma_min(R) <= min_j r_jj`: such an `R`
+/// could never certify), and `sigma_hat` taken from `R` as from a QR's. It
+/// is trusted when the bound it gives starts the plan Cholesky-based,
+/// `MARGIN sigma_hat >= ell*`, and [`gram_error`] is small; the first step
+/// then reads `G` instead of forming its own.
+fn gram_l0<S: Scalar, M: Method<S>>(
+    x: &mut Iterate<S>,
+    method: &M,
+    hook: Option<&ProgressHook>,
+) -> Result<Option<Certified<S>>, QdwhError> {
+    let Some(ell_star) = cholesky_from::<S, M>(method) else {
+        return Ok(None);
     };
-    Some((alpha, x, l0))
+    let xt = x.tiling();
+    let hooked = Hooked { hook, first_iteration: 1, first_conv: M::FIRST_CONV, ells: &[0.0] };
+    let mut gram =
+        TiledMatrix::zeros(Tiling::new(xt.n(), xt.n(), xt.nb(), xt.nb()), ProcessGrid::single());
+    let floor = S::Real::from_f64(ell_star / MARGIN);
+    let Some(r) = run_gram_start(x, &mut gram, floor, &hooked)? else {
+        return Ok(None);
+    };
+    let sigma_hat = tr_sigma_min_est(&r);
+    let raw = sigma_hat * S::Real::from_f64(MARGIN);
+    let trusted = raw.to_f64() >= ell_star && gram_error(xt.m(), sigma_hat) <= 0.1 * (1.0 - MARGIN);
+    Ok(trusted.then(|| (clamp_l0(raw), gram)))
+}
+
+/// Where a solve starts: the scale `alpha`, the scaled input tiled as the
+/// iterate, the bound `l_0` and — when `l_0` was certified on it — `X_0^H
+/// X_0`.
+pub(crate) struct Start<S: Scalar> {
+    pub alpha: S::Real,
+    pub x: Iterate<S>,
+    pub l0: S::Real,
+    pub gram: Option<TiledMatrix<S>>,
+}
+
+/// Algorithm 1 lines 10-19 for a dense input, at tile size `nb`: the
+/// two-norm estimate `alpha`, `X_0 = A / alpha` and `l_0`. `l0_override`
+/// is taken verbatim. Else, under [`L0Strategy::SigmaMinPowerIteration`],
+/// a method that could start Cholesky-based first tries the Gram route
+/// (`gram_l0`, task graphs the progress hook may cancel); a bound it does
+/// not certify — or any other strategy, or a method that must start
+/// QR-based — is [`estimate_l0`]'s, its QR the tile graph. `None` for the
+/// zero matrix.
+pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
+    a: &Matrix<S>,
+    opts: &QdwhOptions,
+    method: &M,
+    nb: usize,
+) -> Result<Option<Start<S>>, QdwhError> {
+    let alpha = norm2est(a).estimate;
+    if alpha == S::Real::ZERO {
+        return Ok(None);
+    }
+    // X_0 = A / alpha, tiled: the iterate from here on
+    let mut x = Iterate::scaled(a, alpha.recip(), nb);
+    let strategy = opts.l0_strategy;
+    let certified = match opts.l0_override {
+        None if strategy == L0Strategy::SigmaMinPowerIteration => {
+            gram_l0(&mut x, method, opts.progress.as_ref())?
+        }
+        _ => None,
+    };
+    let (l0, gram) = match (certified, opts.l0_override) {
+        (Some((l0, gram)), _) => (l0, Some(gram)),
+        (None, Some(v)) => (S::Real::from_f64(v), None),
+        (None, None) => {
+            let dense = x.to_dense();
+            let r_of_x = || geqrf_tiled(&dense, nb).extract_r();
+            (estimate_l0(dense.as_ref(), strategy, r_of_x), None)
+        }
+    };
+    Ok(Some(Start { alpha, x, l0, gram }))
 }
 
 /// One partial-fraction term `weight * X (alpha X^H X + shift I)^{-1}` of a
@@ -353,20 +471,18 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
         return Err(QdwhError::NonFinite { iteration: 0 });
     }
 
-    // the estimate's QR is a task graph too: a job cancelled while it
-    // queued runs neither graph. (No bound on sigma_min is known yet; 0 is
-    // one.)
+    // the start stage's graphs are task graphs too: a job cancelled while
+    // it queued runs none of them. (No bound on sigma_min is known yet; 0
+    // is one.)
     poll_progress(hook, 1, M::FIRST_CONV, 0.0)?;
     let nb = graph_tile_nb(opts.tile_nb, n);
-    let Some((alpha, x0, l0)) = scaled_start(a, opts.l0_override, opts.l0_strategy, nb) else {
+    let Some(Start { alpha, mut x, l0, gram }) = scaled_start(a, opts, method, nb)? else {
         // zero matrix: U = leading identity block, H = 0
         return Ok(without_iterating(Matrix::identity(m, n), if opts.compute_h { n } else { 0 }));
     };
     // the tiles are the iterate from here on, and they and the workspaces
     // outlive the graph that made them
-    let mut x = Iterate::from_dense(&x0, nb);
-    drop(x0);
-    let mut ws = Workspace::default();
+    let mut ws = Workspace::new(gram);
     let mut info = QdwhInfo::started(alpha, l0);
     let mut ell = M::Ell::from_f64(l0.to_f64());
     let mut conv = M::FIRST_CONV;
@@ -433,6 +549,34 @@ mod tests {
         assert_eq!(zolo_flops(32, 1, 1, 8, false), qr_iter + chol_iter + 2.0 * n3);
         assert_eq!(zolo_flops(32, 1, 1, 8, true), 4.0 * zolo_flops(32, 1, 1, 8, false));
         assert!(zolo_flops(32, 1, 1, 2, false) < zolo_flops(32, 1, 1, 8, false));
+    }
+
+    /// `ell*` is where the kind turns, for both families and both
+    /// precisions of the bound's recurrence: Cholesky-based at it, QR-based
+    /// just under it. (Single-precision Halley steps are NaN far below it:
+    /// no sign of either kind.)
+    #[test]
+    fn cholesky_from_finds_where_a_step_turns_cholesky_based() {
+        use crate::qdwh_impl::Halley;
+        use crate::zolo::Zolotarev;
+        fn turns<S: Scalar, M: Method<S>>(method: &M) -> f64 {
+            let ell = cholesky_from::<S, M>(method).expect("Cholesky-based from 1 - eps");
+            let kind = |e: f64| method.step_at(M::Ell::from_f64(e)).kind;
+            assert_eq!(kind(ell), IterationKind::CholeskyBased, "{ell:e}");
+            assert_eq!(kind(ell * (1.0 - 1e-6)), IterationKind::QrBased, "{ell:e}");
+            ell
+        }
+        let opts = QdwhOptions::default();
+        let (d, s) = (turns::<f64, _>(&Halley(&opts)), turns::<f32, _>(&Halley(&opts)));
+        // c = 100 at ell = 0.0483
+        assert!((d - 0.0483).abs() < 1e-4 && (s - d).abs() < 1e-6 * d, "{d:e} {s:e}");
+        // a Zolotarev step's kind: 0.075 at r = 2, 0.097 at r = 8
+        let zolo = [2, 8].map(|r| turns::<f64, _>(&Zolotarev(r)));
+        assert!(zolo[0] < zolo[1] && zolo[1] < 0.1, "{zolo:?}");
+        let path = |path| QdwhOptions { path, ..QdwhOptions::default() };
+        assert_eq!(cholesky_from::<f64, _>(&Halley(&path(IterationPath::ForceQr))), None);
+        let forced = cholesky_from::<f64, _>(&Halley(&path(IterationPath::ForceCholesky)));
+        assert_eq!(forced, Some(f64::EPSILON * f64::EPSILON));
     }
 
     #[test]

@@ -156,8 +156,13 @@ pub(crate) struct Iterate<S: Scalar> {
 }
 
 impl<S: Scalar> Iterate<S> {
-    pub(crate) fn from_dense(x: &Matrix<S>, nb: usize) -> Self {
-        let first = TiledMatrix::from_dense(x, nb, nb, ProcessGrid::single());
+    /// `scale * a`, tiled at `nb`: the bits of scaling `a` and then tiling
+    /// it, with no dense copy.
+    pub(crate) fn scaled(a: &Matrix<S>, scale: S::Real, nb: usize) -> Self {
+        let mut first = TiledMatrix::from_dense(a, nb, nb, ProcessGrid::single());
+        for tile in first.tiles_mut() {
+            scale_real(scale, tile.as_mut());
+        }
         let spare = TiledMatrix::zeros(first.tiling(), ProcessGrid::single());
         Self { bufs: [first, spare] }
     }
@@ -177,6 +182,10 @@ impl<S: Scalar> Iterate<S> {
         if iters % 2 == 1 {
             self.bufs.swap(0, 1);
         }
+    }
+
+    pub(crate) fn to_dense(&self) -> Matrix<S> {
+        self.bufs[0].to_dense()
     }
 
     pub(crate) fn into_dense(self) -> Matrix<S> {
@@ -593,7 +602,7 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
 
     // Z = L L^H in place. Indefiniteness cancels the whole solve — an
     // error aborts every later iteration too.
-    emit_potrf(dag, z, failure);
+    emit_potrf(dag, z, failure, S::Real::ZERO);
 
     // L_jj^{-1} per diagonal tile, which turns the diagonal solve of both
     // sweeps below into a multiply. A pivot trtri rejects is a factor
@@ -703,6 +712,87 @@ pub(crate) fn emit_shifted<'a, S: Scalar>(
                 }
             });
         }
+    }
+}
+
+/// The start stage's graphs ([`crate::skeleton::scaled_start`]) on the
+/// scaled input `x`, tiled as the iterate:
+///
+/// ```text
+/// G = X^H X          (emit_gram, lower tiles, into `gram`)
+/// G = L L^H          (tile Cholesky of a copy, stopping at a pivot < floor)
+/// ```
+///
+/// `Some(R)`, `R = L^H` (`n x n`, upper triangular: `R^H R = X^H X`, what
+/// a QR of `X` would give up to the signs of its rows), when every pivot of
+/// `L` is at least `floor`; `None` when one is not, or `G` is numerically
+/// indefinite — both cancel the graph at that diagonal tile. A cancel by
+/// the hook is an error. `gram` keeps `G` for the first step to read.
+///
+/// The leading diagonal tile goes first, as a graph of its own over `X`'s
+/// first tile column: the executor ranks every Gram tile above the
+/// factorization's panel chain (its path to the sink is longer), so a
+/// whole-matrix graph forms all of `G` before its first pivot, while an
+/// ill-conditioned input's pivots fall below the floor within the first
+/// tile. That probe declines such a start for one tile column's Gram.
+pub(crate) fn run_gram_start<S: Scalar>(
+    x: &mut Iterate<S>,
+    gram: &mut TiledMatrix<S>,
+    floor: S::Real,
+    hooked: &Hooked<'_>,
+) -> Result<Option<Matrix<S>>, QdwhError> {
+    let xt = x.tiling();
+    let _span = polar_obs::span!("gram_start", xt.m(), xt.n());
+    if xt.nt() > 1 {
+        let (m, nb) = (xt.m(), xt.nb());
+        let mut lead = TiledMatrix::zeros(Tiling::new(m, nb, nb, nb), ProcessGrid::single());
+        for (i, tile) in lead.tiles_mut().iter_mut().enumerate() {
+            tile.copy_from(x.bufs[0].tile(i, 0));
+        }
+        let mut g00 = TiledMatrix::zeros(Tiling::new(nb, nb, nb, nb), ProcessGrid::single());
+        if factor_gram(&mut lead, &mut g00, floor, hooked)?.is_none() {
+            return Ok(None);
+        }
+    }
+    let Some(l) = factor_gram(&mut x.bufs[0], gram, floor, hooked)? else {
+        return Ok(None);
+    };
+    let l = l.to_dense();
+    let n = l.ncols();
+    Ok(Some(Matrix::from_fn(n, n, |i, j| if i <= j { l[(j, i)].conj() } else { S::ZERO })))
+}
+
+/// One graph: `G = X^H X` of the tiles `x` into `gram` and a copy of it
+/// factored, `G = L L^H`, stopping at the first pivot below `floor`. `L`
+/// (lower tiles) if every pivot held.
+fn factor_gram<S: Scalar>(
+    x: &mut TiledMatrix<S>,
+    gram: &mut TiledMatrix<S>,
+    floor: S::Real,
+    hooked: &Hooked<'_>,
+) -> Result<Option<TiledMatrix<S>>, QdwhError> {
+    let gt = gram.tiling();
+    let nbf = gt.nb() as f64;
+    let mut l = TiledMatrix::zeros(gt, ProcessGrid::single());
+    let failure = OnceLock::<LapackError>::new();
+    let sink = NormSink::new(0, x.tiling());
+
+    let mut dag = TaskDag::new();
+    let xp = TilePtr::new(&mut dag, x);
+    let (g, lp) = (TilePtr::new(&mut dag, gram), TilePtr::new(&mut dag, &mut l));
+    emit_gram(&mut dag, xp, g, S::Real::ONE, S::Real::ZERO);
+    dag.barrier();
+    for j in 0..gt.nt() {
+        for i in j..gt.nt() {
+            let access = (lp.write(i, j), g.read(i, j));
+            dag.add_on(KernelKind::Geadd, 3, nbf * nbf, access, |(lt, gt)| lt.copy_from(gt));
+        }
+    }
+    emit_potrf(&mut dag, lp, &failure, floor);
+    match execute_hooked(dag, hooked, &sink, &failure) {
+        Ok(_) => Ok(Some(l)),
+        Err(QdwhError::Lapack(_)) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 

@@ -53,6 +53,9 @@ pub enum LapackError {
     /// Leading minor of the given order is not positive definite
     /// (Cholesky), mirroring LAPACK's positive `info`.
     NotPositiveDefinite(usize),
+    /// A Cholesky pivot below the floor the caller set, at the given
+    /// 0-based global row: the factorization stopped there on purpose.
+    PivotBelowFloor(usize),
     /// Exactly-zero pivot at the given index (LU).
     SingularPivot(usize),
     /// An iterative algorithm did not converge within its sweep budget.
@@ -67,6 +70,7 @@ impl std::fmt::Display for LapackError {
             LapackError::NotPositiveDefinite(k) => {
                 write!(f, "leading minor of order {k} is not positive definite")
             }
+            LapackError::PivotBelowFloor(k) => write!(f, "pivot of row {k} is below the floor"),
             LapackError::SingularPivot(k) => write!(f, "zero pivot at index {k}"),
             LapackError::NoConvergence { sweeps } => {
                 write!(f, "no convergence after {sweeps} sweeps")
@@ -98,6 +102,7 @@ impl LapackError {
             // properties of the input matrix itself — retrying the same
             // call reproduces them exactly
             LapackError::NotPositiveDefinite(_)
+            | LapackError::PivotBelowFloor(_)
             | LapackError::SingularPivot(_)
             | LapackError::Shape(_) => FailureClass::Permanent,
             // an exhausted iteration budget is a resource cap, not a

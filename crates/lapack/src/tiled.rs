@@ -582,11 +582,16 @@ pub fn emit_unmqr<'a, S: Scalar>(
 /// A diagonal tile that is not positive definite stores the error — the
 /// leading-minor offset globalized like LAPACK `info` — in `fail` and
 /// cancels the dag, so an [`ExecOutcome::Cancelled`] with `fail` set
-/// means this factorization broke down.
+/// means this factorization broke down. So does a diagonal tile with a
+/// pivot `l_jj` below `floor`: [`LapackError::PivotBelowFloor`] names the
+/// first such row. Since `sigma_min(L) <= min_j l_jj`, a caller that only
+/// wants a factor whose smallest singular value could reach `floor` stops
+/// there; a floor of 0 is the plain factorization.
 pub fn emit_potrf<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     a: TilePtr<'a, S>,
     fail: &'a OnceLock<LapackError>,
+    floor: S::Real,
 ) {
     let tiling = a.tiling();
     let nt = tiling.nt();
@@ -597,7 +602,13 @@ pub fn emit_potrf<'a, S: Scalar>(
         dag.barrier();
         let step = (nt - k) as i32 * 4;
         dag.add_on(KernelKind::Potrf, step + 3, nb3 / 3.0, a.write(k, k), move |akk| {
-            match crate::potrf(Uplo::Lower, akk) {
+            let factored = crate::potrf(Uplo::Lower, akk).and_then(|()| {
+                match (0..akk.ncols()).find(|&j| akk[(j, j)].abs() < floor) {
+                    Some(j) => Err(LapackError::PivotBelowFloor(k * nb + j)),
+                    None => Ok(()),
+                }
+            });
+            match factored {
                 Ok(()) => TaskStatus::Continue,
                 Err(e) => {
                     let e = match e {
@@ -755,7 +766,7 @@ pub fn potrf_tiled<S: Scalar>(uplo: Uplo, a: &mut Matrix<S>, nb: usize) -> Resul
     let failure = OnceLock::new();
     let mut dag = TaskDag::new();
     let tiles = TilePtr::new(&mut dag, &mut ta);
-    emit_potrf(&mut dag, tiles, &failure);
+    emit_potrf(&mut dag, tiles, &failure, S::Real::ZERO);
     if dag.execute() == ExecOutcome::Cancelled {
         return Err(failure.into_inner().unwrap_or(LapackError::NotPositiveDefinite(0)));
     }
@@ -1056,6 +1067,153 @@ mod tests {
         match err {
             LapackError::NotPositiveDefinite(off) => assert_eq!(off, 26),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    /// `spd` factored by [`emit_potrf`] at tile size `nb` under `floor`:
+    /// the factored tiles and the error the graph stopped on, if it did.
+    fn potrf_floored(
+        spd: &Matrix<f64>,
+        nb: usize,
+        floor: f64,
+    ) -> (TiledMatrix<f64>, Option<LapackError>) {
+        let mut t = TiledMatrix::from_dense(spd, nb, nb, ProcessGrid::single());
+        let failure = OnceLock::new();
+        let mut dag = TaskDag::new();
+        let tiles = TilePtr::new(&mut dag, &mut t);
+        emit_potrf(&mut dag, tiles, &failure, floor);
+        let outcome = dag.execute();
+        let failure = failure.into_inner();
+        assert_eq!(outcome == ExecOutcome::Cancelled, failure.is_some());
+        (t, failure)
+    }
+
+    /// SPD with Cholesky pivots `pivots` (`L = diag(pivots) + strictly lower
+    /// noise`, `A = L L^T`).
+    fn spd_with_pivots(pivots: &[f64], seed: u64) -> Matrix<f64> {
+        let n = pivots.len();
+        let noise = rand_mat(n, n, seed);
+        let l = Matrix::from_fn(n, n, |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Equal => pivots[i],
+            std::cmp::Ordering::Greater => 0.1 * noise[(i, j)],
+            std::cmp::Ordering::Less => 0.0,
+        });
+        let mut a = Matrix::<f64>::zeros(n, n);
+        gemm(Op::NoTrans, Op::ConjTrans, 1.0, l.as_ref(), l.as_ref(), 0.0, a.as_mut());
+        a
+    }
+
+    #[test]
+    fn potrf_floor_cancels_at_the_first_pivot_below_it() {
+        let (n, nb) = (40usize, 16usize);
+        // pivots 1 except 0.01 at rows 21 and 33: the first lies in the
+        // second tile, row 5 of it
+        let mut pivots = vec![1.0; n];
+        pivots[21] = 0.01;
+        pivots[33] = 0.01;
+        let spd = spd_with_pivots(&pivots, 5);
+        let (_, failure) = potrf_floored(&spd, nb, 0.1);
+        assert_eq!(failure, Some(LapackError::PivotBelowFloor(21)));
+        // accepted exactly when every pivot is at least the floor: the
+        // factor's own smallest pivot is the threshold
+        let (l, failure) = potrf_floored(&spd, nb, 0.0);
+        assert_eq!(failure, None);
+        let dense = l.to_dense();
+        let smallest = (0..n).map(|j| dense[(j, j)]).fold(f64::MAX, f64::min);
+        let (_, at) = potrf_floored(&spd, nb, smallest);
+        assert_eq!(at, None, "a pivot equal to the floor holds");
+        let (_, above) = potrf_floored(&spd, nb, smallest * (1.0 + 1e-15));
+        assert!(matches!(above, Some(LapackError::PivotBelowFloor(21 | 33))), "{above:?}");
+        // an indefinite matrix still reports its leading minor
+        let mut indefinite = Matrix::<f64>::identity(n, n);
+        indefinite[(25, 25)] = -1.0;
+        let (_, failure) = potrf_floored(&indefinite, nb, 0.5);
+        assert_eq!(failure, Some(LapackError::NotPositiveDefinite(26)));
+    }
+
+    /// A floor of 0 (or any below every pivot) is the plain factorization:
+    /// the same tasks, tile sets and edges, and the bits of the sequential
+    /// right-looking tile algorithm, which applies each tile's updates in
+    /// the panel order the dag's write chains impose.
+    #[test]
+    fn potrf_floor_of_zero_is_the_plain_tile_cholesky() {
+        let (n, nb) = (50usize, 16usize);
+        let b = rand_mat(n, n, 77);
+        let mut spd = Matrix::<f64>::identity(n, n);
+        gemm(Op::NoTrans, Op::ConjTrans, 1.0, b.as_ref(), b.as_ref(), n as f64, spd.as_mut());
+        let graph = |floor: f64| {
+            let failure = OnceLock::new();
+            let mut dag = TaskDag::new();
+            let tiles = TilePtr::<f64>::shape(&mut dag, Tiling::new(n, n, nb, nb));
+            emit_potrf(&mut dag, tiles, &failure, floor);
+            dag.into_graph()
+        };
+        let (plain, floored) = (graph(0.0), graph(1e-3));
+        assert_eq!(plain.len(), floored.len());
+        for (p, f) in plain.tasks.iter().zip(&floored.tasks) {
+            assert_eq!(
+                (p.kind, p.flops, &p.reads, &p.writes),
+                (f.kind, f.flops, &f.reads, &f.writes)
+            );
+            assert_eq!(plain.preds(p.id), floored.preds(f.id));
+        }
+
+        let mut seq = TiledMatrix::from_dense(&spd, nb, nb, ProcessGrid::single());
+        let nt = seq.nt();
+        for k in 0..nt {
+            potrf(Uplo::Lower, seq.tile_mut(k, k)).unwrap();
+            let akk = seq.tile(k, k).clone();
+            for i in k + 1..nt {
+                let aik = seq.tile_mut(i, k);
+                trsm(
+                    Side::Right,
+                    Uplo::Lower,
+                    Op::ConjTrans,
+                    Diag::NonUnit,
+                    1.0,
+                    akk.as_ref(),
+                    aik.as_mut(),
+                );
+            }
+            for i in k + 1..nt {
+                let aik = seq.tile(i, k).clone();
+                herk(
+                    Uplo::Lower,
+                    Op::NoTrans,
+                    -1.0,
+                    aik.as_ref(),
+                    1.0,
+                    seq.tile_mut(i, i).as_mut(),
+                );
+                for j in k + 1..i {
+                    let ajk = seq.tile(j, k).clone();
+                    let aij = seq.tile_mut(i, j);
+                    gemm(
+                        Op::NoTrans,
+                        Op::ConjTrans,
+                        -1.0,
+                        aik.as_ref(),
+                        ajk.as_ref(),
+                        1.0,
+                        aij.as_mut(),
+                    );
+                }
+            }
+        }
+        for floor in [0.0, 1e-3] {
+            let (dag, failure) = potrf_floored(&spd, nb, floor);
+            assert_eq!(failure, None);
+            for j in 0..nt {
+                for i in j..nt {
+                    let (d, s) = (dag.tile(i, j), seq.tile(i, j));
+                    let same = d
+                        .as_slice()
+                        .iter()
+                        .zip(s.as_slice())
+                        .all(|(x, y)| x.to_bits() == y.to_bits());
+                    assert!(same, "tile ({i}, {j}) at floor {floor}");
+                }
+            }
         }
     }
 

@@ -81,7 +81,7 @@ const FUSED_N: usize = 512; // several tile columns at the default tile size
 /// Master cond sweep for double precision; single precision gets the
 /// same sweep capped at `0.1 / eps_f32` (≈ 8e5) and deduplicated, per
 /// the gate's "1e0 → 1e13 for f64/c64, 1e0 → 1e5 for f32/c32" contract.
-const CONDS: [f64; 4] = [1e0, 1e4, 1e8, 1e13];
+const CONDS: [f64; 5] = [1e0, 1e1, 1e4, 1e8, 1e13];
 
 fn conds_for(eps: f64) -> Vec<f64> {
     let mut out: Vec<f64> = Vec::new();
@@ -115,38 +115,45 @@ pub fn case_grid() -> Vec<CaseSpec> {
     let single_conds = conds_for(f32::EPSILON as f64);
     let mut grid = Vec::new();
     let mut seed = 100u64;
+    // the kappa = 10 rows (the start's certified interior, in every type)
+    // joined the grid last: they count their own seeds, so that every
+    // other row keeps its input
+    let mut interior = 200u64;
+    let mut next = |cond: f64| {
+        let counter = if cond == 1e1 { &mut interior } else { &mut seed };
+        *counter += 1;
+        *counter
+    };
 
     for &tag in &["d", "z", "s", "c"] {
         let conds =
             if tag == "d" || tag == "z" { double_conds.clone() } else { single_conds.clone() };
         for &(m, nn) in &[(n, n), (m_rect, n)] {
             for &cond in &conds {
-                seed += 1;
                 grid.push(CaseSpec {
                     type_tag: tag,
                     solver: SolverPath::Qdwh,
                     m,
                     n: nn,
                     cond,
-                    seed,
+                    seed: next(cond),
                 });
             }
         }
     }
     for &tag in &["d", "z"] {
         for &cond in &double_conds {
-            seed += 1;
+            let seed = next(cond);
             grid.push(CaseSpec { type_tag: tag, solver: SolverPath::Zolo, m: n, n, cond, seed });
         }
         for &cond in &single_conds {
-            seed += 1;
+            let seed = next(cond);
             grid.push(CaseSpec { type_tag: tag, solver: SolverPath::Mixed, m: n, n, cond, seed });
         }
     }
     for &tag in &["d", "z"] {
         for &cond in &[1e4, 1e8] {
-            seed += 1;
-            let n = FUSED_N;
+            let (n, seed) = (FUSED_N, next(cond));
             grid.push(CaseSpec { type_tag: tag, solver: SolverPath::Zolo, m: n, n, cond, seed });
         }
     }
@@ -169,6 +176,12 @@ mod tests {
         }
         // double precision reaches 1e13; single is capped below 1e6
         assert!(grid.iter().any(|c| c.type_tag == "d" && c.cond == 1e13));
+        // kappa = 10, where a start is certified on the Gram matrix, in
+        // every type and solver
+        for (tag, solver) in [("d", SolverPath::Zolo), ("s", SolverPath::Qdwh)] {
+            assert!(grid.iter().any(|c| c.type_tag == tag && c.solver == solver && c.cond == 1e1));
+        }
+        assert!(grid.iter().any(|c| c.solver == SolverPath::Mixed && c.cond == 1e1));
         assert!(grid.iter().filter(|c| c.type_tag == "s").all(|c| c.cond < 1e6));
         assert!(grid.iter().any(|c| c.type_tag == "s" && c.cond > 1e5));
         // the fused Zolo graph is reached, in both double types

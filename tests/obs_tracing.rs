@@ -145,10 +145,16 @@ fn counted_flops_match_the_analytic_model_within_1_percent() {
     let rel = (counted - model).abs() / model;
     assert!(rel < 0.01, "QR-class flops off by {:.3}%: {counted} vs {model}", rel * 100.0);
 
+    // + the Gram matrix's declined attempt at certifying l_0, a graph of
+    // its own: at one tile its herk (a task counts the half gemm,
+    // `kernel_flops::herk` less the diagonal's `n^2`) and the potrf that
+    // stops at a pivot below the floor
+    let attempt_herk = kernel_flops::herk(n, n) - (n * n) as f64;
+    let attempt_potrf = kernel_flops::potrf(n);
     let counted_chol = report.kernels.get(KernelClass::Herk).flops as f64
         + report.kernels.get(KernelClass::Potrf).flops as f64
         + report.kernels.get(KernelClass::Trsm).flops as f64;
-    let model_chol = it_chol * chol_iter;
+    let model_chol = it_chol * chol_iter + attempt_herk + attempt_potrf;
     let rel = (counted_chol - model_chol).abs() / model_chol;
     assert!(
         rel < 0.01,
@@ -158,13 +164,17 @@ fn counted_flops_match_the_analytic_model_within_1_percent() {
 
     // the records partition what the graph's tasks counted: every class
     // total is the sum over the iterations' own phases, plus what ran
-    // outside the graph (the estimate's QR — and its triangular solves, the
-    // gemm forming H: classes left out here)
+    // outside the graph (the attempt and the estimate's QR — and its
+    // triangular solves, the gemm forming H: classes left out here)
     for class in [KernelClass::Geqrf, KernelClass::Orgqr, KernelClass::Potrf, KernelClass::Herk] {
         let in_phases: u64 = pd.info.records.iter().map(|r| r.kernels.get(class).flops).sum();
-        let outside =
-            if class == KernelClass::Geqrf { kernel_flops::geqrf(n, n) as u64 } else { 0 };
-        assert_eq!(report.kernels.get(class).flops, in_phases + outside, "{class:?}");
+        let outside = match class {
+            KernelClass::Geqrf => kernel_flops::geqrf(n, n),
+            KernelClass::Potrf => attempt_potrf,
+            KernelClass::Herk => attempt_herk,
+            _ => 0.0,
+        };
+        assert_eq!(report.kernels.get(class).flops, in_phases + outside as u64, "{class:?}");
     }
 
     // whole-solve total: iterations + condition estimation + final H gemm
