@@ -296,8 +296,9 @@ fn slab_cache_put<S: Scalar>(slabs: Slabs<S>) {
 
 /// Running per-entry iteration state.
 struct EntryState<R: Real> {
-    /// The planned steps, and how many of them have run.
-    steps: Vec<Step<R>>,
+    /// The planned steps (f64, as every plan), and how many of them have
+    /// run.
+    steps: Vec<Step<f64>>,
     next: usize,
     /// `None` while the entry iterates, then how it ended: converged (or
     /// the zero matrix), or the error that took it out of the wave.
@@ -330,7 +331,7 @@ impl<R: Real> EntryState<R> {
     fn replan<S: Scalar<Real = R>>(&mut self, opts: &QdwhOptions) {
         let (conv, ell) = self.last();
         let budget = opts.max_iterations.saturating_sub(self.info.iterations);
-        match qdwh_plan::<S>(opts, ell, conv, budget) {
+        match qdwh_plan::<S>(opts, ell.to_f64(), conv, budget) {
             Some(steps) if steps.is_empty() => self.outcome = Some(Ok(())),
             Some(steps) => (self.steps, self.next) = (steps, 0),
             None => {
@@ -341,11 +342,14 @@ impl<R: Real> EntryState<R> {
     }
 
     /// The step this round plays: its kind, `x_coef` and its one term as
-    /// that kind applies it. (The engine plays one-term steps: QDWH's.)
+    /// that kind applies it, rounded to `R`. (The engine plays one-term
+    /// steps: QDWH's.)
     fn next_step(&self) -> (IterationKind, R, (R, R, R)) {
         let step = &self.steps[self.next];
         let [term] = &step.terms[..] else { panic!("a batched step has one term") };
-        (step.kind, step.x_coef, term.applied(step.kind))
+        let (a, b, c) = term.applied(step.kind);
+        let to = R::from_f64;
+        (step.kind, to(step.x_coef), (to(a), to(b), to(c)))
     }
 }
 
@@ -725,7 +729,7 @@ fn run_chunk<S: Scalar>(
                     s.outcome = Some(Err(QdwhError::NonFinite { iteration }));
                     continue;
                 }
-                let ell = s.steps[s.next].ell_after;
+                let ell = S::Real::from_f64(s.steps[s.next].ell_after);
                 s.info.push(IterationRecord {
                     iteration,
                     kind,

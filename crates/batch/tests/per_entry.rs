@@ -242,3 +242,28 @@ fn only_a_solved_entry_vouches_for_its_l0() {
         }
     }
 }
+
+/// A rank-deficient f32 entry — a zero column puts its bound on the f32
+/// floor `eps^2`, where single-precision Halley weights overflow — plays
+/// the f64 plan every solve plays, and converges.
+#[test]
+fn a_rank_deficient_f32_entry_converges() {
+    let (mut a, _) = generate::<f64>(&MatrixSpec::well_conditioned(N, 3));
+    for i in 0..N {
+        a[(i, 5)] = 0.0;
+    }
+    let single = polar_matrix::Matrix::<f32>::from_fn(N, N, |i, j| a[(i, j)] as f32);
+    let mut wave = vec![BatchEntry::new(single.clone())];
+    let results = qdwh_batched_each(&mut wave, &BatchOptions::default()).expect("one shape");
+    assert!(results[0].is_ok(), "{:?}", results[0]);
+    // ||A - U H||_F / ||A||_F at the f32 level
+    let (mut err, mut scale) = (0.0f64, 0.0f64);
+    for j in 0..N {
+        for i in 0..N {
+            let uh: f64 = (0..N).map(|k| wave[0].u[(i, k)] as f64 * wave[0].h[(k, j)] as f64).sum();
+            err += (single[(i, j)] as f64 - uh).powi(2);
+            scale += (single[(i, j)] as f64).powi(2);
+        }
+    }
+    assert!((err / scale).sqrt() < 1e-5, "backward error {:e}", (err / scale).sqrt());
+}

@@ -14,20 +14,27 @@
 //! * QR-based with one term (QDWH): a stacked-QR term on `[sqrt(alpha) X;
 //!   sqrt(shift) I]` ([`crate::solve_dag`]'s), whose product tiles start
 //!   from `x_coef X` instead of zero — the update fused;
-//! * QR-based with several terms (Zolo-PD): one QR of `X = Q_x R`, then per
-//!   term a QR of the two-triangle stack `[sqrt(alpha_j) R; sqrt(shift_j)
-//!   I]` only — the terms share no written tile, so the `r` chains run
-//!   concurrently, the concurrency the paper's §8 wants Zolo-PD for — their
-//!   `coef_j Q1 Q2^H` summed in fixed term order into the top `n x n` of
-//!   `X_out`, `Q_x` applied, and one update task per tile adding `x_coef X`;
-//! * Cholesky-based: per term but the last, its multiple of `X Z_j^{-1}`
-//!   into a *private* slab `Y_j`; the last **carries the combine**
-//!   ([`Combine`]): its sweeps run in place in `X_out` and one update task
-//!   per tile adds `x_coef X + sum_j coef_j Y_j`, the terms in fixed order.
-//!   A one-term step has no slab. The Gram matrix is formed in place in the
-//!   term's `Z` when the step has one term, once into a shared slab each
-//!   term copies and shifts when it has several — or, for a solve's first
-//!   step, not at all when the start stage certified `l0` on it
+//! * QR-based with several terms (Zolo-PD): one QR of `X = Q_x R` (for a
+//!   solve's first step, the one the start stage ran), then per term a QR
+//!   of the two-triangle stack `[sqrt(alpha_j) R; sqrt(shift_j) I]` only —
+//!   the terms share no written tile, so the `r` chains run concurrently,
+//!   the concurrency the paper's §8 wants Zolo-PD for — their `coef_j Q1
+//!   Q2^H` summed in fixed term order into the top `n x n` of `X_out`, `Q_x`
+//!   applied, and one update task per tile adding `x_coef X`;
+//! * Cholesky-based with one term (QDWH): `Z = L L^H` and two sweeps that
+//!   leave `X Z^{-1}` in `X_out`, then one update task per tile adding
+//!   `x_coef X` ([`Combine`]). The Gram matrix is formed in place in the
+//!   term's `Z`;
+//! * Cholesky-based with several terms (Zolo-PD): the terms differ only in
+//!   their `n x n` matrices `Z_j = alpha_j X^H X + shift_j I`, so the step
+//!   is `X_out = X M`, `M = x_coef I + sum_j weight_j Z_j^{-1}` formed in
+//!   `n x n` space: `X^H X` once into a shared slab, per term its shifted
+//!   copy factored and inverted (`Z_j^{-1} = T_j^H T_j`, `T_j = L_j^{-1}`),
+//!   the terms summed into `M` — in the shared slab, once every term has
+//!   read `X^H X` — and one gemm over `X`. What scales with `m` is one
+//!   `herk` and one gemm, whatever `r`; the terms share no written tile
+//!   until the sum, so their chains run concurrently. A solve's first step
+//!   forms no Gram matrix when the start stage certified `l0` on one
 //!   ([`crate::skeleton::scaled_start`]): every term shifts that one.
 //!   Whatever the step, the task that writes a tile of `X_out` last
 //!   publishes its convergence partial `|X_k - X_{k-1}|_F^2`;
@@ -49,8 +56,9 @@ use crate::options::{graph_tile_nb, IterationKind};
 use crate::qdwh_impl::QdwhError;
 use crate::skeleton::{Step, Term};
 use crate::solve_dag::{
-    emit_chol_term, emit_combine, emit_factored_step, emit_gram, emit_shifted, emit_term,
-    execute_hooked, CholPtr, Combine, Hooked, Iterate, NormSink, TermPtr, TermWorkspace,
+    emit_apply, emit_chol_inverse, emit_chol_term, emit_combine, emit_factored_step, emit_gram,
+    emit_inverse_sum, emit_shifted, emit_term, execute_hooked, CholPtr, Combine, Hooked, Iterate,
+    NormSink, TermPtr, TermWorkspace,
 };
 use polar_lapack::{LapackError, QrPtr, QrStructure, TilePtr, TiledQr};
 use polar_matrix::{ProcessGrid, TiledMatrix, Tiling};
@@ -61,14 +69,15 @@ use std::sync::OnceLock;
 /// What a solve's graphs allocate, each matrix by the first graph that names
 /// it, kept for the next (a continuation step). Per term: a stacked-QR
 /// workspace only if a graph plans a QR-based step (over `X`, or with
-/// several terms over `X`'s `R`); a Cholesky term lives in that workspace's
-/// `Q` ([`TermPtr::chol`]) when there is one, else in a host of its own (`n
-/// x n` and one tile row: [`CholPtr::within`]); and, for every term but the
-/// one that carries the combine, the private slab `Y_j`. Shared: the Gram
-/// matrix — of a several-term Cholesky-based step, or the one the start
-/// stage certified `l_0` on, which a Cholesky-based first step reads instead
-/// of forming its own — and the QR of `X` of a several-term QR-based step,
-/// whose matrix is the first term's slab, which such a step leaves unused.
+/// several terms over `X`'s `R`), and a Cholesky term lives in that
+/// workspace's `Q` ([`TermPtr::chol`]) when there is one, else in a host of
+/// its own (`n x n` and one tile row: [`CholPtr::within`]). Shared: the Gram
+/// matrix of a several-term Cholesky-based step — or the one the start
+/// stage certified `l_0` on, which a Cholesky-based first step reads
+/// instead of forming its own — which holds that step's `M` once its terms
+/// have read it; and the QR of `X` of a several-term QR-based step — or the
+/// one the start stage ran, which such a first step reads instead of
+/// factoring `X` again.
 #[derive(Default)]
 pub(crate) struct Workspace<S: Scalar> {
     terms: Vec<TermStore<S>>,
@@ -76,13 +85,16 @@ pub(crate) struct Workspace<S: Scalar> {
     factor: Option<TiledQr<S>>,
     /// `gram` holds `X^H X` of the iterate the next graph starts from.
     gram_given: bool,
+    /// `factor` holds the tile QR of the iterate the next graph starts from.
+    factor_given: bool,
 }
 
 impl<S: Scalar> Workspace<S> {
-    /// The workspace of a solve, holding `X_0^H X_0` when the start stage
-    /// formed it.
-    pub(crate) fn new(gram: Option<TiledMatrix<S>>) -> Self {
-        Self { gram_given: gram.is_some(), gram, ..Self::default() }
+    /// The workspace of a solve, holding `X_0^H X_0` or the tile QR of
+    /// `X_0` when the start stage formed it.
+    pub(crate) fn new(gram: Option<TiledMatrix<S>>, factor: Option<TiledQr<S>>) -> Self {
+        let (gram_given, factor_given) = (gram.is_some(), factor.is_some());
+        Self { gram_given, factor_given, gram, factor, ..Self::default() }
     }
 }
 
@@ -90,7 +102,6 @@ impl<S: Scalar> Workspace<S> {
 struct TermStore<S: Scalar> {
     qr: Option<TermWorkspace<S>>,
     chol: Option<TiledMatrix<S>>,
-    y: Option<TiledMatrix<S>>,
 }
 
 /// Everything the planned steps read and write, as the tasks of one dag see
@@ -103,12 +114,13 @@ struct GraphPtrs<'a, S: Scalar> {
     /// `gram` holds `X_in^H X_in` of the first step: it forms none.
     gram_given: bool,
     factor: Option<QrPtr<'a, S>>,
+    /// `factor` holds the tile QR of `X_in` of the first step: it runs none.
+    factor_given: bool,
 }
 
 struct TermSlot<'a, S: Scalar> {
     qr: Option<TermPtr<'a, S>>,
     chol: Option<CholPtr<'a, S>>,
-    y: Option<TilePtr<'a, S>>,
 }
 
 /// Name a workspace matrix tiled as `t` in `dag`: a shape, or with `backed`
@@ -134,11 +146,11 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
     /// to outlive the dag whose bodies borrow it. Without, storage-free. A
     /// Gram matrix `ws` was given is the first step's, if that step is
     /// Cholesky-based, and no later graph's.
-    fn name<R>(
+    fn name(
         dag: &mut TaskDag<'_>,
         sink: &mut NormSink,
         xt: Tiling,
-        plan: &[Step<R>],
+        plan: &[Step<f64>],
         x: Option<&'a mut [TiledMatrix<S>; 2]>,
         ws: &'a mut Workspace<S>,
     ) -> Self {
@@ -154,6 +166,8 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
         let chol = || plan.iter().filter(|p| p.kind == IterationKind::CholeskyBased);
         let first_chol = plan.first().is_some_and(|p| p.kind == IterationKind::CholeskyBased);
         let gram_given = std::mem::take(&mut ws.gram_given) && first_chol;
+        let factor_given = std::mem::take(&mut ws.factor_given)
+            && plan.first().is_some_and(|p| p.kind == IterationKind::QrBased && p.terms.len() > 1);
         let qr = chol().count() < plan.len() || ws.terms.iter().any(|t| t.qr.is_some());
         let own_chol = !qr && chol().count() > 0;
         let terms = plan.iter().map(|p| p.terms.len()).max().unwrap_or(0);
@@ -171,7 +185,7 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
                 shape
             }
         });
-        let slot = |(j, store): (usize, &'a mut TermStore<S>)| {
+        let slot = |store: &'a mut TermStore<S>| {
             let qr = qr.then(|| {
                 let shape = TermPtr::shape(dag, m, n, nb, over_r);
                 let new = || TermWorkspace::new(m, n, nb, over_r);
@@ -183,16 +197,12 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
             });
             let host = Tiling::new(n + nb, n, nb, nb);
             let own = own_chol.then(|| CholPtr::within(tiles(dag, host, &mut store.chol, backed)));
-            let y = (j + 1 < terms).then(|| match factor {
-                Some(f) if j == 0 => f.a,
-                _ => tiles(dag, xt, &mut store.y, backed),
-            });
-            TermSlot { qr, chol: qr.map(TermPtr::chol).or(own), y }
+            TermSlot { qr, chol: qr.map(TermPtr::chol).or(own) }
         };
-        let terms = ws.terms.iter_mut().take(terms).enumerate().map(slot).collect();
+        let terms = ws.terms.iter_mut().take(terms).map(slot).collect();
         let shared = gram_given || chol().any(|p| p.terms.len() > 1);
         let gram = shared.then(|| tiles(dag, Tiling::new(n, n, nb, nb), &mut ws.gram, backed));
-        Self { x, terms, gram, gram_given, factor }
+        Self { x, terms, gram, gram_given, factor, factor_given }
     }
 }
 
@@ -205,8 +215,9 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
 /// [`crate::qdwh_distributed`] meters. A Cholesky-based first step reads
 /// the Gram matrix the start stage formed, as in a solve whose `l_0` was
 /// certified on it (every Cholesky-first solve of the default options, in
-/// practice): that graph — like the QR a QR-first solve estimates `l_0`
-/// with — is not part of this one.
+/// practice), and a QR-based first step of several terms the tile QR of `X`
+/// the start stage estimated `l_0` with (every QR-first Zolo-PD solve of
+/// the default options): those graphs are not part of this one.
 pub fn task_graph<S: Scalar>(
     m: usize,
     n: usize,
@@ -222,7 +233,7 @@ pub fn task_graph<S: Scalar>(
     let xt = Tiling::new(m, n, nb, nb);
     let failure = OnceLock::new();
     let mut sink = NormSink::new(plan.len(), xt);
-    let mut ws = Workspace::<S> { gram_given: true, ..Workspace::default() };
+    let mut ws = Workspace::<S> { gram_given: true, factor_given: true, ..Workspace::default() };
     let mut dag = TaskDag::new();
     let at = GraphPtrs::name(&mut dag, &mut sink, xt, &plan, None, &mut ws);
     emit_steps(&mut dag, &at, &plan, &sink, &failure);
@@ -230,15 +241,14 @@ pub fn task_graph<S: Scalar>(
 }
 
 /// Add every planned step to `dag`, one phase each.
-fn emit_steps<'a, S: Scalar, R: Real>(
+fn emit_steps<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     at: &GraphPtrs<'a, S>,
-    plan: &[Step<R>],
+    plan: &[Step<f64>],
     sink: &'a NormSink,
     failure: &'a OnceLock<LapackError>,
 ) {
-    let real = |v: R| S::Real::from_f64(v.to_f64());
-    let scalar = |v: R| S::from_f64(v.to_f64());
+    let (real, scalar) = (S::Real::from_f64, S::from_f64);
     for (k, step) in plan.iter().enumerate() {
         if k > 0 {
             dag.next_phase();
@@ -248,22 +258,22 @@ fn emit_steps<'a, S: Scalar, R: Real>(
         // the coefficient of what its factorization leaves
         let applied: Vec<_> = step.terms.iter().map(|t| t.applied(step.kind)).collect();
         let coefs: Vec<S> = applied.iter().map(|a| scalar(a.2)).collect();
-        let x_coef = scalar(step.x_coef);
-        let combine = |ys, coefs| Combine { x: xin, x_coef, ys, coefs, sink, iter: k };
+        let combine = Combine { x: xin, x_coef: scalar(step.x_coef), sink, iter: k };
 
         match step.kind {
             // coef_j Q1 Q2^H, [Q1; Q2] R = [sqrt(alpha_j) X_in; sqrt(shift_j) I]
             IterationKind::QrBased => {
-                let combine = combine(Vec::new(), Vec::new());
                 let qr = |j: usize| at.terms[j].qr.expect("plan has a QR-based step");
                 match (at.factor, &applied[..]) {
-                    // several terms: X_in = Q_x R once, the terms' QRs of
+                    // several terms: X_in = Q_x R once — which the first
+                    // step may have been given — the terms' QRs of
                     // [sqrt(alpha_j) R; sqrt(shift_j) I], summed before Q_x
                     (Some(f), _) => {
+                        let given = k == 0 && at.factor_given;
                         let terms: Vec<_> = (0..applied.len()).map(|j| (qr(j), coefs[j])).collect();
                         let scales: Vec<_> =
                             applied.iter().map(|&(s, d, _)| (real(s), real(d))).collect();
-                        emit_factored_step(dag, f, &terms, &scales, xout, &combine);
+                        emit_factored_step(dag, f, given, &terms, &scales, xout, &combine);
                     }
                     (None, &[(s, d, _)]) => {
                         let scales = (real(s), real(d));
@@ -272,29 +282,42 @@ fn emit_steps<'a, S: Scalar, R: Real>(
                     (None, _) => unreachable!("a solve of several terms factors X once"),
                 }
             }
-            // coef_j X_in Z_j^{-1}, Z_j = alpha_j X_in^H X_in + shift_j I; the
-            // last term's in X_out (whose buffer last held X_{k-1}: every
-            // reader of that is upstream of the L the sweeps wait for)
+            // Z_j = alpha_j X_in^H X_in + shift_j I. One term: coef X_in
+            // Z^{-1} by sweeps in X_out (whose buffer last held X_{k-1}:
+            // every reader of that is upstream of the L the sweeps wait
+            // for). Several: X_in M, M = x_coef I + sum_j coef_j Z_j^{-1}
             IterationKind::CholeskyBased => {
-                let last = applied.len() - 1;
-                let slab = |j: usize| at.terms[j].y.expect("every term but the last has a slab");
+                let several = applied.len() > 1;
+                let chol = |j: usize| at.terms[j].chol.expect("plan has a Cholesky-based step");
                 // one term forms its Z in place, several share X_in^H X_in —
                 // which the first step may have been given
                 let given = k == 0 && at.gram_given;
-                let gram = at.gram.filter(|_| last > 0 || given);
+                let gram = at.gram.filter(|_| several || given);
                 if let (Some(gram), false) = (gram, given) {
                     emit_gram(dag, xin, gram, S::Real::ONE, S::Real::ZERO);
                 }
-                for (j, (term, &(alpha, shift, _))) in at.terms.iter().zip(&applied).enumerate() {
-                    let chol = term.chol.expect("plan has a Cholesky-based step");
+                for (j, &(alpha, shift, _)) in applied.iter().enumerate() {
+                    let z = chol(j).z;
                     match gram {
-                        Some(gram) => emit_shifted(dag, gram, chol.z, real(alpha), real(shift)),
-                        None => emit_gram(dag, xin, chol.z, real(alpha), real(shift)),
+                        Some(gram) => emit_shifted(dag, gram, z, real(alpha), real(shift)),
+                        None => emit_gram(dag, xin, z, real(alpha), real(shift)),
                     }
-                    emit_chol_term(dag, chol, xin, if j < last { slab(j) } else { xout }, failure);
+                    if several {
+                        emit_chol_inverse(dag, chol(j), failure);
+                    } else {
+                        emit_chol_term(dag, chol(j), xin, xout, failure);
+                    }
                 }
-                let combine = combine((0..last).map(slab).collect(), coefs[..last].to_vec());
-                emit_combine(dag, xout, coefs[last], &combine);
+                match gram.filter(|_| several) {
+                    // M over X^H X, once every term has shifted it
+                    Some(m) => {
+                        let terms: Vec<_> =
+                            applied.iter().enumerate().map(|(j, a)| (chol(j), real(a.2))).collect();
+                        emit_inverse_sum(dag, &terms, real(step.x_coef), m);
+                        emit_apply(dag, xin, m, xout, sink, k);
+                    }
+                    None => emit_combine(dag, xout, coefs[0], &combine),
+                }
             }
         }
         sink.emit_reduce::<S::Real>(dag, k);
@@ -304,10 +327,10 @@ fn emit_steps<'a, S: Scalar, R: Real>(
 /// Run the planned steps on `x` as one task graph: the iterate advanced in
 /// place, the sink holding each step's convergence norm and the executor's
 /// per-phase measurements.
-pub(crate) fn run_graph<S: Scalar, R: Real>(
+pub(crate) fn run_graph<S: Scalar>(
     x: &mut Iterate<S>,
     ws: &mut Workspace<S>,
-    plan: &[Step<R>],
+    plan: &[Step<f64>],
     hooked: &Hooked<'_>,
 ) -> Result<(NormSink, Vec<PhaseProfile>), QdwhError> {
     let xt = x.tiling();
@@ -452,8 +475,8 @@ mod tests {
                     QdwhOptions { l0_override: Some(l0), path, tile_nb: Some(16), ..fused_opts() };
                 let method = Halley(&opts);
                 let first_conv = <Halley<'_> as Method<S>>::FIRST_CONV;
-                let planned = plan::<S, _>(&method, S::Real::from_f64(l0), first_conv, 50)
-                    .expect("inside the cap");
+                let l0 = S::Real::from_f64(l0).to_f64();
+                let planned = plan::<S, _>(&method, l0, first_conv, 50).expect("inside the cap");
                 let Ok(graph) = qdwh(a, &opts) else {
                     // a start below the type's range, or a forced Cholesky
                     // on an indefinite Z
@@ -466,7 +489,7 @@ mod tests {
                 assert!(records.len() >= planned.len(), "{case}: {}", records.len());
                 for (rec, step) in records.iter().zip(&planned) {
                     assert_eq!(rec.kind, step.kind, "{case}");
-                    assert_eq!(rec.ell, step.ell_after, "{case}");
+                    assert_eq!(rec.ell, S::Real::from_f64(step.ell_after), "{case}");
                 }
                 let forced_qr = path == IterationPath::ForceQr;
                 for rec in &records[planned.len()..] {
@@ -600,6 +623,32 @@ mod tests {
         ) {
             let (a, _) = generate::<Complex64>(&geometric(n, n, 10f64.powf(log_cond), seed));
             graph_case(&a, 1e-13);
+        }
+    }
+
+    /// A several-term Cholesky-based step touches `X` in two places — the
+    /// Gram matrix and one `X M` gemm — whatever its `r`: the count of tasks
+    /// that read `X` or write `X'` is that of `r = 2` at every `r`. (The
+    /// iterate's two buffers are the first matrices a graph names after the
+    /// sink's two.)
+    #[test]
+    fn zolo_chol_step_touches_x_as_often_at_every_r() {
+        let (x_in, x_out) = (2, 3);
+        let touching = |m: usize, n: usize, r: usize| {
+            let graph = task_graph::<f64>(m, n, 16, &[IterationKind::CholeskyBased], r);
+            let reads_x = |t: &polar_runtime::Task| t.reads.iter().any(|r| r.matrix == x_in);
+            let writes_x = |t: &polar_runtime::Task| t.writes.iter().any(|w| w.matrix == x_out);
+            graph.tasks.iter().filter(|t| reads_x(t) || writes_x(t)).count()
+        };
+        for (m, n) in [(96usize, 96usize), (150, 70)] {
+            let (mt, nt) = (m.div_ceil(16), n.div_ceil(16));
+            // the first step reads the start's Gram matrix: only X M
+            assert_eq!(touching(m, n, 2), mt * nt, "{m}x{n}");
+            for r in [3usize, 8] {
+                assert_eq!(touching(m, n, r), touching(m, n, 2), "{m}x{n} r = {r}");
+            }
+            // and one term sweeps X, twice per tile
+            assert!(touching(m, n, 1) > mt * nt, "{m}x{n}");
         }
     }
 

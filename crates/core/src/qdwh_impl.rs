@@ -257,20 +257,19 @@ pub fn qdwh<S: Scalar>(
 
 /// The steps from the bound `ell` as [`qdwh`] plans them under `opts`:
 /// empty when the last step's norm `conv` and `ell` pass the stop test,
-/// `None` past `budget` steps or for a `terms` outside `1..=8`. A Zolotarev
-/// plan (`terms > 1`) runs in f64 whatever `S`.
+/// `None` past `budget` steps or for a `terms` outside `1..=8`. Every plan
+/// runs in f64 whatever `S`: a kernel gets its coefficients rounded to `S`
+/// ([`crate::Term::applied`]'s), and the stop test compares with `S`'s
+/// precision.
 pub fn qdwh_plan<S: Scalar>(
     opts: &QdwhOptions,
-    ell: S::Real,
+    ell: f64,
     conv: f64,
     budget: usize,
-) -> Option<Vec<Step<S::Real>>> {
+) -> Option<Vec<Step<f64>>> {
     match opts.terms {
         1 => plan::<S, _>(&Halley(opts), ell, conv, budget),
-        r if DEGREES.contains(&r) => {
-            let steps = plan::<S, _>(&Zolotarev(r), ell.to_f64(), conv, budget)?;
-            Some(steps.iter().map(Step::cast).collect())
-        }
+        r if DEGREES.contains(&r) => plan::<S, _>(&Zolotarev(r), ell, conv, budget),
         _ => None,
     }
 }
@@ -280,19 +279,19 @@ pub fn qdwh_plan<S: Scalar>(
 pub(crate) struct Halley<'a>(pub &'a QdwhOptions);
 
 impl<S: Scalar> Method<S> for Halley<'_> {
-    type Ell = S::Real;
     const NAME: &'static str = "qdwh";
     const FIRST_CONV: f64 = 100.0;
 
-    fn step_at(&self, ell: S::Real) -> Step<S::Real> {
+    fn step_at(&self, ell: f64) -> Step<f64> {
         Step::halley(ell, self.0.path, self.0.qr_switch_threshold)
     }
 
     /// Algorithm 1 line 22: `||X_k - X_{k-1}||_F` below `cbrt(5 eps)` — the
-    /// tolerance of a cubically convergent method — and `|l_k - 1| < 5 eps`.
-    fn converged(conv: f64, ell: S::Real) -> bool {
-        let five_eps = S::Real::from_f64(5.0) * S::Real::EPSILON;
-        S::Real::from_f64(conv) < five_eps.cbrt() && (ell - S::Real::ONE).abs() < five_eps
+    /// tolerance of a cubically convergent method — and `|l_k - 1| < 5 eps`,
+    /// `eps` the precision of `S`.
+    fn converged(conv: f64, ell: f64) -> bool {
+        let five_eps = 5.0 * S::Real::EPSILON.to_f64();
+        conv < five_eps.cbrt() && (ell - 1.0).abs() < five_eps
     }
 
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64 {

@@ -26,7 +26,7 @@ use crate::qdwh_impl::{IterationRecord, PolarDecomposition, QdwhError, QdwhInfo}
 use crate::solve_dag::{run_gram_start, Hooked, Iterate};
 use polar_blas::flops::type_factor;
 use polar_blas::{gemm, norm, symmetrize};
-use polar_lapack::{gecondest, geqrf_tiled, getrf, norm2est, tr_sigma_min_est, trcondest};
+use polar_lapack::{gecondest, geqrf_tiled, getrf, norm2est, tr_sigma_min_est, trcondest, TiledQr};
 use polar_matrix::{MatRef, Matrix, Norm, Op, ProcessGrid, TiledMatrix, Tiling};
 use polar_scalar::{Real, Scalar};
 
@@ -89,8 +89,7 @@ pub fn estimate_l0<S: Scalar>(
 /// overflow under `ell ~ 1e-10`, and such a step is no sign of either kind.
 fn cholesky_from<S: Scalar, M: Method<S>>(method: &M) -> Option<f64> {
     let eps = S::Real::EPSILON.to_f64();
-    let chol =
-        |ell: f64| method.step_at(M::Ell::from_f64(ell)).kind == IterationKind::CholeskyBased;
+    let chol = |ell: f64| method.step_at(ell).kind == IterationKind::CholeskyBased;
     let (floor, mut hi) = (eps * eps, 1.0 - eps);
     if !chol(hi) {
         return None;
@@ -157,13 +156,15 @@ fn gram_l0<S: Scalar, M: Method<S>>(
 }
 
 /// Where a solve starts: the scale `alpha`, the scaled input tiled as the
-/// iterate, the bound `l_0` and — when `l_0` was certified on it — `X_0^H
-/// X_0`.
+/// iterate, the bound `l_0`, — when `l_0` was certified on it — `X_0^H
+/// X_0`, and — when `l_0` was estimated on it and the first step factors
+/// `X_0` (a QR-based step of several terms) — the tile QR of `X_0`.
 pub(crate) struct Start<S: Scalar> {
     pub alpha: S::Real,
     pub x: Iterate<S>,
     pub l0: S::Real,
     pub gram: Option<TiledMatrix<S>>,
+    pub factor: Option<TiledQr<S>>,
 }
 
 /// Algorithm 1 lines 10-19 for a dense input, at tile size `nb`: the
@@ -172,8 +173,8 @@ pub(crate) struct Start<S: Scalar> {
 /// a method that could start Cholesky-based first tries the Gram route
 /// (`gram_l0`, task graphs the progress hook may cancel); a bound it does
 /// not certify — or any other strategy, or a method that must start
-/// QR-based — is [`estimate_l0`]'s, its QR the tile graph. `None` for the
-/// zero matrix.
+/// QR-based — is [`estimate_l0`]'s, its QR the tile graph, kept for a first
+/// step that would factor `X_0` again. `None` for the zero matrix.
 pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
     a: &Matrix<S>,
     opts: &QdwhOptions,
@@ -193,16 +194,22 @@ pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
         }
         _ => None,
     };
-    let (l0, gram) = match (certified, opts.l0_override) {
-        (Some((l0, gram)), _) => (l0, Some(gram)),
-        (None, Some(v)) => (S::Real::from_f64(v), None),
+    let (l0, gram, factor) = match (certified, opts.l0_override) {
+        (Some((l0, gram)), _) => (l0, Some(gram), None),
+        (None, Some(v)) => (S::Real::from_f64(v), None, None),
         (None, None) => {
             let dense = x.to_dense();
-            let r_of_x = || geqrf_tiled(&dense, nb).extract_r();
-            (estimate_l0(dense.as_ref(), strategy, r_of_x), None)
+            let mut factor = None;
+            let r_of_x = || factor.insert(geqrf_tiled(&dense, nb)).extract_r();
+            let l0 = estimate_l0(dense.as_ref(), strategy, r_of_x);
+            // the same tiles through the same kernels: the first step's QR
+            let step = method.step_at(l0.to_f64());
+            let reads = step.kind == IterationKind::QrBased && step.terms.len() > 1;
+            let factor = factor.filter(|f| reads && f.a.tiling() == x.tiling());
+            (l0, None, factor)
         }
     };
-    Ok(Some(Start { alpha, x, l0, gram }))
+    Ok(Some(Start { alpha, x, l0, gram, factor }))
 }
 
 /// One partial-fraction term `weight * X (alpha X^H X + shift I)^{-1}` of a
@@ -247,50 +254,38 @@ pub struct Step<R> {
     pub terms: Vec<Term<R>>,
 }
 
-impl<R: Real> Step<R> {
+impl Step<f64> {
     /// The dynamically weighted Halley step from the bound `ell` (Algorithm
     /// 1 lines 23-29): `x_coef = b/c` and the one term
     /// `(a - b/c) X (c X^H X + I)^{-1}`, QR-based while `c > switch` under
     /// [`IterationPath::Auto`] (the paper's switch is 100).
-    pub(crate) fn halley(ell: R, path: IterationPath, switch: f64) -> Self {
+    pub(crate) fn halley(ell: f64, path: IterationPath, switch: f64) -> Self {
         let p = halley_parameters(ell);
         let kind = match path {
-            IterationPath::Auto if p.c.to_f64() > switch => IterationKind::QrBased,
+            IterationPath::Auto if p.c > switch => IterationKind::QrBased,
             IterationPath::Auto => IterationKind::CholeskyBased,
             IterationPath::ForceQr => IterationKind::QrBased,
             IterationPath::ForceCholesky => IterationKind::CholeskyBased,
         };
         let x_coef = p.b / p.c;
-        let term = Term { alpha: p.c, shift: R::ONE, weight: p.a - x_coef };
+        let term = Term { alpha: p.c, shift: 1.0, weight: p.a - x_coef };
         Step { kind, ell_after: update_ell(ell, p), x_coef, terms: vec![term] }
-    }
-
-    /// The same step in another precision.
-    pub(crate) fn cast<T: Real>(&self) -> Step<T> {
-        let to = |v: R| T::from_f64(v.to_f64());
-        let term =
-            |t: &Term<R>| Term { alpha: to(t.alpha), shift: to(t.shift), weight: to(t.weight) };
-        Step {
-            kind: self.kind,
-            ell_after: to(self.ell_after),
-            x_coef: to(self.x_coef),
-            terms: self.terms.iter().map(term).collect(),
-        }
     }
 }
 
 /// The iteration sequence from the bound `ell`, known before any flop runs:
 /// a method's recurrence is a function of the scalar bound alone, so it is
-/// run until the stop test would pass on a converged iterate. `conv` is the
+/// run — in f64, whatever `S` — until the stop test would pass on a
+/// converged iterate. `conv` is the
 /// norm the last step run left (`0` to plan from the bound alone): a bound
 /// already at 1 under a norm still above tolerance plans the one step more
 /// that norm asks for. `None` when the sequence is longer than `budget`.
 pub(crate) fn plan<S: Scalar, M: Method<S>>(
     method: &M,
-    mut ell: M::Ell,
+    mut ell: f64,
     conv: f64,
     budget: usize,
-) -> Option<Vec<Step<M::Ell>>> {
+) -> Option<Vec<Step<f64>>> {
     let mut plan = Vec::new();
     while !M::converged(if plan.is_empty() { conv } else { 0.0 }, ell) {
         if plan.len() >= budget {
@@ -314,12 +309,13 @@ fn step_weight(kind: IterationKind) -> f64 {
 
 /// Flops of one Zolo-PD iteration of degree `r` in units of `n^3`.
 /// QR-based: `r` stacked QRs with their explicit `Q` (`10/3` each) and
-/// rank-`n` products. Cholesky-based: the Gram matrix once, then per term
-/// a Cholesky factorization (`1/3`) and the two sweeps.
+/// rank-`n` products. Cholesky-based: the Gram matrix once, per term a
+/// Cholesky factorization, its inverse and the `T^H T` triangle (`1/3`
+/// each), then one `X M` gemm (`2`).
 fn zolo_step_weight(kind: IterationKind, r: usize) -> f64 {
     match kind {
         IterationKind::QrBased => r as f64 * ((10.0 / 3.0) * 2.0 + 2.0),
-        IterationKind::CholeskyBased => 1.0 + r as f64 * (1.0 / 3.0 + 2.0),
+        IterationKind::CholeskyBased => 3.0 + r as f64,
     }
 }
 
@@ -335,8 +331,8 @@ pub fn qdwh_flops(n: usize, it_qr: usize, it_chol: usize, complex: bool) -> f64 
 }
 
 /// Zolo-PD's cost in real flops at degree `r`: the iterations by kind
-/// (`r (20/3 + 2) n^3` QR-based, `(1 + r (1/3 + 2)) n^3` Cholesky-based),
-/// plus the final `H`.
+/// (`r (20/3 + 2) n^3` QR-based, `(3 + r) n^3` Cholesky-based), plus the
+/// final `H`.
 pub fn zolo_flops(n: usize, it_qr: usize, it_chol: usize, r: usize, complex: bool) -> f64 {
     let n3 = (n as f64).powi(3);
     type_factor(complex)
@@ -429,13 +425,12 @@ fn without_iterating<S: Scalar>(u: Matrix<S>, h_order: usize) -> PolarDecomposit
 }
 
 /// What tells one member of the QDWH family from another under [`solve`]
-/// — all of it something a merge of the two would change: the type the
-/// bound's recurrence runs in, the stop test, the sentinel a hook sees
-/// first, the span name and the cost model. Every other option both read
-/// from the one [`QdwhOptions`].
+/// — all of it something a merge of the two would change: the step, the
+/// stop test, the sentinel a hook sees first, the span name and the cost
+/// model. Every other option both read from the one [`QdwhOptions`]. The
+/// bound's recurrence runs in f64 for every `S`; the stop test compares
+/// with `S`'s precision.
 pub(crate) trait Method<S: Scalar> {
-    /// The type the bound's recurrence runs in.
-    type Ell: Real;
     /// Span name of the solve.
     const NAME: &'static str;
     /// What the progress hook is told of `||X_k - X_{k-1}||_F` before any
@@ -443,10 +438,10 @@ pub(crate) trait Method<S: Scalar> {
     const FIRST_CONV: f64;
 
     /// The iteration that starts from the bound `ell`.
-    fn step_at(&self, ell: Self::Ell) -> Step<Self::Ell>;
+    fn step_at(&self, ell: f64) -> Step<f64>;
 
     /// The stop test, on the last `||X_k - X_{k-1}||_F` and the bound.
-    fn converged(conv: f64, ell: Self::Ell) -> bool;
+    fn converged(conv: f64, ell: f64) -> bool;
 
     /// Modeled real flops of a finished solve of `n` columns.
     fn flops(&self, n: usize, info: &QdwhInfo<S::Real>) -> f64;
@@ -476,15 +471,15 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
     // is one.)
     poll_progress(hook, 1, M::FIRST_CONV, 0.0)?;
     let nb = graph_tile_nb(opts.tile_nb, n);
-    let Some(Start { alpha, mut x, l0, gram }) = scaled_start(a, opts, method, nb)? else {
+    let Some(Start { alpha, mut x, l0, gram, factor }) = scaled_start(a, opts, method, nb)? else {
         // zero matrix: U = leading identity block, H = 0
         return Ok(without_iterating(Matrix::identity(m, n), if opts.compute_h { n } else { 0 }));
     };
     // the tiles are the iterate from here on, and they and the workspaces
     // outlive the graph that made them
-    let mut ws = Workspace::new(gram);
+    let mut ws = Workspace::new(gram, factor);
     let mut info = QdwhInfo::started(alpha, l0);
-    let mut ell = M::Ell::from_f64(l0.to_f64());
+    let mut ell = l0.to_f64();
     let mut conv = M::FIRST_CONV;
 
     // The whole planned sequence as one task graph, a phase per iteration.
@@ -498,9 +493,9 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
         };
         let first_iteration = info.iterations + 1;
         // a job cancelled while it queued allocates nothing
-        poll_progress(hook, first_iteration, conv, ell.to_f64())?;
-        let bounds = std::iter::once(ell).chain(steps.iter().map(|s| s.ell_after));
-        let ells: Vec<f64> = bounds.map(|e| e.to_f64()).collect();
+        poll_progress(hook, first_iteration, conv, ell)?;
+        let ells: Vec<f64> =
+            std::iter::once(ell).chain(steps.iter().map(|s| s.ell_after)).collect();
         let hooked = Hooked { hook, first_iteration, first_conv: conv, ells: &ells };
         let (sink, phases) = run_graph(&mut x, &mut ws, &steps, &hooked)?;
         for (k, (step, phase)) in steps.iter().zip(&phases).enumerate() {
@@ -511,7 +506,7 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
             info.push(IterationRecord {
                 iteration: first_iteration + k,
                 kind: step.kind,
-                ell: S::Real::from_f64(step.ell_after.to_f64()),
+                ell: S::Real::from_f64(step.ell_after),
                 convergence,
                 seconds: phase.seconds(),
                 kernels: phase.kernels,
@@ -542,9 +537,10 @@ mod tests {
         assert_eq!(qdwh_flops(32, 2, 4, false), expect);
         assert_eq!(qdwh_flops(32, 2, 4, true), 4.0 * expect);
         // QR-based: r QR + Q pairs and products; Cholesky-based: one Gram
-        // matrix, r factorizations and sweep pairs; then H
+        // matrix, r factorizations, inverses and T^H T triangles, one X M
+        // gemm; then H
         let qr_iter = 8.0 * (10.0 / 3.0 * 2.0 + 2.0) * n3;
-        let chol_iter = n3 + 8.0 * (1.0 / 3.0 + 2.0) * n3;
+        let chol_iter = n3 + 8.0 * (3.0 / 3.0) * n3 + 2.0 * n3;
         assert_eq!(zolo_flops(32, 2, 0, 8, false), 2.0 * qr_iter + 2.0 * n3);
         assert_eq!(zolo_flops(32, 1, 1, 8, false), qr_iter + chol_iter + 2.0 * n3);
         assert_eq!(zolo_flops(32, 1, 1, 8, true), 4.0 * zolo_flops(32, 1, 1, 8, false));
@@ -561,7 +557,7 @@ mod tests {
         use crate::zolo::Zolotarev;
         fn turns<S: Scalar, M: Method<S>>(method: &M) -> f64 {
             let ell = cholesky_from::<S, M>(method).expect("Cholesky-based from 1 - eps");
-            let kind = |e: f64| method.step_at(M::Ell::from_f64(e)).kind;
+            let kind = |e: f64| method.step_at(e).kind;
             assert_eq!(kind(ell), IterationKind::CholeskyBased, "{ell:e}");
             assert_eq!(kind(ell * (1.0 - 1e-6)), IterationKind::QrBased, "{ell:e}");
             ell

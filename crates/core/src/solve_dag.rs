@@ -5,17 +5,25 @@
 //!   product tiles. The factorization tasks themselves come from
 //!   `polar-lapack`'s emitters — this crate names no tile kernel;
 //! * the **factored QR-based step** of several terms
-//!   ([`emit_factored_step`]): one tile QR of `X`, the same term over its
-//!   `R` for each — `[s_j R; 0; d_j I]`, a triangular top — then the terms'
-//!   product tiles summed, `Q_x` applied and the combine;
-//! * the **Cholesky term** ([`emit_chol_term`], over a `Z` formed by
-//!   [`emit_gram`] or [`emit_shifted`]): tile Cholesky → one `trtri_lower` per
-//!   diagonal tile → the two sweeps that leave `X Z^{-1}` in an output slab;
-//! * the **combine** ([`Combine`]) one term of a step carries — in its
+//!   ([`emit_factored_step`]): one tile QR of `X` (or the one the start
+//!   stage left), the same term over its `R` for each — `[s_j R; 0; d_j I]`,
+//!   a triangular top — then the terms' product tiles summed, `Q_x` applied
+//!   and the combine;
+//! * the **Cholesky term** of a one-term step ([`emit_chol_term`], over a
+//!   `Z` formed by [`emit_gram`] or [`emit_shifted`]): tile Cholesky → one
+//!   `trtri_lower` per diagonal tile → the two sweeps that leave `X Z^{-1}`
+//!   in the output;
+//! * the **Cholesky-based step** of several terms, in `n x n` space: per
+//!   term the tile inverse `T_j = L_j^{-1}` of its factor
+//!   ([`emit_chol_inverse`]), then `M = x_coef I + sum_j w_j T_j^H T_j`
+//!   ([`emit_inverse_sum`]) and `X M`, one gemm over `X`
+//!   ([`emit_apply`]);
+//! * the **combine** ([`Combine`]) of a one-term or factored step — in its
 //!   product tiles, or in [`emit_combine`]'s update tasks behind its sweeps;
 //! * the **convergence sink** ([`NormSink`]): per-tile `|X_k - X_{k-1}|_F^2`
-//!   partials published by the carrying tasks and one fixed-order reduction
-//!   task per iteration that nothing downstream waits on;
+//!   partials published by the tasks that write `X_k` last and one
+//!   fixed-order reduction task per iteration that nothing downstream waits
+//!   on;
 //! * running the graph under the caller's progress hook
 //!   ([`execute_hooked`]).
 //!
@@ -27,7 +35,7 @@
 
 use crate::options::{poll_progress, ProgressHook};
 use crate::qdwh_impl::QdwhError;
-use polar_blas::{gemm, herk, scale_real, trmm};
+use polar_blas::{add, gemm, herk, mirror_triangle, scale_real, trmm};
 use polar_lapack::{
     emit_geqrf, emit_orgqr, emit_potrf, emit_unmqr, tile_nb3, trtri_lower, LapackError, QrPtr,
     QrStructure, TilePtr, TiledQr,
@@ -290,34 +298,15 @@ impl<'a, S: Scalar> CholPtr<'a, S> {
     }
 }
 
-/// What the one term of a step that carries its combine (or a factored
-/// step's update tasks) adds to its output tiles: `x_coef X + sum_j coef_j
-/// Y_j`, the `Y_j` the private slabs the step's other terms left their `X
-/// Z_j^{-1}` multiples in, summed in fixed term order; and each tile
-/// publishes its convergence partial `|out - X|_F^2` for iteration `iter`.
-/// A one-term step has no slab: QDWH's Halley update, fused.
+/// What the one term of a one-term step (or a factored step's update
+/// tasks) adds to its output tiles: `x_coef X`; and each tile publishes its
+/// convergence partial `|out - X|_F^2` for iteration `iter`. QDWH's Halley
+/// update, fused.
 pub(crate) struct Combine<'a, S: Scalar> {
     pub x: TilePtr<'a, S>,
     pub x_coef: S,
-    pub ys: Vec<TilePtr<'a, S>>,
-    pub coefs: Vec<S>,
     pub sink: &'a NormSink,
     pub iter: usize,
-}
-
-/// `x_coef X + sum_j coef_j Y_j` at entry `at`.
-fn combined<S: Scalar>(
-    x_coef: S,
-    x: &Matrix<S>,
-    coefs: &[S],
-    ys: &[&Matrix<S>],
-    at: (usize, usize),
-) -> S {
-    let mut sum = x_coef * x[at];
-    for (&coef, y) in coefs.iter().zip(ys) {
-        sum += coef * y[at];
-    }
-    sum
 }
 
 /// Add one stacked-QR term to `dag`:
@@ -355,10 +344,13 @@ pub(crate) fn emit_term<'a, S: Scalar>(
 /// [`emit_term`] per term computes, with one QR of `X` where it factors
 /// `X` once per term. The terms share no written tile, so their chains run
 /// concurrently. `terms` holds each term's workspace (built `over_r`) and
-/// `coef`, `scales` its `(s, d)`; `f` is tiled like `X`.
+/// `coef`, `scales` its `(s, d)`; `f` is tiled like `X`. With `given`, `f`
+/// already holds the tile QR of `X` — the start stage's, which factored
+/// the same tiles with the same kernels — and the step runs none.
 pub(crate) fn emit_factored_step<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     f: QrPtr<'a, S>,
+    given: bool,
     terms: &[(TermPtr<'a, S>, S)],
     scales: &[(S::Real, S::Real)],
     out: TilePtr<'a, S>,
@@ -366,14 +358,16 @@ pub(crate) fn emit_factored_step<'a, S: Scalar>(
 ) {
     let (x, xt) = (combine.x, combine.x.tiling());
     let nbf = xt.nb() as f64;
-    dag.barrier();
-    for j in 0..xt.nt() {
-        for i in 0..xt.mt() {
-            let access = (f.a.write(i, j), x.read(i, j));
-            dag.add_on(KernelKind::Geadd, 2, nbf * nbf, access, |(ft, xs)| ft.copy_from(xs));
+    if !given {
+        dag.barrier();
+        for j in 0..xt.nt() {
+            for i in 0..xt.mt() {
+                let access = (f.a.write(i, j), x.read(i, j));
+                dag.add_on(KernelKind::Geadd, 2, nbf * nbf, access, |(ft, xs)| ft.copy_from(xs));
+            }
         }
+        emit_geqrf(dag, f);
     }
-    emit_geqrf(dag, f);
     for (&(ws, _), &scales) in terms.iter().zip(scales) {
         emit_stacked_q(dag, ws, f.a, scales);
     }
@@ -572,41 +566,27 @@ pub(crate) fn emit_gram<'a, S: Scalar>(
     }
 }
 
-/// Add one Cholesky term to `dag`, from `Z` in the lower tiles of `ws.z`:
-///
-/// ```text
-/// Z = L L^H                        (tile Cholesky, in place)
-/// out = X Z^{-1} = X L^{-H} L^{-1}  (two sweeps over out's tile columns)
-/// ```
-///
-/// `x` and `out` are tiled alike (`m x n`), `ws` at the same `nb`. A `Z`
-/// that is not positive definite stores the error in `failure`, with the
-/// pivot's global index, and cancels the dag.
-///
-/// The sweeps multiply by the inverted diagonal tiles of `L` where a solve
-/// would be: safe only for a well-conditioned `Z` (`polar_lapack`'s
-/// `tri.rs`), which is what makes an iteration Cholesky-based — `kappa(Z)
-/// <= 1 + c <= 101` under QDWH's switch, and the same bound under
-/// Zolo-PD's.
-pub(crate) fn emit_chol_term<'a, S: Scalar>(
+/// Add `Z = L L^H` to `dag`, in place in the lower tiles of `ws.z`, and
+/// `L_jj^{-1}` per diagonal tile into `ws.linv`. A `Z` that is not
+/// positive definite stores the error in `failure`, with the pivot's global
+/// index, and cancels the dag.
+fn emit_chol_factor<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     ws: CholPtr<'a, S>,
-    x: TilePtr<'a, S>,
-    out: TilePtr<'a, S>,
     failure: &'a OnceLock<LapackError>,
 ) {
     let CholPtr { z, linv } = ws;
-    let xt = x.tiling();
-    let (nb, mtx, nt) = (xt.nb(), xt.mt(), xt.nt());
+    let zt = z.tiling();
+    let (nb, nt) = (zt.nb(), zt.nt());
     let nb3 = tile_nb3::<S>(nb);
 
-    // Z = L L^H in place. Indefiniteness cancels the whole solve — an
-    // error aborts every later iteration too.
+    // Indefiniteness cancels the whole solve — an error aborts every later
+    // iteration too.
     emit_potrf(dag, z, failure, S::Real::ZERO);
 
-    // L_jj^{-1} per diagonal tile, which turns the diagonal solve of both
-    // sweeps below into a multiply. A pivot trtri rejects is a factor
-    // potrf should have refused: same failure.
+    // L_jj^{-1} per diagonal tile, which turns a diagonal solve into a
+    // multiply. A pivot trtri rejects is a factor potrf should have
+    // refused: same failure.
     dag.barrier();
     for tj in 0..nt {
         dag.add_on(
@@ -627,6 +607,36 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
             },
         );
     }
+}
+
+/// Add the Cholesky term of a one-term step to `dag`, from `Z` in the lower
+/// tiles of `ws.z`:
+///
+/// ```text
+/// Z = L L^H                        (tile Cholesky, in place)
+/// out = X Z^{-1} = X L^{-H} L^{-1}  (two sweeps over out's tile columns)
+/// ```
+///
+/// `x` and `out` are tiled alike (`m x n`), `ws` at the same `nb`. A `Z`
+/// that is not positive definite stores the error in `failure`, with the
+/// pivot's global index, and cancels the dag.
+///
+/// The sweeps multiply by the inverted diagonal tiles of `L` where a solve
+/// would be: safe only for a well-conditioned `Z` (`polar_lapack`'s
+/// `tri.rs`), which is what makes QDWH's iteration Cholesky-based —
+/// `kappa(Z) <= 1 + c <= 101` under its switch.
+pub(crate) fn emit_chol_term<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    ws: CholPtr<'a, S>,
+    x: TilePtr<'a, S>,
+    out: TilePtr<'a, S>,
+    failure: &'a OnceLock<LapackError>,
+) {
+    emit_chol_factor(dag, ws, failure);
+    let CholPtr { z, linv } = ws;
+    let xt = x.tiling();
+    let (mtx, nt) = (xt.mt(), xt.nt());
+    let nb3 = tile_nb3::<S>(xt.nb());
 
     // X Z^{-1} by two sweeps over the tile columns, in place in `out`.
     // Forward, C L^H = X, tile columns ascending; then backward, V L = C,
@@ -684,6 +694,157 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
                     },
                 );
             }
+        }
+    }
+}
+
+/// Add the inverse `T = L^{-1}` of a Cholesky factor to `dag`: `Z = L L^H`
+/// as [`emit_chol_term`] factors it, `T`'s diagonal tiles `T_kk = L_kk^{-1}`
+/// into `ws.linv`, and its other lower tiles in place of `L`'s, from `T L =
+/// I`:
+///
+/// ```text
+/// T_ik = -(T_ii L_ik + sum_{k<l<i} T_il L_lk) T_kk        (i > k)
+/// ```
+///
+/// Tile columns right to left, each bottom-up: every `T_il` is done, and
+/// every `L_lk` (`l < i`) still `L`, when `T_ik` reads them. `n^3 / 3`
+/// flops, as many as the factorization. The inverse is as accurate as the
+/// solves it replaces only for a well-conditioned `Z` (`polar_lapack`'s
+/// `tri.rs`): every `Z_j` of a Zolo-PD Cholesky-based step.
+pub(crate) fn emit_chol_inverse<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    ws: CholPtr<'a, S>,
+    failure: &'a OnceLock<LapackError>,
+) {
+    emit_chol_factor(dag, ws, failure);
+    let CholPtr { z, linv } = ws;
+    let nt = z.tiling().nt();
+    let nb3 = tile_nb3::<S>(z.tiling().nb());
+    let (lo, nn) = (Uplo::Lower, Diag::NonUnit);
+    for k in (0..nt).rev() {
+        dag.barrier();
+        for i in (k + 1..nt).rev() {
+            let pairs: Vec<_> = (k + 1..i).map(|l| (z.read(i, l), z.read(l, k))).collect();
+            let access = (z.write(i, k), linv.read(0, i), pairs, linv.read(0, k));
+            let flops = 2.0 * (i - k) as f64 * nb3;
+            dag.add_on(KernelKind::Trsm, 2, flops, access, move |(t, tii, pairs, tkk)| {
+                let (ri, rk) = (t.nrows(), t.ncols());
+                trmm(Side::Left, lo, Op::NoTrans, nn, S::ONE, tii.view(0, 0, ri, ri), t.as_mut());
+                for (til, llk) in pairs {
+                    let (til, llk) = (til.as_ref(), llk.as_ref());
+                    gemm(Op::NoTrans, Op::NoTrans, S::ONE, til, llk, S::ONE, t.as_mut());
+                }
+                trmm(Side::Right, lo, Op::NoTrans, nn, -S::ONE, tkk.view(0, 0, rk, rk), t.as_mut());
+            });
+        }
+    }
+}
+
+/// Add `M = x_coef I + sum_j w_j T_j^H T_j` to `dag`, into the lower tiles
+/// of `m`, from the inverses `T_j = L_j^{-1}` [`emit_chol_inverse`] left in
+/// `terms` (`(workspace, w_j)`): `Z_j^{-1} = T_j^H T_j`. One task per tile,
+/// summing the terms in order and, per term, `T_j`'s tile rows in order; a
+/// diagonal tile is written whole, Hermitian. About `n^3 / 3` flops per
+/// term.
+pub(crate) fn emit_inverse_sum<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    terms: &[(CholPtr<'a, S>, S::Real)],
+    x_coef: S::Real,
+    m: TilePtr<'a, S>,
+) {
+    let nt = m.tiling().nt();
+    let nb3 = tile_nb3::<S>(m.tiling().nb());
+    let (lo, nn, ct) = (Uplo::Lower, Diag::NonUnit, Op::ConjTrans);
+    let weights: Vec<S::Real> = terms.iter().map(|&(_, w)| w).collect();
+    dag.barrier();
+    for b in 0..nt {
+        for a in b..nt {
+            // per term: T_aa (triangular), T_ab below the diagonal, and
+            // the tile rows under a — column a against column b
+            let diagonal = a == b;
+            let reads: Vec<_> = terms
+                .iter()
+                .map(|&(CholPtr { z, linv }, _)| {
+                    let below: Vec<_> = (a + 1..nt)
+                        .map(|i| (z.read(i, a), (!diagonal).then(|| z.read(i, b))))
+                        .collect();
+                    (linv.read(0, a), (!diagonal).then(|| z.read(a, b)), below)
+                })
+                .collect();
+            let below = nt - 1 - a;
+            let per_term = if diagonal { 1 + below } else { 1 + 2 * below };
+            let flops = (terms.len() * per_term) as f64 * nb3;
+            let kind = if diagonal { KernelKind::Herk } else { KernelKind::Gemm };
+            let weights = weights.clone();
+            dag.add_on(kind, 1, flops, (m.write(a, b), reads), move |(o, reads)| {
+                let (ra, rb) = (o.nrows(), o.ncols());
+                o.fill(S::ZERO);
+                if diagonal {
+                    for d in 0..ra {
+                        o[(d, d)] = S::from_real(x_coef);
+                    }
+                }
+                let mut tmp = Matrix::<S>::zeros(ra, rb);
+                for (&w, (taa, tab, below)) in weights.iter().zip(reads) {
+                    let taa = taa.view(0, 0, ra, ra);
+                    tmp.as_mut().copy_from(tab.map_or(taa, |t| t.as_ref()));
+                    trmm(Side::Left, lo, ct, nn, S::from_real(w), taa, tmp.as_mut());
+                    add(S::ONE, tmp.as_ref(), S::ONE, o.as_mut());
+                    for (tia, tib) in below {
+                        match tib {
+                            None => herk(lo, ct, w, tia.as_ref(), S::Real::ONE, o.as_mut()),
+                            Some(tib) => {
+                                let (w, tia, tib) = (S::from_real(w), tia.as_ref(), tib.as_ref());
+                                gemm(ct, Op::NoTrans, w, tia, tib, S::ONE, o.as_mut());
+                            }
+                        }
+                    }
+                }
+                if diagonal {
+                    mirror_triangle(lo, o.as_mut());
+                }
+            });
+        }
+    }
+}
+
+/// Add `out = X M` to `dag`, `M` Hermitian with its lower tiles in `m`
+/// (above the diagonal, `M_kj = M_jk^H`): one task per tile of `out`,
+/// accumulating over `X`'s tile columns in order, which publishes the
+/// tile's convergence partial `|out - X|_F^2` for iteration `iter`.
+pub(crate) fn emit_apply<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    x: TilePtr<'a, S>,
+    m: TilePtr<'a, S>,
+    out: TilePtr<'a, S>,
+    sink: &'a NormSink,
+    iter: usize,
+) {
+    let xt = x.tiling();
+    let nt = xt.nt();
+    let flops = 2.0 * nt as f64 * tile_nb3::<S>(xt.nb());
+    dag.barrier();
+    for tj in 0..nt {
+        for ti in 0..xt.mt() {
+            let pairs: Vec<_> =
+                (0..nt).map(|k| (x.read(ti, k), m.read(k.max(tj), k.min(tj)))).collect();
+            let access = (out.write(ti, tj), pairs, sink.partial(iter, ti, tj));
+            dag.add_on(KernelKind::Gemm, 0, flops, access, move |(o, pairs, partial)| {
+                o.fill(S::ZERO);
+                for (k, (xik, mkj)) in pairs.iter().enumerate() {
+                    let op = if k >= tj { Op::NoTrans } else { Op::ConjTrans };
+                    gemm(Op::NoTrans, op, S::ONE, xik.as_ref(), mkj.as_ref(), S::ONE, o.as_mut());
+                }
+                let xi = pairs[tj].0;
+                let mut acc = S::Real::ZERO;
+                for c in 0..o.ncols() {
+                    for r in 0..o.nrows() {
+                        acc += (o[(r, c)] - xi[(r, c)]).abs_sq();
+                    }
+                }
+                partial.publish(acc);
+            });
         }
     }
 }
@@ -796,8 +957,8 @@ fn factor_gram<S: Scalar>(
     }
 }
 
-/// Add the update of a step to `dag`: `out = weight out +` the combine, per
-/// tile — `out` holding the carrying Cholesky term's `X Z^{-1}`, which its
+/// Add the update of a step to `dag`: `out = weight out + x_coef X`, per
+/// tile — `out` holding the one-term Cholesky step's `X Z^{-1}`, which its
 /// sweeps ran in place there, or a factored QR-based step's sum of terms.
 pub(crate) fn emit_combine<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
@@ -810,16 +971,14 @@ pub(crate) fn emit_combine<'a, S: Scalar>(
     dag.barrier();
     for tj in 0..xt.nt() {
         for ti in 0..xt.mt() {
-            let ys: Vec<_> = combine.ys.iter().map(|y| y.read(ti, tj)).collect();
-            let flops = nbf * nbf * (ys.len() + 1) as f64;
             let partial = combine.sink.partial(combine.iter, ti, tj);
-            let access = (x.read(ti, tj), ys, out.write(ti, tj), partial);
-            let (x_coef, coefs) = (combine.x_coef, combine.coefs.clone());
-            dag.add_on(KernelKind::Geadd, 0, flops, access, move |(xi, ys, xo, partial)| {
+            let access = (x.read(ti, tj), out.write(ti, tj), partial);
+            let x_coef = combine.x_coef;
+            dag.add_on(KernelKind::Geadd, 0, nbf * nbf, access, move |(xi, xo, partial)| {
                 let mut acc = S::Real::ZERO;
                 for c in 0..xi.ncols() {
                     for r in 0..xi.nrows() {
-                        let next = combined(x_coef, xi, &coefs, &ys, (r, c)) + weight * xo[(r, c)];
+                        let next = x_coef * xi[(r, c)] + weight * xo[(r, c)];
                         xo[(r, c)] = next;
                         acc += (next - xi[(r, c)]).abs_sq();
                     }
@@ -956,6 +1115,103 @@ mod tests {
             gemm(Op::NoTrans, Op::ConjTrans, -1.0, q1.as_ref(), q2.as_ref(), 1.0, y.as_mut());
             let left: f64 = norm(Norm::Fro, y.as_ref());
             assert!(left <= 1e-13, "{m}x{n} nb {nb}: out - Q1 Q2^H = {left:e}");
+        }
+    }
+
+    /// `x_coef X + sum_j w_j X Z_j^{-1}` of a several-term Cholesky-based
+    /// Zolotarev step, as `X M` ([`emit_apply`]) and by the sweeps of one
+    /// [`emit_chol_term`] per term summed afterwards, both over the same
+    /// `Z_j`. Returns the worst entrywise difference in units of
+    /// `kappa eps`, `kappa = max_j (1 + alpha_j / shift_j)` the bound on
+    /// `kappa(Z_j)` for `||X||_2 <= 1`. The step is the Cholesky-based one
+    /// of the plan from `1e-16` whose bound is largest, and `X` reaches down
+    /// to `sigma = 1e-10`, so the worst `Z_j` is within a hair of it.
+    fn m_route_vs_the_sweeps<S: Scalar>(m: usize, n: usize, nb: usize, r: usize) -> f64 {
+        let opts = crate::QdwhOptions { terms: r, ..Default::default() };
+        let plan = crate::qdwh_plan::<S>(&opts, 1e-16, 0.0, 50).expect("inside the cap");
+        let kappa = |s: &crate::Step<f64>| {
+            s.terms.iter().map(|t| 1.0 + t.alpha / t.shift).fold(0.0, f64::max)
+        };
+        let chol = plan.iter().filter(|s| s.kind == crate::IterationKind::CholeskyBased);
+        let step = chol.max_by(|a, b| kappa(a).total_cmp(&kappa(b))).expect("a Cholesky step");
+        let spec = MatrixSpec {
+            m,
+            n,
+            cond: 1e10,
+            distribution: SigmaDistribution::Geometric,
+            seed: (m * n + r) as u64,
+        };
+        let (a, sigma) = generate::<S>(&spec);
+        let x = Matrix::from_fn(m, n, |i, j| a[(i, j)].mul_real(S::Real::from_f64(1.0 / sigma[0])));
+        let grid = ProcessGrid::single;
+        let real = S::Real::from_f64;
+        let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
+        let mut gram = TiledMatrix::<S>::zeros(Tiling::new(n, n, nb, nb), grid());
+        let host = Tiling::new(n + nb, n, nb, nb);
+        let mut zs: Vec<_> = (0..r).map(|_| TiledMatrix::<S>::zeros(host, grid())).collect();
+        let failure = OnceLock::new();
+
+        // the sweeps, one private output per term
+        let mut ys: Vec<_> = (0..r).map(|_| TiledMatrix::<S>::zeros(xt.tiling(), grid())).collect();
+        let mut dag = TaskDag::new();
+        let (xp, g) = (TilePtr::new(&mut dag, &mut xt), TilePtr::new(&mut dag, &mut gram));
+        emit_gram(&mut dag, xp, g, S::Real::ONE, S::Real::ZERO);
+        for ((z, y), t) in zs.iter_mut().zip(ys.iter_mut()).zip(&step.terms) {
+            let ws = CholPtr::within(TilePtr::new(&mut dag, z));
+            emit_shifted(&mut dag, g, ws.z, real(t.alpha), real(t.shift));
+            let yp = TilePtr::new(&mut dag, y);
+            emit_chol_term(&mut dag, ws, xp, yp, &failure);
+        }
+        assert_eq!(dag.execute(), ExecOutcome::Completed);
+        let ys: Vec<_> = ys.iter().map(TiledMatrix::to_dense).collect();
+        let swept = Matrix::from_fn(m, n, |i, j| {
+            let mut sum = S::from_f64(step.x_coef) * x[(i, j)];
+            for (t, y) in step.terms.iter().zip(&ys) {
+                sum += S::from_f64(t.weight) * y[(i, j)];
+            }
+            sum
+        });
+
+        // X M
+        let mut out = TiledMatrix::<S>::zeros(xt.tiling(), grid());
+        let mut sink = NormSink::new(1, xt.tiling());
+        let mut dag = TaskDag::new();
+        sink.name_in(&mut dag);
+        let (xp, g) = (TilePtr::new(&mut dag, &mut xt), TilePtr::new(&mut dag, &mut gram));
+        emit_gram(&mut dag, xp, g, S::Real::ONE, S::Real::ZERO);
+        let mut terms = Vec::new();
+        for (z, t) in zs.iter_mut().zip(&step.terms) {
+            let ws = CholPtr::within(TilePtr::new(&mut dag, z));
+            emit_shifted(&mut dag, g, ws.z, real(t.alpha), real(t.shift));
+            emit_chol_inverse(&mut dag, ws, &failure);
+            terms.push((ws, real(t.weight)));
+        }
+        emit_inverse_sum(&mut dag, &terms, real(step.x_coef), g);
+        let op = TilePtr::new(&mut dag, &mut out);
+        emit_apply(&mut dag, xp, g, op, &sink, 0);
+        assert_eq!(dag.execute(), ExecOutcome::Completed);
+        let applied = out.to_dense();
+
+        let mut worst = 0.0f64;
+        for j in 0..n {
+            for i in 0..m {
+                worst = worst.max((applied[(i, j)] - swept[(i, j)]).abs().to_f64());
+            }
+        }
+        worst / (kappa(step) * S::Real::EPSILON.to_f64())
+    }
+
+    /// The several-term Cholesky-based step as `X M` agrees with the
+    /// sweeps it replaces entry for entry within `c kappa(Z) eps`: square,
+    /// tall and ragged shapes, real and complex, `r` in {2, 3, 8}.
+    #[test]
+    fn zolo_x_m_matches_the_sweeps_within_kappa_eps() {
+        for (m, n, nb) in [(48usize, 48usize, 16usize), (72, 40, 16), (37, 29, 8)] {
+            for r in [2usize, 3, 8] {
+                let d = m_route_vs_the_sweeps::<f64>(m, n, nb, r);
+                let z = m_route_vs_the_sweeps::<polar_scalar::Complex64>(m, n, nb, r);
+                assert!(d <= 1.0 && z <= 1.0, "{m}x{n} nb {nb} r {r}: d {d:e}, z {z:e}");
+            }
         }
     }
 

@@ -81,8 +81,9 @@ fn task_graph_is_the_executed_graph() {
     assert_same_graph(&emitted, &ran[0]);
 
     // Zolo-PD's graph is the same emitter at `terms = r`: `r` stacked QRs
-    // and `r - 1` private slabs in the QR-based step, `r` Cholesky terms
-    // over one shared Gram matrix in the Cholesky-based one
+    // over the start's QR of X in the QR-based step, `r` Cholesky terms
+    // over one shared Gram matrix summed into one X M in the Cholesky-based
+    // one
     for (r, cond) in [(3usize, 60.0), (8, 1e16)] {
         let opts = QdwhOptions { terms: r, tile_nb: Some(NB), ..Default::default() };
         let a = input(cond);
@@ -145,5 +146,27 @@ fn a_certified_start_hands_its_gram_matrix_to_the_first_step() {
                 .count()
         };
         assert_eq!(herks(0) + N / NB, herks(1), "r = {r}");
+    }
+}
+
+/// A QR-first Zolo-PD solve under the default options factors `X_0` once:
+/// the start stage's tile QR, which estimated `l0`, is the first step's
+/// shared factor: phase 0 of the solve graph has no `geqrt`. A later
+/// QR-based step (at `r = 3` the second of three) factors its own `X`.
+#[test]
+fn zolo_first_qr_step_reuses_the_start_factor() {
+    for r in [3usize, 8] {
+        let opts = QdwhOptions { terms: r, tile_nb: Some(NB), ..Default::default() };
+        let a = input(1e16);
+        let (pd, ran) = executed(|| qdwh(&a, &opts).expect("converges"));
+        let (starts, solves) = split(&ran);
+        let geqrts = |g: &TaskGraph, phase: u32| {
+            g.tasks.iter().filter(|t| t.kind == KernelKind::Geqrt && t.phase == phase).count()
+        };
+        assert_eq!(geqrts(starts.last().expect("the start's QR"), 0), N / NB, "r = {r}");
+        for (k, &kind) in pd.info.kinds.iter().enumerate() {
+            let own = k > 0 && kind == IterationKind::QrBased;
+            assert_eq!(geqrts(solves[0], k as u32), if own { N / NB } else { 0 }, "r = {r}");
+        }
     }
 }

@@ -4,23 +4,36 @@
 //! Two right-side `trsm` sweeps do that by substitution, and a substitution
 //! bottoms out in a per-column kernel however it is blocked. Inverting the
 //! triangle explicitly turns the application into multiplies at the packed
-//! kernel's rate: `(X T^H) T` with `T = L^{-1}` on the batch path
-//! (`polar-batch`'s engine: two batch-major GEMMs), `trmm` with
-//! `T_jj = L_jj^{-1}` per diagonal tile in the fused whole-solve graph
-//! (`polar-qdwh`'s `solve_dag.rs`: the sweeps' coupling gemms stay, only the
-//! diagonal solve becomes a multiply).
+//! kernel's rate, in three places:
 //!
-//! Why that is safe in exactly those two places: `Z = I + c X^H X` with
-//! `||X||_2 <= 1` has its eigenvalues in `[1, 1 + c]`, so
-//! `kappa(Z) <= 1 + c`, and the Cholesky branch only runs when `c` is
-//! below the QR/Cholesky switch (100 by default; the batch engine plans
-//! its hinted entries under a wider `qr_switch_threshold`, knowingly: its
-//! `HINTED_QR_SWITCH`) — `Z`,
-//! hence `L` and every diagonal block of it, is well conditioned by the
-//! iteration's own plan, whatever the input's conditioning, and the
-//! explicit inverse is as accurate as the solves. No general caller has
-//! that bound: `polar_blas::trsm` keeps substitution semantics, and so do
-//! the panel solves of `emit_potrf`.
+//! * `(X T^H) T` with `T = L^{-1}` on the batch path (`polar-batch`'s
+//!   engine: two batch-major GEMMs);
+//! * `trmm` with `T_jj = L_jj^{-1}` per diagonal tile in the fused
+//!   whole-solve graph's one-term step (`polar-qdwh`'s `solve_dag.rs`: the
+//!   sweeps' coupling gemms stay, only the diagonal solve becomes a
+//!   multiply);
+//! * the whole tile inverse `T_j = L_j^{-1}` of every term of a Zolo-PD
+//!   Cholesky-based step, whose `M = x_0 I + sum_j w_j T_j^H T_j` is applied
+//!   to `X` as one gemm (`solve_dag.rs`' `emit_chol_inverse`).
+//!
+//! Why that is safe there: `Z = alpha X^H X + sigma I` with `||X||_2 <= 1`
+//! has its eigenvalues in `[sigma, alpha + sigma]`, so `kappa(Z) <= 1 +
+//! alpha / sigma` whatever the input's conditioning or the estimate of its
+//! smallest singular value. For QDWH (`alpha = c`, `sigma = 1`) that is `1 +
+//! c`, and the Cholesky branch only runs when `c` is below the QR/Cholesky
+//! switch (100 by default, so 101; the batch engine plans its hinted
+//! entries under a wider `qr_switch_threshold`, knowingly: its
+//! `HINTED_QR_SWITCH`). For Zolo-PD's terms (`alpha = 1`, `sigma` a
+//! Zolotarev coefficient) it is largest in the first Cholesky-based step
+//! at the lowest bound that plans one: 231 at `r = 2`, 640 at `r = 4`,
+//! 2173 at `r = 8` over every plan from `l_0` in `[1e-16, 0.99]` (the
+//! `zolo.rs` test that sweeps them) — not the 101 the step's kind is
+//! decided on, which assumes `sigma_min(X) >= ell`. The inverse loses at
+//! most that factor over the solves, `Z^{-1}` is formed to `kappa(Z) eps`,
+//! and the Zolotarev weights and `x_0` are positive (at least 0.028 and
+//! 0.059), so the sum `M` has no cancellation to magnify it. No general
+//! caller has such a bound: `polar_blas::trsm` keeps substitution
+//! semantics, and so do the panel solves of `emit_potrf`.
 
 use crate::LapackError;
 use polar_blas::trmm;

@@ -391,8 +391,9 @@ pub fn estimate_zolo_time(
         },
         Op { class: OpClass::GemmLike, flops: 2.0 * n3, steps: t, panel_flops_per_step: 0.0 },
     ];
-    // iteration 2, one chain: potrf of the shifted Gram matrix + the two
-    // right-side triangular solves
+    // iteration 2, one chain in n x n space: potrf of the shifted Gram
+    // matrix, the inverse T of its factor and the chain's share T^H T of
+    // the iteration's M
     let chol_chain = [
         Op {
             class: OpClass::CholLike,
@@ -400,10 +401,11 @@ pub fn estimate_zolo_time(
             steps: t,
             panel_flops_per_step: nbf.powi(3) / 3.0,
         },
-        Op { class: OpClass::TrsmLike, flops: 2.0 * n3, steps: 2.0 * t, panel_flops_per_step: 0.0 },
+        Op { class: OpClass::TrsmLike, flops: n3 / 3.0, steps: t, panel_flops_per_step: 0.0 },
+        Op { class: OpClass::GemmLike, flops: n3 / 3.0, steps: t, panel_flops_per_step: 0.0 },
     ];
     // on the full machine: condition estimate, iteration 2's Gram matrix
-    // (formed once, shifted per chain), H
+    // (formed once, shifted per chain) and its one X M gemm, H
     let shared_ops = [
         Op {
             class: OpClass::QrLike,
@@ -412,6 +414,7 @@ pub fn estimate_zolo_time(
             panel_flops_per_step: 2.0 * (nf / 2.0) * nbf * nbf,
         },
         Op { class: OpClass::CholLike, flops: n3, steps: t, panel_flops_per_step: 0.0 },
+        Op { class: OpClass::GemmLike, flops: 2.0 * n3, steps: t, panel_flops_per_step: 0.0 },
         Op { class: OpClass::GemmLike, flops: 2.0 * n3, steps: t, panel_flops_per_step: 0.0 },
     ];
 
@@ -584,9 +587,11 @@ mod tests {
         let zolo_time = |nodes| estimate_zolo_time(&node, nodes, n, 320, 8).seconds;
         // few nodes: QDWH's lower flop count wins
         assert!(qdwh_time(1) < zolo_time(1), "1 node: QDWH should win");
-        // many nodes: Zolo's concurrency wins (from 16 nodes on since its
-        // second iteration is modeled Cholesky-based; with two QR-based
+        // many nodes: Zolo's concurrency wins (from 8 nodes on since its
+        // Cholesky-based second iteration runs in n x n space; from 16
+        // with two triangular sweeps per chain, and with two QR-based
         // iterations the crossover sat between 16 and 32)
+        assert!(zolo_time(8) < qdwh_time(8), "8 nodes: Zolo should win");
         assert!(zolo_time(16) < qdwh_time(16), "16 nodes: Zolo should win");
         assert!(zolo_time(32) < qdwh_time(32), "32 nodes: Zolo should win");
     }

@@ -77,12 +77,20 @@ pub fn zolo_term(m: usize, n: usize) -> f64 {
     geqrf(m + n, n) + orgqr(m + n, n) + gemm(m, n, n)
 }
 
-/// One Cholesky-based Zolotarev term of an `m x n` iterate: the Cholesky
-/// factorization of the shifted Gram matrix `X^H X + c I` (copied from the
-/// iteration's one Gram matrix, `O(n²)`) and the two right-side triangular
-/// solves that form `X Z^{-1}`. For square inputs `(1/3 + 2) n³`.
-pub fn zolo_chol_term(m: usize, n: usize) -> f64 {
-    potrf(n) + 2.0 * trsm_right(m, n)
+/// Inverting an `n x n` triangular matrix, or forming `T^H T` of one:
+/// `n³/3` each.
+pub fn trtri(n: usize) -> f64 {
+    potrf(n)
+}
+
+/// One Cholesky-based Zolotarev term, in `n x n` space whatever the
+/// iterate's height: the Cholesky factorization of the shifted Gram matrix
+/// `X^H X + c I` (copied from the iteration's one Gram matrix, `O(n²)`),
+/// the inverse `T = L^{-1}` of its factor and the term's `T^H T` triangle
+/// of the iteration's `M`: `n³`. The one `X M` gemm that applies the sum
+/// of the terms belongs to the iteration.
+pub fn zolo_chol_term(n: usize) -> f64 {
+    potrf(n) + 2.0 * trtri(n)
 }
 
 /// One r-way QR-based Zolotarev iteration: the r independent terms of the
@@ -130,11 +138,12 @@ mod tests {
         }
         // rectangular panels pay the taller stacked QR
         assert!(zolo_term(200, 100) > zolo_term(100, 100));
-        // a Cholesky-based term: (1/3 + 2) n^3, under a third of the QR one
-        let chol_factor = (1.0 / 3.0 + 2.0) * 90f64.powi(3);
-        assert!((zolo_chol_term(90, 90) - chol_factor).abs() <= 1e-12 * chol_factor);
-        assert!(zolo_chol_term(90, 90) < 0.3 * zolo_term(90, 90));
-        assert!(zolo_chol_term(200, 100) > zolo_chol_term(100, 100));
+        // a Cholesky-based term: potrf, trtri and T^H T, n^3 whatever m,
+        // an eighth of the QR one
+        let chol_factor = 90f64.powi(3);
+        assert!((zolo_chol_term(90) - chol_factor).abs() <= 1e-12 * chol_factor);
+        assert!(zolo_chol_term(90) < 0.125 * zolo_term(90, 90));
+        assert_eq!(trtri(3), potrf(3));
     }
 
     #[test]

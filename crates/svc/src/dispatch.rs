@@ -279,7 +279,7 @@ mod tests {
         let zolo = |r| estimate_flops(JobKind::Qdwh, 96, 64, r);
         let (n3, rect) = (64f64.powi(3), 2.0 * 96.0 * 64.0 * 64.0);
         let qr_iter = |r: f64| r * (20.0 / 3.0 + 2.0) * n3;
-        let chol_iter = |r: f64| n3 + r * (1.0 / 3.0 + 2.0) * n3;
+        let chol_iter = |r: f64| (3.0 + r) * n3;
         // r = 8 from [eps, 1]: one QR-based iteration, one Cholesky-based
         assert_eq!(zolo(8), qr_iter(8.0) + chol_iter(8.0) + 2.0 * n3 + rect);
         // r = 2 needs four (QR, QR, Cholesky, Cholesky) and is costed at

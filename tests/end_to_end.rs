@@ -128,6 +128,35 @@ fn mixed_precision_pipeline() {
     assert!(steps >= 1);
 }
 
+/// A rank-deficient input: its zero column puts the start's bound on the
+/// floor, `eps^2` of the working precision, where single-precision Halley
+/// weights overflow (below a bound of ~1e-10). Every plan runs in f64, so
+/// the single-precision solves converge as the double one does — to the
+/// partial isometry, `U` with a zero singular value. `qdwh_mixed` cannot
+/// refine that to an orthogonal `U`; its f32 stage is held to the same
+/// start on a column scaled by 1e-12 instead, rank-deficient in f32 only.
+#[test]
+fn rank_deficient_single_precision_converges() {
+    let input = |scale: f64| {
+        let (mut a, _) = generate::<f64>(&MatrixSpec::well_conditioned(64, 3));
+        for i in 0..64 {
+            a[(i, 5)] *= scale;
+        }
+        a
+    };
+    let (a, opts) = (input(0.0), QdwhOptions::default());
+    let single = Matrix::<f32>::from_fn(64, 64, |i, j| a[(i, j)] as f32);
+    let pd = qdwh(&single, &opts).expect("f32 converges");
+    assert!(pd.backward_error(&single) < 1e-5, "f32: {:e}", pd.backward_error(&single));
+    let complex =
+        Matrix::<Complex32>::from_fn(64, 64, |i, j| Complex32::new(a[(i, j)] as f32, 0.0));
+    let pd = qdwh(&complex, &opts).expect("c32 converges");
+    assert!(pd.backward_error(&complex) < 1e-5, "c32: {:e}", pd.backward_error(&complex));
+    let a = input(1e-12);
+    let (pd, _) = polar::qdwh::qdwh_mixed(&a, &opts).expect("mixed converges");
+    assert!(orthogonality_error(&pd.u) < 1e-13 && pd.backward_error(&a) < 1e-5);
+}
+
 #[test]
 fn qdwh_eig_vs_h_matrix() {
     // eigendecompose the PSD polar factor with the QDWH spectral D&C
