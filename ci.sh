@@ -237,8 +237,21 @@ stage_lint() {
     # a tile body runs slice loops and packed kernels; an iterator chosen at
     # run time behind a Box is an allocation and an indirect call per step
     strays=$(grep -rl 'Box<dyn Iterator' crates/blas/src \
-        crates/lapack/src/tile_qr.rs crates/lapack/src/qr.rs crates/lapack/src/householder.rs || true)
+        crates/lapack/src/tile_qr.rs crates/lapack/src/householder.rs || true)
     test -z "$strays" || fail "Box<dyn Iterator> under a tile task: $strays"
+
+    step "docs point at existing files"
+    # a backticked *.rs path in a design document names a file a reader
+    # will open: repository-relative, or relative to crates/
+    # (core/src/graph.rs). Bare file names are not checked
+    local doc path
+    strays=$(for doc in DESIGN.md README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+        grep -oE '`[A-Za-z0-9_.-]+(/[A-Za-z0-9_.-]+)+\.rs`' "$doc" | tr -d '`' | sort -u \
+            | while read -r path; do
+                test -e "$path" || test -e "crates/$path" || echo "$doc: $path"
+            done
+    done)
+    test -z "$strays" || fail "docs name .rs files that do not exist: $strays"
 }
 
 stage_tier1() {

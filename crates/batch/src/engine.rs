@@ -17,7 +17,7 @@
 //!   runs each family's GEMM-shaped work as batch-spanning
 //!   [`gemm_batched_packed`] sweeps over compact gathered slabs, every
 //!   coefficient from [`Term::applied`](polar_qdwh::Term::applied). Only the
-//!   factorizations (`potrf` + `trtri`, or the stacked QR) are per-entry
+//!   factorizations (`potrf` + `trtri`, or [`stacked_q`]) are per-entry
 //!   calls; the Cholesky family applies `Z^{-1}` through the explicit inverse
 //!   `T = L^{-1}` (two batched GEMMs) instead of two per-entry `trsm`s;
 //! * the condition-estimate prologue consults a [`CondestCache`] keyed by
@@ -39,7 +39,7 @@
 use crate::cache::{cond_class, CondestCache, CondestKey, UNHINTED_CLASS};
 use polar_blas::params::fork_lanes;
 use polar_blas::{gemm_batched_packed, norm, symmetrize};
-use polar_lapack::{geqrf, geqrf_stacked, norm2est, orgqr, potrf_in, trtri_lower};
+use polar_lapack::{geqrf, norm2est, potrf_in, stacked_q, trtri_lower};
 use polar_matrix::{BatchedDense, Matrix, Norm, Op, Uplo};
 use polar_qdwh::{
     estimate_l0, qdwh_flops, qdwh_plan, IterationDecision, IterationKind, IterationProgress,
@@ -90,9 +90,9 @@ pub struct BatchOptions {
     /// Per-entry numerics (iteration family, switch threshold, iteration
     /// cap, `compute_h`, `l_0` strategy — every
     /// [`L0Strategy`](polar_qdwh::L0Strategy), through
-    /// [`polar_qdwh::estimate_l0`] on the flat `geqrf`). `tile_nb` is not
-    /// read — batch entries are small by design, so factorizations run on
-    /// the flat kernels and parallelism comes from the batch dimension.
+    /// [`polar_qdwh::estimate_l0`] on a one-tile `geqrf`). `tile_nb` is not
+    /// read — batch entries are small by design, so each factorization is
+    /// one tile and parallelism comes from the batch dimension.
     /// Nor is `progress`: a hook belongs to one solve, so each entry
     /// carries its own ([`BatchEntry::progress`]). `terms` must be 1: the
     /// engine plays QDWH's one-term steps and refuses any other wave whole.
@@ -214,8 +214,6 @@ struct Slabs<S: Scalar> {
     q2: BatchedDense<S>,
     /// QR-family results `Y = Q1 Q2^H`, `m x n`.
     yq: BatchedDense<S>,
-    /// The stacked `[sqrt(c) X; I]` workspace, `(m+n) x n`.
-    wq: Matrix<S>,
 }
 
 impl<S: Scalar> Slabs<S> {
@@ -233,7 +231,6 @@ impl<S: Scalar> Slabs<S> {
             q1: empty(),
             q2: empty(),
             yq: empty(),
-            wq: Matrix::zeros(0, 0),
         }
     }
 
@@ -242,9 +239,7 @@ impl<S: Scalar> Slabs<S> {
             &self.a, &self.x, &self.h, &self.xg, &self.w1, &self.yc, &self.g, &self.t, &self.q1,
             &self.q2, &self.yq,
         ];
-        let elems = slabs.iter().map(|s| s.as_slice().len()).sum::<usize>()
-            + self.wq.nrows() * self.wq.ncols();
-        elems * std::mem::size_of::<S>()
+        slabs.iter().map(|s| s.as_slice().len()).sum::<usize>() * std::mem::size_of::<S>()
     }
 }
 
@@ -670,33 +665,11 @@ fn run_chunk<S: Scalar>(
                 ensure_slab(slab, m, n, cnt);
             }
             ensure_slab(&mut slabs.q2, n, n, cnt);
-            if (slabs.wq.nrows(), slabs.wq.ncols()) != (m + n, n) {
-                slabs.wq = Matrix::zeros(m + n, n);
-            }
-            // per-entry stacked QR into the Q1/Q2 slabs
+            // per entry, the thin Q of [s X_k; d I] into the Q1/Q2 slabs
             for (i, &k) in qr.iter().enumerate() {
-                let xk = slabs.x.mat(k);
                 let (_, _, (s, d, _)) = states[k].next_step();
                 let (s, d) = (S::from_real(s), S::from_real(d));
-                let w = &mut slabs.wq;
-                // W = [s X_k; d I], fully rewritten (reused)
-                for j in 0..n {
-                    for r in 0..m {
-                        w[(r, j)] = xk.at(r, j) * s;
-                    }
-                    for r in 0..n {
-                        w[(m + r, j)] = if r == j { d } else { S::ZERO };
-                    }
-                }
-                let f = geqrf_stacked(m, w);
-                let q = orgqr(w, &f);
-                let q1 = slabs.q1.entry_slice_mut(i).chunks_exact_mut(m);
-                let q2 = slabs.q2.entry_slice_mut(i).chunks_exact_mut(n);
-                for (j, (c1, c2)) in q1.zip(q2).enumerate() {
-                    let col = q.as_ref().col(j);
-                    c1.copy_from_slice(&col[..m]);
-                    c2.copy_from_slice(&col[m..]);
-                }
+                stacked_q(slabs.x.mat(k), s, d, slabs.q1.mat_mut(i), slabs.q2.mat_mut(i));
             }
             // one batched sweep: Y = Q1 Q2^H
             gemm_batched_packed(

@@ -84,7 +84,7 @@ fn tile_kernel_rates<S: Scalar>(nb: usize) -> Vec<(&'static str, f64)> {
         tsqrt_blocked_into(&mut r, &mut c, &mut tt)
     });
     // c and tt now hold the last tsqrt's reflectors
-    time("tsmqr", 4.0 * nb3, &mut || tsmqr_blocked(ct, &c, &tt, &mut r, &mut c2));
+    time("tsmqr", 4.0 * nb3, &mut || tsmqr_blocked(ct, &c, &tt, r.as_mut(), c2.as_mut()));
     rows
 }
 

@@ -18,7 +18,8 @@
 //! * [`gemm_a`] — the `gemmA` variant of §6.2 for tall `A`, skinny `C`
 //!   (power-iteration matvecs of Algorithm 2);
 //! * [`herk`] — Hermitian rank-k update (line 40);
-//! * [`trsm`] — triangular solve (inside `posv`, line 41);
+//! * [`trsm`] — triangular solve (the panels of `potrf` and of the tile
+//!   Cholesky, line 40);
 //! * [`trmm`] — in-place triangular multiply (the `T` factors of the QR
 //!   panels, the inverted diagonal tiles of the fused Cholesky sweeps);
 //! * [`add`], [`scale`], [`copy_into`] — the `add` / `scale` / `copy`

@@ -1,5 +1,5 @@
-//! Blocked Cholesky factorization (`potrf`) and positive-definite solve
-//! (`posv`) — the engine of the Cholesky-based QDWH iteration (Eq. (2)).
+//! Blocked lower Cholesky factorization (`potrf`) — the engine of the
+//! Cholesky-based QDWH iteration (Eq. (2)).
 
 use crate::{LapackError, DEFAULT_BLOCK};
 use polar_blas::{herk, trsm};
@@ -43,47 +43,19 @@ fn potf2_lower<S: Scalar>(mut a: MatMut<'_, S>, offset: usize) -> Result<(), Lap
 }
 
 /// Blocked Cholesky factorization of a Hermitian positive-definite matrix,
-/// LAPACK `potrf`. Only the `uplo` triangle of `a` is referenced; on exit
-/// it holds the Cholesky factor (`A = L L^H` for `Lower`).
-///
-/// `Upper` is routed through the lower algorithm on the conjugate
-/// transpose (QDWH only needs `Lower`).
+/// LAPACK `potrf`: [`potrf_in`] on the whole matrix. Only the lower
+/// triangle of `a` is referenced; on exit it holds `L` (`A = L L^H`).
 pub fn potrf<S: Scalar>(uplo: Uplo, a: &mut Matrix<S>) -> Result<(), LapackError> {
-    assert!(a.is_square(), "potrf: square matrices only");
-    let _obs = polar_obs::kernel_span(
-        polar_obs::KernelClass::Potrf,
-        "potrf",
-        polar_blas::flops::type_factor(S::IS_COMPLEX) * polar_blas::flops::potrf(a.nrows()),
-        [a.nrows(), a.nrows(), 0],
-    );
-    match uplo {
-        Uplo::Lower => potrf_lower(a, DEFAULT_BLOCK),
-        Uplo::Upper => {
-            let mut at = a.transposed(Op::ConjTrans);
-            potrf_lower(&mut at, DEFAULT_BLOCK)?;
-            // write back U = L^H into the upper triangle
-            let n = a.nrows();
-            for j in 0..n {
-                for i in 0..=j {
-                    a[(i, j)] = at[(j, i)].conj();
-                }
-            }
-            Ok(())
-        }
-    }
+    potrf_in(uplo, a.as_mut())
 }
 
-fn potrf_lower<S: Scalar>(a: &mut Matrix<S>, nb: usize) -> Result<(), LapackError> {
-    potrf_lower_in(a.as_mut(), nb)
-}
-
-/// View-based lower Cholesky, LAPACK `potrf` on a [`MatMut`]. Same
-/// algorithm and arithmetic as [`potrf`] with `Uplo::Lower`, but the
-/// matrix need not own its storage — the batch-major QDWH engine calls
-/// this on slices of a shared workspace arena.
+/// View-based lower Cholesky, LAPACK `potrf` on a [`MatMut`]: the matrix
+/// need not own its storage — the batch-major QDWH engine calls this on
+/// slices of a shared workspace arena. `uplo` must be `Lower`, the only
+/// triangle QDWH factors.
 pub fn potrf_in<S: Scalar>(uplo: Uplo, a: MatMut<'_, S>) -> Result<(), LapackError> {
-    assert_eq!(uplo, Uplo::Lower, "potrf_in: only the lower algorithm works in place on a view");
-    assert_eq!(a.nrows(), a.ncols(), "potrf_in: square matrices only");
+    assert_eq!(uplo, Uplo::Lower, "potrf: only the lower triangle is factored");
+    assert_eq!(a.nrows(), a.ncols(), "potrf: square matrices only");
     let _obs = polar_obs::kernel_span(
         polar_obs::KernelClass::Potrf,
         "potrf",
@@ -125,17 +97,6 @@ fn potrf_lower_in<S: Scalar>(mut a: MatMut<'_, S>, nb: usize) -> Result<(), Lapa
         }
         k += kb;
     }
-    Ok(())
-}
-
-/// Positive-definite solve, LAPACK `posv`: factors `A = L L^H` in place
-/// (lower) and overwrites `B` with `A^{-1} B`.
-pub fn posv<S: Scalar>(a: &mut Matrix<S>, b: &mut Matrix<S>) -> Result<(), LapackError> {
-    assert_eq!(a.nrows(), b.nrows(), "posv: dim mismatch");
-    potrf(Uplo::Lower, a)?;
-    // L y = B, then L^H x = y
-    trsm(Side::Left, Uplo::Lower, Op::NoTrans, Diag::NonUnit, S::ONE, a.as_ref(), b.as_mut());
-    trsm(Side::Left, Uplo::Lower, Op::ConjTrans, Diag::NonUnit, S::ONE, a.as_ref(), b.as_mut());
     Ok(())
 }
 
@@ -207,20 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn potrf_upper_matches_lower() {
-        let a0 = rand_spd(20, 4);
-        let mut lo = a0.clone();
-        let mut up = a0.clone();
-        potrf(Uplo::Lower, &mut lo).unwrap();
-        potrf(Uplo::Upper, &mut up).unwrap();
-        for j in 0..20 {
-            for i in 0..=j {
-                assert!((up[(i, j)] - lo[(j, i)]).abs() < 1e-11);
-            }
-        }
-    }
-
-    #[test]
     fn potrf_rejects_indefinite() {
         let mut a = Matrix::<f64>::identity(4, 4);
         a[(2, 2)] = -1.0;
@@ -233,51 +180,5 @@ mod tests {
         let mut a = Matrix::<f64>::identity(3, 3);
         a[(1, 1)] = f64::NAN;
         assert!(potrf(Uplo::Lower, &mut a).is_err());
-    }
-
-    #[test]
-    fn potrf_in_matches_potrf_bitwise() {
-        for n in [7, 40, 100] {
-            let a0 = rand_spd(n, 20 + n as u64);
-            let mut owned = a0.clone();
-            potrf(Uplo::Lower, &mut owned).unwrap();
-            let mut viewed = a0.clone();
-            potrf_in(Uplo::Lower, viewed.as_mut()).unwrap();
-            for j in 0..n {
-                for i in j..n {
-                    assert!(
-                        owned[(i, j)].to_bits() == viewed[(i, j)].to_bits(),
-                        "bitwise mismatch at ({i},{j}), n={n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn posv_solves() {
-        let a0 = rand_spd(30, 5);
-        let x_true = Matrix::from_fn(30, 3, |i, j| (i + j) as f64 * 0.1 - 1.0);
-        let mut b = Matrix::<f64>::zeros(30, 3);
-        gemm(Op::NoTrans, Op::NoTrans, 1.0, a0.as_ref(), x_true.as_ref(), 0.0, b.as_mut());
-        let mut a = a0.clone();
-        posv(&mut a, &mut b).unwrap();
-        let mut diff = b;
-        polar_blas::add(-1.0, x_true.as_ref(), 1.0, diff.as_mut());
-        let err: f64 = norm(Norm::Fro, diff.as_ref());
-        assert!(err < 1e-9, "posv error {err}");
-    }
-
-    #[test]
-    fn posv_identity() {
-        let mut a = Matrix::<f64>::identity(6, 6);
-        let b0 = Matrix::from_fn(6, 2, |i, j| (i * 2 + j) as f64);
-        let mut b = b0.clone();
-        posv(&mut a, &mut b).unwrap();
-        for j in 0..2 {
-            for i in 0..6 {
-                assert!((b[(i, j)] - b0[(i, j)]).abs() < 1e-14);
-            }
-        }
     }
 }

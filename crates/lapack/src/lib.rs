@@ -3,10 +3,13 @@
 //! This crate stands in for (Sca)LAPACK in the reproduced paper. It
 //! provides every factorization and estimator Algorithm 1 consumes:
 //!
-//! * [`geqrf`] / [`unmqr`] / [`orgqr`] — blocked Householder QR (the
-//!   QR-based QDWH iteration, Algorithm 1 lines 30–36);
-//! * [`potrf`] / [`posv`] — Cholesky (the Cholesky-based iteration, lines
-//!   38–44);
+//! * [`geqrt_blocked`] / [`tsqrt_blocked`] / [`tsmqr_blocked`] /
+//!   [`unmqr_tile_blocked`] — the tile Householder QR kernels (the
+//!   QR-based QDWH iteration, Algorithm 1 lines 30–36), the only QR: the
+//!   task graphs of [`geqrf_tiled`] and the whole solve run them per tile,
+//!   and [`geqrf`] / [`orgqr`] / [`stacked_q`] on one tile;
+//! * [`potrf`] / [`potrf_in`] — lower Cholesky (the Cholesky-based
+//!   iteration, lines 38–44), [`potrf_tiled`] its task graph;
 //! * [`getrf`] / [`getrs`] — partial-pivoting LU (general condition
 //!   estimation);
 //! * [`norm1est`] (Hager), [`gecondest`], [`trcondest`] — 1-norm condition
@@ -23,27 +26,25 @@ mod eig;
 mod householder;
 mod lu;
 mod norm2est;
-mod qr;
 mod svd;
 mod tile_qr;
 mod tiled;
 mod tri;
 
-pub use chol::{posv, potrf, potrf_in};
+pub use chol::{potrf, potrf_in};
 pub use condest::{gecondest, norm1est, tr_sigma_min_est, trcondest, OneNormOracle};
 pub use eig::{jacobi_eig, EigDecomposition};
 pub use householder::{larf, larfg, Reflector};
 pub use lu::{getrf, getrs, LuFactors};
 pub use norm2est::{norm2est, Norm2Est};
-pub use qr::{extract_r, geqrf, geqrf_blocked, geqrf_stacked, orgqr, unmqr, QrFactors};
 pub use svd::{jacobi_svd, SvdDecomposition};
 pub use tile_qr::{
-    geqrt_blocked, geqrt_blocked_into, tsmqr_blocked, tsqrt_blocked, tsqrt_blocked_into,
-    unmqr_tile_blocked, TileT,
+    geqrf, geqrt_blocked, geqrt_blocked_into, orgqr, stacked_q, tsmqr_blocked, tsqrt_blocked,
+    tsqrt_blocked_into, unmqr_tile_blocked, TileT,
 };
 pub use tiled::{
     auto_tile_nb, default_tile_nb, emit_geqrf, emit_orgqr, emit_potrf, emit_unmqr, geqrf_tiled,
-    geqrf_tiled_stacked, orgqr_tiled, potrf_tiled, tile_nb3, QrPtr, QrStructure, TilePtr, TiledQr,
+    orgqr_tiled, potrf_tiled, tile_nb3, QrPtr, QrStructure, TilePtr, TiledQr,
 };
 pub use tri::trtri_lower;
 

@@ -1,4 +1,5 @@
-//! PLASMA/SLATE-style tile QR kernels: `geqrt`, `tsqrt`, `tsmqr`.
+//! Householder QR, PLASMA/SLATE-style: the tile kernels `geqrt`, `tsqrt`,
+//! `tsmqr`, and the one-tile calls of them that stand in for LAPACK.
 //!
 //! SLATE's distributed `geqrf` factors a tiled matrix with exactly these
 //! four operations per panel step `k`, each with inner blocking `ib`:
@@ -20,12 +21,112 @@
 //! which is what makes the update `O(nb^3)` per tile pair. One panel as
 //! wide as the tile (`ib >= nb`) is the unblocked kernel, its single `T`
 //! block the full factor. `tiled.rs` emits the task graphs over them.
+//!
+//! A matrix factored whole is one tile: [`geqrf`] is [`geqrt_blocked`] at
+//! [`DEFAULT_BLOCK`](crate::DEFAULT_BLOCK) and [`orgqr`] is
+//! [`unmqr_tile_blocked`] on the identity (the condition estimate's `R`,
+//! `qdwh_eig`'s subspace, the generator's random unitaries). [`stacked_q`]
+//! is the QDWH step's thin `Q` of `[s X; d I]` on one tile, the sequence the
+//! task graph runs for a factored step (the batch engine's QR-based step).
 
-use crate::householder::larfg;
-use crate::qr::{extract_v, geqr2_scratch, larfb_left, larft};
-use polar_blas::{axpy, dotc, gemm, trmm};
-use polar_matrix::{Diag, Matrix, Op, Side, Uplo};
+use crate::householder::{larf, larfg};
+use crate::DEFAULT_BLOCK;
+use polar_blas::{axpy, dotc, flops, gemm, trmm};
+use polar_matrix::{Diag, MatMut, MatRef, Matrix, Op, Side, Uplo};
+use polar_obs::KernelClass;
 use polar_scalar::Scalar;
+
+/// Unblocked panel factorization, LAPACK `geqr2`.
+///
+/// On exit the upper triangle of `a` holds `R`, the sub-diagonal columns
+/// hold the reflector tails, and `tau` the reflector scalars. `scratch`
+/// holds a reflector tail while it is applied, so blocked drivers reuse
+/// one allocation across all panels.
+fn geqr2_scratch<S: Scalar>(mut a: MatMut<'_, S>, tau: &mut [S], scratch: &mut Vec<S>) {
+    let m = a.nrows();
+    let n = a.ncols();
+    let k = m.min(n);
+    debug_assert!(tau.len() >= k);
+    for j in 0..k {
+        // Generate reflector for column j, rows j..m.
+        let tail_reflector = {
+            let col = a.col_mut(j);
+            let alpha = col[j];
+            let r = larfg(alpha, &mut col[j + 1..]);
+            col[j] = S::from_real(r.beta);
+            r
+        };
+        tau[j] = tail_reflector.tau;
+        if tail_reflector.tau != S::ZERO && j + 1 < n {
+            // Apply H(j)^H to the trailing submatrix A[j.., j+1..].
+            // Copy the tail into the reused scratch (it aliases the
+            // matrix storage larf is about to update).
+            scratch.clear();
+            scratch.extend_from_slice(&a.col_mut(j)[j + 1..]);
+            let trailing = a.rb().submatrix(j, j + 1, m - j, n - j - 1);
+            larf(tail_reflector.tau.conj(), scratch, trailing);
+        }
+    }
+}
+
+/// Form the upper-triangular block reflector factor `T` (LAPACK `larft`,
+/// forward / columnwise) so that `H(1)...H(k) = I - V T V^H`.
+fn larft<S: Scalar>(v: MatRef<'_, S>, tau: &[S]) -> Matrix<S> {
+    let k = v.ncols();
+    let mut t = Matrix::<S>::zeros(k, k);
+    for i in 0..k {
+        if tau[i] == S::ZERO {
+            // T(0..i, i) stays zero
+            t[(i, i)] = S::ZERO;
+            continue;
+        }
+        // T(0..i, i) = -tau_i * T(0..i, 0..i) * w,  w = V(:, 0..i)^H v_i
+        // (v_i has an implicit unit at row i): column l of the triangle
+        // times w_l, accumulated into column i
+        let (done, mut rest) = t.as_mut().split_at_col(i);
+        let ti = rest.col_mut(0);
+        for l in 0..i {
+            let wl = v.at(i, l).conj() + dotc(&v.col(l)[i + 1..], &v.col(i)[i + 1..]);
+            axpy(-tau[i] * wl, &done.as_ref().col(l)[..=l], &mut ti[..=l]);
+        }
+        t[(i, i)] = tau[i];
+    }
+    t
+}
+
+/// Materialize the unit-lower-trapezoidal `V` from the packed panel.
+fn extract_v<S: Scalar>(panel: MatRef<'_, S>) -> Matrix<S> {
+    let m = panel.nrows();
+    let k = panel.ncols();
+    Matrix::from_fn(m, k, |i, j| {
+        if i == j {
+            S::ONE
+        } else if i > j {
+            panel.at(i, j)
+        } else {
+            S::ZERO
+        }
+    })
+}
+
+/// Apply a block reflector (LAPACK `larfb`, left side, forward columnwise):
+/// `C := (I - V T V^H) C` for `op = NoTrans`, or with `T^H` for
+/// `op = ConjTrans` (which applies `Q^H`).
+fn larfb_left<S: Scalar>(op: Op, v: MatRef<'_, S>, t: MatRef<'_, S>, mut c: MatMut<'_, S>) {
+    let k = v.ncols();
+    let n = c.ncols();
+    if k == 0 || n == 0 {
+        return;
+    }
+    // X = V^H C  (k x n)
+    let mut x = Matrix::<S>::zeros(k, n);
+    gemm(Op::ConjTrans, Op::NoTrans, S::ONE, v, c.as_ref(), S::ZERO, x.as_mut());
+    // X := op(T) X
+    let t_op = if op == Op::NoTrans { Op::NoTrans } else { Op::ConjTrans };
+    trmm(Side::Left, Uplo::Upper, t_op, Diag::NonUnit, S::ONE, t, x.as_mut());
+    // C := C - V X
+    gemm(Op::NoTrans, Op::NoTrans, -S::ONE, v, x.as_ref(), S::ONE, c.rb());
+}
 
 /// Per-panel compact `T` factors of a blocked tile factorization, PLASMA's
 /// `ib x nb` T-tile layout: block `b` of width `jb <= ib` stores its upper
@@ -92,10 +193,8 @@ fn block_order(op: Op, nblocks: usize) -> impl Iterator<Item = usize> {
 
 /// PLASMA `GEQRT` with inner blocking `ib`: QR of a single tile where only
 /// `ib`-wide panels run scalar reflector code and every trailing update is
-/// a level-3 `larfb`.
-///
-/// The packed reflector/R output in `a` is bit-identical to
-/// [`crate::geqrf_blocked`] with the same `ib` (same panel code path).
+/// a level-3 `larfb`. On exit `a` holds `R` in its upper triangle and the
+/// reflectors below the diagonal (LAPACK's packed format), for any shape.
 pub fn geqrt_blocked<S: Scalar>(a: &mut Matrix<S>, ib: usize) -> TileT<S> {
     let mut tt = TileT::new(ib, a.nrows().min(a.ncols()));
     geqrt_blocked_into(a, &mut tt);
@@ -139,16 +238,16 @@ pub fn unmqr_tile_blocked<S: Scalar>(
     op: Op,
     v_packed: &Matrix<S>,
     tt: &TileT<S>,
-    c: &mut Matrix<S>,
+    mut c: MatMut<'_, S>,
 ) {
     let m = v_packed.nrows();
     assert_eq!(m, c.nrows(), "unmqr_tile_blocked: row mismatch");
+    let n = c.ncols();
     for b in block_order(op, tt.nblocks()) {
         let (j, jb) = tt.block_range(b);
         let v = extract_v(v_packed.view(j, j, m - j, jb));
         let t = tt.t.view(0, j, jb, jb);
-        let csub = c.view_mut(j, 0, m - j, c.ncols());
-        larfb_left(op, v.as_ref(), t, csub);
+        larfb_left(op, v.as_ref(), t, c.rb().submatrix(j, 0, m - j, n));
     }
 }
 
@@ -252,8 +351,8 @@ pub fn tsmqr_blocked<S: Scalar>(
     op: Op,
     v2: &Matrix<S>,
     tt: &TileT<S>,
-    a1: &mut Matrix<S>,
-    a2: &mut Matrix<S>,
+    mut a1: MatMut<'_, S>,
+    mut a2: MatMut<'_, S>,
 ) {
     let (t, ib) = (tt.t.as_ref(), tt.ib);
     let kb = t.ncols();
@@ -274,9 +373,10 @@ pub fn tsmqr_blocked<S: Scalar>(
         let v2b = v2.view(0, j, rows, jb);
         let mut w = wbuf.view_mut(0, 0, jb, n);
         for col in 0..n {
-            w.col_mut(col).copy_from_slice(&a1.col(col)[j..j + jb]);
+            w.col_mut(col).copy_from_slice(&a1.as_ref().col(col)[j..j + jb]);
         }
-        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, v2b, a2.view(0, 0, rows, n), S::ONE, w.rb());
+        let a2_rows = a2.as_ref().submatrix(0, 0, rows, n);
+        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, v2b, a2_rows, S::ONE, w.rb());
         trmm(
             Side::Left,
             Uplo::Upper,
@@ -296,9 +396,68 @@ pub fn tsmqr_blocked<S: Scalar>(
             v2b,
             w.as_ref(),
             S::ONE,
-            a2.view_mut(0, 0, rows, n),
+            a2.rb().submatrix(0, 0, rows, n),
         );
     }
+}
+
+/// Householder QR of a whole matrix, LAPACK `geqrf`: [`geqrt_blocked`] at
+/// [`DEFAULT_BLOCK`], any shape. On exit `a` holds `R` in its upper
+/// triangle and the reflectors below the diagonal; the returned [`TileT`]
+/// carries their compact `T` factors for [`orgqr`] /
+/// [`unmqr_tile_blocked`].
+pub fn geqrf<S: Scalar>(a: &mut Matrix<S>) -> TileT<S> {
+    let (m, n) = (a.nrows(), a.ncols());
+    let flops = flops::type_factor(S::IS_COMPLEX) * flops::geqrf(m, n);
+    let _obs = polar_obs::kernel_span(KernelClass::Geqrf, "geqrf", flops, [m, n, 0]);
+    geqrt_blocked(a, DEFAULT_BLOCK)
+}
+
+/// The explicit thin `Q` (`m x k`) of a [`geqrf`] factorization, LAPACK
+/// `orgqr` / `ungqr`: `Q` applied to the first `k` columns of the identity,
+/// which is how the paper builds `Q1, Q2` (Algorithm 1 line 32).
+pub fn orgqr<S: Scalar>(a: &Matrix<S>, t: &TileT<S>) -> Matrix<S> {
+    let (m, k) = (a.nrows(), t.k());
+    let flops = flops::type_factor(S::IS_COMPLEX) * flops::orgqr(m, k);
+    let _obs = polar_obs::kernel_span(KernelClass::Orgqr, "orgqr", flops, [m, k, 0]);
+    let mut q = Matrix::<S>::identity(m, k);
+    unmqr_tile_blocked(Op::NoTrans, a, t, q.as_mut());
+    q
+}
+
+/// The thin `Q = [Q1; Q2]` of the QDWH stacked matrix `W = [s X; d I]`
+/// (`X` is `m x n`, `m >= n`), written into `q1` (`m x n`) and `q2`
+/// (`n x n`) without forming `W`: [`geqrt_blocked`] of `s X` gives `R` and
+/// `Q_x`, the triangle-on-triangle [`tsqrt_blocked_into`] of `[R; d I]`
+/// ([`TileT::upper_v2`]) a `Q_2`, and `[Q1; Q2] = diag(Q_x, I) Q_2 [I; 0]`
+/// — [`tsmqr_blocked`] onto `[I; 0]`, then `Q_x` through
+/// [`unmqr_tile_blocked`]. The task graph's factored step runs the same
+/// sequence over tiles.
+pub fn stacked_q<S: Scalar>(
+    x: MatRef<'_, S>,
+    s: S,
+    d: S,
+    mut q1: MatMut<'_, S>,
+    mut q2: MatMut<'_, S>,
+) {
+    let (m, n) = (x.nrows(), x.ncols());
+    assert!(m >= n, "stacked_q: X is wider than tall");
+    assert_eq!([q1.nrows(), q1.ncols(), q2.nrows(), q2.ncols()], [m, n, n, n], "stacked_q: Q1/Q2");
+    // charged as the flop model charges the step: a geqrf and an orgqr of W
+    let nominal = flops::type_factor(S::IS_COMPLEX) * flops::geqrf(m + n, n);
+    let factor = polar_obs::kernel_span(KernelClass::Geqrf, "stacked_q", nominal, [m + n, n, 0]);
+    let mut v = Matrix::from_fn(m, n, |i, j| x.at(i, j) * s);
+    let tx = geqrt_blocked(&mut v, DEFAULT_BLOCK);
+    let mut r = Matrix::from_fn(n, n, |i, j| if i <= j { v[(i, j)] } else { S::ZERO });
+    let mut v2 = Matrix::from_fn(n, n, |i, j| if i == j { d } else { S::ZERO });
+    let mut t2 = TileT { upper_v2: true, ..TileT::new(DEFAULT_BLOCK, n) };
+    tsqrt_blocked_into(&mut r, &mut v2, &mut t2);
+    drop(factor);
+    let _form = polar_obs::kernel_span(KernelClass::Orgqr, "stacked_q", nominal, [m + n, n, 0]);
+    q1.set_identity();
+    q2.fill(S::ZERO);
+    tsmqr_blocked(Op::NoTrans, &v2, &t2, q1.rb().submatrix(0, 0, n, n), q2);
+    unmqr_tile_blocked(Op::NoTrans, &v, &tx, q1);
 }
 
 #[cfg(test)]
@@ -341,7 +500,7 @@ mod tests {
                 r[(i, j)] = a[(i, j)];
             }
         }
-        unmqr_tile_blocked(Op::NoTrans, &a, &t, &mut r);
+        unmqr_tile_blocked(Op::NoTrans, &a, &t, r.as_mut());
         let mut diff = r;
         add(-1.0, a0.as_ref(), 1.0, diff.as_mut());
         let err: f64 = norm(Norm::Fro, diff.as_ref());
@@ -439,7 +598,7 @@ mod tests {
         let a2_0 = rand_mat(m2, n, 6);
         let mut a1 = a1_0.clone();
         let mut a2 = a2_0.clone();
-        tsmqr_blocked(Op::ConjTrans, &b, &t, &mut a1, &mut a2);
+        tsmqr_blocked(Op::ConjTrans, &b, &t, a1.as_mut(), a2.as_mut());
 
         // explicit Q^H [A1; A2]
         let mtot = nb + m2;
@@ -481,8 +640,8 @@ mod tests {
         let a2_0 = rand_mat(m2, n, 9);
         let mut a1 = a1_0.clone();
         let mut a2 = a2_0.clone();
-        tsmqr_blocked(Op::ConjTrans, &b, &t, &mut a1, &mut a2);
-        tsmqr_blocked(Op::NoTrans, &b, &t, &mut a1, &mut a2);
+        tsmqr_blocked(Op::ConjTrans, &b, &t, a1.as_mut(), a2.as_mut());
+        tsmqr_blocked(Op::NoTrans, &b, &t, a1.as_mut(), a2.as_mut());
         let mut d1 = a1;
         add(-1.0, a1_0.as_ref(), 1.0, d1.as_mut());
         let mut d2 = a2;
@@ -490,27 +649,6 @@ mod tests {
         let e1: f64 = norm(Norm::Fro, d1.as_ref());
         let e2: f64 = norm(Norm::Fro, d2.as_ref());
         assert!(e1 < 1e-12 && e2 < 1e-12, "Q Q^H != I: {e1} {e2}");
-    }
-
-    #[test]
-    fn geqrt_blocked_matches_geqrf_blocked() {
-        // same panel code path => bitwise-identical packed output
-        for (m, n, ib) in [(16usize, 16usize, 4usize), (24, 16, 8), (16, 24, 5), (7, 7, 16)] {
-            let a0 = rand_mat(m, n, 21 + (m * n) as u64);
-            let mut tiled = a0.clone();
-            let tt = geqrt_blocked(&mut tiled, ib);
-            let mut flat = a0.clone();
-            let f = crate::qr::geqrf_blocked(&mut flat, ib);
-            for j in 0..n {
-                for i in 0..m {
-                    assert_eq!(tiled[(i, j)], flat[(i, j)], "packed ({i},{j}) m={m} n={n}");
-                }
-            }
-            // T diagonal blocks carry tau on their diagonals
-            for (c, tau) in f.tau.iter().enumerate() {
-                assert_eq!(tt.t[(c % ib.min(m.min(n)), c)], *tau);
-            }
-        }
     }
 
     #[test]
@@ -522,12 +660,12 @@ mod tests {
         let c0 = rand_mat(12, 5, 32);
         for op in [Op::NoTrans, Op::ConjTrans] {
             let mut cf = c0.clone();
-            unmqr_tile_blocked(op, &af, &tf, &mut cf);
+            unmqr_tile_blocked(op, &af, &tf, cf.as_mut());
             // blocked path
             let mut ab = a0.clone();
             let tb = geqrt_blocked(&mut ab, 4);
             let mut cb = c0.clone();
-            unmqr_tile_blocked(op, &ab, &tb, &mut cb);
+            unmqr_tile_blocked(op, &ab, &tb, cb.as_mut());
             let mut diff = cb.clone();
             add(-1.0, cf.as_ref(), 1.0, diff.as_mut());
             let err: f64 = norm(Norm::Fro, diff.as_ref());
@@ -587,10 +725,10 @@ mod tests {
         for op in [Op::NoTrans, Op::ConjTrans] {
             let mut a1f = a1_0.clone();
             let mut a2f = a2_0.clone();
-            tsmqr_blocked(op, &bf, &tf, &mut a1f, &mut a2f);
+            tsmqr_blocked(op, &bf, &tf, a1f.as_mut(), a2f.as_mut());
             let mut a1b = a1_0.clone();
             let mut a2b = a2_0.clone();
-            tsmqr_blocked(op, &bb, &tb, &mut a1b, &mut a2b);
+            tsmqr_blocked(op, &bb, &tb, a1b.as_mut(), a2b.as_mut());
             for j in 0..n {
                 for i in 0..nb {
                     assert!((a1f[(i, j)] - a1b[(i, j)]).abs() < 1e-11, "A1 ({i},{j}) {op:?}");
@@ -631,9 +769,9 @@ mod tests {
             tt.upper_v2 = window;
             tsqrt_blocked_into(&mut r, &mut b, &mut tt);
             let (mut a1, mut a2) = (a1_0.clone(), a2_0.clone());
-            tsmqr_blocked(Op::ConjTrans, &b, &tt, &mut a1, &mut a2);
+            tsmqr_blocked(Op::ConjTrans, &b, &tt, a1.as_mut(), a2.as_mut());
             let (mut q1, mut q2) = (a2_0.clone(), a1_0.clone());
-            tsmqr_blocked(Op::NoTrans, &b, &tt, &mut q1, &mut q2);
+            tsmqr_blocked(Op::NoTrans, &b, &tt, q1.as_mut(), q2.as_mut());
             [r, b, tt.t, a1, a2, q1, q2]
         };
         for (which, (w, d)) in run(true).iter().zip(&run(false)).enumerate() {
@@ -690,10 +828,10 @@ mod tests {
         let c2 = Matrix::from_fn(m2, 4, |_, _| Complex64::new(next(), next()));
         let mut a1f = c1.clone();
         let mut a2f = c2.clone();
-        tsmqr_blocked(Op::ConjTrans, &bf, &tf, &mut a1f, &mut a2f);
+        tsmqr_blocked(Op::ConjTrans, &bf, &tf, a1f.as_mut(), a2f.as_mut());
         let mut a1b = c1.clone();
         let mut a2b = c2.clone();
-        tsmqr_blocked(Op::ConjTrans, &bb, &tb, &mut a1b, &mut a2b);
+        tsmqr_blocked(Op::ConjTrans, &bb, &tb, a1b.as_mut(), a2b.as_mut());
         for j in 0..4 {
             for i in 0..nb {
                 assert!((a1f[(i, j)] - a1b[(i, j)]).abs() < 1e-11);
@@ -769,6 +907,148 @@ mod tests {
             }
             for i in 0..m2 {
                 assert!((recon[(nb + i, j)] - b0[(i, j)]).abs() < 1e-11);
+            }
+        }
+    }
+
+    /// A random `m x n` matrix in any of the four types (the imaginary
+    /// draw is discarded by the real ones).
+    fn rand_s<S: Scalar>(m: usize, n: usize, seed: u64) -> Matrix<S> {
+        use polar_scalar::Real;
+        let (re, im) = (rand_mat(m, n, seed), rand_mat(m, n, seed + 1000));
+        Matrix::from_fn(m, n, |i, j| {
+            S::from_parts(S::Real::from_f64(re[(i, j)]), S::Real::from_f64(im[(i, j)]))
+        })
+    }
+
+    /// `||Q^H Q - I||_F` of a thin `Q`.
+    fn orthonormality<S: Scalar>(q: &Matrix<S>) -> f64 {
+        use polar_scalar::Real;
+        let mut qhq = Matrix::<S>::identity(q.ncols(), q.ncols());
+        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, q.as_ref(), q.as_ref(), -S::ONE, qhq.as_mut());
+        norm::<S>(Norm::Fro, qhq.as_ref()).to_f64()
+    }
+
+    /// [`geqrf`] + [`orgqr`] of `a0`: `Q` is orthonormal and `Q R = A`.
+    fn check_qr<S: Scalar>(a0: &Matrix<S>, tol: f64) {
+        use polar_scalar::Real;
+        let (m, n) = (a0.nrows(), a0.ncols());
+        let k = m.min(n);
+        let mut a = a0.clone();
+        let t = geqrf(&mut a);
+        let q = orgqr(&a, &t);
+        assert_eq!((q.nrows(), q.ncols()), (m, k));
+        let orth = orthonormality(&q);
+        assert!(orth <= tol, "{} {m}x{n}: ||Q^H Q - I|| = {orth}", S::TYPE_TAG);
+        let r = Matrix::from_fn(k, n, |i, j| if i <= j { a[(i, j)] } else { S::ZERO });
+        let mut qr = a0.clone();
+        gemm(Op::NoTrans, Op::NoTrans, S::ONE, q.as_ref(), r.as_ref(), -S::ONE, qr.as_mut());
+        let err = norm::<S>(Norm::Fro, qr.as_ref()).to_f64();
+        let scale = norm::<S>(Norm::Fro, a0.as_ref()).to_f64();
+        assert!(err <= tol * (1.0 + scale), "{} {m}x{n}: ||QR - A|| = {err}", S::TYPE_TAG);
+    }
+
+    #[test]
+    fn qr_square_real() {
+        check_qr(&rand_mat(20, 20, 1), 1e-12);
+    }
+
+    #[test]
+    fn qr_tall_real() {
+        check_qr(&rand_mat(50, 18, 2), 1e-12);
+        // several ib panels
+        check_qr(&rand_mat(100, 70, 3), 1e-11);
+    }
+
+    #[test]
+    fn qr_wide_real() {
+        check_qr(&rand_mat(12, 30, 4), 1e-12);
+        check_qr(&rand_mat(37, 100, 5), 1e-11);
+    }
+
+    #[test]
+    fn qr_complex() {
+        check_qr(&rand_s::<Complex64>(25, 15, 5), 1e-12);
+        check_qr(&rand_s::<Complex64>(40, 40, 6), 1e-11);
+    }
+
+    #[test]
+    fn qr_single_column_and_row() {
+        check_qr(&rand_mat(7, 1, 7), 1e-13);
+        check_qr(&rand_mat(1, 5, 8), 1e-13);
+        check_qr(&rand_mat(1, 1, 9), 1e-14);
+    }
+
+    #[test]
+    fn qr_rank_deficient_is_stable() {
+        // duplicated columns: R gets (near-)zero diagonal but Q stays unitary
+        let base = rand_mat(20, 5, 10);
+        let mut a = Matrix::from_fn(20, 10, |i, j| base[(i, j % 5)]);
+        let t = geqrf(&mut a);
+        let orth = orthonormality(&orgqr(&a, &t));
+        assert!(orth < 1e-12, "||Q^H Q - I|| = {orth}");
+    }
+
+    #[test]
+    fn unmqr_conj_trans_inverts_notrans() {
+        let mut a = rand_mat(30, 12, 11);
+        let t = geqrf(&mut a);
+        let c0 = rand_mat(30, 4, 12);
+        let mut c = c0.clone();
+        unmqr_tile_blocked(Op::NoTrans, &a, &t, c.as_mut());
+        unmqr_tile_blocked(Op::ConjTrans, &a, &t, c.as_mut());
+        add(-1.0, c0.as_ref(), 1.0, c.as_mut());
+        let err: f64 = norm(Norm::Fro, c.as_ref());
+        assert!(err < 1e-12, "Q^H Q C != C: {err}");
+    }
+
+    /// [`stacked_q`] of `X` (`m x n`) at scales `s`, `d = 1`: `[Q1; Q2]` is
+    /// orthonormal, spans `W = [s X; d I]` (`Q Q^H W = W`), and is
+    /// [`geqrf`] + [`orgqr`] of the explicit `W` up to the signs of its
+    /// columns (both `R`s have a real diagonal, so nothing else may differ).
+    fn check_stacked_q<S: Scalar>(m: usize, n: usize, s: f64, tol: f64) {
+        use polar_scalar::Real;
+        let x = rand_s::<S>(m, n, (m * 1000 + n) as u64);
+        let (s, d) = (S::from_f64(s), S::ONE);
+        let w = Matrix::from_fn(m + n, n, |i, j| match i {
+            _ if i < m => x[(i, j)] * s,
+            _ if i - m == j => d,
+            _ => S::ZERO,
+        });
+        let (mut q1, mut q2) = (Matrix::<S>::zeros(m, n), Matrix::<S>::zeros(n, n));
+        stacked_q(x.as_ref(), s, d, q1.as_mut(), q2.as_mut());
+        let q = Matrix::vstack(&q1, &q2);
+        let case = format!("{} m={m} n={n} s={:e}", S::TYPE_TAG, s.re().to_f64());
+        let orth = orthonormality(&q);
+        assert!(orth <= tol, "{case}: ||Q^H Q - I|| = {orth}");
+        let mut qhw = Matrix::<S>::zeros(n, n);
+        gemm(Op::ConjTrans, Op::NoTrans, S::ONE, q.as_ref(), w.as_ref(), S::ZERO, qhw.as_mut());
+        let mut rebuilt = w.clone();
+        gemm(Op::NoTrans, Op::NoTrans, S::ONE, q.as_ref(), qhw.as_ref(), -S::ONE, rebuilt.as_mut());
+        let err = norm::<S>(Norm::Fro, rebuilt.as_ref()).to_f64();
+        let scale = norm::<S>(Norm::Fro, w.as_ref()).to_f64();
+        assert!(err <= tol * scale, "{case}: ||Q Q^H W - W|| = {err}");
+        let mut packed = w.clone();
+        let t = geqrf(&mut packed);
+        let reference = orgqr(&packed, &t);
+        for j in 0..n {
+            let dot = (0..m + n).fold(S::ZERO, |acc, i| acc + q[(i, j)].conj() * reference[(i, j)]);
+            let sign = S::from_f64(dot.re().to_f64().signum());
+            for i in 0..m + n {
+                let diff = (q[(i, j)] * sign - reference[(i, j)]).abs().to_f64();
+                assert!(diff <= tol, "{case}: Q ({i}, {j}) off the flat Q by {diff}");
+            }
+        }
+    }
+
+    #[test]
+    fn stacked_q_is_the_thin_q_of_the_stack() {
+        for n in [1usize, 7, 32, 40, 64, 100] {
+            for m in [n, n + 9, 3 * n] {
+                for s in [1e8, 30.0] {
+                    check_stacked_q::<f64>(m, n, s, 1e-12);
+                    check_stacked_q::<Complex64>(m, n, s, 1e-12);
+                }
             }
         }
     }

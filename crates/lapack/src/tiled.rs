@@ -19,12 +19,11 @@
 //! Every panel step starts with [`TaskDag::barrier`], which only the
 //! simulator's fork-join mode reads.
 //!
-//! The stacked variant ([`geqrf_tiled_stacked`], or a [`TiledQr`] built
-//! with [`QrStructure::Stacked`]) exploits the QDWH Eq. (1) `[sqrt(c) A; I]`
-//! structure the way `geqrf_stacked` does for the flat path: at panel `k`
-//! only tile rows up to the fill boundary carry reflector support, so tasks
-//! on pristine identity/zero tile rows are never emitted (~1/3 of the QR
-//! flops for square `A`). [`QrStructure::TriangularTop`] goes further for
+//! A [`TiledQr`] built with [`QrStructure::Stacked`] exploits the QDWH
+//! Eq. (1) `[sqrt(c) A; I]` structure: at panel `k` only tile rows up to the
+//! fill boundary carry reflector support, so tasks on pristine
+//! identity/zero tile rows are never emitted (~1/3 of the QR flops for
+//! square `A`). [`QrStructure::TriangularTop`] goes further for
 //! `[R; I]`, `R` upper triangular: each panel is then only its `D` rows.
 //!
 //! Access model: tiles of a [`TiledMatrix`] are separate allocations, and a
@@ -478,7 +477,7 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
                     step + i32::from(j == k + 1),
                     2.0 * nb3,
                     (a.read(k, k), t.read(k, k), a.write(k, j)),
-                    |(v, t, c)| unmqr_tile_blocked(Op::ConjTrans, v, t, c),
+                    |(v, t, c)| unmqr_tile_blocked(Op::ConjTrans, v, t, c.as_mut()),
                 );
             }
         }
@@ -498,7 +497,7 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
                     step + i32::from(j == k + 1),
                     4.0 * nb3,
                     (a.read(i, k), t.read(i, k), a.write(i, j), a.write(k, j)),
-                    |(v2, t, a2, a1)| tsmqr_blocked(Op::ConjTrans, v2, t, a1, a2),
+                    |(v2, t, a2, a1)| tsmqr_blocked(Op::ConjTrans, v2, t, a1.as_mut(), a2.as_mut()),
                 );
             }
         }
@@ -559,7 +558,7 @@ pub fn emit_unmqr<'a, S: Scalar>(
                     step,
                     4.0 * nb3,
                     (w.read(i, k), t.read(i, k), c.write(i, j), c.write(k, j)),
-                    |(v2, t, c2, c1)| tsmqr_blocked(Op::NoTrans, v2, t, c1, c2),
+                    |(v2, t, c2, c1)| tsmqr_blocked(Op::NoTrans, v2, t, c1.as_mut(), c2.as_mut()),
                 );
             }
         }
@@ -570,7 +569,7 @@ pub fn emit_unmqr<'a, S: Scalar>(
                     step + 1,
                     2.0 * nb3,
                     (w.read(k, k), t.read(k, k), c.write(k, j)),
-                    |(v, t, c)| unmqr_tile_blocked(Op::NoTrans, v, t, c),
+                    |(v, t, c)| unmqr_tile_blocked(Op::NoTrans, v, t, c.as_mut()),
                 );
             }
         }
@@ -710,15 +709,6 @@ pub fn geqrf_tiled<S: Scalar>(a: &Matrix<S>, nb: usize) -> TiledQr<S> {
     geqrf_tiled_inner(a, nb.max(8), QrStructure::Dense)
 }
 
-/// [`geqrf_tiled`] of the QDWH stacked matrix `W = [B; I]` (`B` is
-/// `top_rows x n`), skipping every task on tile rows that are still
-/// pristine identity/zero at the given panel — the tile-level analogue of
-/// [`crate::geqrf_stacked`]'s shrinking row window.
-pub fn geqrf_tiled_stacked<S: Scalar>(top_rows: usize, a: &Matrix<S>, nb: usize) -> TiledQr<S> {
-    assert!(top_rows <= a.nrows(), "geqrf_tiled_stacked: top block larger than matrix");
-    geqrf_tiled_inner(a, nb.max(8), QrStructure::Stacked { top_rows })
-}
-
 /// Form the explicit thin `Q` (`m x k_cols`) of a [`geqrf_tiled`]
 /// factorization by applying the stored reflectors to the identity with the
 /// reverse `tsmqr`/`unmqr` task sweep. (`&mut` because the dag's tile
@@ -748,12 +738,8 @@ pub fn orgqr_tiled<S: Scalar>(f: &mut TiledQr<S>, k_cols: usize) -> Matrix<S> {
 /// On failure the executor cancels outstanding tasks and the leading-minor
 /// offset is reported like LAPACK `info`.
 pub fn potrf_tiled<S: Scalar>(uplo: Uplo, a: &mut Matrix<S>, nb: usize) -> Result<(), LapackError> {
+    assert_eq!(uplo, Uplo::Lower, "potrf_tiled: only the lower triangle is factored");
     assert_eq!(a.nrows(), a.ncols(), "potrf_tiled: matrix must be square");
-    if uplo != Uplo::Lower {
-        // the solver only drives the Lower variant; keep Upper on the
-        // (equally valid) flat path
-        return crate::potrf(uplo, a);
-    }
     let n = a.nrows();
     let nb = nb.max(8);
     let _obs = polar_obs::kernel_span(
@@ -876,7 +862,7 @@ mod tests {
             let padded = Matrix::vstack(&b, &Matrix::zeros(top - m, n));
             let w = Matrix::vstack(&padded, &Matrix::identity(n, n));
             let mut dense = geqrf_tiled(&w, nb);
-            let mut windowed = geqrf_tiled_stacked(top, &w, nb);
+            let mut windowed = geqrf_tiled_inner(&w, nb, QrStructure::Stacked { top_rows: top });
             let marked = windowed.t.iter().filter(|t| t.upper_v2).count();
             assert_eq!(marked, n.div_ceil(nb), "m={m} n={n} nb={nb}");
             let qd = orgqr_tiled(&mut dense, n);
@@ -888,7 +874,7 @@ mod tests {
             // a top block that ends inside a tile marks nothing
             if top != m {
                 let w = Matrix::vstack(&b, &Matrix::identity(n, n));
-                let ragged = geqrf_tiled_stacked(m, &w, nb);
+                let ragged = geqrf_tiled_inner(&w, nb, QrStructure::Stacked { top_rows: m });
                 assert!(ragged.t.iter().all(|t| !t.upper_v2), "m={m} n={n} nb={nb}");
             }
         }
@@ -963,7 +949,8 @@ mod tests {
             let top = m.div_ceil(nb) * nb;
             let b = Matrix::vstack(&rand_mat(m, n, 7 + m as u64), &Matrix::zeros(top - m, n));
             let w = Matrix::vstack(&b, &Matrix::identity(n, n));
-            let q = orgqr_tiled(&mut geqrf_tiled_stacked(top, &w, nb), n);
+            let stacked = QrStructure::Stacked { top_rows: top };
+            let q = orgqr_tiled(&mut geqrf_tiled_inner(&w, nb, stacked), n);
             let (r_top, r_q) = (n.div_ceil(nb) * nb, triangle_stack::<f64>(n, nb, 3 + n as u64));
             let tri = QrStructure::TriangularTop { top_rows: r_top };
             let qr = orgqr_tiled(&mut geqrf_tiled_inner(&r_q.0, nb, tri), n);
