@@ -107,6 +107,10 @@ stage_lint() {
     strays=$(grep -rl 'next_phase(' crates/core/src || true)
     test "$strays" = crates/core/src/graph.rs \
         || fail "the whole-solve phase loop is not in core's graph.rs alone: $strays"
+    # and a QR-based step is one emitter at every `terms`: X factored in
+    # place, each term's QR over its R (no stacked QR of X itself)
+    strays=$(grep -rlE '\bemit_term\b|QrStructure::Stacked\b' crates/*/src || true)
+    test -z "$strays" || fail "a second QR-based step (emit_term / QrStructure::Stacked): $strays"
 
     step "one solve skeleton: estimate, plan, cost and telemetry written in core's skeleton.rs only"
     # Algorithm 1's recipe around the task graphs is crates/core/src/skeleton.rs;

@@ -430,7 +430,8 @@ fn abl_zolo(out: &mut Out) {
             col("flops", 12),
         ],
     );
-    // stacked QRs: one per term of every QR-based iteration
+    // term QRs, of `[s_j R; 0; d_j I]`: one per term of every QR-based
+    // iteration (each also factors X once, or reads the start's QR of it)
     for (method, pd, terms) in [("qdwh", &q, 1), ("zolo-pd", &z, zolo.terms)] {
         let qrs = terms * pd.info.qr_iterations;
         t.row([

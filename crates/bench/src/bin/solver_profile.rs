@@ -221,15 +221,16 @@ fn write_analysis(
 /// The `--zolo-cp-gate` branch-concurrency check: analyze only the dags
 /// the zolo phase executed and assert the measured critical path of the
 /// fused solve sits strictly below the serial sum of its QR-class task
-/// durations. With r >= 2 independent stacked-QR branches per iteration
-/// that inequality holds structurally (the CP can traverse only one
+/// durations. With r >= 2 independent term-QR branches per iteration (the
+/// QRs of `[s_j R; 0; d_j I]` over the iteration's one QR of `X`) that
+/// inequality holds structurally (the CP can traverse only one
 /// branch per iteration), so the gate proves the analyzer saw at least
 /// two concurrently-runnable QR branches — even on a single-core runner,
 /// because the measured CP is computed from the dependency graph, not
 /// the schedule.
 ///
 /// Also fails a silent fall-back to QR-only: the solve must end
-/// Cholesky-based — fewer stacked QRs than `r` per iteration, and
+/// Cholesky-based — fewer term QRs than `r` per iteration, and
 /// `task_potrf` tasks in the dag.
 fn zolo_cp_gate(
     spans: &[SpanRecord],
@@ -240,7 +241,7 @@ fn zolo_cp_gate(
     let (iterations, qrs) = (zolo.info.iterations, r * zolo.info.qr_iterations);
     assert!(
         qrs < r * iterations,
-        "zolo cp gate: {qrs} stacked QRs in {iterations} iterations at r={r} — no iteration was \
+        "zolo cp gate: {qrs} term QRs in {iterations} iterations at r={r} — no iteration was \
          Cholesky-based (kinds {:?})",
         zolo.info.kinds
     );

@@ -11,16 +11,15 @@
 //! per planned step `X <- x_coef X + sum_j weight_j X Z_j^{-1}`, `Z_j =
 //! alpha_j X^H X + shift_j I`:
 //!
-//! * QR-based with one term (QDWH): a stacked-QR term on `[sqrt(alpha) X;
-//!   sqrt(shift) I]` ([`crate::solve_dag`]'s), whose product tiles start
-//!   from `x_coef X` instead of zero — the update fused;
-//! * QR-based with several terms (Zolo-PD): one QR of `X = Q_x R` (for a
-//!   solve's first step, the one the start stage ran), then per term a QR
-//!   of the two-triangle stack `[sqrt(alpha_j) R; sqrt(shift_j) I]` only —
-//!   the terms share no written tile, so the `r` chains run concurrently,
-//!   the concurrency the paper's §8 wants Zolo-PD for — their `coef_j Q1
-//!   Q2^H` summed in fixed term order into the top `n x n` of `X_out`, `Q_x`
-//!   applied, and one update task per tile adding `x_coef X`;
+//! * QR-based, at any number of terms: one QR of `X = Q_x R`, in place in
+//!   `X`'s buffer (for a solve's first step, the one the start stage ran),
+//!   then per term a QR of the two-triangle stack `[sqrt(alpha_j) R;
+//!   sqrt(shift_j) I]` only — the terms share no written tile, so the `r`
+//!   chains run concurrently, the concurrency the paper's §8 wants Zolo-PD
+//!   for — `x_coef R` plus their `coef_j Q1 Q2^H` summed in fixed term order
+//!   into the top `n x n` of `X_out`, and `Q_x` applied
+//!   ([`crate::solve_dag`]'s `emit_factored_step`); QDWH's step is its
+//!   one-term member;
 //! * Cholesky-based with one term (QDWH): `Z = L L^H` and two sweeps that
 //!   leave `X Z^{-1}` in `X_out`, then one update task per tile adding
 //!   `x_coef X` ([`Combine`]). The Gram matrix is formed in place in the
@@ -36,8 +35,9 @@
 //!   until the sum, so their chains run concurrently. A solve's first step
 //!   forms no Gram matrix when the start stage certified `l0` on one
 //!   ([`crate::skeleton::scaled_start`]): every term shifts that one.
-//!   Whatever the step, the task that writes a tile of `X_out` last
-//!   publishes its convergence partial `|X_k - X_{k-1}|_F^2`;
+//!   Whatever the step, one task per tile of `X_out` publishes its
+//!   convergence partial `|X_k - X_{k-1}|_F^2` (a QR-based step's, in `R`
+//!   space, before `Q_x`);
 //! * one fixed-order reduction task per step. Nothing in step `k+1` waits on
 //!   it — it is a sink — so the executor's critical-path priorities and
 //!   lookahead window let step-`k+1` panel kernels overlap step-`k` trailing
@@ -57,10 +57,10 @@ use crate::qdwh_impl::QdwhError;
 use crate::skeleton::{Step, Term};
 use crate::solve_dag::{
     emit_apply, emit_chol_inverse, emit_chol_term, emit_combine, emit_factored_step, emit_gram,
-    emit_inverse_sum, emit_shifted, emit_term, execute_hooked, CholPtr, Combine, Hooked, Iterate,
-    NormSink, TermPtr, TermWorkspace,
+    emit_inverse_sum, emit_shifted, execute_hooked, CholPtr, Combine, Hooked, Iterate, NormSink,
+    TermPtr, TermWorkspace,
 };
-use polar_lapack::{LapackError, QrPtr, QrStructure, TilePtr, TiledQr};
+use polar_lapack::{LapackError, QrPtr, QrStructure, TFactors, TilePtr};
 use polar_matrix::{ProcessGrid, TiledMatrix, Tiling};
 use polar_runtime::{PhaseProfile, TaskDag, TaskGraph};
 use polar_scalar::{Real, Scalar};
@@ -68,31 +68,32 @@ use std::sync::OnceLock;
 
 /// What a solve's graphs allocate, each matrix by the first graph that names
 /// it, kept for the next (a continuation step). Per term: a stacked-QR
-/// workspace only if a graph plans a QR-based step (over `X`, or with
-/// several terms over `X`'s `R`), and a Cholesky term lives in that
-/// workspace's `Q` ([`TermPtr::chol`]) when there is one, else in a host of
-/// its own (`n x n` and one tile row: [`CholPtr::within`]). Shared: the Gram
-/// matrix of a several-term Cholesky-based step — or the one the start
-/// stage certified `l_0` on, which a Cholesky-based first step reads
-/// instead of forming its own — which holds that step's `M` once its terms
-/// have read it; and the QR of `X` of a several-term QR-based step — or the
-/// one the start stage ran, which such a first step reads instead of
-/// factoring `X` again.
+/// workspace over `X`'s `R` only if a graph plans a QR-based step, and a
+/// Cholesky term lives in that workspace's `Q` ([`TermPtr::chol`]) when
+/// there is one, else in a host of its own (`n x n` and one tile row:
+/// [`CholPtr::within`]). Shared: the Gram matrix of a several-term
+/// Cholesky-based step — or the one the start stage certified `l_0` on,
+/// which a Cholesky-based first step reads instead of forming its own —
+/// which holds that step's `M` once its terms have read it; and the `T`
+/// factors of a QR-based step's QR of `X`, in place in the iterate's buffer
+/// — or of the one the start stage ran, whose tiles the iterate starts
+/// from, which a QR-based first step reads instead of factoring `X` again.
 #[derive(Default)]
 pub(crate) struct Workspace<S: Scalar> {
     terms: Vec<TermStore<S>>,
     gram: Option<TiledMatrix<S>>,
-    factor: Option<TiledQr<S>>,
+    factor: Option<TFactors<S>>,
     /// `gram` holds `X^H X` of the iterate the next graph starts from.
     gram_given: bool,
-    /// `factor` holds the tile QR of the iterate the next graph starts from.
+    /// The iterate the next graph starts from is factored, `factor` holding
+    /// its `T` factors.
     factor_given: bool,
 }
 
 impl<S: Scalar> Workspace<S> {
-    /// The workspace of a solve, holding `X_0^H X_0` or the tile QR of
-    /// `X_0` when the start stage formed it.
-    pub(crate) fn new(gram: Option<TiledMatrix<S>>, factor: Option<TiledQr<S>>) -> Self {
+    /// The workspace of a solve, holding `X_0^H X_0` or the `T` factors of
+    /// the tile QR of `X_0` when the start stage formed it.
+    pub(crate) fn new(gram: Option<TiledMatrix<S>>, factor: Option<TFactors<S>>) -> Self {
         let (gram_given, factor_given) = (gram.is_some(), factor.is_some());
         Self { gram_given, factor_given, gram, factor, ..Self::default() }
     }
@@ -113,8 +114,9 @@ struct GraphPtrs<'a, S: Scalar> {
     gram: Option<TilePtr<'a, S>>,
     /// `gram` holds `X_in^H X_in` of the first step: it forms none.
     gram_given: bool,
+    /// The QR of a QR-based step's `X_in`, in place, over `x[0]`.
     factor: Option<QrPtr<'a, S>>,
-    /// `factor` holds the tile QR of `X_in` of the first step: it runs none.
+    /// `X_in` of the first step is factored already: it runs no QR of it.
     factor_given: bool,
 }
 
@@ -144,8 +146,8 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
     /// and [`task_graph`] agree on them. With `x`, over storage: the
     /// iterate's two buffers and `ws`, which allocates what it lacks and has
     /// to outlive the dag whose bodies borrow it. Without, storage-free. A
-    /// Gram matrix `ws` was given is the first step's, if that step is
-    /// Cholesky-based, and no later graph's.
+    /// Gram matrix or factor `ws` was given is the first step's, if that
+    /// step is of its kind, and no later graph's.
     fn name(
         dag: &mut TaskDag<'_>,
         sink: &mut NormSink,
@@ -154,7 +156,7 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
         x: Option<&'a mut [TiledMatrix<S>; 2]>,
         ws: &'a mut Workspace<S>,
     ) -> Self {
-        let (m, n, nb) = (xt.m(), xt.n(), xt.nb());
+        let (n, nb) = (xt.n(), xt.nb());
         let backed = x.is_some();
         sink.name_in(dag);
         let shapes = [TilePtr::shape(dag, xt), TilePtr::shape(dag, xt)];
@@ -163,34 +165,31 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
             None => shapes,
         };
 
+        let first = |kind| plan.first().is_some_and(|p: &Step<f64>| p.kind == kind);
         let chol = || plan.iter().filter(|p| p.kind == IterationKind::CholeskyBased);
-        let first_chol = plan.first().is_some_and(|p| p.kind == IterationKind::CholeskyBased);
-        let gram_given = std::mem::take(&mut ws.gram_given) && first_chol;
-        let factor_given = std::mem::take(&mut ws.factor_given)
-            && plan.first().is_some_and(|p| p.kind == IterationKind::QrBased && p.terms.len() > 1);
-        let qr = chol().count() < plan.len() || ws.terms.iter().any(|t| t.qr.is_some());
+        let gram_given = std::mem::take(&mut ws.gram_given) && first(IterationKind::CholeskyBased);
+        let factor_given = std::mem::take(&mut ws.factor_given) && first(IterationKind::QrBased);
+        let qr_steps = chol().count() < plan.len();
+        let qr = qr_steps || ws.terms.iter().any(|t| t.qr.is_some());
         let own_chol = !qr && chol().count() > 0;
         let terms = plan.iter().map(|p| p.terms.len()).max().unwrap_or(0);
         if ws.terms.len() < terms {
             ws.terms.resize_with(terms, TermStore::default);
         }
-        // several QR-based terms factor X once and stack its R
-        let over_r = qr && terms > 1;
-        let factor = over_r.then(|| {
-            let shape = QrPtr::shape(dag, xt, QrStructure::Dense);
-            let new = || TiledQr::zeros(xt, QrStructure::Dense);
+        let factor = qr_steps.then(|| {
+            let over = QrPtr::over(dag, x[0], QrStructure::Dense);
+            let new = || TFactors::zeros(xt, QrStructure::Dense);
             if backed {
-                shape.bind(ws.factor.get_or_insert_with(new))
+                over.bind_t(ws.factor.get_or_insert_with(new))
             } else {
-                shape
+                over
             }
         });
         let slot = |store: &'a mut TermStore<S>| {
             let qr = qr.then(|| {
-                let shape = TermPtr::shape(dag, m, n, nb, over_r);
-                let new = || TermWorkspace::new(m, n, nb, over_r);
+                let shape = TermPtr::shape(dag, n, nb);
                 if backed {
-                    shape.bind(store.qr.get_or_insert_with(new))
+                    shape.bind(store.qr.get_or_insert_with(|| TermWorkspace::new(n, nb)))
                 } else {
                     shape
                 }
@@ -206,18 +205,18 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
     }
 }
 
-/// The whole-solve task graph of an `m x n` solve at tile size `nb` running
-/// steps of the given kinds with `terms` terms each (QDWH: 1; Zolo-PD: its
-/// `r`), without bodies or storage: emitted by the code [`crate::qdwh`]
-/// executes at every `terms`, so its tasks, tile sets and edges are the
-/// executor's (scalar weights never reach the graph). `S` sets the tile
-/// payload bytes. What `polar-sim` schedules and
-/// [`crate::qdwh_distributed`] meters. A Cholesky-based first step reads
-/// the Gram matrix the start stage formed, as in a solve whose `l_0` was
+/// The whole-solve task graph of an `m x n` solve at tile size `nb`
+/// running steps of the given kinds with `terms` terms each (QDWH: 1;
+/// Zolo-PD: its `r`), without bodies or storage: emitted by the code
+/// [`crate::qdwh`] executes at every `terms`, so its tasks, tile sets and
+/// edges are the executor's (scalar weights never reach the graph). `S`
+/// sets the tile payload bytes. What `polar-sim` schedules and
+/// [`crate::qdwh_distributed`] meters. A Cholesky-based first step reads the
+/// Gram matrix the start stage formed, as in a solve whose `l_0` was
 /// certified on it (every Cholesky-first solve of the default options, in
-/// practice), and a QR-based first step of several terms the tile QR of `X`
-/// the start stage estimated `l_0` with (every QR-first Zolo-PD solve of
-/// the default options): those graphs are not part of this one.
+/// practice), and a QR-based first step the tile QR of `X` the start stage
+/// estimated `l_0` with (every QR-first solve of the default options): those
+/// graphs are not part of this one.
 pub fn task_graph<S: Scalar>(
     m: usize,
     n: usize,
@@ -261,26 +260,17 @@ fn emit_steps<'a, S: Scalar>(
         let combine = Combine { x: xin, x_coef: scalar(step.x_coef), sink, iter: k };
 
         match step.kind {
-            // coef_j Q1 Q2^H, [Q1; Q2] R = [sqrt(alpha_j) X_in; sqrt(shift_j) I]
+            // X_in = Q_x R in place — which the first step may have been
+            // given — then x_coef R + sum_j coef_j Q1_j Q2_j^H, [Q1_j; Q2_j]
+            // R_j = [sqrt(alpha_j) R; sqrt(shift_j) I], and Q_x applied
             IterationKind::QrBased => {
+                let mut f = at.factor.expect("plan has a QR-based step");
+                f.a = xin;
+                let given = k == 0 && at.factor_given;
                 let qr = |j: usize| at.terms[j].qr.expect("plan has a QR-based step");
-                match (at.factor, &applied[..]) {
-                    // several terms: X_in = Q_x R once — which the first
-                    // step may have been given — the terms' QRs of
-                    // [sqrt(alpha_j) R; sqrt(shift_j) I], summed before Q_x
-                    (Some(f), _) => {
-                        let given = k == 0 && at.factor_given;
-                        let terms: Vec<_> = (0..applied.len()).map(|j| (qr(j), coefs[j])).collect();
-                        let scales: Vec<_> =
-                            applied.iter().map(|&(s, d, _)| (real(s), real(d))).collect();
-                        emit_factored_step(dag, f, given, &terms, &scales, xout, &combine);
-                    }
-                    (None, &[(s, d, _)]) => {
-                        let scales = (real(s), real(d));
-                        emit_term(dag, qr(0), xin, scales, coefs[0], xout, Some(&combine));
-                    }
-                    (None, _) => unreachable!("a solve of several terms factors X once"),
-                }
+                let terms: Vec<_> = (0..applied.len()).map(|j| (qr(j), coefs[j])).collect();
+                let scales: Vec<_> = applied.iter().map(|&(s, d, _)| (real(s), real(d))).collect();
+                emit_factored_step(dag, f, given, &terms, &scales, xout, &combine);
             }
             // Z_j = alpha_j X_in^H X_in + shift_j I. One term: coef X_in
             // Z^{-1} by sweeps in X_out (whose buffer last held X_{k-1}:
@@ -422,6 +412,10 @@ mod tests {
         // m not a multiple of nb: X's last tile row is short of W's, whose
         // identity block starts on the next tile boundary
         let (a, _) = generate::<f64>(&geometric(37, 20, 1e8, 9));
+        graph_case(&a, 1e-13);
+        // narrower than the smallest tile: the start's QR is tiled as the
+        // iterate, one column of tiles 5 wide, and the first step reads it
+        let (a, _) = generate::<f64>(&geometric(11, 5, 1e12, 9));
         graph_case(&a, 1e-13);
     }
 

@@ -158,7 +158,8 @@ fn gram_l0<S: Scalar, M: Method<S>>(
 /// Where a solve starts: the scale `alpha`, the scaled input tiled as the
 /// iterate, the bound `l_0`, — when `l_0` was certified on it — `X_0^H
 /// X_0`, and — when `l_0` was estimated on it and the first step factors
-/// `X_0` (a QR-based step of several terms) — the tile QR of `X_0`.
+/// `X_0` (a QR-based step) — the tile QR of `X_0`, which the iterate takes
+/// in place of `X_0` ([`Iterate::factored`]).
 pub(crate) struct Start<S: Scalar> {
     pub alpha: S::Real,
     pub x: Iterate<S>,
@@ -173,8 +174,9 @@ pub(crate) struct Start<S: Scalar> {
 /// a method that could start Cholesky-based first tries the Gram route
 /// (`gram_l0`, task graphs the progress hook may cancel); a bound it does
 /// not certify — or any other strategy, or a method that must start
-/// QR-based — is [`estimate_l0`]'s, its QR the tile graph, kept for a first
-/// step that would factor `X_0` again. `None` for the zero matrix.
+/// QR-based — is [`estimate_l0`]'s, its QR the tile graph, kept for a
+/// QR-based first step, which would factor `X_0` again. `None` for the zero
+/// matrix.
 pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
     a: &Matrix<S>,
     opts: &QdwhOptions,
@@ -203,10 +205,8 @@ pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
             let r_of_x = || factor.insert(geqrf_tiled(&dense, nb)).extract_r();
             let l0 = estimate_l0(dense.as_ref(), strategy, r_of_x);
             // the same tiles through the same kernels: the first step's QR
-            let step = method.step_at(l0.to_f64());
-            let reads = step.kind == IterationKind::QrBased && step.terms.len() > 1;
-            let factor = factor.filter(|f| reads && f.a.tiling() == x.tiling());
-            (l0, None, factor)
+            let qr_first = method.step_at(l0.to_f64()).kind == IterationKind::QrBased;
+            (l0, None, factor.filter(|_| qr_first))
         }
     };
     Ok(Some(Start { alpha, x, l0, gram, factor }))
@@ -477,6 +477,7 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
     };
     // the tiles are the iterate from here on, and they and the workspaces
     // outlive the graph that made them
+    let factor = factor.map(|f| x.factored(f));
     let mut ws = Workspace::new(gram, factor);
     let mut info = QdwhInfo::started(alpha, l0);
     let mut ell = l0.to_f64();

@@ -1,14 +1,11 @@
 //! What the whole-solve task graph ([`crate::graph`]) builds a step from:
 //!
-//! * the **stacked-QR term** ([`emit_term`]): `[s X; 0; d I]` assembly, the
-//!   identity on a tile boundary → tile QR → explicit `Q` → `alpha Q1 Q2^H`
-//!   product tiles. The factorization tasks themselves come from
-//!   `polar-lapack`'s emitters — this crate names no tile kernel;
-//! * the **factored QR-based step** of several terms
-//!   ([`emit_factored_step`]): one tile QR of `X` (or the one the start
-//!   stage left), the same term over its `R` for each — `[s_j R; 0; d_j I]`,
-//!   a triangular top — then the terms' product tiles summed, `Q_x` applied
-//!   and the combine;
+//! * the **QR-based step** of any number of terms ([`emit_factored_step`]):
+//!   one tile QR of `X` in place (or the one the start stage left), per
+//!   term the QR of `[s_j R; 0; d_j I]` over its `R` — a triangular top —
+//!   and its explicit `Q`, then `x_coef R` plus the terms' product tiles in
+//!   `R` space, lifted by `Q_x`. The factorization tasks themselves come
+//!   from `polar-lapack`'s emitters — this crate names no tile kernel;
 //! * the **Cholesky term** of a one-term step ([`emit_chol_term`], over a
 //!   `Z` formed by [`emit_gram`] or [`emit_shifted`]): tile Cholesky → one
 //!   `trtri_lower` per diagonal tile → the two sweeps that leave `X Z^{-1}`
@@ -18,12 +15,13 @@
 //!   ([`emit_chol_inverse`]), then `M = x_coef I + sum_j w_j T_j^H T_j`
 //!   ([`emit_inverse_sum`]) and `X M`, one gemm over `X`
 //!   ([`emit_apply`]);
-//! * the **combine** ([`Combine`]) of a one-term or factored step — in its
-//!   product tiles, or in [`emit_combine`]'s update tasks behind its sweeps;
+//! * the **combine** ([`Combine`]): `x_coef X` — in `R` space in a QR-based
+//!   step's product tiles, in [`emit_combine`]'s update tasks behind a
+//!   one-term Cholesky step's sweeps;
 //! * the **convergence sink** ([`NormSink`]): per-tile `|X_k - X_{k-1}|_F^2`
-//!   partials published by the tasks that write `X_k` last and one
-//!   fixed-order reduction task per iteration that nothing downstream waits
-//!   on;
+//!   partials — published by the tasks that write `X_k` last, or by a
+//!   QR-based step's product tiles in `R` space — and one fixed-order
+//!   reduction task per iteration that nothing downstream waits on;
 //! * running the graph under the caller's progress hook
 //!   ([`execute_hooked`]).
 //!
@@ -38,7 +36,7 @@ use crate::qdwh_impl::QdwhError;
 use polar_blas::{add, gemm, herk, mirror_triangle, scale_real, trmm};
 use polar_lapack::{
     emit_geqrf, emit_orgqr, emit_potrf, emit_unmqr, tile_nb3, trtri_lower, LapackError, QrPtr,
-    QrStructure, TilePtr, TiledQr,
+    QrStructure, TFactors, TilePtr, TiledQr,
 };
 use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
 use polar_runtime::{
@@ -179,6 +177,22 @@ impl<S: Scalar> Iterate<S> {
         self.bufs[0].tiling()
     }
 
+    /// Hold the tile QR `f` of the iterate instead of the iterate: its
+    /// packed tiles, which a QR-based step factors in place anyway, copied
+    /// over the iterate's, and a copy of their `T` factors back. Copies, not
+    /// `f`'s storage: `f` was allocated after the start's dense copy of the
+    /// iterate, and kept through the solve it pins the heap above that
+    /// block — repeated 1024² solves grew their peak resident set by a
+    /// matrix (64 → 71 MB) before their `T` factors and tiles moved.
+    pub(crate) fn factored(&mut self, f: TiledQr<S>) -> TFactors<S> {
+        let (mut tiles, t) = f.into_parts();
+        assert_eq!(tiles.tiling(), self.tiling(), "the iterate's QR is tiled as the iterate");
+        for (x, packed) in self.bufs[0].tiles_mut().iter_mut().zip(tiles.tiles_mut()) {
+            x.copy_from(packed);
+        }
+        t.clone()
+    }
+
     /// The two buffers, the one holding the iterate first.
     pub(crate) fn bufs(&mut self) -> &mut [TiledMatrix<S>; 2] {
         &mut self.bufs
@@ -203,46 +217,38 @@ impl<S: Scalar> Iterate<S> {
     }
 }
 
-/// Workspace of one stacked-QR term — `W = [s B; 0; d I]` with its `T`
-/// factors and the explicit `Q` — allocated once per solve and reused by
-/// every iteration: by the time any tile of `X_{k+1}` exists every reader of
-/// iteration `k`'s workspace has run, so the reuse edges the dag infers cost
-/// no overlap. `B` is the iterate `X` itself, or — in a step of several
-/// terms, which factors `X` once ([`emit_factored_step`]) — `X`'s `R`
-/// factor: `n x n`, upper triangular.
+/// Workspace of one term of a QR-based step — `W = [s R; 0; d I]` with its
+/// `T` factors and the explicit `Q`, `R` the `n x n` upper triangular factor
+/// of the iterate ([`emit_factored_step`]) — allocated once per solve and
+/// reused by every iteration: by the time any tile of `X_{k+1}` exists every
+/// reader of iteration `k`'s workspace has run, so the reuse edges the dag
+/// infers cost no overlap.
 ///
-/// `B`'s rows are padded with zero rows to whole tiles, so the identity
-/// starts on a tile boundary whatever its height is. The pad rows change
-/// nothing in exact arithmetic (`R` is `W^H W`'s factor, the other rows of
-/// `Q` are `W R^{-1}`'s) and buy three things: no tile kernel sees rows of
-/// scale `s` (up to `1e8`) beside rows of scale `d`, which cost the tile QR
-/// its row-wise accuracy; the `[B; I]` pruning and the triangular-tile
-/// windows apply to every shape ([`QrStructure::Stacked`]); and `Q2`'s tile
-/// `(tj, kc)` *is* `Q`'s tile `(mt + tj, kc)`, `mt` the padded `B`'s tile
-/// rows, so the product tiles read `Q` in place.
+/// `R`'s rows are padded with zero rows to whole tiles, so the identity
+/// starts on a tile boundary whatever `n` is. The pad rows change nothing
+/// in exact arithmetic (the factor is `W^H W`'s, the other rows of `Q` are
+/// `W`'s times its inverse) and buy three things: no tile kernel sees rows
+/// of scale `s` (up to `1e8`) beside rows of scale `d`, which cost the tile
+/// QR its row-wise accuracy; the triangular-top pruning and the
+/// triangular-tile windows apply to every shape
+/// ([`QrStructure::TriangularTop`]); and `Q2`'s tile `(tj, kc)` *is* `Q`'s
+/// tile `(nt + tj, kc)`, so the product tiles read `Q` in place.
 pub(crate) struct TermWorkspace<S: Scalar> {
     w: TiledQr<S>,
     q: TiledMatrix<S>,
 }
 
-/// Tiling of the stacked `W` and `Q` of an `m x n` iterate, and the
-/// structure of its factorization: `[X; 0; I]`, or with `over_r` `[R; 0; I]`
-/// (`R` `n x n` upper triangular).
-fn stacked(m: usize, n: usize, nb: usize, over_r: bool) -> (Tiling, QrStructure) {
-    let top_rows = if over_r { n } else { m }.div_ceil(nb) * nb;
-    let structure = if over_r {
-        QrStructure::TriangularTop { top_rows }
-    } else {
-        QrStructure::Stacked { top_rows }
-    };
-    (Tiling::new(top_rows + n, n, nb, nb), structure)
+/// Tiling of the stacked `W` and `Q` of an `n`-column iterate, `[R; 0; I]`,
+/// and the structure of its factorization.
+fn stacked(n: usize, nb: usize) -> (Tiling, QrStructure) {
+    let top_rows = n.div_ceil(nb) * nb;
+    (Tiling::new(top_rows + n, n, nb, nb), QrStructure::TriangularTop { top_rows })
 }
 
 impl<S: Scalar> TermWorkspace<S> {
-    /// For an `m x n` iterate at tile size `nb`, stacking `X` (or, with
-    /// `over_r`, its `R`), the factorization pruned to the fill window.
-    pub(crate) fn new(m: usize, n: usize, nb: usize, over_r: bool) -> Self {
-        let (wt, structure) = stacked(m, n, nb, over_r);
+    /// For an `n`-column iterate at tile size `nb`.
+    pub(crate) fn new(n: usize, nb: usize) -> Self {
+        let (wt, structure) = stacked(n, nb);
         Self { w: TiledQr::zeros(wt, structure), q: TiledMatrix::zeros(wt, ProcessGrid::single()) }
     }
 }
@@ -253,24 +259,17 @@ impl<S: Scalar> TermWorkspace<S> {
 pub(crate) struct TermPtr<'a, S: Scalar> {
     w: QrPtr<'a, S>,
     q: TilePtr<'a, S>,
-    over_r: bool,
 }
 
 impl<'a, S: Scalar> TermPtr<'a, S> {
     /// Arguments as for [`TermWorkspace::new`].
-    pub(crate) fn shape(
-        dag: &mut TaskDag<'_>,
-        m: usize,
-        n: usize,
-        nb: usize,
-        over_r: bool,
-    ) -> Self {
-        let (wt, structure) = stacked(m, n, nb, over_r);
-        Self { w: QrPtr::shape(dag, wt, structure), q: TilePtr::shape(dag, wt), over_r }
+    pub(crate) fn shape(dag: &mut TaskDag<'_>, n: usize, nb: usize) -> Self {
+        let (wt, structure) = stacked(n, nb);
+        Self { w: QrPtr::shape(dag, wt, structure), q: TilePtr::shape(dag, wt) }
     }
 
     pub(crate) fn bind<'b>(self, ws: &'b mut TermWorkspace<S>) -> TermPtr<'b, S> {
-        TermPtr { w: self.w.bind(&mut ws.w), q: self.q.bind(&mut ws.q), over_r: self.over_r }
+        TermPtr { w: self.w.bind(&mut ws.w), q: self.q.bind(&mut ws.q) }
     }
 
     /// The same workspace as a Cholesky term's: `Z` where `Q2` goes, the
@@ -298,10 +297,9 @@ impl<'a, S: Scalar> CholPtr<'a, S> {
     }
 }
 
-/// What the one term of a one-term step (or a factored step's update
-/// tasks) adds to its output tiles: `x_coef X`; and each tile publishes its
-/// convergence partial `|out - X|_F^2` for iteration `iter`. QDWH's Halley
-/// update, fused.
+/// What a step adds to its terms: `x_coef X`, `x` the iterate it reads; and
+/// each tile of its output publishes its convergence partial `|X' - X|_F^2`
+/// for iteration `iter`.
 pub(crate) struct Combine<'a, S: Scalar> {
     pub x: TilePtr<'a, S>,
     pub x_coef: S,
@@ -309,44 +307,26 @@ pub(crate) struct Combine<'a, S: Scalar> {
     pub iter: usize,
 }
 
-/// Add one stacked-QR term to `dag`:
+/// Add a QR-based step to `dag`, its `r` terms' QRs built on one QR of `X`,
+/// in place in `X`'s buffer:
 ///
 /// ```text
-/// [Q1; 0; Q2] R = [s X; 0; d I]    (tile QR on the pruned row window)
-/// out = alpha Q1 Q2^H              (+ the combine, for the term that carries it)
-/// ```
-///
-/// `x` and `out` are tiled alike (`m x n`); `ws` was sized for them.
-pub(crate) fn emit_term<'a, S: Scalar>(
-    dag: &mut TaskDag<'a>,
-    ws: TermPtr<'a, S>,
-    x: TilePtr<'a, S>,
-    scales: (S::Real, S::Real),
-    alpha: S,
-    out: TilePtr<'a, S>,
-    combine: Option<&Combine<'a, S>>,
-) {
-    emit_stacked_q(dag, ws, x, scales);
-    emit_product(dag, &[(ws, alpha)], out, combine);
-}
-
-/// Add a QR-based step of several terms to `dag`, each term's QR built on
-/// one QR of `X`:
-///
-/// ```text
-/// X = Q_x R                                 (tile QR of a copy of X, in f)
+/// X = Q_x [R; 0]                            (tile QR, in place: f)
 /// [Q1_j; 0; Q2_j] R_j = [s_j R; 0; d_j I]   (per term, on two triangles)
-/// out = Q_x [sum_j coef_j Q1_j Q2_j^H; 0]   (+ the combine)
+/// out = Q_x [x_coef R + sum_j coef_j Q1_j Q2_j^H; 0]
 /// ```
 ///
 /// `[s X; d I] = diag(Q_x, I) [s R; d I]`, so term `j`'s `Q1 Q2^H` of the
-/// stacked `[s_j X; d_j I]` is `Q_x [Q1_j Q2_j^H; 0]`: the step
-/// [`emit_term`] per term computes, with one QR of `X` where it factors
-/// `X` once per term. The terms share no written tile, so their chains run
-/// concurrently. `terms` holds each term's workspace (built `over_r`) and
-/// `coef`, `scales` its `(s, d)`; `f` is tiled like `X`. With `given`, `f`
-/// already holds the tile QR of `X` — the start stage's, which factored
-/// the same tiles with the same kernels — and the step runs none.
+/// stacked `[s_j X; d_j I]` is `Q_x [Q1_j Q2_j^H; 0]`, and `X = Q_x [R;
+/// 0]`: the whole update is `Q_x` applied to an `n x n` matrix, and so is
+/// its distance from `X`, `|X' - X|_F = |P + (x_coef - 1) R|_F`, `P` the
+/// terms' sum — which the product tiles publish. The terms share no
+/// written tile, so their chains run concurrently. `terms` holds each
+/// term's workspace and `coef`, `scales` its `(s, d)`; `f` factors
+/// `combine.x`, the iterate, which the step leaves packed (`R` and the
+/// reflectors). With `given`, it already holds that — the start stage's
+/// tile QR of `X_0`, the same tiles through the same kernels — and the step
+/// runs none.
 pub(crate) fn emit_factored_step<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     f: QrPtr<'a, S>,
@@ -356,65 +336,50 @@ pub(crate) fn emit_factored_step<'a, S: Scalar>(
     out: TilePtr<'a, S>,
     combine: &Combine<'a, S>,
 ) {
-    let (x, xt) = (combine.x, combine.x.tiling());
-    let nbf = xt.nb() as f64;
     if !given {
-        dag.barrier();
-        for j in 0..xt.nt() {
-            for i in 0..xt.mt() {
-                let access = (f.a.write(i, j), x.read(i, j));
-                dag.add_on(KernelKind::Geadd, 2, nbf * nbf, access, |(ft, xs)| ft.copy_from(xs));
-            }
-        }
         emit_geqrf(dag, f);
     }
     for (&(ws, _), &scales) in terms.iter().zip(scales) {
         emit_stacked_q(dag, ws, f.a, scales);
     }
-    emit_product(dag, terms, out, None);
+    emit_product(dag, terms, out, combine);
     emit_unmqr(dag, f, out, false);
-    emit_combine(dag, out, S::ONE, combine);
 }
 
-/// Add `[Q1; 0; Q2] R = [s B; 0; d I]` to `dag`, in `ws`: the stack filled
-/// per tile from `top` — `X`, or for a workspace built `over_r` the upper
-/// triangle of a factored `X`'s tiles, its `R` — then its tile QR and
-/// explicit `Q`.
+/// Add `[Q1; 0; Q2] R' = [s R; 0; d I]` to `dag`, in `ws`: the stack filled
+/// per tile from the upper triangle of the factored tiles `r`, then its
+/// tile QR and explicit `Q`.
 fn emit_stacked_q<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     ws: TermPtr<'a, S>,
-    top: TilePtr<'a, S>,
+    r: TilePtr<'a, S>,
     (s, d): (S::Real, S::Real),
 ) {
-    let TermPtr { w: f, q, over_r } = ws;
+    let TermPtr { w: f, q } = ws;
     let w = f.a;
-    let (nt, mtw, nbf) = (top.tiling().nt(), w.tiling().mt(), w.tiling().nb() as f64);
-    // W's tile rows from d0 on are the identity's
-    let d0 = mtw - nt;
+    let (nt, mtw, nbf) = (r.tiling().nt(), w.tiling().mt(), w.tiling().nb() as f64);
 
-    // W = [s B; 0; d I] per tile
+    // W = [s R; 0; d I] per tile, the identity's tile rows from nt on
     dag.barrier();
     for j in 0..nt {
         for wi in 0..mtw {
-            let read = wi < d0 && (!over_r || wi <= j);
-            let access = (w.write(wi, j), read.then(|| top.read(wi, j)));
+            let access = (w.write(wi, j), (wi <= j).then(|| r.read(wi, j)));
             // R's diagonal tile is a factored tile: R above, reflectors below
-            let triangle = over_r && wi == j;
+            let triangle = wi == j;
             dag.add_on(KernelKind::Geadd, 2, nbf * nbf, access, move |(wt, ts)| {
                 wt.fill(S::ZERO);
                 match ts {
-                    // the last tile row of B may be short of W's: pad rows
+                    // the last tile row of R may be short of W's: pad rows
                     Some(ts) => {
                         let sc = S::from_real(s);
-                        let copy = s == S::Real::ONE; // s = 1 is a copy, bit for bit
                         for c in 0..ts.ncols() {
                             let rows = if triangle { ts.nrows().min(c + 1) } else { ts.nrows() };
                             for r in 0..rows {
-                                wt[(r, c)] = if copy { ts[(r, c)] } else { sc * ts[(r, c)] };
+                                wt[(r, c)] = sc * ts[(r, c)];
                             }
                         }
                     }
-                    None if wi >= d0 && wi - d0 == j => {
+                    None if wi == nt + j => {
                         for c in 0..wt.ncols() {
                             wt[(c, c)] = S::from_real(d);
                         }
@@ -429,37 +394,35 @@ fn emit_stacked_q<'a, S: Scalar>(
     emit_orgqr(dag, f, q);
 }
 
-/// Add `out = sum_j coef_j Q1_j Q2_j^H` to `dag`, per tile of `out`, from
-/// the explicit `Q`s of the stacked terms `qs` (`(workspace, coef_j)`), the
-/// terms in fixed order and each accumulated over the columns of its `Q` in
-/// fixed order (one task per tile: no reduction across tasks). With the
-/// combine of a one-term step, the tiles start from `x_coef X` instead of
-/// zero and publish their convergence partials. `Q2`'s tiles `(tj, kc <
-/// tj)` are never reached by the sweep that formed it, exact zeros, and
-/// with a triangular top (`over_r`) neither are `Q1`'s `(ti, kc < ti)`: the
-/// products skip them. Tile rows of `out` below `Q1`'s are zero.
+/// Add the `R`-space update of a QR-based step to `dag`, per tile of `out`:
+/// `x_coef R + P`, `P = sum_j coef_j Q1_j Q2_j^H` from the explicit `Q`s of
+/// the terms `qs` (`(workspace, coef_j)`), `R` the upper triangle of the
+/// factored tiles `combine.x`. The terms go in fixed order and each is
+/// accumulated over the columns of its `Q` in fixed order (one task per
+/// tile: no reduction across tasks); each tile publishes its share of
+/// `|P + (x_coef - 1) R|_F^2`. `Q1`'s tiles `(ti, kc < ti)` and `Q2`'s
+/// `(tj, kc < tj)` are never reached by the sweep that formed them, exact
+/// zeros: the products skip them. Tile rows of `out` below `R`'s are zero.
 fn emit_product<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     qs: &[(TermPtr<'a, S>, S)],
     out: TilePtr<'a, S>,
-    combine: Option<&Combine<'a, S>>,
+    combine: &Combine<'a, S>,
 ) {
     let ot = out.tiling();
     let (nt, nbf, nb3) = (ot.nt(), ot.nb() as f64, tile_nb3::<S>(ot.nb()));
+    // X' - X = Q_x [P + (x_coef - 1) R; 0]
+    let (x_coef, xm1) = (combine.x_coef, combine.x_coef - S::ONE);
     dag.barrier();
     for tj in 0..nt {
         for ti in 0..ot.mt() {
-            // with the combine, X (ti, tj) joins the reads and the partial
-            // the writes; then per term row ti of Q1 against row tj of Q2,
-            // from the first column where neither is zero
-            let carried = combine.map(|c| (c.x.read(ti, tj), c.sink.partial(c.iter, ti, tj)));
-            let x_coef = combine.map_or(S::ZERO, |c| c.x_coef);
+            // R's tile, if any; then per term row ti of Q1 against row tj of
+            // Q2, from the first column where neither is zero
+            let r = (ti <= tj).then(|| combine.x.read(ti, tj));
             let rows: Vec<Vec<_>> = qs
                 .iter()
-                .map(|&(TermPtr { q, over_r, .. }, _)| {
-                    let q2 = q.tiling().mt() - nt;
-                    let first = if over_r { ti.max(tj) } else { tj };
-                    (first..nt).map(|kc| (q.read(ti, kc), q.read(q2 + tj, kc))).collect()
+                .map(|&(TermPtr { q, .. }, _)| {
+                    (ti.max(tj)..nt).map(|kc| (q.read(ti, kc), q.read(nt + tj, kc))).collect()
                 })
                 .collect();
             let alphas: Vec<S> = qs.iter().map(|&(_, coef)| coef).collect();
@@ -467,18 +430,10 @@ fn emit_product<'a, S: Scalar>(
                 0 => (KernelKind::Geadd, nbf * nbf),
                 pairs => (KernelKind::Gemm, 2.0 * nb3 * pairs as f64),
             };
-            let access = (out.write(ti, tj), carried, rows);
-            dag.add_on(kind, 0, flops, access, move |(o, carried, rows)| {
-                match &carried {
-                    Some((xi, _)) => {
-                        for c in 0..o.ncols() {
-                            for r in 0..o.nrows() {
-                                o[(r, c)] = x_coef * xi[(r, c)];
-                            }
-                        }
-                    }
-                    None => o.fill(S::ZERO),
-                }
+            let partial = combine.sink.partial(combine.iter, ti, tj);
+            let access = (out.write(ti, tj), r, rows, partial);
+            dag.add_on(kind, 0, flops, access, move |(o, r, rows, partial)| {
+                o.fill(S::ZERO);
                 for (&alpha, pairs) in alphas.iter().zip(rows) {
                     for (q1, q2) in pairs {
                         gemm(
@@ -492,15 +447,21 @@ fn emit_product<'a, S: Scalar>(
                         );
                     }
                 }
-                if let Some((xi, partial)) = carried {
-                    let mut acc = S::Real::ZERO;
-                    for c in 0..o.ncols() {
-                        for r in 0..o.nrows() {
-                            acc += (o[(r, c)] - xi[(r, c)]).abs_sq();
+                let mut acc = S::Real::ZERO;
+                for c in 0..o.ncols() {
+                    for i in 0..o.nrows() {
+                        match r {
+                            // R: all of a tile right of the diagonal, the
+                            // upper triangle of a diagonal one
+                            Some(r) if ti < tj || i <= c => {
+                                acc += (o[(i, c)] + xm1 * r[(i, c)]).abs_sq();
+                                o[(i, c)] += x_coef * r[(i, c)];
+                            }
+                            _ => acc += o[(i, c)].abs_sq(),
                         }
                     }
-                    partial.publish(acc);
                 }
+                partial.publish(acc);
             });
         }
     }
@@ -957,9 +918,9 @@ fn factor_gram<S: Scalar>(
     }
 }
 
-/// Add the update of a step to `dag`: `out = weight out + x_coef X`, per
-/// tile — `out` holding the one-term Cholesky step's `X Z^{-1}`, which its
-/// sweeps ran in place there, or a factored QR-based step's sum of terms.
+/// Add the update of a one-term Cholesky-based step to `dag`: `out =
+/// weight out + x_coef X`, per tile, `out` holding the `X Z^{-1}` its sweeps
+/// ran in place there.
 pub(crate) fn emit_combine<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     out: TilePtr<'a, S>,
@@ -1042,6 +1003,7 @@ mod tests {
     use polar_gen::{generate, MatrixSpec, SigmaDistribution};
     use polar_lapack::{geqrf, orgqr};
     use polar_matrix::{Matrix, Norm};
+    use polar_scalar::Complex64;
 
     /// `||Q1 - s X Q2||_F / ||Q1||_F` of `[s X; I] = [Q1; Q2] R`: zero in
     /// exact arithmetic (`Q2 = R^{-1}`, `Q1 = s X R^{-1}`), and what a QR
@@ -1053,13 +1015,13 @@ mod tests {
         num / den
     }
 
-    /// The stacked term at the scale of QDWH's first iteration from `l0 ~
-    /// 1e-16` (`sqrt(c) ~ 1e8`), on shapes whose `m` is not a whole number
-    /// of tiles: with the identity on a tile boundary the tile QR keeps the
-    /// residual of the flat `geqrf` / `orgqr` (a `W` stacked without the
-    /// pad rows reads 1e-3 ... 1e-6 on these shapes).
+    /// A term over `R` at the scale of QDWH's first iteration from `l0 ~
+    /// 1e-16` (`sqrt(c) ~ 1e8`), on shapes whose `n` is not a whole number of
+    /// tiles: with the identity on a tile boundary the tile QR of `[s R; 0;
+    /// I]` keeps the residual of the flat `geqrf` / `orgqr` of `[s R; I]`,
+    /// and the step's product reads `Q2` where it is.
     #[test]
-    fn a_stacked_term_keeps_q1_equal_to_s_x_q2_on_ragged_shapes() {
+    fn a_term_over_r_keeps_q1_equal_to_s_r_q2_on_ragged_shapes() {
         let s = 1e8;
         for (m, n, nb) in [
             (40usize, 40usize, 32usize),
@@ -1083,38 +1045,131 @@ mod tests {
             };
             let (x, _) = generate::<f64>(&spec);
 
-            let mut w = Matrix::<f64>::zeros(m + n, n);
-            add(s, x.as_ref(), 0.0, w.view_mut(0, 0, m, n));
-            for d in 0..n {
-                w[(m + d, d)] = 1.0;
-            }
-            let f = geqrf(&mut w);
-            let q = orgqr(&w, &f);
-            let (q1, q2) = (q.submatrix_owned(0, 0, m, n), q.submatrix_owned(m, 0, n, n));
-            let flat = q1_residual(&x, s, &q1, &q2);
-
+            // the step at x_coef = 0, one term of coefficient 1: Q_x [Q1 Q2^H; 0]
             let grid = ProcessGrid::single;
-            let mut ws = TermWorkspace::<f64>::new(m, n, nb, false);
             let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
+            let mut t = TFactors::zeros(xt.tiling(), QrStructure::Dense);
+            let mut ws = TermWorkspace::<f64>::new(n, nb);
             let mut out = TiledMatrix::<f64>::zeros(xt.tiling(), grid());
+            let mut qx = TiledMatrix::<f64>::zeros(xt.tiling(), grid());
+            let mut sink = NormSink::new(1, xt.tiling());
             let mut dag = TaskDag::new();
-            let term = TermPtr::shape(&mut dag, m, n, nb, false).bind(&mut ws);
-            let (xp, op) = (TilePtr::new(&mut dag, &mut xt), TilePtr::new(&mut dag, &mut out));
-            emit_term(&mut dag, term, xp, (s, 1.0), 1.0, op, None);
+            sink.name_in(&mut dag);
+            let xp = TilePtr::new(&mut dag, &mut xt);
+            let f = QrPtr::over(&mut dag, xp, QrStructure::Dense).bind_t(&mut t);
+            let term = TermPtr::shape(&mut dag, n, nb).bind(&mut ws);
+            let op = TilePtr::new(&mut dag, &mut out);
+            let combine = Combine { x: xp, x_coef: 0.0, sink: &sink, iter: 0 };
+            emit_factored_step(&mut dag, f, false, &[(term, 1.0)], &[(s, 1.0)], op, &combine);
+            let qp = TilePtr::new(&mut dag, &mut qx);
+            emit_orgqr(&mut dag, f, qp);
             assert_eq!(dag.execute(), ExecOutcome::Completed);
-            let top = m.div_ceil(nb) * nb;
+
+            let packed = xt.to_dense();
+            let r = Matrix::from_fn(n, n, |i, j| if i <= j { packed[(i, j)] } else { 0.0 });
+            let mut w = Matrix::<f64>::zeros(2 * n, n);
+            add(s, r.as_ref(), 0.0, w.view_mut(0, 0, n, n));
+            for d in 0..n {
+                w[(n + d, d)] = 1.0;
+            }
+            let fw = geqrf(&mut w);
+            let q = orgqr(&w, &fw);
+            let (q1, q2) = (q.submatrix_owned(0, 0, n, n), q.submatrix_owned(n, 0, n, n));
+            let flat = q1_residual(&r, s, &q1, &q2);
+
+            let top = n.div_ceil(nb) * nb;
             let q = ws.q.to_dense();
-            let (q1, q2) = (q.submatrix_owned(0, 0, m, n), q.submatrix_owned(top, 0, n, n));
-            let tiled = q1_residual(&x, s, &q1, &q2);
+            let (q1, q2) = (q.submatrix_owned(0, 0, n, n), q.submatrix_owned(top, 0, n, n));
+            let tiled = q1_residual(&r, s, &q1, &q2);
             assert!(tiled <= 8.0 * flat, "{m}x{n} nb {nb}: tile QR {tiled:e} vs flat {flat:e}");
             // the pad rows of Q are the zeros they are in exact arithmetic
-            let pad: f64 = norm(Norm::Fro, q.view(m, 0, top - m, n));
+            let pad: f64 = norm(Norm::Fro, q.view(n, 0, top - n, n));
             assert_eq!(pad, 0.0, "{m}x{n} nb {nb}");
             // and the product tiles read Q2 where it is
+            let mut p = Matrix::<f64>::zeros(n, n);
+            gemm(Op::NoTrans, Op::ConjTrans, 1.0, q1.as_ref(), q2.as_ref(), 0.0, p.as_mut());
             let mut y = out.to_dense();
-            gemm(Op::NoTrans, Op::ConjTrans, -1.0, q1.as_ref(), q2.as_ref(), 1.0, y.as_mut());
+            gemm(
+                Op::NoTrans,
+                Op::NoTrans,
+                -1.0,
+                qx.to_dense().as_ref(),
+                p.as_ref(),
+                1.0,
+                y.as_mut(),
+            );
             let left: f64 = norm(Norm::Fro, y.as_ref());
-            assert!(left <= 1e-13, "{m}x{n} nb {nb}: out - Q1 Q2^H = {left:e}");
+            assert!(left <= 1e-13, "{m}x{n} nb {nb}: out - Q_x Q1 Q2^H = {left:e}");
+        }
+    }
+
+    /// `|X' - X|_F` of one QR-based step as its product tiles publish it, in
+    /// `R` space, against the dense iterates', relative to `|X|_F`: of the
+    /// QR-based steps planned from `1e-16` at `r` terms (all of them at `r =
+    /// 1`, forced), the one whose `x_coef R` weighs most (`x_coef` furthest
+    /// from 1: near 1, `P` alone is the distance).
+    fn r_space_norm_vs_the_iterates<S: Scalar>(m: usize, n: usize, nb: usize, r: usize) -> f64 {
+        let path = crate::IterationPath::ForceQr;
+        let opts = crate::QdwhOptions { terms: r, path, ..Default::default() };
+        let plan = crate::qdwh_plan::<S>(&opts, 1e-16, 0.0, 50).expect("inside the cap");
+        let qr = plan.iter().filter(|s| s.kind == crate::IterationKind::QrBased);
+        let weight = |s: &&crate::Step<f64>| (s.x_coef - 1.0).abs();
+        let step = qr.max_by(|a, b| weight(a).total_cmp(&weight(b))).expect("a QR-based step");
+        let spec = MatrixSpec {
+            m,
+            n,
+            cond: 1e10,
+            distribution: SigmaDistribution::Geometric,
+            seed: (m * n + r) as u64,
+        };
+        let (a, sigma) = generate::<S>(&spec);
+        let x = Matrix::from_fn(m, n, |i, j| a[(i, j)].mul_real(S::Real::from_f64(1.0 / sigma[0])));
+        let grid = ProcessGrid::single;
+        let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
+        let mut t = TFactors::zeros(xt.tiling(), QrStructure::Dense);
+        let mut wss: Vec<_> = (0..r).map(|_| TermWorkspace::<S>::new(n, nb)).collect();
+        let mut out = TiledMatrix::<S>::zeros(xt.tiling(), grid());
+        let mut sink = NormSink::new(1, xt.tiling());
+        let mut dag = TaskDag::new();
+        sink.name_in(&mut dag);
+        let xp = TilePtr::new(&mut dag, &mut xt);
+        let f = QrPtr::over(&mut dag, xp, QrStructure::Dense).bind_t(&mut t);
+        let applied: Vec<_> = step.terms.iter().map(|t| t.applied(step.kind)).collect();
+        let real = S::Real::from_f64;
+        let terms: Vec<_> = wss
+            .iter_mut()
+            .zip(&applied)
+            .map(|(ws, a)| (TermPtr::shape(&mut dag, n, nb).bind(ws), S::from_f64(a.2)))
+            .collect();
+        let scales: Vec<_> = applied.iter().map(|a| (real(a.0), real(a.1))).collect();
+        let op = TilePtr::new(&mut dag, &mut out);
+        let combine = Combine { x: xp, x_coef: S::from_f64(step.x_coef), sink: &sink, iter: 0 };
+        emit_factored_step(&mut dag, f, false, &terms, &scales, op, &combine);
+        sink.emit_reduce::<S::Real>(&mut dag, 0);
+        assert_eq!(dag.execute(), ExecOutcome::Completed);
+
+        let mut d = out.to_dense();
+        add(-S::ONE, x.as_ref(), S::ONE, d.as_mut());
+        let dense: S::Real = norm(Norm::Fro, d.as_ref());
+        let published: S::Real = sink.norm(0);
+        let size: S::Real = norm(Norm::Fro, x.as_ref());
+        ((published - dense).abs() / size).to_f64()
+    }
+
+    /// The `R`-space convergence partials sum to `|X' - X|_F` of the dense
+    /// iterates within `c eps |X|_F`: square, tall and ragged shapes, real
+    /// and complex, one term and eight.
+    #[test]
+    fn r_space_partials_match_the_iterates_within_eps() {
+        for (m, n, nb) in [(48usize, 48usize, 16usize), (72, 40, 16), (37, 29, 8)] {
+            for r in [1usize, 8] {
+                let d = r_space_norm_vs_the_iterates::<f64>(m, n, nb, r) / f64::EPSILON;
+                let z = r_space_norm_vs_the_iterates::<Complex64>(m, n, nb, r) / f64::EPSILON;
+                assert!(
+                    d <= 64.0 && z <= 64.0,
+                    "{m}x{n} nb {nb} r {r}: d {d:.1} eps, z {z:.1} eps"
+                );
+            }
         }
     }
 
@@ -1209,7 +1264,7 @@ mod tests {
         for (m, n, nb) in [(48usize, 48usize, 16usize), (72, 40, 16), (37, 29, 8)] {
             for r in [2usize, 3, 8] {
                 let d = m_route_vs_the_sweeps::<f64>(m, n, nb, r);
-                let z = m_route_vs_the_sweeps::<polar_scalar::Complex64>(m, n, nb, r);
+                let z = m_route_vs_the_sweeps::<Complex64>(m, n, nb, r);
                 assert!(d <= 1.0 && z <= 1.0, "{m}x{n} nb {nb} r {r}: d {d:e}, z {z:e}");
             }
         }

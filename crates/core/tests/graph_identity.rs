@@ -1,12 +1,12 @@
 //! The body-less graph `task_graph` hands to the simulator and the
 //! communication meter is the graph the executor ran: same tasks, same
 //! tile sets, same dependency edges — for QDWH's one-term steps and
-//! Zolo-PD's `r`-term ones. Alone in its test binary — it drains the
+//! Zolo-PD's `r`-term ones, a QR-based first step reading the start's QR. Alone in its test binary — it drains the
 //! process-wide table of executed graphs — and one solve at a time.
 
 use polar_gen::{generate, MatrixSpec, SigmaDistribution};
 use polar_matrix::Matrix;
-use polar_qdwh::{halley_parameters, qdwh, task_graph, update_ell, IterationKind, QdwhOptions};
+use polar_qdwh::{qdwh, task_graph, IterationKind, QdwhOptions};
 use polar_runtime::{KernelKind, TaskGraph};
 use std::sync::{Arc, Mutex};
 
@@ -58,50 +58,33 @@ fn assert_same_graph(emitted: &TaskGraph, ran: &TaskGraph) {
 
 #[test]
 fn task_graph_is_the_executed_graph() {
-    // sigma_min / sigma_max = 0.995 > l0 = 0.99: two planned iterations
-    // converge; the switch threshold sits between their `c`, which forces
-    // one QR-based and one Cholesky-based iteration
-    let l0 = 0.99f64;
-    let first = halley_parameters(l0);
-    let second = halley_parameters(update_ell(l0, first));
-    let opts = QdwhOptions {
-        tile_nb: Some(NB),
-        l0_override: Some(l0),
-        qr_switch_threshold: 0.5 * (first.c + second.c),
-        ..Default::default()
-    };
-    let a = input(1.0 / 0.995);
-    let (pd, ran) = executed(|| qdwh(&a, &opts).expect("converges"));
-    assert_eq!(pd.info.kinds, QR_THEN_CHOL);
-    // l0 was given, so no condition-estimate graph ran: the one graph is
-    // the whole solve
-    assert_eq!(ran.len(), 1);
-
-    let emitted = task_graph::<f64>(N, N, NB, &pd.info.kinds, 1);
-    assert_same_graph(&emitted, &ran[0]);
-
-    // Zolo-PD's graph is the same emitter at `terms = r`: `r` stacked QRs
-    // over the start's QR of X in the QR-based step, `r` Cholesky terms
-    // over one shared Gram matrix summed into one X M in the Cholesky-based
-    // one
-    for (r, cond) in [(3usize, 60.0), (8, 1e16)] {
+    // the one emitter at every `terms`: QDWH's one-term steps (QR-based,
+    // then Cholesky-based ones), Zolo-PD's `r` terms over the one QR of X
+    // in the QR-based step and `r` Cholesky terms over one shared Gram
+    // matrix summed into one X M in the Cholesky-based one
+    for (r, cond) in [(1usize, 1e16), (3, 60.0), (8, 1e16)] {
         let opts = QdwhOptions { terms: r, tile_nb: Some(NB), ..Default::default() };
         let a = input(cond);
         let (pd, ran) = executed(|| qdwh(&a, &opts).expect("converges"));
-        assert_eq!(pd.info.kinds, QR_THEN_CHOL, "r = {r}");
-        // the Gram matrix's declined attempt at certifying l0 (a Zolotarev
-        // step is Cholesky-based from 1 - eps; its leading tile, then, if
-        // that held, the whole matrix), the condition estimate's QR, then
-        // the whole solve
+        let kinds = &pd.info.kinds;
+        let (first, last) = (kinds.first(), kinds.last());
+        assert_eq!((first, last), (QR_THEN_CHOL.first(), QR_THEN_CHOL.last()), "r = {r}");
+        assert!(r == 1 || kinds == &QR_THEN_CHOL, "r = {r}: {kinds:?}");
+        // the Gram matrix's declined attempt at certifying l0 (every step
+        // from 1 - eps is Cholesky-based; its leading tile, then, if that
+        // held, the whole matrix), the condition estimate's QR — which the
+        // first step reads — then the whole solve
         let (starts, solves) = split(&ran);
         assert!(matches!(starts.len(), 2 | 3), "r = {r}");
         let (qr, attempts) = starts.split_last().expect("a start");
         assert!(attempts.iter().all(|g| has(g, KernelKind::Potrf) && !has(g, KernelKind::Geqrt)));
         assert!(has(qr, KernelKind::Geqrt), "r = {r}");
         assert_eq!(solves.len(), 1, "r = {r}");
-        let emitted = task_graph::<f64>(N, N, NB, &pd.info.kinds, r);
+        let emitted = task_graph::<f64>(N, N, NB, kinds, r);
         assert_same_graph(&emitted, solves[0]);
-        assert!(emitted.len() > task_graph::<f64>(N, N, NB, &pd.info.kinds, 1).len());
+        if r > 1 {
+            assert!(emitted.len() > task_graph::<f64>(N, N, NB, kinds, 1).len());
+        }
     }
 }
 
@@ -149,16 +132,17 @@ fn a_certified_start_hands_its_gram_matrix_to_the_first_step() {
     }
 }
 
-/// A QR-first Zolo-PD solve under the default options factors `X_0` once:
-/// the start stage's tile QR, which estimated `l0`, is the first step's
-/// shared factor: phase 0 of the solve graph has no `geqrt`. A later
-/// QR-based step (at `r = 3` the second of three) factors its own `X`.
+/// A QR-first solve under the default options factors `X_0` once, at every
+/// `terms`: the start stage's tile QR, which estimated `l0`, is the first
+/// step's: phase 0 of the solve graph has no `geqrt`. A later QR-based step
+/// (QDWH's second, at `r = 3` the second of three) factors its own `X`.
 #[test]
-fn zolo_first_qr_step_reuses_the_start_factor() {
-    for r in [3usize, 8] {
+fn a_qr_first_step_reuses_the_start_factor() {
+    for r in [1usize, 3, 8] {
         let opts = QdwhOptions { terms: r, tile_nb: Some(NB), ..Default::default() };
         let a = input(1e16);
         let (pd, ran) = executed(|| qdwh(&a, &opts).expect("converges"));
+        assert_eq!(pd.info.kinds[0], IterationKind::QrBased, "r = {r}");
         let (starts, solves) = split(&ran);
         let geqrts = |g: &TaskGraph, phase: u32| {
             g.tasks.iter().filter(|t| t.kind == KernelKind::Geqrt && t.phase == phase).count()

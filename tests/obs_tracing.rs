@@ -120,27 +120,30 @@ fn counted_flops_match_the_analytic_model_within_1_percent() {
     // Model of the tile algorithm at one tile column (a tile is never wider
     // than the matrix: nb = n = 96, X one tile, W two), built from
     // polar_sim::kernel_flops (shares no code with the emitters' weights):
-    //   QR-based iteration (Eq. 1): geqrt of X's tile, tsqrt of the
-    //   identity's tile against R — together the stacked 2n x n geqrf —
-    //   then Q: tsmqr on the tile pair (two n^3 gemms) and unmqr on the top
-    //   tile; the update is one n x n gemm;
+    //   QR-based iteration (Eq. 1): geqrt of X's tile, in place; the term's
+    //   tsqrt of the identity's tile against R — the stacked 2n x n geqrf
+    //   less the top tile's geqrt, which a triangular top skips — then its
+    //   Q: tsmqr on the tile pair (two n^3 gemms); the product is one n x n
+    //   gemm, lifted by Q_x: unmqr on X's tile;
     //   Cholesky-based iteration (Eq. 2): herk, potrf, the inverse of L's
     //   one diagonal tile (n^3 / 3, potrf's count), two triangular sweeps.
     // A task carries the LAWN 41 count of its tile kernel, so both classes
     // agree with the model to the herk diagonal and rounding, well inside
     // the test name's 1 %.
-    let factor = kernel_flops::geqrf(2 * n, n);
-    let form_q = 2.0 * kernel_flops::gemm(n, n, n) + kernel_flops::unmqr(n, n, n);
-    let qr_iter = factor + form_q + kernel_flops::gemm(n, n, n);
+    let factor = kernel_flops::geqrf(n, n);
+    let term = kernel_flops::geqrf(2 * n, n) - factor + 2.0 * kernel_flops::gemm(n, n, n);
+    let lift = kernel_flops::unmqr(n, n, n);
+    let qr_iter = factor + term + kernel_flops::gemm(n, n, n) + lift;
     let chol_iter = kernel_flops::herk(n, n)
         + 2.0 * kernel_flops::potrf(n)
         + 2.0 * kernel_flops::trsm_right(n, n);
 
     let counted = report.kernels.get(KernelClass::Geqrf).flops as f64
         + report.kernels.get(KernelClass::Orgqr).flops as f64;
-    // + one square geqrf: the l_0 condition estimate (Algorithm 1 line 19),
-    // a tile graph of its own counted once as its driver
-    let model = it_qr * (factor + form_q) + kernel_flops::geqrf(n, n);
+    // the first step's geqrt is the l_0 condition estimate's square geqrf
+    // (Algorithm 1 line 19), a tile graph of its own counted once as its
+    // driver, whose factor that step reads
+    let model = it_qr * (factor + term + lift);
     // (tasks whose inner kernels were the counted ones read 11x low here)
     let rel = (counted - model).abs() / model;
     assert!(rel < 0.01, "QR-class flops off by {:.3}%: {counted} vs {model}", rel * 100.0);
