@@ -15,6 +15,9 @@
 #   ./ci.sh bench       # benchmark package: its unit tests + a smoke run
 #                       # of all five workloads with every output checked
 #   ./ci.sh fast        # lint + tier1 only
+#   ./ci.sh hashes [REV]
+#                       # solve_hashes of this tree and of REV (default
+#                       # HEAD): fails on any line that moved; not in `all`
 #   ./ci.sh artifacts S # print stage S's artifact paths, one per line
 #
 # `artifacts` is the single source of truth for what each stage produces;
@@ -385,6 +388,35 @@ stage_bench() {
     check_artifacts bench
 }
 
+stage_hashes() {
+    # Bit identity against another commit: export REV's tree under the
+    # git-ignored target/ (git archive: nothing to unregister after an
+    # interrupted run), build it there, and run this tree's
+    # examples/solve_hashes.rs — one FNV line per pinned solve — on both.
+    # One directory per commit, with its own target directory, kept: a
+    # second run against the same commit only rebuilds the example. (Two
+    # trees sharing one target directory were seen to link one tree's
+    # crates into the other's binary.) A full second build, so not part
+    # of `all`.
+    local rev="${1:-HEAD}" sha tree
+    sha=$(git rev-parse --verify --quiet "${rev}^{commit}") || fail "hashes: unknown revision '$rev'"
+    tree=target/hashes/$sha
+    step "hashes: solve_hashes of the working tree and of $rev (${sha:0:12})"
+    if ! test -f "$tree/Cargo.toml"; then
+        rm -rf "$tree"
+        mkdir -p "$tree"
+        git archive "$sha" | tar -x -C "$tree"
+    fi
+    cp examples/solve_hashes.rs "$tree/examples/solve_hashes.rs"
+    cargo run --offline --release -q --example solve_hashes > target/hashes/here.txt
+    (cd "$tree" && CARGO_TARGET_DIR=target cargo run --offline --release -q --example solve_hashes) \
+        > target/hashes/there.txt
+    if ! diff target/hashes/there.txt target/hashes/here.txt; then
+        fail "hashes: the lines above moved against $rev ('<' there, '>' here)"
+    fi
+    echo "hashes OK: $(wc -l < target/hashes/here.txt) lines bit-identical to $rev"
+}
+
 case "${1:-all}" in
     lint)      stage_lint ;;
     tier1)     stage_tier1 ;;
@@ -394,9 +426,10 @@ case "${1:-all}" in
     figures)   stage_figures ;;
     bench)     stage_bench ;;
     fast)      stage_lint; stage_tier1 ;;
+    hashes)    stage_hashes "${2:-HEAD}" ;;
     all)       stage_lint; stage_tier1; stage_workspace; stage_verify; stage_figures; stage_bench ;;
     artifacts) artifacts_for "${2:?usage: ./ci.sh artifacts <stage>}"; exit 0 ;;
-    *)         fail "unknown stage '${1}' (expected lint|tier1|zolo|workspace|verify|figures|bench|fast|all|artifacts)" ;;
+    *)         fail "unknown stage '${1}' (expected lint|tier1|zolo|workspace|verify|figures|bench|fast|hashes|all|artifacts)" ;;
 esac
 
 step "OK"

@@ -14,12 +14,12 @@
 //! * QR-based, at any number of terms: one QR of `X = Q_x R`, in place in
 //!   `X`'s buffer (for a solve's first step, the one the start stage ran),
 //!   then per term a QR of the two-triangle stack `[sqrt(alpha_j) R;
-//!   sqrt(shift_j) I]` only — the terms share no written tile, so the `r`
-//!   chains run concurrently, the concurrency the paper's §8 wants Zolo-PD
-//!   for — `x_coef R` plus their `coef_j Q1 Q2^H` summed in fixed term order
-//!   into the top `n x n` of `X_out`, and `Q_x` applied
-//!   ([`crate::solve_dag`]'s `emit_factored_step`); QDWH's step is its
-//!   one-term member;
+//!   sqrt(shift_j) I]` only — the terms of a round ([`term_slots`]) share no
+//!   written tile, so their chains run concurrently, the concurrency the
+//!   paper's §8 wants Zolo-PD for — `x_coef R` plus their `coef_j Q1 Q2^H`
+//!   summed in fixed term order into the top `n x n` of `X_out`, and `Q_x`
+//!   applied ([`crate::solve_dag`]'s `emit_factored_step`); QDWH's step is
+//!   its one-term member;
 //! * Cholesky-based with one term (QDWH): `Z = L L^H` and two sweeps that
 //!   leave `X Z^{-1}` in `X_out`, then one update task per tile adding
 //!   `x_coef X` ([`Combine`]). The Gram matrix is formed in place in the
@@ -29,10 +29,10 @@
 //!   is `X_out = X M`, `M = x_coef I + sum_j weight_j Z_j^{-1}` formed in
 //!   `n x n` space: `X^H X` once into a shared slab, per term its shifted
 //!   copy factored and inverted (`Z_j^{-1} = T_j^H T_j`, `T_j = L_j^{-1}`),
-//!   the terms summed into `M` — in the shared slab, once every term has
-//!   read `X^H X` — and one gemm over `X`. What scales with `m` is one
-//!   `herk` and one gemm, whatever `r`; the terms share no written tile
-//!   until the sum, so their chains run concurrently. A solve's first step
+//!   the terms summed into `M`, a slab of its own, a round of terms at a
+//!   time, and one gemm over `X`. What scales with `m` is one `herk` and one
+//!   gemm, whatever `r`; the terms of a round share no written tile until
+//!   the sum, so their chains run concurrently. A solve's first step
 //!   forms no Gram matrix when the start stage certified `l0` on one
 //!   ([`crate::skeleton::scaled_start`]): every term shifts that one.
 //!   Whatever the step, one task per tile of `X_out` publishes its
@@ -45,9 +45,10 @@
 //!   which the window is keyed on and the progress hook is told.
 //!
 //! Determinism: every value-affecting ordering is a dependency edge (tasks
-//! write disjoint tiles; accumulations happen inside single tasks in fixed
-//! loop order; the combine and the reduction sum in fixed term and tile
-//! order), so the iterates are schedule-independent bit for bit. The tile
+//! write disjoint tiles; an accumulation runs inside one task, or a chain
+//! of them on the same tile, in fixed loop order; the sums and the
+//! reduction go in fixed term and tile order), so the iterates are
+//! schedule-independent bit for bit. The tile
 //! size is a function of the shape alone (`auto_tile_nb`), so they do not
 //! depend on the pool width either; a one-worker pool fixes the schedule
 //! itself.
@@ -57,31 +58,34 @@ use crate::qdwh_impl::QdwhError;
 use crate::skeleton::{Step, Term};
 use crate::solve_dag::{
     emit_apply, emit_chol_inverse, emit_chol_term, emit_combine, emit_factored_step, emit_gram,
-    emit_inverse_sum, emit_shifted, execute_hooked, CholPtr, Combine, Hooked, Iterate, NormSink,
-    TermPtr, TermWorkspace,
+    emit_inverse_round, emit_shifted, execute_hooked, rounds, CholPtr, Combine, Hooked, Iterate,
+    NormSink, TermPtr, TermWorkspace,
 };
-use polar_lapack::{LapackError, QrPtr, QrStructure, TFactors, TilePtr};
+use polar_lapack::{LapackError, QrPtr, QrStructure, TFactors, TilePtr, TILE_LANES};
 use polar_matrix::{ProcessGrid, TiledMatrix, Tiling};
 use polar_runtime::{PhaseProfile, TaskDag, TaskGraph};
 use polar_scalar::{Real, Scalar};
 use std::sync::OnceLock;
 
 /// What a solve's graphs allocate, each matrix by the first graph that names
-/// it, kept for the next (a continuation step). Per term: a stacked-QR
-/// workspace over `X`'s `R` only if a graph plans a QR-based step, and a
-/// Cholesky term lives in that workspace's `Q` ([`TermPtr::chol`]) when
-/// there is one, else in a host of its own (`n x n` and one tile row:
-/// [`CholPtr::within`]). Shared: the Gram matrix of a several-term
-/// Cholesky-based step — or the one the start stage certified `l_0` on,
-/// which a Cholesky-based first step reads instead of forming its own —
-/// which holds that step's `M` once its terms have read it; and the `T`
-/// factors of a QR-based step's QR of `X`, in place in the iterate's buffer
-/// — or of the one the start stage ran, whose tiles the iterate starts
-/// from, which a QR-based first step reads instead of factoring `X` again.
+/// it, kept for the next (a continuation step). Per term slot
+/// ([`term_slots`]; term `j` of a step runs in slot `j % slots`, reused by
+/// the next round once this one's terms are summed): a stacked-QR workspace
+/// over `X`'s `R` only if a graph plans a QR-based step, and a Cholesky term
+/// lives in that workspace's `Q` ([`TermPtr::chol`]) when there is one, else
+/// in a host of its own (`n x n` and one tile row: [`CholPtr::within`]).
+/// Shared: the Gram matrix of a several-term Cholesky-based step — or the
+/// one the start stage certified `l_0` on, which a Cholesky-based first step
+/// reads instead of forming its own — and that step's `M`, `n x n` too; and
+/// the `T` factors of a QR-based step's QR of `X`, in place in the iterate's
+/// buffer — or of the one the start stage ran, whose tiles the iterate
+/// starts from, which a QR-based first step reads instead of factoring `X`
+/// again.
 #[derive(Default)]
 pub(crate) struct Workspace<S: Scalar> {
-    terms: Vec<TermStore<S>>,
+    slots: Vec<TermStore<S>>,
     gram: Option<TiledMatrix<S>>,
+    m: Option<TiledMatrix<S>>,
     factor: Option<TFactors<S>>,
     /// `gram` holds `X^H X` of the iterate the next graph starts from.
     gram_given: bool,
@@ -99,6 +103,15 @@ impl<S: Scalar> Workspace<S> {
     }
 }
 
+/// The term workspaces a step of `terms` terms runs in: one per lane the
+/// tile grid is sized for, [`TILE_LANES`], and never more than `terms` — a
+/// function of `terms` alone, like the tile size of the shape, so that the
+/// pool width moves no bit. A slot's QR workspace holds twice a square `X`
+/// (`W` and `Q`), so the slot count, not `r`, sets a Zolo-PD solve's memory.
+pub(crate) fn term_slots(terms: usize) -> usize {
+    terms.min(TILE_LANES)
+}
+
 #[derive(Default)]
 struct TermStore<S: Scalar> {
     qr: Option<TermWorkspace<S>>,
@@ -110,8 +123,10 @@ struct TermStore<S: Scalar> {
 /// writes the other) and the [`Workspace`].
 struct GraphPtrs<'a, S: Scalar> {
     x: [TilePtr<'a, S>; 2],
-    terms: Vec<TermSlot<'a, S>>,
+    slots: Vec<TermSlot<'a, S>>,
     gram: Option<TilePtr<'a, S>>,
+    /// `M` of a several-term Cholesky-based step.
+    m: Option<TilePtr<'a, S>>,
     /// `gram` holds `X_in^H X_in` of the first step: it forms none.
     gram_given: bool,
     /// The QR of a QR-based step's `X_in`, in place, over `x[0]`.
@@ -170,11 +185,11 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
         let gram_given = std::mem::take(&mut ws.gram_given) && first(IterationKind::CholeskyBased);
         let factor_given = std::mem::take(&mut ws.factor_given) && first(IterationKind::QrBased);
         let qr_steps = chol().count() < plan.len();
-        let qr = qr_steps || ws.terms.iter().any(|t| t.qr.is_some());
+        let qr = qr_steps || ws.slots.iter().any(|t| t.qr.is_some());
         let own_chol = !qr && chol().count() > 0;
-        let terms = plan.iter().map(|p| p.terms.len()).max().unwrap_or(0);
-        if ws.terms.len() < terms {
-            ws.terms.resize_with(terms, TermStore::default);
+        let slots = term_slots(plan.iter().map(|p| p.terms.len()).max().unwrap_or(0));
+        if ws.slots.len() < slots {
+            ws.slots.resize_with(slots, TermStore::default);
         }
         let factor = qr_steps.then(|| {
             let over = QrPtr::over(dag, x[0], QrStructure::Dense);
@@ -198,10 +213,12 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
             let own = own_chol.then(|| CholPtr::within(tiles(dag, host, &mut store.chol, backed)));
             TermSlot { qr, chol: qr.map(TermPtr::chol).or(own) }
         };
-        let terms = ws.terms.iter_mut().take(terms).map(slot).collect();
-        let shared = gram_given || chol().any(|p| p.terms.len() > 1);
-        let gram = shared.then(|| tiles(dag, Tiling::new(n, n, nb, nb), &mut ws.gram, backed));
-        Self { x, terms, gram, gram_given, factor, factor_given }
+        let slots = ws.slots.iter_mut().take(slots).map(slot).collect();
+        let several = chol().any(|p| p.terms.len() > 1);
+        let nn = Tiling::new(n, n, nb, nb);
+        let gram = (gram_given || several).then(|| tiles(dag, nn, &mut ws.gram, backed));
+        let m = several.then(|| tiles(dag, nn, &mut ws.m, backed));
+        Self { x, slots, gram, m, gram_given, factor, factor_given }
     }
 }
 
@@ -256,7 +273,6 @@ fn emit_steps<'a, S: Scalar>(
         // per term, in the step's kind: what its matrix is built from and
         // the coefficient of what its factorization leaves
         let applied: Vec<_> = step.terms.iter().map(|t| t.applied(step.kind)).collect();
-        let coefs: Vec<S> = applied.iter().map(|a| scalar(a.2)).collect();
         let combine = Combine { x: xin, x_coef: scalar(step.x_coef), sink, iter: k };
 
         match step.kind {
@@ -267,10 +283,10 @@ fn emit_steps<'a, S: Scalar>(
                 let mut f = at.factor.expect("plan has a QR-based step");
                 f.a = xin;
                 let given = k == 0 && at.factor_given;
-                let qr = |j: usize| at.terms[j].qr.expect("plan has a QR-based step");
-                let terms: Vec<_> = (0..applied.len()).map(|j| (qr(j), coefs[j])).collect();
-                let scales: Vec<_> = applied.iter().map(|&(s, d, _)| (real(s), real(d))).collect();
-                emit_factored_step(dag, f, given, &terms, &scales, xout, &combine);
+                let slots: Vec<_> = at.slots.iter().map(|t| t.qr.expect("a QR step")).collect();
+                let terms: Vec<_> =
+                    applied.iter().map(|&(s, d, c)| (real(s), real(d), scalar(c))).collect();
+                emit_factored_step(dag, f, given, &slots, &terms, xout, &combine);
             }
             // Z_j = alpha_j X_in^H X_in + shift_j I. One term: coef X_in
             // Z^{-1} by sweeps in X_out (whose buffer last held X_{k-1}:
@@ -278,7 +294,7 @@ fn emit_steps<'a, S: Scalar>(
             // for). Several: X_in M, M = x_coef I + sum_j coef_j Z_j^{-1}
             IterationKind::CholeskyBased => {
                 let several = applied.len() > 1;
-                let chol = |j: usize| at.terms[j].chol.expect("plan has a Cholesky-based step");
+                let chol = |j: usize| at.slots[j % at.slots.len()].chol.expect("a Cholesky step");
                 // one term forms its Z in place, several share X_in^H X_in —
                 // which the first step may have been given
                 let given = k == 0 && at.gram_given;
@@ -286,27 +302,30 @@ fn emit_steps<'a, S: Scalar>(
                 if let (Some(gram), false) = (gram, given) {
                     emit_gram(dag, xin, gram, S::Real::ONE, S::Real::ZERO);
                 }
-                for (j, &(alpha, shift, _)) in applied.iter().enumerate() {
-                    let z = chol(j).z;
-                    match gram {
-                        Some(gram) => emit_shifted(dag, gram, z, real(alpha), real(shift)),
-                        None => emit_gram(dag, xin, z, real(alpha), real(shift)),
+                let m = at.m.filter(|_| several);
+                for (round, part) in rounds(applied.len(), at.slots.len()) {
+                    for j in round.clone() {
+                        let (alpha, shift, _) = applied[j];
+                        let z = chol(j).z;
+                        match gram {
+                            Some(gram) => emit_shifted(dag, gram, z, real(alpha), real(shift)),
+                            None => emit_gram(dag, xin, z, real(alpha), real(shift)),
+                        }
+                        if several {
+                            emit_chol_inverse(dag, chol(j), failure);
+                        } else {
+                            emit_chol_term(dag, chol(j), xin, xout, failure);
+                        }
                     }
-                    if several {
-                        emit_chol_inverse(dag, chol(j), failure);
-                    } else {
-                        emit_chol_term(dag, chol(j), xin, xout, failure);
+                    // the round's terms into M before the next reuses slots
+                    if let Some(m) = m {
+                        let terms: Vec<_> = round.map(|j| (chol(j), real(applied[j].2))).collect();
+                        emit_inverse_round(dag, &terms, real(step.x_coef), part, m);
                     }
                 }
-                match gram.filter(|_| several) {
-                    // M over X^H X, once every term has shifted it
-                    Some(m) => {
-                        let terms: Vec<_> =
-                            applied.iter().enumerate().map(|(j, a)| (chol(j), real(a.2))).collect();
-                        emit_inverse_sum(dag, &terms, real(step.x_coef), m);
-                        emit_apply(dag, xin, m, xout, sink, k);
-                    }
-                    None => emit_combine(dag, xout, coefs[0], &combine),
+                match m {
+                    Some(m) => emit_apply(dag, xin, m, xout, sink, k),
+                    None => emit_combine(dag, xout, scalar(applied[0].2), &combine),
                 }
             }
         }
@@ -617,6 +636,54 @@ mod tests {
         ) {
             let (a, _) = generate::<Complex64>(&geometric(n, n, 10f64.powf(log_cond), seed));
             graph_case(&a, 1e-13);
+        }
+    }
+
+    /// A step of `r` terms runs in [`term_slots`]`(r)` term workspaces,
+    /// round after round: after a QR-based and a Cholesky-based step the
+    /// solve's workspace holds that many term stores, and besides them
+    /// only, with several terms, the Gram matrix and `M`, and the `T`
+    /// factors of the QR of `X` — byte for byte, from the tilings.
+    #[test]
+    fn a_solve_holds_a_term_workspace_per_slot_not_per_term() {
+        let (m, n, nb) = (45usize, 40usize, 16usize);
+        let f64s = |t: Tiling| t.m() * t.n() * std::mem::size_of::<f64>();
+        let (a, sigma) = generate::<f64>(&geometric(m, n, 1e8, 5));
+        let top = n.div_ceil(nb) * nb;
+        let stacked = Tiling::new(top + n, n, nb, nb);
+        let w_t = TFactors::<f64>::zeros(stacked, QrStructure::TriangularTop { top_rows: top });
+        let term = 2 * f64s(stacked) + w_t.bytes();
+        let nn = f64s(Tiling::new(n, n, nb, nb));
+        for r in [1usize, 2, 3, 8] {
+            let opts = QdwhOptions { terms: r, ..fused_opts() };
+            let steps = crate::qdwh_plan::<f64>(&opts, 1e-9, 0.0, 50).expect("inside the cap");
+            let kinds: Vec<_> = steps.iter().map(|s| s.kind).collect();
+            assert!(kinds.contains(&IterationKind::QrBased), "r = {r}: {kinds:?}");
+            assert!(kinds.contains(&IterationKind::CholeskyBased), "r = {r}: {kinds:?}");
+            let mut x = Iterate::scaled(&a, 1.0 / sigma[0], nb);
+            let mut ws = Workspace::new(None, None);
+            let ells = vec![0.0; steps.len() + 1];
+            let hooked = Hooked { hook: None, first_iteration: 1, first_conv: 1.0, ells: &ells };
+            run_graph(&mut x, &mut ws, &steps, &hooked).expect("the plan runs");
+
+            let slots = term_slots(r);
+            assert_eq!((slots, ws.slots.len()), (r.min(2), slots), "r = {r}");
+            let stores: usize = ws
+                .slots
+                .iter()
+                .map(|t| {
+                    let qr = t.qr.as_ref().map_or(0, |q| q.w.bytes() + f64s(q.q.tiling()));
+                    qr + t.chol.as_ref().map_or(0, |c| f64s(c.tiling()))
+                })
+                .sum();
+            let slabs = |s: &Option<TiledMatrix<f64>>| s.as_ref().map_or(0, |s| f64s(s.tiling()));
+            let held = stores
+                + slabs(&ws.gram)
+                + slabs(&ws.m)
+                + ws.factor.as_ref().map_or(0, TFactors::bytes);
+            let x_t = TFactors::<f64>::zeros(x.tiling(), QrStructure::Dense).bytes();
+            let shared = if r > 1 { 2 * nn } else { 0 };
+            assert_eq!(held, slots * term + shared + x_t, "r = {r}");
         }
     }
 

@@ -26,7 +26,7 @@ use crate::qdwh_impl::{IterationRecord, PolarDecomposition, QdwhError, QdwhInfo}
 use crate::solve_dag::{run_gram_start, Hooked, Iterate};
 use polar_blas::flops::type_factor;
 use polar_blas::{gemm, norm, symmetrize};
-use polar_lapack::{gecondest, geqrf_tiled, getrf, norm2est, tr_sigma_min_est, trcondest, TiledQr};
+use polar_lapack::{gecondest, getrf, norm2est, tr_sigma_min_est, trcondest, TFactors};
 use polar_matrix::{MatRef, Matrix, Norm, Op, ProcessGrid, TiledMatrix, Tiling};
 use polar_scalar::{Real, Scalar};
 
@@ -57,12 +57,8 @@ pub fn estimate_l0<S: Scalar>(
     r_of_x: impl FnOnce() -> Matrix<S>,
 ) -> S::Real {
     let n = x.ncols();
-    let raw = match strategy {
-        // sigma_min(x) = sigma_min(R), estimated tightly by inverse power
-        // iteration
-        L0Strategy::SigmaMinPowerIteration => {
-            tr_sigma_min_est(&r_of_x()) * S::Real::from_f64(MARGIN)
-        }
+    match strategy {
+        L0Strategy::SigmaMinPowerIteration => sigma_min_l0(&r_of_x()),
         formula => {
             let anorm: S::Real = norm(Norm::One, x);
             // a reciprocal 1-norm condition estimate: §4 stage (1), by
@@ -74,10 +70,16 @@ pub fn estimate_l0<S: Scalar>(
             } else {
                 trcondest(&r_of_x())
             };
-            anorm * rcond / S::Real::from_usize(n).sqrt()
+            clamp_l0(anorm * rcond / S::Real::from_usize(n).sqrt())
         }
-    };
-    clamp_l0(raw)
+    }
+}
+
+/// [`L0Strategy::SigmaMinPowerIteration`]'s `l_0` from the `R` of `x = QR`:
+/// `sigma_min(x) = sigma_min(R)`, estimated tightly by inverse power
+/// iteration.
+fn sigma_min_l0<S: Scalar>(r: &Matrix<S>) -> S::Real {
+    clamp_l0(tr_sigma_min_est(r) * S::Real::from_f64(MARGIN))
 }
 
 /// The bound `ell*` from which `method` steps Cholesky-based: the lower
@@ -158,14 +160,14 @@ fn gram_l0<S: Scalar, M: Method<S>>(
 /// Where a solve starts: the scale `alpha`, the scaled input tiled as the
 /// iterate, the bound `l_0`, — when `l_0` was certified on it — `X_0^H
 /// X_0`, and — when `l_0` was estimated on it and the first step factors
-/// `X_0` (a QR-based step) — the tile QR of `X_0`, which the iterate takes
-/// in place of `X_0` ([`Iterate::factored`]).
+/// `X_0` (a QR-based step) — the `T` factors of the tile QR of `X_0`, whose
+/// packed tiles the iterate holds in place of `X_0`.
 pub(crate) struct Start<S: Scalar> {
     pub alpha: S::Real,
     pub x: Iterate<S>,
     pub l0: S::Real,
     pub gram: Option<TiledMatrix<S>>,
-    pub factor: Option<TiledQr<S>>,
+    pub factor: Option<TFactors<S>>,
 }
 
 /// Algorithm 1 lines 10-19 for a dense input, at tile size `nb`: the
@@ -174,9 +176,9 @@ pub(crate) struct Start<S: Scalar> {
 /// a method that could start Cholesky-based first tries the Gram route
 /// (`gram_l0`, task graphs the progress hook may cancel); a bound it does
 /// not certify — or any other strategy, or a method that must start
-/// QR-based — is [`estimate_l0`]'s, its QR the tile graph, kept for a
-/// QR-based first step, which would factor `X_0` again. `None` for the zero
-/// matrix.
+/// QR-based — is [`estimate_l0`]'s, its QR the tile graph over the
+/// iterate's spare buffer ([`Iterate::factor_spare`]), kept for a QR-based
+/// first step, which would factor `X_0` again. `None` for the zero matrix.
 pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
     a: &Matrix<S>,
     opts: &QdwhOptions,
@@ -200,13 +202,21 @@ pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
         (Some((l0, gram)), _) => (l0, Some(gram), None),
         (None, Some(v)) => (S::Real::from_f64(v), None, None),
         (None, None) => {
-            let dense = x.to_dense();
+            // only the formulas read X_0 itself
+            let dense = (strategy != L0Strategy::SigmaMinPowerIteration).then(|| x.to_dense());
             let mut factor = None;
-            let r_of_x = || factor.insert(geqrf_tiled(&dense, nb)).extract_r();
-            let l0 = estimate_l0(dense.as_ref(), strategy, r_of_x);
+            let mut r_of_x = || x.factor_spare(&mut factor);
+            let l0 = match &dense {
+                Some(dense) => estimate_l0(dense.as_ref(), strategy, r_of_x),
+                None => sigma_min_l0(&r_of_x()),
+            };
             // the same tiles through the same kernels: the first step's QR
-            let qr_first = method.step_at(l0.to_f64()).kind == IterationKind::QrBased;
-            (l0, None, factor.filter(|_| qr_first))
+            let factor =
+                factor.filter(|_| method.step_at(l0.to_f64()).kind == IterationKind::QrBased);
+            if factor.is_some() {
+                x.bufs().swap(0, 1);
+            }
+            (l0, None, factor)
         }
     };
     Ok(Some(Start { alpha, x, l0, gram, factor }))
@@ -477,7 +487,6 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
     };
     // the tiles are the iterate from here on, and they and the workspaces
     // outlive the graph that made them
-    let factor = factor.map(|f| x.factored(f));
     let mut ws = Workspace::new(gram, factor);
     let mut info = QdwhInfo::started(alpha, l0);
     let mut ell = l0.to_f64();

@@ -13,8 +13,8 @@
 //! * the **Cholesky-based step** of several terms, in `n x n` space: per
 //!   term the tile inverse `T_j = L_j^{-1}` of its factor
 //!   ([`emit_chol_inverse`]), then `M = x_coef I + sum_j w_j T_j^H T_j`
-//!   ([`emit_inverse_sum`]) and `X M`, one gemm over `X`
-//!   ([`emit_apply`]);
+//!   ([`emit_inverse_round`], a round of terms at a time) and `X M`, one
+//!   gemm over `X` ([`emit_apply`]);
 //! * the **combine** ([`Combine`]): `x_coef X` — in `R` space in a QR-based
 //!   step's product tiles, in [`emit_combine`]'s update tasks behind a
 //!   one-term Cholesky step's sweeps;
@@ -35,14 +35,15 @@ use crate::options::{poll_progress, ProgressHook};
 use crate::qdwh_impl::QdwhError;
 use polar_blas::{add, gemm, herk, mirror_triangle, scale_real, trmm};
 use polar_lapack::{
-    emit_geqrf, emit_orgqr, emit_potrf, emit_unmqr, tile_nb3, trtri_lower, LapackError, QrPtr,
-    QrStructure, TFactors, TilePtr, TiledQr,
+    emit_geqrf, emit_orgqr, emit_potrf, emit_unmqr, geqrf_tiles, packed_r, tile_nb3, trtri_lower,
+    LapackError, QrPtr, QrStructure, TFactors, TilePtr, TiledQr,
 };
 use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
 use polar_runtime::{
     Access, ExecOutcome, InBody, KernelKind, PhaseProfile, TaskDag, TaskStatus, TileRef,
 };
 use polar_scalar::{Real, Scalar};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -177,20 +178,18 @@ impl<S: Scalar> Iterate<S> {
         self.bufs[0].tiling()
     }
 
-    /// Hold the tile QR `f` of the iterate instead of the iterate: its
-    /// packed tiles, which a QR-based step factors in place anyway, copied
-    /// over the iterate's, and a copy of their `T` factors back. Copies, not
-    /// `f`'s storage: `f` was allocated after the start's dense copy of the
-    /// iterate, and kept through the solve it pins the heap above that
-    /// block — repeated 1024² solves grew their peak resident set by a
-    /// matrix (64 → 71 MB) before their `T` factors and tiles moved.
-    pub(crate) fn factored(&mut self, f: TiledQr<S>) -> TFactors<S> {
-        let (mut tiles, t) = f.into_parts();
-        assert_eq!(tiles.tiling(), self.tiling(), "the iterate's QR is tiled as the iterate");
-        for (x, packed) in self.bufs[0].tiles_mut().iter_mut().zip(tiles.tiles_mut()) {
-            x.copy_from(packed);
+    /// The tile QR of the iterate in the spare buffer — the iterate's tiles
+    /// copied there and factored in place, the same tiles through the same
+    /// kernels as the QR of its dense copy: its `R`, its `T` factors into
+    /// `t`. The iterate stays where it was; [`Iterate::bufs`]`.swap(0, 1)`
+    /// makes the factored buffer the iterate.
+    pub(crate) fn factor_spare(&mut self, t: &mut Option<TFactors<S>>) -> Matrix<S> {
+        let [x, spare] = &mut self.bufs;
+        for (to, from) in spare.tiles_mut().iter_mut().zip(x.tiles_mut()) {
+            to.copy_from(from);
         }
-        t.clone()
+        *t = Some(geqrf_tiles(spare, QrStructure::Dense));
+        packed_r(spare)
     }
 
     /// The two buffers, the one holding the iterate first.
@@ -217,12 +216,13 @@ impl<S: Scalar> Iterate<S> {
     }
 }
 
-/// Workspace of one term of a QR-based step — `W = [s R; 0; d I]` with its
-/// `T` factors and the explicit `Q`, `R` the `n x n` upper triangular factor
-/// of the iterate ([`emit_factored_step`]) — allocated once per solve and
-/// reused by every iteration: by the time any tile of `X_{k+1}` exists every
-/// reader of iteration `k`'s workspace has run, so the reuse edges the dag
-/// infers cost no overlap.
+/// Workspace of one term slot of a QR-based step — `W = [s R; 0; d I]` with
+/// its `T` factors and the explicit `Q`, `R` the `n x n` upper triangular
+/// factor of the iterate ([`emit_factored_step`]); each of `W` and `Q` is
+/// `(ceil(n / nb) nb + n) x n`, twice a square `X` — allocated once per
+/// solve and reused by every round of terms of every iteration: the next
+/// round's `W` waits for this one's `Q` to be formed, its `Q` for this one's
+/// product tasks, edges the dag infers from the tiles they share.
 ///
 /// `R`'s rows are padded with zero rows to whole tiles, so the identity
 /// starts on a tile boundary whatever `n` is. The pad rows change nothing
@@ -234,8 +234,8 @@ impl<S: Scalar> Iterate<S> {
 /// ([`QrStructure::TriangularTop`]); and `Q2`'s tile `(tj, kc)` *is* `Q`'s
 /// tile `(nt + tj, kc)`, so the product tiles read `Q` in place.
 pub(crate) struct TermWorkspace<S: Scalar> {
-    w: TiledQr<S>,
-    q: TiledMatrix<S>,
+    pub(crate) w: TiledQr<S>,
+    pub(crate) q: TiledMatrix<S>,
 }
 
 /// Tiling of the stacked `W` and `Q` of an `n`-column iterate, `[R; 0; I]`,
@@ -320,30 +320,53 @@ pub(crate) struct Combine<'a, S: Scalar> {
 /// stacked `[s_j X; d_j I]` is `Q_x [Q1_j Q2_j^H; 0]`, and `X = Q_x [R;
 /// 0]`: the whole update is `Q_x` applied to an `n x n` matrix, and so is
 /// its distance from `X`, `|X' - X|_F = |P + (x_coef - 1) R|_F`, `P` the
-/// terms' sum — which the product tiles publish. The terms share no
-/// written tile, so their chains run concurrently. `terms` holds each
-/// term's workspace and `coef`, `scales` its `(s, d)`; `f` factors
-/// `combine.x`, the iterate, which the step leaves packed (`R` and the
-/// reflectors). With `given`, it already holds that — the start stage's
-/// tile QR of `X_0`, the same tiles through the same kernels — and the step
-/// runs none.
+/// terms' sum — which the product tiles publish. `terms` holds each term's
+/// `(s, d, coef)`; term `j` runs in workspace `slots[j % slots.len()]`, in
+/// [`rounds`]: the terms of a round share no written tile, so their chains
+/// run concurrently, and a round's product tasks sum them before the next
+/// round reuses the slots. `f` factors `combine.x`, the iterate, which the
+/// step leaves packed (`R` and the reflectors). With `given`, it already
+/// holds that — the start stage's tile QR of `X_0`, the same tiles through
+/// the same kernels — and the step runs none.
 pub(crate) fn emit_factored_step<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     f: QrPtr<'a, S>,
     given: bool,
-    terms: &[(TermPtr<'a, S>, S)],
-    scales: &[(S::Real, S::Real)],
+    slots: &[TermPtr<'a, S>],
+    terms: &[(S::Real, S::Real, S)],
     out: TilePtr<'a, S>,
     combine: &Combine<'a, S>,
 ) {
     if !given {
         emit_geqrf(dag, f);
     }
-    for (&(ws, _), &scales) in terms.iter().zip(scales) {
-        emit_stacked_q(dag, ws, f.a, scales);
+    for (round, part) in rounds(terms.len(), slots.len()) {
+        let mut qs = Vec::new();
+        for j in round {
+            let (ws, (s, d, coef)) = (slots[j % slots.len()], terms[j]);
+            emit_stacked_q(dag, ws, f.a, (s, d));
+            qs.push((ws, coef));
+        }
+        emit_product(dag, &qs, part, out, combine);
     }
-    emit_product(dag, terms, out, combine);
     emit_unmqr(dag, f, out, false);
+}
+
+/// Where a round of terms sits in a step's sum: whether it is the first,
+/// which starts the sum's tiles, and the last, which finishes them.
+#[derive(Clone, Copy)]
+pub(crate) struct Part {
+    pub first: bool,
+    pub last: bool,
+}
+
+/// Terms `0..r` of a step in rounds of `slots` consecutive ones, term `j` in
+/// slot `j % slots`, each with its [`Part`] of the step's sum. Every sum
+/// takes its terms in order whatever the rounds, so they move no bit.
+pub(crate) fn rounds(r: usize, slots: usize) -> impl Iterator<Item = (Range<usize>, Part)> {
+    (0..r)
+        .step_by(slots)
+        .map(move |j| (j..r.min(j + slots), Part { first: j == 0, last: j + slots >= r }))
 }
 
 /// Add `[Q1; 0; Q2] R' = [s R; 0; d I]` to `dag`, in `ws`: the stack filled
@@ -396,16 +419,18 @@ fn emit_stacked_q<'a, S: Scalar>(
 
 /// Add the `R`-space update of a QR-based step to `dag`, per tile of `out`:
 /// `x_coef R + P`, `P = sum_j coef_j Q1_j Q2_j^H` from the explicit `Q`s of
-/// the terms `qs` (`(workspace, coef_j)`), `R` the upper triangle of the
-/// factored tiles `combine.x`. The terms go in fixed order and each is
-/// accumulated over the columns of its `Q` in fixed order (one task per
-/// tile: no reduction across tasks); each tile publishes its share of
-/// `|P + (x_coef - 1) R|_F^2`. `Q1`'s tiles `(ti, kc < ti)` and `Q2`'s
-/// `(tj, kc < tj)` are never reached by the sweep that formed them, exact
-/// zeros: the products skip them. Tile rows of `out` below `R`'s are zero.
+/// the terms `qs` (`(workspace, coef_j)`) of one round, `part` of the step's
+/// sum, `R` the upper triangle of the factored tiles `combine.x`. The terms
+/// go in fixed order and each is accumulated over the columns of its `Q` in
+/// fixed order, one task per tile and round continuing the last one's
+/// accumulation: the first round zero-fills, the last adds `x_coef R` and
+/// publishes the tile's share of `|P + (x_coef - 1) R|_F^2`. `Q1`'s tiles
+/// `(ti, kc < ti)` and `Q2`'s `(tj, kc < tj)` are never reached by the
+/// sweep that formed them, exact zeros: the products skip them.
 fn emit_product<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     qs: &[(TermPtr<'a, S>, S)],
+    part: Part,
     out: TilePtr<'a, S>,
     combine: &Combine<'a, S>,
 ) {
@@ -413,12 +438,15 @@ fn emit_product<'a, S: Scalar>(
     let (nt, nbf, nb3) = (ot.nt(), ot.nb() as f64, tile_nb3::<S>(ot.nb()));
     // X' - X = Q_x [P + (x_coef - 1) R; 0]
     let (x_coef, xm1) = (combine.x_coef, combine.x_coef - S::ONE);
+    // the tile rows below R's are zeros, written by the first round
+    let mt = if part.first { ot.mt() } else { nt };
     dag.barrier();
     for tj in 0..nt {
-        for ti in 0..ot.mt() {
+        for ti in 0..mt {
+            let (first, last) = (part.first, part.last || ti >= nt);
             // R's tile, if any; then per term row ti of Q1 against row tj of
             // Q2, from the first column where neither is zero
-            let r = (ti <= tj).then(|| combine.x.read(ti, tj));
+            let r = (last && ti <= tj).then(|| combine.x.read(ti, tj));
             let rows: Vec<Vec<_>> = qs
                 .iter()
                 .map(|&(TermPtr { q, .. }, _)| {
@@ -430,10 +458,12 @@ fn emit_product<'a, S: Scalar>(
                 0 => (KernelKind::Geadd, nbf * nbf),
                 pairs => (KernelKind::Gemm, 2.0 * nb3 * pairs as f64),
             };
-            let partial = combine.sink.partial(combine.iter, ti, tj);
+            let partial = last.then(|| combine.sink.partial(combine.iter, ti, tj));
             let access = (out.write(ti, tj), r, rows, partial);
             dag.add_on(kind, 0, flops, access, move |(o, r, rows, partial)| {
-                o.fill(S::ZERO);
+                if first {
+                    o.fill(S::ZERO);
+                }
                 for (&alpha, pairs) in alphas.iter().zip(rows) {
                     for (q1, q2) in pairs {
                         gemm(
@@ -447,6 +477,7 @@ fn emit_product<'a, S: Scalar>(
                         );
                     }
                 }
+                let Some(partial) = partial else { return };
                 let mut acc = S::Real::ZERO;
                 for c in 0..o.ncols() {
                     for i in 0..o.nrows() {
@@ -704,14 +735,16 @@ pub(crate) fn emit_chol_inverse<'a, S: Scalar>(
 
 /// Add `M = x_coef I + sum_j w_j T_j^H T_j` to `dag`, into the lower tiles
 /// of `m`, from the inverses `T_j = L_j^{-1}` [`emit_chol_inverse`] left in
-/// `terms` (`(workspace, w_j)`): `Z_j^{-1} = T_j^H T_j`. One task per tile,
-/// summing the terms in order and, per term, `T_j`'s tile rows in order; a
-/// diagonal tile is written whole, Hermitian. About `n^3 / 3` flops per
-/// term.
-pub(crate) fn emit_inverse_sum<'a, S: Scalar>(
+/// `terms` (`(workspace, w_j)`) of one round, `part` of the step's sum:
+/// `Z_j^{-1} = T_j^H T_j`. One task per tile and round, continuing the last
+/// one's sum: the first round writes `x_coef I`, every round adds its terms
+/// in order and, per term, `T_j`'s tile rows in order, and the last writes a
+/// diagonal tile whole, Hermitian. About `n^3 / 3` flops per term.
+pub(crate) fn emit_inverse_round<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     terms: &[(CholPtr<'a, S>, S::Real)],
     x_coef: S::Real,
+    part: Part,
     m: TilePtr<'a, S>,
 ) {
     let nt = m.tiling().nt();
@@ -740,10 +773,12 @@ pub(crate) fn emit_inverse_sum<'a, S: Scalar>(
             let weights = weights.clone();
             dag.add_on(kind, 1, flops, (m.write(a, b), reads), move |(o, reads)| {
                 let (ra, rb) = (o.nrows(), o.ncols());
-                o.fill(S::ZERO);
-                if diagonal {
-                    for d in 0..ra {
-                        o[(d, d)] = S::from_real(x_coef);
+                if part.first {
+                    o.fill(S::ZERO);
+                    if diagonal {
+                        for d in 0..ra {
+                            o[(d, d)] = S::from_real(x_coef);
+                        }
                     }
                 }
                 let mut tmp = Matrix::<S>::zeros(ra, rb);
@@ -762,7 +797,7 @@ pub(crate) fn emit_inverse_sum<'a, S: Scalar>(
                         }
                     }
                 }
-                if diagonal {
+                if diagonal && part.last {
                     mirror_triangle(lo, o.as_mut());
                 }
             });
@@ -1060,7 +1095,7 @@ mod tests {
             let term = TermPtr::shape(&mut dag, n, nb).bind(&mut ws);
             let op = TilePtr::new(&mut dag, &mut out);
             let combine = Combine { x: xp, x_coef: 0.0, sink: &sink, iter: 0 };
-            emit_factored_step(&mut dag, f, false, &[(term, 1.0)], &[(s, 1.0)], op, &combine);
+            emit_factored_step(&mut dag, f, false, &[term], &[(s, 1.0, 1.0)], op, &combine);
             let qp = TilePtr::new(&mut dag, &mut qx);
             emit_orgqr(&mut dag, f, qp);
             assert_eq!(dag.execute(), ExecOutcome::Completed);
@@ -1136,15 +1171,13 @@ mod tests {
         let f = QrPtr::over(&mut dag, xp, QrStructure::Dense).bind_t(&mut t);
         let applied: Vec<_> = step.terms.iter().map(|t| t.applied(step.kind)).collect();
         let real = S::Real::from_f64;
-        let terms: Vec<_> = wss
-            .iter_mut()
-            .zip(&applied)
-            .map(|(ws, a)| (TermPtr::shape(&mut dag, n, nb).bind(ws), S::from_f64(a.2)))
-            .collect();
-        let scales: Vec<_> = applied.iter().map(|a| (real(a.0), real(a.1))).collect();
+        let slots: Vec<_> =
+            wss.iter_mut().map(|ws| TermPtr::shape(&mut dag, n, nb).bind(ws)).collect();
+        let terms: Vec<_> =
+            applied.iter().map(|a| (real(a.0), real(a.1), S::from_f64(a.2))).collect();
         let op = TilePtr::new(&mut dag, &mut out);
         let combine = Combine { x: xp, x_coef: S::from_f64(step.x_coef), sink: &sink, iter: 0 };
-        emit_factored_step(&mut dag, f, false, &terms, &scales, op, &combine);
+        emit_factored_step(&mut dag, f, false, &slots, &terms, op, &combine);
         sink.emit_reduce::<S::Real>(&mut dag, 0);
         assert_eq!(dag.execute(), ExecOutcome::Completed);
 
@@ -1171,6 +1204,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `M` of all of `terms` in one round.
+    fn emit_inverse_sum<'a, S: Scalar>(
+        dag: &mut TaskDag<'a>,
+        terms: &[(CholPtr<'a, S>, S::Real)],
+        x_coef: S::Real,
+        m: TilePtr<'a, S>,
+    ) {
+        emit_inverse_round(dag, terms, x_coef, Part { first: true, last: true }, m);
     }
 
     /// `x_coef X + sum_j w_j X Z_j^{-1}` of a several-term Cholesky-based

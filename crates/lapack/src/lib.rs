@@ -44,7 +44,8 @@ pub use tile_qr::{
 };
 pub use tiled::{
     auto_tile_nb, default_tile_nb, emit_geqrf, emit_orgqr, emit_potrf, emit_unmqr, geqrf_tiled,
-    orgqr_tiled, potrf_tiled, tile_nb3, QrPtr, QrStructure, TFactors, TilePtr, TiledQr,
+    geqrf_tiles, orgqr_tiled, packed_r, potrf_tiled, tile_nb3, QrPtr, QrStructure, TFactors,
+    TilePtr, TiledQr, TILE_LANES,
 };
 pub use tri::trtri_lower;
 

@@ -8,8 +8,9 @@
 //! Each graph is written once, as a function that adds its tasks to a
 //! *caller-owned* dag: [`emit_geqrf`], [`emit_unmqr`] (and [`emit_orgqr`],
 //! which is identity tasks plus that sweep), [`emit_potrf`]. The
-//! standalone drivers ([`geqrf_tiled`], [`orgqr_tiled`], [`potrf_tiled`])
-//! are allocate → emit → execute wrappers; the whole-solve graphs in
+//! standalone drivers ([`geqrf_tiled`], [`geqrf_tiles`] on a matrix already
+//! tiled, [`orgqr_tiled`], [`potrf_tiled`]) are allocate → emit → execute
+//! wrappers; the whole-solve graphs in
 //! `polar-qdwh` call the same emitters between their own assembly and
 //! update tasks, so a kernel change lands in every graph at once. The
 //! emitters also run without storage ([`TilePtr::shape`],
@@ -59,8 +60,9 @@ pub fn default_tile_nb() -> usize {
 /// Lanes [`auto_tile_nb`] sizes the tile grid for: the pool width every
 /// benchmark workload runs at on the 2-core host its numbers were recorded
 /// on. A constant, not the pool's width, so that a solve's tile size — and
-/// with it every bit of its result — is a function of its shape alone.
-const TILE_LANES: usize = 2;
+/// with it every bit of its result — is a function of its shape alone; a
+/// whole-solve graph sizes its number of term workspaces by it too.
+pub const TILE_LANES: usize = 2;
 
 /// Tile size for an `n`-column problem: the largest of 256, 192 and 128
 /// that gives at least two tile columns per lane of [`TILE_LANES`], else
@@ -292,6 +294,11 @@ pub struct TFactors<S: Scalar> {
 }
 
 impl<S: Scalar> TFactors<S> {
+    /// Bytes the slab holds.
+    pub fn bytes(&self) -> usize {
+        self.t.iter().map(|t| t.t.nrows() * t.t.ncols()).sum::<usize>() * std::mem::size_of::<S>()
+    }
+
     /// For factoring a matrix of the given tiling and structure.
     pub fn zeros(tiling: Tiling, structure: QrStructure) -> Self {
         let (mt, kt) = (tiling.mt(), tiling.mt().min(tiling.nt()));
@@ -349,11 +356,10 @@ impl<S: Scalar> TiledQr<S> {
         Self { a, t: TFactors::zeros(tiling, structure) }
     }
 
-    /// The packed tiles and the `T` factors, apart: a graph that names the
-    /// tiles as a matrix of its own reaches the factorization again through
-    /// [`QrPtr::over`].
-    pub fn into_parts(self) -> (TiledMatrix<S>, TFactors<S>) {
-        (self.a, self.t)
+    /// Bytes the packed tiles and the `T` factors hold.
+    pub fn bytes(&self) -> usize {
+        let tiling = self.a.tiling();
+        tiling.m() * tiling.n() * std::mem::size_of::<S>() + self.t.bytes()
     }
 
     /// Register the factorization's storage with `dag`.
@@ -363,24 +369,30 @@ impl<S: Scalar> TiledQr<S> {
 
     /// The upper-triangular `k x n` `R` factor.
     pub fn extract_r(&self) -> Matrix<S> {
-        let tiling = self.a.tiling();
-        let k = tiling.m().min(tiling.n());
-        let mut r = Matrix::<S>::zeros(k, tiling.n());
-        for kb in 0..tiling.mt().min(tiling.nt()) {
-            for jb in kb..tiling.nt() {
-                let (r0, c0) = tiling.tile_origin(kb, jb);
-                let tile = self.a.tile(kb, jb);
-                for j in 0..tile.ncols() {
-                    for i in 0..tile.nrows() {
-                        if r0 + i < k && r0 + i <= c0 + j {
-                            r[(r0 + i, c0 + j)] = tile[(i, j)];
-                        }
+        packed_r(&self.a)
+    }
+}
+
+/// The upper-triangular `k x n` `R` factor held by the packed tiles `a` of
+/// a tile QR.
+pub fn packed_r<S: Scalar>(a: &TiledMatrix<S>) -> Matrix<S> {
+    let tiling = a.tiling();
+    let k = tiling.m().min(tiling.n());
+    let mut r = Matrix::<S>::zeros(k, tiling.n());
+    for kb in 0..tiling.mt().min(tiling.nt()) {
+        for jb in kb..tiling.nt() {
+            let (r0, c0) = tiling.tile_origin(kb, jb);
+            let tile = a.tile(kb, jb);
+            for j in 0..tile.ncols() {
+                for i in 0..tile.nrows() {
+                    if r0 + i < k && r0 + i <= c0 + j {
+                        r[(r0 + i, c0 + j)] = tile[(i, j)];
                     }
                 }
             }
         }
-        r
     }
+    r
 }
 
 /// A [`TiledQr`] as the tasks of one dag see it: the matrix (`a`, public
@@ -686,24 +698,34 @@ fn geqrf_tiled_inner<S: Scalar>(
     nb: usize,
     structure: QrStructure,
 ) -> TiledQr<S> {
-    let m = a_dense.nrows();
-    let n = a_dense.ncols();
+    let mut a = TiledMatrix::from_dense(a_dense, nb, nb, ProcessGrid::single());
+    let t = geqrf_tiles(&mut a, structure);
+    TiledQr { a, t }
+}
+
+/// [`geqrf_tiled`] of a matrix already tiled: its tiles factored in place
+/// (`R` and the reflectors, as [`TiledQr::a`] holds them; [`packed_r`]
+/// reads `R`) by [`emit_geqrf`] in a dag of its own, the `T` factors
+/// returned.
+pub fn geqrf_tiles<S: Scalar>(a: &mut TiledMatrix<S>, structure: QrStructure) -> TFactors<S> {
+    let tiling = a.tiling();
+    let (m, n) = (tiling.m(), tiling.n());
     let _obs = polar_obs::kernel_span(
         polar_obs::KernelClass::Geqrf,
         "geqrf_tiled",
         flops::type_factor(S::IS_COMPLEX) * flops::geqrf(m, n),
-        [m, n, nb],
+        [m, n, tiling.nb()],
     );
-    let a = TiledMatrix::from_dense(a_dense, nb, nb, ProcessGrid::single());
-    let mut f = TiledQr { t: TFactors::zeros(a.tiling(), structure), a };
+    let mut t = TFactors::zeros(tiling, structure);
     let mut dag = TaskDag::new();
-    let fp = f.in_dag(&mut dag);
-    emit_geqrf(&mut dag, fp);
+    let ap = TilePtr::new(&mut dag, a);
+    let f = QrPtr::over(&mut dag, ap, structure).bind_t(&mut t);
+    emit_geqrf(&mut dag, f);
     // QR bodies never cancel; guard against a partially-factored result
     // if the executor ever grows new outcomes.
     let outcome = dag.execute();
     debug_assert_eq!(outcome, ExecOutcome::Completed);
-    f
+    t
 }
 
 /// DAG-scheduled tile QR factorization (PLASMA/SLATE `geqrf`): cuts `a`
