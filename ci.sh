@@ -18,6 +18,7 @@
 #   ./ci.sh hashes [REV]
 #                       # solve_hashes of this tree and of REV (default
 #                       # HEAD): fails on any line that moved; not in `all`
+#                       # (CI runs it on pull requests against the base)
 #   ./ci.sh artifacts S # print stage S's artifact paths, one per line
 #
 # `artifacts` is the single source of truth for what each stage produces;
@@ -58,6 +59,9 @@ artifacts_for() {
             ;;
         bench)
             printf '%s\n' benchmark/out/result.json
+            ;;
+        hashes)
+            printf '%s\n' target/hashes/here.txt target/hashes/there.txt
             ;;
         *) fail "no artifact manifest for stage '$1'" ;;
     esac

@@ -58,10 +58,10 @@ use crate::qdwh_impl::QdwhError;
 use crate::skeleton::{Step, Term};
 use crate::solve_dag::{
     emit_apply, emit_chol_inverse, emit_chol_term, emit_combine, emit_factored_step, emit_gram,
-    emit_inverse_round, emit_shifted, execute_hooked, rounds, CholPtr, Combine, Hooked, Iterate,
-    NormSink, TermPtr, TermWorkspace,
+    emit_inverse_round, emit_shifted, execute_hooked, rounds, term_workspace, CholPtr, Combine,
+    Hooked, Iterate, NormSink, TermPtr,
 };
-use polar_lapack::{LapackError, QrPtr, QrStructure, TFactors, TilePtr, TILE_LANES};
+use polar_lapack::{LapackError, QrPtr, QrStructure, TFactors, TilePtr, TiledQr, TILE_LANES};
 use polar_matrix::{ProcessGrid, TiledMatrix, Tiling};
 use polar_runtime::{PhaseProfile, TaskDag, TaskGraph};
 use polar_scalar::{Real, Scalar};
@@ -71,9 +71,10 @@ use std::sync::OnceLock;
 /// it, kept for the next (a continuation step). Per term slot
 /// ([`term_slots`]; term `j` of a step runs in slot `j % slots`, reused by
 /// the next round once this one's terms are summed): a stacked-QR workspace
-/// over `X`'s `R` only if a graph plans a QR-based step, and a Cholesky term
-/// lives in that workspace's `Q` ([`TermPtr::chol`]) when there is one, else
-/// in a host of its own (`n x n` and one tile row: [`CholPtr::within`]).
+/// over `X`'s `R` only if a graph plans a QR-based step — one buffer, which
+/// holds the stack `W`, then its `Q` — and a Cholesky term lives in that
+/// buffer ([`TermPtr::chol`]) when there is one, else in a host of its own
+/// (`n x n` and one tile row: [`CholPtr::within`]).
 /// Shared: the Gram matrix of a several-term Cholesky-based step — or the
 /// one the start stage certified `l_0` on, which a Cholesky-based first step
 /// reads instead of forming its own — and that step's `M`, `n x n` too; and
@@ -106,15 +107,16 @@ impl<S: Scalar> Workspace<S> {
 /// The term workspaces a step of `terms` terms runs in: one per lane the
 /// tile grid is sized for, [`TILE_LANES`], and never more than `terms` — a
 /// function of `terms` alone, like the tile size of the shape, so that the
-/// pool width moves no bit. A slot's QR workspace holds twice a square `X`
-/// (`W` and `Q`), so the slot count, not `r`, sets a Zolo-PD solve's memory.
+/// pool width moves no bit. A slot's QR workspace holds about twice a square
+/// `X` (`W`, then `Q` in its place), so the slot count, not `r`, sets a
+/// Zolo-PD solve's memory.
 pub(crate) fn term_slots(terms: usize) -> usize {
     terms.min(TILE_LANES)
 }
 
 #[derive(Default)]
 struct TermStore<S: Scalar> {
-    qr: Option<TermWorkspace<S>>,
+    qr: Option<TiledQr<S>>,
     chol: Option<TiledMatrix<S>>,
 }
 
@@ -204,7 +206,7 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
             let qr = qr.then(|| {
                 let shape = TermPtr::shape(dag, n, nb);
                 if backed {
-                    shape.bind(store.qr.get_or_insert_with(|| TermWorkspace::new(n, nb)))
+                    shape.bind(store.qr.get_or_insert_with(|| term_workspace(n, nb)))
                 } else {
                     shape
                 }
@@ -641,8 +643,9 @@ mod tests {
 
     /// A step of `r` terms runs in [`term_slots`]`(r)` term workspaces,
     /// round after round: after a QR-based and a Cholesky-based step the
-    /// solve's workspace holds that many term stores, and besides them
-    /// only, with several terms, the Gram matrix and `M`, and the `T`
+    /// solve's workspace holds that many term stores, each one stacked
+    /// buffer (`W`, then `Q` in its place) and its `T` factors, and besides
+    /// them only, with several terms, the Gram matrix and `M`, and the `T`
     /// factors of the QR of `X` — byte for byte, from the tilings.
     #[test]
     fn a_solve_holds_a_term_workspace_per_slot_not_per_term() {
@@ -652,7 +655,7 @@ mod tests {
         let top = n.div_ceil(nb) * nb;
         let stacked = Tiling::new(top + n, n, nb, nb);
         let w_t = TFactors::<f64>::zeros(stacked, QrStructure::TriangularTop { top_rows: top });
-        let term = 2 * f64s(stacked) + w_t.bytes();
+        let term = f64s(stacked) + w_t.bytes();
         let nn = f64s(Tiling::new(n, n, nb, nb));
         for r in [1usize, 2, 3, 8] {
             let opts = QdwhOptions { terms: r, ..fused_opts() };
@@ -672,7 +675,7 @@ mod tests {
                 .slots
                 .iter()
                 .map(|t| {
-                    let qr = t.qr.as_ref().map_or(0, |q| q.w.bytes() + f64s(q.q.tiling()));
+                    let qr = t.qr.as_ref().map_or(0, TiledQr::bytes);
                     qr + t.chol.as_ref().map_or(0, |c| f64s(c.tiling()))
                 })
                 .sum();

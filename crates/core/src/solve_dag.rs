@@ -3,9 +3,10 @@
 //! * the **QR-based step** of any number of terms ([`emit_factored_step`]):
 //!   one tile QR of `X` in place (or the one the start stage left), per
 //!   term the QR of `[s_j R; 0; d_j I]` over its `R` — a triangular top —
-//!   and its explicit `Q`, then `x_coef R` plus the terms' product tiles in
-//!   `R` space, lifted by `Q_x`. The factorization tasks themselves come
-//!   from `polar-lapack`'s emitters — this crate names no tile kernel;
+//!   and its explicit `Q` over the factored tiles, then `x_coef R` plus the
+//!   terms' product tiles in `R` space, lifted by `Q_x`. The factorization
+//!   tasks themselves come from `polar-lapack`'s emitters — this crate
+//!   names no tile kernel;
 //! * the **Cholesky term** of a one-term step ([`emit_chol_term`], over a
 //!   `Z` formed by [`emit_gram`] or [`emit_shifted`]): tile Cholesky → one
 //!   `trtri_lower` per diagonal tile → the two sweeps that leave `X Z^{-1}`
@@ -216,13 +217,23 @@ impl<S: Scalar> Iterate<S> {
     }
 }
 
-/// Workspace of one term slot of a QR-based step — `W = [s R; 0; d I]` with
-/// its `T` factors and the explicit `Q`, `R` the `n x n` upper triangular
-/// factor of the iterate ([`emit_factored_step`]); each of `W` and `Q` is
-/// `(ceil(n / nb) nb + n) x n`, twice a square `X` — allocated once per
-/// solve and reused by every round of terms of every iteration: the next
-/// round's `W` waits for this one's `Q` to be formed, its `Q` for this one's
-/// product tasks, edges the dag infers from the tiles they share.
+/// Tiling of the stacked `W` of an `n`-column iterate, `[R; 0; I]`, and the
+/// structure of its factorization.
+fn stacked(n: usize, nb: usize) -> (Tiling, QrStructure) {
+    let top_rows = n.div_ceil(nb) * nb;
+    (Tiling::new(top_rows + n, n, nb, nb), QrStructure::TriangularTop { top_rows })
+}
+
+/// Workspace of one term slot of a QR-based step at tile size `nb`: one
+/// stacked buffer, `(ceil(n / nb) nb + n) x n`, about twice a square `X`,
+/// with the `T` factors of its QR. It holds `W = [s R; 0; d I]`
+/// ([`emit_factored_step`], `R` the `n x n` upper triangular factor of the
+/// iterate), then its factored tiles, then that step's explicit `Q`,
+/// formed over them — and in a Cholesky-based step the term's `Z`
+/// ([`TermPtr::chol`]). Allocated once per solve and reused by every round
+/// of terms of every iteration: the next round's `W` waits for this one's
+/// product tasks to read `Q`, an edge the dag infers from the tiles they
+/// share.
 ///
 /// `R`'s rows are padded with zero rows to whole tiles, so the identity
 /// starts on a tile boundary whatever `n` is. The pad rows change nothing
@@ -233,49 +244,33 @@ impl<S: Scalar> Iterate<S> {
 /// triangular-tile windows apply to every shape
 /// ([`QrStructure::TriangularTop`]); and `Q2`'s tile `(tj, kc)` *is* `Q`'s
 /// tile `(nt + tj, kc)`, so the product tiles read `Q` in place.
-pub(crate) struct TermWorkspace<S: Scalar> {
-    pub(crate) w: TiledQr<S>,
-    pub(crate) q: TiledMatrix<S>,
+pub(crate) fn term_workspace<S: Scalar>(n: usize, nb: usize) -> TiledQr<S> {
+    let (wt, structure) = stacked(n, nb);
+    TiledQr::zeros(wt, structure)
 }
 
-/// Tiling of the stacked `W` and `Q` of an `n`-column iterate, `[R; 0; I]`,
-/// and the structure of its factorization.
-fn stacked(n: usize, nb: usize) -> (Tiling, QrStructure) {
-    let top_rows = n.div_ceil(nb) * nb;
-    (Tiling::new(top_rows + n, n, nb, nb), QrStructure::TriangularTop { top_rows })
-}
-
-impl<S: Scalar> TermWorkspace<S> {
-    /// For an `n`-column iterate at tile size `nb`.
-    pub(crate) fn new(n: usize, nb: usize) -> Self {
-        let (wt, structure) = stacked(n, nb);
-        Self { w: TiledQr::zeros(wt, structure), q: TiledMatrix::zeros(wt, ProcessGrid::single()) }
-    }
-}
-
-/// A [`TermWorkspace`] as the tasks of one dag see it: registered as a
+/// A [`term_workspace`] as the tasks of one dag see it: registered as a
 /// shape, bound to storage by whoever executes the dag.
 #[derive(Clone, Copy)]
 pub(crate) struct TermPtr<'a, S: Scalar> {
     w: QrPtr<'a, S>,
-    q: TilePtr<'a, S>,
 }
 
 impl<'a, S: Scalar> TermPtr<'a, S> {
-    /// Arguments as for [`TermWorkspace::new`].
+    /// Arguments as for [`term_workspace`].
     pub(crate) fn shape(dag: &mut TaskDag<'_>, n: usize, nb: usize) -> Self {
         let (wt, structure) = stacked(n, nb);
-        Self { w: QrPtr::shape(dag, wt, structure), q: TilePtr::shape(dag, wt) }
+        Self { w: QrPtr::shape(dag, wt, structure) }
     }
 
-    pub(crate) fn bind<'b>(self, ws: &'b mut TermWorkspace<S>) -> TermPtr<'b, S> {
-        TermPtr { w: self.w.bind(&mut ws.w), q: self.q.bind(&mut ws.q) }
+    pub(crate) fn bind<'b>(self, ws: &'b mut TiledQr<S>) -> TermPtr<'b, S> {
+        TermPtr { w: self.w.bind(ws) }
     }
 
-    /// The same workspace as a Cholesky term's: `Z` where `Q2` goes, the
+    /// The same buffer as a Cholesky term's: `Z` where `Q2` goes, the
     /// inverted diagonal tiles in the first tile row of `Q1`.
     pub(crate) fn chol(self) -> CholPtr<'a, S> {
-        CholPtr::within(self.q)
+        CholPtr::within(self.w.a)
     }
 }
 
@@ -371,14 +366,14 @@ pub(crate) fn rounds(r: usize, slots: usize) -> impl Iterator<Item = (Range<usiz
 
 /// Add `[Q1; 0; Q2] R' = [s R; 0; d I]` to `dag`, in `ws`: the stack filled
 /// per tile from the upper triangle of the factored tiles `r`, then its
-/// tile QR and explicit `Q`.
+/// tile QR and explicit `Q`, over the stack's own tiles.
 fn emit_stacked_q<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     ws: TermPtr<'a, S>,
     r: TilePtr<'a, S>,
     (s, d): (S::Real, S::Real),
 ) {
-    let TermPtr { w: f, q } = ws;
+    let TermPtr { w: f } = ws;
     let w = f.a;
     let (nt, mtw, nbf) = (r.tiling().nt(), w.tiling().mt(), w.tiling().nb() as f64);
 
@@ -414,7 +409,7 @@ fn emit_stacked_q<'a, S: Scalar>(
     }
 
     emit_geqrf(dag, f);
-    emit_orgqr(dag, f, q);
+    emit_orgqr(dag, f);
 }
 
 /// Add the `R`-space update of a QR-based step to `dag`, per tile of `out`:
@@ -449,7 +444,8 @@ fn emit_product<'a, S: Scalar>(
             let r = (last && ti <= tj).then(|| combine.x.read(ti, tj));
             let rows: Vec<Vec<_>> = qs
                 .iter()
-                .map(|&(TermPtr { q, .. }, _)| {
+                .map(|&(TermPtr { w }, _)| {
+                    let q = w.a;
                     (ti.max(tj)..nt).map(|kc| (q.read(ti, kc), q.read(nt + tj, kc))).collect()
                 })
                 .collect();
@@ -1084,9 +1080,9 @@ mod tests {
             let grid = ProcessGrid::single;
             let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
             let mut t = TFactors::zeros(xt.tiling(), QrStructure::Dense);
-            let mut ws = TermWorkspace::<f64>::new(n, nb);
+            let mut ws = term_workspace::<f64>(n, nb);
             let mut out = TiledMatrix::<f64>::zeros(xt.tiling(), grid());
-            let mut qx = TiledMatrix::<f64>::zeros(xt.tiling(), grid());
+            let mut qx = TiledMatrix::from_dense(&Matrix::identity(m, n), nb, nb, grid());
             let mut sink = NormSink::new(1, xt.tiling());
             let mut dag = TaskDag::new();
             sink.name_in(&mut dag);
@@ -1097,7 +1093,7 @@ mod tests {
             let combine = Combine { x: xp, x_coef: 0.0, sink: &sink, iter: 0 };
             emit_factored_step(&mut dag, f, false, &[term], &[(s, 1.0, 1.0)], op, &combine);
             let qp = TilePtr::new(&mut dag, &mut qx);
-            emit_orgqr(&mut dag, f, qp);
+            emit_unmqr(&mut dag, f, qp, true);
             assert_eq!(dag.execute(), ExecOutcome::Completed);
 
             let packed = xt.to_dense();
@@ -1113,7 +1109,7 @@ mod tests {
             let flat = q1_residual(&r, s, &q1, &q2);
 
             let top = n.div_ceil(nb) * nb;
-            let q = ws.q.to_dense();
+            let q = ws.a.to_dense();
             let (q1, q2) = (q.submatrix_owned(0, 0, n, n), q.submatrix_owned(top, 0, n, n));
             let tiled = q1_residual(&r, s, &q1, &q2);
             assert!(tiled <= 8.0 * flat, "{m}x{n} nb {nb}: tile QR {tiled:e} vs flat {flat:e}");
@@ -1162,7 +1158,7 @@ mod tests {
         let grid = ProcessGrid::single;
         let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
         let mut t = TFactors::zeros(xt.tiling(), QrStructure::Dense);
-        let mut wss: Vec<_> = (0..r).map(|_| TermWorkspace::<S>::new(n, nb)).collect();
+        let mut wss: Vec<_> = (0..r).map(|_| term_workspace::<S>(n, nb)).collect();
         let mut out = TiledMatrix::<S>::zeros(xt.tiling(), grid());
         let mut sink = NormSink::new(1, xt.tiling());
         let mut dag = TaskDag::new();

@@ -7,9 +7,10 @@
 //!
 //! Each graph is written once, as a function that adds its tasks to a
 //! *caller-owned* dag: [`emit_geqrf`], [`emit_unmqr`] (and [`emit_orgqr`],
-//! which is identity tasks plus that sweep), [`emit_potrf`]. The
-//! standalone drivers ([`geqrf_tiled`], [`geqrf_tiles`] on a matrix already
-//! tiled, [`orgqr_tiled`], [`potrf_tiled`]) are allocate → emit → execute
+//! which is identity tasks plus that sweep over the factorization's own
+//! tiles), [`emit_potrf`]. The standalone drivers ([`geqrf_tiled`],
+//! [`geqrf_tiles`] on a matrix already tiled, [`orgqr_tiled`],
+//! [`potrf_tiled`]) are allocate → emit → execute
 //! wrappers; the whole-solve graphs in
 //! `polar-qdwh` call the same emitters between their own assembly and
 //! update tasks, so a kernel change lands in every graph at once. The
@@ -340,10 +341,12 @@ impl<S: Scalar> TFactors<S> {
 /// `Q`. [`geqrf_tiled`] returns one; a whole-solve graph allocates one with
 /// [`TiledQr::zeros`], fills `a` from its own tasks and hands
 /// [`TiledQr::in_dag`] to [`emit_geqrf`] / [`emit_orgqr`] / [`emit_unmqr`].
+/// Under a triangular top the one buffer holds the stack, its factored
+/// tiles, then its explicit `Q` ([`emit_orgqr`] forms it in place).
 pub struct TiledQr<S: Scalar> {
     /// Packed tiles: `R` on and above the tile diagonal, `geqrt` reflector
     /// tails below inside diagonal tiles, `tsqrt` `V2` blocks below the
-    /// tile diagonal.
+    /// tile diagonal; after [`emit_orgqr`], `Q`.
     pub a: TiledMatrix<S>,
     t: TFactors<S>,
 }
@@ -520,15 +523,30 @@ pub fn emit_geqrf<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
     }
 }
 
-/// Add the formation of the explicit thin `Q` of the factorization `f`
-/// to `dag`: `q` (same row tiling as `f.a`, as many columns as wanted)
-/// is reset to the thin identity by per-tile tasks, then [`emit_unmqr`]
-/// applies the stored reflectors to it.
-pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: TilePtr<'a, S>) {
+/// Add the formation of the explicit thin `Q` of the factorization `f` to
+/// `dag`, over `f`'s own tiles (LAPACK `orgqr`, which forms `Q` over the
+/// reflectors): the triangular top's tile rows are reset to the thin identity
+/// by per-tile tasks — its `R` is dead once the factorization is done —
+/// then [`emit_unmqr`] applies the stored reflectors to `f.a` itself. `D`'s
+/// tiles past a panel's fill boundary are already `Q`'s zeros there, and
+/// each `V2` tile becomes `Q`'s tile in its place, so `f.a` holds `Q` and
+/// nothing else holds it: a caller that reads `R` reads it first. Under
+/// [`QrStructure::TriangularTop`] only.
+pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>) {
+    let QrStructure::TriangularTop { top_rows } = f.structure else {
+        panic!("emit_orgqr: Q in place under a triangular top only");
+    };
+    emit_identity(dag, f.a, top_rows / f.a.tiling().mb());
+    emit_unmqr(dag, f, f.a, true);
+}
+
+/// Add per-tile tasks resetting the first `rows` tile rows of `q` to the
+/// thin identity.
+fn emit_identity<'a, S: Scalar>(dag: &mut TaskDag<'a>, q: TilePtr<'a, S>, rows: usize) {
     let nb = q.tiling().nb() as f64;
     dag.barrier();
     for j in 0..q.tiling().nt() {
-        for i in 0..q.tiling().mt() {
+        for i in 0..rows {
             dag.add_on(KernelKind::Geadd, 2, nb * nb, q.write(i, j), move |t| {
                 if i == j {
                     t.set_identity();
@@ -538,7 +556,6 @@ pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: Tile
             });
         }
     }
-    emit_unmqr(dag, f, q, true);
 }
 
 /// Add `C := Q C` to `dag`, `Q` the factorization `f`'s and `c` of the
@@ -547,6 +564,15 @@ pub fn emit_orgqr<'a, S: Scalar>(dag: &mut TaskDag<'a>, f: QrPtr<'a, S>, q: Tile
 /// [`emit_geqrf`] in the same dag. With `upper`, `C` is zero below its tile
 /// diagonal (the identity [`emit_orgqr`] starts from), and panel `k` leaves
 /// the tile columns left of `k` alone: it would map their zeros to zeros.
+///
+/// `c` may be `f.a` itself, under a triangular top and with `upper`
+/// ([`emit_orgqr`]): `C`'s tile `(i, k)` is then the one holding `V2(i,
+/// k)`, which no later panel reads and no earlier one wrote, so it is zero
+/// in a `C` of its own when panel `k` first touches it. In row `i` of panel
+/// `k` the tasks on columns right of `k`, which read `V2(i, k)`, go first;
+/// the task on column `k` copies `V2` aside, zeroes the tile and runs the
+/// same kernel on it. Every tile sees the operations it would in a `C` of
+/// its own, on the same values in the same order.
 pub fn emit_unmqr<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     f: QrPtr<'a, S>,
@@ -562,20 +588,34 @@ pub fn emit_unmqr<'a, S: Scalar>(
         tiling.mt(),
         "emit_unmqr: C and the factored matrix differ in tile rows"
     );
+    let own = c.tiles.id == w.tiles.id;
+    assert!(
+        !own || (upper && c.tiles.row0 == w.tiles.row0 && f.structure != QrStructure::Dense),
+        "emit_unmqr: C over the factorization's own tiles is an upper C under a triangular top"
+    );
     let nb3 = tile_nb3::<S>(tiling.nb());
     for k in (0..kt).rev() {
         dag.barrier();
         let step = (k + 1) as i32 * 4;
         let cols = if upper { k } else { 0 }..cnt;
+        // in place, a row's task on V2's own tile goes last and reads it there
+        let last = own.then_some(k);
         for i in f.rows(k).rev() {
-            for j in cols.clone() {
-                dag.add_on(
-                    KernelKind::Tsmqr,
-                    step,
-                    4.0 * nb3,
-                    (w.read(i, k), t.read(i, k), c.write(i, j), c.write(k, j)),
-                    |(v2, t, c2, c1)| tsmqr_blocked(Op::NoTrans, v2, t, c1.as_mut(), c2.as_mut()),
-                );
+            for j in cols.clone().filter(|&j| Some(j) != last).chain(last) {
+                let v2 = (Some(j) != last).then(|| w.read(i, k));
+                let access = (v2, t.read(i, k), c.write(i, j), c.write(k, j));
+                dag.add_on(KernelKind::Tsmqr, step, 4.0 * nb3, access, |(v2, t, c2, c1)| {
+                    let aside;
+                    let v2 = match v2 {
+                        Some(v2) => v2,
+                        None => {
+                            aside = c2.clone();
+                            c2.fill(S::ZERO);
+                            &aside
+                        }
+                    };
+                    tsmqr_blocked(Op::NoTrans, v2, t, c1.as_mut(), c2.as_mut());
+                });
             }
         }
         if f.structure == QrStructure::Dense {
@@ -754,7 +794,8 @@ pub fn orgqr_tiled<S: Scalar>(f: &mut TiledQr<S>, k_cols: usize) -> Matrix<S> {
     let mut q = TiledMatrix::<S>::zeros(Tiling::new(m, k_cols, nb, nb), ProcessGrid::single());
     let mut dag = TaskDag::new();
     let (fp, qp) = (f.in_dag(&mut dag), TilePtr::new(&mut dag, &mut q));
-    emit_orgqr(&mut dag, fp, qp);
+    emit_identity(&mut dag, qp, qp.tiling().mt());
+    emit_unmqr(&mut dag, fp, qp, true);
     let outcome = dag.execute();
     debug_assert_eq!(outcome, ExecOutcome::Completed);
     q.to_dense()
@@ -808,7 +849,7 @@ mod tests {
     use crate::{geqrf, orgqr, potrf};
     use polar_blas::{add, norm};
     use polar_matrix::Norm;
-    use polar_scalar::Complex64;
+    use polar_scalar::{Complex32, Complex64};
 
     #[test]
     fn auto_tile_nb_depends_on_the_shape_alone() {
@@ -973,6 +1014,38 @@ mod tests {
         assert!(same_entries(&full, &upper));
         // Q C = C is no application at all
         assert!(!same_entries(&full, &c0));
+    }
+
+    /// `Q` formed in place over a triangular top's own tiles ([`emit_orgqr`])
+    /// is the one the identity and [`emit_unmqr`] form in a matrix of their
+    /// own ([`orgqr_tiled`]), bit for bit, in every type: `n` a whole number
+    /// of tiles, ragged, and narrower than one tile; every panel ends on its
+    /// row-windowed tile, which at nb = 64 runs two `ib` panels.
+    fn q_in_place_matches_q_aside<S: Scalar>() {
+        let bits = |a: &Matrix<S>| -> Vec<[u64; 2]> {
+            let parts = |x: &S| [x.re().to_f64().to_bits(), x.im().to_f64().to_bits()];
+            a.as_slice().iter().map(parts).collect()
+        };
+        for (n, nb) in [(48usize, 16usize), (37, 16), (10, 16), (100, 64), (128, 64)] {
+            let (w, top) = triangle_stack::<S>(n, nb, 11 + n as u64);
+            let mut f = geqrf_tiled_inner(&w, nb, QrStructure::TriangularTop { top_rows: top });
+            let case = format!("{} n={n} nb={nb}", S::TYPE_TAG);
+            assert_eq!(f.t.t.iter().filter(|t| t.upper_v2).count(), n.div_ceil(nb), "{case}");
+            let aside = orgqr_tiled(&mut f, n);
+            let mut dag = TaskDag::new();
+            let fp = f.in_dag(&mut dag);
+            emit_orgqr(&mut dag, fp);
+            assert_eq!(dag.execute(), ExecOutcome::Completed);
+            assert_eq!(bits(&f.a.to_dense()), bits(&aside), "{case}");
+        }
+    }
+
+    #[test]
+    fn q_in_place_is_q_aside_bit_for_bit() {
+        q_in_place_matches_q_aside::<f32>();
+        q_in_place_matches_q_aside::<f64>();
+        q_in_place_matches_q_aside::<Complex32>();
+        q_in_place_matches_q_aside::<Complex64>();
     }
 
     #[test]

@@ -361,6 +361,12 @@ fn cost_operations(
 /// on `nodes/r` nodes — and only 2 iterations are needed. This is the
 /// strong-scaling trade the paper describes: more flops than QDWH, but a
 /// much shorter critical path at high node counts.
+///
+/// The model assumes the rank-sharded deployment, one term per sub-grid
+/// (ROADMAP item 7), not the graph `polar_qdwh::qdwh` emits: that one runs
+/// at most `TILE_LANES` = 2 term chains at a time (`graph::term_slots`),
+/// and the DES prices its 768², r = 8 graph on four Summit CPU nodes at
+/// +54 % of the makespan with eight (EXPERIMENTS.md ABL-ZOLO).
 pub fn estimate_zolo_time(
     node: &NodeSpec,
     nodes: usize,
