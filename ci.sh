@@ -263,6 +263,18 @@ stage_lint() {
             done
     done)
     test -z "$strays" || fail "docs name .rs files that do not exist: $strays"
+
+    step "emit-site census: DESIGN.md's add_on count is the code's"
+    # every task over tile storage is added with TaskDag::add_on, in the two
+    # emit modules; DESIGN.md's "All N emit sites go through `add_on`" is
+    # counted here (code lines only), not by hand
+    local sites claimed
+    sites=$(grep -hE '\badd_on\(' crates/lapack/src/tiled.rs crates/core/src/solve_dag.rs \
+        | grep -cvE '^\s*//' || true)
+    claimed=$(grep -oE 'All [0-9]+ emit sites go through `add_on`' DESIGN.md \
+        | grep -oE '[0-9]+' || true)
+    test "$claimed" = "$sites" \
+        || fail "DESIGN.md counts '${claimed}' add_on emit sites; tiled.rs and solve_dag.rs have $sites"
 }
 
 stage_tier1() {

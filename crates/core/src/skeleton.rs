@@ -210,11 +210,13 @@ pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
                 Some(dense) => estimate_l0(dense.as_ref(), strategy, r_of_x),
                 None => sigma_min_l0(&r_of_x()),
             };
-            // the same tiles through the same kernels: the first step's QR
+            // the same tiles through the same kernels: the first step's QR;
+            // else the spare goes (a graph whose steps need one allocates it)
             let factor =
                 factor.filter(|_| method.step_at(l0.to_f64()).kind == IterationKind::QrBased);
-            if factor.is_some() {
-                x.bufs().swap(0, 1);
+            match factor {
+                Some(_) => x.advance(1),
+                None => x.drop_spare(),
             }
             (l0, None, factor)
         }

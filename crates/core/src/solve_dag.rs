@@ -9,16 +9,17 @@
 //!   names no tile kernel;
 //! * the **Cholesky term** of a one-term step ([`emit_chol_term`], over a
 //!   `Z` formed by [`emit_gram`] or [`emit_shifted`]): tile Cholesky → one
-//!   `trtri_lower` per diagonal tile → the two sweeps that leave `X Z^{-1}`
-//!   in the output;
+//!   `trtri_lower` per diagonal tile → per block of tile rows the two
+//!   sweeps that leave `V = X Z^{-1}` in row slots and the update of `X` in
+//!   place;
 //! * the **Cholesky-based step** of several terms, in `n x n` space: per
 //!   term the tile inverse `T_j = L_j^{-1}` of its factor
 //!   ([`emit_chol_inverse`]), then `M = x_coef I + sum_j w_j T_j^H T_j`
 //!   ([`emit_inverse_round`], a round of terms at a time) and `X M`, one
 //!   gemm over `X` ([`emit_apply`]);
 //! * the **combine** ([`Combine`]): `x_coef X` — in `R` space in a QR-based
-//!   step's product tiles, in [`emit_combine`]'s update tasks behind a
-//!   one-term Cholesky step's sweeps;
+//!   step's product tiles, in the update tasks behind a one-term Cholesky
+//!   step's sweeps;
 //! * the **convergence sink** ([`NormSink`]): per-tile `|X_k - X_{k-1}|_F^2`
 //!   partials — published by the tasks that write `X_k` last, or by a
 //!   QR-based step's product tiles in `R` space — and one fixed-order
@@ -156,36 +157,41 @@ impl Access for SinkSlot<'_> {
     }
 }
 
-/// The iterate of one solve as its graphs see it: tiled once, double-buffered
-/// (iteration `k` of a graph reads buffer `k % 2` and writes the other), and
-/// kept tiled from one graph of the solve to the next.
+/// The iterate of one solve as its graphs see it: tiled once and kept tiled
+/// from one graph of the solve to the next. A one-term Cholesky-based step
+/// updates it in place; a step that cannot — a QR-based one, a several-term
+/// Cholesky-based one — writes the spare buffer, which then holds the
+/// iterate. The spare is allocated only for those: by the first graph that
+/// plans one ([`Iterate::bufs`]) or by the start's QR
+/// ([`Iterate::factor_spare`]).
 pub(crate) struct Iterate<S: Scalar> {
-    bufs: [TiledMatrix<S>; 2],
+    x: TiledMatrix<S>,
+    spare: Option<TiledMatrix<S>>,
 }
 
 impl<S: Scalar> Iterate<S> {
     /// `scale * a`, tiled at `nb`: the bits of scaling `a` and then tiling
     /// it, with no dense copy.
     pub(crate) fn scaled(a: &Matrix<S>, scale: S::Real, nb: usize) -> Self {
-        let mut first = TiledMatrix::from_dense(a, nb, nb, ProcessGrid::single());
-        for tile in first.tiles_mut() {
+        let mut x = TiledMatrix::from_dense(a, nb, nb, ProcessGrid::single());
+        for tile in x.tiles_mut() {
             scale_real(scale, tile.as_mut());
         }
-        let spare = TiledMatrix::zeros(first.tiling(), ProcessGrid::single());
-        Self { bufs: [first, spare] }
+        Self { x, spare: None }
     }
 
     pub(crate) fn tiling(&self) -> Tiling {
-        self.bufs[0].tiling()
+        self.x.tiling()
     }
 
     /// The tile QR of the iterate in the spare buffer — the iterate's tiles
     /// copied there and factored in place, the same tiles through the same
     /// kernels as the QR of its dense copy: its `R`, its `T` factors into
-    /// `t`. The iterate stays where it was; [`Iterate::bufs`]`.swap(0, 1)`
-    /// makes the factored buffer the iterate.
+    /// `t`. The iterate stays where it was: [`Iterate::advance`]`(1)` makes
+    /// the factored buffer the iterate, [`Iterate::drop_spare`] drops it.
     pub(crate) fn factor_spare(&mut self, t: &mut Option<TFactors<S>>) -> Matrix<S> {
-        let [x, spare] = &mut self.bufs;
+        let (x, spare) = self.bufs(true);
+        let spare = spare.expect("just allocated");
         for (to, from) in spare.tiles_mut().iter_mut().zip(x.tiles_mut()) {
             to.copy_from(from);
         }
@@ -193,27 +199,37 @@ impl<S: Scalar> Iterate<S> {
         packed_r(spare)
     }
 
-    /// The two buffers, the one holding the iterate first.
-    pub(crate) fn bufs(&mut self) -> &mut [TiledMatrix<S>; 2] {
-        &mut self.bufs
+    /// The iterate's buffer and the spare, which `spare` allocates if the
+    /// iterate holds none.
+    pub(crate) fn bufs(
+        &mut self,
+        spare: bool,
+    ) -> (&mut TiledMatrix<S>, Option<&mut TiledMatrix<S>>) {
+        if spare && self.spare.is_none() {
+            self.spare = Some(TiledMatrix::zeros(self.x.tiling(), ProcessGrid::single()));
+        }
+        (&mut self.x, self.spare.as_mut())
     }
 
-    /// A graph of `iters` iterations has run on [`Iterate::bufs`]: put the
-    /// buffer its last iteration wrote first.
-    pub(crate) fn advance(&mut self, iters: usize) {
-        if iters % 2 == 1 {
-            self.bufs.swap(0, 1);
+    pub(crate) fn drop_spare(&mut self) {
+        self.spare = None;
+    }
+
+    /// The spare buffer was written `flips` times (by a graph's steps, on
+    /// [`Iterate::bufs`]): make the buffer written last the iterate.
+    pub(crate) fn advance(&mut self, flips: usize) {
+        if flips % 2 == 1 {
+            std::mem::swap(&mut self.x, self.spare.as_mut().expect("a spare buffer"));
         }
     }
 
     pub(crate) fn to_dense(&self) -> Matrix<S> {
-        self.bufs[0].to_dense()
+        self.x.to_dense()
     }
 
-    pub(crate) fn into_dense(self) -> Matrix<S> {
-        let [x, spare] = self.bufs;
-        drop(spare);
-        x.to_dense()
+    pub(crate) fn into_dense(mut self) -> Matrix<S> {
+        self.drop_spare();
+        self.x.to_dense()
     }
 }
 
@@ -292,9 +308,10 @@ impl<'a, S: Scalar> CholPtr<'a, S> {
     }
 }
 
-/// What a step adds to its terms: `x_coef X`, `x` the iterate it reads; and
-/// each tile of its output publishes its convergence partial `|X' - X|_F^2`
-/// for iteration `iter`.
+/// What a step adds to its terms: `x_coef X`, `x` the iterate it reads (and
+/// a one-term Cholesky-based step updates in place); and each tile of its
+/// output publishes its convergence partial `|X' - X|_F^2` for iteration
+/// `iter`.
 pub(crate) struct Combine<'a, S: Scalar> {
     pub x: TilePtr<'a, S>,
     pub x_coef: S,
@@ -597,17 +614,21 @@ fn emit_chol_factor<'a, S: Scalar>(
     }
 }
 
-/// Add the Cholesky term of a one-term step to `dag`, from `Z` in the lower
-/// tiles of `ws.z`:
+/// Add a one-term Cholesky-based step to `dag`, from `Z` in the lower tiles
+/// of `ws.z`, updating the iterate `combine.x` in place:
 ///
 /// ```text
 /// Z = L L^H                        (tile Cholesky, in place)
-/// out = X Z^{-1} = X L^{-H} L^{-1}  (two sweeps over out's tile columns)
+/// V = X Z^{-1} = X L^{-H} L^{-1}    (two sweeps over V's tile columns)
+/// X = x_coef X + weight V          (per tile, publishing |X' - X|_F^2)
 /// ```
 ///
-/// `x` and `out` are tiled alike (`m x n`), `ws` at the same `nb`. A `Z`
-/// that is not positive definite stores the error in `failure`, with the
-/// pivot's global index, and cancels the dag.
+/// `V` lives in `v`, `s` tile rows of `nb` (the spare buffer, `s = mt`, or
+/// row slots), tile row `ti` of `X` in row `ti % s`. Each row reads only
+/// itself, so the rows run in blocks of `s`, a block's tasks emitted before
+/// the next block's: the dag orders conflicting tasks by emission. `ws` is
+/// tiled at `X`'s `nb`. A `Z` that is not positive definite stores the
+/// error in `failure`, with the pivot's global index, and cancels the dag.
 ///
 /// The sweeps multiply by the inverted diagonal tiles of `L` where a solve
 /// would be: safe only for a well-conditioned `Z` (`polar_lapack`'s
@@ -616,71 +637,85 @@ fn emit_chol_factor<'a, S: Scalar>(
 pub(crate) fn emit_chol_term<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     ws: CholPtr<'a, S>,
-    x: TilePtr<'a, S>,
-    out: TilePtr<'a, S>,
+    v: TilePtr<'a, S>,
+    weight: S,
+    combine: &Combine<'a, S>,
     failure: &'a OnceLock<LapackError>,
 ) {
     emit_chol_factor(dag, ws, failure);
     let CholPtr { z, linv } = ws;
+    let (x, x_coef) = (combine.x, combine.x_coef);
     let xt = x.tiling();
-    let (mtx, nt) = (xt.mt(), xt.nt());
-    let nb3 = tile_nb3::<S>(xt.nb());
+    let (mtx, nt, s) = (xt.mt(), xt.nt(), v.tiling().mt());
+    let (nbf, nb3) = (xt.nb() as f64, tile_nb3::<S>(xt.nb()));
 
-    // X Z^{-1} by two sweeps over the tile columns, in place in `out`.
-    // Forward, C L^H = X, tile columns ascending; then backward, V L = C,
-    // descending — so each sweep's RAW edges bind to its own solved tiles
-    // and the in-place WAW chains behind the forward pass over the same
-    // tile. Per tile: subtract the already-solved columns, then multiply
-    // by the inverted diagonal tile from the right.
-    for forward in [true, false] {
-        let op = if forward { Op::ConjTrans } else { Op::NoTrans };
-        for step in 0..nt {
-            dag.barrier();
-            let tj = if forward { step } else { nt - 1 - step };
-            // solved columns this one depends on, and the L tile that
-            // couples it to each
-            let solved = if forward { 0..tj } else { tj + 1..nt };
-            let l_tile = move |l: usize| if forward { (tj, l) } else { (l, tj) };
-            for ti in 0..mtx {
-                let pairs: Vec<_> = solved
-                    .clone()
-                    .map(|l| {
-                        let (i, j) = l_tile(l);
-                        (out.read(ti, l), z.read(i, j))
-                    })
-                    .collect();
-                dag.add_on(
-                    KernelKind::Trsm,
-                    2,
-                    (2.0 * solved.len() as f64 + 1.0) * nb3,
-                    (out.write(ti, tj), forward.then(|| x.read(ti, tj)), pairs, linv.read(0, tj)),
-                    move |(vt, xt, pairs, inv)| {
-                        if let Some(xt) = xt {
-                            vt.copy_from(xt);
+    for block in (0..mtx).step_by(s) {
+        let rows = block..mtx.min(block + s);
+        // X Z^{-1} by two sweeps over the tile columns, in place in `V`.
+        // Forward, C L^H = X, tile columns ascending; then backward, V L =
+        // C, descending — so each sweep's RAW edges bind to its own solved
+        // tiles and the in-place WAW chains behind the forward pass over
+        // the same tile. Per tile: subtract the already-solved columns,
+        // then multiply by the inverted diagonal tile from the right.
+        for forward in [true, false] {
+            let op = if forward { Op::ConjTrans } else { Op::NoTrans };
+            for step in 0..nt {
+                dag.barrier();
+                let tj = if forward { step } else { nt - 1 - step };
+                // solved columns this one depends on, and the L tile that
+                // couples it to each
+                let solved = if forward { 0..tj } else { tj + 1..nt };
+                let l_tile = move |l: usize| if forward { (tj, l) } else { (l, tj) };
+                for ti in rows.clone() {
+                    // a slot's tile may have rows below X's last tile row
+                    let (vi, r) = (ti % s, xt.tile_rows(ti));
+                    let pairs: Vec<_> = solved
+                        .clone()
+                        .map(|l| {
+                            let (i, j) = l_tile(l);
+                            (v.read(vi, l), z.read(i, j))
+                        })
+                        .collect();
+                    dag.add_on(
+                        KernelKind::Trsm,
+                        2,
+                        (2.0 * solved.len() as f64 + 1.0) * nb3,
+                        (v.write(vi, tj), forward.then(|| x.read(ti, tj)), pairs, linv.read(0, tj)),
+                        move |(vt, xt, pairs, inv)| {
+                            let c = vt.ncols();
+                            let mut vt = vt.view_mut(0, 0, r, c);
+                            if let Some(xt) = xt {
+                                vt.copy_from(xt.as_ref());
+                            }
+                            for (vl, zl) in pairs {
+                                let vl = vl.view(0, 0, r, vl.ncols());
+                                gemm(Op::NoTrans, op, -S::ONE, vl, zl.as_ref(), S::ONE, vt.rb());
+                            }
+                            let inv = inv.view(0, 0, c, c);
+                            trmm(Side::Right, Uplo::Lower, op, Diag::NonUnit, S::ONE, inv, vt);
+                        },
+                    );
+                }
+            }
+        }
+
+        // X = x_coef X + weight V, per tile of the block's rows
+        dag.barrier();
+        for tj in 0..nt {
+            for ti in rows.clone() {
+                let partial = combine.sink.partial(combine.iter, ti, tj);
+                let access = (x.write(ti, tj), v.read(ti % s, tj), partial);
+                dag.add_on(KernelKind::Geadd, 0, nbf * nbf, access, move |(xt, vt, partial)| {
+                    let mut acc = S::Real::ZERO;
+                    for c in 0..xt.ncols() {
+                        for r in 0..xt.nrows() {
+                            let next = x_coef * xt[(r, c)] + weight * vt[(r, c)];
+                            acc += (next - xt[(r, c)]).abs_sq();
+                            xt[(r, c)] = next;
                         }
-                        for (vl, zl) in pairs {
-                            gemm(
-                                Op::NoTrans,
-                                op,
-                                -S::ONE,
-                                vl.as_ref(),
-                                zl.as_ref(),
-                                S::ONE,
-                                vt.as_mut(),
-                            );
-                        }
-                        let r = vt.ncols();
-                        trmm(
-                            Side::Right,
-                            Uplo::Lower,
-                            op,
-                            Diag::NonUnit,
-                            S::ONE,
-                            inv.view(0, 0, r, r),
-                            vt.as_mut(),
-                        );
-                    },
-                );
+                    }
+                    partial.publish(acc);
+                });
             }
         }
     }
@@ -900,19 +935,20 @@ pub(crate) fn run_gram_start<S: Scalar>(
         let (m, nb) = (xt.m(), xt.nb());
         let mut lead = TiledMatrix::zeros(Tiling::new(m, nb, nb, nb), ProcessGrid::single());
         for (i, tile) in lead.tiles_mut().iter_mut().enumerate() {
-            tile.copy_from(x.bufs[0].tile(i, 0));
+            tile.copy_from(x.x.tile(i, 0));
         }
         let mut g00 = TiledMatrix::zeros(Tiling::new(nb, nb, nb, nb), ProcessGrid::single());
         if factor_gram(&mut lead, &mut g00, floor, hooked)?.is_none() {
             return Ok(None);
         }
     }
-    let Some(l) = factor_gram(&mut x.bufs[0], gram, floor, hooked)? else {
+    let Some(l) = factor_gram(&mut x.x, gram, floor, hooked)? else {
         return Ok(None);
     };
-    let l = l.to_dense();
-    let n = l.ncols();
-    Ok(Some(Matrix::from_fn(n, n, |i, j| if i <= j { l[(j, i)].conj() } else { S::ZERO })))
+    // R = L^H straight from L's tiles, which go with this frame
+    let (n, nb) = (xt.n(), xt.nb());
+    let r = |i, j| l.tile(j / nb, i / nb)[(j % nb, i % nb)].conj();
+    Ok(Some(Matrix::from_fn(n, n, |i, j| if i <= j { r(i, j) } else { S::ZERO })))
 }
 
 /// One graph: `G = X^H X` of the tiles `x` into `gram` and a copy of it
@@ -946,38 +982,6 @@ fn factor_gram<S: Scalar>(
         Ok(_) => Ok(Some(l)),
         Err(QdwhError::Lapack(_)) => Ok(None),
         Err(e) => Err(e),
-    }
-}
-
-/// Add the update of a one-term Cholesky-based step to `dag`: `out =
-/// weight out + x_coef X`, per tile, `out` holding the `X Z^{-1}` its sweeps
-/// ran in place there.
-pub(crate) fn emit_combine<'a, S: Scalar>(
-    dag: &mut TaskDag<'a>,
-    out: TilePtr<'a, S>,
-    weight: S,
-    combine: &Combine<'a, S>,
-) {
-    let (x, xt) = (combine.x, combine.x.tiling());
-    let nbf = xt.nb() as f64;
-    dag.barrier();
-    for tj in 0..xt.nt() {
-        for ti in 0..xt.mt() {
-            let partial = combine.sink.partial(combine.iter, ti, tj);
-            let access = (x.read(ti, tj), out.write(ti, tj), partial);
-            let x_coef = combine.x_coef;
-            dag.add_on(KernelKind::Geadd, 0, nbf * nbf, access, move |(xi, xo, partial)| {
-                let mut acc = S::Real::ZERO;
-                for c in 0..xi.ncols() {
-                    for r in 0..xi.nrows() {
-                        let next = x_coef * xi[(r, c)] + weight * xo[(r, c)];
-                        xo[(r, c)] = next;
-                        acc += (next - xi[(r, c)]).abs_sq();
-                    }
-                }
-                partial.publish(acc);
-            });
-        }
     }
 }
 
@@ -1245,19 +1249,26 @@ mod tests {
         let mut zs: Vec<_> = (0..r).map(|_| TiledMatrix::<S>::zeros(host, grid())).collect();
         let failure = OnceLock::new();
 
-        // the sweeps, one private output per term
-        let mut ys: Vec<_> = (0..r).map(|_| TiledMatrix::<S>::zeros(xt.tiling(), grid())).collect();
+        // the sweeps, per term on a private copy of X: the update at x_coef
+        // 0 and weight 1 leaves X Z^{-1} there
+        let copy = || TiledMatrix::from_dense(&x, nb, nb, grid());
+        let mut ys: Vec<_> = (0..r).map(|_| (copy(), copy())).collect();
+        let mut sink = NormSink::new(r, xt.tiling());
         let mut dag = TaskDag::new();
+        sink.name_in(&mut dag);
         let (xp, g) = (TilePtr::new(&mut dag, &mut xt), TilePtr::new(&mut dag, &mut gram));
         emit_gram(&mut dag, xp, g, S::Real::ONE, S::Real::ZERO);
-        for ((z, y), t) in zs.iter_mut().zip(ys.iter_mut()).zip(&step.terms) {
+        for (iter, ((z, (y, v)), t)) in
+            zs.iter_mut().zip(ys.iter_mut()).zip(&step.terms).enumerate()
+        {
             let ws = CholPtr::within(TilePtr::new(&mut dag, z));
             emit_shifted(&mut dag, g, ws.z, real(t.alpha), real(t.shift));
-            let yp = TilePtr::new(&mut dag, y);
-            emit_chol_term(&mut dag, ws, xp, yp, &failure);
+            let (y, v) = (TilePtr::new(&mut dag, y), TilePtr::new(&mut dag, v));
+            let combine = Combine { x: y, x_coef: S::ZERO, sink: &sink, iter };
+            emit_chol_term(&mut dag, ws, v, S::ONE, &combine, &failure);
         }
         assert_eq!(dag.execute(), ExecOutcome::Completed);
-        let ys: Vec<_> = ys.iter().map(TiledMatrix::to_dense).collect();
+        let ys: Vec<_> = ys.iter().map(|(y, _)| y.to_dense()).collect();
         let swept = Matrix::from_fn(m, n, |i, j| {
             let mut sum = S::from_f64(step.x_coef) * x[(i, j)];
             for (t, y) in step.terms.iter().zip(&ys) {
@@ -1326,14 +1337,17 @@ mod tests {
         let mut z = TiledMatrix::from_dense(&z, nb, nb, grid());
         let mut linv = TiledMatrix::<f64>::zeros(Tiling::new(nb, n, nb, nb), grid());
         let mut x = TiledMatrix::from_dense(&Matrix::<f64>::identity(m, n), nb, nb, grid());
-        let mut out = TiledMatrix::<f64>::zeros(x.tiling(), grid());
+        let mut v = TiledMatrix::<f64>::zeros(x.tiling(), grid());
         let failure = OnceLock::new();
+        let mut sink = NormSink::new(1, x.tiling());
 
         let mut dag = TaskDag::new();
+        sink.name_in(&mut dag);
         let ws =
             CholPtr { z: TilePtr::new(&mut dag, &mut z), linv: TilePtr::new(&mut dag, &mut linv) };
-        let (x, out) = (TilePtr::new(&mut dag, &mut x), TilePtr::new(&mut dag, &mut out));
-        emit_chol_term(&mut dag, ws, x, out, &failure);
+        let (x, v) = (TilePtr::new(&mut dag, &mut x), TilePtr::new(&mut dag, &mut v));
+        let combine = Combine { x, x_coef: 1.0, sink: &sink, iter: 0 };
+        emit_chol_term(&mut dag, ws, v, 1.0, &combine, &failure);
         assert_eq!(dag.execute(), ExecOutcome::Cancelled);
         assert_eq!(failure.get(), Some(&LapackError::NotPositiveDefinite(10)));
     }

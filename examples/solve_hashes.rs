@@ -69,6 +69,9 @@ fn cases<S: Scalar>(high: f64, zolo: &[usize], threads: usize) {
         ("qdwh-force-chol", input(83, 47, 1e3, 5), forced(IterationPath::ForceCholesky)),
         // kappa = 10 plans three steps and converges in four
         ("qdwh-continuation", input(72, 48, 10.0, 6), tiled.clone()),
+        // Cholesky-only and taller than its row slots: V in two blocks of
+        // four tile rows, the last one ragged
+        ("qdwh-chol-tall", input(200, 40, 10.0, 7), tiled.clone()),
     ];
     for (case, a, opts) in &qdwh_cases {
         line(case, threads, &qdwh(a, opts).expect("qdwh converges"));
