@@ -73,13 +73,14 @@ use std::sync::OnceLock;
 /// ([`term_slots`]; term `j` of a step runs in slot `j % slots`, reused by
 /// the next round once this one's terms are summed): a stacked-QR workspace
 /// over `X`'s `R` only if a graph plans a QR-based step — one buffer, which
-/// holds the stack `W`, then its `Q` — and a Cholesky term lives in that
-/// buffer ([`TermPtr::chol`]) when there is one, else in a host of its own
-/// (`n x n` and one tile row: [`CholPtr::within`]).
-/// Shared: the Gram matrix of a several-term Cholesky-based step — or the
-/// one the start stage certified `l_0` on, which a Cholesky-based first step
-/// reads instead of forming its own — and that step's `M`, `n x n` too; and
-/// the `T` factors of a QR-based step's QR of `X`, in place in the iterate's
+/// holds the stack `W`, then its `Q` — else, for a Cholesky-based step, a
+/// host of its own. A Cholesky term's `Z` is the buffer's bottom `n x n`
+/// ([`CholPtr::within`]; a host with no top half is that alone); a
+/// several-term step's `M` is slot 0's top half and its Gram matrix slot
+/// 1's ([`TilePtr::top`]), so a host has a top half only to hold one.
+/// Shared: the Gram matrix the start stage certified `l_0` on, which every
+/// several-term step — and a Cholesky-based first step — reads there; the
+/// `T` factors of a QR-based step's QR of `X`, in place in the iterate's
 /// buffer — or of the one the start stage ran, whose tiles the iterate
 /// starts from, which a QR-based first step reads instead of factoring `X`
 /// again. And with no spare buffer, the row slots of `V` ([`row_slots`]).
@@ -87,7 +88,6 @@ use std::sync::OnceLock;
 pub(crate) struct Workspace<S: Scalar> {
     slots: Vec<TermStore<S>>,
     gram: Option<TiledMatrix<S>>,
-    m: Option<TiledMatrix<S>>,
     factor: Option<TFactors<S>>,
     rows: Option<TiledMatrix<S>>,
     /// `gram` holds `X^H X` of the iterate the next graph starts from.
@@ -107,11 +107,12 @@ impl<S: Scalar> Workspace<S> {
 }
 
 /// The term workspaces a step of `terms` terms runs in: one per lane the
-/// tile grid is sized for, [`TILE_LANES`], and never more than `terms` — a
-/// function of `terms` alone, like the tile size of the shape, so that the
-/// pool width moves no bit. A slot's QR workspace holds about twice a square
-/// `X` (`W`, then `Q` in its place), so the slot count, not `r`, sets a
-/// Zolo-PD solve's memory.
+/// tile grid is sized for, [`TILE_LANES`] (2: a several-term Cholesky-based
+/// step keeps `M` and its Gram matrix in two slots' top halves), and never
+/// more than `terms` — a function of `terms` alone, like the tile size of
+/// the shape, so that the pool width moves no bit. A slot's QR workspace
+/// holds about twice a square `X` (`W`, then `Q` in its place), so the slot
+/// count, not `r`, sets a Zolo-PD solve's memory.
 pub(crate) fn term_slots(terms: usize) -> usize {
     terms.min(TILE_LANES)
 }
@@ -125,7 +126,7 @@ pub(crate) fn row_slots(mt: usize) -> usize {
 #[derive(Default)]
 struct TermStore<S: Scalar> {
     qr: Option<TiledQr<S>>,
-    chol: Option<TiledMatrix<S>>,
+    host: Option<TiledMatrix<S>>,
 }
 
 /// Everything the planned steps read and write, as the tasks of one dag see
@@ -138,6 +139,7 @@ struct GraphPtrs<'a, S: Scalar> {
     /// `V` of a one-term Cholesky-based step when there is no spare.
     rows: Option<TilePtr<'a, S>>,
     slots: Vec<TermSlot<'a, S>>,
+    /// The Gram matrix a several-term step forms, or the start's.
     gram: Option<TilePtr<'a, S>>,
     /// `M` of a several-term Cholesky-based step.
     m: Option<TilePtr<'a, S>>,
@@ -151,7 +153,8 @@ struct GraphPtrs<'a, S: Scalar> {
 
 struct TermSlot<'a, S: Scalar> {
     qr: Option<TermPtr<'a, S>>,
-    chol: Option<CholPtr<'a, S>>,
+    /// The slot's buffer: `W`'s, else the Cholesky host.
+    host: TilePtr<'a, S>,
 }
 
 /// Name a workspace matrix tiled as `t` in `dag`: a shape, or with `backed`
@@ -206,7 +209,6 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
             None => (x, spare),
         };
         let qr = qr_steps || ws.slots.iter().any(|t| t.qr.is_some());
-        let own_chol = !qr && chol().count() > 0;
         let slots = term_slots(plan.iter().map(|p| p.terms.len()).max().unwrap_or(0));
         if ws.slots.len() < slots {
             ws.slots.resize_with(slots, TermStore::default);
@@ -220,23 +222,28 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
                 over
             }
         });
-        let slot = |store: &'a mut TermStore<S>| {
-            let qr = qr.then(|| {
-                let shape = TermPtr::shape(dag, n, nb);
-                if backed {
-                    shape.bind(store.qr.get_or_insert_with(|| term_workspace(n, nb)))
-                } else {
-                    shape
-                }
-            });
-            let host = Tiling::new(n + nb, n, nb, nb);
-            let own = own_chol.then(|| CholPtr::within(tiles(dag, host, &mut store.chol, backed)));
-            TermSlot { qr, chol: qr.map(TermPtr::chol).or(own) }
-        };
-        let slots = ws.slots.iter_mut().take(slots).map(slot).collect();
+        // M in slot 0's top half, a Gram matrix the graph forms in slot 1's
+        let formed_gram = several && !gram_given && ws.gram.is_none();
         let nn = Tiling::new(n, n, nb, nb);
-        let gram = (gram_given || several).then(|| tiles(dag, nn, &mut ws.gram, backed));
-        let m = several.then(|| tiles(dag, nn, &mut ws.m, backed));
+        let slot = |(j, store): (usize, &'a mut TermStore<S>)| {
+            if qr {
+                let mut w = TermPtr::shape(dag, n, nb);
+                if backed {
+                    w = w.bind(store.qr.get_or_insert_with(|| term_workspace(n, nb)));
+                }
+                return TermSlot { qr: Some(w), host: w.host() };
+            }
+            let top = several && (j == 0 || formed_gram);
+            let host = if top { Tiling::new(n.div_ceil(nb) * nb + n, n, nb, nb) } else { nn };
+            TermSlot { qr: None, host: tiles(dag, host, &mut store.host, backed) }
+        };
+        let slots: Vec<_> = ws.slots.iter_mut().take(slots).enumerate().map(slot).collect();
+        let m = several.then(|| slots[0].host.top(n));
+        let gram = if formed_gram {
+            Some(slots[1].host.top(n))
+        } else {
+            (gram_given || several).then(|| tiles(dag, nn, &mut ws.gram, backed))
+        };
         let one_term = chol().any(|p| p.terms.len() == 1);
         let rt = Tiling::new(row_slots(xt.mt()) * nb, n, nb, nb);
         let rows = (one_term && spare.is_none()).then(|| tiles(dag, rt, &mut ws.rows, backed));
@@ -323,7 +330,7 @@ fn emit_steps<'a, S: Scalar>(
             // sum_j coef_j Z_j^{-1}
             IterationKind::CholeskyBased => {
                 let several = applied.len() > 1;
-                let chol = |j: usize| at.slots[j % at.slots.len()].chol.expect("a Cholesky step");
+                let chol = |j: usize| CholPtr::within(at.slots[j % at.slots.len()].host);
                 // one term forms its Z in place, several share X_in^H X_in —
                 // which the first step may have been given
                 let given = k == 0 && at.gram_given;
@@ -675,9 +682,9 @@ mod tests {
     /// A step of `r` terms runs in [`term_slots`]`(r)` term workspaces,
     /// round after round: after a QR-based and a Cholesky-based step the
     /// solve's workspace holds that many term stores, each one stacked
-    /// buffer (`W`, then `Q` in its place) and its `T` factors, and besides
-    /// them only, with several terms, the Gram matrix and `M`, and the `T`
-    /// factors of the QR of `X` — byte for byte, from the tilings.
+    /// buffer (`W`, then `Q` in its place, then `Z` and `M` or the Gram
+    /// matrix) and its `T` factors, and besides them only the `T` factors
+    /// of the QR of `X` — byte for byte, from the tilings.
     #[test]
     fn a_solve_holds_a_term_workspace_per_slot_not_per_term() {
         let (m, n, nb) = (45usize, 40usize, 16usize);
@@ -687,7 +694,6 @@ mod tests {
         let stacked = Tiling::new(top + n, n, nb, nb);
         let w_t = TFactors::<f64>::zeros(stacked, QrStructure::TriangularTop { top_rows: top });
         let term = f64s(stacked) + w_t.bytes();
-        let nn = f64s(Tiling::new(n, n, nb, nb));
         for r in [1usize, 2, 3, 8] {
             let opts = QdwhOptions { terms: r, ..fused_opts() };
             let steps = crate::qdwh_plan::<f64>(&opts, 1e-9, 0.0, 50).expect("inside the cap");
@@ -707,18 +713,16 @@ mod tests {
                 .iter()
                 .map(|t| {
                     let qr = t.qr.as_ref().map_or(0, TiledQr::bytes);
-                    qr + t.chol.as_ref().map_or(0, |c| f64s(c.tiling()))
+                    qr + t.host.as_ref().map_or(0, |c| f64s(c.tiling()))
                 })
                 .sum();
             let slabs = |s: &Option<TiledMatrix<f64>>| s.as_ref().map_or(0, |s| f64s(s.tiling()));
             let held = stores
                 + slabs(&ws.gram)
-                + slabs(&ws.m)
                 + slabs(&ws.rows)
                 + ws.factor.as_ref().map_or(0, TFactors::bytes);
             let x_t = TFactors::<f64>::zeros(x.tiling(), QrStructure::Dense).bytes();
-            let shared = if r > 1 { 2 * nn } else { 0 };
-            assert_eq!(held, slots * term + shared + x_t, "r = {r}");
+            assert_eq!(held, slots * term + x_t, "r = {r}");
             // a QR-based step writes the spare: the iterate holds two buffers
             assert!(x.bufs(false).1.is_some(), "r = {r}");
         }
@@ -745,8 +749,8 @@ mod tests {
 
     /// A certified Cholesky-only solve holds one `m x n` iterate: besides it
     /// only [`row_slots`] tile rows of `V`, the start's Gram matrix and the
-    /// term's Cholesky host — byte for byte, from the tilings. A QR-first
-    /// solve still holds two iterate buffers.
+    /// term's `n x n` Cholesky host — byte for byte, from the tilings. A
+    /// QR-first solve still holds two iterate buffers.
     #[test]
     fn a_cholesky_only_solve_holds_one_iterate_buffer() {
         let (m, n, nb) = (96usize, 40usize, 8usize);
@@ -757,13 +761,12 @@ mod tests {
         assert!(x.bufs(false).1.is_none(), "one iterate buffer");
         let s = row_slots(m.div_ceil(nb));
         assert_eq!(s, 2 * TILE_LANES);
-        assert!(ws.factor.is_none() && ws.m.is_none() && ws.slots.iter().all(|t| t.qr.is_none()));
+        assert!(ws.factor.is_none() && ws.slots.iter().all(|t| t.qr.is_none()));
         let slabs = |s: &Option<TiledMatrix<Complex64>>| s.as_ref().map_or(0, |s| c64s(s.tiling()));
-        let chol: usize = ws.slots.iter().map(|t| slabs(&t.chol)).sum();
-        let held = slabs(&ws.rows) + slabs(&ws.gram) + chol;
+        let host: usize = ws.slots.iter().map(|t| slabs(&t.host)).sum();
+        let held = slabs(&ws.rows) + slabs(&ws.gram) + host;
         let (rows, nn) = (Tiling::new(s * nb, n, nb, nb), Tiling::new(n, n, nb, nb));
-        let host = Tiling::new(n + nb, n, nb, nb);
-        assert_eq!(held, c64s(rows) + c64s(nn) + c64s(host));
+        assert_eq!(held, c64s(rows) + 2 * c64s(nn));
 
         let (a, _) = generate::<Complex64>(&geometric(m, n, 1e12, 3));
         let (mut x, ws, certified) = held_after_the_plan(&a, nb);

@@ -245,8 +245,9 @@ fn stacked(n: usize, nb: usize) -> (Tiling, QrStructure) {
 /// with the `T` factors of its QR. It holds `W = [s R; 0; d I]`
 /// ([`emit_factored_step`], `R` the `n x n` upper triangular factor of the
 /// iterate), then its factored tiles, then that step's explicit `Q`,
-/// formed over them — and in a Cholesky-based step the term's `Z`
-/// ([`TermPtr::chol`]). Allocated once per solve and reused by every round
+/// formed over them — and in a Cholesky-based step the term's `Z` in its
+/// bottom half ([`TermPtr::host`]), a several-term step's `M` or Gram
+/// matrix in its top one. Allocated once per solve and reused by every round
 /// of terms of every iteration: the next round's `W` waits for this one's
 /// product tasks to read `Q`, an edge the dag infers from the tiles they
 /// share.
@@ -283,28 +284,29 @@ impl<'a, S: Scalar> TermPtr<'a, S> {
         TermPtr { w: self.w.bind(ws) }
     }
 
-    /// The same buffer as a Cholesky term's: `Z` where `Q2` goes, the
-    /// inverted diagonal tiles in the first tile row of `Q1`.
-    pub(crate) fn chol(self) -> CholPtr<'a, S> {
-        CholPtr::within(self.w.a)
+    /// The stacked buffer: in a Cholesky-based step a term's `Z` in its
+    /// bottom half, where `Q2` goes ([`CholPtr::within`]), and a several-term
+    /// step's `M` or Gram matrix in its top ([`TilePtr::top`]).
+    pub(crate) fn host(self) -> TilePtr<'a, S> {
+        self.w.a
     }
 }
 
-/// Workspace of one Cholesky term: `z`, `n x n`, whose lower tiles hold `Z`
-/// and then its factor `L`; and `linv`, whose tiles `(0, tj)` hold the
-/// inverses of `L`'s diagonal tiles in their leading corners.
+/// Workspace of one Cholesky term: `z`, `n x n`, whose lower tiles hold `Z`,
+/// then its factor `L` with each diagonal tile `L_kk` replaced by its
+/// inverse (strict upper triangle zero): nothing reads `L_kk` once that is
+/// formed.
 #[derive(Clone, Copy)]
 pub(crate) struct CholPtr<'a, S> {
     pub z: TilePtr<'a, S>,
-    linv: TilePtr<'a, S>,
 }
 
 impl<'a, S: Scalar> CholPtr<'a, S> {
-    /// In a host of `nt` tile columns and more than `nt` tile rows: `Z` in
-    /// its last `nt` tile rows, the inverted diagonal tiles in its first.
+    /// In a host of `nt` tile columns and at least `nt` tile rows: `Z` in its
+    /// last `nt` tile rows.
     pub(crate) fn within(host: TilePtr<'a, S>) -> Self {
         let t = host.tiling();
-        Self { z: host.below(t.mt() - t.nt()), linv: host }
+        Self { z: host.below(t.mt() - t.nt()) }
     }
 }
 
@@ -511,9 +513,9 @@ fn emit_product<'a, S: Scalar>(
     }
 }
 
-/// Add `Z = shift I + alpha X^H X` to `dag`, lower tiles only: one task per
-/// tile, `herk` on the diagonal, accumulating over `X`'s tile rows in
-/// fixed order.
+/// Add `Z = shift I + alpha X^H X` to `dag`, lower tiles only (logical rows
+/// only, as in [`emit_inverse_round`]): one task per tile, `herk` on the
+/// diagonal, accumulating over `X`'s tile rows in fixed order.
 pub(crate) fn emit_gram<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     x: TilePtr<'a, S>,
@@ -532,16 +534,18 @@ pub(crate) fn emit_gram<'a, S: Scalar>(
             let cols: Vec<_> =
                 (0..mtx).map(|l| (x.read(l, zi), (zi != zj).then(|| x.read(l, zj)))).collect();
             let flops = if zi == zj { nb3 * mtx as f64 } else { 2.0 * nb3 * mtx as f64 };
+            let (r, c) = (xt.tile_cols(zi), xt.tile_cols(zj));
             dag.add_on(
                 if zi == zj { KernelKind::Herk } else { KernelKind::Gemm },
                 3,
                 flops,
                 (z.write(zi, zj), cols),
                 move |(zt_tile, cols)| {
-                    zt_tile.fill(S::ZERO);
+                    let mut zt = zt_tile.view_mut(0, 0, r, c);
+                    zt.fill(S::ZERO);
                     if zi == zj {
-                        for d in 0..zt_tile.ncols() {
-                            zt_tile[(d, d)] = S::from_real(shift);
+                        for d in 0..c {
+                            zt.set(d, d, S::from_real(shift));
                         }
                     }
                     for (xi, xj) in cols {
@@ -552,7 +556,7 @@ pub(crate) fn emit_gram<'a, S: Scalar>(
                                 alpha,
                                 xi.as_ref(),
                                 S::Real::ONE,
-                                zt_tile.as_mut(),
+                                zt.rb(),
                             ),
                             Some(xj) => gemm(
                                 Op::ConjTrans,
@@ -561,7 +565,7 @@ pub(crate) fn emit_gram<'a, S: Scalar>(
                                 xi.as_ref(),
                                 xj.as_ref(),
                                 S::ONE,
-                                zt_tile.as_mut(),
+                                zt.rb(),
                             ),
                         }
                     }
@@ -571,16 +575,16 @@ pub(crate) fn emit_gram<'a, S: Scalar>(
     }
 }
 
-/// Add `Z = L L^H` to `dag`, in place in the lower tiles of `ws.z`, and
-/// `L_jj^{-1}` per diagonal tile into `ws.linv`. A `Z` that is not
-/// positive definite stores the error in `failure`, with the pivot's global
-/// index, and cancels the dag.
+/// Add `Z = L L^H` to `dag`, in place in the lower tiles of `ws.z`, then
+/// `L_jj^{-1}` in place of each diagonal tile. A `Z` that is not positive
+/// definite stores the error in `failure`, with the pivot's global index,
+/// and cancels the dag.
 fn emit_chol_factor<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     ws: CholPtr<'a, S>,
     failure: &'a OnceLock<LapackError>,
 ) {
-    let CholPtr { z, linv } = ws;
+    let z = ws.z;
     let zt = z.tiling();
     let (nb, nt) = (zt.nb(), zt.nt());
     let nb3 = tile_nb3::<S>(nb);
@@ -590,27 +594,24 @@ fn emit_chol_factor<'a, S: Scalar>(
     emit_potrf(dag, z, failure, S::Real::ZERO);
 
     // L_jj^{-1} per diagonal tile, which turns a diagonal solve into a
-    // multiply. A pivot trtri rejects is a factor potrf should have
-    // refused: same failure.
+    // multiply, through a temporary (trtri is out of place). A pivot trtri
+    // rejects is a factor potrf should have refused: same failure.
     dag.barrier();
     for tj in 0..nt {
-        dag.add_on(
-            KernelKind::Trsm,
-            3,
-            nb3 / 3.0,
-            (z.read(tj, tj), linv.write(0, tj)),
-            move |(l, t)| {
-                let r = l.nrows();
-                match trtri_lower(l.as_ref(), t.view_mut(0, 0, r, r)) {
-                    Ok(()) => TaskStatus::Continue,
-                    Err(e) => {
-                        let at = if let LapackError::SingularPivot(p) = e { p } else { 0 };
-                        let _ = failure.set(LapackError::NotPositiveDefinite(tj * nb + at + 1));
-                        TaskStatus::Cancel
-                    }
+        dag.add_on(KernelKind::Trsm, 3, nb3 / 3.0, z.write(tj, tj), move |l| {
+            let mut t = Matrix::zeros(l.nrows(), l.ncols());
+            match trtri_lower(l.as_ref(), t.as_mut()) {
+                Ok(()) => {
+                    l.copy_from(&t);
+                    TaskStatus::Continue
                 }
-            },
-        );
+                Err(e) => {
+                    let at = if let LapackError::SingularPivot(p) = e { p } else { 0 };
+                    let _ = failure.set(LapackError::NotPositiveDefinite(tj * nb + at + 1));
+                    TaskStatus::Cancel
+                }
+            }
+        });
     }
 }
 
@@ -643,7 +644,7 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
     failure: &'a OnceLock<LapackError>,
 ) {
     emit_chol_factor(dag, ws, failure);
-    let CholPtr { z, linv } = ws;
+    let z = ws.z;
     let (x, x_coef) = (combine.x, combine.x_coef);
     let xt = x.tiling();
     let (mtx, nt, s) = (xt.mt(), xt.nt(), v.tiling().mt());
@@ -680,10 +681,9 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
                         KernelKind::Trsm,
                         2,
                         (2.0 * solved.len() as f64 + 1.0) * nb3,
-                        (v.write(vi, tj), forward.then(|| x.read(ti, tj)), pairs, linv.read(0, tj)),
+                        (v.write(vi, tj), forward.then(|| x.read(ti, tj)), pairs, z.read(tj, tj)),
                         move |(vt, xt, pairs, inv)| {
-                            let c = vt.ncols();
-                            let mut vt = vt.view_mut(0, 0, r, c);
+                            let mut vt = vt.view_mut(0, 0, r, vt.ncols());
                             if let Some(xt) = xt {
                                 vt.copy_from(xt.as_ref());
                             }
@@ -691,7 +691,7 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
                                 let vl = vl.view(0, 0, r, vl.ncols());
                                 gemm(Op::NoTrans, op, -S::ONE, vl, zl.as_ref(), S::ONE, vt.rb());
                             }
-                            let inv = inv.view(0, 0, c, c);
+                            let inv = inv.as_ref();
                             trmm(Side::Right, Uplo::Lower, op, Diag::NonUnit, S::ONE, inv, vt);
                         },
                     );
@@ -721,10 +721,10 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
     }
 }
 
-/// Add the inverse `T = L^{-1}` of a Cholesky factor to `dag`: `Z = L L^H`
-/// as [`emit_chol_term`] factors it, `T`'s diagonal tiles `T_kk = L_kk^{-1}`
-/// into `ws.linv`, and its other lower tiles in place of `L`'s, from `T L =
-/// I`:
+/// Add the inverse `T = L^{-1}` of a Cholesky factor to `dag`, in place of
+/// `L`'s lower tiles: `Z = L L^H` as [`emit_chol_term`] factors it, which
+/// leaves `T`'s diagonal tiles `T_kk = L_kk^{-1}`, then the others from `T L
+/// = I`:
 ///
 /// ```text
 /// T_ik = -(T_ii L_ik + sum_{k<l<i} T_il L_lk) T_kk        (i > k)
@@ -741,7 +741,7 @@ pub(crate) fn emit_chol_inverse<'a, S: Scalar>(
     failure: &'a OnceLock<LapackError>,
 ) {
     emit_chol_factor(dag, ws, failure);
-    let CholPtr { z, linv } = ws;
+    let z = ws.z;
     let nt = z.tiling().nt();
     let nb3 = tile_nb3::<S>(z.tiling().nb());
     let (lo, nn) = (Uplo::Lower, Diag::NonUnit);
@@ -749,16 +749,15 @@ pub(crate) fn emit_chol_inverse<'a, S: Scalar>(
         dag.barrier();
         for i in (k + 1..nt).rev() {
             let pairs: Vec<_> = (k + 1..i).map(|l| (z.read(i, l), z.read(l, k))).collect();
-            let access = (z.write(i, k), linv.read(0, i), pairs, linv.read(0, k));
+            let access = (z.write(i, k), z.read(i, i), pairs, z.read(k, k));
             let flops = 2.0 * (i - k) as f64 * nb3;
             dag.add_on(KernelKind::Trsm, 2, flops, access, move |(t, tii, pairs, tkk)| {
-                let (ri, rk) = (t.nrows(), t.ncols());
-                trmm(Side::Left, lo, Op::NoTrans, nn, S::ONE, tii.view(0, 0, ri, ri), t.as_mut());
+                trmm(Side::Left, lo, Op::NoTrans, nn, S::ONE, tii.as_ref(), t.as_mut());
                 for (til, llk) in pairs {
                     let (til, llk) = (til.as_ref(), llk.as_ref());
                     gemm(Op::NoTrans, Op::NoTrans, S::ONE, til, llk, S::ONE, t.as_mut());
                 }
-                trmm(Side::Right, lo, Op::NoTrans, nn, -S::ONE, tkk.view(0, 0, rk, rk), t.as_mut());
+                trmm(Side::Right, lo, Op::NoTrans, nn, -S::ONE, tkk.as_ref(), t.as_mut());
             });
         }
     }
@@ -770,7 +769,9 @@ pub(crate) fn emit_chol_inverse<'a, S: Scalar>(
 /// `Z_j^{-1} = T_j^H T_j`. One task per tile and round, continuing the last
 /// one's sum: the first round writes `x_coef I`, every round adds its terms
 /// in order and, per term, `T_j`'s tile rows in order, and the last writes a
-/// diagonal tile whole, Hermitian. About `n^3 / 3` flops per term.
+/// diagonal tile whole, Hermitian. About `n^3 / 3` flops per term. `m` may
+/// be a workspace's top block ([`TilePtr::top`]): each tile's logical rows
+/// only.
 pub(crate) fn emit_inverse_round<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     terms: &[(CholPtr<'a, S>, S::Real)],
@@ -790,11 +791,11 @@ pub(crate) fn emit_inverse_round<'a, S: Scalar>(
             let diagonal = a == b;
             let reads: Vec<_> = terms
                 .iter()
-                .map(|&(CholPtr { z, linv }, _)| {
+                .map(|&(CholPtr { z }, _)| {
                     let below: Vec<_> = (a + 1..nt)
                         .map(|i| (z.read(i, a), (!diagonal).then(|| z.read(i, b))))
                         .collect();
-                    (linv.read(0, a), (!diagonal).then(|| z.read(a, b)), below)
+                    (z.read(a, a), (!diagonal).then(|| z.read(a, b)), below)
                 })
                 .collect();
             let below = nt - 1 - a;
@@ -802,34 +803,35 @@ pub(crate) fn emit_inverse_round<'a, S: Scalar>(
             let flops = (terms.len() * per_term) as f64 * nb3;
             let kind = if diagonal { KernelKind::Herk } else { KernelKind::Gemm };
             let weights = weights.clone();
+            let (ra, rb) = (m.tiling().tile_rows(a), m.tiling().tile_cols(b));
             dag.add_on(kind, 1, flops, (m.write(a, b), reads), move |(o, reads)| {
-                let (ra, rb) = (o.nrows(), o.ncols());
+                let mut o = o.view_mut(0, 0, ra, rb);
                 if part.first {
                     o.fill(S::ZERO);
                     if diagonal {
                         for d in 0..ra {
-                            o[(d, d)] = S::from_real(x_coef);
+                            o.set(d, d, S::from_real(x_coef));
                         }
                     }
                 }
                 let mut tmp = Matrix::<S>::zeros(ra, rb);
                 for (&w, (taa, tab, below)) in weights.iter().zip(reads) {
-                    let taa = taa.view(0, 0, ra, ra);
+                    let taa = taa.as_ref();
                     tmp.as_mut().copy_from(tab.map_or(taa, |t| t.as_ref()));
                     trmm(Side::Left, lo, ct, nn, S::from_real(w), taa, tmp.as_mut());
-                    add(S::ONE, tmp.as_ref(), S::ONE, o.as_mut());
+                    add(S::ONE, tmp.as_ref(), S::ONE, o.rb());
                     for (tia, tib) in below {
                         match tib {
-                            None => herk(lo, ct, w, tia.as_ref(), S::Real::ONE, o.as_mut()),
+                            None => herk(lo, ct, w, tia.as_ref(), S::Real::ONE, o.rb()),
                             Some(tib) => {
                                 let (w, tia, tib) = (S::from_real(w), tia.as_ref(), tib.as_ref());
-                                gemm(ct, Op::NoTrans, w, tia, tib, S::ONE, o.as_mut());
+                                gemm(ct, Op::NoTrans, w, tia, tib, S::ONE, o.rb());
                             }
                         }
                     }
                 }
                 if diagonal && part.last {
-                    mirror_triangle(lo, o.as_mut());
+                    mirror_triangle(lo, o);
                 }
             });
         }
@@ -837,9 +839,10 @@ pub(crate) fn emit_inverse_round<'a, S: Scalar>(
 }
 
 /// Add `out = X M` to `dag`, `M` Hermitian with its lower tiles in `m`
-/// (above the diagonal, `M_kj = M_jk^H`): one task per tile of `out`,
-/// accumulating over `X`'s tile columns in order, which publishes the
-/// tile's convergence partial `|out - X|_F^2` for iteration `iter`.
+/// (above the diagonal, `M_kj = M_jk^H`; logical rows only, as in
+/// [`emit_inverse_round`]): one task per tile of `out`, accumulating over
+/// `X`'s tile columns in order, which publishes the tile's convergence
+/// partial `|out - X|_F^2` for iteration `iter`.
 pub(crate) fn emit_apply<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     x: TilePtr<'a, S>,
@@ -848,7 +851,7 @@ pub(crate) fn emit_apply<'a, S: Scalar>(
     sink: &'a NormSink,
     iter: usize,
 ) {
-    let xt = x.tiling();
+    let (xt, mt) = (x.tiling(), m.tiling());
     let nt = xt.nt();
     let flops = 2.0 * nt as f64 * tile_nb3::<S>(xt.nb());
     dag.barrier();
@@ -861,7 +864,9 @@ pub(crate) fn emit_apply<'a, S: Scalar>(
                 o.fill(S::ZERO);
                 for (k, (xik, mkj)) in pairs.iter().enumerate() {
                     let op = if k >= tj { Op::NoTrans } else { Op::ConjTrans };
-                    gemm(Op::NoTrans, op, S::ONE, xik.as_ref(), mkj.as_ref(), S::ONE, o.as_mut());
+                    let (a, b) = (k.max(tj), k.min(tj));
+                    let mkj = mkj.view(0, 0, mt.tile_rows(a), mt.tile_cols(b));
+                    gemm(Op::NoTrans, op, S::ONE, xik.as_ref(), mkj, S::ONE, o.as_mut());
                 }
                 let xi = pairs[tj].0;
                 let mut acc = S::Real::ZERO;
@@ -877,7 +882,8 @@ pub(crate) fn emit_apply<'a, S: Scalar>(
 }
 
 /// Add `Z = alpha G + shift I` to `dag`, lower tiles only, from the Gram
-/// matrix `G` the terms of a step share: one task per tile.
+/// matrix `G` the terms of a step share (logical rows only, as in
+/// [`emit_inverse_round`]): one task per tile.
 pub(crate) fn emit_shifted<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     gram: TilePtr<'a, S>,
@@ -890,8 +896,9 @@ pub(crate) fn emit_shifted<'a, S: Scalar>(
     for zj in 0..nt {
         for zi in zj..nt {
             let access = (z.write(zi, zj), gram.read(zi, zj));
+            let (r, c) = (z.tiling().tile_rows(zi), z.tiling().tile_cols(zj));
             dag.add_on(KernelKind::Geadd, 3, nbf * nbf, access, move |(zt, gt)| {
-                zt.copy_from(gt);
+                zt.as_mut().copy_from(gt.view(0, 0, r, c));
                 scale_real(alpha, zt.as_mut());
                 if zi == zj {
                     for d in 0..zt.ncols() {
@@ -1244,9 +1251,9 @@ mod tests {
         let grid = ProcessGrid::single;
         let real = S::Real::from_f64;
         let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
-        let mut gram = TiledMatrix::<S>::zeros(Tiling::new(n, n, nb, nb), grid());
-        let host = Tiling::new(n + nb, n, nb, nb);
-        let mut zs: Vec<_> = (0..r).map(|_| TiledMatrix::<S>::zeros(host, grid())).collect();
+        let nn = Tiling::new(n, n, nb, nb);
+        let mut gram = TiledMatrix::<S>::zeros(nn, grid());
+        let mut zs: Vec<_> = (0..r).map(|_| TiledMatrix::<S>::zeros(nn, grid())).collect();
         let failure = OnceLock::new();
 
         // the sweeps, per term on a private copy of X: the update at x_coef
@@ -1261,7 +1268,7 @@ mod tests {
         for (iter, ((z, (y, v)), t)) in
             zs.iter_mut().zip(ys.iter_mut()).zip(&step.terms).enumerate()
         {
-            let ws = CholPtr::within(TilePtr::new(&mut dag, z));
+            let ws = CholPtr { z: TilePtr::new(&mut dag, z) };
             emit_shifted(&mut dag, g, ws.z, real(t.alpha), real(t.shift));
             let (y, v) = (TilePtr::new(&mut dag, y), TilePtr::new(&mut dag, v));
             let combine = Combine { x: y, x_coef: S::ZERO, sink: &sink, iter };
@@ -1286,7 +1293,7 @@ mod tests {
         emit_gram(&mut dag, xp, g, S::Real::ONE, S::Real::ZERO);
         let mut terms = Vec::new();
         for (z, t) in zs.iter_mut().zip(&step.terms) {
-            let ws = CholPtr::within(TilePtr::new(&mut dag, z));
+            let ws = CholPtr { z: TilePtr::new(&mut dag, z) };
             emit_shifted(&mut dag, g, ws.z, real(t.alpha), real(t.shift));
             emit_chol_inverse(&mut dag, ws, &failure);
             terms.push((ws, real(t.weight)));
@@ -1320,6 +1327,82 @@ mod tests {
         }
     }
 
+    /// A several-term step's `X M` with `G` and `M` in two term hosts' top
+    /// blocks ([`TilePtr::top`], the last tile row padded) and with them in
+    /// slabs of their own: the same bits. The hosts start as NaN, so a body
+    /// that read a padding row would poison `X M`, and one that wrote it
+    /// would leave a number there.
+    fn x_m_over_padded_tops<S: Scalar>(m: usize, n: usize, nb: usize) {
+        let spec =
+            MatrixSpec { m, n, cond: 1e3, distribution: SigmaDistribution::Geometric, seed: 3 };
+        let (a, sigma) = generate::<S>(&spec);
+        let x = Matrix::from_fn(m, n, |i, j| a[(i, j)].mul_real(S::Real::from_f64(1.0 / sigma[0])));
+        let (grid, real) = (ProcessGrid::single, S::Real::from_f64);
+        let (nn, top) = (Tiling::new(n, n, nb, nb), n.div_ceil(nb) * nb);
+        let nan = || {
+            let mut h = TiledMatrix::<S>::zeros(Tiling::new(top + n, n, nb, nb), grid());
+            h.tiles_mut().iter_mut().for_each(|t| t.fill(S::from_f64(f64::NAN)));
+            h
+        };
+        let run = |padded: bool| {
+            let (mut hosts, mut g, mut mm) =
+                ([nan(), nan()], TiledMatrix::zeros(nn, grid()), TiledMatrix::zeros(nn, grid()));
+            let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
+            let mut out = TiledMatrix::<S>::zeros(xt.tiling(), grid());
+            let mut sink = NormSink::new(1, xt.tiling());
+            let failure = OnceLock::new();
+            let mut dag = TaskDag::new();
+            sink.name_in(&mut dag);
+            let xp = TilePtr::new(&mut dag, &mut xt);
+            let [h0, h1] = &mut hosts;
+            let (h0, h1) = (TilePtr::new(&mut dag, h0), TilePtr::new(&mut dag, h1));
+            let (g, mp) = if padded {
+                (h1.top(n), h0.top(n))
+            } else {
+                (TilePtr::new(&mut dag, &mut g), TilePtr::new(&mut dag, &mut mm))
+            };
+            emit_gram(&mut dag, xp, g, S::Real::ONE, S::Real::ZERO);
+            let terms: Vec<_> = [(h0, 2.0, 0.5), (h1, 0.5, 0.25)]
+                .into_iter()
+                .map(|(h, shift, w)| {
+                    let ws = CholPtr::within(h);
+                    emit_shifted(&mut dag, g, ws.z, S::Real::ONE, real(shift));
+                    emit_chol_inverse(&mut dag, ws, &failure);
+                    (ws, real(w))
+                })
+                .collect();
+            emit_inverse_sum(&mut dag, &terms, real(0.75), mp);
+            let op = TilePtr::new(&mut dag, &mut out);
+            emit_apply(&mut dag, xp, mp, op, &sink, 0);
+            assert_eq!(dag.execute(), ExecOutcome::Completed);
+            let pad: Vec<S> = hosts
+                .iter()
+                .flat_map(|h| (0..h.nt()).map(move |j| h.tile(h.nt() - 1, j)))
+                .flat_map(|t| {
+                    (n - (top - t.nrows())..t.nrows())
+                        .flat_map(move |i| (0..t.ncols()).map(move |j| t[(i, j)]))
+                })
+                .collect();
+            let out = out.to_dense();
+            assert!(!out.has_non_finite(), "padded {padded}");
+            let bits: Vec<_> = out
+                .as_slice()
+                .iter()
+                .map(|v| (v.re().to_f64().to_bits(), v.im().to_f64().to_bits()))
+                .collect();
+            (bits, pad)
+        };
+        let ((padded, pad), (own, _)) = (run(true), run(false));
+        assert!(padded == own, "{} {m}x{n} nb {nb}", S::TYPE_TAG);
+        assert!(pad.len() == 2 * (top - n) * n && pad.iter().all(|v| v.re().to_f64().is_nan()));
+    }
+
+    #[test]
+    fn x_m_over_padded_top_blocks_matches_own_slabs_bit_for_bit() {
+        x_m_over_padded_tops::<f64>(37, 29, 8);
+        x_m_over_padded_tops::<Complex64>(37, 29, 8);
+    }
+
     /// A `Z` that is not positive definite cancels the dag a Cholesky term
     /// sits in and names the failing pivot by its index in `Z`, not in its
     /// tile.
@@ -1335,7 +1418,6 @@ mod tests {
             _ => 0.0,
         });
         let mut z = TiledMatrix::from_dense(&z, nb, nb, grid());
-        let mut linv = TiledMatrix::<f64>::zeros(Tiling::new(nb, n, nb, nb), grid());
         let mut x = TiledMatrix::from_dense(&Matrix::<f64>::identity(m, n), nb, nb, grid());
         let mut v = TiledMatrix::<f64>::zeros(x.tiling(), grid());
         let failure = OnceLock::new();
@@ -1343,8 +1425,7 @@ mod tests {
 
         let mut dag = TaskDag::new();
         sink.name_in(&mut dag);
-        let ws =
-            CholPtr { z: TilePtr::new(&mut dag, &mut z), linv: TilePtr::new(&mut dag, &mut linv) };
+        let ws = CholPtr { z: TilePtr::new(&mut dag, &mut z) };
         let (x, v) = (TilePtr::new(&mut dag, &mut x), TilePtr::new(&mut dag, &mut v));
         let combine = Combine { x, x_coef: 1.0, sink: &sink, iter: 0 };
         emit_chol_term(&mut dag, ws, v, 1.0, &combine, &failure);

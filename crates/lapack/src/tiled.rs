@@ -253,6 +253,16 @@ impl<'a, S: Scalar> TilePtr<'a, S> {
         Self { tiles: Slab { row0: self.tiles.row0 + i0, ..self.tiles }, tiling }
     }
 
+    /// The first `m` rows as a matrix of their own, the same tiles by the
+    /// same names: how a workspace lends its top block out. A stored tile
+    /// of the last tile row may have rows past `m`, which a body leaves
+    /// alone: it works on `tiling().tile_rows(i)` rows of tile row `i`.
+    pub fn top(self, m: usize) -> Self {
+        let t = self.tiling;
+        assert!(m <= t.m(), "TilePtr::top: {m} rows of {}", t.m());
+        Self { tiling: Tiling::new(m, t.n(), t.mb(), t.nb()), ..self }
+    }
+
     /// Tile `(i, j)` for a task's read set.
     pub fn read(&self, i: usize, j: usize) -> TileRead<'a, Matrix<S>> {
         self.tiles.read(i, j)

@@ -11,10 +11,11 @@
 //! * `trmm` with `T_jj = L_jj^{-1}` per diagonal tile in the fused
 //!   whole-solve graph's one-term step (`polar-qdwh`'s `solve_dag.rs`: the
 //!   sweeps' coupling gemms stay, only the diagonal solve becomes a
-//!   multiply);
+//!   multiply), `T_jj` written over `L_jj`, which nothing reads after;
 //! * the whole tile inverse `T_j = L_j^{-1}` of every term of a Zolo-PD
-//!   Cholesky-based step, whose `M = x_0 I + sum_j w_j T_j^H T_j` is applied
-//!   to `X` as one gemm (`solve_dag.rs`' `emit_chol_inverse`).
+//!   Cholesky-based step, in place of `L_j`, whose `M = x_0 I + sum_j w_j
+//!   T_j^H T_j` is applied to `X` as one gemm (`solve_dag.rs`'
+//!   `emit_chol_inverse`).
 //!
 //! Why that is safe there: `Z = alpha X^H X + sigma I` with `||X||_2 <= 1`
 //! has its eigenvalues in `[sigma, alpha + sigma]`, so `kappa(Z) <= 1 +

@@ -1,7 +1,8 @@
 //! One FNV-1a line per pinned solve: the bits of `U`, of `H` and of the
 //! per-iteration convergence norms, of scalar `qdwh` solves (QDWH, and
 //! Zolo-PD at `terms` 4 and 8, and in double precision 3, whose last round
-//! of term workspaces is partly used) and of every entry of a batched wave
+//! of term workspaces is partly used, and the storage cases of its
+//! several-term Cholesky-based step) and of every entry of a batched wave
 //! (`batched-*`). "Bit-identical to another commit" is this example run on
 //! both trees and `cmp` on the two outputs.
 //!
@@ -83,6 +84,28 @@ fn cases<S: Scalar>(high: f64, zolo: &[usize], threads: usize) {
     }
 }
 
+/// Where a several-term Cholesky-based step keeps its Gram matrix `G` and
+/// `M`, in double precision: a certified Cholesky-only solve (`G` the
+/// start's, `M` in a term host's top half), one whose `G` the graph forms
+/// (a given `l_0`: no start Gram matrix), and a square ragged QR-first one
+/// (both in the term slots' top halves, their last tile row padded).
+fn zolo_storage<S: Scalar>(threads: usize) {
+    let input = |m, n, cond, seed| {
+        let spec = MatrixSpec { m, n, cond, distribution: SigmaDistribution::Geometric, seed };
+        generate::<S>(&spec).0
+    };
+    let zolo = QdwhOptions { tile_nb: Some(32), terms: 4, ..Default::default() };
+    let formed = QdwhOptions { l0_override: Some(0.5), ..zolo.clone() };
+    let storage_cases = [
+        ("zolo-r4-certified", input(83, 47, 10.0, 31), zolo.clone()),
+        ("zolo-r4-formed-gram", input(83, 47, 10.0, 32), formed),
+        ("zolo-r4-ragged-square", input(83, 83, 1e16, 33), zolo),
+    ];
+    for (case, a, opts) in &storage_cases {
+        line(case, threads, &qdwh(a, opts).expect("zolo converges"));
+    }
+}
+
 /// One mixed wave per type through the batch engine: unhinted high-kappa
 /// entries, hinted kappa = 100 ones (the widened Cholesky window), a kappa =
 /// 10 entry and the zero matrix. It runs twice: with `H` and the scalar
@@ -120,6 +143,8 @@ fn main() {
         rayon::ThreadPool::new(threads).install(|| {
             cases::<f64>(1e16, &[3, 4, 8], threads);
             cases::<Complex64>(1e16, &[3, 4, 8], threads);
+            zolo_storage::<f64>(threads);
+            zolo_storage::<Complex64>(threads);
             cases::<f32>(1e5, &[4, 8], threads);
             cases::<Complex32>(1e5, &[4, 8], threads);
             batched::<f64>(1e16, threads);
