@@ -300,6 +300,11 @@ stage_tier1() {
     step "tier-1: root package tests"
     cargo test --offline -q
 
+    step "heap budget: each case's peak, buffers, allowance and slack in tiles"
+    # tests/heap_budget.rs again, with its one line per case shown: the
+    # slack a change quotes is this log's
+    cargo test --offline -q --test heap_budget -- --nocapture
+
     artifacts_for tier1 | xargs rm -f
 
     step "kernels_perf: single-lane tile-kernel rates, all types"

@@ -19,12 +19,16 @@
 //!   paper's §8 wants Zolo-PD for — `x_coef R` plus their `coef_j Q1 Q2^H`
 //!   summed in fixed term order into the top `n x n` of `X_out`, and `Q_x`
 //!   applied ([`crate::solve_dag`]'s `emit_factored_step`); QDWH's step is
-//!   its one-term member;
+//!   its one-term member. `X_out` is `X` itself when the terms run in one
+//!   round and `X` has no more tile rows than tile columns: the sum is
+//!   written over term 0's `Q1`, lifted in slot 0's top half and copied
+//!   back; else it is the spare buffer;
 //! * Cholesky-based with one term (QDWH): `Z = L L^H`, then per block of
-//!   tile rows two sweeps that leave `V = X Z^{-1}` in row slots and one
-//!   update task per tile writing `x_coef X + weight V` over `X` in place
-//!   ([`Combine`]): the iterate needs no second buffer ([`row_slots`]). The
-//!   Gram matrix is formed in place in the term's `Z`;
+//!   tile rows two sweeps that leave `V = X Z^{-1}` beside `X` — in the
+//!   spare buffer, term slot 0's top half or row slots ([`row_slots`]) —
+//!   and one update task per tile writing `x_coef X + weight V` over `X` in
+//!   place ([`Combine`]). The Gram matrix is formed in place in the term's
+//!   `Z`;
 //! * Cholesky-based with several terms (Zolo-PD): the terms differ only in
 //!   their `n x n` matrices `Z_j = alpha_j X^H X + shift_j I`, so the step
 //!   is `X_out = X M`, `M = x_coef I + sum_j weight_j Z_j^{-1}` formed in
@@ -77,13 +81,15 @@ use std::sync::OnceLock;
 /// host of its own. A Cholesky term's `Z` is the buffer's bottom `n x n`
 /// ([`CholPtr::within`]; a host with no top half is that alone); a
 /// several-term step's `M` is slot 0's top half and its Gram matrix slot
-/// 1's ([`TilePtr::top`]), so a host has a top half only to hold one.
-/// Shared: the Gram matrix the start stage certified `l_0` on, which every
-/// several-term step — and a Cholesky-based first step — reads there; the
-/// `T` factors of a QR-based step's QR of `X`, in place in the iterate's
-/// buffer — or of the one the start stage ran, whose tiles the iterate
-/// starts from, which a QR-based first step reads instead of factoring `X`
-/// again. And with no spare buffer, the row slots of `V` ([`row_slots`]).
+/// 1's ([`TilePtr::top`]), so a host has a top half only to hold one. With
+/// no spare, slot 0's top half also holds a QR-based step's product and
+/// its lift, and a one-term Cholesky-based step's `V`. Shared: the Gram
+/// matrix the start stage certified `l_0` on, which every several-term step
+/// — and a Cholesky-based first step — reads there; the `T` factors of a QR-based step's QR of `X`, in place in the
+/// iterate's buffer — or of the one the start stage ran there, which a
+/// QR-based first step reads instead of factoring `X` again. And with
+/// neither a spare buffer nor a QR workspace, the row slots of `V`
+/// ([`row_slots`]).
 #[derive(Default)]
 pub(crate) struct Workspace<S: Scalar> {
     slots: Vec<TermStore<S>>,
@@ -112,13 +118,15 @@ impl<S: Scalar> Workspace<S> {
 /// more than `terms` — a function of `terms` alone, like the tile size of
 /// the shape, so that the pool width moves no bit. A slot's QR workspace
 /// holds about twice a square `X` (`W`, then `Q` in its place), so the slot
-/// count, not `r`, sets a Zolo-PD solve's memory.
+/// count, not `r`, sets a Zolo-PD solve's memory; a QR-based step whose
+/// terms fit one round of slots needs no spare buffer on a square `X`.
 pub(crate) fn term_slots(terms: usize) -> usize {
     terms.min(TILE_LANES)
 }
 
 /// The tile rows of `V` a one-term Cholesky-based step keeps without a spare
-/// buffer: twice the lanes the tile grid is sized for, at most `mt`.
+/// buffer or a QR workspace: twice the lanes the tile grid is sized for, at
+/// most `mt`.
 pub(crate) fn row_slots(mt: usize) -> usize {
     mt.min(2 * TILE_LANES)
 }
@@ -131,13 +139,17 @@ struct TermStore<S: Scalar> {
 
 /// Everything the planned steps read and write, as the tasks of one dag see
 /// it: the iterate's buffer and, if it holds one, its spare, and the
-/// [`Workspace`].
+/// [`Workspace`]. The iterate allocates its spare only for a step that
+/// cannot write `X` in place: a several-term Cholesky-based step, or a
+/// QR-based step whose terms take more than one round of slots or whose
+/// lift does not fit slot 0's top half (more tile rows than tile columns).
 struct GraphPtrs<'a, S: Scalar> {
     x: TilePtr<'a, S>,
     /// What a step that cannot update `X` in place writes.
     spare: Option<TilePtr<'a, S>>,
-    /// `V` of a one-term Cholesky-based step when there is no spare.
-    rows: Option<TilePtr<'a, S>>,
+    /// `V` of a one-term Cholesky-based step when there is no spare: term
+    /// slot 0's top half over a QR workspace, else [`row_slots`].
+    v: Option<TilePtr<'a, S>>,
     slots: Vec<TermSlot<'a, S>>,
     /// The Gram matrix a several-term step forms, or the start's.
     gram: Option<TilePtr<'a, S>>,
@@ -199,8 +211,15 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
         let factor_given = std::mem::take(&mut ws.factor_given) && first(IterationKind::QrBased);
         let qr_steps = chol().count() < plan.len();
         let several = chol().any(|p| p.terms.len() > 1);
-        // a step that cannot update X in place writes the spare
-        let out_of_place = qr_steps || several;
+        let slots = term_slots(plan.iter().map(|p| p.terms.len()).max().unwrap_or(0));
+        // a step that cannot update X in place writes the spare: a
+        // several-term Cholesky-based one, and a QR-based one whose terms
+        // take several rounds of slots or whose lift does not fit slot 0's
+        // top half (X has more tile rows than tile columns)
+        let lifts = xt.mt() <= xt.nt();
+        let qr_aside =
+            |p: &Step<f64>| p.kind == IterationKind::QrBased && (p.terms.len() > slots || !lifts);
+        let out_of_place = several || plan.iter().any(qr_aside);
         let bufs = x.map(|x| x.bufs(out_of_place));
         let held = bufs.as_ref().map_or(out_of_place, |(_, spare)| spare.is_some());
         let (x, spare) = (TilePtr::shape(dag, xt), held.then(|| TilePtr::shape(dag, xt)));
@@ -209,7 +228,6 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
             None => (x, spare),
         };
         let qr = qr_steps || ws.slots.iter().any(|t| t.qr.is_some());
-        let slots = term_slots(plan.iter().map(|p| p.terms.len()).max().unwrap_or(0));
         if ws.slots.len() < slots {
             ws.slots.resize_with(slots, TermStore::default);
         }
@@ -244,10 +262,18 @@ impl<'a, S: Scalar> GraphPtrs<'a, S> {
         } else {
             (gram_given || several).then(|| tiles(dag, nn, &mut ws.gram, backed))
         };
+        // V without a spare: over a QR workspace, slot 0's top half — it has
+        // at least X's tile rows, since a QR-based step on a taller X
+        // allocated the spare — else row slots
         let one_term = chol().any(|p| p.terms.len() == 1);
-        let rt = Tiling::new(row_slots(xt.mt()) * nb, n, nb, nb);
-        let rows = (one_term && spare.is_none()).then(|| tiles(dag, rt, &mut ws.rows, backed));
-        Self { x, spare, rows, slots, gram, m, gram_given, factor, factor_given }
+        let v = (one_term && spare.is_none()).then(|| match &slots[..] {
+            [TermSlot { qr: Some(_), host }, ..] if lifts => host.top(xt.m()),
+            _ => {
+                let rt = Tiling::new(row_slots(xt.mt()) * nb, n, nb, nb);
+                tiles(dag, rt, &mut ws.rows, backed)
+            }
+        });
+        Self { x, spare, v, slots, gram, m, gram_given, factor, factor_given }
     }
 }
 
@@ -286,7 +312,8 @@ pub fn task_graph<S: Scalar>(
 }
 
 /// Add every planned step to `dag`, one phase each; how many of them wrote
-/// the spare buffer, which then holds the iterate.
+/// the spare buffer, which then holds the iterate. With a spare, every
+/// QR-based step writes it; without, it runs in place.
 fn emit_steps<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     at: &GraphPtrs<'a, S>,
@@ -303,8 +330,12 @@ fn emit_steps<'a, S: Scalar>(
             dag.next_phase();
         }
         // a step that cannot update X in place writes the other buffer,
-        // which then holds X (every reader of X_{k-1} there is upstream)
-        let in_place = step.kind == IterationKind::CholeskyBased && step.terms.len() == 1;
+        // which then holds X (every reader of X_{k-1} there is upstream); a
+        // QR-based step writes it whenever the iterate holds one
+        let in_place = match step.kind {
+            IterationKind::QrBased => other.is_none(),
+            IterationKind::CholeskyBased => step.terms.len() == 1,
+        };
         let xout = if in_place { xin } else { other.expect("the iterate has a spare") };
         // per term, in the step's kind: what its matrix is built from and
         // the coefficient of what its factorization leaves
@@ -322,12 +353,13 @@ fn emit_steps<'a, S: Scalar>(
                 let slots: Vec<_> = at.slots.iter().map(|t| t.qr.expect("a QR step")).collect();
                 let terms: Vec<_> =
                     applied.iter().map(|&(s, d, c)| (real(s), real(d), scalar(c))).collect();
-                emit_factored_step(dag, f, given, &slots, &terms, xout, &combine);
+                let out = (!in_place).then_some(xout);
+                emit_factored_step(dag, f, given, &slots, &terms, out, &combine);
             }
             // Z_j = alpha_j X_in^H X_in + shift_j I. One term: X_in updated
             // in place by x_coef X_in + coef X_in Z^{-1}, the sweeps in the
-            // other buffer or in row slots. Several: X_in M, M = x_coef I +
-            // sum_j coef_j Z_j^{-1}
+            // other buffer, slot 0's top half or row slots. Several: X_in M,
+            // M = x_coef I + sum_j coef_j Z_j^{-1}
             IterationKind::CholeskyBased => {
                 let several = applied.len() > 1;
                 let chol = |j: usize| CholPtr::within(at.slots[j % at.slots.len()].host);
@@ -351,7 +383,7 @@ fn emit_steps<'a, S: Scalar>(
                             emit_chol_inverse(dag, chol(j), failure);
                         } else {
                             let (v, w) =
-                                (other.or(at.rows).expect("row slots"), scalar(applied[j].2));
+                                (other.or(at.v).expect("a home for V"), scalar(applied[j].2));
                             emit_chol_term(dag, chol(j), v, w, &combine, failure);
                         }
                     }
@@ -683,8 +715,8 @@ mod tests {
     /// round after round: after a QR-based and a Cholesky-based step the
     /// solve's workspace holds that many term stores, each one stacked
     /// buffer (`W`, then `Q` in its place, then `Z` and `M` or the Gram
-    /// matrix) and its `T` factors, and besides them only the `T` factors
-    /// of the QR of `X` — byte for byte, from the tilings.
+    /// matrix, or `V`) and its `T` factors, and besides them only the `T`
+    /// factors of the QR of `X` — byte for byte, from the tilings.
     #[test]
     fn a_solve_holds_a_term_workspace_per_slot_not_per_term() {
         let (m, n, nb) = (45usize, 40usize, 16usize);
@@ -723,8 +755,10 @@ mod tests {
                 + ws.factor.as_ref().map_or(0, TFactors::bytes);
             let x_t = TFactors::<f64>::zeros(x.tiling(), QrStructure::Dense).bytes();
             assert_eq!(held, slots * term + x_t, "r = {r}");
-            // a QR-based step writes the spare: the iterate holds two buffers
-            assert!(x.bufs(false).1.is_some(), "r = {r}");
+            // one round of terms lifts its product through slot 0's top half
+            // and writes X in place; several rounds, or a several-term
+            // Cholesky-based step, write the spare
+            assert_eq!(x.bufs(false).1.is_some(), r > 1, "r = {r}");
         }
     }
 
@@ -750,7 +784,9 @@ mod tests {
     /// A certified Cholesky-only solve holds one `m x n` iterate: besides it
     /// only [`row_slots`] tile rows of `V`, the start's Gram matrix and the
     /// term's `n x n` Cholesky host — byte for byte, from the tilings. A
-    /// QR-first solve still holds two iterate buffers.
+    /// square QR-first solve holds one iterate buffer too (`V` in the term
+    /// slot's top half); a tall one, whose lift does not fit there, holds
+    /// two.
     #[test]
     fn a_cholesky_only_solve_holds_one_iterate_buffer() {
         let (m, n, nb) = (96usize, 40usize, 8usize);
@@ -768,10 +804,70 @@ mod tests {
         let (rows, nn) = (Tiling::new(s * nb, n, nb, nb), Tiling::new(n, n, nb, nb));
         assert_eq!(held, c64s(rows) + 2 * c64s(nn));
 
-        let (a, _) = generate::<Complex64>(&geometric(m, n, 1e12, 3));
-        let (mut x, ws, certified) = held_after_the_plan(&a, nb);
-        assert!(!certified && ws.rows.is_none());
-        assert!(x.bufs(false).1.is_some(), "two iterate buffers");
+        for (rows, spare) in [(n, false), (m, true)] {
+            let (a, _) = generate::<Complex64>(&geometric(rows, n, 1e12, 3));
+            let (mut x, ws, certified) = held_after_the_plan(&a, nb);
+            assert!(!certified && ws.rows.is_none(), "{rows} x {n}");
+            assert_eq!(x.bufs(false).1.is_some(), spare, "{rows} x {n}: iterate buffers");
+        }
+    }
+
+    /// A QR-first plan with the iterate's spare buffer pre-allocated — its
+    /// QR-based steps lift their product there and its Cholesky-based steps
+    /// keep `V` there — and without, the product written over term slot 0's
+    /// `Q1`, lifted there and copied back, `V` in that top half: `U`, `H`
+    /// and every convergence norm, bit for bit. Whole tiles, a ragged
+    /// square, and as many tile rows as columns with `m > n` inside the
+    /// last one; QDWH from its start, whose QR the first step reads, and
+    /// the QR-based steps of a two-term plan, whose round fills both slots.
+    fn qr_steps_in_the_slot_vs_the_spare<S: Scalar>(m: usize, n: usize, nb: usize, terms: usize) {
+        let opts = QdwhOptions { tile_nb: Some(nb), terms, ..Default::default() };
+        let (a, sigma) = generate::<S>(&geometric(m, n, 1e16, 19));
+        let bits = |z: &Matrix<S>| -> Vec<_> {
+            z.as_slice()
+                .iter()
+                .map(|v| (v.re().to_f64().to_bits(), v.im().to_f64().to_bits()))
+                .collect()
+        };
+        let case = format!("{} {m}x{n} nb {nb} r {terms}", S::TYPE_TAG);
+        let run = |spare: bool| {
+            let (mut x, mut ws, steps) = if terms == 1 {
+                let method = Halley(&opts);
+                let start = scaled_start(&a, &opts, &method, nb).expect("starts").expect("not 0");
+                let first_conv = <Halley<'_> as Method<S>>::FIRST_CONV;
+                let steps = plan::<S, _>(&method, start.l0.to_f64(), first_conv, 50).expect("plan");
+                (start.x, Workspace::new(start.gram, start.factor), steps)
+            } else {
+                let mut steps = crate::qdwh_plan::<S>(&opts, 1e-16, 0.0, 50).expect("plan");
+                steps.retain(|s| s.kind == IterationKind::QrBased);
+                let x = Iterate::scaled(&a, S::Real::from_f64(1.0 / sigma[0]), nb);
+                (x, Workspace::new(None, None), steps)
+            };
+            assert_eq!(steps[0].kind, IterationKind::QrBased, "{case}");
+            if spare {
+                let _ = x.bufs(true);
+            }
+            let ells = vec![0.0; steps.len() + 1];
+            let hooked = Hooked { hook: None, first_iteration: 1, first_conv: 1.0, ells: &ells };
+            let (sink, _) = run_graph(&mut x, &mut ws, &steps, &hooked).expect("the plan runs");
+            assert_eq!(x.bufs(false).1.is_some(), spare, "{case}");
+            let norms: Vec<_> =
+                (0..steps.len()).map(|k| sink.norm::<S::Real>(k).to_f64().to_bits()).collect();
+            let u = x.into_dense();
+            let h = crate::skeleton::finish(&u, &a, true);
+            (bits(&u), bits(&h), norms)
+        };
+        assert!(run(false) == run(true), "{case}");
+    }
+
+    #[test]
+    fn qr_steps_in_the_term_slot_match_the_spare_bit_for_bit() {
+        for (m, n) in [(96usize, 96usize), (83, 83), (90, 83)] {
+            qr_steps_in_the_slot_vs_the_spare::<f64>(m, n, 32, 1);
+            qr_steps_in_the_slot_vs_the_spare::<Complex64>(m, n, 32, 1);
+        }
+        qr_steps_in_the_slot_vs_the_spare::<f64>(90, 83, 32, 2);
+        qr_steps_in_the_slot_vs_the_spare::<Complex64>(90, 83, 32, 2);
     }
 
     /// One-term Cholesky-based steps in row slots, `s` tile rows of `V` for

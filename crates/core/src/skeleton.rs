@@ -177,8 +177,10 @@ pub(crate) struct Start<S: Scalar> {
 /// (`gram_l0`, task graphs the progress hook may cancel); a bound it does
 /// not certify — or any other strategy, or a method that must start
 /// QR-based — is [`estimate_l0`]'s, its QR the tile graph over the
-/// iterate's spare buffer ([`Iterate::factor_spare`]), kept for a QR-based
-/// first step, which would factor `X_0` again. `None` for the zero matrix.
+/// iterate's own tiles ([`Iterate::factor`]), kept for a QR-based first
+/// step, which would factor `X_0` again. A plan that starts Cholesky-based
+/// re-tiles `X_0` from `a`: the same function of the same input, the same
+/// bits. `None` for the zero matrix.
 pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
     a: &Matrix<S>,
     opts: &QdwhOptions,
@@ -205,18 +207,16 @@ pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
             // only the formulas read X_0 itself
             let dense = (strategy != L0Strategy::SigmaMinPowerIteration).then(|| x.to_dense());
             let mut factor = None;
-            let mut r_of_x = || x.factor_spare(&mut factor);
+            let mut r_of_x = || x.factor(&mut factor);
             let l0 = match &dense {
                 Some(dense) => estimate_l0(dense.as_ref(), strategy, r_of_x),
                 None => sigma_min_l0(&r_of_x()),
             };
             // the same tiles through the same kernels: the first step's QR;
-            // else the spare goes (a graph whose steps need one allocates it)
-            let factor =
-                factor.filter(|_| method.step_at(l0.to_f64()).kind == IterationKind::QrBased);
-            match factor {
-                Some(_) => x.advance(1),
-                None => x.drop_spare(),
+            // a Cholesky-based first step reads X_0, tiled again
+            let qr_first = method.step_at(l0.to_f64()).kind == IterationKind::QrBased;
+            if factor.is_some() && !qr_first {
+                (x, factor) = (Iterate::scaled(a, alpha.recip(), nb), None);
             }
             (l0, None, factor)
         }

@@ -4,13 +4,14 @@
 //!   one tile QR of `X` in place (or the one the start stage left), per
 //!   term the QR of `[s_j R; 0; d_j I]` over its `R` — a triangular top —
 //!   and its explicit `Q` over the factored tiles, then `x_coef R` plus the
-//!   terms' product tiles in `R` space, lifted by `Q_x`. The factorization
+//!   terms' product tiles in `R` space, lifted by `Q_x` — in the spare
+//!   buffer, or over term 0's `Q1` in its slot and copied back to `X`. The factorization
 //!   tasks themselves come from `polar-lapack`'s emitters — this crate
 //!   names no tile kernel;
 //! * the **Cholesky term** of a one-term step ([`emit_chol_term`], over a
 //!   `Z` formed by [`emit_gram`] or [`emit_shifted`]): tile Cholesky → one
 //!   `trtri_lower` per diagonal tile → per block of tile rows the two
-//!   sweeps that leave `V = X Z^{-1}` in row slots and the update of `X` in
+//!   sweeps that leave `V = X Z^{-1}` beside `X` and the update of `X` in
 //!   place;
 //! * the **Cholesky-based step** of several terms, in `n x n` space: per
 //!   term the tile inverse `T_j = L_j^{-1}` of its factor
@@ -159,11 +160,14 @@ impl Access for SinkSlot<'_> {
 
 /// The iterate of one solve as its graphs see it: tiled once and kept tiled
 /// from one graph of the solve to the next. A one-term Cholesky-based step
-/// updates it in place; a step that cannot — a QR-based one, a several-term
-/// Cholesky-based one — writes the spare buffer, which then holds the
-/// iterate. The spare is allocated only for those: by the first graph that
-/// plans one ([`Iterate::bufs`]) or by the start's QR
-/// ([`Iterate::factor_spare`]).
+/// updates it in place, and so does a QR-based step whose terms run in one
+/// round of term slots on an `X` of no more tile rows than columns (its
+/// product and lift go through term slot 0's top half); a step that cannot
+/// — a several-term Cholesky-based one, a QR-based one of several rounds or
+/// on a taller `X` — writes the spare buffer, which then holds the iterate.
+/// The spare is allocated only for those, by the first graph that plans one
+/// ([`Iterate::bufs`]); the start's QR factors the iterate's own tiles
+/// ([`Iterate::factor`]).
 pub(crate) struct Iterate<S: Scalar> {
     x: TiledMatrix<S>,
     spare: Option<TiledMatrix<S>>,
@@ -184,19 +188,13 @@ impl<S: Scalar> Iterate<S> {
         self.x.tiling()
     }
 
-    /// The tile QR of the iterate in the spare buffer — the iterate's tiles
-    /// copied there and factored in place, the same tiles through the same
-    /// kernels as the QR of its dense copy: its `R`, its `T` factors into
-    /// `t`. The iterate stays where it was: [`Iterate::advance`]`(1)` makes
-    /// the factored buffer the iterate, [`Iterate::drop_spare`] drops it.
-    pub(crate) fn factor_spare(&mut self, t: &mut Option<TFactors<S>>) -> Matrix<S> {
-        let (x, spare) = self.bufs(true);
-        let spare = spare.expect("just allocated");
-        for (to, from) in spare.tiles_mut().iter_mut().zip(x.tiles_mut()) {
-            to.copy_from(from);
-        }
-        *t = Some(geqrf_tiles(spare, QrStructure::Dense));
-        packed_r(spare)
+    /// The tile QR of the iterate, in place — the same tiles through the
+    /// same kernels as the QR of its dense copy: its `R`, its `T` factors
+    /// into `t`. The iterate's buffer holds the packed `R` and reflectors
+    /// from here on, which a QR-based first step reads as its own QR of `X`.
+    pub(crate) fn factor(&mut self, t: &mut Option<TFactors<S>>) -> Matrix<S> {
+        *t = Some(geqrf_tiles(&mut self.x, QrStructure::Dense));
+        packed_r(&self.x)
     }
 
     /// The iterate's buffer and the spare, which `spare` allocates if the
@@ -209,10 +207,6 @@ impl<S: Scalar> Iterate<S> {
             self.spare = Some(TiledMatrix::zeros(self.x.tiling(), ProcessGrid::single()));
         }
         (&mut self.x, self.spare.as_mut())
-    }
-
-    pub(crate) fn drop_spare(&mut self) {
-        self.spare = None;
     }
 
     /// The spare buffer was written `flips` times (by a graph's steps, on
@@ -228,7 +222,7 @@ impl<S: Scalar> Iterate<S> {
     }
 
     pub(crate) fn into_dense(mut self) -> Matrix<S> {
-        self.drop_spare();
+        self.spare = None;
         self.x.to_dense()
     }
 }
@@ -247,7 +241,9 @@ fn stacked(n: usize, nb: usize) -> (Tiling, QrStructure) {
 /// iterate), then its factored tiles, then that step's explicit `Q`,
 /// formed over them — and in a Cholesky-based step the term's `Z` in its
 /// bottom half ([`TermPtr::host`]), a several-term step's `M` or Gram
-/// matrix in its top one. Allocated once per solve and reused by every round
+/// matrix in its top one; in slot 0, with no spare buffer, the top half
+/// also holds a QR-based step's product and its lift (over `Q1`) and a
+/// one-term step's `V`. Allocated once per solve and reused by every round
 /// of terms of every iteration: the next round's `W` waits for this one's
 /// product tasks to read `Q`, an edge the dag infers from the tiles they
 /// share.
@@ -286,7 +282,8 @@ impl<'a, S: Scalar> TermPtr<'a, S> {
 
     /// The stacked buffer: in a Cholesky-based step a term's `Z` in its
     /// bottom half, where `Q2` goes ([`CholPtr::within`]), and a several-term
-    /// step's `M` or Gram matrix in its top ([`TilePtr::top`]).
+    /// step's `M` or Gram matrix, or a one-term step's `V`, in its top
+    /// ([`TilePtr::top`]).
     pub(crate) fn host(self) -> TilePtr<'a, S> {
         self.w.a
     }
@@ -330,6 +327,15 @@ pub(crate) struct Combine<'a, S: Scalar> {
 /// out = Q_x [x_coef R + sum_j coef_j Q1_j Q2_j^H; 0]
 /// ```
 ///
+/// `out` is the spare buffer; `None` is the step in place, for terms that
+/// run in one round on an `X` with as many tile rows as tile columns:
+/// each product tile is written over term 0's `Q1` tile in its place
+/// ([`emit_product`]), `Q_x` applied there — slot 0's top half, `X`'s tiling
+/// with its last tile row padded — and one task per tile copies the result
+/// back over `X`'s packed tiles ([`emit_write_back`]). The padding rows of
+/// `Q1` are exact zeros (`W`'s zero rows stay zero through its QR), so rows
+/// `n..m` of `[P; 0]` read as zeros there, as in a buffer of their own.
+///
 /// `[s X; d I] = diag(Q_x, I) [s R; d I]`, so term `j`'s `Q1 Q2^H` of the
 /// stacked `[s_j X; d_j I]` is `Q_x [Q1_j Q2_j^H; 0]`, and `X = Q_x [R;
 /// 0]`: the whole update is `Q_x` applied to an `n x n` matrix, and so is
@@ -348,12 +354,16 @@ pub(crate) fn emit_factored_step<'a, S: Scalar>(
     given: bool,
     slots: &[TermPtr<'a, S>],
     terms: &[(S::Real, S::Real, S)],
-    out: TilePtr<'a, S>,
+    out: Option<TilePtr<'a, S>>,
     combine: &Combine<'a, S>,
 ) {
     if !given {
         emit_geqrf(dag, f);
     }
+    let lift = out.unwrap_or_else(|| {
+        assert!(terms.len() <= slots.len(), "a QR-based step in place runs one round");
+        slots[0].host().top(f.a.tiling().m())
+    });
     for (round, part) in rounds(terms.len(), slots.len()) {
         let mut qs = Vec::new();
         for j in round {
@@ -361,9 +371,30 @@ pub(crate) fn emit_factored_step<'a, S: Scalar>(
             emit_stacked_q(dag, ws, f.a, (s, d));
             qs.push((ws, coef));
         }
-        emit_product(dag, &qs, part, out, combine);
+        emit_product(dag, &qs, part, lift, out.is_none(), combine);
     }
-    emit_unmqr(dag, f, out, false);
+    emit_unmqr(dag, f, lift, false);
+    if out.is_none() {
+        emit_write_back(dag, lift, f.a);
+    }
+}
+
+/// Add `x = c` to `dag`, one task per tile of `x`: `c` a matrix of `x`'s
+/// tiling whose stored tiles may be taller (a top block,
+/// [`TilePtr::top`]), each copied on `x`'s logical rows.
+fn emit_write_back<'a, S: Scalar>(dag: &mut TaskDag<'a>, c: TilePtr<'a, S>, x: TilePtr<'a, S>) {
+    let xt = x.tiling();
+    let nbf = xt.nb() as f64;
+    dag.barrier();
+    for tj in 0..xt.nt() {
+        for ti in 0..xt.mt() {
+            let access = (x.write(ti, tj), c.read(ti, tj));
+            dag.add_on(KernelKind::Geadd, 0, nbf * nbf, access, |(to, from)| {
+                let (r, c) = (to.nrows(), to.ncols());
+                to.as_mut().copy_from(from.view(0, 0, r, c));
+            });
+        }
+    }
 }
 
 /// Where a round of terms sits in a step's sum: whether it is the first,
@@ -440,12 +471,23 @@ fn emit_stacked_q<'a, S: Scalar>(
 /// accumulation: the first round zero-fills, the last adds `x_coef R` and
 /// publishes the tile's share of `|P + (x_coef - 1) R|_F^2`. `Q1`'s tiles
 /// `(ti, kc < ti)` and `Q2`'s `(tj, kc < tj)` are never reached by the
-/// sweep that formed them, exact zeros: the products skip them.
+/// sweep that formed them, exact zeros: the products skip them. Each body
+/// works on `out`'s logical rows of its tile.
+///
+/// With `over_q1`, `out` is term 0's `Q1` (its slot's top half, one round):
+/// tile `(ti, tj)` of `P` reads row `ti` of `Q1` only, from column
+/// `max(ti, tj)` on, so the tasks of a row, emitted in ascending `tj`, each
+/// overwrite a tile no later task of the row reads — the dag adds the
+/// write-after-read edges. A task whose own tile is among its operands (`tj
+/// >= ti`) copies it aside before it writes; the tiles left of the diagonal
+/// are `Q1`'s exact zeros, read by none. The operands and their order are
+/// those of a separate `out`, and so are the bits.
 fn emit_product<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     qs: &[(TermPtr<'a, S>, S)],
     part: Part,
     out: TilePtr<'a, S>,
+    over_q1: bool,
     combine: &Combine<'a, S>,
 ) {
     let ot = out.tiling();
@@ -461,11 +503,15 @@ fn emit_product<'a, S: Scalar>(
             // R's tile, if any; then per term row ti of Q1 against row tj of
             // Q2, from the first column where neither is zero
             let r = (last && ti <= tj).then(|| combine.x.read(ti, tj));
+            // over term 0's Q1, the task's own tile is its first pair's, aside
+            let own = over_q1 && ti <= tj;
             let rows: Vec<Vec<_>> = qs
                 .iter()
-                .map(|&(TermPtr { w }, _)| {
+                .enumerate()
+                .map(|(j, &(TermPtr { w }, _))| {
                     let q = w.a;
-                    (ti.max(tj)..nt).map(|kc| (q.read(ti, kc), q.read(nt + tj, kc))).collect()
+                    let q1 = move |kc| (!(own && j == 0 && kc == tj)).then(|| q.read(ti, kc));
+                    (ti.max(tj)..nt).map(|kc| (q1(kc), q.read(nt + tj, kc))).collect()
                 })
                 .collect();
             let alphas: Vec<S> = qs.iter().map(|&(_, coef)| coef).collect();
@@ -475,35 +521,39 @@ fn emit_product<'a, S: Scalar>(
             };
             let partial = last.then(|| combine.sink.partial(combine.iter, ti, tj));
             let access = (out.write(ti, tj), r, rows, partial);
+            let (rows_o, cols_o) = (ot.tile_rows(ti), ot.tile_cols(tj));
             dag.add_on(kind, 0, flops, access, move |(o, r, rows, partial)| {
+                let aside = own.then(|| o.clone());
+                let mut o = o.view_mut(0, 0, rows_o, cols_o);
                 if first {
                     o.fill(S::ZERO);
                 }
                 for (&alpha, pairs) in alphas.iter().zip(rows) {
                     for (q1, q2) in pairs {
+                        let q1 = q1.or(aside.as_ref()).expect("the own tile, aside");
                         gemm(
                             Op::NoTrans,
                             Op::ConjTrans,
                             alpha,
-                            q1.view(0, 0, o.nrows(), q1.ncols()),
+                            q1.view(0, 0, rows_o, q1.ncols()),
                             q2.as_ref(),
                             S::ONE,
-                            o.as_mut(),
+                            o.rb(),
                         );
                     }
                 }
                 let Some(partial) = partial else { return };
                 let mut acc = S::Real::ZERO;
-                for c in 0..o.ncols() {
-                    for i in 0..o.nrows() {
+                for c in 0..cols_o {
+                    for i in 0..rows_o {
                         match r {
                             // R: all of a tile right of the diagonal, the
                             // upper triangle of a diagonal one
                             Some(r) if ti < tj || i <= c => {
-                                acc += (o[(i, c)] + xm1 * r[(i, c)]).abs_sq();
-                                o[(i, c)] += x_coef * r[(i, c)];
+                                acc += (o.at(i, c) + xm1 * r[(i, c)]).abs_sq();
+                                *o.at_mut(i, c) += x_coef * r[(i, c)];
                             }
-                            _ => acc += o[(i, c)].abs_sq(),
+                            _ => acc += o.at(i, c).abs_sq(),
                         }
                     }
                 }
@@ -624,8 +674,9 @@ fn emit_chol_factor<'a, S: Scalar>(
 /// X = x_coef X + weight V          (per tile, publishing |X' - X|_F^2)
 /// ```
 ///
-/// `V` lives in `v`, `s` tile rows of `nb` (the spare buffer, `s = mt`, or
-/// row slots), tile row `ti` of `X` in row `ti % s`. Each row reads only
+/// `V` lives in `v`, `s` tile rows of `nb` (the spare buffer or term slot
+/// 0's top half, `s = mt`, or row slots), tile row `ti` of `X` in row `ti %
+/// s`. Each row reads only
 /// itself, so the rows run in blocks of `s`, a block's tasks emitted before
 /// the next block's: the dag orders conflicting tasks by emission. `ws` is
 /// tiled at `X`'s `nb`. A `Z` that is not positive definite stores the
@@ -1102,7 +1153,7 @@ mod tests {
             let term = TermPtr::shape(&mut dag, n, nb).bind(&mut ws);
             let op = TilePtr::new(&mut dag, &mut out);
             let combine = Combine { x: xp, x_coef: 0.0, sink: &sink, iter: 0 };
-            emit_factored_step(&mut dag, f, false, &[term], &[(s, 1.0, 1.0)], op, &combine);
+            emit_factored_step(&mut dag, f, false, &[term], &[(s, 1.0, 1.0)], Some(op), &combine);
             let qp = TilePtr::new(&mut dag, &mut qx);
             emit_unmqr(&mut dag, f, qp, true);
             assert_eq!(dag.execute(), ExecOutcome::Completed);
@@ -1184,7 +1235,7 @@ mod tests {
             applied.iter().map(|a| (real(a.0), real(a.1), S::from_f64(a.2))).collect();
         let op = TilePtr::new(&mut dag, &mut out);
         let combine = Combine { x: xp, x_coef: S::from_f64(step.x_coef), sink: &sink, iter: 0 };
-        emit_factored_step(&mut dag, f, false, &slots, &terms, op, &combine);
+        emit_factored_step(&mut dag, f, false, &slots, &terms, Some(op), &combine);
         sink.emit_reduce::<S::Real>(&mut dag, 0);
         assert_eq!(dag.execute(), ExecOutcome::Completed);
 

@@ -171,7 +171,8 @@ pub fn tr_sigma_min_est<S: Scalar>(r: &Matrix<S>) -> S::Real {
             return S::Real::ZERO;
         }
     }
-    let square = r.submatrix_owned(0, 0, n, n);
+    // the leading square, in place
+    let square = r.view(0, 0, n, n);
     // start from the all-ones direction
     let mut x = Matrix::<S>::from_fn(n, 1, |_, _| S::ONE);
     let mut est_prev;
@@ -188,24 +189,8 @@ pub fn tr_sigma_min_est<S: Scalar>(r: &Matrix<S>) -> S::Real {
             *v = v.mul_real(inv);
         }
         // y = R^{-H} x ; x = R^{-1} y  => x = (R^H R)^{-1} x
-        trsm(
-            Side::Left,
-            Uplo::Upper,
-            Op::ConjTrans,
-            Diag::NonUnit,
-            S::ONE,
-            square.as_ref(),
-            x.as_mut(),
-        );
-        trsm(
-            Side::Left,
-            Uplo::Upper,
-            Op::NoTrans,
-            Diag::NonUnit,
-            S::ONE,
-            square.as_ref(),
-            x.as_mut(),
-        );
+        trsm(Side::Left, Uplo::Upper, Op::ConjTrans, Diag::NonUnit, S::ONE, square, x.as_mut());
+        trsm(Side::Left, Uplo::Upper, Op::NoTrans, Diag::NonUnit, S::ONE, square, x.as_mut());
         let growth = polar_blas::nrm2::<S>(x.col(0));
         if growth == S::Real::ZERO || !growth.is_finite() {
             // R is numerically singular in this direction

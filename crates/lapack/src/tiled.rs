@@ -571,7 +571,10 @@ fn emit_identity<'a, S: Scalar>(dag: &mut TaskDag<'a>, q: TilePtr<'a, S>, rows: 
 /// Add `C := Q C` to `dag`, `Q` the factorization `f`'s and `c` of the
 /// same row tiling as `f.a`: the stored reflectors applied with the reverse
 /// `tsmqr`/`unmqr` sweep. The reads of `f` chain the sweep behind an
-/// [`emit_geqrf`] in the same dag. With `upper`, `C` is zero below its tile
+/// [`emit_geqrf`] in the same dag. `c` may be the top block of a larger
+/// matrix ([`TilePtr::top`]), whose stored last tile row is taller than
+/// `f.a`'s: every body works on `c.tiling().tile_rows(i)` rows of tile row
+/// `i`, the rows of `f.a`'s tile. With `upper`, `C` is zero below its tile
 /// diagonal (the identity [`emit_orgqr`] starts from), and panel `k` leaves
 /// the tile columns left of `k` alone: it would map their zeros to zeros.
 ///
@@ -592,12 +595,9 @@ pub fn emit_unmqr<'a, S: Scalar>(
     let (w, t) = (f.a, f.t);
     let tiling = w.tiling();
     let kt = tiling.mt().min(tiling.nt());
-    let cnt = c.tiling().nt();
-    assert_eq!(
-        c.tiling().mt(),
-        tiling.mt(),
-        "emit_unmqr: C and the factored matrix differ in tile rows"
-    );
+    let ct = c.tiling();
+    let cnt = ct.nt();
+    assert_eq!(ct.mt(), tiling.mt(), "emit_unmqr: C and the factored matrix differ in tile rows");
     let own = c.tiles.id == w.tiles.id;
     assert!(
         !own || (upper && c.tiles.row0 == w.tiles.row0 && f.structure != QrStructure::Dense),
@@ -614,7 +614,8 @@ pub fn emit_unmqr<'a, S: Scalar>(
             for j in cols.clone().filter(|&j| Some(j) != last).chain(last) {
                 let v2 = (Some(j) != last).then(|| w.read(i, k));
                 let access = (v2, t.read(i, k), c.write(i, j), c.write(k, j));
-                dag.add_on(KernelKind::Tsmqr, step, 4.0 * nb3, access, |(v2, t, c2, c1)| {
+                let (r2, r1) = (ct.tile_rows(i), ct.tile_rows(k));
+                dag.add_on(KernelKind::Tsmqr, step, 4.0 * nb3, access, move |(v2, t, c2, c1)| {
                     let aside;
                     let v2 = match v2 {
                         Some(v2) => v2,
@@ -624,18 +625,24 @@ pub fn emit_unmqr<'a, S: Scalar>(
                             &aside
                         }
                     };
-                    tsmqr_blocked(Op::NoTrans, v2, t, c1.as_mut(), c2.as_mut());
+                    let (c1, c2) =
+                        (c1.view_mut(0, 0, r1, c1.ncols()), c2.view_mut(0, 0, r2, c2.ncols()));
+                    tsmqr_blocked(Op::NoTrans, v2, t, c1, c2);
                 });
             }
         }
         if f.structure == QrStructure::Dense {
+            let rk = ct.tile_rows(k);
             for j in cols {
                 dag.add_on(
                     KernelKind::Unmqr,
                     step + 1,
                     2.0 * nb3,
                     (w.read(k, k), t.read(k, k), c.write(k, j)),
-                    |(v, t, c)| unmqr_tile_blocked(Op::NoTrans, v, t, c.as_mut()),
+                    move |(v, t, c)| {
+                        let c = c.view_mut(0, 0, rk, c.ncols());
+                        unmqr_tile_blocked(Op::NoTrans, v, t, c)
+                    },
                 );
             }
         }

@@ -2,7 +2,8 @@
 //! per-iteration convergence norms, of scalar `qdwh` solves (QDWH, and
 //! Zolo-PD at `terms` 4 and 8, and in double precision 3, whose last round
 //! of term workspaces is partly used, and the storage cases of its
-//! several-term Cholesky-based step) and of every entry of a batched wave
+//! several-term Cholesky-based step and of a QR-based step whose lift
+//! fills a padded last tile row) and of every entry of a batched wave
 //! (`batched-*`). "Bit-identical to another commit" is this example run on
 //! both trees and `cmp` on the two outputs.
 //!
@@ -88,8 +89,11 @@ fn cases<S: Scalar>(high: f64, zolo: &[usize], threads: usize) {
 /// `M`, in double precision: a certified Cholesky-only solve (`G` the
 /// start's, `M` in a term host's top half), one whose `G` the graph forms
 /// (a given `l_0`: no start Gram matrix), and a square ragged QR-first one
-/// (both in the term slots' top halves, their last tile row padded).
-fn zolo_storage<S: Scalar>(threads: usize) {
+/// (both in the term slots' top halves, their last tile row padded). And a
+/// QR-first QDWH solve of as many tile rows as tile columns but `m > n`
+/// inside the last one: its QR-based steps lift their product in term slot
+/// 0's top half, whose last tile row is padded past `m`.
+fn storage<S: Scalar>(threads: usize) {
     let input = |m, n, cond, seed| {
         let spec = MatrixSpec { m, n, cond, distribution: SigmaDistribution::Geometric, seed };
         generate::<S>(&spec).0
@@ -99,10 +103,11 @@ fn zolo_storage<S: Scalar>(threads: usize) {
     let storage_cases = [
         ("zolo-r4-certified", input(83, 47, 10.0, 31), zolo.clone()),
         ("zolo-r4-formed-gram", input(83, 47, 10.0, 32), formed),
-        ("zolo-r4-ragged-square", input(83, 83, 1e16, 33), zolo),
+        ("zolo-r4-ragged-square", input(83, 83, 1e16, 33), zolo.clone()),
+        ("qdwh-near-square", input(90, 83, 1e16, 34), QdwhOptions { terms: 1, ..zolo }),
     ];
     for (case, a, opts) in &storage_cases {
-        line(case, threads, &qdwh(a, opts).expect("zolo converges"));
+        line(case, threads, &qdwh(a, opts).expect("the solve converges"));
     }
 }
 
@@ -143,8 +148,8 @@ fn main() {
         rayon::ThreadPool::new(threads).install(|| {
             cases::<f64>(1e16, &[3, 4, 8], threads);
             cases::<Complex64>(1e16, &[3, 4, 8], threads);
-            zolo_storage::<f64>(threads);
-            zolo_storage::<Complex64>(threads);
+            storage::<f64>(threads);
+            storage::<Complex64>(threads);
             cases::<f32>(1e5, &[4, 8], threads);
             cases::<Complex32>(1e5, &[4, 8], threads);
             batched::<f64>(1e16, threads);

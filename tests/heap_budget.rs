@@ -6,7 +6,10 @@
 //! `n x n` slab, or allocates a workspace per term, fails here.
 //!
 //! The allocator counts the live bytes of the whole process, so this file
-//! holds one `#[test]`, and every solve runs on a pool of two workers.
+//! holds one `#[test]`, and every solve runs on a pool of two workers. Each
+//! case prints one line — its peak, buffers, allowance and the slack left
+//! under the allowance in `nb x nb` tiles — which `cargo test --test
+//! heap_budget -- --nocapture` shows.
 
 use polar::prelude::*;
 use polar_lapack::{QrStructure, TFactors, TILE_LANES};
@@ -70,7 +73,9 @@ struct Holds {
     m: usize,
     n: usize,
     nb: usize,
-    /// The iterate has a spare buffer: a QR-based or several-term step.
+    /// The iterate has a spare buffer: a several-term Cholesky-based step,
+    /// or a QR-based step of several rounds of slots or on more tile rows
+    /// than tile columns.
     spare: bool,
     /// Stacked term slots with their `T` factors (a QR-based step), and the
     /// `T` factors of the QR of `X`.
@@ -80,7 +85,8 @@ struct Holds {
     /// Cholesky hosts with a top half, `ceil(n / nb) nb x n`, for `M` or a
     /// Gram matrix.
     tops: usize,
-    /// Row slots of `V` (a one-term Cholesky-based step without a spare).
+    /// Row slots of `V` (a one-term Cholesky-based step without a spare or
+    /// a QR term slot).
     rows: bool,
 }
 
@@ -119,6 +125,8 @@ fn check<S: Scalar>(case: &str, a: &Matrix<S>, opts: &QdwhOptions, holds: Holds)
     let tile = slab::<S>(Tiling::new(nb, nb, nb, nb));
     let allowance = ALLOWANCE_TILES * tile + ALLOWANCE_PER_TASK * tasks;
     let seen = format!("{case}: peak {peak} B, buffers {buffers} B, {tasks} tasks");
+    let slack = (buffers + allowance) as f64 - peak as f64;
+    println!("{seen}, allowance {allowance} B: slack {:.1} tiles of {tile} B", slack / tile as f64);
     assert!(peak >= buffers, "{seen}: the solve holds less than its buffers");
     assert!(peak <= buffers + allowance, "{seen}: over the allowance of {allowance} B");
 }
@@ -135,13 +143,20 @@ fn a_solve_holds_its_buffers_and_a_few_tiles() {
     let holds = Holds { m, n, nb, spare: true, slots: 2, nn: 0, tops: 0, rows: false };
     check("zolo r = 8, QR first", &geometric::<f64>(m, n, 1e8, 1), &opts, holds);
 
-    // QR-first QDWH: one slot; its Cholesky-based steps write V in the spare
-    let holds = Holds { slots: 1, ..holds };
+    // square QR-first QDWH: one slot and one iterate buffer — the QR-based
+    // steps lift their product in the slot's top half, the Cholesky-based
+    // ones keep V there
+    let holds = Holds { slots: 1, spare: false, ..holds };
     check("qdwh, QR first", &geometric::<f64>(m, n, 1e16, 2), &tiled(nb), holds);
+
+    // tall QR-first QDWH: the lift has more tile rows than the slot's top
+    // half, so the QR-based steps write the spare, and V lives there
+    let (m, n) = (288, 96);
+    let holds = Holds { m, n, nb, spare: true, slots: 1, nn: 0, tops: 0, rows: false };
+    check("qdwh, tall QR first", &geometric::<f64>(m, n, 1e16, 5), &tiled(nb), holds);
 
     // certified tall c64 QDWH: one iterate buffer, row slots, the start's
     // Gram matrix and an n x n host
-    let (m, n) = (288, 96);
     let holds = Holds { m, n, nb, spare: false, slots: 0, nn: 2, tops: 0, rows: true };
     check("qdwh c64, certified", &geometric::<Complex64>(m, n, 10.0, 3), &tiled(nb), holds);
 
