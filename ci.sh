@@ -265,6 +265,29 @@ stage_lint() {
     done)
     test -z "$strays" || fail "docs name .rs files that do not exist: $strays"
 
+    step "docs name live code"
+    # a backticked a::b path in a design document names code a reader will
+    # grep for: its last segment (each name of an a::{b, c} group) must occur
+    # as a word in a non-comment line of some .rs file. Globbed names
+    # (gemm_all_ops_*) are not checked, nor fenced code blocks
+    local words
+    words=$(grep -rhvE '^\s*//' --include='*.rs' crates src tests examples benchmark/src \
+        | grep -oE '\b[A-Za-z_][A-Za-z0-9_]*\b' | sort -u)
+    strays=$(for doc in DESIGN.md README.md .claude/skills/verify/SKILL.md; do
+        perl -0777 -ne 's/^```.*?^```//gms;
+            while (/`([^`]*::[^`]*)`/g) {
+                my $code = $1;
+                while ($code =~ /\b(\w+(?:::\w+)*)::(?:\{([^}]*)\}|(\w+)(\*)?)/g) {
+                    my ($path, $group, $last, $glob) = ($1, $2, $3, $4);
+                    next if $glob;
+                    my @names = defined $group
+                        ? split(/\s*,\s*/, $group =~ s/^\s+|\s+$//gr) : ($last);
+                    print "$ARGV:$path\::$_ $_\n" for grep { /^\w+$/ } @names;
+                }
+            }' "$doc"
+    done | while read -r where name; do grep -qxF "$name" <<< "$words" || echo "$where"; done)
+    test -z "$strays" || fail "docs name code that is gone: $strays"
+
     step "docs cite open ROADMAP items"
     # a "ROADMAP item N" in code, this script or a design document names a
     # numbered item under ROADMAP.md's "Open items": a closed item's number

@@ -18,16 +18,15 @@
 
 use crate::graph::{run_graph, Workspace};
 use crate::options::{
-    graph_tile_nb, poll_progress, IterationKind, IterationPath, L0Strategy, ProgressHook,
-    QdwhOptions,
+    graph_tile_nb, poll_progress, IterationKind, IterationPath, L0Strategy, QdwhOptions,
 };
 use crate::params::{halley_parameters, update_ell};
 use crate::qdwh_impl::{IterationRecord, PolarDecomposition, QdwhError, QdwhInfo};
 use crate::solve_dag::{run_gram_start, Hooked, Iterate};
 use polar_blas::flops::type_factor;
 use polar_blas::{gemm, norm, symmetrize};
-use polar_lapack::{gecondest, getrf, norm2est, tr_sigma_min_est, trcondest, TFactors};
-use polar_matrix::{MatRef, Matrix, Norm, Op, ProcessGrid, TiledMatrix, Tiling};
+use polar_lapack::{gecondest, getrf, norm2est, tr_sigma_min_est, trcondest};
+use polar_matrix::{MatRef, Matrix, Norm, Op};
 use polar_scalar::{Real, Scalar};
 
 /// The share of a `sigma_min` estimate `l_0` keeps, so that roundoff and
@@ -124,50 +123,48 @@ fn gram_error<R: Real>(m: usize, sigma_hat: R) -> f64 {
     m as f64 * R::EPSILON.to_f64() / sigma_hat.to_f64().powi(2)
 }
 
-/// A bound `l_0` and the Gram matrix it was certified on.
-type Certified<S> = (<S as Scalar>::Real, TiledMatrix<S>);
-
-/// `l_0` certified on the Gram matrix, with that matrix, or `None`. Run
-/// only for a method whose step from `1 - eps` is Cholesky-based: `G = X^H
-/// X` is formed, a copy factored `G = R^H R` stopping at the first pivot
-/// below `tau = ell* / MARGIN` (`sigma_min(R) <= min_j r_jj`: such an `R`
-/// could never certify), and `sigma_hat` taken from `R` as from a QR's. It
-/// is trusted when the bound it gives starts the plan Cholesky-based,
-/// `MARGIN sigma_hat >= ell*`, and [`gram_error`] is small; the first step
-/// then reads `G` instead of forming its own.
+/// `l_0` certified on the Gram matrix, or `None`. Run only for a method
+/// whose step from `1 - eps` is Cholesky-based: `G = X^H X` is formed in the
+/// last term slot's top half ([`Workspace::gram_host`]), a copy factored `G
+/// = R^H R` in its bottom half, stopping at the first pivot below `tau =
+/// ell* / MARGIN` (`sigma_min(R) <= min_j r_jj`: such an `R` could never
+/// certify), and `sigma_hat` taken from `R` as from a QR's. It is trusted
+/// when the bound it gives starts the plan Cholesky-based, `MARGIN
+/// sigma_hat >= ell*`, and [`gram_error`] is small; the first step then
+/// reads `G` there instead of forming its own.
 fn gram_l0<S: Scalar, M: Method<S>>(
     x: &mut Iterate<S>,
+    ws: &mut Workspace<S>,
     method: &M,
-    hook: Option<&ProgressHook>,
-) -> Result<Option<Certified<S>>, QdwhError> {
+    opts: &QdwhOptions,
+) -> Result<Option<S::Real>, QdwhError> {
     let Some(ell_star) = cholesky_from::<S, M>(method) else {
         return Ok(None);
     };
     let xt = x.tiling();
+    let hook = opts.progress.as_ref();
     let hooked = Hooked { hook, first_iteration: 1, first_conv: M::FIRST_CONV, ells: &[0.0] };
-    let mut gram =
-        TiledMatrix::zeros(Tiling::new(xt.n(), xt.n(), xt.nb(), xt.nb()), ProcessGrid::single());
     let floor = S::Real::from_f64(ell_star / MARGIN);
-    let Some(r) = run_gram_start(x, &mut gram, floor, &hooked)? else {
+    let Some(r) = run_gram_start(x, ws, opts.terms, floor, &hooked)? else {
         return Ok(None);
     };
     let sigma_hat = tr_sigma_min_est(&r);
     let raw = sigma_hat * S::Real::from_f64(MARGIN);
     let trusted = raw.to_f64() >= ell_star && gram_error(xt.m(), sigma_hat) <= 0.1 * (1.0 - MARGIN);
-    Ok(trusted.then(|| (clamp_l0(raw), gram)))
+    Ok(trusted.then(|| clamp_l0(raw)))
 }
 
 /// Where a solve starts: the scale `alpha`, the scaled input tiled as the
-/// iterate, the bound `l_0`, — when `l_0` was certified on it — `X_0^H
-/// X_0`, and — when `l_0` was estimated on it and the first step factors
-/// `X_0` (a QR-based step) — the `T` factors of the tile QR of `X_0`, whose
-/// packed tiles the iterate holds in place of `X_0`.
+/// iterate, the bound `l_0` and the solve's [`Workspace`] — holding `X_0^H
+/// X_0` when `l_0` was certified on it, and, when `l_0` was estimated on
+/// it and the first step factors `X_0` (a QR-based step), the `T` factors
+/// of the tile QR of `X_0`, whose packed tiles the iterate holds in place
+/// of `X_0`.
 pub(crate) struct Start<S: Scalar> {
     pub alpha: S::Real,
     pub x: Iterate<S>,
     pub l0: S::Real,
-    pub gram: Option<TiledMatrix<S>>,
-    pub factor: Option<TFactors<S>>,
+    pub ws: Workspace<S>,
 }
 
 /// Algorithm 1 lines 10-19 for a dense input, at tile size `nb`: the
@@ -193,21 +190,22 @@ pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
     }
     // X_0 = A / alpha, tiled: the iterate from here on
     let mut x = Iterate::scaled(a, alpha.recip(), nb);
+    let mut ws = Workspace::default();
     let strategy = opts.l0_strategy;
     let certified = match opts.l0_override {
         None if strategy == L0Strategy::SigmaMinPowerIteration => {
-            gram_l0(&mut x, method, opts.progress.as_ref())?
+            gram_l0(&mut x, &mut ws, method, opts)?
         }
         _ => None,
     };
-    let (l0, gram, factor) = match (certified, opts.l0_override) {
-        (Some((l0, gram)), _) => (l0, Some(gram), None),
-        (None, Some(v)) => (S::Real::from_f64(v), None, None),
+    ws.gram_given = certified.is_some();
+    let l0 = match (certified, opts.l0_override) {
+        (Some(l0), _) => l0,
+        (None, Some(v)) => S::Real::from_f64(v),
         (None, None) => {
             // only the formulas read X_0 itself
             let dense = (strategy != L0Strategy::SigmaMinPowerIteration).then(|| x.to_dense());
-            let mut factor = None;
-            let mut r_of_x = || x.factor(&mut factor);
+            let mut r_of_x = || x.factor(&mut ws.factor);
             let l0 = match &dense {
                 Some(dense) => estimate_l0(dense.as_ref(), strategy, r_of_x),
                 None => sigma_min_l0(&r_of_x()),
@@ -215,13 +213,14 @@ pub(crate) fn scaled_start<S: Scalar, M: Method<S>>(
             // the same tiles through the same kernels: the first step's QR;
             // a Cholesky-based first step reads X_0, tiled again
             let qr_first = method.step_at(l0.to_f64()).kind == IterationKind::QrBased;
-            if factor.is_some() && !qr_first {
-                (x, factor) = (Iterate::scaled(a, alpha.recip(), nb), None);
+            if ws.factor.is_some() && !qr_first {
+                (x, ws.factor) = (Iterate::scaled(a, alpha.recip(), nb), None);
             }
-            (l0, None, factor)
+            ws.factor_given = ws.factor.is_some();
+            l0
         }
     };
-    Ok(Some(Start { alpha, x, l0, gram, factor }))
+    Ok(Some(Start { alpha, x, l0, ws }))
 }
 
 /// One partial-fraction term `weight * X (alpha X^H X + shift I)^{-1}` of a
@@ -483,13 +482,12 @@ pub(crate) fn solve<S: Scalar, M: Method<S>>(
     // is one.)
     poll_progress(hook, 1, M::FIRST_CONV, 0.0)?;
     let nb = graph_tile_nb(opts.tile_nb, n);
-    let Some(Start { alpha, mut x, l0, gram, factor }) = scaled_start(a, opts, method, nb)? else {
+    let Some(Start { alpha, mut x, l0, mut ws }) = scaled_start(a, opts, method, nb)? else {
         // zero matrix: U = leading identity block, H = 0
         return Ok(without_iterating(Matrix::identity(m, n), if opts.compute_h { n } else { 0 }));
     };
-    // the tiles are the iterate from here on, and they and the workspaces
+    // the tiles are the iterate from here on, and they and the workspace
     // outlive the graph that made them
-    let mut ws = Workspace::new(gram, factor);
     let mut info = QdwhInfo::started(alpha, l0);
     let mut ell = l0.to_f64();
     let mut conv = M::FIRST_CONV;

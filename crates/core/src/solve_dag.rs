@@ -11,13 +11,14 @@
 //! * the **Cholesky term** of a one-term step ([`emit_chol_term`], over a
 //!   `Z` formed by [`emit_gram`] or [`emit_shifted`]): tile Cholesky → one
 //!   `trtri_lower` per diagonal tile → per block of tile rows the two
-//!   sweeps that leave `V = X Z^{-1}` beside `X` and the update of `X` in
-//!   place;
+//!   sweeps that leave `V = X Z^{-1}` in a slot's top half and the update
+//!   of `X` from it ([`emit_update`]);
 //! * the **Cholesky-based step** of several terms, in `n x n` space: per
 //!   term the tile inverse `T_j = L_j^{-1}` of its factor
 //!   ([`emit_chol_inverse`]), then `M = x_coef I + sum_j w_j T_j^H T_j`
-//!   ([`emit_inverse_round`], a round of terms at a time) and `X M`, one
-//!   gemm over `X` ([`emit_apply`]);
+//!   ([`emit_inverse_round`], a round of terms at a time) and `X M`, per
+//!   block of tile rows one gemm per tile into `V` and a copy back
+//!   ([`emit_apply`]);
 //! * the **combine** ([`Combine`]): `x_coef X` — in `R` space in a QR-based
 //!   step's product tiles, in the update tasks behind a one-term Cholesky
 //!   step's sweeps;
@@ -34,12 +35,13 @@
 //! to. No body reaches for a tile by index, so none can touch one it did
 //! not declare.
 
+use crate::graph::Workspace;
 use crate::options::{poll_progress, ProgressHook};
 use crate::qdwh_impl::QdwhError;
 use polar_blas::{add, gemm, herk, mirror_triangle, scale_real, trmm};
 use polar_lapack::{
     emit_geqrf, emit_orgqr, emit_potrf, emit_unmqr, geqrf_tiles, packed_r, tile_nb3, trtri_lower,
-    LapackError, QrPtr, QrStructure, TFactors, TilePtr, TiledQr,
+    LapackError, QrPtr, QrStructure, TFactors, TilePtr,
 };
 use polar_matrix::{Diag, Matrix, Op, ProcessGrid, Side, TiledMatrix, Tiling, Uplo};
 use polar_runtime::{
@@ -159,15 +161,12 @@ impl Access for SinkSlot<'_> {
 }
 
 /// The iterate of one solve as its graphs see it: tiled once and kept tiled
-/// from one graph of the solve to the next. A one-term Cholesky-based step
-/// updates it in place, and so does a QR-based step whose terms run in one
-/// round of term slots on an `X` of no more tile rows than columns (its
-/// product and lift go through term slot 0's top half); a step that cannot
-/// — a several-term Cholesky-based one, a QR-based one of several rounds or
-/// on a taller `X` — writes the spare buffer, which then holds the iterate.
-/// The spare is allocated only for those, by the first graph that plans one
-/// ([`Iterate::bufs`]); the start's QR factors the iterate's own tiles
-/// ([`Iterate::factor`]).
+/// from one graph of the solve to the next. Every step updates it in place
+/// but a QR-based one whose terms take more than one round of term slots or
+/// whose `X` has more tile rows than tile columns: that step writes the
+/// spare buffer, which then holds the iterate. The spare is allocated only
+/// for such a step, by the first graph that plans one ([`Iterate::bufs`]);
+/// the start's QR factors the iterate's own tiles ([`Iterate::factor`]).
 pub(crate) struct Iterate<S: Scalar> {
     x: TiledMatrix<S>,
     spare: Option<TiledMatrix<S>>,
@@ -227,26 +226,14 @@ impl<S: Scalar> Iterate<S> {
     }
 }
 
-/// Tiling of the stacked `W` of an `n`-column iterate, `[R; 0; I]`, and the
-/// structure of its factorization.
-fn stacked(n: usize, nb: usize) -> (Tiling, QrStructure) {
-    let top_rows = n.div_ceil(nb) * nb;
-    (Tiling::new(top_rows + n, n, nb, nb), QrStructure::TriangularTop { top_rows })
-}
-
-/// Workspace of one term slot of a QR-based step at tile size `nb`: one
-/// stacked buffer, `(ceil(n / nb) nb + n) x n`, about twice a square `X`,
-/// with the `T` factors of its QR. It holds `W = [s R; 0; d I]`
-/// ([`emit_factored_step`], `R` the `n x n` upper triangular factor of the
-/// iterate), then its factored tiles, then that step's explicit `Q`,
-/// formed over them — and in a Cholesky-based step the term's `Z` in its
-/// bottom half ([`TermPtr::host`]), a several-term step's `M` or Gram
-/// matrix in its top one; in slot 0, with no spare buffer, the top half
-/// also holds a QR-based step's product and its lift (over `Q1`) and a
-/// one-term step's `V`. Allocated once per solve and reused by every round
-/// of terms of every iteration: the next round's `W` waits for this one's
-/// product tasks to read `Q`, an edge the dag infers from the tiles they
-/// share.
+/// Tiling of a term slot's stacked buffer for an `n`-column iterate at
+/// tile size `nb`, `(ceil(n / nb) nb + n) x n`, and the structure of a
+/// QR-based step's factorization of it: the buffer holds `W = [s R; 0; d
+/// I]` ([`emit_factored_step`], `R` the `n x n` upper triangular factor of
+/// the iterate), then its factored tiles, then that step's explicit `Q`,
+/// formed over them. Reused by every round of terms of every iteration: the
+/// next round's `W` waits for this one's product tasks to read `Q`, an edge
+/// the dag infers from the tiles they share.
 ///
 /// `R`'s rows are padded with zero rows to whole tiles, so the identity
 /// starts on a tile boundary whatever `n` is. The pad rows change nothing
@@ -257,36 +244,9 @@ fn stacked(n: usize, nb: usize) -> (Tiling, QrStructure) {
 /// triangular-tile windows apply to every shape
 /// ([`QrStructure::TriangularTop`]); and `Q2`'s tile `(tj, kc)` *is* `Q`'s
 /// tile `(nt + tj, kc)`, so the product tiles read `Q` in place.
-pub(crate) fn term_workspace<S: Scalar>(n: usize, nb: usize) -> TiledQr<S> {
-    let (wt, structure) = stacked(n, nb);
-    TiledQr::zeros(wt, structure)
-}
-
-/// A [`term_workspace`] as the tasks of one dag see it: registered as a
-/// shape, bound to storage by whoever executes the dag.
-#[derive(Clone, Copy)]
-pub(crate) struct TermPtr<'a, S: Scalar> {
-    w: QrPtr<'a, S>,
-}
-
-impl<'a, S: Scalar> TermPtr<'a, S> {
-    /// Arguments as for [`term_workspace`].
-    pub(crate) fn shape(dag: &mut TaskDag<'_>, n: usize, nb: usize) -> Self {
-        let (wt, structure) = stacked(n, nb);
-        Self { w: QrPtr::shape(dag, wt, structure) }
-    }
-
-    pub(crate) fn bind<'b>(self, ws: &'b mut TiledQr<S>) -> TermPtr<'b, S> {
-        TermPtr { w: self.w.bind(ws) }
-    }
-
-    /// The stacked buffer: in a Cholesky-based step a term's `Z` in its
-    /// bottom half, where `Q2` goes ([`CholPtr::within`]), and a several-term
-    /// step's `M` or Gram matrix, or a one-term step's `V`, in its top
-    /// ([`TilePtr::top`]).
-    pub(crate) fn host(self) -> TilePtr<'a, S> {
-        self.w.a
-    }
+pub(crate) fn stacked(n: usize, nb: usize) -> (Tiling, QrStructure) {
+    let top_rows = n.div_ceil(nb) * nb;
+    (Tiling::new(top_rows + n, n, nb, nb), QrStructure::TriangularTop { top_rows })
 }
 
 /// Workspace of one Cholesky term: `z`, `n x n`, whose lower tiles hold `Z`,
@@ -352,7 +312,7 @@ pub(crate) fn emit_factored_step<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
     f: QrPtr<'a, S>,
     given: bool,
-    slots: &[TermPtr<'a, S>],
+    slots: &[QrPtr<'a, S>],
     terms: &[(S::Real, S::Real, S)],
     out: Option<TilePtr<'a, S>>,
     combine: &Combine<'a, S>,
@@ -362,7 +322,7 @@ pub(crate) fn emit_factored_step<'a, S: Scalar>(
     }
     let lift = out.unwrap_or_else(|| {
         assert!(terms.len() <= slots.len(), "a QR-based step in place runs one round");
-        slots[0].host().top(f.a.tiling().m())
+        slots[0].a.top(f.a.tiling().m())
     });
     for (round, part) in rounds(terms.len(), slots.len()) {
         let mut qs = Vec::new();
@@ -414,16 +374,16 @@ pub(crate) fn rounds(r: usize, slots: usize) -> impl Iterator<Item = (Range<usiz
         .map(move |j| (j..r.min(j + slots), Part { first: j == 0, last: j + slots >= r }))
 }
 
-/// Add `[Q1; 0; Q2] R' = [s R; 0; d I]` to `dag`, in `ws`: the stack filled
-/// per tile from the upper triangle of the factored tiles `r`, then its
-/// tile QR and explicit `Q`, over the stack's own tiles.
+/// Add `[Q1; 0; Q2] R' = [s R; 0; d I]` to `dag`, in the slot `f` factors
+/// ([`stacked`]): the stack filled per tile from the upper triangle of the
+/// factored tiles `r`, then its tile QR and explicit `Q`, over the stack's
+/// own tiles.
 fn emit_stacked_q<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
-    ws: TermPtr<'a, S>,
+    f: QrPtr<'a, S>,
     r: TilePtr<'a, S>,
     (s, d): (S::Real, S::Real),
 ) {
-    let TermPtr { w: f } = ws;
     let w = f.a;
     let (nt, mtw, nbf) = (r.tiling().nt(), w.tiling().mt(), w.tiling().nb() as f64);
 
@@ -484,7 +444,7 @@ fn emit_stacked_q<'a, S: Scalar>(
 /// those of a separate `out`, and so are the bits.
 fn emit_product<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
-    qs: &[(TermPtr<'a, S>, S)],
+    qs: &[(QrPtr<'a, S>, S)],
     part: Part,
     out: TilePtr<'a, S>,
     over_q1: bool,
@@ -508,7 +468,7 @@ fn emit_product<'a, S: Scalar>(
             let rows: Vec<Vec<_>> = qs
                 .iter()
                 .enumerate()
-                .map(|(j, &(TermPtr { w }, _))| {
+                .map(|(j, &(w, _))| {
                     let q = w.a;
                     let q1 = move |kc| (!(own && j == 0 && kc == tj)).then(|| q.read(ti, kc));
                     (ti.max(tj)..nt).map(|kc| (q1(kc), q.read(nt + tj, kc))).collect()
@@ -674,13 +634,11 @@ fn emit_chol_factor<'a, S: Scalar>(
 /// X = x_coef X + weight V          (per tile, publishing |X' - X|_F^2)
 /// ```
 ///
-/// `V` lives in `v`, `s` tile rows of `nb` (the spare buffer or term slot
-/// 0's top half, `s = mt`, or row slots), tile row `ti` of `X` in row `ti %
-/// s`. Each row reads only
-/// itself, so the rows run in blocks of `s`, a block's tasks emitted before
-/// the next block's: the dag orders conflicting tasks by emission. `ws` is
-/// tiled at `X`'s `nb`. A `Z` that is not positive definite stores the
-/// error in `failure`, with the pivot's global index, and cancels the dag.
+/// `V` lives in `v`, `s` tile rows (a term slot's top half), tile row `ti`
+/// of `X` in row `ti % s`: each row reads only itself, so the rows run in
+/// [`blocks`] of `s`. `ws` is tiled at `X`'s `nb`. A `Z` that is not
+/// positive definite stores the error in `failure`, with the pivot's global
+/// index, and cancels the dag.
 ///
 /// The sweeps multiply by the inverted diagonal tiles of `L` where a solve
 /// would be: safe only for a well-conditioned `Z` (`polar_lapack`'s
@@ -696,13 +654,12 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
 ) {
     emit_chol_factor(dag, ws, failure);
     let z = ws.z;
-    let (x, x_coef) = (combine.x, combine.x_coef);
+    let x = combine.x;
     let xt = x.tiling();
     let (mtx, nt, s) = (xt.mt(), xt.nt(), v.tiling().mt());
-    let (nbf, nb3) = (xt.nb() as f64, tile_nb3::<S>(xt.nb()));
+    let nb3 = tile_nb3::<S>(xt.nb());
 
-    for block in (0..mtx).step_by(s) {
-        let rows = block..mtx.min(block + s);
+    for rows in blocks(mtx, s) {
         // X Z^{-1} by two sweeps over the tile columns, in place in `V`.
         // Forward, C L^H = X, tile columns ascending; then backward, V L =
         // C, descending — so each sweep's RAW edges bind to its own solved
@@ -749,25 +706,51 @@ pub(crate) fn emit_chol_term<'a, S: Scalar>(
                 }
             }
         }
+        emit_update(dag, v, rows, Some(weight), combine);
+    }
+}
 
-        // X = x_coef X + weight V, per tile of the block's rows
-        dag.barrier();
-        for tj in 0..nt {
-            for ti in rows.clone() {
-                let partial = combine.sink.partial(combine.iter, ti, tj);
-                let access = (x.write(ti, tj), v.read(ti % s, tj), partial);
-                dag.add_on(KernelKind::Geadd, 0, nbf * nbf, access, move |(xt, vt, partial)| {
-                    let mut acc = S::Real::ZERO;
-                    for c in 0..xt.ncols() {
-                        for r in 0..xt.nrows() {
-                            let next = x_coef * xt[(r, c)] + weight * vt[(r, c)];
-                            acc += (next - xt[(r, c)]).abs_sq();
-                            xt[(r, c)] = next;
-                        }
+/// Tile rows `0..mt` of `X` in blocks of `s`, the tile rows of the `V` a
+/// step writes `X` from: a block's tasks are emitted before the next
+/// block's, which reuses `V`'s rows — the dag orders conflicting tasks by
+/// emission. (Emit every block's forward sweeps first and a row reads
+/// another row's `V`.)
+fn blocks(mt: usize, s: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..mt).step_by(s).map(move |b| b..mt.min(b + s))
+}
+
+/// Add the update of tile rows `rows` of `X` (`combine.x`) from `v`, tile
+/// row `ti` in row `ti % s`: one task per tile writes `x_coef X + weight V`
+/// over `X` — or, with no `weight`, `V` itself, a copy, so no sign of a
+/// zero moves — and publishes its convergence partial `|X' - X|_F^2`.
+fn emit_update<'a, S: Scalar>(
+    dag: &mut TaskDag<'a>,
+    v: TilePtr<'a, S>,
+    rows: Range<usize>,
+    weight: Option<S>,
+    combine: &Combine<'a, S>,
+) {
+    let (x, x_coef, s) = (combine.x, combine.x_coef, v.tiling().mt());
+    let nbf = x.tiling().nb() as f64;
+    dag.barrier();
+    for tj in 0..x.tiling().nt() {
+        for ti in rows.clone() {
+            let partial = combine.sink.partial(combine.iter, ti, tj);
+            let access = (x.write(ti, tj), v.read(ti % s, tj), partial);
+            dag.add_on(KernelKind::Geadd, 0, nbf * nbf, access, move |(xt, vt, partial)| {
+                let mut acc = S::Real::ZERO;
+                for c in 0..xt.ncols() {
+                    for r in 0..xt.nrows() {
+                        let next = match weight {
+                            Some(w) => x_coef * xt[(r, c)] + w * vt[(r, c)],
+                            None => vt[(r, c)],
+                        };
+                        acc += (next - xt[(r, c)]).abs_sq();
+                        xt[(r, c)] = next;
                     }
-                    partial.publish(acc);
-                });
-            }
+                }
+                partial.publish(acc);
+            });
         }
     }
 }
@@ -889,46 +872,44 @@ pub(crate) fn emit_inverse_round<'a, S: Scalar>(
     }
 }
 
-/// Add `out = X M` to `dag`, `M` Hermitian with its lower tiles in `m`
-/// (above the diagonal, `M_kj = M_jk^H`; logical rows only, as in
-/// [`emit_inverse_round`]): one task per tile of `out`, accumulating over
-/// `X`'s tile columns in order, which publishes the tile's convergence
-/// partial `|out - X|_F^2` for iteration `iter`.
+/// Add `X' = X M` to `dag`, over `combine.x` in place, `M` Hermitian with
+/// its lower tiles in `m` (above the diagonal, `M_kj = M_jk^H`; logical rows
+/// only, as in [`emit_inverse_round`]): per [`blocks`] of `v`'s tile rows,
+/// one task per tile of `V` accumulating `X_ik M_kj` over `X`'s tile
+/// columns in order, then one copy of `V` over each tile of `X`, which
+/// publishes the tile's convergence partial ([`emit_update`]). Tile row `ti`
+/// of `X'` reads tile row `ti` of `X` only.
 pub(crate) fn emit_apply<'a, S: Scalar>(
     dag: &mut TaskDag<'a>,
-    x: TilePtr<'a, S>,
     m: TilePtr<'a, S>,
-    out: TilePtr<'a, S>,
-    sink: &'a NormSink,
-    iter: usize,
+    v: TilePtr<'a, S>,
+    combine: &Combine<'a, S>,
 ) {
-    let (xt, mt) = (x.tiling(), m.tiling());
+    let x = combine.x;
+    let (xt, mt, s) = (x.tiling(), m.tiling(), v.tiling().mt());
     let nt = xt.nt();
     let flops = 2.0 * nt as f64 * tile_nb3::<S>(xt.nb());
-    dag.barrier();
-    for tj in 0..nt {
-        for ti in 0..xt.mt() {
-            let pairs: Vec<_> =
-                (0..nt).map(|k| (x.read(ti, k), m.read(k.max(tj), k.min(tj)))).collect();
-            let access = (out.write(ti, tj), pairs, sink.partial(iter, ti, tj));
-            dag.add_on(KernelKind::Gemm, 0, flops, access, move |(o, pairs, partial)| {
-                o.fill(S::ZERO);
-                for (k, (xik, mkj)) in pairs.iter().enumerate() {
-                    let op = if k >= tj { Op::NoTrans } else { Op::ConjTrans };
-                    let (a, b) = (k.max(tj), k.min(tj));
-                    let mkj = mkj.view(0, 0, mt.tile_rows(a), mt.tile_cols(b));
-                    gemm(Op::NoTrans, op, S::ONE, xik.as_ref(), mkj, S::ONE, o.as_mut());
-                }
-                let xi = pairs[tj].0;
-                let mut acc = S::Real::ZERO;
-                for c in 0..o.ncols() {
-                    for r in 0..o.nrows() {
-                        acc += (o[(r, c)] - xi[(r, c)]).abs_sq();
+    for rows in blocks(xt.mt(), s) {
+        dag.barrier();
+        for tj in 0..nt {
+            for ti in rows.clone() {
+                let pairs: Vec<_> =
+                    (0..nt).map(|k| (x.read(ti, k), m.read(k.max(tj), k.min(tj)))).collect();
+                let (r, c) = (xt.tile_rows(ti), xt.tile_cols(tj));
+                let access = (v.write(ti % s, tj), pairs);
+                dag.add_on(KernelKind::Gemm, 0, flops, access, move |(o, pairs)| {
+                    let mut o = o.view_mut(0, 0, r, c);
+                    o.fill(S::ZERO);
+                    for (k, (xik, mkj)) in pairs.into_iter().enumerate() {
+                        let op = if k >= tj { Op::NoTrans } else { Op::ConjTrans };
+                        let (a, b) = (k.max(tj), k.min(tj));
+                        let mkj = mkj.view(0, 0, mt.tile_rows(a), mt.tile_cols(b));
+                        gemm(Op::NoTrans, op, S::ONE, xik.as_ref(), mkj, S::ONE, o.rb());
                     }
-                }
-                partial.publish(acc);
-            });
+                });
+            }
         }
+        emit_update(dag, v, rows, None, combine);
     }
 }
 
@@ -962,83 +943,100 @@ pub(crate) fn emit_shifted<'a, S: Scalar>(
 }
 
 /// The start stage's graphs ([`crate::skeleton::scaled_start`]) on the
-/// scaled input `x`, tiled as the iterate:
+/// scaled input `x`, tiled as the iterate, in the stacked buffer of the
+/// last term slot of a step of `terms` terms ([`Workspace::gram_host`]):
 ///
 /// ```text
-/// G = X^H X          (emit_gram, lower tiles, into `gram`)
-/// G = L L^H          (tile Cholesky of a copy, stopping at a pivot < floor)
+/// G = X^H X          (emit_gram, lower tiles, into the top half)
+/// G = L L^H          (tile Cholesky of a copy in the bottom half, stopping
+///                     at a pivot < floor)
 /// ```
 ///
 /// `Some(R)`, `R = L^H` (`n x n`, upper triangular: `R^H R = X^H X`, what
 /// a QR of `X` would give up to the signs of its rows), when every pivot of
 /// `L` is at least `floor`; `None` when one is not, or `G` is numerically
 /// indefinite — both cancel the graph at that diagonal tile. A cancel by
-/// the hook is an error. `gram` keeps `G` for the first step to read.
+/// the hook is an error. The top half keeps `G` for the first step to read.
 ///
 /// The leading diagonal tile goes first, as a graph of its own over `X`'s
-/// first tile column: the executor ranks every Gram tile above the
-/// factorization's panel chain (its path to the sink is longer), so a
-/// whole-matrix graph forms all of `G` before its first pivot, while an
-/// ill-conditioned input's pivots fall below the floor within the first
-/// tile. That probe declines such a start for one tile column's Gram.
+/// first tile column, before the slot is allocated: the executor ranks every
+/// Gram tile above the factorization's panel chain (its path to the sink is
+/// longer), so a whole-matrix graph forms all of `G` before its first
+/// pivot, while an ill-conditioned input's pivots fall below the floor
+/// within the first tile. That probe declines such a start for one tile
+/// column's Gram.
 pub(crate) fn run_gram_start<S: Scalar>(
     x: &mut Iterate<S>,
-    gram: &mut TiledMatrix<S>,
+    ws: &mut Workspace<S>,
+    terms: usize,
     floor: S::Real,
     hooked: &Hooked<'_>,
 ) -> Result<Option<Matrix<S>>, QdwhError> {
     let xt = x.tiling();
     let _span = polar_obs::span!("gram_start", xt.m(), xt.n());
+    let (n, nb) = (xt.n(), xt.nb());
+    let single = ProcessGrid::single;
     if xt.nt() > 1 {
-        let (m, nb) = (xt.m(), xt.nb());
-        let mut lead = TiledMatrix::zeros(Tiling::new(m, nb, nb, nb), ProcessGrid::single());
+        let mut lead = TiledMatrix::zeros(Tiling::new(xt.m(), nb, nb, nb), single());
         for (i, tile) in lead.tiles_mut().iter_mut().enumerate() {
             tile.copy_from(x.x.tile(i, 0));
         }
-        let mut g00 = TiledMatrix::zeros(Tiling::new(nb, nb, nb, nb), ProcessGrid::single());
-        if factor_gram(&mut lead, &mut g00, floor, hooked)?.is_none() {
+        let mut h00 = TiledMatrix::zeros(stacked(nb, nb).0, single());
+        if !factor_gram(&mut lead, &mut h00, floor, hooked)? {
             return Ok(None);
         }
     }
-    let Some(l) = factor_gram(&mut x.x, gram, floor, hooked)? else {
+    // R's buffer before the slot's: freed once the start has read it, it
+    // leaves a hole beside the slot, and at the end of the solve the two
+    // free blocks are one that the dense m x n U fits in (glibc's placement:
+    // allocated after the slot, its hole is taken by the graph's small
+    // blocks and U extends the heap; EXPERIMENTS.md, "One workspace rule")
+    let mut r = Matrix::zeros(n, n);
+    let host = ws.gram_host(xt, terms);
+    if !factor_gram(&mut x.x, host, floor, hooked)? {
         return Ok(None);
-    };
-    // R = L^H straight from L's tiles, which go with this frame
-    let (n, nb) = (xt.n(), xt.nb());
-    let r = |i, j| l.tile(j / nb, i / nb)[(j % nb, i % nb)].conj();
-    Ok(Some(Matrix::from_fn(n, n, |i, j| if i <= j { r(i, j) } else { S::ZERO })))
+    }
+    // R = L^H straight from L's tiles, the bottom half's
+    let l = |i: usize, j: usize| host.tile(n.div_ceil(nb) + i / nb, j / nb)[(i % nb, j % nb)];
+    for j in 0..n {
+        for i in 0..=j {
+            r[(i, j)] = l(j, i).conj();
+        }
+    }
+    Ok(Some(r))
 }
 
-/// One graph: `G = X^H X` of the tiles `x` into `gram` and a copy of it
-/// factored, `G = L L^H`, stopping at the first pivot below `floor`. `L`
-/// (lower tiles) if every pivot held.
+/// One graph: `G = X^H X` of the tiles `x` into the top half of the stacked
+/// buffer `host` and a copy of it factored in the bottom half, `G = L L^H`,
+/// stopping at the first pivot below `floor`. Whether every pivot held.
 fn factor_gram<S: Scalar>(
     x: &mut TiledMatrix<S>,
-    gram: &mut TiledMatrix<S>,
+    host: &mut TiledMatrix<S>,
     floor: S::Real,
     hooked: &Hooked<'_>,
-) -> Result<Option<TiledMatrix<S>>, QdwhError> {
-    let gt = gram.tiling();
-    let nbf = gt.nb() as f64;
-    let mut l = TiledMatrix::zeros(gt, ProcessGrid::single());
+) -> Result<bool, QdwhError> {
+    let (n, nbf) = (x.tiling().n(), x.tiling().nb() as f64);
     let failure = OnceLock::<LapackError>::new();
     let sink = NormSink::new(0, x.tiling());
 
     let mut dag = TaskDag::new();
-    let xp = TilePtr::new(&mut dag, x);
-    let (g, lp) = (TilePtr::new(&mut dag, gram), TilePtr::new(&mut dag, &mut l));
+    let (xp, h) = (TilePtr::new(&mut dag, x), TilePtr::new(&mut dag, host));
+    let (g, l) = (h.top(n), CholPtr::within(h).z);
     emit_gram(&mut dag, xp, g, S::Real::ONE, S::Real::ZERO);
     dag.barrier();
-    for j in 0..gt.nt() {
-        for i in j..gt.nt() {
-            let access = (lp.write(i, j), g.read(i, j));
-            dag.add_on(KernelKind::Geadd, 3, nbf * nbf, access, |(lt, gt)| lt.copy_from(gt));
+    for j in 0..l.tiling().nt() {
+        for i in j..l.tiling().nt() {
+            let access = (l.write(i, j), g.read(i, j));
+            dag.add_on(KernelKind::Geadd, 3, nbf * nbf, access, |(lt, gt)| {
+                let (r, c) = (lt.nrows(), lt.ncols());
+                lt.as_mut().copy_from(gt.view(0, 0, r, c));
+            });
         }
     }
-    emit_potrf(&mut dag, lp, &failure, floor);
+    emit_potrf(&mut dag, l, &failure, floor);
     match execute_hooked(dag, hooked, &sink, &failure) {
-        Ok(_) => Ok(Some(l)),
-        Err(QdwhError::Lapack(_)) => Ok(None),
+        Ok(_) => Ok(true),
+        Err(QdwhError::Lapack(_)) => Ok(false),
         Err(e) => Err(e),
     }
 }
@@ -1108,6 +1106,21 @@ mod tests {
         num / den
     }
 
+    /// A term slot's stacked buffer and the `T` factors of its QR.
+    fn slot<S: Scalar>(n: usize, nb: usize) -> (TiledMatrix<S>, TFactors<S>) {
+        let (wt, structure) = stacked(n, nb);
+        (TiledMatrix::zeros(wt, ProcessGrid::single()), TFactors::zeros(wt, structure))
+    }
+
+    fn slot_in<'a, S: Scalar>(
+        dag: &mut TaskDag<'a>,
+        (w, t): &'a mut (TiledMatrix<S>, TFactors<S>),
+    ) -> QrPtr<'a, S> {
+        let structure = stacked(w.tiling().n(), w.tiling().nb()).1;
+        let w = TilePtr::new(dag, w);
+        QrPtr::over(dag, w, structure).bind_t(t)
+    }
+
     /// A term over `R` at the scale of QDWH's first iteration from `l0 ~
     /// 1e-16` (`sqrt(c) ~ 1e8`), on shapes whose `n` is not a whole number of
     /// tiles: with the identity on a tile boundary the tile QR of `[s R; 0;
@@ -1142,7 +1155,7 @@ mod tests {
             let grid = ProcessGrid::single;
             let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
             let mut t = TFactors::zeros(xt.tiling(), QrStructure::Dense);
-            let mut ws = term_workspace::<f64>(n, nb);
+            let mut ws = slot::<f64>(n, nb);
             let mut out = TiledMatrix::<f64>::zeros(xt.tiling(), grid());
             let mut qx = TiledMatrix::from_dense(&Matrix::identity(m, n), nb, nb, grid());
             let mut sink = NormSink::new(1, xt.tiling());
@@ -1150,7 +1163,7 @@ mod tests {
             sink.name_in(&mut dag);
             let xp = TilePtr::new(&mut dag, &mut xt);
             let f = QrPtr::over(&mut dag, xp, QrStructure::Dense).bind_t(&mut t);
-            let term = TermPtr::shape(&mut dag, n, nb).bind(&mut ws);
+            let term = slot_in(&mut dag, &mut ws);
             let op = TilePtr::new(&mut dag, &mut out);
             let combine = Combine { x: xp, x_coef: 0.0, sink: &sink, iter: 0 };
             emit_factored_step(&mut dag, f, false, &[term], &[(s, 1.0, 1.0)], Some(op), &combine);
@@ -1171,7 +1184,7 @@ mod tests {
             let flat = q1_residual(&r, s, &q1, &q2);
 
             let top = n.div_ceil(nb) * nb;
-            let q = ws.a.to_dense();
+            let q = ws.0.to_dense();
             let (q1, q2) = (q.submatrix_owned(0, 0, n, n), q.submatrix_owned(top, 0, n, n));
             let tiled = q1_residual(&r, s, &q1, &q2);
             assert!(tiled <= 8.0 * flat, "{m}x{n} nb {nb}: tile QR {tiled:e} vs flat {flat:e}");
@@ -1220,7 +1233,7 @@ mod tests {
         let grid = ProcessGrid::single;
         let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
         let mut t = TFactors::zeros(xt.tiling(), QrStructure::Dense);
-        let mut wss: Vec<_> = (0..r).map(|_| term_workspace::<S>(n, nb)).collect();
+        let mut wss: Vec<_> = (0..r).map(|_| slot::<S>(n, nb)).collect();
         let mut out = TiledMatrix::<S>::zeros(xt.tiling(), grid());
         let mut sink = NormSink::new(1, xt.tiling());
         let mut dag = TaskDag::new();
@@ -1229,8 +1242,7 @@ mod tests {
         let f = QrPtr::over(&mut dag, xp, QrStructure::Dense).bind_t(&mut t);
         let applied: Vec<_> = step.terms.iter().map(|t| t.applied(step.kind)).collect();
         let real = S::Real::from_f64;
-        let slots: Vec<_> =
-            wss.iter_mut().map(|ws| TermPtr::shape(&mut dag, n, nb).bind(ws)).collect();
+        let slots: Vec<_> = wss.iter_mut().map(|ws| slot_in(&mut dag, ws)).collect();
         let terms: Vec<_> =
             applied.iter().map(|a| (real(a.0), real(a.1), S::from_f64(a.2))).collect();
         let op = TilePtr::new(&mut dag, &mut out);
@@ -1335,8 +1347,8 @@ mod tests {
             sum
         });
 
-        // X M
-        let mut out = TiledMatrix::<S>::zeros(xt.tiling(), grid());
+        // X M, in place through a V of X's tiling
+        let mut v = TiledMatrix::<S>::zeros(xt.tiling(), grid());
         let mut sink = NormSink::new(1, xt.tiling());
         let mut dag = TaskDag::new();
         sink.name_in(&mut dag);
@@ -1350,10 +1362,11 @@ mod tests {
             terms.push((ws, real(t.weight)));
         }
         emit_inverse_sum(&mut dag, &terms, real(step.x_coef), g);
-        let op = TilePtr::new(&mut dag, &mut out);
-        emit_apply(&mut dag, xp, g, op, &sink, 0);
+        let vp = TilePtr::new(&mut dag, &mut v);
+        let combine = Combine { x: xp, x_coef: S::ZERO, sink: &sink, iter: 0 };
+        emit_apply(&mut dag, g, vp, &combine);
         assert_eq!(dag.execute(), ExecOutcome::Completed);
-        let applied = out.to_dense();
+        let applied = xt.to_dense();
 
         let mut worst = 0.0f64;
         for j in 0..n {
@@ -1378,11 +1391,11 @@ mod tests {
         }
     }
 
-    /// A several-term step's `X M` with `G` and `M` in two term hosts' top
-    /// blocks ([`TilePtr::top`], the last tile row padded) and with them in
-    /// slabs of their own: the same bits. The hosts start as NaN, so a body
-    /// that read a padding row would poison `X M`, and one that wrote it
-    /// would leave a number there.
+    /// A several-term step's `X M` with `G` and `M` in two term slots' top
+    /// blocks ([`TilePtr::top`], the last tile row padded) and `V` where `G`
+    /// was, and with the three in slabs of their own: the same bits. The
+    /// slots start as NaN, so a body that read a padding row would poison
+    /// `X M`, and one that wrote `M`'s would leave a number there.
     fn x_m_over_padded_tops<S: Scalar>(m: usize, n: usize, nb: usize) {
         let spec =
             MatrixSpec { m, n, cond: 1e3, distribution: SigmaDistribution::Geometric, seed: 3 };
@@ -1399,7 +1412,7 @@ mod tests {
             let (mut hosts, mut g, mut mm) =
                 ([nan(), nan()], TiledMatrix::zeros(nn, grid()), TiledMatrix::zeros(nn, grid()));
             let mut xt = TiledMatrix::from_dense(&x, nb, nb, grid());
-            let mut out = TiledMatrix::<S>::zeros(xt.tiling(), grid());
+            let mut v = TiledMatrix::<S>::zeros(xt.tiling(), grid());
             let mut sink = NormSink::new(1, xt.tiling());
             let failure = OnceLock::new();
             let mut dag = TaskDag::new();
@@ -1407,10 +1420,11 @@ mod tests {
             let xp = TilePtr::new(&mut dag, &mut xt);
             let [h0, h1] = &mut hosts;
             let (h0, h1) = (TilePtr::new(&mut dag, h0), TilePtr::new(&mut dag, h1));
-            let (g, mp) = if padded {
-                (h1.top(n), h0.top(n))
+            let (g, mp, vp) = if padded {
+                (h1.top(n), h0.top(n), h1.top(n))
             } else {
-                (TilePtr::new(&mut dag, &mut g), TilePtr::new(&mut dag, &mut mm))
+                let (g, mp) = (TilePtr::new(&mut dag, &mut g), TilePtr::new(&mut dag, &mut mm));
+                (g, mp, TilePtr::new(&mut dag, &mut v))
             };
             emit_gram(&mut dag, xp, g, S::Real::ONE, S::Real::ZERO);
             let terms: Vec<_> = [(h0, 2.0, 0.5), (h1, 0.5, 0.25)]
@@ -1423,18 +1437,18 @@ mod tests {
                 })
                 .collect();
             emit_inverse_sum(&mut dag, &terms, real(0.75), mp);
-            let op = TilePtr::new(&mut dag, &mut out);
-            emit_apply(&mut dag, xp, mp, op, &sink, 0);
+            let combine = Combine { x: xp, x_coef: S::ZERO, sink: &sink, iter: 0 };
+            emit_apply(&mut dag, mp, vp, &combine);
             assert_eq!(dag.execute(), ExecOutcome::Completed);
-            let pad: Vec<S> = hosts
-                .iter()
-                .flat_map(|h| (0..h.nt()).map(move |j| h.tile(h.nt() - 1, j)))
+            let h0 = &hosts[0];
+            let pad: Vec<S> = (0..h0.nt())
+                .map(|j| h0.tile(h0.nt() - 1, j))
                 .flat_map(|t| {
                     (n - (top - t.nrows())..t.nrows())
                         .flat_map(move |i| (0..t.ncols()).map(move |j| t[(i, j)]))
                 })
                 .collect();
-            let out = out.to_dense();
+            let out = xt.to_dense();
             assert!(!out.has_non_finite(), "padded {padded}");
             let bits: Vec<_> = out
                 .as_slice()
@@ -1445,7 +1459,7 @@ mod tests {
         };
         let ((padded, pad), (own, _)) = (run(true), run(false));
         assert!(padded == own, "{} {m}x{n} nb {nb}", S::TYPE_TAG);
-        assert!(pad.len() == 2 * (top - n) * n && pad.iter().all(|v| v.re().to_f64().is_nan()));
+        assert!(pad.len() == (top - n) * n && pad.iter().all(|v| v.re().to_f64().is_nan()));
     }
 
     #[test]

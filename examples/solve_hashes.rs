@@ -2,8 +2,8 @@
 //! per-iteration convergence norms, of scalar `qdwh` solves (QDWH, and
 //! Zolo-PD at `terms` 4 and 8, and in double precision 3, whose last round
 //! of term workspaces is partly used, and the storage cases of its
-//! several-term Cholesky-based step and of a QR-based step whose lift
-//! fills a padded last tile row) and of every entry of a batched wave
+//! several-term Cholesky-based step — one of them tall — and of a QR-based
+//! step whose lift fills a padded last tile row) and of every entry of a batched wave
 //! (`batched-*`). "Bit-identical to another commit" is this example run on
 //! both trees and `cmp` on the two outputs.
 //!
@@ -71,8 +71,8 @@ fn cases<S: Scalar>(high: f64, zolo: &[usize], threads: usize) {
         ("qdwh-force-chol", input(83, 47, 1e3, 5), forced(IterationPath::ForceCholesky)),
         // kappa = 10 plans three steps and converges in four
         ("qdwh-continuation", input(72, 48, 10.0, 6), tiled.clone()),
-        // Cholesky-only and taller than its row slots: V in two blocks of
-        // four tile rows, the last one ragged
+        // Cholesky-only and taller than its term slot's top half: V in four
+        // blocks of two tile rows, the last one a ragged tile row alone
         ("qdwh-chol-tall", input(200, 40, 10.0, 7), tiled.clone()),
     ];
     for (case, a, opts) in &qdwh_cases {
@@ -92,7 +92,9 @@ fn cases<S: Scalar>(high: f64, zolo: &[usize], threads: usize) {
 /// (both in the term slots' top halves, their last tile row padded). And a
 /// QR-first QDWH solve of as many tile rows as tile columns but `m > n`
 /// inside the last one: its QR-based steps lift their product in term slot
-/// 0's top half, whose last tile row is padded past `m`.
+/// 0's top half, whose last tile row is padded past `m`. And a certified
+/// three-term solve of a tall `X`: its last round of slots is partly used,
+/// and its `X M` runs through `V` in four blocks of slot 1's top half.
 fn storage<S: Scalar>(threads: usize) {
     let input = |m, n, cond, seed| {
         let spec = MatrixSpec { m, n, cond, distribution: SigmaDistribution::Geometric, seed };
@@ -104,7 +106,8 @@ fn storage<S: Scalar>(threads: usize) {
         ("zolo-r4-certified", input(83, 47, 10.0, 31), zolo.clone()),
         ("zolo-r4-formed-gram", input(83, 47, 10.0, 32), formed),
         ("zolo-r4-ragged-square", input(83, 83, 1e16, 33), zolo.clone()),
-        ("qdwh-near-square", input(90, 83, 1e16, 34), QdwhOptions { terms: 1, ..zolo }),
+        ("qdwh-near-square", input(90, 83, 1e16, 34), QdwhOptions { terms: 1, ..zolo.clone() }),
+        ("zolo-r3-chol-tall", input(200, 40, 10.0, 35), QdwhOptions { terms: 3, ..zolo }),
     ];
     for (case, a, opts) in &storage_cases {
         line(case, threads, &qdwh(a, opts).expect("the solve converges"));

@@ -1,9 +1,9 @@
 //! The heap a solve holds: its peak live heap against the buffers the
 //! workspace rule (DESIGN.md §12) says it holds — the iterate, its spare,
-//! the term slots, the `T` slabs of the QR factorizations, the row slots of
-//! `V`, the start's Gram matrix, a Cholesky host — computed from the
-//! tilings, plus a fixed transient allowance. A solve that keeps one more
-//! `n x n` slab, or allocates a workspace per term, fails here.
+//! the term slots and, for a QR-based step, the `T` slabs of the QR
+//! factorizations — computed from the tilings, plus a fixed transient
+//! allowance. A solve that keeps one more `n x n` slab, or allocates a
+//! workspace per term, fails here.
 //!
 //! The allocator counts the live bytes of the whole process, so this file
 //! holds one `#[test]`, and every solve runs on a pool of two workers. Each
@@ -12,7 +12,7 @@
 //! heap_budget -- --nocapture` shows.
 
 use polar::prelude::*;
-use polar_lapack::{QrStructure, TFactors, TILE_LANES};
+use polar_lapack::{QrStructure, TFactors};
 use polar_matrix::Tiling;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -67,27 +67,20 @@ fn slab<S: Scalar>(t: Tiling) -> usize {
     t.m() * t.n() * std::mem::size_of::<S>()
 }
 
-/// What a solve of an `m x n` matrix at tile size `nb` holds.
+/// What a solve of an `m x n` matrix at tile size `nb` holds: the rule.
 #[derive(Clone, Copy)]
 struct Holds {
     m: usize,
     n: usize,
     nb: usize,
-    /// The iterate has a spare buffer: a several-term Cholesky-based step,
-    /// or a QR-based step of several rounds of slots or on more tile rows
-    /// than tile columns.
+    /// The iterate has a spare buffer: a QR-based step of more terms than
+    /// slots or on more tile rows than tile columns.
     spare: bool,
-    /// Stacked term slots with their `T` factors (a QR-based step), and the
-    /// `T` factors of the QR of `X`.
+    /// Term slots, each one stacked buffer `(ceil(n / nb) nb + n) x n`.
     slots: usize,
-    /// `n x n` slabs besides them: the start's Gram matrix, Cholesky hosts.
-    nn: usize,
-    /// Cholesky hosts with a top half, `ceil(n / nb) nb x n`, for `M` or a
-    /// Gram matrix.
-    tops: usize,
-    /// Row slots of `V` (a one-term Cholesky-based step without a spare or
-    /// a QR term slot).
-    rows: bool,
+    /// A step is QR-based: the slots' `T` factors, and those of the QR of
+    /// `X`.
+    qr: bool,
 }
 
 impl Holds {
@@ -98,14 +91,10 @@ impl Holds {
         let stacked = tiles(top + n);
         let w_t = TFactors::<S>::zeros(stacked, QrStructure::TriangularTop { top_rows: top });
         let x_t = TFactors::<S>::zeros(x, QrStructure::Dense).bytes();
-        let slots =
-            self.slots * (slab::<S>(stacked) + w_t.bytes()) + (self.slots > 0) as usize * x_t;
-        let rows = tiles(m.div_ceil(nb).min(2 * TILE_LANES) * nb);
+        let t = |bytes: usize| if self.qr { bytes } else { 0 };
         slab::<S>(x) * (1 + self.spare as usize)
-            + slots
-            + (self.nn + self.tops) * slab::<S>(tiles(n))
-            + self.tops * slab::<S>(tiles(top))
-            + self.rows as usize * slab::<S>(rows)
+            + self.slots * (slab::<S>(stacked) + t(w_t.bytes()))
+            + t(x_t)
     }
 }
 
@@ -136,34 +125,33 @@ fn a_solve_holds_its_buffers_and_a_few_tiles() {
     let tiled = |nb| QdwhOptions { tile_nb: Some(nb), ..Default::default() };
     let nb = 48;
 
-    // QR-first Zolo-PD, one QR-based step then a several-term
-    // Cholesky-based one: `M` and the Gram matrix in the slots' top halves
+    // QR-first Zolo-PD, one QR-based step of more terms than slots (it
+    // writes the spare) then a several-term Cholesky-based one
     let (m, n) = (192, 192);
     let opts = QdwhOptions { terms: 8, ..tiled(nb) };
-    let holds = Holds { m, n, nb, spare: true, slots: 2, nn: 0, tops: 0, rows: false };
+    let holds = Holds { m, n, nb, spare: true, slots: 2, qr: true };
     check("zolo r = 8, QR first", &geometric::<f64>(m, n, 1e8, 1), &opts, holds);
 
     // square QR-first QDWH: one slot and one iterate buffer — the QR-based
-    // steps lift their product in the slot's top half, the Cholesky-based
-    // ones keep V there
+    // steps lift their product in the slot's top half
     let holds = Holds { slots: 1, spare: false, ..holds };
     check("qdwh, QR first", &geometric::<f64>(m, n, 1e16, 2), &tiled(nb), holds);
 
     // tall QR-first QDWH: the lift has more tile rows than the slot's top
-    // half, so the QR-based steps write the spare, and V lives there
+    // half, so the QR-based steps write the spare
     let (m, n) = (288, 96);
-    let holds = Holds { m, n, nb, spare: true, slots: 1, nn: 0, tops: 0, rows: false };
+    let holds = Holds { m, n, nb, spare: true, slots: 1, qr: true };
     check("qdwh, tall QR first", &geometric::<f64>(m, n, 1e16, 5), &tiled(nb), holds);
 
-    // certified tall c64 QDWH: one iterate buffer, row slots, the start's
-    // Gram matrix and an n x n host
-    let holds = Holds { m, n, nb, spare: false, slots: 0, nn: 2, tops: 0, rows: true };
+    // certified tall c64 QDWH: one iterate buffer and one slot, the start's
+    // Gram matrix and V in its top half, Z in its bottom half
+    let holds = Holds { m, n, nb, spare: false, slots: 1, qr: false };
     check("qdwh c64, certified", &geometric::<Complex64>(m, n, 10.0, 3), &tiled(nb), holds);
 
-    // certified several-term Zolo-PD: the start's Gram matrix, M in slot
-    // 0's top half, slot 1 an n x n host
+    // certified several-term Zolo-PD: X updated in place through V in
+    // slot 1's top half, M in slot 0's
     let (m, n) = (200, 90);
     let opts = QdwhOptions { terms: 4, ..tiled(nb) };
-    let holds = Holds { m, n, nb, spare: true, slots: 0, nn: 2, tops: 1, rows: false };
+    let holds = Holds { m, n, nb, spare: false, slots: 2, qr: false };
     check("zolo r = 4, certified", &geometric::<f64>(m, n, 10.0, 4), &opts, holds);
 }
